@@ -8,7 +8,7 @@ BENCHCOUNT ?= 2
 BENCHOUT ?= BENCH_pr9.json
 SERVEBENCH ?= BENCH_serve.json
 
-.PHONY: build test race short bench bench-regress examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
+.PHONY: build test race short bench bench-regress bench-test examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -17,10 +17,11 @@ test: fuzz
 	$(GO) test ./...
 
 # fuzz smoke: run each hostile-input fuzzer briefly beyond its checked-in
-# seed corpus (go test accepts one -fuzz target per invocation, hence two
-# runs). FUZZTIME=2m makes it a real session.
+# seed corpus (go test accepts one -fuzz target per invocation, hence one
+# run each). FUZZTIME=2m makes it a real session.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
 
 # serve-smoke drives the statistics daemon end to end: run -save-stats,
@@ -64,6 +65,12 @@ bench:
 # metrics-off configuration.
 bench-regress:
 	./scripts/bench_regress.sh BENCH_pr8.json $(BENCHOUT)
+
+# bench-test compiles and tests the benchmark harness. bench/ is a nested
+# module that `go test ./...` never sees, so an exported-API change under
+# internal/ that breaks it shows up only here.
+bench-test:
+	cd bench && $(GO) test .
 
 # examples smoke-runs every runnable example program; each must exit 0.
 examples:

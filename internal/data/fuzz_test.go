@@ -82,3 +82,49 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
+
+// fuzzWireCells is the cell cap FuzzReadTable decodes under. The real cap
+// admits tables of half a gigabyte, and a run or a constant column reaches
+// it from a dozen mutated bytes; the cap's own logic is the same at any
+// value (TestTableWireCellCap pins it at the real one).
+const fuzzWireCells = 1 << 16
+
+// FuzzReadTable drives the table wire reader — what a worker hands any
+// peer that can reach its port — with arbitrary bytes. It must fail with
+// an error, never a panic, and because the format is canonical a stream it
+// does accept must be exactly what WriteTable emits for the decoded table.
+func FuzzReadTable(f *testing.F) {
+	for _, tbl := range []*Table{
+		nil,
+		column(),
+		column(serialKey(40)...),      // plain
+		column(constant(40, -3)...),   // rle
+		column(zipfDomain(40, 5)...),  // dict
+		column(constant(20000, 9)...), // width-0 dict
+		mixedTable(),
+	} {
+		f.Add(encodeTable(f, tbl))
+	}
+	small := encodeTable(f, &Table{Rel: "S", Attrs: mixedTable().Attrs[:3], Rows: []Row{{1, 7, 2}, {2, 7, 3}, {3, 7, 2}, {900, 7, 3}}})
+	for n := 0; n < len(small); n++ {
+		f.Add(small[:n])
+	}
+	f.Add(rowBomb())
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tbl, err := readTable(bytes.NewReader(in), fuzzWireCells)
+		if err != nil {
+			return // rejected cleanly — the property under test
+		}
+		if tbl != nil {
+			for i, row := range tbl.Rows {
+				if len(row) != len(tbl.Attrs) {
+					t.Fatalf("row %d has %d values, table has %d columns", i, len(row), len(tbl.Attrs))
+				}
+			}
+		}
+		if again := encodeTable(t, tbl); !bytes.Equal(again, in) {
+			t.Fatalf("accepted a non-canonical stream:\n   in % x\nagain % x", in, again)
+		}
+	})
+}

@@ -1,184 +1,676 @@
 package data
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"sync"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Table wire format. Distributed execution ships block boundary outputs
-// between coordinator and worker processes; the encoding below is the
-// canonical byte form of a Table: a magic header, the relation name, the
-// attribute schema, then every row as varint-encoded int64 values. It is
-// lossless (ReadTable(WriteTable(t)) reproduces t exactly, including
-// attribute order and row order) and canonical — the same table always
-// encodes to the same bytes — so a block that executes twice on different
-// workers returns byte-identical payloads and the coordinator can commit
-// whichever copy arrives first.
+// Table wire format (ETBL2). Distributed execution ships block boundary
+// outputs between coordinator and worker processes; the encoding below is
+// the canonical byte form of a Table:
+//
+//	"ETBL2" | present(1) | relation | ncols | ncols × (attr rel, attr col)
+//	        | nrows | ncols × column        (no columns when nrows is 0)
+//
+// Strings are a uvarint length plus bytes, counts are uvarints. The body is
+// column-major: each column is one tag byte and one of three encodings of
+// its nrows values —
+//
+//	plain  zigzag varints, one per row
+//	rle    (zigzag varint value, uvarint run ≥ 1) pairs, adjacent pairs
+//	       differing in value, runs summing to nrows
+//	dict   uvarint distinct count d, the sorted distinct values (zigzag
+//	       varint first value, then d-1 uvarint deltas ≥ 1), a width byte
+//	       w = ⌈log2 d⌉, then the rows' dictionary codes bit-packed
+//	       LSB-first at w bits each, zero-padded to a byte (w = 0, no
+//	       codes, for a constant column)
+//
+// — whichever is smallest by exact computed size, ties to the lower tag;
+// dict is a candidate only while max-min < maxDictSpan, which is what lets
+// presence marks over [min, max] stand in for a hash set. Join outputs over
+// skewed small domains are long runs and tiny dictionaries: block outputs
+// cost ~2 bytes a row.
+//
+// The format is lossless (ReadTable(WriteTable(t)) reproduces t exactly,
+// attribute and row order included) and canonical in both directions: the
+// same table always encodes to the same bytes — a block that executes twice
+// on different workers returns byte-identical payloads and the coordinator
+// can commit whichever copy arrives first — and ReadTable accepts only
+// bytes WriteTable could have produced (minimal varints, maximal runs,
+// fully used dictionaries, the encoder's own choice of encoding).
 //
 // Like stats.ReadStore, the reader defends against truncated or hostile
-// streams: declared counts are capped, every row must carry exactly the
-// schema's column count, and allocations grow with bytes actually
-// consumed, never with declared counts alone.
+// streams: declared counts are capped, and because a run or a constant
+// column declares many rows in a few bytes, rows × columns is capped too
+// (ErrWireCap) before anything is allocated for them. The writer refuses
+// the same tables, so both ends of a dispatch classify an oversized block
+// alike.
 
 // tableMagic versions the stream; bump on any incompatible change.
-const tableMagic = "ETBL1"
+const tableMagic = "ETBL2"
 
 // Wire limits: a schema wider than maxWireCols or a name longer than
 // maxWireName is rejected outright (no workflow in the system approaches
-// either), which bounds what a corrupt count can make the reader allocate.
+// either), and a table of more than maxWireCells cells — what a 64 MiB
+// body of one-byte varints could carry — does not cross the wire.
 const (
-	maxWireCols = 1 << 12
-	maxWireName = 1 << 12
+	maxWireCols  = 1 << 12
+	maxWireName  = 1 << 12
+	maxWireCells = 1 << 26
 )
 
-// WriteTable serializes the table. A nil table encodes as a present/absent
-// marker so map values can round-trip without a sidecar.
-func WriteTable(w io.Writer, t *Table) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(tableMagic); err != nil {
-		return err
-	}
-	if t == nil {
-		if err := bw.WriteByte(0); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	if err := bw.WriteByte(1); err != nil {
-		return err
-	}
-	if err := writeWireString(bw, t.Rel); err != nil {
-		return err
-	}
-	if len(t.Attrs) > maxWireCols {
-		return fmt.Errorf("data: table %q has %d columns, wire cap is %d", t.Rel, len(t.Attrs), maxWireCols)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(t.Attrs)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	for _, a := range t.Attrs {
-		if err := writeWireString(bw, a.Rel); err != nil {
-			return err
-		}
-		if err := writeWireString(bw, a.Col); err != nil {
-			return err
-		}
-	}
-	n = binary.PutUvarint(buf[:], uint64(len(t.Rows)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if len(r) != len(t.Attrs) {
-			return fmt.Errorf("data: table %q row has %d values, schema has %d columns", t.Rel, len(r), len(t.Attrs))
-		}
-		for _, v := range r {
-			n = binary.PutVarint(buf[:], v)
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
+// ErrWireCap reports a table with more rows or cells than the wire format
+// carries. Distributed dispatch treats it like a body over the upload cap:
+// the block runs in-process instead.
+var ErrWireCap = errors.New("data: table exceeds the wire cell cap")
+
+// Column encoding tags, in tie-break order.
+const (
+	encPlain byte = iota
+	encRLE
+	encDict
+)
+
+// maxDictSpan bounds max-min of a dictionary column, and so both the mark
+// table the encoder scans and the dictionary a reader allocates.
+const maxDictSpan = 1 << 16
+
+// wireScratch is the working memory of one WriteTable or ReadTable call.
+type wireScratch struct {
+	cells []int64 // the table, column-major
+	stats []colStats
+	marks []uint16     // presence marks over [min, max], then dictionary codes
+	dict  []int64      // a decoded dictionary
+	out   []byte       // the stream being encoded
+	in    bytes.Buffer // the stream being decoded
 }
 
-// ReadTable deserializes a table written by WriteTable.
-func ReadTable(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(tableMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("data: table header: %w", err)
+var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
+
+// Scratch larger than this is dropped rather than pooled, so one huge (or
+// hostile) table does not pin its working memory.
+const (
+	maxPooledCells = 1 << 22
+	maxPooledBytes = 1 << 24
+)
+
+func putScratch(sc *wireScratch) {
+	if cap(sc.cells) > maxPooledCells {
+		sc.cells = nil
 	}
-	if string(magic) != tableMagic {
-		return nil, fmt.Errorf("data: bad table magic %q", magic)
+	if cap(sc.out) > maxPooledBytes {
+		sc.out = nil
 	}
-	present, err := br.ReadByte()
+	if sc.in.Cap() > maxPooledBytes {
+		sc.in = bytes.Buffer{}
+	}
+	wirePool.Put(sc)
+}
+
+// WriteTable serializes the table with a single Write. A nil table encodes
+// as a present/absent marker so map values can round-trip without a
+// sidecar.
+func WriteTable(w io.Writer, t *Table) error {
+	sc := wirePool.Get().(*wireScratch)
+	defer putScratch(sc)
+	buf, err := appendTable(sc.out[:0], t, sc)
+	sc.out = buf
 	if err != nil {
-		return nil, fmt.Errorf("data: table presence: %w", err)
+		return err
 	}
+	_, err = w.Write(buf)
+	return err
+}
+
+func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
+	buf = append(buf, tableMagic...)
+	if t == nil {
+		return append(buf, 0), nil
+	}
+	buf = append(buf, 1)
+	var err error
+	if buf, err = appendWireString(buf, t.Rel); err != nil {
+		return buf, err
+	}
+	ncols, nrows := len(t.Attrs), len(t.Rows)
+	if ncols > maxWireCols {
+		return buf, fmt.Errorf("data: table %q has %d columns, wire cap is %d", t.Rel, ncols, maxWireCols)
+	}
+	buf = binary.AppendUvarint(buf, uint64(ncols))
+	for _, a := range t.Attrs {
+		if buf, err = appendWireString(buf, a.Rel); err != nil {
+			return buf, err
+		}
+		if buf, err = appendWireString(buf, a.Col); err != nil {
+			return buf, err
+		}
+	}
+	if nrows > maxWireCells || nrows*ncols > maxWireCells {
+		return buf, fmt.Errorf("data: table %q (%d rows × %d columns): %w", t.Rel, nrows, ncols, ErrWireCap)
+	}
+	buf = binary.AppendUvarint(buf, uint64(nrows))
+
+	// Transpose into column-major scratch a tile of rows at a time, and
+	// take each column's statistics from the tile while it is still in
+	// cache; the encoders then read whole columns sequentially.
+	if cap(sc.cells) < nrows*ncols {
+		sc.cells = make([]int64, nrows*ncols)
+	}
+	cells := sc.cells[:nrows*ncols]
+	if cap(sc.stats) < ncols {
+		sc.stats = make([]colStats, ncols)
+	}
+	stats := sc.stats[:ncols]
+	clear(stats)
+	for r0 := 0; r0 < nrows; r0 += wireTile {
+		tile := t.Rows[r0:min(r0+wireTile, nrows)]
+		for r, row := range tile {
+			if len(row) != ncols {
+				return buf, fmt.Errorf("data: table %q row has %d values, schema has %d columns", t.Rel, len(row), ncols)
+			}
+			i := r0 + r
+			for _, v := range row {
+				cells[i] = v
+				i += nrows
+			}
+		}
+		for c := range stats {
+			stats[c].scan(cells[c*nrows+r0 : c*nrows+r0+len(tile)])
+		}
+	}
+	for c := 0; c < ncols && nrows > 0; c++ {
+		col := cells[c*nrows : (c+1)*nrows]
+		buf = appendColumn(buf, col, planColumn(col, &stats[c], sc))
+	}
+	return buf, nil
+}
+
+// wireTile is the rows transposed between statistics passes: 512 rows of a
+// 14-column table are 56 KiB, inside L2.
+const wireTile = 512
+
+// colStats is what one sequential pass over a column yields.
+type colStats struct {
+	min, max int64
+	last     int64 // the previous value scanned
+	runs     int   // maximal runs of one value; 0 before the first value
+	plain    int   // bytes as zigzag varints
+}
+
+// scan folds the next, non-empty, segment of the column into the statistics.
+func (s *colStats) scan(seg []int64) {
+	if s.runs == 0 {
+		*s = colStats{min: seg[0], max: seg[0], last: seg[0], runs: 1}
+	}
+	mn, mx, prev, runs, plain := s.min, s.max, s.last, s.runs, s.plain
+	for _, v := range seg {
+		// x|-x has its top bit set exactly when x != 0: a run boundary,
+		// counted without a branch the Zipfian columns would mispredict.
+		x := uint64(v ^ prev)
+		runs += int((x | -x) >> 63)
+		prev = v
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+		plain += varintLen(v)
+	}
+	s.min, s.max, s.last, s.runs, s.plain = mn, mx, prev, runs, plain
+}
+
+// addRun folds in n copies of v that differ from the value before them.
+func (s *colStats) addRun(v int64, n int) {
+	if s.runs == 0 {
+		s.min, s.max = v, v
+	}
+	s.min, s.max, s.last = min(s.min, v), max(s.max, v), v
+	s.runs++
+	s.plain += n * varintLen(v)
+}
+
+// colPlan is the encoder's decision for one column.
+type colPlan struct {
+	enc byte
+	min int64
+	// A dictionary column has dict distinct values, and marks[v-min] != 0
+	// for exactly those.
+	dict  int
+	marks []uint16
+}
+
+// planColumn picks the column's encoding by exact encoded size.
+func planColumn(col []int64, st *colStats, sc *wireScratch) colPlan {
+	n := len(col)
+	p := colPlan{enc: encPlain, min: st.min}
+	best := st.plain
+
+	// A run costs at least two bytes, so only a column with few enough runs
+	// is worth sizing exactly.
+	if 2*st.runs < best {
+		rle := 0
+		for i := 0; i < n; {
+			v, j := col[i], i+1
+			for j < n && col[j] == v {
+				j++
+			}
+			rle += varintLen(v) + uvarintLen(uint64(j-i))
+			i = j
+		}
+		if rle < best {
+			p.enc, best = encRLE, rle
+		}
+	}
+
+	if span := uint64(st.max) - uint64(st.min); span < maxDictSpan {
+		if cap(sc.marks) < maxDictSpan {
+			sc.marks = make([]uint16, maxDictSpan)
+		}
+		marks := sc.marks[:span+1]
+		clear(marks)
+		for _, v := range col {
+			marks[uint64(v)-uint64(st.min)] = 1
+		}
+		d, size, last := 0, varintLen(st.min), 0
+		for i, m := range marks {
+			if m != 0 {
+				if d > 0 {
+					size += uvarintLen(uint64(i - last))
+				}
+				last = i
+				d++
+			}
+		}
+		size += uvarintLen(uint64(d)) + 1 + (n*dictWidth(d)+7)/8
+		if size < best {
+			p.enc, p.dict, p.marks = encDict, d, marks
+		}
+	}
+	return p
+}
+
+// dictWidth is the bits per code of a d-entry dictionary.
+func dictWidth(d int) int { return bits.Len(uint(d - 1)) }
+
+func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+func uvarintLen(u uint64) int { return int(varintLens[bits.Len64(u)]) }
+
+// varintLens maps a value's bit length to its varint byte length.
+var varintLens = func() (t [65]uint8) {
+	for i := range t {
+		t[i] = uint8(max(1, (i+6)/7))
+	}
+	return t
+}()
+
+// appendColumn encodes one planned column.
+func appendColumn(buf []byte, col []int64, p colPlan) []byte {
+	buf = append(buf, p.enc)
+	switch p.enc {
+	case encPlain:
+		for _, v := range col {
+			buf = binary.AppendVarint(buf, v)
+		}
+	case encRLE:
+		for i, n := 0, len(col); i < n; {
+			v, j := col[i], i+1
+			for j < n && col[j] == v {
+				j++
+			}
+			buf = binary.AppendVarint(buf, v)
+			buf = binary.AppendUvarint(buf, uint64(j-i))
+			i = j
+		}
+	case encDict:
+		buf = binary.AppendUvarint(buf, uint64(p.dict))
+		buf = binary.AppendVarint(buf, p.min)
+		// Turn the presence marks into codes (ranks) while writing the
+		// dictionary they index.
+		code, last := uint16(0), 0
+		for i, m := range p.marks {
+			if m != 0 {
+				if i > 0 {
+					buf = binary.AppendUvarint(buf, uint64(i-last))
+				}
+				last = i
+				p.marks[i] = code
+				code++
+			}
+		}
+		w := uint(dictWidth(p.dict))
+		buf = append(buf, byte(w))
+		if w == 0 {
+			break
+		}
+		var acc uint64
+		var nb uint
+		for _, v := range col {
+			acc |= uint64(p.marks[uint64(v)-uint64(p.min)]) << nb
+			if nb += w; nb >= 32 {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(acc))
+				acc >>= 32
+				nb -= 32
+			}
+		}
+		for ; nb > 0; nb -= min(nb, 8) {
+			buf = append(buf, byte(acc))
+			acc >>= 8
+		}
+	}
+	return buf
+}
+
+func appendWireString(buf []byte, s string) ([]byte, error) {
+	if len(s) > maxWireName {
+		return buf, fmt.Errorf("data: name longer than wire cap %d", maxWireName)
+	}
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...), nil
+}
+
+// ReadTable deserializes a table written by WriteTable, consuming r to EOF.
+func ReadTable(r io.Reader) (*Table, error) { return readTable(r, maxWireCells) }
+
+// readTable is ReadTable under an explicit cell cap (the fuzzer runs a
+// smaller one so a mutated row count cannot cost it gigabytes).
+func readTable(r io.Reader, maxCells uint64) (*Table, error) {
+	sc := wirePool.Get().(*wireScratch)
+	defer putScratch(sc)
+	sc.in.Reset()
+	if _, err := sc.in.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("data: table stream: %w", err)
+	}
+	d := &wireDecoder{b: sc.in.Bytes()}
+	if len(d.b) < len(tableMagic) {
+		return nil, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
+	}
+	if string(d.b[:len(tableMagic)]) != tableMagic {
+		return nil, fmt.Errorf("data: bad table magic %q", d.b[:len(tableMagic)])
+	}
+	d.pos = len(tableMagic)
+	if d.pos == len(d.b) {
+		return nil, fmt.Errorf("data: table presence: %w", io.ErrUnexpectedEOF)
+	}
+	present := d.b[d.pos]
+	d.pos++
 	switch present {
 	case 0:
+		if d.pos != len(d.b) {
+			return nil, errors.New("data: trailing bytes after a nil table")
+		}
 		return nil, nil
 	case 1:
 	default:
 		return nil, fmt.Errorf("data: bad table presence byte %d", present)
 	}
-	rel, err := readWireString(br, "relation name")
+	rel, err := d.str("relation name")
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := binary.ReadUvarint(br)
+	t := &Table{Rel: rel}
+	ncols, err := d.uvarint("column count")
 	if err != nil {
-		return nil, fmt.Errorf("data: column count: %w", err)
+		return nil, err
 	}
 	if ncols > maxWireCols {
 		return nil, fmt.Errorf("data: column count %d exceeds wire cap %d", ncols, maxWireCols)
 	}
-	t := &Table{Rel: rel}
 	for i := uint64(0); i < ncols; i++ {
-		arel, err := readWireString(br, "attribute relation")
-		if err != nil {
+		var a workflow.Attr
+		if a.Rel, err = d.str("attribute relation"); err != nil {
 			return nil, err
 		}
-		acol, err := readWireString(br, "attribute column")
-		if err != nil {
+		if a.Col, err = d.str("attribute column"); err != nil {
 			return nil, err
 		}
-		t.Attrs = append(t.Attrs, workflow.Attr{Rel: arel, Col: acol})
+		t.Attrs = append(t.Attrs, a)
 	}
-	nrows, err := binary.ReadUvarint(br)
+	nrows, err := d.uvarint("row count")
 	if err != nil {
-		return nil, fmt.Errorf("data: row count: %w", err)
+		return nil, err
 	}
-	// Rows append as bytes are consumed — a lying count hits EOF, not an
-	// oversized allocation.
-	for i := uint64(0); i < nrows; i++ {
-		row := make(Row, ncols)
-		for c := uint64(0); c < ncols; c++ {
-			v, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("data: row %d column %d: %w", i, c, err)
-			}
-			row[c] = v
+	// A run or a constant column declares any number of rows in a few
+	// bytes, so the declared shape is capped before it sizes anything.
+	if nrows > maxCells || nrows*ncols > maxCells {
+		return nil, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
+	}
+	n, w := int(nrows), int(ncols)
+	if n > 0 {
+		if cap(sc.cells) < n*w {
+			sc.cells = make([]int64, n*w)
 		}
-		t.Rows = append(t.Rows, row)
+		for c := 0; c < w; c++ {
+			if err := d.column(sc.cells[c*n:(c+1)*n], sc); err != nil {
+				return nil, fmt.Errorf("data: column %d: %w", c, err)
+			}
+		}
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if d.pos != len(d.b) {
 		return nil, fmt.Errorf("data: trailing bytes after %d row(s)", nrows)
+	}
+	if n == 0 {
+		return t, nil
+	}
+	// One flat backing and one header slice, however many rows.
+	flat := make([]int64, n*w)
+	t.Rows = make([]Row, n)
+	for r := range t.Rows {
+		row := flat[r*w : (r+1)*w : (r+1)*w]
+		for c := range row {
+			row[c] = sc.cells[c*n+r]
+		}
+		t.Rows[r] = row
 	}
 	return t, nil
 }
 
-func writeWireString(w *bufio.Writer, s string) error {
-	if len(s) > maxWireName {
-		return fmt.Errorf("data: name longer than wire cap %d", maxWireName)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(s)))
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
+// wireDecoder is a cursor over one encoded table.
+type wireDecoder struct {
+	b   []byte
+	pos int
 }
 
-func readWireString(r *bufio.Reader, what string) (string, error) {
-	n, err := binary.ReadUvarint(r)
+var (
+	errWireOverflow   = errors.New("varint overflows 64 bits")
+	errWireNonMinimal = errors.New("non-canonical: varint is not minimal")
+)
+
+// uvarintRaw reads one uvarint, rejecting padded (non-minimal) forms: the
+// stream is canonical, so every number has exactly one spelling.
+func (d *wireDecoder) uvarintRaw() (uint64, error) {
+	u, n := binary.Uvarint(d.b[d.pos:])
+	switch {
+	case n == 0:
+		return 0, io.ErrUnexpectedEOF
+	case n < 0:
+		return 0, errWireOverflow
+	case n > 1 && d.b[d.pos+n-1] == 0:
+		return 0, errWireNonMinimal
+	}
+	d.pos += n
+	return u, nil
+}
+
+func (d *wireDecoder) varintRaw() (int64, error) {
+	u, err := d.uvarintRaw()
+	return int64(u>>1) ^ -int64(u&1), err
+}
+
+func (d *wireDecoder) uvarint(what string) (uint64, error) {
+	u, err := d.uvarintRaw()
 	if err != nil {
-		return "", fmt.Errorf("data: %s length: %w", what, err)
+		return 0, fmt.Errorf("data: %s: %w", what, err)
+	}
+	return u, nil
+}
+
+func (d *wireDecoder) str(what string) (string, error) {
+	n, err := d.uvarint(what + " length")
+	if err != nil {
+		return "", err
 	}
 	if n > maxWireName {
 		return "", fmt.Errorf("data: %s length %d exceeds wire cap %d", what, n, maxWireName)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("data: %s: %w", what, err)
+	if uint64(len(d.b)-d.pos) < n {
+		return "", fmt.Errorf("data: %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	return string(b), nil
+	s := string(d.b[d.pos : d.pos+int(n)])
+	d.pos += int(n)
+	return s, nil
+}
+
+// column decodes one column into col and verifies it is the encoding the
+// writer would have chosen.
+func (d *wireDecoder) column(col []int64, sc *wireScratch) error {
+	if d.pos == len(d.b) {
+		return io.ErrUnexpectedEOF
+	}
+	enc := d.b[d.pos]
+	d.pos++
+	dict := 0
+	var st colStats
+	var err error
+	switch enc {
+	case encPlain:
+		err = d.plainColumn(col)
+	case encRLE:
+		err = d.rleColumn(col, &st)
+	case encDict:
+		dict, err = d.dictColumn(col, sc)
+	default:
+		return fmt.Errorf("unknown encoding tag %d", enc)
+	}
+	if err != nil {
+		return err
+	}
+	if enc != encRLE {
+		st.scan(col)
+	}
+	if p := planColumn(col, &st, sc); p.enc != enc || p.dict != dict {
+		return fmt.Errorf("non-canonical: encoding %d with %d dictionary entries, the writer picks %d with %d", enc, dict, p.enc, p.dict)
+	}
+	return nil
+}
+
+func (d *wireDecoder) plainColumn(col []int64) error {
+	for i := range col {
+		v, err := d.varintRaw()
+		if err != nil {
+			return err
+		}
+		col[i] = v
+	}
+	return nil
+}
+
+// rleColumn takes the column's statistics from its runs as it expands
+// them: four fifths of a join output's cells sit in runs, and scanning them
+// again value by value would cost as much as decoding them.
+func (d *wireDecoder) rleColumn(col []int64, st *colStats) error {
+	for i, n := 0, len(col); i < n; {
+		v, err := d.varintRaw()
+		if err != nil {
+			return err
+		}
+		run, err := d.uvarintRaw()
+		if err != nil {
+			return err
+		}
+		if run == 0 || run > uint64(n-i) {
+			return fmt.Errorf("run of %d at row %d of %d", run, i, n)
+		}
+		if i > 0 && col[i-1] == v {
+			return errors.New("non-canonical: adjacent runs of one value")
+		}
+		seg := col[i : i+int(run)]
+		for k := range seg {
+			seg[k] = v
+		}
+		st.addRun(v, len(seg))
+		i += len(seg)
+	}
+	return nil
+}
+
+func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
+	nd, err := d.uvarintRaw()
+	if err != nil {
+		return 0, err
+	}
+	if nd == 0 || nd > maxDictSpan || nd > uint64(len(col)) {
+		return 0, fmt.Errorf("dictionary of %d entries for %d rows", nd, len(col))
+	}
+	if cap(sc.dict) < maxDictSpan {
+		sc.dict = make([]int64, maxDictSpan)
+	}
+	dict := sc.dict[:nd]
+	if dict[0], err = d.varintRaw(); err != nil {
+		return 0, err
+	}
+	for k := 1; k < len(dict); k++ {
+		delta, err := d.uvarintRaw()
+		if err != nil {
+			return 0, err
+		}
+		// Not ascending: a zero delta, or one that overflows int64.
+		if dict[k] = dict[k-1] + int64(delta); dict[k] <= dict[k-1] {
+			return 0, fmt.Errorf("dictionary delta %d at entry %d", delta, k)
+		}
+	}
+	if d.pos == len(d.b) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	w := uint(d.b[d.pos])
+	d.pos++
+	if w != uint(dictWidth(len(dict))) {
+		return 0, fmt.Errorf("code width %d for %d dictionary entries", w, len(dict))
+	}
+	if w == 0 {
+		for i := range col {
+			col[i] = dict[0]
+		}
+		return len(dict), nil
+	}
+	need := (len(col)*int(w) + 7) / 8
+	if len(d.b)-d.pos < need {
+		return 0, io.ErrUnexpectedEOF
+	}
+	packed := d.b[d.pos : d.pos+need]
+	d.pos += need
+	var acc uint64
+	var nb uint
+	mask := uint64(1)<<w - 1
+	for i := range col {
+		if nb < w {
+			if len(packed) >= 4 {
+				acc |= uint64(binary.LittleEndian.Uint32(packed)) << nb
+				packed = packed[4:]
+				nb += 32
+			} else {
+				for ; len(packed) > 0; packed = packed[1:] {
+					acc |= uint64(packed[0]) << nb
+					nb += 8
+				}
+			}
+		}
+		code := acc & mask
+		acc >>= w
+		nb -= w
+		if code >= nd {
+			return 0, fmt.Errorf("code %d at row %d, dictionary has %d entries", code, i, nd)
+		}
+		col[i] = dict[code]
+	}
+	if acc != 0 {
+		return 0, errors.New("non-canonical: padding bits set")
+	}
+	return len(dict), nil
 }

@@ -2,11 +2,110 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
+
+// encodeTable is WriteTable into a fresh slice.
+func encodeTable(t testing.TB, tbl *Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tbl); err != nil {
+		t.Fatalf("WriteTable: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// wireHeader is the stream up to and including the row count, as the format
+// comment in wire.go lays it out; the first column's tag byte follows it.
+func wireHeader(tbl *Table) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte(tableMagic), 1)
+	b = str(b, tbl.Rel)
+	b = binary.AppendUvarint(b, uint64(len(tbl.Attrs)))
+	for _, a := range tbl.Attrs {
+		b = str(str(b, a.Rel), a.Col)
+	}
+	return binary.AppendUvarint(b, uint64(len(tbl.Rows)))
+}
+
+// column builds a one-column table.
+func column(vals ...int64) *Table {
+	tbl := &Table{Rel: "T", Attrs: []workflow.Attr{{Rel: "T", Col: "a"}}}
+	for _, v := range vals {
+		tbl.Rows = append(tbl.Rows, Row{v})
+	}
+	return tbl
+}
+
+// Generated column shapes, each with the encoding it must select.
+func serialKey(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(i + 1)
+	}
+	return out
+}
+
+func constant(n int, v int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+func zipfDomain(n int, domain int64) []int64 {
+	z := NewZipf(rand.New(rand.NewSource(7)), 1.3, domain)
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = z.Next()
+	}
+	return out
+}
+
+func sortedZipf(n int, domain int64) []int64 {
+	out := zipfDomain(n, domain)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func extremes(n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = math.MinInt64
+		if i%2 == 1 {
+			out[i] = math.MaxInt64
+		}
+	}
+	return out
+}
+
+// mixedTable carries one column of each encoding plus a negative run.
+func mixedTable() *Table {
+	cols := [][]int64{serialKey(300), sortedZipf(300, 9), zipfDomain(300, 40), constant(300, -5)}
+	tbl := &Table{Rel: "Mixed"}
+	for c := range cols {
+		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "M", Col: string(rune('a' + c))})
+	}
+	for r := 0; r < 300; r++ {
+		row := make(Row, len(cols))
+		for c := range cols {
+			row[c] = cols[c][r]
+		}
+		tbl.Rows = append(tbl.Rows, row)
+	}
+	return tbl
+}
 
 func TestTableWireRoundTrip(t *testing.T) {
 	tbl := &Table{
@@ -17,11 +116,7 @@ func TestTableWireRoundTrip(t *testing.T) {
 		},
 		Rows: []Row{{1, -5}, {2, 0}, {1 << 60, -(1 << 60)}},
 	}
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, tbl); err != nil {
-		t.Fatalf("WriteTable: %v", err)
-	}
-	got, err := ReadTable(bytes.NewReader(buf.Bytes()))
+	got, err := ReadTable(bytes.NewReader(encodeTable(t, tbl)))
 	if err != nil {
 		t.Fatalf("ReadTable: %v", err)
 	}
@@ -31,39 +126,20 @@ func TestTableWireRoundTrip(t *testing.T) {
 }
 
 func TestTableWireCanonical(t *testing.T) {
-	tbl := &Table{
-		Rel:   "T",
-		Attrs: []workflow.Attr{{Rel: "T", Col: "a"}},
-		Rows:  []Row{{7}, {8}},
-	}
-	var a, b bytes.Buffer
-	if err := WriteTable(&a, tbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTable(&b, tbl); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	tbl := column(7, 8)
+	if !bytes.Equal(encodeTable(t, tbl), encodeTable(t, tbl)) {
 		t.Fatal("same table encoded to different bytes")
 	}
 }
 
 func TestTableWireNilAndEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, nil); err != nil {
-		t.Fatalf("WriteTable(nil): %v", err)
-	}
-	got, err := ReadTable(bytes.NewReader(buf.Bytes()))
+	got, err := ReadTable(bytes.NewReader(encodeTable(t, nil)))
 	if err != nil || got != nil {
 		t.Fatalf("nil table round trip: got %v, %v", got, err)
 	}
 
 	empty := &Table{Rel: "E", Attrs: []workflow.Attr{{Rel: "E", Col: "x"}}}
-	buf.Reset()
-	if err := WriteTable(&buf, empty); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadTable(bytes.NewReader(buf.Bytes()))
+	got, err = ReadTable(bytes.NewReader(encodeTable(t, empty)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +148,131 @@ func TestTableWireNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestTableWireShapes is the codec's property test: generated shapes round
+// trip exactly, encode canonically, and between them select every encoding.
+func TestTableWireShapes(t *testing.T) {
+	shapes := []struct {
+		name string
+		tbl  *Table
+		tag  int // the first column's encoding, -1 when the table has no column data
+	}{
+		{"zero rows", &Table{Rel: "Z", Attrs: []workflow.Attr{{Rel: "Z", Col: "a"}, {Rel: "Z", Col: "b"}}}, -1},
+		{"zero columns", &Table{Rel: "Z", Rows: []Row{{}, {}, {}}}, -1},
+		{"one row", &Table{Rel: "O", Attrs: []workflow.Attr{{Rel: "O", Col: "a"}, {Rel: "O", Col: "b"}}, Rows: []Row{{-1, 1 << 40}}}, int(encPlain)},
+		{"serial key", column(serialKey(1000)...), int(encPlain)},
+		{"serial key past the dictionary span", column(serialKey(maxDictSpan + 10)...), int(encPlain)},
+		{"full range alternating", column(extremes(64)...), int(encPlain)},
+		{"constant", column(constant(100, 42)...), int(encRLE)},
+		{"sorted small domain", column(sortedZipf(5000, 50)...), int(encRLE)},
+		{"zipf small domain", column(zipfDomain(5000, 50)...), int(encDict)},
+		{"zipf negative offset", column(func() []int64 {
+			v := zipfDomain(2000, 300)
+			for i := range v {
+				v[i] -= 1 << 33
+			}
+			return v
+		}()...), int(encDict)},
+		{"long constant (width-0 dictionary)", column(constant(20000, 9)...), int(encDict)},
+		{"mixed", mixedTable(), int(encPlain)},
+	}
+	seen := map[int]bool{}
+	for _, s := range shapes {
+		blob := encodeTable(t, s.tbl)
+		got, err := ReadTable(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%s: ReadTable: %v", s.name, err)
+		}
+		if !reflect.DeepEqual(got, s.tbl) {
+			t.Fatalf("%s: round trip mismatch", s.name)
+		}
+		if again := encodeTable(t, got); !bytes.Equal(again, blob) {
+			t.Fatalf("%s: decoded table re-encodes to different bytes", s.name)
+		}
+		hdr := wireHeader(s.tbl)
+		if !bytes.HasPrefix(blob, hdr) {
+			t.Fatalf("%s: stream does not start with the documented header", s.name)
+		}
+		if s.tag < 0 {
+			if len(blob) != len(hdr) {
+				t.Fatalf("%s: %d bytes of column data for an empty table", s.name, len(blob)-len(hdr))
+			}
+			continue
+		}
+		if tag := int(blob[len(hdr)]); tag != s.tag {
+			t.Errorf("%s: first column encoded with tag %d, want %d", s.name, tag, s.tag)
+		}
+		seen[s.tag] = true
+	}
+	for _, tag := range []byte{encPlain, encRLE, encDict} {
+		if !seen[int(tag)] {
+			t.Errorf("no shape selected encoding %d", tag)
+		}
+	}
+}
+
+// TestTableWireDictionaryWidths round-trips dictionary columns at every
+// code width, with dictionary sizes on both sides of each power of two and
+// row counts that leave every possible number of padding bits.
+func TestTableWireDictionaryWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for w := 1; w <= 16; w++ {
+		for _, d := range []int{1<<(w-1) + 1, 1 << w} {
+			n := 4*d + rng.Intn(8)
+			vals := make([]int64, n)
+			for i := range vals {
+				// Every entry is used; a large offset keeps plain varints
+				// (3+ bytes a row) from undercutting the dictionary.
+				vals[i] = -(1 << 40) + int64(i%d)
+			}
+			rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			tbl := column(vals...)
+			blob := encodeTable(t, tbl)
+			hdr := wireHeader(tbl)
+			if blob[len(hdr)] != encDict {
+				t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", d, n, blob[len(hdr)])
+			}
+			got, err := ReadTable(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%d distinct values over %d rows: %v", d, n, err)
+			}
+			if !reflect.DeepEqual(got, tbl) {
+				t.Fatalf("%d distinct values over %d rows: round trip mismatch", d, n)
+			}
+		}
+	}
+}
+
+// TestTableWireConcurrent shares the scratch pool between goroutines the
+// way a coordinator's dispatch slots and a worker's handlers do; run it
+// under -race.
+func TestTableWireConcurrent(t *testing.T) {
+	tables := []*Table{mixedTable(), column(zipfDomain(3000, 200)...), column(constant(500, 1)...), nil}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tbl := tables[(g+i)%len(tables)]
+				var buf bytes.Buffer
+				err := WriteTable(&buf, tbl)
+				var got *Table
+				if err == nil {
+					got, err = ReadTable(&buf)
+				}
+				if err != nil || !reflect.DeepEqual(got, tbl) {
+					t.Errorf("goroutine %d round %d: round trip failed: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestTableWireRejectsCorruption(t *testing.T) {
-	tbl := &Table{
-		Rel:   "T",
-		Attrs: []workflow.Attr{{Rel: "T", Col: "a"}},
-		Rows:  []Row{{1}, {2}, {3}},
-	}
-	var buf bytes.Buffer
-	if err := WriteTable(&buf, tbl); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	// One column of each encoding, so every decoder meets every cut.
+	full := encodeTable(t, mixedTable())
 
 	// Truncation at every prefix length must fail, never mis-decode.
 	for n := 0; n < len(full); n++ {
@@ -100,4 +290,101 @@ func TestTableWireRejectsCorruption(t *testing.T) {
 	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+}
+
+// TestTableWireRejectsNonCanonical hand-builds streams that decode to a
+// valid table but are not what WriteTable emits for it: each must be
+// refused, or two byte strings would stand for one table.
+func TestTableWireRejectsNonCanonical(t *testing.T) {
+	three := column(5, 5, 5) // canonical: rle (5, run 3)
+	hdr := wireHeader(three)
+	zz := func(v int64) byte { return byte(v<<1) ^ byte(v>>63) } // one-byte zigzag
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"canonical", []byte{encRLE, zz(5), 3}},
+		{"plain where rle is smaller", []byte{encPlain, zz(5), zz(5), zz(5)}},
+		{"dictionary where rle is smaller", []byte{encDict, 1, zz(5), 0}},
+		{"split run", []byte{encRLE, zz(5), 2, zz(5), 1}},
+		{"empty run", []byte{encRLE, zz(5), 0, zz(5), 3}},
+		{"padded run length", []byte{encRLE, zz(5), 0x83, 0x00}},
+		{"padded value", []byte{encRLE, 0x8a, 0x00, 3}},
+		{"run past the row count", []byte{encRLE, zz(5), 4}},
+		{"unknown tag", []byte{3, zz(5), 3}},
+	}
+	for i, c := range cases {
+		_, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...)))
+		if (err == nil) != (i == 0) {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+
+	// Dictionary streams over a column whose canonical form is a dictionary.
+	vals := zipfDomain(64, 4)
+	canon := encodeTable(t, column(vals...))
+	hdr = wireHeader(column(vals...))
+	if canon[len(hdr)] != encDict || canon[len(hdr)+1] != 4 {
+		t.Fatalf("fixture is not a 4-entry dictionary column: % x", canon[len(hdr):len(hdr)+4])
+	}
+	// tag, d=4, first value 1, deltas 1 1 1, width 2, then 16 bytes of codes.
+	codes := canon[len(hdr)+7:]
+	for _, c := range []struct {
+		name string
+		body []byte
+	}{
+		{"unused dictionary entry", append([]byte{encDict, 5, zz(1), 1, 1, 1, 1, 3}, make([]byte, 24)...)},
+		{"zero delta", append([]byte{encDict, 4, zz(1), 1, 0, 1, 2}, codes...)},
+		{"wrong width", append([]byte{encDict, 4, zz(1), 1, 1, 1, 3}, make([]byte, 24)...)},
+	} {
+		if _, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...))); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// Padding bits: 15 two-bit codes leave two spare bits in the last byte.
+	pad := column(1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3)
+	blob := encodeTable(t, pad)
+	if blob[len(wireHeader(pad))] != encDict {
+		t.Fatal("fixture is not a dictionary column")
+	}
+	blob[len(blob)-1] |= 0x80
+	if _, err := ReadTable(bytes.NewReader(blob)); err == nil {
+		t.Error("set padding bits accepted")
+	}
+}
+
+// TestTableWireCellCap pins the decompression-bomb guard: a few bytes that
+// declare 2^40 rows are refused with the typed error before anything is
+// allocated for them, and the writer refuses what the reader would.
+func TestTableWireCellCap(t *testing.T) {
+	bomb := rowBomb()
+	if len(bomb) > 64 {
+		t.Fatalf("bomb is %d bytes", len(bomb))
+	}
+	ReadTable(bytes.NewReader(bomb)) // warm the scratch pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTable(bytes.NewReader(bomb))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrWireCap) {
+		t.Fatalf("err = %v, want ErrWireCap", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the bomb allocated %d bytes", got)
+	}
+
+	// The writer checks the shape before it looks at a row.
+	wide := &Table{Rel: "W", Attrs: make([]workflow.Attr, maxWireCols), Rows: make([]Row, maxWireCells/maxWireCols+1)}
+	if err := WriteTable(&bytes.Buffer{}, wide); !errors.Is(err, ErrWireCap) {
+		t.Fatalf("WriteTable of %d × %d cells: err = %v, want ErrWireCap", len(wide.Rows), len(wide.Attrs), err)
+	}
+}
+
+// rowBomb is a well-formed stream whose one column is a single run of 2^40
+// rows.
+func rowBomb() []byte {
+	b := wireHeader(&Table{Rel: "B", Attrs: []workflow.Attr{{Rel: "B", Col: "x"}}})
+	b = binary.AppendUvarint(b[:len(b)-1], 1<<40) // replace the row count
+	b = append(b, encRLE, 0)
+	return binary.AppendUvarint(b, 1<<40)
 }

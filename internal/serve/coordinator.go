@@ -15,7 +15,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
-	"github.com/essential-stats/etlopt/internal/stats"
 )
 
 // Coordinator is the scheduling side of distributed block dispatch: it
@@ -38,6 +37,9 @@ import (
 type Coordinator struct {
 	run RunSpec
 	opt CoordinatorOptions
+	// maxBody caps a frame in either direction (maxUploadBytes; tests
+	// lower it).
+	maxBody int64
 }
 
 // RunSpec is what every block request of one distributed run shares: the
@@ -115,7 +117,7 @@ func NewCoordinator(run RunSpec, opt CoordinatorOptions) (*Coordinator, error) {
 	if opt.Client == nil {
 		opt.Client = &http.Client{}
 	}
-	return &Coordinator{run: run, opt: opt}, nil
+	return &Coordinator{run: run, opt: opt, maxBody: maxUploadBytes}, nil
 }
 
 // Lease is one entry of the coordinator's lease table: which worker holds
@@ -230,9 +232,16 @@ func (e *permanentError) Unwrap() error { return e.err }
 // block is declared undeliverable (engine.ErrWorkersLost) and the engine
 // falls back in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	body, err := s.requestBody(block, upstream)
-	if err != nil {
+	// The lease id rides a header, so the frame — and any retry of it — is
+	// built once and stays byte-identical.
+	body, err := encodeRunRequest(&s.base, block, upstream)
+	switch {
+	case errors.Is(err, data.ErrWireCap):
+		return nil, wireCapError(block, err.Error())
+	case err != nil:
 		return nil, err
+	case int64(len(body)) > s.c.maxBody:
+		return nil, wireCapError(block, fmt.Sprintf("request of %d bytes, cap %d", len(body), s.c.maxBody))
 	}
 	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
@@ -287,22 +296,11 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		block, s.c.opt.DispatchRetryMax, lastErr, engine.ErrWorkersLost)
 }
 
-// requestBody marshals the block request (lease id is attached per
-// attempt via header, keeping the body — and any retry of it — identical).
-func (s *dispatchSession) requestBody(block int, upstream map[int]*data.Table) ([]byte, error) {
-	req := s.base
-	req.Block = block
-	if len(upstream) > 0 {
-		req.Upstream = make(map[int][]byte, len(upstream))
-		for idx, tbl := range upstream {
-			blob, err := encodeTable(tbl)
-			if err != nil {
-				return nil, err
-			}
-			req.Upstream[idx] = blob
-		}
-	}
-	return json.Marshal(&req)
+// wireCapError reports a block whose tables cannot cross the wire whole.
+// That is a property of the block, not of any worker: every retry would
+// fail identically, so the run must finish this block in-process.
+func wireCapError(block int, detail string) error {
+	return fmt.Errorf("serve: block %d exceeds the wire cap (%s): %w", block, detail, engine.ErrWorkersLost)
 }
 
 // pickLive returns the next live worker round-robin, nil when none.
@@ -346,7 +344,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", frameContentType)
 	req.Header.Set("X-Etlopt-Lease", lease.ID)
 	resp, err := s.c.opt.Client.Do(req)
 	if err != nil {
@@ -360,18 +358,6 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
 	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxUploadBytes+1))
-	if err != nil {
-		s.markLost(w)
-		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
-	}
-	if len(payload) > maxUploadBytes {
-		// The block's payload cannot cross the wire whole. That is a
-		// property of the block, not the worker: every retry would truncate
-		// identically, so the run must finish this block in-process.
-		return nil, fmt.Errorf("serve: block %d on %s: response exceeds the %d-byte wire cap: %w",
-			block, w.addr, int64(maxUploadBytes), engine.ErrWorkersLost)
-	}
 	if truncate {
 		// Injected lost ACK: the worker completed the block, but the
 		// response is cut short before the coordinator can commit it. The
@@ -380,19 +366,45 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
 			&faults.Error{Kind: faults.Network, Site: fmt.Sprintf("net:block:%d", block), Transient: true})
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return decodeRemoteBlock(payload)
-	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		// The worker ran the block and it failed deterministically (or the
-		// request itself is invalid): reassignment cannot change the
-		// outcome.
-		return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(payload))}
-	default:
-		s.markLost(w)
-		return nil, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(payload))
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		switch {
+		case resp.StatusCode == http.StatusRequestEntityTooLarge:
+			return nil, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
+		case resp.StatusCode >= 400 && resp.StatusCode < 500:
+			// The worker ran the block and it failed deterministically (or
+			// the request itself is invalid): reassignment cannot change
+			// the outcome.
+			return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
+		default:
+			s.markLost(w)
+			return nil, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
+		}
 	}
+	// Decode straight from the body, one section at a time. One byte past
+	// the cap is let through so that a body over the cap can be told from
+	// one of exactly the cap.
+	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
+	rb, err := decodeRunResponse(lr)
+	if err != nil {
+		// Whatever stopped the decoder, the body's size is judged first: a
+		// frame cut off at the cap fails to decode on every retry.
+		if _, rerr := io.Copy(io.Discard, lr); rerr != nil {
+			s.markLost(w)
+			return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
+		}
+	}
+	if lr.N <= 0 {
+		return nil, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
+	}
+	return rb, nil
 }
+
+// maxErrorBody bounds how much of a non-200 reply is read for its message.
+const maxErrorBody = 1 << 16
 
 // grantLease registers a lease for one dispatch attempt.
 func (s *dispatchSession) grantLease(block int, worker string) *Lease {
@@ -483,40 +495,6 @@ func (s *dispatchSession) probe(ctx context.Context, w *workerRef) error {
 		return fmt.Errorf("serve: health probe of %s: status %d", w.addr, resp.StatusCode)
 	}
 	return nil
-}
-
-// decodeRemoteBlock parses a worker's 200 response into the engine's form.
-func decodeRemoteBlock(payload []byte) (*engine.RemoteBlock, error) {
-	var resp WorkerRunResponse
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return nil, fmt.Errorf("serve: worker response: %w", err)
-	}
-	out, err := decodeTable(resp.Out)
-	if err != nil {
-		return nil, fmt.Errorf("serve: worker response: block output: %w", err)
-	}
-	rb := &engine.RemoteBlock{Out: out, Rows: resp.Rows, Retries: resp.Retries}
-	if len(resp.Materialized) > 0 {
-		rb.Materialized = make(map[string]*data.Table, len(resp.Materialized))
-		for name, blob := range resp.Materialized {
-			tbl, err := decodeTable(blob)
-			if err != nil {
-				return nil, fmt.Errorf("serve: worker response: materialized %q: %w", name, err)
-			}
-			rb.Materialized[name] = tbl
-		}
-	}
-	if len(resp.Shard) > 0 {
-		store, err := stats.ReadStore(bytes.NewReader(resp.Shard))
-		if err != nil {
-			return nil, fmt.Errorf("serve: worker response: stats shard: %w", err)
-		}
-		rb.Observed = store
-	}
-	for _, wf := range resp.Degraded {
-		rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: fmt.Errorf("%s", wf.Err)})
-	}
-	return rb, nil
 }
 
 // errorBody extracts the {"error": ...} message from a worker reply.

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,23 +42,34 @@ func startWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// killSwitch kills its server right after it finishes serving a block-run
-// request, emulating a worker SIGKILLed mid-run: completed work was
-// already delivered, every later connection is refused.
+// killSwitch makes a worker's first block-run request its last act,
+// emulating a worker SIGKILLed mid-run: completed work was already
+// delivered, every later connection is refused. The listener closes before
+// the block runs and the response closes its connection, so the refusal is
+// in place by the time the coordinator holds the block — a kill that raced
+// the response let a fast coordinator hand the dying worker one more block.
 type killSwitch struct {
 	once sync.Once
 	srv  *httptest.Server
 }
 
-func (k *killSwitch) maybeKill(path string) {
-	if path != "/v1/worker/run" {
-		return
-	}
-	k.once.Do(func() {
-		go func() {
-			k.srv.CloseClientConnections()
-			k.srv.Close()
-		}()
+func (k *killSwitch) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fatal := false
+		if r.URL.Path == "/v1/worker/run" {
+			k.once.Do(func() { fatal = true })
+		}
+		if fatal {
+			k.srv.Listener.Close()
+			w.Header().Set("Connection", "close")
+		}
+		h.ServeHTTP(w, r)
+		if fatal {
+			go func() {
+				k.srv.CloseClientConnections()
+				k.srv.Close()
+			}()
+		}
 	})
 }
 
@@ -64,13 +77,8 @@ func (k *killSwitch) maybeKill(path string) {
 // block.
 func startKillableWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	wk := NewWorker()
 	ks := &killSwitch{}
-	h := wk.Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r)
-		ks.maybeKill(r.URL.Path)
-	}))
+	srv := httptest.NewServer(ks.wrap(NewWorker().Handler()))
 	ks.srv = srv
 	t.Cleanup(srv.Close)
 	return srv
@@ -335,6 +343,131 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 	if !strings.Contains(got.Dist.Reason, "wire cap") {
 		t.Errorf("fallback reason should name the wire cap, got %q", got.Dist.Reason)
 	}
+}
+
+// TestDistributedOversizeRequestFallsBack is the request-side twin: a block
+// whose request frame is over the cap — its upstream tables are too big —
+// is as undeliverable as one whose response is, whichever end notices. The
+// coordinator checks the frame it built before sending it; a worker with a
+// smaller cap answers 413. Both must degrade to in-process execution, not
+// fail the run.
+func TestDistributedOversizeRequestFallsBack(t *testing.T) {
+	const wf = 8
+	want := localRun(t, wf, false)
+	check := func(t *testing.T, got *engine.Result, reason string) {
+		t.Helper()
+		assertRunsEqual(t, "oversize request", want, got)
+		if got.Dist == nil || !got.Dist.FellBack {
+			t.Fatal("oversized request should degrade to the in-process fallback")
+		}
+		if !strings.Contains(got.Dist.Reason, "wire cap") || !strings.Contains(got.Dist.Reason, reason) {
+			t.Errorf("fallback reason should name the wire cap and %q, got %q", reason, got.Dist.Reason)
+		}
+		if got.Dist.Reassigned != 0 {
+			t.Errorf("an undeliverable request burned %d retries", got.Dist.Reassigned)
+		}
+	}
+
+	t.Run("coordinator", func(t *testing.T) {
+		var runs atomic.Int64
+		h := NewWorker().Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/worker/run" {
+				runs.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		cfg.Dispatcher.(*Coordinator).maxBody = 16
+		check(t, runCycleOf(t, wf, cfg), "request of")
+		if n := runs.Load(); n != 0 {
+			t.Errorf("%d over-cap request(s) were sent anyway", n)
+		}
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		wk := NewWorker()
+		wk.maxBody = 16
+		srv := httptest.NewServer(wk.Handler())
+		t.Cleanup(srv.Close)
+		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		check(t, runCycleOf(t, wf, cfg), "request body too large")
+	})
+}
+
+// wireCounter counts the body bytes of block dispatches in both directions,
+// the way the benchmark's dist_wire_mb does.
+type wireCounter struct {
+	bytes atomic.Int64
+}
+
+func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	run := strings.HasSuffix(req.URL.Path, "/v1/worker/run")
+	if run {
+		c.bytes.Add(req.ContentLength)
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && run {
+		resp.Body = &countedBody{ReadCloser: resp.Body, n: &c.bytes}
+	}
+	return resp, err
+}
+
+type countedBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b *countedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestDistributedWireBytes is the wire format's regression guard inside
+// tier-1: byte counts do not suffer timing noise, so a codec or framing
+// change that fattens the wire fails here and not only in the benchmark.
+// wf08 at scale 0.05 is three dispatches moving ~167k rows: 3,378,533 B as
+// base64 row-major varints in JSON, ~0.29 MB as column-encoded frames.
+func TestDistributedWireBytes(t *testing.T) {
+	const (
+		wf     = 8
+		scale  = 0.05
+		budget = 450_000
+	)
+	w, err := suite.Get(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := w.Data(scale)
+	w1, w2 := startWorker(t), startWorker(t)
+	var sent [2]int64
+	for i := range sent {
+		counter := &wireCounter{}
+		cfg := core.DefaultConfig()
+		coord, err := NewCoordinator(RunSpec{WF: wf, Scale: scale, CSS: cfg.CSS},
+			CoordinatorOptions{Addrs: []string{w1.URL, w2.URL}, Client: &http.Client{Transport: counter}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Dispatcher = coord
+		cy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != 3 || d.Reassigned != 0 {
+			t.Fatalf("run %d was not three clean remote dispatches: %+v", i, d)
+		}
+		sent[i] = counter.bytes.Load()
+	}
+	if sent[0] != sent[1] {
+		t.Errorf("the same run moved %d bytes, then %d", sent[0], sent[1])
+	}
+	if sent[0] > budget {
+		t.Errorf("wf%02d@%v moved %d bytes over the wire, budget %d", wf, scale, sent[0], budget)
+	}
+	t.Logf("wf%02d@%v: %d bytes over the wire", wf, scale, sent[0])
 }
 
 // TestDistributedHungWorkerLeaseExpiry freezes a worker mid-run (requests

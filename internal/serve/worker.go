@@ -1,12 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -33,13 +32,16 @@ type Worker struct {
 	// HTTPTimeouts harden the worker's server (zero = DefaultTimeouts).
 	HTTPTimeouts Timeouts
 
+	// maxBody caps a request frame (maxUploadBytes; tests lower it).
+	maxBody int64
+
 	mu     sync.Mutex
 	states map[workerKey]*workerState
 }
 
 // NewWorker returns a worker with an empty workflow cache.
 func NewWorker() *Worker {
-	return &Worker{states: make(map[workerKey]*workerState)}
+	return &Worker{maxBody: maxUploadBytes, states: make(map[workerKey]*workerState)}
 }
 
 // workerKey identifies one deterministic dataset: the suite workflow and
@@ -57,10 +59,10 @@ type workerState struct {
 	css map[css.Options]*css.Result
 }
 
-// WorkerRunRequest is the wire form of one block execution. Table blobs
-// use the data package's canonical binary codec (base64 inside JSON);
-// everything else is plain JSON — stats.Stat, workflow.JoinTree and
-// css.Options are flat exported structs that round-trip exactly.
+// WorkerRunRequest is the header of a block-execution request frame (see
+// frame.go): plain JSON — stats.Stat, workflow.JoinTree and css.Options are
+// flat exported structs that round-trip exactly. The upstream tables
+// follow it as raw sections in the data package's canonical binary codec.
 type WorkerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
@@ -88,10 +90,10 @@ type WorkerRunRequest struct {
 	Observe    []stats.Stat `json:"observe,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
 	Plans map[int]*workflow.JoinTree `json:"plans,omitempty"`
-	// Block is the block to execute; Upstream carries the boundary outputs
-	// of its dependencies as canonical table blobs.
-	Block    int            `json:"block"`
-	Upstream map[int][]byte `json:"upstream,omitempty"`
+	// Block is the block to execute; Upstream lists, ascending, the blocks
+	// whose boundary outputs follow the header, one table section each.
+	Block    int   `json:"block"`
+	Upstream []int `json:"upstream,omitempty"`
 	// Lease identifies the coordinator's lease on this dispatch (echoed in
 	// logs/diagnostics; the worker itself is stateless).
 	Lease string `json:"lease,omitempty"`
@@ -104,17 +106,15 @@ type WireFailedStat struct {
 	Err  string     `json:"err"`
 }
 
-// WorkerRunResponse is one block's outcome on the wire.
+// WorkerRunResponse is the header of a block's response frame. The
+// sections after it are the boundary output, the materialized targets in
+// the order listed here, and the statistics shard in the stats v2 store
+// format (empty when uninstrumented).
 type WorkerRunResponse struct {
-	// Out is the block's boundary output (canonical table blob).
-	Out []byte `json:"out"`
-	// Materialized holds the block's materialized targets.
-	Materialized map[string][]byte `json:"materialized,omitempty"`
+	// Materialized names the block's materialized targets, sorted.
+	Materialized []string `json:"materialized,omitempty"`
 	// Rows is the block's work-metric contribution.
 	Rows int64 `json:"rows"`
-	// Shard is the block's statistics shard in the stats v2 store format
-	// (empty when uninstrumented).
-	Shard []byte `json:"shard,omitempty"`
 	// Degraded lists statistics whose observation failed permanently.
 	Degraded []WireFailedStat `json:"degraded,omitempty"`
 	// Retries counts worker-side attempts repeated after transient faults.
@@ -148,26 +148,42 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req WorkerRunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	req, upstream, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, wk.maxBody))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	resp, status, err := wk.runBlock(r.Context(), &req)
+	rb, status, err := wk.runBlock(r.Context(), req, upstream)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	frame, err := encodeRunResponse(rb)
+	if err != nil {
+		// A block output over the codec's cell cap is the block's
+		// property, like a request over the body cap: 413 either way.
+		status := http.StatusInternalServerError
+		if errors.Is(err, data.ErrWireCap) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", frameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
 }
 
 // runBlock executes one block per the request. The status return
 // classifies failures for the coordinator: 4xx are deterministic (bad
 // request or the block's own execution error — retrying elsewhere cannot
 // help), 5xx would be worker-local trouble.
-func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerRunResponse, int, error) {
+func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream map[int]*data.Table) (*engine.RemoteBlock, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
 		return nil, http.StatusNotFound, err
@@ -184,14 +200,6 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerR
 			return nil, http.StatusBadRequest, err
 		}
 		observe = req.Observe
-	}
-	upstream := make(map[int]*data.Table, len(req.Upstream))
-	for idx, blob := range req.Upstream {
-		tbl, err := data.ReadTable(bytes.NewReader(blob))
-		if err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("upstream block %d: %w", idx, err)
-		}
-		upstream[idx] = tbl
 	}
 	var rb *engine.RemoteBlock
 	if req.Streaming {
@@ -221,29 +229,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest) (*WorkerR
 		}
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	resp := &WorkerRunResponse{Rows: rb.Rows, Retries: rb.Retries}
-	if resp.Out, err = encodeTable(rb.Out); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	if len(rb.Materialized) > 0 {
-		resp.Materialized = make(map[string][]byte, len(rb.Materialized))
-		for name, tbl := range rb.Materialized {
-			if resp.Materialized[name], err = encodeTable(tbl); err != nil {
-				return nil, http.StatusInternalServerError, err
-			}
-		}
-	}
-	if rb.Observed != nil {
-		var buf bytes.Buffer
-		if _, err := rb.Observed.WriteTo(&buf); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		resp.Shard = buf.Bytes()
-	}
-	for _, fs := range rb.Degraded {
-		resp.Degraded = append(resp.Degraded, WireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
-	}
-	return resp, 0, nil
+	return rb, 0, nil
 }
 
 // state returns (building once) the workflow's analysis and generated
@@ -283,21 +269,4 @@ func (wk *Worker) cssResult(st *workerState, opt css.Options) (*css.Result, erro
 	}
 	st.css[opt] = res
 	return res, nil
-}
-
-// encodeTable renders a table into its canonical wire blob.
-func encodeTable(t *data.Table) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := data.WriteTable(&buf, t); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeTable parses a canonical table blob (nil-presence aware).
-func decodeTable(blob []byte) (*data.Table, error) {
-	if len(blob) == 0 {
-		return nil, errors.New("serve: empty table blob")
-	}
-	return data.ReadTable(bytes.NewReader(blob))
 }
