@@ -32,7 +32,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/estimate"
 	"github.com/essential-stats/etlopt/internal/optimizer"
@@ -228,35 +227,6 @@ func renderTree(t *workflow.JoinTree, blk *workflow.Block) string {
 	return t.Render(blk)
 }
 
-// newAdaptiveExecutor builds the configured engine with metrics collection
-// forced on (the boundary checks read actuals off the live plan's node
-// metrics) and the AdaptCheck armed. It returns the two segment entry
-// points the driver needs: the instrumented first run and the instrumented
-// resume, both without the initial-plan observability filter (the executed
-// trees are re-optimized, not initial).
-func newAdaptiveExecutor(an *workflow.Analysis, db engine.DB, cfg Config, res *css.Result, check engine.AdaptCheck) (
-	runObs func(ctx context.Context, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error),
-	resumeObs func(ctx context.Context, cp *engine.Checkpoint, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error),
-) {
-	cfg.CollectMetrics = true
-	if cfg.Streaming {
-		eng := newExecutor(an, db, cfg).(*engine.StreamEngine)
-		eng.AdaptCheck = check
-		return func(ctx context.Context, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error) {
-				return eng.RunPlansObservingCtx(ctx, plans, res, observe)
-			}, func(ctx context.Context, cp *engine.Checkpoint, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error) {
-				return eng.ResumeObserving(ctx, cp, plans, res, observe)
-			}
-	}
-	eng := newExecutor(an, db, cfg).(*engine.Engine)
-	eng.AdaptCheck = check
-	return func(ctx context.Context, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error) {
-			return eng.RunPlansObservingCtx(ctx, plans, res, observe)
-		}, func(ctx context.Context, cp *engine.Checkpoint, plans map[int]*workflow.JoinTree, observe []stats.Stat) (*engine.Result, error) {
-			return eng.ResumeObserving(ctx, cp, plans, res, observe)
-		}
-}
-
 // RunOptimizedAdaptive executes the cycle's optimized plans with mid-run
 // adaptive re-optimization (see the package comment at the top of this
 // file). The run is instrumented with the cycle's selected statistics, so
@@ -297,9 +267,16 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 	}
 	ar.Plans = cur
 
-	runSeg, resumeSeg := newAdaptiveExecutor(cy.Analysis, cy.db, cy.cfg, cy.CSS, st.check)
+	// Metrics collection is forced on: the boundary checks read actuals off
+	// the live plan's node metrics. Both segments run without the
+	// initial-plan observability filter (the executed trees are
+	// re-optimized, not initial).
+	cfg := cy.cfg
+	cfg.CollectMetrics = true
+	eng := newExecutor(cy.Analysis, cy.db, cfg)
+	eng.AdaptCheck = st.check
 	observe := cy.Selection.Observe
-	run, err := runSeg(ctx, cur, observe)
+	run, err := eng.RunPlansObservingCtx(ctx, cur, cy.CSS, observe)
 	for err != nil {
 		var sig *engine.ReplanSignal
 		if !errors.As(err, &sig) {
@@ -322,7 +299,7 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 				pending[bi] = true
 			}
 		}
-		run, err = resumeSeg(ctx, sig.Checkpoint, cur, selector.ScopeObserve(observe, pending))
+		run, err = eng.ResumeObserving(ctx, sig.Checkpoint, cur, cy.CSS, selector.ScopeObserve(observe, pending))
 	}
 	ar.Run = run
 	ar.Checks = st.checks

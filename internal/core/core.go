@@ -50,9 +50,9 @@ type Config struct {
 	FreeSourceStats bool
 	// Registry resolves transform UDFs at execution time (nil = defaults).
 	Registry engine.Registry
-	// Streaming executes with the pipelined Volcano engine instead of the
-	// batch engine; results and observations are identical, only the
-	// execution strategy (and intermediate materialization) differs.
+	// Streaming executes with the chunk-pipelined streaming engine instead
+	// of the batch engine; results and observations are identical, only
+	// the execution strategy (and intermediate materialization) differs.
 	Streaming bool
 	// Workers bounds execution-layer concurrency: independent blocks run
 	// on separate goroutines (both engines), and the streaming engine
@@ -80,10 +80,6 @@ type Config struct {
 	// RetryBackoff is the base inter-attempt delay, doubling per retry,
 	// capped at 100ms (0 = engine default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode selects the engines' legacy row-at-a-time interpreters
-	// instead of the default columnar executors (the equivalence suite runs
-	// every workflow through both).
-	RowMode bool
 	// StatsTier selects the statistics observation tier: TierExact (the
 	// default) observes exact counters and per-value histograms only;
 	// TierApprox replaces every exact Distinct/Hist that has a sketch
@@ -201,33 +197,18 @@ type Timings struct {
 	Analyze, GenerateCSS, Select, ObserveRun, Optimize time.Duration
 }
 
-// executor abstracts the two execution engines (batch and streaming).
-type executor interface {
-	RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*engine.Result, error)
-}
-
-// newExecutor picks the engine per the configuration.
-func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) executor {
-	if cfg.Streaming {
-		eng := engine.NewStream(an, db, cfg.Registry)
-		eng.Workers = cfg.Workers
-		eng.MaxRows = cfg.MaxRows
-		eng.CollectMetrics = cfg.CollectMetrics
-		eng.Faults = cfg.Faults
-		eng.RetryMax = cfg.RetryMax
-		eng.RetryBackoff = cfg.RetryBackoff
-		eng.RowMode = cfg.RowMode
-		eng.Dispatch = cfg.Dispatcher
-		return eng
-	}
+// newExecutor builds the engine the configuration asks for.
+func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
 	eng := engine.New(an, db, cfg.Registry)
+	if cfg.Streaming {
+		eng = engine.NewStream(an, db, cfg.Registry)
+	}
 	eng.Workers = cfg.Workers
 	eng.MaxRows = cfg.MaxRows
 	eng.CollectMetrics = cfg.CollectMetrics
 	eng.Faults = cfg.Faults
 	eng.RetryMax = cfg.RetryMax
 	eng.RetryBackoff = cfg.RetryBackoff
-	eng.RowMode = cfg.RowMode
 	eng.Dispatch = cfg.Dispatcher
 	return eng
 }

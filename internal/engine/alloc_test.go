@@ -4,74 +4,58 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
-	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Regression tests for the group-by allocation bug: both row interpreters
-// used to allocate a fresh key row for every input row, so grouping N rows
-// cost at least N allocations regardless of how few distinct keys existed.
-// The fixed paths reuse one scratch key and clone only on first-seen
-// insert, so steady-state allocation scales with the distinct count, not
-// the row count.
+// Regression tests for the group-by allocation bug: deduplication once
+// allocated a key per input row, so grouping N rows cost at least N
+// allocations however few distinct keys existed. keySet's guarded insert
+// allocates on first-seen keys only, so a whole group-by run — compile,
+// scan, dedup, materialized output — must stay far below one allocation
+// per input row under either strategy.
 
 const (
 	allocRows     = 8192
 	allocDistinct = 32
 )
 
-func groupInput() *data.Table {
-	tbl := &data.Table{
-		Rel:   "G",
-		Attrs: []workflow.Attr{{Rel: "G", Col: "a"}, {Rel: "G", Col: "b"}, {Rel: "G", Col: "c"}},
-	}
+// groupByAllocs runs a group-by of allocRows rows into allocDistinct groups
+// and returns the allocations of one whole engine run.
+func groupByAllocs(t *testing.T, mk func(*workflow.Analysis, DB, Registry) *Engine) float64 {
+	t.Helper()
+	tbl := &data.Table{Rel: "G", Attrs: []workflow.Attr{{Rel: "G", Col: "a"}, {Rel: "G", Col: "b"}, {Rel: "G", Col: "c"}}}
 	for i := 0; i < allocRows; i++ {
 		tbl.Rows = append(tbl.Rows, data.Row{int64(i % allocDistinct), int64(i % 4), int64(i)})
 	}
-	return tbl
-}
-
-// TestGroupByAllocsBatch pins the batch interpreter's group-by path. The
-// bound is generous (map growth, output slice growth, key-byte copies) but
-// far below one allocation per input row — the bug this guards against.
-func TestGroupByAllocsBatch(t *testing.T) {
-	in := groupInput()
-	input := &physical.Node{ID: 0}
-	n := &physical.Node{
-		ID: 1, Kind: physical.OpGroupBy, Label: "groupby",
-		Cols:  []int{0, 1},
-		Attrs: in.Attrs[:2],
-		Input: input,
+	cat := &workflow.Catalog{Relations: []*workflow.Relation{{Name: "G", Card: allocRows, Columns: []workflow.Column{
+		{Name: "a", Domain: allocDistinct}, {Name: "b", Domain: 4}, {Name: "c", Domain: allocRows},
+	}}}}
+	b := workflow.NewBuilder("groupby-allocs")
+	b.Sink(b.GroupBy(b.Source("G"), workflow.Attr{Rel: "G", Col: "a"}, workflow.Attr{Rel: "G", Col: "b"}), "out")
+	an, err := workflow.Analyze(b.Graph(), cat)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
 	}
-	tables := []*data.Table{in, nil}
-	sink := newBlockSink(nil)
-	allocs := testing.AllocsPerRun(5, func() {
-		tbl, err := evalNode(nil, n, tables, nil, sink, nil)
+	e := mk(an, DB{"G": tbl}, nil)
+	return testing.AllocsPerRun(5, func() {
+		res, err := e.Run()
 		if err != nil {
-			t.Fatalf("evalNode: %v", err)
+			t.Fatalf("Run: %v", err)
 		}
-		if len(tbl.Rows) != allocDistinct {
-			t.Fatalf("groups = %d, want %d", len(tbl.Rows), allocDistinct)
+		if got := res.Sinks["out"].Card(); got != allocDistinct {
+			t.Fatalf("groups = %d, want %d", got, allocDistinct)
 		}
 	})
-	if allocs > allocRows/8 {
-		t.Fatalf("batch group-by allocates %.0f per run over %d rows; scaling with rows, not groups", allocs, allocRows)
+}
+
+func TestGroupByAllocsBatch(t *testing.T) {
+	if allocs := groupByAllocs(t, New); allocs > allocRows/8 {
+		t.Fatalf("batch group-by run allocates %.0f over %d rows; scaling with rows, not groups", allocs, allocRows)
 	}
 }
 
-// TestGroupByAllocsStream pins the streaming iterator's group-by path.
 func TestGroupByAllocsStream(t *testing.T) {
-	in := groupInput()
-	allocs := testing.AllocsPerRun(5, func() {
-		g := &groupByIter{src: &scanIter{tbl: in}, cols: []int{0, 1}}
-		if err := g.Open(); err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		if len(g.out) != allocDistinct {
-			t.Fatalf("groups = %d, want %d", len(g.out), allocDistinct)
-		}
-	})
-	if allocs > allocRows/8 {
-		t.Fatalf("stream group-by allocates %.0f per run over %d rows; scaling with rows, not groups", allocs, allocRows)
+	if allocs := groupByAllocs(t, NewStream); allocs > allocRows/8 {
+		t.Fatalf("stream group-by run allocates %.0f over %d rows; scaling with rows, not groups", allocs, allocRows)
 	}
 }

@@ -68,23 +68,14 @@ func TestRetryBackoffCancelPrompt(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			inj := faults.New(1, 1, 8, faults.Operator)
-			var run func() (*Result, error)
+			e := New(an, db, nil)
 			if stream {
-				e := NewStream(an, db, nil)
-				e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
-				run = func() (*Result, error) {
-					return e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
-				}
-			} else {
-				e := New(an, db, nil)
-				e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
-				run = func() (*Result, error) {
-					return e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
-				}
+				e = NewStream(an, db, nil)
 			}
+			e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
 			time.AfterFunc(5*time.Millisecond, cancel)
 			start := time.Now()
-			_, err := run()
+			_, err := e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)

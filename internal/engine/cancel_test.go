@@ -9,7 +9,6 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
-	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -99,9 +98,6 @@ func TestCancellationAllConfigs(t *testing.T) {
 		t.Fatalf("golden run: %v", err)
 	}
 
-	type runner interface {
-		RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	}
 	for _, cfg := range []struct {
 		name    string
 		stream  bool
@@ -116,16 +112,11 @@ func TestCancellationAllConfigs(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cancelled := false
 			for attempt := 0; attempt < 8 && !cancelled; attempt++ {
-				var eng runner
+				eng := New(an, db, nil)
 				if cfg.stream {
-					e := NewStream(an, db, nil)
-					e.Workers = cfg.workers
-					eng = e
-				} else {
-					e := New(an, db, nil)
-					e.Workers = cfg.workers
-					eng = e
+					eng = NewStream(an, db, nil)
 				}
+				eng.Workers = cfg.workers
 				ctx, cancel := context.WithCancel(context.Background())
 				delay := time.Duration(attempt+1) * 500 * time.Microsecond
 				timer := time.AfterFunc(delay, cancel)

@@ -13,18 +13,17 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Distributed block dispatch. A run with Engine.Dispatch (or
-// StreamEngine.Dispatch) set schedules its blocks through a
-// BlockDispatcher — in practice internal/serve's Coordinator, which leases
-// each block to a worker process over HTTP — instead of executing them on
-// local goroutines. The engine keeps everything else: the compiled plan
-// and its dependency DAG, the Result layout, checkpoint seeding, sink
-// routing, and the commit discipline. A remote block returns its boundary
-// output, materialized tables, work-metric rows and a private statistics
-// shard; the scheduler commits each block exactly once and merges the
-// shard into the run's store the same way the in-process engines merge
-// per-worker tap shards, so observed statistics are byte-identical however
-// the blocks were placed.
+// Distributed block dispatch. A run with Engine.Dispatch set schedules its
+// blocks through a BlockDispatcher — in practice internal/serve's
+// Coordinator, which leases each block to a worker process over HTTP —
+// instead of executing them on local goroutines. The engine keeps
+// everything else: the compiled plan and its dependency DAG, the Result
+// layout, checkpoint seeding, sink routing, and the commit discipline. A
+// remote block returns its boundary output, materialized tables,
+// work-metric rows and a private statistics shard; the scheduler commits
+// each block exactly once and merges the shard into the run's store the
+// same way an in-process run merges per-worker tap shards, so observed
+// statistics are byte-identical however the blocks were placed.
 //
 // Robustness is structural, not best-effort: a dispatcher signals
 // unrecoverable infrastructure loss with ErrWorkersLost, and the scheduler
@@ -339,53 +338,12 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 	if err != nil {
 		return nil, err
 	}
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return runVecBlock(bp, nil, sink, false)
-	}
-	var col *collector
-	if res != nil {
-		col = newCollector()
-		if e.RowMode {
-			runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-				return runBatchBlock(bp, col, sink, false)
-			}
-		} else {
-			runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-				return runVecBlock(bp, col, sink, false)
-			}
-		}
-	} else if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return runBatchBlock(bp, nil, sink, false)
-		}
-	}
-	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
-	return runOneBlock(plan, block, col, env, upstream, runner)
-}
-
-// RunBlockCtx is the streaming engine's single-block worker entry point
-// (see Engine.RunBlockCtx — the outcome is engine-independent).
-func (e *StreamEngine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, anyPoint bool, upstream map[int]*data.Table) (*RemoteBlock, error) {
-	plan, err := physical.Compile(e.An, e.DB, physical.Options{
-		Plans: plans, Res: res, Observe: observe, AnyPoint: anyPoint, Reg: e.Reg,
-	})
-	if err != nil {
-		return nil, err
-	}
 	var col *collector
 	if res != nil {
 		col = newCollector()
 	}
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return e.runVecStreamBlock(bp, col, sink)
-	}
-	if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return e.runStreamBlock(bp, col, sink)
-		}
-	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
-	return runOneBlock(plan, block, col, env, upstream, runner)
+	return runOneBlock(plan, block, col, env, upstream, e.blockRunner(col))
 }
 
 // runOneBlock finds the compiled block, runs it with the shared

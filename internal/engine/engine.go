@@ -1,13 +1,17 @@
 // Package engine executes ETL workflows over materialized tables, the way
-// a batch ETL runtime does. Both engines in this package are thin
-// executors of the shared physical-plan IR (internal/physical): the
-// compiler lowers each optimizable block's input chains, join tree (the
-// designed initial order or any reordering supplied by the optimizer) and
-// pinned top operators into a typed operator DAG with statistic taps
-// already bound to their observation points; the batch engine interprets
-// that DAG table-at-a-time, the streaming engine row-at-a-time.
+// a batch ETL runtime does. One Engine interprets the shared physical-plan
+// IR (internal/physical) over column vectors: the compiler lowers each
+// optimizable block's input chains, join tree (the designed initial order
+// or any reordering supplied by the optimizer) and pinned top operators
+// into a typed operator DAG with statistic taps already bound to their
+// observation points, and the engine evaluates that DAG with one of two
+// strategies — batch (New: whole batches, node by node) or streaming
+// (NewStream: chunks pipelined through chains and the join spine, spread
+// over Workers). Row-at-a-time semantics live outside the product, in
+// internal/wftest's reference evaluator, which the equivalence suite
+// compares both strategies against.
 //
-// The engines realize Sections 3.2.5–3.2.6 of the paper: execution can be
+// The engine realizes Sections 3.2.5–3.2.6 of the paper: execution can be
 // instrumented with per-point statistic collectors (tuple counters,
 // distinct counters, exact frequency histograms, and reject-link
 // observation) so a single execution of the initial plan gathers the
@@ -16,7 +20,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -40,14 +43,19 @@ type Registry = physical.Registry
 // benchmark suite.
 func DefaultRegistry() Registry { return physical.DefaultRegistry() }
 
-// Engine executes workflows in batch (table-at-a-time) mode.
+// Engine executes workflows over column vectors, batch-at-a-time (New) or
+// as a chunked pipeline (NewStream). Results, observed statistics and the
+// work metric are identical under either strategy and at any worker count.
 type Engine struct {
 	An  *workflow.Analysis
 	DB  DB
 	Reg Registry
 	// Workers bounds how many independent blocks execute concurrently
-	// (the block dependency DAG is derived from the analysis). Values <= 1
-	// run the classic sequential loop.
+	// (the block dependency DAG is derived from the analysis); a streaming
+	// engine additionally partitions each block's chain and join-probe
+	// pipelines across that many goroutines, with per-worker statistic
+	// shards merged after the pipeline drains. Values <= 1 run
+	// sequentially.
 	Workers int
 	// MaxRows caps the total intermediate rows one run may produce (the
 	// work metric Result.Rows); exceeding it aborts the run with a clear
@@ -67,12 +75,6 @@ type Engine struct {
 	// RetryBackoff is the base delay between attempts, doubling per retry,
 	// capped at 100ms (0 = the default of 1ms).
 	RetryBackoff time.Duration
-	// RowMode selects the legacy row-at-a-time interpreter instead of the
-	// default columnar one. The row interpreter is the reference
-	// implementation: the equivalence suite diffs the columnar executor's
-	// sinks, materialized tables, observed statistics, work metric and
-	// deterministic metrics against it on every workflow.
-	RowMode bool
 	// AdaptCheck, when non-nil, is consulted after every committed block;
 	// returning true stops the run with a *ReplanSignal. Forces sequential
 	// block scheduling (see adapt.go).
@@ -82,14 +84,26 @@ type Engine struct {
 	// AdaptCheck takes precedence: adaptive runs need the sequential local
 	// scheduler, so a run with both set executes locally.
 	Dispatch BlockDispatcher
+
+	// stream selects the chunked pipeline strategy (set by NewStream).
+	stream bool
 }
 
-// New returns an engine for the analyzed workflow over the database.
+// New returns a batch engine for the analyzed workflow over the database.
 func New(an *workflow.Analysis, db DB, reg Registry) *Engine {
 	if reg == nil {
 		reg = DefaultRegistry()
 	}
 	return &Engine{An: an, DB: db, Reg: reg}
+}
+
+// NewStream returns a streaming engine: only hash-join build sides, block
+// inputs and block outputs are materialized whole; everything else flows
+// through the block in chunks.
+func NewStream(an *workflow.Analysis, db DB, reg Registry) *Engine {
+	e := New(an, db, reg)
+	e.stream = true
+	return e
 }
 
 // Result is the outcome of one workflow execution.
@@ -199,14 +213,7 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
 	env.adapt = e.AdaptCheck
-	runner := func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return runVecBlock(bp, col, sink, e.CollectMetrics)
-	}
-	if e.RowMode {
-		runner = func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return runBatchBlock(bp, col, sink, e.CollectMetrics)
-		}
-	}
+	runner := e.blockRunner(col)
 	if e.Dispatch != nil && env.adapt == nil {
 		err = runBlocksDist(plan, e.Workers, env, out, col, e.Dispatch, &DispatchSpec{
 			Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
@@ -230,301 +237,15 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	return out, nil
 }
 
-// runBatchBlock interprets one compiled block table-at-a-time: every node
-// of the plan evaluates in topological order, feeding its taps over the
-// whole output table at once.
-func runBatchBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics bool) (*data.Table, error) {
-	tables := make([]*data.Table, len(bp.Nodes))
-	for _, n := range bp.Nodes {
-		var met *physical.Metrics
-		if metrics {
-			met = &n.Metrics
-		}
-		tbl, err := evalNode(bp, n, tables, col, out, met)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n.Label, err)
-		}
-		tables[n.ID] = tbl
-	}
-	return tables[bp.Root.ID], nil
-}
-
-// evalNode evaluates one physical node over its input tables, counts its
-// output rows against the work metric and row budget, and feeds its taps.
-// When met is non-nil the node's metrics are populated: operator time is
-// exclusive (inputs are already materialized), and tap observation is timed
-// separately so observation overhead never inflates operator time.
-func evalNode(bp *physical.BlockPlan, n *physical.Node, tables []*data.Table, col *collector, out *blockSink, met *physical.Metrics) (*data.Table, error) {
-	if err := out.ctxErr(); err != nil {
-		return nil, err
-	}
-	if err := out.opFault(n); err != nil {
-		return nil, err
-	}
-	var start time.Time
-	if met != nil {
-		start = time.Now()
-	}
-	var tbl *data.Table
-	switch n.Kind {
-	case physical.OpScan:
-		tbl = n.Src
-		if n.FromBlock >= 0 {
-			up, ok := out.upstream[n.FromBlock]
-			if !ok {
-				return nil, fmt.Errorf("upstream block %d not yet executed", n.FromBlock)
-			}
-			tbl = up
-		}
-	case physical.OpFilter:
-		in := tables[n.Input.ID]
-		tbl = &data.Table{Rel: in.Rel, Attrs: n.Attrs}
-		for _, r := range in.Rows {
-			if n.Pred.Matches(r[n.PredCol]) {
-				tbl.Rows = append(tbl.Rows, r)
-			}
-		}
-	case physical.OpProject:
-		in := tables[n.Input.ID]
-		tbl = &data.Table{Rel: in.Rel, Attrs: n.Attrs}
-		for _, r := range in.Rows {
-			row := make(data.Row, len(n.Cols))
-			for i, c := range n.Cols {
-				row[i] = r[c]
-			}
-			tbl.Rows = append(tbl.Rows, row)
-		}
-	case physical.OpTransform:
-		in := tables[n.Input.ID]
-		tbl = &data.Table{Rel: in.Rel, Attrs: n.Attrs}
-		buf := make([]int64, len(n.FnIns))
-		for _, r := range in.Rows {
-			for i, c := range n.FnIns {
-				buf[i] = r[c]
-			}
-			row := make(data.Row, 0, len(r)+1)
-			row = append(append(row, r...), n.Fn(buf))
-			tbl.Rows = append(tbl.Rows, row)
-		}
-	case physical.OpGroupBy:
-		in := tables[n.Input.ID]
-		tbl = &data.Table{Rel: in.Rel, Attrs: n.Attrs}
-		seen := newKeySet()
-		// One scratch key, cloned only on first-seen insert: duplicate rows
-		// (the common case under grouping) must not allocate.
-		scratch := make(data.Row, len(n.Cols))
-		for _, r := range in.Rows {
-			for i, c := range n.Cols {
-				scratch[i] = r[c]
-			}
-			if seen.add(scratch) {
-				tbl.Rows = append(tbl.Rows, append(data.Row(nil), scratch...))
-			}
-		}
-	case physical.OpAggregateUDF:
-		in := tables[n.Input.ID]
-		tbl = &data.Table{Rel: in.Rel, Attrs: n.Attrs}
-		seen := newKeySet()
-		buf := make([]int64, len(n.FnIns))
-		for _, r := range in.Rows {
-			for i, c := range n.FnIns {
-				buf[i] = r[c]
-			}
-			if !seen.add(buf) {
-				continue
-			}
-			row := make(data.Row, 0, len(buf)+1)
-			row = append(append(row, buf...), n.Fn(buf))
-			tbl.Rows = append(tbl.Rows, row)
-		}
-	case physical.OpHashJoin:
-		return evalJoin(bp, n, tables, col, out, met, start)
-	case physical.OpMaterialize:
-		tbl = tables[n.Input.ID]
-		out.materialized[n.Rel] = tbl
-		// Materialization moves no rows: not counted, and its taps (none
-		// are ever attached) would see the input unchanged.
-		return tbl, nil
-	default:
-		return nil, fmt.Errorf("unexpected physical operator %v", n.Kind)
-	}
-	if err := out.count(tbl.Card()); err != nil {
-		return nil, err
-	}
-	taps, err := out.liveTaps(col, n.Taps)
-	if err != nil {
-		return nil, err
-	}
-	if met != nil {
-		met.WallNanos += time.Since(start).Nanoseconds()
-		met.Calls++
-		met.RowsOut += tbl.Card()
-		if len(taps) > 0 {
-			tapStart := time.Now()
-			for _, t := range taps {
-				col.collect(t, tbl)
-			}
-			met.TapNanos += time.Since(tapStart).Nanoseconds()
-		}
-		return tbl, nil
-	}
-	for _, t := range taps {
-		col.collect(t, tbl)
-	}
-	return tbl, nil
-}
-
-// evalJoin evaluates a hash-join node: build on the right, probe with the
-// left, collecting both sides' misses for reject statistics and reject
-// links. The row budget is checked while the output grows, so a blowing-up
-// join aborts before exhausting memory.
-func evalJoin(bp *physical.BlockPlan, n *physical.Node, tables []*data.Table, col *collector, out *blockSink, met *physical.Metrics, start time.Time) (*data.Table, error) {
-	left, right := tables[n.Left.ID], tables[n.Right.ID]
-	index := make(map[int64][]data.Row, len(right.Rows))
-	for _, r := range right.Rows {
-		index[r[n.RightCol]] = append(index[r[n.RightCol]], r)
-	}
-	joined := &data.Table{Rel: left.Rel + "⋈" + right.Rel, Attrs: n.Attrs}
-	leftMiss := &data.Table{Rel: left.Rel + "!", Attrs: left.Attrs}
-	matched := make(map[int64]bool)
-	var pending int64
-	for _, lrow := range left.Rows {
-		matches := index[lrow[n.LeftCol]]
-		if len(matches) == 0 {
-			leftMiss.Rows = append(leftMiss.Rows, lrow)
-			continue
-		}
-		matched[lrow[n.LeftCol]] = true
-		for _, rrow := range matches {
-			row := make(data.Row, 0, len(lrow)+len(rrow))
-			row = append(append(row, lrow...), rrow...)
-			joined.Rows = append(joined.Rows, row)
-		}
-		pending += int64(len(matches))
-		if pending >= 4096 {
-			if err := out.count(pending); err != nil {
-				return nil, err
-			}
-			pending = 0
-			if err := out.ctxErr(); err != nil {
-				return nil, err
-			}
+// blockRunner returns the engine's strategy for executing one compiled
+// block, observing into col.
+func (e *Engine) blockRunner(col *collector) blockRunner {
+	if e.stream {
+		return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
+			return runVecStreamBlock(bp, col, sink, e.Workers, e.CollectMetrics)
 		}
 	}
-	if err := out.count(pending); err != nil {
-		return nil, err
+	return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
+		return runVecBlock(bp, col, sink, e.CollectMetrics)
 	}
-	rightMiss := &data.Table{Rel: right.Rel + "!", Attrs: right.Attrs}
-	for _, rrow := range right.Rows {
-		if !matched[rrow[n.RightCol]] {
-			rightMiss.Rows = append(rightMiss.Rows, rrow)
-		}
-	}
-	taps, err := out.liveTaps(col, n.Taps)
-	if err != nil {
-		return nil, err
-	}
-	var tapStart time.Time
-	if met != nil {
-		// Miss collection above is part of the join's own work (reject
-		// links need it regardless of instrumentation); only the
-		// statistic observation below counts as tap overhead.
-		met.WallNanos += time.Since(start).Nanoseconds()
-		met.Calls++
-		met.RowsOut += joined.Card()
-		tapStart = time.Now()
-	}
-	for _, t := range taps {
-		col.collect(t, joined)
-	}
-	if n.LeftReject != nil {
-		if err := collectReject(bp, n.LeftReject, leftMiss, tables, col, out); err != nil {
-			return nil, err
-		}
-	}
-	if n.RightReject != nil {
-		if err := collectReject(bp, n.RightReject, rightMiss, tables, col, out); err != nil {
-			return nil, err
-		}
-	}
-	if met != nil {
-		met.TapNanos += time.Since(tapStart).Nanoseconds()
-	}
-	if n.RejectLink != "" {
-		out.materialized[n.RejectLink] = leftMiss
-	}
-	return joined, nil
-}
-
-// collectReject feeds one side's reject statistics: singletons over the
-// miss rows directly, two-input variants through their auxiliary joins with
-// the partner's cooked input.
-func collectReject(bp *physical.BlockPlan, rt *physical.RejectTaps, misses *data.Table, tables []*data.Table, col *collector, out *blockSink) error {
-	singles, err := out.liveTaps(col, rt.Singles)
-	if err != nil {
-		return err
-	}
-	for _, t := range singles {
-		col.collect(t, misses)
-	}
-	aux, err := out.liveAux(col, rt.Aux)
-	if err != nil {
-		return err
-	}
-	if len(aux) == 0 {
-		return nil
-	}
-	st := &auxState{aux: aux, misses: misses}
-	st.run(col, chainEnds(bp, tables))
-	return nil
-}
-
-// chainEnds returns each input's cooked table (the chain-end node outputs).
-func chainEnds(bp *physical.BlockPlan, tables []*data.Table) []*data.Table {
-	out := make([]*data.Table, len(bp.Chains))
-	for i, ch := range bp.Chains {
-		out[i] = tables[ch[len(ch)-1].ID]
-	}
-	return out
-}
-
-// hashJoin equi-joins two tables, also returning each side's non-matching
-// rows (the reject sets). It is the reference join the auxiliary
-// union–division counters and the tests use.
-func hashJoin(left, right *data.Table, la, ra workflow.Attr) (joined, leftMiss, rightMiss *data.Table, err error) {
-	lc := left.Col(la)
-	rc := right.Col(ra)
-	if lc < 0 || rc < 0 {
-		return nil, nil, nil, fmt.Errorf("join attrs %s/%s not found (schemas %v / %v)", la, ra, left.Attrs, right.Attrs)
-	}
-	index := make(map[int64][]data.Row)
-	for _, r := range right.Rows {
-		index[r[rc]] = append(index[r[rc]], r)
-	}
-	joined = &data.Table{
-		Rel:   left.Rel + "⋈" + right.Rel,
-		Attrs: append(append([]workflow.Attr(nil), left.Attrs...), right.Attrs...),
-	}
-	leftMiss = &data.Table{Rel: left.Rel + "!", Attrs: left.Attrs}
-	matchedRight := make(map[int64]bool)
-	for _, lrow := range left.Rows {
-		matches := index[lrow[lc]]
-		if len(matches) == 0 {
-			leftMiss.Rows = append(leftMiss.Rows, lrow)
-			continue
-		}
-		matchedRight[lrow[lc]] = true
-		for _, rrow := range matches {
-			row := make(data.Row, 0, len(lrow)+len(rrow))
-			row = append(append(row, lrow...), rrow...)
-			joined.Rows = append(joined.Rows, row)
-		}
-	}
-	rightMiss = &data.Table{Rel: right.Rel + "!", Attrs: right.Attrs}
-	for _, rrow := range right.Rows {
-		if !matchedRight[rrow[rc]] {
-			rightMiss.Rows = append(rightMiss.Rows, rrow)
-		}
-	}
-	return joined, leftMiss, rightMiss, nil
 }

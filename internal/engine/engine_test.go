@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
+	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -190,20 +193,24 @@ func TestRunRejectLinkMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Sinks["out"].Card() != 4 {
-		t.Fatalf("joined = %d, want 4", res.Sinks["out"].Card())
-	}
-	var rejects *data.Table
-	for name, tbl := range res.Materialized {
-		if len(name) > 7 && name[len(name)-7:] == ".reject" {
-			rejects = tbl
+	ref := reference(t, an, db, nil, nil)
+	for name, run := range map[string]*wftest.Result{"batch": view(res), "reference": ref} {
+		if run.Sinks["out"].Card() != 4 {
+			t.Fatalf("%s: joined = %d, want 4", name, run.Sinks["out"].Card())
 		}
-	}
-	if rejects == nil {
-		t.Fatal("reject link not materialized")
-	}
-	if rejects.Card() != 1 { // the pid=99 order
-		t.Fatalf("rejects = %d, want 1", rejects.Card())
+		var rejects *data.Table
+		for rel, tbl := range run.Materialized {
+			if strings.HasSuffix(rel, ".reject") {
+				rejects = tbl
+			}
+		}
+		if rejects == nil {
+			t.Fatalf("%s: reject link not materialized", name)
+		}
+		// The one rejected order is (cid=3, oid=5, pid=99).
+		if rejects.Card() != 1 || !slices.Equal(rejects.Rows[0], data.Row{3, 5, 99}) {
+			t.Fatalf("%s: rejects = %v, want the pid=99 order", name, rejects.Rows)
+		}
 	}
 }
 
@@ -231,25 +238,5 @@ func TestRunUnknownUDF(t *testing.T) {
 	}
 	if _, err := New(an, db, nil).Run(); err == nil {
 		t.Fatal("unknown UDF: want error")
-	}
-}
-
-func TestHashJoinRejects(t *testing.T) {
-	left := &data.Table{Rel: "L", Attrs: []workflow.Attr{{Rel: "L", Col: "k"}},
-		Rows: []data.Row{{1}, {2}, {3}}}
-	right := &data.Table{Rel: "R", Attrs: []workflow.Attr{{Rel: "R", Col: "k"}},
-		Rows: []data.Row{{2}, {2}, {4}}}
-	j, lm, rm, err := hashJoin(left, right, workflow.Attr{Rel: "L", Col: "k"}, workflow.Attr{Rel: "R", Col: "k"})
-	if err != nil {
-		t.Fatalf("hashJoin: %v", err)
-	}
-	if j.Card() != 2 {
-		t.Fatalf("join = %d rows, want 2", j.Card())
-	}
-	if lm.Card() != 2 { // 1 and 3
-		t.Fatalf("left misses = %d, want 2", lm.Card())
-	}
-	if rm.Card() != 1 { // 4
-		t.Fatalf("right misses = %d, want 1", rm.Card())
 	}
 }

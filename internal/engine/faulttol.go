@@ -12,10 +12,11 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Fault tolerance for both engines. Three mechanisms compose here:
+// Fault tolerance for both execution strategies. Three mechanisms compose
+// here:
 //
 //   - Cancellation: every run threads a context.Context; the interpreters
-//     poll it at operator boundaries (batch) or every budgetChunk rows
+//     poll it at operator boundaries (batch) or chunk boundaries
 //     (streaming), so a run stops promptly without leaking goroutines and
 //     without leaving half-observed statistics in the store (observers only
 //     record at end of stream).
@@ -50,8 +51,9 @@ type FailedStat struct {
 
 // Checkpoint is the restartable state of a partially completed run: every
 // finished block's boundary output and side effects, plus the statistics
-// observed so far. It is engine-independent (both engines produce and
-// accept it, since both execute the same physical plan).
+// observed so far. It is strategy-independent: a batch run's checkpoint
+// resumes on a streaming engine and vice versa, since both execute the same
+// physical plan.
 type Checkpoint struct {
 	// BlockOut holds the boundary outputs of completed blocks.
 	BlockOut map[int]*data.Table
@@ -194,8 +196,8 @@ func (s *blockSink) ctxErr() error {
 
 // opFault asks the injector whether this node's evaluation fails on the
 // current attempt. Sites are keyed by block and node ID, which the
-// deterministic compiler assigns identically across engines and worker
-// counts, so both engines fail (and recover) at the same points.
+// deterministic compiler assigns identically however the plan is executed,
+// so batch and streaming runs fail (and recover) at the same points.
 func (s *blockSink) opFault(n *physical.Node) error {
 	if s.flt == nil {
 		return nil
@@ -261,16 +263,6 @@ func (s *blockSink) liveAux(col *collector, aux []*physical.AuxJoin) ([]*physica
 		col.markFailed(a.Stat, err)
 	}
 	return live, nil
-}
-
-// observersFor builds row observers for the node's taps that survive fault
-// filtering.
-func (s *blockSink) observersFor(col *collector, taps []physical.Tap) ([]rowObserver, error) {
-	live, err := s.liveTaps(col, taps)
-	if err != nil {
-		return nil, err
-	}
-	return observersFor(col, live), nil
 }
 
 // tapSite renders a statistic's engine-independent fault site: the

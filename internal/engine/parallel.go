@@ -23,8 +23,8 @@ import (
 // shared Result under its own lock, so block execution itself never touches
 // shared maps.
 //
-// With workers <= 1 the scheduler degenerates to the plain topological loop
-// the engines always used, reproducing sequential behavior exactly.
+// With workers <= 1 the scheduler degenerates to the plain topological
+// loop, reproducing sequential behavior exactly.
 
 // rowBudget is the shared intermediate-cardinality guard: every counted row
 // of the run charges it, across blocks and workers. A nil budget (MaxRows
@@ -34,8 +34,11 @@ import (
 // attempt charged (so a failed attempt can refund it) and forwards every
 // charge to the run's root budget, where the limit lives. The injected
 // budget fault, when armed, rides on the child so it fires exactly once per
-// attempt in whichever engine counts the first row — the same semantics at
-// every worker count.
+// attempt, at the first charge — the same semantics at every worker count.
+//
+// The charge is never taken back while an attempt runs, so once the limit
+// is crossed every later add fails too: workers sharing a budget each stop
+// at their next charge after one of them trips it.
 type rowBudget struct {
 	limit  int64
 	used   atomic.Int64
@@ -296,8 +299,7 @@ func runBlocksDAG(plan *physical.Plan, workers int, env *runEnv, out *Result, ru
 	return nil
 }
 
-// routeSinks fills out.Sinks from the block outputs (shared by both
-// engines' RunPlans).
+// routeSinks fills out.Sinks from the block outputs.
 func routeSinks(an *workflow.Analysis, out *Result) error {
 	for _, sink := range an.Graph.Sinks() {
 		blk := an.BlockOf(sink.Inputs[0])
@@ -318,35 +320,12 @@ func routeSinks(an *workflow.Analysis, out *Result) error {
 	return nil
 }
 
-// splitmix64 mixes a 64-bit value; the partitioner uses it so that skewed
-// join keys still spread across workers.
+// splitmix64 mixes a 64-bit value; the streaming spine partitions its base
+// input by this hash of the first probe key, so that skewed join keys still
+// spread across workers.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// partitionByKey splits rows across w partitions by hash of the key column.
-// All rows sharing a join-key value land in the same partition, and within
-// a partition rows keep their relative order.
-func partitionByKey(rows []data.Row, col, w int) [][]data.Row {
-	parts := make([][]data.Row, w)
-	for _, r := range rows {
-		p := int(splitmix64(uint64(r[col])) % uint64(w))
-		parts[p] = append(parts[p], r)
-	}
-	return parts
-}
-
-// partitionChunks splits rows into w contiguous chunks (order-preserving:
-// concatenating the chunks reproduces rows exactly).
-func partitionChunks(rows []data.Row, w int) [][]data.Row {
-	parts := make([][]data.Row, w)
-	n := len(rows)
-	for i := 0; i < w; i++ {
-		lo, hi := i*n/w, (i+1)*n/w
-		parts[i] = rows[lo:hi]
-	}
-	return parts
 }

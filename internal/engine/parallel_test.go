@@ -5,39 +5,10 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
-
-// equalResults compares every externally visible part of two engine
-// results: sinks, materialized side tables, observed statistics and the
-// work metric. Row order within tables is not part of the contract.
-func equalResults(t *testing.T, label string, seq, par *Result) {
-	t.Helper()
-	for name, tbl := range seq.Sinks {
-		if !equalTables(tbl, par.Sinks[name]) {
-			t.Errorf("%s: sink %q differs", label, name)
-		}
-	}
-	if len(seq.Materialized) != len(par.Materialized) {
-		t.Errorf("%s: materialized sets differ: %d vs %d", label, len(seq.Materialized), len(par.Materialized))
-	}
-	for name, tbl := range seq.Materialized {
-		if !equalTables(tbl, par.Materialized[name]) {
-			t.Errorf("%s: materialized %q differs", label, name)
-		}
-	}
-	if (seq.Observed == nil) != (par.Observed == nil) {
-		t.Errorf("%s: one result has no observations", label)
-	} else if seq.Observed != nil && !equalStores(t, seq.Observed, par.Observed) {
-		t.Errorf("%s: observed statistics differ", label)
-	}
-	if seq.Rows != par.Rows {
-		t.Errorf("%s: work metric differs: %d vs %d", label, seq.Rows, par.Rows)
-	}
-}
 
 // TestParallelMatchesSequentialRetail is the cheap smoke check: the retail
 // workflow at Workers=4 must match Workers=1 on both engines.
@@ -171,25 +142,9 @@ func TestBlockDAGParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	for _, mk := range []func() interface {
-		Run() (*Result, error)
-	}{
-		func() interface {
-			Run() (*Result, error)
-		} {
-			e := New(an, db, nil)
-			e.Workers = 4
-			return e
-		},
-		func() interface {
-			Run() (*Result, error)
-		} {
-			e := NewStream(an, db, nil)
-			e.Workers = 4
-			return e
-		},
-	} {
-		out, err := mk().Run()
+	for _, e := range []*Engine{New(an, db, nil), NewStream(an, db, nil)} {
+		e.Workers = 4
+		out, err := e.Run()
 		if err != nil {
 			t.Fatalf("parallel: %v", err)
 		}
@@ -222,47 +177,5 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		if err.Error() != first {
 			t.Fatalf("error varies across runs: %q vs %q", first, err.Error())
 		}
-	}
-}
-
-func TestPartitionChunks(t *testing.T) {
-	rows := make([]data.Row, 10)
-	for i := range rows {
-		rows[i] = data.Row{int64(i)}
-	}
-	parts := partitionChunks(rows, 3)
-	var back []data.Row
-	for _, p := range parts {
-		back = append(back, p...)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("chunks lost rows: %d vs %d", len(back), len(rows))
-	}
-	for i := range rows {
-		if back[i][0] != rows[i][0] {
-			t.Fatalf("chunk concatenation reordered rows at %d", i)
-		}
-	}
-}
-
-func TestPartitionByKeyLocality(t *testing.T) {
-	rows := make([]data.Row, 100)
-	for i := range rows {
-		rows[i] = data.Row{int64(i % 7)}
-	}
-	parts := partitionByKey(rows, 0, 4)
-	total := 0
-	owner := make(map[int64]int)
-	for w, p := range parts {
-		total += len(p)
-		for _, r := range p {
-			if prev, ok := owner[r[0]]; ok && prev != w {
-				t.Fatalf("key %d split across workers %d and %d", r[0], prev, w)
-			}
-			owner[r[0]] = w
-		}
-	}
-	if total != len(rows) {
-		t.Fatalf("partition lost rows: %d vs %d", total, len(rows))
 	}
 }

@@ -1,0 +1,58 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/essential-stats/etlopt/internal/css"
+	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/wftest"
+	"github.com/essential-stats/etlopt/internal/workflow"
+)
+
+// TestEnginesMatchReference is the executor oracle over generated inputs:
+// for random workflows (chains, multi-way joins, group-by boundaries) with
+// random data, both execution strategies at one and four workers must agree
+// with wftest's naive reference evaluator on sinks, materialized tables,
+// the work metric and every observable statistic — exact ones and their
+// sketch-backed variants alike.
+func TestEnginesMatchReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			g, cat, db := wftest.Generate(seed, wftest.Options{MaxRelations: 4, MaxCard: 90})
+			an, err := workflow.Analyze(g, cat)
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			res, err := css.Generate(an, css.DefaultOptions())
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			observe := res.ObservableStats()
+			for _, s := range observe {
+				if v, ok := stats.ApproxVariant(s); ok && res.StatObservable(v) {
+					observe = append(observe, v)
+				}
+			}
+			ref := reference(t, an, db, res, observe)
+			if ref.Observed.Len() == 0 {
+				t.Fatal("the reference observed nothing")
+			}
+			golden := wftest.NewGolden(ref)
+			for _, stream := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					e := New(an, db, nil)
+					if stream {
+						e = NewStream(an, db, nil)
+					}
+					e.Workers = workers
+					got, err := e.RunObserved(res, observe)
+					if err != nil {
+						t.Fatalf("%s w%d: %v", engineLabel(stream), workers, err)
+					}
+					golden.Diff(t, fmt.Sprintf("%s w%d", engineLabel(stream), workers), view(got))
+				}
+			}
+		})
+	}
+}

@@ -11,15 +11,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// resumableEngine is the surface the checkpoint/resume edge-case tests
-// exercise on both engines.
-type resumableEngine interface {
-	RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	RunPlansObserving(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-	ResumeObserving(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error)
-}
-
 // resumeFixture holds the shared multi-block workflow under test.
 type resumeFixture struct {
 	an      *workflow.Analysis
@@ -47,20 +38,18 @@ func newResumeFixture(t *testing.T) *resumeFixture {
 
 // engine builds a batch or stream engine over the fixture, optionally
 // faulted.
-func (f *resumeFixture) engine(stream bool, flt *faults.Injector) resumableEngine {
-	if stream {
-		e := NewStream(f.an, f.db, nil)
-		e.Faults = flt
-		return e
-	}
+func (f *resumeFixture) engine(stream bool, flt *faults.Injector) *Engine {
 	e := New(f.an, f.db, nil)
+	if stream {
+		e = NewStream(f.an, f.db, nil)
+	}
 	e.Faults = flt
 	return e
 }
 
 // run executes the instrumented initial plan, with or without the
 // initial-plan observability filter.
-func (f *resumeFixture) run(e resumableEngine, anyPoint bool) (*Result, error) {
+func (f *resumeFixture) run(e *Engine, anyPoint bool) (*Result, error) {
 	if anyPoint {
 		return e.RunPlansObserving(nil, f.res, f.observe)
 	}
@@ -68,7 +57,7 @@ func (f *resumeFixture) run(e resumableEngine, anyPoint bool) (*Result, error) {
 }
 
 // resume continues from a checkpoint with the matching observation mode.
-func (f *resumeFixture) resume(e resumableEngine, cp *Checkpoint, anyPoint bool) (*Result, error) {
+func (f *resumeFixture) resume(e *Engine, cp *Checkpoint, anyPoint bool) (*Result, error) {
 	if anyPoint {
 		return e.ResumeObserving(context.Background(), cp, nil, f.res, f.observe)
 	}

@@ -2,77 +2,26 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// multiset renders a table as a sorted multiset of rows for
-// order-insensitive comparison.
-func multiset(t *data.Table) []string {
-	out := make([]string, 0, len(t.Rows))
-	for _, r := range t.Rows {
-		out = append(out, fmt.Sprint([]int64(r)))
-	}
-	sort.Strings(out)
-	return out
+// view adapts an engine result to the shared comparison helpers.
+func view(r *Result) *wftest.Result {
+	return &wftest.Result{Sinks: r.Sinks, Materialized: r.Materialized, Rows: r.Rows, Observed: r.Observed}
 }
 
-func equalTables(a, b *data.Table) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	ma, mb := multiset(a), multiset(b)
-	if len(ma) != len(mb) {
-		return false
-	}
-	for i := range ma {
-		if ma[i] != mb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// equalStores compares two observation stores value by value.
-func equalStores(t *testing.T, a, b *stats.Store) bool {
+// equalResults compares every externally visible part of two engine
+// results: sinks, materialized side tables, observed statistics and the
+// work metric. Row order within tables is not part of the contract.
+func equalResults(t *testing.T, label string, want, got *Result) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Logf("store sizes differ: %d vs %d", a.Len(), b.Len())
-		return false
-	}
-	for _, v := range a.Values() {
-		if v.Hist == nil {
-			got, err := b.Scalar(v.Stat)
-			if err != nil || got != v.Scalar {
-				t.Logf("scalar %v: %d vs %d (%v)", v.Stat.Key(), v.Scalar, got, err)
-				return false
-			}
-			continue
-		}
-		h, err := b.Hist(v.Stat)
-		if err != nil || h.Buckets() != v.Hist.Buckets() || h.Total() != v.Hist.Total() {
-			t.Logf("hist %v differs", v.Stat.Key())
-			return false
-		}
-		same := true
-		v.Hist.Each(func(vals []int64, f int64) {
-			if h.Freq(vals...) != f {
-				same = false
-			}
-		})
-		if !same {
-			t.Logf("hist %v bucket mismatch", v.Stat.Key())
-			return false
-		}
-	}
-	return true
+	wftest.NewGolden(view(want)).Diff(t, label, view(got))
 }
 
 func TestStreamMatchesBatchRetail(t *testing.T) {
@@ -89,9 +38,7 @@ func TestStreamMatchesBatchRetail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if !equalTables(batch.Sinks["dw"], streamed.Sinks["dw"]) {
-		t.Fatal("sink contents differ between batch and streaming")
-	}
+	equalResults(t, "stream vs batch", batch, streamed)
 }
 
 func TestStreamMatchesBatchObservation(t *testing.T) {
@@ -146,9 +93,7 @@ func TestStreamMatchesBatchObservation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if !equalStores(t, batch.Observed, streamed.Observed) {
-		t.Fatal("observed statistics differ between batch and streaming")
-	}
+	equalResults(t, "stream vs batch", batch, streamed)
 }
 
 func TestStreamMatchesBatchRejectLinkAndOps(t *testing.T) {
@@ -175,18 +120,11 @@ func TestStreamMatchesBatchRejectLinkAndOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	if !equalTables(batch.Sinks["out"], streamed.Sinks["out"]) {
-		t.Fatal("sink differs")
+	if len(batch.Materialized) == 0 {
+		t.Fatal("the reject link was not materialized")
 	}
-	// The materialized reject links must match too.
-	if len(batch.Materialized) != len(streamed.Materialized) {
-		t.Fatalf("materialized sets differ: %d vs %d", len(batch.Materialized), len(streamed.Materialized))
-	}
-	for name, tbl := range batch.Materialized {
-		if !equalTables(tbl, streamed.Materialized[name]) {
-			t.Errorf("materialized %q differs", name)
-		}
-	}
+	// Sinks and the materialized reject links must match.
+	equalResults(t, "stream vs batch", batch, streamed)
 }
 
 func TestStreamMatchesBatchAlternativePlan(t *testing.T) {
@@ -263,17 +201,7 @@ func TestStreamMatchesBatchFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream: %v", err)
 			}
-			for name, tbl := range batch.Sinks {
-				if !equalTables(tbl, streamed.Sinks[name]) {
-					t.Errorf("sink %q differs", name)
-				}
-			}
-			if !equalStores(t, batch.Observed, streamed.Observed) {
-				t.Error("observed statistics differ")
-			}
-			if batch.Rows != streamed.Rows {
-				t.Errorf("work metric differs: %d vs %d", batch.Rows, streamed.Rows)
-			}
+			equalResults(t, "stream vs batch", batch, streamed)
 		})
 	}
 }

@@ -3,18 +3,16 @@ package engine
 import (
 	"sort"
 	"sync"
-	"time"
 
-	"github.com/essential-stats/etlopt/internal/data"
-	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
 // collector records compiled taps into a statistic store. All routing —
 // which statistic observes which operator output, with which physical
 // columns — was decided by the physical-plan compiler; the collector only
-// folds record-sets into scalars and histograms. A nil *collector is valid
-// and collects nothing (uninstrumented runs).
+// folds batches into scalars, histograms and sketches (collectVec and
+// collectAux in vec_taps.go, the worker shards in vec_obs.go). A nil
+// *collector is valid and collects nothing (uninstrumented runs).
 //
 // Statistics whose observation fails permanently (an injected permanent tap
 // fault, or a store/histogram rejection) are recorded in failed instead of
@@ -65,108 +63,4 @@ func (c *collector) failedStats() []FailedStat {
 		return stats.KeyLess(out[i].Stat.Key(), out[j].Stat.Key())
 	})
 	return out
-}
-
-// collect updates one tap's statistic from a whole record-set (the batch
-// engine's table-at-a-time path). The store is write-once per statistic, so
-// collection stays idempotent if a plan surfaces the same target twice.
-func (c *collector) collect(tap physical.Tap, tbl *data.Table) {
-	if c == nil || c.store.Has(tap.Stat) {
-		return
-	}
-	switch tap.Stat.Kind {
-	case stats.Card:
-		if err := c.store.PutScalarOnce(tap.Stat, tbl.Card()); err != nil {
-			c.markFailed(tap.Stat, err)
-		}
-	case stats.Distinct:
-		seen := newKeySet()
-		key := make([]int64, len(tap.Cols))
-		for _, r := range tbl.Rows {
-			for i, col := range tap.Cols {
-				key[i] = r[col]
-			}
-			seen.add(key)
-		}
-		if err := c.store.PutScalarOnce(tap.Stat, int64(seen.len())); err != nil {
-			c.markFailed(tap.Stat, err)
-		}
-	case stats.Hist:
-		h := stats.NewHistogram(tap.Stat.Attrs...)
-		vals := make([]int64, len(tap.Cols))
-		for _, r := range tbl.Rows {
-			for i, col := range tap.Cols {
-				vals[i] = r[col]
-			}
-			if err := h.Inc(vals, 1); err != nil {
-				c.markFailed(tap.Stat, err)
-				return
-			}
-		}
-		if err := c.store.PutHistOnce(tap.Stat, h); err != nil {
-			c.markFailed(tap.Stat, err)
-		}
-	case stats.HLLDistinct:
-		h := stats.NewHLL(stats.DefaultHLLP)
-		vals := make([]int64, len(tap.Cols))
-		for _, r := range tbl.Rows {
-			for i, col := range tap.Cols {
-				vals[i] = r[col]
-			}
-			h.Add(vals...)
-		}
-		if err := c.store.PutHLLOnce(tap.Stat, h); err != nil {
-			c.markFailed(tap.Stat, err)
-		}
-	case stats.CMHist:
-		cm := stats.NewCMH(tap.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-		for _, r := range tbl.Rows {
-			cm.Observe(r[tap.Cols[0]])
-		}
-		if err := c.store.PutCMOnce(tap.Stat, cm); err != nil {
-			c.markFailed(tap.Stat, err)
-		}
-	}
-}
-
-// auxState is a pending union–division auxiliary join: the misses of one
-// input joined with each registered partner input after the block's
-// pipeline drains (rule J4's counter).
-type auxState struct {
-	aux    []*physical.AuxJoin
-	misses *data.Table
-	// met, when non-nil, charges the auxiliary joins as tap overhead of
-	// the owning join node. The streaming paths set it (auxes run after
-	// the pipeline drains, outside any other timing window); the batch
-	// engine leaves it nil because its per-join tap window already covers
-	// reject collection.
-	met *physical.Metrics
-}
-
-// run executes the auxiliary joins over the collected misses and feeds each
-// statistic.
-func (a *auxState) run(col *collector, inputs []*data.Table) {
-	if a.met != nil {
-		start := time.Now()
-		defer func() { a.met.TapNanos += time.Since(start).Nanoseconds() }()
-	}
-	for _, aj := range a.aux {
-		partner := inputs[aj.Partner]
-		if partner == nil {
-			continue
-		}
-		index := make(map[int64][]data.Row, len(partner.Rows))
-		for _, r := range partner.Rows {
-			index[r[aj.PartnerCol]] = append(index[r[aj.PartnerCol]], r)
-		}
-		joined := &data.Table{Rel: "aux", Attrs: aj.Attrs}
-		for _, m := range a.misses.Rows {
-			for _, p := range index[m[aj.MissCol]] {
-				row := make(data.Row, 0, len(m)+len(p))
-				row = append(append(row, m...), p...)
-				joined.Rows = append(joined.Rows, row)
-			}
-		}
-		col.collect(physical.Tap{Stat: aj.Stat, Cols: aj.Cols}, joined)
-	}
 }

@@ -5,9 +5,42 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/expr"
+	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
+
+// reference evaluates the instrumented initial plan with wftest's
+// row-at-a-time reference evaluator.
+func reference(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, observe []stats.Stat) *wftest.Result {
+	t.Helper()
+	plan, err := physical.Compile(an, db, physical.Options{Res: res, Observe: observe})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	ref, err := wftest.Evaluate(plan)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return ref
+}
+
+// observedBy runs the instrumented initial plan on everything the
+// hand-computed expectations below pin — both engine strategies and the
+// reference evaluator the goldens trust — and returns each store by name.
+func observedBy(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, observe []stats.Stat) map[string]*stats.Store {
+	t.Helper()
+	out := map[string]*stats.Store{"reference": reference(t, an, db, res, observe).Observed}
+	for name, e := range map[string]*Engine{"batch": New(an, db, nil), "stream": NewStream(an, db, nil)} {
+		run, err := e.RunObserved(res, observe)
+		if err != nil {
+			t.Fatalf("%s: RunObserved: %v", name, err)
+		}
+		out[name] = run.Observed
+	}
+	return out
+}
 
 func findInput(t *testing.T, blk *workflow.Block, rel string) int {
 	t.Helper()
@@ -40,26 +73,23 @@ func TestTapCardAndHistogram(t *testing.T) {
 	cardOP := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, p)))
 	histO := stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pidClass)
 	distO := stats.NewDistinct(stats.BlockSE(0, expr.NewSet(o)), pidClass)
-	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{cardOP, histO, distO})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
-	store := run.Observed
-	v, err := store.Scalar(cardOP)
-	if err != nil || v != 4 {
-		t.Fatalf("|O⋈P| = %d, %v; want 4", v, err)
-	}
-	h, err := store.Hist(histO)
-	if err != nil {
-		t.Fatalf("hist: %v", err)
-	}
-	// Orders pids: 10,10,20,30,99.
-	if h.Freq(10) != 2 || h.Freq(20) != 1 || h.Freq(99) != 1 {
-		t.Fatalf("histogram wrong: %v buckets", h.Buckets())
-	}
-	d, err := store.Scalar(distO)
-	if err != nil || d != 4 {
-		t.Fatalf("distinct = %d, %v; want 4 (10,20,30,99)", d, err)
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{cardOP, histO, distO}) {
+		v, err := store.Scalar(cardOP)
+		if err != nil || v != 4 {
+			t.Fatalf("%s: |O⋈P| = %d, %v; want 4", name, v, err)
+		}
+		h, err := store.Hist(histO)
+		if err != nil {
+			t.Fatalf("%s: hist: %v", name, err)
+		}
+		// Orders pids: 10,10,20,30,99.
+		if h.Freq(10) != 2 || h.Freq(20) != 1 || h.Freq(99) != 1 {
+			t.Fatalf("%s: histogram wrong: %v buckets", name, h.Buckets())
+		}
+		d, err := store.Scalar(distO)
+		if err != nil || d != 4 {
+			t.Fatalf("%s: distinct = %d, %v; want 4 (10,20,30,99)", name, d, err)
+		}
 	}
 }
 
@@ -91,13 +121,11 @@ func TestTapRejectSingleton(t *testing.T) {
 	if !res.StatObservable(rejCard) {
 		t.Fatal("reject singleton should be observable (O joined directly with P)")
 	}
-	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{rejCard})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
-	v, err := run.Observed.Scalar(rejCard)
-	if err != nil || v != 1 { // order with pid=99 has no product
-		t.Fatalf("|T̄O| = %d, %v; want 1", v, err)
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejCard}) {
+		v, err := store.Scalar(rejCard)
+		if err != nil || v != 1 { // order with pid=99 has no product
+			t.Fatalf("%s: |T̄O| = %d, %v; want 1", name, v, err)
+		}
 	}
 }
 
@@ -131,15 +159,21 @@ func TestTapRejectAuxiliaryJoin(t *testing.T) {
 	if !res.NeedsRejectLink[rejJoin.Key()] {
 		t.Fatal("reject variant should be marked NeedsRejectLink")
 	}
-	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{rejJoin})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
 	// The rejected order is (cid=3, oid=5, pid=99); Customer has cids 1,2:
 	// the auxiliary join is empty.
-	v, err := run.Observed.Scalar(rejJoin)
-	if err != nil || v != 0 {
-		t.Fatalf("|T̄O⋈C| = %d, %v; want 0", v, err)
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejJoin}) {
+		v, err := store.Scalar(rejJoin)
+		if err != nil || v != 0 {
+			t.Fatalf("%s: |T̄O⋈C| = %d, %v; want 0", name, v, err)
+		}
+	}
+	// With a customer for cid 3 the rejected order finds one partner.
+	db["Customer"].Rows = append(db["Customer"].Rows, []int64{3, 3})
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejJoin}) {
+		v, err := store.Scalar(rejJoin)
+		if err != nil || v != 1 {
+			t.Fatalf("%s: |T̄O⋈C| with cid 3 = %d, %v; want 1", name, v, err)
+		}
 	}
 }
 
@@ -165,15 +199,13 @@ func TestTapChainPoint(t *testing.T) {
 	// the cooked SE card is 4 (pid 99 filtered).
 	rawCard := stats.NewCard(stats.ChainPoint(0, oIdx, 0))
 	cookedCard := stats.NewCard(stats.BlockSE(0, expr.NewSet(oIdx)))
-	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{rawCard, cookedCard})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
-	if v, _ := run.Observed.Scalar(rawCard); v != 5 {
-		t.Fatalf("raw card = %d, want 5", v)
-	}
-	if v, _ := run.Observed.Scalar(cookedCard); v != 4 {
-		t.Fatalf("cooked card = %d, want 4", v)
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{rawCard, cookedCard}) {
+		if v, _ := store.Scalar(rawCard); v != 5 {
+			t.Fatalf("%s: raw card = %d, want 5", name, v)
+		}
+		if v, _ := store.Scalar(cookedCard); v != 4 {
+			t.Fatalf("%s: cooked card = %d, want 4", name, v)
+		}
 	}
 }
 
@@ -194,11 +226,9 @@ func TestTapSkipsNonObservable(t *testing.T) {
 	// O⋈C is not produced by the initial plan: asking for it must not
 	// record anything (and must not fail).
 	unobservable := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c)))
-	run, err := New(an, db, nil).RunObserved(res, []stats.Stat{unobservable})
-	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
-	}
-	if run.Observed.Has(unobservable) {
-		t.Fatal("unobservable statistic was recorded")
+	for name, store := range observedBy(t, an, db, res, []stats.Stat{unobservable}) {
+		if store.Has(unobservable) {
+			t.Fatalf("%s: unobservable statistic was recorded", name)
+		}
 	}
 }

@@ -10,18 +10,18 @@ import (
 	"github.com/essential-stats/etlopt/internal/physical"
 )
 
-// Columnar batch-engine interpreter. It executes the same compiled block
-// plans as runBatchBlock, but over typed column vectors instead of row
-// slices: filters mark rows in arena-allocated selection vectors, projects
-// share column pointers, joins gather matched rows through a chained hash
-// index, and every operator-lifetime vector comes from one arena per block
-// attempt. Observable behavior — block outputs, materialized tables,
-// observed statistics, the work metric, deterministic metrics, fault sites
-// — is identical to the row interpreter; the equivalence suite enforces it.
+// Columnar batch interpreter. It executes a compiled block plan over typed
+// column vectors: filters mark rows in arena-allocated selection vectors,
+// projects share column pointers, joins gather matched rows through a
+// chained hash index, and every operator-lifetime vector comes from one
+// arena per block attempt. Observable behavior — block outputs,
+// materialized tables, observed statistics, the work metric, deterministic
+// metrics — is identical to internal/wftest's row-at-a-time reference
+// evaluator; the equivalence suite enforces it.
 
 // vecJoinChunk is how many pending join-output rows accumulate between row
-// budget charges and cancellation polls (matches the row interpreter, so
-// budget faults and MaxRows aborts fire after identical counted prefixes).
+// budget charges and cancellation polls; the streaming spine also cuts its
+// probe partitions into chunks of this many base rows.
 const vecJoinChunk = 4096
 
 // vecBlock is one block attempt's columnar evaluation state.
@@ -63,8 +63,9 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 
 // evalVec evaluates one physical node over its input batches, counts its
 // output rows against the work metric and row budget, and feeds its taps.
-// Mirrors evalNode's structure (including metric attribution: operator time
-// exclusive, tap observation timed separately).
+// With metrics on, operator time is exclusive (inputs are already
+// materialized) and tap observation is timed separately, so observation
+// overhead never inflates operator time.
 func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 	if err := v.out.ctxErr(); err != nil {
 		return nil, err

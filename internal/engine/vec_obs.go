@@ -8,12 +8,14 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// vecObserver is a batch-at-a-time statistic handler — the columnar
-// counterpart of rowObserver. The streaming columnar interpreter gives each
-// worker its own shard (so per-chunk observation never contends) and folds
-// the shards after the pipeline drains; counts, bucket frequencies and
-// distinct sets are order-insensitive, so the merged value is identical to
-// a sequential observation.
+// vecObserver is a batch-at-a-time statistic handler: observeVec folds one
+// batch in, finish records the completed statistic into the store (a store
+// rejection marks the statistic degraded on the collector rather than
+// failing the pipeline — by then the data work is done). The streaming
+// interpreter gives each worker its own shard (so per-chunk observation
+// never contends) and folds the shards after the pipeline drains; counts,
+// bucket frequencies and distinct sets are order-insensitive, so the merged
+// value is identical to a sequential observation.
 type vecObserver interface {
 	observeVec(*batch.Batch)
 	finish()

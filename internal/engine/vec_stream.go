@@ -10,19 +10,26 @@ import (
 )
 
 // Columnar streaming interpreter. It executes the same compiled block plans
-// as runStreamBlock, chunk-at-a-time over column vectors: input chains
-// split into contiguous ranges processed through vectorized operators with
-// per-worker statistic shards, and join trees execute as a probe cascade
-// along the streamed spine — the base input partitioned by hash of the
-// first probe key, each worker driving vector chunks through every probe
-// stage with per-worker observers, miss accumulators and match marks.
-// Workers <= 1 runs the same code over a single partition. All observable
-// behavior matches the row streaming interpreter; the equivalence suite
-// enforces it at several worker counts.
+// as runVecBlock, chunk-at-a-time: input chains split into contiguous
+// ranges processed through vectorized operators with per-worker statistic
+// shards, and join trees execute as a probe cascade along the streamed
+// spine — the base input partitioned by hash of the first probe key, each
+// worker driving vector chunks through every probe stage with per-worker
+// observers, miss accumulators and match marks. Workers <= 1 runs the same
+// code over a single partition. After a pipeline drains, the shards merge
+// (counts add, histogram buckets add, distinct sets union, sketches fold)
+// and the merged observer records into the store, so every observed
+// statistic is identical at any worker count; the equivalence suite checks
+// that against the reference evaluator.
+
+// budgetChunk is how many rows a worker accumulates locally before charging
+// the shared row budget: the guard stays cheap under contention while still
+// aborting a blowing-up cascade promptly.
+const budgetChunk = 1024
 
 // vecStream is one block attempt's columnar streaming state.
 type vecStream struct {
-	e       *StreamEngine
+	workers int
 	bp      *physical.BlockPlan
 	col     *collector
 	out     *blockSink
@@ -36,10 +43,10 @@ type vecStream struct {
 // runVecStreamBlock pipelines one compiled block columnar: chains cook
 // their inputs chunk-at-a-time, the join spine probes vector chunks through
 // every stage, and the pinned top operators evaluate whole-batch.
-func (e *StreamEngine) runVecStreamBlock(bp *physical.BlockPlan, col *collector, out *blockSink) (*data.Table, error) {
+func runVecStreamBlock(bp *physical.BlockPlan, col *collector, out *blockSink, workers int, metrics bool) (*data.Table, error) {
 	a := batch.GetArena()
 	defer batch.PutArena(a)
-	v := &vecStream{e: e, bp: bp, col: col, out: out, metrics: e.CollectMetrics, arena: a}
+	v := &vecStream{workers: workers, bp: bp, col: col, out: out, metrics: metrics, arena: a}
 	v.inputs = make([]*batch.Batch, len(bp.Chains))
 	for i, chain := range bp.Chains {
 		b, err := v.runVecChain(chain)
@@ -96,12 +103,27 @@ func (e *StreamEngine) runVecStreamBlock(bp *physical.BlockPlan, col *collector,
 	return result.Table("block", bp.Root.Attrs), nil
 }
 
+// perRowChain reports whether every chain operator past the scan is per-row
+// (filter, project, transform): only then can chunks run independently.
+// Block analysis cuts chains at blocking operators, so this always holds
+// today; the check keeps the fallback honest if that ever changes.
+func perRowChain(chain []*physical.Node) bool {
+	for _, n := range chain[1:] {
+		switch n.Kind {
+		case physical.OpFilter, physical.OpProject, physical.OpTransform:
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // runVecChain cooks one input chain into a batch, observing every chain
 // point. Large bases with per-row chains fan out across workers in
-// contiguous chunks, exactly like the row interpreter's parallel path.
+// contiguous chunks.
 func (v *vecStream) runVecChain(chain []*physical.Node) (*batch.Batch, error) {
 	// Fault sites are checked up front for the whole chain — same sites,
-	// same order as the row interpreters.
+	// same order as the batch interpreter's node loop.
 	for _, n := range chain {
 		if err := v.out.opFault(n); err != nil {
 			return nil, err
@@ -127,7 +149,7 @@ func (v *vecStream) runVecChain(chain []*physical.Node) (*batch.Batch, error) {
 		}
 		liveTaps[i] = lt
 	}
-	if v.e.Workers > 1 && len(base.Rows) >= 2*v.e.Workers && perRowChain(chain) {
+	if v.workers > 1 && len(base.Rows) >= 2*v.workers && perRowChain(chain) {
 		return v.runVecChainParallel(chain, base, liveTaps)
 	}
 	b, err := batch.FromTable(base, v.arena)
@@ -165,7 +187,7 @@ func (v *vecStream) runVecChainParallel(chain []*physical.Node, base *data.Table
 	if err != nil {
 		return nil, err
 	}
-	w := v.e.Workers
+	w := v.workers
 	type chainShard struct {
 		rows    int64
 		obs     [][]vecObserver // per chain node, in depth order
@@ -362,7 +384,7 @@ func (v *vecStream) runVecSpine(root *physical.Node) (*batch.Batch, error) {
 		stages = append(stages, st)
 	}
 
-	w := v.e.Workers
+	w := v.workers
 	if w < 1 {
 		w = 1
 	}
@@ -425,6 +447,7 @@ func (v *vecStream) runVecSpine(root *physical.Node) (*batch.Batch, error) {
 			ca := batch.GetArena()
 			defer batch.PutArena(ca)
 			var lidx, ridx []int32
+			// pend counts joined rows not yet charged to the shared budget.
 			var pend int64
 			for start := 0; start < len(part); start += vecJoinChunk {
 				if v.out.ctx != nil {
@@ -444,13 +467,14 @@ func (v *vecStream) runVecSpine(root *physical.Node) (*batch.Batch, error) {
 					missSel := ca.Int32(cur.Rows())
 					nMiss := 0
 					probeCol := cur.Cols[st.jn.LeftCol]
-					probe := func(li int32) {
+					probe := func(li int32) error {
 						r := st.ix.First(probeCol[li])
 						if r < 0 {
 							missSel[nMiss] = li
 							nMiss++
-							return
+							return nil
 						}
+						matched := len(lidx)
 						for ; r >= 0; r = st.ix.Next(r) {
 							lidx = append(lidx, li)
 							ridx = append(ridx, r)
@@ -458,15 +482,31 @@ func (v *vecStream) runVecSpine(root *physical.Node) (*batch.Batch, error) {
 								ss.marks[r] = true
 							}
 						}
+						// The budget is charged while the match set grows, so
+						// a blowing-up probe trips the guard before its output
+						// is gathered (and before lidx/ridx blow up themselves).
+						if v.out.budget != nil {
+							if pend += int64(len(lidx) - matched); pend >= budgetChunk {
+								n := pend
+								pend = 0
+								return v.out.budget.add(n)
+							}
+						}
+						return nil
 					}
+					var err error
 					if cur.Sel != nil {
-						for _, li := range cur.Sel {
-							probe(li)
+						for i := 0; i < len(cur.Sel) && err == nil; i++ {
+							err = probe(cur.Sel[i])
 						}
 					} else {
-						for li := 0; li < cur.N; li++ {
-							probe(int32(li))
+						for li := 0; li < cur.N && err == nil; li++ {
+							err = probe(int32(li))
 						}
+					}
+					if err != nil {
+						shard.err = fmt.Errorf("%s: %w", st.jn.Label, err)
+						return
 					}
 					if nMiss > 0 && st.needLeftMiss {
 						miss := &batch.Batch{Cols: cur.Cols, N: cur.N, Sel: missSel[:nMiss]}
@@ -492,16 +532,6 @@ func (v *vecStream) runVecSpine(root *physical.Node) (*batch.Batch, error) {
 					shard.rows += int64(m)
 					shard.mets[si].Calls = 1
 					shard.mets[si].RowsOut += int64(m)
-					if v.out.budget != nil {
-						pend += int64(m)
-						if pend >= budgetChunk {
-							if err := v.out.budget.add(pend); err != nil {
-								shard.err = fmt.Errorf("%s: %w", st.jn.Label, err)
-								return
-							}
-							pend = 0
-						}
-					}
 				}
 				shard.outCols = batch.AppendLive(shard.outCols, cur)
 				shard.outN += cur.Rows()

@@ -6,11 +6,13 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Columnar tap collection. These are the batch-at-a-time counterparts of
-// collector.collect and auxState.run: same store-once semantics, same
-// failure handling, operating over column vectors with selection instead of
-// row slices. Counts, distinct sets and histogram frequencies are exact, so
-// the recorded values are bit-identical to the row paths'.
+// Whole-batch tap collection: one statistic from one complete batch, for the
+// points where the interpreters hold a node's entire output (every batch
+// node; the streaming engine's sequential chains, top operators and merged
+// miss sets). The store is write-once and a rejected value marks the
+// statistic degraded instead of failing the run. Counts, distinct sets and
+// histogram frequencies are exact, so the recorded values are bit-identical
+// to the reference evaluator's.
 
 // collectVec updates one tap's statistic from a whole batch. The store is
 // write-once per statistic, so collection stays idempotent if a plan
@@ -143,10 +145,10 @@ func (c *collector) collectVec(tap physical.Tap, b *batch.Batch) {
 	}
 }
 
-// collectAux runs one union–division auxiliary join columnar — the misses
-// of one input joined with the registered partner's cooked batch — and
-// feeds the statistic. The joined batch's schema is miss columns then
-// partner columns, matching the row path's row concatenation, so aj.Cols
+// collectAux runs one union–division auxiliary join (rule J4's counter) —
+// the misses of one input joined with the registered partner's cooked batch
+// — and feeds the statistic. The joined batch's schema is miss columns then
+// partner columns, the order the compiler bound aj.Attrs in, so aj.Cols
 // indexes land on the same attributes.
 func (c *collector) collectAux(aj *physical.AuxJoin, misses, partner *batch.Batch, a *batch.Arena) {
 	if c == nil || c.store.Has(aj.Stat) {

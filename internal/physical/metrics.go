@@ -5,37 +5,37 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Metrics holds one operator's runtime counters, populated by the engines
+// Metrics holds one operator's runtime counters, populated by the engine
 // when metrics collection is enabled (it stays zero otherwise). The
 // counters split the paper's Section 5.4 observation-cost question into
 // measurable parts: WallNanos is the time spent producing the node's rows,
 // TapNanos is — timed separately — the overhead of the statistic taps
-// attached to the node (per-row observers, reject collection and the
-// post-stream auxiliary union–division joins).
+// attached to the node (tap collection, reject collection and the
+// auxiliary union–division joins).
 //
-// Semantics per engine:
+// Semantics per execution strategy:
 //
-//   - RowsOut and the derived RowsIn are execution-strategy independent:
-//     both engines, at any worker count, report identical values (the
-//     cross-engine equivalence test pins this).
+//   - RowsOut and the derived RowsIn are strategy independent: batch and
+//     streaming runs, at any worker count, report identical values (the
+//     equivalence suite pins them against the reference evaluator).
 //   - Calls counts operator invocations: 1 per batch evaluation, one per
-//     pipeline shard in the streaming engine — a worker-count-dependent
+//     pipeline shard in a streaming run — a worker-count-dependent
 //     diagnostic, excluded from the deterministic report.
-//   - WallNanos is per-operator in the batch engine (inputs are already
-//     materialized when an operator runs). In the streaming engine
-//     pipelines interleave, so WallNanos is cumulative along a pipeline:
-//     a node's time includes its streamed upstream; worker-parallel probe
-//     cascades attribute the cascade's time to the spine root. Wall times
-//     are wall-clock and therefore never part of deterministic output.
+//   - WallNanos and TapNanos are the batch strategy's: per operator,
+//     exclusive (inputs are already materialized when an operator runs).
+//     A streaming run interleaves operators inside a chunk cascade and
+//     leaves both zero. Wall times are wall-clock and therefore never
+//     part of deterministic output.
 type Metrics struct {
 	// RowsOut counts rows the operator emitted.
 	RowsOut int64
 	// Calls counts operator invocations (batch: 1; streaming: shards).
 	Calls int64
 	// WallNanos is time spent producing the node's rows, excluding
-	// TapNanos.
+	// TapNanos (batch runs only).
 	WallNanos int64
-	// TapNanos is the statistic-tap observation overhead at this node.
+	// TapNanos is the statistic-tap observation overhead at this node
+	// (batch runs only).
 	TapNanos int64
 }
 

@@ -1,6 +1,6 @@
 // Package physical lowers analyzed workflow blocks into a typed physical
-// operator DAG — the shared intermediate representation both execution
-// engines interpret. The compiler resolves everything that can be decided
+// operator DAG — the one intermediate representation every execution of a
+// workflow interprets. The compiler resolves everything that can be decided
 // before the first row flows: operator schemas, column positions, UDF
 // implementations, hash-join sides and probe/build columns, reject-link
 // routing, and — centrally — the *tap attachment points*: which selected
@@ -8,10 +8,12 @@
 // already bound (the paper's Section 3.2.5 instrumentation, made
 // declarative).
 //
-// The batch engine interprets the DAG table-at-a-time, the streaming engine
-// pipelines it row-at-a-time, and the worker-parallel paths schedule its
-// nodes across goroutines; all of them read the same nodes, so operator
-// semantics, observer wiring and reject routing live in exactly one place.
+// The engine's batch strategy interprets the DAG batch-at-a-time, its
+// streaming strategy pipelines it in chunks, the worker-parallel paths
+// schedule its nodes across goroutines, and the tests' reference evaluator
+// (internal/wftest) walks it row by row; all of them read the same nodes,
+// so operator semantics, observer wiring and reject routing live in exactly
+// one place.
 package physical
 
 import (

@@ -49,10 +49,9 @@ type RunSpec struct {
 	// WF and Scale pin the suite workflow and its generated data.
 	WF    int
 	Scale float64
-	// Streaming, RowMode, Workers, MaxRows, Faults, RetryMax and
-	// RetryBackoff mirror the coordinator-side engine configuration.
+	// Streaming, Workers, MaxRows, Faults, RetryMax and RetryBackoff
+	// mirror the coordinator-side engine configuration.
 	Streaming    bool
-	RowMode      bool
 	Workers      int
 	MaxRows      int64
 	Faults       string
@@ -164,7 +163,6 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 			WF:             c.run.WF,
 			Scale:          c.run.Scale,
 			Streaming:      c.run.Streaming,
-			RowMode:        c.run.RowMode,
 			Workers:        c.run.Workers,
 			MaxRows:        c.run.MaxRows,
 			Faults:         c.run.Faults,

@@ -132,6 +132,9 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 		"truncated":      good[:len(good)-1],
 		"trailing":       append(append([]byte{}, good...), 0),
 		"missing tables": mustFrame(t, &WorkerRunRequest{WF: 6, Scale: distScale, Upstream: []int{0}}),
+		// The row interpreters are gone from the product; a peer still asking
+		// for one must be refused, not silently run columnar.
+		"row_mode": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "row_mode": true}),
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(body)))

@@ -67,10 +67,9 @@ type WorkerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
-	// Streaming selects the pipelined engine; RowMode the row-at-a-time
-	// interpreter; Workers the block-internal parallelism.
+	// Streaming selects the pipelined engine; Workers the block-internal
+	// parallelism.
 	Streaming bool `json:"streaming,omitempty"`
-	RowMode   bool `json:"row_mode,omitempty"`
 	Workers   int  `json:"workers,omitempty"`
 	// MaxRows caps this block's intermediate rows (the coordinator ships
 	// its per-run budget; in distributed mode the cap applies per
@@ -201,26 +200,16 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream 
 		}
 		observe = req.Observe
 	}
-	var rb *engine.RemoteBlock
+	eng := engine.New(st.an, st.db, nil)
 	if req.Streaming {
-		eng := engine.NewStream(st.an, st.db, nil)
-		eng.Workers = req.Workers
-		eng.MaxRows = req.MaxRows
-		eng.Faults = flt
-		eng.RetryMax = req.RetryMax
-		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		eng.RowMode = req.RowMode
-		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
-	} else {
-		eng := engine.New(st.an, st.db, nil)
-		eng.Workers = req.Workers
-		eng.MaxRows = req.MaxRows
-		eng.Faults = flt
-		eng.RetryMax = req.RetryMax
-		eng.RetryBackoff = durationNs(req.RetryBackoffNs)
-		eng.RowMode = req.RowMode
-		rb, err = eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
+		eng = engine.NewStream(st.an, st.db, nil)
 	}
+	eng.Workers = req.Workers
+	eng.MaxRows = req.MaxRows
+	eng.Faults = flt
+	eng.RetryMax = req.RetryMax
+	eng.RetryBackoff = durationNs(req.RetryBackoffNs)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

@@ -1,46 +1,37 @@
 // Package adaptive holds the suite-wide contract tests for mid-run
 // adaptive re-optimization. They live outside package suite so the full
-// 30-workflow × 8-configuration splice matrix gets its own go test
-// package budget instead of eating the cross-engine goldens'.
+// 30-workflow × 4-configuration splice matrix gets its own go test
+// package budget instead of eating the engine goldens'.
 package adaptive
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// engineConfig is one engine × interpreter × worker-count combination.
+// engineConfig is one execution strategy × worker count.
 type engineConfig struct {
 	name    string
-	rowMode bool
 	stream  bool
 	workers int
 }
 
-// engineConfigs mirrors the cross-engine golden's matrix: legacy
-// row-at-a-time and columnar, batch and streaming, sequential and
-// worker-parallel.
+// engineConfigs mirrors the engine golden's matrix: batch and streaming,
+// sequential and worker-parallel.
 var engineConfigs = []engineConfig{
-	{"row batch w1", true, false, 1},
-	{"row batch w4", true, false, 4},
-	{"row stream w1", true, true, 1},
-	{"row stream w4", true, true, 4},
-	{"vec batch w1", false, false, 1},
-	{"vec batch w4", false, false, 4},
-	{"vec stream w1", false, true, 1},
-	{"vec stream w4", false, true, 4},
+	{"batch w1", false, 1},
+	{"batch w4", false, 4},
+	{"stream w1", true, 1},
+	{"stream w4", true, 4},
 }
 
 // forcedSkew provokes a replan at the first block boundary: q=4 against the
@@ -51,13 +42,11 @@ var forcedSkew = map[int]float64{0: 4}
 // configuration, instrumented the way the adaptive driver instruments its
 // segments (any-point observation of the selected statistics).
 func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, inj *faults.Injector) (*engine.Result, error) {
-	if cfg.stream {
-		e := engine.NewStream(an, db, nil)
-		e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, true, inj
-		return e.RunPlansObserving(plans, res, observe)
-	}
 	e := engine.New(an, db, nil)
-	e.RowMode, e.Workers, e.CollectMetrics, e.Faults = cfg.rowMode, cfg.workers, true, inj
+	if cfg.stream {
+		e = engine.NewStream(an, db, nil)
+	}
+	e.Workers, e.CollectMetrics, e.Faults = cfg.workers, true, inj
 	return e.RunPlansObserving(plans, res, observe)
 }
 
@@ -85,7 +74,7 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 					continue
 				}
 				c := core.DefaultConfig()
-				c.RowMode, c.Streaming, c.Workers = cfg.rowMode, cfg.stream, cfg.workers
+				c.Streaming, c.Workers = cfg.stream, cfg.workers
 				cy, err := core.Run(w.Graph, w.Catalog, db, c)
 				if err != nil {
 					t.Fatalf("%s: Run: %v", cfg.name, err)
@@ -113,7 +102,7 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 				diffAdaptive(t, cfg.name, cold, ar.Run)
 				if singleBlock {
 					// No boundary to check: one configuration pins the inert
-					// path, the remaining seven add nothing.
+					// path, the remaining ones add nothing.
 					break
 				}
 			}
@@ -153,7 +142,7 @@ func TestAdaptiveLateBlockSkew(t *testing.T) {
 	if len(rec.Reoptimized) != 1 || rec.Reoptimized[0] != 2 {
 		t.Fatalf("reoptimized %v, want only the final block [2]", rec.Reoptimized)
 	}
-	cold, err := runPlansConfig(engineConfigs[4], cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, nil)
+	cold, err := runPlansConfig(engineConfigs[0], cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, nil)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -187,7 +176,7 @@ func TestAdaptiveReplanUnderFaults(t *testing.T) {
 			if len(ar.Replans) == 0 {
 				t.Fatalf("%s: forced replan did not fire", label)
 			}
-			cfg := engineConfig{name: label, rowMode: false, stream: stream, workers: 1}
+			cfg := engineConfig{name: label, stream: stream, workers: 1}
 			cold, err := runPlansConfig(cfg, cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
 			if err != nil {
 				t.Fatalf("%s: cold run under faults: %v", label, err)
@@ -207,127 +196,8 @@ func TestAdaptiveReplanUnderFaults(t *testing.T) {
 // segments legitimately report zero counts for checkpoint-skipped blocks.
 func diffAdaptive(t *testing.T, label string, cold, got *engine.Result) {
 	t.Helper()
-	if len(cold.Sinks) != len(got.Sinks) {
-		t.Errorf("%s: sink count %d vs %d", label, len(got.Sinks), len(cold.Sinks))
+	view := func(r *engine.Result) *wftest.Result {
+		return &wftest.Result{Sinks: r.Sinks, Materialized: r.Materialized, Rows: r.Rows, Observed: r.Observed}
 	}
-	for name, tbl := range cold.Sinks {
-		if !sameTable(tbl, got.Sinks[name]) {
-			t.Errorf("%s: sink %q differs", label, name)
-		}
-	}
-	if len(cold.Materialized) != len(got.Materialized) {
-		t.Errorf("%s: materialized count %d vs %d", label, len(got.Materialized), len(cold.Materialized))
-	}
-	for name, tbl := range cold.Materialized {
-		if !sameTable(tbl, got.Materialized[name]) {
-			t.Errorf("%s: materialized %q differs", label, name)
-		}
-	}
-	if got.Rows != cold.Rows {
-		t.Errorf("%s: work metric %d, want %d — a block re-ran across the splice", label, got.Rows, cold.Rows)
-	}
-	diffStores(t, label, cold.Observed, got.Observed)
-}
-
-// diffStores compares two observation stores value by value, including
-// sketch state at the byte level (register-max and counter-add merges are
-// order-independent, so spliced and cold runs must land on identical
-// sketches).
-func diffStores(t *testing.T, label string, ref, got *stats.Store) {
-	t.Helper()
-	if (ref == nil) != (got == nil) {
-		t.Errorf("%s: one result has no observations", label)
-		return
-	}
-	if ref == nil {
-		return
-	}
-	if got.Len() != ref.Len() {
-		t.Errorf("%s: store sizes differ: %d vs %d", label, got.Len(), ref.Len())
-	}
-	for _, v := range ref.Values() {
-		if v.HLL != nil {
-			g, err := got.HLLSketch(v.Stat)
-			if err != nil {
-				t.Errorf("%s: hll %v: %v", label, v.Stat.Key(), err)
-				continue
-			}
-			if g.P != v.HLL.P || !bytes.Equal(g.Regs, v.HLL.Regs) {
-				t.Errorf("%s: hll %v registers differ", label, v.Stat.Key())
-			}
-			continue
-		}
-		if v.CM != nil {
-			g, err := got.CMSketch(v.Stat)
-			if err != nil {
-				t.Errorf("%s: cm %v: %v", label, v.Stat.Key(), err)
-				continue
-			}
-			if g.Spec != v.CM.Spec || g.Depth != v.CM.Depth || g.Width != v.CM.Width {
-				t.Errorf("%s: cm %v layout differs", label, v.Stat.Key())
-				continue
-			}
-			same := len(g.Counters) == len(v.CM.Counters)
-			for i := 0; same && i < len(g.Counters); i++ {
-				same = g.Counters[i] == v.CM.Counters[i]
-			}
-			if !same {
-				t.Errorf("%s: cm %v counters differ", label, v.Stat.Key())
-			}
-			continue
-		}
-		if v.Hist == nil {
-			g, err := got.Scalar(v.Stat)
-			if err != nil || g != v.Scalar {
-				t.Errorf("%s: scalar %v = %d, want %d (%v)", label, v.Stat.Key(), g, v.Scalar, err)
-			}
-			continue
-		}
-		h, err := got.Hist(v.Stat)
-		if err != nil || h.Buckets() != v.Hist.Buckets() || h.Total() != v.Hist.Total() {
-			t.Errorf("%s: hist %v differs", label, v.Stat.Key())
-			continue
-		}
-		same := true
-		v.Hist.Each(func(vals []int64, f int64) {
-			if h.Freq(vals...) != f {
-				same = false
-			}
-		})
-		if !same {
-			t.Errorf("%s: hist %v bucket mismatch", label, v.Stat.Key())
-		}
-	}
-}
-
-// sameTable compares two tables as row multisets (row order within a table
-// is not part of the contract — the parallel probe cascade interleaves
-// partitions).
-func sameTable(a, b *data.Table) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	ka, kb := rowKeys(a), rowKeys(b)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func rowKeys(tbl *data.Table) []string {
-	keys := make([]string, len(tbl.Rows))
-	for i, r := range tbl.Rows {
-		var sb strings.Builder
-		for _, v := range r {
-			fmt.Fprintf(&sb, "%d,", v)
-		}
-		keys[i] = sb.String()
-	}
-	sort.Strings(keys)
-	return keys
+	wftest.NewGolden(view(cold)).Diff(t, label, view(got))
 }

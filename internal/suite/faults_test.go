@@ -10,9 +10,9 @@ import (
 // TestEngineEquivalenceUnderFaults is the fault-matrix contract: with an
 // injector forcing one transient fault at every site (rate=1, transient=1 —
 // every block's first attempt fails and every retry succeeds), every engine
-// configuration — row and columnar, batch and streaming, sequential and
-// worker-parallel — must still produce results identical to a fault-free
-// golden run over every suite workflow. Retries are invisible: per-attempt
+// configuration — batch and streaming, sequential and worker-parallel —
+// must still produce results identical to the fault-free reference
+// evaluation over every suite workflow. Retries are invisible: per-attempt
 // sinks and row budgets isolate failed attempts, so nothing a failed
 // attempt did leaks into the committed result.
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
@@ -32,13 +32,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 			observe := res.ObservableStats()
 			db := w.Data(scale)
 
-			clean, err := runConfig(engineConfigs[0], an, db, res, observe, false, nil)
-			if err != nil {
-				t.Fatalf("fault-free golden: %v", err)
-			}
-			if clean.Retries != 0 {
-				t.Fatalf("fault-free run recorded %d retries", clean.Retries)
-			}
+			clean := referenceRun(t, an, db, res, observe)
 
 			for _, cfg := range engineConfigs {
 				if raceDetector && cfg.workers == 1 {
@@ -56,7 +50,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 				if len(got.Degraded) != 0 {
 					t.Errorf("%s: transient faults degraded %d statistics", cfg.name, len(got.Degraded))
 				}
-				diffResults(t, cfg.name, clean, got)
+				diffRun(t, cfg.name, clean, got, false)
 			}
 		})
 	}

@@ -29,11 +29,12 @@ func sketchObserve(res *css.Result) []stats.Stat {
 	return out
 }
 
-// TestSketchEquivalenceGolden extends the cross-engine contract to the
+// TestSketchEquivalenceGolden extends the executor contract to the
 // approximate tier: observing every sketch-backed variant over every suite
-// workflow, all eight engine configurations — row and columnar, batch and
-// streaming, sequential and worker-parallel — must merge to byte-identical
-// sketch state (HLL registers, count-min counters). Register-max and
+// workflow, all four engine configurations — batch and streaming,
+// sequential and worker-parallel — must merge to sketch state (HLL
+// registers, count-min counters) byte-identical to the reference
+// evaluator's single sequential pass. Register-max and
 // counter-add merges are order-independent, so per-worker shards must not
 // introduce any drift at all, not merely bounded drift.
 func TestSketchEquivalenceGolden(t *testing.T) {
@@ -55,12 +56,9 @@ func TestSketchEquivalenceGolden(t *testing.T) {
 			}
 			db := w.Data(scale)
 
-			ref, err := runConfig(engineConfigs[0], an, db, res, observe, false, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", engineConfigs[0].name, err)
-			}
+			golden := referenceRun(t, an, db, res, observe)
 			var sketches int
-			for _, v := range ref.Observed.Values() {
+			for _, v := range golden.Ref.Observed.Values() {
 				if v.HLL != nil || v.CM != nil {
 					sketches++
 				}
@@ -69,7 +67,7 @@ func TestSketchEquivalenceGolden(t *testing.T) {
 				t.Fatalf("golden run observed %d sketches, want %d", sketches, len(observe))
 			}
 
-			for _, cfg := range engineConfigs[1:] {
+			for _, cfg := range engineConfigs {
 				if raceDetector && cfg.workers == 1 {
 					// See TestEngineEquivalenceGolden: sequential legs cannot
 					// race and are covered by the unraced CI jobs.
@@ -79,7 +77,7 @@ func TestSketchEquivalenceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.name, err)
 				}
-				diffResults(t, cfg.name, ref, got)
+				diffRun(t, cfg.name, golden, got, false)
 			}
 		})
 	}
