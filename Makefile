@@ -1,12 +1,5 @@
 GO ?= go
 FUZZTIME ?= 5s
-# Benchmark pinning: single-iteration numbers are noise, so bench always
-# runs a fixed iteration count per benchmark and repeats the whole set.
-# Override BENCHTIME/BENCHCOUNT for longer local sessions.
-BENCHTIME ?= 3x
-BENCHCOUNT ?= 2
-BENCHOUT ?= BENCH_pr9.json
-SERVEBENCH ?= BENCH_serve.json
 
 .PHONY: build test race short bench bench-test examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
 
@@ -29,9 +22,10 @@ fuzz:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# distributed-smoke runs a coordinator against two real worker processes,
-# SIGKILLs one mid-run, and requires exit 0 with stdout byte-identical to
-# the single-process run.
+# distributed-smoke runs a coordinator against two real worker processes:
+# -metrics json and -adaptive runs on the live fleet, then a run with one
+# worker SIGKILLed mid-run, each with stdout byte-identical to the
+# single-process run.
 distributed-smoke:
 	./scripts/distributed_smoke.sh
 
@@ -52,15 +46,12 @@ race:
 short:
 	$(GO) test -short ./...
 
-# bench runs every benchmark with allocation stats at a pinned iteration
-# count ($(BENCHTIME)) and repetition count ($(BENCHCOUNT)), then records
-# the machine-readable results (ns/op, B/op, allocs/op per benchmark) in
-# $(BENCHOUT) via cmd/benchjson; the text output still streams through.
-# benchjson rejects single-iteration lines and folds the -count repetitions
-# into one entry per benchmark (best ns/bytes/allocs, iterations summed).
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# each of the four workloads once, end-to-end metrics on stdout.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run=^$$ . | $(GO) run ./cmd/benchjson -min-iters 2 -out $(BENCHOUT)
-	$(GO) run ./cmd/loadgen -spec loadspecs/bench.yaml -out $(SERVEBENCH)
+	@set -e; for w in plan-heavy exec-heavy serve-churn dist-run; do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0; \
+	done
 
 # bench-test compiles and tests the benchmark harness. bench/ is a nested
 # module that `go test ./...` never sees, so an exported-API change under

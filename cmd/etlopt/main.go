@@ -28,6 +28,7 @@
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
 //	etlopt run     -wf 3 -distributed -worker-addrs http://localhost:9091,http://localhost:9092
+//	etlopt run     -wf 3 -distributed -worker-addrs … -metrics=json -adaptive   # placement composes with every run flag
 //
 // A workflow document is the JSON form of workflow.Document: the operator
 // DAG plus the catalog of relations, domains and (optionally) functional
@@ -114,7 +115,7 @@ func main() {
 	replanThreshold := fs.Float64("replan-threshold", core.DefaultReplanThreshold, "run: base q-error a boundary actual must exceed to trigger an -adaptive replan (widened by plan-time calibration)")
 	replanSkew := fs.Float64("replan-skew", 0, "run: multiply block 0's estimates by this factor during -adaptive boundary checks, forcing a replan (testing aid; 0 = off)")
 	addr := fs.String("addr", ":8080", "serve/worker: listen address")
-	distributed := fs.Bool("distributed", false, "run: dispatch plan blocks to remote workers (needs -worker-addrs; suite workflows only)")
+	distributed := fs.Bool("distributed", false, "run: place plan blocks on remote workers instead of local goroutines (needs -worker-addrs; suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
 	workerAddrs := fs.String("worker-addrs", "", "run: comma-separated worker base URLs, e.g. http://localhost:9091,http://localhost:9092")
 	heartbeat := fs.Duration("heartbeat", 0, "run: health-probe period while a block is leased to a worker (0 = 200ms default)")
 	leaseTTL := fs.Duration("lease-ttl", 0, "run: lease time-to-live without a successful probe before a block is reassigned (0 = 2s default)")
@@ -353,18 +354,10 @@ func runCycle(ctx context.Context, file string, wfID int, dataDir string, scale 
 		if wfID == 0 || dataDir != "" {
 			return fmt.Errorf("-distributed needs a suite workflow (-wf 1..30) so workers can regenerate the data deterministically")
 		}
-		if adapt != nil {
-			return fmt.Errorf("-distributed is incompatible with -adaptive (replanning needs the sequential local scheduler)")
-		}
-		if cfg.CollectMetrics {
-			return fmt.Errorf("-distributed is incompatible with -metrics (workers do not ship per-operator metrics)")
-		}
 		coord, err := serve.NewCoordinator(serve.RunSpec{
 			WF:      wfID,
 			Scale:   scale,
-			Workers: workers,
 			MaxRows: maxRows,
-			Faults:  inj.String(),
 			CSS:     cfg.CSS,
 		}, serve.CoordinatorOptions{
 			Addrs:          dist.addrs,

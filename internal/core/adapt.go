@@ -131,8 +131,8 @@ type adaptState struct {
 	trigger estimate.SEReport
 }
 
-// check is the engine boundary hook. It runs on the engine's (sequential)
-// scheduling goroutine, between blocks, so no locking is needed.
+// check is the engine boundary hook. Under an AdaptCheck the engine keeps
+// one block in flight, wherever blocks run, so no locking is needed.
 func (st *adaptState) check(plan *physical.Plan, block int, done map[int]bool) bool {
 	// Fold in the just-committed block's tapped actuals. Each block commits
 	// exactly once across segments (checkpointed blocks never re-fire), so
@@ -239,9 +239,6 @@ func (cy *Cycle) RunOptimizedAdaptive(opts AdaptiveOptions) (*AdaptiveResult, er
 func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if cy.Plans == nil || cy.CSS == nil || cy.Selection == nil {
 		return nil, fmt.Errorf("core: adaptive run needs a completed optimization cycle")
-	}
-	if cy.cfg.Dispatcher != nil {
-		return nil, fmt.Errorf("core: adaptive execution is incompatible with distributed dispatch (replanning needs the sequential local scheduler)")
 	}
 	base := opts.Threshold
 	if base <= 0 {

@@ -97,25 +97,15 @@ type Config struct {
 	// underivable keep their initial plans (reported in Result.Fallbacks)
 	// instead of the whole optimization failing with a MissingStatsError.
 	AllowPartialStats bool
-	// Dispatcher, when non-nil, schedules every execution's blocks onto
-	// remote worker processes (distributed mode; see internal/engine's
-	// dispatch layer and internal/serve's Coordinator). Results, observed
-	// statistics and the work metric are byte-identical to local runs.
-	// Incompatible with CollectMetrics (workers do not ship per-operator
-	// metrics) and with adaptive execution (which needs the sequential
-	// local scheduler); the run entry points reject those combinations.
+	// Dispatcher, when non-nil, places every execution's blocks on remote
+	// worker processes (distributed mode; see internal/engine's dispatch
+	// seam and internal/serve's Coordinator). It changes where blocks run
+	// and nothing else: results, observed statistics, the work metric,
+	// CollectMetrics reports and adaptive replan decisions are
+	// byte-identical to local runs, and every other field here — Faults,
+	// Workers, Streaming, the retry knobs — reaches the workers through
+	// the engine, set once.
 	Dispatcher engine.BlockDispatcher
-}
-
-// checkDispatch validates the distributed-mode configuration surface.
-func (c Config) checkDispatch() error {
-	if c.Dispatcher == nil {
-		return nil
-	}
-	if c.CollectMetrics {
-		return fmt.Errorf("core: distributed execution is incompatible with CollectMetrics (workers do not ship per-operator metrics)")
-	}
-	return nil
 }
 
 // StatsTier names an observation tier.
@@ -230,9 +220,6 @@ func Run(g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*C
 // degradation ladder and reports how in Cycle.Degradation.
 func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*Cycle, error) {
 	cy := &Cycle{cfg: cfg, db: db}
-	if err := cfg.checkDispatch(); err != nil {
-		return cy, err
-	}
 	start := time.Now()
 	an, err := workflow.Analyze(g, cat)
 	if err != nil {

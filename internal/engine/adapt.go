@@ -8,13 +8,14 @@ package engine
 // adaptive driver) re-optimizes the remaining blocks, recompiles them and
 // resumes from the checkpoint — completed blocks never re-run.
 //
-// Setting an AdaptCheck forces sequential block scheduling regardless of
-// the worker count: the check sequence, and therefore every replan
-// decision, must be deterministic, and with concurrent blocks the set of
-// completed blocks at each boundary would depend on goroutine timing.
-// Intra-block parallelism (chunk/probe partitioning, stream stages) is
-// unaffected, so worker counts still exercise the shard-then-merge
-// discipline inside every block.
+// Setting an AdaptCheck keeps one block in flight at a time, whatever the
+// worker count and wherever blocks run (in-process or on remote workers):
+// the check sequence, and therefore every replan decision, must be
+// deterministic, and with concurrent blocks the set of completed blocks at
+// each boundary would depend on goroutine timing. The check fires at the
+// scheduler's single commit point, once the block's node metrics are on the
+// plan — a worker ships them with its block — so it reads the same actuals
+// under either placement. Intra-block parallelism is unaffected.
 
 import (
 	"github.com/essential-stats/etlopt/internal/physical"

@@ -1,0 +1,557 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/essential-stats/etlopt/internal/data"
+	"github.com/essential-stats/etlopt/internal/faults"
+	"github.com/essential-stats/etlopt/internal/physical"
+	"github.com/essential-stats/etlopt/internal/stats"
+)
+
+// The block scheduler under dispatch, without HTTP: loopDispatcher is an
+// in-memory BlockDispatcher that does what internal/serve's worker does —
+// build an engine from the DispatchSpec the scheduler hands it, run one
+// block with RunBlockCtx — so every placement behaviour (ordering, failure
+// reporting, fallback, the adaptive hook, the metrics shard) is testable
+// against the local run of the same multi-block fixture.
+
+// loopDispatcher loops dispatched blocks back to RunBlockCtx.
+type loopDispatcher struct {
+	f     *resumeFixture
+	slots int
+	// maxRows is the per-block worker cap (serve.RunSpec.MaxRows).
+	maxRows int64
+	// openErr, when set, fails DispatchRun.
+	openErr error
+	// before runs ahead of a block's execution; an error it returns is the
+	// RunBlock result. after may alter the outcome of a successful block.
+	before func(block int) error
+	after  func(block int, rb *RemoteBlock)
+
+	mu          sync.Mutex
+	started     []int
+	runs        map[int]int
+	inflight    int
+	maxInflight int
+	spec        *DispatchSpec
+}
+
+func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (RunDispatch, error) {
+	if d.openErr != nil {
+		return nil, d.openErr
+	}
+	d.mu.Lock()
+	d.spec = spec
+	d.mu.Unlock()
+	return d, nil
+}
+
+func (d *loopDispatcher) Slots() int                 { return d.slots }
+func (d *loopDispatcher) Summary() (int64, []string) { return 0, nil }
+
+func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error) {
+	d.mu.Lock()
+	d.started = append(d.started, block)
+	d.inflight++
+	d.maxInflight = max(d.maxInflight, d.inflight)
+	spec := d.spec
+	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		d.inflight--
+		d.mu.Unlock()
+	}()
+	if d.before != nil {
+		if err := d.before(block); err != nil {
+			return nil, err
+		}
+	}
+	flt, err := faults.Parse(spec.Faults)
+	if err != nil {
+		return nil, err
+	}
+	e := d.f.engine(spec.Streaming, flt)
+	e.Workers, e.MaxRows, e.CollectMetrics = spec.Workers, d.maxRows, spec.Metrics
+	e.RetryMax, e.RetryBackoff = spec.RetryMax, spec.RetryBackoff
+	res := d.f.res
+	if !spec.Instrument {
+		res = nil
+	}
+	d.mu.Lock()
+	if d.runs == nil {
+		d.runs = make(map[int]int)
+	}
+	d.runs[block]++
+	d.mu.Unlock()
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, spec.AnyPoint, upstream)
+	if err == nil && d.after != nil {
+		d.after(block, rb)
+	}
+	return rb, err
+}
+
+// errLoopLost is the error a dead fleet reports.
+var errLoopLost = fmt.Errorf("loop: fleet gone: %w", ErrWorkersLost)
+
+// storeBytesOf renders a result's observed store in its canonical form.
+func storeBytesOf(t *testing.T, r *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := r.Observed.WriteTo(&buf); err != nil {
+		t.Fatalf("store WriteTo: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// metricsJSON is the deterministic metrics report (row counts, no timing).
+func metricsJSON(t *testing.T, r *Result) string {
+	t.Helper()
+	if r.Metrics == nil {
+		t.Fatal("run carries no metrics")
+	}
+	b, err := json.Marshal(r.Metrics.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// degradedKeys lists a run's degraded statistics.
+func degradedKeys(r *Result) []stats.Key {
+	var keys []stats.Key
+	for _, fs := range r.Degraded {
+		keys = append(keys, fs.Stat.Key())
+	}
+	return keys
+}
+
+// allBlocks lists the fixture's block indices, ascending.
+func (f *resumeFixture) allBlocks() []int {
+	var idx []int
+	for _, b := range f.an.Blocks {
+		idx = append(idx, b.Index)
+	}
+	return idx
+}
+
+// assertPlacement checks a DistReport: remote and local are the expected
+// disjoint sets.
+func assertPlacement(t *testing.T, name string, d *DistReport, remote, local []int) {
+	t.Helper()
+	if d == nil {
+		t.Fatalf("%s: run carries no DistReport", name)
+	}
+	if !reflect.DeepEqual(d.Remote, remote) || !reflect.DeepEqual(d.Local, local) {
+		t.Errorf("%s: placed remote %v local %v, want remote %v local %v", name, d.Remote, d.Local, remote, local)
+	}
+}
+
+// TestDispatchMatchesLocal is leg (a): a dispatched run equals the local
+// run on sinks, materialized tables, Rows, store bytes, Retries, degraded
+// statistics and the deterministic metrics — with the engine's fault
+// injector, worker count and metrics bit set once, on the engine.
+func TestDispatchMatchesLocal(t *testing.T) {
+	f := newResumeFixture(t)
+	for _, stream := range []bool{false, true} {
+		for _, tc := range []struct {
+			name string
+			flt  *faults.Injector
+		}{
+			{"clean", nil},
+			{"transient", faults.New(7, 1, 1, 0)},
+			{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
+		} {
+			name := engineLabel(stream) + "/" + tc.name
+			local := f.engine(stream, tc.flt)
+			local.Workers, local.CollectMetrics = 2, true
+			want, err := f.run(local, false)
+			if err != nil {
+				t.Fatalf("%s: local run: %v", name, err)
+			}
+			d := &loopDispatcher{f: f, slots: 2}
+			remote := f.engine(stream, tc.flt)
+			remote.Workers, remote.CollectMetrics, remote.Dispatch = 2, true, d
+			got, err := f.run(remote, false)
+			if err != nil {
+				t.Fatalf("%s: dispatched run: %v", name, err)
+			}
+			equalResults(t, name, want, got)
+			if !bytes.Equal(storeBytesOf(t, want), storeBytesOf(t, got)) {
+				t.Errorf("%s: observed store bytes differ", name)
+			}
+			if want.Retries != got.Retries {
+				t.Errorf("%s: retries %d, want %d", name, got.Retries, want.Retries)
+			}
+			if tc.name == "transient" && got.Retries == 0 {
+				t.Errorf("%s: the injector never fired on the workers", name)
+			}
+			if !reflect.DeepEqual(degradedKeys(want), degradedKeys(got)) {
+				t.Errorf("%s: degraded %v, want %v", name, degradedKeys(got), degradedKeys(want))
+			}
+			if tc.name == "degraded-taps" && len(got.Degraded) == 0 {
+				t.Errorf("%s: no tap degraded on the workers", name)
+			}
+			if w, g := metricsJSON(t, want), metricsJSON(t, got); w != g {
+				t.Errorf("%s: metrics differ:\n local %s\nremote %s", name, w, g)
+			}
+			assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
+			if got.Dist.FellBack {
+				t.Errorf("%s: fell back: %s", name, got.Dist.Reason)
+			}
+		}
+	}
+}
+
+// TestDispatchOrderAndFailure is leg (b): the lowest-index ready block is
+// dispatched first, and of several failing blocks the lowest index is the
+// one reported, as a *BlockFailure whose checkpoint resumes.
+func TestDispatchOrderAndFailure(t *testing.T) {
+	f := newResumeFixture(t)
+	clean, err := f.run(f.engine(false, nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("order", func(t *testing.T) {
+		d := &loopDispatcher{f: f, slots: 1}
+		e := f.engine(false, nil)
+		e.Workers, e.Dispatch = 4, d
+		if _, err := f.run(e, false); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.started, f.allBlocks()) {
+			t.Errorf("one slot dispatched blocks in order %v, want %v", d.started, f.allBlocks())
+		}
+		if d.maxInflight != 1 {
+			t.Errorf("one slot kept %d blocks in flight", d.maxInflight)
+		}
+	})
+
+	t.Run("lowest failing index", func(t *testing.T) {
+		// Blocks 0 and 1 are independent and both fail; block 1 fails first.
+		oneFailed := make(chan struct{})
+		d := &loopDispatcher{f: f, slots: 2, before: func(block int) error {
+			if block == 0 {
+				<-oneFailed
+			} else {
+				defer close(oneFailed)
+			}
+			return fmt.Errorf("block %d is broken", block)
+		}}
+		e := f.engine(false, nil)
+		e.Dispatch = d
+		_, err := f.run(e, false)
+		var bf *BlockFailure
+		if !errors.As(err, &bf) {
+			t.Fatalf("want a *BlockFailure, got %v", err)
+		}
+		if bf.Block != 0 || !reflect.DeepEqual(bf.Checkpoint.Failed, []int{0, 1}) || !strings.Contains(bf.Err.Error(), "block 0 is broken") {
+			t.Errorf("reported block %d (%v), failed set %v", bf.Block, bf.Err, bf.Checkpoint.Failed)
+		}
+	})
+
+	for _, stream := range []bool{false, true} {
+		t.Run("resume/"+engineLabel(stream), func(t *testing.T) {
+			d := &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+				if block == 1 {
+					return errors.New("block 1 is broken")
+				}
+				return nil
+			}}
+			e := f.engine(stream, nil)
+			e.Dispatch = d
+			_, err := f.run(e, false)
+			var bf *BlockFailure
+			if !errors.As(err, &bf) || bf.Block != 1 {
+				t.Fatalf("want block 1's *BlockFailure, got %v", err)
+			}
+			if _, ok := bf.Checkpoint.BlockOut[0]; !ok || len(bf.Checkpoint.BlockOut) != 1 {
+				t.Fatalf("checkpoint holds %d blocks, want block 0 alone", len(bf.Checkpoint.BlockOut))
+			}
+			d2 := &loopDispatcher{f: f, slots: 2}
+			e2 := f.engine(stream, nil)
+			e2.Dispatch = d2
+			got, err := f.resume(e2, bf.Checkpoint, false)
+			if err != nil {
+				t.Fatalf("resume through the dispatcher: %v", err)
+			}
+			equalResults(t, "resumed", clean, got)
+			if d2.runs[0] != 0 {
+				t.Error("the checkpointed block ran again")
+			}
+			assertPlacement(t, "resumed", got.Dist, []int{1, 2}, nil)
+		})
+	}
+}
+
+// TestDispatchWorkersLost is leg (c): ErrWorkersLost at session open, at
+// the first block and mid-run each leave a whole result, a report marked
+// FellBack whose Remote and Local partition exactly the blocks that ran,
+// and no block executed twice. The resume case pins the DistReport.Local
+// fix: blocks restored from a checkpoint are not "executed locally".
+func TestDispatchWorkersLost(t *testing.T) {
+	f := newResumeFixture(t)
+	loseFrom := func(first int) func(int) error {
+		return func(block int) error {
+			if block >= first {
+				return errLoopLost
+			}
+			return nil
+		}
+	}
+	for _, stream := range []bool{false, true} {
+		clean, err := f.run(f.engine(stream, nil), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A checkpoint with block 0 done: block 1's worker reports an error.
+		broken := f.engine(stream, nil)
+		broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+			if block == 1 {
+				return errors.New("block 1 is broken")
+			}
+			return nil
+		}}
+		_, err = f.run(broken, false)
+		var bf *BlockFailure
+		if !errors.As(err, &bf) || len(bf.Checkpoint.BlockOut) != 1 {
+			t.Fatalf("want a checkpoint of block 0 alone, got %v", err)
+		}
+		cp := bf.Checkpoint
+		for _, tc := range []struct {
+			name          string
+			d             *loopDispatcher
+			cp            *Checkpoint
+			remote, local []int
+		}{
+			{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, nil, []int{0, 1, 2}},
+			{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, nil, []int{0, 1, 2}},
+			{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, nil, []int{0}, []int{1, 2}},
+			{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, nil, []int{0, 1}, []int{2}},
+			{"resume/session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, cp, nil, []int{1, 2}},
+			{"resume/mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(2)}, cp, []int{1}, []int{2}},
+		} {
+			name := engineLabel(stream) + "/" + tc.name
+			e := f.engine(stream, nil)
+			e.Workers, e.Dispatch = 2, tc.d
+			var got *Result
+			if tc.cp != nil {
+				got, err = f.resume(e, tc.cp, false)
+			} else {
+				got, err = f.run(e, false)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			equalResults(t, name, clean, got)
+			assertPlacement(t, name, got.Dist, tc.remote, tc.local)
+			if !got.Dist.FellBack || !strings.Contains(got.Dist.Reason, "fleet gone") {
+				t.Errorf("%s: FellBack=%v reason %q", name, got.Dist.FellBack, got.Dist.Reason)
+			}
+			for _, b := range f.allBlocks() {
+				want := 0
+				for _, r := range tc.remote {
+					if r == b {
+						want = 1
+					}
+				}
+				if tc.d.runs[b] != want {
+					t.Errorf("%s: workers executed block %d %d time(s), want %d", name, b, tc.d.runs[b], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCommitOnce is leg (d): a block delivered twice — a retried dispatch
+// whose first response was lost after all — is committed once.
+func TestCommitOnce(t *testing.T) {
+	f := newResumeFixture(t)
+	plan, err := physical.Compile(f.an, f.db, physical.Options{Res: f.res, Observe: f.observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := f.engine(false, faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Rows == 0 || rb.Retries == 0 {
+		t.Fatalf("fixture block 0: rows %d retries %d", rb.Rows, rb.Retries)
+	}
+	env := newRunEnv(context.Background(), newRowBudget(1<<20), nil, 0, 0)
+	out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
+	s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}}
+	for i := 0; i < 2; i++ {
+		if err := s.commit(plan.Blocks[0], rb, true); err != nil {
+			t.Fatalf("delivery %d: %v", i, err)
+		}
+	}
+	if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries {
+		t.Errorf("two deliveries left rows %d budget %d retries %d, want %d/%d/%d",
+			out.Rows, env.budget.used.Load(), env.retries.Load(), rb.Rows, rb.Rows, rb.Retries)
+	}
+	if !reflect.DeepEqual(s.report.Remote, []int{0}) {
+		t.Errorf("placement records %v, want block 0 once", s.report.Remote)
+	}
+}
+
+// adaptTrace records what an AdaptCheck saw.
+type adaptTrace struct {
+	blocks  []int
+	actuals []map[stats.Target]int64
+	// stopAt requests a replan at that block's boundary (-1 = never).
+	stopAt int
+}
+
+func (a *adaptTrace) check(plan *physical.Plan, block int, done map[int]bool) bool {
+	a.blocks = append(a.blocks, block)
+	a.actuals = append(a.actuals, plan.BlockActuals(block))
+	return block == a.stopAt
+}
+
+// TestDispatchAdaptCheck is leg (e): under an AdaptCheck a dispatched run
+// keeps one block in flight, fires the check once per committed block in
+// index order with the actuals the local run sees, and a *ReplanSignal's
+// checkpoint resumes through the dispatcher.
+func TestDispatchAdaptCheck(t *testing.T) {
+	f := newResumeFixture(t)
+	for _, stream := range []bool{false, true} {
+		name := engineLabel(stream)
+		adaptive := func(d *loopDispatcher, tr *adaptTrace) *Engine {
+			e := f.engine(stream, nil)
+			e.Workers, e.CollectMetrics, e.AdaptCheck = 4, true, tr.check
+			if d != nil {
+				e.Dispatch = d
+			}
+			return e
+		}
+		localTr := &adaptTrace{stopAt: -1}
+		want, err := f.run(adaptive(nil, localTr), true)
+		if err != nil {
+			t.Fatalf("%s: local adaptive run: %v", name, err)
+		}
+
+		d := &loopDispatcher{f: f, slots: 2}
+		tr := &adaptTrace{stopAt: -1}
+		got, err := f.run(adaptive(d, tr), true)
+		if err != nil {
+			t.Fatalf("%s: dispatched adaptive run: %v", name, err)
+		}
+		equalResults(t, name, want, got)
+		// The last block has nothing pending behind it: no check.
+		if wantBlocks := f.allBlocks()[:len(f.an.Blocks)-1]; !reflect.DeepEqual(tr.blocks, wantBlocks) {
+			t.Errorf("%s: checks fired for %v, want %v", name, tr.blocks, wantBlocks)
+		}
+		if !reflect.DeepEqual(tr.actuals, localTr.actuals) {
+			t.Errorf("%s: boundary actuals %v, the local run saw %v", name, tr.actuals, localTr.actuals)
+		}
+		if d.maxInflight != 1 {
+			t.Errorf("%s: %d blocks in flight under an AdaptCheck", name, d.maxInflight)
+		}
+		assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
+
+		// Replan at block 0's boundary, then resume through a dispatcher.
+		stop := &adaptTrace{stopAt: 0}
+		_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop), true)
+		var sig *ReplanSignal
+		if !errors.As(err, &sig) || sig.Block != 0 {
+			t.Fatalf("%s: want a *ReplanSignal at block 0, got %v", name, err)
+		}
+		if _, ok := sig.Checkpoint.BlockOut[0]; !ok || len(sig.Checkpoint.BlockOut) != 1 {
+			t.Fatalf("%s: signal checkpoint holds %d blocks", name, len(sig.Checkpoint.BlockOut))
+		}
+		d2 := &loopDispatcher{f: f, slots: 2}
+		rest := &adaptTrace{stopAt: -1}
+		resumed, err := f.resume(adaptive(d2, rest), sig.Checkpoint, true)
+		if err != nil {
+			t.Fatalf("%s: resume after the signal: %v", name, err)
+		}
+		equalResults(t, name+"/resumed", want, resumed)
+		if !reflect.DeepEqual(rest.blocks, []int{1}) || d2.runs[0] != 0 {
+			t.Errorf("%s: resumed segment checked %v and ran block 0 %d time(s)", name, rest.blocks, d2.runs[0])
+		}
+	}
+}
+
+// TestDispatchMetricsShardLength is leg (f): a metrics shard whose length
+// is not the block's node count — or any shard when metrics are off — is
+// the block's error, never an index panic.
+func TestDispatchMetricsShardLength(t *testing.T) {
+	f := newResumeFixture(t)
+	for _, tc := range []struct {
+		name    string
+		metrics bool
+		tamper  func(*RemoteBlock)
+	}{
+		{"short", true, func(rb *RemoteBlock) { rb.Metrics = rb.Metrics[:len(rb.Metrics)-1] }},
+		{"long", true, func(rb *RemoteBlock) { rb.Metrics = append(rb.Metrics, physical.Metrics{}) }},
+		{"missing", true, func(rb *RemoteBlock) { rb.Metrics = nil }},
+		{"unasked", false, func(rb *RemoteBlock) { rb.Metrics = make([]physical.Metrics, 1) }},
+	} {
+		d := &loopDispatcher{f: f, slots: 1, after: func(block int, rb *RemoteBlock) {
+			if block == 1 {
+				tc.tamper(rb)
+			}
+		}}
+		e := f.engine(false, nil)
+		e.CollectMetrics, e.Dispatch = tc.metrics, d
+		_, err := f.run(e, false)
+		var bf *BlockFailure
+		if !errors.As(err, &bf) || bf.Block != 1 || !strings.Contains(err.Error(), "metrics shard") {
+			t.Errorf("%s: want block 1 to fail on its metrics shard, got %v", tc.name, err)
+		}
+	}
+}
+
+// TestDispatchMaxRowsRunLevel pins MaxRows as a run-level guard in either
+// placement: one row short of the run's total fails the same block with the
+// same guard, although no single block comes near the cap its worker
+// applies; the exact total passes.
+func TestDispatchMaxRowsRunLevel(t *testing.T) {
+	f := newResumeFixture(t)
+	for _, stream := range []bool{false, true} {
+		name := engineLabel(stream)
+		clean, err := f.run(f.engine(stream, nil), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guarded := func(maxRows int64, dispatch bool) (*Result, error) {
+			e := f.engine(stream, nil)
+			e.MaxRows = maxRows
+			if dispatch {
+				e.Dispatch = &loopDispatcher{f: f, slots: 1, maxRows: maxRows}
+			}
+			return f.run(e, false)
+		}
+		for _, dispatch := range []bool{false, true} {
+			if got, err := guarded(clean.Rows, dispatch); err != nil || got.Rows != clean.Rows {
+				t.Errorf("%s dispatch=%v: MaxRows = total: %v", name, dispatch, err)
+			}
+		}
+		_, lerr := guarded(clean.Rows-1, false)
+		_, derr := guarded(clean.Rows-1, true)
+		var lbf, dbf *BlockFailure
+		if !errors.As(lerr, &lbf) || !errors.As(derr, &dbf) {
+			t.Fatalf("%s: MaxRows = total-1: local %v, dispatched %v", name, lerr, derr)
+		}
+		// The local error names the operator that crossed the limit first;
+		// the guard's own text follows it.
+		guard := dbf.Err.Error()
+		if lbf.Block != dbf.Block || !strings.HasPrefix(guard, "intermediate-cardinality guard") || !strings.HasSuffix(lbf.Err.Error(), guard) {
+			t.Errorf("%s: local failed block %d (%v), dispatched block %d (%v)", name, lbf.Block, lbf.Err, dbf.Block, dbf.Err)
+		}
+		if len(dbf.Checkpoint.BlockOut) != len(lbf.Checkpoint.BlockOut) || dbf.Checkpoint.Rows != lbf.Checkpoint.Rows {
+			t.Errorf("%s: checkpoints differ: local %d blocks/%d rows, dispatched %d/%d", name,
+				len(lbf.Checkpoint.BlockOut), lbf.Checkpoint.Rows, len(dbf.Checkpoint.BlockOut), dbf.Checkpoint.Rows)
+		}
+	}
+}

@@ -76,13 +76,13 @@ type Engine struct {
 	// capped at 100ms (0 = the default of 1ms).
 	RetryBackoff time.Duration
 	// AdaptCheck, when non-nil, is consulted after every committed block;
-	// returning true stops the run with a *ReplanSignal. Forces sequential
-	// block scheduling (see adapt.go).
+	// returning true stops the run with a *ReplanSignal. Keeps one block in
+	// flight at a time, wherever blocks run (see adapt.go).
 	AdaptCheck AdaptCheck
-	// Dispatch, when non-nil, schedules blocks onto remote workers through
-	// the dispatcher instead of local goroutines (see dispatch.go). An
-	// AdaptCheck takes precedence: adaptive runs need the sequential local
-	// scheduler, so a run with both set executes locally.
+	// Dispatch, when non-nil, places blocks on remote workers through the
+	// dispatcher instead of local goroutines (see dispatch.go). It composes
+	// with every other field: workers are told which knobs to mirror, and
+	// ship back the metrics CollectMetrics and AdaptCheck read.
 	Dispatch BlockDispatcher
 
 	// stream selects the chunked pipeline strategy (set by NewStream).
@@ -213,14 +213,11 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
 	env.adapt = e.AdaptCheck
-	runner := e.blockRunner(col)
-	if e.Dispatch != nil && env.adapt == nil {
-		err = runBlocksDist(plan, e.Workers, env, out, col, e.Dispatch, &DispatchSpec{
-			Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
-		}, runner)
-	} else {
-		err = runBlocksDAG(plan, e.Workers, env, out, runner)
-	}
+	err = e.runBlocks(plan, env, out, col, &DispatchSpec{
+		Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
+		Streaming: e.stream, Workers: e.Workers, Faults: e.Faults.String(),
+		RetryMax: e.RetryMax, RetryBackoff: e.RetryBackoff, Metrics: e.CollectMetrics,
+	})
 	out.Retries = env.retries.Load()
 	out.Degraded = col.failedStats()
 	if e.CollectMetrics {

@@ -93,8 +93,8 @@ type runEnv struct {
 	retryMax int
 	backoff  time.Duration
 	retries  atomic.Int64
-	// adapt, when non-nil, is consulted at block boundaries and forces
-	// sequential block scheduling (see adapt.go).
+	// adapt, when non-nil, is consulted at every block commit and caps the
+	// blocks in flight at one (see adapt.go).
 	adapt AdaptCheck
 }
 
@@ -111,15 +111,15 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector, ret
 	return &runEnv{ctx: ctx, budget: budget, flt: flt, retryMax: retryMax, backoff: backoff}
 }
 
-// runBlock executes one block with per-attempt isolation and transient
-// retry. Each attempt gets a fresh sink over a child row budget; a failed
-// attempt refunds the child's charge before retrying, so retries never
-// double-charge the run's MaxRows guard.
-func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, run blockRunner) (*data.Table, *blockSink, error) {
+// runBlock executes one block in-process — the scheduler's local executor,
+// and all a worker does — with per-attempt isolation and transient retry.
+// Each attempt gets a fresh sink over a child row budget; a failed attempt
+// refunds the child's charge, so retries never double-charge MaxRows.
+func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, run blockRunner) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {
 		if err := env.ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if attempt > 0 {
 			// A retry re-runs the whole block; whatever metrics the failed
@@ -142,15 +142,15 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		sink.block = idx
 		tbl, err := run(bp, sink)
 		if err == nil {
-			return tbl, sink, nil
+			return &RemoteBlock{Out: tbl, Materialized: sink.materialized, Rows: sink.rows}, nil
 		}
 		sink.budget.release()
 		if !faults.IsTransient(err) || attempt+1 >= env.retryMax {
-			return nil, nil, err
+			return nil, err
 		}
 		env.retries.Add(1)
 		if serr := env.sleep(attempt); serr != nil {
-			return nil, nil, serr
+			return nil, serr
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -16,15 +17,15 @@ import (
 // Inter-block parallelism. An ETL workflow's optimizable blocks form a DAG:
 // block B depends on block A exactly when one of B's inputs reads A's
 // boundary output (BlockInput.FromBlock). Blocks with no path between them
-// touch disjoint state, so they can execute on separate goroutines. The
-// scheduler below runs the compiled block plans with a bounded worker pool;
-// every block writes its side effects (materialized tables, the row-work
-// counter) into a private blockSink that the scheduler folds into the
-// shared Result under its own lock, so block execution itself never touches
-// shared maps.
-//
-// With workers <= 1 the scheduler degenerates to the plain topological
-// loop, reproducing sequential behavior exactly.
+// touch disjoint state, so they can execute concurrently — on separate
+// goroutines, or on separate worker processes (dispatch.go). The scheduler
+// below runs the compiled block plans with a bounded number in flight;
+// every block accumulates its side effects (materialized tables, the
+// row-work counter) privately — in a blockSink in-process, in a response
+// frame on a worker — and the scheduler folds them into the shared Result
+// under its own lock, so block execution itself never touches shared maps.
+// With one slot the loop is the plain topological order, on the caller's
+// goroutine.
 
 // rowBudget is the shared intermediate-cardinality guard: every counted row
 // of the run charges it, across blocks and workers. A nil budget (MaxRows
@@ -147,155 +148,252 @@ func blockDeps(plan *physical.Plan) map[int][]int {
 	return deps
 }
 
-// runBlocksDAG executes every compiled block, respecting the block
-// dependency DAG, with at most `workers` blocks in flight. Block outputs,
-// materialized tables and row counters land in out. When several blocks are
-// ready the lowest block index starts first, and on failure the error of
-// the lowest failing block index is returned (as a *BlockFailure carrying
-// the checkpoint of what did complete), so error reporting is deterministic
-// regardless of goroutine timing.
+// blockSched is the state of the one block scheduler, runBlocks. Fields
+// below mu are guarded by it.
+type blockSched struct {
+	plan *physical.Plan
+	deps map[int][]int
+	env  *runEnv
+	out  *Result
+	col  *collector
+	// metrics is Engine.CollectMetrics: a remote block must then ship one
+	// physical.Metrics per node, and none otherwise.
+	metrics bool
+	// report is the run's placement record (nil without a dispatcher).
+	report *DistReport
+
+	mu   sync.Mutex
+	cond *sync.Cond
+	// remote is the placement in force; limit caps the blocks in flight
+	// under it — the session's slots, or local once the run is in-process.
+	remote                 bool
+	limit, local, inflight int
+	left                   int
+	started, done          map[int]bool
+	errs                   map[int]error
+	replan                 *ReplanSignal
+}
+
+// runBlocks executes every compiled block: one readiness → execute →
+// commit loop over the block dependency DAG, parameterised only by where a
+// block runs — in-process through env.runBlock, or on a worker through a
+// dispatch session. Both executors hand back a *RemoteBlock and one commit
+// folds it into the run. The blocks in flight are bounded: Workers
+// in-process, the session's slots on remote workers, and one — whatever
+// the placement — under an AdaptCheck (see adapt.go). When several blocks
+// are ready the lowest block index starts first, and on failure the error
+// of the lowest failing block index is returned (as a *BlockFailure
+// carrying the checkpoint of what did complete), so error reporting is
+// deterministic regardless of goroutine timing.
 //
 // Blocks whose output is already present in out (a checkpoint seeded by
-// Resume) are skipped: only the missing blocks — the failed block and its
-// downstream cone — execute.
-func runBlocksDAG(plan *physical.Plan, workers int, env *runEnv, out *Result, run blockRunner) error {
-	deps := blockDeps(plan)
-	upstreamOf := func(bp *physical.BlockPlan) map[int]*data.Table {
-		up := make(map[int]*data.Table, len(deps[bp.Block.Index]))
-		for _, d := range deps[bp.Block.Index] {
-			up[d] = out.BlockOut[d]
-		}
-		return up
+// Resume) are skipped. A dispatcher that reports ErrWorkersLost, at session
+// open or from any block, flips the blocks not yet committed to in-process
+// execution inside the same loop: the placement degrades, the result stays
+// whole.
+func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *collector, spec *DispatchSpec) error {
+	s := &blockSched{
+		plan: plan, deps: blockDeps(plan), env: env, out: out, col: col, metrics: e.CollectMetrics,
+		local: max(e.Workers, 1), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
 	}
-
-	if workers <= 1 || len(plan.Blocks) <= 1 || env.adapt != nil {
-		// Sequential: plan.Blocks is topologically ordered, so every
-		// dependency is already in out.BlockOut when its reader runs. An
-		// AdaptCheck also forces this path — the boundary-check sequence
-		// must not depend on goroutine timing (see adapt.go).
-		done := make(map[int]bool, len(plan.Blocks))
-		for i := range out.BlockOut {
-			done[i] = true
-		}
-		for bi, bp := range plan.Blocks {
-			if _, ok := out.BlockOut[bp.Block.Index]; ok {
-				continue // checkpointed
-			}
-			tbl, sink, err := env.runBlock(bp, upstreamOf(bp), run)
-			if err != nil {
-				return &BlockFailure{
-					Block:      bp.Block.Index,
-					Checkpoint: checkpointOf(out, []int{bp.Block.Index}),
-					Err:        err,
-				}
-			}
-			out.BlockOut[bp.Block.Index] = tbl
-			for k, v := range sink.materialized {
-				out.Materialized[k] = v
-			}
-			out.Rows += sink.rows
-			done[bp.Block.Index] = true
-			// The boundary check: with blocks still pending, ask whether the
-			// actuals committed so far refute the estimates behind them.
-			if env.adapt != nil && bi+1 < len(plan.Blocks) && env.adapt(plan, bp.Block.Index, done) {
-				return &ReplanSignal{
-					Block:      bp.Block.Index,
-					Checkpoint: checkpointOf(out, nil),
-				}
-			}
-		}
-		return nil
-	}
-
-	if workers > len(plan.Blocks) {
-		workers = len(plan.Blocks)
-	}
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		started = make(map[int]bool, len(plan.Blocks))
-		done    = make(map[int]bool, len(plan.Blocks))
-		errs    = make(map[int]error)
-		left    = len(plan.Blocks)
-	)
+	s.cond = sync.NewCond(&s.mu)
 	for _, bp := range plan.Blocks {
-		if _, ok := out.BlockOut[bp.Block.Index]; ok {
-			started[bp.Block.Index] = true
-			done[bp.Block.Index] = true
-			left--
+		_, seeded := out.BlockOut[bp.Block.Index]
+		s.started[bp.Block.Index], s.done[bp.Block.Index] = seeded, seeded
+		if !seeded {
+			s.left++
 		}
 	}
-	// nextReady picks the lowest-index block whose dependencies completed.
-	nextReady := func() *physical.BlockPlan {
-		for _, bp := range plan.Blocks {
-			if started[bp.Block.Index] {
-				continue
-			}
-			ready := true
-			for _, d := range deps[bp.Block.Index] {
-				if !done[d] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				return bp
-			}
+	s.limit = s.local
+	var rd RunDispatch
+	if e.Dispatch != nil {
+		s.report = &DistReport{}
+		out.Dist = s.report
+		if session, err := e.Dispatch.DispatchRun(env.ctx, spec); err != nil {
+			s.fallBack(err) // no reachable worker: the whole run is in-process
+		} else {
+			rd, s.remote, s.limit = session, true, max(session.Slots(), 1)
 		}
-		return nil
 	}
+	if env.adapt != nil {
+		s.local, s.limit = 1, 1
+	}
+
+	// One loop per slot either placement may use; the caller's goroutine is
+	// the first, so a single slot starts none.
+	run := e.blockRunner(col)
 	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		mu.Lock()
-		defer mu.Unlock()
-		for {
-			if len(errs) > 0 || left == 0 {
-				return
-			}
-			bp := nextReady()
-			if bp == nil {
-				// Everything runnable is in flight (the topological order
-				// guarantees progress while blocks remain and none failed).
-				cond.Wait()
-				continue
-			}
-			started[bp.Block.Index] = true
-			upstream := upstreamOf(bp)
-			mu.Unlock()
-			tbl, sink, err := env.runBlock(bp, upstream, run)
-			mu.Lock()
-			if err != nil {
-				errs[bp.Block.Index] = err
-			} else {
-				out.BlockOut[bp.Block.Index] = tbl
-				for k, v := range sink.materialized {
-					out.Materialized[k] = v
-				}
-				out.Rows += sink.rows
-				done[bp.Block.Index] = true
-			}
-			left--
-			cond.Broadcast()
-		}
+	for i := min(max(s.local, s.limit), s.left); i > 1; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.work(run, rd)
+		}()
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
+	s.work(run, rd)
 	wg.Wait()
-	if len(errs) > 0 {
-		idxs := make([]int, 0, len(errs))
-		for i := range errs {
+
+	if s.report != nil {
+		sort.Ints(s.report.Remote)
+		sort.Ints(s.report.Local)
+	}
+	if rd != nil {
+		s.report.Reassigned, s.report.LostWorkers = rd.Summary()
+	}
+	if len(s.errs) > 0 {
+		idxs := make([]int, 0, len(s.errs))
+		for i := range s.errs {
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
 		return &BlockFailure{
 			Block:      idxs[0],
 			Checkpoint: checkpointOf(out, idxs),
-			Err:        errs[idxs[0]],
+			Err:        s.errs[idxs[0]],
 		}
 	}
+	if s.replan != nil {
+		return s.replan
+	}
+	return nil
+}
+
+// work is one slot's loop: start the lowest-index ready block, execute it
+// where the placement in force says, retire it.
+func (s *blockSched) work(run blockRunner, rd RunDispatch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.errs) == 0 && s.replan == nil && s.left > 0 {
+		var bp *physical.BlockPlan
+		if s.inflight < s.limit {
+			bp = s.nextReady()
+		}
+		if bp == nil {
+			// Everything runnable is in flight (the topological order
+			// guarantees progress while blocks remain and none failed).
+			s.cond.Wait()
+			continue
+		}
+		idx, remote := bp.Block.Index, s.remote
+		s.started[idx] = true
+		s.inflight++
+		upstream := make(map[int]*data.Table, len(s.deps[idx]))
+		for _, d := range s.deps[idx] {
+			upstream[d] = s.out.BlockOut[d]
+		}
+		s.mu.Unlock()
+		var rb *RemoteBlock
+		var err error
+		if remote {
+			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
+		} else {
+			rb, err = s.env.runBlock(bp, upstream, run)
+		}
+		s.mu.Lock()
+		s.inflight--
+		if remote && errors.Is(err, ErrWorkersLost) {
+			// Infrastructure loss, not a block error: hand the block back.
+			s.started[idx] = false
+			s.fallBack(err)
+		} else {
+			s.finish(bp, rb, remote, err)
+		}
+		s.cond.Broadcast()
+	}
+}
+
+// nextReady picks the lowest-index block whose dependencies completed.
+func (s *blockSched) nextReady() *physical.BlockPlan {
+	for _, bp := range s.plan.Blocks {
+		if s.started[bp.Block.Index] {
+			continue
+		}
+		ready := true
+		for _, d := range s.deps[bp.Block.Index] {
+			if !s.done[d] {
+				ready = false
+				break
+			}
+		}
+		if ready {
+			return bp
+		}
+	}
+	return nil
+}
+
+// fallBack degrades the placement: every block not yet started runs
+// in-process from the committed state. The first trigger is reported.
+func (s *blockSched) fallBack(reason error) {
+	s.remote, s.limit = false, s.local
+	if !s.report.FellBack {
+		s.report.FellBack, s.report.Reason = true, reason.Error()
+	}
+}
+
+// finish retires one executed block: a failed one is recorded for the
+// *BlockFailure; a successful one is committed and, with blocks still
+// pending, put to the AdaptCheck — under the scheduler's lock, which
+// nothing contends for, an AdaptCheck meaning a single slot.
+func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool, err error) {
+	idx := bp.Block.Index
+	if err == nil {
+		err = s.commit(bp, rb, remote)
+	}
+	s.left--
+	if err != nil {
+		s.errs[idx] = err
+		return
+	}
+	s.done[idx] = true
+	if s.env.adapt != nil && s.left > 0 && s.env.adapt(s.plan, idx, s.done) {
+		s.replan = &ReplanSignal{Block: idx, Checkpoint: checkpointOf(s.out, nil)}
+	}
+}
+
+// commit folds one block's outcome into the run — the single commit point
+// of both placements. An in-process block charged the run's row budget,
+// observed into the run's collector and wrote its nodes' metrics while it
+// ran; a remote block brings all three along, and crossing MaxRows here
+// fails it as crossing it mid-block fails a local one. A block already
+// committed (a duplicate delivery) is left alone.
+func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool) error {
+	idx := bp.Block.Index
+	if _, ok := s.out.BlockOut[idx]; ok {
+		return nil
+	}
+	if remote {
+		want := 0
+		if s.metrics {
+			want = len(bp.Nodes)
+		}
+		if len(rb.Metrics) != want {
+			return fmt.Errorf("engine: block %d: worker shipped a metrics shard of %d nodes, the compiled block has %d", idx, len(rb.Metrics), want)
+		}
+		if err := s.env.budget.add(rb.Rows); err != nil {
+			return err
+		}
+		for i := range rb.Metrics {
+			bp.Nodes[i].Metrics = rb.Metrics[i]
+		}
+		s.env.retries.Add(rb.Retries)
+		if s.col != nil {
+			if rb.Observed != nil {
+				s.col.store.Merge(rb.Observed)
+			}
+			for _, fs := range rb.Degraded {
+				s.col.markFailed(fs.Stat, fs.Err)
+			}
+		}
+		s.report.Remote = append(s.report.Remote, idx)
+	} else if s.report != nil {
+		s.report.Local = append(s.report.Local, idx)
+	}
+	s.out.BlockOut[idx] = rb.Out
+	for k, v := range rb.Materialized {
+		s.out.Materialized[k] = v
+	}
+	s.out.Rows += rb.Rows
 	return nil
 }
 

@@ -26,17 +26,20 @@ import (
 //     A streaming run interleaves operators inside a chunk cascade and
 //     leaves both zero. Wall times are wall-clock and therefore never
 //     part of deterministic output.
+//
+// The JSON form is the metrics shard a distributed worker ships back with
+// its block (internal/serve's response-frame header).
 type Metrics struct {
 	// RowsOut counts rows the operator emitted.
-	RowsOut int64
+	RowsOut int64 `json:"rows"`
 	// Calls counts operator invocations (batch: 1; streaming: shards).
-	Calls int64
+	Calls int64 `json:"calls,omitempty"`
 	// WallNanos is time spent producing the node's rows, excluding
 	// TapNanos (batch runs only).
-	WallNanos int64
+	WallNanos int64 `json:"wall_ns,omitempty"`
 	// TapNanos is the statistic-tap observation overhead at this node
 	// (batch runs only).
-	TapNanos int64
+	TapNanos int64 `json:"tap_ns,omitempty"`
 }
 
 // Merge folds another shard of the same node's metrics into m — the

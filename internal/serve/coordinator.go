@@ -42,21 +42,15 @@ type Coordinator struct {
 	maxBody int64
 }
 
-// RunSpec is what every block request of one distributed run shares: the
-// deterministic dataset pin (suite workflow + scale) and the engine knobs
-// workers must mirror for byte-identical execution.
+// RunSpec is what the engine cannot tell the workers of a distributed run;
+// every engine knob they must mirror arrives in engine.DispatchSpec.
 type RunSpec struct {
 	// WF and Scale pin the suite workflow and its generated data.
 	WF    int
 	Scale float64
-	// Streaming, Workers, MaxRows, Faults, RetryMax and RetryBackoff
-	// mirror the coordinator-side engine configuration.
-	Streaming    bool
-	Workers      int
-	MaxRows      int64
-	Faults       string
-	RetryMax     int
-	RetryBackoff time.Duration
+	// MaxRows caps one block's intermediate rows on its worker, for
+	// promptness; the run-level guard is the engine's, at each commit.
+	MaxRows int64
 	// CSS rebuilds the statistic universe on instrumented workers.
 	CSS css.Options
 }
@@ -139,8 +133,7 @@ type workerRef struct {
 // table and the reassignment accounting.
 type dispatchSession struct {
 	c    *Coordinator
-	spec *engine.DispatchSpec
-	base WorkerRunRequest
+	base *WorkerRunRequest
 
 	mu         sync.Mutex
 	workers    []*workerRef
@@ -155,26 +148,7 @@ type dispatchSession struct {
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{
-		c:      c,
-		spec:   spec,
-		leases: make(map[string]*Lease),
-		base: WorkerRunRequest{
-			WF:             c.run.WF,
-			Scale:          c.run.Scale,
-			Streaming:      c.run.Streaming,
-			Workers:        c.run.Workers,
-			MaxRows:        c.run.MaxRows,
-			Faults:         c.run.Faults,
-			RetryMax:       c.run.RetryMax,
-			RetryBackoffNs: int64(c.run.RetryBackoff),
-			CSS:            c.run.CSS,
-			Instrument:     spec.Instrument,
-			AnyPoint:       spec.AnyPoint,
-			Observe:        spec.Observe,
-			Plans:          spec.Plans,
-		},
-	}
+	s := &dispatchSession{c: c, leases: make(map[string]*Lease), base: c.baseRequest(spec)}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -192,17 +166,35 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 	return s, nil
 }
 
+// baseRequest is what every block request of one run shares: the
+// coordinator's RunSpec and the knobs the engine says workers must mirror.
+func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *WorkerRunRequest {
+	return &WorkerRunRequest{
+		WF:             c.run.WF,
+		Scale:          c.run.Scale,
+		Streaming:      spec.Streaming,
+		Workers:        spec.Workers,
+		MaxRows:        c.run.MaxRows,
+		Faults:         spec.Faults,
+		RetryMax:       spec.RetryMax,
+		RetryBackoffNs: int64(spec.RetryBackoff),
+		CSS:            c.run.CSS,
+		Instrument:     spec.Instrument,
+		AnyPoint:       spec.AnyPoint,
+		Observe:        spec.Observe,
+		Metrics:        spec.Metrics,
+		Plans:          spec.Plans,
+	}
+}
+
 // Slots bounds in-flight blocks to the fleet size.
 func (s *dispatchSession) Slots() int { return len(s.c.opt.Addrs) }
 
 // Summary reports the session's fault accounting.
-func (s *dispatchSession) Summary() engine.DistSummary {
+func (s *dispatchSession) Summary() (reassigned int64, lostWorkers []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return engine.DistSummary{
-		Reassigned:  s.reassigned,
-		LostWorkers: append([]string(nil), s.lostOrder...),
-	}
+	return s.reassigned, append([]string(nil), s.lostOrder...)
 }
 
 // Leases snapshots the lease table (diagnostics and tests).
@@ -232,7 +224,7 @@ func (e *permanentError) Unwrap() error { return e.err }
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
 	// The lease id rides a header, so the frame — and any retry of it — is
 	// built once and stays byte-identical.
-	body, err := encodeRunRequest(&s.base, block, upstream)
+	body, err := encodeRunRequest(s.base, block, upstream)
 	switch {
 	case errors.Is(err, data.ErrWireCap):
 		return nil, wireCapError(block, err.Error())
@@ -528,6 +520,3 @@ func dispatchSleep(ctx context.Context, base time.Duration, attempt int) error {
 		return nil
 	}
 }
-
-// durationNs converts wire nanoseconds into a duration.
-func durationNs(ns int64) time.Duration { return time.Duration(ns) }

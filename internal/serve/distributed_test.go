@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
 	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // The golden distributed-equivalence suite: a distributed run must be
@@ -48,15 +51,20 @@ func startWorker(t *testing.T) *httptest.Server {
 // the block runs and the response closes its connection, so the refusal is
 // in place by the time the coordinator holds the block — a kill that raced
 // the response let a fast coordinator hand the dying worker one more block.
+//
+// The switch acts on the first block-run request after it is armed, so a
+// test can let a cycle's earlier executions pass and kill the worker in the
+// middle of a later one.
 type killSwitch struct {
-	once sync.Once
-	srv  *httptest.Server
+	armed atomic.Bool
+	once  sync.Once
+	srv   *httptest.Server
 }
 
 func (k *killSwitch) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fatal := false
-		if r.URL.Path == "/v1/worker/run" {
+		if r.URL.Path == "/v1/worker/run" && k.armed.Load() {
 			k.once.Do(func() { fatal = true })
 		}
 		if fatal {
@@ -77,11 +85,20 @@ func (k *killSwitch) wrap(h http.Handler) http.Handler {
 // block.
 func startKillableWorker(t *testing.T) *httptest.Server {
 	t.Helper()
+	srv, arm := startArmableWorker(t)
+	arm()
+	return srv
+}
+
+// startArmableWorker serves a Worker that dies after the first block it
+// completes once arm has been called.
+func startArmableWorker(t *testing.T) (srv *httptest.Server, arm func()) {
+	t.Helper()
 	ks := &killSwitch{}
-	srv := httptest.NewServer(ks.wrap(NewWorker().Handler()))
+	srv = httptest.NewServer(ks.wrap(NewWorker().Handler()))
 	ks.srv = srv
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, func() { ks.armed.Store(true) }
 }
 
 // startFreezableWorker serves a Worker that freezes — run and health
@@ -121,11 +138,19 @@ func distConfig(t *testing.T, wf int, streaming bool, addrs []string, tune func(
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Streaming = streaming
+	return dispatched(t, cfg, wf, addrs, tune)
+}
+
+// dispatched returns cfg with a coordinator over the given workers as its
+// dispatcher. The coordinator is told only what the engine cannot know;
+// whatever else cfg sets reaches the workers through the engine.
+func dispatched(t *testing.T, cfg core.Config, wf int, addrs []string, tune func(*CoordinatorOptions)) core.Config {
+	t.Helper()
 	opt := CoordinatorOptions{Addrs: addrs}
 	if tune != nil {
 		tune(&opt)
 	}
-	coord, err := NewCoordinator(RunSpec{WF: wf, Scale: distScale, Streaming: streaming, CSS: cfg.CSS}, opt)
+	coord, err := NewCoordinator(RunSpec{WF: wf, Scale: distScale, MaxRows: cfg.MaxRows, CSS: cfg.CSS}, opt)
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
@@ -133,19 +158,56 @@ func distConfig(t *testing.T, wf int, streaming bool, addrs []string, tune func(
 	return cfg
 }
 
-// runCycleOf executes one optimization cycle and returns its instrumented
-// run.
-func runCycleOf(t *testing.T, wf int, cfg core.Config) *engine.Result {
+// tryCycle executes one optimization cycle over the suite workflow.
+func tryCycle(t *testing.T, wf int, cfg core.Config) (*core.Cycle, error) {
 	t.Helper()
 	w, err := suite.Get(wf)
 	if err != nil {
 		t.Fatalf("suite.Get(%d): %v", wf, err)
 	}
-	cy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, w.Data(distScale), cfg)
+	return core.RunCtx(context.Background(), w.Graph, w.Catalog, w.Data(distScale), cfg)
+}
+
+// cycleOf is tryCycle for runs that must succeed.
+func cycleOf(t *testing.T, wf int, cfg core.Config) *core.Cycle {
+	t.Helper()
+	cy, err := tryCycle(t, wf, cfg)
 	if err != nil {
 		t.Fatalf("wf%02d run: %v", wf, err)
 	}
-	return cy.Observed
+	return cy
+}
+
+// runCycleOf executes one optimization cycle and returns its instrumented
+// run.
+func runCycleOf(t *testing.T, wf int, cfg core.Config) *engine.Result {
+	t.Helper()
+	return cycleOf(t, wf, cfg).Observed
+}
+
+// treesOf renders per-block join trees in block order (nil = initial).
+func treesOf(cy *core.Cycle, trees map[int]*workflow.JoinTree) string {
+	var sb strings.Builder
+	for bi, blk := range cy.Analysis.Blocks {
+		tree := trees[bi]
+		if tree == nil {
+			tree = blk.Initial
+		}
+		if tree != nil {
+			fmt.Fprintf(&sb, "%d: %s\n", bi, tree.Render(blk))
+		}
+	}
+	return sb.String()
+}
+
+// eachDistLeg runs fn over the golden workflows on both strategies.
+func eachDistLeg(t *testing.T, fn func(t *testing.T, wf int, streaming bool)) {
+	for _, wf := range distWorkflows {
+		for _, streaming := range []bool{false, true} {
+			wf, streaming := wf, streaming
+			t.Run(engineName(streaming)+"/wf"+itoa2(wf), func(t *testing.T) { fn(t, wf, streaming) })
+		}
+	}
 }
 
 // localRun is the single-process reference execution.
@@ -546,20 +608,184 @@ func TestCoordinatorRejectsEmptyFleet(t *testing.T) {
 	}
 }
 
-// TestDistributedRejectsMetrics pins the config guard: distributed +
-// CollectMetrics is a configuration error, not a silent local run.
-func TestDistributedRejectsMetrics(t *testing.T) {
-	w1 := startWorker(t)
-	cfg := distConfig(t, 6, false, []string{w1.URL}, nil)
-	cfg.CollectMetrics = true
-	wf, err := suite.Get(6)
-	if err != nil {
-		t.Fatal(err)
+// TestDistributedMetricsEquivalence is the metrics-on golden: workers ship
+// each block's per-node metrics, so a distributed cycle with CollectMetrics
+// renders the byte-identical deterministic metrics report — operator row
+// counts and the q-error feedback, exact under exact statistics — and
+// chooses the same plans as the single-process cycle.
+func TestDistributedMetricsEquivalence(t *testing.T) {
+	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+		cfg := core.DefaultConfig()
+		cfg.Streaming = streaming
+		cfg.CollectMetrics = true
+		want := cycleOf(t, wf, cfg)
+		w1, w2 := startWorker(t), startWorker(t)
+		got := cycleOf(t, wf, dispatched(t, cfg, wf, []string{w1.URL, w2.URL}, nil))
+		assertRunsEqual(t, "metrics", want.Observed, got.Observed)
+		var wantJSON, gotJSON bytes.Buffer
+		if err := want.WriteMetrics(&wantJSON, "json"); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.WriteMetrics(&gotJSON, "json"); err != nil {
+			t.Fatalf("distributed cycle has no metrics report: %v", err)
+		}
+		if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
+			t.Errorf("metrics report differs:\n local %s\n dist  %s", wantJSON.Bytes(), gotJSON.Bytes())
+		}
+		if got.Feedback == nil || got.Feedback.MaxQ != 1 {
+			t.Errorf("distributed feedback = %+v, want max q-error 1", got.Feedback)
+		}
+		if w, g := treesOf(want, want.Plans.Trees()), treesOf(got, got.Plans.Trees()); w != g {
+			t.Errorf("plans differ:\n local %s\n dist  %s", w, g)
+		}
+		if d := got.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != len(got.Analysis.Blocks) {
+			t.Errorf("run was not placed remotely: %+v", d)
+		}
+	})
+}
+
+// TestDistributedAdaptiveEquivalence is the adaptive golden: the boundary
+// checks read the actuals workers ship, so a forced mid-run replan makes
+// the same decisions — replan records, check count, final plans — and the
+// spliced run is byte-identical, with a clean fleet and with a worker
+// killed in the middle of the adaptive run.
+func TestDistributedAdaptiveEquivalence(t *testing.T) {
+	opts := core.AdaptiveOptions{Skew: map[int]float64{0: 4}}
+	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+		cfg := core.DefaultConfig()
+		cfg.Streaming = streaming
+		local := cycleOf(t, wf, cfg)
+		want, err := local.RunOptimizedAdaptive(opts)
+		if err != nil {
+			t.Fatalf("local adaptive run: %v", err)
+		}
+		if len(want.Replans) == 0 {
+			t.Fatal("the skew forced no replan; the leg checks nothing")
+		}
+		for _, kill := range []bool{false, true} {
+			name := map[bool]string{false: "clean", true: "worker-killed"}[kill]
+			victim, arm := startArmableWorker(t)
+			survivor := startWorker(t)
+			cy := cycleOf(t, wf, dispatched(t, cfg, wf, []string{victim.URL, survivor.URL}, nil))
+			if kill {
+				arm()
+			}
+			got, err := cy.RunOptimizedAdaptive(opts)
+			if err != nil {
+				t.Fatalf("%s: distributed adaptive run: %v", name, err)
+			}
+			if !reflect.DeepEqual(want.Replans, got.Replans) || want.Checks != got.Checks || want.Threshold != got.Threshold {
+				t.Errorf("%s: adaptive decisions differ:\n local %s dist  %s", name, want.Summary(), got.Summary())
+			}
+			if w, g := treesOf(local, want.Plans), treesOf(cy, got.Plans); w != g {
+				t.Errorf("%s: final plans differ:\n local %s\n dist  %s", name, w, g)
+			}
+			assertRunsEqual(t, name, want.Run, got.Run)
+			d := got.Run.Dist
+			if d == nil || d.FellBack || len(d.Remote) == 0 {
+				t.Errorf("%s: adaptive run was not placed remotely: %+v", name, d)
+			}
+			if kill && len(d.LostWorkers) != 1 {
+				t.Errorf("%s: lost workers %v, want the victim", name, d.LostWorkers)
+			}
+		}
+	})
+}
+
+// TestDistributedEngineFaultsSetOnce sets core.Config.Faults and nothing
+// else: the engine tells the workers, so transient faults retry and
+// permanent tap faults degrade on the workers exactly as they do in one
+// process — same Retries, same Degraded list, same bytes.
+func TestDistributedEngineFaultsSetOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inj  *faults.Injector
+	}{
+		{"transient", faults.New(7, 1, 1, 0)},
+		{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+				cfg := core.DefaultConfig()
+				cfg.Streaming = streaming
+				cfg.Faults = tc.inj
+				want := cycleOf(t, wf, cfg)
+				w1, w2 := startWorker(t), startWorker(t)
+				got := cycleOf(t, wf, dispatched(t, cfg, wf, []string{w1.URL, w2.URL}, nil))
+				assertRunsEqual(t, tc.name, want.Observed, got.Observed)
+				if want.Observed.Retries != got.Observed.Retries {
+					t.Errorf("retries: local %d, distributed %d", want.Observed.Retries, got.Observed.Retries)
+				}
+				if w, g := degradedList(want.Observed), degradedList(got.Observed); !reflect.DeepEqual(w, g) {
+					t.Errorf("degraded statistics: local %v, distributed %v", w, g)
+				}
+				if want.Observed.Retries == 0 && len(want.Observed.Degraded) == 0 {
+					t.Error("the injector never fired; the leg checks nothing")
+				}
+				if w, g := treesOf(want, want.Plans.Trees()), treesOf(got, got.Plans.Trees()); w != g {
+					t.Errorf("plans differ:\n local %s\n dist  %s", w, g)
+				}
+				if d := got.Observed.Dist; d == nil || d.FellBack {
+					t.Errorf("run was not placed remotely: %+v", d)
+				}
+			})
+		})
 	}
-	_, err = core.RunCtx(context.Background(), wf.Graph, wf.Catalog, wf.Data(distScale), cfg)
-	if err == nil || !strings.Contains(err.Error(), "CollectMetrics") {
-		t.Fatalf("want the CollectMetrics incompatibility error, got %v", err)
+}
+
+// degradedList renders a run's degraded statistics with their errors.
+func degradedList(r *engine.Result) []string {
+	var out []string
+	for _, fs := range r.Degraded {
+		out = append(out, fmt.Sprintf("%v: %v", fs.Stat.Key(), fs.Err))
 	}
+	return out
+}
+
+// TestDistributedMaxRowsRunLevel pins MaxRows as a run-level guard in every
+// placement. One row short of the run's total, no single block exceeds the
+// cap its worker applies, yet the run must fail — with the guard's text, at
+// the block a single-process run fails at — and the exact total must pass.
+func TestDistributedMaxRowsRunLevel(t *testing.T) {
+	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+		cfg := core.DefaultConfig()
+		cfg.Streaming = streaming
+		total := cycleOf(t, wf, cfg).Observed.Rows
+		w1, w2 := startWorker(t), startWorker(t)
+		fleets := map[string][]string{"two-workers": {w1.URL, w2.URL}, "one-slot": {w1.URL}}
+
+		cfg.MaxRows = total
+		for name, addrs := range fleets {
+			if got := cycleOf(t, wf, dispatched(t, cfg, wf, addrs, nil)).Observed; got.Rows != total {
+				t.Errorf("%s: MaxRows = total: %d rows, want %d", name, got.Rows, total)
+			}
+		}
+
+		cfg.MaxRows = total - 1
+		_, lerr := tryCycle(t, wf, cfg)
+		var want *engine.BlockFailure
+		if !errors.As(lerr, &want) || !strings.Contains(lerr.Error(), "intermediate-cardinality guard") {
+			t.Fatalf("local run with MaxRows = total-1: %v", lerr)
+		}
+		for name, addrs := range fleets {
+			cy, derr := tryCycle(t, wf, dispatched(t, cfg, wf, addrs, nil))
+			var got *engine.BlockFailure
+			if !errors.As(derr, &got) {
+				t.Errorf("%s: MaxRows = total-1 completed with %d rows: %v", name, cy.Observed.Rows, derr)
+				continue
+			}
+			guard := got.Err.Error()
+			if !strings.HasPrefix(guard, "intermediate-cardinality guard") || !strings.HasSuffix(want.Err.Error(), guard) {
+				t.Errorf("%s: failed with %q, the local run with %q", name, guard, want.Err)
+			}
+			// One slot commits blocks in index order, like the local run.
+			if name == "one-slot" && (got.Block != want.Block || got.Checkpoint.Rows != want.Checkpoint.Rows) {
+				t.Errorf("%s: failed at block %d after %d rows, the local run at block %d after %d",
+					name, got.Block, got.Checkpoint.Rows, want.Block, want.Checkpoint.Rows)
+			}
+		}
+	})
 }
 
 // itoa2 renders a workflow id as two digits (test names match suite

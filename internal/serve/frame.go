@@ -189,7 +189,7 @@ func decodeRunRequest(r io.Reader) (*WorkerRunRequest, map[int]*data.Table, erro
 
 // encodeRunResponse builds the response frame for one executed block.
 func encodeRunResponse(rb *engine.RemoteBlock) ([]byte, error) {
-	resp := WorkerRunResponse{Rows: rb.Rows, Retries: rb.Retries}
+	resp := WorkerRunResponse{Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
 	for name := range rb.Materialized {
 		resp.Materialized = append(resp.Materialized, name)
 	}
@@ -226,7 +226,7 @@ func decodeRunResponse(r io.Reader) (*engine.RemoteBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries}
+	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
 	if rb.Out, err = f.table(); err != nil {
 		return nil, fmt.Errorf("block output: %w", err)
 	}

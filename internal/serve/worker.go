@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
+	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -68,12 +70,11 @@ type WorkerRunRequest struct {
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
 	// Streaming selects the pipelined engine; Workers the block-internal
-	// parallelism.
+	// parallelism (both from engine.DispatchSpec, like Faults and retries).
 	Streaming bool `json:"streaming,omitempty"`
 	Workers   int  `json:"workers,omitempty"`
-	// MaxRows caps this block's intermediate rows (the coordinator ships
-	// its per-run budget; in distributed mode the cap applies per
-	// worker-block).
+	// MaxRows caps this block's intermediate rows (RunSpec.MaxRows; the
+	// run-level guard stays with the coordinator's engine).
 	MaxRows int64 `json:"max_rows,omitempty"`
 	// Faults is the injector spec (faults.Parse form) so worker-side
 	// operator/source/tap/budget faults reproduce the in-process pattern.
@@ -83,10 +84,12 @@ type WorkerRunRequest struct {
 	RetryBackoffNs int64 `json:"retry_backoff_ns,omitempty"`
 	// CSS rebuilds the statistic universe when the run is instrumented.
 	CSS css.Options `json:"css"`
-	// Instrument, AnyPoint and Observe mirror engine.DispatchSpec.
+	// Instrument, AnyPoint, Observe and Metrics mirror engine.DispatchSpec;
+	// Metrics asks for the block's metrics shard in the response header.
 	Instrument bool         `json:"instrument,omitempty"`
 	AnyPoint   bool         `json:"any_point,omitempty"`
 	Observe    []stats.Stat `json:"observe,omitempty"`
+	Metrics    bool         `json:"metrics,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
 	Plans map[int]*workflow.JoinTree `json:"plans,omitempty"`
 	// Block is the block to execute; Upstream lists, ascending, the blocks
@@ -118,6 +121,9 @@ type WorkerRunResponse struct {
 	Degraded []WireFailedStat `json:"degraded,omitempty"`
 	// Retries counts worker-side attempts repeated after transient faults.
 	Retries int64 `json:"retries,omitempty"`
+	// Metrics is the block's metrics shard — one entry per compiled node,
+	// indexed by node ID — present only when the request asked for it.
+	Metrics []physical.Metrics `json:"metrics,omitempty"`
 }
 
 // Handler returns the worker's endpoints.
@@ -206,9 +212,10 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream 
 	}
 	eng.Workers = req.Workers
 	eng.MaxRows = req.MaxRows
+	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
 	eng.RetryMax = req.RetryMax
-	eng.RetryBackoff = durationNs(req.RetryBackoffNs)
+	eng.RetryBackoff = time.Duration(req.RetryBackoffNs)
 	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
 	if err != nil {
 		if ctx.Err() != nil {

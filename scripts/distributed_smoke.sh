@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Distributed-execution smoke test: build the CLI, start two worker
-# processes, run a multi-block workflow distributed, SIGKILL one worker
-# while the run is in flight, and require exit 0 with stdout
-# byte-identical to the single-process reference; then repeat with the
-# dead worker still configured (the reassign/degrade path from the very
-# first dispatch). CI runs this as its own job; `make distributed-smoke`
-# runs it locally.
+# processes, and check the composed modes against the live fleet —
+# -distributed with -metrics json and with -adaptive -replan-skew 4 must
+# each print the single-process stdout byte for byte. Then run a
+# multi-block workflow distributed, SIGKILL one worker while the run is in
+# flight, and require exit 0 with stdout byte-identical to the
+# single-process reference; then repeat with the dead worker still
+# configured (the reassign/degrade path from the very first dispatch). CI
+# runs this as its own job; `make distributed-smoke` runs it locally.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,8 +22,11 @@ trap 'rm -rf "$work"; kill "${w1:-}" "${w2:-}" 2>/dev/null || true' EXIT
 echo "== build"
 go build -o "$work/etlopt" ./cmd/etlopt
 
-echo "== single-process reference"
+echo "== single-process references"
 "$work/etlopt" run -wf "$wf" -scale "$scale" > "$work/ref.out"
+"$work/etlopt" run -wf "$wf" -scale "$scale" -metrics json > "$work/ref-metrics.out" 2>/dev/null
+"$work/etlopt" run -wf "$wf" -scale "$scale" -adaptive -replan-skew 4 > "$work/ref-adaptive.out"
+grep -q 'adaptive: 1 replan' "$work/ref-adaptive.out"
 
 echo "== start 2 workers"
 "$work/etlopt" worker -addr "127.0.0.1:$p1" 2> "$work/w1.log" &
@@ -36,6 +41,26 @@ for p in "$p1" "$p2"; do
     done
     curl -sf "http://127.0.0.1:$p/v1/worker/health" | grep -q ok
 done
+
+# composed runs one distributed leg on the live fleet: all blocks remote,
+# stdout identical to its single-process reference.
+composed() {
+    local name="$1"; shift
+    "$work/etlopt" run -wf "$wf" -scale "$scale" -distributed -worker-addrs "$addrs" "$@" \
+        > "$work/dist-$name.out" 2> "$work/dist-$name.err" || {
+        echo "distributed $* run failed" >&2
+        cat "$work/dist-$name.err" >&2
+        exit 1
+    }
+    grep -q '^distributed: 3 block(s) executed remotely' "$work/dist-$name.err"
+    cmp "$work/ref-$name.out" "$work/dist-$name.out"
+}
+
+echo "== distributed -metrics json matches the single-process stdout"
+composed metrics -metrics json
+
+echo "== distributed -adaptive -replan-skew 4 matches the single-process stdout"
+composed adaptive -adaptive -replan-skew 4
 
 echo "== distributed run, one worker SIGKILLed mid-run"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -distributed -worker-addrs "$addrs" \
@@ -67,4 +92,4 @@ fi
 grep -q '^distributed:' "$work/dist2.err"
 cmp "$work/ref.out" "$work/dist2.out"
 
-echo "PASS: distributed runs survive a SIGKILLed worker with identical outputs"
+echo "PASS: distributed runs compose with -metrics and -adaptive and survive a SIGKILLed worker, outputs identical"
