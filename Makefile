@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build test race short bench bench-test examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
+.PHONY: build test race short bench bench-test ab examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,13 @@ bench:
 	@set -e; for w in plan-heavy exec-heavy serve-churn dist-run; do \
 		bash bench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0; \
 	done
+
+# ab compares the working tree with commit REF by the alternated-pairs
+# protocol (scripts/ab.sh): 10 pairs per workload, medians, quartiles,
+# per-pair wins and a sign test on every end-to-end metric.
+#   make ab REF=HEAD~1 [WORKLOADS="plan-heavy serve-churn"]
+ab:
+	bash scripts/ab.sh $(REF) $(WORKLOADS)
 
 # bench-test compiles and tests the benchmark harness. bench/ is a nested
 # module that `go test ./...` never sees, so an exported-API change under

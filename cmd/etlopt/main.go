@@ -749,7 +749,7 @@ func statsCmd(doc *workflow.Document, method string, ud bool) error {
 	for _, s := range sel.Observe {
 		blk := an.Blocks[s.Target.Block]
 		extra := ""
-		if res.NeedsRejectLink[s.Key()] {
+		if res.RejectLinked(s) {
 			extra = "   [requires added reject link]"
 		}
 		fmt.Printf("  block %d: %s%s\n", s.Target.Block, s.Label(blk), extra)

@@ -2,10 +2,10 @@
 // request mix and reports sustained throughput and latency percentiles.
 //
 // With no -addr it self-hosts: it opens a throwaway catalog, mounts the
-// serve handler on a loopback listener, and drives that — the mode that
-// recorded BENCH_serve.json (`-spec loadspecs/bench.yaml`; the repository
-// benchmark's serve-churn workload, `make bench`, supersedes it). With -addr
-// it drives a running daemon over the network (the load-smoke CI job).
+// serve handler on a loopback listener, and drives that (an ad-hoc load
+// tool: it publishes nothing, the daemon's measured numbers come from the
+// serve-churn workload of bench/, `make bench`). With -addr it drives a
+// running daemon over the network (the load-smoke CI job).
 //
 // The spec file (see loadspecs/) sets duration, warmup, concurrency, an
 // optional aggregate QPS throttle, the workflow set, the data scale for

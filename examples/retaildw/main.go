@@ -73,8 +73,10 @@ func main() {
 
 	fmt.Println("\n── 2. candidate statistics sets for |O⋈P⋈C| (Section 4.3) ──")
 	full := stats.NewCard(stats.BlockSE(0, sp.Full()))
-	for _, cs := range cy.CSS.CSS[full.Key()] {
-		fmt.Printf("  %s\n", cs.Label(blk))
+	if id, ok := cy.CSS.Lookup(full); ok {
+		for _, cs := range cy.CSS.CSS[id] {
+			fmt.Printf("  %s\n", cy.CSS.Describe(cs).Label(blk))
+		}
 	}
 
 	fmt.Println("\n── 3. optimal statistics to observe (Section 5) ──")

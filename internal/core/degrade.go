@@ -107,15 +107,15 @@ func degrade(ctx context.Context, cy *Cycle, eng *engine.Engine, u *selector.Uni
 	opt := selector.Options{Method: cy.cfg.Method}
 
 	for round := 0; round < maxReselectRounds && deg.Mode == ""; round++ {
-		have := make([]stats.Key, 0)
+		var have []stats.Stat
 		for _, v := range store.Values() {
-			have = append(have, v.Stat.Key())
+			have = append(have, v.Stat)
 		}
-		failedKeys := make([]stats.Key, 0, len(failed))
-		for k := range failed {
-			failedKeys = append(failedKeys, k)
+		failedStats := make([]stats.Stat, 0, len(failed))
+		for _, f := range failed {
+			failedStats = append(failedStats, f.Stat)
 		}
-		alt, err := selector.Reselect(u, have, failedKeys, opt)
+		alt, err := selector.Reselect(u, have, failedStats, opt)
 		if errors.Is(err, selector.ErrNoCover) {
 			break // payg is the only rung left
 		}

@@ -26,7 +26,7 @@ func (cy *Cycle) Report(w io.Writer) error {
 	for _, s := range cy.Selection.Observe {
 		blk := cy.Analysis.Blocks[s.Target.Block]
 		note := ""
-		if cy.CSS.NeedsRejectLink[s.Key()] {
+		if cy.CSS.RejectLinked(s) {
 			note = " *(requires added reject link)*"
 		}
 		p("- block %d: `%s`%s\n", s.Target.Block, s.Label(blk), note)

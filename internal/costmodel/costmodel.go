@@ -170,18 +170,24 @@ func UpdateWeight(k stats.Kind) float64 {
 // source relations with free source-system statistics cost zero when
 // FreeSourceStats is set.
 func (c *Coster) Cost(s stats.Stat) (float64, error) {
+	cost, _, err := c.Price(s)
+	return cost, err
+}
+
+// Price returns Cost and Memory together, sizing the statistic once; the
+// selector prices every statistic of the universe with it.
+func (c *Coster) Price(s stats.Stat) (cost float64, mem int64, err error) {
+	if mem, err = c.Memory(s); err != nil {
+		return 0, 0, err
+	}
 	if c.FreeSourceStats && c.isFreeSourceStat(s) {
-		return 0, nil
+		return 0, mem, nil
 	}
-	mem, err := c.Memory(s)
-	if err != nil {
-		return 0, err
-	}
-	cost := c.MemWeight * float64(mem)
+	cost = c.MemWeight * float64(mem)
 	if c.CPUWeight != 0 {
 		cost += c.CPUWeight * c.CPU(s)
 	}
-	return cost, nil
+	return cost, mem, nil
 }
 
 // isFreeSourceStat reports whether the statistic describes an unmodified

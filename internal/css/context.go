@@ -4,10 +4,19 @@
 // Tables 2–5 (select, project, join, group-by, transform), the identity
 // rules I1/I2, and the union–division rules J4/J5 that exploit reject
 // links. Algorithm 1's worklist drives rule application.
+//
+// This package mints the planner's one id space. While the rules run a
+// statistic is an ident — a comparable struct of integers — interned to a
+// provisional id on first sight, so a rule application formats nothing;
+// Generate then renumbers the universe once into canonical order and emits
+// it as id-indexed slices (see Result). Universe order and per-statistic
+// candidate order are behaviour (solver tie-breaks, the rule the estimator
+// tries first) and are pinned by the suite's planner digest.
 package css
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -34,39 +43,61 @@ func DefaultOptions() Options {
 	return Options{UnionDivision: true, CrossBlock: true, FKShortcut: true}
 }
 
+// Candidate is one candidate statistics set of a statistic: a minimal set
+// of statistics sufficient to compute it (Section 3.1), held as ids.
+type Candidate struct {
+	// Rule is the producing rule's name ("J1", "J4", "I2", ...).
+	Rule string
+	// Inputs are the ids of the statistics that together compute the
+	// target. Their order is rule-specific (e.g. J4: super-SE histogram,
+	// joined-relation histogram, reject-variant statistic).
+	Inputs []int32
+	// Join is the join-attribute class for the J and R rules (zero value
+	// otherwise), which the estimation layer needs to evaluate them.
+	Join workflow.Attr
+}
+
 // Result is the output of CSS generation for a whole workflow: the
 // statistic universe S, the candidate statistics sets per statistic, the
 // required set S_C (cardinalities of every SE of every block), and the
-// observability classification S_O.
+// observability classification S_O. A statistic's id is its index in Stats;
+// the other slices are indexed by it, candidate inputs are ids, and Lookup
+// maps a descriptor to its id. A Result is immutable once generated and
+// safe to share between goroutines.
 type Result struct {
 	Analysis *workflow.Analysis
 	// Spaces holds one enumerated plan space per optimizable block.
 	Spaces []*expr.Space
-	// Stats is the universe S of statistics mentioned anywhere.
-	Stats map[stats.Key]stats.Stat
-	// CSS maps each statistic to its candidate statistics sets (excluding
-	// the trivial CSS, which is represented by direct observation).
-	CSS map[stats.Key][]stats.CSS
-	// Required is S_C: the cardinality statistics of every SE.
-	Required []stats.Stat
+	// Stats is the universe S of statistics mentioned anywhere, in
+	// canonical order: by block, kind, SE, depth, reject input, reject
+	// edge, then attribute string (the solvers break ties on the lowest id).
+	Stats []stats.Stat
+	// CSS lists each statistic's candidate statistics sets (excluding the
+	// trivial CSS, which is represented by direct observation) in
+	// rule-application order, then I1/I2 by input attribute count and
+	// string; the estimator evaluates them in this order.
+	CSS [][]Candidate
+	// Required is S_C: the cardinality statistics of every SE, block by
+	// block in SE order; RequiredIDs holds their ids.
+	Required    []stats.Stat
+	RequiredIDs []int32
 	// Observable is S_O: statistics that instrumentation of the initial
 	// plan can observe directly (including reject-link statistics that
 	// need an added reject link, marked in NeedsRejectLink).
-	Observable map[stats.Key]bool
+	Observable []bool
 	// NeedsRejectLink marks observable statistics that require adding an
 	// explicit reject link (and an auxiliary join for multi-input reject
 	// targets) to the initial plan, per Section 4.1.2.
-	NeedsRejectLink map[stats.Key]bool
+	NeedsRejectLink []bool
 
 	opt    Options
 	blocks []*blockCtx
+	// ids maps every universe statistic's identity to its id (see Lookup).
+	ids map[ident]int32
 }
 
 // Space returns the plan space of block b.
 func (r *Result) Space(b int) *expr.Space { return r.Spaces[b] }
-
-// Options returns the options the result was generated with.
-func (r *Result) Options() Options { return r.opt }
 
 // NumCSS returns the total number of candidate statistics sets across all
 // statistics (the quantity plotted in Figure 9 of the paper).
@@ -87,6 +118,35 @@ func (r *Result) NumSEs() int {
 	return n
 }
 
+// CardID returns the id of the cardinality statistic of an SE, or false
+// when se is not a sub-expression of the block.
+func (r *Result) CardID(block int, se expr.Set) (int32, bool) {
+	if block < 0 || block >= len(r.blocks) {
+		return 0, false
+	}
+	i, ok := r.Spaces[block].IndexOf(se)
+	if !ok {
+		return 0, false
+	}
+	return r.blocks[block].cardIDs[i], true
+}
+
+// RejectLinked reports whether observing the statistic requires adding a
+// reject link to the initial plan.
+func (r *Result) RejectLinked(s stats.Stat) bool {
+	id, ok := r.Lookup(s)
+	return ok && r.NeedsRejectLink[id]
+}
+
+// Describe spells a candidate set in descriptor form, for display.
+func (r *Result) Describe(c Candidate) stats.CSS {
+	out := stats.CSS{Rule: c.Rule, Join: c.Join, Inputs: make([]stats.Stat, len(c.Inputs))}
+	for i, in := range c.Inputs {
+		out.Inputs[i] = r.Stats[in]
+	}
+	return out
+}
+
 // blockCtx caches per-block derived structure used by the rules.
 type blockCtx struct {
 	idx int
@@ -95,6 +155,20 @@ type blockCtx struct {
 	// chainAttrs[i][d] is the schema of input i's chain at depth d
 	// (0 = raw source or upstream boundary, len(ops) = cooked input).
 	chainAttrs [][][]workflow.Attr
+
+	// The rules name attributes by class id (see classID): attrID maps an
+	// attribute to its class; reps, members and owners hold per class the
+	// representative, the sorted members and the inputs owning a member.
+	attrID  map[workflow.Attr]int32
+	reps    []workflow.Attr
+	members [][]workflow.Attr
+	owners  []expr.Set
+	// lists interns the attribute lists of the block's statistics.
+	lists attrLists
+	// edgeClass[j] is the class id of join edge j's attribute.
+	edgeClass []int32
+	// cardIDs[i] is the id of the cardinality statistic of sp.SEs[i].
+	cardIDs []int32
 }
 
 // chainLen returns the number of pushed-down operators on input i.
@@ -108,7 +182,11 @@ func newBlockCtx(an *workflow.Analysis, idx int) (*blockCtx, error) {
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", idx, err)
 	}
-	bc := &blockCtx{idx: idx, blk: blk, sp: sp}
+	bc := &blockCtx{idx: idx, blk: blk, sp: sp, attrID: make(map[workflow.Attr]int32)}
+	bc.lists = attrLists{next: make(map[uint64]int32), ids: [][]int32{nil}, attrs: [][]workflow.Attr{nil}}
+	for _, e := range blk.Joins {
+		bc.edgeClass = append(bc.edgeClass, bc.classID(e.LeftAttr))
+	}
 	for i := range blk.Inputs {
 		in := &blk.Inputs[i]
 		raw := an.Schema[in.EntryNode]
@@ -127,17 +205,10 @@ func newBlockCtx(an *workflow.Analysis, idx int) (*blockCtx, error) {
 func applyOpSchema(in []workflow.Attr, op *workflow.Node) []workflow.Attr {
 	switch op.Kind {
 	case workflow.KindProject:
-		return workflow.SortAttrs(append([]workflow.Attr(nil), op.Cols...))
+		return workflow.SortAttrs(slices.Clone(op.Cols))
 	case workflow.KindTransform:
-		out := append([]workflow.Attr(nil), in...)
-		found := false
-		for _, a := range out {
-			if a == op.Transform.Out {
-				found = true
-				break
-			}
-		}
-		if !found {
+		out := slices.Clone(in)
+		if !slices.Contains(out, op.Transform.Out) {
 			out = append(out, op.Transform.Out)
 		}
 		return workflow.SortAttrs(out)
@@ -146,39 +217,21 @@ func applyOpSchema(in []workflow.Attr, op *workflow.Node) []workflow.Attr {
 	}
 }
 
-// memberAt returns a physical attribute from rep's join-equivalence class
-// that exists in input i's chain schema at depth d, or false.
-func (bc *blockCtx) memberAt(i, d int, rep workflow.Attr) (workflow.Attr, bool) {
-	schema := bc.chainAttrs[i][d]
-	for _, m := range bc.sp.ClassMembers(rep) {
-		for _, a := range schema {
-			if a == m {
-				return a, true
-			}
+// memberIn returns the first of members present in schema.
+func memberIn(schema, members []workflow.Attr) (workflow.Attr, bool) {
+	for _, m := range members {
+		if slices.Contains(schema, m) {
+			return m, true
 		}
 	}
 	return workflow.Attr{}, false
 }
 
-// membersAt resolves a class-representative attribute list to physical
-// attributes at a chain point; ok is false when any attribute is absent.
-func (bc *blockCtx) membersAt(i, d int, reps []workflow.Attr) ([]workflow.Attr, bool) {
-	out := make([]workflow.Attr, 0, len(reps))
-	for _, rep := range reps {
-		a, ok := bc.memberAt(i, d, rep)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, a)
-	}
-	return out, true
-}
-
-// seHasAttrs reports whether every class representative has a member in the
-// (cooked) SE's schema.
-func (bc *blockCtx) seHasAttrs(se expr.Set, reps []workflow.Attr) bool {
-	for _, rep := range reps {
-		if _, ok := bc.sp.MemberIn(se, rep); !ok {
+// hasAttrsAt reports whether every class has a member in input i's chain
+// schema at depth d.
+func (bc *blockCtx) hasAttrsAt(i, d int, classes []int32) bool {
+	for _, c := range classes {
+		if _, ok := memberIn(bc.chainAttrs[i][d], bc.members[c]); !ok {
 			return false
 		}
 	}
@@ -195,7 +248,7 @@ func (r *Result) BoundaryClass(block, input int, a workflow.Attr) (workflow.Attr
 	if in.FromBlock < 0 {
 		return workflow.Attr{}, fmt.Errorf("css: input %d of block %d is not a block boundary", input, block)
 	}
-	phys, ok := bc.memberAt(input, 0, a)
+	phys, ok := memberIn(bc.chainAttrs[input][0], bc.sp.ClassMembers(a))
 	if !ok {
 		return workflow.Attr{}, fmt.Errorf("css: attribute %v not present at boundary of block %d input %d", a, block, input)
 	}
@@ -213,24 +266,20 @@ func (r *Result) ChainDepth(block, input int) int {
 // instrumentation and estimation layers.
 func (r *Result) PhysicalAttrs(s stats.Stat) ([]workflow.Attr, error) {
 	bc := r.blocks[s.Target.Block]
-	if s.Target.IsChainPoint() {
-		i := s.Target.Set.Lowest()
-		phys, ok := bc.membersAt(i, s.Target.Depth, s.Attrs)
-		if !ok {
-			return nil, fmt.Errorf("stat %v: attrs not resolvable at chain point", s.Key())
-		}
-		return phys, nil
-	}
 	out := make([]workflow.Attr, 0, len(s.Attrs))
 	for _, rep := range s.Attrs {
-		var phys workflow.Attr
-		found := false
-		// Prefer a member owned by the target's own inputs; for reject
-		// targets the replaced input still carries its attributes.
-		if m, ok := bc.sp.MemberIn(s.Target.Set, rep); ok {
-			phys, found = m, true
+		if s.Target.IsChainPoint() {
+			phys, ok := memberIn(bc.chainAttrs[s.Target.Set.Lowest()][s.Target.Depth], bc.sp.ClassMembers(rep))
+			if !ok {
+				return nil, fmt.Errorf("stat %v: attrs not resolvable at chain point", s.Key())
+			}
+			out = append(out, phys)
+			continue
 		}
-		if !found {
+		// A member owned by the target's own inputs; for reject targets the
+		// replaced input still carries its attributes.
+		phys, ok := bc.sp.MemberIn(s.Target.Set, rep)
+		if !ok {
 			return nil, fmt.Errorf("stat %v: attribute class %v absent from target", s.Key(), rep)
 		}
 		out = append(out, phys)

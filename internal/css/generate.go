@@ -1,7 +1,7 @@
 package css
 
 import (
-	"fmt"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -15,14 +15,7 @@ import (
 // identity rules one level without introducing new statistics, and finally
 // classifies observability against the initial plan.
 func Generate(an *workflow.Analysis, opt Options) (*Result, error) {
-	res := &Result{
-		Analysis:        an,
-		Stats:           make(map[stats.Key]stats.Stat),
-		CSS:             make(map[stats.Key][]stats.CSS),
-		Observable:      make(map[stats.Key]bool),
-		NeedsRejectLink: make(map[stats.Key]bool),
-		opt:             opt,
-	}
+	res := &Result{Analysis: an, opt: opt}
 	for i := range an.Blocks {
 		bc, err := newBlockCtx(an, i)
 		if err != nil {
@@ -32,150 +25,166 @@ func Generate(an *workflow.Analysis, opt Options) (*Result, error) {
 		res.Spaces = append(res.Spaces, bc.sp)
 	}
 
-	g := &generator{res: res, an: an, opt: opt}
+	g := &generator{res: res, ids: make(map[ident]int32)}
 	// Seed the worklist with S_C: the cardinality of every SE of every
 	// block (lines 4–5 of Algorithm 1).
 	for _, bc := range res.blocks {
-		for _, se := range bc.sp.SEs {
-			s := stats.NewCard(stats.BlockSE(bc.idx, se))
-			res.Required = append(res.Required, s)
-			g.push(s)
+		bc.cardIDs = make([]int32, len(bc.sp.SEs))
+		for i, se := range bc.sp.SEs {
+			bc.cardIDs[i] = g.push(bc.card(seTarget(se)))
 		}
 	}
 	// Worklist loop (lines 6–16).
 	for len(g.work) > 0 {
-		s := g.work[len(g.work)-1]
+		p := g.work[len(g.work)-1]
 		g.work = g.work[:len(g.work)-1]
-		if err := g.expand(s); err != nil {
-			return nil, err
-		}
+		g.expand(p)
 	}
+	order := g.canonicalOrder()
 	// Identity rules, one level, no new statistics (lines 17–21).
-	g.applyIdentityRules()
-	// Observability classification of the whole universe.
-	g.classifyObservable()
-	g.dedupeCSS()
+	g.applyIdentityRules(order)
+	g.finish(order)
 	return res, nil
 }
 
+// generator is the state of one Generate call, over provisional statistic
+// ids handed out in order of first sight.
 type generator struct {
-	res  *Result
-	an   *workflow.Analysis
-	opt  Options
-	work []stats.Stat
+	res *Result
+	// ids and idents map identities to provisional ids and back.
+	ids    map[ident]int32
+	idents []ident
+	// lists[p] chains statistic p's candidate sets through cands, in the
+	// order they were added.
+	lists []candList
+	cands []cand
+	// ninput counts the inputs of the candidate sets kept.
+	ninput int
+	work   []int32
 }
 
-// push adds a statistic to the universe and worklist if unseen.
-func (g *generator) push(s stats.Stat) {
-	k := s.Key()
-	if _, ok := g.res.Stats[k]; ok {
-		return
-	}
-	g.res.Stats[k] = s
-	g.work = append(g.work, s)
+type candList struct{ first, last int32 }
+
+// cand is a candidate set under provisional ids; no rule has more than
+// three inputs. join is the class id of the join attribute within the
+// target's block, or -1.
+type cand struct {
+	rule string
+	in   [3]int32
+	n    int8
+	join int32
+	next int32
 }
 
-// addCSS records a candidate statistics set for target and pushes its
-// inputs onto the worklist.
-func (g *generator) addCSS(target stats.Stat, rule string, inputs ...stats.Stat) {
-	g.addJoinCSS(target, rule, workflow.Attr{}, inputs...)
+// addCSS records a candidate statistics set for target and puts its inputs
+// in the universe, unless an earlier set of the target has the same inputs
+// (different plans can produce the same rule inputs; the first occurrence is
+// kept, whatever its rule).
+func (g *generator) addCSS(target int32, rule string, inputs ...ident) {
+	g.addJoinCSS(target, rule, -1, inputs...)
 }
 
 // addJoinCSS is addCSS carrying the join-attribute class the estimation
 // layer needs to evaluate join rules.
-func (g *generator) addJoinCSS(target stats.Stat, rule string, join workflow.Attr, inputs ...stats.Stat) {
-	// A CSS referencing its own target would be circular.
-	tk := target.Key()
+func (g *generator) addJoinCSS(target int32, rule string, join int32, inputs ...ident) {
 	for _, in := range inputs {
-		if in.Key() == tk {
+		if in == g.idents[target] {
+			return // a CSS referencing its own target would be circular
+		}
+	}
+	c := cand{rule: rule, n: int8(len(inputs)), join: join, next: -1}
+	for i, in := range inputs {
+		c.in[i] = g.push(in)
+	}
+	l := &g.lists[target]
+	for ci := l.first; ci >= 0; ci = g.cands[ci].next {
+		if o := &g.cands[ci]; o.n == c.n && o.in == c.in {
 			return
 		}
 	}
-	g.res.CSS[tk] = append(g.res.CSS[tk], stats.CSS{Rule: rule, Inputs: inputs, Join: join})
-	for _, in := range inputs {
-		g.push(in)
+	ci := int32(len(g.cands))
+	g.cands = append(g.cands, c)
+	if l.first < 0 {
+		l.first = ci
+	} else {
+		g.cands[l.last].next = ci
 	}
+	l.last = ci
+	g.ninput += len(inputs)
 }
 
 // expand generates the CSSs of one statistic by dispatching on its target
 // shape.
-func (g *generator) expand(s stats.Stat) error {
-	bc := g.res.blocks[s.Target.Block]
+func (g *generator) expand(p int32) {
+	s := g.idents[p]
+	bc := g.res.blocks[s.block]
 	switch {
-	case s.Kind == stats.Distinct:
+	case s.kind == stats.Distinct:
 		// A distinct count is the bucket count of the matching histogram
 		// (used by rule G1's input and generally derivable).
-		g.addCSS(s, "D1", stats.Stat{Kind: stats.Hist, Target: s.Target, Attrs: s.Attrs})
-		return nil
-	case s.Target.IsChainPoint():
-		return g.expandChainPoint(bc, s)
-	case s.Target.IsReject():
-		return g.expandReject(bc, s)
-	case s.Target.Set.Len() >= 2:
-		return g.expandJoinSE(bc, s)
+		s.kind = stats.Hist
+		g.addCSS(p, "D1", s)
+	case s.isChainPoint():
+		g.expandInput(bc, p, s, int(s.depth))
+	case s.isReject():
+		g.expandReject(bc, p, s)
+	case s.set.Len() >= 2:
+		g.expandJoinSE(bc, p, s)
 	default:
-		return g.expandSingleton(bc, s)
+		g.expandInput(bc, p, s, bc.chainLen(s.set.Lowest()))
 	}
 }
 
 // expandJoinSE applies the join rules J1–J5 (and the FK metadata shortcut)
 // to a statistic over a multi-input SE.
-func (g *generator) expandJoinSE(bc *blockCtx, s stats.Stat) error {
-	se := s.Target.Set
-	for _, p := range bc.sp.Plans[se] {
-		la, _ := bc.sp.JoinAttrsOf(p)
-		class := bc.sp.ClassOf(la)
-		switch s.Kind {
+func (g *generator) expandJoinSE(bc *blockCtx, p int32, s ident) {
+	attrs := bc.lists.ids[s.attrs]
+	for _, pl := range bc.sp.Plans[s.set] {
+		class := bc.edgeClass[pl.Edge]
+		left, right := seTarget(pl.Left), seTarget(pl.Right)
+		switch s.kind {
 		case stats.Card:
 			// J1: |L ⋈ R| from the join-column distributions.
-			g.addJoinCSS(s, "J1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, p.Left), class),
-				stats.NewHist(stats.BlockSE(bc.idx, p.Right), class))
+			g.addJoinCSS(p, "J1", class, bc.hist(left, class), bc.hist(right, class))
 			// FK shortcut: a look-up join keeps the fact side's
 			// cardinality.
-			if g.opt.FKShortcut {
-				if fact, ok := g.fkFactSide(bc, p); ok {
-					g.addCSS(s, "FK", stats.NewCard(stats.BlockSE(bc.idx, fact)))
+			if g.res.opt.FKShortcut {
+				if fact, ok := fkFactSide(bc, pl); ok {
+					g.addCSS(p, "FK", bc.card(seTarget(fact)))
 				}
 			}
 		case stats.Hist:
-			if inL, inR, ok := g.splitAttrs(bc, p, class, s.Attrs); ok {
+			var bufL, bufR [8]int32
+			if inL, inR, ok := bc.splitAttrs(pl.Left, pl.Right, class, attrs, bufL[:0], bufR[:0]); ok {
 				rule := "J2"
-				if len(s.Attrs) == 1 && s.Attrs[0] == class {
+				if len(attrs) == 1 && attrs[0] == class {
 					rule = "J3"
 				}
-				g.addJoinCSS(s, rule, class,
-					stats.NewHist(stats.BlockSE(bc.idx, p.Left), inL...),
-					stats.NewHist(stats.BlockSE(bc.idx, p.Right), inR...))
+				g.addJoinCSS(p, rule, class, bc.hist(left, inL...), bc.hist(right, inR...))
 			}
 		}
 	}
-	if g.opt.UnionDivision {
-		g.expandUnionDivision(bc, s)
+	if g.res.opt.UnionDivision {
+		g.expandUnionDivision(bc, p, s)
 	}
-	return nil
 }
 
 // splitAttrs partitions a histogram's attribute classes across the two
-// sides of a plan and adds the join class to both, producing the inputs of
-// the generalized J2/J3 rule. ok is false when an attribute lives on
-// neither side.
-func (g *generator) splitAttrs(bc *blockCtx, p expr.Plan, class workflow.Attr, attrs []workflow.Attr) (inL, inR []workflow.Attr, ok bool) {
-	inL = []workflow.Attr{class}
-	inR = []workflow.Attr{class}
+// sides of a join and adds the join class to both, producing the inputs of
+// the generalized J2/J3 rule (appended to inL and inR). ok is false when an
+// attribute lives on neither side.
+func (bc *blockCtx) splitAttrs(left, right expr.Set, class int32, attrs, inL, inR []int32) (_, _ []int32, ok bool) {
+	inL, inR = append(inL, class), append(inR, class)
 	for _, a := range attrs {
-		if a == class {
-			continue // carried by the join attribute itself
-		}
-		if _, okL := bc.sp.MemberIn(p.Left, a); okL {
+		switch {
+		case a == class: // carried by the join attribute itself
+		case bc.owners[a].Intersects(left):
 			inL = append(inL, a)
-			continue
-		}
-		if _, okR := bc.sp.MemberIn(p.Right, a); okR {
+		case bc.owners[a].Intersects(right):
 			inR = append(inR, a)
-			continue
+		default:
+			return nil, nil, false
 		}
-		return nil, nil, false
 	}
 	return inL, inR, true
 }
@@ -183,7 +192,7 @@ func (g *generator) splitAttrs(bc *blockCtx, p expr.Plan, class workflow.Attr, a
 // fkFactSide reports whether plan p is a look-up join: its dimension side
 // is the bare FK-target input with no filtering operators. It returns the
 // fact side when so.
-func (g *generator) fkFactSide(bc *blockCtx, p expr.Plan) (expr.Set, bool) {
+func fkFactSide(bc *blockCtx, p expr.Plan) (expr.Set, bool) {
 	e := bc.blk.Joins[p.Edge]
 	if !e.ForeignKey {
 		return 0, false
@@ -212,15 +221,16 @@ func (g *generator) fkFactSide(bc *blockCtx, p expr.Plan) (expr.Set, bool) {
 // distribution on the (t,k) join attribute, k's distribution, and the
 // statistic over the reject variant of e (t replaced by its rows rejected
 // by the (t,k) predicate).
-func (g *generator) expandUnionDivision(bc *blockCtx, s stats.Stat) {
+func (g *generator) expandUnionDivision(bc *blockCtx, p int32, s ident) {
 	// Union–division is generated for cardinalities and single-attribute
 	// distributions (the paper's J4/J5 shapes). Joint-distribution variants
 	// would square the candidate universe on wide joins for statistics the
 	// selection never favors.
-	if s.Kind == stats.Hist && len(s.Attrs) > 1 {
+	attrs := bc.lists.ids[s.attrs]
+	if s.kind == stats.Hist && len(attrs) > 1 {
 		return
 	}
-	se := s.Target.Set
+	se := s.set
 	for k := 0; k < bc.blk.NumInputs(); k++ {
 		if se.Has(k) {
 			continue
@@ -239,25 +249,26 @@ func (g *generator) expandUnionDivision(bc *blockCtx, s stats.Stat) {
 			default:
 				continue
 			}
-			class := bc.sp.ClassOf(e.LeftAttr)
-			switch s.Kind {
+			class := bc.edgeClass[f]
+			hk := seTarget(expr.NewSet(k))
+			switch s.kind {
 			case stats.Card:
 				// J4: |e| = |H^a_o / H^a_k| + |reject variant of e|.
-				g.addJoinCSS(s, "J4", class,
-					stats.NewHist(stats.BlockSE(bc.idx, o), class),
-					stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
-					stats.NewCard(stats.BlockRejectSE(bc.idx, se, t, f)))
+				g.addJoinCSS(p, "J4", class,
+					bc.hist(seTarget(o), class),
+					bc.hist(hk, class),
+					bc.card(rejectTarget(se, t, f)))
 			case stats.Hist:
-				// J5 additionally carries the wanted attributes through the
-				// division; they must all live inside e.
-				if !bc.seHasAttrs(se, s.Attrs) {
+				// J5 additionally carries the wanted attribute through the
+				// division; it must live inside e.
+				if !bc.owners[attrs[0]].Intersects(se) {
 					continue
 				}
-				oAttrs := append([]workflow.Attr{class}, s.Attrs...)
-				g.addJoinCSS(s, "J5", class,
-					stats.NewHist(stats.BlockSE(bc.idx, o), oAttrs...),
-					stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class),
-					stats.NewHist(stats.BlockRejectSE(bc.idx, se, t, f), s.Attrs...))
+				var buf [8]int32
+				g.addJoinCSS(p, "J5", class,
+					bc.hist(seTarget(o), append(append(buf[:0], class), attrs...)...),
+					bc.hist(hk, class),
+					bc.stat(stats.Hist, rejectTarget(se, t, f), attrs...))
 			}
 		}
 	}
@@ -269,38 +280,31 @@ func (g *generator) expandUnionDivision(bc *blockCtx, s stats.Stat) {
 // its reject singleton. The reject singleton itself can be derived from the
 // base input's joint distribution and the partner's join-column
 // distribution (the rows whose join value finds no partner).
-func (g *generator) expandReject(bc *blockCtx, s stats.Stat) error {
-	se := s.Target.Set
-	t := s.Target.RejectInput
-	f := s.Target.RejectEdge
-	if se.Len() == 1 {
-		// Singleton reject T̄t: derivable from H_t on (join attr ∪ attrs)
-		// plus the partner's join-column distribution (rule R1, the
-		// anti-join complement of J1/J2).
+func (g *generator) expandReject(bc *blockCtx, p int32, s ident) {
+	attrs := bc.lists.ids[s.attrs]
+	t, f := int(s.rejIn), int(s.rejEdge)
+	single := expr.NewSet(t)
+	if s.set.Len() == 1 {
+		// Singleton reject T̄t: derivable from H_t on (join attr ∪ attrs;
+		// attrs is empty for a cardinality) plus the partner's join-column
+		// distribution (rule R1, the anti-join complement of J1/J2).
 		e := bc.blk.Joins[f]
 		k := e.LeftInput
 		if k == t {
 			k = e.RightInput
 		}
-		class := bc.sp.ClassOf(e.LeftAttr)
-		switch s.Kind {
-		case stats.Card:
-			g.addJoinCSS(s, "R1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(t)), class),
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
-		case stats.Hist:
-			tAttrs := append([]workflow.Attr{class}, s.Attrs...)
-			g.addJoinCSS(s, "R1", class,
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(t)), tAttrs...),
-				stats.NewHist(stats.BlockSE(bc.idx, expr.NewSet(k)), class))
-		}
-		return nil
+		class := bc.edgeClass[f]
+		var buf [8]int32
+		g.addJoinCSS(p, "R1", class,
+			bc.hist(seTarget(single), append(append(buf[:0], class), attrs...)...),
+			bc.hist(seTarget(expr.NewSet(k)), class))
+		return
 	}
 	// Multi-input reject variant: join the reject singleton with the rest
 	// of the SE over the unique tree edge connecting t to the rest.
-	rest := se.Without(expr.NewSet(t))
+	rest := s.set.Without(single)
 	if !bc.sp.Connected(rest) {
-		return nil
+		return
 	}
 	gEdge := -1
 	for j, e := range bc.blk.Joins {
@@ -310,147 +314,101 @@ func (g *generator) expandReject(bc *blockCtx, s stats.Stat) error {
 		}
 	}
 	if gEdge < 0 {
-		return nil
+		return
 	}
-	class := bc.sp.ClassOf(bc.blk.Joins[gEdge].LeftAttr)
-	switch s.Kind {
-	case stats.Card:
-		g.addJoinCSS(s, "J1", class,
-			stats.NewHist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), class),
-			stats.NewHist(stats.BlockSE(bc.idx, rest), class))
-	case stats.Hist:
-		// Split wanted attributes between the reject singleton and the
-		// rest, as in the generalized J2.
-		tAttrs := []workflow.Attr{class}
-		restAttrs := []workflow.Attr{class}
-		for _, a := range s.Attrs {
-			if a == class {
-				continue
-			}
-			if _, ok := bc.sp.MemberIn(expr.NewSet(t), a); ok {
-				tAttrs = append(tAttrs, a)
-				continue
-			}
-			if _, ok := bc.sp.MemberIn(rest, a); ok {
-				restAttrs = append(restAttrs, a)
-				continue
-			}
-			return nil
-		}
-		g.addJoinCSS(s, "J2", class,
-			stats.NewHist(stats.BlockRejectSE(bc.idx, expr.NewSet(t), t, f), tAttrs...),
-			stats.NewHist(stats.BlockSE(bc.idx, rest), restAttrs...))
+	class := bc.edgeClass[gEdge]
+	rule := "J1"
+	if s.kind == stats.Hist {
+		rule = "J2"
 	}
-	return nil
+	// Split wanted attributes (none for a cardinality) between the reject
+	// singleton and the rest, as in the generalized J2.
+	var bufT, bufR [8]int32
+	if tAttrs, restAttrs, ok := bc.splitAttrs(single, rest, class, attrs, bufT[:0], bufR[:0]); ok {
+		g.addJoinCSS(p, rule, class, bc.hist(rejectTarget(single, t, f), tAttrs...), bc.hist(seTarget(rest), restAttrs...))
+	}
 }
 
-// expandSingleton handles statistics over a cooked single input: when the
-// input has pushed-down operators, the chain rules (S/P/U) relate it to the
-// previous chain point; when it is an upstream block's output, the
-// cross-block boundary rules (G/U/pass-through) relate it to the upstream
-// block's full SE.
-func (g *generator) expandSingleton(bc *blockCtx, s stats.Stat) error {
-	i := s.Target.Set.Lowest()
-	n := bc.chainLen(i)
-	if n > 0 {
-		g.chainRule(bc, s, i, n)
-		return nil
-	}
-	if g.opt.CrossBlock {
-		g.crossBlockRule(bc, s, i)
-	}
-	return nil
-}
-
-// expandChainPoint handles statistics at intermediate chain points.
-func (g *generator) expandChainPoint(bc *blockCtx, s stats.Stat) error {
-	i := s.Target.Set.Lowest()
-	d := s.Target.Depth
+// expandInput handles statistics over a single input at chain depth d (the
+// chain's length for the cooked input): past a pushed-down operator, the
+// chain rules (S/P/U) relate the point to the previous one; at depth 0 of an
+// upstream block's output, the cross-block boundary rules (G/U/pass-through)
+// relate it to the upstream block's full SE.
+func (g *generator) expandInput(bc *blockCtx, p int32, s ident, d int) {
+	i := s.set.Lowest()
 	if d > 0 {
-		g.chainRule(bc, s, i, d)
-		return nil
+		g.chainRule(bc, p, s, i, d)
+	} else if g.res.opt.CrossBlock {
+		g.crossBlockRule(bc, p, s, i)
 	}
-	if g.opt.CrossBlock {
-		g.crossBlockRule(bc, s, i)
-	}
-	return nil
 }
 
 // chainTarget canonicalizes a chain-point reference: depth equal to the
 // chain length is the cooked SE; depth 0 with no upstream block and no ops
 // is also the cooked SE.
-func (g *generator) chainTarget(bc *blockCtx, i, d int) stats.Target {
-	if d >= bc.chainLen(i) {
-		return stats.BlockSE(bc.idx, expr.NewSet(i))
+func chainTarget(bc *blockCtx, i, d int) target {
+	t := seTarget(expr.NewSet(i))
+	if d < bc.chainLen(i) {
+		t.depth = int16(d)
 	}
-	return stats.Target{Block: bc.idx, Set: expr.NewSet(i), Depth: d, RejectInput: -1, RejectEdge: -1}
+	return t
 }
 
 // chainRule relates the statistic at chain point d of input i to the point
 // d-1 through operator ops[d-1], per Tables 2 and 5 of the paper.
-func (g *generator) chainRule(bc *blockCtx, s stats.Stat, i, d int) {
+func (g *generator) chainRule(bc *blockCtx, p int32, s ident, i, d int) {
+	attrs := bc.lists.ids[s.attrs]
 	op := bc.blk.Inputs[i].Ops[d-1]
-	prev := g.chainTarget(bc, i, d-1)
+	prev := chainTarget(bc, i, d-1)
 	switch op.Kind {
 	case workflow.KindSelect:
-		predClass := bc.sp.ClassOf(op.Pred.Attr)
-		switch s.Kind {
+		switch s.kind {
 		case stats.Card:
 			// S1: |σ_a(T)| from H^a_T.
-			g.addCSS(s, "S1", stats.NewHist(prev, predClass))
+			g.addCSS(p, "S1", bc.hist(prev, bc.classID(op.Pred.Attr)))
 		case stats.Hist:
 			// S2: H^b of the selection from H^{a∪b} of the input (when b
 			// already contains a this is just H^b).
-			need := append([]workflow.Attr(nil), s.Attrs...)
-			if !attrInReps(need, predClass) {
+			var buf [8]int32
+			need := append(buf[:0], attrs...)
+			if predClass := bc.classID(op.Pred.Attr); !slices.Contains(need, predClass) {
 				need = append(need, predClass)
 			}
-			if _, ok := bc.membersAt(i, d-1, need); !ok {
-				return
+			if bc.hasAttrsAt(i, d-1, need) {
+				g.addCSS(p, "S2", bc.hist(prev, need...))
 			}
-			g.addCSS(s, "S2", stats.NewHist(prev, need...))
 		}
-	case workflow.KindProject:
-		switch s.Kind {
-		case stats.Card:
-			// P1: projection preserves cardinality.
-			g.addCSS(s, "P1", stats.NewCard(prev))
-		case stats.Hist:
-			// P2: distributions over retained columns are unchanged.
-			if _, ok := bc.membersAt(i, d-1, s.Attrs); !ok {
-				return
-			}
-			g.addCSS(s, "P2", stats.NewHist(prev, s.Attrs...))
+	case workflow.KindProject, workflow.KindTransform:
+		rules := [2]string{"P1", "P2"}
+		if op.Kind == workflow.KindTransform {
+			rules = [2]string{"U1", "U2"}
 		}
-	case workflow.KindTransform:
-		outClass := bc.sp.ClassOf(op.Transform.Out)
-		switch s.Kind {
+		switch s.kind {
 		case stats.Card:
-			// U1: transforms preserve cardinality.
-			g.addCSS(s, "U1", stats.NewCard(prev))
+			// P1, U1: projections and transforms preserve cardinality.
+			g.addCSS(p, rules[0], bc.card(prev))
 		case stats.Hist:
-			// U2: distributions not involving the derived attribute are
-			// unchanged; distributions over it are black-box.
-			if attrInReps(s.Attrs, outClass) {
+			// P2, U2: distributions over retained columns are unchanged;
+			// distributions over a derived attribute are black-box.
+			if op.Kind == workflow.KindTransform && slices.Contains(attrs, bc.classID(op.Transform.Out)) {
 				return
 			}
-			if _, ok := bc.membersAt(i, d-1, s.Attrs); !ok {
-				return
+			if bc.hasAttrsAt(i, d-1, attrs) {
+				g.addCSS(p, rules[1], bc.hist(prev, attrs...))
 			}
-			g.addCSS(s, "U2", stats.NewHist(prev, s.Attrs...))
 		}
 	}
 }
 
 // crossBlockRule relates a block input fed by an upstream block to the
 // upstream block's full SE through the boundary operator.
-func (g *generator) crossBlockRule(bc *blockCtx, s stats.Stat, i int) {
+func (g *generator) crossBlockRule(bc *blockCtx, p int32, s ident, i int) {
 	in := bc.blk.Inputs[i]
 	if in.FromBlock < 0 {
 		return // base relation: only direct observation
 	}
 	up := g.res.blocks[in.FromBlock]
-	upFull := stats.BlockSE(up.idx, up.sp.Full())
+	upFull := seTarget(up.sp.Full())
 	// Only single-terminator blocks have a clean boundary derivation; a
 	// longer pinned pipeline is treated as opaque.
 	if len(up.blk.TopOps) > 1 {
@@ -460,123 +418,66 @@ func (g *generator) crossBlockRule(bc *blockCtx, s stats.Stat, i int) {
 	if len(up.blk.TopOps) == 1 {
 		term = up.blk.TopOps[0]
 	}
+	attrs := bc.lists.ids[s.attrs]
 	// Translate attribute classes from this block's space to the upstream
 	// block's. A downstream class representative may not exist upstream;
 	// find a physical member in the boundary schema first.
-	translate := func(reps []workflow.Attr) ([]workflow.Attr, bool) {
-		out := make([]workflow.Attr, 0, len(reps))
-		for _, rep := range reps {
-			phys, ok := bc.memberAt(i, 0, rep)
+	translate := func(classes, out []int32) ([]int32, bool) {
+		for _, c := range classes {
+			phys, ok := memberIn(bc.chainAttrs[i][0], bc.members[c])
 			if !ok {
 				return nil, false
 			}
-			upRep := up.sp.ClassOf(phys)
-			if _, ok := up.sp.MemberIn(up.sp.Full(), upRep); !ok {
+			upClass := up.classID(phys)
+			if !up.owners[upClass].Intersects(up.sp.Full()) {
 				return nil, false
 			}
-			out = append(out, upRep)
+			out = append(out, upClass)
 		}
 		return out, true
 	}
+	var buf, keyBuf [8]int32
 	switch {
-	case term == nil || term.Kind == workflow.KindMaterialize:
-		// Pass-through: the boundary record-set is the upstream SE.
-		switch s.Kind {
+	case term == nil || term.Kind == workflow.KindMaterialize || term.Kind == workflow.KindTransform:
+		// Pass-through (B0): the boundary record-set is the upstream SE. A
+		// transform (U1/U2) also keeps the rows, and every distribution but
+		// those over the attribute it derives.
+		rules := [2]string{"B0", "B0"}
+		if term != nil && term.Kind == workflow.KindTransform {
+			rules = [2]string{"U1", "U2"}
+			if slices.Contains(attrs, bc.classID(term.Transform.Out)) {
+				return
+			}
+		}
+		switch s.kind {
 		case stats.Card:
-			g.addCSS(s, "B0", stats.NewCard(upFull))
+			g.addCSS(p, rules[0], up.card(upFull))
 		case stats.Hist:
-			if attrs, ok := translate(s.Attrs); ok {
-				g.addCSS(s, "B0", stats.NewHist(upFull, attrs...))
+			if upAttrs, ok := translate(attrs, buf[:0]); ok {
+				g.addCSS(p, rules[1], up.hist(upFull, upAttrs...))
 			}
 		}
 	case term.Kind == workflow.KindGroupBy:
-		keys, ok := translate(classReps(bc.sp, term.Cols))
+		cols := keyBuf[:0]
+		for _, a := range term.Cols {
+			cols = append(cols, bc.classID(a))
+		}
+		keys, ok := translate(cols, cols[:0])
 		if !ok {
 			return
 		}
-		switch s.Kind {
+		switch s.kind {
 		case stats.Card:
 			// G1: |G(T,a)| = |a_T|.
-			g.addCSS(s, "G1", stats.NewDistinct(upFull, keys...))
+			g.addCSS(p, "G1", up.stat(stats.Distinct, upFull, keys...))
 		case stats.Hist:
 			// G2: distributions over (subsets of) the grouping keys come
 			// from the upstream key distribution, one count per group.
-			attrs, ok := translate(s.Attrs)
-			if !ok || !repsSubset(attrs, keys) {
-				return
-			}
-			g.addCSS(s, "G2", stats.NewHist(upFull, keys...))
-		}
-	case term.Kind == workflow.KindTransform:
-		outClass := bc.sp.ClassOf(term.Transform.Out)
-		switch s.Kind {
-		case stats.Card:
-			g.addCSS(s, "U1", stats.NewCard(upFull))
-		case stats.Hist:
-			if attrInReps(s.Attrs, outClass) {
-				return
-			}
-			if attrs, ok := translate(s.Attrs); ok {
-				g.addCSS(s, "U2", stats.NewHist(upFull, attrs...))
+			if upAttrs, ok := translate(attrs, buf[:0]); ok && subset(upAttrs, keys) {
+				g.addCSS(p, "G2", up.hist(upFull, keys...))
 			}
 		}
 	default:
 		// Aggregate UDFs are black boxes: no derivation (trivial CSS only).
-	}
-}
-
-func attrInReps(reps []workflow.Attr, a workflow.Attr) bool {
-	for _, r := range reps {
-		if r == a {
-			return true
-		}
-	}
-	return false
-}
-
-func repsSubset(sub, super []workflow.Attr) bool {
-	for _, a := range sub {
-		if !attrInReps(super, a) {
-			return false
-		}
-	}
-	return true
-}
-
-func classReps(sp *expr.Space, attrs []workflow.Attr) []workflow.Attr {
-	out := make([]workflow.Attr, 0, len(attrs))
-	for _, a := range attrs {
-		out = append(out, sp.ClassOf(a))
-	}
-	return workflow.SortAttrs(dedupe(out))
-}
-
-func dedupe(attrs []workflow.Attr) []workflow.Attr {
-	seen := make(map[workflow.Attr]bool, len(attrs))
-	out := attrs[:0]
-	for _, a := range attrs {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// dedupeCSS removes duplicate candidate sets (same rule inputs produced by
-// different plans) per target.
-func (g *generator) dedupeCSS() {
-	for k, list := range g.res.CSS {
-		seen := make(map[string]bool, len(list))
-		var out []stats.CSS
-		for _, c := range list {
-			sig := fmt.Sprintf("%v", c.Keys())
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			out = append(out, c)
-		}
-		g.res.CSS[k] = out
 	}
 }

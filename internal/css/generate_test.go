@@ -1,6 +1,8 @@
 package css
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/expr"
@@ -35,6 +37,25 @@ func retailAnalysis(t *testing.T) *workflow.Analysis {
 		t.Fatalf("Analyze: %v", err)
 	}
 	return an
+}
+
+// cssOf returns a statistic's candidate sets in descriptor form (none for a
+// statistic outside the universe), going through the Lookup door.
+func cssOf(res *Result, s stats.Stat) []stats.CSS {
+	id, ok := res.Lookup(s)
+	if !ok {
+		return nil
+	}
+	out := make([]stats.CSS, len(res.CSS[id]))
+	for i, c := range res.CSS[id] {
+		out[i] = res.Describe(c)
+	}
+	return out
+}
+
+func observable(res *Result, s stats.Stat) bool {
+	id, ok := res.Lookup(s)
+	return ok && res.Observable[id]
 }
 
 func inputIdx(t *testing.T, blk *workflow.Block, name string) int {
@@ -83,8 +104,8 @@ func TestGenerateRetailJ1CSS(t *testing.T) {
 
 	// |OPC| must have the two J1 CSSs of Section 4.3: {H^cid_OP, H^cid_C}
 	// and {H^pid_OC, H^pid_P}.
-	cardFull := stats.NewCard(stats.BlockSE(0, full)).Key()
-	csss := res.CSS[cardFull]
+	cardFull := stats.NewCard(stats.BlockSE(0, full))
+	csss := cssOf(res, cardFull)
 	var j1 int
 	for _, cs := range csss {
 		if cs.Rule == "J1" {
@@ -102,7 +123,7 @@ func TestGenerateRetailJ1CSS(t *testing.T) {
 	cidClass := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "cid"})
 	hOC := stats.NewHist(stats.BlockSE(0, expr.NewSet(o, c)), pidClass)
 	found := false
-	for _, cs := range res.CSS[hOC.Key()] {
+	for _, cs := range cssOf(res, hOC) {
 		if cs.Rule != "J2" || len(cs.Inputs) != 2 {
 			continue
 		}
@@ -120,7 +141,7 @@ func TestGenerateRetailJ1CSS(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("H^pid_OC lacks the J2 CSS {H^{pid,cid}_O, H^cid_C}: %+v", res.CSS[hOC.Key()])
+		t.Errorf("H^pid_OC lacks the J2 CSS {H^{pid,cid}_O, H^cid_C}: %+v", cssOf(res, hOC))
 	}
 }
 
@@ -142,9 +163,9 @@ func TestGenerateUnionDivisionAddsCSS(t *testing.T) {
 	blk := an.Blocks[0]
 	o := inputIdx(t, blk, "Orders")
 	c := inputIdx(t, blk, "Customer")
-	cardOC := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c))).Key()
+	cardOC := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c)))
 	var hasJ4 bool
-	for _, cs := range ud.CSS[cardOC] {
+	for _, cs := range cssOf(ud, cardOC) {
 		if cs.Rule == "J4" {
 			hasJ4 = true
 			if len(cs.Inputs) != 3 {
@@ -162,7 +183,7 @@ func TestGenerateUnionDivisionAddsCSS(t *testing.T) {
 		}
 	}
 	if !hasJ4 {
-		t.Fatalf("|OC| lacks a J4 CSS: %+v", ud.CSS[cardOC])
+		t.Fatalf("|OC| lacks a J4 CSS: %+v", cssOf(ud, cardOC))
 	}
 }
 
@@ -203,15 +224,15 @@ func TestGenerateObservability(t *testing.T) {
 	p := inputIdx(t, blk, "Product")
 	c := inputIdx(t, blk, "Customer")
 	// OP is in the initial plan: |OP| observable. OC is not.
-	if !res.Observable[stats.NewCard(stats.BlockSE(0, expr.NewSet(o, p))).Key()] {
+	if !observable(res, stats.NewCard(stats.BlockSE(0, expr.NewSet(o, p)))) {
 		t.Error("|OP| should be observable")
 	}
-	if res.Observable[stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c))).Key()] {
+	if observable(res, stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c)))) {
 		t.Error("|OC| should not be observable")
 	}
 	// Base relations always observable.
 	for _, i := range []int{o, p, c} {
-		if !res.Observable[stats.NewCard(stats.BlockSE(0, expr.NewSet(i))).Key()] {
+		if !observable(res, stats.NewCard(stats.BlockSE(0, expr.NewSet(i)))) {
 			t.Errorf("base input %d cardinality should be observable", i)
 		}
 	}
@@ -227,9 +248,9 @@ func TestGenerateIdentityRules(t *testing.T) {
 	// same target.
 	blk := an.Blocks[0]
 	o := inputIdx(t, blk, "Orders")
-	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(o))).Key()
+	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(o)))
 	var hasI1 bool
-	for _, cs := range res.CSS[cardO] {
+	for _, cs := range cssOf(res, cardO) {
 		if cs.Rule == "I1" {
 			hasI1 = true
 			if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Hist {
@@ -245,41 +266,31 @@ func TestGenerateIdentityRules(t *testing.T) {
 	// substituted CSS {H^{cid,pid}_OP, H^cid_C} for |OPC| through the
 	// closure.
 	var hasI2 bool
-	for k := range res.CSS {
-		for _, cs := range res.CSS[k] {
+	for id, list := range res.CSS {
+		for _, cs := range list {
 			if cs.Rule == "I2" {
-				if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Hist {
+				if len(cs.Inputs) != 1 || res.Stats[cs.Inputs[0]].Kind != stats.Hist {
 					t.Errorf("I2 CSS malformed: %+v", cs)
 				}
-				if len(cs.Inputs[0].Attrs) <= len(res.Stats[k].Attrs) {
+				if len(res.Stats[cs.Inputs[0]].Attrs) <= len(res.Stats[id].Attrs) {
 					t.Errorf("I2 input not a strict superset: %+v", cs)
 				}
 				hasI2 = true
+			}
+			// No CSS may reference its own target, and every input must be
+			// part of the universe.
+			for _, in := range cs.Inputs {
+				if int(in) == id {
+					t.Errorf("CSS for %v references itself", res.Stats[id].Key())
+				}
+				if in < 0 || int(in) >= len(res.Stats) {
+					t.Errorf("CSS input %d missing from universe", in)
+				}
 			}
 		}
 	}
 	if !hasI2 {
 		t.Error("no I2 CSS generated anywhere")
-	}
-	// No CSS may reference its own target.
-	for k, list := range res.CSS {
-		for _, cs := range list {
-			for _, in := range cs.Inputs {
-				if in.Key() == k {
-					t.Errorf("CSS for %v references itself", k)
-				}
-			}
-		}
-	}
-	// Every CSS input must be part of the universe.
-	for _, list := range res.CSS {
-		for _, cs := range list {
-			for _, in := range cs.Inputs {
-				if _, ok := res.Stats[in.Key()]; !ok {
-					t.Errorf("CSS input %v missing from universe", in.Key())
-				}
-			}
-		}
 	}
 }
 
@@ -303,7 +314,7 @@ func TestGenerateFKShortcut(t *testing.T) {
 	}
 	full := res.Space(0).Full()
 	var hasFK bool
-	for _, cs := range res.CSS[stats.NewCard(stats.BlockSE(0, full)).Key()] {
+	for _, cs := range cssOf(res, stats.NewCard(stats.BlockSE(0, full))) {
 		if cs.Rule == "FK" {
 			hasFK = true
 			if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Card {
@@ -319,7 +330,7 @@ func TestGenerateFKShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	for _, cs := range res2.CSS[stats.NewCard(stats.BlockSE(0, full)).Key()] {
+	for _, cs := range cssOf(res2, stats.NewCard(stats.BlockSE(0, full))) {
 		if cs.Rule == "FK" {
 			t.Error("FK CSS generated despite disabled option")
 		}
@@ -352,9 +363,9 @@ func TestGenerateChainRules(t *testing.T) {
 	blk := an.Blocks[0]
 	oIdx := inputIdx(t, blk, "Orders")
 	// |σ(Orders)| must have an S1 CSS referencing the raw chain point.
-	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(oIdx))).Key()
+	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(oIdx)))
 	var hasS1 bool
-	for _, cs := range res.CSS[cardO] {
+	for _, cs := range cssOf(res, cardO) {
 		if cs.Rule == "S1" {
 			hasS1 = true
 			in := cs.Inputs[0]
@@ -364,25 +375,25 @@ func TestGenerateChainRules(t *testing.T) {
 		}
 	}
 	if !hasS1 {
-		t.Errorf("filtered input lacks S1 CSS: %+v", res.CSS[cardO])
+		t.Errorf("filtered input lacks S1 CSS: %+v", cssOf(res, cardO))
 	}
 	// H^pid of the filtered input needs the joint (pid,qty) on the raw
 	// source (S2).
 	sp := res.Space(0)
 	pidClass := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "pid"})
-	hO := stats.NewHist(stats.BlockSE(0, expr.NewSet(oIdx)), pidClass).Key()
+	hO := stats.NewHist(stats.BlockSE(0, expr.NewSet(oIdx)), pidClass)
 	var hasS2 bool
-	for _, cs := range res.CSS[hO] {
+	for _, cs := range cssOf(res, hO) {
 		if cs.Rule == "S2" && len(cs.Inputs) == 1 && len(cs.Inputs[0].Attrs) == 2 {
 			hasS2 = true
 		}
 	}
 	if !hasS2 {
-		t.Errorf("H^pid of filtered input lacks S2 CSS: %+v", res.CSS[hO])
+		t.Errorf("H^pid of filtered input lacks S2 CSS: %+v", cssOf(res, hO))
 	}
 	// Chain points are observable.
 	raw := stats.NewHist(stats.ChainPoint(0, oIdx, 0), pidClass, sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "qty"}))
-	if !res.Observable[raw.Key()] {
+	if !observable(res, raw) {
 		t.Error("raw chain point histogram should be observable")
 	}
 }
@@ -426,9 +437,9 @@ func TestGenerateCrossBlockGroupBy(t *testing.T) {
 	if gIdx < 0 {
 		t.Fatal("downstream block lacks the upstream input")
 	}
-	cardG := stats.NewCard(stats.BlockSE(1, expr.NewSet(gIdx))).Key()
+	cardG := stats.NewCard(stats.BlockSE(1, expr.NewSet(gIdx)))
 	var hasG1 bool
-	for _, cs := range res.CSS[cardG] {
+	for _, cs := range cssOf(res, cardG) {
 		if cs.Rule == "G1" {
 			hasG1 = true
 			if cs.Inputs[0].Kind != stats.Distinct || cs.Inputs[0].Target.Block != 0 {
@@ -437,14 +448,14 @@ func TestGenerateCrossBlockGroupBy(t *testing.T) {
 		}
 	}
 	if !hasG1 {
-		t.Errorf("group-by boundary lacks G1 CSS: %+v", res.CSS[cardG])
+		t.Errorf("group-by boundary lacks G1 CSS: %+v", cssOf(res, cardG))
 	}
 	// Without cross-block derivation the G1 CSS disappears.
 	res2, err := Generate(an, Options{UnionDivision: true})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	for _, cs := range res2.CSS[cardG] {
+	for _, cs := range cssOf(res2, cardG) {
 		if cs.Rule == "G1" {
 			t.Error("G1 generated despite disabled cross-block option")
 		}
@@ -461,10 +472,24 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	if len(r1.Stats) != len(r2.Stats) || r1.NumCSS() != r2.NumCSS() {
-		t.Fatalf("nondeterministic generation: %d/%d stats, %d/%d CSS",
-			len(r1.Stats), len(r2.Stats), r1.NumCSS(), r2.NumCSS())
+	if a, b := render(r1), render(r2); a != b {
+		t.Fatalf("nondeterministic generation:\n%s\nvs\n%s", a, b)
 	}
+}
+
+// render spells a result canonically: the universe in order with its
+// observability bits, every candidate set, and S_C (the rendering the
+// suite's planner digest hashes).
+func render(res *Result) string {
+	var sb strings.Builder
+	for id, s := range res.Stats {
+		fmt.Fprintf(&sb, "%d %v obs=%t rej=%t\n", id, s.Key(), res.Observable[id], res.NeedsRejectLink[id])
+		for _, c := range res.CSS[id] {
+			fmt.Fprintf(&sb, "  %s %v %v\n", c.Rule, c.Join, c.Inputs)
+		}
+	}
+	fmt.Fprintf(&sb, "required %v\n", res.RequiredIDs)
+	return sb.String()
 }
 
 func TestPhysicalAttrs(t *testing.T) {

@@ -1,10 +1,10 @@
 package css
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/stats"
-	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // applyIdentityRules implements lines 17–21 of Algorithm 1. The identity
@@ -23,43 +23,61 @@ import (
 //     closure (the substituted CSS is covered exactly when the superset
 //     histogram makes the coarser one computable) while keeping the CSS
 //     count linear in the number of statistics.
-func (g *generator) applyIdentityRules() {
-	// Index the generated histogram statistics by target, so superset
-	// lookups touch only existing statistics.
-	histsByTarget := make(map[stats.Target][]stats.Stat)
-	for _, s := range g.res.Stats {
-		if s.Kind == stats.Hist {
-			histsByTarget[s.Target] = append(histsByTarget[s.Target], s)
+//
+// order lists the provisional ids canonically, which puts the histograms of
+// one target next to each other, sorted by attribute string.
+func (g *generator) applyIdentityRules(order []int32) {
+	var group []ident
+	for lo := 0; lo < len(order); {
+		first := g.idents[order[lo]]
+		hi := lo + 1
+		for hi < len(order) && sameButAttrs(g.idents[order[hi]], first) {
+			hi++
 		}
-	}
-	for t := range histsByTarget {
-		sort.Slice(histsByTarget[t], func(i, j int) bool {
-			a, b := histsByTarget[t][i], histsByTarget[t][j]
-			if len(a.Attrs) != len(b.Attrs) {
-				return len(a.Attrs) < len(b.Attrs)
+		if first.kind == stats.Hist {
+			// Candidate order is by attribute count, then string.
+			group = group[:0]
+			for _, p := range order[lo:hi] {
+				group = append(group, g.idents[p])
 			}
-			return workflow.AttrsString(a.Attrs) < workflow.AttrsString(b.Attrs)
-		})
+			lists := g.res.blocks[first.block].lists.ids
+			slices.SortStableFunc(group, func(a, b ident) int {
+				return cmp.Compare(len(lists[a.attrs]), len(lists[b.attrs]))
+			})
+			g.identityRules(group, lists)
+		}
+		lo = hi
 	}
+}
 
-	for k, s := range g.res.Stats {
-		switch s.Kind {
-		case stats.Card:
-			// I1: |T| from any histogram on T.
-			for _, h := range histsByTarget[s.Target] {
-				g.res.CSS[k] = append(g.res.CSS[k], stats.CSS{Rule: "I1", Inputs: []stats.Stat{h}})
-			}
-		case stats.Hist:
-			// I2: H^a_T from any existing H^{a∪b}_T.
-			for _, super := range histsByTarget[s.Target] {
-				if len(super.Attrs) <= len(s.Attrs) {
-					continue
-				}
-				if !repsSubset(s.Attrs, super.Attrs) {
-					continue
-				}
-				g.res.CSS[k] = append(g.res.CSS[k], stats.CSS{Rule: "I2", Inputs: []stats.Stat{super}})
+func sameButAttrs(a, b ident) bool { a.attrs = b.attrs; return a == b }
+
+// identityRules applies I1 and I2 over the histograms of one target.
+func (g *generator) identityRules(hists []ident, lists [][]int32) {
+	// I1: |T| from any histogram on T.
+	card := hists[0]
+	card.kind, card.attrs = stats.Card, 0
+	if p, ok := g.ids[card]; ok {
+		for _, h := range hists {
+			g.addCSS(p, "I1", h)
+		}
+	}
+	// I2: H^a_T from any existing H^{a∪b}_T.
+	for _, s := range hists {
+		p := g.ids[s]
+		for _, super := range hists {
+			if len(lists[super.attrs]) > len(lists[s.attrs]) && subset(lists[s.attrs], lists[super.attrs]) {
+				g.addCSS(p, "I2", super)
 			}
 		}
 	}
+}
+
+func subset(sub, super []int32) bool {
+	for _, a := range sub {
+		if !slices.Contains(super, a) {
+			return false
+		}
+	}
+	return true
 }

@@ -5,10 +5,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// classifyObservable partitions the statistic universe into observable and
-// derived-only statistics (the S_O of Section 5.1). A statistic is
-// observable when the initial plan, suitably instrumented, produces the
-// record-set it describes:
+// classify sorts a statistic into observable or derived-only (the S_O of
+// Section 5.1). A statistic is observable when the initial plan, suitably
+// instrumented, produces the record-set it describes:
 //
 //   - every chain point of every input runs in every plan;
 //   - a cooked SE is produced exactly when it appears in the initial join
@@ -23,30 +22,20 @@ import (
 //     stream with r, which is how the paper observes |T̄1 ⋈ T2| with a
 //     plain counter in rule J4;
 //   - wider reject variants are derived from those via the join rules.
-func (g *generator) classifyObservable() {
-	for k, s := range g.res.Stats {
-		bc := g.res.blocks[s.Target.Block]
-		switch {
-		case s.Target.IsChainPoint():
-			g.res.Observable[k] = true
-		case s.Target.IsReject():
-			t, f := s.Target.RejectInput, s.Target.RejectEdge
-			if !rejectObservable(bc, t, f) {
-				continue
-			}
-			switch rest := s.Target.Set.Without(expr.NewSet(t)); {
-			case rest.Empty():
-				g.res.Observable[k] = true
-				g.res.NeedsRejectLink[k] = true
-			case rest.Len() == 1 && directEdge(bc, t, rest.Lowest()) >= 0:
-				g.res.Observable[k] = true
-				g.res.NeedsRejectLink[k] = true
-			}
-		default:
-			if bc.sp.Initial[s.Target.Set] {
-				g.res.Observable[k] = true
-			}
+func classify(bc *blockCtx, s target) (observable, needsRejectLink bool) {
+	switch {
+	case s.isChainPoint():
+		return true, false
+	case s.isReject():
+		t := int(s.rejIn)
+		if !rejectObservable(bc, t, int(s.rejEdge)) {
+			return false, false
 		}
+		rest := s.set.Without(expr.NewSet(t))
+		ok := rest.Empty() || rest.Len() == 1 && directEdge(bc, t, rest.Lowest()) >= 0
+		return ok, ok
+	default:
+		return bc.sp.Initial[s.set], false
 	}
 }
 
@@ -83,45 +72,35 @@ func rejectObservable(bc *blockCtx, t, f int) bool {
 // callers may observe ad-hoc statistics (e.g. extra diagnostics) beyond the
 // selector's choice.
 func (r *Result) StatObservable(s stats.Stat) bool {
-	if k := s.Key(); r.Observable[k] {
-		return true
+	if id, ok := r.Lookup(s); ok {
+		return r.Observable[id]
 	}
-	if s.Target.Block < 0 || s.Target.Block >= len(r.blocks) {
+	t := s.Target
+	if t.Block < 0 || t.Block >= len(r.blocks) {
 		return false
 	}
-	bc := r.blocks[s.Target.Block]
+	bc := r.blocks[t.Block]
 	switch {
-	case s.Target.IsChainPoint():
-		i := s.Target.Set.Lowest()
-		return i >= 0 && i < len(bc.blk.Inputs) && s.Target.Depth <= bc.chainLen(i)
-	case s.Target.IsReject():
-		t, f := s.Target.RejectInput, s.Target.RejectEdge
-		if f < 0 || f >= len(bc.blk.Joins) || !rejectObservable(bc, t, f) {
+	case t.IsChainPoint():
+		if i := t.Set.Lowest(); i < 0 || i >= len(bc.blk.Inputs) || t.Depth > bc.chainLen(i) {
 			return false
 		}
-		rest := s.Target.Set.Without(expr.NewSet(t))
-		return rest.Empty() || rest.Len() == 1 && directEdge(bc, t, rest.Lowest()) >= 0
-	default:
-		return bc.sp.Initial[s.Target.Set]
+	case t.IsReject():
+		if t.RejectEdge < 0 || t.RejectEdge >= len(bc.blk.Joins) {
+			return false
+		}
 	}
+	ok, _ := classify(bc, targetOf(t))
+	return ok
 }
 
-// ObservableStats returns the observable statistics in deterministic order.
+// ObservableStats returns the observable statistics in canonical order.
 func (r *Result) ObservableStats() []stats.Stat {
 	var out []stats.Stat
-	for k := range r.Observable {
-		out = append(out, r.Stats[k])
+	for id, ok := range r.Observable {
+		if ok {
+			out = append(out, r.Stats[id])
+		}
 	}
-	sortStats(out)
-	return out
-}
-
-// AllStats returns the statistic universe in deterministic order.
-func (r *Result) AllStats() []stats.Stat {
-	out := make([]stats.Stat, 0, len(r.Stats))
-	for _, s := range r.Stats {
-		out = append(out, s)
-	}
-	sortStats(out)
 	return out
 }

@@ -153,10 +153,11 @@ func TestTapRejectAuxiliaryJoin(t *testing.T) {
 		}
 	}
 	rejJoin := stats.NewCard(stats.BlockRejectSE(0, expr.NewSet(o, c), o, f))
-	if !res.Observable[rejJoin.Key()] {
+	id, ok := res.Lookup(rejJoin)
+	if !ok || !res.Observable[id] {
 		t.Fatal("two-input reject variant should be observable")
 	}
-	if !res.NeedsRejectLink[rejJoin.Key()] {
+	if !res.NeedsRejectLink[id] {
 		t.Fatal("reject variant should be marked NeedsRejectLink")
 	}
 	// The rejected order is (cid=3, oid=5, pid=99); Customer has cids 1,2:

@@ -7,11 +7,17 @@
 // identity rules (I1/I2). With exact per-value histograms every derived
 // cardinality is exact, which is what lets the optimizer cost every
 // reordering from a single instrumented execution.
+//
+// Derivation walks the css.Result's candidate sets by statistic id, in the
+// result's order (the first evaluable set wins), memoizing per id;
+// descriptors enter through css.Result.Lookup, and only statistics outside
+// the generated universe are memoized by stats.Key.
 package estimate
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/expr"
@@ -19,22 +25,38 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Estimator derives statistic values from an observed store.
+// Estimator derives statistic values from an observed store. It memoizes by
+// statistic id and follows candidate-set inputs as ids; only statistics
+// outside the generated universe (ad-hoc diagnostics, sketch probes) are
+// keyed by descriptor.
 type Estimator struct {
 	Res   *css.Result
 	Store *stats.Store
 
-	memo       map[stats.Key]*stats.Value
-	inProgress map[stats.Key]bool
+	// memo[id] is the value of universe statistic id once state[id] is
+	// evaluated (nil: not derivable).
+	memo  []*stats.Value
+	state []evalState
+	// extra memoizes statistics outside the universe the same way.
+	extra map[stats.Key]*stats.Value
 }
+
+type evalState uint8
+
+const (
+	unevaluated evalState = iota
+	inProgress
+	evaluated
+)
 
 // New returns an estimator over the given CSS result and observation store.
 func New(res *css.Result, store *stats.Store) *Estimator {
 	return &Estimator{
-		Res:        res,
-		Store:      store,
-		memo:       make(map[stats.Key]*stats.Value),
-		inProgress: make(map[stats.Key]bool),
+		Res:   res,
+		Store: store,
+		memo:  make([]*stats.Value, len(res.Stats)),
+		state: make([]evalState, len(res.Stats)),
+		extra: make(map[stats.Key]*stats.Value),
 	}
 }
 
@@ -57,7 +79,13 @@ func (e *Estimator) SizeOf(t stats.Target) (float64, bool) {
 
 // CardOf returns the (derived) cardinality of an SE.
 func (e *Estimator) CardOf(block int, se expr.Set) (int64, error) {
-	v, err := e.Value(stats.NewCard(stats.BlockSE(block, se)))
+	var v *stats.Value
+	var err error
+	if id, ok := e.Res.CardID(block, se); ok {
+		v, err = e.value(id)
+	} else {
+		v, err = e.Value(stats.NewCard(stats.BlockSE(block, se)))
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -67,39 +95,93 @@ func (e *Estimator) CardOf(block int, se expr.Set) (int64, error) {
 // Value computes the value of a statistic: directly from the store when
 // observed, otherwise through the first evaluable candidate statistics set.
 func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
+	if id, ok := e.Res.Lookup(s); ok {
+		return e.value(id)
+	}
+	// Outside the universe there are no candidate sets: the statistic is
+	// observed, directly or through its sketch sibling, or unknown.
 	k := s.Key()
-	if v, ok := e.memo[k]; ok {
+	if v, ok := e.extra[k]; ok {
 		if v == nil {
-			return nil, fmt.Errorf("estimate: statistic %v not derivable", k)
+			return nil, &derivationError{format: errNotDerivable, stat: s}
 		}
 		return v, nil
 	}
-	if e.inProgress[k] {
-		return nil, fmt.Errorf("estimate: cyclic derivation at %v", k)
+	v, err := e.observed(s)
+	if err != nil {
+		return nil, err
 	}
+	e.extra[k] = v
+	if v == nil {
+		return nil, &derivationError{format: errNoCandidates, stat: s}
+	}
+	return v, nil
+}
+
+// derivationError reports why a statistic has no value. Most are dropped
+// unread — the estimator moves on to the next candidate set — so the text,
+// which spells the statistic's key and the whole chain of causes, is
+// rendered only when asked for.
+type derivationError struct {
+	format string // one %v: the statistic's key
+	stat   stats.Stat
+	cause  error
+}
+
+const (
+	errNotDerivable = "estimate: statistic %v not derivable"
+	errCyclic       = "estimate: cyclic derivation at %v"
+	errNoCandidates = "estimate: statistic %v not observed and has no candidate statistics set"
+)
+
+func (e *derivationError) Error() string {
+	msg := fmt.Sprintf(e.format, e.stat.Key())
+	if e.cause != nil {
+		msg += ": " + e.cause.Error()
+	}
+	return msg
+}
+
+func (e *derivationError) Unwrap() error { return e.cause }
+
+// observed returns the statistic's value when the store holds it or its
+// sketch sibling, and nil when it holds neither.
+func (e *Estimator) observed(s stats.Stat) (*stats.Value, error) {
 	if e.Store.Has(s) {
-		v, err := e.fromStore(s)
-		if err != nil {
-			return nil, err
-		}
-		e.memo[k] = v
-		return v, nil
+		return e.fromStore(s)
 	}
 	// Approximate tier (rules A1/A2): an unobserved exact statistic whose
 	// sketch sibling was observed takes the sketch's estimate. The value is
 	// tagged Approx so every derivation built on it inherits the tag.
 	if av, ok := stats.ApproxVariant(s); ok && e.Store.Has(av) {
-		v, err := e.fromSketch(s, av)
-		if err != nil {
-			return nil, err
-		}
-		e.memo[k] = v
+		return e.fromSketch(s, av)
+	}
+	return nil, nil
+}
+
+// value is Value for a statistic of the universe, by id.
+func (e *Estimator) value(id int32) (*stats.Value, error) {
+	if v := e.memo[id]; v != nil {
 		return v, nil
 	}
-	e.inProgress[k] = true
-	defer delete(e.inProgress, k)
+	s := e.Res.Stats[id]
+	switch e.state[id] {
+	case evaluated:
+		return nil, &derivationError{format: errNotDerivable, stat: s}
+	case inProgress:
+		return nil, &derivationError{format: errCyclic, stat: s}
+	}
+	v, err := e.observed(s)
+	if err != nil {
+		return nil, err
+	}
+	if v != nil {
+		e.memo[id], e.state[id] = v, evaluated
+		return v, nil
+	}
+	e.state[id] = inProgress
 	var firstErr error
-	for _, c := range e.Res.CSS[k] {
+	for _, c := range e.Res.CSS[id] {
 		v, err := e.eval(s, c)
 		if err != nil {
 			if firstErr == nil {
@@ -108,14 +190,14 @@ func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
 			continue
 		}
 		v.Approx = v.Approx || e.anyApproxInput(c)
-		e.memo[k] = v
+		e.memo[id], e.state[id] = v, evaluated
 		return v, nil
 	}
-	e.memo[k] = nil
+	e.state[id] = evaluated
 	if firstErr != nil {
-		return nil, fmt.Errorf("estimate: statistic %v not derivable: %w", k, firstErr)
+		return nil, &derivationError{format: errNotDerivable, stat: s, cause: firstErr}
 	}
-	return nil, fmt.Errorf("estimate: statistic %v not observed and has no candidate statistics set", k)
+	return nil, &derivationError{format: errNoCandidates, stat: s}
 }
 
 func (e *Estimator) fromStore(s stats.Stat) (*stats.Value, error) {
@@ -167,9 +249,9 @@ func (e *Estimator) fromSketch(s, av stats.Stat) (*stats.Value, error) {
 
 // anyApproxInput reports whether any of the CSS's (memoized) inputs was
 // derived from the approximate tier.
-func (e *Estimator) anyApproxInput(c stats.CSS) bool {
+func (e *Estimator) anyApproxInput(c css.Candidate) bool {
 	for _, in := range c.Inputs {
-		if v := e.memo[in.Key()]; v != nil && v.Approx {
+		if v := e.memo[in]; v != nil && v.Approx {
 			return true
 		}
 	}
@@ -321,22 +403,29 @@ func approxDivide(hO, hK *stats.Histogram, join workflow.Attr) (*stats.Histogram
 
 // histInput evaluates input idx of the CSS as a histogram marginalized down
 // to the wanted attributes (which absorbs I2-substituted supersets).
-func (e *Estimator) histInput(c stats.CSS, idx int, want []workflow.Attr) (*stats.Histogram, error) {
-	v, err := e.Value(c.Inputs[idx])
+func (e *Estimator) histInput(c css.Candidate, idx int, want []workflow.Attr) (*stats.Histogram, error) {
+	v, err := e.value(c.Inputs[idx])
 	if err != nil {
 		return nil, err
 	}
 	if v.Hist == nil {
 		return nil, fmt.Errorf("estimate: CSS input %d is not a histogram", idx)
 	}
-	if workflow.AttrsString(v.Hist.Attrs) == workflow.AttrsString(want) {
+	if sameAttrs(v.Hist.Attrs, want) {
 		return v.Hist, nil
 	}
 	return v.Hist.Marginal(want...)
 }
 
-func (e *Estimator) scalarInput(c stats.CSS, idx int) (int64, error) {
-	v, err := e.Value(c.Inputs[idx])
+// sameAttrs reports whether two attribute lists name the same set; lists in
+// canonical order — every statistic's and histogram's — compare without
+// rendering.
+func sameAttrs(a, b []workflow.Attr) bool {
+	return slices.Equal(a, b) || workflow.AttrsString(a) == workflow.AttrsString(b)
+}
+
+func (e *Estimator) scalarInput(c css.Candidate, idx int) (int64, error) {
+	v, err := e.value(c.Inputs[idx])
 	if err != nil {
 		return 0, err
 	}
@@ -347,7 +436,7 @@ func (e *Estimator) scalarInput(c stats.CSS, idx int) (int64, error) {
 }
 
 // eval evaluates one CSS according to its rule.
-func (e *Estimator) eval(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) eval(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	switch c.Rule {
 	case "J1":
 		return e.evalJ1(s, c)
@@ -366,7 +455,7 @@ func (e *Estimator) eval(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 		}
 		return &stats.Value{Stat: s, Scalar: v}, nil
 	case "P2", "U2", "I2":
-		v, err := e.Value(c.Inputs[0])
+		v, err := e.value(c.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +485,7 @@ func (e *Estimator) eval(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 	case "G2":
 		return e.evalG2(s, c)
 	case "D1":
-		v, err := e.Value(c.Inputs[0])
+		v, err := e.value(c.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -405,7 +494,7 @@ func (e *Estimator) eval(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 		}
 		return &stats.Value{Stat: s, Scalar: int64(v.Hist.Buckets())}, nil
 	case "I1":
-		v, err := e.Value(c.Inputs[0])
+		v, err := e.value(c.Inputs[0])
 		if err != nil {
 			return nil, err
 		}
@@ -424,13 +513,13 @@ func (e *Estimator) eval(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 // multiply directly, and a sketch against an exact histogram multiplies
 // against the histogram bucketized to the sketch's layout — both tighter
 // than going through the midpoint expansion.
-func (e *Estimator) evalJ1(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalJ1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	a := []workflow.Attr{c.Join}
-	vL, err := e.Value(c.Inputs[0])
+	vL, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	vR, err := e.Value(c.Inputs[1])
+	vR, err := e.value(c.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +564,7 @@ func approxJoinCard(vL, vR *stats.Value, join []workflow.Attr) (int64, error) {
 		return 0, fmt.Errorf("estimate: J1 input has neither histogram nor sketch")
 	}
 	h := other.Hist
-	if workflow.AttrsString(h.Attrs) != workflow.AttrsString(join) {
+	if !sameAttrs(h.Attrs, join) {
 		m, err := h.Marginal(join...)
 		if err != nil {
 			return 0, err
@@ -496,12 +585,12 @@ func approxJoinCard(vL, vR *stats.Value, join []workflow.Attr) (int64, error) {
 // evalJoinHist computes the join result's distribution per the generalized
 // J2/J3 rule: split the wanted attributes by owning side, join the two
 // marginals on the join class.
-func (e *Estimator) evalJoinHist(s stats.Stat, c stats.CSS) (*stats.Value, error) {
-	vL, err := e.Value(c.Inputs[0])
+func (e *Estimator) evalJoinHist(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	vL, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	vR, err := e.Value(c.Inputs[1])
+	vR, err := e.value(c.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
@@ -567,13 +656,13 @@ func (e *Estimator) evalJoinHist(s stats.Stat, c stats.CSS) (*stats.Value, error
 // evalJ4 computes |e| by union–division: divide the observable super-SE's
 // join-column distribution by the extra relation's, total the quotient, and
 // add the reject-variant cardinality (Equation 3 of the paper).
-func (e *Estimator) evalJ4(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalJ4(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	a := []workflow.Attr{c.Join}
-	vO, err := e.Value(c.Inputs[0])
+	vO, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	vK, err := e.Value(c.Inputs[1])
+	vK, err := e.value(c.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
@@ -612,13 +701,13 @@ func (e *Estimator) evalJ4(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 // evalJ5 is J4 for distributions: divide the super-SE's joint distribution
 // bucket-wise by the extra relation's join distribution, marginalize away
 // the join attribute, and add the reject variant's distribution.
-func (e *Estimator) evalJ5(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalJ5(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	oAttrs := workflow.SortAttrs(dedupeAttrs(append([]workflow.Attr{c.Join}, s.Attrs...)))
-	vO, err := e.Value(c.Inputs[0])
+	vO, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	vK, err := e.Value(c.Inputs[1])
+	vK, err := e.value(c.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
@@ -664,12 +753,12 @@ func (e *Estimator) evalJ5(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 
 // evalR1 derives a reject singleton's statistic: the rows of t whose join
 // value has no partner in k.
-func (e *Estimator) evalR1(s stats.Stat, c stats.CSS) (*stats.Value, error) {
-	vT, err := e.Value(c.Inputs[0])
+func (e *Estimator) evalR1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	vT, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
-	vK, err := e.Value(c.Inputs[1])
+	vK, err := e.value(c.Inputs[1])
 	if err != nil {
 		return nil, err
 	}
@@ -728,7 +817,7 @@ func (e *Estimator) evalR1(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 // evalBoundaryCopy relabels a statistic across a pass-through block
 // boundary: the upstream histogram's class representatives become the
 // downstream block's.
-func (e *Estimator) evalBoundaryCopy(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalBoundaryCopy(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	if s.Kind != stats.Hist {
 		v, err := e.scalarInput(c, 0)
 		if err != nil {
@@ -745,7 +834,7 @@ func (e *Estimator) evalBoundaryCopy(s stats.Stat, c stats.CSS) (*stats.Value, e
 		}
 		up[i] = u
 	}
-	v0, err := e.Value(c.Inputs[0])
+	v0, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -768,14 +857,14 @@ func (e *Estimator) evalBoundaryCopy(s stats.Stat, c stats.CSS) (*stats.Value, e
 
 // evalS1 sums the buckets of the predicate column's distribution that
 // satisfy the selection predicate.
-func (e *Estimator) evalS1(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalS1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	op, err := e.chainOp(s)
 	if err != nil {
 		return nil, err
 	}
 	sp := e.Res.Space(s.Target.Block)
 	class := sp.ClassOf(op.Pred.Attr)
-	v, err := e.Value(c.Inputs[0])
+	v, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -853,7 +942,7 @@ func clampf(v, lo, hi float64) float64 {
 
 // evalS2 filters the joint distribution by the predicate and marginalizes
 // down to the wanted attributes.
-func (e *Estimator) evalS2(s stats.Stat, c stats.CSS) (*stats.Value, error) {
+func (e *Estimator) evalS2(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	op, err := e.chainOp(s)
 	if err != nil {
 		return nil, err
@@ -881,8 +970,8 @@ func (e *Estimator) evalS2(s stats.Stat, c stats.CSS) (*stats.Value, error) {
 
 // evalG2 builds the distribution over a group-by boundary: each distinct
 // key combination upstream contributes one group.
-func (e *Estimator) evalG2(s stats.Stat, c stats.CSS) (*stats.Value, error) {
-	v, err := e.Value(c.Inputs[0])
+func (e *Estimator) evalG2(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	v, err := e.value(c.Inputs[0])
 	if err != nil {
 		return nil, err
 	}

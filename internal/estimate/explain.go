@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
@@ -55,13 +56,17 @@ func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
 	}
 	// Find the first evaluable CSS — the same order Value used, so the
 	// explanation matches the computation.
-	for _, c := range e.Res.CSS[s.Key()] {
+	var cands []css.Candidate
+	if id, ok := e.Res.Lookup(s); ok {
+		cands = e.Res.CSS[id]
+	}
+	for _, c := range cands {
 		if _, err := e.eval(s, c); err != nil {
 			continue
 		}
 		ex := &Explanation{Stat: s, Value: v, Rule: c.Rule}
 		for _, in := range c.Inputs {
-			child, err := e.Explain(in)
+			child, err := e.Explain(e.Res.Stats[in])
 			if err != nil {
 				return nil, err
 			}

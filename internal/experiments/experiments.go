@@ -12,8 +12,8 @@
 //	E6 — end-to-end soundness: one instrumented run yields exact
 //	     cardinalities for every SE, enabling exact plan costing.
 //
-// The same entry points back the testing.B benchmarks in the repository
-// root, so `go test -bench` regenerates the numbers too.
+// They report counts and memory units, not times: the repository benchmark
+// (bench/, `make bench`, `make ab REF=<ref>`) measures the planner's speed.
 package experiments
 
 import (

@@ -36,11 +36,26 @@ type Space struct {
 	// InitialTree is the initial plan rendered over SEs: for each
 	// non-leaf SE of the initial plan, the composition used.
 	InitialTree map[Set]Plan
-	// classRep maps each join attribute to the canonical representative of
-	// its equivalence class (attributes equated by join predicates).
-	classRep map[workflow.Attr]workflow.Attr
+	// classes are the attribute equivalence classes induced by the join
+	// predicates, ordered by representative; classIdx maps each join
+	// attribute to its class. Both are built once by Enumerate.
+	classes  []attrClass
+	classIdx map[workflow.Attr]int32
+	// seIdx maps each SE to its position in SEs.
+	seIdx map[Set]int32
 	// full is the SE containing every input.
 	full Set
+}
+
+// attrClass is one join-equivalence class of attributes.
+type attrClass struct {
+	// members lists the class canonically sorted; members[0] is the
+	// representative (the lexicographically smallest attribute).
+	members []workflow.Attr
+	// inputs[i] is the block input owning members[i] (-1 when none does).
+	inputs []int
+	// owners is the set of inputs owning some member.
+	owners Set
 }
 
 // Full returns the SE covering all block inputs.
@@ -50,37 +65,61 @@ func (sp *Space) Full() Set { return sp.full }
 // join-equivalence class. Attributes not used in any join map to
 // themselves.
 func (sp *Space) ClassOf(a workflow.Attr) workflow.Attr {
-	if rep, ok := sp.classRep[a]; ok {
-		return rep
+	if c, ok := sp.classIdx[a]; ok {
+		return sp.classes[c].members[0]
 	}
 	return a
 }
 
 // ClassMembers returns every attribute equated with a (including a itself),
-// sorted canonically.
+// sorted canonically. The slice is shared: callers must not modify it.
 func (sp *Space) ClassMembers(a workflow.Attr) []workflow.Attr {
-	rep := sp.ClassOf(a)
-	var out []workflow.Attr
-	for attr, r := range sp.classRep {
-		if r == rep {
-			out = append(out, attr)
-		}
+	if c, ok := sp.classIdx[a]; ok {
+		return sp.classes[c].members
 	}
-	if len(out) == 0 {
-		out = append(out, a)
+	return []workflow.Attr{a}
+}
+
+// Owners returns the inputs whose schema owns a member of a's equivalence
+// class: MemberIn(se, a) succeeds exactly when se intersects Owners(a).
+func (sp *Space) Owners(a workflow.Attr) Set {
+	if c, ok := sp.classIdx[a]; ok {
+		return sp.classes[c].owners
 	}
-	return workflow.SortAttrs(out)
+	if idx := sp.Block.InputIndexByAttr(a); idx >= 0 {
+		return NewSet(idx)
+	}
+	return 0
 }
 
 // MemberIn returns an attribute from a's equivalence class that exists in
-// the schema of SE se, or false when the class does not touch se.
+// the schema of SE se (the first in canonical order), or false when the
+// class does not touch se.
 func (sp *Space) MemberIn(se Set, a workflow.Attr) (workflow.Attr, bool) {
-	for _, m := range sp.ClassMembers(a) {
-		if idx := sp.Block.InputIndexByAttr(m); idx >= 0 && se.Has(idx) {
+	c, ok := sp.classIdx[a]
+	if !ok {
+		if idx := sp.Block.InputIndexByAttr(a); idx >= 0 && se.Has(idx) {
+			return a, true
+		}
+		return workflow.Attr{}, false
+	}
+	cl := &sp.classes[c]
+	if !se.Intersects(cl.owners) {
+		return workflow.Attr{}, false
+	}
+	for i, m := range cl.members {
+		if idx := cl.inputs[i]; idx >= 0 && se.Has(idx) {
 			return m, true
 		}
 	}
 	return workflow.Attr{}, false
+}
+
+// IndexOf returns the position of se in SEs, or false when se is not a
+// sub-expression of the block.
+func (sp *Space) IndexOf(se Set) (int, bool) {
+	i, ok := sp.seIdx[se]
+	return int(i), ok
 }
 
 // JoinAttrsOf returns, for plan p, the join attribute as owned by the left
@@ -141,8 +180,8 @@ func Enumerate(b *workflow.Block) (*Space, error) {
 		Plans:       make(map[Set][]Plan),
 		Initial:     make(map[Set]bool),
 		InitialTree: make(map[Set]Plan),
-		classRep:    attrClasses(b),
 	}
+	sp.classIdx, sp.classes = attrClasses(b)
 	for i := 0; i < n; i++ {
 		sp.full = sp.full.Add(i)
 	}
@@ -164,6 +203,10 @@ func Enumerate(b *workflow.Block) (*Space, error) {
 		return all[i] < all[j]
 	})
 	sp.SEs = all
+	sp.seIdx = make(map[Set]int32, len(all))
+	for i, se := range all {
+		sp.seIdx[se] = int32(i)
+	}
 
 	// Build plans: each split into two connected halves linked by an edge.
 	for _, se := range all {
@@ -227,8 +270,9 @@ func markInitial(sp *Space, t *workflow.JoinTree) Set {
 }
 
 // attrClasses computes the join-attribute equivalence classes with a small
-// union-find over the block's join predicates.
-func attrClasses(b *workflow.Block) map[workflow.Attr]workflow.Attr {
+// union-find over the block's join predicates, and tabulates per class the
+// sorted members and the inputs owning them.
+func attrClasses(b *workflow.Block) (map[workflow.Attr]int32, []attrClass) {
 	parent := make(map[workflow.Attr]workflow.Attr)
 	var find func(a workflow.Attr) workflow.Attr
 	find = func(a workflow.Attr) workflow.Attr {
@@ -259,9 +303,29 @@ func attrClasses(b *workflow.Block) map[workflow.Attr]workflow.Attr {
 	for _, e := range b.Joins {
 		union(e.LeftAttr, e.RightAttr)
 	}
-	out := make(map[workflow.Attr]workflow.Attr, len(parent))
+	attrs := make([]workflow.Attr, 0, len(parent))
 	for a := range parent {
-		out[a] = find(a)
+		attrs = append(attrs, a)
 	}
-	return out
+	// In canonical order every class meets its representative (its smallest
+	// member) first and collects its members already sorted.
+	workflow.SortAttrs(attrs)
+	idx := make(map[workflow.Attr]int32, len(attrs))
+	var classes []attrClass
+	for _, a := range attrs {
+		c, ok := idx[find(a)]
+		if !ok {
+			c = int32(len(classes))
+			classes = append(classes, attrClass{})
+		}
+		idx[a] = c
+		cl := &classes[c]
+		in := b.InputIndexByAttr(a)
+		cl.members = append(cl.members, a)
+		cl.inputs = append(cl.inputs, in)
+		if in >= 0 {
+			cl.owners = cl.owners.Add(in)
+		}
+	}
+	return idx, classes
 }

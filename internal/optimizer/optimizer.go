@@ -132,25 +132,32 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 		}
 		return &Plan{Block: bi, Tree: blk.Initial, Cost: cost, InitialCost: cost}, nil
 	}
-	card := func(se expr.Set) (float64, error) {
-		c, err := cards.CardOf(bi, se)
-		if err != nil {
-			return 0, err
+	// Everything below is indexed by an SE's position in sp.SEs: the DP
+	// table, and the cardinalities, each asked of the card source once.
+	cardOf := make([]float64, len(sp.SEs))
+	known := make([]bool, len(sp.SEs))
+	card := func(i int) (float64, error) {
+		if !known[i] {
+			c, err := cards.CardOf(bi, sp.SEs[i])
+			if err != nil {
+				return 0, err
+			}
+			cardOf[i], known[i] = float64(c), true
 		}
-		return float64(c), nil
+		return cardOf[i], nil
 	}
 	type entry struct {
 		cost float64
 		tree *workflow.JoinTree
 	}
-	best := make(map[expr.Set]entry)
-	for _, se := range sp.SEs { // sorted by size: DP order
+	best := make([]entry, len(sp.SEs))
+	for i, se := range sp.SEs { // sorted by size: DP order
 		if se.Len() == 1 {
-			best[se] = entry{cost: 0, tree: &workflow.JoinTree{Leaf: se.Lowest(), Join: -1}}
+			best[i] = entry{cost: 0, tree: &workflow.JoinTree{Leaf: se.Lowest(), Join: -1}}
 			continue
 		}
 		cur := entry{cost: math.Inf(1)}
-		outCard, err := card(se)
+		outCard, err := card(i)
 		if err != nil {
 			return nil, err
 		}
@@ -167,16 +174,17 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 					continue
 				}
 			}
-			l, okL := best[left]
-			r, okR := best[right]
+			li, okL := sp.IndexOf(left)
+			ri, okR := sp.IndexOf(right)
 			if !okL || !okR {
 				continue
 			}
-			lCard, err := card(left)
+			l, r := best[li], best[ri]
+			lCard, err := card(li)
 			if err != nil {
 				return nil, err
 			}
-			rCard, err := card(right)
+			rCard, err := card(ri)
 			if err != nil {
 				return nil, err
 			}
@@ -194,9 +202,10 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 		if math.IsInf(cur.cost, 1) {
 			return nil, fmt.Errorf("no plan for SE %s", se.Label(blk))
 		}
-		best[se] = cur
+		best[i] = cur
 	}
-	full := best[sp.Full()]
+	fi, _ := sp.IndexOf(sp.Full())
+	full := best[fi]
 	initCost, err := treeCost(bi, blk, sp, blk.Initial, cards, model)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func TestBuildRespectsBudgetAndRealizes(t *testing.T) {
 	for r, run := range plan.Runs {
 		var mem int64
 		for _, s := range run.Observe {
-			i, ok := u.Index[s.Key()]
+			i, ok := u.Lookup(s)
 			if !ok {
 				t.Fatalf("run %d observes unknown stat %v", r, s.Key())
 			}

@@ -51,7 +51,7 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 		if !ok {
 			t.Fatalf("variant %v has no exact sibling", s.Key())
 		}
-		j, found := approx.Index[ex.Key()]
+		j, found := approx.Lookup(ex)
 		if !found {
 			t.Fatalf("exact sibling of %v missing from universe", s.Key())
 		}
@@ -116,7 +116,7 @@ func TestApproxSelectionPrefersSketches(t *testing.T) {
 		}
 		observed := make([]bool, len(approxU.Stats))
 		for _, s := range apSel.Observe {
-			observed[approxU.Index[s.Key()]] = true
+			observed[indexOf(t, approxU, s)] = true
 		}
 		if !approxU.Covered(observed) {
 			t.Fatalf("method %v: approx selection does not cover S_C", m)

@@ -1,9 +1,6 @@
 package selector
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BudgetPlan schedules statistic observation across multiple executions
 // under a per-run memory limit, per Section 6.1: when the optimal
@@ -37,15 +34,16 @@ func PlanWithBudget(u *Universe, budget int64) (*BudgetPlan, error) {
 		return nil, fmt.Errorf("selector: budget must be positive, got %d", budget)
 	}
 	plan := &BudgetPlan{}
+	s := newScratch(u)
 	// learned marks statistics whose values are already known from
 	// previous runs (free for closure purposes).
 	learned := make([]bool, len(u.Stats))
 	firstRun := true
 	for run := 0; run < 1000; run++ {
-		if u.Covered(learned) {
+		if u.covers(s.closure(learned, s.closed)) {
 			return plan, nil
 		}
-		picked, mem, err := planOneRun(u, learned, budget, firstRun)
+		picked, mem, err := s.planOneRun(learned, budget, firstRun)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +61,8 @@ func PlanWithBudget(u *Universe, budget int64) (*BudgetPlan, error) {
 // planOneRun greedily fills one execution's budget with the most useful
 // observations. observableNow widens after the first run because the plan
 // can be re-ordered to expose any sub-expression.
-func planOneRun(u *Universe, learned []bool, budget int64, firstRun bool) ([]int, int64, error) {
+func (s *scratch) planOneRun(learned []bool, budget int64, firstRun bool) ([]int, int64, error) {
+	u := s.u
 	obs := make([]bool, len(u.Stats))
 	for i := range obs {
 		// After the first run the plan can be re-ordered to expose any
@@ -73,26 +72,26 @@ func planOneRun(u *Universe, learned []bool, budget int64, firstRun bool) ([]int
 	var picked []int
 	var used int64
 	cur := append([]bool(nil), learned...)
+	banned := make([]bool, len(u.Stats))
+	var bestLeaves []int32
 	for {
-		if u.Covered(cur) {
+		closed := s.closure(cur, s.closed)
+		if u.covers(closed) {
 			return picked, used, nil
 		}
-		closed := u.Closure(cur)
 		// Cheapest derivation of any uncovered requirement, restricted to
-		// statistics that fit the remaining budget.
-		banned := make([]bool, len(u.Stats))
-		for i := range u.Stats {
-			if u.Mem[i] > budget-used {
-				banned[i] = true
-			}
+		// statistics that fit the remaining budget. One cost pass prices
+		// them all; each candidate's derivation is then walked out of it.
+		for i := range banned {
+			banned[i] = u.Mem[i] > budget-used
 		}
+		dist := s.deriveCosts(obs, closed, banned, deriveSum)
 		bestCost := -1.0
-		var bestLeaves []int
 		for _, r := range u.Required {
 			if closed[r] {
 				continue
 			}
-			leaves, cost, ok := u.cheapestDerivation(r, obs, closed, banned)
+			leaves, cost, ok := s.walkDerivation(r, dist, obs, closed, banned)
 			if !ok {
 				continue
 			}
@@ -105,7 +104,7 @@ func planOneRun(u *Universe, learned []bool, budget int64, firstRun bool) ([]int
 			}
 			if bestCost < 0 || cost < bestCost {
 				bestCost = cost
-				bestLeaves = leaves
+				bestLeaves = append(bestLeaves[:0], leaves...)
 			}
 		}
 		if bestCost < 0 {
@@ -119,10 +118,9 @@ func planOneRun(u *Universe, learned []bool, budget int64, firstRun bool) ([]int
 		if len(bestLeaves) == 0 {
 			return nil, 0, fmt.Errorf("selector: budget planning made no progress")
 		}
-		sort.Ints(bestLeaves)
 		for _, i := range bestLeaves {
 			cur[i] = true
-			picked = append(picked, i)
+			picked = append(picked, int(i))
 			used += u.Mem[i]
 		}
 	}

@@ -30,17 +30,12 @@ func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 	}
 
 	n := len(u.Stats)
-	// Zero-cost observables are always taken: they can only help.
-	baseIn := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if u.Observable[i] && u.Cost[i] == 0 {
-			baseIn[i] = true
-		}
-	}
+	s := newScratch(u)
+	baseIn := u.freeObservables()
 
 	// Incumbent from greedy.
 	inc := append([]bool(nil), baseIn...)
-	if err := greedyComplete(u, inc, nil); err != nil {
+	if err := s.greedyComplete(inc, nil); err != nil {
 		return nil, err
 	}
 	bestCost := u.ObservedCost(inc)
@@ -50,6 +45,8 @@ func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 		in, out []bool
 	}
 	stack := []node{{in: baseIn, out: make([]bool, n)}}
+	// closedIn outlives the greedy dive below, which reuses s.closed.
+	closedIn := make([]bool, n)
 	nodes := 0
 	exhausted := false
 
@@ -66,13 +63,13 @@ func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 		if committed >= bestCost-1e-9 {
 			continue
 		}
-		closedIn := u.Closure(nd.in)
+		s.closure(nd.in, closedIn)
 		// Lower bound and feasibility in one pass: the max-aggregated
 		// derivation price of each uncovered requirement (∞ = no
 		// derivation avoids the banned statistics at all).
 		var lbExtra float64
-		worst := -1
-		dist := u.deriveCosts(nil, closedIn, nd.out, deriveMax)
+		worst := int32(-1)
+		dist := s.deriveCosts(nil, closedIn, nd.out, deriveMax)
 		covered := true
 		infeasible := false
 		for _, r := range u.Required {
@@ -108,18 +105,19 @@ func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 		// every node would dominate the solve.
 		if nodes&0x3F == 1 {
 			completion := append([]bool(nil), nd.in...)
-			if err := greedyComplete(u, completion, nd.out); err == nil {
+			if err := s.greedyComplete(completion, nd.out); err == nil {
 				if compCost := u.ObservedCost(completion); compCost < bestCost {
 					bestCost = compCost
 					best = completion
 				}
 			}
 		}
-		leaves, _, ok := u.cheapestDerivation(worst, nil, closedIn, nd.out)
+		dist = s.deriveCosts(nil, closedIn, nd.out, deriveSum)
+		leaves, _, ok := s.walkDerivation(worst, dist, nil, closedIn, nd.out)
 		if !ok {
 			continue
 		}
-		branch := -1
+		branch := int32(-1)
 		var branchCost float64
 		for _, i := range leaves {
 			if !nd.in[i] && u.Cost[i] > branchCost {
@@ -142,12 +140,5 @@ func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 	if math.IsInf(bestCost, 1) {
 		return nil, errNoSolution
 	}
-	return &Selection{
-		Observe: u.StatsOf(best),
-		Cost:    bestCost,
-		Memory:  u.ObservedMemory(best),
-		Optimal: !exhausted,
-		Method:  "exact-bb",
-		Nodes:   nodes,
-	}, nil
+	return u.selection(best, "exact-bb", !exhausted, nodes), nil
 }

@@ -49,7 +49,7 @@ func TestSolverInvariantsFuzz(t *testing.T) {
 			for name, sel := range map[string]*Selection{"greedy": gr, "exact": ex} {
 				observed := make([]bool, len(u.Stats))
 				for _, s := range sel.Observe {
-					observed[u.Index[s.Key()]] = true
+					observed[indexOf(t, u, s)] = true
 				}
 				if !u.Covered(observed) {
 					t.Errorf("%s selection does not cover S_C", name)

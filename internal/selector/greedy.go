@@ -11,45 +11,32 @@ import (
 // for subsequent covers. Zero-cost observable statistics (e.g. free source
 // statistics, Section 6.2) are taken up front.
 func Greedy(u *Universe) (*Selection, error) {
-	observed := make([]bool, len(u.Stats))
-	for i := range u.Stats {
-		if u.Observable[i] && u.Cost[i] == 0 {
-			observed[i] = true
-		}
-	}
-	if err := greedyComplete(u, observed, nil); err != nil {
+	observed := u.freeObservables()
+	if err := newScratch(u).greedyComplete(observed, nil); err != nil {
 		return nil, err
 	}
-	return &Selection{
-		Observe: u.StatsOf(observed),
-		Cost:    u.ObservedCost(observed),
-		Memory:  u.ObservedMemory(observed),
-		Optimal: false,
-		Method:  "greedy",
-	}, nil
+	return u.selection(observed, "greedy", false, 0), nil
 }
 
 // greedyComplete extends the observation set until every required statistic
 // is covered, never touching banned statistics. It mutates observed.
-func greedyComplete(u *Universe, observed, banned []bool) error {
+func (s *scratch) greedyComplete(observed, banned []bool) error {
+	u := s.u
 	for {
-		closed := u.Closure(observed)
 		// Free pricing: anything already computable costs nothing more.
-		var uncovered []int
-		for _, r := range u.Required {
-			if !closed[r] {
-				uncovered = append(uncovered, r)
-			}
-		}
-		if len(uncovered) == 0 {
+		closed := s.closure(observed, s.closed)
+		if u.covers(closed) {
 			return nil
 		}
 		// One shared cost pass prices every uncovered requirement; only the
 		// winner's derivation is walked out.
-		dist := u.deriveCosts(nil, closed, banned, deriveSum)
+		dist := s.deriveCosts(nil, closed, banned, deriveSum)
 		bestCost := math.Inf(1)
-		bestR := -1
-		for _, r := range uncovered {
+		bestR := int32(-1)
+		for _, r := range u.Required {
+			if closed[r] {
+				continue
+			}
 			if math.IsInf(dist[r], 1) {
 				return fmt.Errorf("selector: required statistic %v not derivable", u.Stats[r].Key())
 			}
@@ -61,7 +48,7 @@ func greedyComplete(u *Universe, observed, banned []bool) error {
 				bestR = r
 			}
 		}
-		bestLeaves, _, ok := u.walkDerivation(bestR, dist, nil, closed, banned)
+		bestLeaves, _, ok := s.walkDerivation(bestR, dist, nil, closed, banned)
 		if !ok {
 			return fmt.Errorf("selector: required statistic %v not derivable", u.Stats[bestR].Key())
 		}

@@ -51,19 +51,10 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 			xIdx[i] = -1
 		}
 	}
-	yIdx := make([]int, n)
-	for i := 0; i < n; i++ {
-		yIdx[i] = next
-		next++
-	}
-	zIdx := make([][]int, n)
-	for i := 0; i < n; i++ {
-		zIdx[i] = make([]int, len(u.CSS[i]))
-		for ci := range u.CSS[i] {
-			zIdx[i][ci] = next
-			next++
-		}
-	}
+	// y for statistic i is variable yBase+i, z for candidate set c zBase+c.
+	yBase := next
+	zBase := yBase + n
+	next = zBase + u.numCSS()
 	if next > maxVars {
 		return nil, fmt.Errorf("selector: LP model has %d variables, above the limit %d", next, maxVars)
 	}
@@ -77,38 +68,40 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
+		from, to := u.css(int32(i))
 		// Covering constraints per CSS.
-		for ci, c := range u.CSS[i] {
-			coef := map[int]float64{zIdx[i][ci]: -float64(len(c.inputs))}
-			for _, j := range c.inputs {
-				coef[yIdx[j]] += 1
+		for c := from; c < to; c++ {
+			in := u.in(c)
+			coef := map[int]float64{zBase + int(c): -float64(len(in))}
+			for _, j := range in {
+				coef[yBase+int(j)] += 1
 			}
 			p.AddRow(lp.GE, 0, coef) // Σ y_k − |CSS|·z ≥ 0
 			// y_i ≥ z_ij.
-			p.AddRow(lp.GE, 0, map[int]float64{yIdx[i]: 1, zIdx[i][ci]: -1})
+			p.AddRow(lp.GE, 0, map[int]float64{yBase + i: 1, zBase + int(c): -1})
 		}
 		switch {
-		case len(u.CSS[i]) == 0 && xIdx[i] >= 0:
+		case from == to && xIdx[i] >= 0:
 			// Only the trivial CSS: computable iff observed.
-			p.AddRow(lp.EQ, 0, map[int]float64{yIdx[i]: 1, xIdx[i]: -1})
-		case len(u.CSS[i]) == 0:
+			p.AddRow(lp.EQ, 0, map[int]float64{yBase + i: 1, xIdx[i]: -1})
+		case from == to:
 			// Neither observable nor derivable: y_i = 0.
-			p.AddRow(lp.EQ, 0, map[int]float64{yIdx[i]: 1})
+			p.AddRow(lp.EQ, 0, map[int]float64{yBase + i: 1})
 		default:
 			// y_i ≤ x_i + Σ_j z_ij  and  y_i ≥ x_i.
-			coef := map[int]float64{yIdx[i]: 1}
+			coef := map[int]float64{yBase + i: 1}
 			if xIdx[i] >= 0 {
 				coef[xIdx[i]] = -1
-				p.AddRow(lp.GE, 0, map[int]float64{yIdx[i]: 1, xIdx[i]: -1})
+				p.AddRow(lp.GE, 0, map[int]float64{yBase + i: 1, xIdx[i]: -1})
 			}
-			for ci := range u.CSS[i] {
-				coef[zIdx[i][ci]] = -1
+			for c := from; c < to; c++ {
+				coef[zBase+int(c)] = -1
 			}
 			p.AddRow(lp.LE, 0, coef)
 		}
 	}
 	for _, r := range u.Required {
-		p.AddRow(lp.GE, 1, map[int]float64{yIdx[r]: 1})
+		p.AddRow(lp.GE, 1, map[int]float64{yBase + int(r): 1})
 	}
 
 	// Incumbent from greedy.
@@ -171,7 +164,9 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 	if res.X == nil {
 		// The greedy incumbent was already optimal.
 		for _, s := range g.Observe {
-			observed[u.Index[s.Key()]] = true
+			if i, ok := u.Lookup(s); ok {
+				observed[i] = true
+			}
 		}
 	} else {
 		for i := 0; i < n; i++ {
@@ -180,23 +175,16 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 			}
 		}
 	}
-	return &Selection{
-		Observe: u.StatsOf(observed),
-		Cost:    u.ObservedCost(observed),
-		Memory:  u.ObservedMemory(observed),
-		Optimal: res.Status == ilp.Optimal,
-		Method:  "lp",
-		Nodes:   res.Nodes,
-	}, nil
+	return u.selection(observed, "lp", res.Status == ilp.Optimal, res.Nodes), nil
 }
 
 // reachableObservables returns the observable statistics in the derivation
 // cone of statistic r (r itself included when observable).
-func (u *Universe) reachableObservables(r int) []int {
+func (u *Universe) reachableObservables(r int32) []int32 {
 	seen := make([]bool, len(u.Stats))
-	var out []int
-	var walk func(i int)
-	walk = func(i int) {
+	var out []int32
+	var walk func(i int32)
+	walk = func(i int32) {
 		if seen[i] {
 			return
 		}
@@ -204,8 +192,8 @@ func (u *Universe) reachableObservables(r int) []int {
 		if u.Observable[i] {
 			out = append(out, i)
 		}
-		for _, c := range u.CSS[i] {
-			for _, j := range c.inputs {
+		for c, to := u.css(i); c < to; c++ {
+			for _, j := range u.in(c) {
 				walk(j)
 			}
 		}

@@ -24,12 +24,11 @@ var ErrNoCover = errors.New("selector: no covering observation set avoids the fa
 //
 // ErrNoCover is returned when the covering structure cannot route around
 // the failures at all.
-func Reselect(u *Universe, have, failed []stats.Key, opt Options) (*Selection, error) {
+func Reselect(u *Universe, have, failed []stats.Stat, opt Options) (*Selection, error) {
 	v := u.excluding(failed, have)
 	// Feasibility first: with everything still-observable observed, do the
 	// required statistics close? If not, no solver can succeed.
-	allObs := append([]bool(nil), v.Observable...)
-	if !v.Covered(allObs) {
+	if !v.covers(v.derivable) {
 		return nil, ErrNoCover
 	}
 	sel, err := SelectUniverse(v, opt)
@@ -60,42 +59,28 @@ func ScopeObserve(observe []stats.Stat, blocks map[int]bool) []stats.Stat {
 // observation (unobservable, infinite cost — they may still be *derived*
 // through their candidate sets) and the already-held statistics free
 // (observable at zero cost, so every solver keeps them in the base set).
-func (u *Universe) excluding(failed, have []stats.Key) *Universe {
-	v := &Universe{
-		Res:        u.Res,
-		Stats:      u.Stats,
-		Index:      u.Index,
-		Observable: append([]bool(nil), u.Observable...),
-		Cost:       append([]float64(nil), u.Cost...),
-		Mem:        append([]int64(nil), u.Mem...),
-		CSS:        make([][]cssEntry, len(u.CSS)),
-		Required:   u.Required,
-		usedBy:     make([][]useRef, len(u.Stats)),
-	}
-	for i := range u.CSS {
-		v.CSS[i] = append([]cssEntry(nil), u.CSS[i]...)
-	}
-	for _, k := range have {
-		if i, ok := v.Index[k]; ok {
+func (u *Universe) excluding(failed, have []stats.Stat) *Universe {
+	v := *u
+	v.Observable = append([]bool(nil), u.Observable...)
+	v.Cost = append([]float64(nil), u.Cost...)
+	// pruneUnderivable compacts the graph in place.
+	v.cssOff = append([]int32(nil), u.cssOff...)
+	v.inOff = append([]int32(nil), u.inOff...)
+	v.inputs = append([]int32(nil), u.inputs...)
+	for _, s := range have {
+		if i, ok := v.Lookup(s); ok {
 			v.Observable[i] = true
 			v.Cost[i] = 0
 		}
 	}
 	// Bans win over haves: a statistic both held and failed (cannot happen
 	// from the engine, which only fails what it never stored) stays banned.
-	for _, k := range failed {
-		if i, ok := v.Index[k]; ok {
+	for _, s := range failed {
+		if i, ok := v.Lookup(s); ok {
 			v.Observable[i] = false
 			v.Cost[i] = math.Inf(1)
 		}
 	}
 	v.pruneUnderivable()
-	for i := range v.Stats {
-		for ci, c := range v.CSS[i] {
-			for _, j := range c.inputs {
-				v.usedBy[j] = append(v.usedBy[j], useRef{stat: i, css: ci})
-			}
-		}
-	}
-	return v
+	return &v
 }

@@ -19,7 +19,7 @@ func TestReselectRoutesAroundFailure(t *testing.T) {
 		t.Fatalf("Select: %v", err)
 	}
 	for _, s := range sel.Observe {
-		failed := []stats.Key{s.Key()}
+		failed := []stats.Stat{s}
 		alt, err := Reselect(u, nil, failed, Options{Method: MethodExact})
 		if err != nil {
 			if errors.Is(err, ErrNoCover) {
@@ -34,7 +34,7 @@ func TestReselectRoutesAroundFailure(t *testing.T) {
 			if a.Key() == s.Key() {
 				t.Fatalf("alternate selection still observes failed %v", s.Key())
 			}
-			observed[u.Index[a.Key()]] = true
+			observed[indexOf(t, u, a)] = true
 		}
 		if !u.Covered(observed) {
 			t.Fatalf("alternate selection without %v does not cover S_C", s.Key())
@@ -55,11 +55,7 @@ func TestReselectHaveIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	have := make([]stats.Key, 0, len(sel.Observe))
-	for _, s := range sel.Observe {
-		have = append(have, s.Key())
-	}
-	alt, err := Reselect(u, have, nil, Options{Method: MethodExact})
+	alt, err := Reselect(u, sel.Observe, nil, Options{Method: MethodExact})
 	if err != nil {
 		t.Fatalf("Reselect with everything held: %v", err)
 	}
@@ -73,10 +69,10 @@ func TestReselectHaveIsFree(t *testing.T) {
 func TestReselectAllFailed(t *testing.T) {
 	g, cat := retail(t)
 	u := buildUniverse(t, g, cat, css.DefaultOptions())
-	failed := make([]stats.Key, 0, len(u.Stats))
+	failed := make([]stats.Stat, 0, len(u.Stats))
 	for i, s := range u.Stats {
 		if u.Observable[i] {
-			failed = append(failed, s.Key())
+			failed = append(failed, s)
 		}
 	}
 	if _, err := Reselect(u, nil, failed, Options{Method: MethodExact}); !errors.Is(err, ErrNoCover) {
@@ -93,7 +89,7 @@ func TestReselectLeavesUniverseIntact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
-	_, _ = Reselect(u, nil, []stats.Key{before.Observe[0].Key()}, Options{Method: MethodExact})
+	_, _ = Reselect(u, nil, before.Observe[:1], Options{Method: MethodExact})
 	after, err := SelectUniverse(u, Options{Method: MethodExact})
 	if err != nil {
 		t.Fatalf("Select after Reselect: %v", err)

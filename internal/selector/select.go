@@ -80,13 +80,7 @@ func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
 			// CSS graph; scale the default budget inversely with graph
 			// size so worst-case solve time stays bounded while small
 			// universes still get exhaustive search.
-			edges := 1
-			for i := range u.CSS {
-				for _, c := range u.CSS[i] {
-					edges += len(c.inputs)
-				}
-			}
-			maxNodes = 40_000_000 / edges
+			maxNodes = 40_000_000 / (1 + len(u.inputs))
 			if maxNodes < 1000 {
 				maxNodes = 1000
 			}

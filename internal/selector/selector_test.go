@@ -31,6 +31,16 @@ func buildUniverse(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, opt c
 	return u
 }
 
+// indexOf returns a statistic's index in the universe.
+func indexOf(t *testing.T, u *Universe, s stats.Stat) int32 {
+	t.Helper()
+	i, ok := u.Lookup(s)
+	if !ok {
+		t.Fatalf("statistic %v not in the universe", s.Key())
+	}
+	return i
+}
+
 // retail builds the paper's Orders/Product/Customer flow.
 func retail(t *testing.T) (*workflow.Graph, *workflow.Catalog) {
 	t.Helper()
@@ -79,7 +89,7 @@ func TestGreedyCovers(t *testing.T) {
 	}
 	observed := make([]bool, len(u.Stats))
 	for _, s := range sel.Observe {
-		observed[u.Index[s.Key()]] = true
+		observed[indexOf(t, u, s)] = true
 	}
 	if !u.Covered(observed) {
 		t.Fatal("greedy selection does not cover S_C")
@@ -142,7 +152,7 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 		}
 		observed := make([]bool, len(u.Stats))
 		for _, s := range ex.Observe {
-			observed[u.Index[s.Key()]] = true
+			observed[indexOf(t, u, s)] = true
 		}
 		if !u.Covered(observed) {
 			t.Fatal("exact selection does not cover S_C")
@@ -169,7 +179,7 @@ func TestLPMatchesExact(t *testing.T) {
 	}
 	observed := make([]bool, len(u.Stats))
 	for _, s := range lpSel.Observe {
-		observed[u.Index[s.Key()]] = true
+		observed[indexOf(t, u, s)] = true
 	}
 	if !u.Covered(observed) {
 		t.Fatal("LP selection does not cover S_C")

@@ -6,48 +6,54 @@
 // solvers are provided: the paper's 0–1 LP formulation (Section 5.2) solved
 // by branch and bound, a combinatorial exact branch and bound with
 // closure-based feasibility, and the greedy heuristic of Section 5.3.
+//
+// The solvers work on statistic ids — for the exact tier the css.Result's
+// own — over a flat candidate-set graph (Universe), and share one set of
+// work arrays per solve (scratch): a closure, a cost pass or a
+// branch-and-bound node allocates nothing beyond the node's own sets.
 package selector
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// cssEntry is a candidate statistics set with integer-indexed inputs.
-type cssEntry struct {
-	rule   string
-	inputs []int
-}
-
-// Universe is the integer-indexed form of a css.Result: statistics become
-// dense indexes, CSSs become index lists, and costs are precomputed. It is
-// the common substrate of all three solvers.
+// Universe is a css.Result priced and laid out for the solvers: statistic
+// i is res.Stats[i] (sketch variants of the approximate tier follow the
+// exact universe), costs are precomputed, and the candidate sets that can
+// ever be computed form a flat graph in compressed-row form. It is the
+// common substrate of all three solvers and is read-only once built.
 type Universe struct {
 	Res *css.Result
 	// Stats lists the statistic universe in deterministic order.
 	Stats []stats.Stat
-	// Index maps statistic keys to indexes in Stats.
-	Index map[stats.Key]int
 	// Observable marks statistics the initial plan can observe.
 	Observable []bool
 	// Cost is the observation cost per statistic (+Inf when unobservable).
 	Cost []float64
 	// Mem is the memory-unit cost per statistic (the Figure 11 metric).
 	Mem []int64
-	// CSS holds each statistic's candidate sets.
-	CSS [][]cssEntry
 	// Required lists S_C as indexes.
-	Required []int
-	// usedBy[i] lists (stat, css ordinal) pairs where statistic i is an
-	// input, for incremental closure propagation.
-	usedBy [][]useRef
-}
+	Required []int32
 
-type useRef struct{ stat, css int }
+	// Statistic i's candidate sets are those numbered cssOff[i] up to
+	// cssOff[i+1], in the result's order; set c needs
+	// inputs[inOff[c]:inOff[c+1]]. Conversely statistic i is an input of the
+	// sets uses[useOff[i]:useOff[i+1]], and set c computes cssStat[c].
+	cssOff, inOff, useOff []int32
+	inputs, uses, cssStat []int32
+	// derivable marks the statistics computable when everything observable
+	// is observed (candidate sets needing any other statistic are dropped).
+	derivable []bool
+	// sketchOf[i] is the index of exact statistic i's admitted sketch
+	// sibling, or 0; nil without the approximate tier.
+	sketchOf []int32
+}
 
 // ApproxPolicy admits sketch-backed approximate statistics into the
 // universe as cheap alternatives to their exact counterparts.
@@ -101,112 +107,55 @@ func NewUniverse(res *css.Result, coster *costmodel.Coster) (*Universe, error) {
 // gains a one-input candidate set (rules A1 and A2) so observing the
 // sketch covers it. The shared css.Result is never mutated.
 func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOptions) (*Universe, error) {
-	all := res.AllStats()
-	nExact := len(all)
-	// variant maps an appended sketch statistic's index back to its exact
-	// sibling's index and derivation rule.
-	type variantRef struct {
-		exact int
-		rule  string
-	}
-	var variants []variantRef
-	demoted := make(map[int]bool)
+	nExact := len(res.Stats)
+	u := &Universe{Res: res, Stats: res.Stats, Required: res.RequiredIDs}
 	if opts.Approx.Enable {
-		for i := 0; i < nExact; i++ {
-			v, ok := stats.ApproxVariant(all[i])
-			if !ok || !res.StatObservable(v) {
-				continue
-			}
-			if ApproxAccuracy(v) < opts.Approx.MinAccuracy {
-				continue
-			}
-			rule := "A1"
-			if v.Kind == stats.CMHist {
-				rule = "A2"
-			}
-			all = append(all, v)
-			variants = append(variants, variantRef{exact: i, rule: rule})
-			if opts.Approx.Force {
-				demoted[i] = true
+		u.sketchOf = make([]int32, nExact)
+		u.Stats = slices.Clone(res.Stats) // appended to below; the result's is shared
+		for i, s := range res.Stats {
+			v, ok := stats.ApproxVariant(s)
+			if ok && res.StatObservable(v) && ApproxAccuracy(v) >= opts.Approx.MinAccuracy {
+				u.sketchOf[i] = int32(len(u.Stats))
+				u.Stats = append(u.Stats, v)
 			}
 		}
 	}
-	u := &Universe{
-		Res:        res,
-		Stats:      all,
-		Index:      make(map[stats.Key]int, len(all)),
-		Observable: make([]bool, len(all)),
-		Cost:       make([]float64, len(all)),
-		Mem:        make([]int64, len(all)),
-		CSS:        make([][]cssEntry, len(all)),
-		usedBy:     make([][]useRef, len(all)),
-	}
-	for i, s := range all {
-		u.Index[s.Key()] = i
-	}
-	for i, s := range all {
-		k := s.Key()
-		// Appended sketch variants are observable by construction (checked
-		// via StatObservable above); they are absent from the result's
-		// Observable map, which covers the exact universe only. Forced
-		// approx demotes exact statistics whose sketch sibling was
-		// admitted.
-		u.Observable[i] = (res.Observable[k] || i >= nExact) && !demoted[i]
+	n := len(u.Stats)
+	u.Observable = make([]bool, n)
+	u.Cost = make([]float64, n)
+	u.Mem = make([]int64, n)
+	u.cssOff = make([]int32, 1, n+1)
+	u.inOff = make([]int32, 1, res.NumCSS()+n-nExact+1)
+	for i, s := range u.Stats {
 		// Costs are priced for every statistic, not just currently
 		// observable ones: the Section 6.1 budget planner treats any
 		// statistic as observable in a re-ordered later run.
-		c, err := coster.Cost(s)
-		if err != nil {
-			return nil, fmt.Errorf("selector: cost of %v: %w", k, err)
+		var err error
+		if u.Cost[i], u.Mem[i], err = coster.Price(s); err != nil {
+			return nil, fmt.Errorf("selector: cost of %v: %w", s.Key(), err)
 		}
-		u.Cost[i] = c
-		m, err := coster.Memory(s)
-		if err != nil {
-			return nil, fmt.Errorf("selector: memory of %v: %w", k, err)
-		}
-		u.Mem[i] = m
-		for _, c := range res.CSS[k] {
-			entry := cssEntry{rule: c.Rule, inputs: make([]int, 0, len(c.Inputs))}
-			ok := true
-			for _, in := range c.Inputs {
-				j, found := u.Index[in.Key()]
-				if !found {
-					ok = false
-					break
-				}
-				entry.inputs = append(entry.inputs, j)
+		// Appended sketch variants are observable by construction (checked
+		// via StatObservable above) and have no candidate sets.
+		u.Observable[i] = true
+		if i < nExact {
+			u.Observable[i] = res.Observable[i]
+			for _, c := range res.CSS[i] {
+				u.addCSS(c.Inputs...)
 			}
-			if ok {
-				u.CSS[i] = append(u.CSS[i], entry)
+			if u.sketchOf != nil && u.sketchOf[i] > 0 {
+				// The exact statistic is derivable from its sketch sibling
+				// alone (rules A1 and A2); forced approx demotes it.
+				u.addCSS(u.sketchOf[i])
+				u.Observable[i] = u.Observable[i] && !opts.Approx.Force
 			}
 		}
-	}
-	// The exact statistic is derivable from its sketch sibling alone.
-	for vi, ref := range variants {
-		u.CSS[ref.exact] = append(u.CSS[ref.exact], cssEntry{rule: ref.rule, inputs: []int{nExact + vi}})
-	}
-	for _, s := range res.Required {
-		j, ok := u.Index[s.Key()]
-		if !ok {
-			return nil, fmt.Errorf("selector: required statistic %v missing from universe", s.Key())
-		}
-		u.Required = append(u.Required, j)
+		u.cssOff = append(u.cssOff, int32(u.numCSS()))
 	}
 	u.pruneUnderivable()
-	for i := range u.Stats {
-		for ci, c := range u.CSS[i] {
-			for _, j := range c.inputs {
-				u.usedBy[j] = append(u.usedBy[j], useRef{stat: i, css: ci})
-			}
-		}
-	}
 	// Sanity: every required statistic must be derivable when everything
 	// observable is observed.
-	allObs := make([]bool, len(u.Stats))
-	copy(allObs, u.Observable)
-	closed := u.Closure(allObs)
 	for _, r := range u.Required {
-		if !closed[r] {
+		if !u.derivable[r] {
 			return nil, fmt.Errorf("selector: required statistic %v not derivable from any observable set",
 				u.Stats[r].Key())
 		}
@@ -214,27 +163,58 @@ func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOpt
 	return u, nil
 }
 
+// addCSS appends a candidate set to the statistic under construction.
+func (u *Universe) addCSS(inputs ...int32) {
+	u.inputs = append(u.inputs, inputs...)
+	u.inOff = append(u.inOff, int32(len(u.inputs)))
+}
+
+// numCSS returns the number of candidate sets in the graph.
+func (u *Universe) numCSS() int { return len(u.inOff) - 1 }
+
+// Lookup returns the index of a statistic in the universe, or false.
+func (u *Universe) Lookup(s stats.Stat) (int32, bool) {
+	ex, sketch := stats.ExactVariant(s)
+	if !sketch {
+		return u.Res.Lookup(s)
+	}
+	if e, ok := u.Res.Lookup(ex); ok && u.sketchOf != nil && u.sketchOf[e] > 0 {
+		return u.sketchOf[e], true
+	}
+	return 0, false
+}
+
+// css returns the range of candidate sets of statistic i.
+func (u *Universe) css(i int32) (from, to int32) { return u.cssOff[i], u.cssOff[i+1] }
+
+// in returns the inputs of candidate set c.
+func (u *Universe) in(c int32) []int32 { return u.inputs[u.inOff[c]:u.inOff[c+1]] }
+
+// usedBy returns the candidate sets statistic i is an input of.
+func (u *Universe) usedBy(i int32) []int32 { return u.uses[u.useOff[i]:u.useOff[i+1]] }
+
 // pruneUnderivable removes candidate sets whose inputs can never be
 // computed (not observable and, transitively, not derivable), shrinking the
-// models the solvers build.
+// graph the solvers walk, and then indexes the graph by input.
 func (u *Universe) pruneUnderivable() {
-	possible := make([]bool, len(u.Stats))
-	copy(possible, u.Observable)
+	n := int32(len(u.Stats))
+	possible := append([]bool(nil), u.Observable...)
+	feasible := func(c int32) bool {
+		for _, j := range u.in(c) {
+			if !possible[j] {
+				return false
+			}
+		}
+		return true
+	}
 	for changed := true; changed; {
 		changed = false
-		for i := range u.Stats {
+		for i := int32(0); i < n; i++ {
 			if possible[i] {
 				continue
 			}
-			for _, c := range u.CSS[i] {
-				all := true
-				for _, j := range c.inputs {
-					if !possible[j] {
-						all = false
-						break
-					}
-				}
-				if all {
+			for c, to := u.css(i); c < to; c++ {
+				if feasible(c) {
 					possible[i] = true
 					changed = true
 					break
@@ -242,21 +222,40 @@ func (u *Universe) pruneUnderivable() {
 			}
 		}
 	}
-	for i := range u.CSS {
-		var kept []cssEntry
-		for _, c := range u.CSS[i] {
-			ok := true
-			for _, j := range c.inputs {
-				if !possible[j] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, c)
+	u.derivable = possible
+	// Compact the kept sets in place, noting the statistic each computes.
+	u.cssStat = make([]int32, 0, u.numCSS())
+	var ni int32
+	for i := int32(0); i < n; i++ {
+		c, to := u.css(i)
+		u.cssOff[i] = int32(len(u.cssStat))
+		for ; c < to; c++ {
+			if feasible(c) {
+				ni += int32(copy(u.inputs[ni:], u.in(c)))
+				u.cssStat = append(u.cssStat, i)
+				u.inOff[len(u.cssStat)] = ni
 			}
 		}
-		u.CSS[i] = kept
+	}
+	nc := int32(len(u.cssStat))
+	u.cssOff[n] = nc
+	u.inOff, u.inputs = u.inOff[:nc+1], u.inputs[:ni]
+
+	// Index the graph by input.
+	u.useOff = make([]int32, n+1)
+	for _, j := range u.inputs {
+		u.useOff[j+1]++
+	}
+	for i := int32(0); i < n; i++ {
+		u.useOff[i+1] += u.useOff[i]
+	}
+	u.uses = make([]int32, ni)
+	fill := append([]int32(nil), u.useOff[:n]...)
+	for c := int32(0); c < nc; c++ {
+		for _, j := range u.in(c) {
+			u.uses[fill[j]] = c
+			fill[j]++
+		}
 	}
 }
 
@@ -264,54 +263,17 @@ func (u *Universe) pruneUnderivable() {
 // ones: the least fixpoint of "observed, or some CSS fully computable"
 // (property 1 of Section 5.1). It runs in time linear in total CSS size.
 func (u *Universe) Closure(observed []bool) []bool {
-	computable := make([]bool, len(u.Stats))
-	// remaining[stat][css] counts inputs not yet computable.
-	remaining := make([][]int, len(u.Stats))
-	var queue []int
-	for i := range u.Stats {
-		remaining[i] = make([]int, len(u.CSS[i]))
-		for ci, c := range u.CSS[i] {
-			remaining[i][ci] = len(c.inputs)
-		}
-		if observed[i] {
-			computable[i] = true
-			queue = append(queue, i)
-		}
-	}
-	// Zero-input CSSs (none are generated, but be safe).
-	for i := range u.Stats {
-		if computable[i] {
-			continue
-		}
-		for ci := range u.CSS[i] {
-			if remaining[i][ci] == 0 {
-				computable[i] = true
-				queue = append(queue, i)
-				break
-			}
-		}
-	}
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, ref := range u.usedBy[i] {
-			if computable[ref.stat] {
-				continue
-			}
-			remaining[ref.stat][ref.css]--
-			if remaining[ref.stat][ref.css] == 0 {
-				computable[ref.stat] = true
-				queue = append(queue, ref.stat)
-			}
-		}
-	}
-	return computable
+	return newScratch(u).closure(observed, make([]bool, len(u.Stats)))
 }
 
 // Covered reports whether every required statistic is computable under the
 // observation set.
 func (u *Universe) Covered(observed []bool) bool {
-	closed := u.Closure(observed)
+	return u.covers(u.Closure(observed))
+}
+
+// covers reports whether a closure holds every required statistic.
+func (u *Universe) covers(closed []bool) bool {
 	for _, r := range u.Required {
 		if !closed[r] {
 			return false
@@ -331,25 +293,25 @@ func (u *Universe) ObservedCost(observed []bool) float64 {
 	return total
 }
 
-// ObservedMemory sums the memory units of an observation set (the Figure 11
-// metric).
-func (u *Universe) ObservedMemory(observed []bool) int64 {
-	var total int64
+// selection reports an observation set as a Selection.
+func (u *Universe) selection(observed []bool, method string, optimal bool, nodes int) *Selection {
+	sel := &Selection{Cost: u.ObservedCost(observed), Optimal: optimal, Method: method, Nodes: nodes}
 	for i, on := range observed {
 		if on {
-			total += u.Mem[i]
+			sel.Observe = append(sel.Observe, u.Stats[i])
+			sel.Memory += u.Mem[i]
 		}
 	}
-	return total
+	return sel
 }
 
-// StatsOf converts an observation bitset into the statistic list.
-func (u *Universe) StatsOf(observed []bool) []stats.Stat {
-	var out []stats.Stat
-	for i, on := range observed {
-		if on {
-			out = append(out, u.Stats[i])
-		}
+// freeObservables returns the zero-cost observable statistics (e.g. free
+// source statistics, Section 6.2), which every solver takes up front: they
+// can only help.
+func (u *Universe) freeObservables() []bool {
+	free := make([]bool, len(u.Stats))
+	for i := range free {
+		free[i] = u.Observable[i] && u.Cost[i] == 0
 	}
-	return out
+	return free
 }

@@ -322,10 +322,11 @@ func (s Stat) Label(b *workflow.Block) string {
 	}
 }
 
-// CSS is a candidate statistics set: a minimal set of statistics sufficient
-// to compute some other statistic (Section 3.1). Rule records which rule
-// produced it; Join carries the join-attribute class for the join rules so
-// the estimation layer can evaluate the rule numerically.
+// CSS is a candidate statistics set in descriptor form: a minimal set of
+// statistics sufficient to compute some other statistic (Section 3.1). The
+// planner holds candidate sets as ids (css.Candidate); this form is for
+// display. Rule records which rule produced it; Join carries the
+// join-attribute class for the join rules.
 type CSS struct {
 	// Rule is the producing rule's name ("J1", "J4", "I2(J1)", ...).
 	Rule string

@@ -109,14 +109,36 @@ func SortAttrs(as []Attr) []Attr {
 }
 
 // AttrsString renders a canonical comma-separated form of an attribute set.
+// Lists already in canonical order — every statistic's, by construction —
+// are rendered without the defensive copy and sort.
 func AttrsString(as []Attr) string {
-	cp := append([]Attr(nil), as...)
-	SortAttrs(cp)
-	parts := make([]string, len(cp))
-	for i, a := range cp {
-		parts[i] = a.String()
+	for i := 1; i < len(as); i++ {
+		if as[i].Less(as[i-1]) {
+			as = SortAttrs(append([]Attr(nil), as...))
+			break
+		}
 	}
-	return strings.Join(parts, ",")
+	switch len(as) {
+	case 0:
+		return ""
+	case 1:
+		return as[0].String()
+	}
+	n := len(as) - 1
+	for _, a := range as {
+		n += len(a.Rel) + 1 + len(a.Col)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, a := range as {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(a.Rel)
+		sb.WriteByte('.')
+		sb.WriteString(a.Col)
+	}
+	return sb.String()
 }
 
 // CmpOp is a comparison operator used in selection predicates.
