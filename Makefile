@@ -16,6 +16,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzRunFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # serve-smoke drives the statistics daemon end to end: run -save-stats,
 # observe upload, optimize solve + cache hit, metrics, SIGTERM drain.
@@ -76,9 +77,14 @@ examples:
 vet:
 	$(GO) vet ./...
 
-# lint always vets; staticcheck runs only where it is installed (CI
-# installs it, minimal dev containers may not have it).
+# lint always vets and fails on a file gofmt would change (the repository's
+# own files: the benchmark's build directory holds exported copies of other
+# commits); staticcheck runs only where it is installed (CI installs it,
+# minimal dev containers may not have it).
 lint: vet
+	@unformatted=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -64,15 +64,15 @@ type opSummary struct {
 }
 
 type report struct {
-	Spec            string               `json:"spec"`
-	Addr            string               `json:"addr"`
-	SelfHosted      bool                 `json:"selfHosted"`
-	Concurrency     int                  `json:"concurrency"`
-	TargetQPS       float64              `json:"targetQps,omitempty"`
-	MeasuredSeconds float64              `json:"measuredSeconds"`
-	Requests        int64                `json:"requests"`
-	QPS             float64              `json:"qps"`
-	LatencyMs       latencySummary       `json:"latencyMs"`
+	Spec            string         `json:"spec"`
+	Addr            string         `json:"addr"`
+	SelfHosted      bool           `json:"selfHosted"`
+	Concurrency     int            `json:"concurrency"`
+	TargetQPS       float64        `json:"targetQps,omitempty"`
+	MeasuredSeconds float64        `json:"measuredSeconds"`
+	Requests        int64          `json:"requests"`
+	QPS             float64        `json:"qps"`
+	LatencyMs       latencySummary `json:"latencyMs"`
 	// Status buckets count the WHOLE run, warmup included — an error or a
 	// shed during the cold-start convoy still matters to a smoke gate.
 	// Requests/QPS/latencies cover only the post-warmup window.

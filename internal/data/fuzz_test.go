@@ -14,17 +14,17 @@ import (
 // trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("k,val\n1,2\n3,4\n"))
-	f.Add([]byte("k\n"))                           // header only
-	f.Add([]byte("k,k\n1,2\n"))                    // duplicate column
-	f.Add([]byte("k, \n1,2\n"))                    // blank column name
-	f.Add([]byte("k,val\n1\n"))                    // ragged row
-	f.Add([]byte("k,val\n1,x\n"))                  // non-integer field
-	f.Add([]byte("k,val\n1,\"2\n"))                // unterminated quote
-	f.Add([]byte("\"a,b\",c\n\"1\",  2 \n"))       // quoted comma, padded int
-	f.Add([]byte("k,val\r\n1,2\r\n"))              // CRLF
+	f.Add([]byte("k\n"))                            // header only
+	f.Add([]byte("k,k\n1,2\n"))                     // duplicate column
+	f.Add([]byte("k, \n1,2\n"))                     // blank column name
+	f.Add([]byte("k,val\n1\n"))                     // ragged row
+	f.Add([]byte("k,val\n1,x\n"))                   // non-integer field
+	f.Add([]byte("k,val\n1,\"2\n"))                 // unterminated quote
+	f.Add([]byte("\"a,b\",c\n\"1\",  2 \n"))        // quoted comma, padded int
+	f.Add([]byte("k,val\r\n1,2\r\n"))               // CRLF
 	f.Add([]byte("k,val\n9223372036854775808,1\n")) // int64 overflow
-	f.Add([]byte(""))                              // empty input
-	f.Add([]byte("\xff\xfe,\x00\n1,2\n"))          // junk bytes
+	f.Add([]byte(""))                               // empty input
+	f.Add([]byte("\xff\xfe,\x00\n1,2\n"))           // junk bytes
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tbl, err := readCSV(bytes.NewReader(in), "fuzz")
@@ -102,6 +102,9 @@ func FuzzReadTable(f *testing.F) {
 		column(zipfDomain(40, 5)...),  // dict
 		column(constant(20000, 9)...), // width-0 dict
 		mixedTable(),
+		// map: an attribute of a foreign key, an equal join key, a chain
+		tableOf(zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return 100 - 7*v })),
+		tableOf(zipfDomain(60, 6), serialKey(60), zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return v / 2 })),
 	} {
 		f.Add(encodeTable(f, tbl))
 	}
@@ -112,7 +115,7 @@ func FuzzReadTable(f *testing.F) {
 	f.Add(rowBomb())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tbl, err := readTable(bytes.NewReader(in), fuzzWireCells)
+		tbl, err := ReadTableMax(bytes.NewReader(in), fuzzWireCells)
 		if err != nil {
 			return // rejected cleanly — the property under test
 		}

@@ -12,15 +12,15 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Table wire format (ETBL2). Distributed execution ships block boundary
+// Table wire format (ETBL3). Distributed execution ships block boundary
 // outputs between coordinator and worker processes; the encoding below is
 // the canonical byte form of a Table:
 //
-//	"ETBL2" | present(1) | relation | ncols | ncols × (attr rel, attr col)
+//	"ETBL3" | present(1) | relation | ncols | ncols × (attr rel, attr col)
 //	        | nrows | ncols × column        (no columns when nrows is 0)
 //
 // Strings are a uvarint length plus bytes, counts are uvarints. The body is
-// column-major: each column is one tag byte and one of three encodings of
+// column-major: each column is one tag byte and one of four encodings of
 // its nrows values —
 //
 //	plain  zigzag varints, one per row
@@ -31,12 +31,18 @@ import (
 //	       w = ⌈log2 d⌉, then the rows' dictionary codes bit-packed
 //	       LSB-first at w bits each, zero-padded to a byte (w = 0, no
 //	       codes, for a constant column)
+//	map    uvarint j, an earlier column this one is a function of, then the
+//	       column's image: one zigzag varint per distinct value of column
+//	       j, in ascending order of those values
 //
-// — whichever is smallest by exact computed size, ties to the lower tag;
-// dict is a candidate only while max-min < maxDictSpan, which is what lets
-// presence marks over [min, max] stand in for a hash set. Join outputs over
-// skewed small domains are long runs and tiny dictionaries: block outputs
-// cost ~2 bytes a row.
+// — whichever is smallest by exact computed size, ties to the lower tag and
+// then to the lower j. dict, and a map's column j, need max-min < maxDictSpan,
+// which lets a table over [min, max] stand in for a hash map; column j is
+// never itself a map column. Join outputs over skewed small domains are long
+// runs and tiny dictionaries, and most of their columns are what the paper's
+// key / foreign-key metadata (§3.2.2) describes — an attribute is a function
+// of its relation's key, both sides of an equi-join are one column — costing
+// a value per distinct key, not a code per row: ~1.2 bytes a row.
 //
 // The format is lossless (ReadTable(WriteTable(t)) reproduces t exactly,
 // attribute and row order included) and canonical in both directions: the
@@ -54,7 +60,7 @@ import (
 // alike.
 
 // tableMagic versions the stream; bump on any incompatible change.
-const tableMagic = "ETBL2"
+const tableMagic = "ETBL3"
 
 // Wire limits: a schema wider than maxWireCols or a name longer than
 // maxWireName is rejected outright (no workflow in the system approaches
@@ -76,11 +82,17 @@ const (
 	encPlain byte = iota
 	encRLE
 	encDict
+	encMap
 )
 
-// maxDictSpan bounds max-min of a dictionary column, and so both the mark
-// table the encoder scans and the dictionary a reader allocates.
+// maxDictSpan bounds max-min of a dictionary column and of a map column's
+// determinant, and so the mark, image and dictionary tables of both sides.
 const maxDictSpan = 1 << 16
+
+// mapWork bounds one column's determinant search to mapWork × nrows cells of
+// earlier columns, so that planning a table — which a reader repeats on any
+// bytes a peer sends — stays linear in its cells whatever its width.
+const mapWork = 4
 
 // wireScratch is the working memory of one WriteTable or ReadTable call.
 type wireScratch struct {
@@ -88,8 +100,28 @@ type wireScratch struct {
 	stats []colStats
 	marks []uint16     // presence marks over [min, max], then dictionary codes
 	dict  []int64      // a decoded dictionary
+	image []imageEntry // a map column's image over its determinant's [min, max]
+	best  []imageEntry // the image of the column's best determinant so far
+	epoch uint64       // the image entries the current pass has written
 	out   []byte       // the stream being encoded
 	in    bytes.Buffer // the stream being decoded
+}
+
+// imageEntry is the value a map column takes where its determinant takes
+// min+index, stamped with the epoch of the pass that wrote it: a new pass
+// starts from an empty image without clearing the table.
+type imageEntry struct {
+	epoch uint64
+	v     int64
+}
+
+// newImage starts a pass over an empty image table of more than span entries.
+func (sc *wireScratch) newImage(span uint64) ([]imageEntry, uint64) {
+	if uint64(len(sc.image)) <= span {
+		sc.image = make([]imageEntry, 1<<bits.Len64(span))
+	}
+	sc.epoch++
+	return sc.image, sc.epoch
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
@@ -186,8 +218,9 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	for c := 0; c < ncols && nrows > 0; c++ {
-		col := cells[c*nrows : (c+1)*nrows]
-		buf = appendColumn(buf, col, planColumn(col, &stats[c], sc))
+		p := planColumn(cells, stats, c, sc, -1, 0)
+		stats[c].mapped = p.enc == encMap
+		buf = appendColumn(buf, cells, stats, c, p, sc)
 	}
 	return buf, nil
 }
@@ -202,6 +235,7 @@ type colStats struct {
 	last     int64 // the previous value scanned
 	runs     int   // maximal runs of one value; 0 before the first value
 	plain    int   // bytes as zigzag varints
+	mapped   bool  // map-encoded, so not a determinant for later columns
 }
 
 // scan folds the next, non-empty, segment of the column into the statistics.
@@ -245,10 +279,23 @@ type colPlan struct {
 	// for exactly those.
 	dict  int
 	marks []uint16
+	// A map column's determinant, and the stamp of its image in sc.best.
+	det   int
+	epoch uint64
 }
 
-// planColumn picks the column's encoding by exact encoded size.
-func planColumn(col []int64, st *colStats, sc *wireScratch) colPlan {
+// wireColumn is column c of the column-major cells of a len(stats)-column table.
+func wireColumn(cells []int64, stats []colStats, c int) []int64 {
+	n := len(cells) / len(stats)
+	return cells[c*n : (c+1)*n]
+}
+
+// planColumn picks the encoding of column c by exact encoded size; stats
+// holds the statistics of columns 0..c and the decisions for those before c.
+// A reader that built the column from its image over column known (-1 for the
+// writer) passes that and the image's size: the one pair it need not re-read.
+func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, knownSize int) colPlan {
+	col, st := wireColumn(cells, stats, c), &stats[c]
 	n := len(col)
 	p := colPlan{enc: encPlain, min: st.min}
 	best := st.plain
@@ -270,7 +317,59 @@ func planColumn(col []int64, st *colStats, sc *wireScratch) colPlan {
 		}
 	}
 
-	if span := uint64(st.max) - uint64(st.min); span < maxDictSpan {
+	// The determinant search, ascending so that ties go to the lower j. A pair
+	// ends at a row that contradicts it, an image no smaller than best, or the budget.
+	budget := mapWork * n
+	for j := 0; j < c && budget > 0; j++ {
+		budget--
+		dst := &stats[j]
+		span := uint64(dst.max) - uint64(dst.min)
+		if dst.mapped || span >= maxDictSpan {
+			continue
+		}
+		if j == known {
+			// The pass would find no conflict and this size, or stop short
+			// of it: then no plan is the one the stream claims.
+			if knownSize < best && budget >= n {
+				p.enc, p.det, best = encMap, j, knownSize
+				budget -= n
+			}
+			continue
+		}
+		det := wireColumn(cells, stats, j)[:min(n, budget)]
+		image, epoch := sc.newImage(span)
+		size, seen, ok := uvarintLen(uint64(j)), len(det), true
+		for i := 0; i < len(det); {
+			dv, v := det[i], col[i]
+			e := &image[uint64(dv)-uint64(dst.min)]
+			if e.epoch != epoch {
+				*e = imageEntry{epoch, v}
+				size += varintLen(v)
+				ok = size < best
+			} else {
+				ok = e.v == v
+			}
+			if !ok {
+				seen = i + 1
+				break
+			}
+			// A join repeats the outer row per match: skip the repeats.
+			for i++; i < len(det) && det[i] == dv && col[i] == v; i++ {
+			}
+		}
+		budget -= seen
+		if ok && len(det) == n {
+			p.enc, p.det, p.epoch, best = encMap, j, epoch, size
+			sc.image, sc.best = sc.best, sc.image
+		}
+	}
+
+	// Two dictionary entries or more spend a bit a row: past best, no marks pass.
+	floor := varintLen(st.min) + 2
+	if st.runs > 1 {
+		floor += 1 + (n+7)/8
+	}
+	if span := uint64(st.max) - uint64(st.min); span < maxDictSpan && floor <= best {
 		if cap(sc.marks) < maxDictSpan {
 			sc.marks = make([]uint16, maxDictSpan)
 		}
@@ -290,8 +389,8 @@ func planColumn(col []int64, st *colStats, sc *wireScratch) colPlan {
 			}
 		}
 		size += uvarintLen(uint64(d)) + 1 + (n*dictWidth(d)+7)/8
-		if size < best {
-			p.enc, p.dict, p.marks = encDict, d, marks
+		if size < best || size == best && p.enc == encMap {
+			p = colPlan{enc: encDict, min: st.min, dict: d, marks: marks}
 		}
 	}
 	return p
@@ -311,8 +410,9 @@ var varintLens = func() (t [65]uint8) {
 	return t
 }()
 
-// appendColumn encodes one planned column.
-func appendColumn(buf []byte, col []int64, p colPlan) []byte {
+// appendColumn encodes column c as planned.
+func appendColumn(buf []byte, cells []int64, stats []colStats, c int, p colPlan, sc *wireScratch) []byte {
+	col := wireColumn(cells, stats, c)
 	buf = append(buf, p.enc)
 	switch p.enc {
 	case encPlain:
@@ -364,6 +464,14 @@ func appendColumn(buf []byte, col []int64, p colPlan) []byte {
 			buf = append(buf, byte(acc))
 			acc >>= 8
 		}
+	case encMap:
+		buf = binary.AppendUvarint(buf, uint64(p.det))
+		dst := &stats[p.det]
+		for _, e := range sc.best[:uint64(dst.max)-uint64(dst.min)+1] {
+			if e.epoch == p.epoch {
+				buf = binary.AppendVarint(buf, e.v)
+			}
+		}
 	}
 	return buf
 }
@@ -376,11 +484,12 @@ func appendWireString(buf []byte, s string) ([]byte, error) {
 }
 
 // ReadTable deserializes a table written by WriteTable, consuming r to EOF.
-func ReadTable(r io.Reader) (*Table, error) { return readTable(r, maxWireCells) }
+func ReadTable(r io.Reader) (*Table, error) { return ReadTableMax(r, maxWireCells) }
 
-// readTable is ReadTable under an explicit cell cap (the fuzzer runs a
-// smaller one so a mutated row count cannot cost it gigabytes).
-func readTable(r io.Reader, maxCells uint64) (*Table, error) {
+// ReadTableMax is ReadTable under a cell cap below the format's own: a table
+// costs its reader some 40 bytes a cell however few bytes declared it, so a
+// block frame passes the cap on its own size, and the fuzzers a small one.
+func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
 	sc.in.Reset()
@@ -391,8 +500,8 @@ func readTable(r io.Reader, maxCells uint64) (*Table, error) {
 	if len(d.b) < len(tableMagic) {
 		return nil, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(d.b[:len(tableMagic)]) != tableMagic {
-		return nil, fmt.Errorf("data: bad table magic %q", d.b[:len(tableMagic)])
+	if magic := d.b[:len(tableMagic)]; string(magic) != tableMagic {
+		return nil, fmt.Errorf("data: table stream starts %q, this build reads only version %q", magic, tableMagic)
 	}
 	d.pos = len(tableMagic)
 	if d.pos == len(d.b) {
@@ -438,7 +547,7 @@ func readTable(r io.Reader, maxCells uint64) (*Table, error) {
 	}
 	// A run or a constant column declares any number of rows in a few
 	// bytes, so the declared shape is capped before it sizes anything.
-	if nrows > maxCells || nrows*ncols > maxCells {
+	if limit := uint64(max(0, min(maxCells, maxWireCells))); nrows > limit || nrows*ncols > limit {
 		return nil, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
 	}
 	n, w := int(nrows), int(ncols)
@@ -446,8 +555,11 @@ func readTable(r io.Reader, maxCells uint64) (*Table, error) {
 		if cap(sc.cells) < n*w {
 			sc.cells = make([]int64, n*w)
 		}
+		if cap(sc.stats) < w {
+			sc.stats = make([]colStats, w)
+		}
 		for c := 0; c < w; c++ {
-			if err := d.column(sc.cells[c*n:(c+1)*n], sc); err != nil {
+			if err := d.column(sc.cells[:n*w], sc.stats[:w], c, sc); err != nil {
 				return nil, fmt.Errorf("data: column %d: %w", c, err)
 			}
 		}
@@ -527,36 +639,40 @@ func (d *wireDecoder) str(what string) (string, error) {
 	return s, nil
 }
 
-// column decodes one column into col and verifies it is the encoding the
-// writer would have chosen.
-func (d *wireDecoder) column(col []int64, sc *wireScratch) error {
+// column decodes column c into the column-major cells, after columns 0..c-1,
+// and verifies it is the encoding the writer would have chosen.
+func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScratch) error {
 	if d.pos == len(d.b) {
 		return io.ErrUnexpectedEOF
 	}
 	enc := d.b[d.pos]
 	d.pos++
-	dict := 0
-	var st colStats
+	col, st := wireColumn(cells, stats, c), &stats[c]
+	*st = colStats{}
+	dict, det, start := 0, -1, d.pos
 	var err error
 	switch enc {
 	case encPlain:
 		err = d.plainColumn(col)
 	case encRLE:
-		err = d.rleColumn(col, &st)
+		err = d.rleColumn(col, st)
 	case encDict:
 		dict, err = d.dictColumn(col, sc)
+	case encMap:
+		det, err = d.mapColumn(cells, stats, c, sc)
 	default:
 		return fmt.Errorf("unknown encoding tag %d", enc)
 	}
 	if err != nil {
 		return err
 	}
-	if enc != encRLE {
+	if enc != encRLE && enc != encMap {
 		st.scan(col)
 	}
-	if p := planColumn(col, &st, sc); p.enc != enc || p.dict != dict {
-		return fmt.Errorf("non-canonical: encoding %d with %d dictionary entries, the writer picks %d with %d", enc, dict, p.enc, p.dict)
+	if p := planColumn(cells, stats, c, sc, det, d.pos-start); p.enc != enc || p.dict != dict || enc == encMap && p.det != det {
+		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, det, p.enc, p.dict, p.det)
 	}
+	st.mapped = enc == encMap
 	return nil
 }
 
@@ -673,4 +789,51 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 		return 0, errors.New("non-canonical: padding bits set")
 	}
 	return len(dict), nil
+}
+
+// mapColumn decodes a column that is a function of an earlier one: the image
+// entries pair up, in order, with that column's distinct values.
+func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wireScratch) (int, error) {
+	j, err := d.uvarintRaw()
+	if err != nil {
+		return 0, err
+	}
+	if j >= uint64(c) || stats[j].mapped || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier, map-encoded or too wide", j, c)
+	}
+	dst := &stats[j]
+	span := uint64(dst.max) - uint64(dst.min)
+	det := wireColumn(cells, stats, int(j))
+	image, epoch := sc.newImage(span)
+	for i, dv := range det {
+		if i == 0 || dv != det[i-1] {
+			image[uint64(dv)-uint64(dst.min)].epoch = epoch
+		}
+	}
+	for k := range image[:span+1] {
+		if image[k].epoch == epoch {
+			if image[k].v, err = d.varintRaw(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	// Expand by the determinant's runs, with statistics as in rleColumn.
+	col, st := wireColumn(cells, stats, c), &stats[c]
+	for i, n := 0, len(det); i < n; {
+		dv, k := det[i], i+1
+		for k < n && det[k] == dv {
+			k++
+		}
+		v := image[uint64(dv)-uint64(dst.min)].v
+		for r := i; r < k; r++ {
+			col[r] = v
+		}
+		if i > 0 && col[i-1] == v {
+			st.plain += (k - i) * varintLen(v)
+		} else {
+			st.addRun(v, k-i)
+		}
+		i = k
+	}
+	return int(j), nil
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -105,6 +106,152 @@ func mixedTable() *Table {
 		tbl.Rows = append(tbl.Rows, row)
 	}
 	return tbl
+}
+
+// tableOf builds a table from its columns.
+func tableOf(cols ...[]int64) *Table {
+	tbl := &Table{Rel: "J"}
+	for c := range cols {
+		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "J", Col: string(rune('a' + c%26))})
+	}
+	for r := range cols[0] {
+		row := make(Row, len(cols))
+		for c := range cols {
+			row[c] = cols[c][r]
+		}
+		tbl.Rows = append(tbl.Rows, row)
+	}
+	return tbl
+}
+
+// apply is the column f(col[i]).
+func apply(col []int64, f func(int64) int64) []int64 {
+	out := make([]int64, len(col))
+	for i, v := range col {
+		out[i] = f(v)
+	}
+	return out
+}
+
+// columnPlans encodes the table, checks that it round-trips and re-encodes
+// to the same bytes, and walks the stream with the package's own column
+// decoder: each column's tag and, for a map column, its determinant.
+func columnPlans(t *testing.T, tbl *Table) (tags []byte, dets []int) {
+	t.Helper()
+	blob := encodeTable(t, tbl)
+	got, err := ReadTable(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("ReadTable: %v", err)
+	}
+	if !reflect.DeepEqual(got, tbl) {
+		t.Fatal("round trip mismatch")
+	}
+	if !bytes.Equal(encodeTable(t, got), blob) {
+		t.Fatal("decoded table re-encodes to different bytes")
+	}
+	n, w := len(tbl.Rows), len(tbl.Attrs)
+	d := &wireDecoder{b: blob, pos: len(wireHeader(tbl))}
+	cells, stats := make([]int64, n*w), make([]colStats, w)
+	for c := 0; c < w; c++ {
+		tags, dets = append(tags, d.b[d.pos]), append(dets, -1)
+		if d.b[d.pos] == encMap {
+			dets[c] = int(d.b[d.pos+1]) // one byte: the fixtures are narrow
+		}
+		if err := d.column(cells, stats, c, new(wireScratch)); err != nil {
+			t.Fatalf("column %d: %v", c, err)
+		}
+	}
+	return tags, dets
+}
+
+// TestTableWireMapColumns runs join-shaped tables through the codec: what
+// the paper's key / foreign-key metadata says of a join output — attributes
+// are functions of their relation's key, join keys are equal — is found in
+// the values, and only where it is true and pays.
+func TestTableWireMapColumns(t *testing.T) {
+	const n = 2000
+	key := zipfDomain(n, 200) // a foreign key: 200 values, skewed
+	attr := func(v int64) int64 { return (v*7919)%1000 - 500 }
+	brokenLast := apply(key, attr)
+	brokenLast[n-1]++
+	for _, c := range []struct {
+		name string
+		tbl  *Table
+		tags []byte
+		dets []int
+	}{
+		{"attribute of a key", tableOf(key, apply(key, attr)),
+			[]byte{encDict, encMap}, []int{-1, 0}},
+		{"equal join keys", tableOf(key, serialKey(n), key),
+			[]byte{encDict, encPlain, encMap}, []int{-1, -1, 0}},
+		// B = f(A) is a map column, so C = g(B) goes through A.
+		{"chain", tableOf(key, apply(key, func(v int64) int64 { return v / 4 }), apply(key, func(v int64) int64 { return v / 4 % 7 })),
+			[]byte{encDict, encMap, encMap}, []int{-1, 0, 0}},
+		{"determinant wider than the span", tableOf(apply(key, func(v int64) int64 { return v * 1000 }), apply(key, attr)),
+			[]byte{encPlain, encDict}, []int{-1, -1}},
+		{"a function until the last row", tableOf(key, brokenLast),
+			[]byte{encDict, encDict}, []int{-1, -1}},
+		// Every column is a function of a unique key, at a value a row.
+		{"unique key", tableOf(serialKey(n), apply(serialKey(n), func(v int64) int64 { return 1<<40 + v%4 })),
+			[]byte{encPlain, encDict}, []int{-1, -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tags, dets := columnPlans(t, c.tbl)
+			if !reflect.DeepEqual(tags, c.tags) || !reflect.DeepEqual(dets, c.dets) {
+				t.Errorf("tags %v determinants %v, want %v %v", tags, dets, c.tags, c.dets)
+			}
+		})
+	}
+}
+
+// TestTableWireMapSearchBounded: a column looks for its determinant among at
+// most mapWork × nrows cells of the columns before it. Decoy keys that each
+// hold up as a determinant to their last row use that up, so a column with
+// mapWork of them before its determinant is encoded as if nothing determined
+// it — on both sides, whatever the table's width: planning stays linear in
+// the table's cells.
+func TestTableWireMapSearchBounded(t *testing.T) {
+	const n = 2000
+	det := apply(serialKey(n), func(v int64) int64 { return v % 4 })
+	target := apply(det, func(v int64) int64 { return 1<<40 + v })
+	for _, c := range []struct {
+		decoys int
+		tag    byte
+	}{{mapWork - 2, encMap}, {mapWork, encDict}, {300, encDict}} {
+		cols := make([][]int64, c.decoys, c.decoys+2)
+		for i := range cols {
+			cols[i] = serialKey(n)
+		}
+		tags, dets := columnPlans(t, tableOf(append(cols, det, target)...))
+		if last := len(tags) - 1; tags[last] != c.tag || (c.tag == encMap) != (dets[last] == c.decoys) {
+			t.Errorf("%d decoys: target encoded with tag %d through column %d, want tag %d", c.decoys, tags[last], dets[last], c.tag)
+		}
+	}
+}
+
+// TestTableWireRandomJoins round-trips generated tables whose columns are
+// fresh draws, copies or functions of earlier columns, at row counts small
+// enough that the search budget and the size ties are in play: the reader's
+// plan, which skips the pair it decoded through, must be the writer's.
+func TestTableWireRandomJoins(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 400; round++ {
+		n, w := 1+rng.Intn(120), 1+rng.Intn(9)
+		cols := make([][]int64, w)
+		for c := range cols {
+			src, mul, off := rng.Intn(c+1), int64(1+rng.Intn(3)), int64(rng.Intn(1<<uint(rng.Intn(20))))
+			if src == c { // a fresh column over a domain of its own
+				domain := int64(1 + rng.Intn(2*n))
+				cols[c] = make([]int64, n)
+				for i := range cols[c] {
+					cols[c][i] = off + rng.Int63n(domain)
+				}
+				continue
+			}
+			cols[c] = apply(cols[src], func(v int64) int64 { return v/mul - off })
+		}
+		columnPlans(t, tableOf(cols...))
+	}
 }
 
 func TestTableWireRoundTrip(t *testing.T) {
@@ -284,11 +431,15 @@ func TestTableWireRejectsCorruption(t *testing.T) {
 	if _, err := ReadTable(bytes.NewReader(append(append([]byte{}, full...), 0x00))); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	// Bad magic is rejected.
+	// Bad magic is rejected, and the format this one replaced by name.
 	bad := append([]byte{}, full...)
 	bad[0] ^= 0xff
 	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+	old := append([]byte("ETBL2"), full[len(tableMagic):]...)
+	if _, err := ReadTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `starts "ETBL2"`) {
+		t.Fatalf("a stream of the previous version: err = %v", err)
 	}
 }
 
@@ -311,7 +462,7 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		{"padded run length", []byte{encRLE, zz(5), 0x83, 0x00}},
 		{"padded value", []byte{encRLE, 0x8a, 0x00, 3}},
 		{"run past the row count", []byte{encRLE, zz(5), 4}},
-		{"unknown tag", []byte{3, zz(5), 3}},
+		{"unknown tag", []byte{4, zz(5), 3}},
 	}
 	for i, c := range cases {
 		_, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...)))
@@ -339,6 +490,38 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 	} {
 		if _, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...))); err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// Map streams, over a key column k = 1 2 1 2 … whose canonical form is
+	// the 5-byte dictionary kcol.
+	k := []int64{1, 2, 1, 2, 1, 2, 1, 2}
+	kcol := []byte{encDict, 2, zz(1), 1, 1, 0xaa}
+	v := apply(k, func(v int64) int64 { return 10 * v })
+	for i, c := range []struct {
+		name string
+		tbl  *Table
+		body []byte // the columns after kcol
+	}{
+		{"canonical", tableOf(k, v), []byte{encMap, 0, zz(10), zz(20)}},
+		{"image entry for an absent value", tableOf(k, v), []byte{encMap, 0, zz(10), zz(20), zz(30)}},
+		{"image entry missing", tableOf(k, v), []byte{encMap, 0, zz(10)}},
+		{"determinant is the column itself", tableOf(k, v), []byte{encMap, 1, zz(10), zz(20)}},
+		{"determinant is a later column", tableOf(k, v, v), []byte{encMap, 2, zz(10), zz(20), encMap, 0, zz(10), zz(20)}},
+		{"determinant is a map column", tableOf(k, v, v), []byte{encMap, 0, zz(10), zz(20), encMap, 1, zz(10), zz(20)}},
+		{"padded determinant", tableOf(k, v), []byte{encMap, 0x80, 0x00, zz(10), zz(20)}},
+		{"map where rle is smaller", tableOf(k, constant(8, 5)), []byte{encMap, 0, zz(5), zz(5)}},
+		{"dictionary where map is smaller", tableOf(k, v), []byte{encDict, 2, zz(10), 10, 1, 0xaa}},
+		{"plain where map is smaller", tableOf(k, v), append([]byte{encPlain}, bytes.Repeat([]byte{zz(10), zz(20)}, 4)...)},
+	} {
+		stream := append(append(wireHeader(c.tbl), kcol...), c.body...)
+		if _, err := ReadTable(bytes.NewReader(stream)); (err == nil) != (i == 0) {
+			t.Errorf("%s: err = %v", c.name, err)
+		}
+	}
+	// The canonical forms the rejected streams stood in for.
+	for _, tbl := range []*Table{tableOf(k, v, v), tableOf(k, constant(8, 5))} {
+		if _, err := ReadTable(bytes.NewReader(encodeTable(t, tbl))); err != nil {
+			t.Errorf("canonical stream refused: %v", err)
 		}
 	}
 	// Padding bits: 15 two-bit codes leave two spare bits in the last byte.

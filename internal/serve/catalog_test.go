@@ -9,7 +9,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-func scalarStore(t *testing.T, card int64) *stats.Store {
+func scalarStore(t testing.TB, card int64) *stats.Store {
 	t.Helper()
 	st := stats.NewStore()
 	target := stats.BlockSE(0, 1)

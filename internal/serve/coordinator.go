@@ -37,8 +37,8 @@ import (
 type Coordinator struct {
 	run RunSpec
 	opt CoordinatorOptions
-	// maxBody caps a frame in either direction (maxUploadBytes; tests
-	// lower it).
+	// maxBody caps a frame in either direction, as sent and as inflated
+	// (maxUploadBytes; tests lower it).
 	maxBody int64
 }
 
@@ -224,14 +224,12 @@ func (e *permanentError) Unwrap() error { return e.err }
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
 	// The lease id rides a header, so the frame — and any retry of it — is
 	// built once and stays byte-identical.
-	body, err := encodeRunRequest(s.base, block, upstream)
+	body, err := encodeRunRequest(s.base, block, upstream, s.c.maxBody)
 	switch {
-	case errors.Is(err, data.ErrWireCap):
-		return nil, wireCapError(block, err.Error())
+	case overCap(err):
+		return nil, wireCapError(block, "request of "+err.Error())
 	case err != nil:
 		return nil, err
-	case int64(len(body)) > s.c.maxBody:
-		return nil, wireCapError(block, fmt.Sprintf("request of %d bytes, cap %d", len(body), s.c.maxBody))
 	}
 	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
@@ -291,6 +289,12 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 // fail identically, so the run must finish this block in-process.
 func wireCapError(block int, detail string) error {
 	return fmt.Errorf("serve: block %d exceeds the wire cap (%s): %w", block, detail, engine.ErrWorkersLost)
+}
+
+// overCap reports an encode or decode error that says so: a table over the
+// codec's cell cap or a frame over the payload cap, on either side.
+func overCap(err error) bool {
+	return errors.Is(err, data.ErrWireCap) || errors.Is(err, errFrameCap)
 }
 
 // pickLive returns the next live worker round-robin, nil when none.
@@ -375,7 +379,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, err := decodeRunResponse(lr)
+	rb, err := decodeRunResponse(lr, s.c.maxBody)
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
@@ -386,6 +390,9 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	}
 	if lr.N <= 0 {
 		return nil, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
+	}
+	if overCap(err) {
+		return nil, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)

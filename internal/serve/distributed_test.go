@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -371,18 +372,17 @@ func TestDistributedNetworkFaultMatrix(t *testing.T) {
 	})
 }
 
-// startOversizeWorker answers health but returns a response body past the
-// wire cap for every block run — the deterministic-undeliverable case.
-func startOversizeWorker(t *testing.T) *httptest.Server {
+// startOversizeWorker answers health but returns the given body for every
+// block run — the deterministic-undeliverable case.
+func startOversizeWorker(t *testing.T, body []byte) *httptest.Server {
 	t.Helper()
-	big := bytes.Repeat([]byte{'x'}, maxUploadBytes+1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/worker/health" {
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			return
 		}
 		w.WriteHeader(http.StatusOK)
-		w.Write(big)
+		w.Write(body)
 	}))
 	t.Cleanup(srv.Close)
 	return srv
@@ -391,19 +391,44 @@ func startOversizeWorker(t *testing.T) *httptest.Server {
 // TestDistributedOversizeResponseFallsBack pins the wire-cap guard: a block
 // whose payload cannot cross the wire whole is deterministically
 // undeliverable, so the run must complete in-process — no retry burn, no
-// silent truncation, outputs identical.
+// silent truncation, outputs identical. Over the cap as sent, or a kilobyte
+// that would inflate past it, declared honestly or not.
 func TestDistributedOversizeResponseFallsBack(t *testing.T) {
-	const wf = 6
+	const (
+		wf      = 6
+		lowered = 1 << 20
+	)
 	want := localRun(t, wf, false)
-	big := startOversizeWorker(t)
-	cfg := distConfig(t, wf, false, []string{big.URL}, nil)
-	got := runCycleOf(t, wf, cfg)
-	assertRunsEqual(t, "oversize", want, got)
-	if got.Dist == nil || !got.Dist.FellBack {
-		t.Fatal("oversized worker response should degrade to the in-process fallback")
-	}
-	if !strings.Contains(got.Dist.Reason, "wire cap") {
-		t.Errorf("fallback reason should name the wire cap, got %q", got.Dist.Reason)
+	_, payload := framePayload(t, responseFrame(t, frameBlock(t)))
+	bomb := append(payload[:len(payload):len(payload)], make([]byte, lowered)...)
+	for _, c := range []struct {
+		name    string
+		body    []byte
+		maxBody int64
+	}{
+		{"body over the cap", bytes.Repeat([]byte{'x'}, maxUploadBytes+1), maxUploadBytes},
+		{"deflate bomb, declared", sealedFrame(t, frameDeflate, uint64(len(bomb)), bomb), lowered},
+		{"deflate bomb, undeclared", sealedFrame(t, frameDeflate, uint64(len(payload)), bomb), maxUploadBytes},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if strings.Contains(c.name, "bomb") && len(c.body) > 2048 {
+				t.Fatalf("bomb is %d bytes", len(c.body))
+			}
+			big := startOversizeWorker(t, c.body)
+			cfg := distConfig(t, wf, false, []string{big.URL}, nil)
+			cfg.Dispatcher.(*Coordinator).maxBody = c.maxBody
+			got := runCycleOf(t, wf, cfg)
+			assertRunsEqual(t, "oversize", want, got)
+			if got.Dist == nil || !got.Dist.FellBack {
+				t.Fatal("oversized worker response should degrade to the in-process fallback")
+			}
+			if !strings.Contains(got.Dist.Reason, "wire cap") {
+				t.Errorf("fallback reason should name the wire cap, got %q", got.Dist.Reason)
+			}
+			if got.Dist.Reassigned != 0 {
+				t.Errorf("an undeliverable response burned %d retries", got.Dist.Reassigned)
+			}
+		})
 	}
 }
 
@@ -411,8 +436,9 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 // whose request frame is over the cap — its upstream tables are too big —
 // is as undeliverable as one whose response is, whichever end notices. The
 // coordinator checks the frame it built before sending it; a worker with a
-// smaller cap answers 413. Both must degrade to in-process execution, not
-// fail the run.
+// smaller cap answers 413, to a frame that declares too much before it
+// inflates any of it. All must degrade to in-process execution, not fail
+// the run.
 func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 	const wf = 8
 	want := localRun(t, wf, false)
@@ -454,82 +480,141 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 		srv := httptest.NewServer(wk.Handler())
 		t.Cleanup(srv.Close)
 		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
-		check(t, runCycleOf(t, wf, cfg), "request body too large")
+		check(t, runCycleOf(t, wf, cfg), "cap 16")
+	})
+
+	t.Run("worker, inflated", func(t *testing.T) {
+		// Each frame is let through at exactly its size on the wire, which
+		// is less than what it inflates to.
+		wk := NewWorker()
+		h := wk.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/worker/run" {
+				body, _ := io.ReadAll(r.Body)
+				wk.maxBody = int64(len(body))
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		check(t, runCycleOf(t, wf, cfg), "frame of")
 	})
 }
 
-// wireCounter counts the body bytes of block dispatches in both directions,
-// the way the benchmark's dist_wire_mb does.
+// wireCounter keeps the bodies of block dispatches in both directions, to
+// count them the way the benchmark's dist_wire_mb does and to take each
+// frame's payload apart for what the bytes were before DEFLATE.
 type wireCounter struct {
-	bytes atomic.Int64
+	mu                  sync.Mutex
+	requests, responses [][]byte
 }
 
 func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
-	run := strings.HasSuffix(req.URL.Path, "/v1/worker/run")
-	if run {
-		c.bytes.Add(req.ContentLength)
+	if !strings.HasSuffix(req.URL.Path, "/v1/worker/run") {
+		return http.DefaultTransport.RoundTrip(req)
 	}
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && run {
-		resp.Body = &countedBody{ReadCloser: resp.Body, n: &c.bytes}
+	if err != nil {
+		return nil, err
 	}
-	return resp, err
+	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(answer))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.requests, c.responses = append(c.requests, body), append(c.responses, answer)
+	return resp, nil
 }
 
-type countedBody struct {
-	io.ReadCloser
-	n *atomic.Int64
-}
-
-func (b *countedBody) Read(p []byte) (int, error) {
-	n, err := b.ReadCloser.Read(p)
-	b.n.Add(int64(n))
-	return n, err
+// split is the bytes sent and what their payloads inflate to (section length
+// prefixes left out): a frame's first section is the header, a response's
+// last the statistics shard, every other a table.
+func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard int64) {
+	for i, frame := range append(c.requests[:len(c.requests):len(c.requests)], c.responses...) {
+		sent += int64(len(frame))
+		_, payload := framePayload(t, frame)
+		var sections []int64
+		for len(payload) > 0 {
+			n, w := binary.Uvarint(payload)
+			sections = append(sections, int64(n))
+			payload = payload[w+int(n):]
+		}
+		header += sections[0]
+		sections = sections[1:]
+		if i >= len(c.requests) {
+			shard += sections[len(sections)-1]
+			sections = sections[:len(sections)-1]
+		}
+		for _, n := range sections {
+			tables += n
+		}
+	}
+	return sent, header, tables, shard
 }
 
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// wf08 at scale 0.05 is three dispatches moving ~167k rows: 3,378,533 B as
-// base64 row-major varints in JSON, ~0.29 MB as column-encoded frames.
+// Budgets are 1.25 × what the run moves (19,077 B and 6,529 B under go
+// 1.24's compress/flate). wf08 at scale 0.05 is three dispatches moving
+// ~167k rows of join output — 3,378,533 B as base64 row-major varints in
+// JSON, 289,889 B as column-encoded frames, 19 KB as map columns deflated;
+// wf12 at 0.002 is one instrumented block of few rows and many statistics,
+// so most of what it inflates to is the shard.
 func TestDistributedWireBytes(t *testing.T) {
-	const (
-		wf     = 8
-		scale  = 0.05
-		budget = 450_000
-	)
-	w, err := suite.Get(wf)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		wf     int
+		scale  float64
+		blocks int
+		budget int64
+	}{
+		{wf: 8, scale: 0.05, blocks: 3, budget: 23_846},
+		{wf: 12, scale: 0.002, blocks: 1, budget: 8_161},
+	} {
+		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
+			w, err := suite.Get(c.wf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := w.Data(c.scale)
+			w1, w2 := startWorker(t), startWorker(t)
+			var runs [2]*wireCounter
+			for i := range runs {
+				runs[i] = &wireCounter{}
+				cfg := core.DefaultConfig()
+				coord, err := NewCoordinator(RunSpec{WF: c.wf, Scale: c.scale, CSS: cfg.CSS},
+					CoordinatorOptions{Addrs: []string{w1.URL, w2.URL}, Client: &http.Client{Transport: runs[i]}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Dispatcher = coord
+				cy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, db, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 {
+					t.Fatalf("run %d was not %d clean remote dispatches: %+v", i, c.blocks, d)
+				}
+			}
+			sent, header, tables, shard := runs[0].split(t)
+			if again, _, _, _ := runs[1].split(t); sent != again {
+				t.Errorf("the same run moved %d bytes, then %d", sent, again)
+			}
+			if sent > c.budget {
+				t.Errorf("moved %d bytes over the wire, budget %d", sent, c.budget)
+			}
+			t.Logf("%d bytes over the wire, inflating to header %d + tables %d + shard %d", sent, header, tables, shard)
+		})
 	}
-	db := w.Data(scale)
-	w1, w2 := startWorker(t), startWorker(t)
-	var sent [2]int64
-	for i := range sent {
-		counter := &wireCounter{}
-		cfg := core.DefaultConfig()
-		coord, err := NewCoordinator(RunSpec{WF: wf, Scale: scale, CSS: cfg.CSS},
-			CoordinatorOptions{Addrs: []string{w1.URL, w2.URL}, Client: &http.Client{Transport: counter}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Dispatcher = coord
-		cy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, db, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != 3 || d.Reassigned != 0 {
-			t.Fatalf("run %d was not three clean remote dispatches: %+v", i, d)
-		}
-		sent[i] = counter.bytes.Load()
-	}
-	if sent[0] != sent[1] {
-		t.Errorf("the same run moved %d bytes, then %d", sent[0], sent[1])
-	}
-	if sent[0] > budget {
-		t.Errorf("wf%02d@%v moved %d bytes over the wire, budget %d", wf, scale, sent[0], budget)
-	}
-	t.Logf("wf%02d@%v: %d bytes over the wire", wf, scale, sent[0])
 }
 
 // TestDistributedHungWorkerLeaseExpiry freezes a worker mid-run (requests

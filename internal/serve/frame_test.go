@@ -2,12 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +29,7 @@ func frameTable(rel string, rows ...data.Row) *data.Table {
 }
 
 // frameBlock is a block outcome that fills every part of a response frame.
-func frameBlock(t *testing.T) *engine.RemoteBlock {
+func frameBlock(t testing.TB) *engine.RemoteBlock {
 	return &engine.RemoteBlock{
 		Out: frameTable("Out", data.Row{1, 2}, data.Row{3, 4}),
 		Materialized: map[string]*data.Table{
@@ -39,20 +43,75 @@ func frameBlock(t *testing.T) *engine.RemoteBlock {
 	}
 }
 
+// responseFrame and requestFrame encode under the production cap.
+func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
+	t.Helper()
+	frame, err := encodeRunResponse(rb, maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+func requestFrame(t testing.TB, base *WorkerRunRequest, block int, upstream map[int]*data.Table) []byte {
+	t.Helper()
+	frame, err := encodeRunRequest(base, block, upstream, maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// framePayload takes a frame apart by the layout in frame.go's header
+// comment, with nothing of frame.go's reader: its mode byte and its payload,
+// inflated when the frame is deflated.
+func framePayload(t testing.TB, frame []byte) (mode byte, payload []byte) {
+	t.Helper()
+	if !bytes.HasPrefix(frame, []byte(frameMagic)) {
+		t.Fatalf("frame starts % x", frame[:min(len(frame), 8)])
+	}
+	mode = frame[len(frameMagic)]
+	n, w := binary.Uvarint(frame[len(frameMagic)+1:])
+	body := frame[len(frameMagic)+1+w:]
+	if mode == frameDeflate {
+		var err error
+		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
+			t.Fatalf("inflate: %v", err)
+		}
+	}
+	if uint64(len(body)) != n {
+		t.Fatalf("frame declares %d payload bytes and carries %d", n, len(body))
+	}
+	return mode, body
+}
+
+// sealedFrame wraps a payload the way a peer of its own mind would: in the
+// given mode, declaring the given length, true or not.
+func sealedFrame(t testing.TB, mode byte, declared uint64, payload []byte) []byte {
+	t.Helper()
+	frame := append([]byte(frameMagic), mode)
+	frame = binary.AppendUvarint(frame, declared)
+	if mode != frameDeflate {
+		return append(frame, payload...)
+	}
+	var packed bytes.Buffer
+	fw, err := flate.NewWriter(&packed, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(payload)
+	fw.Close()
+	return append(frame, packed.Bytes()...)
+}
+
 func TestRunFramesRoundTrip(t *testing.T) {
 	want := frameBlock(t)
-	frame, err := encodeRunResponse(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := encodeRunResponse(frameBlock(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := responseFrame(t, want)
+	again := responseFrame(t, frameBlock(t))
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, err := decodeRunResponse(bytes.NewReader(frame))
+	got, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunResponse: %v", err)
 	}
@@ -70,11 +129,8 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	}
 	withShard := frameBlock(t)
 	withShard.Metrics = []physical.Metrics{{RowsOut: 5, Calls: 1, WallNanos: 10, TapNanos: 3}, {}, {RowsOut: 2}}
-	shardFrame, err := encodeRunResponse(withShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotShard, err := decodeRunResponse(bytes.NewReader(shardFrame)); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
+	shardFrame := responseFrame(t, withShard)
+	if gotShard, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
 		t.Errorf("metrics shard after the round trip: %+v (%v)", gotShard, err)
 	}
 	var a, b bytes.Buffer
@@ -86,11 +142,8 @@ func TestRunFramesRoundTrip(t *testing.T) {
 
 	base := &WorkerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	reqFrame, err := encodeRunRequest(base, 3, upstream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame))
+	reqFrame := requestFrame(t, base, 3, upstream)
+	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
 	}
@@ -108,11 +161,13 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // TestRunFramesGoldenBytes pins the wire: a run without metrics builds, for
 // every knob a worker mirrors, the frames the format has always had — only
 // who fills the request changed (the engine's DispatchSpec, not RunSpec) and
-// the metrics shard is absent from both headers unless asked for.
+// the metrics shard is absent from both headers unless asked for. What is
+// pinned is the payload: its DEFLATE form belongs to the Go release that
+// built the program, and is only required to carry the payload back.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest  = "45424c4b31f8027b227766223a382c227363616c65223a302e352c2273747265616d696e67223a747275652c22776f726b657273223a322c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c2272657472795f6d6178223a322c2272657472795f6261636b6f66665f6e73223a353030302c22637373223a7b22556e696f6e4469766973696f6e223a747275652c2243726f7373426c6f636b223a747275652c22464b53686f7274637574223a747275657d2c22696e737472756d656e74223a747275652c22616e795f706f696e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c320102423002024230016b024230017600194554424c320102423202024232016b024232017601000a000c"
-		goldenResponse = "45424c4b31c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3201034f757402034f7574016b034f75740176020002060004081e4554424c320105617564697402056175646974016b056175646974017600284554424c32010772656a65637473020772656a65637473016b0772656a6563747301760100120012c90145544c5354415402000000020000000000000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff00000028000000000000000200000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff010001005401006101050000000100000000000000010000000000000002000000000000000100000000000000030000000000000001000000000000000400000000000000010000000000000005000000000000000100000000000000"
+		goldenRequest  = "f8027b227766223a382c227363616c65223a302e352c2273747265616d696e67223a747275652c22776f726b657273223a322c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c2272657472795f6d6178223a322c2272657472795f6261636b6f66665f6e73223a353030302c22637373223a7b22556e696f6e4469766973696f6e223a747275652c2243726f7373426c6f636b223a747275652c22464b53686f7274637574223a747275657d2c22696e737472756d656e74223a747275652c22616e795f706f696e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c330102423002024230016b024230017600194554424c330102423202024232016b024232017601000a000c"
+		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3301034f757402034f7574016b034f75740176020002060004081e4554424c330105617564697402056175646974016b056175646974017600284554424c33010772656a65637473020772656a65637473016b0772656a6563747301760100120012c90145544c5354415402000000020000000000000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff00000028000000000000000200000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff010001005401006101050000000100000000000000010000000000000002000000000000000100000000000000030000000000000001000000000000000400000000000000010000000000000005000000000000000100000000000000"
 	)
 	// The request a session builds from RunSpec + DispatchSpec.
 	coord, err := NewCoordinator(RunSpec{WF: 8, Scale: 0.5, MaxRows: 1000, CSS: css.DefaultOptions()}, CoordinatorOptions{Addrs: []string{"http://127.0.0.1:0"}})
@@ -123,46 +178,132 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 		Instrument: true, AnyPoint: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))},
 		Streaming: true, Workers: 2, Faults: "seed=7,rate=1,transient=1", RetryMax: 2, RetryBackoff: 5000,
 	}
-	req, err := encodeRunRequest(coord.baseRequest(spec), 3, map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")})
-	if err != nil {
-		t.Fatal(err)
+	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
+	req := requestFrame(t, coord.baseRequest(spec), 3, upstream)
+	mode, payload := framePayload(t, req)
+	if got := hex.EncodeToString(payload); got != goldenRequest {
+		t.Errorf("request payload changed on the wire:\n got %s\nwant %s", got, goldenRequest)
 	}
-	if got := hex.EncodeToString(req); got != goldenRequest {
-		t.Errorf("request frame changed on the wire:\n got %s\nwant %s", got, goldenRequest)
+	if mode != frameDeflate || len(req) >= len(payload) {
+		t.Errorf("request frame: mode %d, %d bytes for a payload of %d", mode, len(req), len(payload))
 	}
-	resp, err := encodeRunResponse(frameBlock(t))
-	if err != nil {
-		t.Fatal(err)
+	if hdr, up, err := decodeRunRequest(bytes.NewReader(req), maxUploadBytes); err != nil || hdr.Block != 3 || !reflect.DeepEqual(up, upstream) {
+		t.Errorf("request frame does not decode to what built it: %+v, %v", hdr, err)
 	}
-	if got := hex.EncodeToString(resp); got != goldenResponse {
-		t.Errorf("response frame changed on the wire:\n got %s\nwant %s", got, goldenResponse)
+	resp := responseFrame(t, frameBlock(t))
+	mode, payload = framePayload(t, resp)
+	if got := hex.EncodeToString(payload); got != goldenResponse {
+		t.Errorf("response payload changed on the wire:\n got %s\nwant %s", got, goldenResponse)
+	}
+	if mode != frameDeflate || len(resp) >= len(payload) {
+		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
+	}
+	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
+		t.Errorf("response frame does not decode to what built it: %v", err)
+	}
+}
+
+// TestRunFrameStoredMode: a frame DEFLATE cannot shrink travels as it is.
+func TestRunFrameStoredMode(t *testing.T) {
+	frame := mustFrame(t, map[string]int{"wf": 6, "block": 1})
+	mode, payload := framePayload(t, frame)
+	if mode != frameStored || len(frame) != len(frameMagic)+2+len(payload) {
+		t.Fatalf("a %d-byte payload travels in mode %d as %d bytes", len(payload), mode, len(frame))
+	}
+	req, up, err := decodeRunRequest(bytes.NewReader(frame), maxUploadBytes)
+	if err != nil || req.WF != 6 || req.Block != 1 || len(up) != 0 {
+		t.Fatalf("stored frame: %+v, %v", req, err)
+	}
+	// The same payload deflated is a frame too, but not the writer's.
+	if _, _, err := decodeRunRequest(bytes.NewReader(sealedFrame(t, frameDeflate, uint64(len(payload)), payload)), maxUploadBytes); err != nil {
+		t.Errorf("deflated twin of a stored frame: %v", err)
+	}
+}
+
+// TestRunFrameCap pins the inflation guard: a frame is refused with the
+// typed error for declaring more payload than the reader's cap, before a
+// byte of it is inflated, and for carrying more than it declared, at the
+// byte where it does — so a kilobyte of deflated zeros costs the reader no
+// more than an honest frame would.
+func TestRunFrameCap(t *testing.T) {
+	const limit = 1 << 20
+	_, payload := framePayload(t, responseFrame(t, frameBlock(t)))
+	// A shard section long enough to take the payload past the cap.
+	bomb := append(payload[:len(payload):len(payload)], make([]byte, limit)...)
+	honest := sealedFrame(t, frameDeflate, uint64(len(bomb)), bomb)
+	lying := sealedFrame(t, frameDeflate, uint64(len(payload)), bomb)
+	if len(honest) > 2048 {
+		t.Fatalf("bomb is %d bytes", len(honest))
+	}
+	for name, frame := range map[string][]byte{
+		"declared over the cap":   honest,
+		"inflates past its claim": lying,
+		"stored past its claim":   sealedFrame(t, frameStored, uint64(len(payload)), bomb[:len(payload)+1]),
+	} {
+		decodeRunResponse(bytes.NewReader(frame), limit) // warm the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeRunResponse(bytes.NewReader(frame), limit)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errFrameCap) {
+			t.Errorf("%s: err = %v, want errFrameCap", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit/2 {
+			t.Errorf("%s: refusing the frame allocated %d bytes", name, got)
+		}
+	}
+	if _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload))); errors.Is(err, errFrameCap) {
+		t.Errorf("a frame under the cap was refused for its size: %v", err)
+	}
+	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
+		t.Errorf("writing a frame over the cap: err = %v, want errFrameCap", err)
 	}
 }
 
 func TestRunFrameRejectsCorruption(t *testing.T) {
-	frame, err := encodeRunResponse(frameBlock(t))
-	if err != nil {
-		t.Fatal(err)
+	decode := func(frame []byte) error {
+		_, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+		return err
 	}
-	for n := 0; n < len(frame); n++ {
-		if _, err := decodeRunResponse(bytes.NewReader(frame[:n])); err == nil {
-			t.Fatalf("truncated frame of %d/%d bytes decoded without error", n, len(frame))
+	deflated := responseFrame(t, frameBlock(t))
+	_, payload := framePayload(t, deflated)
+	for mode, frame := range [][]byte{sealedFrame(t, frameStored, uint64(len(payload)), payload), deflated} {
+		if err := decode(frame); err != nil {
+			t.Fatalf("mode %d: whole frame: %v", mode, err)
+		}
+		for n := 0; n < len(frame); n++ {
+			if decode(frame[:n]) == nil {
+				t.Fatalf("mode %d: truncated frame of %d/%d bytes decoded without error", mode, n, len(frame))
+			}
+		}
+		if decode(append(append([]byte{}, frame...), 0)) == nil {
+			t.Errorf("mode %d: trailing byte accepted", mode)
+		}
+		bad := append([]byte{}, frame...)
+		bad[0] ^= 0xff
+		if decode(bad) == nil {
+			t.Errorf("mode %d: bad magic accepted", mode)
+		}
+		bad = append([]byte{}, frame...)
+		bad[len(frameMagic)] = 2
+		if decode(bad) == nil {
+			t.Errorf("mode %d: unknown mode accepted", mode)
 		}
 	}
-	if _, err := decodeRunResponse(bytes.NewReader(append(append([]byte{}, frame...), 0))); err == nil {
-		t.Error("trailing byte accepted")
+	// One section short of its declared length, and one long.
+	if decode(sealedFrame(t, frameDeflate, uint64(len(payload))+1, payload)) == nil {
+		t.Error("payload shorter than declared accepted")
 	}
-	bad := append([]byte{}, frame...)
-	bad[0] ^= 0xff
-	if _, err := decodeRunResponse(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
+	if decode(sealedFrame(t, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], 0))) == nil {
+		t.Error("payload longer than declared accepted")
 	}
-	unknown, err := beginFrame(map[string]int{"rows": 1, "bogus": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeRunResponse(bytes.NewReader(unknown)); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if err := decode(mustFrame(t, map[string]int{"rows": 1, "bogus": 2})); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown header field: err = %v", err)
+	}
+	// The formats this one replaced are refused by name, not as noise.
+	old := append([]byte("EBLK1"), deflated[len(frameMagic):]...)
+	if err := decode(old); err == nil || !strings.Contains(err.Error(), `starts "EBLK1"`) {
+		t.Errorf("a frame of the previous version: err = %v", err)
 	}
 }
 
@@ -170,10 +311,7 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // are not a request frame: 400 with a JSON error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
-	good, err := encodeRunRequest(&WorkerRunRequest{WF: 6, Scale: distScale}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := requestFrame(t, &WorkerRunRequest{WF: 6, Scale: distScale}, 0, nil)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
 	for name, body := range map[string][]byte{
 		"empty":          nil,
@@ -193,11 +331,48 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	}
 }
 
-func mustFrame(t *testing.T, header any) []byte {
+func mustFrame(t testing.TB, header any) []byte {
 	t.Helper()
-	frame, err := beginFrame(header)
+	f, err := beginFrame(header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := f.seal(maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// FuzzRunFrame drives both frame decoders — the worker's, open to any peer
+// that can reach its port, and the coordinator's — with arbitrary bytes
+// under a small cap: an error or a block, never a panic, and never more
+// memory than a frame of the cap could honestly ask for.
+func FuzzRunFrame(f *testing.F) {
+	const limit = 1 << 16
+	resp := responseFrame(f, frameBlock(f))
+	_, payload := framePayload(f, resp)
+	req := requestFrame(f, &WorkerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
+		map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}, data.Row{5, 7}), 0: frameTable("B0")})
+	f.Add(resp)
+	f.Add(req)
+	f.Add(mustFrame(f, map[string]int{"wf": 6})) // stored
+	f.Add(sealedFrame(f, frameStored, uint64(len(payload)), payload))
+	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], make([]byte, 1<<20)...)))
+	f.Add(sealedFrame(f, frameDeflate, 1<<40, nil))
+	for n := 0; n < len(req); n += 7 {
+		f.Add(req[:n])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decodeRunRequest(bytes.NewReader(in), limit)
+		decodeRunResponse(bytes.NewReader(in), limit)
+		runtime.ReadMemStats(&after)
+		// 40 bytes a cell of a table of the cap's cells, twice, and the
+		// codec's fixed scratch: a bomb would be hundreds of megabytes.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+			t.Fatalf("decoding %d bytes under a cap of %d allocated %d", len(in), limit, got)
+		}
+	})
 }

@@ -46,3 +46,41 @@ func (g *group) Do(key string, fn func() (any, error)) (any, error, bool) {
 	g.mu.Unlock()
 	return c.val, c.err, false
 }
+
+// onceMap is the keep-the-result sibling of group: each key's value is
+// built once, by the first caller to ask for it, and kept. The map's lock is
+// held only to find or make the key's entry, never while a value is built,
+// so callers wait for the build of their own key and no other. A failed
+// build is not kept: the next caller tries again.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	val  V
+	err  error
+}
+
+func (o *onceMap[K, V]) get(key K, build func() (V, error)) (V, error) {
+	o.mu.Lock()
+	if o.m == nil {
+		o.m = make(map[K]*onceEntry[V])
+	}
+	e := o.m[key]
+	if e == nil {
+		e = new(onceEntry[V])
+		o.m[key] = e
+	}
+	o.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = build() })
+	if e.err != nil {
+		o.mu.Lock()
+		if o.m[key] == e {
+			delete(o.m, key)
+		}
+		o.mu.Unlock()
+	}
+	return e.val, e.err
+}

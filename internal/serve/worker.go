@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -34,16 +33,16 @@ type Worker struct {
 	// HTTPTimeouts harden the worker's server (zero = DefaultTimeouts).
 	HTTPTimeouts Timeouts
 
-	// maxBody caps a request frame (maxUploadBytes; tests lower it).
+	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
+	// lower it).
 	maxBody int64
 
-	mu     sync.Mutex
-	states map[workerKey]*workerState
+	states onceMap[workerKey, *workerState]
 }
 
 // NewWorker returns a worker with an empty workflow cache.
 func NewWorker() *Worker {
-	return &Worker{maxBody: maxUploadBytes, states: make(map[workerKey]*workerState)}
+	return &Worker{maxBody: maxUploadBytes}
 }
 
 // workerKey identifies one deterministic dataset: the suite workflow and
@@ -58,7 +57,7 @@ type workerKey struct {
 type workerState struct {
 	an  *workflow.Analysis
 	db  engine.DB
-	css map[css.Options]*css.Result
+	css onceMap[css.Options, *css.Result]
 }
 
 // WorkerRunRequest is the header of a block-execution request frame (see
@@ -153,11 +152,11 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req, upstream, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, wk.maxBody))
+	req, upstream, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, wk.maxBody), wk.maxBody)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if errors.As(err, &tooBig) || overCap(err) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, fmt.Sprintf("bad request body: %v", err))
@@ -168,12 +167,12 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err.Error())
 		return
 	}
-	frame, err := encodeRunResponse(rb)
+	frame, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
-		// A block output over the codec's cell cap is the block's
-		// property, like a request over the body cap: 413 either way.
+		// A block output over the codec's cell cap or the frame cap is the
+		// block's property, like a request over the body cap: 413 either way.
 		status := http.StatusInternalServerError
-		if errors.Is(err, data.ErrWireCap) {
+		if overCap(err) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, err.Error())
@@ -200,7 +199,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream 
 	var res *css.Result
 	var observe []stats.Stat
 	if req.Instrument {
-		res, err = wk.cssResult(st, req.CSS)
+		res, err = st.cssResult(req.CSS)
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
@@ -230,14 +229,16 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream 
 
 // state returns (building once) the workflow's analysis and generated
 // data. Both are pure functions of (wf, scale), so every worker — and the
-// coordinator's own in-process fallback — sees identical tables.
+// coordinator's own in-process fallback — sees identical tables. A cold
+// workflow's first block waits for its own data only: blocks of other
+// workflows go ahead while it is generated.
 func (wk *Worker) state(wf int, scale float64) (*workerState, error) {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	key := workerKey{wf: wf, scale: scale}
-	if st, ok := wk.states[key]; ok {
-		return st, nil
-	}
+	return wk.states.get(workerKey{wf: wf, scale: scale}, func() (*workerState, error) {
+		return newWorkerState(wf, scale)
+	})
+}
+
+func newWorkerState(wf int, scale float64) (*workerState, error) {
 	w, err := suite.Get(wf)
 	if err != nil {
 		return nil, err
@@ -246,23 +247,11 @@ func (wk *Worker) state(wf int, scale float64) (*workerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &workerState{an: an, db: w.Data(scale), css: make(map[css.Options]*css.Result)}
-	wk.states[key] = st
-	return st, nil
+	return &workerState{an: an, db: w.Data(scale)}, nil
 }
 
 // cssResult returns (building once per option set) the workflow's CSS
 // result, which the physical compiler needs to bind statistic taps.
-func (wk *Worker) cssResult(st *workerState, opt css.Options) (*css.Result, error) {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	if res, ok := st.css[opt]; ok {
-		return res, nil
-	}
-	res, err := css.Generate(st.an, opt)
-	if err != nil {
-		return nil, err
-	}
-	st.css[opt] = res
-	return res, nil
+func (st *workerState) cssResult(opt css.Options) (*css.Result, error) {
+	return st.css.get(opt, func() (*css.Result, error) { return css.Generate(st.an, opt) })
 }

@@ -24,17 +24,17 @@ func FuzzReadStore(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	// Truncations at interesting boundaries.
-	f.Add(valid.Bytes()[:7])                     // magic only
-	f.Add(valid.Bytes()[:11])                    // magic + version
-	f.Add(valid.Bytes()[:15])                    // full header
-	f.Add(valid.Bytes()[:valid.Len()/2])         // mid-value
-	f.Add(valid.Bytes()[:valid.Len()-1])         // last byte missing
-	f.Add(append(valid.Bytes(), 0))              // trailing byte
-	f.Add([]byte{})                              // empty
-	f.Add([]byte("ETLSTAT"))                     // bare magic
-	f.Add([]byte("NOTMAGIC"))                    // wrong magic
-	f.Add([]byte("ETLSTAT\x03\x00\x00\x00"))     // future version
-	f.Add([]byte("ETLSTAT\x02\x00\x00\x00"))     // v2 header, truncated count
+	f.Add(valid.Bytes()[:7])                 // magic only
+	f.Add(valid.Bytes()[:11])                // magic + version
+	f.Add(valid.Bytes()[:15])                // full header
+	f.Add(valid.Bytes()[:valid.Len()/2])     // mid-value
+	f.Add(valid.Bytes()[:valid.Len()-1])     // last byte missing
+	f.Add(append(valid.Bytes(), 0))          // trailing byte
+	f.Add([]byte{})                          // empty
+	f.Add([]byte("ETLSTAT"))                 // bare magic
+	f.Add([]byte("NOTMAGIC"))                // wrong magic
+	f.Add([]byte("ETLSTAT\x03\x00\x00\x00")) // future version
+	f.Add([]byte("ETLSTAT\x02\x00\x00\x00")) // v2 header, truncated count
 	// Header claiming 2^24 statistics with no bytes behind it.
 	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\x00\x00\x00\x01"))
 	// Header count past the absolute cap.
