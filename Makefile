@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build test race short bench bench-test ab examples vet lint check fuzz serve-smoke distributed-smoke load-smoke
+.PHONY: build test race short bench bench-test ab examples vet lint check fuzz serve-smoke distributed-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # serve-smoke drives the statistics daemon end to end: run -save-stats,
-# observe upload, optimize solve + cache hit, metrics, SIGTERM drain.
+# observe upload, optimize solve + cache hit, metrics, SIGTERM drain; then a
+# daemon with one solve slot and no queue under a dozen concurrent requests:
+# zero 5xx, the 429 shed path must fire and be counted, clean drain.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -30,10 +32,10 @@ serve-smoke:
 distributed-smoke:
 	./scripts/distributed_smoke.sh
 
-# load-smoke drives an under-provisioned daemon (1 solve slot, no queue)
-# with cmd/loadgen: zero 5xx, the 429 shed path must fire, clean drain.
-load-smoke:
-	./scripts/load_smoke.sh
+# cli-smoke runs every design-time subcommand and every flag no other
+# smoke drives, one asserted line each (about a second after the build).
+cli-smoke:
+	./scripts/cli_smoke.sh
 
 # The parallel engine paths are the main race surface; this is the gate
 # CI runs in addition to the plain test job. Under the detector the two

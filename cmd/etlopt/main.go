@@ -27,8 +27,8 @@
 //	etlopt run     -wf 3 -adaptive -replan-skew 4 # force a replan (block-0 estimates skewed 4x)
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
-//	etlopt run     -wf 3 -distributed -worker-addrs http://localhost:9091,http://localhost:9092
-//	etlopt run     -wf 3 -distributed -worker-addrs … -metrics=json -adaptive   # placement composes with every run flag
+//	etlopt run     -wf 3 -worker-addrs http://localhost:9091,http://localhost:9092   # blocks run on the workers
+//	etlopt run     -wf 3 -worker-addrs … -metrics=json -adaptive   # placement composes with every run flag
 //
 // A workflow document is the JSON form of workflow.Document: the operator
 // DAG plus the catalog of relations, domains and (optionally) functional
@@ -50,7 +50,7 @@
 // subcommand, missing arguments, bad -wf or -faults value), 3 when the
 // run was cancelled (SIGINT/SIGTERM) or hit the -timeout deadline.
 //
-// A -distributed run that loses every worker is NOT an error: the
+// A -worker-addrs run that loses every worker is NOT an error: the
 // coordinator completes the run in-process from its last checkpoint,
 // prints a "distributed: ... fell back in-process" summary on stderr, and
 // exits 0 — outputs are byte-identical to a single-process run, only the
@@ -88,86 +88,111 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
+// options holds every etlopt flag's value; newFlags is the only place a
+// flag is registered.
+type options struct {
+	file        string
+	wfID        int
+	method      string
+	unionDiv    bool
+	scale       float64
+	dataDir     string
+	outDir      string
+	budget      int64
+	workers     int
+	maxRows     int64
+	derive      bool
+	metrics     string
+	timeout     time.Duration
+	faults      *faults.Injector
+	saveStats   string
+	tier        core.StatsTier
+	adaptive    bool
+	skew        float64
+	addr        string
+	workerAddrs string
+	catalog     string
+	serve       serve.Options
+	cache       bool
+}
+
+// newFlags registers the flags of subcommand cmd. Every subcommand accepts
+// the same set; TestEveryFlagIsDriven requires a script to drive each one.
+func newFlags(cmd string) (*flag.FlagSet, *options) {
+	o := &options{}
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	fs.StringVar(&o.file, "f", "", "workflow document (JSON) to load")
+	fs.IntVar(&o.wfID, "wf", 0, "built-in suite workflow id (1..30) instead of -f")
+	fs.StringVar(&o.method, "method", "exact", "selection method: exact|greedy|lp")
+	fs.BoolVar(&o.unionDiv, "union-division", true, "enable the union–division rules J4/J5")
+	fs.Float64Var(&o.scale, "scale", 0.002, "data scale for run/explain (suite workflows only)")
+	fs.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
+	fs.StringVar(&o.outDir, "out", "", "output directory for gendata")
+	fs.Int64Var(&o.budget, "budget", 0, "per-run memory budget for schedule (integer units)")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "execution-layer worker goroutines (1 = sequential)")
+	fs.Int64Var(&o.maxRows, "max-rows", 100_000_000, "abort a run whose intermediate results exceed this many rows (0 = unguarded)")
+	fs.BoolVar(&o.derive, "derive", false, "explain: also print the derivation tree of every SE cardinality")
+	fs.StringVar(&o.metrics, "metrics", "", "run/explain: collect per-operator metrics and print them with the q-error report (table|json)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "abort run/explain/schedule/report after this duration (0 = no deadline)")
+	fs.Func("faults", "inject deterministic faults, e.g. seed=7,rate=0.5,transient=1,kinds=tap|op (see docs/FAULTS.md)", func(s string) (err error) {
+		o.faults, err = faults.Parse(s)
+		return err
+	})
+	fs.StringVar(&o.saveStats, "save-stats", "", "run: write the observed statistics to this file (the /v1/observe upload format)")
+	fs.Func("stats-tier", "run/explain: statistics tier: exact (default) | approx (sketch-backed observation wherever possible) | auto (sketches compete on cost)", func(s string) (err error) {
+		o.tier, err = core.ParseStatsTier(s)
+		return err
+	})
+	fs.BoolVar(&o.adaptive, "adaptive", false, "run: execute the optimized plans adaptively, re-optimizing the not-yet-executed blocks when boundary actuals refute the estimates")
+	fs.Float64Var(&o.skew, "replan-skew", 0, "run: multiply block 0's estimates by this factor during -adaptive boundary checks, forcing a replan (testing aid; 0 = off)")
+	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
+	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
+	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
+	fs.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "serve: max relative drift before cached solutions invalidate")
+	fs.BoolVar(&o.cache, "cache", true, "serve: cache solved responses (off still deduplicates concurrent solves)")
+	fs.Int64Var(&o.serve.CacheBytes, "cache-bytes", serve.DefaultCacheBytes, "serve: solution-cache byte budget (LRU evicts beyond it)")
+	fs.IntVar(&o.serve.MaxSolves, "max-solves", 0, "serve: max concurrent solver executions (0 = unlimited)")
+	fs.IntVar(&o.serve.SolveQueue, "solve-queue", serve.DefaultSolveQueue, "serve: max requests waiting for a solve slot before shedding with 429 (with -max-solves)")
+	return fs, o
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	file := fs.String("f", "", "workflow document (JSON) to load")
-	wfID := fs.Int("wf", 0, "built-in suite workflow id (1..30) instead of -f")
-	method := fs.String("method", "exact", "selection method: exact|greedy|lp")
-	ud := fs.Bool("union-division", true, "enable the union–division rules J4/J5")
-	scale := fs.Float64("scale", 0.002, "data scale for run/explain (suite workflows only)")
-	dataDir := fs.String("data", "", "directory of CSV flat files to run over (instead of generated data)")
-	outDir := fs.String("out", "", "output directory for gendata")
-	budget := fs.Int64("budget", 0, "per-run memory budget for schedule (integer units)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "execution-layer worker goroutines (1 = sequential)")
-	maxRows := fs.Int64("max-rows", 100_000_000, "abort a run whose intermediate results exceed this many rows (0 = unguarded)")
-	derive := fs.Bool("derive", false, "explain: also print the derivation tree of every SE cardinality")
-	metrics := fs.String("metrics", "", "run/explain: collect per-operator metrics and print them with the q-error report (table|json)")
-	timeout := fs.Duration("timeout", 0, "abort run/explain/schedule/report after this duration (0 = no deadline)")
-	faultSpec := fs.String("faults", "", "inject deterministic faults, e.g. seed=7,rate=0.5,transient=1,kinds=tap|op (see docs/FAULTS.md)")
-	saveStats := fs.String("save-stats", "", "run: write the observed statistics to this file (the /v1/observe upload format)")
-	statsTier := fs.String("stats-tier", "exact", "run/explain: statistics tier: exact | approx (sketch-backed observation wherever possible) | auto (sketches compete on cost)")
-	adaptive := fs.Bool("adaptive", false, "run: execute the optimized plans adaptively, re-optimizing the not-yet-executed blocks when boundary actuals refute the estimates")
-	replanThreshold := fs.Float64("replan-threshold", core.DefaultReplanThreshold, "run: base q-error a boundary actual must exceed to trigger an -adaptive replan (widened by plan-time calibration)")
-	replanSkew := fs.Float64("replan-skew", 0, "run: multiply block 0's estimates by this factor during -adaptive boundary checks, forcing a replan (testing aid; 0 = off)")
-	addr := fs.String("addr", ":8080", "serve/worker: listen address")
-	distributed := fs.Bool("distributed", false, "run: place plan blocks on remote workers instead of local goroutines (needs -worker-addrs; suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
-	workerAddrs := fs.String("worker-addrs", "", "run: comma-separated worker base URLs, e.g. http://localhost:9091,http://localhost:9092")
-	heartbeat := fs.Duration("heartbeat", 0, "run: health-probe period while a block is leased to a worker (0 = 200ms default)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "run: lease time-to-live without a successful probe before a block is reassigned (0 = 2s default)")
-	catalogDir := fs.String("catalog", "", "serve: statistics catalog directory")
-	drift := fs.Float64("drift", serve.DefaultDriftThreshold, "serve: max relative drift before cached solutions invalidate")
-	cache := fs.Bool("cache", true, "serve: cache solved responses (off still deduplicates concurrent solves)")
-	cacheBytes := fs.Int64("cache-bytes", serve.DefaultCacheBytes, "serve: solution-cache byte budget (LRU evicts beyond it)")
-	maxSolves := fs.Int("max-solves", 0, "serve: max concurrent solver executions (0 = unlimited)")
-	solveQueue := fs.Int("solve-queue", serve.DefaultSolveQueue, "serve: max requests waiting for a solve slot before shedding with 429 (with -max-solves)")
-	peers := fs.String("peers", "", "serve: comma-separated base URLs of every daemon instance (consistent-hash sharding; include this one)")
-	selfURL := fs.String("self", "", "serve: this daemon's own base URL as listed in -peers")
-	shardProxy := fs.Bool("shard-proxy", false, "serve: proxy requests to their shard owner instead of 307-redirecting")
-	warm := fs.Int("warm", 0, "serve: pre-solve this many of the hottest cataloged workflows at boot")
-	_ = fs.Parse(os.Args[2:])
-
-	inj, err := faults.Parse(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "etlopt:", err)
-		os.Exit(2)
-	}
-	tier, err := core.ParseStatsTier(*statsTier)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "etlopt:", err)
-		os.Exit(2)
-	}
+	fs, o := newFlags(cmd)
+	_ = fs.Parse(os.Args[2:]) // flag.ExitOnError: a bad flag or value exits 2
+	o.serve.DisableCache = !o.cache
 
 	// Runs honor SIGINT/SIGTERM and -timeout through one context; engines
 	// poll it at operator and chunk boundaries, so cancellation is prompt
 	// and the partial results remain consistent.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *timeout > 0 {
+	if o.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
 
+	var err error
 	switch cmd {
 	case "suite":
 		err = listSuite()
 	case "export":
-		err = export(*wfID)
+		err = export(o.wfID)
 	case "analyze":
-		err = withDoc(*file, *wfID, analyze)
+		err = withDoc(o, analyze)
 	case "stats":
-		err = withDoc(*file, *wfID, func(doc *workflow.Document) error {
-			return statsCmd(doc, *method, *ud)
+		err = withDoc(o, func(doc *workflow.Document) error {
+			return statsCmd(doc, o.method, o.unionDiv)
 		})
 	case "baseline":
-		err = withDoc(*file, *wfID, baseline)
+		err = withDoc(o, baseline)
 	case "dot":
-		err = withDoc(*file, *wfID, func(doc *workflow.Document) error {
+		err = withDoc(o, func(doc *workflow.Document) error {
 			an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
 			if err != nil {
 				return err
@@ -176,30 +201,19 @@ func main() {
 			return nil
 		})
 	case "run":
-		err = runCycle(ctx, *file, *wfID, *dataDir, *scale, false, *workers, *maxRows, *metrics, inj, *saveStats, tier,
-			adaptiveOptions(*adaptive, *replanThreshold, *replanSkew),
-			distOptionsFor(*distributed, *workerAddrs, *heartbeat, *leaseTTL))
+		_, err = runCycle(ctx, o)
 	case "serve":
-		err = serveCmd(ctx, *addr, *catalogDir, serve.Options{
-			DriftThreshold: *drift,
-			DisableCache:   !*cache,
-			CacheBytes:     *cacheBytes,
-			MaxSolves:      *maxSolves,
-			SolveQueue:     *solveQueue,
-			Peers:          splitList(*peers),
-			Self:           *selfURL,
-			ShardProxy:     *shardProxy,
-		}, *warm)
+		err = serveCmd(ctx, o)
 	case "worker":
-		err = workerCmd(ctx, *addr)
+		err = workerCmd(ctx, o.addr)
 	case "explain":
-		err = explainCmd(ctx, *file, *wfID, *dataDir, *scale, *derive, *workers, *maxRows, *metrics, inj, tier)
+		err = explainCmd(ctx, o)
 	case "gendata":
-		err = genData(*wfID, *scale, *outDir)
+		err = genData(o)
 	case "schedule":
-		err = scheduleCmd(ctx, *wfID, *scale, *budget, *workers, *maxRows, inj)
+		err = scheduleCmd(ctx, o)
 	case "report":
-		err = reportCmd(ctx, *wfID, *scale, inj)
+		err = reportCmd(ctx, o)
 	default:
 		usage()
 		os.Exit(2)
@@ -235,59 +249,44 @@ func usage() {
 // serveCmd runs the statistics-serving daemon until SIGINT/SIGTERM, then
 // drains and exits cleanly (exit code 0 — stopping a daemon is not an
 // error).
-func serveCmd(ctx context.Context, addr, catalogDir string, opts serve.Options, warm int) error {
-	if catalogDir == "" {
+func serveCmd(ctx context.Context, o *options) error {
+	if o.catalog == "" {
 		return fmt.Errorf("serve needs -catalog <dir>")
 	}
-	cat, err := serve.OpenCatalog(catalogDir)
+	cat, err := serve.OpenCatalog(o.catalog)
 	if err != nil {
 		return err
 	}
-	srv, err := serve.New(cat, nil, opts)
+	srv, err := serve.New(cat, nil, o.serve)
 	if err != nil {
 		return err
-	}
-	if warm > 0 {
-		n := srv.Warm(ctx, warm)
-		fmt.Fprintf(os.Stderr, "etlopt serve: warmed %d workflow(s)\n", n)
 	}
 	fmt.Fprintf(os.Stderr, "etlopt serve: listening on %s, catalog %s (%d workflow(s) with statistics)\n",
-		addr, catalogDir, len(cat.Workflows()))
-	return srv.ListenAndServe(ctx, addr)
-}
-
-// splitList parses a comma-separated flag value, dropping empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, v := range strings.Split(s, ",") {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
-		}
-	}
-	return out
+		o.addr, o.catalog, len(cat.Workflows()))
+	return srv.ListenAndServe(ctx, o.addr)
 }
 
 // loadWorkflow resolves the graph, catalog and database for run/explain —
 // a suite workflow's generated data, or a directory of CSV flat files (the
 // paper's no-statistics worst case: the catalog is inferred from the data).
-func loadWorkflow(file string, wfID int, dataDir string, scale float64) (*workflow.Graph, *workflow.Catalog, engine.DB, error) {
+func loadWorkflow(o *options) (*workflow.Graph, *workflow.Catalog, engine.DB, error) {
 	switch {
-	case dataDir != "":
-		doc, err := loadDoc(file, wfID)
+	case o.dataDir != "":
+		doc, err := loadDoc(o)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		tables, err := data.LoadDir(dataDir)
+		tables, err := data.LoadDir(o.dataDir)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		return doc.Workflow, data.InferCatalog(tables), engine.DB(tables), nil
-	case wfID != 0:
-		w, err := suite.Get(wfID)
+	case o.wfID != 0:
+		w, err := suite.Get(o.wfID)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return w.Graph, w.Catalog, w.Data(scale), nil
+		return w.Graph, w.Catalog, w.Data(o.scale), nil
 	default:
 		return nil, nil, nil, fmt.Errorf("run/explain need -wf <1..30>, or -f flow.json with -data dir/")
 	}
@@ -302,99 +301,85 @@ func workerCmd(ctx context.Context, addr string) error {
 	return wk.ListenAndServe(ctx, addr)
 }
 
-// distOptions carries the -distributed flag family.
-type distOptions struct {
-	addrs     []string
-	heartbeat time.Duration
-	leaseTTL  time.Duration
-}
-
-// distOptionsFor maps the -distributed/-worker-addrs/-heartbeat/-lease-ttl
-// flags onto coordinator options; nil means a purely local run.
-func distOptionsFor(on bool, addrs string, heartbeat, leaseTTL time.Duration) *distOptions {
-	if !on {
-		return nil
-	}
-	d := &distOptions{heartbeat: heartbeat, leaseTTL: leaseTTL}
-	for _, a := range strings.Split(addrs, ",") {
+// splitAddrs parses -worker-addrs: comma-separated, whitespace trimmed,
+// empty entries dropped. An empty result means a purely local run.
+func splitAddrs(list string) []string {
+	var addrs []string
+	for _, a := range strings.Split(list, ",") {
 		if a = strings.TrimSpace(a); a != "" {
-			d.addrs = append(d.addrs, a)
+			addrs = append(addrs, a)
 		}
 	}
-	return d
+	return addrs
 }
 
-// adaptiveOptions maps the -adaptive/-replan-threshold/-replan-skew flags
-// onto the core driver's options; nil means a plain optimized run.
-func adaptiveOptions(on bool, threshold, skew float64) *core.AdaptiveOptions {
-	if !on {
-		return nil
-	}
-	opts := &core.AdaptiveOptions{Threshold: threshold}
-	if skew > 0 {
-		opts.Skew = map[int]float64{0: skew}
-	}
-	return opts
-}
-
-// runCycle executes one full optimization cycle, optionally printing the
-// derivation tree of every SE cardinality.
-func runCycle(ctx context.Context, file string, wfID int, dataDir string, scale float64, explain bool, workers int, maxRows int64, metricsFmt string, inj *faults.Injector, saveStats string, tier core.StatsTier, adapt *core.AdaptiveOptions, dist *distOptions) error {
-	g, cat, db, err := loadWorkflow(file, wfID, dataDir, scale)
-	if err != nil {
-		return err
-	}
+// runConfig maps the run flags onto one cycle's configuration. Worker
+// addresses make the run distributed; workers regenerate a suite
+// workflow's data from (id, scale), so that is the only kind they can run.
+func runConfig(o *options) (core.Config, error) {
 	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	cfg.MaxRows = maxRows
-	cfg.CollectMetrics = metricsFmt != ""
-	cfg.Faults = inj
-	cfg.StatsTier = tier
-	if dist != nil {
-		if wfID == 0 || dataDir != "" {
-			return fmt.Errorf("-distributed needs a suite workflow (-wf 1..30) so workers can regenerate the data deterministically")
-		}
-		coord, err := serve.NewCoordinator(serve.RunSpec{
-			WF:      wfID,
-			Scale:   scale,
-			MaxRows: maxRows,
-			CSS:     cfg.CSS,
-		}, serve.CoordinatorOptions{
-			Addrs:          dist.addrs,
-			HeartbeatEvery: dist.heartbeat,
-			LeaseTTL:       dist.leaseTTL,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Dispatcher = coord
+	cfg.Workers = o.workers
+	cfg.MaxRows = o.maxRows
+	cfg.CollectMetrics = o.metrics != ""
+	cfg.Faults = o.faults
+	cfg.StatsTier = o.tier
+	addrs := splitAddrs(o.workerAddrs)
+	if len(addrs) == 0 {
+		return cfg, nil
+	}
+	if o.wfID == 0 || o.dataDir != "" {
+		return cfg, fmt.Errorf("-worker-addrs needs a suite workflow (-wf 1..30) so workers can regenerate the data deterministically")
+	}
+	coord, err := serve.NewCoordinator(serve.RunSpec{
+		WF:      o.wfID,
+		Scale:   o.scale,
+		MaxRows: o.maxRows,
+		CSS:     cfg.CSS,
+	}, serve.CoordinatorOptions{Addrs: addrs})
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Dispatcher = coord
+	return cfg, nil
+}
+
+// runCycle executes one full optimization cycle and prints its outcome;
+// the completed cycle is returned for explain -derive to render.
+func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
+	g, cat, db, err := loadWorkflow(o)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := runConfig(o)
+	if err != nil {
+		return nil, err
 	}
 	cy, err := core.RunCtx(ctx, g, cat, db, cfg)
 	if err != nil {
 		// A cancelled or failed run still returns the partial cycle; flush
 		// whatever metrics it gathered so the work isn't silently lost.
-		if metricsFmt != "" && cy != nil && cy.Metrics != nil {
+		if o.metrics != "" && cy != nil && cy.Metrics != nil {
 			fmt.Printf("partial metrics (run aborted: %v):\n", err)
-			if werr := cy.WriteMetrics(os.Stdout, metricsFmt); werr != nil {
-				return errors.Join(err, werr)
+			if werr := cy.WriteMetrics(os.Stdout, o.metrics); werr != nil {
+				return nil, errors.Join(err, werr)
 			}
 		}
-		return err
+		return nil, err
 	}
-	if saveStats != "" {
-		f, err := os.Create(saveStats)
+	if o.saveStats != "" {
+		f, err := os.Create(o.saveStats)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := cy.SaveStats(f); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
 		if err := f.Close(); err != nil {
-			return err
+			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "saved %d observed statistics to %s\n",
-			cy.Observed.Observed.Len(), saveStats)
+			cy.Observed.Observed.Len(), o.saveStats)
 	}
 	// The distributed placement summary goes to stderr: stdout stays
 	// byte-identical to a single-process run (the smoke test diffs them).
@@ -426,39 +411,28 @@ func runCycle(ctx context.Context, file string, wfID int, dataDir string, scale 
 		fmt.Printf("block %d optimized: %s (cost %.0f)\n", bi, p.Tree.Render(blk), p.Cost)
 	}
 	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Improvement())
-	_ = scale
-	if adapt != nil {
-		ar, aerr := cy.RunOptimizedAdaptiveCtx(ctx, *adapt)
-		if aerr != nil {
-			return aerr
+	if o.adaptive {
+		var adapt core.AdaptiveOptions
+		if o.skew > 0 {
+			adapt.Skew = map[int]float64{0: o.skew}
+		}
+		ar, err := cy.RunOptimizedAdaptiveCtx(ctx, adapt)
+		if err != nil {
+			return nil, err
 		}
 		fmt.Println()
 		fmt.Print(ar.Summary())
 		fmt.Printf("adaptive run processed %d rows into %d sink(s)\n", ar.Run.Rows, len(ar.Run.Sinks))
 	}
-	if metricsFmt != "" {
+	if o.metrics != "" {
 		fmt.Println("\nmetrics:")
-		if err := cy.WriteMetrics(os.Stdout, metricsFmt); err != nil {
-			return err
+		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
+			return nil, err
 		}
 		// Wall-clock split goes to stderr so stdout stays deterministic.
 		cy.WriteMetricsTimings(os.Stderr)
 	}
-	if !explain {
-		return nil
-	}
-	fmt.Println("\nderivations:")
-	for bi, sp := range cy.CSS.Spaces {
-		blk := cy.Analysis.Blocks[bi]
-		for _, se := range sp.SEs {
-			ex, err := cy.Estimator.Explain(stats.NewCard(stats.BlockSE(bi, se)))
-			if err != nil {
-				return err
-			}
-			fmt.Print(ex.Render(blk))
-		}
-	}
-	return nil
+	return cy, nil
 }
 
 // explainCmd compiles the workflow's physical plan — the initial join trees
@@ -470,8 +444,8 @@ func runCycle(ctx context.Context, file string, wfID int, dataDir string, scale 
 // section (per-operator row counts plus the q-error feedback report); with
 // -derive it runs the full cycle and prints the derivation tree of every
 // SE cardinality.
-func explainCmd(ctx context.Context, file string, wfID int, dataDir string, scale float64, derive bool, workers int, maxRows int64, metricsFmt string, inj *faults.Injector, tier core.StatsTier) error {
-	g, cat, db, err := loadWorkflow(file, wfID, dataDir, scale)
+func explainCmd(ctx context.Context, o *options) error {
+	g, cat, db, err := loadWorkflow(o)
 	if err != nil {
 		return err
 	}
@@ -495,40 +469,58 @@ func explainCmd(ctx context.Context, file string, wfID int, dataDir string, scal
 	fmt.Printf("workflow %s — compiled physical plan (%d block(s), %d tap(s))\n\n",
 		g.Name, len(plan.Blocks), plan.NumTaps())
 	fmt.Print(plan.String())
-	if metricsFmt != "" {
-		cfg := core.DefaultConfig()
-		cfg.Workers = workers
-		cfg.MaxRows = maxRows
-		cfg.CollectMetrics = true
-		cfg.Faults = inj
-		cfg.StatsTier = tier
+	// What -metrics and -derive add are plain local cycles: no statistics
+	// file, adaptive run or workers, whatever else the command line says.
+	local := *o
+	local.saveStats, local.adaptive, local.workerAddrs = "", false, ""
+	if o.metrics != "" {
+		cfg, err := runConfig(&local)
+		if err != nil {
+			return err
+		}
 		cy, err := core.RunCtx(ctx, g, cat, db, cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Println("\nmetrics (one instrumented run):")
-		if err := cy.WriteMetrics(os.Stdout, metricsFmt); err != nil {
+		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
 			return err
 		}
 		cy.WriteMetricsTimings(os.Stderr)
 	}
-	if !derive {
+	if !o.derive {
 		return nil
 	}
 	fmt.Println()
-	return runCycle(ctx, file, wfID, dataDir, scale, true, workers, maxRows, "", inj, "", tier, nil, nil)
+	local.metrics = ""
+	cy, err := runCycle(ctx, &local)
+	if err != nil {
+		return err
+	}
+	fmt.Println("\nderivations:")
+	for bi, sp := range cy.CSS.Spaces {
+		blk := cy.Analysis.Blocks[bi]
+		for _, se := range sp.SEs {
+			ex, err := cy.Estimator.Explain(stats.NewCard(stats.BlockSE(bi, se)))
+			if err != nil {
+				return err
+			}
+			fmt.Print(ex.Render(blk))
+		}
+	}
+	return nil
 }
 
 // reportCmd runs one cycle over a suite workflow and writes the markdown
 // report to stdout.
-func reportCmd(ctx context.Context, wfID int, scale float64, inj *faults.Injector) error {
-	w, err := suite.Get(wfID)
+func reportCmd(ctx context.Context, o *options) error {
+	w, err := suite.Get(o.wfID)
 	if err != nil {
 		return err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Faults = inj
-	cy, err := core.RunCtx(ctx, w.Graph, w.Catalog, w.Data(scale), cfg)
+	cfg.Faults = o.faults
+	cy, err := core.RunCtx(ctx, w.Graph, w.Catalog, w.Data(o.scale), cfg)
 	if err != nil {
 		return err
 	}
@@ -538,12 +530,12 @@ func reportCmd(ctx context.Context, wfID int, scale float64, inj *faults.Injecto
 // scheduleCmd builds and executes a Section 6.1 multi-run observation
 // schedule under a per-run memory budget, then derives every SE cardinality
 // from the merged observations.
-func scheduleCmd(ctx context.Context, wfID int, scale float64, budget int64, workers int, maxRows int64, inj *faults.Injector) error {
-	w, err := suite.Get(wfID)
+func scheduleCmd(ctx context.Context, o *options) error {
+	w, err := suite.Get(o.wfID)
 	if err != nil {
 		return err
 	}
-	if budget <= 0 {
+	if o.budget <= 0 {
 		return fmt.Errorf("schedule needs -budget <units>")
 	}
 	an, err := workflow.Analyze(w.Graph, w.Catalog)
@@ -559,11 +551,11 @@ func scheduleCmd(ctx context.Context, wfID int, scale float64, budget int64, wor
 	if err != nil {
 		return err
 	}
-	plan, err := schedule.Build(u, budget)
+	plan, err := schedule.Build(u, o.budget)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("budget %d units → %d scheduled run(s)\n", budget, len(plan.Runs))
+	fmt.Printf("budget %d units → %d scheduled run(s)\n", o.budget, len(plan.Runs))
 	for r, run := range plan.Runs {
 		fmt.Printf("run %d:\n", r+1)
 		for bi, tree := range run.Trees {
@@ -573,11 +565,10 @@ func scheduleCmd(ctx context.Context, wfID int, scale float64, budget int64, wor
 			fmt.Printf("  observe %s\n", st.Label(an.Blocks[st.Target.Block]))
 		}
 	}
-	db := w.Data(scale)
-	eng := engine.New(an, db, nil)
-	eng.Workers = workers
-	eng.MaxRows = maxRows
-	eng.Faults = inj
+	eng := engine.New(an, w.Data(o.scale), nil)
+	eng.Workers = o.workers
+	eng.MaxRows = o.maxRows
+	eng.Faults = o.faults
 	store, err := schedule.ExecuteCtx(ctx, eng, res, plan)
 	if err != nil {
 		return err
@@ -599,20 +590,20 @@ func scheduleCmd(ctx context.Context, wfID int, scale float64, budget int64, wor
 
 // genData exports a suite workflow's generated relations as CSV files, so
 // the flat-file path can be tried end to end.
-func genData(wfID int, scale float64, outDir string) error {
-	w, err := suite.Get(wfID)
+func genData(o *options) error {
+	w, err := suite.Get(o.wfID)
 	if err != nil {
 		return err
 	}
-	if outDir == "" {
+	if o.outDir == "" {
 		return fmt.Errorf("gendata needs -out <dir>")
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		return err
 	}
-	db := w.Data(scale)
+	db := w.Data(o.scale)
 	for rel, tbl := range db {
-		f, err := os.Create(filepath.Join(outDir, rel+".csv"))
+		f, err := os.Create(filepath.Join(o.outDir, rel+".csv"))
 		if err != nil {
 			return err
 		}
@@ -624,29 +615,29 @@ func genData(wfID int, scale float64, outDir string) error {
 			return err
 		}
 	}
-	fmt.Printf("wrote %d relations to %s\n", len(db), outDir)
+	fmt.Printf("wrote %d relations to %s\n", len(db), o.outDir)
 	return nil
 }
 
-func withDoc(file string, wfID int, f func(*workflow.Document) error) error {
-	doc, err := loadDoc(file, wfID)
+func withDoc(o *options, f func(*workflow.Document) error) error {
+	doc, err := loadDoc(o)
 	if err != nil {
 		return err
 	}
 	return f(doc)
 }
 
-func loadDoc(file string, wfID int) (*workflow.Document, error) {
+func loadDoc(o *options) (*workflow.Document, error) {
 	switch {
-	case file != "":
-		fh, err := os.Open(file)
+	case o.file != "":
+		fh, err := os.Open(o.file)
 		if err != nil {
 			return nil, err
 		}
 		defer fh.Close()
 		return workflow.Decode(fh)
-	case wfID != 0:
-		w, err := suite.Get(wfID)
+	case o.wfID != 0:
+		w, err := suite.Get(o.wfID)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,13 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/suite"
@@ -40,19 +46,87 @@ func TestExitCode(t *testing.T) {
 	}
 }
 
-// TestDistOptionsFor pins the -worker-addrs parsing: comma separation,
-// whitespace trimming, empty entries dropped, and nil when -distributed is
-// off.
+// TestDistOptionsFor pins how -worker-addrs selects placement: the list is
+// comma separated, trimmed, empty entries dropped; no address means a local
+// run, any address a distributed one — and then only a suite workflow will
+// do, since workers regenerate the data from (id, scale).
 func TestDistOptionsFor(t *testing.T) {
-	if d := distOptionsFor(false, "http://a:1", 0, 0); d != nil {
-		t.Errorf("distOptionsFor without -distributed must be nil, got %+v", d)
+	got := splitAddrs(" http://a:1 ,http://b:2,, ")
+	if want := []string{"http://a:1", "http://b:2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("splitAddrs = %v, want %v", got, want)
 	}
-	d := distOptionsFor(true, " http://a:1 ,http://b:2,, ", 0, 0)
-	if d == nil {
-		t.Fatal("distOptionsFor with -distributed returned nil")
+	cases := []struct {
+		name    string
+		o       options
+		remote  bool
+		wantErr string
+	}{
+		{"no addresses is local", options{wfID: 3}, false, ""},
+		{"only separators is local", options{wfID: 3, workerAddrs: " , "}, false, ""},
+		{"addresses place blocks remotely", options{wfID: 3, workerAddrs: "http://a:1"}, true, ""},
+		{"a document cannot be distributed", options{file: "flow.json", dataDir: "d", workerAddrs: "http://a:1"}, false, "needs a suite workflow"},
+		{"flat files cannot be distributed", options{wfID: 3, dataDir: "d", workerAddrs: "http://a:1"}, false, "needs a suite workflow"},
 	}
-	want := []string{"http://a:1", "http://b:2"}
-	if len(d.addrs) != len(want) || d.addrs[0] != want[0] || d.addrs[1] != want[1] {
-		t.Errorf("addrs = %v, want %v", d.addrs, want)
+	for _, tc := range cases {
+		cfg, err := runConfig(&tc.o)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if (cfg.Dispatcher != nil) != tc.remote {
+			t.Errorf("%s: dispatcher set = %v, want %v", tc.name, cfg.Dispatcher != nil, tc.remote)
+		}
 	}
+}
+
+// scriptedFlags collects every -flag some etlopt command line of
+// ../../scripts/*.sh passes (continuation lines joined, the command cut at
+// the first pipe, redirect or separator).
+func scriptedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("../../scripts/*.sh")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scripts found: %v", err)
+	}
+	command := regexp.MustCompile(`etlopt"?\s+[a-z]+\s(.*)`)
+	driven := make(map[string]bool)
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joined := strings.ReplaceAll(string(src), "\\\n", " ")
+		for _, line := range strings.Split(joined, "\n") {
+			m := command.FindStringSubmatch(line)
+			if m == nil || strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue
+			}
+			for _, tok := range strings.Fields(m[1]) {
+				if strings.ContainsAny(tok[:1], "|><&;") || strings.HasPrefix(tok, "2>") {
+					break
+				}
+				if name := strings.TrimLeft(tok, "-"); name != tok {
+					name, _, _ = strings.Cut(name, "=")
+					driven[name] = true
+				}
+			}
+		}
+	}
+	return driven
+}
+
+// TestEveryFlagIsDriven is ROADMAP item 7's bar as a check: a flag stays
+// only while a smoke script runs the binary with it.
+func TestEveryFlagIsDriven(t *testing.T) {
+	driven := scriptedFlags(t)
+	fs, _ := newFlags("census")
+	fs.VisitAll(func(f *flag.Flag) {
+		if !driven[f.Name] {
+			t.Errorf("no etlopt command line in scripts/*.sh passes -%s: drive it or delete it", f.Name)
+		}
+	})
 }

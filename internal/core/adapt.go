@@ -42,7 +42,8 @@ import (
 )
 
 // DefaultReplanThreshold is the base q-error a boundary actual must exceed
-// to trigger a mid-run replan (before the plan-time calibration widens it).
+// to trigger a mid-run replan; the plan-time calibration the run measures
+// widens it (AdaptiveResult.Threshold reports the effective value).
 const DefaultReplanThreshold = 2.0
 
 // DefaultMaxReplans caps replans per run.
@@ -50,10 +51,6 @@ const DefaultMaxReplans = 3
 
 // AdaptiveOptions tune one adaptive execution.
 type AdaptiveOptions struct {
-	// Threshold is the base replan q-error threshold (0 = the default of
-	// 2). The effective threshold is widened by the plan-time feedback's
-	// P90 q-error when the cycle collected metrics.
-	Threshold float64
 	// MaxReplans caps mid-run replans (0 = the default of 3).
 	MaxReplans int
 	// Skew multiplies the derived estimates of the named blocks during the
@@ -240,10 +237,6 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 	if cy.Plans == nil || cy.CSS == nil || cy.Selection == nil {
 		return nil, fmt.Errorf("core: adaptive run needs a completed optimization cycle")
 	}
-	base := opts.Threshold
-	if base <= 0 {
-		base = DefaultReplanThreshold
-	}
 	maxReplans := opts.MaxReplans
 	if maxReplans <= 0 {
 		maxReplans = DefaultMaxReplans
@@ -252,7 +245,7 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 		cy:        cy,
 		est:       cy.Estimator,
 		skew:      opts.Skew,
-		threshold: cy.Feedback.ReplanThreshold(base),
+		threshold: cy.Feedback.ReplanThreshold(DefaultReplanThreshold),
 		remaining: maxReplans,
 		actuals:   make(map[stats.Target]int64),
 	}

@@ -35,8 +35,6 @@ type Config struct {
 	Method selector.Method
 	// CostModel prices plans during join-order optimization.
 	CostModel optimizer.CostModel
-	// UseFDs enables the functional-dependency cost reduction.
-	UseFDs bool
 	// CPUWeight adds the Section 5.4 CPU metric (tuples scanned per
 	// statistic update) to the selection objective; 0 selects on memory
 	// alone, the paper's Figure 11 setting.
@@ -45,11 +43,6 @@ type Config struct {
 	// cycle's estimator (Cycle.Estimator), closing the Section 5.4 loop.
 	// Nil falls back to the independence approximation.
 	Sizes costmodel.Sizes
-	// FreeSourceStats prices unfiltered source-relation statistics at zero
-	// when the relation advertises source-system statistics (Section 6.2).
-	FreeSourceStats bool
-	// Registry resolves transform UDFs at execution time (nil = defaults).
-	Registry engine.Registry
 	// Streaming executes with the chunk-pipelined streaming engine instead
 	// of the batch engine; results and observations are identical, only
 	// the execution strategy (and intermediate materialization) differs.
@@ -74,12 +67,6 @@ type Config struct {
 	// block granularity; permanent tap faults degrade the observation and
 	// walk the cycle down the degradation ladder instead of aborting it.
 	Faults *faults.Injector
-	// RetryMax bounds per-block attempts on transient faults (0 = engine
-	// default of 3).
-	RetryMax int
-	// RetryBackoff is the base inter-attempt delay, doubling per retry,
-	// capped at 100ms (0 = engine default of 1ms).
-	RetryBackoff time.Duration
 	// StatsTier selects the statistics observation tier: TierExact (the
 	// default) observes exact counters and per-value histograms only;
 	// TierApprox replaces every exact Distinct/Hist that has a sketch
@@ -88,9 +75,6 @@ type Config struct {
 	// a calibrated estimate-accuracy cost; TierAuto admits sketches into
 	// the universe and lets the selection objective choose per statistic.
 	StatsTier StatsTier
-	// MinAccuracy is the per-statistic accuracy floor for the approx and
-	// auto tiers (0 admits every sketch at its analytical guarantee).
-	MinAccuracy float64
 	// AllowPartialStats lets OptimizeFromSaved proceed when the saved
 	// store cannot derive every SE cardinality (a partial save from a
 	// degraded or cancelled run): blocks whose cardinalities are
@@ -103,8 +87,8 @@ type Config struct {
 	// and nothing else: results, observed statistics, the work metric,
 	// CollectMetrics reports and adaptive replan decisions are
 	// byte-identical to local runs, and every other field here — Faults,
-	// Workers, Streaming, the retry knobs — reaches the workers through
-	// the engine, set once.
+	// Workers, Streaming — reaches the workers through the engine, set
+	// once.
 	Dispatcher engine.BlockDispatcher
 }
 
@@ -132,13 +116,14 @@ func ParseStatsTier(s string) (StatsTier, error) {
 	}
 }
 
-// approxPolicy maps the configured tier onto the selector's policy.
+// approxPolicy maps the configured tier onto the selector's policy; every
+// sketch is admitted at its analytical guarantee.
 func (c Config) approxPolicy() selector.ApproxPolicy {
 	switch c.StatsTier {
 	case TierApprox:
-		return selector.ApproxPolicy{Enable: true, MinAccuracy: c.MinAccuracy, Force: true}
+		return selector.ApproxPolicy{Enable: true, Force: true}
 	case TierAuto:
-		return selector.ApproxPolicy{Enable: true, MinAccuracy: c.MinAccuracy}
+		return selector.ApproxPolicy{Enable: true}
 	default:
 		return selector.ApproxPolicy{}
 	}
@@ -189,16 +174,14 @@ type Timings struct {
 
 // newExecutor builds the engine the configuration asks for.
 func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
-	eng := engine.New(an, db, cfg.Registry)
+	eng := engine.New(an, db, nil)
 	if cfg.Streaming {
-		eng = engine.NewStream(an, db, cfg.Registry)
+		eng = engine.NewStream(an, db, nil)
 	}
 	eng.Workers = cfg.Workers
 	eng.MaxRows = cfg.MaxRows
 	eng.CollectMetrics = cfg.CollectMetrics
 	eng.Faults = cfg.Faults
-	eng.RetryMax = cfg.RetryMax
-	eng.RetryBackoff = cfg.RetryBackoff
 	eng.Dispatch = cfg.Dispatcher
 	return eng
 }
@@ -238,8 +221,6 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 
 	start = time.Now()
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	coster.UseFDs = cfg.UseFDs
-	coster.FreeSourceStats = cfg.FreeSourceStats
 	coster.CPUWeight = cfg.CPUWeight
 	coster.Sizes = cfg.Sizes
 	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})

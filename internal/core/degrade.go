@@ -205,12 +205,10 @@ func degrade(ctx context.Context, cy *Cycle, eng *engine.Engine, u *selector.Uni
 		// choice — its plan sequences are short, and the observations are
 		// engine-independent.
 		rep := payg.Evaluate(res)
-		pe := engine.New(cy.Analysis, cy.db, cy.cfg.Registry)
+		pe := engine.New(cy.Analysis, cy.db, nil)
 		pe.Workers = cy.cfg.Workers
 		pe.MaxRows = cy.cfg.MaxRows
 		pe.Faults = cy.cfg.Faults
-		pe.RetryMax = cy.cfg.RetryMax
-		pe.RetryBackoff = cy.cfg.RetryBackoff
 		exec, err := payg.ExecuteCtx(ctx, pe, res, rep)
 		if err != nil {
 			return nil, fmt.Errorf("payg fallback: %w", err)

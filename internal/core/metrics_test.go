@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/suite"
 )
 
@@ -110,7 +111,7 @@ func TestQErrorFeedbackAllSuite(t *testing.T) {
 			// the report, so FK is asserted only to be present in the rule
 			// table, not to be exact.
 			for _, se := range fb.SEs {
-				if !se.Derivable || se.Rule == "FK" {
+				if !se.Derivable || se.Rule == css.RuleFK.String() {
 					continue
 				}
 				if se.QError != 1 {
@@ -119,7 +120,7 @@ func TestQErrorFeedbackAllSuite(t *testing.T) {
 				}
 			}
 			for _, r := range fb.Rules {
-				if r.Rule != "FK" && r.MaxQ != 1 {
+				if r.Rule != css.RuleFK.String() && r.MaxQ != 1 {
 					t.Errorf("rule %s: max q-error %v, want 1", r.Rule, r.MaxQ)
 				}
 			}

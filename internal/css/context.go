@@ -46,8 +46,8 @@ func DefaultOptions() Options {
 // Candidate is one candidate statistics set of a statistic: a minimal set
 // of statistics sufficient to compute it (Section 3.1), held as ids.
 type Candidate struct {
-	// Rule is the producing rule's name ("J1", "J4", "I2", ...).
-	Rule string
+	// Rule is the producing rule.
+	Rule Rule
 	// Inputs are the ids of the statistics that together compute the
 	// target. Their order is rule-specific (e.g. J4: super-SE histogram,
 	// joined-relation histogram, reject-variant statistic).
@@ -140,7 +140,7 @@ func (r *Result) RejectLinked(s stats.Stat) bool {
 
 // Describe spells a candidate set in descriptor form, for display.
 func (r *Result) Describe(c Candidate) stats.CSS {
-	out := stats.CSS{Rule: c.Rule, Join: c.Join, Inputs: make([]stats.Stat, len(c.Inputs))}
+	out := stats.CSS{Rule: c.Rule.String(), Join: c.Join, Inputs: make([]stats.Stat, len(c.Inputs))}
 	for i, in := range c.Inputs {
 		out.Inputs[i] = r.Stats[in]
 	}

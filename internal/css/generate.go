@@ -69,7 +69,7 @@ type candList struct{ first, last int32 }
 // three inputs. join is the class id of the join attribute within the
 // target's block, or -1.
 type cand struct {
-	rule string
+	rule Rule
 	in   [3]int32
 	n    int8
 	join int32
@@ -80,13 +80,13 @@ type cand struct {
 // in the universe, unless an earlier set of the target has the same inputs
 // (different plans can produce the same rule inputs; the first occurrence is
 // kept, whatever its rule).
-func (g *generator) addCSS(target int32, rule string, inputs ...ident) {
+func (g *generator) addCSS(target int32, rule Rule, inputs ...ident) {
 	g.addJoinCSS(target, rule, -1, inputs...)
 }
 
 // addJoinCSS is addCSS carrying the join-attribute class the estimation
 // layer needs to evaluate join rules.
-func (g *generator) addJoinCSS(target int32, rule string, join int32, inputs ...ident) {
+func (g *generator) addJoinCSS(target int32, rule Rule, join int32, inputs ...ident) {
 	for _, in := range inputs {
 		if in == g.idents[target] {
 			return // a CSS referencing its own target would be circular
@@ -123,7 +123,7 @@ func (g *generator) expand(p int32) {
 		// A distinct count is the bucket count of the matching histogram
 		// (used by rule G1's input and generally derivable).
 		s.kind = stats.Hist
-		g.addCSS(p, "D1", s)
+		g.addCSS(p, RuleD1, s)
 	case s.isChainPoint():
 		g.expandInput(bc, p, s, int(s.depth))
 	case s.isReject():
@@ -145,20 +145,20 @@ func (g *generator) expandJoinSE(bc *blockCtx, p int32, s ident) {
 		switch s.kind {
 		case stats.Card:
 			// J1: |L ⋈ R| from the join-column distributions.
-			g.addJoinCSS(p, "J1", class, bc.hist(left, class), bc.hist(right, class))
+			g.addJoinCSS(p, RuleJ1, class, bc.hist(left, class), bc.hist(right, class))
 			// FK shortcut: a look-up join keeps the fact side's
 			// cardinality.
 			if g.res.opt.FKShortcut {
 				if fact, ok := fkFactSide(bc, pl); ok {
-					g.addCSS(p, "FK", bc.card(seTarget(fact)))
+					g.addCSS(p, RuleFK, bc.card(seTarget(fact)))
 				}
 			}
 		case stats.Hist:
 			var bufL, bufR [8]int32
 			if inL, inR, ok := bc.splitAttrs(pl.Left, pl.Right, class, attrs, bufL[:0], bufR[:0]); ok {
-				rule := "J2"
+				rule := RuleJ2
 				if len(attrs) == 1 && attrs[0] == class {
-					rule = "J3"
+					rule = RuleJ3
 				}
 				g.addJoinCSS(p, rule, class, bc.hist(left, inL...), bc.hist(right, inR...))
 			}
@@ -254,7 +254,7 @@ func (g *generator) expandUnionDivision(bc *blockCtx, p int32, s ident) {
 			switch s.kind {
 			case stats.Card:
 				// J4: |e| = |H^a_o / H^a_k| + |reject variant of e|.
-				g.addJoinCSS(p, "J4", class,
+				g.addJoinCSS(p, RuleJ4, class,
 					bc.hist(seTarget(o), class),
 					bc.hist(hk, class),
 					bc.card(rejectTarget(se, t, f)))
@@ -265,7 +265,7 @@ func (g *generator) expandUnionDivision(bc *blockCtx, p int32, s ident) {
 					continue
 				}
 				var buf [8]int32
-				g.addJoinCSS(p, "J5", class,
+				g.addJoinCSS(p, RuleJ5, class,
 					bc.hist(seTarget(o), append(append(buf[:0], class), attrs...)...),
 					bc.hist(hk, class),
 					bc.stat(stats.Hist, rejectTarget(se, t, f), attrs...))
@@ -295,7 +295,7 @@ func (g *generator) expandReject(bc *blockCtx, p int32, s ident) {
 		}
 		class := bc.edgeClass[f]
 		var buf [8]int32
-		g.addJoinCSS(p, "R1", class,
+		g.addJoinCSS(p, RuleR1, class,
 			bc.hist(seTarget(single), append(append(buf[:0], class), attrs...)...),
 			bc.hist(seTarget(expr.NewSet(k)), class))
 		return
@@ -317,9 +317,9 @@ func (g *generator) expandReject(bc *blockCtx, p int32, s ident) {
 		return
 	}
 	class := bc.edgeClass[gEdge]
-	rule := "J1"
+	rule := RuleJ1
 	if s.kind == stats.Hist {
-		rule = "J2"
+		rule = RuleJ2
 	}
 	// Split wanted attributes (none for a cardinality) between the reject
 	// singleton and the rest, as in the generalized J2.
@@ -365,7 +365,7 @@ func (g *generator) chainRule(bc *blockCtx, p int32, s ident, i, d int) {
 		switch s.kind {
 		case stats.Card:
 			// S1: |σ_a(T)| from H^a_T.
-			g.addCSS(p, "S1", bc.hist(prev, bc.classID(op.Pred.Attr)))
+			g.addCSS(p, RuleS1, bc.hist(prev, bc.classID(op.Pred.Attr)))
 		case stats.Hist:
 			// S2: H^b of the selection from H^{a∪b} of the input (when b
 			// already contains a this is just H^b).
@@ -375,13 +375,13 @@ func (g *generator) chainRule(bc *blockCtx, p int32, s ident, i, d int) {
 				need = append(need, predClass)
 			}
 			if bc.hasAttrsAt(i, d-1, need) {
-				g.addCSS(p, "S2", bc.hist(prev, need...))
+				g.addCSS(p, RuleS2, bc.hist(prev, need...))
 			}
 		}
 	case workflow.KindProject, workflow.KindTransform:
-		rules := [2]string{"P1", "P2"}
+		rules := [2]Rule{RuleP1, RuleP2}
 		if op.Kind == workflow.KindTransform {
-			rules = [2]string{"U1", "U2"}
+			rules = [2]Rule{RuleU1, RuleU2}
 		}
 		switch s.kind {
 		case stats.Card:
@@ -442,9 +442,9 @@ func (g *generator) crossBlockRule(bc *blockCtx, p int32, s ident, i int) {
 		// Pass-through (B0): the boundary record-set is the upstream SE. A
 		// transform (U1/U2) also keeps the rows, and every distribution but
 		// those over the attribute it derives.
-		rules := [2]string{"B0", "B0"}
+		rules := [2]Rule{RuleB0, RuleB0}
 		if term != nil && term.Kind == workflow.KindTransform {
-			rules = [2]string{"U1", "U2"}
+			rules = [2]Rule{RuleU1, RuleU2}
 			if slices.Contains(attrs, bc.classID(term.Transform.Out)) {
 				return
 			}
@@ -469,12 +469,12 @@ func (g *generator) crossBlockRule(bc *blockCtx, p int32, s ident, i int) {
 		switch s.kind {
 		case stats.Card:
 			// G1: |G(T,a)| = |a_T|.
-			g.addCSS(p, "G1", up.stat(stats.Distinct, upFull, keys...))
+			g.addCSS(p, RuleG1, up.stat(stats.Distinct, upFull, keys...))
 		case stats.Hist:
 			// G2: distributions over (subsets of) the grouping keys come
 			// from the upstream key distribution, one count per group.
 			if upAttrs, ok := translate(attrs, buf[:0]); ok && subset(upAttrs, keys) {
-				g.addCSS(p, "G2", up.hist(upFull, keys...))
+				g.addCSS(p, RuleG2, up.hist(upFull, keys...))
 			}
 		}
 	default:

@@ -108,7 +108,7 @@ func TestGenerateRetailJ1CSS(t *testing.T) {
 	csss := cssOf(res, cardFull)
 	var j1 int
 	for _, cs := range csss {
-		if cs.Rule == "J1" {
+		if cs.Rule == RuleJ1.String() {
 			j1++
 			if len(cs.Inputs) != 2 {
 				t.Errorf("J1 CSS has %d inputs", len(cs.Inputs))
@@ -124,7 +124,7 @@ func TestGenerateRetailJ1CSS(t *testing.T) {
 	hOC := stats.NewHist(stats.BlockSE(0, expr.NewSet(o, c)), pidClass)
 	found := false
 	for _, cs := range cssOf(res, hOC) {
-		if cs.Rule != "J2" || len(cs.Inputs) != 2 {
+		if cs.Rule != RuleJ2.String() || len(cs.Inputs) != 2 {
 			continue
 		}
 		var hasJoint, hasCid bool
@@ -166,7 +166,7 @@ func TestGenerateUnionDivisionAddsCSS(t *testing.T) {
 	cardOC := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c)))
 	var hasJ4 bool
 	for _, cs := range cssOf(ud, cardOC) {
-		if cs.Rule == "J4" {
+		if cs.Rule == RuleJ4.String() {
 			hasJ4 = true
 			if len(cs.Inputs) != 3 {
 				t.Errorf("J4 CSS has %d inputs, want 3", len(cs.Inputs))
@@ -251,7 +251,7 @@ func TestGenerateIdentityRules(t *testing.T) {
 	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(o)))
 	var hasI1 bool
 	for _, cs := range cssOf(res, cardO) {
-		if cs.Rule == "I1" {
+		if cs.Rule == RuleI1.String() {
 			hasI1 = true
 			if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Hist {
 				t.Errorf("I1 CSS malformed: %+v", cs)
@@ -268,7 +268,7 @@ func TestGenerateIdentityRules(t *testing.T) {
 	var hasI2 bool
 	for id, list := range res.CSS {
 		for _, cs := range list {
-			if cs.Rule == "I2" {
+			if cs.Rule == RuleI2 {
 				if len(cs.Inputs) != 1 || res.Stats[cs.Inputs[0]].Kind != stats.Hist {
 					t.Errorf("I2 CSS malformed: %+v", cs)
 				}
@@ -315,7 +315,7 @@ func TestGenerateFKShortcut(t *testing.T) {
 	full := res.Space(0).Full()
 	var hasFK bool
 	for _, cs := range cssOf(res, stats.NewCard(stats.BlockSE(0, full))) {
-		if cs.Rule == "FK" {
+		if cs.Rule == RuleFK.String() {
 			hasFK = true
 			if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Card {
 				t.Errorf("FK CSS malformed: %+v", cs)
@@ -331,7 +331,7 @@ func TestGenerateFKShortcut(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	for _, cs := range cssOf(res2, stats.NewCard(stats.BlockSE(0, full))) {
-		if cs.Rule == "FK" {
+		if cs.Rule == RuleFK.String() {
 			t.Error("FK CSS generated despite disabled option")
 		}
 	}
@@ -366,7 +366,7 @@ func TestGenerateChainRules(t *testing.T) {
 	cardO := stats.NewCard(stats.BlockSE(0, expr.NewSet(oIdx)))
 	var hasS1 bool
 	for _, cs := range cssOf(res, cardO) {
-		if cs.Rule == "S1" {
+		if cs.Rule == RuleS1.String() {
 			hasS1 = true
 			in := cs.Inputs[0]
 			if !in.Target.IsChainPoint() || in.Target.Depth != 0 {
@@ -384,7 +384,7 @@ func TestGenerateChainRules(t *testing.T) {
 	hO := stats.NewHist(stats.BlockSE(0, expr.NewSet(oIdx)), pidClass)
 	var hasS2 bool
 	for _, cs := range cssOf(res, hO) {
-		if cs.Rule == "S2" && len(cs.Inputs) == 1 && len(cs.Inputs[0].Attrs) == 2 {
+		if cs.Rule == RuleS2.String() && len(cs.Inputs) == 1 && len(cs.Inputs[0].Attrs) == 2 {
 			hasS2 = true
 		}
 	}
@@ -440,7 +440,7 @@ func TestGenerateCrossBlockGroupBy(t *testing.T) {
 	cardG := stats.NewCard(stats.BlockSE(1, expr.NewSet(gIdx)))
 	var hasG1 bool
 	for _, cs := range cssOf(res, cardG) {
-		if cs.Rule == "G1" {
+		if cs.Rule == RuleG1.String() {
 			hasG1 = true
 			if cs.Inputs[0].Kind != stats.Distinct || cs.Inputs[0].Target.Block != 0 {
 				t.Errorf("G1 input should be the upstream distinct count, got %+v", cs.Inputs[0])
@@ -456,7 +456,7 @@ func TestGenerateCrossBlockGroupBy(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	for _, cs := range cssOf(res2, cardG) {
-		if cs.Rule == "G1" {
+		if cs.Rule == RuleG1.String() {
 			t.Error("G1 generated despite disabled cross-block option")
 		}
 	}

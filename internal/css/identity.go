@@ -59,7 +59,7 @@ func (g *generator) identityRules(hists []ident, lists [][]int32) {
 	card.kind, card.attrs = stats.Card, 0
 	if p, ok := g.ids[card]; ok {
 		for _, h := range hists {
-			g.addCSS(p, "I1", h)
+			g.addCSS(p, RuleI1, h)
 		}
 	}
 	// I2: H^a_T from any existing H^{a∪b}_T.
@@ -67,7 +67,7 @@ func (g *generator) identityRules(hists []ident, lists [][]int32) {
 		p := g.ids[s]
 		for _, super := range hists {
 			if len(lists[super.attrs]) > len(lists[s.attrs]) && subset(lists[s.attrs], lists[super.attrs]) {
-				g.addCSS(p, "I2", super)
+				g.addCSS(p, RuleI2, super)
 			}
 		}
 	}

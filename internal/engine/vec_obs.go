@@ -22,6 +22,21 @@ type vecObserver interface {
 	mergeVec(vecObserver) error
 }
 
+// eachLive calls f with the index of every live row of b, in order. The
+// single-column observers keep their own loops: they hash a value per row
+// and nothing else, so a call per row would show.
+func eachLive(b *batch.Batch, f func(ri int32)) {
+	if b.Sel != nil {
+		for _, ri := range b.Sel {
+			f(ri)
+		}
+		return
+	}
+	for ri := 0; ri < b.N; ri++ {
+		f(int32(ri))
+	}
+}
+
 // vecCardObserver counts live rows.
 type vecCardObserver struct {
 	col  *collector
@@ -55,23 +70,14 @@ type vecHistObserver struct {
 }
 
 func (h *vecHistObserver) observeVec(b *batch.Batch) {
-	inc := func(ri int32) {
+	eachLive(b, func(ri int32) {
 		for i, c := range h.cols {
 			h.vals[i] = b.Cols[c][ri]
 		}
 		if err := h.h.Inc(h.vals, 1); err != nil && h.err == nil {
 			h.err = err
 		}
-	}
-	if b.Sel != nil {
-		for _, ri := range b.Sel {
-			inc(ri)
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			inc(int32(ri))
-		}
-	}
+	})
 }
 func (h *vecHistObserver) finish() {
 	if h.err != nil {
@@ -130,21 +136,12 @@ func (d *vecDistinctObserver) observeVec(b *batch.Batch) {
 		}
 		return
 	}
-	add := func(ri int32) {
+	eachLive(b, func(ri int32) {
 		for i, c := range d.cols {
 			d.vals[i] = b.Cols[c][ri]
 		}
 		d.set.add(d.vals)
-	}
-	if b.Sel != nil {
-		for _, ri := range b.Sel {
-			add(ri)
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			add(int32(ri))
-		}
-	}
+	})
 }
 func (d *vecDistinctObserver) count() int64 {
 	if d.single != nil {
@@ -197,21 +194,12 @@ func (o *vecHLLObserver) observeVec(b *batch.Batch) {
 		}
 		return
 	}
-	add := func(ri int32) {
+	eachLive(b, func(ri int32) {
 		for i, c := range o.cols {
 			o.vals[i] = b.Cols[c][ri]
 		}
 		o.h.Add(o.vals...)
-	}
-	if b.Sel != nil {
-		for _, ri := range b.Sel {
-			add(ri)
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			add(int32(ri))
-		}
-	}
+	})
 }
 func (o *vecHLLObserver) finish() {
 	if err := o.col.store.PutHLLOnce(o.stat, o.h); err != nil {
@@ -259,6 +247,35 @@ func (o *vecCMObserver) mergeVec(other vecObserver) error {
 	return o.cm.Merge(s.cm)
 }
 
+// newVecObserver builds the batch handler of one compiled tap — the one way
+// a batch is folded into a statistic, whether a pipeline feeds it chunk by
+// chunk or collectVec feeds it a whole batch. A kind without a handler
+// yields nil.
+func newVecObserver(col *collector, t physical.Tap) vecObserver {
+	switch t.Stat.Kind {
+	case stats.Card:
+		return &vecCardObserver{col: col, stat: t.Stat}
+	case stats.Hist:
+		return &vecHistObserver{
+			col: col, stat: t.Stat, cols: t.Cols,
+			h: stats.NewHistogram(t.Stat.Attrs...), vals: make([]int64, len(t.Cols)),
+		}
+	case stats.Distinct:
+		return newVecDistinct(col, t.Stat, t.Cols)
+	case stats.HLLDistinct:
+		return &vecHLLObserver{
+			col: col, stat: t.Stat, cols: t.Cols,
+			h: stats.NewHLL(stats.DefaultHLLP), vals: make([]int64, len(t.Cols)),
+		}
+	case stats.CMHist:
+		return &vecCMObserver{
+			col: col, stat: t.Stat, colIdx: t.Cols[0],
+			cm: stats.NewCMH(t.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth),
+		}
+	}
+	return nil
+}
+
 // vecObserversFor builds batch handlers for compiled taps (which must
 // already be fault-filtered); a nil collector yields no observers.
 func vecObserversFor(col *collector, taps []physical.Tap) []vecObserver {
@@ -267,26 +284,8 @@ func vecObserversFor(col *collector, taps []physical.Tap) []vecObserver {
 	}
 	var out []vecObserver
 	for _, t := range taps {
-		switch t.Stat.Kind {
-		case stats.Card:
-			out = append(out, &vecCardObserver{col: col, stat: t.Stat})
-		case stats.Hist:
-			out = append(out, &vecHistObserver{
-				col: col, stat: t.Stat, cols: t.Cols,
-				h: stats.NewHistogram(t.Stat.Attrs...), vals: make([]int64, len(t.Cols)),
-			})
-		case stats.Distinct:
-			out = append(out, newVecDistinct(col, t.Stat, t.Cols))
-		case stats.HLLDistinct:
-			out = append(out, &vecHLLObserver{
-				col: col, stat: t.Stat, cols: t.Cols,
-				h: stats.NewHLL(stats.DefaultHLLP), vals: make([]int64, len(t.Cols)),
-			})
-		case stats.CMHist:
-			out = append(out, &vecCMObserver{
-				col: col, stat: t.Stat, colIdx: t.Cols[0],
-				cm: stats.NewCMH(t.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth),
-			})
+		if o := newVecObserver(col, t); o != nil {
+			out = append(out, o)
 		}
 	}
 	return out

@@ -435,76 +435,99 @@ func (e *Estimator) scalarInput(c css.Candidate, idx int) (int64, error) {
 	return v.Scalar, nil
 }
 
+// evaluator computes a statistic from one candidate set of its rule.
+type evaluator func(*Estimator, stats.Stat, css.Candidate) (*stats.Value, error)
+
+// evaluators holds each rule's evaluator, indexed by css.Rule. init fills
+// it: the evaluators recurse through eval, so an initializer expression
+// would be an initialization cycle.
+var evaluators [css.NumRules]evaluator
+
+func init() {
+	evaluators = [css.NumRules]evaluator{
+		css.RuleJ1: (*Estimator).evalJ1,
+		css.RuleJ2: (*Estimator).evalJoinHist,
+		css.RuleJ3: (*Estimator).evalJoinHist,
+		css.RuleJ4: (*Estimator).evalJ4,
+		css.RuleJ5: (*Estimator).evalJ5,
+		css.RuleR1: (*Estimator).evalR1,
+		css.RuleFK: (*Estimator).evalSameScalar,
+		css.RuleS1: (*Estimator).evalS1,
+		css.RuleS2: (*Estimator).evalS2,
+		css.RuleP1: (*Estimator).evalSameScalar,
+		css.RuleP2: (*Estimator).evalMarginal,
+		css.RuleU1: (*Estimator).evalSameScalar,
+		css.RuleU2: (*Estimator).evalMarginal,
+		css.RuleB0: (*Estimator).evalBoundaryCopy,
+		css.RuleG1: (*Estimator).evalSameScalar,
+		css.RuleG2: (*Estimator).evalG2,
+		css.RuleD1: (*Estimator).evalD1,
+		css.RuleI1: (*Estimator).evalI1,
+		css.RuleI2: (*Estimator).evalMarginal,
+	}
+}
+
 // eval evaluates one CSS according to its rule.
 func (e *Estimator) eval(s stats.Stat, c css.Candidate) (*stats.Value, error) {
-	switch c.Rule {
-	case "J1":
-		return e.evalJ1(s, c)
-	case "J2", "J3":
-		return e.evalJoinHist(s, c)
-	case "J4":
-		return e.evalJ4(s, c)
-	case "J5":
-		return e.evalJ5(s, c)
-	case "R1":
-		return e.evalR1(s, c)
-	case "FK", "P1", "U1":
-		v, err := e.scalarInput(c, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Scalar: v}, nil
-	case "P2", "U2", "I2":
-		v, err := e.value(c.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		h, err := e.histInput(c, 0, s.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		out := &stats.Value{Stat: s, Hist: h}
-		// An identity marginal of a sketch-backed distribution keeps the
-		// grid, so downstream zip rules still see the count-min layout.
-		if v.CM != nil && h == v.Hist {
-			out.CM = v.CM
-		}
-		return out, nil
-	case "B0":
-		return e.evalBoundaryCopy(s, c)
-	case "S1":
-		return e.evalS1(s, c)
-	case "S2":
-		return e.evalS2(s, c)
-	case "G1":
-		v, err := e.scalarInput(c, 0)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Scalar: v}, nil
-	case "G2":
-		return e.evalG2(s, c)
-	case "D1":
-		v, err := e.value(c.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		if v.Hist == nil {
-			return nil, fmt.Errorf("estimate: D1 input is not a histogram")
-		}
-		return &stats.Value{Stat: s, Scalar: int64(v.Hist.Buckets())}, nil
-	case "I1":
-		v, err := e.value(c.Inputs[0])
-		if err != nil {
-			return nil, err
-		}
-		if v.Hist == nil {
-			return nil, fmt.Errorf("estimate: I1 input is not a histogram")
-		}
-		return &stats.Value{Stat: s, Scalar: v.Hist.Total()}, nil
-	default:
-		return nil, fmt.Errorf("estimate: unknown rule %q", c.Rule)
+	if c.Rule >= css.NumRules || evaluators[c.Rule] == nil {
+		return nil, fmt.Errorf("estimate: no evaluator for rule %v", c.Rule)
 	}
+	return evaluators[c.Rule](e, s, c)
+}
+
+// evalSameScalar is the rules whose target equals their one scalar input:
+// the fact side of a look-up join (FK), the input of a projection or
+// transform (P1, U1), the upstream key count of a group-by (G1).
+func (e *Estimator) evalSameScalar(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	v, err := e.scalarInput(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	return &stats.Value{Stat: s, Scalar: v}, nil
+}
+
+// evalMarginal is the rules whose target is a marginal of their one
+// histogram input (P2, U2, I2).
+func (e *Estimator) evalMarginal(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	v, err := e.value(c.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	h, err := e.histInput(c, 0, s.Attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := &stats.Value{Stat: s, Hist: h}
+	// An identity marginal of a sketch-backed distribution keeps the
+	// grid, so downstream zip rules still see the count-min layout.
+	if v.CM != nil && h == v.Hist {
+		out.CM = v.CM
+	}
+	return out, nil
+}
+
+// evalD1 reads a distinct count off its histogram's bucket count.
+func (e *Estimator) evalD1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	v, err := e.value(c.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	if v.Hist == nil {
+		return nil, fmt.Errorf("estimate: D1 input is not a histogram")
+	}
+	return &stats.Value{Stat: s, Scalar: int64(v.Hist.Buckets())}, nil
+}
+
+// evalI1 reads a cardinality off any histogram's total.
+func (e *Estimator) evalI1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
+	v, err := e.value(c.Inputs[0])
+	if err != nil {
+		return nil, err
+	}
+	if v.Hist == nil {
+		return nil, fmt.Errorf("estimate: I1 input is not a histogram")
+	}
+	return &stats.Value{Stat: s, Scalar: v.Hist.Total()}, nil
 }
 
 // evalJ1 computes |L ⋈ R| as the dot product of the join-column

@@ -11,6 +11,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -427,4 +428,43 @@ func TestCoverage(t *testing.T) {
 	if d0 != 0 || total0 != total {
 		t.Fatalf("empty-store coverage %d/%d", d0, total0)
 	}
+}
+
+// TestEveryRuleHasEvaluator pins that css and estimate know the same rules:
+// every declared rule has a name and an evaluator, and every rule
+// css.Generate emits over the 30 suite workflows is a declared one.
+func TestEveryRuleHasEvaluator(t *testing.T) {
+	names := make(map[string]css.Rule)
+	for r := css.Rule(0); r < css.NumRules; r++ {
+		if evaluators[r] == nil {
+			t.Errorf("rule %v has no evaluator", r)
+		}
+		if prev, dup := names[r.String()]; dup || r.String() == "" {
+			t.Errorf("rule %d is named %q, as is rule %d", r, r.String(), prev)
+		}
+		names[r.String()] = r
+	}
+	emitted := make(map[css.Rule]bool)
+	for _, w := range suite.All() {
+		an, err := workflow.Analyze(w.Graph, w.Catalog)
+		if err != nil {
+			t.Fatalf("%s: Analyze: %v", w.Name, err)
+		}
+		res, err := css.Generate(an, css.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: Generate: %v", w.Name, err)
+		}
+		for id, cands := range res.CSS {
+			for _, c := range cands {
+				if c.Rule >= css.NumRules {
+					t.Fatalf("%s: %v has a candidate set of undeclared rule %v", w.Name, res.Stats[id].Key(), c.Rule)
+				}
+				emitted[c.Rule] = true
+			}
+		}
+	}
+	if len(emitted) == 0 {
+		t.Fatal("the suite emitted no candidate sets")
+	}
+	t.Logf("the suite emits %d of the %d declared rules", len(emitted), css.NumRules)
 }

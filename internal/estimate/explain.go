@@ -64,7 +64,7 @@ func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
 		if _, err := e.eval(s, c); err != nil {
 			continue
 		}
-		ex := &Explanation{Stat: s, Value: v, Rule: c.Rule}
+		ex := &Explanation{Stat: s, Value: v, Rule: c.Rule.String()}
 		for _, in := range c.Inputs {
 			child, err := e.Explain(e.Res.Stats[in])
 			if err != nil {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -157,5 +159,65 @@ func TestServe429Shed(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/optimize", "application/json", []byte(`{"workflow":"tiny"}`))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize after release: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestServeOverloadShedsCleanly is the same under-provisioned daemon under
+// real contention: 16 clients post optimize and estimate requests of
+// distinct cache keys at one solve slot with no queue. Whatever the
+// interleaving, every answer is a 200 or a typed 429, never a 5xx, and the
+// shed counter equals the 429s the clients saw.
+func TestServeOverloadShedsCleanly(t *testing.T) {
+	doc, db := tinyWorkflow(t, 11, 600)
+	_, ts := newTestServer(t, doc, Options{MaxSolves: 1, SolveQueue: 0, DisableCache: true})
+	stream := observedStream(t, doc, db)
+	if resp, body := post(t, ts.URL+"/v1/observe?workflow=tiny", "application/octet-stream", stream); resp.StatusCode != http.StatusOK {
+		t.Fatalf("observe: %d %s", resp.StatusCode, body)
+	}
+
+	const clients, rounds = 16, 8
+	counts := make([]map[int]int, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		counts[c] = make(map[int]int)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			url, body := ts.URL+"/v1/optimize", fmt.Sprintf(`{"workflow":"tiny","allowPartial":%v}`, c%4 == 0)
+			if c%2 == 1 {
+				url, body = ts.URL+"/v1/estimate", fmt.Sprintf(`{"workflow":"tiny","budget":%d}`, 1000+c)
+			}
+			for i := 0; i < rounds; i++ {
+				resp, err := http.Post(url, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				resp.Body.Close()
+				counts[c][resp.StatusCode]++
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	total := make(map[int]int)
+	for _, m := range counts {
+		for code, n := range m {
+			total[code] += n
+		}
+	}
+	for code, n := range total {
+		if code != http.StatusOK && code != http.StatusTooManyRequests {
+			t.Errorf("%d answer(s) with status %d, want only 200 and 429", n, code)
+		}
+	}
+	if total[http.StatusOK] == 0 {
+		t.Error("no request was served")
+	}
+	t.Logf("%d served, %d shed", total[http.StatusOK], total[http.StatusTooManyRequests])
+	_, mbody := get(t, ts.URL+"/metrics")
+	want := fmt.Sprintf("etlopt_serve_sheds_total %d\n", total[http.StatusTooManyRequests])
+	if !strings.Contains(string(mbody), want) {
+		t.Fatalf("clients saw %d 429s; metrics say:\n%s", total[http.StatusTooManyRequests], mbody)
 	}
 }

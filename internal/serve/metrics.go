@@ -25,9 +25,6 @@ type metrics struct {
 	observes      int64
 	sheds         int64 // requests shed by admission control (typed 429s)
 	evictions     int64 // LRU entries dropped to stay within the byte budget
-	redirects     int64 // requests 307-redirected to their shard owner
-	proxied       int64 // requests proxied to their shard owner
-	warmed        int64 // workflows preloaded by the warm-start path
 
 	generation map[string]int64   // per workflow: latest catalog generation
 	driftMax   map[string]float64 // per workflow: last upload's max relative drift
@@ -105,22 +102,6 @@ func (m *metrics) evict(n int64) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) shard(proxied bool) {
-	m.mu.Lock()
-	if proxied {
-		m.proxied++
-	} else {
-		m.redirects++
-	}
-	m.mu.Unlock()
-}
-
-func (m *metrics) warm() {
-	m.mu.Lock()
-	m.warmed++
-	m.mu.Unlock()
-}
-
 func (m *metrics) observe(workflow string, generation int, driftMax float64, payload int64) {
 	m.mu.Lock()
 	m.observes++
@@ -157,9 +138,6 @@ func (m *metrics) render(w io.Writer) {
 	fmt.Fprintf(w, "etlopt_serve_observe_total %d\n", m.observes)
 	fmt.Fprintf(w, "etlopt_serve_sheds_total %d\n", m.sheds)
 	fmt.Fprintf(w, "etlopt_serve_evictions_total %d\n", m.evictions)
-	fmt.Fprintf(w, "etlopt_serve_shard_redirects_total %d\n", m.redirects)
-	fmt.Fprintf(w, "etlopt_serve_shard_proxied_total %d\n", m.proxied)
-	fmt.Fprintf(w, "etlopt_serve_warmed_total %d\n", m.warmed)
 	for _, wf := range sortedKeys(m.generation) {
 		fmt.Fprintf(w, "etlopt_serve_catalog_generation{workflow=%q} %d\n", wf, m.generation[wf])
 	}

@@ -7,8 +7,7 @@
 // plan and estimate queries from those statistics without ever executing a
 // workflow itself.
 //
-// The daemon is built to be one instance of a multi-tenant control plane
-// (docs/SERVING.md):
+// The daemon is a multi-tenant control plane (docs/SERVING.md):
 //
 //   - Solutions are cached in a size-aware LRU whose entries are bound to
 //     the statistics generation they were solved from. A drifted upload
@@ -21,9 +20,6 @@
 //     per-daemon solve limit with a bounded wait queue sheds overload as
 //     typed 429 responses with Retry-After instead of queueing without
 //     bound.
-//   - With -peers, workflows are consistent-hash sharded across daemon
-//     instances; a non-owner redirects (307) or proxies, so any instance
-//     can face the clients.
 //
 // Responses are byte-identical whether they came from the cache or a fresh
 // solve; the X-Cache header is the only difference.
@@ -84,19 +80,6 @@ type Options struct {
 	// MaxSolves is set (< 0 selects DefaultSolveQueue; 0 sheds
 	// immediately when every slot is busy).
 	SolveQueue int
-	// Peers shards workflows across daemon instances by consistent
-	// hashing of the workflow name over these base URLs. Empty = no
-	// sharding. When set, Self must name this instance's own entry.
-	Peers []string
-	// Self is this daemon's base URL as it appears in Peers.
-	Self string
-	// ShardProxy makes a non-owner proxy the request to the owner instead
-	// of returning a 307 redirect.
-	ShardProxy bool
-	// Config seeds the optimization configuration used for every request
-	// (CSS options, cost model default). The zero value means
-	// core.DefaultConfig.
-	Config *core.Config
 }
 
 // Document is one servable workflow: the graph plus its relation catalog.
@@ -118,19 +101,15 @@ func (e *UnknownWorkflowError) Error() string {
 type Server struct {
 	catalog *Catalog
 	opts    Options
-	cfg     core.Config
 
 	workflows map[string]*Document
 
 	// flight deduplicates concurrent identical solves; cache holds the
 	// solved response bytes, each entry bound to the statistics
-	// generation it was solved from; adm is the concurrent-solve limiter;
-	// ring is nil unless Peers shards the workflow space.
+	// generation it was solved from; adm is the concurrent-solve limiter.
 	flight group
 	cache  *solutionCache
 	adm    *admission
-	ring   *ring
-	client *http.Client
 
 	mu    sync.Mutex
 	built map[string]*css.Result // workflow → generated CSS result
@@ -139,8 +118,9 @@ type Server struct {
 }
 
 // New builds a server over a statistics catalog and a workflow set; a nil
-// workflow map serves the built-in 30-workflow suite. It errors on an
-// inconsistent shard configuration (Peers without Self, Self not a peer).
+// workflow map serves the built-in 30-workflow suite. No option value is
+// invalid, so the error is always nil; the signature is one bench/ calls
+// and is frozen with it (ROADMAP item 4).
 func New(cat *Catalog, workflows map[string]*Document, opts Options) (*Server, error) {
 	if workflows == nil {
 		workflows = make(map[string]*Document, 30)
@@ -151,23 +131,12 @@ func New(cat *Catalog, workflows map[string]*Document, opts Options) (*Server, e
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = DefaultDriftThreshold
 	}
-	cfg := core.DefaultConfig()
-	if opts.Config != nil {
-		cfg = *opts.Config
-	}
-	rg, err := newRing(opts.Self, opts.Peers)
-	if err != nil {
-		return nil, err
-	}
 	return &Server{
 		catalog:   cat,
 		opts:      opts,
-		cfg:       cfg,
 		workflows: workflows,
 		cache:     newSolutionCache(opts.CacheBytes),
 		adm:       newAdmission(opts.MaxSolves, opts.SolveQueue),
-		ring:      rg,
-		client:    &http.Client{},
 		built:     make(map[string]*css.Result),
 		metrics:   newMetrics(),
 	}, nil
@@ -212,7 +181,7 @@ func (s *Server) cssFor(name string) (*css.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := css.Generate(an, s.cfg.CSS)
+		res, err := css.Generate(an, css.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -249,9 +218,6 @@ func (s *Server) solved(ctx context.Context, workflow string, gen int, key strin
 	v, err, shared := s.flight.Do(fkey, func() (any, error) {
 		release, err := s.adm.acquire(ctx)
 		if err != nil {
-			if errors.As(err, new(*BusyError)) {
-				s.metrics.shed()
-			}
 			return nil, err
 		}
 		defer release()
@@ -267,6 +233,11 @@ func (s *Server) solved(ctx context.Context, workflow string, gen int, key strin
 		return body, nil
 	})
 	if err != nil {
+		// Counted per request, not per flight: a sharer of a shed flight is
+		// answered 429 as well.
+		if errors.As(err, new(*BusyError)) {
+			s.metrics.shed()
+		}
 		return nil, false, err
 	}
 	s.metrics.solve(shared)
@@ -279,59 +250,6 @@ func (s *Server) invalidate(workflow string, newBound int) int64 {
 	n := s.cache.Invalidate(workflow, newBound)
 	s.metrics.invalidate(n)
 	return n
-}
-
-// routeOwned reports whether this daemon answers for the workflow. When a
-// peer owns it, the request is redirected (307, preserving method and
-// body) or proxied there, depending on Options.ShardProxy. body carries
-// the already-consumed request body for proxying; nil streams r.Body.
-func (s *Server) routeOwned(w http.ResponseWriter, r *http.Request, workflow string, body []byte) bool {
-	if s.ring == nil || s.ring.owns(workflow) {
-		return true
-	}
-	owner := s.ring.owner(workflow)
-	if s.opts.ShardProxy {
-		s.metrics.shard(true)
-		s.proxyTo(w, r, owner, body)
-	} else {
-		s.metrics.shard(false)
-		w.Header().Set("X-Shard-Owner", owner)
-		http.Redirect(w, r, owner+r.URL.RequestURI(), http.StatusTemporaryRedirect)
-	}
-	return false
-}
-
-// proxyTo forwards the request to the shard owner and relays its response
-// verbatim, tagging it X-Shard-Proxied so clients can see the extra hop.
-func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	} else {
-		rd = http.MaxBytesReader(w, r.Body, maxUploadBytes)
-	}
-	preq, err := http.NewRequestWithContext(r.Context(), r.Method, owner+r.URL.RequestURI(), rd)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("proxy to shard owner %s: %v", owner, err))
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		preq.Header.Set("Content-Type", ct)
-	}
-	resp, err := s.client.Do(preq)
-	if err != nil {
-		httpError(w, http.StatusBadGateway, fmt.Sprintf("proxy to shard owner %s: %v", owner, err))
-		return
-	}
-	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "X-Cache", "Retry-After"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set("X-Shard-Proxied", owner)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -357,9 +275,6 @@ type workflowInfo struct {
 	Blocks     int    `json:"blocks"`
 	HasStats   bool   `json:"hasStats"`
 	Generation int    `json:"generation,omitempty"`
-	// Owner names the sharding peer that owns the workflow (omitted when
-	// the daemon runs unsharded).
-	Owner string `json:"owner,omitempty"`
 }
 
 func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
@@ -378,9 +293,6 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		if e, ok := s.catalog.Get(n); ok {
 			info.HasStats = true
 			info.Generation = e.Generation
-		}
-		if s.ring != nil {
-			info.Owner = s.ring.owner(n)
 		}
 		out = append(out, info)
 	}
@@ -424,9 +336,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("workflow")
 	if _, ok := s.workflows[name]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", name))
-		return
-	}
-	if !s.routeOwned(w, r, name, nil) {
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
@@ -555,15 +464,11 @@ type planJSON struct {
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("optimize")
 	var req optimizeRequest
-	raw, ok := decodeJSON(w, r, &req)
-	if !ok {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if _, ok := s.workflows[req.Workflow]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
-		return
-	}
-	if !s.routeOwned(w, r, req.Workflow, raw) {
 		return
 	}
 	model := optimizer.Cout
@@ -619,14 +524,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveOptimize produces the optimize response body from one catalog
-// entry — the one solver path both the HTTP handler and the warm-start
-// loop use, so a warmed cache is byte-identical to a served solve.
+// entry.
 func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, entry *Entry) ([]byte, error) {
 	res, err := s.cssFor(req.Workflow)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.cfg
+	cfg := core.DefaultConfig()
 	cfg.CostModel = model
 	cfg.AllowPartialStats = req.AllowPartial
 	_, plans, err := core.OptimizeFromStore(res, entry.Store, cfg)
@@ -714,15 +618,11 @@ type cardJSON struct {
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("estimate")
 	var req estimateRequest
-	raw, ok := decodeJSON(w, r, &req)
-	if !ok {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if _, ok := s.workflows[req.Workflow]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
-		return
-	}
-	if !s.routeOwned(w, r, req.Workflow, raw) {
 		return
 	}
 	var method selector.Method
@@ -764,8 +664,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeCached(w, body, hit)
 }
 
-// solveEstimate produces the estimate response body — shared by the HTTP
-// handler and the warm-start loop.
+// solveEstimate produces the estimate response body.
 func (s *Server) solveEstimate(req estimateRequest, method selector.Method, entry *Entry, hasStats bool) ([]byte, error) {
 	res, err := s.cssFor(req.Workflow)
 	if err != nil {
@@ -826,30 +725,24 @@ func (s *Server) solveEstimate(req estimateRequest, method selector.Method, entr
 
 // --- plumbing ---
 
-// decodeJSON reads and strictly decodes a bounded JSON request body,
-// returning the raw bytes so sharding can proxy the request onward
-// without re-serializing.
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) ([]byte, bool) {
+// decodeJSON strictly decodes a bounded JSON request body straight off the
+// connection; false means the error response has been written.
+func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil, false
+		return false
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		if errors.As(err, new(*http.MaxBytesError)) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body too large")
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return nil, false
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body too large")
+			return false
+		}
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return nil, false
+		return false
 	}
-	return raw, true
+	return true
 }
 
 // tooBusy writes the typed 429: a Retry-After header plus a JSON body

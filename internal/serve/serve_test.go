@@ -314,6 +314,15 @@ func TestServeErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad method: %d", resp.StatusCode)
 	}
+	resp, _ = post(t, ts.URL+"/v1/estimate", "application/json", []byte(`{"workflow":"tiny","bogus":1}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown field: %d", resp.StatusCode)
+	}
+	oversized := []byte(`{"workflow":"` + strings.Repeat("x", 1<<20) + `"}`)
+	resp, _ = post(t, ts.URL+"/v1/optimize", "application/json", oversized)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d", resp.StatusCode)
+	}
 	resp, _ = get(t, ts.URL+"/v1/optimize")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET optimize: %d", resp.StatusCode)

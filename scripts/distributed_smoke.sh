@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Distributed-execution smoke test: build the CLI, start two worker
 # processes, and check the composed modes against the live fleet —
-# -distributed with -metrics json and with -adaptive -replan-skew 4 must
+# -worker-addrs with -metrics json and with -adaptive -replan-skew 4 must
 # each print the single-process stdout byte for byte. Then run a
 # multi-block workflow distributed, SIGKILL one worker while the run is in
 # flight, and require exit 0 with stdout byte-identical to the
@@ -46,7 +46,7 @@ done
 # stdout identical to its single-process reference.
 composed() {
     local name="$1"; shift
-    "$work/etlopt" run -wf "$wf" -scale "$scale" -distributed -worker-addrs "$addrs" "$@" \
+    "$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" "$@" \
         > "$work/dist-$name.out" 2> "$work/dist-$name.err" || {
         echo "distributed $* run failed" >&2
         cat "$work/dist-$name.err" >&2
@@ -63,7 +63,7 @@ echo "== distributed -adaptive -replan-skew 4 matches the single-process stdout"
 composed adaptive -adaptive -replan-skew 4
 
 echo "== distributed run, one worker SIGKILLed mid-run"
-"$work/etlopt" run -wf "$wf" -scale "$scale" -distributed -worker-addrs "$addrs" \
+"$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
     > "$work/dist.out" 2> "$work/dist.err" &
 run=$!
 sleep 0.25
@@ -82,7 +82,7 @@ cmp "$work/ref.out" "$work/dist.out"
 
 echo "== re-run with the dead worker still configured"
 rc=0
-"$work/etlopt" run -wf "$wf" -scale "$scale" -distributed -worker-addrs "$addrs" \
+"$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
     > "$work/dist2.out" 2> "$work/dist2.err" || rc=$?
 if [ "$rc" -ne 0 ]; then
     echo "second distributed run exited $rc, want 0" >&2
