@@ -37,14 +37,14 @@ distributed-smoke:
 cli-smoke:
 	./scripts/cli_smoke.sh
 
-# The parallel engine paths are the main race surface; this is the gate
-# CI runs in addition to the plain test job. Under the detector the two
-# slowest packages — internal/selector and internal/suite (its worker-
-# parallel legs × 30 workflows, three goldens) — each take about 8 minutes
-# on a 2-core host, too close to go test's default 10m package budget;
-# 20m leaves them a factor of two (the whole run is about 17 minutes).
+# The block scheduler and the concurrent store are the main race surface;
+# this is the gate CI runs in addition to the plain test job. Under the
+# detector the slowest package is internal/selector — 7 m 16 s alone on a
+# 2-core host, too close to go test's default 10m package budget once the
+# other packages compete for the cores; 15m is twice that. (internal/suite,
+# next, takes 2 m 4 s.)
 race:
-	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -timeout 15m ./...
 
 short:
 	$(GO) test -short ./...

@@ -37,7 +37,7 @@
 // The -metrics output on stdout is deterministic (row counts and q-errors
 // only); the wall-clock timing summary goes to stderr.
 //
-// Runs honor -timeout and SIGINT/SIGTERM: the engines stop promptly, and
+// Runs honor -timeout and SIGINT/SIGTERM: the engine stops promptly, and
 // whatever metrics the partial run gathered are still flushed (marked
 // partial) before exiting. -faults injects deterministic failures for
 // robustness testing (see docs/FAULTS.md), e.g.
@@ -129,7 +129,7 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 	fs.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
 	fs.StringVar(&o.outDir, "out", "", "output directory for gendata")
 	fs.Int64Var(&o.budget, "budget", 0, "per-run memory budget for schedule (integer units)")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "execution-layer worker goroutines (1 = sequential)")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "independent plan blocks executed concurrently, one goroutine each (1 = sequential)")
 	fs.Int64Var(&o.maxRows, "max-rows", 100_000_000, "abort a run whose intermediate results exceed this many rows (0 = unguarded)")
 	fs.BoolVar(&o.derive, "derive", false, "explain: also print the derivation tree of every SE cardinality")
 	fs.StringVar(&o.metrics, "metrics", "", "run/explain: collect per-operator metrics and print them with the q-error report (table|json)")

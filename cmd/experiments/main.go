@@ -34,7 +34,7 @@ func main() {
 	scale := flag.Float64("scale", 0.002, "data scale for -exp=e2e")
 	dataScale := flag.Float64("datascale", 1.0, "data scale for -exp=data (1.0 = the paper-sized relations)")
 	seq := flag.Bool("seq", false, "measure workflows sequentially (timing-grade Figure 10 numbers)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker count for -exp=e2e and -exp=work (<=1 = sequential)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "independent plan blocks executed concurrently in -exp=e2e and -exp=work (<=1 = sequential)")
 	wfID := flag.Int("wf", 0, "restrict -exp=e2e to one suite workflow id (1..30)")
 	flag.Parse()
 	sequential = *seq

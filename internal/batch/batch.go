@@ -1,5 +1,5 @@
 // Package batch is the columnar execution core: typed column vectors, slab
-// arenas and selection vectors. The engines interpret the physical IR
+// arenas and selection vectors. The engine interprets the physical IR
 // batch-at-a-time over these vectors instead of row-at-a-time over
 // map/slice rows — filters mark rows in a selection vector instead of
 // materializing new tables, operators allocate their output vectors from a
@@ -82,27 +82,6 @@ func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
 		t.Rows[i] = row
 	}
 	return t
-}
-
-// AppendLive appends every live row of b column-wise onto dst (growing each
-// column with the regular append machinery — accumulators persist beyond
-// arena resets). dst must have len(b.Cols) columns; it is returned for
-// chaining.
-func AppendLive(dst [][]int64, b *Batch) [][]int64 {
-	if b.Sel != nil {
-		for c, col := range b.Cols {
-			out := dst[c]
-			for _, ri := range b.Sel {
-				out = append(out, col[ri])
-			}
-			dst[c] = out
-		}
-		return dst
-	}
-	for c, col := range b.Cols {
-		dst[c] = append(dst[c], col[:b.N]...)
-	}
-	return dst
 }
 
 // SelectPred evaluates the single-attribute predicate over the column and
@@ -214,8 +193,8 @@ func Gather(dst, src []int64, idx []int32) {
 
 // JoinIndex is a chained hash index over one build column: head maps a key
 // to its first live build row, next links rows sharing the key in ascending
-// physical order (so probe matches surface in build order, like the row
-// engines' bucket slices).
+// physical order (so probe matches surface in build order, like the
+// reference evaluator's bucket slices).
 type JoinIndex struct {
 	head map[int64]int32
 	next []int32

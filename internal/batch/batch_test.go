@@ -142,25 +142,6 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
-func TestAppendLive(t *testing.T) {
-	b := &Batch{Cols: [][]int64{{1, 2, 3}, {10, 20, 30}}, N: 3, Sel: []int32{0, 2}}
-	dst := batchAppend(nil, b)
-	if len(dst[0]) != 2 || dst[0][1] != 3 || dst[1][1] != 30 {
-		t.Fatalf("AppendLive with sel = %v", dst)
-	}
-	dst = batchAppend(dst, &Batch{Cols: [][]int64{{4}, {40}}, N: 1})
-	if len(dst[0]) != 3 || dst[0][2] != 4 {
-		t.Fatalf("AppendLive concat = %v", dst)
-	}
-}
-
-func batchAppend(dst [][]int64, b *Batch) [][]int64 {
-	if dst == nil {
-		dst = make([][]int64, len(b.Cols))
-	}
-	return AppendLive(dst, b)
-}
-
 // BenchmarkFilterBatch pins the allocation profile of the columnar filter
 // path: one selection vector from a warm arena, zero per-row allocations.
 func BenchmarkFilterBatch(b *testing.B) {

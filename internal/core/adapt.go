@@ -10,7 +10,7 @@ package core
 // run stops with a ReplanSignal; the driver injects every actual collected
 // so far as an exact cardinality into a shadow statistics store, re-invokes
 // the optimizer on only the pending blocks, and splices the re-optimized
-// cone in through the engines' Resume path — completed blocks are never
+// cone in through the engine's resume path — completed blocks are never
 // re-run, and their boundary outputs, materialized tables and observed
 // statistics carry over through the checkpoint unchanged.
 //

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 	}
 
 	// The spliced run must be identical to a cold run of the final plans.
-	cold, err := engine.New(cy.Analysis, db, nil).RunPlansObserving(ar.Plans, cy.CSS, cy.Selection.Observe)
+	cold, err := engine.New(cy.Analysis, db, nil).RunPlansObservingCtx(context.Background(), ar.Plans, cy.CSS, cy.Selection.Observe)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}

@@ -43,18 +43,17 @@ type Config struct {
 	// cycle's estimator (Cycle.Estimator), closing the Section 5.4 loop.
 	// Nil falls back to the independence approximation.
 	Sizes costmodel.Sizes
-	// Streaming executes with the chunk-pipelined streaming engine instead
-	// of the batch engine; results and observations are identical, only
-	// the execution strategy (and intermediate materialization) differs.
+	// Streaming is read by nothing.
+	//
+	// Deprecated: the streaming strategy is gone; the field stays only
+	// because bench/ sets it (ROADMAP item 4 removes both).
 	Streaming bool
-	// Workers bounds execution-layer concurrency: independent blocks run
-	// on separate goroutines (both engines), and the streaming engine
-	// additionally partitions chain and probe pipelines across workers.
-	// Values <= 1 execute sequentially; observed statistics are identical
-	// either way.
+	// Workers bounds how many independent blocks of one execution run
+	// concurrently, each on its own goroutine. Values <= 1 execute
+	// sequentially; observed statistics are identical either way.
 	Workers int
 	// MaxRows caps the total intermediate rows any single execution may
-	// produce (both engines); a run exceeding it aborts with a clear
+	// produce; a run exceeding it aborts with a clear
 	// intermediate-cardinality-guard error instead of blowing up memory on
 	// skewed joins. 0 runs unguarded.
 	MaxRows int64
@@ -86,9 +85,8 @@ type Config struct {
 	// seam and internal/serve's Coordinator). It changes where blocks run
 	// and nothing else: results, observed statistics, the work metric,
 	// CollectMetrics reports and adaptive replan decisions are
-	// byte-identical to local runs, and every other field here — Faults,
-	// Workers, Streaming — reaches the workers through the engine, set
-	// once.
+	// byte-identical to local runs, and the fields a worker must mirror —
+	// Faults, CollectMetrics — reach it through the engine, set once.
 	Dispatcher engine.BlockDispatcher
 }
 
@@ -175,9 +173,6 @@ type Timings struct {
 // newExecutor builds the engine the configuration asks for.
 func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
 	eng := engine.New(an, db, nil)
-	if cfg.Streaming {
-		eng = engine.NewStream(an, db, nil)
-	}
 	eng.Workers = cfg.Workers
 	eng.MaxRows = cfg.MaxRows
 	eng.CollectMetrics = cfg.CollectMetrics

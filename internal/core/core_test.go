@@ -327,41 +327,6 @@ func TestDriftFromTriggersOnChange(t *testing.T) {
 	}
 }
 
-func TestStreamingCycleMatchesBatch(t *testing.T) {
-	g, cat, db := skewedRetail(t)
-	batchCfg := DefaultConfig()
-	cyB, err := Run(g, cat, db, batchCfg)
-	if err != nil {
-		t.Fatalf("batch cycle: %v", err)
-	}
-	streamCfg := DefaultConfig()
-	streamCfg.Streaming = true
-	cyS, err := Run(g, cat, db, streamCfg)
-	if err != nil {
-		t.Fatalf("streaming cycle: %v", err)
-	}
-	if cyB.Plans.TotalCost != cyS.Plans.TotalCost {
-		t.Fatalf("plan costs differ across engines: %v vs %v", cyB.Plans.TotalCost, cyS.Plans.TotalCost)
-	}
-	full := cyB.CSS.Space(0).Full()
-	a, _ := cyB.Estimator.CardOf(0, full)
-	b, _ := cyS.Estimator.CardOf(0, full)
-	if a != b {
-		t.Fatalf("estimates differ across engines: %d vs %d", a, b)
-	}
-	optS, err := cyS.RunOptimized()
-	if err != nil {
-		t.Fatalf("streaming optimized run: %v", err)
-	}
-	optB, err := cyB.RunOptimized()
-	if err != nil {
-		t.Fatalf("batch optimized run: %v", err)
-	}
-	if optS.Sinks["dw"].Card() != optB.Sinks["dw"].Card() {
-		t.Fatalf("optimized outputs differ: %d vs %d", optS.Sinks["dw"].Card(), optB.Sinks["dw"].Card())
-	}
-}
-
 func TestReportRendering(t *testing.T) {
 	g, cat, db := skewedRetail(t)
 	cy, err := Run(g, cat, db, DefaultConfig())

@@ -29,57 +29,50 @@ func TestDegradedCyclePermanentTapFaults(t *testing.T) {
 		{"some-taps", 0.4},
 		{"all-taps", 1},
 	} {
-		for _, streaming := range []bool{false, true} {
-			name := tc.name + "/batch"
-			if streaming {
-				name = tc.name + "/stream"
+		t.Run(tc.name+"/batch", func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Faults = faults.New(11, tc.rate, 0, faults.Tap) // transient=0: permanent
+			cy, err := Run(g, cat, db, cfg)
+			if err != nil {
+				t.Fatalf("faulted Run aborted: %v", err)
 			}
-			t.Run(name, func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.Streaming = streaming
-				cfg.Faults = faults.New(11, tc.rate, 0, faults.Tap) // transient=0: permanent
-				cy, err := Run(g, cat, db, cfg)
-				if err != nil {
-					t.Fatalf("faulted Run aborted: %v", err)
+			if !cy.Degraded() {
+				t.Fatal("rate>0 permanent tap faults produced a clean cycle")
+			}
+			deg := cy.Degradation
+			if len(deg.Failed) == 0 {
+				t.Fatal("degradation report lists no failed statistics")
+			}
+			if deg.Mode != "alternate-css" && deg.Mode != "sketch" && deg.Mode != "payg" {
+				t.Fatalf("unexpected degradation mode %q", deg.Mode)
+			}
+			if tc.rate == 1 && deg.Mode != "payg" {
+				// Every tap site fails, including re-observation and
+				// payg taps; only the payg rung (and then initial-plan
+				// fallback) remains.
+				t.Fatalf("all taps failed but mode is %q", deg.Mode)
+			}
+			if cy.Plans == nil || len(cy.Plans.Plans) != len(cy.Analysis.Blocks) {
+				t.Fatal("degraded cycle is missing block plans")
+			}
+			for _, bi := range deg.FallbackBlocks {
+				if p := cy.Plans.Plans[bi]; p == nil {
+					t.Fatalf("fallback block %d has no plan", bi)
 				}
-				if !cy.Degraded() {
-					t.Fatal("rate>0 permanent tap faults produced a clean cycle")
+			}
+			// Data output is untouched by observation loss.
+			for name, tbl := range clean.Observed.Sinks {
+				got := cy.Observed.Sinks[name]
+				if got == nil || got.Card() != tbl.Card() {
+					t.Fatalf("sink %q differs under tap faults", name)
 				}
-				deg := cy.Degradation
-				if len(deg.Failed) == 0 {
-					t.Fatal("degradation report lists no failed statistics")
-				}
-				if deg.Mode != "alternate-css" && deg.Mode != "sketch" && deg.Mode != "payg" {
-					t.Fatalf("unexpected degradation mode %q", deg.Mode)
-				}
-				if tc.rate == 1 && deg.Mode != "payg" {
-					// Every tap site fails, including re-observation and
-					// payg taps; only the payg rung (and then initial-plan
-					// fallback) remains.
-					t.Fatalf("all taps failed but mode is %q", deg.Mode)
-				}
-				if cy.Plans == nil || len(cy.Plans.Plans) != len(cy.Analysis.Blocks) {
-					t.Fatal("degraded cycle is missing block plans")
-				}
-				for _, bi := range deg.FallbackBlocks {
-					if p := cy.Plans.Plans[bi]; p == nil {
-						t.Fatalf("fallback block %d has no plan", bi)
-					}
-				}
-				// Data output is untouched by observation loss.
-				for name, tbl := range clean.Observed.Sinks {
-					got := cy.Observed.Sinks[name]
-					if got == nil || got.Card() != tbl.Card() {
-						t.Fatalf("sink %q differs under tap faults", name)
-					}
-				}
-				if t.Failed() {
-					return
-				}
-				t.Logf("mode=%s failed=%d reruns=%d payg=%d fallback-blocks=%d",
-					deg.Mode, len(deg.Failed), deg.Reruns, deg.PaygRuns, len(deg.FallbackBlocks))
-			})
-		}
+			}
+			if t.Failed() {
+				return
+			}
+			t.Logf("mode=%s failed=%d reruns=%d payg=%d fallback-blocks=%d",
+				deg.Mode, len(deg.Failed), deg.Reruns, deg.PaygRuns, len(deg.FallbackBlocks))
+		})
 	}
 }
 

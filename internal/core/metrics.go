@@ -9,9 +9,8 @@ import (
 
 // WriteMetrics renders the cycle's per-operator metrics and the estimate
 // feedback in the given format ("table" or "json"). The output is
-// deterministic: it carries only execution-strategy-independent fields
-// (row counts, q-errors) and is bit-identical across engines, worker
-// counts and repeated runs. Timing lives in WriteMetricsTimings, which is
+// deterministic: it carries only row counts and q-errors and is
+// bit-identical across worker counts, block placements and repeated runs. Timing lives in WriteMetricsTimings, which is
 // wall-clock and belongs on stderr.
 func (cy *Cycle) WriteMetrics(w io.Writer, format string) error {
 	if cy.Metrics == nil {
@@ -49,9 +48,8 @@ func (cy *Cycle) WriteMetrics(w io.Writer, format string) error {
 }
 
 // WriteMetricsTimings summarizes the run's wall-clock split between
-// operator work and statistic-tap observation. Wall times vary run to run
-// (and, in the streaming engine, are cumulative along pipelines), so this
-// is kept out of the deterministic WriteMetrics output.
+// operator work and statistic-tap observation. Wall times vary run to run,
+// so this is kept out of the deterministic WriteMetrics output.
 func (cy *Cycle) WriteMetricsTimings(w io.Writer) {
 	if cy.Metrics == nil {
 		return

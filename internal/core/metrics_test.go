@@ -26,21 +26,20 @@ func TestMetricsOffByDefault(t *testing.T) {
 }
 
 // TestMetricsReportDeterminism verifies the -metrics report is
-// bit-identical across engines, worker counts and repeated runs, in both
+// bit-identical across worker counts and repeated runs, in both
 // formats: it carries only row counts and q-errors, never wall times.
 func TestMetricsReportDeterminism(t *testing.T) {
 	w := suite.MustGet(7) // block chain: exercises chain taps and parallel paths
 	db := w.Data(0.002)
 
-	render := func(streaming bool, workers int) (string, string) {
+	render := func(workers int) (string, string) {
 		t.Helper()
 		cfg := DefaultConfig()
 		cfg.CollectMetrics = true
-		cfg.Streaming = streaming
 		cfg.Workers = workers
 		cy, err := Run(w.Graph, w.Catalog, db, cfg)
 		if err != nil {
-			t.Fatalf("Run(streaming=%v workers=%d): %v", streaming, workers, err)
+			t.Fatalf("Run(workers=%d): %v", workers, err)
 		}
 		var tbl, js bytes.Buffer
 		if err := cy.WriteMetrics(&tbl, "table"); err != nil {
@@ -52,21 +51,18 @@ func TestMetricsReportDeterminism(t *testing.T) {
 		return tbl.String(), js.String()
 	}
 
-	refTbl, refJS := render(false, 1)
+	refTbl, refJS := render(1)
 	if refTbl == "" || refJS == "" {
 		t.Fatal("empty metrics report")
 	}
 	for _, tc := range []struct {
-		label     string
-		streaming bool
-		workers   int
+		label   string
+		workers int
 	}{
-		{"batch w1 repeat", false, 1},
-		{"batch w4", false, 4},
-		{"stream w1", true, 1},
-		{"stream w4", true, 4},
+		{"batch w1 repeat", 1},
+		{"batch w4", 4},
 	} {
-		tbl, js := render(tc.streaming, tc.workers)
+		tbl, js := render(tc.workers)
 		if tbl != refTbl {
 			t.Errorf("%s: table report differs from batch w1 reference:\n%s\nvs\n%s", tc.label, tbl, refTbl)
 		}

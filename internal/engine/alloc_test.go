@@ -1,43 +1,63 @@
 package engine
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Regression tests for the group-by allocation bug: deduplication once
+// Regression test for the group-by allocation bug: deduplication once
 // allocated a key per input row, so grouping N rows cost at least N
 // allocations however few distinct keys existed. keySet's guarded insert
 // allocates on first-seen keys only, so a whole group-by run — compile,
 // scan, dedup, materialized output — must stay far below one allocation
-// per input row under either strategy.
+// per input row.
 
 const (
 	allocRows     = 8192
 	allocDistinct = 32
 )
 
-// groupByAllocs runs a group-by of allocRows rows into allocDistinct groups
-// and returns the allocations of one whole engine run.
-func groupByAllocs(t *testing.T, mk func(*workflow.Analysis, DB, Registry) *Engine) float64 {
-	t.Helper()
-	tbl := &data.Table{Rel: "G", Attrs: []workflow.Attr{{Rel: "G", Col: "a"}, {Rel: "G", Col: "b"}, {Rel: "G", Col: "c"}}}
-	for i := 0; i < allocRows; i++ {
-		tbl.Rows = append(tbl.Rows, data.Row{int64(i % allocDistinct), int64(i % 4), int64(i)})
+// allocTable builds an allocRows-row table whose column i holds row % mods[i]
+// (a mod of 0 holds the row number).
+func allocTable(rel string, cols []string, mods []int, rows int) (*data.Table, *workflow.Relation) {
+	tbl := &data.Table{Rel: rel}
+	r := &workflow.Relation{Name: rel, Card: int64(rows)}
+	for i, c := range cols {
+		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: rel, Col: c})
+		dom := mods[i]
+		if dom == 0 {
+			dom = rows
+		}
+		r.Columns = append(r.Columns, workflow.Column{Name: c, Domain: int64(dom)})
 	}
-	cat := &workflow.Catalog{Relations: []*workflow.Relation{{Name: "G", Card: allocRows, Columns: []workflow.Column{
-		{Name: "a", Domain: allocDistinct}, {Name: "b", Domain: 4}, {Name: "c", Domain: allocRows},
-	}}}}
+	for i := 0; i < rows; i++ {
+		row := make(data.Row, len(cols))
+		for c, m := range mods {
+			row[c] = int64(i)
+			if m > 0 {
+				row[c] = int64(i % m)
+			}
+		}
+		tbl.Rows = append(tbl.Rows, row)
+	}
+	return tbl, r
+}
+
+func TestGroupByAllocsBatch(t *testing.T) {
+	tbl, rel := allocTable("G", []string{"a", "b", "c"}, []int{allocDistinct, 4, 0}, allocRows)
 	b := workflow.NewBuilder("groupby-allocs")
 	b.Sink(b.GroupBy(b.Source("G"), workflow.Attr{Rel: "G", Col: "a"}, workflow.Attr{Rel: "G", Col: "b"}), "out")
-	an, err := workflow.Analyze(b.Graph(), cat)
+	an, err := workflow.Analyze(b.Graph(), &workflow.Catalog{Relations: []*workflow.Relation{rel}})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	e := mk(an, DB{"G": tbl}, nil)
-	return testing.AllocsPerRun(5, func() {
+	e := New(an, DB{"G": tbl}, nil)
+	allocs := testing.AllocsPerRun(5, func() {
 		res, err := e.Run()
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -46,16 +66,73 @@ func groupByAllocs(t *testing.T, mk func(*workflow.Analysis, DB, Registry) *Engi
 			t.Fatalf("groups = %d, want %d", got, allocDistinct)
 		}
 	})
-}
-
-func TestGroupByAllocsBatch(t *testing.T) {
-	if allocs := groupByAllocs(t, New); allocs > allocRows/8 {
+	if allocs > allocRows/8 {
 		t.Fatalf("batch group-by run allocates %.0f over %d rows; scaling with rows, not groups", allocs, allocRows)
 	}
 }
 
-func TestGroupByAllocsStream(t *testing.T) {
-	if allocs := groupByAllocs(t, NewStream); allocs > allocRows/8 {
-		t.Fatalf("stream group-by run allocates %.0f over %d rows; scaling with rows, not groups", allocs, allocRows)
+// TestInstrumentedRunAllocs pins what one instrumented run of the block
+// interpreter allocates, without a clock: a fact table of allocRows rows
+// probes two dimensions, a group-by closes the block, and every observable
+// statistic is tapped. It is core.alloc_mb_cycle's tier-1 twin — the
+// noise-free number a chunked or column-major interpreter (ROADMAP item 3)
+// has to beat. The pins are measured values (go1.24.0 on amd64); the bound
+// leaves a quarter for Go-release drift.
+func TestInstrumentedRunAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("pooled arenas are dropped at random under -race; the plain test job pins this")
+	}
+	const (
+		pinnedBytes  = 219_736
+		pinnedAllocs = 1_304
+	)
+	fact, fr := allocTable("F", []string{"k1", "k2", "v"}, []int{64, 32, 0}, allocRows)
+	d1, r1 := allocTable("D1", []string{"k1", "a"}, []int{0, 8}, 64)
+	d2, r2 := allocTable("D2", []string{"k2", "b"}, []int{0, 4}, 32)
+	b := workflow.NewBuilder("instrumented-allocs")
+	j1 := b.Join(b.Source("F"), b.Source("D1"), workflow.Attr{Rel: "F", Col: "k1"}, workflow.Attr{Rel: "D1", Col: "k1"})
+	j2 := b.Join(j1, b.Source("D2"), workflow.Attr{Rel: "F", Col: "k2"}, workflow.Attr{Rel: "D2", Col: "k2"})
+	b.Sink(b.GroupBy(j2, workflow.Attr{Rel: "D1", Col: "a"}, workflow.Attr{Rel: "D2", Col: "b"}), "out")
+	an, err := workflow.Analyze(b.Graph(), &workflow.Catalog{Relations: []*workflow.Relation{fr, r1, r2}})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	res, err := css.Generate(an, css.DefaultOptions())
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	observe := res.ObservableStats()
+	e := New(an, DB{"F": fact, "D1": d1, "D2": d2}, nil)
+	run := func() {
+		out, err := e.RunObserved(res, observe)
+		if err != nil {
+			t.Fatalf("RunObserved: %v", err)
+		}
+		if out.Rows < 2*allocRows || out.Observed.Len() == 0 {
+			t.Fatalf("run moved %d rows and observed %d statistics", out.Rows, out.Observed.Len())
+		}
+	}
+	// One goroutine and no collection while measuring: the pooled arena
+	// survives from the warm-up run, so every measured run allocates the
+	// same.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("one instrumented run over %d probe rows (%d statistics): %d bytes in %d allocations (pinned %d / %d)",
+		allocRows, len(observe), bytes, allocs, pinnedBytes, pinnedAllocs)
+	if bytes > pinnedBytes*5/4 {
+		t.Errorf("allocated %d bytes a run, over 1.25 x the pinned %d", bytes, pinnedBytes)
+	}
+	if allocs > pinnedAllocs*5/4 {
+		t.Errorf("made %d allocations a run, over 1.25 x the pinned %d", allocs, pinnedAllocs)
 	}
 }

@@ -59,32 +59,23 @@ func TestRetryBackoffCancelPrompt(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 
-	for _, stream := range []bool{false, true} {
-		name := "batch"
-		if stream {
-			name = "stream"
+	t.Run("batch", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		inj := faults.New(1, 1, 8, faults.Operator)
+		e := New(an, db, nil)
+		e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
+		time.AfterFunc(5*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			inj := faults.New(1, 1, 8, faults.Operator)
-			e := New(an, db, nil)
-			if stream {
-				e = NewStream(an, db, nil)
-			}
-			e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
-			time.AfterFunc(5*time.Millisecond, cancel)
-			start := time.Now()
-			_, err := e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
-			}
-			// Sitting out even half the retry storm's backoffs (8 waits at
-			// the 100ms cap per faulted block) would blow well past this.
-			if elapsed > 400*time.Millisecond {
-				t.Fatalf("cancellation took %v; backoff did not yield to the context", elapsed)
-			}
-		})
-	}
+		// Sitting out even half the retry storm's backoffs (8 waits at
+		// the 100ms cap per faulted block) would blow well past this.
+		if elapsed > 400*time.Millisecond {
+			t.Fatalf("cancellation took %v; backoff did not yield to the context", elapsed)
+		}
+	})
 }

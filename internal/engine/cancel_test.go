@@ -70,9 +70,9 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestCancellationAllConfigs cancels instrumented runs mid-flight in all
-// four engine configurations (batch/stream × sequential/parallel) and
-// checks the three cancellation guarantees:
+// TestCancellationAllConfigs cancels instrumented runs mid-flight,
+// sequential and with four blocks in flight, and checks the three
+// cancellation guarantees:
 //
 //   - the run returns the context's error (wrapped, errors.Is-visible) plus
 //     a partial result;
@@ -100,22 +100,16 @@ func TestCancellationAllConfigs(t *testing.T) {
 
 	for _, cfg := range []struct {
 		name    string
-		stream  bool
 		workers int
 	}{
-		{"batch/w1", false, 1},
-		{"batch/w4", false, 4},
-		{"stream/w1", true, 1},
-		{"stream/w4", true, 4},
+		{"batch/w1", 1},
+		{"batch/w4", 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cancelled := false
 			for attempt := 0; attempt < 8 && !cancelled; attempt++ {
 				eng := New(an, db, nil)
-				if cfg.stream {
-					eng = NewStream(an, db, nil)
-				}
 				eng.Workers = cfg.workers
 				ctx, cancel := context.WithCancel(context.Background())
 				delay := time.Duration(attempt+1) * 500 * time.Microsecond

@@ -50,13 +50,11 @@ type DispatchSpec struct {
 	// be instrumented with an empty tap set on some blocks).
 	Instrument bool
 	// AnyPoint lifts the initial-plan observability filter (see
-	// Engine.RunPlansObserving).
+	// Engine.RunPlansObservingCtx).
 	AnyPoint bool
-	// Streaming is the strategy (NewStream); Workers, RetryMax,
-	// RetryBackoff and Metrics (CollectMetrics) are the Engine fields of
-	// those names; Faults is the injector's spec (faults.Parse form).
-	Streaming    bool
-	Workers      int
+	// RetryMax, RetryBackoff and Metrics (CollectMetrics) are the Engine
+	// fields of those names; Faults is the injector's spec (faults.Parse
+	// form). Workers is not mirrored: a worker runs one block per request.
 	Faults       string
 	RetryMax     int
 	RetryBackoff time.Duration
@@ -164,7 +162,7 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		col = newCollector()
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
-	rb, err := env.runBlock(bp, upstream, e.blockRunner(col))
+	rb, err := env.runBlock(bp, upstream, col, e.CollectMetrics)
 	if err != nil {
 		return nil, err
 	}

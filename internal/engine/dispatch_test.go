@@ -79,8 +79,8 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	if err != nil {
 		return nil, err
 	}
-	e := d.f.engine(spec.Streaming, flt)
-	e.Workers, e.MaxRows, e.CollectMetrics = spec.Workers, d.maxRows, spec.Metrics
+	e := d.f.engine(flt)
+	e.MaxRows, e.CollectMetrics = d.maxRows, spec.Metrics
 	e.RetryMax, e.RetryBackoff = spec.RetryMax, spec.RetryBackoff
 	res := d.f.res
 	if !spec.Instrument {
@@ -161,52 +161,50 @@ func assertPlacement(t *testing.T, name string, d *DistReport, remote, local []i
 // injector, worker count and metrics bit set once, on the engine.
 func TestDispatchMatchesLocal(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
-		for _, tc := range []struct {
-			name string
-			flt  *faults.Injector
-		}{
-			{"clean", nil},
-			{"transient", faults.New(7, 1, 1, 0)},
-			{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
-		} {
-			name := engineLabel(stream) + "/" + tc.name
-			local := f.engine(stream, tc.flt)
-			local.Workers, local.CollectMetrics = 2, true
-			want, err := f.run(local, false)
-			if err != nil {
-				t.Fatalf("%s: local run: %v", name, err)
-			}
-			d := &loopDispatcher{f: f, slots: 2}
-			remote := f.engine(stream, tc.flt)
-			remote.Workers, remote.CollectMetrics, remote.Dispatch = 2, true, d
-			got, err := f.run(remote, false)
-			if err != nil {
-				t.Fatalf("%s: dispatched run: %v", name, err)
-			}
-			equalResults(t, name, want, got)
-			if !bytes.Equal(storeBytesOf(t, want), storeBytesOf(t, got)) {
-				t.Errorf("%s: observed store bytes differ", name)
-			}
-			if want.Retries != got.Retries {
-				t.Errorf("%s: retries %d, want %d", name, got.Retries, want.Retries)
-			}
-			if tc.name == "transient" && got.Retries == 0 {
-				t.Errorf("%s: the injector never fired on the workers", name)
-			}
-			if !reflect.DeepEqual(degradedKeys(want), degradedKeys(got)) {
-				t.Errorf("%s: degraded %v, want %v", name, degradedKeys(got), degradedKeys(want))
-			}
-			if tc.name == "degraded-taps" && len(got.Degraded) == 0 {
-				t.Errorf("%s: no tap degraded on the workers", name)
-			}
-			if w, g := metricsJSON(t, want), metricsJSON(t, got); w != g {
-				t.Errorf("%s: metrics differ:\n local %s\nremote %s", name, w, g)
-			}
-			assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
-			if got.Dist.FellBack {
-				t.Errorf("%s: fell back: %s", name, got.Dist.Reason)
-			}
+	for _, tc := range []struct {
+		name string
+		flt  *faults.Injector
+	}{
+		{"clean", nil},
+		{"transient", faults.New(7, 1, 1, 0)},
+		{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
+	} {
+		name := tc.name
+		local := f.engine(tc.flt)
+		local.Workers, local.CollectMetrics = 2, true
+		want, err := f.run(local, false)
+		if err != nil {
+			t.Fatalf("%s: local run: %v", name, err)
+		}
+		d := &loopDispatcher{f: f, slots: 2}
+		remote := f.engine(tc.flt)
+		remote.Workers, remote.CollectMetrics, remote.Dispatch = 2, true, d
+		got, err := f.run(remote, false)
+		if err != nil {
+			t.Fatalf("%s: dispatched run: %v", name, err)
+		}
+		equalResults(t, name, want, got)
+		if !bytes.Equal(storeBytesOf(t, want), storeBytesOf(t, got)) {
+			t.Errorf("%s: observed store bytes differ", name)
+		}
+		if want.Retries != got.Retries {
+			t.Errorf("%s: retries %d, want %d", name, got.Retries, want.Retries)
+		}
+		if tc.name == "transient" && got.Retries == 0 {
+			t.Errorf("%s: the injector never fired on the workers", name)
+		}
+		if !reflect.DeepEqual(degradedKeys(want), degradedKeys(got)) {
+			t.Errorf("%s: degraded %v, want %v", name, degradedKeys(got), degradedKeys(want))
+		}
+		if tc.name == "degraded-taps" && len(got.Degraded) == 0 {
+			t.Errorf("%s: no tap degraded on the workers", name)
+		}
+		if w, g := metricsJSON(t, want), metricsJSON(t, got); w != g {
+			t.Errorf("%s: metrics differ:\n local %s\nremote %s", name, w, g)
+		}
+		assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
+		if got.Dist.FellBack {
+			t.Errorf("%s: fell back: %s", name, got.Dist.Reason)
 		}
 	}
 }
@@ -216,14 +214,14 @@ func TestDispatchMatchesLocal(t *testing.T) {
 // one reported, as a *BlockFailure whose checkpoint resumes.
 func TestDispatchOrderAndFailure(t *testing.T) {
 	f := newResumeFixture(t)
-	clean, err := f.run(f.engine(false, nil), false)
+	clean, err := f.run(f.engine(nil), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("order", func(t *testing.T) {
 		d := &loopDispatcher{f: f, slots: 1}
-		e := f.engine(false, nil)
+		e := f.engine(nil)
 		e.Workers, e.Dispatch = 4, d
 		if _, err := f.run(e, false); err != nil {
 			t.Fatal(err)
@@ -247,7 +245,7 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 			}
 			return fmt.Errorf("block %d is broken", block)
 		}}
-		e := f.engine(false, nil)
+		e := f.engine(nil)
 		e.Dispatch = d
 		_, err := f.run(e, false)
 		var bf *BlockFailure
@@ -259,38 +257,36 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		}
 	})
 
-	for _, stream := range []bool{false, true} {
-		t.Run("resume/"+engineLabel(stream), func(t *testing.T) {
-			d := &loopDispatcher{f: f, slots: 1, before: func(block int) error {
-				if block == 1 {
-					return errors.New("block 1 is broken")
-				}
-				return nil
-			}}
-			e := f.engine(stream, nil)
-			e.Dispatch = d
-			_, err := f.run(e, false)
-			var bf *BlockFailure
-			if !errors.As(err, &bf) || bf.Block != 1 {
-				t.Fatalf("want block 1's *BlockFailure, got %v", err)
+	t.Run("resume/batch", func(t *testing.T) {
+		d := &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+			if block == 1 {
+				return errors.New("block 1 is broken")
 			}
-			if _, ok := bf.Checkpoint.BlockOut[0]; !ok || len(bf.Checkpoint.BlockOut) != 1 {
-				t.Fatalf("checkpoint holds %d blocks, want block 0 alone", len(bf.Checkpoint.BlockOut))
-			}
-			d2 := &loopDispatcher{f: f, slots: 2}
-			e2 := f.engine(stream, nil)
-			e2.Dispatch = d2
-			got, err := f.resume(e2, bf.Checkpoint, false)
-			if err != nil {
-				t.Fatalf("resume through the dispatcher: %v", err)
-			}
-			equalResults(t, "resumed", clean, got)
-			if d2.runs[0] != 0 {
-				t.Error("the checkpointed block ran again")
-			}
-			assertPlacement(t, "resumed", got.Dist, []int{1, 2}, nil)
-		})
-	}
+			return nil
+		}}
+		e := f.engine(nil)
+		e.Dispatch = d
+		_, err := f.run(e, false)
+		var bf *BlockFailure
+		if !errors.As(err, &bf) || bf.Block != 1 {
+			t.Fatalf("want block 1's *BlockFailure, got %v", err)
+		}
+		if _, ok := bf.Checkpoint.BlockOut[0]; !ok || len(bf.Checkpoint.BlockOut) != 1 {
+			t.Fatalf("checkpoint holds %d blocks, want block 0 alone", len(bf.Checkpoint.BlockOut))
+		}
+		d2 := &loopDispatcher{f: f, slots: 2}
+		e2 := f.engine(nil)
+		e2.Dispatch = d2
+		got, err := f.resume(e2, bf.Checkpoint)
+		if err != nil {
+			t.Fatalf("resume through the dispatcher: %v", err)
+		}
+		equalResults(t, "resumed", clean, got)
+		if d2.runs[0] != 0 {
+			t.Error("the checkpointed block ran again")
+		}
+		assertPlacement(t, "resumed", got.Dist, []int{1, 2}, nil)
+	})
 }
 
 // TestDispatchWorkersLost is leg (c): ErrWorkersLost at session open, at
@@ -308,65 +304,63 @@ func TestDispatchWorkersLost(t *testing.T) {
 			return nil
 		}
 	}
-	for _, stream := range []bool{false, true} {
-		clean, err := f.run(f.engine(stream, nil), false)
+	clean, err := f.run(f.engine(nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint with block 0 done: block 1's worker reports an error.
+	broken := f.engine(nil)
+	broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+		if block == 1 {
+			return errors.New("block 1 is broken")
+		}
+		return nil
+	}}
+	_, err = f.run(broken, false)
+	var bf *BlockFailure
+	if !errors.As(err, &bf) || len(bf.Checkpoint.BlockOut) != 1 {
+		t.Fatalf("want a checkpoint of block 0 alone, got %v", err)
+	}
+	cp := bf.Checkpoint
+	for _, tc := range []struct {
+		name          string
+		d             *loopDispatcher
+		cp            *Checkpoint
+		remote, local []int
+	}{
+		{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, nil, []int{0, 1, 2}},
+		{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, nil, []int{0, 1, 2}},
+		{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, nil, []int{0}, []int{1, 2}},
+		{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, nil, []int{0, 1}, []int{2}},
+		{"resume/session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, cp, nil, []int{1, 2}},
+		{"resume/mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(2)}, cp, []int{1}, []int{2}},
+	} {
+		name := tc.name
+		e := f.engine(nil)
+		e.Workers, e.Dispatch = 2, tc.d
+		var got *Result
+		if tc.cp != nil {
+			got, err = f.resume(e, tc.cp)
+		} else {
+			got, err = f.run(e, false)
+		}
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		// A checkpoint with block 0 done: block 1's worker reports an error.
-		broken := f.engine(stream, nil)
-		broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
-			if block == 1 {
-				return errors.New("block 1 is broken")
-			}
-			return nil
-		}}
-		_, err = f.run(broken, false)
-		var bf *BlockFailure
-		if !errors.As(err, &bf) || len(bf.Checkpoint.BlockOut) != 1 {
-			t.Fatalf("want a checkpoint of block 0 alone, got %v", err)
+		equalResults(t, name, clean, got)
+		assertPlacement(t, name, got.Dist, tc.remote, tc.local)
+		if !got.Dist.FellBack || !strings.Contains(got.Dist.Reason, "fleet gone") {
+			t.Errorf("%s: FellBack=%v reason %q", name, got.Dist.FellBack, got.Dist.Reason)
 		}
-		cp := bf.Checkpoint
-		for _, tc := range []struct {
-			name          string
-			d             *loopDispatcher
-			cp            *Checkpoint
-			remote, local []int
-		}{
-			{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, nil, []int{0, 1, 2}},
-			{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, nil, []int{0, 1, 2}},
-			{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, nil, []int{0}, []int{1, 2}},
-			{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, nil, []int{0, 1}, []int{2}},
-			{"resume/session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, cp, nil, []int{1, 2}},
-			{"resume/mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(2)}, cp, []int{1}, []int{2}},
-		} {
-			name := engineLabel(stream) + "/" + tc.name
-			e := f.engine(stream, nil)
-			e.Workers, e.Dispatch = 2, tc.d
-			var got *Result
-			if tc.cp != nil {
-				got, err = f.resume(e, tc.cp, false)
-			} else {
-				got, err = f.run(e, false)
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			equalResults(t, name, clean, got)
-			assertPlacement(t, name, got.Dist, tc.remote, tc.local)
-			if !got.Dist.FellBack || !strings.Contains(got.Dist.Reason, "fleet gone") {
-				t.Errorf("%s: FellBack=%v reason %q", name, got.Dist.FellBack, got.Dist.Reason)
-			}
-			for _, b := range f.allBlocks() {
-				want := 0
-				for _, r := range tc.remote {
-					if r == b {
-						want = 1
-					}
+		for _, b := range f.allBlocks() {
+			want := 0
+			for _, r := range tc.remote {
+				if r == b {
+					want = 1
 				}
-				if tc.d.runs[b] != want {
-					t.Errorf("%s: workers executed block %d %d time(s), want %d", name, b, tc.d.runs[b], want)
-				}
+			}
+			if tc.d.runs[b] != want {
+				t.Errorf("%s: workers executed block %d %d time(s), want %d", name, b, tc.d.runs[b], want)
 			}
 		}
 	}
@@ -380,7 +374,7 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(false, faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, false, nil)
+	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,61 +418,59 @@ func (a *adaptTrace) check(plan *physical.Plan, block int, done map[int]bool) bo
 // checkpoint resumes through the dispatcher.
 func TestDispatchAdaptCheck(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
-		name := engineLabel(stream)
-		adaptive := func(d *loopDispatcher, tr *adaptTrace) *Engine {
-			e := f.engine(stream, nil)
-			e.Workers, e.CollectMetrics, e.AdaptCheck = 4, true, tr.check
-			if d != nil {
-				e.Dispatch = d
-			}
-			return e
+	const name = "batch"
+	adaptive := func(d *loopDispatcher, tr *adaptTrace) *Engine {
+		e := f.engine(nil)
+		e.Workers, e.CollectMetrics, e.AdaptCheck = 4, true, tr.check
+		if d != nil {
+			e.Dispatch = d
 		}
-		localTr := &adaptTrace{stopAt: -1}
-		want, err := f.run(adaptive(nil, localTr), true)
-		if err != nil {
-			t.Fatalf("%s: local adaptive run: %v", name, err)
-		}
+		return e
+	}
+	localTr := &adaptTrace{stopAt: -1}
+	want, err := f.run(adaptive(nil, localTr), true)
+	if err != nil {
+		t.Fatalf("%s: local adaptive run: %v", name, err)
+	}
 
-		d := &loopDispatcher{f: f, slots: 2}
-		tr := &adaptTrace{stopAt: -1}
-		got, err := f.run(adaptive(d, tr), true)
-		if err != nil {
-			t.Fatalf("%s: dispatched adaptive run: %v", name, err)
-		}
-		equalResults(t, name, want, got)
-		// The last block has nothing pending behind it: no check.
-		if wantBlocks := f.allBlocks()[:len(f.an.Blocks)-1]; !reflect.DeepEqual(tr.blocks, wantBlocks) {
-			t.Errorf("%s: checks fired for %v, want %v", name, tr.blocks, wantBlocks)
-		}
-		if !reflect.DeepEqual(tr.actuals, localTr.actuals) {
-			t.Errorf("%s: boundary actuals %v, the local run saw %v", name, tr.actuals, localTr.actuals)
-		}
-		if d.maxInflight != 1 {
-			t.Errorf("%s: %d blocks in flight under an AdaptCheck", name, d.maxInflight)
-		}
-		assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
+	d := &loopDispatcher{f: f, slots: 2}
+	tr := &adaptTrace{stopAt: -1}
+	got, err := f.run(adaptive(d, tr), true)
+	if err != nil {
+		t.Fatalf("%s: dispatched adaptive run: %v", name, err)
+	}
+	equalResults(t, name, want, got)
+	// The last block has nothing pending behind it: no check.
+	if wantBlocks := f.allBlocks()[:len(f.an.Blocks)-1]; !reflect.DeepEqual(tr.blocks, wantBlocks) {
+		t.Errorf("%s: checks fired for %v, want %v", name, tr.blocks, wantBlocks)
+	}
+	if !reflect.DeepEqual(tr.actuals, localTr.actuals) {
+		t.Errorf("%s: boundary actuals %v, the local run saw %v", name, tr.actuals, localTr.actuals)
+	}
+	if d.maxInflight != 1 {
+		t.Errorf("%s: %d blocks in flight under an AdaptCheck", name, d.maxInflight)
+	}
+	assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
 
-		// Replan at block 0's boundary, then resume through a dispatcher.
-		stop := &adaptTrace{stopAt: 0}
-		_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop), true)
-		var sig *ReplanSignal
-		if !errors.As(err, &sig) || sig.Block != 0 {
-			t.Fatalf("%s: want a *ReplanSignal at block 0, got %v", name, err)
-		}
-		if _, ok := sig.Checkpoint.BlockOut[0]; !ok || len(sig.Checkpoint.BlockOut) != 1 {
-			t.Fatalf("%s: signal checkpoint holds %d blocks", name, len(sig.Checkpoint.BlockOut))
-		}
-		d2 := &loopDispatcher{f: f, slots: 2}
-		rest := &adaptTrace{stopAt: -1}
-		resumed, err := f.resume(adaptive(d2, rest), sig.Checkpoint, true)
-		if err != nil {
-			t.Fatalf("%s: resume after the signal: %v", name, err)
-		}
-		equalResults(t, name+"/resumed", want, resumed)
-		if !reflect.DeepEqual(rest.blocks, []int{1}) || d2.runs[0] != 0 {
-			t.Errorf("%s: resumed segment checked %v and ran block 0 %d time(s)", name, rest.blocks, d2.runs[0])
-		}
+	// Replan at block 0's boundary, then resume through a dispatcher.
+	stop := &adaptTrace{stopAt: 0}
+	_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop), true)
+	var sig *ReplanSignal
+	if !errors.As(err, &sig) || sig.Block != 0 {
+		t.Fatalf("%s: want a *ReplanSignal at block 0, got %v", name, err)
+	}
+	if _, ok := sig.Checkpoint.BlockOut[0]; !ok || len(sig.Checkpoint.BlockOut) != 1 {
+		t.Fatalf("%s: signal checkpoint holds %d blocks", name, len(sig.Checkpoint.BlockOut))
+	}
+	d2 := &loopDispatcher{f: f, slots: 2}
+	rest := &adaptTrace{stopAt: -1}
+	resumed, err := f.resume(adaptive(d2, rest), sig.Checkpoint)
+	if err != nil {
+		t.Fatalf("%s: resume after the signal: %v", name, err)
+	}
+	equalResults(t, name+"/resumed", want, resumed)
+	if !reflect.DeepEqual(rest.blocks, []int{1}) || d2.runs[0] != 0 {
+		t.Errorf("%s: resumed segment checked %v and ran block 0 %d time(s)", name, rest.blocks, d2.runs[0])
 	}
 }
 
@@ -502,7 +494,7 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 				tc.tamper(rb)
 			}
 		}}
-		e := f.engine(false, nil)
+		e := f.engine(nil)
 		e.CollectMetrics, e.Dispatch = tc.metrics, d
 		_, err := f.run(e, false)
 		var bf *BlockFailure
@@ -518,40 +510,38 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 // applies; the exact total passes.
 func TestDispatchMaxRowsRunLevel(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
-		name := engineLabel(stream)
-		clean, err := f.run(f.engine(stream, nil), false)
-		if err != nil {
-			t.Fatal(err)
+	const name = "batch"
+	clean, err := f.run(f.engine(nil), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded := func(maxRows int64, dispatch bool) (*Result, error) {
+		e := f.engine(nil)
+		e.MaxRows = maxRows
+		if dispatch {
+			e.Dispatch = &loopDispatcher{f: f, slots: 1, maxRows: maxRows}
 		}
-		guarded := func(maxRows int64, dispatch bool) (*Result, error) {
-			e := f.engine(stream, nil)
-			e.MaxRows = maxRows
-			if dispatch {
-				e.Dispatch = &loopDispatcher{f: f, slots: 1, maxRows: maxRows}
-			}
-			return f.run(e, false)
+		return f.run(e, false)
+	}
+	for _, dispatch := range []bool{false, true} {
+		if got, err := guarded(clean.Rows, dispatch); err != nil || got.Rows != clean.Rows {
+			t.Errorf("%s dispatch=%v: MaxRows = total: %v", name, dispatch, err)
 		}
-		for _, dispatch := range []bool{false, true} {
-			if got, err := guarded(clean.Rows, dispatch); err != nil || got.Rows != clean.Rows {
-				t.Errorf("%s dispatch=%v: MaxRows = total: %v", name, dispatch, err)
-			}
-		}
-		_, lerr := guarded(clean.Rows-1, false)
-		_, derr := guarded(clean.Rows-1, true)
-		var lbf, dbf *BlockFailure
-		if !errors.As(lerr, &lbf) || !errors.As(derr, &dbf) {
-			t.Fatalf("%s: MaxRows = total-1: local %v, dispatched %v", name, lerr, derr)
-		}
-		// The local error names the operator that crossed the limit first;
-		// the guard's own text follows it.
-		guard := dbf.Err.Error()
-		if lbf.Block != dbf.Block || !strings.HasPrefix(guard, "intermediate-cardinality guard") || !strings.HasSuffix(lbf.Err.Error(), guard) {
-			t.Errorf("%s: local failed block %d (%v), dispatched block %d (%v)", name, lbf.Block, lbf.Err, dbf.Block, dbf.Err)
-		}
-		if len(dbf.Checkpoint.BlockOut) != len(lbf.Checkpoint.BlockOut) || dbf.Checkpoint.Rows != lbf.Checkpoint.Rows {
-			t.Errorf("%s: checkpoints differ: local %d blocks/%d rows, dispatched %d/%d", name,
-				len(lbf.Checkpoint.BlockOut), lbf.Checkpoint.Rows, len(dbf.Checkpoint.BlockOut), dbf.Checkpoint.Rows)
-		}
+	}
+	_, lerr := guarded(clean.Rows-1, false)
+	_, derr := guarded(clean.Rows-1, true)
+	var lbf, dbf *BlockFailure
+	if !errors.As(lerr, &lbf) || !errors.As(derr, &dbf) {
+		t.Fatalf("%s: MaxRows = total-1: local %v, dispatched %v", name, lerr, derr)
+	}
+	// The local error names the operator that crossed the limit first;
+	// the guard's own text follows it.
+	guard := dbf.Err.Error()
+	if lbf.Block != dbf.Block || !strings.HasPrefix(guard, "intermediate-cardinality guard") || !strings.HasSuffix(lbf.Err.Error(), guard) {
+		t.Errorf("%s: local failed block %d (%v), dispatched block %d (%v)", name, lbf.Block, lbf.Err, dbf.Block, dbf.Err)
+	}
+	if len(dbf.Checkpoint.BlockOut) != len(lbf.Checkpoint.BlockOut) || dbf.Checkpoint.Rows != lbf.Checkpoint.Rows {
+		t.Errorf("%s: checkpoints differ: local %d blocks/%d rows, dispatched %d/%d", name,
+			len(lbf.Checkpoint.BlockOut), lbf.Checkpoint.Rows, len(dbf.Checkpoint.BlockOut), dbf.Checkpoint.Rows)
 	}
 }

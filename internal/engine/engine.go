@@ -4,12 +4,11 @@
 // optimizable block's input chains, join tree (the designed initial order
 // or any reordering supplied by the optimizer) and pinned top operators
 // into a typed operator DAG with statistic taps already bound to their
-// observation points, and the engine evaluates that DAG with one of two
-// strategies — batch (New: whole batches, node by node) or streaming
-// (NewStream: chunks pipelined through chains and the join spine, spread
-// over Workers). Row-at-a-time semantics live outside the product, in
-// internal/wftest's reference evaluator, which the equivalence suite
-// compares both strategies against.
+// observation points, and the engine evaluates that DAG whole batches at a
+// time, node by node (runVecBlock, the one block interpreter).
+// Row-at-a-time semantics live outside the product, in internal/wftest's
+// reference evaluator, which the equivalence suite compares the engine
+// against.
 //
 // The engine realizes Sections 3.2.5–3.2.6 of the paper: execution can be
 // instrumented with per-point statistic collectors (tuple counters,
@@ -43,19 +42,16 @@ type Registry = physical.Registry
 // benchmark suite.
 func DefaultRegistry() Registry { return physical.DefaultRegistry() }
 
-// Engine executes workflows over column vectors, batch-at-a-time (New) or
-// as a chunked pipeline (NewStream). Results, observed statistics and the
-// work metric are identical under either strategy and at any worker count.
+// Engine executes workflows over column vectors, batch-at-a-time. Results,
+// observed statistics and the work metric are identical at any worker
+// count.
 type Engine struct {
 	An  *workflow.Analysis
 	DB  DB
 	Reg Registry
 	// Workers bounds how many independent blocks execute concurrently
-	// (the block dependency DAG is derived from the analysis); a streaming
-	// engine additionally partitions each block's chain and join-probe
-	// pipelines across that many goroutines, with per-worker statistic
-	// shards merged after the pipeline drains. Values <= 1 run
-	// sequentially.
+	// (the block dependency DAG is derived from the analysis); each block
+	// itself runs on one goroutine. Values <= 1 run sequentially.
 	Workers int
 	// MaxRows caps the total intermediate rows one run may produce (the
 	// work metric Result.Rows); exceeding it aborts the run with a clear
@@ -84,12 +80,9 @@ type Engine struct {
 	// with every other field: workers are told which knobs to mirror, and
 	// ship back the metrics CollectMetrics and AdaptCheck read.
 	Dispatch BlockDispatcher
-
-	// stream selects the chunked pipeline strategy (set by NewStream).
-	stream bool
 }
 
-// New returns a batch engine for the analyzed workflow over the database.
+// New returns an engine for the analyzed workflow over the database.
 func New(an *workflow.Analysis, db DB, reg Registry) *Engine {
 	if reg == nil {
 		reg = DefaultRegistry()
@@ -97,14 +90,11 @@ func New(an *workflow.Analysis, db DB, reg Registry) *Engine {
 	return &Engine{An: an, DB: db, Reg: reg}
 }
 
-// NewStream returns a streaming engine: only hash-join build sides, block
-// inputs and block outputs are materialized whole; everything else flows
-// through the block in chunks.
-func NewStream(an *workflow.Analysis, db DB, reg Registry) *Engine {
-	e := New(an, db, reg)
-	e.stream = true
-	return e
-}
+// NewStream returns New(an, db, reg).
+//
+// Deprecated: the streaming strategy is gone; the name stays only because
+// bench/ calls it (ROADMAP item 4 removes both).
+func NewStream(an *workflow.Analysis, db DB, reg Registry) *Engine { return New(an, db, reg) }
 
 // Result is the outcome of one workflow execution.
 type Result struct {
@@ -148,8 +138,8 @@ func (e *Engine) RunObserved(res *css.Result, observe []stats.Stat) (*Result, er
 // RunPlans executes the workflow using the supplied join tree per block
 // (nil map or missing entry = the initial tree), instrumented with the
 // given statistics when res is non-nil. Statistics not observable under
-// the initial plan are skipped; use RunPlansObserving for re-ordered plans
-// that expose different sub-expressions (the pay-as-you-go baseline).
+// the initial plan are skipped; use RunPlansObservingCtx for re-ordered
+// plans that expose different sub-expressions (the pay-as-you-go baseline).
 func (e *Engine) RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
 	return e.runPlans(context.Background(), nil, plans, res, observe, false)
 }
@@ -162,28 +152,19 @@ func (e *Engine) RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTr
 	return e.runPlans(ctx, nil, plans, res, observe, false)
 }
 
-// RunPlansObserving is RunPlans without the initial-plan observability
-// filter: any statistic whose target the executed plans actually produce is
-// collected. Targets the plans do not produce are silently absent from the
-// store.
-func (e *Engine) RunPlansObserving(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(context.Background(), nil, plans, res, observe, true)
-}
-
-// RunPlansObservingCtx is RunPlansObserving under a context.
+// RunPlansObservingCtx is RunPlansCtx without the initial-plan
+// observability filter: any statistic whose target the executed plans
+// actually produce is collected. Targets the plans do not produce are
+// silently absent from the store.
 func (e *Engine) RunPlansObservingCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
 	return e.runPlans(ctx, nil, plans, res, observe, true)
 }
 
-// Resume continues a run from a checkpoint (a *BlockFailure's Checkpoint
-// field): completed blocks are restored, only the failed block's downstream
-// cone re-executes, and already-observed statistics are kept (the store is
-// write-once, so re-surfaced taps are no-ops).
-func (e *Engine) Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, cp, plans, res, observe, false)
-}
-
-// ResumeObserving is Resume without the initial-plan observability filter —
+// ResumeObserving continues a run from a checkpoint (a *BlockFailure's or
+// *ReplanSignal's Checkpoint field): completed blocks are restored, only
+// the blocks downstream of it re-execute, and already-observed statistics
+// are kept (the store is write-once, so re-surfaced taps are no-ops). Like
+// RunPlansObservingCtx it applies no initial-plan observability filter —
 // the adaptive driver's splice path, where the re-optimized cone's plans no
 // longer match the initial plan's observation points.
 func (e *Engine) ResumeObserving(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
@@ -215,8 +196,7 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	env.adapt = e.AdaptCheck
 	err = e.runBlocks(plan, env, out, col, &DispatchSpec{
 		Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
-		Streaming: e.stream, Workers: e.Workers, Faults: e.Faults.String(),
-		RetryMax: e.RetryMax, RetryBackoff: e.RetryBackoff, Metrics: e.CollectMetrics,
+		Faults: e.Faults.String(), RetryMax: e.RetryMax, RetryBackoff: e.RetryBackoff, Metrics: e.CollectMetrics,
 	})
 	out.Retries = env.retries.Load()
 	out.Degraded = col.failedStats()
@@ -232,17 +212,4 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 		return out, err
 	}
 	return out, nil
-}
-
-// blockRunner returns the engine's strategy for executing one compiled
-// block, observing into col.
-func (e *Engine) blockRunner(col *collector) blockRunner {
-	if e.stream {
-		return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-			return runVecStreamBlock(bp, col, sink, e.Workers, e.CollectMetrics)
-		}
-	}
-	return func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error) {
-		return runVecBlock(bp, col, sink, e.CollectMetrics)
-	}
 }

@@ -42,6 +42,19 @@ func tinyDB() (DB, *workflow.Catalog) {
 	return DB{"Orders": orders, "Product": product, "Customer": customer}, cat
 }
 
+// view adapts an engine result to the shared comparison helpers.
+func view(r *Result) *wftest.Result {
+	return &wftest.Result{Sinks: r.Sinks, Materialized: r.Materialized, Rows: r.Rows, Observed: r.Observed}
+}
+
+// equalResults compares every externally visible part of two engine
+// results: sinks, materialized side tables, observed statistics and the
+// work metric. Row order within tables is not part of the contract.
+func equalResults(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	wftest.NewGolden(view(want)).Diff(t, label, view(got))
+}
+
 func retailGraph() *workflow.Graph {
 	b := workflow.NewBuilder("retail")
 	o := b.Source("Orders")

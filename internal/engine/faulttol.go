@@ -12,14 +12,13 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Fault tolerance for both execution strategies. Three mechanisms compose
-// here:
+// Fault tolerance. Three mechanisms compose here:
 //
-//   - Cancellation: every run threads a context.Context; the interpreters
-//     poll it at operator boundaries (batch) or chunk boundaries
-//     (streaming), so a run stops promptly without leaking goroutines and
-//     without leaving half-observed statistics in the store (observers only
-//     record at end of stream).
+//   - Cancellation: every run threads a context.Context; the interpreter
+//     polls it at operator boundaries and inside the join probe, so a run
+//     stops promptly without leaking goroutines and without leaving
+//     half-observed statistics in the store (an observer records only after
+//     it has seen its whole batch).
 //   - Block retry: a block whose attempt fails with a transient fault
 //     re-runs from its (materialized) upstream inputs with capped
 //     exponential backoff. Each attempt works against a private row-budget
@@ -28,8 +27,8 @@ import (
 //   - Checkpoints: block boundary outputs plus the observed-statistics
 //     store form a restartable checkpoint. A permanent failure returns a
 //     *BlockFailure carrying the checkpoint of everything that did
-//     complete; Resume re-runs only the missing blocks (the failed block's
-//     downstream cone), skipping completed ones entirely.
+//     complete; ResumeObserving re-runs only the missing blocks (the
+//     failed block's downstream cone), skipping completed ones entirely.
 //
 // All of it is zero-cost when unused: nil context checks, nil injector and
 // nil checkpoint keep the hot paths on their PR-3 fast paths.
@@ -51,9 +50,9 @@ type FailedStat struct {
 
 // Checkpoint is the restartable state of a partially completed run: every
 // finished block's boundary output and side effects, plus the statistics
-// observed so far. It is strategy-independent: a batch run's checkpoint
-// resumes on a streaming engine and vice versa, since both execute the same
-// physical plan.
+// observed so far. It is placement-independent: a checkpoint of blocks
+// that ran on workers resumes in-process and vice versa, since both execute
+// the same physical plan.
 type Checkpoint struct {
 	// BlockOut holds the boundary outputs of completed blocks.
 	BlockOut map[int]*data.Table
@@ -74,7 +73,7 @@ type Checkpoint struct {
 type BlockFailure struct {
 	// Block is the lowest failing block index.
 	Block int
-	// Checkpoint restores the completed blocks on Resume.
+	// Checkpoint restores the completed blocks on ResumeObserving.
 	Checkpoint *Checkpoint
 	// Err is the block's final error.
 	Err error
@@ -115,7 +114,7 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector, ret
 // and all a worker does — with per-attempt isolation and transient retry.
 // Each attempt gets a fresh sink over a child row budget; a failed attempt
 // refunds the child's charge, so retries never double-charge MaxRows.
-func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, run blockRunner) (*RemoteBlock, error) {
+func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, col *collector, metrics bool) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {
 		if err := env.ctx.Err(); err != nil {
@@ -140,7 +139,7 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		sink.flt = env.flt
 		sink.attempt = attempt
 		sink.block = idx
-		tbl, err := run(bp, sink)
+		tbl, err := runVecBlock(bp, col, sink, metrics)
 		if err == nil {
 			return &RemoteBlock{Out: tbl, Materialized: sink.materialized, Rows: sink.rows}, nil
 		}
@@ -185,8 +184,8 @@ func (env *runEnv) sleep(attempt int) error {
 	}
 }
 
-// ctxErr polls the run's cancellation; the batch interpreter calls it at
-// every operator boundary.
+// ctxErr polls the run's cancellation; the interpreter calls it at every
+// operator boundary.
 func (s *blockSink) ctxErr() error {
 	if s.ctx == nil {
 		return nil
@@ -196,8 +195,8 @@ func (s *blockSink) ctxErr() error {
 
 // opFault asks the injector whether this node's evaluation fails on the
 // current attempt. Sites are keyed by block and node ID, which the
-// deterministic compiler assigns identically however the plan is executed,
-// so batch and streaming runs fail (and recover) at the same points.
+// deterministic compiler assigns identically in every process, so local and
+// dispatched runs fail (and recover) at the same points.
 func (s *blockSink) opFault(n *physical.Node) error {
 	if s.flt == nil {
 		return nil

@@ -38,7 +38,7 @@ import (
 // attempt, at the first charge — the same semantics at every worker count.
 //
 // The charge is never taken back while an attempt runs, so once the limit
-// is crossed every later add fails too: workers sharing a budget each stop
+// is crossed every later add fails too: blocks sharing a budget each stop
 // at their next charge after one of them trips it.
 type rowBudget struct {
 	limit  int64
@@ -105,7 +105,7 @@ func (b *rowBudget) release() {
 // The sink also carries the attempt's fault-tolerance state: the run
 // context (polled at operator boundaries), the fault injector and the
 // attempt number the injector's decisions key on. All nil/zero for plain
-// runs — the interpreters' fast paths stay branch-cheap.
+// runs — the interpreter's fast paths stay branch-cheap.
 type blockSink struct {
 	upstream     map[int]*data.Table
 	materialized map[string]*data.Table
@@ -128,10 +128,6 @@ func (s *blockSink) count(n int64) error {
 	s.rows += n
 	return s.budget.add(n)
 }
-
-// blockRunner executes one compiled block against its sink and returns the
-// block's boundary output.
-type blockRunner func(bp *physical.BlockPlan, sink *blockSink) (*data.Table, error)
 
 // blockDeps returns the upstream block indices each block reads from.
 func blockDeps(plan *physical.Plan) map[int][]int {
@@ -187,10 +183,10 @@ type blockSched struct {
 // deterministic regardless of goroutine timing.
 //
 // Blocks whose output is already present in out (a checkpoint seeded by
-// Resume) are skipped. A dispatcher that reports ErrWorkersLost, at session
-// open or from any block, flips the blocks not yet committed to in-process
-// execution inside the same loop: the placement degrades, the result stays
-// whole.
+// ResumeObserving) are skipped. A dispatcher that reports ErrWorkersLost,
+// at session open or from any block, flips the blocks not yet committed to
+// in-process execution inside the same loop: the placement degrades, the
+// result stays whole.
 func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *collector, spec *DispatchSpec) error {
 	s := &blockSched{
 		plan: plan, deps: blockDeps(plan), env: env, out: out, col: col, metrics: e.CollectMetrics,
@@ -221,16 +217,15 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 
 	// One loop per slot either placement may use; the caller's goroutine is
 	// the first, so a single slot starts none.
-	run := e.blockRunner(col)
 	var wg sync.WaitGroup
 	for i := min(max(s.local, s.limit), s.left); i > 1; i-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.work(run, rd)
+			s.work(rd)
 		}()
 	}
-	s.work(run, rd)
+	s.work(rd)
 	wg.Wait()
 
 	if s.report != nil {
@@ -260,7 +255,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 
 // work is one slot's loop: start the lowest-index ready block, execute it
 // where the placement in force says, retire it.
-func (s *blockSched) work(run blockRunner, rd RunDispatch) {
+func (s *blockSched) work(rd RunDispatch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.errs) == 0 && s.replan == nil && s.left > 0 {
@@ -287,7 +282,7 @@ func (s *blockSched) work(run blockRunner, rd RunDispatch) {
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
 		} else {
-			rb, err = s.env.runBlock(bp, upstream, run)
+			rb, err = s.env.runBlock(bp, upstream, s.col, s.metrics)
 		}
 		s.mu.Lock()
 		s.inflight--
@@ -416,14 +411,4 @@ func routeSinks(an *workflow.Analysis, out *Result) error {
 		out.Sinks[sink.Rel] = out.BlockOut[blk.Index]
 	}
 	return nil
-}
-
-// splitmix64 mixes a 64-bit value; the streaming spine partitions its base
-// input by this hash of the first probe key, so that skewed join keys still
-// spread across workers.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

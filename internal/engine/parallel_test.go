@@ -11,7 +11,7 @@ import (
 )
 
 // TestParallelMatchesSequentialRetail is the cheap smoke check: the retail
-// workflow at Workers=4 must match Workers=1 on both engines.
+// workflow at Workers=4 must match Workers=1.
 func TestParallelMatchesSequentialRetail(t *testing.T) {
 	db, cat := tinyDB()
 	an, err := workflow.Analyze(retailGraph(), cat)
@@ -35,18 +35,6 @@ func TestParallelMatchesSequentialRetail(t *testing.T) {
 		t.Fatalf("parallel batch: %v", err)
 	}
 	equalResults(t, "batch", seqBatch, outB)
-
-	seqStream, err := NewStream(an, db, nil).RunObserved(res, observe)
-	if err != nil {
-		t.Fatalf("sequential stream: %v", err)
-	}
-	parStream := NewStream(an, db, nil)
-	parStream.Workers = 4
-	outS, err := parStream.RunObserved(res, observe)
-	if err != nil {
-		t.Fatalf("parallel stream: %v", err)
-	}
-	equalResults(t, "stream", seqStream, outS)
 }
 
 // TestParallelMatchesSequentialFuzz is the harsh version of the check:
@@ -74,10 +62,6 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential batch: %v", err)
 			}
-			seqStream, err := NewStream(an, db, nil).RunObserved(res, observe)
-			if err != nil {
-				t.Fatalf("sequential stream: %v", err)
-			}
 			for _, w := range []int{2, 4} {
 				eb := New(an, db, nil)
 				eb.Workers = w
@@ -86,14 +70,6 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 					t.Fatalf("batch workers=%d: %v", w, err)
 				}
 				equalResults(t, fmt.Sprintf("batch workers=%d", w), seqBatch, outB)
-
-				es := NewStream(an, db, nil)
-				es.Workers = w
-				outS, err := es.RunObserved(res, observe)
-				if err != nil {
-					t.Fatalf("stream workers=%d: %v", w, err)
-				}
-				equalResults(t, fmt.Sprintf("stream workers=%d", w), seqStream, outS)
 			}
 		})
 	}
@@ -142,13 +118,14 @@ func TestBlockDAGParallel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	for _, e := range []*Engine{New(an, db, nil), NewStream(an, db, nil)} {
-		e.Workers = 4
+	for _, w := range []int{2, 4} {
+		e := New(an, db, nil)
+		e.Workers = w
 		out, err := e.Run()
 		if err != nil {
-			t.Fatalf("parallel: %v", err)
+			t.Fatalf("workers=%d: %v", w, err)
 		}
-		equalResults(t, "dag", seq, out)
+		equalResults(t, fmt.Sprintf("dag workers=%d", w), seq, out)
 	}
 }
 

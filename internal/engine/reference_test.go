@@ -12,8 +12,8 @@ import (
 
 // TestEnginesMatchReference is the executor oracle over generated inputs:
 // for random workflows (chains, multi-way joins, group-by boundaries) with
-// random data, both execution strategies at one and four workers must agree
-// with wftest's naive reference evaluator on sinks, materialized tables,
+// random data, the engine at one and four workers must agree with wftest's
+// naive reference evaluator on sinks, materialized tables,
 // the work metric and every observable statistic — exact ones and their
 // sketch-backed variants alike.
 func TestEnginesMatchReference(t *testing.T) {
@@ -39,19 +39,14 @@ func TestEnginesMatchReference(t *testing.T) {
 				t.Fatal("the reference observed nothing")
 			}
 			golden := wftest.NewGolden(ref)
-			for _, stream := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					e := New(an, db, nil)
-					if stream {
-						e = NewStream(an, db, nil)
-					}
-					e.Workers = workers
-					got, err := e.RunObserved(res, observe)
-					if err != nil {
-						t.Fatalf("%s w%d: %v", engineLabel(stream), workers, err)
-					}
-					golden.Diff(t, fmt.Sprintf("%s w%d", engineLabel(stream), workers), view(got))
+			for _, workers := range []int{1, 4} {
+				e := New(an, db, nil)
+				e.Workers = workers
+				got, err := e.RunObserved(res, observe)
+				if err != nil {
+					t.Fatalf("w%d: %v", workers, err)
 				}
+				golden.Diff(t, fmt.Sprintf("w%d", workers), view(got))
 			}
 		})
 	}

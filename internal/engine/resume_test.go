@@ -36,13 +36,9 @@ func newResumeFixture(t *testing.T) *resumeFixture {
 	return &resumeFixture{an: an, db: db, res: res, observe: res.ObservableStats()}
 }
 
-// engine builds a batch or stream engine over the fixture, optionally
-// faulted.
-func (f *resumeFixture) engine(stream bool, flt *faults.Injector) *Engine {
+// engine builds an engine over the fixture, optionally faulted.
+func (f *resumeFixture) engine(flt *faults.Injector) *Engine {
 	e := New(f.an, f.db, nil)
-	if stream {
-		e = NewStream(f.an, f.db, nil)
-	}
 	e.Faults = flt
 	return e
 }
@@ -51,27 +47,26 @@ func (f *resumeFixture) engine(stream bool, flt *faults.Injector) *Engine {
 // initial-plan observability filter.
 func (f *resumeFixture) run(e *Engine, anyPoint bool) (*Result, error) {
 	if anyPoint {
-		return e.RunPlansObserving(nil, f.res, f.observe)
+		return e.RunPlansObservingCtx(context.Background(), nil, f.res, f.observe)
 	}
 	return e.RunPlans(nil, f.res, f.observe)
 }
 
-// resume continues from a checkpoint with the matching observation mode.
-func (f *resumeFixture) resume(e *Engine, cp *Checkpoint, anyPoint bool) (*Result, error) {
-	if anyPoint {
-		return e.ResumeObserving(context.Background(), cp, nil, f.res, f.observe)
-	}
-	return e.Resume(context.Background(), cp, nil, f.res, f.observe)
+// resume continues from a checkpoint. ResumeObserving is the one resume
+// entry point; the fixture observes only what the initial plan exposes, so
+// it continues a filtered run's checkpoint to the filtered run's result.
+func (f *resumeFixture) resume(e *Engine, cp *Checkpoint) (*Result, error) {
+	return e.ResumeObserving(context.Background(), cp, nil, f.res, f.observe)
 }
 
 // failingCheckpoint finds (deterministically — the injector is a pure
 // function of its seed) a permanent fault pattern that fails the run after
 // at least one block completed, and returns the *BlockFailure checkpoint.
-func (f *resumeFixture) failingCheckpoint(t *testing.T, stream, anyPoint bool) *Checkpoint {
+func (f *resumeFixture) failingCheckpoint(t *testing.T, anyPoint bool) *Checkpoint {
 	t.Helper()
 	for seed := uint64(1); seed <= 200; seed++ {
 		inj := faults.New(seed, 0.5, 0, faults.SourceRead|faults.Operator)
-		_, err := f.run(f.engine(stream, inj), anyPoint)
+		_, err := f.run(f.engine(inj), anyPoint)
 		var bf *BlockFailure
 		if errors.As(err, &bf) && len(bf.Checkpoint.BlockOut) > 0 {
 			return bf.Checkpoint
@@ -84,92 +79,60 @@ func (f *resumeFixture) failingCheckpoint(t *testing.T, stream, anyPoint bool) *
 // TestResumeEmptyPendingCone resumes a checkpoint that already contains
 // every block: nothing re-executes, and the result — sinks routed from the
 // checkpointed outputs, work metric, observed statistics — must equal the
-// original run on both engines and in both observation modes.
+// original run in both observation modes.
 func TestResumeEmptyPendingCone(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
-		for _, anyPoint := range []bool{false, true} {
-			name := engineLabel(stream) + observeLabel(anyPoint)
-			clean, err := f.run(f.engine(stream, nil), anyPoint)
-			if err != nil {
-				t.Fatalf("%s: clean run: %v", name, err)
-			}
-			cp := &Checkpoint{
-				BlockOut:     clean.BlockOut,
-				Materialized: clean.Materialized,
-				Rows:         clean.Rows,
-				Observed:     clean.Observed,
-			}
-			resumed, err := f.resume(f.engine(stream, nil), cp, anyPoint)
-			if err != nil {
-				t.Fatalf("%s: resume of a complete checkpoint: %v", name, err)
-			}
-			equalResults(t, name+"/complete-checkpoint", clean, resumed)
-			if resumed.Retries != 0 {
-				t.Errorf("%s: resume of a complete checkpoint retried %d times", name, resumed.Retries)
-			}
-		}
-	}
-}
-
-// TestResumeSameCheckpointTwice resumes one failure checkpoint twice (and
-// across engines): both resumes must complete and match the clean run —
-// the write-once statistics store and the block-skip logic make resumption
-// idempotent.
-func TestResumeSameCheckpointTwice(t *testing.T) {
-	f := newResumeFixture(t)
-	for _, stream := range []bool{false, true} {
-		for _, anyPoint := range []bool{false, true} {
-			name := engineLabel(stream) + observeLabel(anyPoint)
-			clean, err := f.run(f.engine(stream, nil), anyPoint)
-			if err != nil {
-				t.Fatalf("%s: clean run: %v", name, err)
-			}
-			cp := f.failingCheckpoint(t, stream, anyPoint)
-			first, err := f.resume(f.engine(stream, nil), cp, anyPoint)
-			if err != nil {
-				t.Fatalf("%s: first resume: %v", name, err)
-			}
-			equalResults(t, name+"/first-resume", clean, first)
-			second, err := f.resume(f.engine(stream, nil), cp, anyPoint)
-			if err != nil {
-				t.Fatalf("%s: second resume of the same checkpoint: %v", name, err)
-			}
-			equalResults(t, name+"/second-resume", clean, second)
-		}
-	}
-}
-
-// TestResumeCrossEngine pins the Checkpoint's engine independence: a
-// checkpoint produced by the batch engine resumes on the stream engine
-// (and vice versa) with identical results.
-func TestResumeCrossEngine(t *testing.T) {
-	f := newResumeFixture(t)
-	for _, fromStream := range []bool{false, true} {
-		name := "from-" + engineLabel(fromStream)
-		clean, err := f.run(f.engine(!fromStream, nil), false)
+	for _, anyPoint := range []bool{false, true} {
+		name := observeLabel(anyPoint)
+		clean, err := f.run(f.engine(nil), anyPoint)
 		if err != nil {
 			t.Fatalf("%s: clean run: %v", name, err)
 		}
-		cp := f.failingCheckpoint(t, fromStream, false)
-		got, err := f.resume(f.engine(!fromStream, nil), cp, false)
-		if err != nil {
-			t.Fatalf("%s: cross-engine resume: %v", name, err)
+		cp := &Checkpoint{
+			BlockOut:     clean.BlockOut,
+			Materialized: clean.Materialized,
+			Rows:         clean.Rows,
+			Observed:     clean.Observed,
 		}
-		equalResults(t, name, clean, got)
+		resumed, err := f.resume(f.engine(nil), cp)
+		if err != nil {
+			t.Fatalf("%s: resume of a complete checkpoint: %v", name, err)
+		}
+		equalResults(t, name+"/complete-checkpoint", clean, resumed)
+		if resumed.Retries != 0 {
+			t.Errorf("%s: resume of a complete checkpoint retried %d times", name, resumed.Retries)
+		}
 	}
 }
 
-func engineLabel(stream bool) string {
-	if stream {
-		return "stream"
+// TestResumeSameCheckpointTwice resumes one failure checkpoint twice: both
+// resumes must complete and match the clean run — the write-once statistics
+// store and the block-skip logic make resumption idempotent.
+func TestResumeSameCheckpointTwice(t *testing.T) {
+	f := newResumeFixture(t)
+	for _, anyPoint := range []bool{false, true} {
+		name := observeLabel(anyPoint)
+		clean, err := f.run(f.engine(nil), anyPoint)
+		if err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		cp := f.failingCheckpoint(t, anyPoint)
+		first, err := f.resume(f.engine(nil), cp)
+		if err != nil {
+			t.Fatalf("%s: first resume: %v", name, err)
+		}
+		equalResults(t, name+"/first-resume", clean, first)
+		second, err := f.resume(f.engine(nil), cp)
+		if err != nil {
+			t.Fatalf("%s: second resume of the same checkpoint: %v", name, err)
+		}
+		equalResults(t, name+"/second-resume", clean, second)
 	}
-	return "batch"
 }
 
 func observeLabel(anyPoint bool) string {
 	if anyPoint {
-		return "/observing"
+		return "observing"
 	}
-	return "/filtered"
+	return "filtered"
 }

@@ -40,10 +40,3 @@ func (s *keySet) add(vals []int64) bool {
 
 // len returns the number of distinct keys recorded.
 func (s *keySet) len() int { return len(s.seen) }
-
-// union folds another set's keys into s (the shard-merge path).
-func (s *keySet) union(o *keySet) {
-	for k := range o.seen {
-		s.seen[k] = true
-	}
-}

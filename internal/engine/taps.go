@@ -11,7 +11,7 @@ import (
 // which statistic observes which operator output, with which physical
 // columns — was decided by the physical-plan compiler; the collector only
 // folds batches into scalars, histograms and sketches (collectVec and
-// collectAux in vec_taps.go, the worker shards in vec_obs.go). A nil
+// collectAux in vec_taps.go, the observers in vec_obs.go). A nil
 // *collector is valid and collects nothing (uninstrumented runs).
 //
 // Statistics whose observation fails permanently (an injected permanent tap

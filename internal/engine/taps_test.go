@@ -27,18 +27,16 @@ func reference(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, obse
 }
 
 // observedBy runs the instrumented initial plan on everything the
-// hand-computed expectations below pin — both engine strategies and the
-// reference evaluator the goldens trust — and returns each store by name.
+// hand-computed expectations below pin — the engine and the reference
+// evaluator the goldens trust — and returns each store by name.
 func observedBy(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, observe []stats.Stat) map[string]*stats.Store {
 	t.Helper()
 	out := map[string]*stats.Store{"reference": reference(t, an, db, res, observe).Observed}
-	for name, e := range map[string]*Engine{"batch": New(an, db, nil), "stream": NewStream(an, db, nil)} {
-		run, err := e.RunObserved(res, observe)
-		if err != nil {
-			t.Fatalf("%s: RunObserved: %v", name, err)
-		}
-		out[name] = run.Observed
+	run, err := New(an, db, nil).RunObserved(res, observe)
+	if err != nil {
+		t.Fatalf("batch: RunObserved: %v", err)
 	}
+	out["batch"] = run.Observed
 	return out
 }
 

@@ -10,7 +10,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/physical"
 )
 
-// Columnar batch interpreter. It executes a compiled block plan over typed
+// The columnar block interpreter. It executes a compiled block plan over typed
 // column vectors: filters mark rows in arena-allocated selection vectors,
 // projects share column pointers, joins gather matched rows through a
 // chained hash index, and every operator-lifetime vector comes from one
@@ -20,8 +20,7 @@ import (
 // evaluator; the equivalence suite enforces it.
 
 // vecJoinChunk is how many pending join-output rows accumulate between row
-// budget charges and cancellation polls; the streaming spine also cuts its
-// probe partitions into chunks of this many base rows.
+// budget charges and cancellation polls.
 const vecJoinChunk = 4096
 
 // vecBlock is one block attempt's columnar evaluation state.
@@ -139,8 +138,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 
 // vecApplyOp evaluates one per-row or blocking unary operator over a batch,
 // allocating from the arena. The compiler already resolved columns and
-// functions, so evaluation cannot fail. Shared by the batch and streaming
-// columnar interpreters (the streaming one applies it per worker chunk).
+// functions, so evaluation cannot fail.
 func vecApplyOp(n *physical.Node, in *batch.Batch, a *batch.Arena) *batch.Batch {
 	switch n.Kind {
 	case physical.OpFilter:

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"github.com/essential-stats/etlopt/internal/batch"
 	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -11,15 +9,10 @@ import (
 // vecObserver is a batch-at-a-time statistic handler: observeVec folds one
 // batch in, finish records the completed statistic into the store (a store
 // rejection marks the statistic degraded on the collector rather than
-// failing the pipeline — by then the data work is done). The streaming
-// interpreter gives each worker its own shard (so per-chunk observation
-// never contends) and folds the shards after the pipeline drains; counts,
-// bucket frequencies and distinct sets are order-insensitive, so the merged
-// value is identical to a sequential observation.
+// failing the block — by then the data work is done).
 type vecObserver interface {
 	observeVec(*batch.Batch)
 	finish()
-	mergeVec(vecObserver) error
 }
 
 // eachLive calls f with the index of every live row of b, in order. The
@@ -50,14 +43,6 @@ func (c *vecCardObserver) finish() {
 		c.col.markFailed(c.stat, err)
 	}
 }
-func (c *vecCardObserver) mergeVec(o vecObserver) error {
-	s, ok := o.(*vecCardObserver)
-	if !ok {
-		return fmt.Errorf("merge vec shard: card vs %T", o)
-	}
-	c.n += s.n
-	return nil
-}
 
 // vecHistObserver builds an exact frequency histogram.
 type vecHistObserver struct {
@@ -87,16 +72,6 @@ func (h *vecHistObserver) finish() {
 	if err := h.col.store.PutHistOnce(h.stat, h.h); err != nil {
 		h.col.markFailed(h.stat, err)
 	}
-}
-func (h *vecHistObserver) mergeVec(o vecObserver) error {
-	s, ok := o.(*vecHistObserver)
-	if !ok {
-		return fmt.Errorf("merge vec shard: hist vs %T", o)
-	}
-	if s.err != nil && h.err == nil {
-		h.err = s.err
-	}
-	return h.h.Merge(s.h)
 }
 
 // vecDistinctObserver counts distinct combinations. Single-attribute taps
@@ -154,24 +129,8 @@ func (d *vecDistinctObserver) finish() {
 		d.col.markFailed(d.stat, err)
 	}
 }
-func (d *vecDistinctObserver) mergeVec(o vecObserver) error {
-	s, ok := o.(*vecDistinctObserver)
-	if !ok {
-		return fmt.Errorf("merge vec shard: distinct vs %T", o)
-	}
-	if d.single != nil {
-		for v := range s.single {
-			d.single[v] = struct{}{}
-		}
-		return nil
-	}
-	d.set.union(&s.set)
-	return nil
-}
 
-// vecHLLObserver sketches a distinct count over batches. The register-max
-// merge makes the folded sketch identical to a sequential observation at
-// any worker count.
+// vecHLLObserver sketches a distinct count over batches.
 type vecHLLObserver struct {
 	col  *collector
 	stat stats.Stat
@@ -206,13 +165,6 @@ func (o *vecHLLObserver) finish() {
 		o.col.markFailed(o.stat, err)
 	}
 }
-func (o *vecHLLObserver) mergeVec(other vecObserver) error {
-	s, ok := other.(*vecHLLObserver)
-	if !ok {
-		return fmt.Errorf("merge vec shard: hll vs %T", other)
-	}
-	return o.h.Merge(s.h)
-}
 
 // vecCMObserver sketches a single-attribute distribution over batches.
 type vecCMObserver struct {
@@ -239,18 +191,9 @@ func (o *vecCMObserver) finish() {
 		o.col.markFailed(o.stat, err)
 	}
 }
-func (o *vecCMObserver) mergeVec(other vecObserver) error {
-	s, ok := other.(*vecCMObserver)
-	if !ok {
-		return fmt.Errorf("merge vec shard: cm vs %T", other)
-	}
-	return o.cm.Merge(s.cm)
-}
 
 // newVecObserver builds the batch handler of one compiled tap — the one way
-// a batch is folded into a statistic, whether a pipeline feeds it chunk by
-// chunk or collectVec feeds it a whole batch. A kind without a handler
-// yields nil.
+// a batch is folded into a statistic. A kind without a handler yields nil.
 func newVecObserver(col *collector, t physical.Tap) vecObserver {
 	switch t.Stat.Kind {
 	case stats.Card:
@@ -272,45 +215,6 @@ func newVecObserver(col *collector, t physical.Tap) vecObserver {
 			col: col, stat: t.Stat, colIdx: t.Cols[0],
 			cm: stats.NewCMH(t.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth),
 		}
-	}
-	return nil
-}
-
-// vecObserversFor builds batch handlers for compiled taps (which must
-// already be fault-filtered); a nil collector yields no observers.
-func vecObserversFor(col *collector, taps []physical.Tap) []vecObserver {
-	if col == nil {
-		return nil
-	}
-	var out []vecObserver
-	for _, t := range taps {
-		if o := newVecObserver(col, t); o != nil {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
-// mergeVecShards folds the worker shards (one []vecObserver per worker, all
-// built from the same tap list) into the first shard and finishes it,
-// recording the merged statistics into the store.
-func mergeVecShards(shards [][]vecObserver) error {
-	if len(shards) == 0 {
-		return nil
-	}
-	base := shards[0]
-	for _, shard := range shards[1:] {
-		if len(shard) != len(base) {
-			return fmt.Errorf("merge vec shards: observer count mismatch (%d vs %d)", len(shard), len(base))
-		}
-		for i, o := range shard {
-			if err := base[i].mergeVec(o); err != nil {
-				return err
-			}
-		}
-	}
-	for _, o := range base {
-		o.finish()
 	}
 	return nil
 }

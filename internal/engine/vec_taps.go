@@ -5,13 +5,11 @@ import (
 	"github.com/essential-stats/etlopt/internal/physical"
 )
 
-// Whole-batch tap collection: one statistic from one complete batch, for the
-// points where the interpreters hold a node's entire output (every batch
-// node; the streaming engine's sequential chains, top operators and merged
-// miss sets). The store is write-once and a rejected value marks the
-// statistic degraded instead of failing the run. Counts, distinct sets and
-// histogram frequencies are exact, so the recorded values are bit-identical
-// to the reference evaluator's.
+// Whole-batch tap collection: one statistic from one complete batch — the
+// interpreter holds every node's entire output. The store is write-once and
+// a rejected value marks the statistic degraded instead of failing the run.
+// Counts, distinct sets and histogram frequencies are exact, so the
+// recorded values are bit-identical to the reference evaluator's.
 
 // collectVec updates one tap's statistic from a whole batch: the tap's
 // observer, fed once. The store is write-once per statistic, so collection

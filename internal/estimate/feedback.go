@@ -11,7 +11,7 @@ import (
 )
 
 // Estimate feedback closes the loop the paper leaves open: after an
-// instrumented run the engines know every materialized sub-expression's
+// instrumented run the engine knows every materialized sub-expression's
 // *actual* cardinality, and the estimator can derive the same cardinality
 // from the selected statistics set. Comparing the two per SE — the q-error
 // lens of the cardinality-estimation literature — tells an operator which
@@ -28,7 +28,7 @@ type SEReport struct {
 	Target stats.Target `json:"-"`
 	// Label renders the target with the block's input names.
 	Label string `json:"label"`
-	// Actual is the cardinality the engines measured.
+	// Actual is the cardinality the engine measured.
 	Actual int64 `json:"actual"`
 	// Estimate is the derived cardinality (0 when not derivable).
 	Estimate int64 `json:"estimate"`

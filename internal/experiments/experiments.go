@@ -28,8 +28,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/suite"
 )
 
-// Workers bounds execution-layer concurrency for the experiments that run
-// the engines (e2e, work); values <= 1 execute sequentially. Observed
+// Workers bounds how many independent blocks run concurrently in the
+// experiments that execute plans (e2e, work); values <= 1 execute
+// sequentially. Observed
 // statistics are identical either way, so every measurement is
 // worker-count independent except wall-clock time.
 var Workers int

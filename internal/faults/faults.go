@@ -2,14 +2,14 @@
 // the execution engines. Production ETL runs fail in a handful of
 // characteristic ways — a source extract cannot be read, an operator's
 // runtime dependency breaks, a statistic tap's side memory is exhausted,
-// the run's row budget trips — and the engines' recovery machinery (block
+// the run's row budget trips — and the engine's recovery machinery (block
 // retry, checkpoint/resume, degraded observation) needs all of them to be
 // reproducible on demand. The injector decides every fault as a pure
 // function of (seed, kind, site, attempt), so a faulted run is exactly
-// repeatable across engines, worker counts and processes: the same sites
+// repeatable across worker counts and processes: the same sites
 // fail on the same attempts, and a retried transient fault always clears.
 //
-// A nil *Injector is valid and injects nothing; the engines' hot paths pay
+// A nil *Injector is valid and injects nothing; the engine's hot paths pay
 // a single nil check, mirroring how metrics collection stays free when off.
 package faults
 
@@ -88,7 +88,7 @@ func (e *Error) Error() string {
 }
 
 // IsTransient reports whether err is (or wraps) a transient injected
-// fault — the class the engines retry with backoff.
+// fault — the class the engine retries with backoff.
 func IsTransient(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe) && fe.Transient

@@ -130,9 +130,9 @@ func bestOrder(blk *workflow.Block, sp *expr.Space, uncovered map[expr.Set]bool)
 	var best []int
 	bestGain := -1
 	trySeed := func(seed expr.Set) {
-		order, ok := connectedOrder(blk, sp, seed)
-		if !ok {
-			return
+		order := ConnectOrder(blk, seed.Members())
+		if order == nil {
+			return // seed not connected (cannot happen for SEs)
 		}
 		order = extendOrder(blk, sp, order, uncovered)
 		gain := 0
@@ -164,33 +164,35 @@ func bestOrder(blk *workflow.Block, sp *expr.Space, uncovered map[expr.Set]bool)
 	return best
 }
 
-// connectedOrder arranges the seed SE's members into a connected order,
-// preferring extensions that keep intermediate prefixes connected.
-func connectedOrder(blk *workflow.Block, sp *expr.Space, seed expr.Set) ([]int, bool) {
-	members := seed.Members()
-	if len(members) == 0 {
-		return nil, false
+// ConnectOrder reorders candidates so every prefix is connected in the
+// block's join graph, keeping the first element first and otherwise taking
+// the earliest candidate that joins what is already placed; nil when the
+// candidates are empty or not connected. The schedule package builds its
+// observation orders with it too.
+func ConnectOrder(blk *workflow.Block, candidates []int) []int {
+	if len(candidates) == 0 {
+		return nil
 	}
-	order := []int{members[0]}
-	in := expr.NewSet(members[0])
-	for in != seed {
-		progressed := false
-		for _, m := range members {
-			if in.Has(m) {
-				continue
-			}
-			if edgeBetween(blk, in, m) {
-				order = append(order, m)
-				in = in.Add(m)
-				progressed = true
+	remaining := append([]int(nil), candidates[1:]...)
+	order := []int{candidates[0]}
+	in := expr.NewSet(candidates[0])
+	for len(remaining) > 0 {
+		found := -1
+		for idx, c := range remaining {
+			if edgeBetween(blk, in, c) {
+				found = idx
 				break
 			}
 		}
-		if !progressed {
-			return nil, false // seed not connected (cannot happen for SEs)
+		if found < 0 {
+			return nil
 		}
+		c := remaining[found]
+		remaining = append(remaining[:found], remaining[found+1:]...)
+		order = append(order, c)
+		in = in.Add(c)
 	}
-	return order, true
+	return order
 }
 
 // extendOrder grows a connected order to all inputs, preferring next inputs
@@ -226,6 +228,7 @@ func extendOrder(blk *workflow.Block, sp *expr.Space, order []int, uncovered map
 	return order
 }
 
+// edgeBetween reports whether a join edge links input i to the set.
 func edgeBetween(blk *workflow.Block, in expr.Set, i int) bool {
 	for _, e := range blk.Joins {
 		if in.Has(e.LeftInput) && e.RightInput == i || in.Has(e.RightInput) && e.LeftInput == i {

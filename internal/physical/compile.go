@@ -39,7 +39,7 @@ type seKey struct {
 // compiler carries the tap index: the observable statistics of the
 // selection keyed by observation point — chain points (block, input,
 // depth), cooked SEs (block, set) and reject singletons (block, input,
-// edge). This replaces the engines' runtime tap routing.
+// edge). This replaces runtime tap routing in the engine.
 type compiler struct {
 	an       *workflow.Analysis
 	db       DB
@@ -130,16 +130,13 @@ func (c *compiler) compileBlock(p *Plan, blk *workflow.Block, tree *workflow.Joi
 		if err != nil {
 			return nil, err
 		}
-		bp.JoinRoot = root
 	}
 	for _, op := range blk.TopOps {
 		n, err := c.compileOp(root, op)
 		if err != nil {
 			return nil, fmt.Errorf("top op %q: %w", op.ID, err)
 		}
-		add(n)
-		bp.TopNodes = append(bp.TopNodes, n)
-		root = n
+		root = add(n)
 	}
 	bp.Root = root
 	return bp, nil
@@ -192,8 +189,7 @@ func (c *compiler) compileChain(p *Plan, blk *workflow.Block, i int, add func(*N
 }
 
 // compileOp lowers one unary operator — the single definition of operator
-// schema evolution shared by chains and top operators, and (through the
-// executors) by the batch and streaming engines.
+// schema evolution shared by chains and top operators.
 func (c *compiler) compileOp(in *Node, op *workflow.Node) (*Node, error) {
 	n := &Node{Input: in, Origin: op.ID, ChainInput: -1, FromBlock: -1, Edge: -1}
 	switch op.Kind {

@@ -13,44 +13,30 @@ import (
 // attached to the node (tap collection, reject collection and the
 // auxiliary union–division joins).
 //
-// Semantics per execution strategy:
+// Semantics:
 //
-//   - RowsOut and the derived RowsIn are strategy independent: batch and
-//     streaming runs, at any worker count, report identical values (the
-//     equivalence suite pins them against the reference evaluator).
-//   - Calls counts operator invocations: 1 per batch evaluation, one per
-//     pipeline shard in a streaming run — a worker-count-dependent
-//     diagnostic, excluded from the deterministic report.
-//   - WallNanos and TapNanos are the batch strategy's: per operator,
-//     exclusive (inputs are already materialized when an operator runs).
-//     A streaming run interleaves operators inside a chunk cascade and
-//     leaves both zero. Wall times are wall-clock and therefore never
-//     part of deterministic output.
+//   - RowsOut and the derived RowsIn are deterministic: every run, at any
+//     worker count and wherever its blocks were placed, reports identical
+//     values (the equivalence suite pins them against the reference
+//     evaluator).
+//   - Calls counts operator invocations (1 per evaluation), excluded from
+//     the deterministic report.
+//   - WallNanos and TapNanos are per operator and exclusive (inputs are
+//     already materialized when an operator runs). Wall times are
+//     wall-clock and therefore never part of deterministic output.
 //
 // The JSON form is the metrics shard a distributed worker ships back with
 // its block (internal/serve's response-frame header).
 type Metrics struct {
 	// RowsOut counts rows the operator emitted.
 	RowsOut int64 `json:"rows"`
-	// Calls counts operator invocations (batch: 1; streaming: shards).
+	// Calls counts operator invocations.
 	Calls int64 `json:"calls,omitempty"`
 	// WallNanos is time spent producing the node's rows, excluding
-	// TapNanos (batch runs only).
+	// TapNanos.
 	WallNanos int64 `json:"wall_ns,omitempty"`
-	// TapNanos is the statistic-tap observation overhead at this node
-	// (batch runs only).
+	// TapNanos is the statistic-tap observation overhead at this node.
 	TapNanos int64 `json:"tap_ns,omitempty"`
-}
-
-// Merge folds another shard of the same node's metrics into m — the
-// worker-parallel paths give every worker a private shard and merge after
-// the operator drains, exactly like the statistic-observer shards, so
-// enabling metrics never perturbs observed statistics.
-func (m *Metrics) Merge(o *Metrics) {
-	m.RowsOut += o.RowsOut
-	m.Calls += o.Calls
-	m.WallNanos += o.WallNanos
-	m.TapNanos += o.TapNanos
 }
 
 // NodeMetrics is one node's metrics snapshot, carrying enough identity to

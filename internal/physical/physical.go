@@ -8,12 +8,10 @@
 // already bound (the paper's Section 3.2.5 instrumentation, made
 // declarative).
 //
-// The engine's batch strategy interprets the DAG batch-at-a-time, its
-// streaming strategy pipelines it in chunks, the worker-parallel paths
-// schedule its nodes across goroutines, and the tests' reference evaluator
-// (internal/wftest) walks it row by row; all of them read the same nodes,
-// so operator semantics, observer wiring and reject routing live in exactly
-// one place.
+// The engine interprets the DAG batch-at-a-time and the tests' reference
+// evaluator (internal/wftest) walks it row by row; both read the same
+// nodes, so operator semantics, observer wiring and reject routing live in
+// exactly one place.
 package physical
 
 import (
@@ -210,7 +208,7 @@ type Node struct {
 	Taps []Tap
 
 	// Metrics holds the node's runtime counters after an instrumented
-	// run; the engines leave it zero unless metrics collection is on.
+	// run; the engine leaves it zero unless metrics collection is on.
 	Metrics Metrics
 }
 
@@ -226,11 +224,6 @@ type BlockPlan struct {
 	// Chains holds each input's nodes: Chains[i][d] produces chain point
 	// depth d of input i (Chains[i][0] is the scan).
 	Chains [][]*Node
-	// JoinRoot is the root of the join DAG (a chain-end node when the tree
-	// is a single leaf; nil for join-free blocks).
-	JoinRoot *Node
-	// TopNodes are the pinned top operators in execution order.
-	TopNodes []*Node
 	// Root is the block's final node; its output crosses the boundary.
 	Root *Node
 }

@@ -119,7 +119,7 @@ func compatible(res *css.Result, run *Run, s stats.Stat) bool {
 			k = e.RightInput
 		}
 		order := append([]int{ti, k}, others(blk, ti, k)...)
-		order = connectOrder(blk, order)
+		order = payg.ConnectOrder(blk, order)
 		if order == nil {
 			return false
 		}
@@ -146,11 +146,11 @@ func compatible(res *css.Result, run *Run, s stats.Stat) bool {
 // seOrder builds a full connected order whose prefix realizes the SE.
 func seOrder(blk *workflow.Block, sp *expr.Space, se expr.Set) []int {
 	members := se.Members()
-	order := connectOrder(blk, members)
+	order := payg.ConnectOrder(blk, members)
 	if order == nil {
 		return nil
 	}
-	return connectOrder(blk, append(order, others(blk, order...)...))
+	return payg.ConnectOrder(blk, append(order, others(blk, order...)...))
 }
 
 // others lists the block inputs not in the given set.
@@ -166,43 +166,6 @@ func others(blk *workflow.Block, in ...int) []int {
 		}
 	}
 	return out
-}
-
-// connectOrder reorders candidates so every prefix is connected (keeping
-// the first element first); nil when impossible.
-func connectOrder(blk *workflow.Block, candidates []int) []int {
-	if len(candidates) == 0 {
-		return nil
-	}
-	remaining := append([]int(nil), candidates[1:]...)
-	order := []int{candidates[0]}
-	cur := expr.NewSet(candidates[0])
-	for len(remaining) > 0 {
-		found := -1
-		for idx, c := range remaining {
-			if edgeTo(blk, cur, c) {
-				found = idx
-				break
-			}
-		}
-		if found < 0 {
-			return nil
-		}
-		c := remaining[found]
-		remaining = append(remaining[:found], remaining[found+1:]...)
-		order = append(order, c)
-		cur = cur.Add(c)
-	}
-	return order
-}
-
-func edgeTo(blk *workflow.Block, in expr.Set, i int) bool {
-	for _, e := range blk.Joins {
-		if in.Has(e.LeftInput) && e.RightInput == i || in.Has(e.RightInput) && e.LeftInput == i {
-			return true
-		}
-	}
-	return false
 }
 
 // exposesSE reports whether the tree produces the SE as a node.

@@ -172,8 +172,6 @@ func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *WorkerRunRequest {
 	return &WorkerRunRequest{
 		WF:             c.run.WF,
 		Scale:          c.run.Scale,
-		Streaming:      spec.Streaming,
-		Workers:        spec.Workers,
 		MaxRows:        c.run.MaxRows,
 		Faults:         spec.Faults,
 		RetryMax:       spec.RetryMax,

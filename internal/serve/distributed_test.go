@@ -135,11 +135,9 @@ func startFreezableWorker(t *testing.T) *httptest.Server {
 }
 
 // distConfig builds a run configuration dispatching to the given workers.
-func distConfig(t *testing.T, wf int, streaming bool, addrs []string, tune func(*CoordinatorOptions)) core.Config {
+func distConfig(t *testing.T, wf int, addrs []string, tune func(*CoordinatorOptions)) core.Config {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Streaming = streaming
-	return dispatched(t, cfg, wf, addrs, tune)
+	return dispatched(t, core.DefaultConfig(), wf, addrs, tune)
 }
 
 // dispatched returns cfg with a coordinator over the given workers as its
@@ -201,22 +199,17 @@ func treesOf(cy *core.Cycle, trees map[int]*workflow.JoinTree) string {
 	return sb.String()
 }
 
-// eachDistLeg runs fn over the golden workflows on both strategies.
-func eachDistLeg(t *testing.T, fn func(t *testing.T, wf int, streaming bool)) {
+// eachDistLeg runs fn over the golden workflows.
+func eachDistLeg(t *testing.T, fn func(t *testing.T, wf int)) {
 	for _, wf := range distWorkflows {
-		for _, streaming := range []bool{false, true} {
-			wf, streaming := wf, streaming
-			t.Run(engineName(streaming)+"/wf"+itoa2(wf), func(t *testing.T) { fn(t, wf, streaming) })
-		}
+		t.Run("batch/wf"+itoa2(wf), func(t *testing.T) { fn(t, wf) })
 	}
 }
 
 // localRun is the single-process reference execution.
-func localRun(t *testing.T, wf int, streaming bool) *engine.Result {
+func localRun(t *testing.T, wf int) *engine.Result {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Streaming = streaming
-	return runCycleOf(t, wf, cfg)
+	return runCycleOf(t, wf, core.DefaultConfig())
 }
 
 // storeBytes renders an observed store into its canonical v2 byte form.
@@ -250,42 +243,32 @@ func assertRunsEqual(t *testing.T, name string, want, got *engine.Result) {
 	}
 }
 
-// engineName labels the matrix legs.
-func engineName(streaming bool) string {
-	if streaming {
-		return "stream"
-	}
-	return "batch"
-}
-
 // TestDistributedEquivalenceWorkerKilledMidRun is the acceptance golden:
 // two workers, one SIGKILLed after its first completed block, under
 // deterministic network faults — the distributed run must be
-// byte-identical to the single-process run on both engines.
+// byte-identical to the single-process run.
 func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 	for _, wf := range distWorkflows {
-		for _, streaming := range []bool{false, true} {
-			name := engineName(streaming)
-			t.Run(name+"/wf"+itoa2(wf), func(t *testing.T) {
-				want := localRun(t, wf, streaming)
-				victim := startKillableWorker(t)
-				survivor := startWorker(t)
-				cfg := distConfig(t, wf, streaming, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
-					o.Faults = faults.New(11, 1, 1, faults.Network)
-				})
-				got := runCycleOf(t, wf, cfg)
-				assertRunsEqual(t, name, want, got)
-				if got.Dist == nil {
-					t.Fatal("distributed run carries no DistReport")
-				}
-				if got.Dist.FellBack {
-					t.Errorf("run fell back in-process (%s); a surviving worker should have absorbed the blocks", got.Dist.Reason)
-				}
-				if len(got.Dist.Remote) == 0 {
-					t.Error("no blocks executed remotely")
-				}
+		const name = "batch"
+		t.Run(name+"/wf"+itoa2(wf), func(t *testing.T) {
+			want := localRun(t, wf)
+			victim := startKillableWorker(t)
+			survivor := startWorker(t)
+			cfg := distConfig(t, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
+				o.Faults = faults.New(11, 1, 1, faults.Network)
 			})
-		}
+			got := runCycleOf(t, wf, cfg)
+			assertRunsEqual(t, name, want, got)
+			if got.Dist == nil {
+				t.Fatal("distributed run carries no DistReport")
+			}
+			if got.Dist.FellBack {
+				t.Errorf("run fell back in-process (%s); a surviving worker should have absorbed the blocks", got.Dist.Reason)
+			}
+			if len(got.Dist.Remote) == 0 {
+				t.Error("no blocks executed remotely")
+			}
+		})
 	}
 }
 
@@ -293,42 +276,40 @@ func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 // coordinator must finish in-process from the last checkpoint and report
 // the degradation — outputs still byte-identical, never partial.
 func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
-	for _, streaming := range []bool{false, true} {
-		name := engineName(streaming)
-		t.Run(name, func(t *testing.T) {
-			const wf = 8 // 3 blocks: remote progress, then local completion
-			want := localRun(t, wf, streaming)
-			a := startKillableWorker(t)
-			b := startKillableWorker(t)
-			cfg := distConfig(t, wf, streaming, []string{a.URL, b.URL}, nil)
-			got := runCycleOf(t, wf, cfg)
-			assertRunsEqual(t, name, want, got)
-			d := got.Dist
-			if d == nil {
-				t.Fatal("distributed run carries no DistReport")
+	const name = "batch"
+	t.Run(name, func(t *testing.T) {
+		const wf = 8 // 3 blocks: remote progress, then local completion
+		want := localRun(t, wf)
+		a := startKillableWorker(t)
+		b := startKillableWorker(t)
+		cfg := distConfig(t, wf, []string{a.URL, b.URL}, nil)
+		got := runCycleOf(t, wf, cfg)
+		assertRunsEqual(t, name, want, got)
+		d := got.Dist
+		if d == nil {
+			t.Fatal("distributed run carries no DistReport")
+		}
+		if !d.FellBack {
+			t.Fatal("expected the run to fall back in-process after losing every worker")
+		}
+		if d.Reason == "" {
+			t.Error("fallback carries no reason")
+		}
+		if len(d.Remote)+len(d.Local) == 0 {
+			t.Error("report lists no executed blocks")
+		}
+		if len(d.LostWorkers) != 2 {
+			t.Errorf("want 2 lost workers, got %v", d.LostWorkers)
+		}
+		// Never a partial result: every sink of the local reference is
+		// present and full.
+		for name, tbl := range want.Sinks {
+			g, ok := got.Sinks[name]
+			if !ok || len(g.Rows) != len(tbl.Rows) {
+				t.Errorf("sink %q incomplete after fallback", name)
 			}
-			if !d.FellBack {
-				t.Fatal("expected the run to fall back in-process after losing every worker")
-			}
-			if d.Reason == "" {
-				t.Error("fallback carries no reason")
-			}
-			if len(d.Remote)+len(d.Local) == 0 {
-				t.Error("report lists no executed blocks")
-			}
-			if len(d.LostWorkers) != 2 {
-				t.Errorf("want 2 lost workers, got %v", d.LostWorkers)
-			}
-			// Never a partial result: every sink of the local reference is
-			// present and full.
-			for name, tbl := range want.Sinks {
-				g, ok := got.Sinks[name]
-				if !ok || len(g.Rows) != len(tbl.Rows) {
-					t.Errorf("sink %q incomplete after fallback", name)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestDistributedNetworkFaultMatrix runs the Network fault kind across its
@@ -337,7 +318,7 @@ func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
 // in-process fallback — byte-identical outputs either way.
 func TestDistributedNetworkFaultMatrix(t *testing.T) {
 	const wf = 8 // 3 blocks: three distinct "net:block:<idx>" fault sites
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 
 	t.Run("transient", func(t *testing.T) {
 		// Several seeds so the mode hash covers drop, delay and truncate
@@ -345,7 +326,7 @@ func TestDistributedNetworkFaultMatrix(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3, 7, 11} {
 			inj := faults.New(seed, 1, 1, faults.Network)
 			w1, w2 := startWorker(t), startWorker(t)
-			cfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
+			cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
 				o.Faults = inj
 			})
 			got := runCycleOf(t, wf, cfg)
@@ -361,7 +342,7 @@ func TestDistributedNetworkFaultMatrix(t *testing.T) {
 		// and the run must complete locally, whole.
 		inj := faults.New(5, 1, 0, faults.Network)
 		w1, w2 := startWorker(t), startWorker(t)
-		cfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
+		cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
 			o.Faults = inj
 		})
 		got := runCycleOf(t, wf, cfg)
@@ -398,7 +379,7 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 		wf      = 6
 		lowered = 1 << 20
 	)
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 	_, payload := framePayload(t, responseFrame(t, frameBlock(t)))
 	bomb := append(payload[:len(payload):len(payload)], make([]byte, lowered)...)
 	for _, c := range []struct {
@@ -415,7 +396,7 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 				t.Fatalf("bomb is %d bytes", len(c.body))
 			}
 			big := startOversizeWorker(t, c.body)
-			cfg := distConfig(t, wf, false, []string{big.URL}, nil)
+			cfg := distConfig(t, wf, []string{big.URL}, nil)
 			cfg.Dispatcher.(*Coordinator).maxBody = c.maxBody
 			got := runCycleOf(t, wf, cfg)
 			assertRunsEqual(t, "oversize", want, got)
@@ -441,7 +422,7 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 // the run.
 func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 	const wf = 8
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 	check := func(t *testing.T, got *engine.Result, reason string) {
 		t.Helper()
 		assertRunsEqual(t, "oversize request", want, got)
@@ -466,7 +447,7 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
-		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		cfg := distConfig(t, wf, []string{srv.URL}, nil)
 		cfg.Dispatcher.(*Coordinator).maxBody = 16
 		check(t, runCycleOf(t, wf, cfg), "request of")
 		if n := runs.Load(); n != 0 {
@@ -479,7 +460,7 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 		wk.maxBody = 16
 		srv := httptest.NewServer(wk.Handler())
 		t.Cleanup(srv.Close)
-		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		cfg := distConfig(t, wf, []string{srv.URL}, nil)
 		check(t, runCycleOf(t, wf, cfg), "cap 16")
 	})
 
@@ -497,7 +478,7 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 			h.ServeHTTP(w, r)
 		}))
 		t.Cleanup(srv.Close)
-		cfg := distConfig(t, wf, false, []string{srv.URL}, nil)
+		cfg := distConfig(t, wf, []string{srv.URL}, nil)
 		check(t, runCycleOf(t, wf, cfg), "frame of")
 	})
 }
@@ -622,10 +603,10 @@ func TestDistributedWireBytes(t *testing.T) {
 // cancel the in-flight request and reassign — outputs stay identical.
 func TestDistributedHungWorkerLeaseExpiry(t *testing.T) {
 	const wf = 8
-	want := localRun(t, wf, false)
+	want := localRun(t, wf)
 	frozen := startFreezableWorker(t)
 	healthy := startWorker(t)
-	cfg := distConfig(t, wf, false, []string{frozen.URL, healthy.URL}, func(o *CoordinatorOptions) {
+	cfg := distConfig(t, wf, []string{frozen.URL, healthy.URL}, func(o *CoordinatorOptions) {
 		o.HeartbeatEvery = 50 * time.Millisecond
 		o.LeaseTTL = 300 * time.Millisecond
 	})
@@ -671,7 +652,7 @@ func TestDistributedUninstrumentedPlansRun(t *testing.T) {
 	}
 
 	w1, w2 := startWorker(t), startWorker(t)
-	dcfg := distConfig(t, wf, false, []string{w1.URL, w2.URL}, nil)
+	dcfg := distConfig(t, wf, []string{w1.URL, w2.URL}, nil)
 	dcy, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, w.Data(distScale), dcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -699,9 +680,8 @@ func TestCoordinatorRejectsEmptyFleet(t *testing.T) {
 // counts and the q-error feedback, exact under exact statistics — and
 // chooses the same plans as the single-process cycle.
 func TestDistributedMetricsEquivalence(t *testing.T) {
-	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+	eachDistLeg(t, func(t *testing.T, wf int) {
 		cfg := core.DefaultConfig()
-		cfg.Streaming = streaming
 		cfg.CollectMetrics = true
 		want := cycleOf(t, wf, cfg)
 		w1, w2 := startWorker(t), startWorker(t)
@@ -736,9 +716,8 @@ func TestDistributedMetricsEquivalence(t *testing.T) {
 // killed in the middle of the adaptive run.
 func TestDistributedAdaptiveEquivalence(t *testing.T) {
 	opts := core.AdaptiveOptions{Skew: map[int]float64{0: 4}}
-	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+	eachDistLeg(t, func(t *testing.T, wf int) {
 		cfg := core.DefaultConfig()
-		cfg.Streaming = streaming
 		local := cycleOf(t, wf, cfg)
 		want, err := local.RunOptimizedAdaptive(opts)
 		if err != nil {
@@ -791,9 +770,8 @@ func TestDistributedEngineFaultsSetOnce(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+			eachDistLeg(t, func(t *testing.T, wf int) {
 				cfg := core.DefaultConfig()
-				cfg.Streaming = streaming
 				cfg.Faults = tc.inj
 				want := cycleOf(t, wf, cfg)
 				w1, w2 := startWorker(t), startWorker(t)
@@ -833,9 +811,8 @@ func degradedList(r *engine.Result) []string {
 // cap its worker applies, yet the run must fail — with the guard's text, at
 // the block a single-process run fails at — and the exact total must pass.
 func TestDistributedMaxRowsRunLevel(t *testing.T) {
-	eachDistLeg(t, func(t *testing.T, wf int, streaming bool) {
+	eachDistLeg(t, func(t *testing.T, wf int) {
 		cfg := core.DefaultConfig()
-		cfg.Streaming = streaming
 		total := cycleOf(t, wf, cfg).Observed.Rows
 		w1, w2 := startWorker(t), startWorker(t)
 		fleets := map[string][]string{"two-workers": {w1.URL, w2.URL}, "one-slot": {w1.URL}}

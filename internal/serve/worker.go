@@ -68,10 +68,6 @@ type WorkerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
-	// Streaming selects the pipelined engine; Workers the block-internal
-	// parallelism (both from engine.DispatchSpec, like Faults and retries).
-	Streaming bool `json:"streaming,omitempty"`
-	Workers   int  `json:"workers,omitempty"`
 	// MaxRows caps this block's intermediate rows (RunSpec.MaxRows; the
 	// run-level guard stays with the coordinator's engine).
 	MaxRows int64 `json:"max_rows,omitempty"`
@@ -206,10 +202,6 @@ func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream 
 		observe = req.Observe
 	}
 	eng := engine.New(st.an, st.db, nil)
-	if req.Streaming {
-		eng = engine.NewStream(st.an, st.db, nil)
-	}
-	eng.Workers = req.Workers
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt

@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -94,34 +93,5 @@ func TestDotProductOverflowError(t *testing.T) {
 	h2.Inc([]int64{1}, 2)
 	if _, err := DotProduct(h1, h2); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("want ErrOverflow, got %v", err)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := workflow.Attr{Rel: "R", Col: "k"}
-	b := workflow.Attr{Rel: "R", Col: "v"}
-	h1 := NewHistogram(a, b)
-	h2 := NewHistogram(a, b)
-	h1.Inc([]int64{1, 10}, 3)
-	h1.Inc([]int64{2, 20}, 1)
-	h2.Inc([]int64{1, 10}, 4)
-	h2.Inc([]int64{3, 30}, 5)
-	h2.Inc([]int64{2, 20}, -1) // cancels h1's bucket
-	if err := h1.Merge(h2); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if got := h1.Freq(1, 10); got != 7 {
-		t.Errorf("bucket (1,10) = %d, want 7", got)
-	}
-	if got := h1.Freq(3, 30); got != 5 {
-		t.Errorf("bucket (3,30) = %d, want 5", got)
-	}
-	if got := h1.Buckets(); got != 2 {
-		t.Errorf("%d buckets after merge, want 2 (zero bucket pruned)", got)
-	}
-
-	other := NewHistogram(a)
-	if err := h1.Merge(other); err == nil || !strings.Contains(err.Error(), "attribute sets differ") {
-		t.Fatalf("want attribute mismatch error, got %v", err)
 	}
 }

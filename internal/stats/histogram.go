@@ -158,22 +158,6 @@ func (h *Histogram) Clone() *Histogram {
 	return out
 }
 
-// Merge folds every bucket of other into h. Both histograms must range
-// over the same attribute set. The parallel engine gives each worker a
-// private histogram shard and merges the shards after the operator drains;
-// because bucket counts are integers, addition is associative and the
-// merged histogram is bit-identical to a sequential observation.
-func (h *Histogram) Merge(other *Histogram) error {
-	if workflow.AttrsString(h.Attrs) != workflow.AttrsString(other.Attrs) {
-		return fmt.Errorf("merge: attribute sets differ: %s vs %s",
-			workflow.AttrsString(h.Attrs), workflow.AttrsString(other.Attrs))
-	}
-	for k, f := range other.m {
-		h.inc(k, *f)
-	}
-	return nil
-}
-
 // attrPos returns the positions of want within h.Attrs, or an error when an
 // attribute is missing.
 func (h *Histogram) attrPos(want []workflow.Attr) ([]int, error) {

@@ -5,14 +5,11 @@ import (
 	"math"
 )
 
-// The sketch tier: bounded-memory approximate observers whose merges are
-// deterministic and order-independent, so the engines' shard-then-merge
-// discipline produces bit-identical sketches at any worker count.
+// The sketch tier: bounded-memory approximate observers.
 //
-//   - HLL is a HyperLogLog register file backing the HLLDistinct kind;
-//     shards combine by register-wise max.
+//   - HLL is a HyperLogLog register file backing the HLLDistinct kind.
 //   - CMH is a count-min sketch over the buckets of a BucketSpec backing
-//     the CMHist kind; shards combine by counter-wise add.
+//     the CMHist kind.
 //
 // Both hash through the same deterministic FNV-1a/splitmix pipeline with
 // no per-process seeding, so a sketch observed on one host equals the
@@ -100,23 +97,6 @@ func (h *HLL) AddHash(x uint64) {
 
 // Add folds one attribute tuple into the sketch.
 func (h *HLL) Add(vals ...int64) { h.AddHash(hashVals(vals)) }
-
-// Merge folds another sketch in by register-wise max — commutative,
-// associative and idempotent, so shard merge order never matters.
-func (h *HLL) Merge(o *HLL) error {
-	if o == nil {
-		return nil
-	}
-	if h.P != o.P || len(h.Regs) != len(o.Regs) {
-		return fmt.Errorf("stats: HLL precision mismatch: 2^%d vs 2^%d registers", h.P, o.P)
-	}
-	for i, r := range o.Regs {
-		if r > h.Regs[i] {
-			h.Regs[i] = r
-		}
-	}
-	return nil
-}
 
 // Estimate returns the sketch's distinct-count estimate: the standard
 // HyperLogLog harmonic mean with linear counting for the small range.
@@ -217,22 +197,6 @@ func (c *CMH) Total() int64 {
 		t += c.Counters[i]
 	}
 	return t
-}
-
-// Merge folds another sketch in by counter-wise add — commutative and
-// associative, so shard merge order never matters.
-func (c *CMH) Merge(o *CMH) error {
-	if o == nil {
-		return nil
-	}
-	if c.Spec != o.Spec || c.Depth != o.Depth || c.Width != o.Width {
-		return fmt.Errorf("stats: count-min layout mismatch: %v/%dx%d vs %v/%dx%d",
-			c.Spec, c.Depth, c.Width, o.Spec, o.Depth, o.Width)
-	}
-	for i, v := range o.Counters {
-		c.Counters[i] += v
-	}
-	return nil
 }
 
 // Clone returns a deep copy.

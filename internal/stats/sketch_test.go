@@ -37,72 +37,6 @@ func TestHLLEstimateAccuracy(t *testing.T) {
 	}
 }
 
-// TestHLLMergeDeterministic: merging shards in any order and any
-// partitioning must produce byte-identical registers to observing the
-// stream in one sketch.
-func TestHLLMergeDeterministic(t *testing.T) {
-	whole := NewHLL(DefaultHLLP)
-	shards := []*HLL{NewHLL(DefaultHLLP), NewHLL(DefaultHLLP), NewHLL(DefaultHLLP), NewHLL(DefaultHLLP)}
-	for i := int64(0); i < 5000; i++ {
-		whole.Add(i, i%97)
-		shards[i%4].Add(i, i%97)
-	}
-	// Merge in two different orders.
-	fwd := NewHLL(DefaultHLLP)
-	for _, s := range shards {
-		if err := fwd.Merge(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rev := NewHLL(DefaultHLLP)
-	for i := len(shards) - 1; i >= 0; i-- {
-		if err := rev.Merge(shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(fwd.Regs, whole.Regs) || !bytes.Equal(rev.Regs, whole.Regs) {
-		t.Fatal("sharded merges are not bit-identical to the unsharded sketch")
-	}
-	if err := fwd.Merge(NewHLL(DefaultHLLP + 1)); err == nil {
-		t.Fatal("precision mismatch merged silently")
-	}
-}
-
-// TestCMHMergeDeterministic is the counter-add analogue.
-func TestCMHMergeDeterministic(t *testing.T) {
-	spec := CMSpecFor(1, 1000)
-	whole := NewCMH(spec, DefaultCMDepth, DefaultCMWidth)
-	shards := []*CMH{NewCMH(spec, DefaultCMDepth, DefaultCMWidth), NewCMH(spec, DefaultCMDepth, DefaultCMWidth), NewCMH(spec, DefaultCMDepth, DefaultCMWidth)}
-	for i := int64(0); i < 9000; i++ {
-		v := i%1000 + 1
-		whole.Observe(v)
-		shards[i%3].Observe(v)
-	}
-	fwd := NewCMH(spec, DefaultCMDepth, DefaultCMWidth)
-	for _, s := range shards {
-		if err := fwd.Merge(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rev := NewCMH(spec, DefaultCMDepth, DefaultCMWidth)
-	for i := len(shards) - 1; i >= 0; i-- {
-		if err := rev.Merge(shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range whole.Counters {
-		if fwd.Counters[i] != whole.Counters[i] || rev.Counters[i] != whole.Counters[i] {
-			t.Fatalf("counter %d differs across merge orders", i)
-		}
-	}
-	if whole.Total() != 9000 {
-		t.Fatalf("total %d, want 9000", whole.Total())
-	}
-	if err := fwd.Merge(NewCMH(spec, DefaultCMDepth+1, DefaultCMWidth)); err == nil {
-		t.Fatal("layout mismatch merged silently")
-	}
-}
-
 // TestCMHBucketEstimates: count-min only over-estimates, and the dot
 // product tracks the exact bucketized dot product within the collision
 // overhead.

@@ -1,11 +1,11 @@
 // Package adaptive holds the suite-wide contract tests for mid-run
 // adaptive re-optimization. They live outside package suite so the full
-// 30-workflow × 4-configuration splice matrix gets its own go test
+// 30-workflow × 2-configuration splice matrix gets its own go test
 // package budget instead of eating the engine goldens'.
 package adaptive
 
 import (
-	"fmt"
+	"context"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/core"
@@ -18,20 +18,17 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// engineConfig is one execution strategy × worker count.
+// engineConfig is one worker count of the engine.
 type engineConfig struct {
 	name    string
-	stream  bool
 	workers int
 }
 
-// engineConfigs mirrors the engine golden's matrix: batch and streaming,
-// sequential and worker-parallel.
+// engineConfigs mirrors the engine golden's matrix: sequential and
+// worker-parallel.
 var engineConfigs = []engineConfig{
-	{"batch w1", false, 1},
-	{"batch w4", false, 4},
-	{"stream w1", true, 1},
-	{"stream w4", true, 4},
+	{"batch w1", 1},
+	{"batch w4", 4},
 }
 
 // forcedSkew provokes a replan at the first block boundary: q=4 against the
@@ -43,11 +40,8 @@ var forcedSkew = map[int]float64{0: 4}
 // segments (any-point observation of the selected statistics).
 func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, inj *faults.Injector) (*engine.Result, error) {
 	e := engine.New(an, db, nil)
-	if cfg.stream {
-		e = engine.NewStream(an, db, nil)
-	}
 	e.Workers, e.CollectMetrics, e.Faults = cfg.workers, true, inj
-	return e.RunPlansObserving(plans, res, observe)
+	return e.RunPlansObservingCtx(context.Background(), plans, res, observe)
 }
 
 // TestAdaptiveEquivalenceGolden is the adaptive splice contract over the
@@ -74,7 +68,7 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 					continue
 				}
 				c := core.DefaultConfig()
-				c.Streaming, c.Workers = cfg.stream, cfg.workers
+				c.Workers = cfg.workers
 				cy, err := core.Run(w.Graph, w.Catalog, db, c)
 				if err != nil {
 					t.Fatalf("%s: Run: %v", cfg.name, err)
@@ -160,32 +154,28 @@ func TestAdaptiveReplanUnderFaults(t *testing.T) {
 	inj := faults.New(1, 1, 1, 0)
 	for _, id := range []int{8, 13, 24} { // multi-block workflows
 		w := suite.MustGet(id)
-		for _, stream := range []bool{false, true} {
-			label := fmt.Sprintf("%s stream=%v", w.Name, stream)
-			c := core.DefaultConfig()
-			c.Streaming = stream
-			c.Faults = inj
-			cy, err := core.Run(w.Graph, w.Catalog, w.Data(scale), c)
-			if err != nil {
-				t.Fatalf("%s: Run: %v", label, err)
-			}
-			ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
-			if err != nil {
-				t.Fatalf("%s: adaptive run under faults: %v", label, err)
-			}
-			if len(ar.Replans) == 0 {
-				t.Fatalf("%s: forced replan did not fire", label)
-			}
-			cfg := engineConfig{name: label, stream: stream, workers: 1}
-			cold, err := runPlansConfig(cfg, cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
-			if err != nil {
-				t.Fatalf("%s: cold run under faults: %v", label, err)
-			}
-			if cold.Retries == 0 {
-				t.Fatalf("%s: injector fired no transient faults — the matrix is vacuous", label)
-			}
-			diffAdaptive(t, label, cold, ar.Run)
+		label := w.Name
+		c := core.DefaultConfig()
+		c.Faults = inj
+		cy, err := core.Run(w.Graph, w.Catalog, w.Data(scale), c)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", label, err)
 		}
+		ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
+		if err != nil {
+			t.Fatalf("%s: adaptive run under faults: %v", label, err)
+		}
+		if len(ar.Replans) == 0 {
+			t.Fatalf("%s: forced replan did not fire", label)
+		}
+		cold, err := runPlansConfig(engineConfigs[0], cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
+		if err != nil {
+			t.Fatalf("%s: cold run under faults: %v", label, err)
+		}
+		if cold.Retries == 0 {
+			t.Fatalf("%s: injector fired no transient faults — the matrix is vacuous", label)
+		}
+		diffAdaptive(t, label, cold, ar.Run)
 	}
 }
 

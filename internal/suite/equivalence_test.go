@@ -16,28 +16,22 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// engineConfig is one execution strategy × worker count.
+// engineConfig is one worker count of the engine.
 type engineConfig struct {
 	name    string
-	stream  bool
 	workers int
 }
 
-// engineConfigs enumerates every way the product executes a plan: batch and
-// streaming, sequential and worker-parallel.
+// engineConfigs enumerates every way the product executes a plan:
+// sequential and with independent blocks in flight.
 var engineConfigs = []engineConfig{
-	{"batch w1", false, 1},
-	{"batch w4", false, 4},
-	{"stream w1", true, 1},
-	{"stream w4", true, 4},
+	{"batch w1", 1},
+	{"batch w4", 4},
 }
 
 // newEngine builds the configuration's engine over the workflow.
 func (cfg engineConfig) newEngine(an *workflow.Analysis, db engine.DB) *engine.Engine {
 	e := engine.New(an, db, nil)
-	if cfg.stream {
-		e = engine.NewStream(an, db, nil)
-	}
 	e.Workers = cfg.workers
 	return e
 }
@@ -80,13 +74,13 @@ func diffRun(t *testing.T, label string, golden *wftest.Golden, got *engine.Resu
 }
 
 // TestEngineEquivalenceGolden is the executor contract check: over every
-// suite workflow, both execution strategies — sequential and
-// worker-parallel — must produce sinks, materialized tables, observed
-// statistics, work metric and per-node row counts identical to the
-// reference evaluator's, all from one compiled physical plan. Any
-// divergence means an interpreter strayed from the shared IR's semantics. A
-// second pass repeats the matrix with metrics collection off, since the
-// columnar paths skip per-node accounting entirely in that mode.
+// suite workflow the engine — sequential and worker-parallel — must produce
+// sinks, materialized tables, observed statistics, work metric and per-node
+// row counts identical to the reference evaluator's, both from one compiled
+// physical plan. Any divergence means the interpreter strayed from the
+// shared IR's semantics. A second pass repeats the matrix with metrics
+// collection off, since the interpreter skips per-node accounting entirely
+// in that mode.
 func TestEngineEquivalenceGolden(t *testing.T) {
 	const scale = 0.001
 	for _, w := range All() {
@@ -124,9 +118,9 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 }
 
 // diffMetrics compares the deterministic projection of two metrics
-// snapshots: node identity and row counts must be bit-identical across
-// engines and worker counts (timings and call counts are
-// execution-strategy-dependent and excluded from the contract).
+// snapshots: node identity and row counts must be bit-identical to the
+// reference's at every worker count (timings and call counts are excluded
+// from the contract).
 func diffMetrics(t *testing.T, label string, ref, got *physical.RunMetrics) {
 	t.Helper()
 	if (ref == nil) != (got == nil) {

@@ -31,12 +31,9 @@ func sketchObserve(res *css.Result) []stats.Stat {
 
 // TestSketchEquivalenceGolden extends the executor contract to the
 // approximate tier: observing every sketch-backed variant over every suite
-// workflow, all four engine configurations — batch and streaming,
-// sequential and worker-parallel — must merge to sketch state (HLL
-// registers, count-min counters) byte-identical to the reference
-// evaluator's single sequential pass. Register-max and
-// counter-add merges are order-independent, so per-worker shards must not
-// introduce any drift at all, not merely bounded drift.
+// workflow, both engine configurations — sequential and worker-parallel —
+// must end at sketch state (HLL registers, count-min counters)
+// byte-identical to the reference evaluator's row-at-a-time pass.
 func TestSketchEquivalenceGolden(t *testing.T) {
 	const scale = 0.001
 	for _, w := range All() {
