@@ -14,7 +14,7 @@
 //	etlopt run     -wf 3 -scale 0.002 # full cycle over generated data
 //	etlopt run     -f flow.json -data dir/   # full cycle over CSV flat files
 //	etlopt run     -wf 3 -metrics=table      # …plus per-operator metrics and the q-error report
-//	etlopt explain -wf 3              # compiled physical plan with tap points
+//	etlopt explain -wf 3              # compiled physical plan with the taps `run` would place (core.Select)
 //	etlopt explain -wf 3 -derive      # …plus the derivation tree of every SE cardinality
 //	etlopt explain -wf 3 -metrics=json       # …plus a Metrics section from an instrumented run
 //	etlopt gendata -wf 3 -out dir/    # export a suite workflow's data as CSVs
@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/core"
-	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
@@ -410,7 +409,7 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 		fmt.Printf("block %d designed:  %s (cost %.0f)\n", bi, blk.Initial.Render(blk), p.InitialCost)
 		fmt.Printf("block %d optimized: %s (cost %.0f)\n", bi, p.Tree.Render(blk), p.Cost)
 	}
-	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Improvement())
+	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Plans.Improvement())
 	if o.adaptive {
 		var adapt core.AdaptiveOptions
 		if o.skew > 0 {
@@ -436,8 +435,9 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 }
 
 // explainCmd compiles the workflow's physical plan — the initial join trees
-// instrumented with the exact-method statistic selection — and prints it
-// with every tap point. The output is deterministic (no execution happens
+// instrumented with the selection core.Select makes for the cycle `run`
+// would configure from the same flags (-stats-tier included) — and prints
+// it with every tap point. The output is deterministic (no execution happens
 // unless -metrics or -derive ask for it), so it doubles as a golden
 // rendering of what an instrumented run would do. With -metrics it
 // additionally executes one instrumented cycle and appends a Metrics
@@ -449,16 +449,23 @@ func explainCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
+	// Explain is always local: no statistics file, adaptive run or
+	// workers, whatever else the command line says.
+	local := *o
+	local.saveStats, local.adaptive, local.workerAddrs = "", false, ""
+	cfg, err := runConfig(&local)
+	if err != nil {
+		return err
+	}
 	an, err := workflow.Analyze(g, cat)
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
+	res, err := css.Generate(an, cfg.CSS)
 	if err != nil {
 		return err
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	sel, err := selector.Select(res, coster, selector.Options{Method: selector.MethodExact})
+	_, sel, err := core.Select(res, cfg)
 	if err != nil {
 		return err
 	}
@@ -469,15 +476,7 @@ func explainCmd(ctx context.Context, o *options) error {
 	fmt.Printf("workflow %s — compiled physical plan (%d block(s), %d tap(s))\n\n",
 		g.Name, len(plan.Blocks), plan.NumTaps())
 	fmt.Print(plan.String())
-	// What -metrics and -derive add are plain local cycles: no statistics
-	// file, adaptive run or workers, whatever else the command line says.
-	local := *o
-	local.saveStats, local.adaptive, local.workerAddrs = "", false, ""
 	if o.metrics != "" {
-		cfg, err := runConfig(&local)
-		if err != nil {
-			return err
-		}
 		cy, err := core.RunCtx(ctx, g, cat, db, cfg)
 		if err != nil {
 			return err
@@ -546,8 +545,7 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	u, err := selector.NewUniverse(res, coster)
+	u, _, err := core.Select(res, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -713,25 +711,16 @@ func statsCmd(doc *workflow.Document, method string, ud bool) error {
 	if err != nil {
 		return err
 	}
-	opt := css.DefaultOptions()
-	opt.UnionDivision = ud
-	res, err := css.Generate(an, opt)
+	cfg := core.DefaultConfig()
+	cfg.CSS.UnionDivision = ud
+	if cfg.Method, err = selector.ParseMethod(method); err != nil {
+		return err
+	}
+	res, err := css.Generate(an, cfg.CSS)
 	if err != nil {
 		return err
 	}
-	var m selector.Method
-	switch method {
-	case "exact":
-		m = selector.MethodExact
-	case "greedy":
-		m = selector.MethodGreedy
-	case "lp":
-		m = selector.MethodLP
-	default:
-		return fmt.Errorf("unknown method %q", method)
-	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	sel, err := selector.Select(res, coster, selector.Options{Method: m})
+	_, sel, err := core.Select(res, cfg)
 	if err != nil {
 		return err
 	}

@@ -63,12 +63,7 @@ func runOne(wfID int, scale float64) error {
 	if err != nil {
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "wf\tSEs\texact\tinitCost\toptCost\tspeedup\tinitRows\toptRows\tmaxQ\ttap%")
-	fmt.Fprintf(w, "%d\t%d\t%d/%d\t%.0f\t%.0f\t%.2fx\t%d\t%d\t%.3g\t%.1f\n",
-		row.ID, row.SEs, row.ExactSEs, row.SEs, row.InitCost, row.OptCost, row.Speedup,
-		row.InitRows, row.OptRows, row.MaxQ, row.TapPct)
-	return w.Flush()
+	return printE2E([]*experiments.E2ERow{row})
 }
 
 func dispatch(exp string, scale, dataScale float64) error {
@@ -200,15 +195,22 @@ func runE2E(scale float64) error {
 	if err != nil {
 		return err
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "wf\tSEs\texact\tinitCost\toptCost\tspeedup\tinitRows\toptRows\tmaxQ\ttap%")
-	for _, r := range rs {
-		fmt.Fprintf(w, "%d\t%d\t%d/%d\t%.0f\t%.0f\t%.2fx\t%d\t%d\t%.3g\t%.1f\n",
-			r.ID, r.SEs, r.ExactSEs, r.SEs, r.InitCost, r.OptCost, r.Speedup, r.InitRows, r.OptRows, r.MaxQ, r.TapPct)
+	if err := printE2E(rs); err != nil {
+		return err
 	}
-	w.Flush()
 	fmt.Println()
 	return nil
+}
+
+// printE2E writes the end-to-end table; every column is deterministic.
+func printE2E(rows []*experiments.E2ERow) error {
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "wf\tSEs\texact\tinitCost\toptCost\tspeedup\tinitRows\toptRows\tmaxQ")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%d\t%d\t%d/%d\t%.0f\t%.0f\t%.2fx\t%d\t%d\t%.3g\n",
+			r.ID, r.SEs, r.ExactSEs, r.SEs, r.InitCost, r.OptCost, r.Speedup, r.InitRows, r.OptRows, r.MaxQ)
+	}
+	return w.Flush()
 }
 
 func runBudget() error {

@@ -59,7 +59,7 @@ func main() {
 		fmt.Printf("%s\n", d.label)
 		fmt.Printf("  designed plan %s work=%d rows\n", blk.Initial.Render(blk), cy.Observed.Rows)
 		fmt.Printf("  learned plan  %s work=%d rows (%.2fx plan-cost improvement)\n\n",
-			cy.Plans.Plans[0].Tree.Render(blk), opt.Rows, cy.Improvement())
+			cy.Plans.Plans[0].Tree.Render(blk), opt.Rows, cy.Plans.Improvement())
 	}
 	fmt.Println("The learned join order tracks the drift: when the weblog explodes the")
 	fmt.Println("reservation join runs first, and vice versa — with no designer involved.")

@@ -11,10 +11,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"github.com/essential-stats/etlopt/internal/costmodel"
+	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/estimate"
@@ -35,12 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	u, err := selector.NewUniverse(res, coster)
-	if err != nil {
-		log.Fatal(err)
-	}
-	unconstrained, err := selector.SelectUniverse(u, selector.Options{Method: selector.MethodExact})
+	u, unconstrained, err := core.Select(res, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +75,7 @@ func main() {
 	}
 	db := w.Data(0.002)
 	eng := engine.New(an, db, nil)
-	store, err := schedule.Execute(eng, res, plan)
+	store, err := schedule.ExecuteCtx(context.Background(), eng, res, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 	}
 	fmt.Printf("\ndesigned plan:  %s (cost %.0f)\n", blk.Initial.Render(blk), cy.Plans.TotalInitialCost)
 	fmt.Printf("optimized plan: %s (cost %.0f)\n", cy.Plans.Plans[0].Tree.Render(blk), cy.Plans.TotalCost)
-	fmt.Printf("improvement:    %.2fx\n", cy.Improvement())
+	fmt.Printf("improvement:    %.2fx\n", cy.Plans.Improvement())
 
 	// 4. Execute the optimized plan; the warehouse content is identical.
 	opt, err := cy.RunOptimized()

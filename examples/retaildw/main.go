@@ -104,7 +104,7 @@ func main() {
 	fmt.Println("\n── 6. cost-based optimization with exact cardinalities ──")
 	fmt.Printf("  designed:  %s  cost %.0f\n", blk.Initial.Render(blk), cy.Plans.TotalInitialCost)
 	fmt.Printf("  optimized: %s  cost %.0f  (%.2fx better)\n",
-		cy.Plans.Plans[0].Tree.Render(blk), cy.Plans.TotalCost, cy.Improvement())
+		cy.Plans.Plans[0].Tree.Render(blk), cy.Plans.TotalCost, cy.Plans.Improvement())
 
 	// Sanity: the estimate for the unobservable O⋈C SE matches a real
 	// execution of that ordering.

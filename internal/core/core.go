@@ -181,6 +181,25 @@ func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine
 	return eng
 }
 
+// Select is the cycle's selection step (Section 5) on its own: it prices the
+// candidate statistics under the configuration's objective (CPUWeight,
+// Sizes), builds the universe its StatsTier admits and solves with Method.
+// Whoever asks which statistics a run will observe asks here.
+func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
+	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
+	coster.CPUWeight = cfg.CPUWeight
+	coster.Sizes = cfg.Sizes
+	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: select statistics: %w", err)
+	}
+	sel, err := selector.SelectUniverse(u, selector.Options{Method: cfg.Method})
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: select statistics: %w", err)
+	}
+	return u, sel, nil
+}
+
 // Run executes one full cycle (steps 1–7 of Figure 2) over the workflow and
 // database: the initial plan runs once, instrumented with the selected
 // statistics, and the returned cycle carries the optimized per-block plans.
@@ -215,16 +234,9 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 	cy.Timings.GenerateCSS = time.Since(start)
 
 	start = time.Now()
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	coster.CPUWeight = cfg.CPUWeight
-	coster.Sizes = cfg.Sizes
-	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})
+	u, sel, err := Select(res, cfg)
 	if err != nil {
-		return cy, fmt.Errorf("core: select statistics: %w", err)
-	}
-	sel, err := selector.SelectUniverse(u, selector.Options{Method: cfg.Method})
-	if err != nil {
-		return cy, fmt.Errorf("core: select statistics: %w", err)
+		return cy, err
 	}
 	cy.Selection = sel
 	cy.Timings.Select = time.Since(start)
@@ -430,13 +442,4 @@ func (cy *Cycle) ShouldReoptimize(prev *Cycle, base float64) bool {
 		return cy.Feedback.ShouldReoptimize(d, base)
 	}
 	return d.Exceeds(base)
-}
-
-// Improvement returns the ratio of initial plan cost to optimized plan cost
-// under the cycle's cost model (1.0 = the initial plan was already optimal).
-func (cy *Cycle) Improvement() float64 {
-	if cy.Plans == nil || cy.Plans.TotalCost == 0 {
-		return 1
-	}
-	return cy.Plans.TotalInitialCost / cy.Plans.TotalCost
 }

@@ -67,8 +67,8 @@ func TestRunFullCycle(t *testing.T) {
 	if cy.Plans.TotalCost > cy.Plans.TotalInitialCost {
 		t.Fatalf("optimized cost %v worse than initial %v", cy.Plans.TotalCost, cy.Plans.TotalInitialCost)
 	}
-	if cy.Improvement() < 1 {
-		t.Fatalf("improvement %v < 1", cy.Improvement())
+	if cy.Plans.Improvement() < 1 {
+		t.Fatalf("improvement %v < 1", cy.Plans.Improvement())
 	}
 	// Executing the optimized plan must produce identical output
 	// cardinality (plans are semantically equivalent).

@@ -200,16 +200,8 @@ func degrade(ctx context.Context, cy *Cycle, eng *engine.Engine, u *selector.Uni
 
 	if deg.Mode == "" {
 		// Pay-as-you-go: run the trivial-CSS baseline sequence and learn
-		// whatever SE cardinalities its re-ordered plans expose. The
-		// baseline uses the batch engine regardless of the cycle's engine
-		// choice — its plan sequences are short, and the observations are
-		// engine-independent.
-		rep := payg.Evaluate(res)
-		pe := engine.New(cy.Analysis, cy.db, nil)
-		pe.Workers = cy.cfg.Workers
-		pe.MaxRows = cy.cfg.MaxRows
-		pe.Faults = cy.cfg.Faults
-		exec, err := payg.ExecuteCtx(ctx, pe, res, rep)
+		// whatever SE cardinalities its re-ordered plans expose.
+		exec, err := payg.ExecuteCtx(ctx, eng, res, payg.Evaluate(res))
 		if err != nil {
 			return nil, fmt.Errorf("payg fallback: %w", err)
 		}

@@ -50,7 +50,7 @@ func (cy *Cycle) Report(w io.Writer) error {
 		p("- block %d designed `%s` (cost %.0f) → optimized `%s` (cost %.0f)\n",
 			bi, blk.Initial.Render(blk), plan.InitialCost, plan.Tree.Render(blk), plan.Cost)
 	}
-	p("\noverall improvement: %.2fx\n\n## Derivations\n\n```\n", cy.Improvement())
+	p("\noverall improvement: %.2fx\n\n## Derivations\n\n```\n", cy.Plans.Improvement())
 	for bi, sp := range cy.CSS.Spaces {
 		blk := cy.Analysis.Blocks[bi]
 		for _, se := range sp.SEs {

@@ -1112,20 +1112,3 @@ func dedupeAttrs(attrs []workflow.Attr) []workflow.Attr {
 	}
 	return out
 }
-
-// Coverage reports how many SE cardinalities across all blocks are
-// derivable from the store — a quick diagnostic for operators checking
-// whether an observation run (or a loaded statistics file) suffices before
-// optimizing.
-func Coverage(res *css.Result, store *stats.Store) (derivable, total int) {
-	e := New(res, store)
-	for bi, sp := range res.Spaces {
-		for _, se := range sp.SEs {
-			total++
-			if _, err := e.CardOf(bi, se); err == nil {
-				derivable++
-			}
-		}
-	}
-	return derivable, total
-}

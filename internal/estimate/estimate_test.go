@@ -12,128 +12,31 @@ import (
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// oracle materializes SE ground truth independently of the engine: it
-// applies input chains and then nested-loop joins, so any agreement with
-// the estimator is meaningful.
-type oracle struct {
-	t   *testing.T
-	an  *workflow.Analysis
-	db  engine.DB
-	reg engine.Registry
-	out map[int]*data.Table // block outputs from a real run, for boundaries
-}
-
-func (o *oracle) input(blk *workflow.Block, i int) *data.Table {
-	in := blk.Inputs[i]
-	var tbl *data.Table
-	switch {
-	case in.SourceRel != "":
-		tbl = o.db[in.SourceRel]
-	case in.FromBlock >= 0:
-		tbl = o.out[in.FromBlock]
-	}
-	if tbl == nil {
-		o.t.Fatalf("oracle: input %d unresolvable", i)
-	}
-	for _, op := range in.Ops {
-		tbl = o.applyOp(tbl, op)
-	}
-	return tbl
-}
-
-func (o *oracle) applyOp(tbl *data.Table, op *workflow.Node) *data.Table {
-	switch op.Kind {
-	case workflow.KindSelect:
-		c := tbl.Col(op.Pred.Attr)
-		res := &data.Table{Rel: tbl.Rel, Attrs: tbl.Attrs}
-		for _, r := range tbl.Rows {
-			if op.Pred.Matches(r[c]) {
-				res.Rows = append(res.Rows, r)
+// checkExact asserts the paper's soundness claim on one pipeline outcome:
+// every SE cardinality the estimator derives equals the brute-force count
+// of wftest.SECard.
+func checkExact(t *testing.T, an *workflow.Analysis, res *css.Result, est *Estimator, db engine.DB, run *engine.Result) {
+	t.Helper()
+	for bi, sp := range res.Spaces {
+		blk := an.Blocks[bi]
+		for _, se := range sp.SEs {
+			want, err := wftest.SECard(an, db, run.BlockOut, bi, se)
+			if err != nil {
+				t.Fatalf("SECard(block %d, %s): %v", bi, se.Label(blk), err)
 			}
-		}
-		return res
-	case workflow.KindProject:
-		cols := make([]int, len(op.Cols))
-		for i, a := range op.Cols {
-			cols[i] = tbl.Col(a)
-		}
-		res := &data.Table{Rel: tbl.Rel, Attrs: append([]workflow.Attr(nil), op.Cols...)}
-		for _, r := range tbl.Rows {
-			row := make(data.Row, len(cols))
-			for i, c := range cols {
-				row[i] = r[c]
+			got, err := est.CardOf(bi, se)
+			if err != nil {
+				t.Fatalf("CardOf(block %d, %s): %v", bi, se.Label(blk), err)
 			}
-			res.Rows = append(res.Rows, row)
-		}
-		return res
-	case workflow.KindTransform:
-		fn := o.reg[op.Transform.Fn]
-		ins := make([]int, len(op.Transform.Ins))
-		for i, a := range op.Transform.Ins {
-			ins[i] = tbl.Col(a)
-		}
-		res := &data.Table{Rel: tbl.Rel, Attrs: append(append([]workflow.Attr(nil), tbl.Attrs...), op.Transform.Out)}
-		for _, r := range tbl.Rows {
-			buf := make([]int64, len(ins))
-			for i, c := range ins {
-				buf[i] = r[c]
+			if got != want {
+				t.Errorf("block %d SE %s: estimated %d, truth %d", bi, se.Label(blk), got, want)
 			}
-			res.Rows = append(res.Rows, append(append(data.Row{}, r...), fn(buf)))
-		}
-		return res
-	default:
-		o.t.Fatalf("oracle: unsupported chain op %v", op.Kind)
-		return nil
-	}
-}
-
-// seCard joins the SE's inputs with nested loops following the block's join
-// edges and returns the result cardinality.
-func (o *oracle) seCard(blk *workflow.Block, se expr.Set) int64 {
-	members := se.Members()
-	cur := o.input(blk, members[0])
-	joined := expr.NewSet(members[0])
-	for joined != se {
-		progress := false
-		for _, e := range blk.Joins {
-			var next int
-			switch {
-			case joined.Has(e.LeftInput) && se.Has(e.RightInput) && !joined.Has(e.RightInput):
-				next = e.RightInput
-			case joined.Has(e.RightInput) && se.Has(e.LeftInput) && !joined.Has(e.LeftInput):
-				next = e.LeftInput
-			default:
-				continue
-			}
-			nt := o.input(blk, next)
-			la, ra := e.LeftAttr, e.RightAttr
-			if cur.Col(la) < 0 {
-				la, ra = ra, la
-			}
-			lc, rc := cur.Col(la), nt.Col(ra)
-			if lc < 0 || rc < 0 {
-				o.t.Fatalf("oracle: join attrs not found: %v/%v", la, ra)
-			}
-			res := &data.Table{Rel: "x", Attrs: append(append([]workflow.Attr(nil), cur.Attrs...), nt.Attrs...)}
-			for _, l := range cur.Rows {
-				for _, r := range nt.Rows {
-					if l[lc] == r[rc] {
-						res.Rows = append(res.Rows, append(append(data.Row{}, l...), r...))
-					}
-				}
-			}
-			cur = res
-			joined = joined.Add(next)
-			progress = true
-		}
-		if !progress {
-			o.t.Fatalf("oracle: SE %v not connected", se)
 		}
 	}
-	return cur.Card()
 }
 
 // pipeline runs the full framework: analyze, generate CSS, select optimal
@@ -212,20 +115,7 @@ func TestExactnessRetail(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, cat, db := zipfRetail(t, 42)
 			an, res, _, est, run := pipeline(t, g, cat, db, tc.opt, selector.MethodExact)
-			o := &oracle{t: t, an: an, db: db, reg: engine.DefaultRegistry(), out: run.BlockOut}
-			for bi, sp := range res.Spaces {
-				blk := an.Blocks[bi]
-				for _, se := range sp.SEs {
-					want := o.seCard(blk, se)
-					got, err := est.CardOf(bi, se)
-					if err != nil {
-						t.Fatalf("CardOf(block %d, %s): %v", bi, se.Label(blk), err)
-					}
-					if got != want {
-						t.Errorf("block %d SE %s: estimated %d, truth %d", bi, se.Label(blk), got, want)
-					}
-				}
-			}
+			checkExact(t, an, res, est, db, run)
 		})
 	}
 }
@@ -246,20 +136,7 @@ func TestExactnessWithChains(t *testing.T) {
 	j2 := b.Join(j1, c, workflow.Attr{Rel: "Orders", Col: "cid"}, workflow.Attr{Rel: "Customer", Col: "cid"})
 	b.Sink(j2, "dw")
 	an, res, _, est, run := pipeline(t, b.Graph(), cat, db, css.DefaultOptions(), selector.MethodExact)
-	o2 := &oracle{t: t, an: an, db: db, reg: engine.DefaultRegistry(), out: run.BlockOut}
-	for bi, sp := range res.Spaces {
-		blk := an.Blocks[bi]
-		for _, se := range sp.SEs {
-			want := o2.seCard(blk, se)
-			got, err := est.CardOf(bi, se)
-			if err != nil {
-				t.Fatalf("CardOf(%s): %v", se.Label(blk), err)
-			}
-			if got != want {
-				t.Errorf("SE %s: estimated %d, truth %d", se.Label(blk), got, want)
-			}
-		}
-	}
+	checkExact(t, an, res, est, db, run)
 }
 
 // TestExactnessMultiBlock exercises the cross-block rules: a group-by
@@ -278,20 +155,7 @@ func TestExactnessMultiBlock(t *testing.T) {
 	if len(an.Blocks) != 2 {
 		t.Fatalf("blocks = %d, want 2", len(an.Blocks))
 	}
-	o2 := &oracle{t: t, an: an, db: db, reg: engine.DefaultRegistry(), out: run.BlockOut}
-	for bi, sp := range res.Spaces {
-		blk := an.Blocks[bi]
-		for _, se := range sp.SEs {
-			want := o2.seCard(blk, se)
-			got, err := est.CardOf(bi, se)
-			if err != nil {
-				t.Fatalf("CardOf(block %d, %s): %v", bi, se.Label(blk), err)
-			}
-			if got != want {
-				t.Errorf("block %d SE %s: estimated %d, truth %d", bi, se.Label(blk), got, want)
-			}
-		}
-	}
+	checkExact(t, an, res, est, db, run)
 }
 
 // TestGreedySelectionAlsoSuffices checks the soundness of the greedy
@@ -299,20 +163,7 @@ func TestExactnessMultiBlock(t *testing.T) {
 func TestGreedySelectionAlsoSuffices(t *testing.T) {
 	g, cat, db := zipfRetail(t, 99)
 	an, res, _, est, run := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodGreedy)
-	o := &oracle{t: t, an: an, db: db, reg: engine.DefaultRegistry(), out: run.BlockOut}
-	for bi, sp := range res.Spaces {
-		blk := an.Blocks[bi]
-		for _, se := range sp.SEs {
-			want := o.seCard(blk, se)
-			got, err := est.CardOf(bi, se)
-			if err != nil {
-				t.Fatalf("CardOf(%s): %v", se.Label(blk), err)
-			}
-			if got != want {
-				t.Errorf("SE %s: estimated %d, truth %d", se.Label(blk), got, want)
-			}
-		}
-	}
+	checkExact(t, an, res, est, db, run)
 }
 
 // TestUnderivableWithoutObservation: estimating from an empty store fails
@@ -413,20 +264,6 @@ func TestExplainDerivationTree(t *testing.T) {
 	}
 	if len(ex2.Leaves()) == 0 {
 		t.Fatal("derivation has no observed leaves")
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	g, cat, db := zipfRetail(t, 3)
-	_, res, _, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
-	d, total := Coverage(res, est.Store)
-	if total == 0 || d != total {
-		t.Fatalf("coverage %d/%d, want full", d, total)
-	}
-	// An empty store covers nothing.
-	d0, total0 := Coverage(res, stats.NewStore())
-	if d0 != 0 || total0 != total {
-		t.Fatalf("empty-store coverage %d/%d", d0, total0)
 	}
 }
 

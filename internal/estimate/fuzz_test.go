@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/wftest"
 )
@@ -30,20 +29,7 @@ func TestExactnessFuzz(t *testing.T) {
 				cssOpt.UnionDivision = false
 			}
 			an, res, _, est, run := pipeline(t, g, cat, db, cssOpt, method)
-			o := &oracle{t: t, an: an, db: db, reg: engine.DefaultRegistry(), out: run.BlockOut}
-			for bi, sp := range res.Spaces {
-				blk := an.Blocks[bi]
-				for _, se := range sp.SEs {
-					want := o.seCard(blk, se)
-					got, err := est.CardOf(bi, se)
-					if err != nil {
-						t.Fatalf("CardOf(block %d, %s): %v", bi, se.Label(blk), err)
-					}
-					if got != want {
-						t.Errorf("block %d SE %s: estimated %d, truth %d", bi, se.Label(blk), got, want)
-					}
-				}
-			}
+			checkExact(t, an, res, est, db, run)
 		})
 	}
 }

@@ -192,40 +192,3 @@ func DataCharacteristics(scale float64) data.Characteristics {
 	}
 	return data.Characterize(tables)
 }
-
-// CatalogCharacteristics summarizes the catalog-declared cardinalities
-// without materializing data (fast path used by tests).
-func CatalogCharacteristics() data.Characteristics {
-	var cards []int64
-	for _, w := range suite.All() {
-		for _, rel := range w.Catalog.Relations {
-			if rel.Card > 0 {
-				cards = append(cards, rel.Card)
-			}
-		}
-	}
-	var ch data.Characteristics
-	if len(cards) == 0 {
-		return ch
-	}
-	max, min, mean, median := summarize(cards)
-	ch.CardMax, ch.CardMin, ch.CardMean, ch.CardMedian = max, min, mean, median
-	return ch
-}
-
-func summarize(vals []int64) (max, min, mean, median int64) {
-	sorted := append([]int64(nil), vals...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	min, max = sorted[0], sorted[len(sorted)-1]
-	var sum int64
-	for _, v := range sorted {
-		sum += v
-	}
-	mean = sum / int64(len(sorted))
-	median = sorted[len(sorted)/2]
-	return
-}

@@ -1,18 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
-	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/payg"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/suite"
-	"github.com/essential-stats/etlopt/internal/workflow"
+	"github.com/essential-stats/etlopt/internal/wftest"
 )
 
 // E2ERow is one end-to-end soundness measurement: after a single
@@ -33,9 +32,6 @@ type E2ERow struct {
 	// MaxQ is the worst q-error across derivable SE targets of the
 	// instrumented run's estimate feedback (1 = every estimate exact).
 	MaxQ float64
-	// TapPct is the share of execution wall time the instrumented run
-	// spent observing statistics (100*tap/(wall+tap)).
-	TapPct float64
 }
 
 // e2eWorkflows are suite entries small enough to execute and verify
@@ -49,7 +45,7 @@ var e2eWorkflows = []int{3, 5, 7, 11, 15, 23}
 func EndToEnd(scale float64) ([]*E2ERow, error) {
 	var out []*E2ERow
 	for _, id := range e2eWorkflows {
-		row, err := endToEndOne(id, scale)
+		row, err := EndToEndWorkflow(id, scale)
 		if err != nil {
 			return nil, err
 		}
@@ -58,200 +54,53 @@ func EndToEnd(scale float64) ([]*E2ERow, error) {
 	return out, nil
 }
 
-// EndToEndWorkflow runs the end-to-end measurement for a single suite
-// workflow; an id outside the suite returns *suite.UnknownWorkflowError.
+// EndToEndWorkflow runs the cycle and the exactness verification for a
+// single suite workflow; an id outside the suite returns
+// *suite.UnknownWorkflowError.
 func EndToEndWorkflow(id int, scale float64) (*E2ERow, error) {
-	if _, err := suite.Get(id); err != nil {
+	w, err := suite.Get(id)
+	if err != nil {
 		return nil, err
 	}
-	return endToEndOne(id, scale)
-}
-
-// endToEndOne runs the cycle and exactness verification for one workflow.
-func endToEndOne(id int, scale float64) (*E2ERow, error) {
-	{
-		w := suite.MustGet(id)
-		db := w.Data(scale)
-		cfg := core.DefaultConfig()
-		cfg.Workers = Workers
-		cfg.CollectMetrics = true
-		cy, err := core.Run(w.Graph, w.Catalog, db, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		row := &E2ERow{ID: id}
-		for bi, sp := range cy.CSS.Spaces {
-			blk := cy.Analysis.Blocks[bi]
-			for _, se := range sp.SEs {
-				row.SEs++
-				truth, err := groundTruthCard(cy, db, blk, se)
-				if err != nil {
-					return nil, fmt.Errorf("%s: ground truth for %s: %w", w.Name, se.Label(blk), err)
-				}
-				got, err := cy.Estimator.CardOf(bi, se)
-				if err != nil {
-					return nil, fmt.Errorf("%s: estimate for %s: %w", w.Name, se.Label(blk), err)
-				}
-				if got == truth {
-					row.ExactSEs++
-				}
-			}
-		}
-		row.InitCost = cy.Plans.TotalInitialCost
-		row.OptCost = cy.Plans.TotalCost
-		if row.OptCost > 0 {
-			row.Speedup = row.InitCost / row.OptCost
-		} else {
-			row.Speedup = 1
-		}
-		row.InitRows = cy.Observed.Rows
-		if cy.Feedback != nil {
-			row.MaxQ = cy.Feedback.MaxQ
-		}
-		if cy.Metrics != nil {
-			wall, tap := cy.Metrics.Totals()
-			if wall+tap > 0 {
-				row.TapPct = 100 * float64(tap) / float64(wall+tap)
-			}
-		}
-		opt, err := cy.RunOptimized()
-		if err != nil {
-			return nil, fmt.Errorf("%s: optimized run: %w", w.Name, err)
-		}
-		row.OptRows = opt.Rows
-		return row, nil
-	}
-}
-
-// groundTruthCard materializes one SE by hash-joining its inputs along the
-// block's join edges, independently of the estimation machinery.
-func groundTruthCard(cy *core.Cycle, db engine.DB, blk *workflow.Block, se expr.Set) (int64, error) {
-	input := func(i int) (*data.Table, error) {
-		in := blk.Inputs[i]
-		var tbl *data.Table
-		switch {
-		case in.SourceRel != "":
-			tbl = db[in.SourceRel]
-		case in.FromBlock >= 0:
-			tbl = cy.Observed.BlockOut[in.FromBlock]
-		}
-		if tbl == nil {
-			return nil, fmt.Errorf("input %d unresolvable", i)
-		}
-		return applyChain(tbl, in.Ops)
-	}
-	members := se.Members()
-	cur, err := input(members[0])
+	db := w.Data(scale)
+	cfg := core.DefaultConfig()
+	cfg.Workers = Workers
+	cfg.CollectMetrics = true
+	cy, err := core.Run(w.Graph, w.Catalog, db, cfg)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	joined := expr.NewSet(members[0])
-	for joined != se {
-		progress := false
-		for _, e := range blk.Joins {
-			var next int
-			switch {
-			case joined.Has(e.LeftInput) && se.Has(e.RightInput) && !joined.Has(e.RightInput):
-				next = e.RightInput
-			case joined.Has(e.RightInput) && se.Has(e.LeftInput) && !joined.Has(e.LeftInput):
-				next = e.LeftInput
-			default:
-				continue
-			}
-			nt, err := input(next)
+	row := &E2ERow{ID: id}
+	for bi, sp := range cy.CSS.Spaces {
+		blk := cy.Analysis.Blocks[bi]
+		for _, se := range sp.SEs {
+			row.SEs++
+			truth, err := wftest.SECard(cy.Analysis, db, cy.Observed.BlockOut, bi, se)
 			if err != nil {
-				return 0, err
+				return nil, fmt.Errorf("%s: ground truth for %s: %w", w.Name, se.Label(blk), err)
 			}
-			la, ra := e.LeftAttr, e.RightAttr
-			if cur.Col(la) < 0 {
-				la, ra = ra, la
-			}
-			cur, err = hashJoinTables(cur, nt, la, ra)
+			got, err := cy.Estimator.CardOf(bi, se)
 			if err != nil {
-				return 0, err
+				return nil, fmt.Errorf("%s: estimate for %s: %w", w.Name, se.Label(blk), err)
 			}
-			joined = joined.Add(next)
-			progress = true
-		}
-		if !progress {
-			return 0, fmt.Errorf("SE %v not connected", se)
+			if got == truth {
+				row.ExactSEs++
+			}
 		}
 	}
-	return cur.Card(), nil
-}
-
-// applyChain replays pushed-down unary operators with the default UDF
-// registry.
-func applyChain(tbl *data.Table, ops []*workflow.Node) (*data.Table, error) {
-	reg := engine.DefaultRegistry()
-	for _, op := range ops {
-		switch op.Kind {
-		case workflow.KindSelect:
-			c := tbl.Col(op.Pred.Attr)
-			if c < 0 {
-				return nil, fmt.Errorf("select attr %s missing", op.Pred.Attr)
-			}
-			res := &data.Table{Rel: tbl.Rel, Attrs: tbl.Attrs}
-			for _, r := range tbl.Rows {
-				if op.Pred.Matches(r[c]) {
-					res.Rows = append(res.Rows, r)
-				}
-			}
-			tbl = res
-		case workflow.KindProject:
-			cols := make([]int, len(op.Cols))
-			for i, a := range op.Cols {
-				cols[i] = tbl.Col(a)
-			}
-			res := &data.Table{Rel: tbl.Rel, Attrs: append([]workflow.Attr(nil), op.Cols...)}
-			for _, r := range tbl.Rows {
-				row := make(data.Row, len(cols))
-				for i, c := range cols {
-					row[i] = r[c]
-				}
-				res.Rows = append(res.Rows, row)
-			}
-			tbl = res
-		case workflow.KindTransform:
-			fn, ok := reg[op.Transform.Fn]
-			if !ok {
-				return nil, fmt.Errorf("unknown UDF %q", op.Transform.Fn)
-			}
-			ins := make([]int, len(op.Transform.Ins))
-			for i, a := range op.Transform.Ins {
-				ins[i] = tbl.Col(a)
-			}
-			res := &data.Table{Rel: tbl.Rel, Attrs: append(append([]workflow.Attr(nil), tbl.Attrs...), op.Transform.Out)}
-			for _, r := range tbl.Rows {
-				buf := make([]int64, len(ins))
-				for i, c := range ins {
-					buf[i] = r[c]
-				}
-				res.Rows = append(res.Rows, append(append(data.Row{}, r...), fn(buf)))
-			}
-			tbl = res
-		}
+	row.InitCost = cy.Plans.TotalInitialCost
+	row.OptCost = cy.Plans.TotalCost
+	row.Speedup = cy.Plans.Improvement()
+	row.InitRows = cy.Observed.Rows
+	if cy.Feedback != nil {
+		row.MaxQ = cy.Feedback.MaxQ
 	}
-	return tbl, nil
-}
-
-// hashJoinTables is a plain equi-join used for ground truth.
-func hashJoinTables(left, right *data.Table, la, ra workflow.Attr) (*data.Table, error) {
-	lc, rc := left.Col(la), right.Col(ra)
-	if lc < 0 || rc < 0 {
-		return nil, fmt.Errorf("join attrs %s/%s missing", la, ra)
+	opt, err := cy.RunOptimized()
+	if err != nil {
+		return nil, fmt.Errorf("%s: optimized run: %w", w.Name, err)
 	}
-	idx := make(map[int64][]data.Row)
-	for _, r := range right.Rows {
-		idx[r[rc]] = append(idx[r[rc]], r)
-	}
-	out := &data.Table{Rel: "gt", Attrs: append(append([]workflow.Attr(nil), left.Attrs...), right.Attrs...)}
-	for _, l := range left.Rows {
-		for _, r := range idx[l[lc]] {
-			out.Rows = append(out.Rows, append(append(data.Row{}, l...), r...))
-		}
-	}
-	return out, nil
+	row.OptRows = opt.Rows
+	return row, nil
 }
 
 // BudgetRow is one point of the Section 6.1 sweep.
@@ -406,7 +255,7 @@ func WorkComparison(ids []int, scale float64) ([]*WorkRow, error) {
 
 		// Baseline: the whole re-ordered plan sequence.
 		rep := payg.Evaluate(res)
-		exec, err := payg.Execute(eng, res, rep)
+		exec, err := payg.ExecuteCtx(context.Background(), eng, res, rep)
 		if err != nil {
 			return nil, err
 		}

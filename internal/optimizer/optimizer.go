@@ -69,13 +69,18 @@ func (r *Result) Trees() map[int]*workflow.JoinTree {
 	return out
 }
 
+// Improvement returns the ratio of initial plan cost to optimized plan cost
+// under the cost model the plans were priced with (1.0 = the initial plans
+// were already optimal, or nothing was optimized).
+func (r *Result) Improvement() float64 {
+	if r == nil || r.TotalCost == 0 {
+		return 1
+	}
+	return r.TotalInitialCost / r.TotalCost
+}
+
 // Options tune the optimizer's plan space.
 type Options struct {
-	// LeftDeepOnly restricts the search to left-deep trees (the right side
-	// of every join is a single input) — the plan shape fully pipelined
-	// ETL engines prefer, since only single-relation build sides are
-	// materialized.
-	LeftDeepOnly bool
 	// FallbackInitial keeps a block on its user-designed initial plan
 	// instead of failing the whole optimization when its cardinalities
 	// cannot be derived (statistics lost to observation failures). Fallback
@@ -162,20 +167,8 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 			return nil, err
 		}
 		for _, p := range sp.Plans[se] {
-			left, right := p.Left, p.Right
-			if opt.LeftDeepOnly {
-				// Keep only compositions with a single-input probe side;
-				// either half may play that role (joins commute).
-				switch {
-				case right.Len() == 1:
-				case left.Len() == 1:
-					left, right = right, left
-				default:
-					continue
-				}
-			}
-			li, okL := sp.IndexOf(left)
-			ri, okR := sp.IndexOf(right)
+			li, okL := sp.IndexOf(p.Left)
+			ri, okR := sp.IndexOf(p.Right)
 			if !okL || !okR {
 				continue
 			}

@@ -104,41 +104,3 @@ func enumerateMin(t *testing.T, bi int, blk *workflow.Block, sp *expr.Space, est
 	}
 	return best, len(all)
 }
-
-// TestLeftDeepOnlyNeverBeatsBushy: restricting the plan space can only keep
-// or worsen the optimum, never improve it; and on star joins (where
-// left-deep is complete) the two coincide.
-func TestLeftDeepOnlyNeverBeatsBushy(t *testing.T) {
-	for seed := int64(400); seed < 415; seed++ {
-		g, cat, db := wftest.Generate(seed, wftest.Options{})
-		an, err := workflow.Analyze(g, cat)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		res, err := css.Generate(an, css.DefaultOptions())
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		coster := costmodel.NewMemoryCoster(res, an.Cat)
-		sel, err := selector.Select(res, coster, selector.Options{Method: selector.MethodGreedy})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		run, err := engine.New(an, engine.DB(db), nil).RunObserved(res, sel.Observe)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		est := estimate.New(res, run.Observed)
-		bushy, err := Optimize(res, est, Cout)
-		if err != nil {
-			t.Fatalf("seed %d bushy: %v", seed, err)
-		}
-		ld, err := OptimizeOpts(res, est, Cout, Options{LeftDeepOnly: true})
-		if err != nil {
-			t.Fatalf("seed %d left-deep: %v", seed, err)
-		}
-		if ld.TotalCost < bushy.TotalCost-1e-9 {
-			t.Errorf("seed %d: left-deep %v beat bushy %v", seed, ld.TotalCost, bushy.TotalCost)
-		}
-	}
-}

@@ -3,12 +3,66 @@ package payg
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
+
+// Run is one execution of a multi-run observation: the join tree per block
+// (nil map or missing entry = the initial plan) and the statistics to
+// collect wherever those plans produce their targets.
+type Run struct {
+	Observe []stats.Stat
+	Trees   map[int]*workflow.JoinTree
+}
+
+// ObserveRuns executes the runs on one engine, each a full execution without
+// the initial-plan observability filter, at most eng.Workers at a time. The
+// stores merge in run order and the work rows add up, so the outcome is the
+// sequential one whatever the completion order. After a failure no further
+// run starts and the earliest failed run's error is returned.
+func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs []*Run) (*stats.Store, int64, error) {
+	stores := make([]*stats.Store, len(runs))
+	rows := make([]int64, len(runs))
+	errs := make([]error, len(runs))
+	var failed atomic.Bool
+	sem := make(chan struct{}, max(eng.Workers, 1))
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		sem <- struct{}{}
+		if failed.Load() {
+			<-sem
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			result, err := eng.RunPlansObservingCtx(ctx, run.Trees, res, run.Observe)
+			if err != nil {
+				errs[i] = err
+				failed.Store(true)
+				return
+			}
+			stores[i], rows[i] = result.Observed, result.Rows
+		}()
+	}
+	wg.Wait()
+	merged := stats.NewStore()
+	var total int64
+	for i, err := range errs {
+		if err != nil {
+			return nil, 0, fmt.Errorf("run %d: %w", i+1, err)
+		}
+		merged.Merge(stores[i])
+		total += rows[i]
+	}
+	return merged, total, nil
+}
 
 // ExecuteResult is the outcome of actually running the baseline's plan
 // sequence.
@@ -23,18 +77,12 @@ type ExecuteResult struct {
 	RowsTotal int64
 }
 
-// Execute runs the pay-as-you-go baseline for real: each plan of the
+// ExecuteCtx runs the pay-as-you-go baseline for real: each plan of the
 // report's per-block sequences executes once (blocks cycle their own
 // sequences independently), observing nothing but cardinality counters at
 // the points each plan produces. Afterwards Learned holds |e| for every SE
 // any plan exposed — the baseline's replacement for the framework's single
 // instrumented run.
-func Execute(eng *engine.Engine, res *css.Result, rep *Report) (*ExecuteResult, error) {
-	return ExecuteCtx(context.Background(), eng, res, rep)
-}
-
-// ExecuteCtx is Execute under a context: cancellation stops the plan
-// sequence between (and, through the engine, within) executions.
 func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, rep *Report) (*ExecuteResult, error) {
 	// Observation wish-list: the cardinality of every SE of every block.
 	var observe []stats.Stat
@@ -43,32 +91,23 @@ func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, rep *R
 			observe = append(observe, stats.NewCard(stats.BlockSE(bi, se)))
 		}
 	}
-	out := &ExecuteResult{Learned: stats.NewStore()}
-	runs := rep.Found
-	if runs < 1 {
-		runs = 1
-	}
-	for r := 0; r < runs; r++ {
+	runs := make([]*Run, max(rep.Found, 1))
+	for r := range runs {
 		plans := make(map[int]*workflow.JoinTree)
 		for _, br := range rep.PerBlock {
 			if len(br.Plans) == 0 {
 				continue
 			}
-			idx := r
-			if idx >= len(br.Plans) {
-				idx = len(br.Plans) - 1 // this block's SEs are already covered
-			}
-			plans[br.Block] = br.Plans[idx]
+			// Past its own sequence a block's SEs are already covered.
+			plans[br.Block] = br.Plans[min(r, len(br.Plans)-1)]
 		}
-		run, err := eng.RunPlansObservingCtx(ctx, plans, res, observe)
-		if err != nil {
-			return nil, fmt.Errorf("payg: execution %d: %w", r+1, err)
-		}
-		out.Learned.Merge(run.Observed)
-		out.RowsTotal += run.Rows
-		out.Runs++
+		runs[r] = &Run{Observe: observe, Trees: plans}
 	}
-	return out, nil
+	learned, rows, err := ObserveRuns(ctx, eng, res, runs)
+	if err != nil {
+		return nil, fmt.Errorf("payg: %w", err)
+	}
+	return &ExecuteResult{Runs: len(runs), Learned: learned, RowsTotal: rows}, nil
 }
 
 // Covered reports whether the learned store holds the cardinality of every

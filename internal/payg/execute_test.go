@@ -1,6 +1,7 @@
 package payg
 
 import (
+	"context"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -23,7 +24,7 @@ func TestExecuteBaselineLearnsAllCardinalities(t *testing.T) {
 		}
 		rep := Evaluate(res)
 		eng := engine.New(an, db, nil)
-		exec, err := Execute(eng, res, rep)
+		exec, err := ExecuteCtx(context.Background(), eng, res, rep)
 		if err != nil {
 			t.Fatalf("seed %d: Execute: %v", seed, err)
 		}
@@ -75,7 +76,7 @@ func TestExecuteWorkMultiplier(t *testing.T) {
 	}
 	rep := Evaluate(res)
 	eng := engine.New(an, db, nil)
-	exec, err := Execute(eng, res, rep)
+	exec, err := ExecuteCtx(context.Background(), eng, res, rep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

@@ -12,7 +12,6 @@ package schedule
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
@@ -25,10 +24,7 @@ import (
 
 // Run is one scheduled execution: the statistics it observes and the join
 // tree per block that exposes them (nil tree = the initial plan).
-type Run struct {
-	Observe []stats.Stat
-	Trees   map[int]*workflow.JoinTree
-}
+type Run = payg.Run
 
 // Plan is the executable multi-run schedule.
 type Plan struct {
@@ -208,59 +204,13 @@ func render(t *workflow.JoinTree) string {
 	return t.String()
 }
 
-// Execute runs the schedule and merges the observations. Later runs observe
-// under re-ordered plans, so the engine's unfiltered observation mode is
-// used; statistics a run's plans fail to expose simply stay absent and are
-// reported as an error at the end.
-//
-// Runs are independent full executions, so when the engine is configured
-// with Workers > 1 they execute concurrently (bounded by Workers). Stores
-// merge in run order, so the merged result is identical to a sequential
-// execution regardless of completion order.
-func Execute(eng *engine.Engine, res *css.Result, plan *Plan) (*stats.Store, error) {
-	return ExecuteCtx(context.Background(), eng, res, plan)
-}
-
-// ExecuteCtx is Execute under a context: cancellation (or deadline expiry)
-// stops every in-flight run promptly — concurrent runs all poll the same
-// context — and the first run's cancellation error is returned.
+// ExecuteCtx runs the schedule through payg.ObserveRuns (later runs observe
+// under re-ordered plans) and returns the merged observations; a statistic
+// no run's plans exposed is an error.
 func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, plan *Plan) (*stats.Store, error) {
-	merged := stats.NewStore()
-	workers := eng.Workers
-	if workers > len(plan.Runs) {
-		workers = len(plan.Runs)
-	}
-	if workers > 1 {
-		results := make([]*engine.Result, len(plan.Runs))
-		errs := make([]error, len(plan.Runs))
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, run := range plan.Runs {
-			wg.Add(1)
-			go func(i int, run *Run) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i], errs[i] = eng.RunPlansObservingCtx(ctx, run.Trees, res, run.Observe)
-			}(i, run)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("schedule: run %d: %w", i+1, err)
-			}
-		}
-		for _, result := range results {
-			merged.Merge(result.Observed)
-		}
-	} else {
-		for i, run := range plan.Runs {
-			result, err := eng.RunPlansObservingCtx(ctx, run.Trees, res, run.Observe)
-			if err != nil {
-				return nil, fmt.Errorf("schedule: run %d: %w", i+1, err)
-			}
-			merged.Merge(result.Observed)
-		}
+	merged, _, err := payg.ObserveRuns(ctx, eng, res, plan.Runs)
+	if err != nil {
+		return nil, fmt.Errorf("schedule: %w", err)
 	}
 	for _, run := range plan.Runs {
 		for _, s := range run.Observe {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
@@ -78,7 +79,7 @@ func TestExecuteScheduleCoversAndEstimates(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	eng := engine.New(an, db, nil)
-	store, err := Execute(eng, res, plan)
+	store, err := ExecuteCtx(context.Background(), eng, res, plan)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -118,13 +119,13 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	seqEng := engine.New(an, db, nil)
-	seq, err := Execute(seqEng, res, plan)
+	seq, err := ExecuteCtx(context.Background(), seqEng, res, plan)
 	if err != nil {
 		t.Fatalf("sequential Execute: %v", err)
 	}
 	parEng := engine.New(an, db, nil)
 	parEng.Workers = 4
-	par, err := Execute(parEng, res, plan)
+	par, err := ExecuteCtx(context.Background(), parEng, res, plan)
 	if err != nil {
 		t.Fatalf("parallel Execute: %v", err)
 	}
@@ -184,7 +185,7 @@ func TestScheduleFuzz(t *testing.T) {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
 		eng := engine.New(an, engine.DB(db), nil)
-		store, err := Execute(eng, res, plan)
+		store, err := ExecuteCtx(context.Background(), eng, res, plan)
 		if err != nil {
 			t.Fatalf("seed %d: Execute: %v", seed, err)
 		}

@@ -73,28 +73,6 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 	}
 }
 
-// TestApproxAccuracyFloor: a floor above every sketch guarantee excludes
-// all variants, collapsing the universe back to the exact tier.
-func TestApproxAccuracyFloor(t *testing.T) {
-	exact := buildApproxUniverse(t, ApproxPolicy{})
-	floored := buildApproxUniverse(t, ApproxPolicy{Enable: true, MinAccuracy: 0.999})
-	if len(floored.Stats) != len(exact.Stats) {
-		t.Fatalf("accuracy floor 0.999 still admitted %d variants",
-			len(floored.Stats)-len(exact.Stats))
-	}
-	loose := buildApproxUniverse(t, ApproxPolicy{Enable: true, MinAccuracy: 0.9})
-	if len(loose.Stats) <= len(exact.Stats) {
-		t.Fatal("accuracy floor 0.9 excluded the default sketches")
-	}
-	a := ApproxAccuracy(stats.Stat{Kind: stats.HLLDistinct})
-	if a <= 0.9 || a >= 1 {
-		t.Fatalf("hll accuracy %v outside (0.9, 1)", a)
-	}
-	if ApproxAccuracy(stats.Stat{Kind: stats.Card}) != 1 {
-		t.Fatal("exact kinds must report accuracy 1")
-	}
-}
-
 // TestApproxSelectionPrefersSketches: every solver, given the cheaper
 // sketch alternatives, covers S_C at no more cost than the exact-only
 // selection, and the greedy/exact ones actually pick sketches.

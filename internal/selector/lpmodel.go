@@ -7,11 +7,12 @@ import (
 	"github.com/essential-stats/etlopt/internal/lp"
 )
 
+// maxLPVars rejects models larger than this many variables; callers fall
+// back to the combinatorial solver.
+const maxLPVars = 4000
+
 // LPOptions tune the LP-formulation solver.
 type LPOptions struct {
-	// MaxVars rejects models larger than this many variables (0 = 4000);
-	// callers fall back to the combinatorial solver.
-	MaxVars int
 	// MaxNodes caps branch-and-bound nodes (0 = 20000).
 	MaxNodes int
 }
@@ -34,10 +35,6 @@ type LPOptions struct {
 // chosen) and the search continues. The returned selection is provably
 // optimal.
 func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
-	maxVars := opt.MaxVars
-	if maxVars <= 0 {
-		maxVars = 4000
-	}
 	n := len(u.Stats)
 	// Variable layout: x for observable stats, then y for all stats, then
 	// z for all CSSs.
@@ -55,8 +52,8 @@ func SolveLP(u *Universe, opt LPOptions) (*Selection, error) {
 	yBase := next
 	zBase := yBase + n
 	next = zBase + u.numCSS()
-	if next > maxVars {
-		return nil, fmt.Errorf("selector: LP model has %d variables, above the limit %d", next, maxVars)
+	if next > maxLPVars {
+		return nil, fmt.Errorf("selector: LP model has %d variables, above the limit %d", next, maxLPVars)
 	}
 
 	p := &lp.Problem{NumVars: next, C: make([]float64, next)}

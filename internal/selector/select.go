@@ -2,6 +2,7 @@ package selector
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
@@ -35,16 +36,28 @@ type Method int
 
 // Available solvers.
 const (
-	// MethodAuto runs the combinatorial exact solver and falls back to its
-	// best incumbent when budgets expire.
-	MethodAuto Method = iota
-	// MethodExact forces the combinatorial branch and bound.
-	MethodExact
+	// MethodExact is the combinatorial branch and bound; it returns its
+	// best incumbent (Optimal=false) when its node or time budget expires.
+	MethodExact Method = iota
 	// MethodGreedy forces the Section 5.3 heuristic.
 	MethodGreedy
 	// MethodLP forces the Section 5.2 integer-program formulation.
 	MethodLP
 )
+
+// ParseMethod maps a solver name ("exact", "greedy" or "lp"; "" means
+// exact) onto its Method.
+func ParseMethod(name string) (Method, error) {
+	switch name {
+	case "", "exact":
+		return MethodExact, nil
+	case "greedy":
+		return MethodGreedy, nil
+	case "lp":
+		return MethodLP, nil
+	}
+	return 0, fmt.Errorf("unknown method %q", name)
+}
 
 // Options configure Select.
 type Options struct {

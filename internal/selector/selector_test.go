@@ -348,7 +348,7 @@ func TestSelectDispatch(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	for _, m := range []Method{MethodAuto, MethodExact, MethodGreedy, MethodLP} {
+	for _, m := range []Method{MethodExact, MethodGreedy, MethodLP} {
 		sel, err := Select(res, coster, Options{Method: m})
 		if err != nil {
 			t.Fatalf("Select(%v): %v", m, err)

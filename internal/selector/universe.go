@@ -15,7 +15,6 @@ package selector
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
@@ -60,10 +59,6 @@ type Universe struct {
 type ApproxPolicy struct {
 	// Enable turns the approximate tier on.
 	Enable bool
-	// MinAccuracy is the per-statistic accuracy floor in [0, 1]: a sketch
-	// variant whose ApproxAccuracy falls below the floor is excluded, so
-	// the selector falls back to the exact kind for that statistic.
-	MinAccuracy float64
 	// Force makes each exact statistic with an admitted sketch sibling
 	// unobservable, so every selection must observe the sketch (the approx
 	// tier). Without it, sketches merely compete on cost (the auto tier).
@@ -73,22 +68,6 @@ type ApproxPolicy struct {
 // UniverseOptions configure universe construction.
 type UniverseOptions struct {
 	Approx ApproxPolicy
-}
-
-// ApproxAccuracy returns the expected accuracy of observing a statistic,
-// 1 for exact kinds and the sketch's analytical guarantee for approximate
-// ones: 1 − 1.04/√m (the HyperLogLog standard error at m registers) for
-// HLLDistinct, and 1 − e/w (the count-min overcount bound at width w) for
-// CMHist.
-func ApproxAccuracy(s stats.Stat) float64 {
-	switch s.Kind {
-	case stats.HLLDistinct:
-		return 1 - 1.04/math.Sqrt(float64(int64(1)<<stats.DefaultHLLP))
-	case stats.CMHist:
-		return 1 - math.E/float64(stats.DefaultCMWidth)
-	default:
-		return 1
-	}
 }
 
 // NewUniverse indexes a CSS-generation result with the given coster. It
@@ -102,8 +81,7 @@ func NewUniverse(res *css.Result, coster *costmodel.Coster) (*Universe, error) {
 // NewUniverseOpts is NewUniverse with options. When the approximate tier
 // is enabled, each exact statistic with a sketch sibling (Distinct →
 // HLLDistinct, single-attribute non-reject Hist → CMHist) that is
-// observable under the initial plan and meets the accuracy floor enters
-// the universe as an extra observable statistic, and the exact statistic
+// observable under the initial plan enters the universe as an extra observable statistic, and the exact statistic
 // gains a one-input candidate set (rules A1 and A2) so observing the
 // sketch covers it. The shared css.Result is never mutated.
 func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOptions) (*Universe, error) {
@@ -114,7 +92,7 @@ func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOpt
 		u.Stats = slices.Clone(res.Stats) // appended to below; the result's is shared
 		for i, s := range res.Stats {
 			v, ok := stats.ApproxVariant(s)
-			if ok && res.StatObservable(v) && ApproxAccuracy(v) >= opts.Approx.MinAccuracy {
+			if ok && res.StatObservable(v) {
 				u.sketchOf[i] = int32(len(u.Stats))
 				u.Stats = append(u.Stats, v)
 			}

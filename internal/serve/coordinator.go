@@ -66,12 +66,6 @@ type CoordinatorOptions struct {
 	// LeaseTTL is how long a lease survives without a successful probe
 	// before the block is reclaimed and reassigned (default 2s).
 	LeaseTTL time.Duration
-	// DispatchRetryMax bounds attempts per block across workers (default
-	// 3: the first try plus two reassignments).
-	DispatchRetryMax int
-	// RetryBackoff is the base delay between dispatch attempts, doubling
-	// per retry, capped at 100ms (default 1ms — the engine's semantics).
-	RetryBackoff time.Duration
 	// Faults injects deterministic Network-kind faults into dispatches
 	// (nil injects nothing). Sites are "net:block:<idx>", so the fault
 	// pattern is independent of worker placement and timing.
@@ -81,13 +75,17 @@ type CoordinatorOptions struct {
 	Client *http.Client
 }
 
-// coordinator timing defaults.
+// coordinator timing defaults and dispatch retry policy.
 const (
-	defaultHeartbeatEvery   = 200 * time.Millisecond
-	defaultLeaseTTL         = 2 * time.Second
-	defaultDispatchRetryMax = 3
-	defaultDispatchBackoff  = time.Millisecond
-	maxDispatchBackoff      = 100 * time.Millisecond
+	defaultHeartbeatEvery = 200 * time.Millisecond
+	defaultLeaseTTL       = 2 * time.Second
+	// dispatchRetryMax bounds attempts per block across workers: the
+	// first try plus two reassignments.
+	dispatchRetryMax = 3
+	// dispatchBackoff is the base delay between dispatch attempts,
+	// doubling per retry up to maxDispatchBackoff (the engine's semantics).
+	dispatchBackoff    = time.Millisecond
+	maxDispatchBackoff = 100 * time.Millisecond
 )
 
 // NewCoordinator validates the options and returns a dispatcher.
@@ -100,12 +98,6 @@ func NewCoordinator(run RunSpec, opt CoordinatorOptions) (*Coordinator, error) {
 	}
 	if opt.LeaseTTL <= 0 {
 		opt.LeaseTTL = defaultLeaseTTL
-	}
-	if opt.DispatchRetryMax <= 0 {
-		opt.DispatchRetryMax = defaultDispatchRetryMax
-	}
-	if opt.RetryBackoff <= 0 {
-		opt.RetryBackoff = defaultDispatchBackoff
 	}
 	if opt.Client == nil {
 		opt.Client = &http.Client{}
@@ -195,17 +187,6 @@ func (s *dispatchSession) Summary() (reassigned int64, lostWorkers []string) {
 	return s.reassigned, append([]string(nil), s.lostOrder...)
 }
 
-// Leases snapshots the lease table (diagnostics and tests).
-func (s *dispatchSession) Leases() []Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Lease, 0, len(s.leases))
-	for _, l := range s.leases {
-		out = append(out, *l)
-	}
-	return out
-}
-
 // permanentError marks a worker-reported block-execution error: it is
 // deterministic, so reassignment cannot help and the engine must surface
 // it as a *BlockFailure exactly like an in-process run would.
@@ -231,7 +212,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 	}
 	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
-	for attempt := 0; attempt < s.c.opt.DispatchRetryMax; attempt++ {
+	for attempt := 0; attempt < dispatchRetryMax; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -239,7 +220,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 			s.mu.Lock()
 			s.reassigned++
 			s.mu.Unlock()
-			if err := dispatchSleep(ctx, s.c.opt.RetryBackoff, attempt-1); err != nil {
+			if err := dispatchSleep(ctx, dispatchBackoff, attempt-1); err != nil {
 				return nil, err
 			}
 		}
@@ -279,7 +260,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		lastErr = err
 	}
 	return nil, fmt.Errorf("serve: block %d undeliverable after %d attempts (last: %v): %w",
-		block, s.c.opt.DispatchRetryMax, lastErr, engine.ErrWorkersLost)
+		block, dispatchRetryMax, lastErr, engine.ErrWorkersLost)
 }
 
 // wireCapError reports a block whose tables cannot cross the wire whole.

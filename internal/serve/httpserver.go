@@ -7,67 +7,29 @@ import (
 	"time"
 )
 
-// Timeouts hardens an http.Server against slow or stalled clients. The
-// daemon and the worker both face the open network in production ETL
+// The daemon and the worker both face the open network in production ETL
 // deployments; a client that dribbles header bytes, never finishes a body,
 // or parks an idle keep-alive connection must not hold a connection slot
-// forever. Zero-valued fields fall back to the defaults below.
-type Timeouts struct {
-	// ReadHeader bounds how long a client may take to send the request
-	// headers (slowloris guard).
-	ReadHeader time.Duration
-	// Read bounds the whole request read, body included.
-	Read time.Duration
-	// Write bounds writing the response, counted from the end of the
-	// request headers.
-	Write time.Duration
-	// Idle bounds how long a keep-alive connection may sit between
-	// requests.
-	Idle time.Duration
-}
-
-// DefaultTimeouts are generous enough for the largest statistics upload
-// (maxUploadBytes) on a slow link while still bounding every connection
-// state.
-func DefaultTimeouts() Timeouts {
-	return Timeouts{
-		ReadHeader: 10 * time.Second,
-		Read:       2 * time.Minute,
-		Write:      2 * time.Minute,
-		Idle:       2 * time.Minute,
-	}
-}
-
-// withDefaults fills zero fields from DefaultTimeouts.
-func (t Timeouts) withDefaults() Timeouts {
-	d := DefaultTimeouts()
-	if t.ReadHeader <= 0 {
-		t.ReadHeader = d.ReadHeader
-	}
-	if t.Read <= 0 {
-		t.Read = d.Read
-	}
-	if t.Write <= 0 {
-		t.Write = d.Write
-	}
-	if t.Idle <= 0 {
-		t.Idle = d.Idle
-	}
-	return t
-}
+// forever. The bounds are generous enough for the largest statistics upload
+// (maxUploadBytes) on a slow link.
+const (
+	readHeaderTimeout = 10 * time.Second // the request headers (slowloris guard)
+	readTimeout       = 2 * time.Minute  // the whole request, body included
+	writeTimeout      = 2 * time.Minute  // the response, from the end of the request headers
+	idleTimeout       = 2 * time.Minute  // a keep-alive connection between requests
+)
 
 // newHTTPServer returns an http.Server with every connection-state timeout
 // set — the one constructor both the daemon and the worker use, so neither
 // can regress to an unbounded server.
-func newHTTPServer(addr string, h http.Handler, t Timeouts) *http.Server {
-	t = t.withDefaults()
+func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
-		ReadHeaderTimeout: t.ReadHeader,
-		ReadTimeout:       t.Read,
-		WriteTimeout:      t.Write,
-		IdleTimeout:       t.Idle,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"sync"
 
 	"github.com/essential-stats/etlopt/internal/core"
-	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/estimate"
 	"github.com/essential-stats/etlopt/internal/optimizer"
@@ -158,7 +157,7 @@ func (s *Server) Handler() http.Handler {
 // drains in-flight requests and returns nil on a clean shutdown — SIGTERM
 // is how the daemon is meant to stop, not an error.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return serveUntil(ctx, newHTTPServer(addr, s.Handler(), Timeouts{}))
+	return serveUntil(ctx, newHTTPServer(addr, s.Handler()))
 }
 
 // cssFor returns the workflow's generated CSS result, building it once per
@@ -543,7 +542,7 @@ func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, e
 		CostModel:        req.CostModel,
 		TotalCost:        plans.TotalCost,
 		TotalInitialCost: plans.TotalInitialCost,
-		Improvement:      improvement(plans),
+		Improvement:      plans.Improvement(),
 		Fallbacks:        plans.Fallbacks,
 	}
 	for bi := range res.Analysis.Blocks {
@@ -563,13 +562,6 @@ func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, e
 	}
 	sort.Slice(resp.Blocks, func(i, j int) bool { return resp.Blocks[i].Block < resp.Blocks[j].Block })
 	return marshalJSON(resp)
-}
-
-func improvement(plans *optimizer.Result) float64 {
-	if plans.TotalCost == 0 {
-		return 1
-	}
-	return plans.TotalInitialCost / plans.TotalCost
 }
 
 // estimateRequest asks for the essential-statistics selection (the design
@@ -625,17 +617,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
 		return
 	}
-	var method selector.Method
-	switch req.Method {
-	case "", "exact":
-		req.Method, method = "exact", selector.MethodExact
-	case "greedy":
-		method = selector.MethodGreedy
-	case "lp":
-		method = selector.MethodLP
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown method %q", req.Method))
+	method, err := selector.ParseMethod(req.Method)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	if req.Method == "" {
+		req.Method = "exact"
 	}
 	if req.Budget < 0 {
 		httpError(w, http.StatusBadRequest, "budget must be >= 0")
@@ -670,12 +658,9 @@ func (s *Server) solveEstimate(req estimateRequest, method selector.Method, entr
 	if err != nil {
 		return nil, err
 	}
-	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
-	u, err := selector.NewUniverse(res, coster)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := selector.SelectUniverse(u, selector.Options{Method: method})
+	cfg := core.DefaultConfig()
+	cfg.Method = method
+	u, sel, err := core.Select(res, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -705,16 +690,17 @@ func (s *Server) solveEstimate(req estimateRequest, method selector.Method, entr
 		resp.ScheduledRuns = len(plan.Runs)
 	}
 	if hasStats {
-		derivable, total := estimate.Coverage(res, entry.Store)
-		resp.Coverage = &coverage{Derivable: derivable, Total: total}
+		resp.Coverage = &coverage{}
 		est := estimate.New(res, entry.Store)
 		for bi, sp := range res.Spaces {
 			blk := res.Analysis.Blocks[bi]
 			for _, se := range sp.SEs {
+				resp.Coverage.Total++
 				card, err := est.CardOf(bi, se)
 				if err != nil {
-					continue // underivable: counted by Coverage
+					continue // underivable: in Total, not in Derivable
 				}
+				resp.Coverage.Derivable++
 				resp.Cardinalities = append(resp.Cardinalities,
 					cardJSON{Block: bi, SE: se.Label(blk), Card: card})
 			}

@@ -30,9 +30,6 @@ import (
 // block, a reassigned block produces byte-identical results on a different
 // worker, and a worker that dies loses nothing but in-flight work.
 type Worker struct {
-	// HTTPTimeouts harden the worker's server (zero = DefaultTimeouts).
-	HTTPTimeouts Timeouts
-
 	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
 	// lower it).
 	maxBody int64
@@ -132,7 +129,7 @@ func (wk *Worker) Handler() http.Handler {
 // ListenAndServe runs the worker until the context is cancelled (SIGTERM
 // is the intended stop), then drains and returns nil.
 func (wk *Worker) ListenAndServe(ctx context.Context, addr string) error {
-	return serveUntil(ctx, newHTTPServer(addr, wk.Handler(), wk.HTTPTimeouts))
+	return serveUntil(ctx, newHTTPServer(addr, wk.Handler()))
 }
 
 func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -75,21 +75,16 @@ type kindInfo struct {
 	// approximate one stands in for (itself for exact kinds).
 	approx bool
 	exact  Kind
-	// bounded marks kinds whose observers use constant-size side memory
-	// (a counter or a fixed register file) rather than memory growing with
-	// the observed record set. The fault model exempts them from tap
-	// (side-memory exhaustion) faults.
-	bounded bool
 }
 
 // kindRegistry declares every statistic kind: name, value shape, and the
 // exact/approximate pairing the selector and degradation ladder navigate.
 var kindRegistry = [...]kindInfo{
-	Card:        {name: "card", shape: ShapeScalar, exact: Card, bounded: true},
+	Card:        {name: "card", shape: ShapeScalar, exact: Card},
 	Distinct:    {name: "distinct", shape: ShapeScalar, exact: Distinct},
 	Hist:        {name: "hist", shape: ShapeHist, exact: Hist},
-	HLLDistinct: {name: "hll-distinct", shape: ShapeHLL, approx: true, exact: Distinct, bounded: true},
-	CMHist:      {name: "cm-hist", shape: ShapeCM, approx: true, exact: Hist, bounded: true},
+	HLLDistinct: {name: "hll-distinct", shape: ShapeHLL, approx: true, exact: Distinct},
+	CMHist:      {name: "cm-hist", shape: ShapeCM, approx: true, exact: Hist},
 }
 
 // NumKinds is the number of registered statistic kinds; kind bytes at or
@@ -108,10 +103,6 @@ func (k Kind) Approx() bool { return kindRegistry[k].approx }
 // ExactKind returns the exact kind an approximate kind stands in for
 // (the kind itself when already exact).
 func (k Kind) ExactKind() Kind { return kindRegistry[k].exact }
-
-// BoundedMemory reports whether the kind's observer uses constant-size
-// side memory at the tap.
-func (k Kind) BoundedMemory() bool { return kindRegistry[k].bounded }
 
 // String names the kind.
 func (k Kind) String() string {

@@ -20,6 +20,8 @@ import (
 // Result is the externally visible outcome of one run: what Evaluate
 // returns, and the view of an engine result the comparison helpers take.
 type Result struct {
+	// BlockOut holds each block's boundary output.
+	BlockOut map[int]*data.Table
 	// Sinks holds the target record-sets by name.
 	Sinks map[string]*data.Table
 	// Materialized holds materialized intermediates and reject links.
@@ -70,6 +72,7 @@ func Evaluate(plan *physical.Plan) (*Result, error) {
 		sinks[sink.Rel] = ev.blockOut[blk.Index]
 	}
 	return &Result{
+		BlockOut:     ev.blockOut,
 		Sinks:        sinks,
 		Materialized: ev.materialized,
 		Rows:         ev.rows,

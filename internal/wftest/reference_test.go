@@ -3,8 +3,11 @@ package wftest
 import (
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
+	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/physical"
+	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -84,6 +87,61 @@ func TestEvaluateCountsByHand(t *testing.T) {
 	}
 	if res.Observed.Len() != 0 {
 		t.Errorf("an uninstrumented plan observed %d statistics", res.Observed.Len())
+	}
+	// The brute-force SE oracle on the same fixture: the filtered orders,
+	// the products, and their join.
+	for se, want := range map[expr.Set]int64{expr.NewSet(0): 4, expr.NewSet(1): 3, expr.NewSet(0, 1): 4} {
+		if got, err := SECard(an, db, nil, 0, se); err != nil || got != want {
+			t.Errorf("SECard(%s) = %d, %v; want %d", se.Label(an.Blocks[0]), got, err, want)
+		}
+	}
+}
+
+// TestSECardMatchesReference holds the brute-force SE oracle against the
+// reference evaluator over generated workflows: wherever the designed plan
+// produces a sub-expression, the oracle's count equals the cardinality tap
+// Evaluate observes there.
+func TestSECardMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		g, cat, db := Generate(seed, Options{})
+		an, err := workflow.Analyze(g, cat)
+		if err != nil {
+			t.Fatalf("seed %d: Analyze: %v", seed, err)
+		}
+		res, err := css.Generate(an, css.DefaultOptions())
+		if err != nil {
+			t.Fatalf("seed %d: Generate: %v", seed, err)
+		}
+		var observe []stats.Stat
+		for bi, sp := range res.Spaces {
+			for _, se := range sp.SEs {
+				observe = append(observe, stats.NewCard(stats.BlockSE(bi, se)))
+			}
+		}
+		plan, err := physical.Compile(an, physical.DB(db), physical.Options{Res: res, Observe: observe, AnyPoint: true})
+		if err != nil {
+			t.Fatalf("seed %d: Compile: %v", seed, err)
+		}
+		ref, err := Evaluate(plan)
+		if err != nil {
+			t.Fatalf("seed %d: Evaluate: %v", seed, err)
+		}
+		for bi, sp := range res.Spaces {
+			for _, se := range sp.SEs {
+				tap := stats.NewCard(stats.BlockSE(bi, se))
+				if !ref.Observed.Has(tap) {
+					if sp.Initial[se] {
+						t.Errorf("seed %d block %d: the designed plan's SE %s went untapped", seed, bi, se.Label(an.Blocks[bi]))
+					}
+					continue
+				}
+				want, _ := ref.Observed.Scalar(tap)
+				if got, err := SECard(an, db, ref.BlockOut, bi, se); err != nil || got != want {
+					t.Errorf("seed %d block %d SE %s: SECard = %d, %v; the reference observed %d",
+						seed, bi, se.Label(an.Blocks[bi]), got, err, want)
+				}
+			}
+		}
 	}
 }
 

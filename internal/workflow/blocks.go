@@ -141,17 +141,6 @@ func (b *Block) InputIndexByAttr(a Attr) int {
 	return -1
 }
 
-// JoinBetween returns the index in Joins of an edge connecting an input in
-// left with an input in right (both given as sets of input indexes), or -1.
-func (b *Block) JoinBetween(left, right map[int]bool) int {
-	for j, e := range b.Joins {
-		if left[e.LeftInput] && right[e.RightInput] || left[e.RightInput] && right[e.LeftInput] {
-			return j
-		}
-	}
-	return -1
-}
-
 // Analysis is the result of decomposing a workflow into optimizable blocks.
 type Analysis struct {
 	Graph  *Graph

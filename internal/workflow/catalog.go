@@ -2,7 +2,6 @@ package workflow
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Column describes one column of a base relation, including the metadata
@@ -110,19 +109,6 @@ func (c *Catalog) Clone() *Catalog {
 		rc.Columns = append(rc.Columns, r.Columns...)
 		out.Relations = append(out.Relations, rc)
 	}
-	return out
-}
-
-// FDsFor returns the functional dependencies declared on the given
-// relation, deterministically ordered.
-func (c *Catalog) FDsFor(rel string) []FD {
-	var out []FD
-	for _, fd := range c.FDs {
-		if fd.Rel == rel {
-			out = append(out, fd)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dependent < out[j].Dependent })
 	return out
 }
 

@@ -297,17 +297,6 @@ func (g *Graph) Outputs(id NodeID) []NodeID {
 	return out
 }
 
-// Sources returns all source nodes in topological (insertion) order.
-func (g *Graph) Sources() []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		if n.Kind == KindSource {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Sinks returns all sink nodes.
 func (g *Graph) Sinks() []*Node {
 	var out []*Node

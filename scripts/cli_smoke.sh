@@ -98,6 +98,22 @@ grep -v '^recovered from transient faults: ' "$work/faults.out" | cmp - "$work/p
 grep -q '^observed 6 statistics (memory 304 units)' "$work/out"
 "$etlopt" run -wf 3 -stats-tier approx > "$work/out"
 grep -q '^observed 5 statistics (memory 387 units)' "$work/out"
+# explain shows the taps run will place: the tier changes the plan it
+# prints, and its tap count is the run's "observed N statistics".
+n="$(sed -n 's/^observed \([0-9]*\) statistics.*/\1/p' "$work/out")"
+"$etlopt" explain -wf 3 > "$work/explain-exact.out"
+"$etlopt" explain -wf 3 -stats-tier approx > "$work/explain-approx.out"
+if cmp -s "$work/explain-exact.out" "$work/explain-approx.out"; then
+    echo "explain ignored -stats-tier approx" >&2
+    exit 1
+fi
+grep -q "^workflow wf03.* $n tap(s))\$" "$work/explain-approx.out"
+# auto lets sketches compete on cost: wf11's are cheaper than its exact
+# histograms (4887 units), wf03's (387, above) are not.
+"$etlopt" run -wf 11 -stats-tier auto > "$work/out"
+grep -q '^observed 5 statistics (memory 387 units)' "$work/out"
+"$etlopt" run -wf 3 -stats-tier auto > "$work/out"
+grep -q '^observed 6 statistics (memory 304 units)' "$work/out"
 exits 2 "$etlopt" run -wf 3 -stats-tier bogus
 
 echo "cli smoke OK"
