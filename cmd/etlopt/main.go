@@ -47,8 +47,9 @@
 //
 // Exit codes: 0 on success, 1 on any runtime error (bad input file,
 // failed run, exceeded -max-rows guard), 2 on usage errors (unknown
-// subcommand, missing arguments, bad -wf or -faults value), 3 when the
-// run was cancelled (SIGINT/SIGTERM) or hit the -timeout deadline.
+// subcommand, missing arguments, bad -wf, -method, -faults or -stats-tier
+// value), 3 when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout
+// deadline.
 //
 // A -worker-addrs run that loses every worker is NOT an error: the
 // coordinator completes the run in-process from its last checkpoint,
@@ -92,7 +93,7 @@ import (
 type options struct {
 	file        string
 	wfID        int
-	method      string
+	method      selector.Method
 	unionDiv    bool
 	scale       float64
 	dataDir     string
@@ -122,7 +123,10 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	fs.StringVar(&o.file, "f", "", "workflow document (JSON) to load")
 	fs.IntVar(&o.wfID, "wf", 0, "built-in suite workflow id (1..30) instead of -f")
-	fs.StringVar(&o.method, "method", "exact", "selection method: exact|greedy|lp")
+	fs.Func("method", "statistics selection method: exact (default, the proven optimum of the paper's §5.2 program) | greedy (the §5.3 heuristic)", func(s string) (err error) {
+		o.method, err = selector.ParseMethod(s)
+		return err
+	})
 	fs.BoolVar(&o.unionDiv, "union-division", true, "enable the union–division rules J4/J5")
 	fs.Float64Var(&o.scale, "scale", 0.002, "data scale for run/explain (suite workflows only)")
 	fs.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
@@ -138,7 +142,7 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		return err
 	})
 	fs.StringVar(&o.saveStats, "save-stats", "", "run: write the observed statistics to this file (the /v1/observe upload format)")
-	fs.Func("stats-tier", "run/explain: statistics tier: exact (default) | approx (sketch-backed observation wherever possible) | auto (sketches compete on cost)", func(s string) (err error) {
+	fs.Func("stats-tier", "statistics tier: exact (default) | approx (sketch-backed observation wherever possible) | auto (sketches compete on cost)", func(s string) (err error) {
 		o.tier, err = core.ParseStatsTier(s)
 		return err
 	})
@@ -186,7 +190,7 @@ func main() {
 		err = withDoc(o, analyze)
 	case "stats":
 		err = withDoc(o, func(doc *workflow.Document) error {
-			return statsCmd(doc, o.method, o.unionDiv)
+			return statsCmd(doc, o)
 		})
 	case "baseline":
 		err = withDoc(o, baseline)
@@ -312,11 +316,14 @@ func splitAddrs(list string) []string {
 	return addrs
 }
 
-// runConfig maps the run flags onto one cycle's configuration. Worker
+// runConfig maps the flags onto one cycle's configuration; every subcommand
+// that selects, runs or schedules takes its configuration from here. Worker
 // addresses make the run distributed; workers regenerate a suite
 // workflow's data from (id, scale), so that is the only kind they can run.
 func runConfig(o *options) (core.Config, error) {
 	cfg := core.DefaultConfig()
+	cfg.Method = o.method
+	cfg.CSS.UnionDivision = o.unionDiv
 	cfg.Workers = o.workers
 	cfg.MaxRows = o.maxRows
 	cfg.CollectMetrics = o.metrics != ""
@@ -517,8 +524,10 @@ func reportCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Faults = o.faults
+	cfg, err := runConfig(o)
+	if err != nil {
+		return err
+	}
 	cy, err := core.RunCtx(ctx, w.Graph, w.Catalog, w.Data(o.scale), cfg)
 	if err != nil {
 		return err
@@ -537,15 +546,19 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	if o.budget <= 0 {
 		return fmt.Errorf("schedule needs -budget <units>")
 	}
+	cfg, err := runConfig(o)
+	if err != nil {
+		return err
+	}
 	an, err := workflow.Analyze(w.Graph, w.Catalog)
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
+	res, err := css.Generate(an, cfg.CSS)
 	if err != nil {
 		return err
 	}
-	u, _, err := core.Select(res, core.DefaultConfig())
+	u, _, err := core.Select(res, cfg)
 	if err != nil {
 		return err
 	}
@@ -564,9 +577,9 @@ func scheduleCmd(ctx context.Context, o *options) error {
 		}
 	}
 	eng := engine.New(an, w.Data(o.scale), nil)
-	eng.Workers = o.workers
-	eng.MaxRows = o.maxRows
-	eng.Faults = o.faults
+	eng.Workers = cfg.Workers
+	eng.MaxRows = cfg.MaxRows
+	eng.Faults = cfg.Faults
 	store, err := schedule.ExecuteCtx(ctx, eng, res, plan)
 	if err != nil {
 		return err
@@ -706,14 +719,13 @@ func analyze(doc *workflow.Document) error {
 	return nil
 }
 
-func statsCmd(doc *workflow.Document, method string, ud bool) error {
-	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
+func statsCmd(doc *workflow.Document, o *options) error {
+	cfg, err := runConfig(o)
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	cfg.CSS.UnionDivision = ud
-	if cfg.Method, err = selector.ParseMethod(method); err != nil {
+	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
+	if err != nil {
 		return err
 	}
 	res, err := css.Generate(an, cfg.CSS)

@@ -146,7 +146,6 @@ var unsetOptionFields = map[string]string{
 	"core.AdaptiveOptions.MaxReplans":         "test seam: TestAdaptiveMaxReplansCap lowers the cap to see it bite",
 	"serve.CoordinatorOptions.HeartbeatEvery": "timing seam: the lease-expiry tests shorten it from 200ms",
 	"serve.CoordinatorOptions.LeaseTTL":       "timing seam: the lease-expiry tests shorten it from 2s",
-	"ilp.Options.Timeout":                     "test seam: ilp.TestTimeout checks a hard instance returns instead of hanging; SolveLP bounds its search by MaxNodes",
 	"wftest.Options.MaxRelations":             "test support: wftest's callers are tests",
 	"wftest.Options.MaxCard":                  "test support: wftest's callers are tests",
 }

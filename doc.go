@@ -17,8 +17,7 @@
 //	stats      statistic descriptors and exact-histogram algebra (§3.1, §4.1)
 //	css        candidate-statistics-set generation, Algorithm 1 (§4)
 //	costmodel  observation cost metrics (§5.4), FD and source-stats enhancements (§6)
-//	lp, ilp    two-phase simplex and 0–1 branch and bound (§5.2 substrate)
-//	selector   optimal statistics selection: ILP, exact B&B, greedy (§5)
+//	selector   statistics selection: the §5.2 optimum by exact B&B, greedy (§5)
 //	engine     instrumented batch execution engine (§3.2.5–3.2.6)
 //	estimate   numeric rule evaluation — exact derived cardinalities (§4.1)
 //	optimizer  cost-based join-order optimization (§3.2.7)

@@ -79,7 +79,7 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 func TestApproxSelectionPrefersSketches(t *testing.T) {
 	exactU := buildApproxUniverse(t, ApproxPolicy{})
 	approxU := buildApproxUniverse(t, ApproxPolicy{Enable: true})
-	for _, m := range []Method{MethodGreedy, MethodExact, MethodLP} {
+	for _, m := range []Method{MethodGreedy, MethodExact} {
 		exSel, err := SelectUniverse(exactU, Options{Method: m})
 		if err != nil {
 			t.Fatalf("method %v exact universe: %v", m, err)

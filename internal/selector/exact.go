@@ -13,12 +13,22 @@ type ExactOptions struct {
 	Timeout time.Duration
 }
 
-// Exact finds a provably minimum-cost observation set by branch and bound
-// over the observable statistics: feasibility is the closure property of
-// Section 5.1, the lower bound combines committed cost with the cheapest
-// possible completion of the most expensive uncovered requirement, and
-// greedy completions supply incumbents and branching choices. When the node
-// budget runs out, the best incumbent is returned with Optimal = false.
+// Exact finds a provably minimum-cost observation set. It minimises the
+// paper's 0–1 program of Section 5.2 — x_i observes statistic i, y_i marks
+// it computable, z_ij marks its candidate set j covered:
+//
+//	min Σ c_i·x_i  subject to
+//	∀ CSS_ij:       Σ_{k∈CSS_ij} y_k ≥ |CSS_ij|·z_ij,  y_i ≥ z_ij
+//	∀ i:            x_i ≤ y_i ≤ x_i + Σ_j z_ij  (x_i = 0 if unobservable)
+//	∀ i ∈ S_C:      y_i ≥ 1
+//
+// over the least fixpoint of those constraints, which is the Section 5.1
+// closure: a candidate-set cycle that only "proves" itself covers nothing.
+// It does so by branch and bound over the observable statistics: feasibility
+// is the closure itself, the lower bound combines committed cost with the
+// cheapest possible completion of the most expensive uncovered requirement,
+// and greedy completions supply incumbents and branching choices. When the
+// node budget runs out, the best incumbent is returned with Optimal = false.
 func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
 	maxNodes := opt.MaxNodes
 	if maxNodes <= 0 {

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
@@ -11,10 +10,31 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
+// fuzzUniverse builds the selection universe of generated workflow seed:
+// at most four relations, union–division on even seeds.
+func fuzzUniverse(t *testing.T, seed int64) *Universe {
+	t.Helper()
+	g, cat, _ := wftest.Generate(seed, wftest.Options{MaxRelations: 4})
+	an, err := workflow.Analyze(g, cat)
+	if err != nil {
+		t.Fatalf("seed %d: Analyze: %v", seed, err)
+	}
+	opt := css.DefaultOptions()
+	opt.UnionDivision = seed%2 == 0
+	res, err := css.Generate(an, opt)
+	if err != nil {
+		t.Fatalf("seed %d: Generate: %v", seed, err)
+	}
+	u, err := NewUniverse(res, costmodel.NewMemoryCoster(res, an.Cat))
+	if err != nil {
+		t.Fatalf("seed %d: NewUniverse: %v", seed, err)
+	}
+	return u
+}
+
 // TestSolverInvariantsFuzz checks, across random workflows, the invariants
-// tying the three solvers together: every solver's selection covers S_C,
-// the exact solver never loses to greedy, and (on small universes) the
-// paper's LP formulation agrees with the combinatorial optimum.
+// tying the two solvers together: both selections cover S_C and the exact
+// solver never loses to greedy.
 func TestSolverInvariantsFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz campaign skipped in -short mode")
@@ -22,22 +42,7 @@ func TestSolverInvariantsFuzz(t *testing.T) {
 	for seed := int64(100); seed < 115; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			g, cat, _ := wftest.Generate(seed, wftest.Options{MaxRelations: 4})
-			an, err := workflow.Analyze(g, cat)
-			if err != nil {
-				t.Fatalf("Analyze: %v", err)
-			}
-			opt := css.DefaultOptions()
-			opt.UnionDivision = seed%2 == 0
-			res, err := css.Generate(an, opt)
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
-			coster := costmodel.NewMemoryCoster(res, an.Cat)
-			u, err := NewUniverse(res, coster)
-			if err != nil {
-				t.Fatalf("NewUniverse: %v", err)
-			}
+			u := fuzzUniverse(t, seed)
 			gr, err := Greedy(u)
 			if err != nil {
 				t.Fatalf("Greedy: %v", err)
@@ -62,23 +67,6 @@ func TestSolverInvariantsFuzz(t *testing.T) {
 			// ones may exhaust the node cap and return their incumbent.
 			if len(u.Stats) <= 200 && !ex.Optimal {
 				t.Errorf("exact did not prove optimality (nodes %d, stats %d)", ex.Nodes, len(u.Stats))
-			}
-			// LP agreement on small universes only (the dense simplex
-			// re-solves from scratch at every branch-and-bound node, so it
-			// is the bottleneck, not the formulation). When the node budget
-			// expires before proof, the incumbent must still not beat the
-			// combinatorial optimum.
-			if len(u.Stats) <= 60 && ex.Optimal {
-				lpSel, err := SolveLP(u, LPOptions{MaxNodes: 500})
-				if err != nil {
-					t.Fatalf("SolveLP: %v", err)
-				}
-				if lpSel.Optimal && math.Abs(lpSel.Cost-ex.Cost) > 1e-6 {
-					t.Errorf("LP cost %v != exact %v", lpSel.Cost, ex.Cost)
-				}
-				if lpSel.Cost < ex.Cost-1e-6 {
-					t.Errorf("LP found %v below the proven optimum %v", lpSel.Cost, ex.Cost)
-				}
 			}
 		})
 	}

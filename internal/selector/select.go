@@ -41,28 +41,25 @@ const (
 	MethodExact Method = iota
 	// MethodGreedy forces the Section 5.3 heuristic.
 	MethodGreedy
-	// MethodLP forces the Section 5.2 integer-program formulation.
-	MethodLP
 )
 
-// ParseMethod maps a solver name ("exact", "greedy" or "lp"; "" means
-// exact) onto its Method.
+// ParseMethod maps a solver name ("exact" or "greedy"; "" means exact) onto
+// its Method.
 func ParseMethod(name string) (Method, error) {
 	switch name {
 	case "", "exact":
 		return MethodExact, nil
 	case "greedy":
 		return MethodGreedy, nil
-	case "lp":
-		return MethodLP, nil
 	}
-	return 0, fmt.Errorf("unknown method %q", name)
+	return 0, fmt.Errorf("selector: unknown method %q (want exact or greedy)", name)
 }
 
 // Options configure Select.
 type Options struct {
 	Method Method
-	// MaxNodes caps search nodes for the exact and LP methods.
+	// MaxNodes caps the exact method's search nodes (0 = a budget scaled
+	// inversely with the universe's size).
 	MaxNodes int
 	// Timeout caps the exact solver's wall-clock time.
 	Timeout time.Duration
@@ -84,8 +81,6 @@ func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
 	switch opt.Method {
 	case MethodGreedy:
 		return Greedy(u)
-	case MethodLP:
-		return SolveLP(u, LPOptions{MaxNodes: opt.MaxNodes})
 	default:
 		maxNodes := opt.MaxNodes
 		if maxNodes <= 0 {

@@ -160,29 +160,69 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 	}
 }
 
-func TestLPMatchesExact(t *testing.T) {
-	g, cat := retail(t)
-	u := buildUniverse(t, g, cat, css.Options{})
-	ex, err := Exact(u, ExactOptions{})
-	if err != nil {
-		t.Fatalf("Exact: %v", err)
+// bruteForceOptimum is Exact's reference: the cost of the cheapest subset of
+// the observable statistics that covers S_C, found by trying every subset.
+func bruteForceOptimum(u *Universe) float64 {
+	var obs []int
+	for i, ok := range u.Observable {
+		if ok {
+			obs = append(obs, i)
+		}
 	}
-	lpSel, err := SolveLP(u, LPOptions{})
-	if err != nil {
-		t.Fatalf("SolveLP: %v", err)
-	}
-	if !lpSel.Optimal {
-		t.Fatal("LP did not prove optimality")
-	}
-	if math.Abs(lpSel.Cost-ex.Cost) > 1e-6 {
-		t.Fatalf("LP cost %v != exact cost %v", lpSel.Cost, ex.Cost)
-	}
+	best := math.Inf(1)
 	observed := make([]bool, len(u.Stats))
-	for _, s := range lpSel.Observe {
-		observed[indexOf(t, u, s)] = true
+	for mask := 0; mask < 1<<len(obs); mask++ {
+		for b, i := range obs {
+			observed[i] = mask&(1<<b) != 0
+		}
+		if cost := u.ObservedCost(observed); cost < best && u.Covered(observed) {
+			best = cost
+		}
 	}
-	if !u.Covered(observed) {
-		t.Fatal("LP selection does not cover S_C")
+	return best
+}
+
+// TestExactMatchesBruteForce holds Exact to its definition: on the retail
+// flow under both CSS option sets, and on every generated universe of seeds
+// 0–199 small enough to enumerate (at most 16 observable statistics),
+// Exact's proven optimum costs what the cheapest covering subset does.
+func TestExactMatchesBruteForce(t *testing.T) {
+	type instance struct {
+		name string
+		u    *Universe
+	}
+	var cases []instance
+	for _, opt := range []css.Options{{}, css.DefaultOptions()} {
+		g, cat := retail(t)
+		cases = append(cases, instance{fmt.Sprintf("retail %+v", opt), buildUniverse(t, g, cat, opt)})
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		u := fuzzUniverse(t, seed)
+		observable := 0
+		for _, ok := range u.Observable {
+			if ok {
+				observable++
+			}
+		}
+		if observable <= 16 {
+			cases = append(cases, instance{fmt.Sprintf("seed %d", seed), u})
+		}
+	}
+	if len(cases) < 2+70 {
+		t.Fatalf("only %d generated universes have at most 16 observables, want 70", len(cases)-2)
+	}
+	t.Logf("retail under 2 option sets and %d generated universes", len(cases)-2)
+	for _, c := range cases {
+		ex, err := Exact(c.u, ExactOptions{})
+		if err != nil {
+			t.Fatalf("%s: Exact: %v", c.name, err)
+		}
+		if !ex.Optimal {
+			t.Errorf("%s: Exact did not prove optimality", c.name)
+		}
+		if want := bruteForceOptimum(c.u); math.Abs(ex.Cost-want) > 1e-6 {
+			t.Errorf("%s: Exact cost %v, brute-force optimum %v", c.name, ex.Cost, want)
+		}
 	}
 }
 
@@ -348,7 +388,7 @@ func TestSelectDispatch(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	for _, m := range []Method{MethodExact, MethodGreedy, MethodLP} {
+	for _, m := range []Method{MethodExact, MethodGreedy} {
 		sel, err := Select(res, coster, Options{Method: m})
 		if err != nil {
 			t.Fatalf("Select(%v): %v", m, err)

@@ -2,10 +2,10 @@
 // ETL workflow, per Section 5 of the paper: given the statistic universe
 // and candidate statistics sets from package css and observation costs from
 // package costmodel, it finds a minimum-cost set of observable statistics
-// such that the cardinality of every sub-expression is computable. Three
-// solvers are provided: the paper's 0–1 LP formulation (Section 5.2) solved
-// by branch and bound, a combinatorial exact branch and bound with
-// closure-based feasibility, and the greedy heuristic of Section 5.3.
+// such that the cardinality of every sub-expression is computable. Two
+// solvers are provided: Exact, a combinatorial branch and bound with
+// closure-based feasibility that minimises the paper's 0–1 program of
+// Section 5.2, and the greedy heuristic of Section 5.3.
 //
 // The solvers work on statistic ids — for the exact tier the css.Result's
 // own — over a flat candidate-set graph (Universe), and share one set of
@@ -26,7 +26,7 @@ import (
 // i is res.Stats[i] (sketch variants of the approximate tier follow the
 // exact universe), costs are precomputed, and the candidate sets that can
 // ever be computed form a flat graph in compressed-row form. It is the
-// common substrate of all three solvers and is read-only once built.
+// common substrate of both solvers and is read-only once built.
 type Universe struct {
 	Res *css.Result
 	// Stats lists the statistic universe in deterministic order.

@@ -36,7 +36,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
@@ -110,8 +109,8 @@ type Server struct {
 	cache  *solutionCache
 	adm    *admission
 
-	mu    sync.Mutex
-	built map[string]*css.Result // workflow → generated CSS result
+	// built holds each workflow's generated CSS result.
+	built onceMap[string, *css.Result]
 
 	metrics *metrics
 }
@@ -136,7 +135,6 @@ func New(cat *Catalog, workflows map[string]*Document, opts Options) (*Server, e
 		workflows: workflows,
 		cache:     newSolutionCache(opts.CacheBytes),
 		adm:       newAdmission(opts.MaxSolves, opts.SolveQueue),
-		built:     make(map[string]*css.Result),
 		metrics:   newMetrics(),
 	}, nil
 }
@@ -161,38 +159,20 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 }
 
 // cssFor returns the workflow's generated CSS result, building it once per
-// workflow (singleflighted: concurrent first requests generate once). An
-// unknown name is a typed error, never a nil dereference inside the
-// flight closure.
+// workflow (concurrent first requests generate once; a failed build is
+// retried by the next request). An unknown name is a typed error.
 func (s *Server) cssFor(name string) (*css.Result, error) {
-	s.mu.Lock()
-	res, ok := s.built[name]
-	s.mu.Unlock()
-	if ok {
-		return res, nil
-	}
 	doc, ok := s.workflows[name]
 	if !ok {
 		return nil, &UnknownWorkflowError{Workflow: name}
 	}
-	v, err, _ := s.flight.Do("css|"+name, func() (any, error) {
+	return s.built.get(name, func() (*css.Result, error) {
 		an, err := workflow.Analyze(doc.Graph, doc.Catalog)
 		if err != nil {
 			return nil, err
 		}
-		res, err := css.Generate(an, css.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.built[name] = res
-		s.mu.Unlock()
-		return res, nil
+		return css.Generate(an, css.DefaultOptions())
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*css.Result), nil
 }
 
 // solved runs the solver for (workflow, generation, key) at most once
@@ -568,7 +548,8 @@ func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, e
 // step) and, when statistics are cataloged, the derived SE cardinalities.
 type estimateRequest struct {
 	Workflow string `json:"workflow"`
-	// Method is the selection solver: "exact" (default), "greedy" or "lp".
+	// Method is the selection solver: "exact" (default) or "greedy"; any
+	// other name, "lp" included, is answered 400.
 	Method string `json:"method,omitempty"`
 	// Budget > 0 additionally plans the Section 6.1 multi-run observation
 	// schedule under a per-run memory budget.

@@ -314,6 +314,10 @@ func TestServeErrorPaths(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad method: %d", resp.StatusCode)
 	}
+	resp, body = post(t, ts.URL+"/v1/estimate", "application/json", []byte(`{"workflow":"tiny","method":"lp"}`))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `method \"lp\"`) {
+		t.Fatalf("method lp: %d %s", resp.StatusCode, body)
+	}
 	resp, _ = post(t, ts.URL+"/v1/estimate", "application/json", []byte(`{"workflow":"tiny","bogus":1}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d", resp.StatusCode)

@@ -41,9 +41,9 @@ cmp "$work/analyze-f.out" "$work/analyze-wf.out"
 echo "== stats: -method, -union-division, determinism over the suite"
 "$etlopt" stats -f "$work/f.json" -method greedy > "$work/out"
 grep -q '^method=greedy ' "$work/out"
-# The LP formulation of Section 5.2 reaches the exact solver's optimum.
-"$etlopt" stats -wf 3 -method lp > "$work/out"
-grep -q '^method=lp optimal=true cost=304 ' "$work/out"
+# exact and greedy are the only solvers; anything else is a usage error.
+exits 2 "$etlopt" stats -wf 3 -method lp
+grep -q '"lp"' "$work/err"
 "$etlopt" stats -wf 3 > "$work/out"
 grep -q ' optimal=true cost=304 ' "$work/out"
 "$etlopt" stats -wf 3 -union-division=false > "$work/out"
@@ -115,5 +115,19 @@ grep -q '^observed 5 statistics (memory 387 units)' "$work/out"
 "$etlopt" run -wf 3 -stats-tier auto > "$work/out"
 grep -q '^observed 6 statistics (memory 304 units)' "$work/out"
 exits 2 "$etlopt" run -wf 3 -stats-tier bogus
+
+echo "== run, explain, report: -method and -union-division reach every subcommand"
+"$etlopt" run -wf 3 -union-division=false > "$work/out"
+grep -q '^observed 5 statistics (memory 800003 units)' "$work/out"
+"$etlopt" explain -wf 3 -union-division=false > "$work/out"
+if cmp -s "$work/out" "$work/explain-exact.out"; then
+    echo "explain ignored -union-division=false" >&2
+    exit 1
+fi
+"$etlopt" run -wf 3 -method greedy > "$work/out"
+grep -q '^observed 8 statistics (memory 306 units)' "$work/out"
+"$etlopt" report -wf 3 -method greedy > "$work/out"
+grep -q '^- selection: greedy ' "$work/out"
+exits 2 "$etlopt" run -wf 3 -method bogus
 
 echo "cli smoke OK"
