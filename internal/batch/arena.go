@@ -10,7 +10,7 @@ const slabElems = 1 << 16
 
 // slabs is a bump allocator over a list of reusable slabs of one element
 // type. Alloc carves from the current slab and appends a fresh slab (sized
-// max(slabElems, n)) only when nothing already held fits; Reset rewinds the
+// max(slabElems, n)) only when nothing already held fits; reset rewinds the
 // carve pointer without releasing the slabs, so steady-state allocation is
 // pointer arithmetic.
 type slabs[T int64 | int32] struct {
@@ -45,11 +45,12 @@ func (s *slabs[T]) alloc(n int) []T {
 func (s *slabs[T]) reset() { s.cur, s.off = 0, 0 }
 
 // Arena is a slab allocator for column vectors and selection vectors. The
-// engine allocates every operator-lifetime vector from an arena and Reset it
-// when the owning scope (a block attempt) ends, so a run's steady-state
-// allocation count is independent of row count.
+// engine allocates every operator-lifetime vector from an arena and hands
+// it back to PutArena, which resets it, when the owning scope (a block
+// attempt) ends, so a run's steady-state allocation count is independent
+// of row count.
 //
-// Lifetime rule: nothing allocated from an arena may outlive its Reset.
+// Lifetime rule: nothing allocated from an arena may outlive its reset.
 // Everything that crosses an arena boundary — block outputs, materialized
 // tables, reject links, statistic values — is copied out first (Table and
 // the statistic stores own their memory).
@@ -62,16 +63,16 @@ type Arena struct {
 }
 
 // Int64 returns an uninitialized int64 vector of length n, valid until
-// Reset. The vector has full capacity n and must not be appended to.
+// the arena is reset. The vector has full capacity n and must not be appended to.
 func (a *Arena) Int64(n int) []int64 { return a.i64.alloc(n) }
 
 // Int32 returns an uninitialized int32 vector (selection vectors, row
-// indexes) of length n, valid until Reset.
+// indexes) of length n, valid until the arena is reset.
 func (a *Arena) Int32(n int) []int32 { return a.i32.alloc(n) }
 
-// Reset reclaims every vector handed out since the last Reset, keeping the
+// reset reclaims every vector handed out since the last reset, keeping the
 // slabs for reuse.
-func (a *Arena) Reset() {
+func (a *Arena) reset() {
 	a.i64.reset()
 	a.i32.reset()
 }
@@ -86,6 +87,6 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 // PutArena resets the arena and returns it to the pool. The caller must not
 // retain any vector allocated from it.
 func PutArena(a *Arena) {
-	a.Reset()
+	a.reset()
 	arenaPool.Put(a)
 }

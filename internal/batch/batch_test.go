@@ -130,7 +130,7 @@ func TestArenaReuse(t *testing.T) {
 	if &v1[0] == &v2[0] {
 		t.Fatal("distinct allocations share backing")
 	}
-	a.Reset()
+	a.reset()
 	v3 := a.Int64(100)
 	if &v3[0] != &v1[0] {
 		t.Fatal("reset should rewind to the first slab")
@@ -155,7 +155,7 @@ func BenchmarkFilterBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Reset()
+		a.reset()
 		sel := SelectPred(col, nil, n, workflow.CmpLt, 50, a.Int32(n))
 		if len(sel) != n/2 {
 			b.Fatalf("selected %d, want %d", len(sel), n/2)

@@ -41,13 +41,13 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// DefaultReplanThreshold is the base q-error a boundary actual must exceed
+// defaultReplanThreshold is the base q-error a boundary actual must exceed
 // to trigger a mid-run replan; the plan-time calibration the run measures
 // widens it (AdaptiveResult.Threshold reports the effective value).
-const DefaultReplanThreshold = 2.0
+const defaultReplanThreshold = 2.0
 
-// DefaultMaxReplans caps replans per run.
-const DefaultMaxReplans = 3
+// defaultMaxReplans caps replans per run.
+const defaultMaxReplans = 3
 
 // AdaptiveOptions tune one adaptive execution.
 type AdaptiveOptions struct {
@@ -224,28 +224,24 @@ func renderTree(t *workflow.JoinTree, blk *workflow.Block) string {
 	return t.Render(blk)
 }
 
-// RunOptimizedAdaptive executes the cycle's optimized plans with mid-run
-// adaptive re-optimization (see the package comment at the top of this
-// file). The run is instrumented with the cycle's selected statistics, so
-// a following cycle can reuse its observations exactly like RunOptimized's.
-func (cy *Cycle) RunOptimizedAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
-	return cy.RunOptimizedAdaptiveCtx(context.Background(), opts)
-}
-
-// RunOptimizedAdaptiveCtx is RunOptimizedAdaptive under a context.
+// RunOptimizedAdaptiveCtx executes the cycle's optimized plans under ctx
+// with mid-run adaptive re-optimization (see the package comment at the top
+// of this file). The run is instrumented with the cycle's selected
+// statistics, so a following cycle can reuse its observations exactly like
+// RunOptimized's.
 func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if cy.Plans == nil || cy.CSS == nil || cy.Selection == nil {
 		return nil, fmt.Errorf("core: adaptive run needs a completed optimization cycle")
 	}
 	maxReplans := opts.MaxReplans
 	if maxReplans <= 0 {
-		maxReplans = DefaultMaxReplans
+		maxReplans = defaultMaxReplans
 	}
 	st := &adaptState{
 		cy:        cy,
 		est:       cy.Estimator,
 		skew:      opts.Skew,
-		threshold: cy.Feedback.ReplanThreshold(DefaultReplanThreshold),
+		threshold: cy.Feedback.ReplanThreshold(defaultReplanThreshold),
 		remaining: maxReplans,
 		actuals:   make(map[stats.Target]int64),
 	}

@@ -80,9 +80,9 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 	// replan at block 0's boundary via estimate skew. The shadow
 	// re-optimization must restore the good tree before block 1 runs.
 	cy.Plans.Plans[1].Tree = blk1.Initial
-	ar, err := cy.RunOptimizedAdaptive(AdaptiveOptions{Skew: map[int]float64{0: 5}})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{Skew: map[int]float64{0: 5}})
 	if err != nil {
-		t.Fatalf("RunOptimizedAdaptive: %v", err)
+		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
 	if len(ar.Replans) != 1 {
 		t.Fatalf("replans = %d, want exactly 1 (skew is dropped after the first)", len(ar.Replans))
@@ -139,9 +139,9 @@ func TestAdaptiveNoReplanOnAccurateEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	ar, err := cy.RunOptimizedAdaptive(AdaptiveOptions{})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{})
 	if err != nil {
-		t.Fatalf("RunOptimizedAdaptive: %v", err)
+		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
 	if len(ar.Replans) != 0 {
 		t.Fatalf("accurate estimates replanned: %+v", ar.Replans)
@@ -170,12 +170,12 @@ func TestAdaptiveMaxReplansCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	ar, err := cy.RunOptimizedAdaptive(AdaptiveOptions{
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{
 		Skew:       map[int]float64{0: 5, 1: 5},
 		MaxReplans: 1,
 	})
 	if err != nil {
-		t.Fatalf("RunOptimizedAdaptive: %v", err)
+		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
 	if len(ar.Replans) > 1 {
 		t.Fatalf("replans = %d, want <= 1 under MaxReplans=1", len(ar.Replans))

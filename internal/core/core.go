@@ -35,14 +35,6 @@ type Config struct {
 	Method selector.Method
 	// CostModel prices plans during join-order optimization.
 	CostModel optimizer.CostModel
-	// CPUWeight adds the Section 5.4 CPU metric (tuples scanned per
-	// statistic update) to the selection objective; 0 selects on memory
-	// alone, the paper's Figure 11 setting.
-	CPUWeight float64
-	// Sizes supplies SE sizes for the CPU metric — typically the previous
-	// cycle's estimator (Cycle.Estimator), closing the Section 5.4 loop.
-	// Nil falls back to the independence approximation.
-	Sizes costmodel.Sizes
 	// Streaming is read by nothing.
 	//
 	// Deprecated: the streaming strategy is gone; the field stays only
@@ -182,13 +174,11 @@ func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine
 }
 
 // Select is the cycle's selection step (Section 5) on its own: it prices the
-// candidate statistics under the configuration's objective (CPUWeight,
-// Sizes), builds the universe its StatsTier admits and solves with Method.
-// Whoever asks which statistics a run will observe asks here.
+// candidate statistics by memory (the paper's Figure 11 objective), builds
+// the universe its StatsTier admits and solves with Method. Whoever asks
+// which statistics a run will observe asks here.
 func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
 	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
-	coster.CPUWeight = cfg.CPUWeight
-	coster.Sizes = cfg.Sizes
 	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: select statistics: %w", err)
@@ -285,27 +275,13 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 // this run in turn; here it returns the executed result so callers can
 // compare work metrics against the initial run.
 func (cy *Cycle) RunOptimized() (*engine.Result, error) {
-	return cy.RunOptimizedCtx(context.Background())
-}
-
-// RunOptimizedCtx is RunOptimized under a context.
-func (cy *Cycle) RunOptimizedCtx(ctx context.Context) (*engine.Result, error) {
 	eng := newExecutor(cy.Analysis, cy.db, cy.cfg)
-	out, err := eng.RunPlansCtx(ctx, cy.Plans.Trees(), nil, nil)
+	out, err := eng.RunPlansCtx(context.Background(), cy.Plans.Trees(), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: optimized run: %w", err)
 	}
 	cy.Optimized = out
 	return out, nil
-}
-
-// NextConfig returns the configuration for the following cycle: identical,
-// but with this cycle's learned sizes feeding the CPU cost metric, the way
-// Section 5.4 breaks the circular size dependency after the first run.
-func (cy *Cycle) NextConfig() Config {
-	cfg := cy.cfg
-	cfg.Sizes = cy.Estimator
-	return cfg
 }
 
 // SaveStats persists the cycle's observed statistics so a later process can
@@ -429,17 +405,4 @@ func (cy *Cycle) DriftFrom(prev *Cycle) stats.Drift {
 		return stats.Drift{}
 	}
 	return stats.MeasureDrift(prev.Observed.Observed, cy.Observed.Observed)
-}
-
-// ShouldReoptimize reports whether the drift since a previous cycle
-// warrants re-optimizing. With metrics collected, the base threshold is
-// calibrated by the estimate feedback: accurate derivations keep the base,
-// inaccurate ones shrink it so a shakily-justified plan re-optimizes
-// sooner. Without feedback the base threshold applies directly.
-func (cy *Cycle) ShouldReoptimize(prev *Cycle, base float64) bool {
-	d := cy.DriftFrom(prev)
-	if cy.Feedback != nil {
-		return cy.Feedback.ShouldReoptimize(d, base)
-	}
-	return d.Exceeds(base)
 }

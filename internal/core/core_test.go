@@ -3,18 +3,17 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
-	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
-
-func statsTarget(block int, se expr.Set) stats.Target { return stats.BlockSE(block, se) }
 
 // skewedRetail builds a flow whose designed order is bad: Orders joins the
 // huge Log first although the Region filter join would shrink it far more.
@@ -72,7 +71,7 @@ func TestRunFullCycle(t *testing.T) {
 	}
 	// Executing the optimized plan must produce identical output
 	// cardinality (plans are semantically equivalent).
-	init, err := engine.New(cy.Analysis, db, nil).Run()
+	init, err := engine.New(cy.Analysis, db, nil).RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("initial run: %v", err)
 	}
@@ -136,38 +135,6 @@ func TestDriftReoptimization(t *testing.T) {
 		if _, err := cy.RunOptimized(); err != nil {
 			t.Fatalf("RunOptimized: %v", err)
 		}
-	}
-}
-
-func TestSecondCycleUsesLearnedSizes(t *testing.T) {
-	g, cat, db := skewedRetail(t)
-	cfg := DefaultConfig()
-	cfg.CPUWeight = 0.001 // engage the CPU metric
-	cy1, err := Run(g, cat, db, cfg)
-	if err != nil {
-		t.Fatalf("cycle 1: %v", err)
-	}
-	// The second cycle prices CPU with the first cycle's exact sizes.
-	cfg2 := cy1.NextConfig()
-	if cfg2.Sizes == nil {
-		t.Fatal("NextConfig did not carry the learned sizes")
-	}
-	cy2, err := Run(g, cat, db, cfg2)
-	if err != nil {
-		t.Fatalf("cycle 2: %v", err)
-	}
-	// Both cycles produce valid, coverage-complete selections; the learned
-	// sizes may change which statistics win, but never correctness.
-	for _, cy := range []*Cycle{cy1, cy2} {
-		if cy.Plans.TotalCost > cy.Plans.TotalInitialCost {
-			t.Fatal("optimizer regressed")
-		}
-	}
-	// Learned sizes answer SE targets exactly.
-	blk0full := cy1.CSS.Space(0).Full()
-	got, ok := cy1.Estimator.SizeOf(statsTarget(0, blk0full))
-	if !ok || got <= 0 {
-		t.Fatalf("SizeOf(full) = %v, %v", got, ok)
 	}
 }
 
@@ -324,6 +291,54 @@ func TestDriftFromTriggersOnChange(t *testing.T) {
 	}
 	if d := cy3.DriftFrom(cy1); !d.Exceeds(0.2) {
 		t.Fatalf("grown-data drift = %+v, expected above 0.2", d)
+	}
+}
+
+// TestReportPlansInBlockOrder pins the report's determinism on a
+// three-block workflow: its "## Plans" section lists the blocks in
+// ascending order, so reports of one cycle differ in the phase timings
+// alone.
+func TestReportPlansInBlockOrder(t *testing.T) {
+	w := suite.MustGet(8)
+	cy, err := Run(w.Graph, w.Catalog, w.Data(0.002), DefaultConfig())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := cy.Report(&buf); err != nil {
+			t.Fatalf("Report: %v", err)
+		}
+		var lines []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(line, "- phase timings:") {
+				lines = append(lines, line)
+			}
+		}
+		out := strings.Join(lines, "\n")
+		if i > 0 {
+			if out != first {
+				t.Fatalf("report %d differs from the first:\n%s\n---\n%s", i, out, first)
+			}
+			continue
+		}
+		first = out
+		plans := out[strings.Index(out, "## Plans"):strings.Index(out, "overall improvement")]
+		next := 0
+		for _, line := range strings.Split(plans, "\n") {
+			var bi int
+			if _, err := fmt.Sscanf(line, "- block %d", &bi); err != nil {
+				continue
+			}
+			if bi != next {
+				t.Fatalf("plans list block %d where block %d belongs:\n%s", bi, next, plans)
+			}
+			next++
+		}
+		if next != len(cy.Analysis.Blocks) {
+			t.Fatalf("plans list %d of %d blocks:\n%s", next, len(cy.Analysis.Blocks), plans)
+		}
 	}
 }
 

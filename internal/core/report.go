@@ -41,8 +41,11 @@ func (cy *Cycle) Report(w io.Writer) error {
 		}
 	}
 	p("```\n\n## Plans\n\n")
-	for bi, plan := range cy.Plans.Plans {
-		blk := cy.Analysis.Blocks[bi]
+	for bi, blk := range cy.Analysis.Blocks {
+		plan, ok := cy.Plans.Plans[bi]
+		if !ok {
+			continue
+		}
 		if plan.Tree == nil {
 			p("- block %d: join-free\n", bi)
 			continue

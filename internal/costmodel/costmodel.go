@@ -15,26 +15,12 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Sizes estimates the tuple count of a statistic's target, used for the
-// CPU cost metric. Section 5.4 breaks the circular dependency (the sizes
-// are what the statistics will estimate) by taking sizes from the previous
-// run when available and from an independence-assumption approximation on
-// the first run.
-type Sizes interface {
-	// SizeOf returns the estimated tuple count of the target, or false
-	// when unknown.
-	SizeOf(t stats.Target) (float64, bool)
-}
-
 // Coster prices statistics for the selection step.
 type Coster struct {
 	// Res is the CSS generation result the statistics belong to.
 	Res *css.Result
 	// Cat supplies domain sizes and functional dependencies.
 	Cat *workflow.Catalog
-	// Sizes supplies target tuple counts for the CPU metric; nil falls
-	// back to Independence.
-	Sizes Sizes
 	// MemWeight and CPUWeight combine the two metrics into one objective.
 	// The paper's experiments report memory, so the default selection uses
 	// MemWeight=1, CPUWeight=0.
@@ -123,24 +109,14 @@ func (c *Coster) reduceByFDs(attrs []workflow.Attr) []workflow.Attr {
 	return out
 }
 
-// CPU returns the CPU observation cost: the estimated number of tuples at
-// the observation point, scaled by the per-kind update weight — each tuple
-// costs one update for exact statistics, while sketch updates (a hash and
-// a register/counter write, no sorted-map maintenance) are priced at
-// UpdateWeight of one.
+// CPU returns the CPU observation cost: the number of tuples at the
+// observation point, estimated under independence (Section 5.4's first-run
+// sizes), scaled by the per-kind update weight — each tuple costs one update
+// for exact statistics, while sketch updates (a hash and a register/counter
+// write, no sorted-map maintenance) are priced at SketchUpdateWeight of one.
 func (c *Coster) CPU(s stats.Stat) float64 {
-	n := 0.0
-	if c.Sizes != nil {
-		if sz, ok := c.Sizes.SizeOf(s.Target); ok {
-			n = sz
-		}
-	}
-	if n == 0 {
-		if sz, ok := NewIndependence(c.Res, c.Cat).SizeOf(s.Target); ok {
-			n = sz
-		}
-	}
-	return n * UpdateWeight(s.Kind)
+	n, _ := independence{c.Res, c.Cat}.sizeOf(s.Target)
+	return n * updateWeight(s.Kind)
 }
 
 // SketchUpdateWeight prices one sketch update relative to one exact
@@ -149,16 +125,16 @@ func (c *Coster) CPU(s stats.Stat) float64 {
 // array writes.
 const SketchUpdateWeight = 0.1
 
-// CardUpdateWeight prices a cardinality update: a bare counter increment,
+// cardUpdateWeight prices a cardinality update: a bare counter increment,
 // with no key hashing or map maintenance at all — orders of magnitude
 // below the exact-distribution unit the weights are relative to.
-const CardUpdateWeight = 0.001
+const cardUpdateWeight = 0.001
 
-// UpdateWeight returns the per-tuple CPU weight of a statistic kind,
+// updateWeight returns the per-tuple CPU weight of a statistic kind,
 // relative to one exact distribution (frequency-map) update.
-func UpdateWeight(k stats.Kind) float64 {
+func updateWeight(k stats.Kind) float64 {
 	if k == stats.Card {
-		return CardUpdateWeight
+		return cardUpdateWeight
 	}
 	if k.Approx() {
 		return SketchUpdateWeight
@@ -215,25 +191,21 @@ func (c *Coster) isFreeSourceStat(s stats.Stat) bool {
 	return rel != nil && rel.HasSourceStats
 }
 
-// Independence estimates target sizes under attribute independence and
+// independence estimates target sizes under attribute independence and
 // uniformity, the paper's first-run approximation: base sizes from the
 // catalog, selectivity 1/domain for equality predicates and 1/3 for range
 // predicates, and joins scaled by 1/domain of the join attribute.
-type Independence struct {
+type independence struct {
 	res *css.Result
 	cat *workflow.Catalog
-	// RejectFraction approximates the share of rows a reject link
-	// captures.
-	RejectFraction float64
 }
 
-// NewIndependence returns an independence-assumption size estimator.
-func NewIndependence(res *css.Result, cat *workflow.Catalog) *Independence {
-	return &Independence{res: res, cat: cat, RejectFraction: 0.1}
-}
+// rejectFraction approximates the share of rows a reject link captures.
+const rejectFraction = 0.1
 
-// SizeOf implements Sizes.
-func (ind *Independence) SizeOf(t stats.Target) (float64, bool) {
+// sizeOf returns the estimated tuple count of the target, or false when
+// the catalog lacks a base size it needs.
+func (ind independence) sizeOf(t stats.Target) (float64, bool) {
 	bc := ind.res.Analysis.Blocks[t.Block]
 	size := 1.0
 	for _, i := range t.Set.Members() {
@@ -242,7 +214,7 @@ func (ind *Independence) SizeOf(t stats.Target) (float64, bool) {
 			return 0, false
 		}
 		if t.IsReject() && i == t.RejectInput {
-			s *= ind.RejectFraction
+			s *= rejectFraction
 		}
 		size *= s
 	}
@@ -262,7 +234,7 @@ func (ind *Independence) SizeOf(t stats.Target) (float64, bool) {
 
 // inputSize estimates the tuple count of one input at the depth addressed
 // by the target (full chain for cooked SEs).
-func (ind *Independence) inputSize(blk *workflow.Block, i int, t stats.Target) (float64, bool) {
+func (ind independence) inputSize(blk *workflow.Block, i int, t stats.Target) (float64, bool) {
 	in := blk.Inputs[i]
 	var base float64
 	switch {
@@ -274,7 +246,7 @@ func (ind *Independence) inputSize(blk *workflow.Block, i int, t stats.Target) (
 		base = float64(rel.Card)
 	case in.FromBlock >= 0:
 		up := ind.res.Analysis.Blocks[in.FromBlock]
-		s, ok := ind.SizeOf(stats.BlockSE(in.FromBlock, fullSet(up)))
+		s, ok := ind.sizeOf(stats.BlockSE(in.FromBlock, fullSet(up)))
 		if !ok {
 			return 0, false
 		}

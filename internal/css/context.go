@@ -255,12 +255,6 @@ func (r *Result) BoundaryClass(block, input int, a workflow.Attr) (workflow.Attr
 	return r.blocks[in.FromBlock].sp.ClassOf(phys), nil
 }
 
-// ChainDepth returns the number of pushed-down operators on the given
-// input, i.e. the depth of the cooked chain point.
-func (r *Result) ChainDepth(block, input int) int {
-	return r.blocks[block].chainLen(input)
-}
-
 // PhysicalAttrs resolves a statistic's class-representative attributes to
 // the physical attributes present at the statistic's target, for use by the
 // instrumentation and estimation layers.

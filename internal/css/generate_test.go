@@ -542,8 +542,8 @@ func TestBoundaryClassAndChainDepth(t *testing.T) {
 	// Block 0's Orders input carries one pushed-down select.
 	blk0 := an.Blocks[0]
 	oIdx := inputIdx(t, blk0, "Orders")
-	if d := res.ChainDepth(0, oIdx); d != 1 {
-		t.Fatalf("ChainDepth(Orders) = %d, want 1", d)
+	if d := res.blocks[0].chainLen(oIdx); d != 1 {
+		t.Fatalf("chain depth of Orders = %d, want 1", d)
 	}
 	// Block 1's upstream input translates its class to block 0's space.
 	blk1 := an.Blocks[1]

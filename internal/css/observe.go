@@ -93,14 +93,3 @@ func (r *Result) StatObservable(s stats.Stat) bool {
 	ok, _ := classify(bc, targetOf(t))
 	return ok
 }
-
-// ObservableStats returns the observable statistics in canonical order.
-func (r *Result) ObservableStats() []stats.Stat {
-	var out []stats.Stat
-	for id, ok := range r.Observable {
-		if ok {
-			out = append(out, r.Stats[id])
-		}
-	}
-	return out
-}

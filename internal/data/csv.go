@@ -18,10 +18,10 @@ import (
 // (cardinalities, distinct counts, domain sizes) the analyzer and cost
 // model need — the part a relational source would have provided.
 
-// ReadCSV parses one CSV file into a table. The first record must be the
+// readCSVFile parses one CSV file into a table. The first record must be the
 // header (column names); all values must be integers (the engine's value
 // domain). The relation name is the file name without extension.
-func ReadCSV(path string) (*Table, error) {
+func readCSVFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -113,7 +113,7 @@ func LoadDir(dir string) (map[string]*Table, error) {
 		if e.IsDir() || !strings.HasSuffix(strings.ToLower(e.Name()), ".csv") {
 			continue
 		}
-		t, err := ReadCSV(filepath.Join(dir, e.Name()))
+		t, err := readCSVFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return nil, err
 		}

@@ -38,8 +38,8 @@ func (t *Table) Col(a workflow.Attr) int {
 // Card returns the number of rows.
 func (t *Table) Card() int64 { return int64(len(t.Rows)) }
 
-// DistinctOf returns the number of distinct values of attribute a.
-func (t *Table) DistinctOf(a workflow.Attr) (int64, error) {
+// distinctOf returns the number of distinct values of attribute a.
+func (t *Table) distinctOf(a workflow.Attr) (int64, error) {
 	c := t.Col(a)
 	if c < 0 {
 		return 0, fmt.Errorf("data: attribute %s not in table %s", a, t.Rel)
@@ -51,23 +51,23 @@ func (t *Table) DistinctOf(a workflow.Attr) (int64, error) {
 	return int64(len(seen)), nil
 }
 
-// Zipf draws values in [1, n] with P(k) ∝ 1/k^s, deterministically from the
+// zipf draws values in [1, n] with P(k) ∝ 1/k^s, deterministically from the
 // given source. It wraps math/rand's Zipf with the paper's "high skew"
 // default and 1-based values so 0 can mean NULL-ish absence in tests.
-type Zipf struct {
+type zipf struct {
 	z *rand.Zipf
 }
 
-// NewZipf returns a Zipfian sampler over [1, n] with exponent s (> 1).
-func NewZipf(rng *rand.Rand, s float64, n int64) *Zipf {
+// newZipf returns a Zipfian sampler over [1, n] with exponent s (> 1).
+func newZipf(rng *rand.Rand, s float64, n int64) *zipf {
 	if s <= 1 {
 		s = 1.0001 // rand.Zipf requires s > 1
 	}
-	return &Zipf{z: rand.NewZipf(rng, s, 1, uint64(n-1))}
+	return &zipf{z: rand.NewZipf(rng, s, 1, uint64(n-1))}
 }
 
-// Next draws the next value in [1, n].
-func (z *Zipf) Next() int64 { return int64(z.z.Uint64()) + 1 }
+// next draws the next value in [1, n].
+func (z *zipf) next() int64 { return int64(z.z.Uint64()) + 1 }
 
 // ColumnSpec configures one generated column.
 type ColumnSpec struct {
@@ -101,8 +101,8 @@ func Generate(spec TableSpec, seed int64) *Table {
 			next := int64(0)
 			samplers[i] = func() int64 { next++; return next }
 		case c.Skew > 0:
-			z := NewZipf(rng, c.Skew, c.Domain)
-			samplers[i] = z.Next
+			z := newZipf(rng, c.Skew, c.Domain)
+			samplers[i] = z.next
 		default:
 			dom := c.Domain
 			samplers[i] = func() int64 { return rng.Int63n(dom) + 1 }
@@ -128,7 +128,7 @@ func CatalogEntry(t *Table, spec TableSpec) *workflow.Relation {
 		if c.Serial {
 			dom = spec.Card
 		}
-		distinct, _ := t.DistinctOf(t.Attrs[i])
+		distinct, _ := t.distinctOf(t.Attrs[i])
 		rel.Columns = append(rel.Columns, workflow.Column{Name: c.Name, Domain: dom, Distinct: distinct})
 	}
 	return rel
@@ -148,7 +148,7 @@ func Characterize(tables []*Table) Characteristics {
 	for _, t := range tables {
 		cards = append(cards, t.Card())
 		for _, a := range t.Attrs {
-			d, err := t.DistinctOf(a)
+			d, err := t.distinctOf(a)
 			if err == nil {
 				uvs = append(uvs, d)
 			}

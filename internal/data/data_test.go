@@ -48,7 +48,7 @@ func TestSerialColumn(t *testing.T) {
 			t.Fatalf("serial row %d = %d", i, r[0])
 		}
 	}
-	d, err := tab.DistinctOf(workflow.Attr{Rel: "T", Col: "id"})
+	d, err := tab.distinctOf(workflow.Attr{Rel: "T", Col: "id"})
 	if err != nil || d != 100 {
 		t.Fatalf("DistinctOf(serial) = %d, %v", d, err)
 	}
@@ -58,10 +58,10 @@ func TestZipfSkew(t *testing.T) {
 	// High skew: the most frequent value should dominate; uniform should
 	// not.
 	rng := rand.New(rand.NewSource(3))
-	z := NewZipf(rng, 2.0, 1000)
+	z := newZipf(rng, 2.0, 1000)
 	counts := map[int64]int{}
 	for i := 0; i < 20000; i++ {
-		v := z.Next()
+		v := z.next()
 		if v < 1 || v > 1000 {
 			t.Fatalf("Zipf value %d out of range", v)
 		}
@@ -74,9 +74,9 @@ func TestZipfSkew(t *testing.T) {
 
 func TestZipfInvalidSkewClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	z := NewZipf(rng, 0.5, 10) // must not panic: clamped above 1
+	z := newZipf(rng, 0.5, 10) // must not panic: clamped above 1
 	for i := 0; i < 100; i++ {
-		if v := z.Next(); v < 1 || v > 10 {
+		if v := z.next(); v < 1 || v > 10 {
 			t.Fatalf("value %d out of range", v)
 		}
 	}
@@ -149,7 +149,7 @@ func TestTableCol(t *testing.T) {
 	if tab.Col(workflow.Attr{Rel: "T", Col: "zz"}) != -1 {
 		t.Fatal("Col of missing attr should be -1")
 	}
-	if _, err := tab.DistinctOf(workflow.Attr{Rel: "T", Col: "zz"}); err == nil {
+	if _, err := tab.distinctOf(workflow.Attr{Rel: "T", Col: "zz"}); err == nil {
 		t.Fatal("DistinctOf missing attr: want error")
 	}
 }

@@ -66,10 +66,10 @@ func constant(n int, v int64) []int64 {
 }
 
 func zipfDomain(n int, domain int64) []int64 {
-	z := NewZipf(rand.New(rand.NewSource(7)), 1.3, domain)
+	z := newZipf(rand.New(rand.NewSource(7)), 1.3, domain)
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = z.Next()
+		out[i] = z.next()
 	}
 	return out
 }

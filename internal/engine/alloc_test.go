@@ -58,7 +58,7 @@ func TestGroupByAllocsBatch(t *testing.T) {
 	}
 	e := New(an, DB{"G": tbl}, nil)
 	allocs := testing.AllocsPerRun(5, func() {
-		res, err := e.Run()
+		res, err := e.RunPlans(nil, nil, nil)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -101,7 +101,7 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	observe := res.ObservableStats()
+	observe := observableStats(res)
 	e := New(an, DB{"F": fact, "D1": d1, "D2": d2}, nil)
 	run := func() {
 		out, err := e.RunObserved(res, observe)

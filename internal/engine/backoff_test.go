@@ -16,14 +16,13 @@ import (
 // which fired the timer instantly and turned the capped backoff into a hot
 // retry loop. The doubling must saturate at the cap instead.
 func TestSleepSaturatesAtCap(t *testing.T) {
-	env := newRunEnv(context.Background(), nil, nil, 0, time.Millisecond)
 	for _, attempt := range []int{62, 63, 64, 200} {
 		start := time.Now()
-		if err := env.sleep(attempt); err != nil {
-			t.Fatalf("sleep(%d): %v", attempt, err)
+		if err := Backoff(context.Background(), time.Millisecond, attempt); err != nil {
+			t.Fatalf("Backoff(%d): %v", attempt, err)
 		}
 		if d := time.Since(start); d < maxRetryBackoff/2 {
-			t.Fatalf("sleep(%d) returned after %v; overflowed past the %v cap", attempt, d, maxRetryBackoff)
+			t.Fatalf("Backoff(%d) returned after %v; overflowed past the %v cap", attempt, d, maxRetryBackoff)
 		}
 	}
 }
@@ -33,11 +32,10 @@ func TestSleepSaturatesAtCap(t *testing.T) {
 func TestSleepCancelledBeforeWait(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	env := newRunEnv(ctx, nil, nil, 0, maxRetryBackoff)
 	start := time.Now()
-	err := env.sleep(0)
+	err := Backoff(ctx, maxRetryBackoff, 0)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("sleep on cancelled context = %v, want context.Canceled", err)
+		t.Fatalf("Backoff on cancelled context = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > maxRetryBackoff/2 {
 		t.Fatalf("cancelled sleep still waited %v", d)
@@ -67,7 +65,7 @@ func TestRetryBackoffCancelPrompt(t *testing.T) {
 		e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
 		time.AfterFunc(5*time.Millisecond, cancel)
 		start := time.Now()
-		_, err := e.RunPlansCtx(ctx, nil, res, res.ObservableStats())
+		_, err := e.RunPlansCtx(ctx, nil, res, observableStats(res))
 		elapsed := time.Since(start)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)

@@ -92,7 +92,7 @@ func TestCancellationAllConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	observe := res.ObservableStats()
+	observe := observableStats(res)
 	golden, err := New(an, db, nil).RunObserved(res, observe)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)

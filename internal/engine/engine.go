@@ -32,23 +32,13 @@ import (
 // DB maps base relation names to materialized tables.
 type DB = physical.DB
 
-// UDF is a scalar transformation function applied per tuple.
-type UDF = physical.UDF
-
-// Registry resolves transform function names to implementations.
-type Registry = physical.Registry
-
-// DefaultRegistry returns the built-in UDFs used by the examples and the
-// benchmark suite.
-func DefaultRegistry() Registry { return physical.DefaultRegistry() }
-
 // Engine executes workflows over column vectors, batch-at-a-time. Results,
 // observed statistics and the work metric are identical at any worker
 // count.
 type Engine struct {
 	An  *workflow.Analysis
 	DB  DB
-	Reg Registry
+	Reg physical.Registry
 	// Workers bounds how many independent blocks execute concurrently
 	// (the block dependency DAG is derived from the analysis); each block
 	// itself runs on one goroutine. Values <= 1 run sequentially.
@@ -83,9 +73,9 @@ type Engine struct {
 }
 
 // New returns an engine for the analyzed workflow over the database.
-func New(an *workflow.Analysis, db DB, reg Registry) *Engine {
+func New(an *workflow.Analysis, db DB, reg physical.Registry) *Engine {
 	if reg == nil {
-		reg = DefaultRegistry()
+		reg = physical.DefaultRegistry()
 	}
 	return &Engine{An: an, DB: db, Reg: reg}
 }
@@ -94,7 +84,7 @@ func New(an *workflow.Analysis, db DB, reg Registry) *Engine {
 //
 // Deprecated: the streaming strategy is gone; the name stays only because
 // bench/ calls it (ROADMAP item 4 removes both).
-func NewStream(an *workflow.Analysis, db DB, reg Registry) *Engine { return New(an, db, reg) }
+func NewStream(an *workflow.Analysis, db DB, reg physical.Registry) *Engine { return New(an, db, reg) }
 
 // Result is the outcome of one workflow execution.
 type Result struct {
@@ -122,11 +112,6 @@ type Result struct {
 	// Dist records block placement when the run executed through a
 	// dispatcher (nil for purely local runs).
 	Dist *DistReport
-}
-
-// Run executes the workflow with each block using its initial join tree.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunPlans(nil, nil, nil)
 }
 
 // RunObserved executes the initial plan instrumented to collect the given

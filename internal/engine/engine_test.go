@@ -73,7 +73,7 @@ func TestRunRetailInitialPlan(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	e := New(an, db, nil)
-	res, err := e.Run()
+	res, err := e.RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestRunAlternativePlansSameResult(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	e := New(an, db, nil)
-	initial, err := e.Run()
+	initial, err := e.RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Run(initial): %v", err)
 	}
@@ -153,7 +153,7 @@ func TestRunChainOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	res, err := New(an, db, nil).Run()
+	res, err := New(an, db, nil).RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestRunGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	res, err := New(an, db, nil).Run()
+	res, err := New(an, db, nil).RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestRunRejectLinkMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	res, err := New(an, db, nil).Run()
+	res, err := New(an, db, nil).RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestRunMissingRelation(t *testing.T) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	e := New(an, DB{}, nil)
-	if _, err := e.Run(); err == nil {
+	if _, err := e.RunPlans(nil, nil, nil); err == nil {
 		t.Fatal("missing relation: want error")
 	}
 }
@@ -249,7 +249,7 @@ func TestRunUnknownUDF(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	if _, err := New(an, db, nil).Run(); err == nil {
+	if _, err := New(an, db, nil).RunPlans(nil, nil, nil); err == nil {
 		t.Fatal("unknown UDF: want error")
 	}
 }

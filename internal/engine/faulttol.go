@@ -148,7 +148,7 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 			return nil, err
 		}
 		env.retries.Add(1)
-		if serr := env.sleep(attempt); serr != nil {
+		if serr := Backoff(env.ctx, env.backoff, attempt); serr != nil {
 			return nil, serr
 		}
 	}
@@ -157,17 +157,19 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 // maxRetryBackoff caps the exponential backoff between attempts.
 const maxRetryBackoff = 100 * time.Millisecond
 
-// sleep waits out the capped exponential backoff before retry `attempt`+1,
-// returning early if the run is cancelled. The doubling saturates at the
-// cap instead of shifting: `backoff << attempt` overflows to a negative
-// duration for large attempt counts, which would fire the timer instantly
-// and turn the backoff into a hot retry loop. An already-cancelled context
-// returns before the timer is even armed.
-func (env *runEnv) sleep(attempt int) error {
-	if err := env.ctx.Err(); err != nil {
+// Backoff waits out the capped exponential backoff before retry attempt+1
+// — base doubled attempt times, capped at 100ms — returning early with the
+// context's error if ctx is cancelled. The engine's block retries and the
+// distributed coordinator's reassignments both wait here. The doubling
+// saturates at the cap instead of shifting: `base << attempt` overflows to
+// a negative duration for large attempt counts, which would fire the timer
+// instantly and turn the backoff into a hot retry loop. An already-cancelled
+// context returns before the timer is even armed.
+func Backoff(ctx context.Context, base time.Duration, attempt int) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	d := env.backoff
+	d := base
 	for i := 0; i < attempt && d < maxRetryBackoff; i++ {
 		d <<= 1
 	}
@@ -177,8 +179,8 @@ func (env *runEnv) sleep(attempt int) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-env.ctx.Done():
-		return env.ctx.Err()
+	case <-ctx.Done():
+		return ctx.Err()
 	case <-t.C:
 		return nil
 	}

@@ -22,7 +22,7 @@ func TestParallelMatchesSequentialRetail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	observe := res.ObservableStats()
+	observe := observableStats(res)
 
 	seqBatch, err := New(an, db, nil).RunObserved(res, observe)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			observe := res.ObservableStats()
+			observe := observableStats(res)
 
 			seqBatch, err := New(an, db, nil).RunObserved(res, observe)
 			if err != nil {
@@ -114,14 +114,14 @@ func TestBlockDAGParallel(t *testing.T) {
 	if independent < 2 {
 		t.Fatalf("want >= 2 independent blocks, got %d", independent)
 	}
-	seq, err := New(an, db, nil).Run()
+	seq, err := New(an, db, nil).RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	for _, w := range []int{2, 4} {
 		e := New(an, db, nil)
 		e.Workers = w
-		out, err := e.Run()
+		out, err := e.RunPlans(nil, nil, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -143,7 +143,7 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		e := New(an, db, nil)
 		e.Workers = 4
-		_, err := e.Run()
+		_, err := e.RunPlans(nil, nil, nil)
 		if err == nil {
 			t.Fatal("want error for missing relations")
 		}

@@ -33,7 +33,7 @@ func newResumeFixture(t *testing.T) *resumeFixture {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	return &resumeFixture{an: an, db: db, res: res, observe: res.ObservableStats()}
+	return &resumeFixture{an: an, db: db, res: res, observe: observableStats(res)}
 }
 
 // engine builds an engine over the fixture, optionally faulted.

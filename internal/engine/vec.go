@@ -188,7 +188,7 @@ func vecApplyOp(n *physical.Node, in *batch.Batch, a *batch.Arena) *batch.Batch 
 // a trailing column (the aggregate-UDF shape). Output vectors are
 // arena-allocated at the worst-case size (every live row distinct) and
 // sliced to the emitted count.
-func vecDedup(in *batch.Batch, keyCols []int, fn UDF, a *batch.Arena) *batch.Batch {
+func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *batch.Batch {
 	live := in.Rows()
 	w := len(keyCols)
 	outW := w

@@ -34,19 +34,24 @@ type Estimator struct {
 	Store *stats.Store
 
 	// memo[id] is the value of universe statistic id once state[id] is
-	// evaluated (nil: not derivable).
+	// past inProgress (nil: not derivable).
 	memo  []*stats.Value
 	state []evalState
 	// extra memoizes statistics outside the universe the same way.
 	extra map[stats.Key]*stats.Value
 }
 
-type evalState uint8
+// evalState is where the derivation of one universe statistic stands:
+// unevaluated, inProgress, evaluated (observed, or not derivable), or
+// derived+i — derived through candidate set i of Res.CSS[id], the one
+// Explain renders.
+type evalState int32
 
 const (
 	unevaluated evalState = iota
 	inProgress
 	evaluated
+	derived
 )
 
 // New returns an estimator over the given CSS result and observation store.
@@ -58,23 +63,6 @@ func New(res *css.Result, store *stats.Store) *Estimator {
 		state: make([]evalState, len(res.Stats)),
 		extra: make(map[stats.Key]*stats.Value),
 	}
-}
-
-// SizeOf implements costmodel.Sizes: target sizes from this run's derived
-// statistics, realizing the paper's Section 5.4 "sizes from the previous
-// runs" for the CPU cost metric of subsequent cycles.
-func (e *Estimator) SizeOf(t stats.Target) (float64, bool) {
-	v, err := e.Value(stats.NewCard(t))
-	if err != nil {
-		return 0, false
-	}
-	// Cardinalities above 2^53 would round silently in the float64 cost
-	// arithmetic; report them as unavailable rather than subtly wrong.
-	f, err := stats.Float64FromInt64(v.Scalar)
-	if err != nil {
-		return 0, false
-	}
-	return f, true
 }
 
 // CardOf returns the (derived) cardinality of an SE.
@@ -181,7 +169,7 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 	}
 	e.state[id] = inProgress
 	var firstErr error
-	for _, c := range e.Res.CSS[id] {
+	for i, c := range e.Res.CSS[id] {
 		v, err := e.eval(s, c)
 		if err != nil {
 			if firstErr == nil {
@@ -190,7 +178,7 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 			continue
 		}
 		v.Approx = v.Approx || e.anyApproxInput(c)
-		e.memo[id], e.state[id] = v, evaluated
+		e.memo[id], e.state[id] = v, derived+evalState(i)
 		return v, nil
 	}
 	e.state[id] = evaluated

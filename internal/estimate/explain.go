@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
@@ -26,11 +25,9 @@ type Explanation struct {
 }
 
 // Explain computes (or recalls) the value of a statistic and returns its
-// full derivation tree. The estimator's memoization ensures shared
-// sub-derivations are evaluated once even though they may be rendered
-// multiple times.
+// full derivation tree: the candidate set Value derived it through, as the
+// estimator recorded it for each statistic.
 func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
-	// Ensure the value is computed and memoized.
 	v, err := e.Value(s)
 	if err != nil {
 		return nil, err
@@ -54,27 +51,20 @@ func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
 			Inputs: []*Explanation{{Stat: av, Value: leaf, Rule: "observed"}},
 		}, nil
 	}
-	// Find the first evaluable CSS — the same order Value used, so the
-	// explanation matches the computation.
-	var cands []css.Candidate
-	if id, ok := e.Res.Lookup(s); ok {
-		cands = e.Res.CSS[id]
+	id, ok := e.Res.Lookup(s)
+	if !ok || e.state[id] < derived {
+		return nil, fmt.Errorf("estimate: no evaluable derivation for %v", s.Key())
 	}
-	for _, c := range cands {
-		if _, err := e.eval(s, c); err != nil {
-			continue
+	c := e.Res.CSS[id][e.state[id]-derived]
+	ex := &Explanation{Stat: s, Value: v, Rule: c.Rule.String(), Inputs: make([]*Explanation, 0, len(c.Inputs))}
+	for _, in := range c.Inputs {
+		child, err := e.Explain(e.Res.Stats[in])
+		if err != nil {
+			return nil, err
 		}
-		ex := &Explanation{Stat: s, Value: v, Rule: c.Rule.String()}
-		for _, in := range c.Inputs {
-			child, err := e.Explain(e.Res.Stats[in])
-			if err != nil {
-				return nil, err
-			}
-			ex.Inputs = append(ex.Inputs, child)
-		}
-		return ex, nil
+		ex.Inputs = append(ex.Inputs, child)
 	}
-	return nil, fmt.Errorf("estimate: no evaluable derivation for %v", s.Key())
+	return ex, nil
 }
 
 // Render formats the derivation tree with one node per line, indenting
@@ -103,38 +93,4 @@ func (ex *Explanation) render(sb *strings.Builder, blk *workflow.Block, depth in
 	for _, in := range ex.Inputs {
 		in.render(sb, blk, depth+1)
 	}
-}
-
-// Leaves returns the observed statistics the derivation bottoms out in,
-// de-duplicated, in first-encountered order.
-func (ex *Explanation) Leaves() []stats.Stat {
-	seen := make(map[stats.Key]bool)
-	var out []stats.Stat
-	var walk func(*Explanation)
-	walk = func(n *Explanation) {
-		if n.Rule == "observed" {
-			if k := n.Stat.Key(); !seen[k] {
-				seen[k] = true
-				out = append(out, n.Stat)
-			}
-			return
-		}
-		for _, in := range n.Inputs {
-			walk(in)
-		}
-	}
-	walk(ex)
-	return out
-}
-
-// Depth returns the height of the derivation tree (an observed statistic
-// has depth 1).
-func (ex *Explanation) Depth() int {
-	max := 0
-	for _, in := range ex.Inputs {
-		if d := in.Depth(); d > max {
-			max = d
-		}
-	}
-	return max + 1
 }

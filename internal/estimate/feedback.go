@@ -15,9 +15,9 @@ import (
 // *actual* cardinality, and the estimator can derive the same cardinality
 // from the selected statistics set. Comparing the two per SE — the q-error
 // lens of the cardinality-estimation literature — tells an operator which
-// derivation rules held up, and calibrates how eagerly drift between runs
-// should trigger re-optimization: a plan justified by exact derivations can
-// tolerate more drift than one resting on shaky estimates.
+// derivation rules held up, and calibrates how far a boundary actual must
+// stray before an adaptive run re-plans mid-run: a plan justified by shaky
+// estimates has already priced in that much disagreement.
 
 // SEReport compares one statistic target's actual cardinality against the
 // estimate derived from the selected statistics.
@@ -79,18 +79,18 @@ type Feedback struct {
 	MaxQ  float64 `json:"maxQ"`
 	MeanQ float64 `json:"meanQ"`
 	// P90Q is the 90th-percentile finite q-error of derivable, non-vacuous
-	// targets (nearest-rank; 0 when there are none). Calibration divides by
-	// it instead of MaxQ so a single outlier cannot zero the drift
-	// threshold and flap the re-optimization trigger.
+	// targets (nearest-rank; 0 when there are none). ReplanThreshold
+	// widens by it instead of MaxQ so a single outlier cannot blow the
+	// replan threshold open.
 	P90Q float64 `json:"p90q,omitempty"`
 	// Unbounded counts derivable targets with an infinite q-error (one
 	// side zero, the other not).
 	Unbounded int `json:"unbounded"`
 	// UnboundedEmpty counts the unbounded targets whose actual was zero:
 	// the SE was empty at this scale and the estimate merely over-predicted
-	// a few rows. These disagreements are noise on tiny inputs, so they do
-	// not force the calibrated threshold to zero the way a genuinely broken
-	// derivation (actual > 0, estimate 0) does.
+	// a few rows. These disagreements are noise on tiny inputs, so they
+	// never trip a replan the way a genuinely broken derivation (actual > 0,
+	// estimate 0) does.
 	UnboundedEmpty int `json:"unboundedEmpty,omitempty"`
 	// Vacuous counts derivable targets where actual and estimate are both
 	// zero (see SEReport.Vacuous).
@@ -240,9 +240,9 @@ func qError(act, est int64) float64 {
 	return math.Max(a/b, b/a)
 }
 
-// calibrationQuantile is the finite q-error quantile the calibration
-// divides by: high enough to capture systematic inaccuracy, but not the
-// maximum, so one outlying derivation cannot zero the threshold.
+// calibrationQuantile is the finite q-error quantile ReplanThreshold widens
+// by: high enough to capture systematic inaccuracy, but not the maximum, so
+// one outlying derivation cannot blow the threshold open.
 const calibrationQuantile = 0.9
 
 // quantileOf returns the p-quantile of ascending-sorted qs by the
@@ -261,44 +261,11 @@ func quantileOf(qs []float64, p float64) float64 {
 	return qs[idx]
 }
 
-// CalibratedThreshold scales a base drift threshold by the feedback's
-// accuracy: with exact derivations (P90Q = 1) the base holds; the further
-// estimates strayed, the smaller the returned threshold, so a plan resting
-// on shaky estimates re-optimizes sooner.
-//
-// The calibration divides by the P90 finite q-error, not the maximum, so a
-// single outlier does not zero the threshold and turn every drift into a
-// re-optimization. It still returns 0 — re-optimize on any drift — when
-// there is no usable finite evidence, or when some derivation is broken
-// outright (estimate 0 against a non-zero actual). Unbounded q-errors on
-// empty SEs (actual 0, estimate > 0 — over-prediction noise at small
-// scales) and vacuous 0/0 targets are excluded from the evidence rather
-// than collapsing the threshold.
-func (f *Feedback) CalibratedThreshold(base float64) float64 {
-	if f == nil || f.Derivable == 0 {
-		return 0
-	}
-	if f.Unbounded > f.UnboundedEmpty {
-		// A derivation claimed an SE empty that was not: broken, not shaky.
-		return 0
-	}
-	if f.P90Q <= 0 {
-		// Only vacuous or empty-SE evidence: the derivations went untested.
-		return 0
-	}
-	q := f.P90Q
-	if q < 1 {
-		q = 1
-	}
-	return base / q
-}
-
 // ReplanThreshold widens a base mid-run replan threshold by the plan-time
 // estimate inaccuracy: a boundary actual deviating within the q-error
 // envelope the plan was already justified under is not news, so the
-// adaptive trigger only fires beyond it — the de-flapping counterpart of
-// CalibratedThreshold (which tightens the between-run drift trigger).
-// Absent or untested feedback keeps the base.
+// adaptive trigger only fires beyond it. Absent or untested feedback keeps
+// the base.
 func (f *Feedback) ReplanThreshold(base float64) float64 {
 	if f == nil || f.P90Q <= 1 {
 		return base
@@ -330,13 +297,6 @@ func (f *Feedback) TripsReplan(threshold float64) (SEReport, bool) {
 		}
 	}
 	return SEReport{}, false
-}
-
-// ShouldReoptimize applies the calibrated threshold to a measured drift:
-// the data-driven re-optimization trigger for the paper's "at each run or
-// some other user defined interval" loop.
-func (f *Feedback) ShouldReoptimize(d stats.Drift, base float64) bool {
-	return d.Exceeds(f.CalibratedThreshold(base))
 }
 
 // Render formats the report as a deterministic fixed-order text table (no

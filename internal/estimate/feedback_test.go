@@ -30,75 +30,18 @@ func TestQError(t *testing.T) {
 	}
 }
 
-func TestCalibratedThreshold(t *testing.T) {
-	// Exact feedback keeps the base threshold; systematic inaccuracy
-	// (high P90) shrinks it; absent or broken feedback forces
-	// re-optimization on any drift.
-	exact := &Feedback{Derivable: 4, Total: 4, MaxQ: 1, P90Q: 1}
-	if got := exact.CalibratedThreshold(0.3); got != 0.3 {
-		t.Errorf("exact threshold = %v, want 0.3", got)
-	}
-	shaky := &Feedback{Derivable: 4, Total: 4, MaxQ: 3, P90Q: 3}
-	if got := shaky.CalibratedThreshold(0.3); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("shaky threshold = %v, want 0.1", got)
-	}
-	var nilFB *Feedback
-	if got := nilFB.CalibratedThreshold(0.3); got != 0 {
-		t.Errorf("nil feedback threshold = %v, want 0", got)
-	}
-	none := &Feedback{}
-	if got := none.CalibratedThreshold(0.3); got != 0 {
-		t.Errorf("underivable feedback threshold = %v, want 0", got)
-	}
-
-	d := stats.Drift{MaxRel: 0.2}
-	if exact.ShouldReoptimize(d, 0.3) {
-		t.Error("0.2 drift under exact 0.3 threshold should not re-optimize")
-	}
-	if !shaky.ShouldReoptimize(d, 0.3) {
-		t.Error("0.2 drift over calibrated 0.1 threshold must re-optimize")
-	}
-}
-
-// TestCalibratedThresholdSingleOutlier pins the de-flapping bugfix: one
-// finite outlier among otherwise-exact derivations must no longer zero (or
-// near-zero) the threshold — calibration divides by P90, not MaxQ.
-func TestCalibratedThresholdSingleOutlier(t *testing.T) {
+// TestReplanThresholdSingleOutlier pins the de-flapping fix: one finite
+// outlier among otherwise-exact derivations must not widen the threshold —
+// the calibration reads P90, not MaxQ.
+func TestReplanThresholdSingleOutlier(t *testing.T) {
 	outlier := &Feedback{Derivable: 10, Total: 10, MaxQ: 50, MeanQ: 5.9, P90Q: 1}
-	got := outlier.CalibratedThreshold(0.3)
-	if got != 0.3 {
-		t.Errorf("single-outlier threshold = %v, want base 0.3 (P90 calibration)", got)
+	if got := outlier.ReplanThreshold(2); got != 2 {
+		t.Errorf("single-outlier threshold = %v, want base 2 (P90 calibration)", got)
 	}
-	// The old MaxQ calibration would have returned 0.006 — effectively
-	// re-optimizing on every run. Guard against regressing to it.
-	if got < 0.3/2 {
-		t.Errorf("single outlier collapsed threshold to %v", got)
-	}
-	// P90Q below 1 cannot inflate the threshold past base.
+	// P90Q below 1 cannot narrow the threshold past base.
 	sub := &Feedback{Derivable: 2, Total: 2, P90Q: 0.5}
-	if got := sub.CalibratedThreshold(0.3); got != 0.3 {
-		t.Errorf("sub-1 P90 threshold = %v, want clamped base 0.3", got)
-	}
-}
-
-// TestCalibratedThresholdEmptySE pins the second half of the bugfix:
-// unbounded q-errors whose actual was zero (over-predicted empty SEs) are
-// noise, not broken derivations, and must not force reoptimize-every-run.
-// A genuinely broken derivation — estimate zero against rows that exist —
-// still zeroes the threshold.
-func TestCalibratedThresholdEmptySE(t *testing.T) {
-	empty := &Feedback{Derivable: 6, Total: 6, MaxQ: 1, P90Q: 1, Unbounded: 2, UnboundedEmpty: 2}
-	if got := empty.CalibratedThreshold(0.3); got != 0.3 {
-		t.Errorf("empty-SE unbounded threshold = %v, want 0.3", got)
-	}
-	broken := &Feedback{Derivable: 6, Total: 6, MaxQ: 1, P90Q: 1, Unbounded: 2, UnboundedEmpty: 1}
-	if got := broken.CalibratedThreshold(0.3); got != 0 {
-		t.Errorf("hard-unbounded threshold = %v, want 0", got)
-	}
-	// Only vacuous 0/0 evidence means the derivations went untested.
-	vac := &Feedback{Derivable: 3, Total: 3, Vacuous: 3}
-	if got := vac.CalibratedThreshold(0.3); got != 0 {
-		t.Errorf("vacuous-only threshold = %v, want 0", got)
+	if got := sub.ReplanThreshold(2); got != 2 {
+		t.Errorf("sub-1 P90 threshold = %v, want clamped base 2", got)
 	}
 }
 
@@ -305,8 +248,8 @@ func TestConeFeedbackSkew(t *testing.T) {
 
 // TestBuildFeedbackVacuous pins the 0/0 tagging: a derivable target whose
 // actual and (skew-zeroed) estimate are both zero is vacuous — counted,
-// excluded from the q-error aggregates, and never counted as perfect
-// evidence for the calibration.
+// excluded from the q-error aggregates, and never counted as evidence for
+// the calibration.
 func TestBuildFeedbackVacuous(t *testing.T) {
 	g, cat, db := zipfRetail(t, 5)
 	_, res, _, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
@@ -324,15 +267,15 @@ func TestBuildFeedbackVacuous(t *testing.T) {
 	if fb.P90Q != 0 || fb.MaxQ != 0 {
 		t.Fatalf("vacuous evidence leaked into aggregates: p90 %v max %v", fb.P90Q, fb.MaxQ)
 	}
-	if got := fb.CalibratedThreshold(0.3); got != 0 {
-		t.Fatalf("vacuous-only calibration = %v, want 0 (untested)", got)
+	if got := fb.ReplanThreshold(2); got != 2 {
+		t.Fatalf("vacuous-only calibration = %v, want base 2 (untested)", got)
 	}
 	if _, ok := fb.TripsReplan(0); ok {
 		t.Fatal("vacuous target tripped replan")
 	}
 
-	// An over-predicted empty SE is unbounded-empty, not broken: it keeps
-	// the calibrated threshold and never trips a replan.
+	// An over-predicted empty SE is unbounded-empty, not broken: it never
+	// trips a replan.
 	fb = BuildFeedback(res, est, actuals)
 	if fb.Unbounded != 1 || fb.UnboundedEmpty != 1 {
 		t.Fatalf("feedback unbounded=%d empty=%d, want 1/1", fb.Unbounded, fb.UnboundedEmpty)

@@ -72,8 +72,8 @@ type WorkflowRow struct {
 	GreedyMem int64
 }
 
-// RunWorkflow produces the full measurement row for one suite workflow.
-func RunWorkflow(w *suite.Workflow) (*WorkflowRow, error) {
+// runWorkflow produces the full measurement row for one suite workflow.
+func runWorkflow(w *suite.Workflow) (*WorkflowRow, error) {
 	row := &WorkflowRow{ID: w.ID, Name: w.Name}
 	an, err := w.Analyze()
 	if err != nil {
@@ -133,17 +133,13 @@ func RunWorkflow(w *suite.Workflow) (*WorkflowRow, error) {
 	return row, nil
 }
 
-// RunWorkflow3 measures the union–division showcase workflow (a shorthand
-// for tests and docs).
-func RunWorkflow3() (*WorkflowRow, error) { return RunWorkflow(suite.MustGet(3)) }
-
 // RunAllSeq measures every suite workflow sequentially — use this variant
 // when the per-workflow timings (Figure 10) matter, since parallel workers
 // contend for cores and inflate them.
 func RunAllSeq() ([]*WorkflowRow, error) {
 	var rows []*WorkflowRow
 	for _, w := range suite.All() {
-		row, err := RunWorkflow(w)
+		row, err := runWorkflow(w)
 		if err != nil {
 			return nil, err
 		}
@@ -168,7 +164,7 @@ func RunAll() ([]*WorkflowRow, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			rows[i], errs[i] = RunWorkflow(w)
+			rows[i], errs[i] = runWorkflow(w)
 		}()
 	}
 	wg.Wait()

@@ -31,7 +31,7 @@ func TestEndToEndExactness(t *testing.T) {
 // TestRunWorkflowShape spot-checks the figure rows for the paper anecdotes.
 func TestRunWorkflowShape(t *testing.T) {
 	// wf03: union–division slashes the memory optimum.
-	row3, err := RunWorkflow3()
+	row3, err := runWorkflow(suite.MustGet(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGoldenFigureValues(t *testing.T) {
 		30: {37, 1271, 2916, 6, 6, 14, 10},
 	}
 	for id, g := range want {
-		row, err := RunWorkflow(suite.MustGet(id))
+		row, err := runWorkflow(suite.MustGet(id))
 		if err != nil {
 			t.Fatalf("wf%02d: %v", id, err)
 		}

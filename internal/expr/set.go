@@ -39,8 +39,8 @@ func (s Set) Union(o Set) Set { return s | o }
 // Without returns s minus the members of o.
 func (s Set) Without(o Set) Set { return s &^ o }
 
-// Contains reports whether every member of o is in s.
-func (s Set) Contains(o Set) bool { return s&o == o }
+// contains reports whether every member of o is in s.
+func (s Set) contains(o Set) bool { return s&o == o }
 
 // Intersects reports whether the sets share a member.
 func (s Set) Intersects(o Set) bool { return s&o != 0 }
@@ -70,10 +70,10 @@ func (s Set) Members() []int {
 	return out
 }
 
-// Subsets calls f for every non-empty proper subset of s that contains the
+// subsets calls f for every non-empty proper subset of s that contains the
 // lowest member of s (so each unordered 2-partition of s is visited exactly
 // once, as (subset, complement)). Enumeration order is deterministic.
-func (s Set) Subsets(f func(sub Set)) {
+func (s Set) subsets(f func(sub Set)) {
 	if s.Len() < 2 {
 		return
 	}

@@ -122,16 +122,6 @@ func (sp *Space) IndexOf(se Set) (int, bool) {
 	return int(i), ok
 }
 
-// JoinAttrsOf returns, for plan p, the join attribute as owned by the left
-// and right side respectively.
-func (sp *Space) JoinAttrsOf(p Plan) (left, right workflow.Attr) {
-	e := sp.Block.Joins[p.Edge]
-	if p.Left.Has(e.LeftInput) {
-		return e.LeftAttr, e.RightAttr
-	}
-	return e.RightAttr, e.LeftAttr
-}
-
 // Connected reports whether the subset s is connected in the block's join
 // graph (an SE must be connected; a disconnected subset would be a cross
 // product).
@@ -151,7 +141,7 @@ func connected(b *workflow.Block, s Set) bool {
 		var next Set
 		for _, e := range b.Joins {
 			l, r := Set(1)<<uint(e.LeftInput), Set(1)<<uint(e.RightInput)
-			if !s.Contains(l) || !s.Contains(r) {
+			if !s.contains(l) || !s.contains(r) {
 				continue
 			}
 			if reached.Intersects(l) && !reached.Intersects(r) {
@@ -192,7 +182,7 @@ func Enumerate(b *workflow.Block) (*Space, error) {
 	// Enumerate connected subsets as SEs, smallest first.
 	var all []Set
 	for v := Set(1); v <= sp.full; v++ {
-		if sp.full.Contains(v) && connected(b, v) {
+		if sp.full.contains(v) && connected(b, v) {
 			all = append(all, v)
 		}
 	}
@@ -213,7 +203,7 @@ func Enumerate(b *workflow.Block) (*Space, error) {
 		if se.Len() < 2 {
 			continue
 		}
-		se.Subsets(func(left Set) {
+		se.subsets(func(left Set) {
 			right := se.Without(left)
 			if !connected(b, left) || !connected(b, right) {
 				return

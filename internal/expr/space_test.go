@@ -89,7 +89,7 @@ func TestSetOps(t *testing.T) {
 	if got := s.Without(NewSet(0)); got != NewSet(2, 5) {
 		t.Fatal("Without broken")
 	}
-	if !s.Contains(NewSet(0, 5)) || s.Contains(NewSet(0, 1)) {
+	if !s.contains(NewSet(0, 5)) || s.contains(NewSet(0, 1)) {
 		t.Fatal("Contains broken")
 	}
 	if !s.Intersects(NewSet(5)) || s.Intersects(NewSet(1, 3)) {
@@ -110,7 +110,7 @@ func TestSetOps(t *testing.T) {
 func TestSubsetsVisitsEachPartitionOnce(t *testing.T) {
 	s := NewSet(0, 1, 2, 3)
 	seen := make(map[Set]bool)
-	s.Subsets(func(sub Set) {
+	s.subsets(func(sub Set) {
 		if !sub.Has(0) {
 			t.Errorf("subset %b misses lowest member", sub)
 		}
@@ -135,7 +135,7 @@ func TestSubsetsPropertyCount(t *testing.T) {
 			return true
 		}
 		count := 0
-		s.Subsets(func(Set) { count++ })
+		s.subsets(func(Set) { count++ })
 		want := 1<<(s.Len()-1) - 1
 		return count == want
 	}
@@ -315,7 +315,7 @@ func TestConnectedProperty(t *testing.T) {
 		}
 	}
 	for v := Set(1); v <= sp.Full(); v++ {
-		if sp.Full().Contains(v) && !enumerated[v] && sp.Connected(v) {
+		if sp.Full().contains(v) && !enumerated[v] && sp.Connected(v) {
 			t.Errorf("connected subset %v missing from SEs", v)
 		}
 	}
@@ -343,8 +343,8 @@ func TestPlanCountsLeftDeepInvariant(t *testing.T) {
 			}
 			e := sp.Block.Joins[p.Edge]
 			l, r := NewSet(e.LeftInput), NewSet(e.RightInput)
-			sides := p.Left.Contains(l) && p.Right.Contains(r) ||
-				p.Left.Contains(r) && p.Right.Contains(l)
+			sides := p.Left.contains(l) && p.Right.contains(r) ||
+				p.Left.contains(r) && p.Right.contains(l)
 			if !sides {
 				t.Errorf("plan %v/%v edge %d does not link the halves", p.Left, p.Right, p.Edge)
 			}
@@ -360,21 +360,5 @@ func TestLabel(t *testing.T) {
 	}
 	if got := Set(0).Label(blk); got != "∅" {
 		t.Fatalf("Label(empty) = %q", got)
-	}
-}
-
-func TestJoinAttrsOf(t *testing.T) {
-	blk := chainBlock(t, 3)
-	sp, _ := Enumerate(blk)
-	for _, p := range sp.Plans[sp.Full()] {
-		l, r := sp.JoinAttrsOf(p)
-		li := blk.InputIndexByAttr(l)
-		ri := blk.InputIndexByAttr(r)
-		if li < 0 || !p.Left.Has(li) {
-			t.Errorf("left attr %v not owned by left side %v", l, p.Left)
-		}
-		if ri < 0 || !p.Right.Has(ri) {
-			t.Errorf("right attr %v not owned by right side %v", r, p.Right)
-		}
 	}
 }

@@ -46,8 +46,8 @@ const (
 	// so the kind is inert outside distributed mode.
 	Network
 
-	// AllKinds enables every fault class.
-	AllKinds = SourceRead | Operator | Tap | Budget | Network
+	// allKinds enables every fault class.
+	allKinds = SourceRead | Operator | Tap | Budget | Network
 )
 
 // String names a single kind (bitmask combinations render as "multiple").
@@ -92,12 +92,6 @@ func (e *Error) Error() string {
 func IsTransient(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe) && fe.Transient
-}
-
-// IsInjected reports whether err is (or wraps) any injected fault.
-func IsInjected(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe)
 }
 
 // Injector decides deterministically which sites fault. The zero value
@@ -279,7 +273,7 @@ func Parse(spec string) (*Injector, error) {
 				case "net", "network":
 					mask |= Network
 				case "all":
-					mask |= AllKinds
+					mask |= allKinds
 				default:
 					return nil, fmt.Errorf("faults: unknown kind %q (want source|op|tap|budget|net|all)", name)
 				}
@@ -298,7 +292,7 @@ func (f *Injector) String() string {
 		return ""
 	}
 	spec := fmt.Sprintf("seed=%d,rate=%g,transient=%d", f.Seed, f.Rate, f.Transient)
-	if f.Kinds != 0 && f.Kinds != AllKinds {
+	if f.Kinds != 0 && f.Kinds != allKinds {
 		var names []string
 		for _, k := range []struct {
 			kind Kind

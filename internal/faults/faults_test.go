@@ -101,9 +101,6 @@ func TestIsTransientUnwraps(t *testing.T) {
 	if IsTransient(errors.New("organic")) {
 		t.Fatal("organic error reported transient")
 	}
-	if !IsInjected(err) {
-		t.Fatal("wrapped fault not recognized as injected")
-	}
 }
 
 func TestParse(t *testing.T) {

@@ -93,15 +93,10 @@ type Options struct {
 	Only map[int]bool
 }
 
-// Optimize chooses the cheapest join order for every block by dynamic
-// programming over connected sub-expressions (the same plan space the CSS
-// generation enumerated), costing each composition with cardinalities from
-// the card source.
-func Optimize(res *css.Result, cards CardSource, model CostModel) (*Result, error) {
-	return OptimizeOpts(res, cards, model, Options{})
-}
-
-// OptimizeOpts is Optimize with explicit plan-space options.
+// OptimizeOpts chooses the cheapest join order for every block opt admits
+// by dynamic programming over connected sub-expressions (the same plan
+// space the CSS generation enumerated), costing each composition with
+// cardinalities from the card source.
 func OptimizeOpts(res *css.Result, cards CardSource, model CostModel, opt Options) (*Result, error) {
 	out := &Result{Plans: make(map[int]*Plan)}
 	for bi, sp := range res.Spaces {

@@ -71,7 +71,7 @@ func TestOptimizePicksCheaperOrder(t *testing.T) {
 		expr.NewSet(oI, cI): 10,
 		full:                10,
 	}
-	out, err := Optimize(res, cards, Cout)
+	out, err := OptimizeOpts(res, cards, Cout, Options{})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestOptimizeInitialAlreadyBest(t *testing.T) {
 		expr.NewSet(oI, cI): 100000,
 		res.Space(0).Full(): 10,
 	}
-	out, err := Optimize(res, cards, Cout)
+	out, err := OptimizeOpts(res, cards, Cout, Options{})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestOptimizeDeterministicUnderTies(t *testing.T) {
 	cards := fixedCards{} // every SE defaults to card 1: all plans tie
 	var prev string
 	for trial := 0; trial < 5; trial++ {
-		out, err := Optimize(res, cards, Cout)
+		out, err := OptimizeOpts(res, cards, Cout, Options{})
 		if err != nil {
 			t.Fatalf("Optimize: %v", err)
 		}
@@ -154,7 +154,7 @@ func TestOptimizeDeterministicUnderTies(t *testing.T) {
 func TestOptimizeHashJoinModel(t *testing.T) {
 	res := chain3(t)
 	cards := fixedCards{res.Space(0).Full(): 10}
-	out, err := Optimize(res, cards, HashJoin)
+	out, err := OptimizeOpts(res, cards, HashJoin, Options{})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestOptimizeRejectPinnedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	out, err := Optimize(res, fixedCards{}, Cout)
+	out, err := OptimizeOpts(res, fixedCards{}, Cout, Options{})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

@@ -42,7 +42,7 @@ func TestDPOptimalAgainstEnumerationFuzz(t *testing.T) {
 			}
 			est := estimate.New(res, run.Observed)
 			for _, model := range []CostModel{Cout, HashJoin} {
-				out, err := Optimize(res, est, model)
+				out, err := OptimizeOpts(res, est, model, Options{})
 				if err != nil {
 					t.Fatalf("Optimize: %v", err)
 				}

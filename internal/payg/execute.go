@@ -109,16 +109,3 @@ func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, rep *R
 	}
 	return &ExecuteResult{Runs: len(runs), Learned: learned, RowsTotal: rows}, nil
 }
-
-// Covered reports whether the learned store holds the cardinality of every
-// SE of every block — the baseline's success criterion.
-func (r *ExecuteResult) Covered(res *css.Result) bool {
-	for bi, sp := range res.Spaces {
-		for _, se := range sp.SEs {
-			if !r.Learned.Has(stats.NewCard(stats.BlockSE(bi, se))) {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -15,10 +15,10 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// FormulaMinExecutions is the paper's semantics-free lower bound for an
+// formulaMinExecutions is the paper's semantics-free lower bound for an
 // n-way join: every plan exposes n−2 coverable SEs while 2ⁿ−(n+2) SEs need
 // covering. Blocks with fewer than three inputs need exactly one execution.
-func FormulaMinExecutions(n int) int {
+func formulaMinExecutions(n int) int {
 	if n < 3 {
 		return 1
 	}
@@ -77,7 +77,7 @@ func Evaluate(res *css.Result) *Report {
 
 func evaluateBlock(bi int, blk *workflow.Block, sp *expr.Space) BlockReport {
 	n := blk.NumInputs()
-	br := BlockReport{Block: bi, Inputs: n, FormulaLB: FormulaMinExecutions(n)}
+	br := BlockReport{Block: bi, Inputs: n, FormulaLB: formulaMinExecutions(n)}
 	if n < 3 || blk.RejectPinned {
 		// One plan exists; a single execution observes everything a plan
 		// can expose.

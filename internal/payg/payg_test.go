@@ -17,7 +17,7 @@ func TestFormulaMinExecutions(t *testing.T) {
 		{8, 41}, // workflow 21 in the paper
 	}
 	for _, tc := range cases {
-		if got := FormulaMinExecutions(tc.n); got != tc.want {
+		if got := formulaMinExecutions(tc.n); got != tc.want {
 			t.Errorf("FormulaMinExecutions(%d) = %d, want %d", tc.n, got, tc.want)
 		}
 	}

@@ -25,7 +25,7 @@ func compileSuite(t *testing.T, id int) (*physical.Plan, *css.Result) {
 		t.Fatalf("Generate: %v", err)
 	}
 	plan, err := physical.Compile(an, w.Data(0.002), physical.Options{
-		Res: res, Observe: res.ObservableStats(),
+		Res: res, Observe: observableStats(res),
 	})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -162,7 +162,7 @@ func TestCompileTapCoverage(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range res.ObservableStats() {
+	for _, s := range observableStats(res) {
 		if !attached[s.Key()] {
 			t.Errorf("observable statistic %v not attached anywhere", s.Key())
 		}
@@ -179,4 +179,16 @@ func TestExplainRendering(t *testing.T) {
 			t.Errorf("rendering misses %q:\n%s", want, out)
 		}
 	}
+}
+
+// observableStats returns every statistic the initial plan can observe, in
+// canonical order.
+func observableStats(res *css.Result) []stats.Stat {
+	var out []stats.Stat
+	for id, ok := range res.Observable {
+		if ok {
+			out = append(out, res.Stats[id])
+		}
+	}
+	return out
 }

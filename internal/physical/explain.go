@@ -8,30 +8,25 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// String renders the whole plan; see BlockPlan.Format for the layout. The
-// output is deterministic: node order is the compiled execution order and
-// tap order follows the selection's statistic order.
+// String renders the whole plan, block by block; see BlockPlan.format for
+// the layout. The output is deterministic: node order is the compiled
+// execution order and tap order follows the selection's statistic order.
 func (p *Plan) String() string {
 	var b strings.Builder
-	p.Format(&b)
+	for i, bp := range p.Blocks {
+		if i > 0 {
+			fmt.Fprintln(&b)
+		}
+		bp.format(&b)
+	}
 	return b.String()
 }
 
-// Format writes the plan's blocks to w.
-func (p *Plan) Format(w io.Writer) {
-	for i, bp := range p.Blocks {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		bp.Format(w)
-	}
-}
-
-// Format writes one block's physical plan: a header with the executed join
+// format writes one block's physical plan: a header with the executed join
 // tree, then one line per node in execution order with its operator, input
 // references and output arity, then indented tap lines naming the observed
 // statistics in the paper's notation.
-func (bp *BlockPlan) Format(w io.Writer) {
+func (bp *BlockPlan) format(w io.Writer) {
 	blk := bp.Block
 	fmt.Fprintf(w, "block %d: %d input(s), %d join(s)", blk.Index, len(blk.Inputs), len(blk.Joins))
 	if bp.Tree != nil {
@@ -85,26 +80,19 @@ func rejectLine(blk *workflow.Block, rt *RejectTaps) string {
 	return strings.Join(parts, ";")
 }
 
-// NumTaps counts every tap attached anywhere in the block plan (node taps,
-// reject singletons and auxiliary joins).
-func (bp *BlockPlan) NumTaps() int {
-	n := 0
-	for _, nd := range bp.Nodes {
-		n += len(nd.Taps)
-		for _, rt := range []*RejectTaps{nd.LeftReject, nd.RightReject} {
-			if rt != nil {
-				n += len(rt.Singles) + len(rt.Aux)
-			}
-		}
-	}
-	return n
-}
-
-// NumTaps counts every tap attached anywhere in the plan.
+// NumTaps counts every tap attached anywhere in the plan: node taps,
+// reject singletons and auxiliary joins.
 func (p *Plan) NumTaps() int {
 	n := 0
 	for _, bp := range p.Blocks {
-		n += bp.NumTaps()
+		for _, nd := range bp.Nodes {
+			n += len(nd.Taps)
+			for _, rt := range []*RejectTaps{nd.LeftReject, nd.RightReject} {
+				if rt != nil {
+					n += len(rt.Singles) + len(rt.Aux)
+				}
+			}
+		}
 	}
 	return n
 }

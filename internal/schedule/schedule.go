@@ -22,13 +22,11 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Run is one scheduled execution: the statistics it observes and the join
-// tree per block that exposes them (nil tree = the initial plan).
-type Run = payg.Run
-
-// Plan is the executable multi-run schedule.
+// Plan is the executable multi-run schedule: per run, the statistics it
+// observes and the join tree per block that exposes them (nil tree = the
+// initial plan).
 type Plan struct {
-	Runs []*Run
+	Runs []*payg.Run
 	// Budget echoes the per-run memory limit the schedule honors.
 	Budget int64
 }
@@ -52,7 +50,7 @@ func Build(u *selector.Universe, budget int64) (*Plan, error) {
 		if runIdx == 0 {
 			// Initial plan: everything the first run picked is observable
 			// under it.
-			plan.Runs = append(plan.Runs, &Run{Observe: statsOf})
+			plan.Runs = append(plan.Runs, &payg.Run{Observe: statsOf})
 			continue
 		}
 		subRuns, err := realize(u.Res, statsOf)
@@ -66,14 +64,14 @@ func Build(u *selector.Universe, budget int64) (*Plan, error) {
 
 // realize splits a statistic list into executions whose join trees expose
 // every target.
-func realize(res *css.Result, list []stats.Stat) ([]*Run, error) {
+func realize(res *css.Result, list []stats.Stat) ([]*payg.Run, error) {
 	pending := append([]stats.Stat(nil), list...)
-	var out []*Run
+	var out []*payg.Run
 	for guard := 0; len(pending) > 0; guard++ {
 		if guard > 1024 {
 			return nil, fmt.Errorf("schedule: realization did not converge")
 		}
-		run := &Run{Trees: make(map[int]*workflow.JoinTree)}
+		run := &payg.Run{Trees: make(map[int]*workflow.JoinTree)}
 		var rest []stats.Stat
 		for _, s := range pending {
 			if compatible(res, run, s) {
@@ -94,7 +92,7 @@ func realize(res *css.Result, list []stats.Stat) ([]*Run, error) {
 // compatible tries to fit statistic s into the run, extending or creating
 // the run's per-block tree when needed. It returns false when s conflicts
 // with what the run's trees already expose.
-func compatible(res *css.Result, run *Run, s stats.Stat) bool {
+func compatible(res *css.Result, run *payg.Run, s stats.Stat) bool {
 	t := s.Target
 	blk := res.Analysis.Blocks[t.Block]
 	sp := res.Space(t.Block)

@@ -48,7 +48,7 @@ func TestBuildRespectsBudgetAndRealizes(t *testing.T) {
 	for r, run := range plan.Runs {
 		var mem int64
 		for _, s := range run.Observe {
-			i, ok := u.Lookup(s)
+			i, ok := u.Res.Lookup(s)
 			if !ok {
 				t.Fatalf("run %d observes unknown stat %v", r, s.Key())
 			}
@@ -96,7 +96,7 @@ func TestExecuteScheduleCoversAndEstimates(t *testing.T) {
 	}
 	// Cross-check one learned value against direct observation.
 	full := res.Space(0).Full()
-	want, err := eng.Run()
+	want, err := eng.RunPlans(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

@@ -51,7 +51,7 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 		if !ok {
 			t.Fatalf("variant %v has no exact sibling", s.Key())
 		}
-		j, found := approx.Lookup(ex)
+		j, found := approx.lookup(ex)
 		if !found {
 			t.Fatalf("exact sibling of %v missing from universe", s.Key())
 		}
@@ -59,7 +59,7 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 		// computable via the A1/A2 candidate set.
 		observed := make([]bool, len(approx.Stats))
 		observed[i] = true
-		if !approx.Closure(observed)[j] {
+		if !approx.closure(observed)[j] {
 			t.Fatalf("observing %v does not cover %v", s.Key(), ex.Key())
 		}
 		// Kind-aware pricing: the sketch must be strictly cheaper than the

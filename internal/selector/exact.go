@@ -5,15 +5,7 @@ import (
 	"time"
 )
 
-// ExactOptions tune the combinatorial branch-and-bound solver.
-type ExactOptions struct {
-	// MaxNodes caps search nodes (0 = 200000).
-	MaxNodes int
-	// Timeout caps wall-clock time (0 = none).
-	Timeout time.Duration
-}
-
-// Exact finds a provably minimum-cost observation set. It minimises the
+// solveExact finds a provably minimum-cost observation set. It minimises the
 // paper's 0–1 program of Section 5.2 — x_i observes statistic i, y_i marks
 // it computable, z_ij marks its candidate set j covered:
 //
@@ -27,16 +19,17 @@ type ExactOptions struct {
 // It does so by branch and bound over the observable statistics: feasibility
 // is the closure itself, the lower bound combines committed cost with the
 // cheapest possible completion of the most expensive uncovered requirement,
-// and greedy completions supply incumbents and branching choices. When the
-// node budget runs out, the best incumbent is returned with Optimal = false.
-func Exact(u *Universe, opt ExactOptions) (*Selection, error) {
-	maxNodes := opt.MaxNodes
+// and greedy completions supply incumbents and branching choices. maxNodes
+// caps search nodes (0 = 200000) and timeout the wall-clock time (0 =
+// none); when either runs out, the best incumbent is returned with Optimal
+// = false.
+func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, error) {
 	if maxNodes <= 0 {
 		maxNodes = 200000
 	}
 	deadline := time.Time{}
-	if opt.Timeout > 0 {
-		deadline = time.Now().Add(opt.Timeout)
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
 
 	n := len(u.Stats)

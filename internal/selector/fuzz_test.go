@@ -47,7 +47,7 @@ func TestSolverInvariantsFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Greedy: %v", err)
 			}
-			ex, err := Exact(u, ExactOptions{MaxNodes: 1500})
+			ex, err := solveExact(u, 1500, 0)
 			if err != nil {
 				t.Fatalf("Exact: %v", err)
 			}

@@ -96,6 +96,6 @@ func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
 				maxNodes = 200000
 			}
 		}
-		return Exact(u, ExactOptions{MaxNodes: maxNodes, Timeout: opt.Timeout})
+		return solveExact(u, maxNodes, opt.Timeout)
 	}
 }

@@ -34,7 +34,7 @@ func buildUniverse(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, opt c
 // indexOf returns a statistic's index in the universe.
 func indexOf(t *testing.T, u *Universe, s stats.Stat) int32 {
 	t.Helper()
-	i, ok := u.Lookup(s)
+	i, ok := u.lookup(s)
 	if !ok {
 		t.Fatalf("statistic %v not in the universe", s.Key())
 	}
@@ -140,7 +140,7 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Greedy: %v", err)
 		}
-		ex, err := Exact(u, ExactOptions{})
+		ex, err := solveExact(u, 0, 0)
 		if err != nil {
 			t.Fatalf("Exact: %v", err)
 		}
@@ -160,7 +160,7 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 	}
 }
 
-// bruteForceOptimum is Exact's reference: the cost of the cheapest subset of
+// bruteForceOptimum is solveExact's reference: the cost of the cheapest subset of
 // the observable statistics that covers S_C, found by trying every subset.
 func bruteForceOptimum(u *Universe) float64 {
 	var obs []int
@@ -182,10 +182,10 @@ func bruteForceOptimum(u *Universe) float64 {
 	return best
 }
 
-// TestExactMatchesBruteForce holds Exact to its definition: on the retail
+// TestExactMatchesBruteForce holds solveExact to its definition: on the retail
 // flow under both CSS option sets, and on every generated universe of seeds
 // 0–199 small enough to enumerate (at most 16 observable statistics),
-// Exact's proven optimum costs what the cheapest covering subset does.
+// solveExact's proven optimum costs what the cheapest covering subset does.
 func TestExactMatchesBruteForce(t *testing.T) {
 	type instance struct {
 		name string
@@ -213,7 +213,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	}
 	t.Logf("retail under 2 option sets and %d generated universes", len(cases)-2)
 	for _, c := range cases {
-		ex, err := Exact(c.u, ExactOptions{})
+		ex, err := solveExact(c.u, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: Exact: %v", c.name, err)
 		}
@@ -243,7 +243,7 @@ func TestAmortizationSharedAttribute(t *testing.T) {
 	j2 := b.Join(j1, t3, workflow.Attr{Rel: "T1", Col: "a"}, workflow.Attr{Rel: "T3", Col: "a"})
 	b.Sink(j2, "dw")
 	u := buildUniverse(t, b.Graph(), cat, css.Options{})
-	sel, err := Exact(u, ExactOptions{})
+	sel, err := solveExact(u, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
@@ -287,11 +287,11 @@ func TestUnionDivisionCanReduceMemory(t *testing.T) {
 	b.Sink(j2, "dw")
 	uPlain := buildUniverse(t, b.Graph(), cat, css.Options{})
 	uUD := buildUniverse(t, b.Graph(), cat, css.Options{UnionDivision: true})
-	selPlain, err := Exact(uPlain, ExactOptions{})
+	selPlain, err := solveExact(uPlain, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact(plain): %v", err)
 	}
-	selUD, err := Exact(uUD, ExactOptions{})
+	selUD, err := solveExact(uUD, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact(ud): %v", err)
 	}
@@ -317,7 +317,7 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUniverse: %v", err)
 	}
-	sel, err := Exact(u, ExactOptions{})
+	sel, err := solveExact(u, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
@@ -329,7 +329,7 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUniverse: %v", err)
 	}
-	sel2, err := Exact(u2, ExactOptions{})
+	sel2, err := solveExact(u2, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
@@ -402,11 +402,11 @@ func TestSelectDispatch(t *testing.T) {
 func TestSelectionDeterministic(t *testing.T) {
 	g, cat := retail(t)
 	u := buildUniverse(t, g, cat, css.DefaultOptions())
-	a, err := Exact(u, ExactOptions{})
+	a, err := solveExact(u, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
-	b, err := Exact(u, ExactOptions{})
+	b, err := solveExact(u, 0, 0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}

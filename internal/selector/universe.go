@@ -3,9 +3,9 @@
 // and candidate statistics sets from package css and observation costs from
 // package costmodel, it finds a minimum-cost set of observable statistics
 // such that the cardinality of every sub-expression is computable. Two
-// solvers are provided: Exact, a combinatorial branch and bound with
+// solvers are provided: MethodExact, a combinatorial branch and bound with
 // closure-based feasibility that minimises the paper's 0–1 program of
-// Section 5.2, and the greedy heuristic of Section 5.3.
+// Section 5.2, and MethodGreedy, the greedy heuristic of Section 5.3.
 //
 // The solvers work on statistic ids — for the exact tier the css.Result's
 // own — over a flat candidate-set graph (Universe), and share one set of
@@ -150,8 +150,8 @@ func (u *Universe) addCSS(inputs ...int32) {
 // numCSS returns the number of candidate sets in the graph.
 func (u *Universe) numCSS() int { return len(u.inOff) - 1 }
 
-// Lookup returns the index of a statistic in the universe, or false.
-func (u *Universe) Lookup(s stats.Stat) (int32, bool) {
+// lookup returns the index of a statistic in the universe, or false.
+func (u *Universe) lookup(s stats.Stat) (int32, bool) {
 	ex, sketch := stats.ExactVariant(s)
 	if !sketch {
 		return u.Res.Lookup(s)
@@ -237,17 +237,17 @@ func (u *Universe) pruneUnderivable() {
 	}
 }
 
-// Closure computes the set of computable statistics given the observed
+// closure computes the set of computable statistics given the observed
 // ones: the least fixpoint of "observed, or some CSS fully computable"
 // (property 1 of Section 5.1). It runs in time linear in total CSS size.
-func (u *Universe) Closure(observed []bool) []bool {
+func (u *Universe) closure(observed []bool) []bool {
 	return newScratch(u).closure(observed, make([]bool, len(u.Stats)))
 }
 
 // Covered reports whether every required statistic is computable under the
 // observation set.
 func (u *Universe) Covered(observed []bool) bool {
-	return u.covers(u.Closure(observed))
+	return u.covers(u.closure(observed))
 }
 
 // covers reports whether a closure holds every required statistic.

@@ -11,22 +11,22 @@ import (
 // when Options.MaxSolves is set and Options.SolveQueue is not.
 const DefaultSolveQueue = 64
 
-// BusyError reports that the daemon shed a request: every solve slot is
+// busyError reports that the daemon shed a request: every solve slot is
 // occupied and the wait queue is full. Handlers map it to a typed 429
 // with a Retry-After header — load shedding is a protocol answer, not a
 // server fault.
-type BusyError struct {
+type busyError struct {
 	// RetryAfter is the suggested client backoff.
 	RetryAfter time.Duration
 }
 
-func (e *BusyError) Error() string {
+func (e *busyError) Error() string {
 	return fmt.Sprintf("serve: solve capacity exhausted, retry after %s", e.RetryAfter)
 }
 
 // admission is the daemon's concurrent-solve limiter: a fixed number of
 // solve slots plus a bounded wait queue. Requests beyond slots+queue are
-// shed immediately with a BusyError instead of piling onto the daemon —
+// shed immediately with a busyError instead of piling onto the daemon —
 // backpressure the client can see, not latency it cannot.
 //
 // Only actual solver executions occupy a slot. Cache hits bypass
@@ -56,7 +56,7 @@ func newAdmission(maxSolves, queue int) *admission {
 }
 
 // acquire claims a solve slot, waiting in the bounded queue if all slots
-// are busy. It returns a release function on success; a *BusyError when
+// are busy. It returns a release function on success; a *busyError when
 // the queue is full; or the context's error if cancelled while waiting.
 func (a *admission) acquire(ctx context.Context) (func(), error) {
 	if a.slots == nil {
@@ -77,7 +77,7 @@ func (a *admission) acquire(ctx context.Context) (func(), error) {
 	a.mu.Lock()
 	if a.waiting >= a.maxWait {
 		a.mu.Unlock()
-		return nil, &BusyError{RetryAfter: time.Second}
+		return nil, &busyError{RetryAfter: time.Second}
 	}
 	a.waiting++
 	a.mu.Unlock()

@@ -46,7 +46,7 @@ func TestAdmissionShedAndQueue(t *testing.T) {
 
 	// Queue full: the third caller is shed immediately.
 	_, err = a.acquire(ctx)
-	var busy *BusyError
+	var busy *busyError
 	if !errors.As(err, &busy) {
 		t.Fatalf("third acquire = %v, want *BusyError", err)
 	}

@@ -120,8 +120,8 @@ func loadEntry(dir, wf string) (*Entry, error) {
 
 func genFile(gen int) string { return fmt.Sprintf("gen-%06d.stats", gen) }
 
-// Get returns the latest entry for a workflow.
-func (c *Catalog) Get(workflow string) (*Entry, bool) {
+// get returns the latest entry for a workflow.
+func (c *Catalog) get(workflow string) (*Entry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[workflow]

@@ -20,7 +20,7 @@ func scalarStore(t testing.TB, card int64) *stats.Store {
 	for v := int64(1); v <= card/10+1; v++ {
 		h.Inc([]int64{v}, 1)
 	}
-	if err := st.PutHist(stats.Stat{Kind: stats.Hist, Target: target,
+	if err := st.PutHistOnce(stats.Stat{Kind: stats.Hist, Target: target,
 		Attrs: []workflow.Attr{{Rel: "T", Col: "a"}}}, h); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCatalogPutGetReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenCatalog: %v", err)
 	}
-	if _, ok := c.Get("wfx"); ok {
+	if _, ok := c.get("wfx"); ok {
 		t.Fatal("empty catalog claims an entry")
 	}
 
@@ -64,7 +64,7 @@ func TestCatalogPutGetReload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	got, ok := c2.Get("wfx")
+	got, ok := c2.get("wfx")
 	if !ok || got.Generation != 2 || got.Count != e2.Count {
 		t.Fatalf("reloaded entry = %+v, want generation 2 count %d", got, e2.Count)
 	}

@@ -24,11 +24,11 @@ import (
 // that only successful health probes of its worker renew; when probes fail
 // past the lease TTL — the worker is dead, frozen, or partitioned — the
 // in-flight request is cancelled, the worker is marked lost, and the block
-// is reassigned to another live worker after a capped exponential backoff
-// (the engine's retry-backoff semantics: doubling from the base, saturated
-// at 100ms). Workers are deterministic executors, so a block that ran
-// twice — a lost ACK, a reassignment after a kill — returns byte-identical
-// payloads, and the engine's scheduler commits exactly one of them.
+// is reassigned to another live worker after engine.Backoff, the engine's
+// own retry backoff (doubling from the base, saturated at 100ms). Workers
+// are deterministic executors, so a block that ran twice — a lost ACK, a
+// reassignment after a kill — returns byte-identical payloads, and the
+// engine's scheduler commits exactly one of them.
 //
 // When every worker is lost, or one block exhausts its dispatch budget,
 // the coordinator reports engine.ErrWorkersLost and the engine finishes
@@ -71,7 +71,8 @@ type CoordinatorOptions struct {
 	// pattern is independent of worker placement and timing.
 	Faults *faults.Injector
 	// Client overrides the HTTP client (default: a fresh client with no
-	// global timeout; per-request contexts and leases bound every call).
+	// global timeout; per-request contexts and lease deadlines bound every
+	// call).
 	Client *http.Client
 }
 
@@ -82,10 +83,8 @@ const (
 	// dispatchRetryMax bounds attempts per block across workers: the
 	// first try plus two reassignments.
 	dispatchRetryMax = 3
-	// dispatchBackoff is the base delay between dispatch attempts,
-	// doubling per retry up to maxDispatchBackoff (the engine's semantics).
-	dispatchBackoff    = time.Millisecond
-	maxDispatchBackoff = 100 * time.Millisecond
+	// dispatchBackoff is the base delay between dispatch attempts.
+	dispatchBackoff = time.Millisecond
 )
 
 // NewCoordinator validates the options and returns a dispatcher.
@@ -105,33 +104,21 @@ func NewCoordinator(run RunSpec, opt CoordinatorOptions) (*Coordinator, error) {
 	return &Coordinator{run: run, opt: opt, maxBody: maxUploadBytes}, nil
 }
 
-// Lease is one entry of the coordinator's lease table: which worker holds
-// which block, and until when without a renewing probe.
-type Lease struct {
-	ID       string
-	Block    int
-	Worker   string
-	Deadline time.Time
-	Expired  bool
-}
-
 // workerRef is one worker's live/lost state within a session.
 type workerRef struct {
 	addr string
 	lost bool
 }
 
-// dispatchSession is one run's dispatch state: the worker fleet, the lease
-// table and the reassignment accounting.
+// dispatchSession is one run's dispatch state: the worker fleet and the
+// reassignment accounting.
 type dispatchSession struct {
 	c    *Coordinator
-	base *WorkerRunRequest
+	base *workerRunRequest
 
 	mu         sync.Mutex
 	workers    []*workerRef
 	next       int
-	leaseSeq   int
-	leases     map[string]*Lease
 	reassigned int64
 	lostOrder  []string
 }
@@ -140,7 +127,7 @@ type dispatchSession struct {
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{c: c, leases: make(map[string]*Lease), base: c.baseRequest(spec)}
+	s := &dispatchSession{c: c, base: c.baseRequest(spec)}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -160,8 +147,8 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 
 // baseRequest is what every block request of one run shares: the
 // coordinator's RunSpec and the knobs the engine says workers must mirror.
-func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *WorkerRunRequest {
-	return &WorkerRunRequest{
+func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
+	return &workerRunRequest{
 		WF:             c.run.WF,
 		Scale:          c.run.Scale,
 		MaxRows:        c.run.MaxRows,
@@ -201,8 +188,8 @@ func (e *permanentError) Unwrap() error { return e.err }
 // block is declared undeliverable (engine.ErrWorkersLost) and the engine
 // falls back in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	// The lease id rides a header, so the frame — and any retry of it — is
-	// built once and stays byte-identical.
+	// The frame — and any retry of it — is built once and stays
+	// byte-identical.
 	body, err := encodeRunRequest(s.base, block, upstream, s.c.maxBody)
 	switch {
 	case overCap(err):
@@ -220,7 +207,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 			s.mu.Lock()
 			s.reassigned++
 			s.mu.Unlock()
-			if err := dispatchSleep(ctx, dispatchBackoff, attempt-1); err != nil {
+			if err := engine.Backoff(ctx, dispatchBackoff, attempt-1); err != nil {
 				return nil, err
 			}
 		}
@@ -238,7 +225,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		if ferr != nil && mode == faults.NetDelay {
 			// A delayed exchange still happens; the pause exercises
 			// lease/heartbeat timing without consuming the attempt.
-			if err := dispatchSleep(ctx, s.c.opt.HeartbeatEvery, 0); err != nil {
+			if err := engine.Backoff(ctx, s.c.opt.HeartbeatEvery, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -301,32 +288,33 @@ func (s *dispatchSession) markLost(w *workerRef) {
 	}
 }
 
+// errLeaseExpired is the cancellation cause of a dispatch whose worker
+// answered no health probe for a whole lease TTL.
+var errLeaseExpired = errors.New("lease expired")
+
 // tryWorker executes one leased dispatch attempt against one worker.
 func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, error) {
-	lease := s.grantLease(block, w.addr)
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		s.heartbeat(lctx, w, lease, cancel)
+		s.heartbeat(lctx, w, cancel)
 	}()
-	defer func() { cancel(); <-hbDone }()
+	defer func() { cancel(nil); <-hbDone }()
 
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost, w.addr+"/v1/worker/run", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", frameContentType)
-	req.Header.Set("X-Etlopt-Lease", lease.ID)
 	resp, err := s.c.opt.Client.Do(req)
 	if err != nil {
 		// Connection-level failure or lease-expiry cancellation: the
 		// worker is gone (or unreachable, which is the same thing to the
 		// lease protocol).
 		s.markLost(w)
-		if s.leaseExpired(lease.ID) {
-			return nil, fmt.Errorf("serve: lease %s on %s expired for block %d: %w", lease.ID, w.addr, block, err)
+		if errors.Is(context.Cause(lctx), errLeaseExpired) {
+			return nil, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
 		}
 		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
@@ -382,55 +370,14 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 // maxErrorBody bounds how much of a non-200 reply is read for its message.
 const maxErrorBody = 1 << 16
 
-// grantLease registers a lease for one dispatch attempt.
-func (s *dispatchSession) grantLease(block int, worker string) *Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.leaseSeq++
-	l := &Lease{
-		ID:       fmt.Sprintf("lease-%04d", s.leaseSeq),
-		Block:    block,
-		Worker:   worker,
-		Deadline: time.Now().Add(s.c.opt.LeaseTTL),
-	}
-	s.leases[l.ID] = l
-	return l
-}
-
-// renewLease pushes a lease's deadline out after a successful probe.
-func (s *dispatchSession) renewLease(id string, deadline time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.leases[id]; ok && !l.Expired {
-		l.Deadline = deadline
-	}
-}
-
-// expireLease marks a lease reclaimed; its block is free to reassign.
-func (s *dispatchSession) expireLease(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.leases[id]; ok {
-		l.Expired = true
-	}
-}
-
-// leaseExpired reports whether the lease was reclaimed by expiry.
-func (s *dispatchSession) leaseExpired(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[id]
-	return ok && l.Expired
-}
-
-// heartbeat renews the lease while its worker keeps answering health
-// probes; when the deadline passes without a successful probe, the lease
-// expires and the in-flight request is cancelled, which surfaces as a
-// reassignable failure in tryWorker.
-func (s *dispatchSession) heartbeat(ctx context.Context, w *workerRef, lease *Lease, cancel context.CancelFunc) {
+// heartbeat holds the lease on one dispatch: each successful health probe
+// pushes its deadline a TTL out; when the deadline passes without one, the
+// in-flight request is cancelled with errLeaseExpired as the cause, which
+// surfaces as a reassignable failure in tryWorker.
+func (s *dispatchSession) heartbeat(ctx context.Context, w *workerRef, cancel context.CancelCauseFunc) {
 	t := time.NewTicker(s.c.opt.HeartbeatEvery)
 	defer t.Stop()
-	deadline := lease.Deadline
+	deadline := time.Now().Add(s.c.opt.LeaseTTL)
 	for {
 		select {
 		case <-ctx.Done():
@@ -438,11 +385,9 @@ func (s *dispatchSession) heartbeat(ctx context.Context, w *workerRef, lease *Le
 		case <-t.C:
 			if err := s.probe(ctx, w); err == nil {
 				deadline = time.Now().Add(s.c.opt.LeaseTTL)
-				s.renewLease(lease.ID, deadline)
 			}
 			if time.Now().After(deadline) {
-				s.expireLease(lease.ID)
-				cancel()
+				cancel(errLeaseExpired)
 				return
 			}
 		}
@@ -482,27 +427,4 @@ func errorBody(payload []byte) string {
 		return e.Error
 	}
 	return string(bytes.TrimSpace(payload))
-}
-
-// dispatchSleep waits out the capped exponential backoff before a
-// reassignment, honouring cancellation.
-func dispatchSleep(ctx context.Context, base time.Duration, attempt int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	d := base
-	for i := 0; i < attempt && d < maxDispatchBackoff; i++ {
-		d <<= 1
-	}
-	if d > maxDispatchBackoff || d <= 0 {
-		d = maxDispatchBackoff
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

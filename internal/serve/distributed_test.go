@@ -646,7 +646,7 @@ func TestDistributedUninstrumentedPlansRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cy.RunOptimizedCtx(context.Background())
+	want, err := cy.RunOptimized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func TestDistributedUninstrumentedPlansRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dcy.RunOptimizedCtx(context.Background())
+	got, err := dcy.RunOptimized()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestDistributedAdaptiveEquivalence(t *testing.T) {
 	eachDistLeg(t, func(t *testing.T, wf int) {
 		cfg := core.DefaultConfig()
 		local := cycleOf(t, wf, cfg)
-		want, err := local.RunOptimizedAdaptive(opts)
+		want, err := local.RunOptimizedAdaptiveCtx(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("local adaptive run: %v", err)
 		}
@@ -734,7 +734,7 @@ func TestDistributedAdaptiveEquivalence(t *testing.T) {
 			if kill {
 				arm()
 			}
-			got, err := cy.RunOptimizedAdaptive(opts)
+			got, err := cy.RunOptimizedAdaptiveCtx(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("%s: distributed adaptive run: %v", name, err)
 			}

@@ -30,10 +30,10 @@ import (
 // declared at the byte where it does, so a kilobyte of deflated zeros costs
 // it no more than an honest frame. The payload is a block's byte form; its
 // DEFLATE form is the same on every worker of one build but not across
-// compress/flate releases: nothing compares frames from different builds.
+// compress/flate versions: nothing compares frames from different builds.
 //
-// The header is the exchange's scalar fields (WorkerRunRequest or
-// WorkerRunResponse); everything bulky follows it as raw sections, each a
+// The header is the exchange's scalar fields (workerRunRequest or
+// workerRunResponse); everything bulky follows it as raw sections, each a
 // uvarint length and that many bytes, in an order the header fixes —
 //
 //	request:  one table per Upstream entry (ascending block index)
@@ -286,7 +286,7 @@ func (f *frameReader) end() error {
 }
 
 // encodeRunRequest builds the request frame for one block.
-func encodeRunRequest(base *WorkerRunRequest, block int, upstream map[int]*data.Table, maxPayload int64) ([]byte, error) {
+func encodeRunRequest(base *workerRunRequest, block int, upstream map[int]*data.Table, maxPayload int64) ([]byte, error) {
 	req := *base
 	req.Block = block
 	req.Upstream = make([]int, 0, len(upstream))
@@ -307,8 +307,8 @@ func encodeRunRequest(base *WorkerRunRequest, block int, upstream map[int]*data.
 }
 
 // decodeRunRequest reads a request frame and its upstream tables.
-func decodeRunRequest(r io.Reader, maxPayload int64) (*WorkerRunRequest, map[int]*data.Table, error) {
-	req := &WorkerRunRequest{}
+func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int]*data.Table, error) {
+	req := &workerRunRequest{}
 	f, err := openFrame(r, req, maxPayload)
 	if err != nil {
 		return nil, nil, err
@@ -325,13 +325,13 @@ func decodeRunRequest(r io.Reader, maxPayload int64) (*WorkerRunRequest, map[int
 
 // encodeRunResponse builds the response frame for one executed block.
 func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
-	resp := WorkerRunResponse{Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
+	resp := workerRunResponse{Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
 	for name := range rb.Materialized {
 		resp.Materialized = append(resp.Materialized, name)
 	}
 	sort.Strings(resp.Materialized)
 	for _, fs := range rb.Degraded {
-		resp.Degraded = append(resp.Degraded, WireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
+		resp.Degraded = append(resp.Degraded, wireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
 	}
 	f, err := beginFrame(&resp)
 	if err != nil {
@@ -357,7 +357,7 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error)
 
 // decodeRunResponse reads a worker's 200 body into the engine's form.
 func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, error) {
-	var resp WorkerRunResponse
+	var resp workerRunResponse
 	f, err := openFrame(r, &resp, maxPayload)
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 	return frame
 }
 
-func requestFrame(t testing.TB, base *WorkerRunRequest, block int, upstream map[int]*data.Table) []byte {
+func requestFrame(t testing.TB, base *workerRunRequest, block int, upstream map[int]*data.Table) []byte {
 	t.Helper()
 	frame, err := encodeRunRequest(base, block, upstream, maxUploadBytes)
 	if err != nil {
@@ -140,7 +140,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 		t.Error("statistics shard differs after the round trip")
 	}
 
-	base := &WorkerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
+	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
 	reqFrame := requestFrame(t, base, 3, upstream)
 	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
@@ -311,14 +311,14 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // are not a request frame: 400 with a JSON error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
-	good := requestFrame(t, &WorkerRunRequest{WF: 6, Scale: distScale}, 0, nil)
+	good := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0, nil)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
 	for name, body := range map[string][]byte{
 		"empty":          nil,
 		"json":           legacy,
 		"truncated":      good[:len(good)-1],
 		"trailing":       append(append([]byte{}, good...), 0),
-		"missing tables": mustFrame(t, &WorkerRunRequest{WF: 6, Scale: distScale, Upstream: []int{0}}),
+		"missing tables": mustFrame(t, &workerRunRequest{WF: 6, Scale: distScale, Upstream: []int{0}}),
 		// The row interpreters are gone from the product; a peer still asking
 		// for one must be refused, not silently run columnar.
 		"row_mode": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "row_mode": true}),
@@ -352,7 +352,7 @@ func FuzzRunFrame(f *testing.F) {
 	const limit = 1 << 16
 	resp := responseFrame(f, frameBlock(f))
 	_, payload := framePayload(f, resp)
-	req := requestFrame(f, &WorkerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
+	req := requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
 		map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}, data.Row{5, 7}), 0: frameTable("B0")})
 	f.Add(resp)
 	f.Add(req)

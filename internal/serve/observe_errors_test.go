@@ -67,7 +67,7 @@ func TestUnknownWorkflowTyped(t *testing.T) {
 	doc, _ := tinyWorkflow(t, 11, 600)
 	srv, _ := newTestServer(t, doc, Options{})
 	_, err := srv.cssFor("ghost")
-	var unknown *UnknownWorkflowError
+	var unknown *unknownWorkflowError
 	if !errors.As(err, &unknown) || unknown.Workflow != "ghost" {
 		t.Fatalf("cssFor(ghost) = %v, want *UnknownWorkflowError", err)
 	}

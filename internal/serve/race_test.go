@@ -124,7 +124,7 @@ func TestObserveOptimizeRaceNoStaleCache(t *testing.T) {
 	}()
 	wg.Wait()
 
-	entry, ok := srv.catalog.Get("tiny")
+	entry, ok := srv.catalog.get("tiny")
 	if !ok {
 		t.Fatal("catalog lost the workflow")
 	}

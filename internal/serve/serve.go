@@ -86,11 +86,11 @@ type Document struct {
 	Catalog *workflow.Catalog
 }
 
-// UnknownWorkflowError reports a request for a workflow the daemon does
+// unknownWorkflowError reports a request for a workflow the daemon does
 // not serve.
-type UnknownWorkflowError struct{ Workflow string }
+type unknownWorkflowError struct{ Workflow string }
 
-func (e *UnknownWorkflowError) Error() string {
+func (e *unknownWorkflowError) Error() string {
 	return fmt.Sprintf("serve: unknown workflow %q", e.Workflow)
 }
 
@@ -164,7 +164,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 func (s *Server) cssFor(name string) (*css.Result, error) {
 	doc, ok := s.workflows[name]
 	if !ok {
-		return nil, &UnknownWorkflowError{Workflow: name}
+		return nil, &unknownWorkflowError{Workflow: name}
 	}
 	return s.built.get(name, func() (*css.Result, error) {
 		an, err := workflow.Analyze(doc.Graph, doc.Catalog)
@@ -214,7 +214,7 @@ func (s *Server) solved(ctx context.Context, workflow string, gen int, key strin
 	if err != nil {
 		// Counted per request, not per flight: a sharer of a shed flight is
 		// answered 429 as well.
-		if errors.As(err, new(*BusyError)) {
+		if errors.As(err, new(*busyError)) {
 			s.metrics.shed()
 		}
 		return nil, false, err
@@ -269,7 +269,7 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 		if res, err := s.cssFor(n); err == nil {
 			info.Blocks = len(res.Analysis.Blocks)
 		}
-		if e, ok := s.catalog.Get(n); ok {
+		if e, ok := s.catalog.get(n); ok {
 			info.HasStats = true
 			info.Generation = e.Generation
 		}
@@ -333,14 +333,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	store, err := stats.ReadStore(bytes.NewReader(body))
 	if err != nil {
 		// Corrupt uploads are client errors and must name the byte offset
-		// (FormatError does), so a broken exporter can be debugged from the
+		// (ReadStore's errors do), so a broken exporter can be debugged from the
 		// response alone.
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 
 	var prev *stats.Store
-	if e, ok := s.catalog.Get(name); ok {
+	if e, ok := s.catalog.get(name); ok {
 		prev = e.Store
 	}
 	entry, drift, hadPrev, err := s.catalog.Put(name, store)
@@ -460,7 +460,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown cost model %q", req.CostModel))
 		return
 	}
-	entry, ok := s.catalog.Get(req.Workflow)
+	entry, ok := s.catalog.get(req.Workflow)
 	s.metrics.catalog(ok)
 	if !ok {
 		httpError(w, http.StatusNotFound,
@@ -479,7 +479,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return s.solveOptimize(req, model, entry)
 	})
 	if err != nil {
-		var busy *BusyError
+		var busy *busyError
 		if errors.As(err, &busy) {
 			tooBusy(w, busy)
 			return
@@ -611,7 +611,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	entry, hasStats := s.catalog.Get(req.Workflow)
+	entry, hasStats := s.catalog.get(req.Workflow)
 	s.metrics.catalog(hasStats)
 	gen := 0
 	if hasStats {
@@ -622,7 +622,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return s.solveEstimate(req, method, entry, hasStats)
 	})
 	if err != nil {
-		var busy *BusyError
+		var busy *busyError
 		if errors.As(err, &busy) {
 			tooBusy(w, busy)
 			return
@@ -714,7 +714,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 
 // tooBusy writes the typed 429: a Retry-After header plus a JSON body
 // naming the backoff, so shed clients know this is load, not failure.
-func tooBusy(w http.ResponseWriter, busy *BusyError) {
+func tooBusy(w http.ResponseWriter, busy *busyError) {
 	secs := int(math.Ceil(busy.RetryAfter.Seconds()))
 	if secs < 1 {
 		secs = 1

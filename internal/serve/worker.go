@@ -57,11 +57,11 @@ type workerState struct {
 	css onceMap[css.Options, *css.Result]
 }
 
-// WorkerRunRequest is the header of a block-execution request frame (see
+// workerRunRequest is the header of a block-execution request frame (see
 // frame.go): plain JSON — stats.Stat, workflow.JoinTree and css.Options are
 // flat exported structs that round-trip exactly. The upstream tables
 // follow it as raw sections in the data package's canonical binary codec.
-type WorkerRunRequest struct {
+type workerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
@@ -88,29 +88,26 @@ type WorkerRunRequest struct {
 	// whose boundary outputs follow the header, one table section each.
 	Block    int   `json:"block"`
 	Upstream []int `json:"upstream,omitempty"`
-	// Lease identifies the coordinator's lease on this dispatch (echoed in
-	// logs/diagnostics; the worker itself is stateless).
-	Lease string `json:"lease,omitempty"`
 }
 
-// WireFailedStat is a degraded statistic on the wire: the statistic plus
+// wireFailedStat is a degraded statistic on the wire: the statistic plus
 // its error rendered as text (errors do not round-trip as values).
-type WireFailedStat struct {
+type wireFailedStat struct {
 	Stat stats.Stat `json:"stat"`
 	Err  string     `json:"err"`
 }
 
-// WorkerRunResponse is the header of a block's response frame. The
+// workerRunResponse is the header of a block's response frame. The
 // sections after it are the boundary output, the materialized targets in
 // the order listed here, and the statistics shard in the stats v2 store
 // format (empty when uninstrumented).
-type WorkerRunResponse struct {
+type workerRunResponse struct {
 	// Materialized names the block's materialized targets, sorted.
 	Materialized []string `json:"materialized,omitempty"`
 	// Rows is the block's work-metric contribution.
 	Rows int64 `json:"rows"`
 	// Degraded lists statistics whose observation failed permanently.
-	Degraded []WireFailedStat `json:"degraded,omitempty"`
+	Degraded []wireFailedStat `json:"degraded,omitempty"`
 	// Retries counts worker-side attempts repeated after transient faults.
 	Retries int64 `json:"retries,omitempty"`
 	// Metrics is the block's metrics shard — one entry per compiled node,
@@ -180,7 +177,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 // classifies failures for the coordinator: 4xx are deterministic (bad
 // request or the block's own execution error — retrying elsewhere cannot
 // help), 5xx would be worker-local trouble.
-func (wk *Worker) runBlock(ctx context.Context, req *WorkerRunRequest, upstream map[int]*data.Table) (*engine.RemoteBlock, int, error) {
+func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream map[int]*data.Table) (*engine.RemoteBlock, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
 		return nil, http.StatusNotFound, err

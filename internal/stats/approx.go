@@ -45,11 +45,11 @@ func NewBucketSpec(lo, hi int64, n int) BucketSpec {
 // domainSize returns hi-lo+1 when it fits both int64 and the platform int;
 // ok is false for domains too large to matter for clamping.
 func domainSize(lo, hi int64) (int64, bool) {
-	d, err := SubInt64(hi, lo)
+	d, err := subInt64(hi, lo)
 	if err != nil {
 		return 0, false
 	}
-	size, err := AddInt64(d, 1)
+	size, err := addInt64(d, 1)
 	if err != nil || size > maxInt {
 		return 0, false
 	}
@@ -88,42 +88,25 @@ func (b BucketSpec) Bucket(v int64) int {
 // frequencies under the uniform-within-bucket assumption. Its memory
 // footprint is Spec.N counters regardless of the attribute domain.
 type Approx struct {
-	Spec    BucketSpec
-	Totals  []float64
-	rawRows int64
+	Spec   BucketSpec
+	Totals []float64
 }
 
-// NewApprox returns an empty bucketized histogram.
-func NewApprox(spec BucketSpec) *Approx {
+// newApprox returns an empty bucketized histogram.
+func newApprox(spec BucketSpec) *Approx {
 	return &Approx{Spec: spec, Totals: make([]float64, spec.N)}
 }
 
 // Bucketize compresses an exact single-attribute histogram into buckets.
 func Bucketize(h *Histogram, spec BucketSpec) (*Approx, error) {
-	if h.Arity() != 1 {
-		return nil, fmt.Errorf("stats: bucketize needs a single-attribute histogram, got arity %d", h.Arity())
+	if h.arity() != 1 {
+		return nil, fmt.Errorf("stats: bucketize needs a single-attribute histogram, got arity %d", h.arity())
 	}
-	a := NewApprox(spec)
+	a := newApprox(spec)
 	h.Each(func(vals []int64, f int64) {
 		a.Totals[spec.Bucket(vals[0])] += float64(f)
-		a.rawRows += f
 	})
 	return a, nil
-}
-
-// Add records one observed value (streaming observation).
-func (a *Approx) Add(v int64) {
-	a.Totals[a.Spec.Bucket(v)]++
-	a.rawRows++
-}
-
-// Total returns the summed frequencies (= |T| when observed on T).
-func (a *Approx) Total() float64 {
-	var t float64
-	for _, f := range a.Totals {
-		t += f
-	}
-	return t
 }
 
 // Memory returns the footprint in integer units (one per bucket).

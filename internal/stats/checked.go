@@ -12,12 +12,12 @@ import (
 // product goes through these helpers and overflow is reported as a
 // descriptive error at the point it happens.
 
-// ErrOverflow tags arithmetic overflow errors so callers can detect them
+// errOverflow tags arithmetic overflow errors so callers can detect them
 // with errors.Is.
-var ErrOverflow = fmt.Errorf("int64 overflow")
+var errOverflow = fmt.Errorf("int64 overflow")
 
-// MulInt64 returns a*b, or an error when the product does not fit in int64.
-func MulInt64(a, b int64) (int64, error) {
+// mulInt64 returns a*b, or an error when the product does not fit in int64.
+func mulInt64(a, b int64) (int64, error) {
 	if a == 0 || b == 0 {
 		return 0, nil
 	}
@@ -25,49 +25,30 @@ func MulInt64(a, b int64) (int64, error) {
 	// check below (Go defines MinInt64 / -1 == MinInt64), so reject it
 	// explicitly.
 	if (a == math.MinInt64 && b == -1) || (a == -1 && b == math.MinInt64) {
-		return 0, fmt.Errorf("%w: %d * %d", ErrOverflow, a, b)
+		return 0, fmt.Errorf("%w: %d * %d", errOverflow, a, b)
 	}
 	p := a * b
 	if p/b != a {
-		return 0, fmt.Errorf("%w: %d * %d", ErrOverflow, a, b)
+		return 0, fmt.Errorf("%w: %d * %d", errOverflow, a, b)
 	}
 	return p, nil
 }
 
-// AddInt64 returns a+b, or an error when the sum does not fit in int64.
-func AddInt64(a, b int64) (int64, error) {
+// addInt64 returns a+b, or an error when the sum does not fit in int64.
+func addInt64(a, b int64) (int64, error) {
 	s := a + b
 	if (b > 0 && s < a) || (b < 0 && s > a) {
-		return 0, fmt.Errorf("%w: %d + %d", ErrOverflow, a, b)
+		return 0, fmt.Errorf("%w: %d + %d", errOverflow, a, b)
 	}
 	return s, nil
 }
 
-// SubInt64 returns a-b, or an error when the difference does not fit in
+// subInt64 returns a-b, or an error when the difference does not fit in
 // int64 (e.g. MaxInt64 - MinInt64).
-func SubInt64(a, b int64) (int64, error) {
+func subInt64(a, b int64) (int64, error) {
 	d := a - b
 	if (b > 0 && d > a) || (b < 0 && d < a) {
-		return 0, fmt.Errorf("%w: %d - %d", ErrOverflow, a, b)
+		return 0, fmt.Errorf("%w: %d - %d", errOverflow, a, b)
 	}
 	return d, nil
-}
-
-// MaxExactInt64 is the largest magnitude an int64 can reach and still have
-// every integer up to it exactly representable as a float64 (2^53).
-const MaxExactInt64 = int64(1) << 53
-
-// ErrPrecision tags conversions that would silently round, so callers can
-// detect them with errors.Is.
-var ErrPrecision = fmt.Errorf("int64 exceeds exact float64 range")
-
-// Float64FromInt64 converts a cardinality to float64, erroring instead of
-// silently rounding when |v| exceeds 2^53 (float64's exact-integer range).
-// Cost models compare plans by small margins; feeding them a rounded
-// cardinality would make those comparisons quietly wrong.
-func Float64FromInt64(v int64) (float64, error) {
-	if v > MaxExactInt64 || v < -MaxExactInt64 {
-		return 0, fmt.Errorf("%w: %d", ErrPrecision, v)
-	}
-	return float64(v), nil
 }

@@ -19,7 +19,7 @@ func TestMulInt64(t *testing.T) {
 		{1 << 31, 1 << 31, 1 << 62},
 	}
 	for _, tc := range ok {
-		got, err := MulInt64(tc.a, tc.b)
+		got, err := mulInt64(tc.a, tc.b)
 		if err != nil || got != tc.want {
 			t.Errorf("MulInt64(%d, %d) = %d, %v; want %d", tc.a, tc.b, got, err, tc.want)
 		}
@@ -34,7 +34,7 @@ func TestMulInt64(t *testing.T) {
 		{-(1 << 32), 1 << 32},
 	}
 	for _, tc := range bad {
-		if _, err := MulInt64(tc[0], tc[1]); !errors.Is(err, ErrOverflow) {
+		if _, err := mulInt64(tc[0], tc[1]); !errors.Is(err, errOverflow) {
 			t.Errorf("MulInt64(%d, %d): want ErrOverflow, got %v", tc[0], tc[1], err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestAddInt64(t *testing.T) {
 		{-5, 5, 0},
 	}
 	for _, tc := range ok {
-		got, err := AddInt64(tc.a, tc.b)
+		got, err := addInt64(tc.a, tc.b)
 		if err != nil || got != tc.want {
 			t.Errorf("AddInt64(%d, %d) = %d, %v; want %d", tc.a, tc.b, got, err, tc.want)
 		}
@@ -61,26 +61,8 @@ func TestAddInt64(t *testing.T) {
 		{-1, math.MinInt64},
 	}
 	for _, tc := range bad {
-		if _, err := AddInt64(tc[0], tc[1]); !errors.Is(err, ErrOverflow) {
+		if _, err := addInt64(tc[0], tc[1]); !errors.Is(err, errOverflow) {
 			t.Errorf("AddInt64(%d, %d): want ErrOverflow, got %v", tc[0], tc[1], err)
-		}
-	}
-}
-
-func TestFloat64FromInt64(t *testing.T) {
-	ok := []int64{0, 1, -1, MaxExactInt64, -MaxExactInt64, MaxExactInt64 - 1}
-	for _, v := range ok {
-		got, err := Float64FromInt64(v)
-		if err != nil || got != float64(v) {
-			t.Errorf("Float64FromInt64(%d) = %v, %v; want exact conversion", v, got, err)
-		}
-	}
-	// 2^53 is the last exactly-representable integer; one past it (in
-	// either direction) must error instead of silently rounding.
-	bad := []int64{MaxExactInt64 + 1, -MaxExactInt64 - 1, math.MaxInt64, math.MinInt64}
-	for _, v := range bad {
-		if _, err := Float64FromInt64(v); !errors.Is(err, ErrPrecision) {
-			t.Errorf("Float64FromInt64(%d): want ErrPrecision, got %v", v, err)
 		}
 	}
 }
@@ -91,7 +73,7 @@ func TestDotProductOverflowError(t *testing.T) {
 	h2 := NewHistogram(a)
 	h1.Inc([]int64{1}, math.MaxInt64)
 	h2.Inc([]int64{1}, 2)
-	if _, err := DotProduct(h1, h2); !errors.Is(err, ErrOverflow) {
+	if _, err := DotProduct(h1, h2); !errors.Is(err, errOverflow) {
 		t.Fatalf("want ErrOverflow, got %v", err)
 	}
 }

@@ -105,8 +105,8 @@ func FuzzReadStoreTypedErrors(f *testing.F) {
 		if err == nil {
 			return
 		}
-		var fe *FormatError
-		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &fe) {
+		var fe *formatError
+		if !errors.Is(err, errCorrupt) || !errors.As(err, &fe) {
 			t.Fatalf("rejection is not a typed FormatError: %v", err)
 		}
 		if fe.Offset < 0 || fe.Offset > int64(len(in)) {

@@ -48,18 +48,18 @@ func decodeVals(key string) []int64 {
 	return out
 }
 
-// Arity returns the number of attributes.
-func (h *Histogram) Arity() int { return len(h.Attrs) }
+// arity returns the number of attributes.
+func (h *Histogram) arity() int { return len(h.Attrs) }
 
-// ArityError reports a value tuple whose length does not match the
+// arityError reports a value tuple whose length does not match the
 // histogram's attribute arity — a mis-declared statistic, surfaced as a
 // typed error so the observation layer can degrade instead of crash.
-type ArityError struct {
+type arityError struct {
 	// Want is the histogram's arity, Got the offered tuple length.
 	Want, Got int
 }
 
-func (e *ArityError) Error() string {
+func (e *arityError) Error() string {
 	return fmt.Sprintf("histogram arity %d, got %d values", e.Want, e.Got)
 }
 
@@ -71,7 +71,7 @@ func (h *Histogram) Add(vals ...int64) error { return h.Inc(vals, 1) }
 // nothing; the key string is materialized only on first insert.
 func (h *Histogram) Inc(vals []int64, delta int64) error {
 	if len(vals) != len(h.Attrs) {
-		return &ArityError{Want: len(h.Attrs), Got: len(vals)}
+		return &arityError{Want: len(h.Attrs), Got: len(vals)}
 	}
 	h.kbuf = h.kbuf[:0]
 	for _, v := range vals {
@@ -135,9 +135,9 @@ func (h *Histogram) Each(f func(vals []int64, freq int64)) {
 	}
 }
 
-// EachSorted calls f for every bucket in ascending value order; used where
+// eachSorted calls f for every bucket in ascending value order; used where
 // deterministic output matters (reports, tests).
-func (h *Histogram) EachSorted(f func(vals []int64, freq int64)) {
+func (h *Histogram) eachSorted(f func(vals []int64, freq int64)) {
 	keys := make([]string, 0, len(h.m))
 	for k := range h.m {
 		keys = append(keys, k)
@@ -148,8 +148,8 @@ func (h *Histogram) EachSorted(f func(vals []int64, freq int64)) {
 	}
 }
 
-// Clone returns a deep copy.
-func (h *Histogram) Clone() *Histogram {
+// clone returns a deep copy.
+func (h *Histogram) clone() *Histogram {
 	out := &Histogram{Attrs: append([]workflow.Attr(nil), h.Attrs...), m: make(map[string]*int64, len(h.m))}
 	for k, v := range h.m {
 		f := *v
@@ -208,8 +208,8 @@ func (h *Histogram) Marginal(attrs ...workflow.Attr) (*Histogram, error) {
 // product of the two single-attribute join-column distributions,
 // |T1 ⋈a T2| = Σ_v H1[v]·H2[v].
 func DotProduct(h1, h2 *Histogram) (int64, error) {
-	if h1.Arity() != 1 || h2.Arity() != 1 {
-		return 0, fmt.Errorf("dot product needs single-attribute histograms, got arity %d and %d", h1.Arity(), h2.Arity())
+	if h1.arity() != 1 || h2.arity() != 1 {
+		return 0, fmt.Errorf("dot product needs single-attribute histograms, got arity %d and %d", h1.arity(), h2.arity())
 	}
 	var total int64
 	small, large := h1, h2
@@ -221,11 +221,11 @@ func DotProduct(h1, h2 *Histogram) (int64, error) {
 		if p, ok := large.m[k]; ok {
 			lf = *p
 		}
-		p, err := MulInt64(*f, lf)
+		p, err := mulInt64(*f, lf)
 		if err != nil {
 			return 0, fmt.Errorf("dot product: bucket %v: %w", decodeVals(k), err)
 		}
-		total, err = AddInt64(total, p)
+		total, err = addInt64(total, p)
 		if err != nil {
 			return 0, fmt.Errorf("dot product: %w", err)
 		}
@@ -289,7 +289,7 @@ func Join(h1, h2 *Histogram, join workflow.Attr, out []workflow.Attr) (*Histogra
 					vals[i] = v2[s.pos]
 				}
 			}
-			f, err := MulInt64(*f1, f2)
+			f, err := mulInt64(*f1, f2)
 			if err != nil {
 				return nil, fmt.Errorf("join: bucket %v: %w", vals, err)
 			}
@@ -299,26 +299,6 @@ func Join(h1, h2 *Histogram, join workflow.Attr, out []workflow.Attr) (*Histogra
 		}
 	}
 	return res, nil
-}
-
-// Multiply implements the paper's ⟨H1|H2⟩ operator: bucket-wise product of
-// two histograms over the same attribute set.
-func Multiply(h1, h2 *Histogram) (*Histogram, error) {
-	if workflow.AttrsString(h1.Attrs) != workflow.AttrsString(h2.Attrs) {
-		return nil, fmt.Errorf("multiply: attribute sets differ: %s vs %s",
-			workflow.AttrsString(h1.Attrs), workflow.AttrsString(h2.Attrs))
-	}
-	out := NewHistogram(h1.Attrs...)
-	for k, f1 := range h1.m {
-		if f2, ok := h2.m[k]; ok && *f2 != 0 {
-			f, err := MulInt64(*f1, *f2)
-			if err != nil {
-				return nil, fmt.Errorf("multiply: bucket %v: %w", decodeVals(k), err)
-			}
-			out.inc(k, f)
-		}
-	}
-	return out, nil
 }
 
 // Divide implements the paper's H1/H2 operator used by union–division
@@ -391,7 +371,7 @@ func AddHist(h1, h2 *Histogram) (*Histogram, error) {
 		return nil, fmt.Errorf("add: attribute sets differ: %s vs %s",
 			workflow.AttrsString(h1.Attrs), workflow.AttrsString(h2.Attrs))
 	}
-	out := h1.Clone()
+	out := h1.clone()
 	for k, f := range h2.m {
 		out.inc(k, *f)
 	}

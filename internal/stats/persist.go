@@ -50,14 +50,14 @@ const (
 	maxHistBuckets = 1 << 30
 )
 
-// ErrCorrupt tags statistics streams rejected as structurally invalid —
+// errCorrupt tags statistics streams rejected as structurally invalid —
 // bad magic, truncation, counts that exceed the stream, values out of
 // range, non-canonical encodings. Detect it with errors.Is.
-var ErrCorrupt = errors.New("corrupt statistics stream")
+var errCorrupt = errors.New("corrupt statistics stream")
 
-// FormatError reports where and why a statistics stream was rejected. It
-// wraps ErrCorrupt.
-type FormatError struct {
+// formatError reports where and why a statistics stream was rejected. It
+// wraps errCorrupt.
+type formatError struct {
 	// Offset is the byte offset at which the problem was detected.
 	Offset int64
 	// Msg describes the problem.
@@ -66,12 +66,12 @@ type FormatError struct {
 	// is parsed).
 	Version uint32
 	// BadKind is the unregistered statistic-kind byte that caused the
-	// rejection, or -1 when the problem is not an unknown kind. Callers can
-	// distinguish "stream from a future format" from plain corruption.
+	// rejection, or -1 when the problem is not an unknown kind; the message
+	// then tells "stream from a future format" from plain corruption.
 	BadKind int
 }
 
-func (e *FormatError) Error() string {
+func (e *formatError) Error() string {
 	s := fmt.Sprintf("stats: corrupt statistics stream at byte %d: %s", e.Offset, e.Msg)
 	if e.BadKind >= 0 {
 		s += fmt.Sprintf(" (unknown kind byte %d in version-%d stream)", e.BadKind, e.Version)
@@ -79,7 +79,7 @@ func (e *FormatError) Error() string {
 	return s
 }
 
-func (e *FormatError) Unwrap() error { return ErrCorrupt }
+func (e *formatError) Unwrap() error { return errCorrupt }
 
 // WriteTo serializes the store. It implements io.WriterTo: the returned
 // count is the number of bytes actually written to w, so the counter sits
@@ -111,8 +111,8 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 // bytes actually consumed, never with declared counts alone; and the
 // stream must be in the exact canonical form WriteTo produces (sorted
 // attributes, sorted non-zero buckets, no duplicate statistics, no
-// trailing bytes). Structural rejections are typed: errors.Is(err,
-// ErrCorrupt) holds and the *FormatError carries the byte offset.
+// trailing bytes). Structural rejections are typed: the *formatError
+// carries the byte offset, and its message says where the stream broke.
 func ReadStore(r io.Reader) (*Store, error) {
 	sr := &statReader{br: bufio.NewReader(r), size: streamSize(r)}
 	magic := make([]byte, len(persistMagic))
@@ -156,11 +156,11 @@ func ReadStore(r io.Reader) (*Store, error) {
 		prev = k
 		switch {
 		case v.Hist != nil:
-			err = st.PutHist(v.Stat, v.Hist)
+			err = st.putHist(v.Stat, v.Hist)
 		case v.HLL != nil:
-			err = st.PutHLL(v.Stat, v.HLL)
+			err = st.putHLL(v.Stat, v.HLL)
 		case v.CM != nil:
-			err = st.PutCM(v.Stat, v.CM)
+			err = st.putCM(v.Stat, v.CM)
 		default:
 			err = st.PutScalar(v.Stat, v.Scalar)
 		}
@@ -221,16 +221,16 @@ func (r *statReader) readUvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// corrupt builds a typed FormatError at the current offset.
+// corrupt builds a typed formatError at the current offset.
 func (r *statReader) corrupt(format string, args ...any) error {
-	return &FormatError{Offset: r.off, Msg: fmt.Sprintf(format, args...), Version: r.version, BadKind: -1}
+	return &formatError{Offset: r.off, Msg: fmt.Sprintf(format, args...), Version: r.version, BadKind: -1}
 }
 
 // unknownKind builds the forward-compatibility rejection: a kind byte the
 // registry does not know, carrying the byte and the stream version so a
 // caller can tell a future-format stream from corruption.
 func (r *statReader) unknownKind(kind uint8) error {
-	return &FormatError{
+	return &formatError{
 		Offset:  r.off,
 		Msg:     "unregistered statistic kind",
 		Version: r.version,
@@ -341,7 +341,7 @@ func writeValue(w io.Writer, v *Value) error {
 			return err
 		}
 		var werr error
-		v.Hist.EachSorted(func(vals []int64, freq int64) {
+		v.Hist.eachSorted(func(vals []int64, freq int64) {
 			if werr != nil {
 				return
 			}
@@ -403,7 +403,7 @@ func readValue(r *statReader) (*Value, error) {
 	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
 		return nil, r.readErr("kind", err)
 	}
-	if !Kind(kind).Valid() {
+	if !Kind(kind).valid() {
 		return nil, r.unknownKind(kind)
 	}
 	if r.version < 2 && Kind(kind) > Hist {

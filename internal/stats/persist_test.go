@@ -16,16 +16,16 @@ func sampleStore() *Store {
 	a := workflow.Attr{Rel: "Orders", Col: "cid"}
 	b := workflow.Attr{Rel: "Orders", Col: "pid"}
 	st := NewStore()
-	st.PutScalar(NewCard(SE(expr.NewSet(0))), 12345)
+	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 12345)
 	st.PutScalar(NewCard(BlockSE(2, expr.NewSet(0, 1))), 77)
-	st.PutScalar(NewDistinct(SE(expr.NewSet(1)), a), 42)
+	st.PutScalar(NewDistinct(BlockSE(0, expr.NewSet(1)), a), 42)
 	st.PutScalar(NewCard(BlockRejectSE(0, expr.NewSet(0, 2), 0, 1)), 9)
 	st.PutScalar(NewCard(ChainPoint(1, 0, 2)), 3)
 	h := NewHistogram(a, b)
 	h.Inc([]int64{1, 10}, 5)
 	h.Inc([]int64{-3, 20}, 2)
 	h.Inc([]int64{7, 10}, 1)
-	st.PutHist(NewHist(SE(expr.NewSet(0)), a, b), h)
+	st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a, b), h)
 	return st
 }
 
@@ -33,17 +33,17 @@ func sampleStore() *Store {
 func sampleSketchStore() *Store {
 	a := workflow.Attr{Rel: "Orders", Col: "cid"}
 	st := NewStore()
-	st.PutScalar(NewCard(SE(expr.NewSet(0))), 12345)
+	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 12345)
 	hll := NewHLL(DefaultHLLP)
 	for i := int64(0); i < 200; i++ {
 		hll.Add(i)
 	}
-	st.PutHLL(NewHLLDistinct(SE(expr.NewSet(0)), a), hll)
+	st.putHLL(hllDistinct(BlockSE(0, expr.NewSet(0)), a), hll)
 	cm := NewCMH(CMSpecFor(1, 500), DefaultCMDepth, DefaultCMWidth)
 	for i := int64(0); i < 300; i++ {
 		cm.Observe(i%500 + 1)
 	}
-	st.PutCM(NewCMHist(SE(expr.NewSet(1)), a), cm)
+	st.putCM(cmHist(BlockSE(0, expr.NewSet(1)), a), cm)
 	return st
 }
 
@@ -133,16 +133,16 @@ func validStream(t *testing.T) []byte {
 }
 
 // wantCorrupt asserts the stream is rejected with a typed FormatError.
-func wantCorrupt(t *testing.T, in []byte, what string) *FormatError {
+func wantCorrupt(t *testing.T, in []byte, what string) *formatError {
 	t.Helper()
 	_, err := ReadStore(bytes.NewReader(in))
 	if err == nil {
 		t.Fatalf("%s: want error, got nil", what)
 	}
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, errCorrupt) {
 		t.Fatalf("%s: error not tagged ErrCorrupt: %v", what, err)
 	}
-	var fe *FormatError
+	var fe *formatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("%s: error is not a *FormatError: %v", what, err)
 	}
@@ -190,7 +190,7 @@ func TestReadStoreRejectsCorruptStreams(t *testing.T) {
 	// Duplicate / out-of-order values: duplicate the first value bytes in
 	// a two-value stream.
 	st := NewStore()
-	st.PutScalar(NewCard(SE(expr.NewSet(0))), 1)
+	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 1)
 	var one bytes.Buffer
 	if _, err := st.WriteTo(&one); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestReadStoreRejectsNonCanonicalForm(t *testing.T) {
 	st := NewStore()
 	h := NewHistogram(a)
 	h.Inc([]int64{5}, 3)
-	st.PutHist(NewHist(SE(expr.NewSet(0)), a), h)
+	st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a), h)
 	var buf bytes.Buffer
 	if _, err := st.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -337,12 +337,12 @@ func TestDriftMeasurement(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	mk := func(card int64, histVals map[int64]int64) *Store {
 		st := NewStore()
-		st.PutScalar(NewCard(SE(expr.NewSet(0))), card)
+		st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), card)
 		h := NewHistogram(a)
 		for v, f := range histVals {
 			h.Inc([]int64{v}, f)
 		}
-		st.PutHist(NewHist(SE(expr.NewSet(0)), a), h)
+		st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a), h)
 		return st
 	}
 	old := mk(100, map[int64]int64{1: 50, 2: 50})
@@ -373,7 +373,7 @@ func TestDriftMeasurement(t *testing.T) {
 
 	// Differing instrumentation is counted, not compared.
 	other := NewStore()
-	other.PutScalar(NewCard(SE(expr.NewSet(5))), 1)
+	other.PutScalar(NewCard(BlockSE(0, expr.NewSet(5))), 1)
 	d = MeasureDrift(old, other)
 	if d.Shared != 0 || d.OnlyOld != 2 || d.OnlyNew != 1 {
 		t.Fatalf("disjoint stores drift = %+v", d)

@@ -21,12 +21,12 @@ import (
 const DefaultHLLP = 9
 
 // Count-min defaults: the sketch bucketizes values through a BucketSpec of
-// DefaultCMBuckets buckets and maintains DefaultCMDepth hashed counter rows
+// defaultCMBuckets buckets and maintains DefaultCMDepth hashed counter rows
 // of DefaultCMWidth columns each.
 const (
 	DefaultCMDepth   = 3
 	DefaultCMWidth   = 64
-	DefaultCMBuckets = 64
+	defaultCMBuckets = 64
 )
 
 // hashVals hashes an attribute tuple deterministically: FNV-1a over the
@@ -81,8 +81,8 @@ func NewHLL(p uint8) *HLL {
 	return &HLL{P: p, Regs: make([]byte, 1<<p)}
 }
 
-// AddHash folds one pre-hashed observation into the sketch.
-func (h *HLL) AddHash(x uint64) {
+// addHash folds one pre-hashed observation into the sketch.
+func (h *HLL) addHash(x uint64) {
 	idx := x >> (64 - h.P)
 	rest := x<<h.P | 1<<(h.P-1) // low bits; sentinel caps the rank
 	rank := byte(1)
@@ -96,7 +96,7 @@ func (h *HLL) AddHash(x uint64) {
 }
 
 // Add folds one attribute tuple into the sketch.
-func (h *HLL) Add(vals ...int64) { h.AddHash(hashVals(vals)) }
+func (h *HLL) Add(vals ...int64) { h.addHash(hashVals(vals)) }
 
 // Estimate returns the sketch's distinct-count estimate: the standard
 // HyperLogLog harmonic mean with linear counting for the small range.
@@ -122,15 +122,8 @@ func (h *HLL) Estimate() int64 {
 	return int64(est + 0.5)
 }
 
-// Clone returns a deep copy.
-func (h *HLL) Clone() *HLL {
-	cp := &HLL{P: h.P, Regs: make([]byte, len(h.Regs))}
-	copy(cp.Regs, h.Regs)
-	return cp
-}
-
-// MemoryUnits prices the sketch in the cost model's 8-byte units.
-func (h *HLL) MemoryUnits() int64 { return int64((len(h.Regs) + 7) / 8) }
+// memoryUnits prices the sketch in the cost model's 8-byte units.
+func (h *HLL) memoryUnits() int64 { return int64((len(h.Regs) + 7) / 8) }
 
 // CMH is a count-min sketch over histogram buckets: values map through
 // Spec to a bucket index, and each of Depth hashed rows of Width counters
@@ -157,8 +150,8 @@ func NewCMH(spec BucketSpec, depth, width int) *CMH {
 }
 
 // CMSpecFor returns the default bucketization for a value domain [lo, hi]:
-// DefaultCMBuckets equi-width buckets (fewer when the domain is smaller).
-func CMSpecFor(lo, hi int64) BucketSpec { return NewBucketSpec(lo, hi, DefaultCMBuckets) }
+// defaultCMBuckets equi-width buckets (fewer when the domain is smaller).
+func CMSpecFor(lo, hi int64) BucketSpec { return NewBucketSpec(lo, hi, defaultCMBuckets) }
 
 // cmCol maps a bucket index to row d's counter column. Each row uses a
 // distinct deterministic permutation seed.
@@ -189,21 +182,14 @@ func (c *CMH) BucketEstimate(b int) int64 {
 	return min
 }
 
-// Total returns the exact total frequency (every row sums all increments,
+// total returns the exact total frequency (every row sums all increments,
 // so any row's sum is the total).
-func (c *CMH) Total() int64 {
+func (c *CMH) total() int64 {
 	var t int64
 	for i := 0; i < c.Width; i++ {
 		t += c.Counters[i]
 	}
 	return t
-}
-
-// Clone returns a deep copy.
-func (c *CMH) Clone() *CMH {
-	cp := &CMH{Spec: c.Spec, Depth: c.Depth, Width: c.Width, Counters: make([]int64, len(c.Counters))}
-	copy(cp.Counters, c.Counters)
-	return cp
 }
 
 // MemoryUnits prices the sketch in the cost model's 8-byte units.
@@ -212,7 +198,7 @@ func (c *CMH) MemoryUnits() int64 { return int64(c.Depth) * int64(c.Width) }
 // Approx expands the sketch into its bucketized-histogram view: one total
 // per bucket, queryable by the same ApproxDotProduct the experiments use.
 func (c *CMH) Approx() *Approx {
-	a := NewApprox(c.Spec)
+	a := newApprox(c.Spec)
 	for b := 0; b < c.Spec.N; b++ {
 		a.Totals[b] = float64(c.BucketEstimate(b))
 	}

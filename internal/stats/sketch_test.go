@@ -13,6 +13,15 @@ import (
 // TestHLLEstimateAccuracy: at the default precision (512 registers) the
 // estimate must land within ~3 standard errors of truth across a range of
 // cardinalities.
+// hllDistinct and cmHist spell the sketch statistics over one attribute.
+func hllDistinct(t Target, a workflow.Attr) Stat {
+	return Stat{Kind: HLLDistinct, Target: t, Attrs: []workflow.Attr{a}}
+}
+
+func cmHist(t Target, a workflow.Attr) Stat {
+	return Stat{Kind: CMHist, Target: t, Attrs: []workflow.Attr{a}}
+}
+
 func TestHLLEstimateAccuracy(t *testing.T) {
 	for _, n := range []int64{0, 1, 10, 100, 1000, 10000, 200000} {
 		h := NewHLL(DefaultHLLP)
@@ -79,13 +88,13 @@ func TestCMHBucketEstimates(t *testing.T) {
 func TestStoreSketchShapes(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	st := NewStore()
-	hllStat := NewHLLDistinct(SE(expr.NewSet(0)), a)
-	cmStat := NewCMHist(SE(expr.NewSet(0)), a)
-	var ke *KindError
+	hllStat := hllDistinct(BlockSE(0, expr.NewSet(0)), a)
+	cmStat := cmHist(BlockSE(0, expr.NewSet(0)), a)
+	var ke *kindError
 	if err := st.PutScalar(hllStat, 1); !errors.As(err, &ke) {
 		t.Fatalf("PutScalar on hll stat: %v", err)
 	}
-	if err := st.PutHLL(NewDistinct(SE(expr.NewSet(0)), a), NewHLL(DefaultHLLP)); !errors.As(err, &ke) {
+	if err := st.putHLL(NewDistinct(BlockSE(0, expr.NewSet(0)), a), NewHLL(DefaultHLLP)); !errors.As(err, &ke) {
 		t.Fatalf("PutHLL on distinct stat: %v", err)
 	}
 	if err := st.PutHLLOnce(hllStat, NewHLL(DefaultHLLP)); err != nil {
@@ -112,23 +121,23 @@ func TestStoreSketchShapes(t *testing.T) {
 func TestApproxVariant(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	b := workflow.Attr{Rel: "T", Col: "b"}
-	if _, ok := ApproxVariant(NewCard(SE(expr.NewSet(0)))); ok {
+	if _, ok := ApproxVariant(NewCard(BlockSE(0, expr.NewSet(0)))); ok {
 		t.Fatal("card has no sketch variant")
 	}
-	v, ok := ApproxVariant(NewDistinct(SE(expr.NewSet(0)), a, b))
+	v, ok := ApproxVariant(NewDistinct(BlockSE(0, expr.NewSet(0)), a, b))
 	if !ok || v.Kind != HLLDistinct || len(v.Attrs) != 2 {
 		t.Fatalf("distinct variant = %+v, %v", v, ok)
 	}
 	if back, ok := ExactVariant(v); !ok || back.Kind != Distinct {
 		t.Fatalf("exact variant = %+v, %v", back, ok)
 	}
-	if _, ok := ApproxVariant(NewHist(SE(expr.NewSet(0)), a, b)); ok {
+	if _, ok := ApproxVariant(NewHist(BlockSE(0, expr.NewSet(0)), a, b)); ok {
 		t.Fatal("joint histogram must not have a cm variant")
 	}
-	if _, ok := ApproxVariant(NewHist(RejectSE(expr.NewSet(0, 1), 0, 0), a)); ok {
+	if _, ok := ApproxVariant(NewHist(BlockRejectSE(0, expr.NewSet(0, 1), 0, 0), a)); ok {
 		t.Fatal("reject-target histogram must not have a cm variant")
 	}
-	if hv, ok := ApproxVariant(NewHist(SE(expr.NewSet(0)), a)); !ok || hv.Kind != CMHist {
+	if hv, ok := ApproxVariant(NewHist(BlockSE(0, expr.NewSet(0)), a)); !ok || hv.Kind != CMHist {
 		t.Fatalf("single-attr histogram variant = %+v, %v", hv, ok)
 	}
 }
@@ -138,7 +147,7 @@ func TestApproxVariant(t *testing.T) {
 // orderings — instead of reporting disjoint stores.
 func TestDriftCrossTier(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
-	tgt := SE(expr.NewSet(0))
+	tgt := BlockSE(0, expr.NewSet(0))
 
 	exact := NewStore()
 	exact.PutScalar(NewDistinct(tgt, a), 1000)
@@ -146,19 +155,19 @@ func TestDriftCrossTier(t *testing.T) {
 	for i := int64(1); i <= 500; i++ {
 		h.Inc([]int64{i}, 4)
 	}
-	exact.PutHist(NewHist(tgt, a), h)
+	exact.putHist(NewHist(tgt, a), h)
 
 	approx := NewStore()
 	hll := NewHLL(DefaultHLLP)
 	for i := int64(0); i < 1000; i++ {
 		hll.Add(i)
 	}
-	approx.PutHLL(NewHLLDistinct(tgt, a), hll)
+	approx.putHLL(hllDistinct(tgt, a), hll)
 	cm := NewCMH(CMSpecFor(1, 500), DefaultCMDepth, DefaultCMWidth)
 	for i := int64(1); i <= 500; i++ {
 		cm.Inc(i, 4)
 	}
-	approx.PutCM(NewCMHist(tgt, a), cm)
+	approx.putCM(cmHist(tgt, a), cm)
 
 	for _, tc := range []struct {
 		name     string
@@ -184,7 +193,7 @@ func TestDriftCrossTier(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		hll2.Add(i)
 	}
-	shifted.PutHLL(NewHLLDistinct(tgt, a), hll2)
+	shifted.putHLL(hllDistinct(tgt, a), hll2)
 	if d := MeasureDrift(exact, shifted); d.MaxRel < 0.5 {
 		t.Fatalf("10x distinct shift reports drift %.3f", d.MaxRel)
 	}
@@ -205,8 +214,12 @@ func TestPersistSketchRoundTrip(t *testing.T) {
 	if back.Len() != st.Len() {
 		t.Fatalf("lost values: %d vs %d", back.Len(), st.Len())
 	}
+	byKey := make(map[Key]*Value)
+	for _, v := range back.Values() {
+		byKey[v.Stat.Key()] = v
+	}
 	for _, v := range st.Values() {
-		got, ok := back.Lookup(v.Stat)
+		got, ok := byKey[v.Stat.Key()]
 		if !ok {
 			t.Fatalf("missing %v", v.Stat.Key())
 		}
@@ -238,8 +251,8 @@ func TestPersistUnknownKindTyped(t *testing.T) {
 	// length so the size pre-check does not fire first.
 	in := append([]byte("ETLSTAT\x02\x00\x00\x00\x01\x00\x00\x00\x09"), make([]byte, 64)...)
 	_, err := ReadStore(bytes.NewReader(in))
-	var fe *FormatError
-	if !errors.As(err, &fe) || !errors.Is(err, ErrCorrupt) {
+	var fe *formatError
+	if !errors.As(err, &fe) || !errors.Is(err, errCorrupt) {
 		t.Fatalf("want *FormatError wrapping ErrCorrupt, got %v", err)
 	}
 	if fe.BadKind != 9 || fe.Version != 2 {

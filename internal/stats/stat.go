@@ -87,12 +87,12 @@ var kindRegistry = [...]kindInfo{
 	CMHist:      {name: "cm-hist", shape: ShapeCM, approx: true, exact: Hist},
 }
 
-// NumKinds is the number of registered statistic kinds; kind bytes at or
+// numKinds is the number of registered statistic kinds; kind bytes at or
 // beyond it are unknown (possibly from a future format version).
-const NumKinds = len(kindRegistry)
+const numKinds = len(kindRegistry)
 
-// Valid reports whether the kind is registered.
-func (k Kind) Valid() bool { return int(k) < NumKinds }
+// valid reports whether the kind is registered.
+func (k Kind) valid() bool { return int(k) < numKinds }
 
 // Shape returns the kind's value representation.
 func (k Kind) Shape() Shape { return kindRegistry[k].shape }
@@ -100,13 +100,13 @@ func (k Kind) Shape() Shape { return kindRegistry[k].shape }
 // Approx reports whether the kind is a sketch-backed approximation.
 func (k Kind) Approx() bool { return kindRegistry[k].approx }
 
-// ExactKind returns the exact kind an approximate kind stands in for
+// exactKind returns the exact kind an approximate kind stands in for
 // (the kind itself when already exact).
-func (k Kind) ExactKind() Kind { return kindRegistry[k].exact }
+func (k Kind) exactKind() Kind { return kindRegistry[k].exact }
 
 // String names the kind.
 func (k Kind) String() string {
-	if k.Valid() {
+	if k.valid() {
 		return kindRegistry[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
@@ -138,10 +138,6 @@ type Target struct {
 	RejectEdge int
 }
 
-// SE returns an ordinary (non-reject) target for the given SE in block 0;
-// use BlockSE for multi-block workflows.
-func SE(s expr.Set) Target { return BlockSE(0, s) }
-
 // BlockSE returns an ordinary target for the given SE of the given block.
 func BlockSE(block int, s expr.Set) Target {
 	return Target{Block: block, Set: s, Depth: -1, RejectInput: -1, RejectEdge: -1}
@@ -154,13 +150,8 @@ func ChainPoint(block, input, depth int) Target {
 	return Target{Block: block, Set: expr.NewSet(input), Depth: depth, RejectInput: -1, RejectEdge: -1}
 }
 
-// RejectSE returns a target in which input rej's rows are those rejected by
-// join edge e, within the given block.
-func RejectSE(s expr.Set, rej, e int) Target {
-	return Target{Set: s, Depth: -1, RejectInput: rej, RejectEdge: e}
-}
-
-// BlockRejectSE is RejectSE scoped to a block.
+// BlockRejectSE returns a target in which input rej's rows are those
+// rejected by join edge e, within the given block.
 func BlockRejectSE(block int, s expr.Set, rej, e int) Target {
 	return Target{Block: block, Set: s, Depth: -1, RejectInput: rej, RejectEdge: e}
 }
@@ -220,16 +211,6 @@ func NewHist(t Target, attrs ...workflow.Attr) Stat {
 	return Stat{Kind: Hist, Target: t, Attrs: canonAttrs(attrs)}
 }
 
-// NewHLLDistinct returns the HyperLogLog approximation of |attrs_se|.
-func NewHLLDistinct(t Target, attrs ...workflow.Attr) Stat {
-	return Stat{Kind: HLLDistinct, Target: t, Attrs: canonAttrs(attrs)}
-}
-
-// NewCMHist returns the count-min approximation of H_se^attrs.
-func NewCMHist(t Target, attrs ...workflow.Attr) Stat {
-	return Stat{Kind: CMHist, Target: t, Attrs: canonAttrs(attrs)}
-}
-
 // ApproxVariant returns the sketch-backed counterpart of an exact
 // statistic, when one exists: any distinct count has an HLL variant; a
 // histogram has a count-min variant only for single-attribute non-reject
@@ -254,7 +235,7 @@ func ExactVariant(s Stat) (Stat, bool) {
 	if !s.Kind.Approx() {
 		return Stat{}, false
 	}
-	return Stat{Kind: s.Kind.ExactKind(), Target: s.Target, Attrs: s.Attrs}, true
+	return Stat{Kind: s.Kind.exactKind(), Target: s.Target, Attrs: s.Attrs}, true
 }
 
 // canonAttrs sorts and de-duplicates an attribute list (rule composition
@@ -328,15 +309,6 @@ type CSS struct {
 	// Join is the join-attribute class for the J and R rules (zero value
 	// otherwise).
 	Join workflow.Attr
-}
-
-// Keys returns the input statistics' keys.
-func (c CSS) Keys() []Key {
-	out := make([]Key, len(c.Inputs))
-	for i, s := range c.Inputs {
-		out[i] = s.Key()
-	}
-	return out
 }
 
 // Label renders the CSS as "rule{stat, stat, ...}".

@@ -98,25 +98,25 @@ func (st *Store) Has(s Stat) bool {
 	return ok
 }
 
-// KindError reports a put whose value shape does not match the statistic
+// kindError reports a put whose value shape does not match the statistic
 // kind's registered shape (a scalar for a histogram statistic, a histogram
 // for a sketch, ...). It is a typed error so the observation layer can mark
 // the statistic degraded and keep the run alive instead of crashing it.
-type KindError struct {
+type kindError struct {
 	// Stat is the mis-declared statistic.
 	Stat Stat
 	// Op names the rejected operation ("PutScalar", "PutHistOnce", ...).
 	Op string
 }
 
-func (e *KindError) Error() string {
+func (e *kindError) Error() string {
 	return fmt.Sprintf("stats: %s on %s-shaped statistic %v", e.Op, e.Stat.Kind.Shape(), e.Stat.Key())
 }
 
 // checkShape validates a put against the kind registry.
 func checkShape(s Stat, want Shape, op string) error {
-	if !s.Kind.Valid() || s.Kind.Shape() != want {
-		return &KindError{Stat: s, Op: op}
+	if !s.Kind.valid() || s.Kind.Shape() != want {
+		return &kindError{Stat: s, Op: op}
 	}
 	return nil
 }
@@ -143,8 +143,8 @@ func (st *Store) PutScalar(s Stat, v int64) error {
 	return nil
 }
 
-// PutHist records a histogram observation.
-func (st *Store) PutHist(s Stat, h *Histogram) error {
+// putHist records a histogram observation.
+func (st *Store) putHist(s Stat, h *Histogram) error {
 	if err := checkShape(s, ShapeHist, "PutHist"); err != nil {
 		return err
 	}
@@ -172,8 +172,8 @@ func (st *Store) PutHistOnce(s Stat, h *Histogram) error {
 	return nil
 }
 
-// PutHLL records a HyperLogLog sketch observation.
-func (st *Store) PutHLL(s Stat, h *HLL) error {
+// putHLL records a HyperLogLog sketch observation.
+func (st *Store) putHLL(s Stat, h *HLL) error {
 	if err := checkShape(s, ShapeHLL, "PutHLL"); err != nil {
 		return err
 	}
@@ -190,8 +190,8 @@ func (st *Store) PutHLLOnce(s Stat, h *HLL) error {
 	return nil
 }
 
-// PutCM records a count-min sketch observation.
-func (st *Store) PutCM(s Stat, c *CMH) error {
+// putCM records a count-min sketch observation.
+func (st *Store) putCM(s Stat, c *CMH) error {
 	if err := checkShape(s, ShapeCM, "PutCM"); err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func (st *Store) Scalar(s Stat) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("statistic not in store: %v", s.Key())
 	}
-	if s.Kind.Valid() && s.Kind.Shape() != ShapeScalar {
+	if s.Kind.valid() && s.Kind.Shape() != ShapeScalar {
 		return 0, fmt.Errorf("statistic %v is %s-shaped, not scalar", s.Key(), s.Kind.Shape())
 	}
 	return v.Scalar, nil
@@ -262,14 +262,6 @@ func (st *Store) CMSketch(s Stat) (*CMH, error) {
 		return nil, fmt.Errorf("statistic %v is not a count-min sketch", s.Key())
 	}
 	return v.CM, nil
-}
-
-// Lookup returns the stored value for a statistic, if present.
-func (st *Store) Lookup(s Stat) (*Value, bool) {
-	st.mu.RLock()
-	v, ok := st.m[s.Key()]
-	st.mu.RUnlock()
-	return v, ok
 }
 
 // Values returns all stored values in a deterministic order.
@@ -337,7 +329,7 @@ func (st *Store) MemoryUnits() int64 {
 		case v.Hist != nil:
 			total += int64(v.Hist.Buckets())
 		case v.HLL != nil:
-			total += v.HLL.MemoryUnits()
+			total += v.HLL.memoryUnits()
 		case v.CM != nil:
 			total += v.CM.MemoryUnits()
 		default:
@@ -357,7 +349,7 @@ func (st *Store) Dump(b *workflow.Block) string {
 		case v.HLL != nil:
 			out += fmt.Sprintf("%s ≈ %d (hll 2^%d)\n", v.Stat.Label(b), v.HLL.Estimate(), v.HLL.P)
 		case v.CM != nil:
-			out += fmt.Sprintf("%s: ~%d buckets, total %d (cm %dx%d)\n", v.Stat.Label(b), v.CM.Spec.N, v.CM.Total(), v.CM.Depth, v.CM.Width)
+			out += fmt.Sprintf("%s: ~%d buckets, total %d (cm %dx%d)\n", v.Stat.Label(b), v.CM.Spec.N, v.CM.total(), v.CM.Depth, v.CM.Width)
 		default:
 			out += fmt.Sprintf("%s = %d\n", v.Stat.Label(b), v.Scalar)
 		}

@@ -74,9 +74,9 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 					t.Fatalf("%s: Run: %v", cfg.name, err)
 				}
 				singleBlock := len(cy.Analysis.Blocks) == 1
-				ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
+				ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: forcedSkew})
 				if err != nil {
-					t.Fatalf("%s: RunOptimizedAdaptive: %v", cfg.name, err)
+					t.Fatalf("%s: RunOptimizedAdaptiveCtx: %v", cfg.name, err)
 				}
 				if singleBlock && len(ar.Replans) != 0 {
 					t.Errorf("%s: single-block workflow replanned", cfg.name)
@@ -122,9 +122,9 @@ func TestAdaptiveLateBlockSkew(t *testing.T) {
 	if n := len(cy.Analysis.Blocks); n != 3 {
 		t.Fatalf("wf08 has %d blocks, want 3", n)
 	}
-	ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: map[int]float64{1: 4}})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: map[int]float64{1: 4}})
 	if err != nil {
-		t.Fatalf("RunOptimizedAdaptive: %v", err)
+		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
 	if len(ar.Replans) != 1 {
 		t.Fatalf("replans = %d, want 1", len(ar.Replans))
@@ -161,7 +161,7 @@ func TestAdaptiveReplanUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Run: %v", label, err)
 		}
-		ar, err := cy.RunOptimizedAdaptive(core.AdaptiveOptions{Skew: forcedSkew})
+		ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: forcedSkew})
 		if err != nil {
 			t.Fatalf("%s: adaptive run under faults: %v", label, err)
 		}

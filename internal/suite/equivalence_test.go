@@ -94,7 +94,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			observe := res.ObservableStats()
+			observe := observableStats(res)
 			db := w.Data(scale)
 			golden := referenceRun(t, an, db, res, observe)
 
@@ -169,7 +169,7 @@ func TestMaxRowsGuard(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		_, err := e.Run()
+		_, err := e.RunPlans(nil, nil, nil)
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err == nil {
@@ -189,7 +189,19 @@ func TestMaxRowsGuard(t *testing.T) {
 	// at the goldens' scale stays far below the limit.
 	e := engine.New(an, w.Data(0.001), nil)
 	e.MaxRows = 100_000_000
-	if _, err := e.Run(); err != nil {
+	if _, err := e.RunPlans(nil, nil, nil); err != nil {
 		t.Errorf("ample budget: %v", err)
 	}
+}
+
+// observableStats returns every statistic the initial plan can observe, in
+// canonical order.
+func observableStats(res *css.Result) []stats.Stat {
+	var out []stats.Stat
+	for id, ok := range res.Observable {
+		if ok {
+			out = append(out, res.Stats[id])
+		}
+	}
+	return out
 }

@@ -29,7 +29,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			observe := res.ObservableStats()
+			observe := observableStats(res)
 			db := w.Data(scale)
 
 			clean := referenceRun(t, an, db, res, observe)

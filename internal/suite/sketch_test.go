@@ -16,7 +16,7 @@ import (
 func sketchObserve(res *css.Result) []stats.Stat {
 	seen := make(map[stats.Key]bool)
 	var out []stats.Stat
-	for _, s := range res.ObservableStats() {
+	for _, s := range observableStats(res) {
 		v, ok := stats.ApproxVariant(s)
 		if !ok || !res.StatObservable(v) {
 			continue

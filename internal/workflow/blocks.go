@@ -184,18 +184,18 @@ func (an *Analysis) BlockOf(id NodeID) *Block {
 // is a downstream join attribute and whose inputs span a join, and at
 // blocking aggregate operators (group-by, aggregate UDFs).
 func Analyze(g *Graph, cat *Catalog) (*Analysis, error) {
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	cat = cat.Clone()
+	cat = cat.clone()
 	registerDerived(g, cat)
-	schema, err := g.Schema(cat)
+	schema, err := g.schema(cat)
 	if err != nil {
 		return nil, err
 	}
 	an := &Analysis{Graph: g, Cat: cat, Schema: schema}
 
-	order, err := g.TopoOrder()
+	order, err := g.topoOrder()
 	if err != nil {
 		return nil, err
 	}

@@ -51,21 +51,15 @@ func (b *Builder) Join(left, right NodeID, la, ra Attr) NodeID {
 	return b.add(&Node{Kind: KindJoin, Inputs: []NodeID{left, right}, Join: &JoinSpec{Left: la, Right: ra}})
 }
 
-// JoinSpecd adds an equi-join with full control over the join spec.
-func (b *Builder) JoinSpecd(left, right NodeID, spec JoinSpec) NodeID {
-	s := spec
-	return b.add(&Node{Kind: KindJoin, Inputs: []NodeID{left, right}, Join: &s})
-}
-
 // FKJoin adds a foreign-key (look-up) join of left and right on la = ra.
 func (b *Builder) FKJoin(left, right NodeID, la, ra Attr) NodeID {
-	return b.JoinSpecd(left, right, JoinSpec{Left: la, Right: ra, ForeignKey: true})
+	return b.add(&Node{Kind: KindJoin, Inputs: []NodeID{left, right}, Join: &JoinSpec{Left: la, Right: ra, ForeignKey: true}})
 }
 
 // RejectJoin adds an equi-join whose left-side non-matching tuples are
 // materialized on a reject link.
 func (b *Builder) RejectJoin(left, right NodeID, la, ra Attr) NodeID {
-	return b.JoinSpecd(left, right, JoinSpec{Left: la, Right: ra, RejectLink: true})
+	return b.add(&Node{Kind: KindJoin, Inputs: []NodeID{left, right}, Join: &JoinSpec{Left: la, Right: ra, RejectLink: true}})
 }
 
 // GroupBy adds a group-by on keys over input in.

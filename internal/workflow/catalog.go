@@ -100,9 +100,9 @@ func (c *Catalog) AddDerived(a Attr, domain int64) {
 	rel.Columns = append(rel.Columns, Column{Name: a.Col, Domain: domain})
 }
 
-// Clone returns a deep copy of the catalog; analyses that register derived
+// clone returns a deep copy of the catalog; analyses that register derived
 // attributes use a clone so the caller's catalog is untouched.
-func (c *Catalog) Clone() *Catalog {
+func (c *Catalog) clone() *Catalog {
 	out := &Catalog{FDs: append([]FD(nil), c.FDs...)}
 	for _, r := range c.Relations {
 		rc := &Relation{Name: r.Name, Card: r.Card, HasSourceStats: r.HasSourceStats}

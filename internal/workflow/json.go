@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,15 +24,6 @@ func (d *Document) Encode(w io.Writer) error {
 	return nil
 }
 
-// Marshal returns the document as indented JSON bytes.
-func (d *Document) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Decode reads a document from JSON and validates the workflow.
 func Decode(r io.Reader) (*Document, error) {
 	var d Document
@@ -48,15 +38,10 @@ func Decode(r io.Reader) (*Document, error) {
 	if d.Catalog == nil {
 		return nil, fmt.Errorf("decode workflow document: missing catalog")
 	}
-	if err := d.Workflow.Validate(); err != nil {
+	if err := d.Workflow.validate(); err != nil {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// Unmarshal parses a document from JSON bytes.
-func Unmarshal(data []byte) (*Document, error) {
-	return Decode(bytes.NewReader(data))
 }
 
 // MarshalJSON encodes the node kind as its operator name.

@@ -281,9 +281,9 @@ func (g *Graph) Node(id NodeID) *Node {
 	return nil
 }
 
-// Outputs returns the IDs of the nodes that consume node id, in a
+// outputs returns the IDs of the nodes that consume node id, in a
 // deterministic order.
-func (g *Graph) Outputs(id NodeID) []NodeID {
+func (g *Graph) outputs(id NodeID) []NodeID {
 	var out []NodeID
 	for _, n := range g.Nodes {
 		for _, in := range n.Inputs {
@@ -308,10 +308,10 @@ func (g *Graph) Sinks() []*Node {
 	return out
 }
 
-// Validate checks structural well-formedness: unique node IDs, input arity
+// validate checks structural well-formedness: unique node IDs, input arity
 // per kind, existing input references, acyclicity, and that every non-sink
 // node is consumed. It returns the first problem found.
-func (g *Graph) Validate() error {
+func (g *Graph) validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("workflow %q: no nodes", g.Name)
 	}
@@ -335,7 +335,7 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
+	if _, err := g.topoOrder(); err != nil {
 		return fmt.Errorf("workflow %q: %w", g.Name, err)
 	}
 	consumed := make(map[NodeID]bool)
@@ -414,9 +414,9 @@ func validateArity(n *Node) error {
 	return nil
 }
 
-// TopoOrder returns the nodes in a topological order (inputs before
+// topoOrder returns the nodes in a topological order (inputs before
 // consumers) or an error if the graph has a cycle.
-func (g *Graph) TopoOrder() ([]*Node, error) {
+func (g *Graph) topoOrder() ([]*Node, error) {
 	indeg := make(map[NodeID]int, len(g.Nodes))
 	byID := make(map[NodeID]*Node, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -438,7 +438,7 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, byID[id])
-		next := g.Outputs(id)
+		next := g.outputs(id)
 		for _, o := range next {
 			done := true
 			for _, in := range byID[o].Inputs {
@@ -478,12 +478,12 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 	return order, nil
 }
 
-// Schema computes the output attribute set of every node by propagating
+// schema computes the output attribute set of every node by propagating
 // source schemas (from the catalog) through the operators. Transform nodes
 // add their derived attribute; projects and group-bys narrow the set; joins
 // union the two sides.
-func (g *Graph) Schema(cat *Catalog) (map[NodeID][]Attr, error) {
-	order, err := g.TopoOrder()
+func (g *Graph) schema(cat *Catalog) (map[NodeID][]Attr, error) {
+	order, err := g.topoOrder()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -38,7 +39,7 @@ func retailFlow() *Graph {
 }
 
 func TestValidateRetail(t *testing.T) {
-	if err := retailFlow().Validate(); err != nil {
+	if err := retailFlow().validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -108,7 +109,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.g.Validate()
+			err := tc.g.validate()
 			if err == nil {
 				t.Fatalf("Validate: want error containing %q, got nil", tc.want)
 			}
@@ -121,7 +122,7 @@ func TestValidateErrors(t *testing.T) {
 
 func TestTopoOrder(t *testing.T) {
 	g := retailFlow()
-	order, err := g.TopoOrder()
+	order, err := g.topoOrder()
 	if err != nil {
 		t.Fatalf("TopoOrder: %v", err)
 	}
@@ -144,7 +145,7 @@ func TestTopoOrder(t *testing.T) {
 func TestSchemaPropagation(t *testing.T) {
 	g := retailFlow()
 	cat := retailCatalog()
-	schema, err := g.Schema(cat)
+	schema, err := g.schema(cat)
 	if err != nil {
 		t.Fatalf("Schema: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestSchemaUnknownAttr(t *testing.T) {
 	o := b.Source("Orders")
 	f := b.Select(o, Predicate{Attr: Attr{"Orders", "nope"}, Op: CmpEq, Const: 1})
 	b.Sink(f, "t")
-	_, err := b.Graph().Schema(retailCatalog())
+	_, err := b.Graph().schema(retailCatalog())
 	if err == nil || !strings.Contains(err.Error(), "not in input schema") {
 		t.Fatalf("Schema: want unknown-attr error, got %v", err)
 	}
@@ -221,7 +222,7 @@ func TestCatalogDomain(t *testing.T) {
 
 func TestCatalogClone(t *testing.T) {
 	cat := retailCatalog()
-	cl := cat.Clone()
+	cl := cat.clone()
 	cl.AddDerived(Attr{"Orders", "extra"}, 9)
 	if cat.Relation("Orders").Column("extra") != nil {
 		t.Fatal("Clone: mutation leaked into original catalog")
@@ -241,13 +242,14 @@ func TestCatalogDetermined(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	doc := &Document{Workflow: retailFlow(), Catalog: retailCatalog()}
-	data, err := doc.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+	var buf bytes.Buffer
+	if err := doc.Encode(&buf); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	back, err := Unmarshal(data)
+	data := buf.Bytes()
+	back, err := Decode(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if back.Workflow.Name != "retail" || len(back.Workflow.Nodes) != len(doc.Workflow.Nodes) {
 		t.Fatalf("round trip lost nodes: got %d, want %d", len(back.Workflow.Nodes), len(doc.Workflow.Nodes))
@@ -269,14 +271,14 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte(`{`)); err == nil {
-		t.Fatal("Unmarshal(truncated): want error")
+	if _, err := Decode(strings.NewReader(`{`)); err == nil {
+		t.Fatal("Decode(truncated): want error")
 	}
-	if _, err := Unmarshal([]byte(`{"catalog":{"relations":[]}}`)); err == nil {
-		t.Fatal("Unmarshal(missing workflow): want error")
+	if _, err := Decode(strings.NewReader(`{"catalog":{"relations":[]}}`)); err == nil {
+		t.Fatal("Decode(missing workflow): want error")
 	}
-	if _, err := Unmarshal([]byte(`{"workflow":{"name":"x","nodes":[]}}`)); err == nil {
-		t.Fatal("Unmarshal(missing catalog): want error")
+	if _, err := Decode(strings.NewReader(`{"workflow":{"name":"x","nodes":[]}}`)); err == nil {
+		t.Fatal("Decode(missing catalog): want error")
 	}
 }
 
@@ -310,7 +312,7 @@ func TestValidateRejectsSelfJoin(t *testing.T) {
 	a2 := b.Source("T")
 	j := b.Join(a1, a2, Attr{"T", "a"}, Attr{"T", "a"})
 	b.Sink(j, "out")
-	err := b.Graph().Validate()
+	err := b.Graph().validate()
 	if err == nil || !strings.Contains(err.Error(), "self-join") {
 		t.Fatalf("want self-join error, got %v", err)
 	}
