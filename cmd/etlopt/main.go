@@ -395,8 +395,8 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 			fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally; run completed whole, outputs identical\n",
 				d.Reason, len(d.Remote), len(d.Local))
 		} else {
-			fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost\n",
-				len(d.Remote), d.Reassigned, len(d.LostWorkers))
+			fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident\n",
+				len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident)
 		}
 	}
 	fmt.Printf("workflow %s\n", g.Name)

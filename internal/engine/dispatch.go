@@ -96,10 +96,11 @@ type RunDispatch interface {
 	RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error)
 	// Slots bounds how many blocks the scheduler keeps in flight.
 	Slots() int
-	// Summary reports the session's fault handling so far: dispatch
-	// attempts retried, on the same or another worker, after a lease
-	// expired or a request failed, and the workers marked dead.
-	Summary() (reassigned int64, lostWorkers []string)
+	// Summary reports the session so far: dispatch attempts retried, on the
+	// same or another worker, after a lease expired or a request failed;
+	// upstream tables a worker took from its own store instead of the
+	// request; and the workers marked dead.
+	Summary() (reassigned, resident int64, lostWorkers []string)
 }
 
 // BlockDispatcher opens dispatch sessions; internal/serve's Coordinator
@@ -118,6 +119,10 @@ type DistReport struct {
 	// Reassigned counts dispatch attempts retried after lease expiry or
 	// request failure.
 	Reassigned int64
+	// Resident counts upstream tables a worker took from its store of the
+	// outputs it produced, where the request named them instead of
+	// carrying them.
+	Resident int64
 	// LostWorkers lists worker addresses marked dead during the run.
 	LostWorkers []string
 	// FellBack reports that the run degraded to in-process execution for

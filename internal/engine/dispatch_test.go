@@ -55,8 +55,8 @@ func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (Run
 	return d, nil
 }
 
-func (d *loopDispatcher) Slots() int                 { return d.slots }
-func (d *loopDispatcher) Summary() (int64, []string) { return 0, nil }
+func (d *loopDispatcher) Slots() int                        { return d.slots }
+func (d *loopDispatcher) Summary() (int64, int64, []string) { return 0, 0, nil }
 
 func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error) {
 	d.mu.Lock()

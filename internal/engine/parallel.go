@@ -233,7 +233,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 		sort.Ints(s.report.Local)
 	}
 	if rd != nil {
-		s.report.Reassigned, s.report.LostWorkers = rd.Summary()
+		s.report.Reassigned, s.report.Resident, s.report.LostWorkers = rd.Summary()
 	}
 	if len(s.errs) > 0 {
 		idxs := make([]int, 0, len(s.errs))

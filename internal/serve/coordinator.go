@@ -20,6 +20,10 @@ import (
 // Coordinator is the scheduling side of distributed block dispatch: it
 // implements engine.BlockDispatcher over a fleet of Worker HTTP servers.
 //
+// A block goes to the live worker that produced its largest upstream
+// output, which keeps that output: the request names it by digest instead
+// of carrying it back (see Worker). Blocks without one go round-robin.
+//
 // Fault tolerance is lease-based. Every dispatched block holds a lease
 // that only successful health probes of its worker renew; when probes fail
 // past the lease TTL — the worker is dead, frozen, or partitioned — the
@@ -110,24 +114,35 @@ type workerRef struct {
 	lost bool
 }
 
-// dispatchSession is one run's dispatch state: the worker fleet and the
-// reassignment accounting.
+// dispatchSession is one run's dispatch state: the worker fleet, where
+// each block's output was produced, and the dispatch accounting.
 type dispatchSession struct {
 	c    *Coordinator
 	base *workerRunRequest
 
-	mu         sync.Mutex
-	workers    []*workerRef
-	next       int
-	reassigned int64
-	lostOrder  []string
+	mu                   sync.Mutex
+	workers              []*workerRef
+	next                 int
+	produced             map[int]producedOut
+	reassigned, resident int64
+	lostOrder            []string
+}
+
+// producedOut is where a block's output came from: the worker that keeps
+// it, under the digest of its response section. out is the table the
+// session returned; a request names the output only while the engine
+// passes that same table upstream.
+type producedOut struct {
+	w   *workerRef
+	sum digest
+	out *data.Table
 }
 
 // DispatchRun opens a session: probe the fleet once and refuse to open
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{c: c, base: c.baseRequest(spec)}
+	s := &dispatchSession{c: c, base: c.baseRequest(spec), produced: map[int]producedOut{}}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -167,11 +182,11 @@ func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
 // Slots bounds in-flight blocks to the fleet size.
 func (s *dispatchSession) Slots() int { return len(s.c.opt.Addrs) }
 
-// Summary reports the session's fault accounting.
-func (s *dispatchSession) Summary() (reassigned int64, lostWorkers []string) {
+// Summary reports the session's dispatch accounting.
+func (s *dispatchSession) Summary() (reassigned, resident int64, lostWorkers []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reassigned, append([]string(nil), s.lostOrder...)
+	return s.reassigned, s.resident, append([]string(nil), s.lostOrder...)
 }
 
 // permanentError marks a worker-reported block-execution error: it is
@@ -182,20 +197,31 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// RunBlock dispatches one block: pick a live worker (round-robin), hold a
-// heartbeat-renewed lease over the request, and on infrastructure failure
-// back off and reassign — up to the dispatch retry budget, after which the
-// block is declared undeliverable (engine.ErrWorkersLost) and the engine
-// falls back in-process.
+// RunBlock dispatches one block: pick a live worker (the producer of its
+// largest upstream, else round-robin), hold a heartbeat-renewed lease over
+// the request, and on infrastructure failure back off and reassign — up to
+// the dispatch retry budget, after which the block is declared
+// undeliverable (engine.ErrWorkersLost) and the engine falls back
+// in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	// The frame — and any retry of it — is built once and stays
-	// byte-identical.
-	body, err := encodeRunRequest(s.base, block, upstream, s.c.maxBody)
-	switch {
-	case overCap(err):
-		return nil, wireCapError(block, "request of "+err.Error())
-	case err != nil:
-		return nil, err
+	// A block's frame is fixed per target worker: it names the upstream
+	// outputs that worker keeps and carries the rest, so every retry to one
+	// worker sends the same bytes. The frame that carries everything goes
+	// to any other worker, and to one that no longer holds what it was
+	// named.
+	var full []byte
+	frame := func(resident map[int]digest) ([]byte, error) {
+		if len(resident) == 0 && full != nil {
+			return full, nil
+		}
+		body, err := encodeRunRequest(s.base, block, upstream, resident, s.c.maxBody)
+		if overCap(err) {
+			return nil, wireCapError(block, "request of "+err.Error())
+		}
+		if len(resident) == 0 {
+			full = body
+		}
+		return body, err
 	}
 	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
@@ -211,7 +237,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 				return nil, err
 			}
 		}
-		w := s.pickLive()
+		w, resident := s.pickLive(upstream)
 		if w == nil {
 			return nil, fmt.Errorf("serve: block %d: all workers lost: %w", block, engine.ErrWorkersLost)
 		}
@@ -229,9 +255,27 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 				return nil, err
 			}
 		}
+		body, err := frame(resident)
+		if err != nil {
+			return nil, err
+		}
 		truncate := ferr != nil && mode == faults.NetTruncate
-		rb, err := s.tryWorker(ctx, w, block, body, truncate)
+		rb, sum, err := s.tryWorker(ctx, w, block, body, truncate)
+		if len(resident) > 0 && errors.Is(err, errNotResident) {
+			// Evicted or restarted: the worker is live and the attempt is
+			// not spent, it only needs the tables.
+			s.forget(resident)
+			resident = nil
+			if body, err = frame(nil); err != nil {
+				return nil, err
+			}
+			rb, sum, err = s.tryWorker(ctx, w, block, body, false)
+		}
 		if err == nil {
+			s.mu.Lock()
+			s.produced[block] = producedOut{w: w, sum: sum, out: rb.Out}
+			s.resident += int64(len(resident))
+			s.mu.Unlock()
 			return rb, nil
 		}
 		var perm *permanentError
@@ -263,19 +307,50 @@ func overCap(err error) bool {
 	return errors.Is(err, data.ErrWireCap) || errors.Is(err, errFrameCap)
 }
 
-// pickLive returns the next live worker round-robin, nil when none.
-func (s *dispatchSession) pickLive() *workerRef {
+// pickLive returns the worker a block goes to, and the upstream outputs
+// its frame may name there instead of carrying: the live producer of the
+// block's largest upstream output (by cells, ties to the lower block),
+// else the next live worker round-robin, nil when none is live.
+func (s *dispatchSession) pickLive(upstream map[int]*data.Table) (*workerRef, map[int]digest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.workers)
-	for i := 0; i < n; i++ {
-		w := s.workers[(s.next+i)%n]
-		if !w.lost {
-			s.next = (s.next + i + 1) % n
-			return w
+	var w *workerRef
+	var most int64
+	from := -1
+	for idx, t := range upstream {
+		p, ok := s.produced[idx]
+		if !ok || p.out != t || p.w.lost {
+			continue
+		}
+		if c := tableCells(t); from < 0 || c > most || c == most && idx < from {
+			w, most, from = p.w, c, idx
 		}
 	}
-	return nil
+	if w == nil {
+		n := len(s.workers)
+		for i := 0; i < n && w == nil; i++ {
+			if c := s.workers[(s.next+i)%n]; !c.lost {
+				w, s.next = c, (s.next+i+1)%n
+			}
+		}
+		return w, nil
+	}
+	resident := map[int]digest{}
+	for idx, t := range upstream {
+		if p, ok := s.produced[idx]; ok && p.w == w && p.out == t {
+			resident[idx] = p.sum
+		}
+	}
+	return w, resident
+}
+
+// forget drops outputs a worker answered it does not hold.
+func (s *dispatchSession) forget(resident map[int]digest) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for idx := range resident {
+		delete(s.produced, idx)
+	}
 }
 
 // markLost flags a worker dead for the rest of the session.
@@ -292,8 +367,14 @@ func (s *dispatchSession) markLost(w *workerRef) {
 // answered no health probe for a whole lease TTL.
 var errLeaseExpired = errors.New("lease expired")
 
-// tryWorker executes one leased dispatch attempt against one worker.
-func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, error) {
+// errNotResident marks a 409: the frame named an upstream output the
+// worker does not hold.
+var errNotResident = errors.New("upstream output not resident")
+
+// tryWorker executes one leased dispatch attempt against one worker; a
+// block it brings back comes with the digest of its output's section.
+func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, digest, error) {
+	var out digest
 	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -304,7 +385,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost, w.addr+"/v1/worker/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, out, err
 	}
 	req.Header.Set("Content-Type", frameContentType)
 	resp, err := s.c.opt.Client.Do(req)
@@ -314,9 +395,9 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		// lease protocol).
 		s.markLost(w)
 		if errors.Is(context.Cause(lctx), errLeaseExpired) {
-			return nil, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
+			return nil, out, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
 		}
-		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
+		return nil, out, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
 	defer resp.Body.Close()
 	if truncate {
@@ -324,47 +405,49 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		// response is cut short before the coordinator can commit it. The
 		// retry re-runs the block; determinism makes the second copy
 		// byte-identical, and the engine commits only one.
-		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
+		return nil, out, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
 			&faults.Error{Kind: faults.Network, Site: fmt.Sprintf("net:block:%d", block), Transient: true})
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		switch {
 		case resp.StatusCode == http.StatusRequestEntityTooLarge:
-			return nil, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
+			return nil, out, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
+		case resp.StatusCode == http.StatusConflict:
+			return nil, out, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s: %w", block, w.addr, errorBody(msg), errNotResident)}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
 			// The worker ran the block and it failed deterministically (or
 			// the request itself is invalid): reassignment cannot change
 			// the outcome.
-			return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
+			return nil, out, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
 		default:
 			s.markLost(w)
-			return nil, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
+			return nil, out, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
 		}
 	}
 	// Decode straight from the body, one section at a time. One byte past
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, err := decodeRunResponse(lr, s.c.maxBody)
+	rb, out, err := decodeRunResponse(lr, s.c.maxBody)
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
 		if _, rerr := io.Copy(io.Discard, lr); rerr != nil {
 			s.markLost(w)
-			return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
+			return nil, out, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
 		}
 	}
 	if lr.N <= 0 {
-		return nil, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
+		return nil, out, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
 	}
 	if overCap(err) {
-		return nil, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
+		return nil, out, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
+		return nil, out, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
 	}
-	return rb, nil
+	return rb, out, nil
 }
 
 // maxErrorBody bounds how much of a non-200 reply is read for its message.

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -74,6 +76,9 @@ func (k *killSwitch) wrap(h http.Handler) http.Handler {
 		}
 		h.ServeHTTP(w, r)
 		if fatal {
+			// On the wire before the connections close: the kill must not
+			// take back the block it follows.
+			w.(http.Flusher).Flush()
 			go func() {
 				k.srv.CloseClientConnections()
 				k.srv.Close()
@@ -483,12 +488,19 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 	})
 }
 
-// wireCounter keeps the bodies of block dispatches in both directions, to
-// count them the way the benchmark's dist_wire_mb does and to take each
-// frame's payload apart for what the bytes were before DEFLATE.
+// wireCounter keeps the block dispatches it carries — where each went, the
+// status it got and both bodies — to count them the way the benchmark's
+// dist_wire_mb does and to take each frame's payload apart for what the
+// bytes were before DEFLATE.
 type wireCounter struct {
-	mu                  sync.Mutex
-	requests, responses [][]byte
+	mu        sync.Mutex
+	exchanges []exchange
+}
+
+type exchange struct {
+	addr      string // the worker's base URL
+	status    int
+	req, resp []byte
 }
 
 func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -512,54 +524,87 @@ func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp.Body = io.NopCloser(bytes.NewReader(answer))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.requests, c.responses = append(c.requests, body), append(c.responses, answer)
+	c.exchanges = append(c.exchanges, exchange{req.URL.Scheme + "://" + req.URL.Host, resp.StatusCode, body, answer})
 	return resp, nil
 }
 
-// split is the bytes sent and what their payloads inflate to (section length
-// prefixes left out): a frame's first section is the header, a response's
-// last the statistics shard, every other a table.
-func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard int64) {
-	for i, frame := range append(c.requests[:len(c.requests):len(c.requests)], c.responses...) {
-		sent += int64(len(frame))
-		_, payload := framePayload(t, frame)
-		var sections []int64
-		for len(payload) > 0 {
-			n, w := binary.Uvarint(payload)
-			sections = append(sections, int64(n))
-			payload = payload[w+int(n):]
-		}
-		header += sections[0]
-		sections = sections[1:]
-		if i >= len(c.requests) {
-			shard += sections[len(sections)-1]
-			sections = sections[:len(sections)-1]
-		}
-		for _, n := range sections {
-			tables += n
+// frameSections splits a frame's payload into its sections, length
+// prefixes left out: the header first.
+func frameSections(t *testing.T, frame []byte) [][]byte {
+	t.Helper()
+	_, payload := framePayload(t, frame)
+	var sections [][]byte
+	for len(payload) > 0 {
+		n, w := binary.Uvarint(payload)
+		sections = append(sections, payload[w:w+int(n)])
+		payload = payload[w+int(n):]
+	}
+	return sections
+}
+
+// requestOf takes a request frame apart: its header, and its table
+// sections, which must be one per carried upstream block and none for a
+// block the header names resident.
+func requestOf(t *testing.T, frame []byte) (hdr workerRunRequest, tables [][]byte) {
+	t.Helper()
+	sections := frameSections(t, frame)
+	if err := json.Unmarshal(sections[0], &hdr); err != nil {
+		t.Fatalf("request header: %v", err)
+	}
+	tables = sections[1:]
+	if len(tables) != len(hdr.Upstream) {
+		t.Errorf("block %d: %d table section(s) for upstream %v", hdr.Block, len(tables), hdr.Upstream)
+	}
+	for _, ref := range hdr.Resident {
+		if slices.Contains(hdr.Upstream, ref.Block) {
+			t.Errorf("block %d: resident upstream block %d also carried", hdr.Block, ref.Block)
 		}
 	}
-	return sent, header, tables, shard
+	return hdr, tables
+}
+
+// split is the bytes sent, what their payloads inflate to (section length
+// prefixes left out) and the resident refs the requests made: a frame's
+// first section is the header, a response's last the statistics shard,
+// every other a table.
+func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident int64) {
+	for _, x := range c.exchanges {
+		sent += int64(len(x.req) + len(x.resp))
+		hdr, carried := requestOf(t, x.req)
+		resident += int64(len(hdr.Resident))
+		sections := append(frameSections(t, x.req)[:1], frameSections(t, x.resp)...)
+		for _, sec := range append(carried, sections[2:len(sections)-1]...) {
+			tables += int64(len(sec))
+		}
+		header += int64(len(sections[0]) + len(sections[1]))
+		shard += int64(len(sections[len(sections)-1]))
+	}
+	return sent, header, tables, shard, resident
 }
 
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// Budgets are 1.25 × what the run moves (19,077 B and 6,529 B under go
-// 1.24's compress/flate). wf08 at scale 0.05 is three dispatches moving
-// ~167k rows of join output — 3,378,533 B as base64 row-major varints in
-// JSON, 289,889 B as column-encoded frames, 19 KB as map columns deflated;
-// wf12 at 0.002 is one instrumented block of few rows and many statistics,
-// so most of what it inflates to is the shard.
+// Budgets are 1.25 × what the run moves (30,088 B, 13,499 B and 6,529 B
+// under go 1.24's compress/flate). wf07 at scale 0.01 is two dispatches
+// whose upstream table is the largest the benchmark's dist-run moves; one
+// resident ref keeps it from crossing twice (38 KB when it did). wf08 at
+// 0.05 is three dispatches moving ~167k rows of join output — 3,378,533 B
+// as base64 row-major varints in JSON, 289,889 B as column-encoded frames,
+// 19 KB as map columns deflated, 13.5 KB once each block of the chain goes
+// to the worker that keeps its input. wf12 at 0.002 is one instrumented
+// block of few rows and many statistics, so most of what it inflates to
+// is the shard.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
-		wf     int
-		scale  float64
-		blocks int
-		budget int64
+		wf               int
+		scale            float64
+		blocks, resident int
+		budget           int64
 	}{
-		{wf: 8, scale: 0.05, blocks: 3, budget: 23_846},
-		{wf: 12, scale: 0.002, blocks: 1, budget: 8_161},
+		{wf: 7, scale: 0.01, blocks: 2, resident: 1, budget: 37_610},
+		{wf: 8, scale: 0.05, blocks: 3, resident: 2, budget: 16_874},
+		{wf: 12, scale: 0.002, blocks: 1, resident: 0, budget: 8_161},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -582,19 +627,108 @@ func TestDistributedWireBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 {
-					t.Fatalf("run %d was not %d clean remote dispatches: %+v", i, c.blocks, d)
+				if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 || d.Resident != int64(c.resident) {
+					t.Fatalf("run %d was not %d clean remote dispatches with %d resident upstream table(s): %+v", i, c.blocks, c.resident, d)
 				}
 			}
-			sent, header, tables, shard := runs[0].split(t)
-			if again, _, _, _ := runs[1].split(t); sent != again {
+			sent, header, tables, shard, resident := runs[0].split(t)
+			if again, _, _, _, _ := runs[1].split(t); sent != again {
 				t.Errorf("the same run moved %d bytes, then %d", sent, again)
+			}
+			if resident != int64(c.resident) {
+				t.Errorf("the requests named %d resident table(s), want %d", resident, c.resident)
 			}
 			if sent > c.budget {
 				t.Errorf("moved %d bytes over the wire, budget %d", sent, c.budget)
 			}
-			t.Logf("%d bytes over the wire, inflating to header %d + tables %d + shard %d", sent, header, tables, shard)
+			t.Logf("%d bytes over the wire, inflating to header %d + tables %d + shard %d; %d resident ref(s)", sent, header, tables, shard, resident)
 		})
+	}
+}
+
+// empty drops everything the store holds, as a restart would.
+func (s *residentStore) empty() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.order.Init()
+	s.byKey, s.bytes = nil, 0
+}
+
+// TestDistributedResidentMiss empties the producer's store between the two
+// blocks of a chain: the frame that names block 0's output gets a 409, and
+// the same worker gets the frame that carries it — no worker lost, no
+// retry spent, outputs unchanged.
+func TestDistributedResidentMiss(t *testing.T) {
+	const wf = 7
+	want := localRun(t, wf)
+	wk := NewWorker()
+	h := wk.Handler()
+	var runs atomic.Int64
+	producer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/worker/run" && runs.Add(1) == 2 {
+			wk.resident.empty()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(producer.Close)
+	wire := &wireCounter{}
+	cfg := distConfig(t, wf, []string{producer.URL, startWorker(t).URL}, func(o *CoordinatorOptions) {
+		o.Client = &http.Client{Transport: wire}
+	})
+	got := runCycleOf(t, wf, cfg)
+	assertRunsEqual(t, "resident miss", want, got)
+	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Resident != 0 {
+		t.Errorf("a store miss cost more than a resend: %+v", d)
+	}
+	if len(wire.exchanges) != 3 {
+		t.Fatalf("%d exchanges, want block 0, block 1 named, block 1 carried", len(wire.exchanges))
+	}
+	for i, x := range wire.exchanges {
+		hdr, tables := requestOf(t, x.req)
+		wantStatus, wantRefs, wantTables := http.StatusOK, 0, 0
+		switch i {
+		case 1:
+			wantStatus, wantRefs = http.StatusConflict, 1
+		case 2:
+			wantTables = 1
+		}
+		if x.addr != producer.URL || x.status != wantStatus || len(hdr.Resident) != wantRefs || len(tables) != wantTables {
+			t.Errorf("exchange %d: block %d to %s: status %d, %d resident ref(s), %d table(s); want the producer, %d, %d, %d",
+				i, hdr.Block, x.addr, x.status, len(hdr.Resident), len(tables), wantStatus, wantRefs, wantTables)
+		}
+		if i == 1 && !strings.Contains(string(x.resp), hdr.Resident[0].SHA256) {
+			t.Errorf("the 409 does not name the digest it misses: %s", x.resp)
+		}
+	}
+}
+
+// TestDistributedResidentProducerLost kills the producer after block 0 of a
+// chain: block 1 is reassigned to the survivor, which never held block 0's
+// output, so its frame carries the table.
+func TestDistributedResidentProducerLost(t *testing.T) {
+	const wf = 7
+	want := localRun(t, wf)
+	victim, survivor := startKillableWorker(t), startWorker(t)
+	wire := &wireCounter{}
+	cfg := distConfig(t, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
+		o.Client = &http.Client{Transport: wire}
+	})
+	got := runCycleOf(t, wf, cfg)
+	assertRunsEqual(t, "producer lost", want, got)
+	if d := got.Dist; d.FellBack || d.Reassigned != 1 || !reflect.DeepEqual(d.LostWorkers, []string{victim.URL}) || d.Resident != 0 {
+		t.Errorf("placement: %+v", d)
+	}
+	var consumer int
+	for _, x := range wire.exchanges {
+		if hdr, tables := requestOf(t, x.req); x.addr == survivor.URL && hdr.Block == 1 {
+			consumer++
+			if len(hdr.Resident) != 0 || !reflect.DeepEqual(hdr.Upstream, []int{0}) || len(tables) != 1 {
+				t.Errorf("the survivor's frame: upstream %v, resident %v", hdr.Upstream, hdr.Resident)
+			}
+		}
+	}
+	if consumer != 1 {
+		t.Errorf("block 1 reached the survivor %d time(s)", consumer)
 	}
 }
 

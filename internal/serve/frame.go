@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"sync"
@@ -46,6 +49,11 @@ import (
 // data.ReadTable or stats.ReadStore straight from the inflating stream.
 // DEFLATE takes what the table codec cannot see, repetition across columns
 // and rows: about 4/5 of what the codec leaves of a join block's frame.
+//
+// An upstream table the target worker produced itself need not cross the
+// wire again: the request names it in Resident by the SHA-256 of its
+// response section, and it has no section of its own. Both ends compute
+// that digest over the bytes they write or read; it is never sent back.
 
 const (
 	frameMagic            = "EBLK2"
@@ -59,6 +67,24 @@ const (
 // errFrameCap marks a frame whose payload is over its handler's cap: like
 // data.ErrWireCap a property of the block, which then runs in-process.
 var errFrameCap = errors.New("frame over the cap")
+
+// digest is the SHA-256 of a table section: the name a resident block
+// output goes by.
+type digest [sha256.Size]byte
+
+func (d digest) String() string { return hex.EncodeToString(d[:]) }
+
+// parseDigest accepts exactly what digest.String writes: 64 lowercase hex
+// digits.
+func parseDigest(s string) (digest, error) {
+	var d digest
+	b, err := hex.DecodeString(s)
+	if err != nil || len(b) != len(d) || hex.EncodeToString(b) != s {
+		return d, fmt.Errorf("digest %q is not %d lowercase hex digits", s, 2*len(d))
+	}
+	copy(d[:], b)
+	return d, nil
+}
 
 // frameWriter builds one frame's payload and seals it.
 type frameWriter struct {
@@ -260,12 +286,17 @@ func (f *frameReader) section() (*io.LimitedReader, error) {
 
 // table decodes the next section as a table, of no more cells than the
 // frame may have bytes: what bounds the body bounds what is built from it.
-func (f *frameReader) table() (*data.Table, error) {
+// A non-nil sum is fed the section's bytes as they are read.
+func (f *frameReader) table(sum hash.Hash) (*data.Table, error) {
 	sec, err := f.section()
 	if err != nil {
 		return nil, err
 	}
-	return data.ReadTableMax(sec, f.payload.max)
+	var r io.Reader = sec
+	if sum != nil {
+		r = io.TeeReader(sec, sum)
+	}
+	return data.ReadTableMax(r, f.payload.max)
 }
 
 // end requires the last section to end the payload, and the payload the body.
@@ -285,15 +316,21 @@ func (f *frameReader) end() error {
 	return nil
 }
 
-// encodeRunRequest builds the request frame for one block.
-func encodeRunRequest(base *workerRunRequest, block int, upstream map[int]*data.Table, maxPayload int64) ([]byte, error) {
+// encodeRunRequest builds the request frame for one block. An upstream
+// block listed in resident is named by its digest instead of carried.
+func encodeRunRequest(base *workerRunRequest, block int, upstream map[int]*data.Table, resident map[int]digest, maxPayload int64) ([]byte, error) {
 	req := *base
 	req.Block = block
 	req.Upstream = make([]int, 0, len(upstream))
 	for idx := range upstream {
-		req.Upstream = append(req.Upstream, idx)
+		if sum, ok := resident[idx]; ok {
+			req.Resident = append(req.Resident, residentRef{Block: idx, SHA256: sum.String()})
+		} else {
+			req.Upstream = append(req.Upstream, idx)
+		}
 	}
 	sort.Ints(req.Upstream)
+	sort.Slice(req.Resident, func(i, j int) bool { return req.Resident[i].Block < req.Resident[j].Block })
 	f, err := beginFrame(&req)
 	if err != nil {
 		return nil, err
@@ -306,7 +343,9 @@ func encodeRunRequest(base *workerRunRequest, block int, upstream map[int]*data.
 	return f.seal(maxPayload)
 }
 
-// decodeRunRequest reads a request frame and its upstream tables.
+// decodeRunRequest reads a request frame and the upstream tables it
+// carries; the ones it names by digest are the caller's to find. A
+// malformed digest, or a block named twice, is an error here.
 func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int]*data.Table, error) {
 	req := &workerRunRequest{}
 	f, err := openFrame(r, req, maxPayload)
@@ -314,17 +353,31 @@ func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int
 		return nil, nil, err
 	}
 	defer f.close()
+	named := make(map[int]bool, len(req.Resident))
+	for _, ref := range req.Resident {
+		if _, err := parseDigest(ref.SHA256); err != nil {
+			return nil, nil, fmt.Errorf("resident block %d: %w", ref.Block, err)
+		}
+		if named[ref.Block] {
+			return nil, nil, fmt.Errorf("resident block %d named twice", ref.Block)
+		}
+		named[ref.Block] = true
+	}
 	upstream := make(map[int]*data.Table, len(req.Upstream))
 	for _, idx := range req.Upstream {
-		if upstream[idx], err = f.table(); err != nil {
+		if named[idx] {
+			return nil, nil, fmt.Errorf("upstream block %d is both resident and carried", idx)
+		}
+		if upstream[idx], err = f.table(nil); err != nil {
 			return nil, nil, fmt.Errorf("upstream block %d: %w", idx, err)
 		}
 	}
 	return req, upstream, f.end()
 }
 
-// encodeRunResponse builds the response frame for one executed block.
-func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
+// encodeRunResponse builds the response frame for one executed block, and
+// the digest of its boundary output's section.
+func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, digest, error) {
 	resp := workerRunResponse{Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
 	for name := range rb.Materialized {
 		resp.Materialized = append(resp.Materialized, name)
@@ -333,62 +386,69 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error)
 	for _, fs := range rb.Degraded {
 		resp.Degraded = append(resp.Degraded, wireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
 	}
+	var out digest
 	f, err := beginFrame(&resp)
 	if err != nil {
-		return nil, err
+		return nil, out, err
 	}
 	if err := f.table(rb.Out); err != nil {
-		return nil, fmt.Errorf("block output: %w", err)
+		return nil, out, fmt.Errorf("block output: %w", err)
 	}
+	out = sha256.Sum256(f.section.Bytes())
 	for _, name := range resp.Materialized {
 		if err := f.table(rb.Materialized[name]); err != nil {
-			return nil, fmt.Errorf("materialized %q: %w", name, err)
+			return nil, out, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
 	f.section.Reset()
 	if rb.Observed != nil {
 		if _, err := rb.Observed.WriteTo(&f.section); err != nil {
-			return nil, fmt.Errorf("stats shard: %w", err)
+			return nil, out, fmt.Errorf("stats shard: %w", err)
 		}
 	}
 	f.add(f.section.Bytes())
-	return f.seal(maxPayload)
+	frame, err := f.seal(maxPayload)
+	return frame, out, err
 }
 
-// decodeRunResponse reads a worker's 200 body into the engine's form.
-func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, error) {
+// decodeRunResponse reads a worker's 200 body into the engine's form, and
+// the digest of its boundary output's section.
+func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, digest, error) {
+	var out digest
 	var resp workerRunResponse
 	f, err := openFrame(r, &resp, maxPayload)
 	if err != nil {
-		return nil, err
+		return nil, out, err
 	}
 	defer f.close()
 	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
-	if rb.Out, err = f.table(); err != nil {
-		return nil, fmt.Errorf("block output: %w", err)
+	sum := sha256.New()
+	if rb.Out, err = f.table(sum); err != nil {
+		return nil, out, fmt.Errorf("block output: %w", err)
 	}
 	if rb.Out == nil {
-		return nil, errors.New("block output: nil table")
+		return nil, out, errors.New("block output: nil table")
 	}
+	sum.Sum(out[:0])
 	if len(resp.Materialized) > 0 {
 		rb.Materialized = make(map[string]*data.Table, len(resp.Materialized))
 	}
 	for _, name := range resp.Materialized {
-		if rb.Materialized[name], err = f.table(); err != nil {
-			return nil, fmt.Errorf("materialized %q: %w", name, err)
+		if rb.Materialized[name], err = f.table(nil); err != nil {
+			return nil, out, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
 	shard, err := f.section()
 	if err != nil {
-		return nil, fmt.Errorf("stats shard: %w", err)
+		return nil, out, fmt.Errorf("stats shard: %w", err)
 	}
 	if shard.N > 0 {
 		if rb.Observed, err = stats.ReadStore(shard); err != nil {
-			return nil, fmt.Errorf("stats shard: %w", err)
+			return nil, out, fmt.Errorf("stats shard: %w", err)
 		}
 	}
 	for _, wf := range resp.Degraded {
 		rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: errors.New(wf.Err)})
 	}
-	return rb, f.end()
+	return rb, out, f.end()
 }

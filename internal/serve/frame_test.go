@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -46,16 +47,16 @@ func frameBlock(t testing.TB) *engine.RemoteBlock {
 // responseFrame and requestFrame encode under the production cap.
 func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 	t.Helper()
-	frame, err := encodeRunResponse(rb, maxUploadBytes)
+	frame, _, err := encodeRunResponse(rb, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
 }
 
-func requestFrame(t testing.TB, base *workerRunRequest, block int, upstream map[int]*data.Table) []byte {
+func requestFrame(t testing.TB, base *workerRunRequest, block int, upstream map[int]*data.Table, resident map[int]digest) []byte {
 	t.Helper()
-	frame, err := encodeRunRequest(base, block, upstream, maxUploadBytes)
+	frame, err := encodeRunRequest(base, block, upstream, resident, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +112,15 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+	got, sum, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunResponse: %v", err)
+	}
+	// Both ends name the output by the digest of the bytes it crossed as.
+	var out bytes.Buffer
+	data.WriteTable(&out, want.Out)
+	if _, wrote, _ := encodeRunResponse(want, maxUploadBytes); sum != sha256.Sum256(out.Bytes()) || wrote != sum {
+		t.Errorf("output digest: read %s, written %s, want the section's %x", sum, wrote, sha256.Sum256(out.Bytes()))
 	}
 	if !reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Materialized, want.Materialized) {
 		t.Error("tables differ after the round trip")
@@ -130,7 +137,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	withShard := frameBlock(t)
 	withShard.Metrics = []physical.Metrics{{RowsOut: 5, Calls: 1, WallNanos: 10, TapNanos: 3}, {}, {RowsOut: 2}}
 	shardFrame := responseFrame(t, withShard)
-	if gotShard, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
+	if gotShard, _, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
 		t.Errorf("metrics shard after the round trip: %+v (%v)", gotShard, err)
 	}
 	var a, b bytes.Buffer
@@ -142,7 +149,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 
 	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	reqFrame := requestFrame(t, base, 3, upstream)
+	reqFrame := requestFrame(t, base, 3, upstream, nil)
 	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
@@ -153,7 +160,16 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotUp, upstream) {
 		t.Error("upstream tables differ after the round trip")
 	}
-	if base.Block != 0 || base.Upstream != nil {
+	// A resident block is named, and its table stays home.
+	named := requestFrame(t, base, 3, upstream, map[int]digest{2: sum})
+	req, gotUp, err = decodeRunRequest(bytes.NewReader(named), maxUploadBytes)
+	if err != nil {
+		t.Fatalf("decodeRunRequest, resident: %v", err)
+	}
+	if !reflect.DeepEqual(req.Upstream, []int{0}) || !reflect.DeepEqual(req.Resident, []residentRef{{Block: 2, SHA256: sum.String()}}) || len(gotUp) != 1 || gotUp[0] == nil {
+		t.Errorf("resident request: header %+v, %d table(s)", req, len(gotUp))
+	}
+	if base.Block != 0 || base.Upstream != nil || base.Resident != nil {
 		t.Error("encodeRunRequest modified the session's base request")
 	}
 }
@@ -179,7 +195,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 		Faults: "seed=7,rate=1,transient=1", RetryMax: 2, RetryBackoff: 5000,
 	}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	req := requestFrame(t, coord.baseRequest(spec), 3, upstream)
+	req := requestFrame(t, coord.baseRequest(spec), 3, upstream, nil)
 	mode, payload := framePayload(t, req)
 	if got := hex.EncodeToString(payload); got != goldenRequest {
 		t.Errorf("request payload changed on the wire:\n got %s\nwant %s", got, goldenRequest)
@@ -198,7 +214,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(resp) >= len(payload) {
 		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
 	}
-	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
+	if rb, _, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
 }
@@ -243,7 +259,7 @@ func TestRunFrameCap(t *testing.T) {
 		decodeRunResponse(bytes.NewReader(frame), limit) // warm the pools
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeRunResponse(bytes.NewReader(frame), limit)
+		_, _, err := decodeRunResponse(bytes.NewReader(frame), limit)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, errFrameCap) {
 			t.Errorf("%s: err = %v, want errFrameCap", name, err)
@@ -252,17 +268,17 @@ func TestRunFrameCap(t *testing.T) {
 			t.Errorf("%s: refusing the frame allocated %d bytes", name, got)
 		}
 	}
-	if _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload))); errors.Is(err, errFrameCap) {
+	if _, _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload))); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
 	}
-	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
+	if _, _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
 		t.Errorf("writing a frame over the cap: err = %v, want errFrameCap", err)
 	}
 }
 
 func TestRunFrameRejectsCorruption(t *testing.T) {
 	decode := func(frame []byte) error {
-		_, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+		_, _, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
 		return err
 	}
 	deflated := responseFrame(t, frameBlock(t))
@@ -311,8 +327,9 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // are not a request frame: 400 with a JSON error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
-	good := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0, nil)
+	good := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0, nil, nil)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
+	ref := digest(sha256.Sum256(nil)).String()
 	for name, body := range map[string][]byte{
 		"empty":          nil,
 		"json":           legacy,
@@ -322,6 +339,12 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 		// The row interpreters are gone from the product; a peer still asking
 		// for one must be refused, not silently run columnar.
 		"row_mode": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "row_mode": true}),
+		// Resident refs no store could answer, whatever it holds.
+		"short digest":      residentFrame(t, nil, residentRef{0, ref[:63]}),
+		"uppercase digest":  residentFrame(t, nil, residentRef{0, strings.ToUpper(ref)}),
+		"non-hex digest":    residentFrame(t, nil, residentRef{0, strings.Repeat("g", 64)}),
+		"duplicate ref":     residentFrame(t, nil, residentRef{0, ref}, residentRef{0, ref}),
+		"named and carried": residentFrame(t, []int{0}, residentRef{0, ref}),
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(body)))
@@ -331,11 +354,66 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	}
 }
 
-func mustFrame(t testing.TB, header any) []byte {
+// residentFrame is a request for block 1 of wf07 that carries the upstream
+// blocks listed and names the given refs.
+func residentFrame(t testing.TB, carried []int, refs ...residentRef) []byte {
+	t.Helper()
+	var tables []*data.Table
+	for range carried {
+		tables = append(tables, frameTable("B0"))
+	}
+	return mustFrame(t, &workerRunRequest{WF: 7, Scale: distScale, Block: 1, Upstream: carried, Resident: refs}, tables...)
+}
+
+// TestWorkerResidentOutputs drives the store through a worker's handler:
+// the output of a block another block reads is kept under the digest the
+// coordinator computes from the response, a request that names it gets the
+// response the request that carries it gets, byte for byte, and one that
+// names a digest the store lacks gets a 409 listing it.
+func TestWorkerResidentOutputs(t *testing.T) {
+	wk := NewWorker()
+	h := wk.Handler()
+	post := func(frame []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(frame)))
+		return rec
+	}
+	base := &workerRunRequest{WF: 7, Scale: distScale}
+	first := post(requestFrame(t, base, 0, nil, nil))
+	out, sum, err := decodeRunResponse(first.Body, maxUploadBytes)
+	if first.Code != http.StatusOK || err != nil {
+		t.Fatalf("block 0: status %d, %v", first.Code, err)
+	}
+	carried := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, nil))
+	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, map[int]digest{0: sum}))
+	if carried.Code != http.StatusOK || named.Code != http.StatusOK || !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()) {
+		t.Errorf("block 1: status %d carried, %d named; the responses differ: %v", carried.Code, named.Code, !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()))
+	}
+	if n := len(wk.resident.byKey); n != 1 {
+		t.Errorf("the store holds %d output(s); only block 0's is read by another block", n)
+	}
+
+	unknown := digest(sha256.Sum256([]byte("never produced")))
+	miss := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, map[int]digest{0: unknown}))
+	var body missingResident
+	if err := json.Unmarshal(miss.Body.Bytes(), &body); miss.Code != http.StatusConflict || err != nil ||
+		body.Error == "" || !reflect.DeepEqual(body.Missing, []string{unknown.String()}) {
+		t.Errorf("unknown digest: status %d, body %s", miss.Code, miss.Body.Bytes())
+	}
+}
+
+// mustFrame seals a frame of the given header and table sections, whatever
+// they say.
+func mustFrame(t testing.TB, header any, tables ...*data.Table) []byte {
 	t.Helper()
 	f, err := beginFrame(header)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tbl := range tables {
+		if err := f.table(tbl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	frame, err := f.seal(maxUploadBytes)
 	if err != nil {
@@ -353,7 +431,7 @@ func FuzzRunFrame(f *testing.F) {
 	resp := responseFrame(f, frameBlock(f))
 	_, payload := framePayload(f, resp)
 	req := requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
-		map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}, data.Row{5, 7}), 0: frameTable("B0")})
+		map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}, data.Row{5, 7}), 0: frameTable("B0")}, nil)
 	f.Add(resp)
 	f.Add(req)
 	f.Add(mustFrame(f, map[string]int{"wf": 6})) // stored
@@ -363,6 +441,8 @@ func FuzzRunFrame(f *testing.F) {
 	for n := 0; n < len(req); n += 7 {
 		f.Add(req[:n])
 	}
+	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3,
+		map[int]*data.Table{2: frameTable("B2"), 0: frameTable("B0")}, map[int]digest{2: sha256.Sum256(nil)}))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

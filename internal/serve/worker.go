@@ -18,23 +18,28 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Worker is the executor side of distributed block dispatch: a stateless
-// HTTP server that runs exactly one physical-plan block per request and
-// returns the block's boundary output, side effects and statistics shard.
+// Worker is the executor side of distributed block dispatch: an HTTP
+// server that runs exactly one physical-plan block per request and returns
+// the block's boundary output, side effects and statistics shard.
 //
-// Statelessness is what makes the coordinator's fault tolerance simple: a
-// block request carries (or deterministically implies) everything its
-// execution needs — the suite workflow id and scale pin the generated
-// data, the shipped join trees and observe list pin the compiled plan, the
-// upstream tables arrive in the request body — so any worker can run any
-// block, a reassigned block produces byte-identical results on a different
-// worker, and a worker that dies loses nothing but in-flight work.
+// No result depends on what a worker remembers, which is what makes the
+// coordinator's fault tolerance simple: a block request carries (or
+// deterministically implies) everything its execution needs — the suite
+// workflow id and scale pin the generated data, the shipped join trees and
+// observe list pin the compiled plan, the upstream tables arrive in the
+// request body — so any worker can run any block, a reassigned block
+// produces byte-identical results on a different worker, and a worker that
+// dies loses nothing but in-flight work. The one exception is soft: a
+// worker keeps the outputs it produced that a later block reads, and a
+// request sent back to it may name one by digest instead of carrying it; a
+// worker that no longer holds it answers 409 and gets the table itself.
 type Worker struct {
 	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
 	// lower it).
 	maxBody int64
 
-	states onceMap[workerKey, *workerState]
+	states   onceMap[workerKey, *workerState]
+	resident residentStore
 }
 
 // NewWorker returns a worker with an empty workflow cache.
@@ -55,6 +60,21 @@ type workerState struct {
 	an  *workflow.Analysis
 	db  engine.DB
 	css onceMap[css.Options, *css.Result]
+}
+
+// feeds reports whether another block of the workflow reads block's
+// boundary output — the blocks whose outputs are worth keeping. The
+// compiled plan's blocks are the analysis's, so this is the engine's
+// block dependency relation.
+func (st *workerState) feeds(block int) bool {
+	for _, b := range st.an.Blocks {
+		for _, in := range b.Inputs {
+			if in.FromBlock == block {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // workerRunRequest is the header of a block-execution request frame (see
@@ -88,6 +108,23 @@ type workerRunRequest struct {
 	// whose boundary outputs follow the header, one table section each.
 	Block    int   `json:"block"`
 	Upstream []int `json:"upstream,omitempty"`
+	// Resident lists, by ascending block, the other upstream blocks: their
+	// outputs are in this worker's store, named by digest, with no section.
+	Resident []residentRef `json:"resident,omitempty"`
+}
+
+// residentRef names one upstream block's boundary output by the SHA-256 of
+// the response section it left its producer in (digest.String form).
+type residentRef struct {
+	Block  int    `json:"block"`
+	SHA256 string `json:"sha256"`
+}
+
+// missingResident is the 409 body: the digests of a request's resident
+// refs this worker's store does not hold, in request order.
+type missingResident struct {
+	Error   string   `json:"error"`
+	Missing []string `json:"missing"`
 }
 
 // wireFailedStat is a degraded statistic on the wire: the statistic plus
@@ -152,12 +189,19 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
+	if missing := wk.resident.take(req.Resident, upstream); missing != nil {
+		writeJSON(w, http.StatusConflict, missingResident{
+			Error:   fmt.Sprintf("%d resident upstream table(s) not held here; send them", len(missing)),
+			Missing: missing,
+		})
+		return
+	}
 	rb, status, err := wk.runBlock(r.Context(), req, upstream)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
 	}
-	frame, err := encodeRunResponse(rb, wk.maxBody)
+	frame, out, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
 		// A block output over the codec's cell cap or the frame cap is the
 		// block's property, like a request over the body cap: 413 either way.
@@ -167,6 +211,11 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		httpError(w, status, err.Error())
 		return
+	}
+	if st, _ := wk.state(req.WF, req.Scale); st.feeds(req.Block) { // runBlock built it
+		// Kept before the response leaves, so a request that names it can
+		// only arrive after it is here.
+		wk.resident.put(out, rb.Out)
 	}
 	w.Header().Set("Content-Type", frameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))

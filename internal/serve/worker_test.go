@@ -14,7 +14,7 @@ import (
 // block0 is the request frame for the first block of a suite workflow, and
 // postFrame the status the worker answers a frame with.
 func block0(t *testing.T, wf int) []byte {
-	return requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale, Instrument: true}, 0, nil)
+	return requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale, Instrument: true}, 0, nil, nil)
 }
 
 func postFrame(h http.Handler, frame []byte) int {
