@@ -149,7 +149,7 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.adaptive, "adaptive", false, "run: execute the optimized plans adaptively, re-optimizing the not-yet-executed blocks when boundary actuals refute the estimates")
 	fs.Float64Var(&o.skew, "replan-skew", 0, "run: multiply block 0's estimates by this factor during -adaptive boundary checks, forcing a replan (testing aid; 0 = off)")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
-	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
+	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
 	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
 	fs.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "serve: max relative drift before cached solutions invalidate")
 	fs.BoolVar(&o.cache, "cache", true, "serve: cache solved responses (off still deduplicates concurrent solves)")
@@ -392,11 +392,11 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 	if cy.Observed != nil && cy.Observed.Dist != nil {
 		d := cy.Observed.Dist
 		if d.FellBack {
-			fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally; run completed whole, outputs identical\n",
-				d.Reason, len(d.Remote), len(d.Local))
+			fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
+				d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
 		} else {
-			fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident\n",
-				len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident)
+			fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident, %d output(s) held, %d recomputed\n",
+				len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident, d.Held, d.Recomputed)
 		}
 	}
 	fmt.Printf("workflow %s\n", g.Name)
@@ -576,11 +576,7 @@ func scheduleCmd(ctx context.Context, o *options) error {
 			fmt.Printf("  observe %s\n", st.Label(an.Blocks[st.Target.Block]))
 		}
 	}
-	eng := engine.New(an, w.Data(o.scale), nil)
-	eng.Workers = cfg.Workers
-	eng.MaxRows = cfg.MaxRows
-	eng.Faults = cfg.Faults
-	store, err := schedule.ExecuteCtx(ctx, eng, res, plan)
+	store, err := schedule.ExecuteCtx(ctx, core.NewExecutor(an, w.Data(o.scale), cfg), res, plan)
 	if err != nil {
 		return err
 	}

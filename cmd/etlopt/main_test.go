@@ -5,13 +5,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/serve"
 	"github.com/essential-stats/etlopt/internal/suite"
 )
 
@@ -80,6 +84,31 @@ func TestDistOptionsFor(t *testing.T) {
 		} else if (cfg.Dispatcher != nil) != tc.remote {
 			t.Errorf("%s: dispatcher set = %v, want %v", tc.name, cfg.Dispatcher != nil, tc.remote)
 		}
+	}
+}
+
+// TestScheduleDispatches pins that schedule runs where -worker-addrs says:
+// its observation runs reach the worker, where they once ran in-process
+// whatever the flag said.
+func TestScheduleDispatches(t *testing.T) {
+	var runs atomic.Int64
+	h := serve.NewWorker().Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/worker/run" {
+			runs.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	fs, o := newFlags("schedule")
+	if err := fs.Parse([]string{"-wf", "3", "-budget", "64", "-worker-addrs", srv.URL}); err != nil {
+		t.Fatal(err)
+	}
+	if err := scheduleCmd(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() == 0 {
+		t.Error("schedule -worker-addrs executed every run in-process")
 	}
 }
 

@@ -259,7 +259,7 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 	// re-optimized, not initial).
 	cfg := cy.cfg
 	cfg.CollectMetrics = true
-	eng := newExecutor(cy.Analysis, cy.db, cfg)
+	eng := NewExecutor(cy.Analysis, cy.db, cfg)
 	eng.AdaptCheck = st.check
 	observe := cy.Selection.Observe
 	run, err := eng.RunPlansObservingCtx(ctx, cur, cy.CSS, observe)

@@ -162,8 +162,9 @@ type Timings struct {
 	Analyze, GenerateCSS, Select, ObserveRun, Optimize time.Duration
 }
 
-// newExecutor builds the engine the configuration asks for.
-func newExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
+// NewExecutor builds the engine the configuration asks for: every
+// execution of a cycle, and of a schedule, runs on one.
+func NewExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine {
 	eng := engine.New(an, db, nil)
 	eng.Workers = cfg.Workers
 	eng.MaxRows = cfg.MaxRows
@@ -232,7 +233,7 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 	cy.Timings.Select = time.Since(start)
 
 	start = time.Now()
-	eng := newExecutor(an, db, cfg)
+	eng := NewExecutor(an, db, cfg)
 	run, err := eng.RunPlansCtx(ctx, nil, res, sel.Observe)
 	cy.Observed = run
 	if run != nil {
@@ -275,7 +276,7 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 // this run in turn; here it returns the executed result so callers can
 // compare work metrics against the initial run.
 func (cy *Cycle) RunOptimized() (*engine.Result, error) {
-	eng := newExecutor(cy.Analysis, cy.db, cy.cfg)
+	eng := NewExecutor(cy.Analysis, cy.db, cy.cfg)
 	out, err := eng.RunPlansCtx(context.Background(), cy.Plans.Trees(), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: optimized run: %w", err)

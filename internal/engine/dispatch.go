@@ -23,6 +23,13 @@ import (
 // CollectMetrics, its per-node metrics — so observed statistics, metrics
 // and replan decisions are byte-identical however the blocks were placed.
 //
+// One exception is asked for: a boundary output no sink reads and a later
+// block does is held — left on the worker that made it, the run keeping
+// only the dispatcher's Held handle in its place. The block that reads it
+// runs remotely, on a dispatcher that finds it by that handle; one that runs
+// in-process after a fallback, or on a resume without a dispatcher, first
+// recomputes it here, output only.
+//
 // Robustness is structural, not best-effort: a dispatcher signals
 // unrecoverable infrastructure loss with ErrWorkersLost, and the scheduler
 // then runs every block not yet committed in-process, from the committed
@@ -59,15 +66,30 @@ type DispatchSpec struct {
 	RetryMax     int
 	RetryBackoff time.Duration
 	Metrics      bool
+	// Hold lists, ascending, the blocks whose boundary output the session
+	// should leave on the worker that made it and return as a Held handle:
+	// a later block reads each, no sink does.
+	Hold []int
+	// Held maps block index to the handle of a held output the run resumed
+	// from a checkpoint; RunBlock may be asked for a block that reads it.
+	Held map[int]Held
 }
+
+// Held is a dispatcher's handle on a block output it left on a worker. It is
+// opaque to the engine, which keeps it where the output would be, puts it in
+// a checkpoint, and hands it back in a later session's DispatchSpec.
+type Held any
 
 // RemoteBlock is one block's execution outcome, whichever side of the
 // dispatch seam produced it. In-process execution fills Out, Materialized
 // and Rows — its statistics, metrics and retries went straight into the
 // run's own collector, plan and counters; a worker ships all of it.
 type RemoteBlock struct {
-	// Out is the block's boundary output.
+	// Out is the block's boundary output; nil when it is held.
 	Out *data.Table
+	// Held is the handle on a held output, for a block DispatchSpec.Hold
+	// lists; nil when Out is set.
+	Held Held
 	// Materialized holds the block's materialized targets (reject links,
 	// explicit materializations).
 	Materialized map[string]*data.Table
@@ -89,18 +111,21 @@ type RemoteBlock struct {
 
 // RunDispatch is one run's dispatch session.
 type RunDispatch interface {
-	// RunBlock executes one block remotely. The upstream map carries the
-	// boundary outputs of every block this block reads from. An error
-	// wrapping ErrWorkersLost means dispatch is permanently unavailable;
-	// any other error is the block's own (deterministic) execution error.
+	// RunBlock executes one block remotely. The upstream map has an entry
+	// for every block this block reads from: its boundary output, or nil
+	// when it is held — by this session, or by the handle in
+	// DispatchSpec.Held. An error wrapping ErrWorkersLost means dispatch is
+	// permanently unavailable; any other error is the block's own
+	// (deterministic) execution error.
 	RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error)
 	// Slots bounds how many blocks the scheduler keeps in flight.
 	Slots() int
 	// Summary reports the session so far: dispatch attempts retried, on the
 	// same or another worker, after a lease expired or a request failed;
-	// upstream tables a worker took from its own store instead of the
-	// request; and the workers marked dead.
-	Summary() (reassigned, resident int64, lostWorkers []string)
+	// upstream outputs a worker took from its own store instead of the
+	// request; held outputs a worker made again because one it was asked
+	// to read was not there; and the workers marked dead.
+	Summary() (reassigned, resident, recomputed int64, lostWorkers []string)
 }
 
 // BlockDispatcher opens dispatch sessions; internal/serve's Coordinator
@@ -119,10 +144,15 @@ type DistReport struct {
 	// Reassigned counts dispatch attempts retried after lease expiry or
 	// request failure.
 	Reassigned int64
-	// Resident counts upstream tables a worker took from its store of the
-	// outputs it produced, where the request named them instead of
-	// carrying them.
+	// Resident counts upstream outputs a worker took from its store, where
+	// the request named them instead of carrying them.
 	Resident int64
+	// Held counts the committed blocks whose output stayed on a worker.
+	Held int64
+	// Recomputed counts held outputs made again, output only, because the
+	// one made first could not be read where it was needed: by a worker
+	// that lacked it, or in-process after a fallback.
+	Recomputed int64
 	// LostWorkers lists worker addresses marked dead during the run.
 	LostWorkers []string
 	// FellBack reports that the run degraded to in-process execution for

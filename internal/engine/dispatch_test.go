@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +22,11 @@ import (
 // The block scheduler under dispatch, without HTTP: loopDispatcher is an
 // in-memory BlockDispatcher that does what internal/serve's worker does —
 // build an engine from the DispatchSpec the scheduler hands it, run one
-// block with RunBlockCtx — so every placement behaviour (ordering, failure
-// reporting, fallback, the adaptive hook, the metrics shard) is testable
-// against the local run of the same multi-block fixture.
+// block with RunBlockCtx, keep the outputs the spec says to hold — so every
+// placement behaviour (ordering, failure reporting, fallback, the adaptive
+// hook, the metrics shard, held outputs) is testable against the local run
+// of the same multi-block fixture. The fixture's blocks 0 and 1 feed block
+// 2, the sink's, so both are held.
 
 // loopDispatcher loops dispatched blocks back to RunBlockCtx.
 type loopDispatcher struct {
@@ -43,7 +47,14 @@ type loopDispatcher struct {
 	inflight    int
 	maxInflight int
 	spec        *DispatchSpec
+	// held is the session's handles: from the spec, and on the outputs it
+	// held.
+	held map[int]Held
 }
+
+// loopHeld is the loop dispatcher's handle: the held table, which a real
+// dispatcher leaves on its worker.
+type loopHeld struct{ t *data.Table }
 
 func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (RunDispatch, error) {
 	if d.openErr != nil {
@@ -51,12 +62,14 @@ func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (Run
 	}
 	d.mu.Lock()
 	d.spec = spec
+	d.held = map[int]Held{}
+	maps.Copy(d.held, spec.Held)
 	d.mu.Unlock()
 	return d, nil
 }
 
-func (d *loopDispatcher) Slots() int                        { return d.slots }
-func (d *loopDispatcher) Summary() (int64, int64, []string) { return 0, 0, nil }
+func (d *loopDispatcher) Slots() int                               { return d.slots }
+func (d *loopDispatcher) Summary() (int64, int64, int64, []string) { return 0, 0, 0, nil }
 
 func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error) {
 	d.mu.Lock()
@@ -64,6 +77,18 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	d.inflight++
 	d.maxInflight = max(d.maxInflight, d.inflight)
 	spec := d.spec
+	up := make(map[int]*data.Table, len(upstream))
+	for u, t := range upstream {
+		if t == nil {
+			h, ok := d.held[u].(*loopHeld)
+			if !ok {
+				d.mu.Unlock()
+				return nil, fmt.Errorf("loop: block %d reads block %d, held by no handle of this session", block, u)
+			}
+			t = h.t
+		}
+		up[u] = t
+	}
 	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
@@ -92,11 +117,21 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	d.runs[block]++
 	d.mu.Unlock()
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, spec.AnyPoint, upstream)
-	if err == nil && d.after != nil {
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, spec.AnyPoint, up)
+	if err != nil {
+		return nil, err
+	}
+	if slices.Contains(spec.Hold, block) {
+		h := &loopHeld{t: rb.Out}
+		rb.Out, rb.Held = nil, h
+		d.mu.Lock()
+		d.held[block] = h
+		d.mu.Unlock()
+	}
+	if d.after != nil {
 		d.after(block, rb)
 	}
-	return rb, err
+	return rb, nil
 }
 
 // errLoopLost is the error a dead fleet reports.
@@ -367,7 +402,8 @@ func TestDispatchWorkersLost(t *testing.T) {
 }
 
 // TestCommitOnce is leg (d): a block delivered twice — a retried dispatch
-// whose first response was lost after all — is committed once.
+// whose first response was lost after all — is committed once, held or not;
+// a handle on a block the session was not asked to hold is refused.
 func TestCommitOnce(t *testing.T) {
 	f := newResumeFixture(t)
 	plan, err := physical.Compile(f.an, f.db, physical.Options{Res: f.res, Observe: f.observe})
@@ -395,6 +431,70 @@ func TestCommitOnce(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.report.Remote, []int{0}) {
 		t.Errorf("placement records %v, want block 0 once", s.report.Remote)
+	}
+
+	held := *rb
+	held.Out, held.Held = nil, &loopHeld{t: rb.Out}
+	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil, 0, 0)
+	out = &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
+	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}}
+	for i := 0; i < 2; i++ {
+		if err := s.commit(plan.Blocks[0], &held, true); err != nil {
+			t.Fatalf("held delivery %d: %v", i, err)
+		}
+	}
+	if t0, ok := out.BlockOut[0]; !ok || t0 != nil || out.Held[0] != held.Held || len(out.Held) != 1 {
+		t.Errorf("a held block committed as output %v, handles %v", t0, out.Held)
+	}
+	if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries || s.report.Held != 1 {
+		t.Errorf("two held deliveries left rows %d budget %d retries %d held %d, want %d/%d/%d/1",
+			out.Rows, env.budget.used.Load(), env.retries.Load(), s.report.Held, rb.Rows, rb.Rows, rb.Retries)
+	}
+	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: &loopHeld{}}, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
+		t.Errorf("a handle on a block no one asked to hold: err = %v", err)
+	}
+}
+
+// TestDispatchHeldFallBack loses the fleet after the two held blocks
+// committed: the block that reads them runs in-process and recomputes both,
+// output only. Rows, Retries, the observed bytes and the row budget are each
+// charged once — MaxRows at the local run's exact total still passes — and
+// equal the local run's.
+func TestDispatchHeldFallBack(t *testing.T) {
+	f := newResumeFixture(t)
+	flt := faults.New(7, 1, 1, 0)
+	want, err := f.run(f.engine(flt), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &loopDispatcher{f: f, slots: 2, before: func(block int) error {
+		if block == 2 {
+			return errLoopLost
+		}
+		return nil
+	}}
+	e := f.engine(flt)
+	e.MaxRows, e.Dispatch = want.Rows, d
+	got, err := f.run(e, false)
+	if err != nil {
+		t.Fatalf("MaxRows = the local total: %v", err)
+	}
+	equalResults(t, "fallback", want, got)
+	if !bytes.Equal(storeBytesOf(t, want), storeBytesOf(t, got)) {
+		t.Error("observed store bytes differ")
+	}
+	if got.Rows != want.Rows || got.Retries != want.Retries || want.Retries == 0 {
+		t.Errorf("rows %d retries %d, want %d and %d (> 0)", got.Rows, got.Retries, want.Rows, want.Retries)
+	}
+	assertPlacement(t, "fallback", got.Dist, []int{0, 1}, []int{2})
+	if g := got.Dist; !g.FellBack || g.Held != 2 || g.Recomputed != 2 {
+		t.Errorf("report %+v, want a fallback after 2 held outputs, both recomputed", g)
+	}
+	if len(got.Held) != 0 || got.BlockOut[0] == nil || got.BlockOut[1] == nil {
+		t.Errorf("after the recompute the result still holds %v", got.Held)
+	}
+	if d.runs[0] != 1 || d.runs[1] != 1 {
+		t.Errorf("the workers ran blocks 0 and 1 %d and %d time(s)", d.runs[0], d.runs[1])
 	}
 }
 
@@ -464,6 +564,9 @@ func TestDispatchAdaptCheck(t *testing.T) {
 	}
 	d2 := &loopDispatcher{f: f, slots: 2}
 	rest := &adaptTrace{stopAt: -1}
+	if _, ok := sig.Checkpoint.Held[0]; !ok {
+		t.Fatalf("%s: the signal's checkpoint carries no handle on held block 0", name)
+	}
 	resumed, err := f.resume(adaptive(d2, rest), sig.Checkpoint)
 	if err != nil {
 		t.Fatalf("%s: resume after the signal: %v", name, err)
@@ -471,6 +574,21 @@ func TestDispatchAdaptCheck(t *testing.T) {
 	equalResults(t, name+"/resumed", want, resumed)
 	if !reflect.DeepEqual(rest.blocks, []int{1}) || d2.runs[0] != 0 {
 		t.Errorf("%s: resumed segment checked %v and ran block 0 %d time(s)", name, rest.blocks, d2.runs[0])
+	}
+	if r := resumed.Dist; r.Held != 1 || r.Recomputed != 0 {
+		t.Errorf("%s: the new session held %d and recomputed %d output(s), want 1 and 0", name, r.Held, r.Recomputed)
+	}
+
+	// The same checkpoint, resumed with no dispatcher: block 0 is made again
+	// in-process for block 2 to read.
+	local := &adaptTrace{stopAt: -1}
+	resumed, err = f.resume(adaptive(nil, local), sig.Checkpoint)
+	if err != nil {
+		t.Fatalf("%s: resume without a dispatcher: %v", name, err)
+	}
+	equalResults(t, name+"/resumed-locally", want, resumed)
+	if !reflect.DeepEqual(local.blocks, []int{1}) || resumed.BlockOut[0] == nil {
+		t.Errorf("%s: local resume checked %v, block 0's output %v", name, local.blocks, resumed.BlockOut[0])
 	}
 }
 

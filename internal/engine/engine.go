@@ -88,8 +88,12 @@ func NewStream(an *workflow.Analysis, db DB, reg physical.Registry) *Engine { re
 
 // Result is the outcome of one workflow execution.
 type Result struct {
-	// BlockOut holds each block's boundary output.
+	// BlockOut holds each block's boundary output; the entry of a held one
+	// is nil, its handle in Held.
 	BlockOut map[int]*data.Table
+	// Held maps block index to the dispatcher's handle on an output a
+	// worker holds (see DispatchSpec.Hold); nil when there is none.
+	Held map[int]Held
 	// Sinks holds the target record-sets by name.
 	Sinks map[string]*data.Table
 	// Materialized holds explicitly materialized intermediate results by

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -52,10 +53,16 @@ type FailedStat struct {
 // finished block's boundary output and side effects, plus the statistics
 // observed so far. It is placement-independent: a checkpoint of blocks
 // that ran on workers resumes in-process and vice versa, since both execute
-// the same physical plan.
+// the same physical plan. A held output is read through its handle by a
+// later dispatch session, or recomputed by an in-process block that reads
+// it.
 type Checkpoint struct {
-	// BlockOut holds the boundary outputs of completed blocks.
+	// BlockOut holds the boundary outputs of completed blocks; a held one's
+	// entry is nil.
 	BlockOut map[int]*data.Table
+	// Held holds the handles of completed blocks whose output a worker
+	// holds.
+	Held map[int]Held
 	// Materialized holds completed blocks' materialized targets.
 	Materialized map[string]*data.Table
 	// Rows is the work metric accumulated by completed blocks.
@@ -274,6 +281,7 @@ func tapSite(s stats.Stat) string { return fmt.Sprintf("tap:%v", s.Key()) }
 func checkpointOf(out *Result, failed []int) *Checkpoint {
 	return &Checkpoint{
 		BlockOut:     out.BlockOut,
+		Held:         out.Held,
 		Materialized: out.Materialized,
 		Rows:         out.Rows,
 		Observed:     out.Observed,
@@ -289,6 +297,9 @@ func seedFrom(out *Result, cp *Checkpoint) {
 	}
 	for k, v := range cp.BlockOut {
 		out.BlockOut[k] = v
+	}
+	if len(cp.Held) > 0 {
+		out.Held = maps.Clone(cp.Held)
 	}
 	for k, v := range cp.Materialized {
 		out.Materialized[k] = v

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -157,6 +159,8 @@ type blockSched struct {
 	metrics bool
 	// report is the run's placement record (nil without a dispatcher).
 	report *DistReport
+	// hold lists the blocks the dispatch session is asked to hold.
+	hold []int
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -183,7 +187,8 @@ type blockSched struct {
 // deterministic regardless of goroutine timing.
 //
 // Blocks whose output is already present in out (a checkpoint seeded by
-// ResumeObserving) are skipped. A dispatcher that reports ErrWorkersLost,
+// ResumeObserving), held or not, are skipped. A dispatch session is asked to
+// hold the outputs heldBlocks names. A dispatcher that reports ErrWorkersLost,
 // at session open or from any block, flips the blocks not yet committed to
 // in-process execution inside the same loop: the placement degrades, the
 // result stays whole.
@@ -205,6 +210,8 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 	if e.Dispatch != nil {
 		s.report = &DistReport{}
 		out.Dist = s.report
+		s.hold = heldBlocks(e.An, s.deps)
+		spec.Hold, spec.Held = s.hold, maps.Clone(out.Held)
 		if session, err := e.Dispatch.DispatchRun(env.ctx, spec); err != nil {
 			s.fallBack(err) // no reachable worker: the whole run is in-process
 		} else {
@@ -233,7 +240,9 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 		sort.Ints(s.report.Local)
 	}
 	if rd != nil {
-		s.report.Reassigned, s.report.Resident, s.report.LostWorkers = rd.Summary()
+		var recomputed int64
+		s.report.Reassigned, s.report.Resident, recomputed, s.report.LostWorkers = rd.Summary()
+		s.report.Recomputed += recomputed
 	}
 	if len(s.errs) > 0 {
 		idxs := make([]int, 0, len(s.errs))
@@ -274,14 +283,14 @@ func (s *blockSched) work(rd RunDispatch) {
 		s.inflight++
 		upstream := make(map[int]*data.Table, len(s.deps[idx]))
 		for _, d := range s.deps[idx] {
-			upstream[d] = s.out.BlockOut[d]
+			upstream[d] = s.out.BlockOut[d] // nil when held
 		}
 		s.mu.Unlock()
 		var rb *RemoteBlock
 		var err error
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
-		} else {
+		} else if err = s.recompute(upstream); err == nil {
 			rb, err = s.env.runBlock(bp, upstream, s.col, s.metrics)
 		}
 		s.mu.Lock()
@@ -313,6 +322,44 @@ func (s *blockSched) nextReady() *physical.BlockPlan {
 		if ready {
 			return bp
 		}
+	}
+	return nil
+}
+
+// recompute fills in the held outputs of an upstream map for an in-process
+// block to read, recomputing each — and what it reads, as far up as needed —
+// output only: no taps, no metrics, no row-budget charge, no injected
+// faults, no retries. What it makes replaces the handle in the result, where
+// later readers find it.
+func (s *blockSched) recompute(upstream map[int]*data.Table) error {
+	for d, t := range upstream {
+		if t != nil {
+			continue
+		}
+		up := make(map[int]*data.Table, len(s.deps[d]))
+		s.mu.Lock()
+		for _, u := range s.deps[d] {
+			up[u] = s.out.BlockOut[u]
+		}
+		s.mu.Unlock()
+		if err := s.recompute(up); err != nil {
+			return err
+		}
+		env := newRunEnv(s.env.ctx, nil, nil, 1, 0)
+		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false)
+		if err != nil {
+			return fmt.Errorf("recomputing held block %d: %w", d, err)
+		}
+		s.mu.Lock()
+		if s.out.BlockOut[d] == nil {
+			s.out.BlockOut[d] = rb.Out
+			delete(s.out.Held, d)
+			if s.report != nil {
+				s.report.Recomputed++
+			}
+		}
+		upstream[d] = s.out.BlockOut[d]
+		s.mu.Unlock()
 	}
 	return nil
 }
@@ -351,7 +398,8 @@ func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 // observed into the run's collector and wrote its nodes' metrics while it
 // ran; a remote block brings all three along, and crossing MaxRows here
 // fails it as crossing it mid-block fails a local one. A block already
-// committed (a duplicate delivery) is left alone.
+// committed (a duplicate delivery) is left alone; a held one is committed
+// as its handle, next to a nil output.
 func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool) error {
 	idx := bp.Block.Index
 	if _, ok := s.out.BlockOut[idx]; ok {
@@ -364,6 +412,9 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 		}
 		if len(rb.Metrics) != want {
 			return fmt.Errorf("engine: block %d: worker shipped a metrics shard of %d nodes, the compiled block has %d", idx, len(rb.Metrics), want)
+		}
+		if rb.Out == nil && (rb.Held == nil || !slices.Contains(s.hold, idx)) {
+			return fmt.Errorf("engine: block %d: the dispatcher returned neither its output nor a handle it was asked to hold", idx)
 		}
 		if err := s.env.budget.add(rb.Rows); err != nil {
 			return err
@@ -385,6 +436,13 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 		s.report.Local = append(s.report.Local, idx)
 	}
 	s.out.BlockOut[idx] = rb.Out
+	if rb.Out == nil {
+		if s.out.Held == nil {
+			s.out.Held = make(map[int]Held)
+		}
+		s.out.Held[idx] = rb.Held
+		s.report.Held++
+	}
 	for k, v := range rb.Materialized {
 		s.out.Materialized[k] = v
 	}
@@ -392,19 +450,47 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 	return nil
 }
 
+// heldBlocks lists, ascending, the blocks whose output a dispatch session
+// is asked to hold: a later block reads it and no sink does.
+func heldBlocks(an *workflow.Analysis, deps map[int][]int) []int {
+	read := make(map[int]bool)
+	for _, d := range deps {
+		for _, idx := range d {
+			read[idx] = true
+		}
+	}
+	for _, sink := range an.Graph.Sinks() {
+		if blk := sinkBlock(an, sink); blk != nil {
+			delete(read, blk.Index)
+		}
+	}
+	held := make([]int, 0, len(read))
+	for idx := range read {
+		held = append(held, idx)
+	}
+	sort.Ints(held)
+	return held
+}
+
+// sinkBlock returns the block whose output a sink reads, nil when there is
+// none.
+func sinkBlock(an *workflow.Analysis, sink *workflow.Node) *workflow.Block {
+	if blk := an.BlockOf(sink.Inputs[0]); blk != nil {
+		return blk
+	}
+	// The sink's input is a block terminal.
+	for _, b := range an.Blocks {
+		if b.Terminal == sink.Inputs[0] {
+			return b
+		}
+	}
+	return nil
+}
+
 // routeSinks fills out.Sinks from the block outputs.
 func routeSinks(an *workflow.Analysis, out *Result) error {
 	for _, sink := range an.Graph.Sinks() {
-		blk := an.BlockOf(sink.Inputs[0])
-		if blk == nil {
-			// The sink's input is a block terminal.
-			for _, b := range an.Blocks {
-				if b.Terminal == sink.Inputs[0] {
-					blk = b
-					break
-				}
-			}
-		}
+		blk := sinkBlock(an, sink)
 		if blk == nil {
 			return fmt.Errorf("sink %q: cannot locate producing block", sink.ID)
 		}

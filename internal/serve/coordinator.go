@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -20,9 +22,14 @@ import (
 // Coordinator is the scheduling side of distributed block dispatch: it
 // implements engine.BlockDispatcher over a fleet of Worker HTTP servers.
 //
-// A block goes to the live worker that produced its largest upstream
-// output, which keeps that output: the request names it by digest instead
-// of carrying it back (see Worker). Blocks without one go round-robin.
+// A block output that a later block reads and no sink does is held: it
+// stays on the worker that made it, and the coordinator keeps its lineage —
+// the request frame that made it — instead of its bytes. The block that
+// reads it goes to that worker if it is live, and its request names the
+// output by key (see Worker); blocks that read none go round-robin. A worker
+// that misses a named output — evicted, restarted, or never the one that
+// made it — answers 409, and every such miss gets one answer: the lineage
+// frame goes to that worker, output only, then the request again.
 //
 // Fault tolerance is lease-based. Every dispatched block holds a lease
 // that only successful health probes of its worker renew; when probes fail
@@ -114,35 +121,43 @@ type workerRef struct {
 	lost bool
 }
 
-// dispatchSession is one run's dispatch state: the worker fleet, where
-// each block's output was produced, and the dispatch accounting.
+// dispatchSession is one run's dispatch state: the worker fleet, the
+// lineage of each held output, and the dispatch accounting.
 type dispatchSession struct {
 	c    *Coordinator
 	base *workerRunRequest
+	hold []int // the blocks the engine asked to hold
 
-	mu                   sync.Mutex
-	workers              []*workerRef
-	next                 int
-	produced             map[int]producedOut
-	reassigned, resident int64
-	lostOrder            []string
+	mu                               sync.Mutex
+	workers                          []*workerRef
+	next                             int
+	produced                         map[int]*lineage
+	reassigned, resident, recomputed int64
+	lostOrder                        []string
 }
 
-// producedOut is where a block's output came from: the worker that keeps
-// it, under the digest of its response section. out is the table the
-// session returned; a request names the output only while the engine
-// passes that same table upstream.
-type producedOut struct {
-	w   *workerRef
-	sum digest
-	out *data.Table
+// lineage is how a held block output was made: the request frame that made
+// it — which makes it again, on any worker — and the lineage of every held
+// output that frame names. It is the engine.Held handle the session hands
+// the engine, so a later session resumes from it too.
+type lineage struct {
+	block int
+	addr  string // the worker that made and holds it
+	key   digest // the SHA-256 of frame's payload: the worker's key for it
+	frame []byte
+	named []*lineage // ascending block
 }
 
 // DispatchRun opens a session: probe the fleet once and refuse to open
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{c: c, base: c.baseRequest(spec), produced: map[int]producedOut{}}
+	s := &dispatchSession{c: c, base: c.baseRequest(spec), hold: spec.Hold, produced: map[int]*lineage{}}
+	for idx, h := range spec.Held {
+		if l, ok := h.(*lineage); ok {
+			s.produced[idx] = l
+		}
+	}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -183,10 +198,10 @@ func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
 func (s *dispatchSession) Slots() int { return len(s.c.opt.Addrs) }
 
 // Summary reports the session's dispatch accounting.
-func (s *dispatchSession) Summary() (reassigned, resident int64, lostWorkers []string) {
+func (s *dispatchSession) Summary() (reassigned, resident, recomputed int64, lostWorkers []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reassigned, s.resident, append([]string(nil), s.lostOrder...)
+	return s.reassigned, s.resident, s.recomputed, append([]string(nil), s.lostOrder...)
 }
 
 // permanentError marks a worker-reported block-execution error: it is
@@ -197,31 +212,38 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// RunBlock dispatches one block: pick a live worker (the producer of its
-// largest upstream, else round-robin), hold a heartbeat-renewed lease over
-// the request, and on infrastructure failure back off and reassign — up to
-// the dispatch retry budget, after which the block is declared
-// undeliverable (engine.ErrWorkersLost) and the engine falls back
+// RunBlock dispatches one block: pick a live worker (the one holding its
+// lowest-index held upstream, else round-robin), hold a heartbeat-renewed
+// lease over the request, and on infrastructure failure back off and
+// reassign — up to the dispatch retry budget, after which the block is
+// declared undeliverable (engine.ErrWorkersLost) and the engine falls back
 // in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	// A block's frame is fixed per target worker: it names the upstream
-	// outputs that worker keeps and carries the rest, so every retry to one
-	// worker sends the same bytes. The frame that carries everything goes
-	// to any other worker, and to one that no longer holds what it was
-	// named.
-	var full []byte
-	frame := func(resident map[int]digest) ([]byte, error) {
-		if len(resident) == 0 && full != nil {
-			return full, nil
+	// The frame names every held upstream output by its key and carries the
+	// rest, so it is the same on every worker and every retry.
+	l := &lineage{block: block}
+	keys := make(map[int]digest)
+	s.mu.Lock()
+	for idx, t := range upstream {
+		if t != nil {
+			continue
 		}
-		body, err := encodeRunRequest(s.base, block, upstream, resident, s.c.maxBody)
-		if overCap(err) {
-			return nil, wireCapError(block, "request of "+err.Error())
+		up := s.produced[idx]
+		if up == nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("serve: block %d reads held block %d, whose lineage this session does not have", block, idx)
 		}
-		if len(resident) == 0 {
-			full = body
-		}
-		return body, err
+		l.named, keys[idx] = append(l.named, up), up.key
+	}
+	s.mu.Unlock()
+	sort.Slice(l.named, func(i, j int) bool { return l.named[i].block < l.named[j].block })
+	var err error
+	l.frame, l.key, err = encodeRunRequest(s.base, block, slices.Contains(s.hold, block), upstream, keys, s.c.maxBody)
+	if overCap(err) {
+		return nil, wireCapError(block, "request of "+err.Error())
+	}
+	if err != nil {
+		return nil, err
 	}
 	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
@@ -237,7 +259,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 				return nil, err
 			}
 		}
-		w, resident := s.pickLive(upstream)
+		w := s.pickLive(l.named)
 		if w == nil {
 			return nil, fmt.Errorf("serve: block %d: all workers lost: %w", block, engine.ErrWorkersLost)
 		}
@@ -255,26 +277,16 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 				return nil, err
 			}
 		}
-		body, err := frame(resident)
-		if err != nil {
-			return nil, err
-		}
 		truncate := ferr != nil && mode == faults.NetTruncate
-		rb, sum, err := s.tryWorker(ctx, w, block, body, truncate)
-		if len(resident) > 0 && errors.Is(err, errNotResident) {
-			// Evicted or restarted: the worker is live and the attempt is
-			// not spent, it only needs the tables.
-			s.forget(resident)
-			resident = nil
-			if body, err = frame(nil); err != nil {
-				return nil, err
-			}
-			rb, sum, err = s.tryWorker(ctx, w, block, body, false)
-		}
+		rb, held, err := s.exchange(ctx, w, l, truncate)
 		if err == nil {
 			s.mu.Lock()
-			s.produced[block] = producedOut{w: w, sum: sum, out: rb.Out}
-			s.resident += int64(len(resident))
+			s.resident += int64(len(l.named))
+			if held {
+				l.addr = w.addr
+				s.produced[block] = l
+				rb.Held = l
+			}
 			s.mu.Unlock()
 			return rb, nil
 		}
@@ -294,6 +306,39 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		block, dispatchRetryMax, lastErr, engine.ErrWorkersLost)
 }
 
+// exchange sends l's frame to w. A 409 lists the held outputs the frame
+// names that w lacks: each is made there again from its own lineage — as far
+// up the chain as w lacks them — and the frame goes again. What a recompute
+// answers is dropped: its rows, retries, metrics and statistics were taken
+// when the output was first made.
+func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage, truncate bool) (*engine.RemoteBlock, bool, error) {
+	for round := 0; ; round++ {
+		rb, held, err := s.tryWorker(ctx, w, l.block, l.frame, truncate)
+		var miss *missError
+		if !errors.As(err, &miss) {
+			return rb, held, err
+		}
+		if round == dispatchRetryMax {
+			// The outputs it makes keep leaving the store before the frame
+			// that names them arrives.
+			return nil, false, fmt.Errorf("serve: block %d on %s: still missing %d upstream output(s) after %d recomputes", l.block, w.addr, len(miss.keys), round)
+		}
+		truncate = false
+		for _, key := range miss.keys {
+			i := slices.IndexFunc(l.named, func(up *lineage) bool { return up.key.String() == key })
+			if i < 0 {
+				return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s misses %q, which the request does not name", l.block, w.addr, key)}
+			}
+			if _, _, err := s.exchange(ctx, w, l.named[i], false); err != nil {
+				return nil, false, err
+			}
+			s.mu.Lock()
+			s.recomputed++
+			s.mu.Unlock()
+		}
+	}
+}
+
 // wireCapError reports a block whose tables cannot cross the wire whole.
 // That is a property of the block, not of any worker: every retry would
 // fail identically, so the run must finish this block in-process.
@@ -307,50 +352,27 @@ func overCap(err error) bool {
 	return errors.Is(err, data.ErrWireCap) || errors.Is(err, errFrameCap)
 }
 
-// pickLive returns the worker a block goes to, and the upstream outputs
-// its frame may name there instead of carrying: the live producer of the
-// block's largest upstream output (by cells, ties to the lower block),
-// else the next live worker round-robin, nil when none is live.
-func (s *dispatchSession) pickLive(upstream map[int]*data.Table) (*workerRef, map[int]digest) {
+// pickLive returns the worker a block goes to: the live worker that holds
+// the lowest-index held output among named, else the next live worker
+// round-robin; nil when none is live.
+func (s *dispatchSession) pickLive(named []*lineage) *workerRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var w *workerRef
-	var most int64
-	from := -1
-	for idx, t := range upstream {
-		p, ok := s.produced[idx]
-		if !ok || p.out != t || p.w.lost {
-			continue
-		}
-		if c := tableCells(t); from < 0 || c > most || c == most && idx < from {
-			w, most, from = p.w, c, idx
-		}
-	}
-	if w == nil {
-		n := len(s.workers)
-		for i := 0; i < n && w == nil; i++ {
-			if c := s.workers[(s.next+i)%n]; !c.lost {
-				w, s.next = c, (s.next+i+1)%n
+	for _, up := range named {
+		for _, w := range s.workers {
+			if w.addr == up.addr && !w.lost {
+				return w
 			}
 		}
-		return w, nil
 	}
-	resident := map[int]digest{}
-	for idx, t := range upstream {
-		if p, ok := s.produced[idx]; ok && p.w == w && p.out == t {
-			resident[idx] = p.sum
+	n := len(s.workers)
+	for i := 0; i < n; i++ {
+		if w := s.workers[(s.next+i)%n]; !w.lost {
+			s.next = (s.next + i + 1) % n
+			return w
 		}
 	}
-	return w, resident
-}
-
-// forget drops outputs a worker answered it does not hold.
-func (s *dispatchSession) forget(resident map[int]digest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for idx := range resident {
-		delete(s.produced, idx)
-	}
+	return nil
 }
 
 // markLost flags a worker dead for the rest of the session.
@@ -367,14 +389,17 @@ func (s *dispatchSession) markLost(w *workerRef) {
 // answered no health probe for a whole lease TTL.
 var errLeaseExpired = errors.New("lease expired")
 
-// errNotResident marks a 409: the frame named an upstream output the
-// worker does not hold.
-var errNotResident = errors.New("upstream output not resident")
+// missError is a 409: the frame named held outputs the worker does not
+// hold, by these keys.
+type missError struct{ keys []string }
 
-// tryWorker executes one leased dispatch attempt against one worker; a
-// block it brings back comes with the digest of its output's section.
-func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, digest, error) {
-	var out digest
+func (e *missError) Error() string {
+	return fmt.Sprintf("%d upstream output(s) not held", len(e.keys))
+}
+
+// tryWorker executes one leased dispatch attempt against one worker, and
+// reports whether the worker held the block's output.
+func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, bool, error) {
 	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -385,7 +410,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost, w.addr+"/v1/worker/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, out, err
+		return nil, false, err
 	}
 	req.Header.Set("Content-Type", frameContentType)
 	resp, err := s.c.opt.Client.Do(req)
@@ -395,9 +420,9 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		// lease protocol).
 		s.markLost(w)
 		if errors.Is(context.Cause(lctx), errLeaseExpired) {
-			return nil, out, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
+			return nil, false, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
 		}
-		return nil, out, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
+		return nil, false, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
 	defer resp.Body.Close()
 	if truncate {
@@ -405,49 +430,53 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		// response is cut short before the coordinator can commit it. The
 		// retry re-runs the block; determinism makes the second copy
 		// byte-identical, and the engine commits only one.
-		return nil, out, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
+		return nil, false, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
 			&faults.Error{Kind: faults.Network, Site: fmt.Sprintf("net:block:%d", block), Transient: true})
 	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		switch {
 		case resp.StatusCode == http.StatusRequestEntityTooLarge:
-			return nil, out, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
+			return nil, false, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
 		case resp.StatusCode == http.StatusConflict:
-			return nil, out, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s: %w", block, w.addr, errorBody(msg), errNotResident)}
+			var miss missingResident
+			if err := json.Unmarshal(msg, &miss); err != nil || len(miss.Missing) == 0 {
+				return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: 409 naming no missing output: %s", block, w.addr, errorBody(msg))}
+			}
+			return nil, false, &missError{keys: miss.Missing}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
 			// The worker ran the block and it failed deterministically (or
 			// the request itself is invalid): reassignment cannot change
 			// the outcome.
-			return nil, out, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
+			return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
 		default:
 			s.markLost(w)
-			return nil, out, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
+			return nil, false, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
 		}
 	}
 	// Decode straight from the body, one section at a time. One byte past
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, out, err := decodeRunResponse(lr, s.c.maxBody)
+	rb, held, err := decodeRunResponse(lr, s.c.maxBody)
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
 		if _, rerr := io.Copy(io.Discard, lr); rerr != nil {
 			s.markLost(w)
-			return nil, out, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
+			return nil, false, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
 		}
 	}
 	if lr.N <= 0 {
-		return nil, out, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
+		return nil, false, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
 	}
 	if overCap(err) {
-		return nil, out, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
+		return nil, false, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
 	}
 	if err != nil {
-		return nil, out, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
+		return nil, false, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
 	}
-	return rb, out, nil
+	return rb, held, nil
 }
 
 // maxErrorBody bounds how much of a non-200 reply is read for its message.

@@ -585,26 +585,28 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// Budgets are 1.25 × what the run moves (30,088 B, 13,499 B and 6,529 B
+// Budgets are 1.25 × what the run moves (21,895 B, 7,981 B and 6,529 B
 // under go 1.24's compress/flate). wf07 at scale 0.01 is two dispatches
-// whose upstream table is the largest the benchmark's dist-run moves; one
-// resident ref keeps it from crossing twice (38 KB when it did). wf08 at
-// 0.05 is three dispatches moving ~167k rows of join output — 3,378,533 B
+// whose upstream table is the largest the benchmark's dist-run makes; it
+// never crosses the wire: block 0's worker holds it and block 1's request
+// names it (38 KB when it crossed twice, 30 KB when it crossed once). wf08
+// at 0.05 is three dispatches moving ~167k rows of join output — 3,378,533 B
 // as base64 row-major varints in JSON, 289,889 B as column-encoded frames,
-// 19 KB as map columns deflated, 13.5 KB once each block of the chain goes
-// to the worker that keeps its input. wf12 at 0.002 is one instrumented
-// block of few rows and many statistics, so most of what it inflates to
-// is the shard.
+// 19 KB as map columns deflated, 13.5 KB once each block of the chain went
+// to the worker that kept its input, 8 KB once the two intermediate outputs
+// stay there. wf12 at 0.002 is one instrumented block of few rows and many
+// statistics, so most of what it inflates to is the shard. A clean run makes
+// one exchange per block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
-		wf               int
-		scale            float64
-		blocks, resident int
-		budget           int64
+		wf           int
+		scale        float64
+		blocks, held int
+		budget       int64
 	}{
-		{wf: 7, scale: 0.01, blocks: 2, resident: 1, budget: 37_610},
-		{wf: 8, scale: 0.05, blocks: 3, resident: 2, budget: 16_874},
-		{wf: 12, scale: 0.002, blocks: 1, resident: 0, budget: 8_161},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 27_369},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 9_976},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 8_161},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -627,16 +629,20 @@ func TestDistributedWireBytes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := cy.Observed.Dist; d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 || d.Resident != int64(c.resident) {
-					t.Fatalf("run %d was not %d clean remote dispatches with %d resident upstream table(s): %+v", i, c.blocks, c.resident, d)
+				d := cy.Observed.Dist
+				if d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 || d.Held != int64(c.held) || d.Resident != int64(c.held) || d.Recomputed != 0 {
+					t.Fatalf("run %d was not %d clean remote dispatches holding %d output(s) and recomputing none: %+v", i, c.blocks, c.held, d)
+				}
+				if n := len(runs[i].exchanges); n != c.blocks {
+					t.Errorf("run %d made %d exchanges for %d blocks", i, n, c.blocks)
 				}
 			}
 			sent, header, tables, shard, resident := runs[0].split(t)
 			if again, _, _, _, _ := runs[1].split(t); sent != again {
 				t.Errorf("the same run moved %d bytes, then %d", sent, again)
 			}
-			if resident != int64(c.resident) {
-				t.Errorf("the requests named %d resident table(s), want %d", resident, c.resident)
+			if resident != int64(c.held) {
+				t.Errorf("the requests named %d resident output(s), want %d", resident, c.held)
 			}
 			if sent > c.budget {
 				t.Errorf("moved %d bytes over the wire, budget %d", sent, c.budget)
@@ -655,9 +661,11 @@ func (s *residentStore) empty() {
 }
 
 // TestDistributedResidentMiss empties the producer's store between the two
-// blocks of a chain: the frame that names block 0's output gets a 409, and
-// the same worker gets the frame that carries it — no worker lost, no
-// retry spent, outputs unchanged.
+// blocks of a chain: the frame that names block 0's held output gets a 409,
+// the same worker gets block 0's lineage frame — byte for byte the request
+// that made the output — and then the frame again. No worker lost, no retry
+// spent, and the statistics shard of the recompute is not merged a second
+// time: outputs and observed bytes unchanged.
 func TestDistributedResidentMiss(t *testing.T) {
 	const wf = 7
 	want := localRun(t, wf)
@@ -677,34 +685,54 @@ func TestDistributedResidentMiss(t *testing.T) {
 	})
 	got := runCycleOf(t, wf, cfg)
 	assertRunsEqual(t, "resident miss", want, got)
-	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Resident != 0 {
-		t.Errorf("a store miss cost more than a resend: %+v", d)
+	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Held != 1 || d.Recomputed != 1 {
+		t.Errorf("a store miss cost more than a recompute: %+v", d)
 	}
-	if len(wire.exchanges) != 3 {
-		t.Fatalf("%d exchanges, want block 0, block 1 named, block 1 carried", len(wire.exchanges))
+	assertExchanges(t, wire, producer.URL, []int{0, 1, 0, 1}, []int{200, 409, 200, 200})
+	if x := wire.exchanges; len(x) == 4 && !bytes.Equal(x[2].req, x[0].req) {
+		t.Error("the recompute is not the request that made the output")
 	}
-	for i, x := range wire.exchanges {
-		hdr, tables := requestOf(t, x.req)
-		wantStatus, wantRefs, wantTables := http.StatusOK, 0, 0
-		switch i {
-		case 1:
-			wantStatus, wantRefs = http.StatusConflict, 1
-		case 2:
-			wantTables = 1
-		}
-		if x.addr != producer.URL || x.status != wantStatus || len(hdr.Resident) != wantRefs || len(tables) != wantTables {
-			t.Errorf("exchange %d: block %d to %s: status %d, %d resident ref(s), %d table(s); want the producer, %d, %d, %d",
-				i, hdr.Block, x.addr, x.status, len(hdr.Resident), len(tables), wantStatus, wantRefs, wantTables)
-		}
-		if i == 1 && !strings.Contains(string(x.resp), hdr.Resident[0].SHA256) {
-			t.Errorf("the 409 does not name the digest it misses: %s", x.resp)
-		}
+}
+
+// TestDistributedResidentMissTwoLevels empties both workers' stores before
+// block 2 of wf08's chain: block 2's frame misses block 1's output, whose
+// lineage frame misses block 0's, so the recompute goes two levels up before
+// block 2 runs.
+func TestDistributedResidentMissTwoLevels(t *testing.T) {
+	const wf = 8
+	want := localRun(t, wf)
+	wks := []*Worker{NewWorker(), NewWorker()}
+	var runs atomic.Int64
+	var addrs []string
+	for _, wk := range wks {
+		h := wk.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/worker/run" && runs.Add(1) == 3 {
+				for _, wk := range wks {
+					wk.resident.empty()
+				}
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, srv.URL)
 	}
+	wire := &wireCounter{}
+	cfg := distConfig(t, wf, addrs, func(o *CoordinatorOptions) {
+		o.Client = &http.Client{Transport: wire}
+	})
+	got := runCycleOf(t, wf, cfg)
+	assertRunsEqual(t, "two-level miss", want, got)
+	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Held != 2 || d.Recomputed != 2 {
+		t.Errorf("placement: %+v", d)
+	}
+	assertExchanges(t, wire, addrs[0], []int{0, 1, 2, 1, 0, 1, 2}, []int{200, 200, 409, 409, 200, 200, 200})
 }
 
 // TestDistributedResidentProducerLost kills the producer after block 0 of a
 // chain: block 1 is reassigned to the survivor, which never held block 0's
-// output, so its frame carries the table.
+// output — it answers 409, makes the output from its lineage, and runs
+// block 1 with it named, never carried.
 func TestDistributedResidentProducerLost(t *testing.T) {
 	const wf = 7
 	want := localRun(t, wf)
@@ -715,20 +743,36 @@ func TestDistributedResidentProducerLost(t *testing.T) {
 	})
 	got := runCycleOf(t, wf, cfg)
 	assertRunsEqual(t, "producer lost", want, got)
-	if d := got.Dist; d.FellBack || d.Reassigned != 1 || !reflect.DeepEqual(d.LostWorkers, []string{victim.URL}) || d.Resident != 0 {
+	if d := got.Dist; d.FellBack || d.Reassigned != 1 || !reflect.DeepEqual(d.LostWorkers, []string{victim.URL}) || d.Held != 1 || d.Recomputed != 1 {
 		t.Errorf("placement: %+v", d)
 	}
-	var consumer int
-	for _, x := range wire.exchanges {
-		if hdr, tables := requestOf(t, x.req); x.addr == survivor.URL && hdr.Block == 1 {
-			consumer++
-			if len(hdr.Resident) != 0 || !reflect.DeepEqual(hdr.Upstream, []int{0}) || len(tables) != 1 {
-				t.Errorf("the survivor's frame: upstream %v, resident %v", hdr.Upstream, hdr.Resident)
-			}
-		}
+	if len(wire.exchanges) == 0 || wire.exchanges[0].addr != victim.URL {
+		t.Fatalf("block 0 did not go to the victim: %d exchange(s)", len(wire.exchanges))
 	}
-	if consumer != 1 {
-		t.Errorf("block 1 reached the survivor %d time(s)", consumer)
+	survived := &wireCounter{exchanges: wire.exchanges[1:]}
+	assertExchanges(t, survived, survivor.URL, []int{1, 0, 1}, []int{409, 200, 200})
+	if x := wire.exchanges; len(x) == 4 && !bytes.Equal(x[2].req, x[0].req) {
+		t.Error("the survivor's recompute is not the request the victim ran")
+	}
+}
+
+// assertExchanges checks a run's dispatches, in order: every one went to
+// addr, for the given blocks, answered with the given statuses; no request
+// carried a table; and a 409 names the key its frame named.
+func assertExchanges(t *testing.T, wire *wireCounter, addr string, blocks, statuses []int) {
+	t.Helper()
+	if len(wire.exchanges) != len(blocks) {
+		t.Fatalf("%d exchanges, want %d (blocks %v)", len(wire.exchanges), len(blocks), blocks)
+	}
+	for i, x := range wire.exchanges {
+		hdr, tables := requestOf(t, x.req)
+		if x.addr != addr || hdr.Block != blocks[i] || x.status != statuses[i] || len(tables) != 0 {
+			t.Errorf("exchange %d: block %d to %s: status %d, %d table(s); want block %d to %s, %d, none",
+				i, hdr.Block, x.addr, x.status, len(tables), blocks[i], addr, statuses[i])
+		}
+		if x.status == http.StatusConflict && (len(hdr.Resident) != 1 || !strings.Contains(string(x.resp), hdr.Resident[0].SHA256)) {
+			t.Errorf("exchange %d: the 409 does not name the key its frame named: %s", i, x.resp)
+		}
 	}
 }
 

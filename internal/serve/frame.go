@@ -40,9 +40,10 @@ import (
 // uvarint length and that many bytes, in an order the header fixes —
 //
 //	request:  one table per Upstream entry (ascending block index)
-//	response: the boundary output, one table per Materialized entry
-//	          (sorted by name), then the statistics shard (length 0 when
-//	          the block was not instrumented)
+//	response: the boundary output (none when the header says it is held),
+//	          one table per Materialized entry (sorted by name), then the
+//	          statistics shard (length 0 when the block was not
+//	          instrumented)
 //
 // — so a table crosses the wire as its data.WriteTable bytes and nothing
 // else: no base64, no JSON scanning, and the reader hands each section to
@@ -50,10 +51,13 @@ import (
 // DEFLATE takes what the table codec cannot see, repetition across columns
 // and rows: about 4/5 of what the codec leaves of a join block's frame.
 //
-// An upstream table the target worker produced itself need not cross the
-// wire again: the request names it in Resident by the SHA-256 of its
-// response section, and it has no section of its own. Both ends compute
-// that digest over the bytes they write or read; it is never sent back.
+// A block output a later block reads and no sink does never crosses the
+// wire: the request that makes it says Hold, and the worker keeps the output
+// under the request's key — the SHA-256 of the request's payload, which both
+// ends compute over the bytes they write or read, so it is never sent — and
+// answers Held, with no output section. The request that reads it names it
+// in Resident by that key, and it has no section of its own. Equal payloads
+// make equal outputs, so the key names the output by its lineage.
 
 const (
 	frameMagic            = "EBLK2"
@@ -68,8 +72,8 @@ const (
 // data.ErrWireCap a property of the block, which then runs in-process.
 var errFrameCap = errors.New("frame over the cap")
 
-// digest is the SHA-256 of a table section: the name a resident block
-// output goes by.
+// digest is the SHA-256 of a request frame's payload: the key the block
+// output it made is kept under.
 type digest [sha256.Size]byte
 
 func (d digest) String() string { return hex.EncodeToString(d[:]) }
@@ -169,10 +173,12 @@ type frameReader struct {
 // payloadReader reads the n bytes of payload a frame declared from src, the
 // body or the inflater over it. Asked for more, it looks at what src has
 // next: its end is the frame's, anything else a frame longer than it said.
+// A non-nil sum is fed every payload byte read.
 type payloadReader struct {
 	src io.Reader
 	n   int64
 	max int64 // the cap the frame was opened under
+	sum hash.Hash
 }
 
 func (p *payloadReader) Read(b []byte) (int, error) {
@@ -185,6 +191,9 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 	}
 	n, err := p.src.Read(b[:min(int64(len(b)), p.n)])
 	p.n -= int64(n)
+	if p.sum != nil {
+		p.sum.Write(b[:n])
+	}
 	if err == io.EOF {
 		// The source's end is the payload's only after its last byte.
 		err = nil
@@ -204,18 +213,19 @@ func (p *payloadReader) ReadByte() (byte, error) {
 // openFrame checks the magic and the declared size and decodes the header
 // into header; the caller closes the reader. Unknown header fields are an
 // error: coordinator and workers ship as one binary, so a field one side
-// does not know is a bug, not a version skew.
-func openFrame(r io.Reader, header any, maxPayload int64) (*frameReader, error) {
+// does not know is a bug, not a version skew. A non-nil sum is fed the
+// payload as it is read.
+func openFrame(r io.Reader, header any, maxPayload int64, sum hash.Hash) (*frameReader, error) {
 	f := frameReaders.Get().(*frameReader)
 	f.br.Reset(r)
-	if err := f.open(header, maxPayload); err != nil {
+	if err := f.open(header, maxPayload, sum); err != nil {
 		f.close()
 		return nil, err
 	}
 	return f, nil
 }
 
-func (f *frameReader) open(header any, maxPayload int64) error {
+func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 	var prefix [len(frameMagic) + 1]byte
 	if _, err := io.ReadFull(f.br, prefix[:]); err != nil {
 		return fmt.Errorf("frame magic: %w", err)
@@ -231,7 +241,7 @@ func (f *frameReader) open(header any, maxPayload int64) error {
 	if n > uint64(maxPayload) {
 		return fmt.Errorf("frame of %d bytes, cap %d: %w", n, maxPayload, errFrameCap)
 	}
-	f.payload = payloadReader{src: f.br, n: int64(n), max: maxPayload}
+	f.payload = payloadReader{src: f.br, n: int64(n), max: maxPayload, sum: sum}
 	switch mode {
 	case frameStored:
 	case frameDeflate:
@@ -286,17 +296,12 @@ func (f *frameReader) section() (*io.LimitedReader, error) {
 
 // table decodes the next section as a table, of no more cells than the
 // frame may have bytes: what bounds the body bounds what is built from it.
-// A non-nil sum is fed the section's bytes as they are read.
-func (f *frameReader) table(sum hash.Hash) (*data.Table, error) {
+func (f *frameReader) table() (*data.Table, error) {
 	sec, err := f.section()
 	if err != nil {
 		return nil, err
 	}
-	var r io.Reader = sec
-	if sum != nil {
-		r = io.TeeReader(sec, sum)
-	}
-	return data.ReadTableMax(r, f.payload.max)
+	return data.ReadTableMax(sec, f.payload.max)
 }
 
 // end requires the last section to end the payload, and the payload the body.
@@ -316,39 +321,44 @@ func (f *frameReader) end() error {
 	return nil
 }
 
-// encodeRunRequest builds the request frame for one block. An upstream
-// block listed in resident is named by its digest instead of carried.
-func encodeRunRequest(base *workerRunRequest, block int, upstream map[int]*data.Table, resident map[int]digest, maxPayload int64) ([]byte, error) {
+// encodeRunRequest builds the request frame for one block, and its key. An
+// upstream block listed in named is named by its key instead of carried;
+// hold asks the worker to keep the block's output instead of sending it.
+func encodeRunRequest(base *workerRunRequest, block int, hold bool, upstream map[int]*data.Table, named map[int]digest, maxPayload int64) ([]byte, digest, error) {
 	req := *base
-	req.Block = block
+	req.Block, req.Hold = block, hold
 	req.Upstream = make([]int, 0, len(upstream))
 	for idx := range upstream {
-		if sum, ok := resident[idx]; ok {
-			req.Resident = append(req.Resident, residentRef{Block: idx, SHA256: sum.String()})
+		if key, ok := named[idx]; ok {
+			req.Resident = append(req.Resident, residentRef{Block: idx, SHA256: key.String()})
 		} else {
 			req.Upstream = append(req.Upstream, idx)
 		}
 	}
 	sort.Ints(req.Upstream)
 	sort.Slice(req.Resident, func(i, j int) bool { return req.Resident[i].Block < req.Resident[j].Block })
+	var key digest
 	f, err := beginFrame(&req)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
 	for _, idx := range req.Upstream {
 		if err := f.table(upstream[idx]); err != nil {
-			return nil, fmt.Errorf("upstream block %d: %w", idx, err)
+			return nil, key, fmt.Errorf("upstream block %d: %w", idx, err)
 		}
 	}
-	return f.seal(maxPayload)
+	key = sha256.Sum256(f.payload)
+	frame, err := f.seal(maxPayload)
+	return frame, key, err
 }
 
-// decodeRunRequest reads a request frame and the upstream tables it
-// carries; the ones it names by digest are the caller's to find. A
-// malformed digest, or a block named twice, is an error here.
+// decodeRunRequest reads a request frame, its key and the upstream tables
+// it carries; the ones it names by key are the caller's to find. A
+// malformed key, or a block named twice, is an error here.
 func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int]*data.Table, error) {
 	req := &workerRunRequest{}
-	f, err := openFrame(r, req, maxPayload)
+	sum := sha256.New()
+	f, err := openFrame(r, req, maxPayload, sum)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -368,17 +378,21 @@ func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int
 		if named[idx] {
 			return nil, nil, fmt.Errorf("upstream block %d is both resident and carried", idx)
 		}
-		if upstream[idx], err = f.table(nil); err != nil {
+		if upstream[idx], err = f.table(); err != nil {
 			return nil, nil, fmt.Errorf("upstream block %d: %w", idx, err)
 		}
 	}
-	return req, upstream, f.end()
+	if err := f.end(); err != nil {
+		return nil, nil, err
+	}
+	sum.Sum(req.key[:0])
+	return req, upstream, nil
 }
 
-// encodeRunResponse builds the response frame for one executed block, and
-// the digest of its boundary output's section.
-func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, digest, error) {
-	resp := workerRunResponse{Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
+// encodeRunResponse builds the response frame for one executed block; a
+// block without an output is a held one.
+func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
+	resp := workerRunResponse{Held: rb.Out == nil, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
 	for name := range rb.Materialized {
 		resp.Materialized = append(resp.Materialized, name)
 	}
@@ -386,69 +400,67 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, digest
 	for _, fs := range rb.Degraded {
 		resp.Degraded = append(resp.Degraded, wireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
 	}
-	var out digest
 	f, err := beginFrame(&resp)
 	if err != nil {
-		return nil, out, err
+		return nil, err
 	}
-	if err := f.table(rb.Out); err != nil {
-		return nil, out, fmt.Errorf("block output: %w", err)
+	if !resp.Held {
+		if err := f.table(rb.Out); err != nil {
+			return nil, fmt.Errorf("block output: %w", err)
+		}
 	}
-	out = sha256.Sum256(f.section.Bytes())
 	for _, name := range resp.Materialized {
 		if err := f.table(rb.Materialized[name]); err != nil {
-			return nil, out, fmt.Errorf("materialized %q: %w", name, err)
+			return nil, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
 	f.section.Reset()
 	if rb.Observed != nil {
 		if _, err := rb.Observed.WriteTo(&f.section); err != nil {
-			return nil, out, fmt.Errorf("stats shard: %w", err)
+			return nil, fmt.Errorf("stats shard: %w", err)
 		}
 	}
 	f.add(f.section.Bytes())
-	frame, err := f.seal(maxPayload)
-	return frame, out, err
+	return f.seal(maxPayload)
 }
 
 // decodeRunResponse reads a worker's 200 body into the engine's form, and
-// the digest of its boundary output's section.
-func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, digest, error) {
-	var out digest
+// whether the worker held the output: then the block has none.
+func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, bool, error) {
 	var resp workerRunResponse
-	f, err := openFrame(r, &resp, maxPayload)
+	f, err := openFrame(r, &resp, maxPayload, nil)
 	if err != nil {
-		return nil, out, err
+		return nil, false, err
 	}
 	defer f.close()
 	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
-	sum := sha256.New()
-	if rb.Out, err = f.table(sum); err != nil {
-		return nil, out, fmt.Errorf("block output: %w", err)
+	if !resp.Held {
+		if rb.Out, err = f.table(); err != nil {
+			return nil, false, fmt.Errorf("block output: %w", err)
+		}
+		if rb.Out == nil {
+			return nil, false, errors.New("block output: nil table")
+		}
 	}
-	if rb.Out == nil {
-		return nil, out, errors.New("block output: nil table")
-	}
-	sum.Sum(out[:0])
 	if len(resp.Materialized) > 0 {
 		rb.Materialized = make(map[string]*data.Table, len(resp.Materialized))
 	}
 	for _, name := range resp.Materialized {
-		if rb.Materialized[name], err = f.table(nil); err != nil {
-			return nil, out, fmt.Errorf("materialized %q: %w", name, err)
+		if rb.Materialized[name], err = f.table(); err != nil {
+			return nil, false, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
 	shard, err := f.section()
 	if err != nil {
-		return nil, out, fmt.Errorf("stats shard: %w", err)
+		return nil, false, fmt.Errorf("stats shard: %w", err)
 	}
 	if shard.N > 0 {
 		if rb.Observed, err = stats.ReadStore(shard); err != nil {
-			return nil, out, fmt.Errorf("stats shard: %w", err)
+			return nil, false, fmt.Errorf("stats shard: %w", err)
 		}
 	}
 	for _, wf := range resp.Degraded {
 		rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: errors.New(wf.Err)})
 	}
-	return rb, out, f.end()
+	return rb, resp.Held, f.end()
 }

@@ -47,7 +47,7 @@ func frameBlock(t testing.TB) *engine.RemoteBlock {
 // responseFrame and requestFrame encode under the production cap.
 func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 	t.Helper()
-	frame, _, err := encodeRunResponse(rb, maxUploadBytes)
+	frame, err := encodeRunResponse(rb, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 
 func requestFrame(t testing.TB, base *workerRunRequest, block int, upstream map[int]*data.Table, resident map[int]digest) []byte {
 	t.Helper()
-	frame, err := encodeRunRequest(base, block, upstream, resident, maxUploadBytes)
+	frame, _, err := encodeRunRequest(base, block, false, upstream, resident, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +112,9 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, sum, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
-	if err != nil {
-		t.Fatalf("decodeRunResponse: %v", err)
-	}
-	// Both ends name the output by the digest of the bytes it crossed as.
-	var out bytes.Buffer
-	data.WriteTable(&out, want.Out)
-	if _, wrote, _ := encodeRunResponse(want, maxUploadBytes); sum != sha256.Sum256(out.Bytes()) || wrote != sum {
-		t.Errorf("output digest: read %s, written %s, want the section's %x", sum, wrote, sha256.Sum256(out.Bytes()))
+	got, held, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+	if err != nil || held {
+		t.Fatalf("decodeRunResponse: held %v, %v", held, err)
 	}
 	if !reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Materialized, want.Materialized) {
 		t.Error("tables differ after the round trip")
@@ -146,30 +140,49 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("statistics shard differs after the round trip")
 	}
+	// A held block's frame has everything but the output.
+	gotHeld, held, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes)
+	if err != nil || !held || gotHeld.Out != nil || !reflect.DeepEqual(gotHeld.Materialized, want.Materialized) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
+		t.Errorf("held response after the round trip: held %v, %+v (%v)", held, gotHeld, err)
+	}
 
 	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	reqFrame := requestFrame(t, base, 3, upstream, nil)
+	reqFrame, key, err := encodeRunRequest(base, 3, false, upstream, nil, maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
 	}
-	if req.Block != 3 || req.WF != 8 || !reflect.DeepEqual(req.Upstream, []int{0, 2}) || !reflect.DeepEqual(req.Observe, base.Observe) {
+	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Upstream, []int{0, 2}) || !reflect.DeepEqual(req.Observe, base.Observe) {
 		t.Errorf("request header = %+v", req)
 	}
 	if !reflect.DeepEqual(gotUp, upstream) {
 		t.Error("upstream tables differ after the round trip")
 	}
-	// A resident block is named, and its table stays home.
-	named := requestFrame(t, base, 3, upstream, map[int]digest{2: sum})
+	// Both ends key the request by the SHA-256 of its payload.
+	if _, payload := framePayload(t, reqFrame); key != sha256.Sum256(payload) || req.key != key {
+		t.Errorf("request key: read %s, written %s, want the payload's %x", req.key, key, sha256.Sum256(payload))
+	}
+	// A held upstream is named, and stays home; a held request says so, and
+	// is another request.
+	named, heldKey, err := encodeRunRequest(base, 3, true, map[int]*data.Table{2: nil, 0: upstream[0]}, map[int]digest{2: key}, maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	req, gotUp, err = decodeRunRequest(bytes.NewReader(named), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest, resident: %v", err)
 	}
-	if !reflect.DeepEqual(req.Upstream, []int{0}) || !reflect.DeepEqual(req.Resident, []residentRef{{Block: 2, SHA256: sum.String()}}) || len(gotUp) != 1 || gotUp[0] == nil {
+	if !req.Hold || !reflect.DeepEqual(req.Upstream, []int{0}) || !reflect.DeepEqual(req.Resident, []residentRef{{Block: 2, SHA256: key.String()}}) || len(gotUp) != 1 || gotUp[0] == nil {
 		t.Errorf("resident request: header %+v, %d table(s)", req, len(gotUp))
 	}
-	if base.Block != 0 || base.Upstream != nil || base.Resident != nil {
+	if req.key != heldKey || heldKey == key {
+		t.Errorf("held request key %s, written %s; the carried request's %s", req.key, heldKey, key)
+	}
+	if base.Block != 0 || base.Upstream != nil || base.Resident != nil || base.Hold {
 		t.Error("encodeRunRequest modified the session's base request")
 	}
 }
@@ -271,7 +284,7 @@ func TestRunFrameCap(t *testing.T) {
 	if _, _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload))); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
 	}
-	if _, _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
+	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
 		t.Errorf("writing a frame over the cap: err = %v, want errFrameCap", err)
 	}
 }
@@ -345,6 +358,9 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 		"non-hex digest":    residentFrame(t, nil, residentRef{0, strings.Repeat("g", 64)}),
 		"duplicate ref":     residentFrame(t, nil, residentRef{0, ref}, residentRef{0, ref}),
 		"named and carried": residentFrame(t, []int{0}, residentRef{0, ref}),
+		// A hold flag that is not one, and a held response sent as a request.
+		"hold not a bool": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "hold": "yes"}),
+		"held response":   responseFrame(t, heldBlock(t)),
 	} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(body)))
@@ -352,6 +368,13 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 			t.Errorf("%s: status %d, body %q", name, rec.Code, rec.Body.String())
 		}
 	}
+}
+
+// heldBlock is frameBlock with its output held.
+func heldBlock(t testing.TB) *engine.RemoteBlock {
+	rb := frameBlock(t)
+	rb.Out = nil
+	return rb
 }
 
 // residentFrame is a request for block 1 of wf07 that carries the upstream
@@ -365,11 +388,11 @@ func residentFrame(t testing.TB, carried []int, refs ...residentRef) []byte {
 	return mustFrame(t, &workerRunRequest{WF: 7, Scale: distScale, Block: 1, Upstream: carried, Resident: refs}, tables...)
 }
 
-// TestWorkerResidentOutputs drives the store through a worker's handler:
-// the output of a block another block reads is kept under the digest the
-// coordinator computes from the response, a request that names it gets the
-// response the request that carries it gets, byte for byte, and one that
-// names a digest the store lacks gets a 409 listing it.
+// TestWorkerResidentOutputs drives the store through a worker's handler: a
+// request that says Hold leaves the block's output here, under the request's
+// key, and answers without it; a request that names that key gets the
+// response the request that carries the output gets, byte for byte; and one
+// that names a key the store lacks gets a 409 listing it.
 func TestWorkerResidentOutputs(t *testing.T) {
 	wk := NewWorker()
 	h := wk.Handler()
@@ -379,26 +402,36 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		return rec
 	}
 	base := &workerRunRequest{WF: 7, Scale: distScale}
-	first := post(requestFrame(t, base, 0, nil, nil))
-	out, sum, err := decodeRunResponse(first.Body, maxUploadBytes)
-	if first.Code != http.StatusOK || err != nil {
-		t.Fatalf("block 0: status %d, %v", first.Code, err)
+	sent := post(requestFrame(t, base, 0, nil, nil))
+	out, kept, err := decodeRunResponse(sent.Body, maxUploadBytes)
+	if sent.Code != http.StatusOK || err != nil || kept || len(wk.resident.byKey) != 0 {
+		t.Fatalf("block 0: status %d, held %v, %d output(s) kept, %v", sent.Code, kept, len(wk.resident.byKey), err)
+	}
+	hold, key, err := encodeRunRequest(base, 0, true, nil, nil, maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := post(hold)
+	rb, kept, err := decodeRunResponse(answer.Body, maxUploadBytes)
+	if answer.Code != http.StatusOK || err != nil || !kept || rb.Out != nil || rb.Rows != out.Rows || !held(&wk.resident, key) {
+		t.Fatalf("block 0 held: status %d, held %v, output %v, rows %d (want %d), kept under its key %v; %v",
+			answer.Code, kept, rb.Out, rb.Rows, out.Rows, held(&wk.resident, key), err)
 	}
 	carried := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, nil))
-	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, map[int]digest{0: sum}))
+	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: key}))
 	if carried.Code != http.StatusOK || named.Code != http.StatusOK || !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()) {
 		t.Errorf("block 1: status %d carried, %d named; the responses differ: %v", carried.Code, named.Code, !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()))
 	}
 	if n := len(wk.resident.byKey); n != 1 {
-		t.Errorf("the store holds %d output(s); only block 0's is read by another block", n)
+		t.Errorf("the store holds %d output(s); only the held request's is kept", n)
 	}
 
 	unknown := digest(sha256.Sum256([]byte("never produced")))
-	miss := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, map[int]digest{0: unknown}))
+	miss := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: unknown}))
 	var body missingResident
 	if err := json.Unmarshal(miss.Body.Bytes(), &body); miss.Code != http.StatusConflict || err != nil ||
 		body.Error == "" || !reflect.DeepEqual(body.Missing, []string{unknown.String()}) {
-		t.Errorf("unknown digest: status %d, body %s", miss.Code, miss.Body.Bytes())
+		t.Errorf("unknown key: status %d, body %s", miss.Code, miss.Body.Bytes())
 	}
 }
 
@@ -443,6 +476,13 @@ func FuzzRunFrame(f *testing.F) {
 	}
 	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3,
 		map[int]*data.Table{2: frameTable("B2"), 0: frameTable("B0")}, map[int]digest{2: sha256.Sum256(nil)}))
+	held, _, err := encodeRunRequest(&workerRunRequest{WF: 8, Scale: 0.5}, 1, true,
+		map[int]*data.Table{0: nil}, map[int]digest{0: sha256.Sum256(nil)}, maxUploadBytes)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(held)
+	f.Add(responseFrame(f, heldBlock(f)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -38,7 +38,9 @@ func TestResidentStoreBound(t *testing.T) {
 	if s.bytes != 100<<20 {
 		t.Errorf("charged %d bytes, want %d", s.bytes, 100<<20)
 	}
-	s.put(huge, charged(residentBytes>>20+1))
+	if s.put(huge, charged(residentBytes>>20+1)) {
+		t.Error("put reports an output over the whole bound kept")
+	}
 	if held(&s, huge) || !held(&s, a) || !held(&s, c) {
 		t.Error("an output over the whole bound displaced the store")
 	}

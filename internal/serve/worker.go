@@ -27,12 +27,14 @@ import (
 // deterministically implies) everything its execution needs — the suite
 // workflow id and scale pin the generated data, the shipped join trees and
 // observe list pin the compiled plan, the upstream tables arrive in the
-// request body — so any worker can run any block, a reassigned block
-// produces byte-identical results on a different worker, and a worker that
-// dies loses nothing but in-flight work. The one exception is soft: a
-// worker keeps the outputs it produced that a later block reads, and a
-// request sent back to it may name one by digest instead of carrying it; a
-// worker that no longer holds it answers 409 and gets the table itself.
+// request body or are named by the request that made them — so any worker
+// can run any block, a reassigned block produces byte-identical results on
+// a different worker, and a worker that dies loses nothing but in-flight
+// work and what it held. What it holds is soft state: a request that says
+// Hold leaves its output here, under the request's key, and a later request
+// names it instead of carrying it; a worker that does not hold what a
+// request names answers 409 with the keys it misses, and the coordinator
+// sends it the requests that make them.
 type Worker struct {
 	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
 	// lower it).
@@ -60,21 +62,6 @@ type workerState struct {
 	an  *workflow.Analysis
 	db  engine.DB
 	css onceMap[css.Options, *css.Result]
-}
-
-// feeds reports whether another block of the workflow reads block's
-// boundary output — the blocks whose outputs are worth keeping. The
-// compiled plan's blocks are the analysis's, so this is the engine's
-// block dependency relation.
-func (st *workerState) feeds(block int) bool {
-	for _, b := range st.an.Blocks {
-		for _, in := range b.Inputs {
-			if in.FromBlock == block {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // workerRunRequest is the header of a block-execution request frame (see
@@ -109,19 +96,25 @@ type workerRunRequest struct {
 	Block    int   `json:"block"`
 	Upstream []int `json:"upstream,omitempty"`
 	// Resident lists, by ascending block, the other upstream blocks: their
-	// outputs are in this worker's store, named by digest, with no section.
+	// outputs are in this worker's store, named by key, with no section.
 	Resident []residentRef `json:"resident,omitempty"`
+	// Hold asks the worker to keep the block's output under this request's
+	// key and answer without it.
+	Hold bool `json:"hold,omitempty"`
+
+	// key is the SHA-256 of the payload the request was read from.
+	key digest
 }
 
-// residentRef names one upstream block's boundary output by the SHA-256 of
-// the response section it left its producer in (digest.String form).
+// residentRef names one upstream block's held output by its key: the
+// SHA-256 of the payload of the request that made it (digest.String form).
 type residentRef struct {
 	Block  int    `json:"block"`
 	SHA256 string `json:"sha256"`
 }
 
-// missingResident is the 409 body: the digests of a request's resident
-// refs this worker's store does not hold, in request order.
+// missingResident is the 409 body: the keys of a request's resident refs
+// this worker's store does not hold, in request order.
 type missingResident struct {
 	Error   string   `json:"error"`
 	Missing []string `json:"missing"`
@@ -135,10 +128,13 @@ type wireFailedStat struct {
 }
 
 // workerRunResponse is the header of a block's response frame. The
-// sections after it are the boundary output, the materialized targets in
-// the order listed here, and the statistics shard in the stats v2 store
-// format (empty when uninstrumented).
+// sections after it are the boundary output unless it is held, the
+// materialized targets in the order listed here, and the statistics shard
+// in the stats v2 store format (empty when uninstrumented).
 type workerRunResponse struct {
+	// Held reports that the output stays in this worker's store under the
+	// request's key, and is not in the frame.
+	Held bool `json:"held,omitempty"`
 	// Materialized names the block's materialized targets, sorted.
 	Materialized []string `json:"materialized,omitempty"`
 	// Rows is the block's work-metric contribution.
@@ -191,7 +187,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if missing := wk.resident.take(req.Resident, upstream); missing != nil {
 		writeJSON(w, http.StatusConflict, missingResident{
-			Error:   fmt.Sprintf("%d resident upstream table(s) not held here; send them", len(missing)),
+			Error:   fmt.Sprintf("%d resident upstream output(s) not held here; send the requests that make them", len(missing)),
 			Missing: missing,
 		})
 		return
@@ -201,7 +197,12 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err.Error())
 		return
 	}
-	frame, out, err := encodeRunResponse(rb, wk.maxBody)
+	// Kept before the response leaves, so a request that names it can only
+	// arrive after it is here; one over the store's bound is sent instead.
+	if req.Hold && wk.resident.put(req.key, rb.Out) {
+		rb.Out = nil
+	}
+	frame, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
 		// A block output over the codec's cell cap or the frame cap is the
 		// block's property, like a request over the body cap: 413 either way.
@@ -211,11 +212,6 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		httpError(w, status, err.Error())
 		return
-	}
-	if st, _ := wk.state(req.WF, req.Scale); st.feeds(req.Block) { // runBlock built it
-		// Kept before the response leaves, so a request that names it can
-		// only arrive after it is here.
-		wk.resident.put(out, rb.Out)
 	}
 	w.Header().Set("Content-Type", frameContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))

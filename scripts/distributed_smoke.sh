@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Distributed-execution smoke test: build the CLI, start two worker
 # processes, and check the composed modes against the live fleet —
-# -worker-addrs with -metrics json and with -adaptive -replan-skew 4 must
-# each print the single-process stdout byte for byte. Then run a
+# -worker-addrs with -metrics json and with -adaptive -replan-skew 4, and a
+# multi-run observation schedule, must each print the single-process stdout
+# byte for byte. Then run a
 # multi-block workflow distributed, SIGKILL one worker while the run is in
 # flight, and require exit 0 with stdout byte-identical to the
 # single-process reference; then repeat with the dead worker still
@@ -27,6 +28,7 @@ echo "== single-process references"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -metrics json > "$work/ref-metrics.out" 2>/dev/null
 "$work/etlopt" run -wf "$wf" -scale "$scale" -adaptive -replan-skew 4 > "$work/ref-adaptive.out"
 grep -q 'adaptive: 1 replan' "$work/ref-adaptive.out"
+"$work/etlopt" schedule -wf 3 -budget 64 > "$work/ref-schedule.out"
 
 echo "== start 2 workers"
 "$work/etlopt" worker -addr "127.0.0.1:$p1" 2> "$work/w1.log" &
@@ -53,9 +55,10 @@ composed() {
         exit 1
     }
     grep -q '^distributed: 3 block(s) executed remotely' "$work/dist-$name.err"
-    # wf08 is a 3-block chain: blocks 1 and 2 go to the worker that keeps
-    # their input, and their requests name it instead of carrying it.
-    grep -q '2 upstream table(s) resident$' "$work/dist-$name.err"
+    # wf08 is a 3-block chain: the outputs of blocks 0 and 1 stay on the
+    # worker that made them, blocks 1 and 2 go there, and their requests
+    # name their input instead of carrying it.
+    grep -q '2 upstream table(s) resident, 2 output(s) held, 0 recomputed$' "$work/dist-$name.err"
     cmp "$work/ref-$name.out" "$work/dist-$name.out"
 }
 
@@ -64,6 +67,10 @@ composed metrics -metrics json
 
 echo "== distributed -adaptive -replan-skew 4 matches the single-process stdout"
 composed adaptive -adaptive -replan-skew 4
+
+echo "== distributed schedule -budget matches the single-process stdout"
+"$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$addrs" > "$work/dist-schedule.out"
+cmp "$work/ref-schedule.out" "$work/dist-schedule.out"
 
 echo "== distributed run, one worker SIGKILLed mid-run"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
@@ -95,4 +102,4 @@ fi
 grep -q '^distributed:' "$work/dist2.err"
 cmp "$work/ref.out" "$work/dist2.out"
 
-echo "PASS: distributed runs compose with -metrics and -adaptive and survive a SIGKILLed worker, outputs identical"
+echo "PASS: distributed runs compose with -metrics, -adaptive and schedule and survive a SIGKILLed worker, outputs identical"
