@@ -254,15 +254,14 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 	ar.Plans = cur
 
 	// Metrics collection is forced on: the boundary checks read actuals off
-	// the live plan's node metrics. Both segments run without the
-	// initial-plan observability filter (the executed trees are
-	// re-optimized, not initial).
+	// the live plan's node metrics. Both segments tap each statistic
+	// wherever the executed (re-optimized) trees produce its target.
 	cfg := cy.cfg
 	cfg.CollectMetrics = true
 	eng := NewExecutor(cy.Analysis, cy.db, cfg)
 	eng.AdaptCheck = st.check
 	observe := cy.Selection.Observe
-	run, err := eng.RunPlansObservingCtx(ctx, cur, cy.CSS, observe)
+	run, err := eng.RunPlansCtx(ctx, cur, cy.CSS, observe)
 	for err != nil {
 		var sig *engine.ReplanSignal
 		if !errors.As(err, &sig) {
@@ -285,7 +284,7 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 				pending[bi] = true
 			}
 		}
-		run, err = eng.ResumeObserving(ctx, sig.Checkpoint, cur, cy.CSS, selector.ScopeObserve(observe, pending))
+		run, err = eng.Resume(ctx, sig.Checkpoint, cur, cy.CSS, selector.ScopeObserve(observe, pending))
 	}
 	ar.Run = run
 	ar.Checks = st.checks

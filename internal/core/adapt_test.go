@@ -105,7 +105,7 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 	}
 
 	// The spliced run must be identical to a cold run of the final plans.
-	cold, err := engine.New(cy.Analysis, db, nil).RunPlansObservingCtx(context.Background(), ar.Plans, cy.CSS, cy.Selection.Observe)
+	cold, err := engine.New(cy.Analysis, db, nil).RunPlansCtx(context.Background(), ar.Plans, cy.CSS, cy.Selection.Observe)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}

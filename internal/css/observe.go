@@ -68,9 +68,12 @@ func rejectObservable(bc *blockCtx, t, f int) bool {
 
 // StatObservable reports whether a statistic — possibly one outside the
 // generated universe — is observable under the initial plan, using the same
-// structural rules as classifyObservable. Instrumentation uses it so
-// callers may observe ad-hoc statistics (e.g. extra diagnostics) beyond the
-// selector's choice.
+// structural rules as classify. It decides which sketch siblings of
+// universe statistics are worth observing: the selector's approximate tier
+// admits only those, and core's degradation ladder re-observes only those
+// on its sketch rung. Instrumentation does not consult it: physical.Compile
+// taps a statistic wherever the executed trees produce its target, which on
+// the initial plan is exactly where this reports true.
 func (r *Result) StatObservable(s stats.Stat) bool {
 	if id, ok := r.Lookup(s); ok {
 		return r.Observable[id]

@@ -29,11 +29,11 @@ type AdaptCheck func(plan *physical.Plan, block int, done map[int]bool) bool
 // ReplanSignal is the error a run returns when its AdaptCheck requested a
 // mid-run replan. It is a clean stop, not a failure: the checkpoint holds
 // every completed block's boundary output and the statistics observed so
-// far, ready for ResumeObserving under a re-optimized plan.
+// far, ready for Resume under a re-optimized plan.
 type ReplanSignal struct {
 	// Block is the boundary block after which the check fired.
 	Block int
-	// Checkpoint restores the completed blocks on ResumeObserving.
+	// Checkpoint restores the completed blocks on Resume.
 	Checkpoint *Checkpoint
 }
 

@@ -104,9 +104,9 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 	observe := observableStats(res)
 	e := New(an, DB{"F": fact, "D1": d1, "D2": d2}, nil)
 	run := func() {
-		out, err := e.RunObserved(res, observe)
+		out, err := e.RunPlans(nil, res, observe)
 		if err != nil {
-			t.Fatalf("RunObserved: %v", err)
+			t.Fatalf("RunPlans: %v", err)
 		}
 		if out.Rows < 2*allocRows || out.Observed.Len() == 0 {
 			t.Fatalf("run moved %d rows and observed %d statistics", out.Rows, out.Observed.Len())

@@ -5,10 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/faults"
-	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // TestSleepSaturatesAtCap pins the backoff overflow fix: `backoff <<
@@ -42,38 +38,19 @@ func TestSleepCancelledBeforeWait(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffCancelPrompt cancels a run mid-backoff: a transient
-// fault storm with the backoff pinned at the cap would wait most of a
-// second across retries, but cancellation must surface the context error
-// promptly. Run under -race: the interesting failures are racy ones.
-func TestRetryBackoffCancelPrompt(t *testing.T) {
-	db, cat := bigDB(2000)
-	an, err := workflow.Analyze(retailGraph(), cat)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+// TestBackoffCancelledMidWait: a context cancelled while Backoff waits out
+// its delay returns the context error at once, not at the timer. Run under
+// -race: the interesting failures are racy ones.
+func TestBackoffCancelledMidWait(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start := time.Now()
+	err := Backoff(ctx, maxRetryBackoff, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Backoff cancelled mid-wait = %v, want context.Canceled", err)
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
+	if d := time.Since(start); d > maxRetryBackoff/2 {
+		t.Fatalf("Backoff cancelled after 5ms still waited %v of its %v", d, maxRetryBackoff)
 	}
-
-	t.Run("batch", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		inj := faults.New(1, 1, 8, faults.Operator)
-		e := New(an, db, nil)
-		e.Faults, e.RetryMax, e.RetryBackoff = inj, 10, maxRetryBackoff
-		time.AfterFunc(5*time.Millisecond, cancel)
-		start := time.Now()
-		_, err := e.RunPlansCtx(ctx, nil, res, observableStats(res))
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-		// Sitting out even half the retry storm's backoffs (8 waits at
-		// the 100ms cap per faulted block) would blow well past this.
-		if elapsed > 400*time.Millisecond {
-			t.Fatalf("cancellation took %v; backoff did not yield to the context", elapsed)
-		}
-	})
 }

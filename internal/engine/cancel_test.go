@@ -93,7 +93,7 @@ func TestCancellationAllConfigs(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	observe := observableStats(res)
-	golden, err := New(an, db, nil).RunObserved(res, observe)
+	golden, err := New(an, db, nil).RunPlans(nil, res, observe)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}

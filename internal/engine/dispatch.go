@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
@@ -44,8 +43,7 @@ var ErrWorkersLost = errors.New("engine: all workers lost")
 // DispatchSpec tells the dispatcher what run its workers must reproduce;
 // they rebuild workflow, data and compiled plan deterministically on their
 // side. The engine fills it (runPlans), never a user: besides what varies
-// per run it carries the Engine's own knobs a worker must mirror — raw, so
-// an unset one stays zero on the wire and takes the worker engine's default.
+// per run it carries the Engine's own knobs a worker must mirror.
 type DispatchSpec struct {
 	// Plans maps block index to the join tree to execute (nil map or
 	// missing entry = the block's initial tree).
@@ -56,16 +54,11 @@ type DispatchSpec struct {
 	// Instrument reports whether the run is instrumented at all (a run can
 	// be instrumented with an empty tap set on some blocks).
 	Instrument bool
-	// AnyPoint lifts the initial-plan observability filter (see
-	// Engine.RunPlansObservingCtx).
-	AnyPoint bool
-	// RetryMax, RetryBackoff and Metrics (CollectMetrics) are the Engine
-	// fields of those names; Faults is the injector's spec (faults.Parse
-	// form). Workers is not mirrored: a worker runs one block per request.
-	Faults       string
-	RetryMax     int
-	RetryBackoff time.Duration
-	Metrics      bool
+	// Faults is the injector's spec (faults.Parse form); Metrics is the
+	// Engine's CollectMetrics. Workers is not mirrored: a worker runs one
+	// block per request.
+	Faults  string
+	Metrics bool
 	// Hold lists, ascending, the blocks whose boundary output the session
 	// should leave on the worker that made it and return as a Held handle:
 	// a later block reads each, no sink does.
@@ -170,9 +163,9 @@ type DistReport struct {
 // and returns the block's outcome plus a private statistics shard holding
 // only what this block's taps observed — and, under CollectMetrics, the
 // block's per-node metrics.
-func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, anyPoint bool, upstream map[int]*data.Table) (*RemoteBlock, error) {
+func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
-		Plans: plans, Res: res, Observe: observe, AnyPoint: anyPoint, Reg: e.Reg,
+		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
 	if err != nil {
 		return nil, err
@@ -196,7 +189,7 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 	if res != nil {
 		col = newCollector()
 	}
-	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
+	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
 	rb, err := env.runBlock(bp, upstream, col, e.CollectMetrics)
 	if err != nil {
 		return nil, err

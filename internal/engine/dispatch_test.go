@@ -106,7 +106,6 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	e := d.f.engine(flt)
 	e.MaxRows, e.CollectMetrics = d.maxRows, spec.Metrics
-	e.RetryMax, e.RetryBackoff = spec.RetryMax, spec.RetryBackoff
 	res := d.f.res
 	if !spec.Instrument {
 		res = nil
@@ -117,7 +116,7 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	d.runs[block]++
 	d.mu.Unlock()
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, spec.AnyPoint, up)
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up)
 	if err != nil {
 		return nil, err
 	}
@@ -207,14 +206,14 @@ func TestDispatchMatchesLocal(t *testing.T) {
 		name := tc.name
 		local := f.engine(tc.flt)
 		local.Workers, local.CollectMetrics = 2, true
-		want, err := f.run(local, false)
+		want, err := f.run(local)
 		if err != nil {
 			t.Fatalf("%s: local run: %v", name, err)
 		}
 		d := &loopDispatcher{f: f, slots: 2}
 		remote := f.engine(tc.flt)
 		remote.Workers, remote.CollectMetrics, remote.Dispatch = 2, true, d
-		got, err := f.run(remote, false)
+		got, err := f.run(remote)
 		if err != nil {
 			t.Fatalf("%s: dispatched run: %v", name, err)
 		}
@@ -249,7 +248,7 @@ func TestDispatchMatchesLocal(t *testing.T) {
 // one reported, as a *BlockFailure whose checkpoint resumes.
 func TestDispatchOrderAndFailure(t *testing.T) {
 	f := newResumeFixture(t)
-	clean, err := f.run(f.engine(nil), false)
+	clean, err := f.run(f.engine(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +257,7 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		d := &loopDispatcher{f: f, slots: 1}
 		e := f.engine(nil)
 		e.Workers, e.Dispatch = 4, d
-		if _, err := f.run(e, false); err != nil {
+		if _, err := f.run(e); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(d.started, f.allBlocks()) {
@@ -282,7 +281,7 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		}}
 		e := f.engine(nil)
 		e.Dispatch = d
-		_, err := f.run(e, false)
+		_, err := f.run(e)
 		var bf *BlockFailure
 		if !errors.As(err, &bf) {
 			t.Fatalf("want a *BlockFailure, got %v", err)
@@ -301,7 +300,7 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		}}
 		e := f.engine(nil)
 		e.Dispatch = d
-		_, err := f.run(e, false)
+		_, err := f.run(e)
 		var bf *BlockFailure
 		if !errors.As(err, &bf) || bf.Block != 1 {
 			t.Fatalf("want block 1's *BlockFailure, got %v", err)
@@ -339,7 +338,7 @@ func TestDispatchWorkersLost(t *testing.T) {
 			return nil
 		}
 	}
-	clean, err := f.run(f.engine(nil), false)
+	clean, err := f.run(f.engine(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestDispatchWorkersLost(t *testing.T) {
 		}
 		return nil
 	}}
-	_, err = f.run(broken, false)
+	_, err = f.run(broken)
 	var bf *BlockFailure
 	if !errors.As(err, &bf) || len(bf.Checkpoint.BlockOut) != 1 {
 		t.Fatalf("want a checkpoint of block 0 alone, got %v", err)
@@ -377,7 +376,7 @@ func TestDispatchWorkersLost(t *testing.T) {
 		if tc.cp != nil {
 			got, err = f.resume(e, tc.cp)
 		} else {
-			got, err = f.run(e, false)
+			got, err = f.run(e)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -410,14 +409,14 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, false, nil)
+	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rb.Rows == 0 || rb.Retries == 0 {
 		t.Fatalf("fixture block 0: rows %d retries %d", rb.Rows, rb.Retries)
 	}
-	env := newRunEnv(context.Background(), newRowBudget(1<<20), nil, 0, 0)
+	env := newRunEnv(context.Background(), newRowBudget(1<<20), nil)
 	out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
 	s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}}
 	for i := 0; i < 2; i++ {
@@ -435,7 +434,7 @@ func TestCommitOnce(t *testing.T) {
 
 	held := *rb
 	held.Out, held.Held = nil, &loopHeld{t: rb.Out}
-	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil, 0, 0)
+	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil)
 	out = &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
 	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}}
 	for i := 0; i < 2; i++ {
@@ -463,7 +462,7 @@ func TestCommitOnce(t *testing.T) {
 func TestDispatchHeldFallBack(t *testing.T) {
 	f := newResumeFixture(t)
 	flt := faults.New(7, 1, 1, 0)
-	want, err := f.run(f.engine(flt), false)
+	want, err := f.run(f.engine(flt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +474,7 @@ func TestDispatchHeldFallBack(t *testing.T) {
 	}}
 	e := f.engine(flt)
 	e.MaxRows, e.Dispatch = want.Rows, d
-	got, err := f.run(e, false)
+	got, err := f.run(e)
 	if err != nil {
 		t.Fatalf("MaxRows = the local total: %v", err)
 	}
@@ -528,14 +527,14 @@ func TestDispatchAdaptCheck(t *testing.T) {
 		return e
 	}
 	localTr := &adaptTrace{stopAt: -1}
-	want, err := f.run(adaptive(nil, localTr), true)
+	want, err := f.run(adaptive(nil, localTr))
 	if err != nil {
 		t.Fatalf("%s: local adaptive run: %v", name, err)
 	}
 
 	d := &loopDispatcher{f: f, slots: 2}
 	tr := &adaptTrace{stopAt: -1}
-	got, err := f.run(adaptive(d, tr), true)
+	got, err := f.run(adaptive(d, tr))
 	if err != nil {
 		t.Fatalf("%s: dispatched adaptive run: %v", name, err)
 	}
@@ -554,7 +553,7 @@ func TestDispatchAdaptCheck(t *testing.T) {
 
 	// Replan at block 0's boundary, then resume through a dispatcher.
 	stop := &adaptTrace{stopAt: 0}
-	_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop), true)
+	_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop))
 	var sig *ReplanSignal
 	if !errors.As(err, &sig) || sig.Block != 0 {
 		t.Fatalf("%s: want a *ReplanSignal at block 0, got %v", name, err)
@@ -614,7 +613,7 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 		}}
 		e := f.engine(nil)
 		e.CollectMetrics, e.Dispatch = tc.metrics, d
-		_, err := f.run(e, false)
+		_, err := f.run(e)
 		var bf *BlockFailure
 		if !errors.As(err, &bf) || bf.Block != 1 || !strings.Contains(err.Error(), "metrics shard") {
 			t.Errorf("%s: want block 1 to fail on its metrics shard, got %v", tc.name, err)
@@ -629,7 +628,7 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 func TestDispatchMaxRowsRunLevel(t *testing.T) {
 	f := newResumeFixture(t)
 	const name = "batch"
-	clean, err := f.run(f.engine(nil), false)
+	clean, err := f.run(f.engine(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +638,7 @@ func TestDispatchMaxRowsRunLevel(t *testing.T) {
 		if dispatch {
 			e.Dispatch = &loopDispatcher{f: f, slots: 1, maxRows: maxRows}
 		}
-		return f.run(e, false)
+		return f.run(e)
 	}
 	for _, dispatch := range []bool{false, true} {
 		if got, err := guarded(clean.Rows, dispatch); err != nil || got.Rows != clean.Rows {

@@ -19,7 +19,6 @@ package engine
 
 import (
 	"context"
-	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
@@ -55,12 +54,6 @@ type Engine struct {
 	// Faults injects deterministic failures at operator, source, tap and
 	// budget sites (nil, the default, injects nothing and costs nothing).
 	Faults *faults.Injector
-	// RetryMax bounds per-block attempts when a transient fault aborts one
-	// (0 = the default of 3: the first try plus two retries).
-	RetryMax int
-	// RetryBackoff is the base delay between attempts, doubling per retry,
-	// capped at 100ms (0 = the default of 1ms).
-	RetryBackoff time.Duration
 	// AdaptCheck, when non-nil, is consulted after every committed block;
 	// returning true stops the run with a *ReplanSignal. Keeps one block in
 	// flight at a time, wherever blocks run (see adapt.go).
@@ -118,19 +111,13 @@ type Result struct {
 	Dist *DistReport
 }
 
-// RunObserved executes the initial plan instrumented to collect the given
-// statistics (which must be observable; others are silently skipped).
-func (e *Engine) RunObserved(res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.RunPlans(nil, res, observe)
-}
-
 // RunPlans executes the workflow using the supplied join tree per block
 // (nil map or missing entry = the initial tree), instrumented with the
-// given statistics when res is non-nil. Statistics not observable under
-// the initial plan are skipped; use RunPlansObservingCtx for re-ordered
-// plans that expose different sub-expressions (the pay-as-you-go baseline).
+// given statistics when res is non-nil. Each statistic is observed wherever
+// the executed trees produce its target (see physical.Compile); one whose
+// target they do not produce is absent from the store.
 func (e *Engine) RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(context.Background(), nil, plans, res, observe, false)
+	return e.runPlans(context.Background(), nil, plans, res, observe)
 }
 
 // RunPlansCtx is RunPlans under a context: cancellation (or deadline
@@ -138,31 +125,22 @@ func (e *Engine) RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, obs
 // metrics and block outputs — is returned alongside it, so callers can
 // flush what the run did finish.
 func (e *Engine) RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, nil, plans, res, observe, false)
+	return e.runPlans(ctx, nil, plans, res, observe)
 }
 
-// RunPlansObservingCtx is RunPlansCtx without the initial-plan
-// observability filter: any statistic whose target the executed plans
-// actually produce is collected. Targets the plans do not produce are
-// silently absent from the store.
-func (e *Engine) RunPlansObservingCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, nil, plans, res, observe, true)
-}
-
-// ResumeObserving continues a run from a checkpoint (a *BlockFailure's or
+// Resume continues a run from a checkpoint (a *BlockFailure's or
 // *ReplanSignal's Checkpoint field): completed blocks are restored, only
 // the blocks downstream of it re-execute, and already-observed statistics
-// are kept (the store is write-once, so re-surfaced taps are no-ops). Like
-// RunPlansObservingCtx it applies no initial-plan observability filter —
-// the adaptive driver's splice path, where the re-optimized cone's plans no
-// longer match the initial plan's observation points.
-func (e *Engine) ResumeObserving(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, cp, plans, res, observe, true)
+// are kept (the store is write-once, so re-surfaced taps are no-ops). The
+// adaptive driver splices a re-optimized cone in this way: its taps sit
+// wherever the new trees produce their targets.
+func (e *Engine) Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
+	return e.runPlans(ctx, cp, plans, res, observe)
 }
 
-func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, anyPoint bool) (*Result, error) {
+func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
-		Plans: plans, Res: res, Observe: observe, AnyPoint: anyPoint, Reg: e.Reg,
+		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
 	if err != nil {
 		return nil, err
@@ -181,11 +159,11 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 		}
 		out.Observed = col.store
 	}
-	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults, e.RetryMax, e.RetryBackoff)
+	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
 	env.adapt = e.AdaptCheck
 	err = e.runBlocks(plan, env, out, col, &DispatchSpec{
-		Plans: plans, Observe: observe, Instrument: res != nil, AnyPoint: anyPoint,
-		Faults: e.Faults.String(), RetryMax: e.RetryMax, RetryBackoff: e.RetryBackoff, Metrics: e.CollectMetrics,
+		Plans: plans, Observe: observe, Instrument: res != nil,
+		Faults: e.Faults.String(), Metrics: e.CollectMetrics,
 	})
 	out.Retries = env.retries.Load()
 	out.Degraded = col.failedStats()

@@ -28,8 +28,8 @@ import (
 //   - Checkpoints: block boundary outputs plus the observed-statistics
 //     store form a restartable checkpoint. A permanent failure returns a
 //     *BlockFailure carrying the checkpoint of everything that did
-//     complete; ResumeObserving re-runs only the missing blocks (the
-//     failed block's downstream cone), skipping completed ones entirely.
+//     complete; Resume re-runs only the missing blocks (the failed block's
+//     downstream cone), skipping completed ones entirely.
 //
 // All of it is zero-cost when unused: nil context checks, nil injector and
 // nil checkpoint keep the hot paths on their PR-3 fast paths.
@@ -80,7 +80,7 @@ type Checkpoint struct {
 type BlockFailure struct {
 	// Block is the lowest failing block index.
 	Block int
-	// Checkpoint restores the completed blocks on ResumeObserving.
+	// Checkpoint restores the completed blocks on Resume.
 	Checkpoint *Checkpoint
 	// Err is the block's final error.
 	Err error
@@ -90,31 +90,23 @@ func (b *BlockFailure) Error() string { return fmt.Sprintf("block %d: %v", b.Blo
 func (b *BlockFailure) Unwrap() error { return b.Err }
 
 // runEnv carries the per-run fault-tolerance state shared by the block
-// scheduler: cancellation, the shared row budget, the fault injector and
-// the retry policy.
+// scheduler: cancellation, the shared row budget and the fault injector.
+// The retry policy is constant (defaultRetryMax, defaultRetryBackoff).
 type runEnv struct {
-	ctx      context.Context
-	budget   *rowBudget
-	flt      *faults.Injector
-	retryMax int
-	backoff  time.Duration
-	retries  atomic.Int64
+	ctx     context.Context
+	budget  *rowBudget
+	flt     *faults.Injector
+	retries atomic.Int64
 	// adapt, when non-nil, is consulted at every block commit and caps the
 	// blocks in flight at one (see adapt.go).
 	adapt AdaptCheck
 }
 
-func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector, retryMax int, backoff time.Duration) *runEnv {
+func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *runEnv {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if retryMax <= 0 {
-		retryMax = defaultRetryMax
-	}
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	return &runEnv{ctx: ctx, budget: budget, flt: flt, retryMax: retryMax, backoff: backoff}
+	return &runEnv{ctx: ctx, budget: budget, flt: flt}
 }
 
 // runBlock executes one block in-process — the scheduler's local executor,
@@ -151,11 +143,11 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 			return &RemoteBlock{Out: tbl, Materialized: sink.materialized, Rows: sink.rows}, nil
 		}
 		sink.budget.release()
-		if !faults.IsTransient(err) || attempt+1 >= env.retryMax {
+		if !faults.IsTransient(err) || attempt+1 >= defaultRetryMax {
 			return nil, err
 		}
 		env.retries.Add(1)
-		if serr := Backoff(env.ctx, env.backoff, attempt); serr != nil {
+		if serr := Backoff(env.ctx, defaultRetryBackoff, attempt); serr != nil {
 			return nil, serr
 		}
 	}
@@ -217,26 +209,28 @@ func (s *blockSink) opFault(n *physical.Node) error {
 	return s.flt.At(kind, fmt.Sprintf("op:%d:%d", s.block, n.ID), s.attempt)
 }
 
-// liveTaps filters a tap list through the fault injector: a transient tap
-// fault fails the attempt (the retry re-observes), a permanent one marks
-// the statistic degraded in the collector and drops the tap so the block
-// still completes. With no injector or no instrumentation the input slice
-// is returned untouched.
-func (s *blockSink) liveTaps(col *collector, taps []physical.Tap) ([]physical.Tap, error) {
+// liveTaps filters a node's taps — compiled taps or auxiliary reject joins,
+// each naming its statistic through stat — through the fault injector: a
+// transient tap fault fails the attempt (the retry re-observes), a permanent
+// one marks the statistic degraded in the collector and drops the tap so the
+// block still completes. With no injector or no instrumentation the input
+// slice is returned untouched.
+func liveTaps[T any](s *blockSink, col *collector, taps []T, stat func(T) stats.Stat) ([]T, error) {
 	if s.flt == nil || col == nil || len(taps) == 0 {
 		return taps, nil
 	}
 	live := taps[:0:0]
 	for _, t := range taps {
+		st := stat(t)
 		// Tap faults model the observation side-memory exhausting; sketch
 		// taps hold a fixed few hundred bytes no matter what flows past, so
 		// the injector is never consulted for them — they are the rung the
 		// degradation ladder retreats to when exact taps keep failing.
-		if t.Stat.Kind.Approx() {
+		if st.Kind.Approx() {
 			live = append(live, t)
 			continue
 		}
-		err := s.flt.At(faults.Tap, tapSite(t.Stat), s.attempt)
+		err := s.flt.At(faults.Tap, tapSite(st), s.attempt)
 		if err == nil {
 			live = append(live, t)
 			continue
@@ -244,34 +238,14 @@ func (s *blockSink) liveTaps(col *collector, taps []physical.Tap) ([]physical.Ta
 		if faults.IsTransient(err) {
 			return nil, err
 		}
-		col.markFailed(t.Stat, err)
+		col.markFailed(st, err)
 	}
 	return live, nil
 }
 
-// liveAux is liveTaps for compiled auxiliary reject joins.
-func (s *blockSink) liveAux(col *collector, aux []*physical.AuxJoin) ([]*physical.AuxJoin, error) {
-	if s.flt == nil || col == nil || len(aux) == 0 {
-		return aux, nil
-	}
-	live := aux[:0:0]
-	for _, a := range aux {
-		if a.Stat.Kind.Approx() {
-			live = append(live, a)
-			continue
-		}
-		err := s.flt.At(faults.Tap, tapSite(a.Stat), s.attempt)
-		if err == nil {
-			live = append(live, a)
-			continue
-		}
-		if faults.IsTransient(err) {
-			return nil, err
-		}
-		col.markFailed(a.Stat, err)
-	}
-	return live, nil
-}
+// tapStat and auxStat name the statistic liveTaps filters by.
+func tapStat(t physical.Tap) stats.Stat      { return t.Stat }
+func auxStat(a *physical.AuxJoin) stats.Stat { return a.Stat }
 
 // tapSite renders a statistic's engine-independent fault site: the
 // comparable statistic key, identical however the plan is executed.

@@ -187,7 +187,7 @@ type blockSched struct {
 // deterministic regardless of goroutine timing.
 //
 // Blocks whose output is already present in out (a checkpoint seeded by
-// ResumeObserving), held or not, are skipped. A dispatch session is asked to
+// Resume), held or not, are skipped. A dispatch session is asked to
 // hold the outputs heldBlocks names. A dispatcher that reports ErrWorkersLost,
 // at session open or from any block, flips the blocks not yet committed to
 // in-process execution inside the same loop: the placement degrades, the
@@ -345,7 +345,7 @@ func (s *blockSched) recompute(upstream map[int]*data.Table) error {
 		if err := s.recompute(up); err != nil {
 			return err
 		}
-		env := newRunEnv(s.env.ctx, nil, nil, 1, 0)
+		env := newRunEnv(s.env.ctx, nil, nil)
 		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false)
 		if err != nil {
 			return fmt.Errorf("recomputing held block %d: %w", d, err)

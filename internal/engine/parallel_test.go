@@ -24,13 +24,13 @@ func TestParallelMatchesSequentialRetail(t *testing.T) {
 	}
 	observe := observableStats(res)
 
-	seqBatch, err := New(an, db, nil).RunObserved(res, observe)
+	seqBatch, err := New(an, db, nil).RunPlans(nil, res, observe)
 	if err != nil {
 		t.Fatalf("sequential batch: %v", err)
 	}
 	parBatch := New(an, db, nil)
 	parBatch.Workers = 4
-	outB, err := parBatch.RunObserved(res, observe)
+	outB, err := parBatch.RunPlans(nil, res, observe)
 	if err != nil {
 		t.Fatalf("parallel batch: %v", err)
 	}
@@ -58,14 +58,14 @@ func TestParallelMatchesSequentialFuzz(t *testing.T) {
 			}
 			observe := observableStats(res)
 
-			seqBatch, err := New(an, db, nil).RunObserved(res, observe)
+			seqBatch, err := New(an, db, nil).RunPlans(nil, res, observe)
 			if err != nil {
 				t.Fatalf("sequential batch: %v", err)
 			}
 			for _, w := range []int{2, 4} {
 				eb := New(an, db, nil)
 				eb.Workers = w
-				outB, err := eb.RunObserved(res, observe)
+				outB, err := eb.RunPlans(nil, res, observe)
 				if err != nil {
 					t.Fatalf("batch workers=%d: %v", w, err)
 				}

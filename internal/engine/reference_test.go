@@ -42,7 +42,7 @@ func TestEnginesMatchReference(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				e := New(an, db, nil)
 				e.Workers = workers
-				got, err := e.RunObserved(res, observe)
+				got, err := e.RunPlans(nil, res, observe)
 				if err != nil {
 					t.Fatalf("w%d: %v", workers, err)
 				}

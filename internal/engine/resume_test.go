@@ -43,30 +43,24 @@ func (f *resumeFixture) engine(flt *faults.Injector) *Engine {
 	return e
 }
 
-// run executes the instrumented initial plan, with or without the
-// initial-plan observability filter.
-func (f *resumeFixture) run(e *Engine, anyPoint bool) (*Result, error) {
-	if anyPoint {
-		return e.RunPlansObservingCtx(context.Background(), nil, f.res, f.observe)
-	}
+// run executes the instrumented initial plan.
+func (f *resumeFixture) run(e *Engine) (*Result, error) {
 	return e.RunPlans(nil, f.res, f.observe)
 }
 
-// resume continues from a checkpoint. ResumeObserving is the one resume
-// entry point; the fixture observes only what the initial plan exposes, so
-// it continues a filtered run's checkpoint to the filtered run's result.
+// resume continues from a checkpoint to the run's result.
 func (f *resumeFixture) resume(e *Engine, cp *Checkpoint) (*Result, error) {
-	return e.ResumeObserving(context.Background(), cp, nil, f.res, f.observe)
+	return e.Resume(context.Background(), cp, nil, f.res, f.observe)
 }
 
 // failingCheckpoint finds (deterministically — the injector is a pure
 // function of its seed) a permanent fault pattern that fails the run after
 // at least one block completed, and returns the *BlockFailure checkpoint.
-func (f *resumeFixture) failingCheckpoint(t *testing.T, anyPoint bool) *Checkpoint {
+func (f *resumeFixture) failingCheckpoint(t *testing.T) *Checkpoint {
 	t.Helper()
 	for seed := uint64(1); seed <= 200; seed++ {
 		inj := faults.New(seed, 0.5, 0, faults.SourceRead|faults.Operator)
-		_, err := f.run(f.engine(inj), anyPoint)
+		_, err := f.run(f.engine(inj))
 		var bf *BlockFailure
 		if errors.As(err, &bf) && len(bf.Checkpoint.BlockOut) > 0 {
 			return bf.Checkpoint
@@ -79,29 +73,26 @@ func (f *resumeFixture) failingCheckpoint(t *testing.T, anyPoint bool) *Checkpoi
 // TestResumeEmptyPendingCone resumes a checkpoint that already contains
 // every block: nothing re-executes, and the result — sinks routed from the
 // checkpointed outputs, work metric, observed statistics — must equal the
-// original run in both observation modes.
+// original run.
 func TestResumeEmptyPendingCone(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, anyPoint := range []bool{false, true} {
-		name := observeLabel(anyPoint)
-		clean, err := f.run(f.engine(nil), anyPoint)
-		if err != nil {
-			t.Fatalf("%s: clean run: %v", name, err)
-		}
-		cp := &Checkpoint{
-			BlockOut:     clean.BlockOut,
-			Materialized: clean.Materialized,
-			Rows:         clean.Rows,
-			Observed:     clean.Observed,
-		}
-		resumed, err := f.resume(f.engine(nil), cp)
-		if err != nil {
-			t.Fatalf("%s: resume of a complete checkpoint: %v", name, err)
-		}
-		equalResults(t, name+"/complete-checkpoint", clean, resumed)
-		if resumed.Retries != 0 {
-			t.Errorf("%s: resume of a complete checkpoint retried %d times", name, resumed.Retries)
-		}
+	clean, err := f.run(f.engine(nil))
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	cp := &Checkpoint{
+		BlockOut:     clean.BlockOut,
+		Materialized: clean.Materialized,
+		Rows:         clean.Rows,
+		Observed:     clean.Observed,
+	}
+	resumed, err := f.resume(f.engine(nil), cp)
+	if err != nil {
+		t.Fatalf("resume of a complete checkpoint: %v", err)
+	}
+	equalResults(t, "complete-checkpoint", clean, resumed)
+	if resumed.Retries != 0 {
+		t.Errorf("resume of a complete checkpoint retried %d times", resumed.Retries)
 	}
 }
 
@@ -110,29 +101,19 @@ func TestResumeEmptyPendingCone(t *testing.T) {
 // store and the block-skip logic make resumption idempotent.
 func TestResumeSameCheckpointTwice(t *testing.T) {
 	f := newResumeFixture(t)
-	for _, anyPoint := range []bool{false, true} {
-		name := observeLabel(anyPoint)
-		clean, err := f.run(f.engine(nil), anyPoint)
-		if err != nil {
-			t.Fatalf("%s: clean run: %v", name, err)
-		}
-		cp := f.failingCheckpoint(t, anyPoint)
-		first, err := f.resume(f.engine(nil), cp)
-		if err != nil {
-			t.Fatalf("%s: first resume: %v", name, err)
-		}
-		equalResults(t, name+"/first-resume", clean, first)
-		second, err := f.resume(f.engine(nil), cp)
-		if err != nil {
-			t.Fatalf("%s: second resume of the same checkpoint: %v", name, err)
-		}
-		equalResults(t, name+"/second-resume", clean, second)
+	clean, err := f.run(f.engine(nil))
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
 	}
-}
-
-func observeLabel(anyPoint bool) string {
-	if anyPoint {
-		return "observing"
+	cp := f.failingCheckpoint(t)
+	first, err := f.resume(f.engine(nil), cp)
+	if err != nil {
+		t.Fatalf("first resume: %v", err)
 	}
-	return "filtered"
+	equalResults(t, "first-resume", clean, first)
+	second, err := f.resume(f.engine(nil), cp)
+	if err != nil {
+		t.Fatalf("second resume of the same checkpoint: %v", err)
+	}
+	equalResults(t, "second-resume", clean, second)
 }

@@ -32,9 +32,9 @@ func reference(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, obse
 func observedBy(t *testing.T, an *workflow.Analysis, db DB, res *css.Result, observe []stats.Stat) map[string]*stats.Store {
 	t.Helper()
 	out := map[string]*stats.Store{"reference": reference(t, an, db, res, observe).Observed}
-	run, err := New(an, db, nil).RunObserved(res, observe)
+	run, err := New(an, db, nil).RunPlans(nil, res, observe)
 	if err != nil {
-		t.Fatalf("batch: RunObserved: %v", err)
+		t.Fatalf("batch: RunPlans: %v", err)
 	}
 	out["batch"] = run.Observed
 	return out
@@ -222,8 +222,8 @@ func TestTapSkipsNonObservable(t *testing.T) {
 	blk := an.Blocks[0]
 	o := findInput(t, blk, "Orders")
 	c := findInput(t, blk, "Customer")
-	// O⋈C is not produced by the initial plan: asking for it must not
-	// record anything (and must not fail).
+	// O⋈C is not produced by the initial plan, so no node carries its tap:
+	// asking for it must not record anything (and must not fail).
 	unobservable := stats.NewCard(stats.BlockSE(0, expr.NewSet(o, c)))
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{unobservable}) {
 		if store.Has(unobservable) {

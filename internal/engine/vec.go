@@ -113,7 +113,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 	if err := v.out.count(int64(b.Rows())); err != nil {
 		return nil, err
 	}
-	taps, err := v.out.liveTaps(v.col, n.Taps)
+	taps, err := liveTaps(v.out, v.col, n.Taps, tapStat)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +315,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 	joined := &batch.Batch{Cols: cols, N: m}
 	v.rels[n.ID] = v.rels[n.Left.ID] + "⋈" + v.rels[n.Right.ID]
 	leftMiss := &batch.Batch{Cols: left.Cols, N: left.N, Sel: missSel[:nMiss]}
-	taps, err := v.out.liveTaps(v.col, n.Taps)
+	taps, err := liveTaps(v.out, v.col, n.Taps, tapStat)
 	if err != nil {
 		return nil, err
 	}
@@ -373,14 +373,14 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 // miss batch directly, two-input variants through their auxiliary joins
 // with the partner's cooked (chain-end) batch.
 func (v *vecBlock) collectVecReject(rt *physical.RejectTaps, misses *batch.Batch) error {
-	singles, err := v.out.liveTaps(v.col, rt.Singles)
+	singles, err := liveTaps(v.out, v.col, rt.Singles, tapStat)
 	if err != nil {
 		return err
 	}
 	for _, t := range singles {
 		v.col.collectVec(t, misses)
 	}
-	aux, err := v.out.liveAux(v.col, rt.Aux)
+	aux, err := liveTaps(v.out, v.col, rt.Aux, auxStat)
 	if err != nil {
 		return err
 	}

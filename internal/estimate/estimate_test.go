@@ -58,9 +58,9 @@ func pipeline(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, db engine.
 		t.Fatalf("Select: %v", err)
 	}
 	eng := engine.New(an, db, nil)
-	run, err := eng.RunObserved(res, sel.Observe)
+	run, err := eng.RunPlans(nil, res, sel.Observe)
 	if err != nil {
-		t.Fatalf("RunObserved: %v", err)
+		t.Fatalf("RunPlans: %v", err)
 	}
 	return an, res, sel, New(res, run.Observed), run
 }

@@ -248,7 +248,7 @@ func WorkComparison(ids []int, scale float64) ([]*WorkRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fw, err := eng.RunObserved(res, sel.Observe)
+		fw, err := eng.RunPlans(nil, res, sel.Observe)
 		if err != nil {
 			return nil, err
 		}

@@ -36,9 +36,9 @@ func TestDPOptimalAgainstEnumerationFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Select: %v", err)
 			}
-			run, err := engine.New(an, db, nil).RunObserved(res, sel.Observe)
+			run, err := engine.New(an, db, nil).RunPlans(nil, res, sel.Observe)
 			if err != nil {
-				t.Fatalf("RunObserved: %v", err)
+				t.Fatalf("RunPlans: %v", err)
 			}
 			est := estimate.New(res, run.Observed)
 			for _, model := range []CostModel{Cout, HashJoin} {

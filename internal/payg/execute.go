@@ -20,11 +20,12 @@ type Run struct {
 	Trees   map[int]*workflow.JoinTree
 }
 
-// ObserveRuns executes the runs on one engine, each a full execution without
-// the initial-plan observability filter, at most eng.Workers at a time. The
-// stores merge in run order and the work rows add up, so the outcome is the
-// sequential one whatever the completion order. After a failure no further
-// run starts and the earliest failed run's error is returned.
+// ObserveRuns executes the runs on one engine, each a full execution that
+// taps its statistics wherever its trees produce them, at most eng.Workers
+// at a time. The stores merge in run order and the work rows add up, so the
+// outcome is the sequential one whatever the completion order. After a
+// failure no further run starts and the earliest failed run's error is
+// returned.
 func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs []*Run) (*stats.Store, int64, error) {
 	stores := make([]*stats.Store, len(runs))
 	rows := make([]int64, len(runs))
@@ -42,7 +43,7 @@ func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs 
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			result, err := eng.RunPlansObservingCtx(ctx, run.Trees, res, run.Observe)
+			result, err := eng.RunPlansCtx(ctx, run.Trees, res, run.Observe)
 			if err != nil {
 				errs[i] = err
 				failed.Store(true)

@@ -42,7 +42,7 @@ func TestExecuteBaselineLearnsAllCardinalities(t *testing.T) {
 				observe = append(observe, stats.NewCard(stats.BlockSE(bi, se)))
 			}
 		}
-		ref, err := eng.RunObserved(res, observe)
+		ref, err := eng.RunPlans(nil, res, observe)
 		if err != nil {
 			t.Fatalf("seed %d: reference run: %v", seed, err)
 		}

@@ -15,17 +15,12 @@ type Options struct {
 	// Plans overrides the join tree per block (nil map or missing entry =
 	// the designed initial tree).
 	Plans map[int]*workflow.JoinTree
-	// Res classifies statistic observability and resolves the physical
-	// attributes of taps; nil compiles an uninstrumented plan.
+	// Res resolves the physical attributes of taps; nil compiles an
+	// uninstrumented plan.
 	Res *css.Result
-	// Observe lists the statistics to attach as taps.
+	// Observe lists the statistics to attach as taps, each wherever the
+	// compiled plans produce its target.
 	Observe []stats.Stat
-	// AnyPoint drops the initial-plan observability filter: every
-	// statistic is registered and attached wherever the compiled plans
-	// actually produce its target (the pay-as-you-go exploration mode).
-	// Taps whose columns cannot be resolved at their point are silently
-	// dropped instead of failing the compilation.
-	AnyPoint bool
 	// Reg resolves transform UDF names (nil = DefaultRegistry).
 	Reg Registry
 }
@@ -36,16 +31,15 @@ type seKey struct {
 	set   expr.Set
 }
 
-// compiler carries the tap index: the observable statistics of the
-// selection keyed by observation point — chain points (block, input,
-// depth), cooked SEs (block, set) and reject singletons (block, input,
-// edge). This replaces runtime tap routing in the engine.
+// compiler carries the tap index: the requested statistics keyed by
+// observation point — chain points (block, input, depth), cooked SEs
+// (block, set) and reject singletons (block, input, edge). This replaces
+// runtime tap routing in the engine.
 type compiler struct {
-	an       *workflow.Analysis
-	db       DB
-	reg      Registry
-	res      *css.Result
-	anyPoint bool
+	an  *workflow.Analysis
+	db  DB
+	reg Registry
+	res *css.Result
 
 	chain  map[[3]int][]stats.Stat
 	se     map[seKey][]stats.Stat
@@ -54,25 +48,24 @@ type compiler struct {
 
 // Compile lowers every block of the analysis into a physical plan over the
 // database, with the statistics of opt.Observe attached as taps at their
-// observation points. Unless opt.AnyPoint is set, statistics not observable
-// under the initial plan are skipped (they are derived later by the
-// estimator).
+// observation points. One rule places every tap: a statistic is observed
+// wherever the compiled trees produce its target, and nowhere else — on the
+// initial plan that is exactly what css.Result.Observable marks; a target
+// the trees do not produce gets no tap (the estimator derives it). A tap
+// whose columns cannot be resolved where it is placed fails the compilation.
 func Compile(an *workflow.Analysis, db DB, opt Options) (*Plan, error) {
 	reg := opt.Reg
 	if reg == nil {
 		reg = DefaultRegistry()
 	}
 	c := &compiler{
-		an: an, db: db, reg: reg, res: opt.Res, anyPoint: opt.AnyPoint,
+		an: an, db: db, reg: reg, res: opt.Res,
 		chain:  make(map[[3]int][]stats.Stat),
 		se:     make(map[seKey][]stats.Stat),
 		reject: make(map[[3]int][]stats.Stat),
 	}
 	if opt.Res != nil {
 		for _, s := range opt.Observe {
-			if !opt.AnyPoint && !opt.Res.StatObservable(s) {
-				continue
-			}
 			tgt := s.Target
 			switch {
 			case tgt.IsChainPoint():
@@ -328,9 +321,6 @@ func (c *compiler) compileReject(blk *workflow.Block, bp *BlockPlan, t, f int, m
 		if rest.Empty() {
 			tap, err := c.resolveTap(s, missAttrs)
 			if err != nil {
-				if c.anyPoint {
-					continue
-				}
 				return nil, err
 			}
 			rt.Singles = append(rt.Singles, tap)
@@ -391,15 +381,11 @@ func (c *compiler) attachChainTaps(blk *workflow.Block, n *Node, input, depth, c
 }
 
 // attach resolves and appends taps for the listed statistics against the
-// node's schema. With AnyPoint, unresolvable taps are dropped (the plans
-// under exploration may not carry a statistic's attributes everywhere).
+// node's schema.
 func (c *compiler) attach(n *Node, list []stats.Stat) error {
 	for _, s := range list {
 		tap, err := c.resolveTap(s, n.Attrs)
 		if err != nil {
-			if c.anyPoint {
-				continue
-			}
 			return err
 		}
 		n.Taps = append(n.Taps, tap)

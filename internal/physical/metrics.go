@@ -70,37 +70,42 @@ type RunMetrics struct {
 }
 
 // MetricsSnapshot extracts the plan's populated node metrics after a run.
-// RowsIn is derived from the operator DAG: the sum of the direct inputs'
-// RowsOut (a scan's RowsIn equals its RowsOut — every source row is read).
 func (p *Plan) MetricsSnapshot() *RunMetrics {
 	rm := &RunMetrics{}
 	for _, bp := range p.Blocks {
 		for _, n := range bp.Nodes {
-			nm := NodeMetrics{
-				Block:      bp.Block.Index,
-				Node:       n.ID,
-				Op:         n.Kind.String(),
-				Label:      n.Label,
-				SE:         n.SE,
-				ChainInput: n.ChainInput,
-				ChainDepth: n.ChainDepth,
-				RowsOut:    n.Metrics.RowsOut,
-				Calls:      n.Metrics.Calls,
-				WallNanos:  n.Metrics.WallNanos,
-				TapNanos:   n.Metrics.TapNanos,
-			}
-			switch {
-			case n.Kind == OpScan:
-				nm.RowsIn = n.Metrics.RowsOut
-			case n.Kind == OpHashJoin:
-				nm.RowsIn = n.Left.Metrics.RowsOut + n.Right.Metrics.RowsOut
-			case n.Input != nil:
-				nm.RowsIn = n.Input.Metrics.RowsOut
-			}
-			rm.Nodes = append(rm.Nodes, nm)
+			rm.Nodes = append(rm.Nodes, snapshotOf(bp.Block.Index, n))
 		}
 	}
 	return rm
+}
+
+// snapshotOf is one node's metrics snapshot. RowsIn is derived from the
+// operator DAG: the sum of the direct inputs' RowsOut (a scan's RowsIn
+// equals its RowsOut — every source row is read).
+func snapshotOf(block int, n *Node) NodeMetrics {
+	nm := NodeMetrics{
+		Block:      block,
+		Node:       n.ID,
+		Op:         n.Kind.String(),
+		Label:      n.Label,
+		SE:         n.SE,
+		ChainInput: n.ChainInput,
+		ChainDepth: n.ChainDepth,
+		RowsOut:    n.Metrics.RowsOut,
+		Calls:      n.Metrics.Calls,
+		WallNanos:  n.Metrics.WallNanos,
+		TapNanos:   n.Metrics.TapNanos,
+	}
+	switch {
+	case n.Kind == OpScan:
+		nm.RowsIn = n.Metrics.RowsOut
+	case n.Kind == OpHashJoin:
+		nm.RowsIn = n.Left.Metrics.RowsOut + n.Right.Metrics.RowsOut
+	case n.Input != nil:
+		nm.RowsIn = n.Input.Metrics.RowsOut
+	}
+	return nm
 }
 
 // Totals sums operator wall time and tap overhead across all nodes — the
@@ -114,22 +119,12 @@ func (rm *RunMetrics) Totals() (wallNanos, tapNanos int64) {
 }
 
 // Actuals returns the actual cardinality of every statistic target the
-// executed plan materialized: each block's sub-expressions (join and
-// chain-end nodes) under their cooked Depth=-1 identity, and every chain
-// point. These are the ground truths the estimate-feedback report compares
-// derived estimates against.
+// executed plan materialized (see addActuals). These are the ground truths
+// the estimate-feedback report compares derived estimates against.
 func (rm *RunMetrics) Actuals() map[stats.Target]int64 {
 	out := make(map[stats.Target]int64)
 	for _, n := range rm.Nodes {
-		if n.Op == OpMaterialize.String() {
-			continue
-		}
-		if !n.SE.Empty() {
-			out[stats.BlockSE(n.Block, n.SE)] = n.RowsOut
-		}
-		if n.ChainInput >= 0 {
-			out[stats.ChainPoint(n.Block, n.ChainInput, n.ChainDepth)] = n.RowsOut
-		}
+		n.addActuals(out)
 	}
 	return out
 }
@@ -145,16 +140,24 @@ func (p *Plan) BlockActuals(block int) map[stats.Target]int64 {
 			continue
 		}
 		for _, n := range bp.Nodes {
-			if n.Kind == OpMaterialize {
-				continue
-			}
-			if !n.SE.Empty() {
-				out[stats.BlockSE(block, n.SE)] = n.Metrics.RowsOut
-			}
-			if n.ChainInput >= 0 {
-				out[stats.ChainPoint(block, n.ChainInput, n.ChainDepth)] = n.Metrics.RowsOut
-			}
+			snapshotOf(block, n).addActuals(out)
 		}
 	}
 	return out
+}
+
+// addActuals records the statistic targets the node produced at its
+// RowsOut: the sub-expression of a join or chain-end node under its cooked
+// Depth=-1 identity, and the chain point of a chain node. A materialize
+// node produces none.
+func (nm NodeMetrics) addActuals(out map[stats.Target]int64) {
+	if nm.Op == OpMaterialize.String() {
+		return
+	}
+	if !nm.SE.Empty() {
+		out[stats.BlockSE(nm.Block, nm.SE)] = nm.RowsOut
+	}
+	if nm.ChainInput >= 0 {
+		out[stats.ChainPoint(nm.Block, nm.ChainInput, nm.ChainDepth)] = nm.RowsOut
+	}
 }

@@ -179,18 +179,15 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 // coordinator's RunSpec and the knobs the engine says workers must mirror.
 func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
 	return &workerRunRequest{
-		WF:             c.run.WF,
-		Scale:          c.run.Scale,
-		MaxRows:        c.run.MaxRows,
-		Faults:         spec.Faults,
-		RetryMax:       spec.RetryMax,
-		RetryBackoffNs: int64(spec.RetryBackoff),
-		CSS:            c.run.CSS,
-		Instrument:     spec.Instrument,
-		AnyPoint:       spec.AnyPoint,
-		Observe:        spec.Observe,
-		Metrics:        spec.Metrics,
-		Plans:          spec.Plans,
+		WF:         c.run.WF,
+		Scale:      c.run.Scale,
+		MaxRows:    c.run.MaxRows,
+		Faults:     spec.Faults,
+		CSS:        c.run.CSS,
+		Instrument: spec.Instrument,
+		Observe:    spec.Observe,
+		Metrics:    spec.Metrics,
+		Plans:      spec.Plans,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
@@ -78,15 +77,11 @@ type workerRunRequest struct {
 	// Faults is the injector spec (faults.Parse form) so worker-side
 	// operator/source/tap/budget faults reproduce the in-process pattern.
 	Faults string `json:"faults,omitempty"`
-	// RetryMax / RetryBackoffNs carry the engine retry knobs.
-	RetryMax       int   `json:"retry_max,omitempty"`
-	RetryBackoffNs int64 `json:"retry_backoff_ns,omitempty"`
 	// CSS rebuilds the statistic universe when the run is instrumented.
 	CSS css.Options `json:"css"`
-	// Instrument, AnyPoint, Observe and Metrics mirror engine.DispatchSpec;
-	// Metrics asks for the block's metrics shard in the response header.
+	// Instrument, Observe and Metrics mirror engine.DispatchSpec; Metrics
+	// asks for the block's metrics shard in the response header.
 	Instrument bool         `json:"instrument,omitempty"`
-	AnyPoint   bool         `json:"any_point,omitempty"`
 	Observe    []stats.Stat `json:"observe,omitempty"`
 	Metrics    bool         `json:"metrics,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
@@ -244,9 +239,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	eng.RetryMax = req.RetryMax
-	eng.RetryBackoff = time.Duration(req.RetryBackoffNs)
-	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, req.AnyPoint, upstream)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

@@ -37,11 +37,11 @@ var forcedSkew = map[int]float64{0: 4}
 
 // runPlansConfig executes the given per-block trees cold under one engine
 // configuration, instrumented the way the adaptive driver instruments its
-// segments (any-point observation of the selected statistics).
+// segments (the selected statistics, tapped wherever the trees produce them).
 func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, inj *faults.Injector) (*engine.Result, error) {
 	e := engine.New(an, db, nil)
 	e.Workers, e.CollectMetrics, e.Faults = cfg.workers, true, inj
-	return e.RunPlansObservingCtx(context.Background(), plans, res, observe)
+	return e.RunPlansCtx(context.Background(), plans, res, observe)
 }
 
 // TestAdaptiveEquivalenceGolden is the adaptive splice contract over the

@@ -41,7 +41,7 @@ func (cfg engineConfig) newEngine(an *workflow.Analysis, db engine.DB) *engine.E
 func runConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, res *css.Result, observe []stats.Stat, metrics bool, inj *faults.Injector) (*engine.Result, error) {
 	e := cfg.newEngine(an, db)
 	e.CollectMetrics, e.Faults = metrics, inj
-	return e.RunObserved(res, observe)
+	return e.RunPlans(nil, res, observe)
 }
 
 // referenceRun evaluates the instrumented initial plan with wftest's naive

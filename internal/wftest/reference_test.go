@@ -118,7 +118,7 @@ func TestSECardMatchesReference(t *testing.T) {
 				observe = append(observe, stats.NewCard(stats.BlockSE(bi, se)))
 			}
 		}
-		plan, err := physical.Compile(an, physical.DB(db), physical.Options{Res: res, Observe: observe, AnyPoint: true})
+		plan, err := physical.Compile(an, physical.DB(db), physical.Options{Res: res, Observe: observe})
 		if err != nil {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
