@@ -187,7 +187,9 @@ func main() {
 	case "export":
 		err = export(o.wfID)
 	case "analyze":
-		err = withDoc(o, analyze)
+		err = withDoc(o, func(doc *workflow.Document) error {
+			return analyze(doc, o)
+		})
 	case "stats":
 		err = withDoc(o, func(doc *workflow.Document) error {
 			return statsCmd(doc, o)
@@ -558,7 +560,7 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	u, _, err := core.Select(res, cfg)
+	u, err := core.Universe(res, cfg)
 	if err != nil {
 		return err
 	}
@@ -672,12 +674,16 @@ func export(wfID int) error {
 	return doc.Encode(os.Stdout)
 }
 
-func analyze(doc *workflow.Document) error {
+func analyze(doc *workflow.Document, o *options) error {
+	cfg, err := runConfig(o)
+	if err != nil {
+		return err
+	}
 	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
+	res, err := css.Generate(an, cfg.CSS)
 	if err != nil {
 		return err
 	}

@@ -174,15 +174,26 @@ func NewExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine
 	return eng
 }
 
-// Select is the cycle's selection step (Section 5) on its own: it prices the
-// candidate statistics by memory (the paper's Figure 11 objective), builds
-// the universe its StatsTier admits and solves with Method. Whoever asks
-// which statistics a run will observe asks here.
-func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
+// Universe prices the candidate statistics by memory (the paper's Figure 11
+// objective) and builds the universe cfg's StatsTier admits: the first half
+// of Select, for callers that plan over the universe without solving it
+// (Section 6.1's budgeted schedules).
+func Universe(res *css.Result, cfg Config) (*selector.Universe, error) {
 	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
 	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: select statistics: %w", err)
+		return nil, fmt.Errorf("core: select statistics: %w", err)
+	}
+	return u, nil
+}
+
+// Select is the cycle's selection step (Section 5) on its own: it builds
+// the Universe and solves it with Method. Whoever asks which statistics a
+// run will observe asks here.
+func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
+	u, err := Universe(res, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
 	sel, err := selector.SelectUniverse(u, selector.Options{Method: cfg.Method})
 	if err != nil {

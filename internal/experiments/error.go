@@ -13,41 +13,31 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// ErrorRow is one point on the estimation-error vs histogram-memory curve
+// errorRow is one point on the estimation-error vs histogram-memory curve
 // of the Section 8 extension: join cardinalities estimated from bucketized
 // histograms at a given resolution.
-type ErrorRow struct {
-	// Buckets is the per-histogram bucket count (0 = exact per-value).
-	Buckets int
-	// Sketch marks the count-min row of the sweep: the approximate
-	// statistics tier's estimate for the same join edges, at its default
-	// sketch dimensions.
-	Sketch bool
-	// Memory is the total counter count across all observed histograms or
-	// sketches.
-	Memory int64
-	// CPU is the total observation cost under the Section 5.4 model:
-	// tuples observed × the per-kind update weight (1 for exact
-	// distributions, costmodel.SketchUpdateWeight for sketches).
-	CPU float64
-	// MeanRelErr and MaxRelErr summarize |est−truth|/truth over all join
-	// edges of the measured workflows.
+//
+// Buckets is the per-histogram bucket count (0 = exact per-value), or
+// Sketch marks the count-min row. Memory counts the counters of every
+// summary; CPU is the Section 5.4 observation cost, tuples observed × the
+// per-kind update weight; the errors are |est−truth|/truth over the Joins
+// edges measured.
+type errorRow struct {
+	Buckets, Joins        int
+	Sketch                bool
+	Memory                int64
+	CPU                   float64
 	MeanRelErr, MaxRelErr float64
-	// Joins is the number of join edges measured.
-	Joins int
 }
 
-// ErrorSweep measures join-cardinality estimation error of equi-width
+// errorSweep measures join-cardinality estimation error of equi-width
 // bucketized histograms against exact truth, over the join edges of the
-// given suite workflows at the given data scale. It realizes the
-// space–time–error trade-off the paper sketches in Sections 8.1/8.2.
-func ErrorSweep(ids []int, scale float64, bucketCounts []int) ([]*ErrorRow, error) {
-	type edgeCase struct {
-		h1, h2 *stats.Histogram
-		lo, hi int64
-		truth  int64
-	}
-	var cases []edgeCase
+// given suite workflows at the given data scale, and appends the count-min
+// row: the approximate statistics tier's operating point on the same
+// edges. It realizes the space–time–error trade-off the paper sketches in
+// Sections 8.1/8.2.
+func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, error) {
+	var cases []*edgeCase
 	for _, id := range ids {
 		w := suite.MustGet(id)
 		an, err := w.Analyze()
@@ -57,12 +47,8 @@ func ErrorSweep(ids []int, scale float64, bucketCounts []int) ([]*ErrorRow, erro
 		db := w.Data(scale)
 		for _, blk := range an.Blocks {
 			for _, e := range blk.Joins {
-				c, ok, err := buildEdgeCase(db, blk, e)
-				if err != nil {
-					return nil, fmt.Errorf("wf%d: %w", id, err)
-				}
-				if ok {
-					cases = append(cases, edgeCase{c.h1, c.h2, c.lo, c.hi, c.truth})
+				if c := newEdgeCase(db, blk, e); c != nil {
+					cases = append(cases, c)
 				}
 			}
 		}
@@ -70,128 +56,97 @@ func ErrorSweep(ids []int, scale float64, bucketCounts []int) ([]*ErrorRow, erro
 	if len(cases) == 0 {
 		return nil, fmt.Errorf("experiments: no measurable join edges")
 	}
-	var out []*ErrorRow
-	for _, n := range bucketCounts {
-		row := &ErrorRow{Buckets: n, Joins: len(cases)}
+	var out []*errorRow
+	for _, n := range append(bucketCounts, -1) {
+		row := &errorRow{Buckets: max(n, 0), Sketch: n < 0, Joins: len(cases)}
 		var sum float64
 		for _, c := range cases {
-			var est float64
-			var mem int64
-			if n <= 0 { // exact
-				v, err := stats.DotProduct(c.h1, c.h2)
-				if err != nil {
-					return nil, err
-				}
-				est = float64(v)
-				mem = int64(c.h1.Buckets() + c.h2.Buckets())
-			} else {
-				spec := stats.NewBucketSpec(c.lo, c.hi, n)
-				a1, err := stats.Bucketize(c.h1, spec)
-				if err != nil {
-					return nil, err
-				}
-				a2, err := stats.Bucketize(c.h2, spec)
-				if err != nil {
-					return nil, err
-				}
-				est, err = stats.ApproxDotProduct(a1, a2)
-				if err != nil {
-					return nil, err
-				}
-				mem = a1.Memory() + a2.Memory()
+			est, mem, weight, err := c.estimate(n)
+			if err != nil {
+				return nil, err
 			}
 			relErr := stats.RelativeError(est, c.truth)
 			sum += relErr
-			if relErr > row.MaxRelErr {
-				row.MaxRelErr = relErr
-			}
+			row.MaxRelErr = max(row.MaxRelErr, relErr)
 			row.Memory += mem
-			row.CPU += float64(c.h1.Total() + c.h2.Total())
+			row.CPU += float64(c.h1.Total()+c.h2.Total()) * weight
 		}
 		row.MeanRelErr = sum / float64(len(cases))
 		out = append(out, row)
 	}
-	// The count-min row: the approximate statistics tier's estimate for
-	// the same join edges at its default sketch dimensions — the point the
-	// -stats-tier=approx cycle actually operates at on this curve.
-	row := &ErrorRow{Sketch: true, Joins: len(cases)}
-	var sum float64
-	for _, c := range cases {
-		spec := stats.CMSpecFor(c.lo, c.hi)
-		cm1 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-		cm2 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-		c.h1.Each(func(vals []int64, f int64) { cm1.Inc(vals[0], f) })
-		c.h2.Each(func(vals []int64, f int64) { cm2.Inc(vals[0], f) })
-		est, err := stats.CMDotProduct(cm1, cm2)
-		if err != nil {
-			return nil, err
-		}
-		relErr := stats.RelativeError(est, c.truth)
-		sum += relErr
-		if relErr > row.MaxRelErr {
-			row.MaxRelErr = relErr
-		}
-		row.Memory += cm1.MemoryUnits() + cm2.MemoryUnits()
-		row.CPU += float64(c.h1.Total()+c.h2.Total()) * costmodel.SketchUpdateWeight
-	}
-	row.MeanRelErr = sum / float64(len(cases))
-	out = append(out, row)
 	return out, nil
 }
 
-type builtEdge struct {
+// edgeCase is one join edge between two base relations: both join
+// columns' exact distributions, their common value range, and the exact
+// join cardinality.
+type edgeCase struct {
 	h1, h2 *stats.Histogram
 	lo, hi int64
 	truth  int64
 }
 
-// buildEdgeCase observes the two join-column distributions of one edge
+// newEdgeCase observes the two join-column distributions of one edge
 // directly over the (raw) input tables and computes the exact join
-// cardinality. Inputs fed by upstream blocks are skipped — the sweep only
+// cardinality. Inputs fed by upstream blocks give nil — the sweep only
 // needs a population of realistic base-relation joins.
-func buildEdgeCase(db map[string]*data.Table, blk *workflow.Block, e workflow.BlockJoin) (*builtEdge, bool, error) {
+func newEdgeCase(db map[string]*data.Table, blk *workflow.Block, e workflow.BlockJoin) *edgeCase {
 	lt := baseTable(db, blk, e.LeftInput)
 	rt := baseTable(db, blk, e.RightInput)
-	if lt == nil || rt == nil {
-		return nil, false, nil
+	if lt == nil || rt == nil || lt.Col(e.LeftAttr) < 0 || rt.Col(e.RightAttr) < 0 {
+		return nil
 	}
-	lc := lt.Col(e.LeftAttr)
-	rc := rt.Col(e.RightAttr)
-	if lc < 0 || rc < 0 {
-		return nil, false, nil
-	}
-	h1 := stats.NewHistogram(e.LeftAttr)
-	h2 := stats.NewHistogram(e.LeftAttr) // same label: the algebra joins by position
-	lo, hi := int64(1), int64(1)
-	first := true
-	for _, r := range lt.Rows {
-		v := r[lc]
-		h1.Add(v)
-		if first || v < lo {
-			lo = v
+	lc, rc := lt.Col(e.LeftAttr), rt.Col(e.RightAttr)
+	// Both histograms carry the same label: the algebra joins by position.
+	c := &edgeCase{h1: stats.NewHistogram(e.LeftAttr), h2: stats.NewHistogram(e.LeftAttr), lo: 1, hi: 1}
+	for i, r := range lt.Rows {
+		if i == 0 {
+			c.lo, c.hi = r[lc], r[lc]
 		}
-		if first || v > hi {
-			hi = v
-		}
-		first = false
+		c.h1.Add(r[lc])
+		c.lo, c.hi = min(c.lo, r[lc]), max(c.hi, r[lc])
 	}
 	counts := make(map[int64]int64)
 	for _, r := range rt.Rows {
-		v := r[rc]
-		h2.Add(v)
-		counts[v]++
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		c.h2.Add(r[rc])
+		counts[r[rc]]++
+		c.lo, c.hi = min(c.lo, r[rc]), max(c.hi, r[rc])
 	}
-	var truth int64
 	for _, r := range lt.Rows {
-		truth += counts[r[lc]]
+		c.truth += counts[r[lc]]
 	}
-	return &builtEdge{h1: h1, h2: h2, lo: lo, hi: hi, truth: truth}, true, nil
+	return c
+}
+
+// estimate derives the edge's join cardinality from summaries of its two
+// columns — exact per-value histograms when n is 0, n equi-width buckets
+// when n > 0, count-min sketches at their default dimensions when n < 0 —
+// and returns the summaries' memory and per-tuple update weight with it.
+func (c *edgeCase) estimate(n int) (est float64, mem int64, weight float64, err error) {
+	switch {
+	case n == 0:
+		v, err := stats.DotProduct(c.h1, c.h2)
+		return float64(v), int64(c.h1.Buckets() + c.h2.Buckets()), 1, err
+	case n > 0:
+		spec := stats.NewBucketSpec(c.lo, c.hi, n)
+		a1, err := stats.Bucketize(c.h1, spec)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		a2, err := stats.Bucketize(c.h2, spec)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		est, err := stats.ApproxDotProduct(a1, a2)
+		return est, a1.Memory() + a2.Memory(), 1, err
+	}
+	spec := stats.CMSpecFor(c.lo, c.hi)
+	cm1 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
+	cm2 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
+	c.h1.Each(func(vals []int64, f int64) { cm1.Inc(vals[0], f) })
+	c.h2.Each(func(vals []int64, f int64) { cm2.Inc(vals[0], f) })
+	est, err = stats.CMDotProduct(cm1, cm2)
+	return est, cm1.MemoryUnits() + cm2.MemoryUnits(), costmodel.SketchUpdateWeight, err
 }
 
 func baseTable(db map[string]*data.Table, blk *workflow.Block, input int) *data.Table {
@@ -202,26 +157,23 @@ func baseTable(db map[string]*data.Table, blk *workflow.Block, input int) *data.
 	return db[in.SourceRel]
 }
 
-// ScaleRow measures statistics-identification cost as join width grows.
-type ScaleRow struct {
-	// N is the join width; Shape is "chain" or "fk-star".
-	N     int
-	Shape string
-	// Stats and CSS size the generated universe.
-	Stats, CSS int
-	// Gen and Select are the identification phase durations.
-	Gen, Select time.Duration
-	// Mem is the optimal observation memory.
-	Mem int64
-	// Optimal reports whether the solver proved optimality.
-	Optimal bool
+// scaleRow measures statistics-identification cost as join width grows.
+// Shape is "chain" or "fk-star" and N its join width; Stats and CSS size
+// the generated universe, Gen and Select time the two phases, and Mem is
+// the optimum's memory, Optimal whether the solver proved it.
+type scaleRow struct {
+	Shape         string
+	N, Stats, CSS int
+	Gen, Select   time.Duration
+	Mem           int64
+	Optimal       bool
 }
 
-// ScaleSweep generates chains and FK stars of growing width and measures
+// scaleSweep generates chains and FK stars of growing width and measures
 // the identification pipeline on each — the scalability dimension behind
 // Figure 10's per-workflow times.
-func ScaleSweep(maxN int) ([]*ScaleRow, error) {
-	var out []*ScaleRow
+func scaleSweep(maxN int) ([]*scaleRow, error) {
+	var out []*scaleRow
 	for n := 3; n <= maxN; n++ {
 		for _, shape := range []string{"chain", "fk-star"} {
 			g, cat := scaleWorkflow(shape, n)
@@ -241,7 +193,7 @@ func ScaleSweep(maxN int) ([]*ScaleRow, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s-%d: %w", shape, n, err)
 			}
-			out = append(out, &ScaleRow{
+			out = append(out, &scaleRow{
 				N: n, Shape: shape,
 				Stats: len(res.Stats), CSS: res.NumCSS(),
 				Gen: gen, Select: time.Since(start),

@@ -3,10 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"time"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
+	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/payg"
 	"github.com/essential-stats/etlopt/internal/selector"
@@ -14,24 +17,96 @@ import (
 	"github.com/essential-stats/etlopt/internal/wftest"
 )
 
-// E2ERow is one end-to-end soundness measurement: after a single
+// selectOptions caps the exact solver so wide workflows finish promptly;
+// the incumbent is still reported (Optimal=false) when the cap bites.
+func selectOptions() selector.Options {
+	return selector.Options{Method: selector.MethodExact, MaxNodes: 4000, Timeout: 10 * time.Second}
+}
+
+// workflowRow is one suite workflow's measurements, shared by Figures 9–12
+// and the greedy ablation; the Plain fields are without union–division.
+type workflowRow struct {
+	ID                           int
+	SEs, CSSPlain, CSSUnionDiv   int           // Figure 9
+	GenPlain, GenUD, SelectTime  time.Duration // Figure 10
+	MemPlain, MemUD              int64         // Figure 11, memory units
+	OptimalPlain, OptimalUD      bool          // whether the solver proved optimality
+	FormulaLB, SemanticLB, Found int           // Figure 12
+	GreedyMem                    int64         // the greedy selection's memory, with union–division
+}
+
+// runWorkflow produces the full measurement row for one suite workflow.
+func runWorkflow(w *suite.Workflow) (*workflowRow, error) {
+	row := &workflowRow{ID: w.ID}
+	an, err := w.Analyze()
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	plain, err := css.Generate(an, css.Options{CrossBlock: true, FKShortcut: true})
+	if err != nil {
+		return nil, err
+	}
+	row.GenPlain = time.Since(start)
+	start = time.Now()
+	ud, err := css.Generate(an, css.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	row.GenUD = time.Since(start)
+	row.SEs, row.CSSPlain, row.CSSUnionDiv = ud.NumSEs(), plain.NumCSS(), ud.NumCSS()
+
+	selPlain, err := selector.Select(plain, costmodel.NewMemoryCoster(plain, an.Cat), selectOptions())
+	if err != nil {
+		return nil, err
+	}
+	row.MemPlain, row.OptimalPlain = selPlain.Memory, selPlain.Optimal
+	// With union–division: the Figure 10 selection timing, and the greedy
+	// ablation on the same universe's coster.
+	costerUD := costmodel.NewMemoryCoster(ud, an.Cat)
+	start = time.Now()
+	selUD, err := selector.Select(ud, costerUD, selectOptions())
+	if err != nil {
+		return nil, err
+	}
+	row.SelectTime = time.Since(start)
+	row.MemUD, row.OptimalUD = selUD.Memory, selUD.Optimal
+	gr, err := selector.Select(ud, costerUD, selector.Options{Method: selector.MethodGreedy})
+	if err != nil {
+		return nil, err
+	}
+	row.GreedyMem = gr.Memory
+
+	rep := payg.Evaluate(ud) // the Figure 12 baseline
+	row.FormulaLB, row.SemanticLB, row.Found = rep.FormulaLB, rep.SemanticLB, rep.Found
+	return row, nil
+}
+
+// dataCharacteristics generates the suite's paper-sized source relations
+// and summarizes them the way the paper's Section 7 table does.
+func dataCharacteristics() data.Characteristics {
+	var tables []*data.Table
+	for _, w := range suite.All() {
+		for _, tbl := range w.Data(1) {
+			tables = append(tables, tbl)
+		}
+	}
+	return data.Characterize(tables)
+}
+
+// e2eRow is one end-to-end soundness measurement: after a single
 // instrumented run of the initial plan, how many SE cardinalities does the
 // estimator reproduce exactly, and how much does the exact-costed optimizer
 // improve the plan.
-type E2ERow struct {
-	ID  int
-	SEs int
-	// ExactSEs counts SEs whose derived cardinality equals the brute-force
-	// ground truth (the paper's soundness claim is ExactSEs == SEs).
-	ExactSEs int
-	// InitCost/OptCost are the C_out costs of the designed and optimized
-	// plans; Speedup is their ratio.
+// ExactSEs counts the SEs whose derived cardinality equals the brute-force
+// ground truth (the paper's soundness claim is ExactSEs == SEs); the costs
+// are C_out, the rows the engine work metric, and MaxQ the worst q-error of
+// the run's estimate feedback (1 = every estimate exact).
+type e2eRow struct {
+	ID, SEs, ExactSEs          int
 	InitCost, OptCost, Speedup float64
-	// InitRows/OptRows are the engine work metrics of executing both.
-	InitRows, OptRows int64
-	// MaxQ is the worst q-error across derivable SE targets of the
-	// instrumented run's estimate feedback (1 = every estimate exact).
-	MaxQ float64
+	InitRows, OptRows          int64
+	MaxQ                       float64
 }
 
 // e2eWorkflows are suite entries small enough to execute and verify
@@ -39,93 +114,82 @@ type E2ERow struct {
 // shared keys and the union–division showcase.
 var e2eWorkflows = []int{3, 5, 7, 11, 15, 23}
 
-// EndToEnd runs the full optimization cycle on materialized data for a
-// representative subset of the suite and verifies estimator exactness
-// against brute-force ground truth.
-func EndToEnd(scale float64) ([]*E2ERow, error) {
-	var out []*E2ERow
-	for _, id := range e2eWorkflows {
-		row, err := EndToEndWorkflow(id, scale)
+// endToEnd runs the full optimization cycle on materialized data for each
+// suite workflow in ids and verifies estimator exactness against
+// brute-force ground truth; an id outside the suite returns
+// *suite.UnknownWorkflowError.
+func endToEnd(ids []int, scale float64) ([]*e2eRow, error) {
+	var out []*e2eRow
+	for _, id := range ids {
+		w, err := suite.Get(id)
 		if err != nil {
 			return nil, err
 		}
+		db := w.Data(scale)
+		cfg := core.DefaultConfig()
+		cfg.Workers = runtime.GOMAXPROCS(0)
+		cfg.CollectMetrics = true
+		cy, err := core.Run(w.Graph, w.Catalog, db, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Name, err)
+		}
+		row := &e2eRow{ID: id}
+		for bi, sp := range cy.CSS.Spaces {
+			blk := cy.Analysis.Blocks[bi]
+			for _, se := range sp.SEs {
+				row.SEs++
+				truth, err := wftest.SECard(cy.Analysis, db, cy.Observed.BlockOut, bi, se)
+				if err != nil {
+					return nil, fmt.Errorf("%s: ground truth for %s: %w", w.Name, se.Label(blk), err)
+				}
+				got, err := cy.Estimator.CardOf(bi, se)
+				if err != nil {
+					return nil, fmt.Errorf("%s: estimate for %s: %w", w.Name, se.Label(blk), err)
+				}
+				if got == truth {
+					row.ExactSEs++
+				}
+			}
+		}
+		row.InitCost = cy.Plans.TotalInitialCost
+		row.OptCost = cy.Plans.TotalCost
+		row.Speedup = cy.Plans.Improvement()
+		row.InitRows = cy.Observed.Rows
+		if cy.Feedback != nil {
+			row.MaxQ = cy.Feedback.MaxQ
+		}
+		opt, err := cy.RunOptimized()
+		if err != nil {
+			return nil, fmt.Errorf("%s: optimized run: %w", w.Name, err)
+		}
+		row.OptRows = opt.Rows
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-// EndToEndWorkflow runs the cycle and the exactness verification for a
-// single suite workflow; an id outside the suite returns
-// *suite.UnknownWorkflowError.
-func EndToEndWorkflow(id int, scale float64) (*E2ERow, error) {
-	w, err := suite.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	db := w.Data(scale)
-	cfg := core.DefaultConfig()
-	cfg.Workers = Workers
-	cfg.CollectMetrics = true
-	cy, err := core.Run(w.Graph, w.Catalog, db, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	row := &E2ERow{ID: id}
-	for bi, sp := range cy.CSS.Spaces {
-		blk := cy.Analysis.Blocks[bi]
-		for _, se := range sp.SEs {
-			row.SEs++
-			truth, err := wftest.SECard(cy.Analysis, db, cy.Observed.BlockOut, bi, se)
-			if err != nil {
-				return nil, fmt.Errorf("%s: ground truth for %s: %w", w.Name, se.Label(blk), err)
-			}
-			got, err := cy.Estimator.CardOf(bi, se)
-			if err != nil {
-				return nil, fmt.Errorf("%s: estimate for %s: %w", w.Name, se.Label(blk), err)
-			}
-			if got == truth {
-				row.ExactSEs++
-			}
-		}
-	}
-	row.InitCost = cy.Plans.TotalInitialCost
-	row.OptCost = cy.Plans.TotalCost
-	row.Speedup = cy.Plans.Improvement()
-	row.InitRows = cy.Observed.Rows
-	if cy.Feedback != nil {
-		row.MaxQ = cy.Feedback.MaxQ
-	}
-	opt, err := cy.RunOptimized()
-	if err != nil {
-		return nil, fmt.Errorf("%s: optimized run: %w", w.Name, err)
-	}
-	row.OptRows = opt.Rows
-	return row, nil
+// budgetRow is one point of the Section 6.1 sweep.
+type budgetRow struct {
+	Budget, TotalMem int64
+	Runs             int
 }
 
-// BudgetRow is one point of the Section 6.1 sweep.
-type BudgetRow struct {
-	Budget   int64
-	Runs     int
-	TotalMem int64
-}
-
-// BudgetSweep plans multi-run observation for the given workflow under a
+// budgetSweep plans multi-run observation for the given workflow under a
 // range of per-run memory budgets: double the unconstrained optimum (one
 // run suffices), half of it, and two hard limits that force the trivial-CSS
 // mix across several re-ordered executions.
-func BudgetSweep(id int) ([]*BudgetRow, error) {
+func budgetSweep(id int) ([]*budgetRow, error) {
 	w := suite.MustGet(id)
 	an, err := w.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
+	cfg := core.DefaultConfig()
+	res, err := css.Generate(an, cfg.CSS)
 	if err != nil {
 		return nil, err
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	u, err := selector.NewUniverse(res, coster)
+	u, err := core.Universe(res, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,38 +198,35 @@ func BudgetSweep(id int) ([]*BudgetRow, error) {
 		return nil, err
 	}
 	budgets := []int64{2 * opt.Memory, opt.Memory / 2, 64, 4}
-	var out []*BudgetRow
+	var out []*budgetRow
 	for _, budget := range budgets {
-		if budget < 4 {
-			budget = 4
-		}
+		budget = max(budget, 4)
 		plan, err := selector.PlanWithBudget(u, budget)
 		if err != nil {
 			// Budget too small for even one requirement: report and stop.
-			out = append(out, &BudgetRow{Budget: budget, Runs: -1})
+			out = append(out, &budgetRow{Budget: budget, Runs: -1})
 			break
 		}
 		var mem int64
 		for _, m := range plan.Memory {
 			mem += m
 		}
-		out = append(out, &BudgetRow{Budget: budget, Runs: plan.NumRuns(), TotalMem: mem})
+		out = append(out, &budgetRow{Budget: budget, Runs: plan.NumRuns(), TotalMem: mem})
 	}
 	return out, nil
 }
 
-// FreeRow is one row of the free-source-statistics ablation.
-type FreeRow struct {
-	ID      int
-	Mem     int64
-	MemFree int64
+// freeRow is one row of the free-source-statistics ablation.
+type freeRow struct {
+	ID           int
+	Mem, MemFree int64
 }
 
-// FreeSourceAblation compares the optimal observation memory with and
+// freeSourceAblation compares the optimal observation memory with and
 // without Section 6.2's free source statistics (every base relation assumed
 // to live in an RDBMS that already publishes statistics).
-func FreeSourceAblation() ([]*FreeRow, error) {
-	var out []*FreeRow
+func freeSourceAblation() ([]*freeRow, error) {
+	var out []*freeRow
 	for _, id := range []int{3, 5, 11, 16, 23} {
 		w := suite.MustGet(id)
 		an, err := w.Analyze()
@@ -208,26 +269,22 @@ func FreeSourceAblation() ([]*FreeRow, error) {
 				memFree += m
 			}
 		}
-		out = append(out, &FreeRow{ID: id, Mem: sel.Memory, MemFree: memFree})
+		out = append(out, &freeRow{ID: id, Mem: sel.Memory, MemFree: memFree})
 	}
 	return out, nil
 }
 
-// WorkRow compares the engine work of the pay-as-you-go baseline's full
-// plan sequence against the framework's single instrumented run.
-type WorkRow struct {
-	ID int
-	// Runs is the baseline's execution count.
-	Runs int
-	// BaselineRows and FrameworkRows are the summed engine work metrics.
+// workRow compares the engine work (rows) of the pay-as-you-go baseline's
+// Runs executions against the framework's single instrumented run.
+type workRow struct {
+	ID, Runs                    int
 	BaselineRows, FrameworkRows int64
-	// Multiplier is their ratio.
-	Multiplier float64
+	Multiplier                  float64
 }
 
-// WorkComparison executes both approaches on materialized data.
-func WorkComparison(ids []int, scale float64) ([]*WorkRow, error) {
-	var out []*WorkRow
+// workComparison executes both approaches on materialized data.
+func workComparison(ids []int, scale float64) ([]*workRow, error) {
+	var out []*workRow
 	for _, id := range ids {
 		w := suite.MustGet(id)
 		an, err := w.Analyze()
@@ -240,7 +297,7 @@ func WorkComparison(ids []int, scale float64) ([]*WorkRow, error) {
 		}
 		db := w.Data(scale)
 		eng := engine.New(an, db, nil)
-		eng.Workers = Workers
+		eng.Workers = runtime.GOMAXPROCS(0)
 
 		// Framework: one instrumented run with the optimal statistics.
 		coster := costmodel.NewMemoryCoster(res, an.Cat)
@@ -259,16 +316,8 @@ func WorkComparison(ids []int, scale float64) ([]*WorkRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := &WorkRow{
-			ID:            id,
-			Runs:          exec.Runs,
-			BaselineRows:  exec.RowsTotal,
-			FrameworkRows: fw.Rows,
-		}
-		if fw.Rows > 0 {
-			row.Multiplier = float64(exec.RowsTotal) / float64(fw.Rows)
-		}
-		out = append(out, row)
+		out = append(out, &workRow{ID: id, Runs: exec.Runs, BaselineRows: exec.RowsTotal, FrameworkRows: fw.Rows,
+			Multiplier: float64(exec.RowsTotal) / float64(fw.Rows)})
 	}
 	return out, nil
 }

@@ -27,9 +27,9 @@ func buildUniverse(t *testing.T, id int) (*selector.Universe, *css.Result, *work
 		t.Fatalf("Generate: %v", err)
 	}
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	u, err := selector.NewUniverse(res, coster)
+	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{})
 	if err != nil {
-		t.Fatalf("NewUniverse: %v", err)
+		t.Fatalf("NewUniverseOpts: %v", err)
 	}
 	return u, res, an, w.Data(0.002)
 }
@@ -176,7 +176,7 @@ func TestScheduleFuzz(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		coster := costmodel.NewMemoryCoster(res, an.Cat)
-		u, err := selector.NewUniverse(res, coster)
+		u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -29,8 +29,8 @@ func TestPlannerAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate: %v", err)
 		}
-		if u, err = NewUniverse(res, costmodel.NewMemoryCoster(res, an.Cat)); err != nil {
-			t.Fatalf("NewUniverse: %v", err)
+		if u, err = NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), UniverseOptions{}); err != nil {
+			t.Fatalf("NewUniverseOpts: %v", err)
 		}
 		if _, err := SelectUniverse(u, Options{Method: MethodExact}); err != nil {
 			t.Fatalf("SelectUniverse: %v", err)

@@ -25,9 +25,9 @@ func fuzzUniverse(t *testing.T, seed int64) *Universe {
 	if err != nil {
 		t.Fatalf("seed %d: Generate: %v", seed, err)
 	}
-	u, err := NewUniverse(res, costmodel.NewMemoryCoster(res, an.Cat))
+	u, err := NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), UniverseOptions{})
 	if err != nil {
-		t.Fatalf("seed %d: NewUniverse: %v", seed, err)
+		t.Fatalf("seed %d: NewUniverseOpts: %v", seed, err)
 	}
 	return u
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // errNoSolution reports that no observation set covers the required
-// statistics (cannot happen after NewUniverse's derivability check, but the
-// solvers guard against it anyway).
+// statistics (cannot happen after NewUniverseOpts's derivability check, but
+// the solvers guard against it anyway).
 var errNoSolution = errors.New("selector: no feasible observation set")
 
 // Selection is a chosen set of statistics to observe.
@@ -68,7 +68,7 @@ type Options struct {
 // Select determines a minimum-cost set of statistics to observe for the
 // generated CSS result, per Section 5 of the paper.
 func Select(res *css.Result, coster *costmodel.Coster, opt Options) (*Selection, error) {
-	u, err := NewUniverse(res, coster)
+	u, err := NewUniverseOpts(res, coster, UniverseOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -24,9 +24,9 @@ func buildUniverse(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, opt c
 		t.Fatalf("Generate: %v", err)
 	}
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	u, err := NewUniverse(res, coster)
+	u, err := NewUniverseOpts(res, coster, UniverseOptions{})
 	if err != nil {
-		t.Fatalf("NewUniverse: %v", err)
+		t.Fatalf("NewUniverseOpts: %v", err)
 	}
 	return u
 }
@@ -72,7 +72,7 @@ func TestClosureBasic(t *testing.T) {
 	if u.Covered(make([]bool, len(u.Stats))) {
 		t.Fatal("empty observation should not cover S_C")
 	}
-	// Observing everything observable must cover (checked in NewUniverse,
+	// Observing everything observable must cover (checked in NewUniverseOpts,
 	// re-checked here).
 	all := append([]bool(nil), u.Observable...)
 	if !u.Covered(all) {
@@ -313,9 +313,9 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 	}
 	coster := costmodel.NewMemoryCoster(res, an.Cat)
 	coster.FreeSourceStats = true
-	u, err := NewUniverse(res, coster)
+	u, err := NewUniverseOpts(res, coster, UniverseOptions{})
 	if err != nil {
-		t.Fatalf("NewUniverse: %v", err)
+		t.Fatalf("NewUniverseOpts: %v", err)
 	}
 	sel, err := solveExact(u, 0, 0)
 	if err != nil {
@@ -325,9 +325,9 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 	// the non-free optimum, and strictly cheaper than pricing Product's
 	// pid histogram (500 units).
 	coster2 := costmodel.NewMemoryCoster(res, an.Cat)
-	u2, err := NewUniverse(res, coster2)
+	u2, err := NewUniverseOpts(res, coster2, UniverseOptions{})
 	if err != nil {
-		t.Fatalf("NewUniverse: %v", err)
+		t.Fatalf("NewUniverseOpts: %v", err)
 	}
 	sel2, err := solveExact(u2, 0, 0)
 	if err != nil {

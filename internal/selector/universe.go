@@ -70,20 +70,15 @@ type UniverseOptions struct {
 	Approx ApproxPolicy
 }
 
-// NewUniverse indexes a CSS-generation result with the given coster. It
+// NewUniverseOpts indexes a CSS-generation result with the given coster. It
 // verifies that every required statistic is derivable at all (observable or
 // transitively covered), pruning candidate sets that reference underivable
-// statistics.
-func NewUniverse(res *css.Result, coster *costmodel.Coster) (*Universe, error) {
-	return NewUniverseOpts(res, coster, UniverseOptions{})
-}
-
-// NewUniverseOpts is NewUniverse with options. When the approximate tier
-// is enabled, each exact statistic with a sketch sibling (Distinct →
-// HLLDistinct, single-attribute non-reject Hist → CMHist) that is
-// observable under the initial plan enters the universe as an extra observable statistic, and the exact statistic
-// gains a one-input candidate set (rules A1 and A2) so observing the
-// sketch covers it. The shared css.Result is never mutated.
+// statistics. When the approximate tier is enabled, each exact statistic
+// with a sketch sibling (Distinct → HLLDistinct, single-attribute
+// non-reject Hist → CMHist) that is observable under the initial plan
+// enters the universe as an extra observable statistic, and the exact
+// statistic gains a one-input candidate set (rules A1 and A2) so observing
+// the sketch covers it. The shared css.Result is never mutated.
 func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOptions) (*Universe, error) {
 	nExact := len(res.Stats)
 	u := &Universe{Res: res, Stats: res.Stats, Required: res.RequiredIDs}

@@ -69,7 +69,7 @@ func renderPlanner(w *Workflow) (string, error) {
 		}
 		return nil
 	}
-	u, err := selector.NewUniverse(res, coster)
+	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{})
 	if err != nil {
 		return "", err
 	}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CLI smoke test: every design-time subcommand and every flag that no other
 # smoke script drives, one asserted line each — the assertion is something
-# the flag changes, not just exit 0. The md5s pin planner output the paper's
-# figures rest on (Figure 11 is the -union-division pair below); they move
-# only when the planner does. cmd/etlopt's TestEveryFlagIsDriven reads this
+# the flag changes, not just exit 0 — and cmd/experiments' three flags. The
+# md5s pin planner output the paper's figures rest on (Figure 11 is the
+# -union-division pair below); they move only when the planner does. cmd/etlopt's TestEveryFlagIsDriven reads this
 # file: a flag stays only while a script passes it. CI runs this as its own
 # job; `make cli-smoke` runs it locally (about a second after the build).
 set -euo pipefail
@@ -37,6 +37,10 @@ echo "== suite, export, analyze -f"
 "$etlopt" analyze -wf 3 > "$work/analyze-wf.out"
 grep -q '1 optimizable block' "$work/analyze-f.out"
 cmp "$work/analyze-f.out" "$work/analyze-wf.out"
+grep -q '^statistic universe: 25 statistics, 43 candidate statistics sets$' "$work/analyze-wf.out"
+# Figure 9's count without union–division.
+"$etlopt" analyze -wf 3 -union-division=false > "$work/out"
+grep -q ', 15 candidate statistics sets$' "$work/out"
 
 echo "== stats: -method, -union-division, determinism over the suite"
 "$etlopt" stats -f "$work/f.json" -method greedy > "$work/out"
@@ -129,5 +133,17 @@ grep -q '^observed 8 statistics (memory 306 units)' "$work/out"
 "$etlopt" report -wf 3 -method greedy > "$work/out"
 grep -q '^- selection: greedy ' "$work/out"
 exits 2 "$etlopt" run -wf 3 -method bogus
+
+echo "== experiments: -exp, -wf"
+experiments="$work/experiments"
+go build -o "$experiments" ./cmd/experiments
+# EXPERIMENTS.md's tables are the command's output, byte for byte.
+"$experiments" -exp=fig9 > "$work/out"
+sed -n '/^<!-- experiments:fig9 -->$/,/^<!-- \/experiments:fig9 -->$/p' EXPERIMENTS.md | cmp - "$work/out"
+"$experiments" -wf 3 > "$work/out"
+[ "$(grep -c '^| [0-9]' "$work/out")" -eq 1 ]
+grep -q '^| 3 | 6 | 6/6 | ' "$work/out"
+exits 1 "$experiments" -exp=bogus
+grep -q 'unknown experiment "bogus"' "$work/err"
 
 echo "cli smoke OK"
