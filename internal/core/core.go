@@ -29,7 +29,8 @@ import (
 
 // Config tunes one optimization cycle.
 type Config struct {
-	// CSS controls the rule families (union–division, cross-block, FK).
+	// CSS switches the union–division rules J4/J5; every other rule family
+	// follows the workflow itself.
 	CSS css.Options
 	// Method selects the statistics-selection solver.
 	Method selector.Method

@@ -3,7 +3,11 @@
 // for a cardinality, the attribute domain size — conservatively, the
 // product of domain sizes for multi-attribute histograms — for
 // distributions) and the CPU cost of updating it (proportional to the
-// number of tuples flowing past the observation point).
+// number of tuples flowing past the observation point). Selection prices a
+// statistic by its memory, the metric of Figure 11, with the two Section 6
+// enhancements the catalog declares: functional dependencies shrink joint
+// histograms, and relations with source statistics observe for free. The
+// CPU cost is measured beside it, never part of the price.
 package costmodel
 
 import (
@@ -15,37 +19,28 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Coster prices statistics for the selection step.
+// Coster prices statistics for the selection step by memory and measures
+// their observation CPU.
 type Coster struct {
 	// Res is the CSS generation result the statistics belong to.
 	Res *css.Result
-	// Cat supplies domain sizes and functional dependencies.
+	// Cat supplies domain sizes, functional dependencies and the relations
+	// whose source system publishes statistics.
 	Cat *workflow.Catalog
-	// MemWeight and CPUWeight combine the two metrics into one objective.
-	// The paper's experiments report memory, so the default selection uses
-	// MemWeight=1, CPUWeight=0.
-	MemWeight, CPUWeight float64
-	// UseFDs enables the functional-dependency enhancement of Section 6:
-	// attributes functionally determined by others in a histogram's
-	// attribute set do not enlarge its domain-size bound.
-	UseFDs bool
-	// FreeSourceStats implements Section 6.2: statistics over unfiltered
-	// base relations whose source system exposes its own statistics cost
-	// nothing to "observe".
-	FreeSourceStats bool
 }
 
-// NewMemoryCoster prices statistics by memory units only, the metric of
+// NewMemoryCoster prices statistics by memory units, the metric of
 // Figure 11.
 func NewMemoryCoster(res *css.Result, cat *workflow.Catalog) *Coster {
-	return &Coster{Res: res, Cat: cat, MemWeight: 1}
+	return &Coster{Res: res, Cat: cat}
 }
 
-// Memory returns the memory overhead of observing the statistic, in
+// memory returns the memory overhead of observing the statistic, in
 // abstract integer units as in the paper: 1 for a cardinality counter, and
-// the (FD-reduced) product of attribute domain sizes for distinct counts
-// and histograms.
-func (c *Coster) Memory(s stats.Stat) (int64, error) {
+// the product of attribute domain sizes for distinct counts and histograms.
+// Attributes the catalog's functional dependencies determine from the rest
+// of the set do not enlarge that product (Section 6).
+func (c *Coster) memory(s stats.Stat) (int64, error) {
 	if s.Kind == stats.Card {
 		return 1, nil
 	}
@@ -63,7 +58,7 @@ func (c *Coster) Memory(s stats.Stat) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.UseFDs {
+	if len(c.Cat.FDs) > 0 {
 		phys = c.reduceByFDs(phys)
 	}
 	total := int64(1)
@@ -142,28 +137,18 @@ func updateWeight(k stats.Kind) float64 {
 	return 1
 }
 
-// Cost combines the metrics per the configured weights. Statistics over
-// source relations with free source-system statistics cost zero when
-// FreeSourceStats is set.
-func (c *Coster) Cost(s stats.Stat) (float64, error) {
-	cost, _, err := c.Price(s)
-	return cost, err
-}
-
-// Price returns Cost and Memory together, sizing the statistic once; the
-// selector prices every statistic of the universe with it.
+// Price returns the selection cost of observing the statistic and its
+// memory, sizing the statistic once; the selector prices every statistic of
+// the universe with it. The cost is the memory, except that a statistic the
+// source system already publishes costs zero (Section 6.2).
 func (c *Coster) Price(s stats.Stat) (cost float64, mem int64, err error) {
-	if mem, err = c.Memory(s); err != nil {
+	if mem, err = c.memory(s); err != nil {
 		return 0, 0, err
 	}
-	if c.FreeSourceStats && c.isFreeSourceStat(s) {
+	if c.isFreeSourceStat(s) {
 		return 0, mem, nil
 	}
-	cost = c.MemWeight * float64(mem)
-	if c.CPUWeight != 0 {
-		cost += c.CPUWeight * c.CPU(s)
-	}
-	return cost, mem, nil
+	return float64(mem), mem, nil
 }
 
 // isFreeSourceStat reports whether the statistic describes an unmodified

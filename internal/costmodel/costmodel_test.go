@@ -60,22 +60,22 @@ func TestMemoryUnits(t *testing.T) {
 	cid := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "cid"})
 
 	// Cardinality: one counter.
-	m, err := c.Memory(stats.NewCard(stats.BlockSE(0, expr.NewSet(o))))
+	m, err := c.memory(stats.NewCard(stats.BlockSE(0, expr.NewSet(o))))
 	if err != nil || m != 1 {
 		t.Fatalf("Memory(card) = %d, %v; want 1", m, err)
 	}
 	// Single-attribute histogram: the attribute domain (Section 5.4).
-	m, err = c.Memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid))
+	m, err = c.memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid))
 	if err != nil || m != 500 {
 		t.Fatalf("Memory(H^pid) = %d, %v; want 500", m, err)
 	}
 	// Joint histogram: the product of domains.
-	m, err = c.Memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid, cid))
+	m, err = c.memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid, cid))
 	if err != nil || m != 500*2000 {
 		t.Fatalf("Memory(H^{pid,cid}) = %d, %v; want 1000000", m, err)
 	}
 	// Distinct: same as a histogram.
-	m, err = c.Memory(stats.NewDistinct(stats.BlockSE(0, expr.NewSet(o)), cid))
+	m, err = c.memory(stats.NewDistinct(stats.BlockSE(0, expr.NewSet(o)), cid))
 	if err != nil || m != 2000 {
 		t.Fatalf("Memory(distinct cid) = %d, %v; want 2000", m, err)
 	}
@@ -83,62 +83,53 @@ func TestMemoryUnits(t *testing.T) {
 
 func TestMemoryFDReduction(t *testing.T) {
 	res, cat := retailRes(t)
-	// Orders.oid functionally determines Orders.cid (each order has one
-	// customer): the joint (oid, cid) histogram has at most |oid| buckets.
-	cat.FDs = append(cat.FDs, workflow.FD{Rel: "Orders", Determines: []string{"oid"}, Dependent: "cid"})
 	c := NewMemoryCoster(res, cat)
-	c.UseFDs = true
 	o := inputOf(t, res, "Orders")
 	sp := res.Space(0)
 	oid := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "oid"})
 	cid := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "cid"})
-	m, err := c.Memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), oid, cid))
+	joint := stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), oid, cid)
+	m, err := c.memory(joint)
+	if err != nil || m != 10000*2000 {
+		t.Fatalf("Memory without FDs = %d, %v; want 20000000", m, err)
+	}
+	// Orders.oid functionally determines Orders.cid (each order has one
+	// customer): the joint (oid, cid) histogram has at most |oid| buckets.
+	cat.FDs = append(cat.FDs, workflow.FD{Rel: "Orders", Determines: []string{"oid"}, Dependent: "cid"})
+	m, err = c.memory(joint)
 	if err != nil || m != 10000 {
 		t.Fatalf("FD-reduced Memory = %d, %v; want 10000 (|oid|)", m, err)
-	}
-	c.UseFDs = false
-	m, err = c.Memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), oid, cid))
-	if err != nil || m != 10000*2000 {
-		t.Fatalf("unreduced Memory = %d, %v; want 20000000", m, err)
-	}
-}
-
-func TestCostWeights(t *testing.T) {
-	res, cat := retailRes(t)
-	c := &Coster{Res: res, Cat: cat, MemWeight: 1, CPUWeight: 1}
-	o := inputOf(t, res, "Orders")
-	s := stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), res.Space(0).ClassOf(workflow.Attr{Rel: "Orders", Col: "pid"}))
-	cost, err := c.Cost(s)
-	if err != nil {
-		t.Fatalf("Cost: %v", err)
-	}
-	// memory 500 + CPU ≈ |Orders| = 10000.
-	if cost < 10000 || cost > 11000 {
-		t.Fatalf("Cost = %v, want ≈ 10500", cost)
 	}
 }
 
 func TestFreeSourceStats(t *testing.T) {
 	res, cat := retailRes(t)
-	cat.Relation("Product").HasSourceStats = true
 	c := NewMemoryCoster(res, cat)
-	c.FreeSourceStats = true
 	p := inputOf(t, res, "Product")
 	o := inputOf(t, res, "Orders")
-	sp := res.Space(0)
-	pid := sp.ClassOf(workflow.Attr{Rel: "Orders", Col: "pid"})
-	cost, err := c.Cost(stats.NewHist(stats.BlockSE(0, expr.NewSet(p)), pid))
-	if err != nil || cost != 0 {
-		t.Fatalf("free source stat cost = %v, %v; want 0", cost, err)
+	pid := res.Space(0).ClassOf(workflow.Attr{Rel: "Orders", Col: "pid"})
+	price := func(s stats.Stat) float64 {
+		t.Helper()
+		cost, _, err := c.Price(s)
+		if err != nil {
+			t.Fatalf("Price(%v): %v", s.Key(), err)
+		}
+		return cost
 	}
-	cost, err = c.Cost(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid))
-	if err != nil || cost == 0 {
-		t.Fatalf("Orders (no source stats) cost = %v, %v; want > 0", cost, err)
+	productHist := stats.NewHist(stats.BlockSE(0, expr.NewSet(p)), pid)
+	if cost := price(productHist); cost != 500 {
+		t.Fatalf("Product stat without source stats costs %v; want its memory 500", cost)
+	}
+	cat.Relation("Product").HasSourceStats = true
+	if cost := price(productHist); cost != 0 {
+		t.Fatalf("free source stat cost = %v; want 0", cost)
+	}
+	if cost := price(stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pid)); cost != 500 {
+		t.Fatalf("Orders (no source stats) cost = %v; want 500", cost)
 	}
 	// Joins are never free.
-	cost, err = c.Cost(stats.NewCard(stats.BlockSE(0, expr.NewSet(o, p))))
-	if err != nil || cost == 0 {
-		t.Fatalf("join stat cost = %v, %v; want > 0", cost, err)
+	if cost := price(stats.NewCard(stats.BlockSE(0, expr.NewSet(o, p)))); cost != 1 {
+		t.Fatalf("join stat cost = %v; want 1", cost)
 	}
 }
 
@@ -186,7 +177,7 @@ func TestMemorySaturatesInsteadOfOverflow(t *testing.T) {
 	c := NewMemoryCoster(res, an.Cat)
 	x := workflow.Attr{Rel: "A", Col: "x"}
 	y := workflow.Attr{Rel: "A", Col: "y"}
-	m, err := c.Memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(0)), x, y))
+	m, err := c.memory(stats.NewHist(stats.BlockSE(0, expr.NewSet(0)), x, y))
 	if err != nil {
 		t.Fatalf("Memory: %v", err)
 	}

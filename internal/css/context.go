@@ -23,24 +23,19 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Options control CSS generation.
+// Options control CSS generation. Only union–division is a switch: the
+// cross-block boundary rules always apply, and the foreign-key shortcut
+// wherever the workflow marks a join as a foreign-key look-up.
 type Options struct {
 	// UnionDivision enables rules J4/J5, which derive statistics of
 	// unobservable SEs from an observable super-SE plus reject-link
 	// statistics. Figures 9 and 11 of the paper sweep this switch.
 	UnionDivision bool
-	// CrossBlock enables deriving a block input's statistics from the
-	// upstream block's statistics through the boundary operator (rules
-	// G1/G2, U1/U2 and pass-through at materialization points).
-	CrossBlock bool
-	// FKShortcut enables the foreign-key metadata rule of Section 3.2.2: a
-	// look-up join's output cardinality equals the fact side's.
-	FKShortcut bool
 }
 
 // DefaultOptions enable every rule family.
 func DefaultOptions() Options {
-	return Options{UnionDivision: true, CrossBlock: true, FKShortcut: true}
+	return Options{UnionDivision: true}
 }
 
 // Candidate is one candidate statistics set of a statistic: a minimal set

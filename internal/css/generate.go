@@ -146,12 +146,10 @@ func (g *generator) expandJoinSE(bc *blockCtx, p int32, s ident) {
 		case stats.Card:
 			// J1: |L ⋈ R| from the join-column distributions.
 			g.addJoinCSS(p, RuleJ1, class, bc.hist(left, class), bc.hist(right, class))
-			// FK shortcut: a look-up join keeps the fact side's
-			// cardinality.
-			if g.res.opt.FKShortcut {
-				if fact, ok := fkFactSide(bc, pl); ok {
-					g.addCSS(p, RuleFK, bc.card(seTarget(fact)))
-				}
+			// FK shortcut (Section 3.2.2): a look-up join keeps the fact
+			// side's cardinality.
+			if fact, ok := fkFactSide(bc, pl); ok {
+				g.addCSS(p, RuleFK, bc.card(seTarget(fact)))
 			}
 		case stats.Hist:
 			var bufL, bufR [8]int32
@@ -338,7 +336,7 @@ func (g *generator) expandInput(bc *blockCtx, p int32, s ident, d int) {
 	i := s.set.Lowest()
 	if d > 0 {
 		g.chainRule(bc, p, s, i, d)
-	} else if g.res.opt.CrossBlock {
+	} else {
 		g.crossBlockRule(bc, p, s, i)
 	}
 }

@@ -295,45 +295,51 @@ func TestGenerateIdentityRules(t *testing.T) {
 }
 
 func TestGenerateFKShortcut(t *testing.T) {
-	cat := &workflow.Catalog{Relations: []*workflow.Relation{
-		{Name: "Fact", Card: 1000, Columns: []workflow.Column{{Name: "k", Domain: 100}}},
-		{Name: "Dim", Card: 100, Columns: []workflow.Column{{Name: "k", Domain: 100}}},
-	}}
-	b := workflow.NewBuilder("fk")
-	f := b.Source("Fact")
-	d := b.Source("Dim")
-	j := b.FKJoin(f, d, workflow.Attr{Rel: "Fact", Col: "k"}, workflow.Attr{Rel: "Dim", Col: "k"})
-	b.Sink(j, "dw")
-	an, err := workflow.Analyze(b.Graph(), cat)
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	res, err := Generate(an, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	full := res.Space(0).Full()
-	var hasFK bool
-	for _, cs := range cssOf(res, stats.NewCard(stats.BlockSE(0, full))) {
-		if cs.Rule == RuleFK.String() {
-			hasFK = true
-			if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Card {
-				t.Errorf("FK CSS malformed: %+v", cs)
+	// fkCSS generates the fact–dimension workflow, its join built with
+	// FKJoin or Join, and returns the FK candidates of the join's
+	// cardinality.
+	fkCSS := func(fk bool) []stats.CSS {
+		t.Helper()
+		cat := &workflow.Catalog{Relations: []*workflow.Relation{
+			{Name: "Fact", Card: 1000, Columns: []workflow.Column{{Name: "k", Domain: 100}}},
+			{Name: "Dim", Card: 100, Columns: []workflow.Column{{Name: "k", Domain: 100}}},
+		}}
+		b := workflow.NewBuilder("fk")
+		f := b.Source("Fact")
+		d := b.Source("Dim")
+		join := b.Join
+		if fk {
+			join = b.FKJoin
+		}
+		b.Sink(join(f, d, workflow.Attr{Rel: "Fact", Col: "k"}, workflow.Attr{Rel: "Dim", Col: "k"}), "dw")
+		an, err := workflow.Analyze(b.Graph(), cat)
+		if err != nil {
+			t.Fatalf("Analyze: %v", err)
+		}
+		res, err := Generate(an, DefaultOptions())
+		if err != nil {
+			t.Fatalf("Generate: %v", err)
+		}
+		var out []stats.CSS
+		for _, cs := range cssOf(res, stats.NewCard(stats.BlockSE(0, res.Space(0).Full()))) {
+			if cs.Rule == RuleFK.String() {
+				out = append(out, cs)
 			}
 		}
+		return out
 	}
-	if !hasFK {
+	got := fkCSS(true)
+	if len(got) == 0 {
 		t.Error("FK join lacks the look-up shortcut CSS")
 	}
-	// With the shortcut disabled it must vanish.
-	res2, err := Generate(an, Options{})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	for _, cs := range cssOf(res2, stats.NewCard(stats.BlockSE(0, full))) {
-		if cs.Rule == RuleFK.String() {
-			t.Error("FK CSS generated despite disabled option")
+	for _, cs := range got {
+		if len(cs.Inputs) != 1 || cs.Inputs[0].Kind != stats.Card {
+			t.Errorf("FK CSS malformed: %+v", cs)
 		}
+	}
+	// The shortcut follows the workflow: a plain join has none.
+	if got := fkCSS(false); len(got) != 0 {
+		t.Errorf("plain join has FK CSSs: %+v", got)
 	}
 }
 
@@ -449,16 +455,6 @@ func TestGenerateCrossBlockGroupBy(t *testing.T) {
 	}
 	if !hasG1 {
 		t.Errorf("group-by boundary lacks G1 CSS: %+v", cssOf(res, cardG))
-	}
-	// Without cross-block derivation the G1 CSS disappears.
-	res2, err := Generate(an, Options{UnionDivision: true})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	for _, cs := range cssOf(res2, cardG) {
-		if cs.Rule == RuleG1.String() {
-			t.Error("G1 generated despite disabled cross-block option")
-		}
 	}
 }
 

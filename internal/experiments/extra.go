@@ -43,7 +43,7 @@ func runWorkflow(w *suite.Workflow) (*workflowRow, error) {
 		return nil, err
 	}
 	start := time.Now()
-	plain, err := css.Generate(an, css.Options{CrossBlock: true, FKShortcut: true})
+	plain, err := css.Generate(an, css.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +248,6 @@ func freeSourceAblation() ([]*freeRow, error) {
 			rel.HasSourceStats = i%2 == 0
 		}
 		free := costmodel.NewMemoryCoster(res, an.Cat)
-		free.FreeSourceStats = true
 		selFree, err := selector.Select(res, free, selectOptions())
 		if err != nil {
 			return nil, err
@@ -257,15 +256,11 @@ func freeSourceAblation() ([]*freeRow, error) {
 		// free selection ignoring zero-cost stats.
 		var memFree int64
 		for _, s := range selFree.Observe {
-			c, err := free.Cost(s)
+			c, m, err := free.Price(s)
 			if err != nil {
 				return nil, err
 			}
 			if c > 0 {
-				m, err := free.Memory(s)
-				if err != nil {
-					return nil, err
-				}
 				memFree += m
 			}
 		}

@@ -9,9 +9,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// buildApproxUniverse mirrors buildUniverse with the approximate tier and a
-// CPU-weighted coster (sketch savings are a CPU effect — memory units
-// already favor sketches on large domains).
+// buildApproxUniverse mirrors buildUniverse with the approximate tier.
 func buildApproxUniverse(t *testing.T, policy ApproxPolicy) *Universe {
 	t.Helper()
 	g, cat := retail(t)
@@ -23,7 +21,7 @@ func buildApproxUniverse(t *testing.T, policy ApproxPolicy) *Universe {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	coster := &costmodel.Coster{Res: res, Cat: an.Cat, MemWeight: 1, CPUWeight: 1}
+	coster := costmodel.NewMemoryCoster(res, an.Cat)
 	u, err := NewUniverseOpts(res, coster, UniverseOptions{Approx: policy})
 	if err != nil {
 		t.Fatalf("NewUniverseOpts: %v", err)
@@ -62,8 +60,8 @@ func TestApproxUniverseAddsVariants(t *testing.T) {
 		if !approx.closure(observed)[j] {
 			t.Fatalf("observing %v does not cover %v", s.Key(), ex.Key())
 		}
-		// Kind-aware pricing: the sketch must be strictly cheaper than the
-		// exact sibling under a CPU-weighted objective.
+		// Kind-aware pricing: the sketch's fixed budget (HLL 64, CM 192
+		// units) must be strictly cheaper than the exact sibling's domain.
 		if approx.Cost[i] >= approx.Cost[j] {
 			t.Fatalf("sketch %v costs %.1f, exact sibling %.1f", s.Key(), approx.Cost[i], approx.Cost[j])
 		}

@@ -302,7 +302,6 @@ func TestUnionDivisionCanReduceMemory(t *testing.T) {
 
 func TestFreeSourceStatsPreferred(t *testing.T) {
 	g, cat := retail(t)
-	cat.Relation("Product").HasSourceStats = true
 	an, err := workflow.Analyze(g, cat)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
@@ -311,30 +310,24 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	coster.FreeSourceStats = true
-	u, err := NewUniverseOpts(res, coster, UniverseOptions{})
-	if err != nil {
-		t.Fatalf("NewUniverseOpts: %v", err)
+	optimum := func() float64 {
+		t.Helper()
+		u, err := NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), UniverseOptions{})
+		if err != nil {
+			t.Fatalf("NewUniverseOpts: %v", err)
+		}
+		sel, err := solveExact(u, 0, 0)
+		if err != nil {
+			t.Fatalf("Exact: %v", err)
+		}
+		return sel.Cost
 	}
-	sel, err := solveExact(u, 0, 0)
-	if err != nil {
-		t.Fatalf("Exact: %v", err)
-	}
-	// All Product statistics are free, so the exact cost must be at most
-	// the non-free optimum, and strictly cheaper than pricing Product's
-	// pid histogram (500 units).
-	coster2 := costmodel.NewMemoryCoster(res, an.Cat)
-	u2, err := NewUniverseOpts(res, coster2, UniverseOptions{})
-	if err != nil {
-		t.Fatalf("NewUniverseOpts: %v", err)
-	}
-	sel2, err := solveExact(u2, 0, 0)
-	if err != nil {
-		t.Fatalf("Exact: %v", err)
-	}
-	if sel.Cost >= sel2.Cost {
-		t.Fatalf("free source stats did not reduce cost: %v vs %v", sel.Cost, sel2.Cost)
+	paid := optimum()
+	// Once the catalog declares Product's source statistics, all of them
+	// are free, so the exact optimum must be strictly cheaper.
+	an.Cat.Relation("Product").HasSourceStats = true
+	if free := optimum(); free >= paid {
+		t.Fatalf("free source stats did not reduce cost: %v vs %v", free, paid)
 	}
 }
 

@@ -29,10 +29,11 @@ import (
 // Mode 0 stores the payload as it is, mode 1 is one raw DEFLATE stream of it;
 // the writer sends the shorter (ties stored). The length is the payload's
 // before compression in both modes: a reader refuses a frame that declares
-// more than its cap before it inflates a byte, and one that runs past what it
-// declared at the byte where it does, so a kilobyte of deflated zeros costs
-// it no more than an honest frame. The payload is a block's byte form; its
-// DEFLATE form is the same on every worker of one build but not across
+// more than its cap before it inflates a byte, and one that inflates past
+// what it declared at the byte where it does, so a kilobyte of deflated zeros
+// costs it no more than an honest frame. Bytes in the body after the payload
+// make a frame malformed in either mode. The payload is a block's byte form;
+// its DEFLATE form is the same on every worker of one build but not across
 // compress/flate versions: nothing compares frames from different builds.
 //
 // The header is the exchange's scalar fields (workerRunRequest or
@@ -68,7 +69,8 @@ const (
 	frameLevel = 2
 )
 
-// errFrameCap marks a frame whose payload is over its handler's cap: like
+// errFrameCap marks a frame whose payload is over its handler's cap — one
+// that declares more, or inflates past what it declared: like
 // data.ErrWireCap a property of the block, which then runs in-process.
 var errFrameCap = errors.New("frame over the cap")
 
@@ -166,14 +168,15 @@ func (f *frameWriter) seal(maxPayload int64) ([]byte, error) {
 // frameReader decodes one frame section by section.
 type frameReader struct {
 	br      *bufio.Reader
-	inflate io.ReadCloser // a flate reader, once a deflated frame has come by
+	stored  io.LimitedReader // a stored body, up to the length it declared
+	inflate io.ReadCloser    // a flate reader, once a deflated frame has come by
 	payload payloadReader
 }
 
 // payloadReader reads the n bytes of payload a frame declared from src, the
-// body or the inflater over it. Asked for more, it looks at what src has
-// next: its end is the frame's, anything else a frame longer than it said.
-// A non-nil sum is fed every payload byte read.
+// stored body or the inflater over it. Asked for more, it looks at what src
+// has next: its end is the frame's, anything else an inflater yielding more
+// than the frame said. A non-nil sum is fed every payload byte read.
 type payloadReader struct {
 	src io.Reader
 	n   int64
@@ -187,7 +190,7 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 		if _, err := io.ReadFull(p.src, next[:]); err != nil {
 			return 0, err
 		}
-		return 0, fmt.Errorf("frame runs past the length it declared: %w", errFrameCap)
+		return 0, fmt.Errorf("frame inflates past the length it declared: %w", errFrameCap)
 	}
 	n, err := p.src.Read(b[:min(int64(len(b)), p.n)])
 	p.n -= int64(n)
@@ -241,9 +244,11 @@ func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 	if n > uint64(maxPayload) {
 		return fmt.Errorf("frame of %d bytes, cap %d: %w", n, maxPayload, errFrameCap)
 	}
-	f.payload = payloadReader{src: f.br, n: int64(n), max: maxPayload, sum: sum}
+	f.payload = payloadReader{n: int64(n), max: maxPayload, sum: sum}
 	switch mode {
 	case frameStored:
+		f.stored = io.LimitedReader{R: f.br, N: int64(n)}
+		f.payload.src = &f.stored
 	case frameDeflate:
 		if f.inflate == nil {
 			f.inflate = flate.NewReader(f.br)
@@ -304,7 +309,8 @@ func (f *frameReader) table() (*data.Table, error) {
 	return data.ReadTableMax(sec, f.payload.max)
 }
 
-// end requires the last section to end the payload, and the payload the body.
+// end requires the last section to end the payload, and the payload the
+// body: a byte after it is malformed in either mode, never over the cap.
 func (f *frameReader) end() error {
 	if f.payload.n > 0 {
 		return errors.New("trailing bytes after the last section")
@@ -314,7 +320,7 @@ func (f *frameReader) end() error {
 	}
 	if _, err := f.br.ReadByte(); err != io.EOF {
 		if err == nil {
-			err = errors.New("trailing bytes after the deflate stream")
+			err = errors.New("trailing bytes after the payload")
 		}
 		return err
 	}

@@ -114,8 +114,9 @@ func (c *Catalog) clone() *Catalog {
 
 // Determined reports whether, per the declared FDs, the attribute dep is
 // functionally determined by the attribute set dets (all within one
-// relation). Only single-step FDs are consulted; transitive closure is the
-// caller's concern and is handled by css.ReduceByFD.
+// relation). Only single-step FDs are consulted; the transitive closure is
+// the caller's fixed point (the cost model's FD reduction of a histogram's
+// attributes).
 func (c *Catalog) Determined(dets []Attr, dep Attr) bool {
 	for _, fd := range c.FDs {
 		if fd.Rel != dep.Rel || fd.Dependent != dep.Col {
