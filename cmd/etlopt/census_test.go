@@ -136,7 +136,6 @@ var censusAllowed = map[string]string{
 
 	// Values of an enumeration whose other values product code names.
 	"core.TierAuto":       "the StatsTier ParseStatsTier returns for -stats-tier auto",
-	"stats.ShapeScalar":   "the Shape of cardinalities and distinct counts; estimate names the other three",
 	"workflow.KindSource": "a NodeKind the Builder and the JSON codec spell; wftest's tests count sources by it",
 	"workflow.KindJoin":   "a NodeKind the Builder and the JSON codec spell",
 	"workflow.KindSink":   "a NodeKind the Builder and the JSON codec spell",

@@ -67,6 +67,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -571,8 +572,13 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	fmt.Printf("budget %d units → %d scheduled run(s)\n", o.budget, len(plan.Runs))
 	for r, run := range plan.Runs {
 		fmt.Printf("run %d:\n", r+1)
-		for bi, tree := range run.Trees {
-			fmt.Printf("  block %d re-ordered: %s\n", bi, tree.Render(an.Blocks[bi]))
+		blocks := make([]int, 0, len(run.Trees))
+		for bi := range run.Trees {
+			blocks = append(blocks, bi)
+		}
+		sort.Ints(blocks)
+		for _, bi := range blocks {
+			fmt.Printf("  block %d re-ordered: %s\n", bi, run.Trees[bi].Render(an.Blocks[bi]))
 		}
 		for _, st := range run.Observe {
 			fmt.Printf("  observe %s\n", st.Label(an.Blocks[st.Target.Block]))

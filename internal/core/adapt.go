@@ -162,7 +162,7 @@ func (st *adaptState) replan(cp *engine.Checkpoint, cur map[int]*workflow.JoinTr
 	// actuals win wherever both speak).
 	shadow := stats.NewStore()
 	for t, v := range st.actuals {
-		shadow.PutScalar(stats.NewCard(t), v)
+		shadow.Put(&stats.Value{Stat: stats.NewCard(t), Scalar: v})
 	}
 	if st.cy.Observed != nil && st.cy.Observed.Observed != nil {
 		shadow.Merge(st.cy.Observed.Observed)

@@ -197,7 +197,7 @@ func TestOptimizeFromSavedPartialStore(t *testing.T) {
 		if v.Hist != nil {
 			continue
 		}
-		if err := partial.PutScalar(v.Stat, v.Scalar); err != nil {
+		if err := partial.Put(v); err != nil {
 			t.Fatal(err)
 		}
 		kept++

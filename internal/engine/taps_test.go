@@ -72,21 +72,22 @@ func TestTapCardAndHistogram(t *testing.T) {
 	histO := stats.NewHist(stats.BlockSE(0, expr.NewSet(o)), pidClass)
 	distO := stats.NewDistinct(stats.BlockSE(0, expr.NewSet(o)), pidClass)
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{cardOP, histO, distO}) {
-		v, err := store.Scalar(cardOP)
-		if err != nil || v != 4 {
-			t.Fatalf("%s: |O⋈P| = %d, %v; want 4", name, v, err)
+		v, ok := scalar(store, cardOP)
+		if !ok || v != 4 {
+			t.Fatalf("%s: |O⋈P| = %d (present %v); want 4", name, v, ok)
 		}
-		h, err := store.Hist(histO)
-		if err != nil {
-			t.Fatalf("%s: hist: %v", name, err)
+		hv, ok := store.Get(histO)
+		if !ok {
+			t.Fatalf("%s: hist missing", name)
 		}
+		h := hv.Hist
 		// Orders pids: 10,10,20,30,99.
 		if h.Freq(10) != 2 || h.Freq(20) != 1 || h.Freq(99) != 1 {
 			t.Fatalf("%s: histogram wrong: %v buckets", name, h.Buckets())
 		}
-		d, err := store.Scalar(distO)
-		if err != nil || d != 4 {
-			t.Fatalf("%s: distinct = %d, %v; want 4 (10,20,30,99)", name, d, err)
+		d, ok := scalar(store, distO)
+		if !ok || d != 4 {
+			t.Fatalf("%s: distinct = %d (present %v); want 4 (10,20,30,99)", name, d, ok)
 		}
 	}
 }
@@ -120,9 +121,9 @@ func TestTapRejectSingleton(t *testing.T) {
 		t.Fatal("reject singleton should be observable (O joined directly with P)")
 	}
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejCard}) {
-		v, err := store.Scalar(rejCard)
-		if err != nil || v != 1 { // order with pid=99 has no product
-			t.Fatalf("%s: |T̄O| = %d, %v; want 1", name, v, err)
+		v, ok := scalar(store, rejCard)
+		if !ok || v != 1 { // order with pid=99 has no product
+			t.Fatalf("%s: |T̄O| = %d (present %v); want 1", name, v, ok)
 		}
 	}
 }
@@ -161,17 +162,17 @@ func TestTapRejectAuxiliaryJoin(t *testing.T) {
 	// The rejected order is (cid=3, oid=5, pid=99); Customer has cids 1,2:
 	// the auxiliary join is empty.
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejJoin}) {
-		v, err := store.Scalar(rejJoin)
-		if err != nil || v != 0 {
-			t.Fatalf("%s: |T̄O⋈C| = %d, %v; want 0", name, v, err)
+		v, ok := scalar(store, rejJoin)
+		if !ok || v != 0 {
+			t.Fatalf("%s: |T̄O⋈C| = %d (present %v); want 0", name, v, ok)
 		}
 	}
 	// With a customer for cid 3 the rejected order finds one partner.
 	db["Customer"].Rows = append(db["Customer"].Rows, []int64{3, 3})
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{rejJoin}) {
-		v, err := store.Scalar(rejJoin)
-		if err != nil || v != 1 {
-			t.Fatalf("%s: |T̄O⋈C| with cid 3 = %d, %v; want 1", name, v, err)
+		v, ok := scalar(store, rejJoin)
+		if !ok || v != 1 {
+			t.Fatalf("%s: |T̄O⋈C| with cid 3 = %d (present %v); want 1", name, v, ok)
 		}
 	}
 }
@@ -199,10 +200,10 @@ func TestTapChainPoint(t *testing.T) {
 	rawCard := stats.NewCard(stats.ChainPoint(0, oIdx, 0))
 	cookedCard := stats.NewCard(stats.BlockSE(0, expr.NewSet(oIdx)))
 	for name, store := range observedBy(t, an, db, res, []stats.Stat{rawCard, cookedCard}) {
-		if v, _ := store.Scalar(rawCard); v != 5 {
+		if v, _ := scalar(store, rawCard); v != 5 {
 			t.Fatalf("%s: raw card = %d, want 5", name, v)
 		}
-		if v, _ := store.Scalar(cookedCard); v != 4 {
+		if v, _ := scalar(store, cookedCard); v != 4 {
 			t.Fatalf("%s: cooked card = %d, want 4", name, v)
 		}
 	}
@@ -230,4 +231,13 @@ func TestTapSkipsNonObservable(t *testing.T) {
 			t.Fatalf("%s: unobservable statistic was recorded", name)
 		}
 	}
+}
+
+// scalar returns the stored scalar of s; ok is false when s is absent.
+func scalar(st *stats.Store, s stats.Stat) (int64, bool) {
+	v, ok := st.Get(s)
+	if !ok {
+		return 0, false
+	}
+	return v.Scalar, true
 }

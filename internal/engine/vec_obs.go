@@ -39,7 +39,7 @@ type vecCardObserver struct {
 
 func (c *vecCardObserver) observeVec(b *batch.Batch) { c.n += int64(b.Rows()) }
 func (c *vecCardObserver) finish() {
-	if err := c.col.store.PutScalarOnce(c.stat, c.n); err != nil {
+	if err := c.col.store.Put(&stats.Value{Stat: c.stat, Scalar: c.n}); err != nil {
 		c.col.markFailed(c.stat, err)
 	}
 }
@@ -69,7 +69,7 @@ func (h *vecHistObserver) finish() {
 		h.col.markFailed(h.stat, h.err)
 		return
 	}
-	if err := h.col.store.PutHistOnce(h.stat, h.h); err != nil {
+	if err := h.col.store.Put(&stats.Value{Stat: h.stat, Hist: h.h}); err != nil {
 		h.col.markFailed(h.stat, err)
 	}
 }
@@ -125,7 +125,7 @@ func (d *vecDistinctObserver) count() int64 {
 	return int64(d.set.len())
 }
 func (d *vecDistinctObserver) finish() {
-	if err := d.col.store.PutScalarOnce(d.stat, d.count()); err != nil {
+	if err := d.col.store.Put(&stats.Value{Stat: d.stat, Scalar: d.count()}); err != nil {
 		d.col.markFailed(d.stat, err)
 	}
 }
@@ -161,7 +161,7 @@ func (o *vecHLLObserver) observeVec(b *batch.Batch) {
 	})
 }
 func (o *vecHLLObserver) finish() {
-	if err := o.col.store.PutHLLOnce(o.stat, o.h); err != nil {
+	if err := o.col.store.Put(&stats.Value{Stat: o.stat, HLL: o.h}); err != nil {
 		o.col.markFailed(o.stat, err)
 	}
 }
@@ -187,7 +187,7 @@ func (o *vecCMObserver) observeVec(b *batch.Batch) {
 	}
 }
 func (o *vecCMObserver) finish() {
-	if err := o.col.store.PutCMOnce(o.stat, o.cm); err != nil {
+	if err := o.col.store.Put(&stats.Value{Stat: o.stat, CM: o.cm}); err != nil {
 		o.col.markFailed(o.stat, err)
 	}
 }

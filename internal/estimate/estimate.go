@@ -135,14 +135,16 @@ func (e *derivationError) Unwrap() error { return e.cause }
 // observed returns the statistic's value when the store holds it or its
 // sketch sibling, and nil when it holds neither.
 func (e *Estimator) observed(s stats.Stat) (*stats.Value, error) {
-	if e.Store.Has(s) {
-		return e.fromStore(s)
+	if v, ok := e.Store.Get(s); ok {
+		return fromStore(s, v)
 	}
 	// Approximate tier (rules A1/A2): an unobserved exact statistic whose
 	// sketch sibling was observed takes the sketch's estimate. The value is
 	// tagged Approx so every derivation built on it inherits the tag.
-	if av, ok := stats.ApproxVariant(s); ok && e.Store.Has(av) {
-		return e.fromSketch(s, av)
+	if av, ok := stats.ApproxVariant(s); ok {
+		if v, ok := e.Store.Get(av); ok {
+			return fromStore(s, v)
+		}
 	}
 	return nil, nil
 }
@@ -188,50 +190,24 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 	return nil, &derivationError{format: errNoCandidates, stat: s}
 }
 
-func (e *Estimator) fromStore(s stats.Stat) (*stats.Value, error) {
-	switch s.Kind.Shape() {
-	case stats.ShapeHist:
-		h, err := e.Store.Hist(s)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Hist: h}, nil
-	case stats.ShapeHLL:
-		h, err := e.Store.HLLSketch(s)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Scalar: h.Estimate(), HLL: h, Approx: true}, nil
-	case stats.ShapeCM:
-		cm, err := e.Store.CMSketch(s)
-		if err != nil {
-			return nil, err
-		}
-		h, err := cmHistogram(cm, s.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Hist: h, CM: cm, Approx: true}, nil
-	}
-	v, err := e.Store.Scalar(s)
-	if err != nil {
-		return nil, err
-	}
-	return &stats.Value{Stat: s, Scalar: v}, nil
-}
-
-// fromSketch materializes an exact statistic from its observed sketch
-// sibling. A distinct count takes the HyperLogLog estimate (rule A1); a
-// histogram takes the count-min's bucketized distribution expanded at
-// bucket midpoints, carrying the sketch itself so join rules can use the
+// fromStore copies a stored value out as statistic s. A sketch also fills
+// the field its exact sibling reads: an HLL puts its estimate in Scalar
+// (rule A1); a count-min puts its bucketized distribution, expanded at
+// bucket midpoints, in Hist and keeps the sketch so join rules can use the
 // tighter sketch-level dot product (rule A2).
-func (e *Estimator) fromSketch(s, av stats.Stat) (*stats.Value, error) {
-	v, err := e.fromStore(av)
-	if err != nil {
-		return nil, err
-	}
+func fromStore(s stats.Stat, v *stats.Value) (*stats.Value, error) {
 	out := *v
 	out.Stat = s
+	switch {
+	case v.HLL != nil:
+		out.Scalar = v.HLL.Estimate()
+	case v.CM != nil:
+		h, err := cmHistogram(v.CM, s.Attrs)
+		if err != nil {
+			return nil, err
+		}
+		out.Hist = h
+	}
 	return &out, nil
 }
 

@@ -110,7 +110,6 @@ func TestExactnessRetail(t *testing.T) {
 	}{
 		{"plain", css.Options{}},
 		{"union-division", css.Options{UnionDivision: true}},
-		{"all", css.DefaultOptions()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, cat, db := zipfRetail(t, 42)

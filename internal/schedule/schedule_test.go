@@ -133,16 +133,19 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("store sizes differ: %d vs %d", seq.Len(), par.Len())
 	}
 	for _, v := range seq.Values() {
+		got, ok := par.Get(v.Stat)
+		if !ok {
+			t.Errorf("%v missing from the parallel store", v.Stat.Key())
+			continue
+		}
 		if v.Hist != nil {
-			h, err := par.Hist(v.Stat)
-			if err != nil || h.Total() != v.Hist.Total() || h.Buckets() != v.Hist.Buckets() {
-				t.Errorf("hist %v differs (%v)", v.Stat.Key(), err)
+			if h := got.Hist; h.Total() != v.Hist.Total() || h.Buckets() != v.Hist.Buckets() {
+				t.Errorf("hist %v differs", v.Stat.Key())
 			}
 			continue
 		}
-		got, err := par.Scalar(v.Stat)
-		if err != nil || got != v.Scalar {
-			t.Errorf("scalar %v: %d vs %d (%v)", v.Stat.Key(), v.Scalar, got, err)
+		if got.Scalar != v.Scalar {
+			t.Errorf("scalar %v: %d vs %d", v.Stat.Key(), v.Scalar, got.Scalar)
 		}
 	}
 }

@@ -13,15 +13,15 @@ func scalarStore(t testing.TB, card int64) *stats.Store {
 	t.Helper()
 	st := stats.NewStore()
 	target := stats.BlockSE(0, 1)
-	if err := st.PutScalar(stats.NewCard(target), card); err != nil {
+	if err := st.Put(&stats.Value{Stat: stats.NewCard(target), Scalar: card}); err != nil {
 		t.Fatal(err)
 	}
 	h := stats.NewHistogram(workflow.Attr{Rel: "T", Col: "a"})
 	for v := int64(1); v <= card/10+1; v++ {
 		h.Inc([]int64{v}, 1)
 	}
-	if err := st.PutHistOnce(stats.Stat{Kind: stats.Hist, Target: target,
-		Attrs: []workflow.Attr{{Rel: "T", Col: "a"}}}, h); err != nil {
+	if err := st.Put(&stats.Value{Stat: stats.Stat{Kind: stats.Hist, Target: target,
+		Attrs: []workflow.Attr{{Rel: "T", Col: "a"}}}, Hist: h}); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -68,8 +68,8 @@ func TestCatalogPutGetReload(t *testing.T) {
 	if !ok || got.Generation != 2 || got.Count != e2.Count {
 		t.Fatalf("reloaded entry = %+v, want generation 2 count %d", got, e2.Count)
 	}
-	if v, err := got.Store.Scalar(stats.NewCard(stats.BlockSE(0, 1))); err != nil || v != 200 {
-		t.Fatalf("reloaded store scalar = %d, %v", v, err)
+	if v, ok := got.Store.Get(stats.NewCard(stats.BlockSE(0, 1))); !ok || v.Scalar != 200 {
+		t.Fatalf("reloaded store scalar = %+v, %v", v, ok)
 	}
 	if ws := c2.Workflows(); len(ws) != 1 || ws[0] != "wfx" {
 		t.Fatalf("Workflows() = %v", ws)

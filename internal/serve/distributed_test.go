@@ -585,11 +585,12 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// Budgets are 1.25 × what the run moves (21,895 B, 7,981 B and 6,529 B
-// under go 1.24's compress/flate). wf07 at scale 0.01 is two dispatches
-// whose upstream table is the largest the benchmark's dist-run makes; it
-// never crosses the wire: block 0's worker holds it and block 1's request
-// names it (38 KB when it crossed twice, 30 KB when it crossed once). wf08
+// The runs move 21,862 B, 7,930 B and 6,509 B under go 1.24's
+// compress/flate; the budgets were set at 1.25 × 21,895 B, 7,981 B and
+// 6,529 B. wf07 at scale 0.01 is two dispatches whose upstream table is
+// the largest the benchmark's dist-run makes; it never crosses the wire:
+// block 0's worker holds it and block 1's request names it (38 KB when it
+// crossed twice, 30 KB when it crossed once). wf08
 // at 0.05 is three dispatches moving ~167k rows of join output — 3,378,533 B
 // as base64 row-major varints in JSON, 289,889 B as column-encoded frames,
 // 19 KB as map columns deflated, 13.5 KB once each block of the chain went

@@ -348,7 +348,7 @@ func TestServePartialStoreConflict(t *testing.T) {
 		if v.Hist != nil {
 			continue
 		}
-		if err := partial.PutScalar(v.Stat, v.Scalar); err != nil {
+		if err := partial.Put(v); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,8 +50,8 @@ func TestMeasureDriftConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				s := NewCard(BlockSE(g, expr.NewSet(i%8)))
-				a.PutScalar(s, int64(i))
-				b.PutScalar(s, int64(i+1))
+				a.Put(&Value{Stat: s, Scalar: int64(i)})
+				b.Put(&Value{Stat: s, Scalar: int64(i + 1)})
 			}
 		}()
 	}
@@ -72,7 +72,7 @@ func TestMeasureDriftConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		other := NewStore()
-		other.PutScalar(NewCard(BlockSE(99, expr.NewSet(0))), 1)
+		other.Put(&Value{Stat: NewCard(BlockSE(99, expr.NewSet(0))), Scalar: 1})
 		for i := 0; i < 100; i++ {
 			a.Merge(other)
 		}
@@ -80,7 +80,7 @@ func TestMeasureDriftConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		other := NewStore()
-		other.PutScalar(NewCard(BlockSE(98, expr.NewSet(0))), 1)
+		other.Put(&Value{Stat: NewCard(BlockSE(98, expr.NewSet(0))), Scalar: 1})
 		for i := 0; i < 100; i++ {
 			b.Merge(other)
 		}

@@ -154,17 +154,7 @@ func ReadStore(r io.Reader) (*Store, error) {
 			return nil, sr.corrupt("value %d: statistics not in canonical order (%v then %v)", i, prev, k)
 		}
 		prev = k
-		switch {
-		case v.Hist != nil:
-			err = st.putHist(v.Stat, v.Hist)
-		case v.HLL != nil:
-			err = st.putHLL(v.Stat, v.HLL)
-		case v.CM != nil:
-			err = st.putCM(v.Stat, v.CM)
-		default:
-			err = st.PutScalar(v.Stat, v.Scalar)
-		}
-		if err != nil {
+		if err := st.Put(v); err != nil {
 			return nil, fmt.Errorf("stats: value %d: %w", i, err)
 		}
 	}
@@ -334,7 +324,7 @@ func writeValue(w io.Writer, v *Value) error {
 	// encodings).
 	switch {
 	case v.Hist != nil:
-		if err := binary.Write(w, binary.LittleEndian, uint8(ShapeHist)); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint8(shapeHist)); err != nil {
 			return err
 		}
 		if err := binary.Write(w, binary.LittleEndian, uint32(v.Hist.Buckets())); err != nil {
@@ -354,7 +344,7 @@ func writeValue(w io.Writer, v *Value) error {
 		})
 		return werr
 	case v.HLL != nil:
-		if err := binary.Write(w, binary.LittleEndian, uint8(ShapeHLL)); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint8(shapeHLL)); err != nil {
 			return err
 		}
 		if err := binary.Write(w, binary.LittleEndian, v.HLL.P); err != nil {
@@ -362,7 +352,7 @@ func writeValue(w io.Writer, v *Value) error {
 		}
 		return writeHLLRegs(w, v.HLL)
 	case v.CM != nil:
-		if err := binary.Write(w, binary.LittleEndian, uint8(ShapeCM)); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint8(shapeCM)); err != nil {
 			return err
 		}
 		cm := v.CM
@@ -383,7 +373,7 @@ func writeValue(w io.Writer, v *Value) error {
 		}
 		return nil
 	default:
-		if err := binary.Write(w, binary.LittleEndian, uint8(ShapeScalar)); err != nil {
+		if err := binary.Write(w, binary.LittleEndian, uint8(shapeScalar)); err != nil {
 			return err
 		}
 		return binary.Write(w, binary.LittleEndian, v.Scalar)
@@ -462,30 +452,30 @@ func readValue(r *statReader) (*Value, error) {
 		RejectEdge:  int(rejEdge),
 	}
 	s := Stat{Kind: Kind(kind), Target: target, Attrs: attrs}
-	var shape uint8
-	if err := binary.Read(r, binary.LittleEndian, &shape); err != nil {
+	var flag uint8
+	if err := binary.Read(r, binary.LittleEndian, &flag); err != nil {
 		return nil, r.readErr("shape flag", err)
 	}
-	maxShape := uint8(ShapeHist)
+	maxShape := uint8(shapeHist)
 	if r.version >= 2 {
-		maxShape = uint8(ShapeCM)
+		maxShape = uint8(shapeCM)
 	}
-	if shape > maxShape {
-		return nil, r.corrupt("shape flag %d (version %d allows at most %d)", shape, r.version, maxShape)
+	if flag > maxShape {
+		return nil, r.corrupt("shape flag %d (version %d allows at most %d)", flag, r.version, maxShape)
 	}
-	if Shape(shape) != s.Kind.Shape() {
-		return nil, r.corrupt("shape flag %d contradicts statistic kind %v", shape, s.Kind)
+	if shape(flag) != s.Kind.shape() {
+		return nil, r.corrupt("shape flag %d contradicts statistic kind %v", flag, s.Kind)
 	}
-	switch Shape(shape) {
-	case ShapeScalar:
+	switch shape(flag) {
+	case shapeScalar:
 		var scalar int64
 		if err := binary.Read(r, binary.LittleEndian, &scalar); err != nil {
 			return nil, r.readErr("scalar", err)
 		}
 		return &Value{Stat: s, Scalar: scalar}, nil
-	case ShapeHLL:
+	case shapeHLL:
 		return r.readHLLValue(s)
-	case ShapeCM:
+	case shapeCM:
 		return r.readCMValue(s)
 	}
 	var buckets uint32
@@ -628,7 +618,7 @@ func (r *statReader) readHLLValue(s Stat) (*Value, error) {
 		if hllSparse(nonzero, len(regs)) {
 			return nil, r.corrupt("dense hll encoding of %d/%d registers (writer emits sparse)", nonzero, len(regs))
 		}
-		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}, Approx: true}, nil
+		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}}, nil
 	case 1: // sparse: pair count, ascending (index, rank) pairs
 		pairs, err := r.readUvarint("hll pair count")
 		if err != nil {
@@ -663,7 +653,7 @@ func (r *statReader) readHLLValue(s Stat) (*Value, error) {
 			}
 			regs[idx] = rank[0]
 		}
-		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}, Approx: true}, nil
+		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}}, nil
 	default:
 		return nil, r.corrupt("hll register mode %d", mode)
 	}
@@ -716,7 +706,7 @@ func (r *statReader) readCMValue(s Stat) (*Value, error) {
 		}
 		counters[i] = int64(c)
 	}
-	return &Value{Stat: s, CM: &CMH{Spec: spec, Depth: int(depth), Width: int(width), Counters: counters}, Approx: true}, nil
+	return &Value{Stat: s, CM: &CMH{Spec: spec, Depth: int(depth), Width: int(width), Counters: counters}}, nil
 }
 
 func readString(r *statReader) (string, error) {

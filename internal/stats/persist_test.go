@@ -16,16 +16,16 @@ func sampleStore() *Store {
 	a := workflow.Attr{Rel: "Orders", Col: "cid"}
 	b := workflow.Attr{Rel: "Orders", Col: "pid"}
 	st := NewStore()
-	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 12345)
-	st.PutScalar(NewCard(BlockSE(2, expr.NewSet(0, 1))), 77)
-	st.PutScalar(NewDistinct(BlockSE(0, expr.NewSet(1)), a), 42)
-	st.PutScalar(NewCard(BlockRejectSE(0, expr.NewSet(0, 2), 0, 1)), 9)
-	st.PutScalar(NewCard(ChainPoint(1, 0, 2)), 3)
+	st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Scalar: 12345})
+	st.Put(&Value{Stat: NewCard(BlockSE(2, expr.NewSet(0, 1))), Scalar: 77})
+	st.Put(&Value{Stat: NewDistinct(BlockSE(0, expr.NewSet(1)), a), Scalar: 42})
+	st.Put(&Value{Stat: NewCard(BlockRejectSE(0, expr.NewSet(0, 2), 0, 1)), Scalar: 9})
+	st.Put(&Value{Stat: NewCard(ChainPoint(1, 0, 2)), Scalar: 3})
 	h := NewHistogram(a, b)
 	h.Inc([]int64{1, 10}, 5)
 	h.Inc([]int64{-3, 20}, 2)
 	h.Inc([]int64{7, 10}, 1)
-	st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a, b), h)
+	st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), a, b), Hist: h})
 	return st
 }
 
@@ -33,17 +33,17 @@ func sampleStore() *Store {
 func sampleSketchStore() *Store {
 	a := workflow.Attr{Rel: "Orders", Col: "cid"}
 	st := NewStore()
-	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 12345)
+	st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Scalar: 12345})
 	hll := NewHLL(DefaultHLLP)
 	for i := int64(0); i < 200; i++ {
 		hll.Add(i)
 	}
-	st.putHLL(hllDistinct(BlockSE(0, expr.NewSet(0)), a), hll)
+	st.Put(&Value{Stat: hllDistinct(BlockSE(0, expr.NewSet(0)), a), HLL: hll})
 	cm := NewCMH(CMSpecFor(1, 500), DefaultCMDepth, DefaultCMWidth)
 	for i := int64(0); i < 300; i++ {
 		cm.Observe(i%500 + 1)
 	}
-	st.putCM(cmHist(BlockSE(0, expr.NewSet(1)), a), cm)
+	st.Put(&Value{Stat: cmHist(BlockSE(0, expr.NewSet(1)), a), CM: cm})
 	return st
 }
 
@@ -65,18 +65,18 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost values: %d vs %d", back.Len(), st.Len())
 	}
 	for _, v := range st.Values() {
+		gv, ok := back.Get(v.Stat)
+		if !ok {
+			t.Errorf("%v lost in the round trip", v.Stat.Key())
+			continue
+		}
 		if v.Hist == nil {
-			got, err := back.Scalar(v.Stat)
-			if err != nil || got != v.Scalar {
-				t.Errorf("scalar %v: got %d, %v; want %d", v.Stat.Key(), got, err, v.Scalar)
+			if gv.Scalar != v.Scalar {
+				t.Errorf("scalar %v: got %d, want %d", v.Stat.Key(), gv.Scalar, v.Scalar)
 			}
 			continue
 		}
-		got, err := back.Hist(v.Stat)
-		if err != nil {
-			t.Errorf("hist %v: %v", v.Stat.Key(), err)
-			continue
-		}
+		got := gv.Hist
 		if got.Buckets() != v.Hist.Buckets() || got.Total() != v.Hist.Total() {
 			t.Errorf("hist %v: %d/%d buckets, %d/%d total",
 				v.Stat.Key(), got.Buckets(), v.Hist.Buckets(), got.Total(), v.Hist.Total())
@@ -190,7 +190,7 @@ func TestReadStoreRejectsCorruptStreams(t *testing.T) {
 	// Duplicate / out-of-order values: duplicate the first value bytes in
 	// a two-value stream.
 	st := NewStore()
-	st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), 1)
+	st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Scalar: 1})
 	var one bytes.Buffer
 	if _, err := st.WriteTo(&one); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestReadStoreRejectsNonCanonicalForm(t *testing.T) {
 	st := NewStore()
 	h := NewHistogram(a)
 	h.Inc([]int64{5}, 3)
-	st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a), h)
+	st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), a), Hist: h})
 	var buf bytes.Buffer
 	if _, err := st.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestPersistQuickScalars(t *testing.T) {
 			if i > 30 {
 				break
 			}
-			st.PutScalar(NewCard(BlockSE(i%3, expr.NewSet(i%8))), v)
+			st.Put(&Value{Stat: NewCard(BlockSE(i%3, expr.NewSet(i%8))), Scalar: v})
 		}
 		var buf bytes.Buffer
 		if _, err := st.WriteTo(&buf); err != nil {
@@ -321,8 +321,7 @@ func TestPersistQuickScalars(t *testing.T) {
 			return false
 		}
 		for _, v := range st.Values() {
-			got, err := back.Scalar(v.Stat)
-			if err != nil || got != v.Scalar {
+			if got, ok := back.Get(v.Stat); !ok || got.Scalar != v.Scalar {
 				return false
 			}
 		}
@@ -337,12 +336,12 @@ func TestDriftMeasurement(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	mk := func(card int64, histVals map[int64]int64) *Store {
 		st := NewStore()
-		st.PutScalar(NewCard(BlockSE(0, expr.NewSet(0))), card)
+		st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Scalar: card})
 		h := NewHistogram(a)
 		for v, f := range histVals {
 			h.Inc([]int64{v}, f)
 		}
-		st.putHist(NewHist(BlockSE(0, expr.NewSet(0)), a), h)
+		st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), a), Hist: h})
 		return st
 	}
 	old := mk(100, map[int64]int64{1: 50, 2: 50})
@@ -373,7 +372,7 @@ func TestDriftMeasurement(t *testing.T) {
 
 	// Differing instrumentation is counted, not compared.
 	other := NewStore()
-	other.PutScalar(NewCard(BlockSE(0, expr.NewSet(5))), 1)
+	other.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(5))), Scalar: 1})
 	d = MeasureDrift(old, other)
 	if d.Shared != 0 || d.OnlyOld != 2 || d.OnlyNew != 1 {
 		t.Fatalf("disjoint stores drift = %+v", d)

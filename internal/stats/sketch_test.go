@@ -83,34 +83,31 @@ func TestCMHBucketEstimates(t *testing.T) {
 	}
 }
 
-// TestStoreSketchShapes: the registry-driven puts enforce kind/shape
-// agreement in both directions.
+// TestStoreSketchShapes: the registry-driven Put enforces kind/shape
+// agreement in both directions and tags sketch values Approx.
 func TestStoreSketchShapes(t *testing.T) {
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	st := NewStore()
 	hllStat := hllDistinct(BlockSE(0, expr.NewSet(0)), a)
 	cmStat := cmHist(BlockSE(0, expr.NewSet(0)), a)
 	var ke *kindError
-	if err := st.PutScalar(hllStat, 1); !errors.As(err, &ke) {
-		t.Fatalf("PutScalar on hll stat: %v", err)
+	if err := st.Put(&Value{Stat: hllStat, Scalar: 1}); !errors.As(err, &ke) {
+		t.Fatalf("scalar Put on hll stat: %v", err)
 	}
-	if err := st.putHLL(NewDistinct(BlockSE(0, expr.NewSet(0)), a), NewHLL(DefaultHLLP)); !errors.As(err, &ke) {
-		t.Fatalf("PutHLL on distinct stat: %v", err)
+	if err := st.Put(&Value{Stat: NewDistinct(BlockSE(0, expr.NewSet(0)), a), HLL: NewHLL(DefaultHLLP)}); !errors.As(err, &ke) {
+		t.Fatalf("HLL Put on distinct stat: %v", err)
 	}
-	if err := st.PutHLLOnce(hllStat, NewHLL(DefaultHLLP)); err != nil {
+	if err := st.Put(&Value{Stat: hllStat, HLL: NewHLL(DefaultHLLP)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCMOnce(cmStat, NewCMH(CMSpecFor(1, 10), 2, 8)); err != nil {
+	if err := st.Put(&Value{Stat: cmStat, CM: NewCMH(CMSpecFor(1, 10), 2, 8)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.HLLSketch(hllStat); err != nil {
-		t.Fatal(err)
+	if v, ok := st.Get(hllStat); !ok || v.HLL == nil || !v.Approx {
+		t.Fatalf("Get(hll) = %+v, %v", v, ok)
 	}
-	if _, err := st.CMSketch(cmStat); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Scalar(hllStat); err == nil {
-		t.Fatal("Scalar read of an HLL value succeeded")
+	if v, ok := st.Get(cmStat); !ok || v.CM == nil || !v.Approx {
+		t.Fatalf("Get(cm) = %+v, %v", v, ok)
 	}
 	if st.MemoryUnits() != (1<<DefaultHLLP)/8+2*8 {
 		t.Fatalf("memory units %d", st.MemoryUnits())
@@ -150,24 +147,24 @@ func TestDriftCrossTier(t *testing.T) {
 	tgt := BlockSE(0, expr.NewSet(0))
 
 	exact := NewStore()
-	exact.PutScalar(NewDistinct(tgt, a), 1000)
+	exact.Put(&Value{Stat: NewDistinct(tgt, a), Scalar: 1000})
 	h := NewHistogram(a)
 	for i := int64(1); i <= 500; i++ {
 		h.Inc([]int64{i}, 4)
 	}
-	exact.putHist(NewHist(tgt, a), h)
+	exact.Put(&Value{Stat: NewHist(tgt, a), Hist: h})
 
 	approx := NewStore()
 	hll := NewHLL(DefaultHLLP)
 	for i := int64(0); i < 1000; i++ {
 		hll.Add(i)
 	}
-	approx.putHLL(hllDistinct(tgt, a), hll)
+	approx.Put(&Value{Stat: hllDistinct(tgt, a), HLL: hll})
 	cm := NewCMH(CMSpecFor(1, 500), DefaultCMDepth, DefaultCMWidth)
 	for i := int64(1); i <= 500; i++ {
 		cm.Inc(i, 4)
 	}
-	approx.putCM(cmHist(tgt, a), cm)
+	approx.Put(&Value{Stat: cmHist(tgt, a), CM: cm})
 
 	for _, tc := range []struct {
 		name     string
@@ -193,7 +190,7 @@ func TestDriftCrossTier(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		hll2.Add(i)
 	}
-	shifted.putHLL(hllDistinct(tgt, a), hll2)
+	shifted.Put(&Value{Stat: hllDistinct(tgt, a), HLL: hll2})
 	if d := MeasureDrift(exact, shifted); d.MaxRel < 0.5 {
 		t.Fatalf("10x distinct shift reports drift %.3f", d.MaxRel)
 	}

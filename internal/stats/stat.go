@@ -35,42 +35,25 @@ const (
 	CMHist
 )
 
-// Shape is the value representation a kind stores: the registry that
-// replaced the old hard-coded scalar-or-histogram union.
-type Shape uint8
+// shape is the field of Value a kind fills.
+type shape uint8
 
 // Value shapes.
 const (
-	// ShapeScalar is a single int64 (cardinalities, distinct counts).
-	ShapeScalar Shape = iota
-	// ShapeHist is an exact frequency histogram.
-	ShapeHist
-	// ShapeHLL is a HyperLogLog register file.
-	ShapeHLL
-	// ShapeCM is a count-min sketch over histogram buckets.
-	ShapeCM
+	// shapeScalar is a single int64 (cardinalities, distinct counts).
+	shapeScalar shape = iota
+	// shapeHist is an exact frequency histogram.
+	shapeHist
+	// shapeHLL is a HyperLogLog register file.
+	shapeHLL
+	// shapeCM is a count-min sketch over histogram buckets.
+	shapeCM
 )
-
-// String names the shape.
-func (sh Shape) String() string {
-	switch sh {
-	case ShapeScalar:
-		return "scalar"
-	case ShapeHist:
-		return "hist"
-	case ShapeHLL:
-		return "hll"
-	case ShapeCM:
-		return "cm"
-	default:
-		return fmt.Sprintf("Shape(%d)", int(sh))
-	}
-}
 
 // kindInfo is one row of the kind registry.
 type kindInfo struct {
 	name  string
-	shape Shape
+	shape shape
 	// approx marks sketch-backed kinds; exact names the exact kind an
 	// approximate one stands in for (itself for exact kinds).
 	approx bool
@@ -80,11 +63,11 @@ type kindInfo struct {
 // kindRegistry declares every statistic kind: name, value shape, and the
 // exact/approximate pairing the selector and degradation ladder navigate.
 var kindRegistry = [...]kindInfo{
-	Card:        {name: "card", shape: ShapeScalar, exact: Card},
-	Distinct:    {name: "distinct", shape: ShapeScalar, exact: Distinct},
-	Hist:        {name: "hist", shape: ShapeHist, exact: Hist},
-	HLLDistinct: {name: "hll-distinct", shape: ShapeHLL, approx: true, exact: Distinct},
-	CMHist:      {name: "cm-hist", shape: ShapeCM, approx: true, exact: Hist},
+	Card:        {name: "card", shape: shapeScalar, exact: Card},
+	Distinct:    {name: "distinct", shape: shapeScalar, exact: Distinct},
+	Hist:        {name: "hist", shape: shapeHist, exact: Hist},
+	HLLDistinct: {name: "hll-distinct", shape: shapeHLL, approx: true, exact: Distinct},
+	CMHist:      {name: "cm-hist", shape: shapeCM, approx: true, exact: Hist},
 }
 
 // numKinds is the number of registered statistic kinds; kind bytes at or
@@ -94,8 +77,8 @@ const numKinds = len(kindRegistry)
 // valid reports whether the kind is registered.
 func (k Kind) valid() bool { return int(k) < numKinds }
 
-// Shape returns the kind's value representation.
-func (k Kind) Shape() Shape { return kindRegistry[k].shape }
+// shape returns the value field the kind fills.
+func (k Kind) shape() shape { return kindRegistry[k].shape }
 
 // Approx reports whether the kind is a sketch-backed approximation.
 func (k Kind) Approx() bool { return kindRegistry[k].approx }

@@ -78,19 +78,17 @@ func TestCSSLabelAndKeys(t *testing.T) {
 func TestStoreScalarHist(t *testing.T) {
 	st := NewStore()
 	card := NewCard(BlockSE(0, expr.NewSet(0)))
-	st.PutScalar(card, 42)
-	v, err := st.Scalar(card)
-	if err != nil || v != 42 {
-		t.Fatalf("Scalar = %d, %v", v, err)
+	st.Put(&Value{Stat: card, Scalar: 42})
+	if v, ok := st.Get(card); !ok || v.Scalar != 42 {
+		t.Fatalf("Get(card) = %+v, %v", v, ok)
 	}
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	hs := NewHist(BlockSE(0, expr.NewSet(0)), a)
 	h := NewHistogram(a)
 	h.Add(1)
-	st.putHist(hs, h)
-	got, err := st.Hist(hs)
-	if err != nil || got.Total() != 1 {
-		t.Fatalf("Hist: %v, %v", got, err)
+	st.Put(&Value{Stat: hs, Hist: h})
+	if v, ok := st.Get(hs); !ok || v.Hist.Total() != 1 {
+		t.Fatalf("Get(hist) = %+v, %v", v, ok)
 	}
 	if !st.Has(card) || !st.Has(hs) {
 		t.Fatal("Has broken")
@@ -98,14 +96,8 @@ func TestStoreScalarHist(t *testing.T) {
 	if st.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", st.Len())
 	}
-	if _, err := st.Scalar(NewCard(BlockSE(0, expr.NewSet(5)))); err == nil {
-		t.Fatal("Scalar of missing stat: want error")
-	}
-	if _, err := st.Hist(NewHist(BlockSE(0, expr.NewSet(5)), a)); err == nil {
-		t.Fatal("Hist of missing stat: want error")
-	}
-	if _, err := st.Scalar(hs); err == nil {
-		t.Fatal("Scalar of histogram stat: want error")
+	if _, ok := st.Get(NewCard(BlockSE(0, expr.NewSet(5)))); ok {
+		t.Fatal("Get of missing stat: want absent")
 	}
 	// Memory: one scalar + one bucket = 2 units.
 	if got := st.MemoryUnits(); got != 2 {
@@ -116,7 +108,7 @@ func TestStoreScalarHist(t *testing.T) {
 func TestStoreValuesDeterministic(t *testing.T) {
 	st := NewStore()
 	for i := 5; i >= 0; i-- {
-		st.PutScalar(NewCard(BlockSE(0, expr.NewSet(i))), int64(i))
+		st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(i))), Scalar: int64(i)})
 	}
 	vals := st.Values()
 	for i := 1; i < len(vals); i++ {
@@ -130,20 +122,77 @@ func TestStorePutKindErrors(t *testing.T) {
 	st := NewStore()
 	a := workflow.Attr{Rel: "T", Col: "a"}
 	var ke *kindError
-	if err := st.PutScalar(NewHist(BlockSE(0, expr.NewSet(0)), a), 1); !errors.As(err, &ke) || ke.Op != "PutScalar" {
-		t.Errorf("PutScalar(hist stat) = %v, want *KindError", err)
+	if err := st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), a), Scalar: 1}); !errors.As(err, &ke) {
+		t.Errorf("Put(scalar on hist stat) = %v, want *kindError", err)
 	}
-	if err := st.putHist(NewCard(BlockSE(0, expr.NewSet(0))), NewHistogram(a)); !errors.As(err, &ke) || ke.Op != "PutHist" {
-		t.Errorf("PutHist(card stat) = %v, want *KindError", err)
+	if err := st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Hist: NewHistogram(a)}); !errors.As(err, &ke) {
+		t.Errorf("Put(hist on card stat) = %v, want *kindError", err)
 	}
-	if err := st.PutScalarOnce(NewHist(BlockSE(0, expr.NewSet(0)), a), 1); !errors.As(err, &ke) || ke.Op != "PutScalarOnce" {
-		t.Errorf("PutScalarOnce(hist stat) = %v, want *KindError", err)
-	}
-	if err := st.PutHistOnce(NewCard(BlockSE(0, expr.NewSet(0))), NewHistogram(a)); !errors.As(err, &ke) || ke.Op != "PutHistOnce" {
-		t.Errorf("PutHistOnce(card stat) = %v, want *KindError", err)
+	if err := st.Put(&Value{Stat: Stat{Kind: Kind(numKinds)}}); !errors.As(err, &ke) || ke.Error() == "" {
+		t.Errorf("Put(unknown kind) = %v, want *kindError", err)
 	}
 	// A rejected put must leave the store untouched.
 	if st.Len() != 0 {
 		t.Errorf("store holds %d values after rejected puts", st.Len())
+	}
+}
+
+// TestStorePutWriteOnce: for every shape, a second Put keeps the first
+// value; a value that fills two fields, or the wrong one, is a *kindError
+// and leaves the store as it was.
+func TestStorePutWriteOnce(t *testing.T) {
+	a := workflow.Attr{Rel: "T", Col: "a"}
+	tgt := BlockSE(0, expr.NewSet(0))
+	h1, h2 := NewHistogram(a), NewHistogram(a)
+	h1.Add(1)
+	h2.Add(2)
+	spec := CMSpecFor(1, 10)
+	for _, tc := range []struct {
+		name          string
+		first, second *Value
+		// wrong fills another shape's field; double fills two fields.
+		wrong, double *Value
+	}{
+		{"scalar", &Value{Stat: NewCard(tgt), Scalar: 1}, &Value{Stat: NewCard(tgt), Scalar: 2},
+			&Value{Stat: NewCard(tgt), Hist: h1}, &Value{Stat: NewCard(tgt), HLL: NewHLL(DefaultHLLP), CM: NewCMH(spec, 2, 8)}},
+		{"hist", &Value{Stat: NewHist(tgt, a), Hist: h1}, &Value{Stat: NewHist(tgt, a), Hist: h2},
+			&Value{Stat: NewHist(tgt, a), Scalar: 1}, &Value{Stat: NewHist(tgt, a), Hist: h2, Scalar: 1}},
+		{"hll", &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP)}, &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP)},
+			&Value{Stat: hllDistinct(tgt, a), Scalar: 1}, &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP), Hist: h1}},
+		{"cm", &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8)}, &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8)},
+			&Value{Stat: cmHist(tgt, a), HLL: NewHLL(DefaultHLLP)}, &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8), Scalar: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := NewStore()
+			var ke *kindError
+			for _, bad := range []*Value{tc.wrong, tc.double} {
+				if err := st.Put(bad); !errors.As(err, &ke) {
+					t.Fatalf("Put(%+v) = %v, want *kindError", bad, err)
+				}
+				if st.Len() != 0 {
+					t.Fatalf("a rejected put stored a value")
+				}
+			}
+			for _, v := range []*Value{tc.first, tc.second} {
+				if err := st.Put(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, ok := st.Get(tc.first.Stat)
+			if !ok || got != tc.first || st.Len() != 1 {
+				t.Fatalf("Get = %p, %v (len %d); want the first value %p", got, ok, st.Len(), tc.first)
+			}
+			if got.Approx != tc.first.Stat.Kind.Approx() {
+				t.Fatalf("Approx = %v, want %v", got.Approx, tc.first.Stat.Kind.Approx())
+			}
+			for _, bad := range []*Value{tc.wrong, tc.double} {
+				if err := st.Put(bad); !errors.As(err, &ke) {
+					t.Fatalf("Put(%+v) over a stored value = %v, want *kindError", bad, err)
+				}
+			}
+			if got, _ := st.Get(tc.first.Stat); got != tc.first || st.Len() != 1 {
+				t.Fatal("a rejected put changed the store")
+			}
+		})
 	}
 }

@@ -9,10 +9,11 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Value is an observed statistic value. Exactly one representation is
-// populated, matching the kind's registered shape: a scalar for
-// cardinalities and distinct counts, a histogram for distributions, a
-// sketch for the approximate kinds.
+// Value is an observed statistic value. A stored value fills exactly the
+// one field its kind registers: Scalar for cardinalities and distinct
+// counts, Hist for distributions, HLL or CM for the approximate kinds. The
+// estimator's values may fill more (an HLL with its estimate in Scalar, a
+// count-min with its midpoint histogram in Hist).
 type Value struct {
 	Stat   Stat
 	Scalar int64
@@ -25,9 +26,10 @@ type Value struct {
 	Approx bool
 }
 
-// Store holds observed (or derived) statistic values keyed by statistic
-// identity. It is the hand-off point between the instrumented execution of
-// the initial plan and the optimizer's estimation layer.
+// Store holds observed statistic values keyed by statistic identity. It is
+// the hand-off point between the instrumented execution of the initial
+// plan and the optimizer's estimation layer. It is write-once: Put keeps
+// the first value per statistic, and Get is the one read.
 //
 // A store is safe for concurrent use: the parallel execution engine feeds
 // it from several block goroutines at once (each block writes disjoint
@@ -98,170 +100,65 @@ func (st *Store) Has(s Stat) bool {
 	return ok
 }
 
-// kindError reports a put whose value shape does not match the statistic
-// kind's registered shape (a scalar for a histogram statistic, a histogram
-// for a sketch, ...). It is a typed error so the observation layer can mark
-// the statistic degraded and keep the run alive instead of crashing it.
+// kindError reports a put whose value does not fill exactly the one field
+// the statistic kind registers (a scalar for a histogram statistic, a
+// histogram and a sketch at once, ...). It is a typed error so the
+// observation layer can mark the statistic degraded and keep the run alive
+// instead of crashing it.
 type kindError struct {
 	// Stat is the mis-declared statistic.
 	Stat Stat
-	// Op names the rejected operation ("PutScalar", "PutHistOnce", ...).
-	Op string
 }
 
 func (e *kindError) Error() string {
-	return fmt.Sprintf("stats: %s on %s-shaped statistic %v", e.Op, e.Stat.Kind.Shape(), e.Stat.Key())
+	return fmt.Sprintf("stats: value does not fill exactly the field a %v statistic registers: %v", e.Stat.Kind, e.Stat.Key())
 }
 
-// checkShape validates a put against the kind registry.
-func checkShape(s Stat, want Shape, op string) error {
-	if !s.Kind.valid() || s.Kind.Shape() != want {
-		return &kindError{Stat: s, Op: op}
+// filled returns the shape of the one field v fills; ok is false when it
+// fills more than one. A value with no histogram or sketch is a scalar.
+func (v *Value) filled() (sh shape, ok bool) {
+	n := 0
+	if v.Hist != nil {
+		n, sh = n+1, shapeHist
 	}
-	return nil
+	if v.HLL != nil {
+		n, sh = n+1, shapeHLL
+	}
+	if v.CM != nil {
+		n, sh = n+1, shapeCM
+	}
+	return sh, n == 0 || n == 1 && v.Scalar == 0
 }
 
-// put stores a value, optionally only when absent.
-func (st *Store) put(v *Value, once bool) {
+// Put records v unless its statistic is already present, atomically: the
+// first value per statistic wins and later ones are dropped (the
+// check-then-put the collectors rely on). The store keeps v itself, so the
+// caller must not modify it afterwards, and sets its Approx tag from the
+// kind. A value that does not fill exactly the field its kind registers is
+// rejected with a *kindError and the store is left as it was.
+func (st *Store) Put(v *Value) error {
+	s := v.Stat
+	if sh, ok := v.filled(); !ok || !s.Kind.valid() || sh != s.Kind.shape() {
+		return &kindError{Stat: s}
+	}
+	v.Approx = s.Kind.Approx()
+	k := s.Key()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	k := v.Stat.Key()
-	if once {
-		if _, ok := st.m[k]; ok {
-			return
-		}
+	if _, ok := st.m[k]; !ok {
+		st.m[k] = v
 	}
-	st.m[k] = v
-}
-
-// PutScalar records a cardinality or distinct-count observation.
-func (st *Store) PutScalar(s Stat, v int64) error {
-	if err := checkShape(s, ShapeScalar, "PutScalar"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, Scalar: v}, false)
 	return nil
 }
 
-// putHist records a histogram observation.
-func (st *Store) putHist(s Stat, h *Histogram) error {
-	if err := checkShape(s, ShapeHist, "PutHist"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, Hist: h}, false)
-	return nil
-}
-
-// PutScalarOnce records the scalar unless the statistic is already present,
-// atomically (the check-then-put the collectors rely on).
-func (st *Store) PutScalarOnce(s Stat, v int64) error {
-	if err := checkShape(s, ShapeScalar, "PutScalarOnce"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, Scalar: v}, true)
-	return nil
-}
-
-// PutHistOnce records the histogram unless the statistic is already
-// present, atomically.
-func (st *Store) PutHistOnce(s Stat, h *Histogram) error {
-	if err := checkShape(s, ShapeHist, "PutHistOnce"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, Hist: h}, true)
-	return nil
-}
-
-// putHLL records a HyperLogLog sketch observation.
-func (st *Store) putHLL(s Stat, h *HLL) error {
-	if err := checkShape(s, ShapeHLL, "PutHLL"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, HLL: h, Approx: true}, false)
-	return nil
-}
-
-// PutHLLOnce records the sketch unless the statistic is already present.
-func (st *Store) PutHLLOnce(s Stat, h *HLL) error {
-	if err := checkShape(s, ShapeHLL, "PutHLLOnce"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, HLL: h, Approx: true}, true)
-	return nil
-}
-
-// putCM records a count-min sketch observation.
-func (st *Store) putCM(s Stat, c *CMH) error {
-	if err := checkShape(s, ShapeCM, "PutCM"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, CM: c, Approx: true}, false)
-	return nil
-}
-
-// PutCMOnce records the sketch unless the statistic is already present.
-func (st *Store) PutCMOnce(s Stat, c *CMH) error {
-	if err := checkShape(s, ShapeCM, "PutCMOnce"); err != nil {
-		return err
-	}
-	st.put(&Value{Stat: s, CM: c, Approx: true}, true)
-	return nil
-}
-
-// Scalar returns the scalar value of a cardinality or distinct statistic.
-func (st *Store) Scalar(s Stat) (int64, error) {
+// Get returns the stored value of the statistic. The value is shared with
+// the store and must not be modified.
+func (st *Store) Get(s Stat) (*Value, bool) {
+	k := s.Key()
 	st.mu.RLock()
-	v, ok := st.m[s.Key()]
-	st.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("statistic not in store: %v", s.Key())
-	}
-	if s.Kind.valid() && s.Kind.Shape() != ShapeScalar {
-		return 0, fmt.Errorf("statistic %v is %s-shaped, not scalar", s.Key(), s.Kind.Shape())
-	}
-	return v.Scalar, nil
-}
-
-// Hist returns the histogram value of a distribution statistic.
-func (st *Store) Hist(s Stat) (*Histogram, error) {
-	st.mu.RLock()
-	v, ok := st.m[s.Key()]
-	st.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("statistic not in store: %v", s.Key())
-	}
-	if v.Hist == nil {
-		return nil, fmt.Errorf("statistic %v is not a histogram", s.Key())
-	}
-	return v.Hist, nil
-}
-
-// HLLSketch returns the HyperLogLog value of an HLLDistinct statistic.
-func (st *Store) HLLSketch(s Stat) (*HLL, error) {
-	st.mu.RLock()
-	v, ok := st.m[s.Key()]
-	st.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("statistic not in store: %v", s.Key())
-	}
-	if v.HLL == nil {
-		return nil, fmt.Errorf("statistic %v is not an HLL sketch", s.Key())
-	}
-	return v.HLL, nil
-}
-
-// CMSketch returns the count-min value of a CMHist statistic.
-func (st *Store) CMSketch(s Stat) (*CMH, error) {
-	st.mu.RLock()
-	v, ok := st.m[s.Key()]
-	st.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("statistic not in store: %v", s.Key())
-	}
-	if v.CM == nil {
-		return nil, fmt.Errorf("statistic %v is not a count-min sketch", s.Key())
-	}
-	return v.CM, nil
+	defer st.mu.RUnlock()
+	v, ok := st.m[k]
+	return v, ok
 }
 
 // Values returns all stored values in a deterministic order.

@@ -9,9 +9,9 @@ import (
 )
 
 // TestStoreConcurrentPutOnce exercises the store from many goroutines the
-// way parallel block execution does: racing PutScalarOnce/PutHistOnce on
-// the same keys, reads, and merges. Run under -race this doubles as the
-// data-race check; the assertions verify keep-first semantics.
+// way parallel block execution does: racing Put on the same keys, reads,
+// and merges. Run under -race this doubles as the data-race check; the
+// assertions verify keep-first semantics.
 func TestStoreConcurrentPutOnce(t *testing.T) {
 	st := NewStore()
 	a := workflow.Attr{Rel: "R", Col: "k"}
@@ -25,15 +25,15 @@ func TestStoreConcurrentPutOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				st.PutScalarOnce(scalarStat, int64(g*1000+i))
+				st.Put(&Value{Stat: scalarStat, Scalar: int64(g*1000 + i)})
 				h := NewHistogram(a)
 				h.Inc([]int64{int64(g)}, 1)
-				st.PutHistOnce(histStat, h)
-				st.PutScalarOnce(NewCard(BlockSE(g, expr.NewSet(1))), int64(i))
+				st.Put(&Value{Stat: histStat, Hist: h})
+				st.Put(&Value{Stat: NewCard(BlockSE(g, expr.NewSet(1))), Scalar: int64(i)})
 				st.Has(scalarStat)
 				st.Len()
-				if _, err := st.Scalar(scalarStat); err != nil {
-					t.Errorf("Scalar: %v", err)
+				if _, ok := st.Get(scalarStat); !ok {
+					t.Error("Get: the scalar a writer put is absent")
 					return
 				}
 			}
@@ -43,20 +43,19 @@ func TestStoreConcurrentPutOnce(t *testing.T) {
 
 	// Keep-first: whichever write won, the value must be one of the
 	// written ones and stable now.
-	v1, err := st.Scalar(scalarStat)
-	if err != nil {
-		t.Fatalf("Scalar: %v", err)
+	v1, ok := st.Get(scalarStat)
+	if !ok {
+		t.Fatal("Get: scalar absent")
 	}
-	v2, _ := st.Scalar(scalarStat)
-	if v1 != v2 {
-		t.Fatalf("scalar unstable after writers finished: %d vs %d", v1, v2)
+	if v2, _ := st.Get(scalarStat); v1 != v2 {
+		t.Fatalf("scalar unstable after writers finished: %d vs %d", v1.Scalar, v2.Scalar)
 	}
-	h, err := st.Hist(histStat)
-	if err != nil {
-		t.Fatalf("Hist: %v", err)
+	h, ok := st.Get(histStat)
+	if !ok {
+		t.Fatal("Get: hist absent")
 	}
-	if h.Total() != 1 {
-		t.Fatalf("hist total = %d, want 1 (exactly one PutHistOnce must win)", h.Total())
+	if h.Hist.Total() != 1 {
+		t.Fatalf("hist total = %d, want 1 (exactly one Put must win)", h.Hist.Total())
 	}
 }
 
@@ -71,7 +70,7 @@ func TestStoreConcurrentMerge(t *testing.T) {
 			defer wg.Done()
 			src := NewStore()
 			for i := 0; i < 50; i++ {
-				src.PutScalar(NewCard(BlockSE(g, expr.NewSet(i%3))), int64(i))
+				src.Put(&Value{Stat: NewCard(BlockSE(g, expr.NewSet(i%3))), Scalar: int64(i)})
 			}
 			dst.Merge(src)
 		}()

@@ -88,26 +88,25 @@ func DiffStores(t testing.TB, label string, ref, got *stats.Store) {
 		t.Errorf("%s: store sizes differ: %d vs %d", label, got.Len(), ref.Len())
 	}
 	for _, v := range ref.Values() {
+		g, ok := got.Get(v.Stat)
+		if !ok {
+			t.Errorf("%s: %v missing", label, v.Stat.Key())
+			continue
+		}
 		switch {
 		case v.HLL != nil:
-			g, err := got.HLLSketch(v.Stat)
-			if err != nil {
-				t.Errorf("%s: hll %v: %v", label, v.Stat.Key(), err)
-			} else if g.P != v.HLL.P || !bytes.Equal(g.Regs, v.HLL.Regs) {
+			if g.HLL.P != v.HLL.P || !bytes.Equal(g.HLL.Regs, v.HLL.Regs) {
 				t.Errorf("%s: hll %v registers differ", label, v.Stat.Key())
 			}
 		case v.CM != nil:
-			g, err := got.CMSketch(v.Stat)
-			if err != nil {
-				t.Errorf("%s: cm %v: %v", label, v.Stat.Key(), err)
-			} else if g.Spec != v.CM.Spec || g.Depth != v.CM.Depth || g.Width != v.CM.Width {
+			if g.CM.Spec != v.CM.Spec || g.CM.Depth != v.CM.Depth || g.CM.Width != v.CM.Width {
 				t.Errorf("%s: cm %v layout differs", label, v.Stat.Key())
-			} else if !slices.Equal(g.Counters, v.CM.Counters) {
+			} else if !slices.Equal(g.CM.Counters, v.CM.Counters) {
 				t.Errorf("%s: cm %v counters differ", label, v.Stat.Key())
 			}
 		case v.Hist != nil:
-			h, err := got.Hist(v.Stat)
-			if err != nil || h.Buckets() != v.Hist.Buckets() || h.Total() != v.Hist.Total() {
+			h := g.Hist
+			if h.Buckets() != v.Hist.Buckets() || h.Total() != v.Hist.Total() {
 				t.Errorf("%s: hist %v differs", label, v.Stat.Key())
 				continue
 			}
@@ -121,9 +120,8 @@ func DiffStores(t testing.TB, label string, ref, got *stats.Store) {
 				t.Errorf("%s: hist %v bucket mismatch", label, v.Stat.Key())
 			}
 		default:
-			g, err := got.Scalar(v.Stat)
-			if err != nil || g != v.Scalar {
-				t.Errorf("%s: scalar %v = %d, want %d (%v)", label, v.Stat.Key(), g, v.Scalar, err)
+			if g.Scalar != v.Scalar {
+				t.Errorf("%s: scalar %v = %d, want %d", label, v.Stat.Key(), g.Scalar, v.Scalar)
 			}
 		}
 	}

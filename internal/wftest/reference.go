@@ -208,13 +208,13 @@ func (ev *evaluator) collect(tap physical.Tap, tbl *data.Table) error {
 	}
 	switch tap.Stat.Kind {
 	case stats.Card:
-		return ev.store.PutScalarOnce(tap.Stat, tbl.Card())
+		return ev.store.Put(&stats.Value{Stat: tap.Stat, Scalar: tbl.Card()})
 	case stats.Distinct:
 		seen := make(map[string]bool)
 		for _, r := range tbl.Rows {
 			seen[rowKey(pick(r, tap.Cols))] = true
 		}
-		return ev.store.PutScalarOnce(tap.Stat, int64(len(seen)))
+		return ev.store.Put(&stats.Value{Stat: tap.Stat, Scalar: int64(len(seen))})
 	case stats.Hist:
 		h := stats.NewHistogram(tap.Stat.Attrs...)
 		for _, r := range tbl.Rows {
@@ -222,19 +222,19 @@ func (ev *evaluator) collect(tap physical.Tap, tbl *data.Table) error {
 				return err
 			}
 		}
-		return ev.store.PutHistOnce(tap.Stat, h)
+		return ev.store.Put(&stats.Value{Stat: tap.Stat, Hist: h})
 	case stats.HLLDistinct:
 		h := stats.NewHLL(stats.DefaultHLLP)
 		for _, r := range tbl.Rows {
 			h.Add(pick(r, tap.Cols)...)
 		}
-		return ev.store.PutHLLOnce(tap.Stat, h)
+		return ev.store.Put(&stats.Value{Stat: tap.Stat, HLL: h})
 	case stats.CMHist:
 		cm := stats.NewCMH(tap.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
 		for _, r := range tbl.Rows {
 			cm.Observe(r[tap.Cols[0]])
 		}
-		return ev.store.PutCMOnce(tap.Stat, cm)
+		return ev.store.Put(&stats.Value{Stat: tap.Stat, CM: cm})
 	}
 	return fmt.Errorf("unexpected statistic kind %v", tap.Stat.Kind)
 }

@@ -129,16 +129,16 @@ func TestSECardMatchesReference(t *testing.T) {
 		for bi, sp := range res.Spaces {
 			for _, se := range sp.SEs {
 				tap := stats.NewCard(stats.BlockSE(bi, se))
-				if !ref.Observed.Has(tap) {
+				want, ok := ref.Observed.Get(tap)
+				if !ok {
 					if sp.Initial[se] {
 						t.Errorf("seed %d block %d: the designed plan's SE %s went untapped", seed, bi, se.Label(an.Blocks[bi]))
 					}
 					continue
 				}
-				want, _ := ref.Observed.Scalar(tap)
-				if got, err := SECard(an, db, ref.BlockOut, bi, se); err != nil || got != want {
+				if got, err := SECard(an, db, ref.BlockOut, bi, se); err != nil || got != want.Scalar {
 					t.Errorf("seed %d block %d SE %s: SECard = %d, %v; the reference observed %d",
-						seed, bi, se.Label(an.Blocks[bi]), got, err, want)
+						seed, bi, se.Label(an.Blocks[bi]), got, err, want.Scalar)
 				}
 			}
 		}

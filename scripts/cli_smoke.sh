@@ -75,6 +75,12 @@ sum="$("$etlopt" schedule -wf 3 -budget 64 | md5sum | cut -d' ' -f1)"
 [ "$sum" = 276cc55292e55d136637ef4701a0f872 ]
 exits 1 "$etlopt" schedule -wf 3
 grep -q 'needs -budget' "$work/err"
+# wf29's schedule re-orders two blocks in one run: they print in ascending
+# block order, identically on every invocation (a map-ordered print
+# reverses them about one run in eight).
+"$etlopt" schedule -wf 29 -budget 8 > "$work/sched"
+[ "$(awk '/ re-ordered:/ { printf "%s ", $2 }' "$work/sched")" = "0 1 " ]
+for i in $(seq 1 31); do "$etlopt" schedule -wf 29 -budget 8 | cmp -s - "$work/sched"; done
 
 echo "== gendata -out, run -f -data"
 "$etlopt" gendata -wf 3 -out "$work/d" > "$work/out"
