@@ -20,7 +20,7 @@ import (
 // selectOptions caps the exact solver so wide workflows finish promptly;
 // the incumbent is still reported (Optimal=false) when the cap bites.
 func selectOptions() selector.Options {
-	return selector.Options{Method: selector.MethodExact, MaxNodes: 4000, Timeout: 10 * time.Second}
+	return selector.Options{Method: selector.MethodExact, MaxNodes: 4000}
 }
 
 // workflowRow is one suite workflow's measurements, shared by Figures 9–12

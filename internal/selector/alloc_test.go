@@ -47,8 +47,54 @@ func TestPlannerAllocs(t *testing.T) {
 		t.Errorf("closure allocates %.0f times on warm scratch", n)
 	}
 	for _, mode := range []deriveMode{deriveSum, deriveMax} {
-		if n := testing.AllocsPerRun(10, func() { s.deriveCosts(nil, nil, nil, mode) }); n != 0 {
+		pass := func() {
+			s.deriveCosts(nil, nil, nil, mode)
+			for i := range u.Stats {
+				s.cost(int32(i))
+			}
+		}
+		if n := testing.AllocsPerRun(10, pass); n != 0 {
 			t.Errorf("deriveCosts(mode %d) allocates %.0f times on warm scratch", mode, n)
+		}
+	}
+}
+
+// TestExactSolveWork pins the exact solver's work in noise-free counts:
+// search nodes, and the entries its cost passes take off their frontier
+// (stale ones included). The bounds are a tenth of what passes that settled
+// the whole graph at every node took (wf21 346,085, wf26 42,273), so they
+// trip as soon as a pass settles more than its caller reads again; passes
+// that settle only that take 2,353 and 629.
+func TestExactSolveWork(t *testing.T) {
+	for _, c := range []struct {
+		wf, nodes, maxPops int
+	}{
+		{wf: 21, nodes: 53, maxPops: 34600},
+		{wf: 26, nodes: 13, maxPops: 4200},
+	} {
+		an, err := suite.MustGet(c.wf).Analyze()
+		if err != nil {
+			t.Fatalf("wf%02d: Analyze: %v", c.wf, err)
+		}
+		res, err := css.Generate(an, css.DefaultOptions())
+		if err != nil {
+			t.Fatalf("wf%02d: Generate: %v", c.wf, err)
+		}
+		u, err := NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), UniverseOptions{})
+		if err != nil {
+			t.Fatalf("wf%02d: NewUniverseOpts: %v", c.wf, err)
+		}
+		s := newScratch(u)
+		sel, err := s.solveExact(0)
+		if err != nil {
+			t.Fatalf("wf%02d: solveExact: %v", c.wf, err)
+		}
+		t.Logf("wf%02d: %d nodes, %d pops", c.wf, sel.Nodes, s.pops)
+		if !sel.Optimal || sel.Nodes != c.nodes {
+			t.Errorf("wf%02d: optimal=%t after %d nodes, want optimal after %d", c.wf, sel.Optimal, sel.Nodes, c.nodes)
+		}
+		if s.pops > c.maxPops {
+			t.Errorf("wf%02d: the cost passes took %d entries off their frontier, bound %d", c.wf, s.pops, c.maxPops)
 		}
 	}
 }

@@ -74,24 +74,24 @@ func (s *scratch) planOneRun(learned []bool, budget int64, firstRun bool) ([]int
 	cur := append([]bool(nil), learned...)
 	banned := make([]bool, len(u.Stats))
 	var bestLeaves []int32
+	closed := s.closure(cur, s.closed)
 	for {
-		closed := s.closure(cur, s.closed)
 		if u.covers(closed) {
 			return picked, used, nil
 		}
 		// Cheapest derivation of any uncovered requirement, restricted to
 		// statistics that fit the remaining budget. One cost pass prices
-		// them all; each candidate's derivation is then walked out of it.
+		// them all, settled as far as their derivation walks read.
 		for i := range banned {
 			banned[i] = u.Mem[i] > budget-used
 		}
-		dist := s.deriveCosts(obs, closed, banned, deriveSum)
+		s.deriveCosts(obs, closed, banned, deriveSum)
 		bestCost := -1.0
 		for _, r := range u.Required {
 			if closed[r] {
 				continue
 			}
-			leaves, cost, ok := s.walkDerivation(r, dist, obs, closed, banned)
+			leaves, cost, ok := s.walkDerivation(r)
 			if !ok {
 				continue
 			}
@@ -122,6 +122,7 @@ func (s *scratch) planOneRun(learned []bool, budget int64, firstRun bool) ([]int
 			cur[i] = true
 			picked = append(picked, int(i))
 			used += u.Mem[i]
+			s.extend(closed, i)
 		}
 	}
 }

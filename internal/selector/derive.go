@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
@@ -25,15 +26,35 @@ const (
 // solve. It is not safe for concurrent use; the universe it reads is.
 type scratch struct {
 	u *Universe
-	// remaining[c] counts the inputs of candidate set c not yet computable
-	// (closure) or finalized (cost pass); acc[c] aggregates the cost of the
-	// finalized ones.
+	// byCost lists the statistics with a finite observation cost, cheapest
+	// first (ties by index), and required marks S_C; both are fixed for the
+	// solve.
+	byCost   []int32
+	required []bool
+
+	// The current cost pass (see deriveCosts): its pricing, and the epoch
+	// that numbers it. statAt[i] == epoch when dist[i] and done[i] belong
+	// to this pass, cssAt[c] == epoch when remaining[c] and acc[c] do;
+	// anything else is stale and reads as its initial value.
+	obs, free, banned []bool
+	mode              deriveMode
+	epoch             uint32
+	statAt, cssAt     []uint32
+	// remaining[c] counts the inputs of candidate set c not yet settled and
+	// acc[c] aggregates the prices of the settled ones; dist[i] is the best
+	// price found for statistic i, final once done[i].
 	remaining []int32
 	acc       []float64
-	// dist is the cost pass's result, valid until the next pass.
-	dist []float64
-	done []bool
+	dist      []float64
+	done      []bool
+	// The frontier of unsettled prices: heap holds the prices candidate
+	// sets derived, and byCost[next:] the leaf prices not yet taken.
 	heap []heapItem
+	next int
+	// pops counts the entries the passes took off the frontier, stale ones
+	// included: the noise-free measure of their work.
+	pops int
+
 	// closed is the closure buffer of the greedy and budget loops.
 	closed []bool
 	// seen marks the statistics a derivation walk visited; stack lists them
@@ -44,8 +65,11 @@ type scratch struct {
 
 func newScratch(u *Universe) *scratch {
 	n, nc := len(u.Stats), u.numCSS()
-	return &scratch{
+	s := &scratch{
 		u:         u,
+		required:  make([]bool, n),
+		statAt:    make([]uint32, n),
+		cssAt:     make([]uint32, nc),
 		remaining: make([]int32, nc),
 		acc:       make([]float64, nc),
 		dist:      make([]float64, n),
@@ -53,137 +77,291 @@ func newScratch(u *Universe) *scratch {
 		closed:    make([]bool, n),
 		seen:      make([]bool, n),
 	}
-}
-
-// closure is Universe.Closure into the caller's buffer, which it returns.
-func (s *scratch) closure(observed, computable []bool) []bool {
-	u := s.u
-	for c := range s.remaining {
-		s.remaining[c] = u.inOff[c+1] - u.inOff[c]
+	for _, r := range u.Required {
+		s.required[r] = true
 	}
-	copy(computable, observed)
-	queue := s.stack[:0]
-	for i, on := range observed {
-		if on {
-			queue = append(queue, int32(i))
+	for i, c := range u.Cost {
+		if !math.IsInf(c, 1) {
+			s.byCost = append(s.byCost, int32(i))
 		}
 	}
+	slices.SortFunc(s.byCost, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(u.Cost[a], u.Cost[b]), cmp.Compare(a, b))
+	})
+	return s
+}
+
+// closure is Universe.closure into the caller's buffer, which it returns.
+func (s *scratch) closure(observed, computable []bool) []bool {
+	clear(computable)
+	for i, on := range observed {
+		if on {
+			s.extend(computable, int32(i))
+		}
+	}
+	return computable
+}
+
+// extend adds statistic i to the closure closed and propagates it: a
+// candidate set whose inputs are now all computable makes its statistic
+// computable in turn. It touches only the candidate sets the newly
+// computable statistics are inputs of, so a branch-and-bound child's
+// closure is its parent's plus one statistic's propagation.
+func (s *scratch) extend(closed []bool, i int32) {
+	if closed[i] {
+		return
+	}
+	u := s.u
+	closed[i] = true
+	queue := append(s.stack[:0], i)
 	for len(queue) > 0 {
 		i := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, c := range u.usedBy(i) {
 			t := u.cssStat[c]
-			if computable[t] {
+			if closed[t] || slices.ContainsFunc(u.in(c), func(j int32) bool { return !closed[j] }) {
 				continue
 			}
-			if s.remaining[c]--; s.remaining[c] == 0 {
-				computable[t] = true
-				queue = append(queue, t)
-			}
+			closed[t] = true
+			queue = append(queue, t)
 		}
 	}
 	s.stack = queue[:0]
-	return computable
 }
 
-// deriveCosts computes, for every statistic, the cheapest derivation cost
-// under the given leaf pricing: free[i] statistics cost 0 (already
-// observed/computable), banned[i] statistics cannot be observed, all other
-// observable statistics cost u.Cost[i], and unobservable statistics can
-// only be reached through a CSS. The computation is Knuth's generalization
-// of Dijkstra's algorithm to monotone AND/OR graphs, which handles the
-// cyclic derivations produced by union–division correctly.
+// deriveCosts starts a cost pass: the cheapest derivation cost of every
+// statistic under the given leaf pricing. free[i] statistics cost 0
+// (already observed/computable; free must be closed under the candidate
+// sets, as a closure is), banned[i] statistics cannot be observed, all
+// other observable statistics cost u.Cost[i], and unobservable statistics
+// can only be reached through a CSS. The computation is Knuth's
+// generalization of Dijkstra's algorithm to monotone AND/OR graphs, which
+// handles the cyclic derivations produced by union–division correctly.
 // obs overrides the observability mask when non-nil (the Section 6.1
-// budget planner widens observability for re-ordered later runs). The
-// result is s.dist, overwritten by the next pass.
-func (s *scratch) deriveCosts(obs, free, banned []bool, mode deriveMode) []float64 {
-	u := s.u
-	if obs == nil {
-		obs = u.Observable
-	}
-	dist := s.dist
-	for c := range s.remaining {
-		s.remaining[c] = u.inOff[c+1] - u.inOff[c]
-		s.acc[c] = 0
-	}
-	s.heap = s.heap[:0]
-	for i := range dist {
-		s.done[i] = false
-		switch {
-		case free != nil && free[i]:
-			dist[i] = 0
-		case obs[i] && (banned == nil || !banned[i]):
-			dist[i] = u.Cost[i]
-		default:
-			dist[i] = math.Inf(1)
-		}
-		if !math.IsInf(dist[i], 1) {
-			s.pushHeap(heapItem{idx: int32(i), cost: dist[i]})
-		}
-	}
-	for len(s.heap) > 0 {
-		it := s.popHeap()
-		i := it.idx
-		if s.done[i] || it.cost > dist[i] {
-			continue
-		}
-		s.done[i] = true
-		for _, c := range u.usedBy(i) {
-			t := u.cssStat[c]
-			if s.done[t] {
-				continue
-			}
-			switch mode {
-			case deriveSum:
-				s.acc[c] += dist[i]
-			case deriveMax:
-				if dist[i] > s.acc[c] {
-					s.acc[c] = dist[i]
-				}
-			}
-			if s.remaining[c]--; s.remaining[c] == 0 && s.acc[c] < dist[t] {
-				dist[t] = s.acc[c]
-				s.pushHeap(heapItem{idx: t, cost: dist[t]})
-			}
-		}
-	}
-	return dist
-}
-
-// walkDerivation extracts, for statistic target, a concrete cheapest
-// derivation from a deriveSum cost vector (so one cost pass serves many
-// targets): the not-yet-free observable statistics it observes, ascending.
-// ok is false when the target is underivable under the pricing. The leaves
-// are s.leaves, overwritten by the next walk.
-func (s *scratch) walkDerivation(target int32, dist []float64, obs, free, banned []bool) (leaves []int32, cost float64, ok bool) {
+// budget planner widens observability for re-ordered later runs).
+//
+// The pass is goal-directed: starting it settles nothing, and each read —
+// cost, cheapestRequired, walkDerivation — settles statistics in price
+// order only until the values it returns are final. Its setup is constant:
+// free statistics are settled at 0 without being visited, leaf prices are
+// read off byCost instead of seeding the heap, and the per-statistic and
+// per-candidate-set state of earlier passes is invalidated by the epoch.
+// The pass lasts until the next deriveCosts.
+func (s *scratch) deriveCosts(obs, free, banned []bool, mode deriveMode) {
 	if obs == nil {
 		obs = s.u.Observable
 	}
-	if math.IsInf(dist[target], 1) {
+	s.obs, s.free, s.banned, s.mode = obs, free, banned, mode
+	s.heap, s.next = s.heap[:0], 0
+	if s.epoch++; s.epoch == 0 {
+		// Wrapped: clear the stamps so none matches a later pass.
+		clear(s.statAt)
+		clear(s.cssAt)
+		s.epoch = 1
+	}
+}
+
+func (s *scratch) isFree(i int32) bool { return s.free != nil && s.free[i] }
+
+// observes reports whether the pass's pricing lets statistic i be observed.
+func (s *scratch) observes(i int32) bool {
+	return s.obs[i] && (s.banned == nil || !s.banned[i])
+}
+
+// settled reports whether statistic i's price is final.
+func (s *scratch) settled(i int32) bool {
+	return s.isFree(i) || s.statAt[i] == s.epoch && s.done[i]
+}
+
+// price returns statistic i's price: final once settled, before that an
+// upper bound no lower than the frontier.
+func (s *scratch) price(i int32) float64 {
+	switch {
+	case s.isFree(i):
+		return 0
+	case s.statAt[i] == s.epoch:
+		return s.dist[i]
+	case s.observes(i):
+		return s.u.Cost[i]
+	}
+	return math.Inf(1)
+}
+
+// touch makes statistic i's state belong to the current pass.
+func (s *scratch) touch(i int32) {
+	if s.statAt[i] != s.epoch {
+		s.dist[i], s.done[i] = s.price(i), false
+		s.statAt[i] = s.epoch
+	}
+}
+
+// nextLeaf advances the byCost cursor past statistics the pass does not
+// observe at their cost and returns the next one, if any.
+func (s *scratch) nextLeaf() (int32, bool) {
+	for ; s.next < len(s.byCost); s.next++ {
+		if i := s.byCost[s.next]; !s.isFree(i) && s.observes(i) {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// frontier returns a lower bound on every unsettled price: the cheaper of
+// the heap's minimum and the next leaf price (+Inf when both are gone).
+func (s *scratch) frontier() float64 {
+	f := math.Inf(1)
+	if len(s.heap) > 0 {
+		f = s.heap[0].cost
+	}
+	if i, ok := s.nextLeaf(); ok && s.u.Cost[i] < f {
+		f = s.u.Cost[i]
+	}
+	return f
+}
+
+// settleNext settles the cheapest unsettled statistic and propagates its
+// price into the candidate sets it is an input of. ok is false once the
+// frontier is empty: every statistic still unsettled is underivable.
+func (s *scratch) settleNext() (settled int32, ok bool) {
+	u := s.u
+	for {
+		var it heapItem
+		if leaf, ok := s.nextLeaf(); ok && (len(s.heap) == 0 || u.Cost[leaf] <= s.heap[0].cost) {
+			s.next++
+			it = heapItem{idx: leaf, cost: u.Cost[leaf]}
+		} else if len(s.heap) > 0 {
+			it = s.popHeap()
+		} else {
+			return -1, false
+		}
+		s.pops++
+		i := it.idx
+		if s.settled(i) || it.cost > s.price(i) {
+			continue
+		}
+		s.touch(i)
+		s.done[i] = true
+		for _, c := range u.usedBy(i) {
+			t := u.cssStat[c]
+			if s.settled(t) {
+				continue
+			}
+			if s.cssAt[c] != s.epoch {
+				// Free inputs are settled at 0 and never visited: count
+				// only the others.
+				var n int32
+				for _, j := range u.in(c) {
+					if !s.isFree(j) {
+						n++
+					}
+				}
+				s.remaining[c], s.acc[c], s.cssAt[c] = n, 0, s.epoch
+			}
+			switch s.mode {
+			case deriveSum:
+				s.acc[c] += s.dist[i]
+			case deriveMax:
+				if s.dist[i] > s.acc[c] {
+					s.acc[c] = s.dist[i]
+				}
+			}
+			if s.remaining[c]--; s.remaining[c] == 0 && s.acc[c] < s.price(t) {
+				s.touch(t)
+				s.dist[t] = s.acc[c]
+				s.pushHeap(heapItem{idx: t, cost: s.dist[t]})
+			}
+		}
+		return i, true
+	}
+}
+
+// settleThrough settles every statistic priced at most limit.
+func (s *scratch) settleThrough(limit float64) {
+	for s.frontier() <= limit {
+		if _, ok := s.settleNext(); !ok {
+			return
+		}
+	}
+}
+
+// cost returns statistic i's final price, +Inf when no derivation avoids
+// the banned statistics, settling the pass as far as i.
+func (s *scratch) cost(i int32) float64 {
+	for !s.settled(i) {
+		if _, ok := s.settleNext(); !ok {
+			return math.Inf(1)
+		}
+	}
+	return s.price(i)
+}
+
+// cheapestRequired returns the uncovered (not free) required statistic
+// with the lowest final price, ties broken on the lower index, or -1 when
+// the pass completes without settling one: none is derivable. The first
+// required statistic to settle has the lowest price, and settling through
+// that price settles every statistic tied with it.
+func (s *scratch) cheapestRequired() int32 {
+	var low float64
+	for {
+		i, ok := s.settleNext()
+		if !ok {
+			return -1
+		}
+		if s.required[i] {
+			low = s.dist[i]
+			break
+		}
+	}
+	s.settleThrough(low)
+	best := int32(-1)
+	for _, r := range s.u.Required {
+		if !s.isFree(r) && s.settled(r) && s.price(r) == low && (best < 0 || r < best) {
+			best = r
+		}
+	}
+	return best
+}
+
+// walkDerivation extracts, for statistic target, a concrete cheapest
+// derivation under a deriveSum pass: the not-yet-free observable
+// statistics it observes, ascending. ok is false when the target is
+// underivable under the pricing. The walk settles the pass as far as the
+// prices it compares, so it returns what it would after a complete pass.
+// The leaves are s.leaves, overwritten by the next walk.
+func (s *scratch) walkDerivation(target int32) (leaves []int32, cost float64, ok bool) {
+	if cost = s.cost(target); math.IsInf(cost, 1) {
 		return nil, 0, false
 	}
 	s.stack, s.leaves = s.stack[:0], s.leaves[:0]
-	s.walk(target, dist, obs, free, banned)
+	s.walk(target)
 	for _, i := range s.stack {
 		s.seen[i] = false
 	}
 	slices.Sort(s.leaves)
-	return s.leaves, dist[target], true
+	return s.leaves, cost, true
 }
 
-func (s *scratch) walk(i int32, dist []float64, obs, free, banned []bool) {
+// walk visits statistic i, whose price is final: the target was settled by
+// cost, and the inputs of a candidate set the walk takes are priced within
+// the tolerance its statistic settled through.
+func (s *scratch) walk(i int32) {
 	if s.seen[i] {
 		return
 	}
 	s.seen[i] = true
 	s.stack = append(s.stack, i)
-	if free != nil && free[i] {
+	if s.isFree(i) {
 		return
 	}
 	u := s.u
-	observable := obs[i] && (banned == nil || !banned[i])
+	d := s.price(i)
+	// Every price the tests below can accept is final from here on; a
+	// price still unsettled is above the frontier, so above the tolerance
+	// too, before and after the rest of the pass.
+	s.settleThrough(d + 1e-9)
+	observable := s.observes(i)
 	// Prefer direct observation when it is the winning price.
-	if observable && u.Cost[i] <= dist[i]+1e-12 {
+	if observable && u.Cost[i] <= d+1e-12 {
 		s.leaves = append(s.leaves, i)
 		return
 	}
@@ -191,11 +369,11 @@ func (s *scratch) walk(i int32, dist []float64, obs, free, banned []bool) {
 	for c, to := u.css(i); c < to; c++ {
 		var sum float64
 		for _, j := range u.in(c) {
-			sum += dist[j] // +Inf when j is underivable
+			sum += s.price(j) // +Inf when j is underivable
 		}
-		if sum <= dist[i]+1e-9 {
+		if sum <= d+1e-9 {
 			for _, j := range u.in(c) {
-				s.walk(j, dist, obs, free, banned)
+				s.walk(j)
 			}
 			return
 		}

@@ -1,9 +1,6 @@
 package selector
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // solveExact finds a provably minimum-cost observation set. It minimises the
 // paper's 0–1 program of Section 5.2 — x_i observes statistic i, y_i marks
@@ -20,20 +17,20 @@ import (
 // is the closure itself, the lower bound combines committed cost with the
 // cheapest possible completion of the most expensive uncovered requirement,
 // and greedy completions supply incumbents and branching choices. maxNodes
-// caps search nodes (0 = 200000) and timeout the wall-clock time (0 =
-// none); when either runs out, the best incumbent is returned with Optimal
-// = false.
-func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, error) {
+// caps search nodes (0 = 200000); when it runs out, the best incumbent is
+// returned with Optimal = false.
+//
+// A node's closure is its parent's (exclude side) or its parent's plus the
+// branched statistic's propagation (include side), and its two cost passes
+// settle only what the node reads: the prices of the uncovered
+// requirements, then one derivation walk.
+func (s *scratch) solveExact(maxNodes int) (*Selection, error) {
 	if maxNodes <= 0 {
 		maxNodes = 200000
 	}
-	deadline := time.Time{}
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
 
+	u := s.u
 	n := len(u.Stats)
-	s := newScratch(u)
 	baseIn := u.freeObservables()
 
 	// Incumbent from greedy.
@@ -44,17 +41,16 @@ func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, e
 	bestCost := u.ObservedCost(inc)
 	best := inc
 
+	// closed is the closure of in; nodes share it read-only.
 	type node struct {
-		in, out []bool
+		in, out, closed []bool
 	}
-	stack := []node{{in: baseIn, out: make([]bool, n)}}
-	// closedIn outlives the greedy dive below, which reuses s.closed.
-	closedIn := make([]bool, n)
+	stack := []node{{in: baseIn, out: make([]bool, n), closed: s.closure(baseIn, make([]bool, n))}}
 	nodes := 0
 	exhausted := false
 
 	for len(stack) > 0 {
-		if nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
+		if nodes >= maxNodes {
 			exhausted = true
 			break
 		}
@@ -66,26 +62,26 @@ func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, e
 		if committed >= bestCost-1e-9 {
 			continue
 		}
-		s.closure(nd.in, closedIn)
 		// Lower bound and feasibility in one pass: the max-aggregated
 		// derivation price of each uncovered requirement (∞ = no
 		// derivation avoids the banned statistics at all).
 		var lbExtra float64
 		worst := int32(-1)
-		dist := s.deriveCosts(nil, closedIn, nd.out, deriveMax)
+		s.deriveCosts(nil, nd.closed, nd.out, deriveMax)
 		covered := true
 		infeasible := false
 		for _, r := range u.Required {
-			if closedIn[r] {
+			if nd.closed[r] {
 				continue
 			}
 			covered = false
-			if math.IsInf(dist[r], 1) {
+			d := s.cost(r)
+			if math.IsInf(d, 1) {
 				infeasible = true
 				break
 			}
-			if dist[r] > lbExtra {
-				lbExtra = dist[r]
+			if d > lbExtra {
+				lbExtra = d
 				worst = r
 			}
 		}
@@ -115,8 +111,8 @@ func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, e
 				}
 			}
 		}
-		dist = s.deriveCosts(nil, closedIn, nd.out, deriveSum)
-		leaves, _, ok := s.walkDerivation(worst, dist, nil, closedIn, nd.out)
+		s.deriveCosts(nil, nd.closed, nd.out, deriveSum)
+		leaves, _, ok := s.walkDerivation(worst)
 		if !ok {
 			continue
 		}
@@ -133,9 +129,10 @@ func solveExact(u *Universe, maxNodes int, timeout time.Duration) (*Selection, e
 		}
 		// Branch: include / exclude the chosen statistic. Explore the
 		// include side first (it matches the greedy completion).
-		inSide := node{in: append([]bool(nil), nd.in...), out: nd.out}
+		inSide := node{in: append([]bool(nil), nd.in...), out: nd.out, closed: append([]bool(nil), nd.closed...)}
 		inSide.in[branch] = true
-		outSide := node{in: nd.in, out: append([]bool(nil), nd.out...)}
+		s.extend(inSide.closed, branch)
+		outSide := node{in: nd.in, out: append([]bool(nil), nd.out...), closed: nd.closed}
 		outSide.out[branch] = true
 		stack = append(stack, outSide, inSide)
 	}

@@ -47,7 +47,7 @@ func TestSolverInvariantsFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Greedy: %v", err)
 			}
-			ex, err := solveExact(u, 1500, 0)
+			ex, err := newScratch(u).solveExact(1500)
 			if err != nil {
 				t.Fatalf("Exact: %v", err)
 			}

@@ -2,7 +2,7 @@ package selector
 
 import (
 	"fmt"
-	"math"
+	"slices"
 )
 
 // Greedy implements the heuristic of Section 5.3: repeatedly pick the
@@ -22,44 +22,30 @@ func Greedy(u *Universe) (*Selection, error) {
 // is covered, never touching banned statistics. It mutates observed.
 func (s *scratch) greedyComplete(observed, banned []bool) error {
 	u := s.u
-	for {
-		// Free pricing: anything already computable costs nothing more.
-		closed := s.closure(observed, s.closed)
-		if u.covers(closed) {
-			return nil
+	closed := s.closure(observed, s.closed)
+	for !u.covers(closed) {
+		// Free pricing: anything already computable costs nothing more. The
+		// pass settles as far as the cheapest uncovered requirement and the
+		// walk of its derivation.
+		s.deriveCosts(nil, closed, banned, deriveSum)
+		bestR := s.cheapestRequired()
+		if bestR < 0 {
+			// The pass completed without reaching an uncovered requirement:
+			// none is derivable.
+			r := u.Required[slices.IndexFunc(u.Required, func(r int32) bool { return !closed[r] })]
+			return fmt.Errorf("selector: required statistic %v not derivable", u.Stats[r].Key())
 		}
-		// One shared cost pass prices every uncovered requirement; only the
-		// winner's derivation is walked out.
-		dist := s.deriveCosts(nil, closed, banned, deriveSum)
-		bestCost := math.Inf(1)
-		bestR := int32(-1)
-		for _, r := range u.Required {
-			if closed[r] {
-				continue
-			}
-			if math.IsInf(dist[r], 1) {
-				return fmt.Errorf("selector: required statistic %v not derivable", u.Stats[r].Key())
-			}
-			// Ties break on the lower statistic index, so the pick (and
-			// hence the whole greedy run) is deterministic regardless of
-			// the order requirements were registered in.
-			if dist[r] < bestCost || dist[r] == bestCost && r < bestR {
-				bestCost = dist[r]
-				bestR = r
-			}
-		}
-		bestLeaves, _, ok := s.walkDerivation(bestR, dist, nil, closed, banned)
-		if !ok {
-			return fmt.Errorf("selector: required statistic %v not derivable", u.Stats[bestR].Key())
-		}
+		bestLeaves, bestCost, _ := s.walkDerivation(bestR)
 		if len(bestLeaves) == 0 {
 			// The cheapest uncovered statistic became computable for free;
-			// the closure recomputation above would have caught that, so an
-			// empty leaf set with positive cost is a logic error.
+			// the closure would have caught that, so an empty leaf set with
+			// positive cost is a logic error.
 			return fmt.Errorf("selector: greedy made no progress (cost %v)", bestCost)
 		}
 		for _, i := range bestLeaves {
 			observed[i] = true
+			s.extend(closed, i)
 		}
 	}
+	return nil
 }

@@ -3,7 +3,6 @@ package selector
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
@@ -37,7 +36,7 @@ type Method int
 // Available solvers.
 const (
 	// MethodExact is the combinatorial branch and bound; it returns its
-	// best incumbent (Optimal=false) when its node or time budget expires.
+	// best incumbent (Optimal=false) when its node budget expires.
 	MethodExact Method = iota
 	// MethodGreedy forces the Section 5.3 heuristic.
 	MethodGreedy
@@ -61,8 +60,6 @@ type Options struct {
 	// MaxNodes caps the exact method's search nodes (0 = a budget scaled
 	// inversely with the universe's size).
 	MaxNodes int
-	// Timeout caps the exact solver's wall-clock time.
-	Timeout time.Duration
 }
 
 // Select determines a minimum-cost set of statistics to observe for the
@@ -84,10 +81,11 @@ func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
 	default:
 		maxNodes := opt.MaxNodes
 		if maxNodes <= 0 {
-			// Each branch-and-bound node costs a couple of passes over the
-			// CSS graph; scale the default budget inversely with graph
-			// size so worst-case solve time stays bounded while small
-			// universes still get exhaustive search.
+			// Each branch-and-bound node costs two cost passes, each of
+			// which settles at most the whole CSS graph; scale the default
+			// budget inversely with graph size so worst-case solve time
+			// stays bounded while small universes still get exhaustive
+			// search.
 			maxNodes = 40_000_000 / (1 + len(u.inputs))
 			if maxNodes < 1000 {
 				maxNodes = 1000
@@ -96,6 +94,6 @@ func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
 				maxNodes = 200000
 			}
 		}
-		return solveExact(u, maxNodes, opt.Timeout)
+		return newScratch(u).solveExact(maxNodes)
 	}
 }

@@ -140,7 +140,7 @@ func TestExactNoWorseThanGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Greedy: %v", err)
 		}
-		ex, err := solveExact(u, 0, 0)
+		ex, err := newScratch(u).solveExact(0)
 		if err != nil {
 			t.Fatalf("Exact: %v", err)
 		}
@@ -213,7 +213,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	}
 	t.Logf("retail under 2 option sets and %d generated universes", len(cases)-2)
 	for _, c := range cases {
-		ex, err := solveExact(c.u, 0, 0)
+		ex, err := newScratch(c.u).solveExact(0)
 		if err != nil {
 			t.Fatalf("%s: Exact: %v", c.name, err)
 		}
@@ -243,7 +243,7 @@ func TestAmortizationSharedAttribute(t *testing.T) {
 	j2 := b.Join(j1, t3, workflow.Attr{Rel: "T1", Col: "a"}, workflow.Attr{Rel: "T3", Col: "a"})
 	b.Sink(j2, "dw")
 	u := buildUniverse(t, b.Graph(), cat, css.Options{})
-	sel, err := solveExact(u, 0, 0)
+	sel, err := newScratch(u).solveExact(0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
@@ -287,11 +287,11 @@ func TestUnionDivisionCanReduceMemory(t *testing.T) {
 	b.Sink(j2, "dw")
 	uPlain := buildUniverse(t, b.Graph(), cat, css.Options{})
 	uUD := buildUniverse(t, b.Graph(), cat, css.Options{UnionDivision: true})
-	selPlain, err := solveExact(uPlain, 0, 0)
+	selPlain, err := newScratch(uPlain).solveExact(0)
 	if err != nil {
 		t.Fatalf("Exact(plain): %v", err)
 	}
-	selUD, err := solveExact(uUD, 0, 0)
+	selUD, err := newScratch(uUD).solveExact(0)
 	if err != nil {
 		t.Fatalf("Exact(ud): %v", err)
 	}
@@ -316,7 +316,7 @@ func TestFreeSourceStatsPreferred(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewUniverseOpts: %v", err)
 		}
-		sel, err := solveExact(u, 0, 0)
+		sel, err := newScratch(u).solveExact(0)
 		if err != nil {
 			t.Fatalf("Exact: %v", err)
 		}
@@ -395,11 +395,11 @@ func TestSelectDispatch(t *testing.T) {
 func TestSelectionDeterministic(t *testing.T) {
 	g, cat := retail(t)
 	u := buildUniverse(t, g, cat, css.DefaultOptions())
-	a, err := solveExact(u, 0, 0)
+	a, err := newScratch(u).solveExact(0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}
-	b, err := solveExact(u, 0, 0)
+	b, err := newScratch(u).solveExact(0)
 	if err != nil {
 		t.Fatalf("Exact: %v", err)
 	}

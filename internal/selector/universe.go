@@ -234,9 +234,11 @@ func (u *Universe) pruneUnderivable() {
 
 // closure computes the set of computable statistics given the observed
 // ones: the least fixpoint of "observed, or some CSS fully computable"
-// (property 1 of Section 5.1). It runs in time linear in total CSS size.
+// (property 1 of Section 5.1). It visits only the candidate sets that
+// computable statistics are inputs of.
 func (u *Universe) closure(observed []bool) []bool {
-	return newScratch(u).closure(observed, make([]bool, len(u.Stats)))
+	// Propagation needs no work array but its queue, which grows on demand.
+	return (&scratch{u: u}).closure(observed, make([]bool, len(u.Stats)))
 }
 
 // Covered reports whether every required statistic is computable under the
