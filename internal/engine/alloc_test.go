@@ -83,8 +83,8 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 		t.Skip("pooled arenas are dropped at random under -race; the plain test job pins this")
 	}
 	const (
-		pinnedBytes  = 219_736
-		pinnedAllocs = 1_304
+		pinnedBytes  = 186_416
+		pinnedAllocs = 462
 	)
 	fact, fr := allocTable("F", []string{"k1", "k2", "v"}, []int{64, 32, 0}, allocRows)
 	d1, r1 := allocTable("D1", []string{"k1", "a"}, []int{0, 8}, 64)

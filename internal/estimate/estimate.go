@@ -318,8 +318,9 @@ func snapAttr(h *stats.Histogram, a workflow.Attr, spec stats.BucketSpec) (*stat
 	}
 	out := stats.NewHistogram(h.Attrs...)
 	var err error
+	proj := make([]int64, len(h.Attrs))
 	h.Each(func(vals []int64, f int64) {
-		proj := append([]int64(nil), vals...)
+		copy(proj, vals)
 		proj[pos] = specMidpoint(spec, spec.Bucket(vals[pos]))
 		if e2 := out.Inc(proj, f); e2 != nil && err == nil {
 			err = e2
@@ -985,8 +986,8 @@ func (e *Estimator) evalG2(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 	// Sort target positions to match the output histogram's canonical
 	// attribute order.
 	order := attrOrder(s.Attrs)
+	proj := make([]int64, len(pos))
 	v.Hist.Each(func(vals []int64, _ int64) {
-		proj := make([]int64, len(pos))
 		for i := range pos {
 			proj[order[i]] = vals[pos[i]]
 		}
@@ -1028,8 +1029,8 @@ func relabel(h *stats.Histogram, from, to []workflow.Attr) (*stats.Histogram, er
 	}
 	out := stats.NewHistogram(to...)
 	order := attrOrder(to)
+	proj := make([]int64, len(to))
 	h.Each(func(vals []int64, f int64) {
-		proj := make([]int64, len(to))
 		for i := range to {
 			proj[order[i]] = vals[srcPos[i]]
 		}

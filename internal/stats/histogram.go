@@ -1,9 +1,10 @@
 package stats
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
-	"sort"
+	"math/rand/v2"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
@@ -14,42 +15,157 @@ import (
 // cardinalities accurately (Section 3.1); exact per-value counts realize
 // that assumption, and bucketized approximations are future work there as
 // here.
+//
+// Buckets live in flat arrays: bucket s (its slot) is the value tuple
+// vals[s*arity:(s+1)*arity] with frequency freq[s]. An open-addressing
+// table of slot numbers, hashed on the int64 tuple itself, finds a
+// tuple's slot; no bucket owns a key string or a pointer, so building,
+// projecting and joining histograms allocates per call rather than per
+// bucket. A bucket whose frequency reaches zero keeps its slot and is
+// skipped by every reader until an increment revives it. Iteration is in
+// slot (first-insertion) order.
+//
+// Reads — Freq, Total, Buckets, Each, and every operation on its inputs —
+// write nothing to the receiver, so one histogram may be read from many
+// goroutines at once (the daemon's catalog shares stored histograms
+// between concurrent solves). Writes need exclusive access.
 type Histogram struct {
 	// Attrs are the attributes the distribution ranges over, in canonical
 	// order. Values passed to Add/Freq must follow this order.
 	Attrs []workflow.Attr
-	// m holds bucket counts behind pointers so the per-row observation
-	// path can increment an existing bucket without re-materializing its
-	// key: a map *lookup* keyed by string(kbuf) is allocation-free, but a
-	// map *assignment* is not, so Inc only assigns (and only then copies
-	// the key) when a bucket is first seen.
-	m    map[string]*int64
-	kbuf []byte
+	vals  []int64
+	freq  []int64
+	// index holds slot+1 per occupied cell, 0 for an empty one; its length
+	// is a power of two at least twice the slot count (or zero before the
+	// first insert).
+	index []int32
+	live  int
 }
 
 // NewHistogram returns an empty histogram over the given attributes.
 func NewHistogram(attrs ...workflow.Attr) *Histogram {
-	return &Histogram{Attrs: workflow.SortAttrs(attrs), m: make(map[string]*int64)}
+	return &Histogram{Attrs: workflow.SortAttrs(attrs)}
 }
 
-func encodeVals(vals []int64) string {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint64(buf[i*8:], uint64(v))
-	}
-	return string(buf)
+// newHistogramCap returns an empty histogram over attributes already in
+// canonical order, with room for n buckets before it grows.
+func newHistogramCap(attrs []workflow.Attr, n int) *Histogram {
+	h := &Histogram{Attrs: attrs}
+	h.reserve(n)
+	return h
 }
 
-func decodeVals(key string) []int64 {
-	out := make([]int64, len(key)/8)
-	for i := range out {
-		out[i] = int64(binary.BigEndian.Uint64([]byte(key[i*8 : i*8+8])))
+// hashSeed is drawn once per process: stores uploaded to the daemon are
+// untrusted, and a fixed tuple hash would let an upload choose values that
+// all collide. Iteration follows slot order, so no output depends on it.
+var hashSeed = rand.Uint64()
+
+// hashTuple mixes the tuple's values into the seed with the splitmix64
+// finalizer, one round per value.
+func hashTuple(t []int64) uint64 {
+	h := hashSeed
+	for _, v := range t {
+		h ^= uint64(v)
+		h += 0x9e3779b97f4a7c15
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
 	}
-	return out
+	return h
 }
 
 // arity returns the number of attributes.
 func (h *Histogram) arity() int { return len(h.Attrs) }
+
+// tuple returns slot s's values; the full slice expression keeps an
+// append by the caller from overwriting the next slot.
+func (h *Histogram) tuple(s int) []int64 {
+	n := len(h.Attrs)
+	return h.vals[s*n : (s+1)*n : (s+1)*n]
+}
+
+// lookup returns t's slot, or -1 and the empty index cell where t would
+// go. It writes nothing.
+func (h *Histogram) lookup(t []int64) (slot, cell int) {
+	if len(h.index) == 0 {
+		return -1, -1
+	}
+	n := len(h.Attrs)
+	mask := len(h.index) - 1
+	i := int(hashTuple(t)) & mask
+	for {
+		e := int(h.index[i])
+		if e == 0 {
+			return -1, i
+		}
+		s := e - 1
+		if slices.Equal(h.vals[s*n:(s+1)*n], t) {
+			return s, i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// reserve sizes the index and the bucket arrays for n more slots.
+func (h *Histogram) reserve(n int) {
+	want := len(h.freq) + n
+	size := 8
+	for size < 2*want {
+		size *= 2
+	}
+	if size > len(h.index) {
+		h.rehash(size)
+	}
+	h.vals = slices.Grow(h.vals, n*len(h.Attrs))
+	h.freq = slices.Grow(h.freq, n)
+}
+
+// rehash rebuilds the index at the given power-of-two size. Zero-frequency
+// slots are indexed too: they may revive.
+func (h *Histogram) rehash(size int) {
+	h.index = make([]int32, size)
+	mask := size - 1
+	for s := range h.freq {
+		i := int(hashTuple(h.tuple(s))) & mask
+		for h.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		h.index[i] = int32(s + 1)
+	}
+}
+
+// insert appends t as a new slot with frequency f; cell is the empty
+// index cell lookup returned for t (or -1 when the index was empty).
+func (h *Histogram) insert(t []int64, f int64, cell int) {
+	if 2*(len(h.freq)+1) > len(h.index) {
+		h.reserve(max(len(h.freq), 1))
+		_, cell = h.lookup(t)
+	}
+	h.index[cell] = int32(len(h.freq) + 1)
+	h.vals = append(h.vals, t...)
+	h.freq = append(h.freq, f)
+	h.live++
+}
+
+// add adds delta to t's bucket, inserting or reviving it as needed.
+func (h *Histogram) add(t []int64, delta int64) {
+	if delta == 0 {
+		return
+	}
+	s, cell := h.lookup(t)
+	if s < 0 {
+		h.insert(t, delta, cell)
+		return
+	}
+	before := h.freq[s]
+	h.freq[s] += delta
+	switch {
+	case before == 0:
+		h.live++
+	case h.freq[s] == 0:
+		h.live--
+	}
+}
 
 // arityError reports a value tuple whose length does not match the
 // histogram's attribute arity — a mis-declared statistic, surfaced as a
@@ -66,50 +182,24 @@ func (e *arityError) Error() string {
 // Add increments the bucket for the value tuple by one.
 func (h *Histogram) Add(vals ...int64) error { return h.Inc(vals, 1) }
 
-// Inc increments the bucket for the value tuple by delta. Buckets that
-// reach zero are removed. Incrementing an existing bucket allocates
-// nothing; the key string is materialized only on first insert.
+// Inc increments the bucket for the value tuple by delta; a bucket that
+// reaches zero no longer counts. The tuple is copied in, and incrementing
+// an existing bucket allocates nothing.
 func (h *Histogram) Inc(vals []int64, delta int64) error {
 	if len(vals) != len(h.Attrs) {
 		return &arityError{Want: len(h.Attrs), Got: len(vals)}
 	}
-	h.kbuf = h.kbuf[:0]
-	for _, v := range vals {
-		h.kbuf = binary.BigEndian.AppendUint64(h.kbuf, uint64(v))
-	}
-	if p, ok := h.m[string(h.kbuf)]; ok {
-		*p += delta
-		if *p == 0 {
-			delete(h.m, string(h.kbuf))
-		}
-		return nil
-	}
-	if delta != 0 {
-		h.inc(string(h.kbuf), delta)
-	}
+	h.add(vals, delta)
 	return nil
-}
-
-// inc adds delta to the bucket for an encoded key, inserting or removing
-// the bucket as needed.
-func (h *Histogram) inc(k string, delta int64) {
-	if p, ok := h.m[k]; ok {
-		*p += delta
-		if *p == 0 {
-			delete(h.m, k)
-		}
-		return
-	}
-	if delta != 0 {
-		v := delta
-		h.m[k] = &v
-	}
 }
 
 // Freq returns the frequency of the value tuple.
 func (h *Histogram) Freq(vals ...int64) int64 {
-	if p, ok := h.m[encodeVals(vals)]; ok {
-		return *p
+	if len(vals) != len(h.Attrs) {
+		return 0
+	}
+	if s, _ := h.lookup(vals); s >= 0 {
+		return h.freq[s]
 	}
 	return 0
 }
@@ -118,44 +208,63 @@ func (h *Histogram) Freq(vals ...int64) int64 {
 // on relation T this equals |T| (identity rule I1).
 func (h *Histogram) Total() int64 {
 	var t int64
-	for _, f := range h.m {
-		t += *f
+	for _, f := range h.freq {
+		t += f
 	}
 	return t
 }
 
 // Buckets returns the number of non-empty buckets, i.e. the number of
 // distinct value combinations |a_T|.
-func (h *Histogram) Buckets() int { return len(h.m) }
+func (h *Histogram) Buckets() int { return h.live }
 
-// Each calls f for every bucket in an unspecified order.
+// Each calls f for every non-empty bucket in slot order. vals is a view of
+// the bucket: it is valid only during the call and must not be modified;
+// f must not modify h.
 func (h *Histogram) Each(f func(vals []int64, freq int64)) {
-	for k, v := range h.m {
-		f(decodeVals(k), *v)
+	for s, fr := range h.freq {
+		if fr != 0 {
+			f(h.tuple(s), fr)
+		}
 	}
 }
 
-// eachSorted calls f for every bucket in ascending value order; used where
-// deterministic output matters (reports, tests).
-func (h *Histogram) eachSorted(f func(vals []int64, freq int64)) {
-	keys := make([]string, 0, len(h.m))
-	for k := range h.m {
-		keys = append(keys, k)
+// compareTuples orders value tuples lexicographically by each value's
+// uint64 bit pattern — the order of their big-endian byte encodings, which
+// the persisted stream uses.
+func compareTuples(a, b []int64) int {
+	for i := range a {
+		if c := cmp.Compare(uint64(a[i]), uint64(b[i])); c != 0 {
+			return c
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		f(decodeVals(k), *h.m[k])
+	return 0
+}
+
+// eachSorted is Each in ascending compareTuples order; used where
+// deterministic output matters (the persisted stream, reports, tests).
+func (h *Histogram) eachSorted(f func(vals []int64, freq int64)) {
+	order := make([]int, 0, h.live)
+	for s, fr := range h.freq {
+		if fr != 0 {
+			order = append(order, s)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int { return compareTuples(h.tuple(a), h.tuple(b)) })
+	for _, s := range order {
+		f(h.tuple(s), h.freq[s])
 	}
 }
 
 // clone returns a deep copy.
 func (h *Histogram) clone() *Histogram {
-	out := &Histogram{Attrs: append([]workflow.Attr(nil), h.Attrs...), m: make(map[string]*int64, len(h.m))}
-	for k, v := range h.m {
-		f := *v
-		out.m[k] = &f
+	return &Histogram{
+		Attrs: slices.Clone(h.Attrs),
+		vals:  slices.Clone(h.vals),
+		freq:  slices.Clone(h.freq),
+		index: slices.Clone(h.index),
+		live:  h.live,
 	}
-	return out
 }
 
 // attrPos returns the positions of want within h.Attrs, or an error when an
@@ -177,30 +286,28 @@ func (h *Histogram) attrPos(want []workflow.Attr) ([]int, error) {
 	return pos, nil
 }
 
+// project copies the values of vals at pos into dst.
+func project(dst, vals []int64, pos []int) {
+	for i, p := range pos {
+		dst[i] = vals[p]
+	}
+}
+
 // Marginal aggregates the histogram down to the given attribute subset
 // (identity rule I2: a histogram on (a,b) yields the histogram on a by
 // summing over b).
 func (h *Histogram) Marginal(attrs ...workflow.Attr) (*Histogram, error) {
-	attrs = workflow.SortAttrs(append([]workflow.Attr(nil), attrs...))
+	attrs = workflow.SortAttrs(slices.Clone(attrs))
 	pos, err := h.attrPos(attrs)
 	if err != nil {
 		return nil, err
 	}
-	out := NewHistogram(attrs...)
-	var rerr error
+	out := newHistogramCap(attrs, h.live)
+	sub := make([]int64, len(pos))
 	h.Each(func(vals []int64, freq int64) {
-		if rerr != nil {
-			return
-		}
-		sub := make([]int64, len(pos))
-		for i, p := range pos {
-			sub[i] = vals[p]
-		}
-		rerr = out.Inc(sub, freq)
+		project(sub, vals, pos)
+		out.add(sub, freq)
 	})
-	if rerr != nil {
-		return nil, rerr
-	}
 	return out, nil
 }
 
@@ -216,14 +323,18 @@ func DotProduct(h1, h2 *Histogram) (int64, error) {
 	if large.Buckets() < small.Buckets() {
 		small, large = large, small
 	}
-	for k, f := range small.m {
-		var lf int64
-		if p, ok := large.m[k]; ok {
-			lf = *p
+	for s, f := range small.freq {
+		if f == 0 {
+			continue
 		}
-		p, err := mulInt64(*f, lf)
+		v := small.tuple(s)
+		ls, _ := large.lookup(v)
+		if ls < 0 {
+			continue
+		}
+		p, err := mulInt64(f, large.freq[ls])
 		if err != nil {
-			return 0, fmt.Errorf("dot product: bucket %v: %w", decodeVals(k), err)
+			return 0, fmt.Errorf("dot product: bucket %v: %w", v, err)
 		}
 		total, err = addInt64(total, p)
 		if err != nil {
@@ -248,8 +359,7 @@ func Join(h1, h2 *Histogram, join workflow.Attr, out []workflow.Attr) (*Histogra
 	if err != nil {
 		return nil, fmt.Errorf("join: %w", err)
 	}
-	outAttrs := workflow.SortAttrs(append([]workflow.Attr(nil), out...))
-	res := NewHistogram(outAttrs...)
+	outAttrs := workflow.SortAttrs(slices.Clone(out))
 
 	// For each output attribute decide which side supplies it; the join
 	// attribute can come from either.
@@ -270,18 +380,58 @@ func Join(h1, h2 *Histogram, join workflow.Attr, out []workflow.Attr) (*Histogra
 		return nil, fmt.Errorf("join: output attribute %s in neither input", a)
 	}
 
-	// Group the right side's buckets by join value.
-	group2 := make(map[int64][]string)
-	for k := range h2.m {
-		v := decodeVals(k)
-		group2[v[p2[0]]] = append(group2[v[p2[0]]], k)
+	// Group the right side's slots by join value: groups' slot g holds
+	// join value g and counts its buckets, and members[start[g]:start[g+1]]
+	// are their slots in h2.
+	groups := newHistogramCap(h2.Attrs[p2[0]:p2[0]+1], h2.live)
+	key := make([]int64, 1)
+	slotGroup := make([]int32, len(h2.freq))
+	for s, f := range h2.freq {
+		if f == 0 {
+			continue
+		}
+		key[0] = h2.tuple(s)[p2[0]]
+		g, cell := groups.lookup(key)
+		if g < 0 {
+			g = len(groups.freq)
+			groups.insert(key, 1, cell)
+		} else {
+			groups.freq[g]++
+		}
+		slotGroup[s] = int32(g)
 	}
-	for k1, f1 := range h1.m {
-		v1 := decodeVals(k1)
-		for _, k2 := range group2[v1[p1[0]]] {
-			v2 := decodeVals(k2)
-			f2 := *h2.m[k2]
-			vals := make([]int64, len(srcs))
+	start := make([]int32, len(groups.freq)+1)
+	for g, n := range groups.freq {
+		start[g+1] = start[g] + int32(n)
+	}
+	members := make([]int32, h2.live)
+	fill := slices.Clone(start[:len(start)-1])
+	for s, f := range h2.freq {
+		if f == 0 {
+			continue
+		}
+		g := slotGroup[s]
+		members[fill[g]] = int32(s)
+		fill[g]++
+	}
+
+	// When one side holds at most one bucket per join value (a key join),
+	// each bucket of the other side matches at most once, so the larger
+	// input bounds the output; a many-to-many join grows past it.
+	res := newHistogramCap(outAttrs, max(h1.live, h2.live))
+	vals := make([]int64, len(srcs))
+	for s1, f1 := range h1.freq {
+		if f1 == 0 {
+			continue
+		}
+		v1 := h1.tuple(s1)
+		key[0] = v1[p1[0]]
+		g, _ := groups.lookup(key)
+		if g < 0 {
+			continue
+		}
+		for _, s2 := range members[start[g]:start[g+1]] {
+			v2 := h2.tuple(int(s2))
 			for i, s := range srcs {
 				if s.side == 1 {
 					vals[i] = v1[s.pos]
@@ -289,13 +439,11 @@ func Join(h1, h2 *Histogram, join workflow.Attr, out []workflow.Attr) (*Histogra
 					vals[i] = v2[s.pos]
 				}
 			}
-			f, err := mulInt64(*f1, f2)
+			f, err := mulInt64(f1, h2.freq[s2])
 			if err != nil {
 				return nil, fmt.Errorf("join: bucket %v: %w", vals, err)
 			}
-			if err := res.Inc(vals, f); err != nil {
-				return nil, fmt.Errorf("join: %w", err)
-			}
+			res.add(vals, f)
 		}
 	}
 	return res, nil
@@ -312,21 +460,7 @@ func Divide(num, den *Histogram) (*Histogram, error) {
 		return nil, fmt.Errorf("divide: attribute sets differ: %s vs %s",
 			workflow.AttrsString(num.Attrs), workflow.AttrsString(den.Attrs))
 	}
-	out := NewHistogram(num.Attrs...)
-	for k, f := range num.m {
-		var d int64
-		if p, ok := den.m[k]; ok {
-			d = *p
-		}
-		if d == 0 {
-			return nil, fmt.Errorf("divide: bucket %v has zero denominator", decodeVals(k))
-		}
-		if *f%d != 0 {
-			return nil, fmt.Errorf("divide: bucket %v: %d not divisible by %d", decodeVals(k), *f, d)
-		}
-		out.inc(k, *f/d)
-	}
-	return out, nil
+	return divide(num, den, nil, "divide")
 }
 
 // DivideProject is Divide for the J5 case where the numerator carries extra
@@ -337,29 +471,36 @@ func DivideProject(num, den *Histogram) (*Histogram, error) {
 	if err != nil {
 		return nil, fmt.Errorf("divide-project: %w", err)
 	}
-	out := NewHistogram(num.Attrs...)
-	var rerr error
-	num.Each(func(vals []int64, f int64) {
-		if rerr != nil {
-			return
+	return divide(num, den, pos, "divide-project")
+}
+
+// divide divides every numerator bucket by the denominator bucket at its
+// values' positions pos (all of them when pos is nil).
+func divide(num, den *Histogram, pos []int, op string) (*Histogram, error) {
+	out := newHistogramCap(slices.Clone(num.Attrs), num.live)
+	sub := make([]int64, len(den.Attrs))
+	for s, f := range num.freq {
+		if f == 0 {
+			continue
 		}
-		sub := make([]int64, len(pos))
-		for i, p := range pos {
-			sub[i] = vals[p]
+		vals := num.tuple(s)
+		key := vals
+		if pos != nil {
+			project(sub, vals, pos)
+			key = sub
 		}
-		d := den.Freq(sub...)
+		var d int64
+		if ds, _ := den.lookup(key); ds >= 0 {
+			d = den.freq[ds]
+		}
 		if d == 0 {
-			rerr = fmt.Errorf("divide-project: bucket %v has zero denominator", vals)
-			return
+			return nil, fmt.Errorf("%s: bucket %v has zero denominator", op, vals)
 		}
 		if f%d != 0 {
-			rerr = fmt.Errorf("divide-project: bucket %v: %d not divisible by %d", vals, f, d)
-			return
+			return nil, fmt.Errorf("%s: bucket %v: %d not divisible by %d", op, vals, f, d)
 		}
-		rerr = out.Inc(vals, f/d)
-	})
-	if rerr != nil {
-		return nil, rerr
+		_, cell := out.lookup(vals)
+		out.insert(vals, f/d, cell)
 	}
 	return out, nil
 }
@@ -372,8 +513,6 @@ func AddHist(h1, h2 *Histogram) (*Histogram, error) {
 			workflow.AttrsString(h1.Attrs), workflow.AttrsString(h2.Attrs))
 	}
 	out := h1.clone()
-	for k, f := range h2.m {
-		out.inc(k, *f)
-	}
+	h2.Each(out.add)
 	return out, nil
 }

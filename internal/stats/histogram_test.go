@@ -2,7 +2,10 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +66,7 @@ func TestMarginal(t *testing.T) {
 		t.Fatalf("Marginal: %v", err)
 	}
 	if m.Freq(1) != 2 || m.Freq(2) != 1 {
-		t.Fatalf("Marginal freqs wrong: %v", m.m)
+		t.Fatalf("Marginal freqs wrong: %v", histString(m))
 	}
 	if m.Total() != h.Total() {
 		t.Fatalf("Marginal total %d != %d", m.Total(), h.Total())
@@ -261,7 +264,7 @@ func TestDivideProject(t *testing.T) {
 		t.Fatalf("DivideProject: %v", err)
 	}
 	if got.Freq(1, 10) != 3 || got.Freq(1, 20) != 2 || got.Freq(2, 10) != 3 {
-		t.Fatalf("DivideProject wrong: %v", got.m)
+		t.Fatalf("DivideProject wrong: %v", histString(got))
 	}
 	// Union–division consistency: Join then DivideProject recovers the
 	// original joint distribution.
@@ -296,7 +299,7 @@ func TestAddHist(t *testing.T) {
 		t.Fatalf("AddHist: %v", err)
 	}
 	if sum.Freq(1) != 2 || sum.Freq(2) != 1 {
-		t.Fatalf("AddHist wrong: %v", sum.m)
+		t.Fatalf("AddHist wrong: %v", histString(sum))
 	}
 	hb := NewHistogram(aB)
 	if _, err := AddHist(h1, hb); err == nil {
@@ -352,21 +355,20 @@ func TestEachSortedDeterministic(t *testing.T) {
 	}
 }
 
+// histString renders the buckets in eachSorted order.
+func histString(h *Histogram) string {
+	var sb strings.Builder
+	h.eachSorted(func(vals []int64, f int64) { fmt.Fprintf(&sb, "%v:%d ", vals, f) })
+	return sb.String()
+}
+
 func histEqual(a, b *Histogram) bool {
-	if len(a.m) != len(b.m) {
-		return false
-	}
-	for k, v := range a.m {
-		if p, ok := b.m[k]; !ok || *p != *v {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Attrs, b.Attrs) && histString(a) == histString(b)
 }
 
 func assertHistEqual(t *testing.T, got, want *Histogram) {
 	t.Helper()
 	if !histEqual(got, want) {
-		t.Fatalf("histograms differ:\n got: %v\nwant: %v", got.m, want.m)
+		t.Fatalf("histograms differ:\n got: %v\nwant: %v", histString(got), histString(want))
 	}
 }

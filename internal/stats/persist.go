@@ -489,9 +489,18 @@ func readValue(r *statReader) (*Value, error) {
 	if err := r.checkRemaining(int64(buckets), bucketLen, "bucket"); err != nil {
 		return nil, err
 	}
-	h := NewHistogram(s.Attrs...)
+	// On a sized stream checkRemaining has bounded the count by the bytes
+	// left, so the histogram is sized for every bucket up front. On a
+	// size-unknown one the count is unchecked: the histogram grows with
+	// the buckets read, so a lying count fails at EOF having allocated
+	// almost nothing.
+	presize := int(buckets)
+	if r.size < 0 {
+		presize = 0
+	}
+	h := newHistogramCap(s.Attrs, presize)
 	vals := make([]int64, len(s.Attrs))
-	var prevKey string
+	prev := make([]int64, len(s.Attrs))
 	for b := uint32(0); b < buckets; b++ {
 		for i := range vals {
 			if err := binary.Read(r, binary.LittleEndian, &vals[i]); err != nil {
@@ -507,11 +516,10 @@ func readValue(r *statReader) (*Value, error) {
 		}
 		// The writer emits buckets in strictly ascending value order;
 		// out-of-order or duplicate buckets are not a WriteTo stream.
-		k := encodeVals(vals)
-		if b > 0 && k <= prevKey {
+		if b > 0 && compareTuples(vals, prev) <= 0 {
 			return nil, r.corrupt("buckets not in canonical order at %v", vals)
 		}
-		prevKey = k
+		copy(prev, vals)
 		if err := h.Inc(vals, freq); err != nil {
 			return nil, r.corrupt("bucket %v: %v", vals, err)
 		}

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -254,6 +256,38 @@ func TestReadStoreSizeUnknown(t *testing.T) {
 	}
 	if st.Len() != sampleStore().Len() {
 		t.Fatalf("size-unknown parse lost values: %d", st.Len())
+	}
+}
+
+// TestReadStoreSizeUnknownLyingBucketCount: on a stream whose size is
+// unknown a histogram's bucket count cannot be checked against the bytes
+// left, so a header declaring 2^30 buckets over a truncated body must fail
+// as corrupt without allocating for the declared count.
+func TestReadStoreSizeUnknownLyingBucketCount(t *testing.T) {
+	a := workflow.Attr{Rel: "T", Col: "a"}
+	st := NewStore()
+	h := NewHistogram(a)
+	h.Inc([]int64{5}, 3)
+	st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), a), Hist: h})
+	var buf bytes.Buffer
+	if _, err := st.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The bucket count is the 4 bytes before the one bucket (value and
+	// frequency, 16 bytes).
+	lying := append([]byte{}, buf.Bytes()...)
+	binary.LittleEndian.PutUint32(lying[len(lying)-20:], maxHistBuckets)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadStore(iotest.OneByteReader(bytes.NewReader(lying)))
+	runtime.ReadMemStats(&after)
+	var fe *formatError
+	if !errors.Is(err, errCorrupt) || !errors.As(err, &fe) || !strings.Contains(fe.Msg, "truncated") {
+		t.Fatalf("lying bucket count on a size-unknown stream: got %v, want a truncation error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading the lying stream allocated %d bytes, want under 1 MiB", got)
 	}
 }
 
