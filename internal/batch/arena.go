@@ -21,7 +21,8 @@ type slabs[T int64 | int32] struct {
 
 func (s *slabs[T]) alloc(n int) []T {
 	if n == 0 {
-		return nil
+		// Empty, not nil: a nil selection vector means every row is live.
+		return []T{}
 	}
 	for s.cur < len(s.all) {
 		if slab := s.all[s.cur]; s.off+n <= len(slab) {

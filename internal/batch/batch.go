@@ -2,28 +2,47 @@
 // arenas and selection vectors. The engine interprets the physical IR
 // batch-at-a-time over these vectors instead of row-at-a-time over
 // map/slice rows — filters mark rows in a selection vector instead of
-// materializing new tables, operators allocate their output vectors from a
-// per-scope arena, and only results that cross an engine boundary (block
-// outputs, materialized targets, statistic values) are copied out.
+// materializing new tables, joins emit index vectors instead of copying
+// columns, operators allocate their output vectors from a per-scope arena,
+// and only results that cross an engine boundary (block outputs,
+// materialized targets, statistic values) are copied out.
 package batch
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Batch is a columnar record batch: one int64 vector per schema column, all
-// of physical length N, plus an optional selection vector. When Sel is
+// Batch is a columnar record batch: one int64 column per schema attribute
+// over N physical rows, plus an optional selection vector. When Sel is
 // non-nil only the rows it lists (in order) are live; values at unselected
 // positions are garbage and must never be read. Sel indexes are positions
 // in [0, N).
+//
+// A column is dense or late. A dense column is its vector: row r is
+// Cols[c][r]. A late column — a join output column — is a source vector
+// read through an index vector: Cols[c] is the source and row r is
+// Cols[c][idx[c][r]]. Read columns through Col, which gathers a late column
+// into the batch's arena on its first read and caches the dense copy;
+// Cols[c] is the column itself only when it is dense. Because Col caches, a
+// Batch is not safe for concurrent use.
 type Batch struct {
 	Cols [][]int64
 	N    int
 	Sel  []int32
+	// idx is nil when every column is dense, else one index vector per
+	// column, nil for the dense ones. Cols and idx are never written once
+	// the batch is made, so batches derived from it share them.
+	idx [][]int32
+	// gathered caches Col's dense copies of late columns, by column. It is
+	// the batch's own: a derived batch starts from a copy.
+	gathered [][]int64
+	// arena receives the gathers of late columns.
+	arena *Arena
 }
 
 // Rows returns the live row count.
@@ -32,6 +51,143 @@ func (b *Batch) Rows() int {
 		return len(b.Sel)
 	}
 	return b.N
+}
+
+// late returns the index vector of column c, nil when c is dense.
+func (b *Batch) late(c int) []int32 {
+	if b.idx == nil {
+		return nil
+	}
+	return b.idx[c]
+}
+
+// Col returns column c as a dense vector over the batch's physical rows.
+// A late column is gathered into the arena on its first read, live rows
+// only, and the copy is kept for every later read.
+func (b *Batch) Col(c int) []int64 {
+	ix := b.late(c)
+	if ix == nil {
+		return b.Cols[c]
+	}
+	if b.gathered == nil {
+		b.gathered = make([][]int64, len(b.Cols))
+	} else if g := b.gathered[c]; g != nil {
+		return g
+	}
+	src, dst := b.Cols[c], b.arena.Int64(b.N)
+	if b.Sel != nil {
+		for _, r := range b.Sel {
+			dst[r] = src[ix[r]]
+		}
+	} else {
+		gather(dst, src, ix)
+	}
+	b.gathered[c] = dst
+	return dst
+}
+
+// gather writes dst[i] = src[idx[i]] for every index.
+func gather(dst, src []int64, idx []int32) {
+	for i, ri := range idx {
+		dst[i] = src[ri]
+	}
+}
+
+// WithSel returns the batch's columns with sel as the selection. sel must
+// list live rows of b. Late columns stay late.
+func (b *Batch) WithSel(sel []int32) *Batch {
+	return &Batch{Cols: b.Cols, N: b.N, Sel: sel, idx: b.idx, gathered: slices.Clone(b.gathered), arena: b.arena}
+}
+
+// Project returns the batch's columns cols, in that order, over the same
+// rows. No column is copied and late columns stay late.
+func (b *Batch) Project(cols []int) *Batch {
+	return &Batch{
+		Cols: pick(b.Cols, cols), N: b.N, Sel: b.Sel,
+		idx: pick(b.idx, cols), gathered: pick(b.gathered, cols), arena: b.arena,
+	}
+}
+
+// pick returns s's elements at cols, nil for a nil s.
+func pick[T any](s []T, cols []int) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(cols))
+	for i, c := range cols {
+		out[i] = s[c]
+	}
+	return out
+}
+
+// AppendCol returns the batch with the dense vector v, of length N, as one
+// more trailing column.
+func (b *Batch) AppendCol(v []int64) *Batch {
+	d := &Batch{Cols: append(slices.Clip(b.Cols), v), N: b.N, Sel: b.Sel, arena: b.arena}
+	if b.idx != nil {
+		d.idx = append(slices.Clip(b.idx), nil)
+	}
+	if b.gathered != nil {
+		d.gathered = append(slices.Clip(b.gathered), nil)
+	}
+	return d
+}
+
+// Join returns the batch of matched pairs: output row i is left row lidx[i]
+// followed by right row ridx[i]. lidx and ridx have equal length and list
+// live rows of their sides; the output has no selection. Join copies no
+// column. Every output column is late: a dense input column reads through
+// its side's index vector, and a late one through its own index composed
+// with that vector — composed once per distinct index vector, so columns
+// that came through the same joins share one composition. A late column Col
+// has gathered is bound late all the same: it shares its siblings'
+// composition instead of adding a distinct index to the output.
+func Join(left, right *Batch, lidx, ridx []int32, a *Arena) *Batch {
+	m, wL := len(lidx), len(left.Cols)
+	out := &Batch{Cols: make([][]int64, wL+len(right.Cols)), N: m, arena: a}
+	if m == 0 {
+		// Every column is an empty dense vector.
+		return out
+	}
+	out.idx = make([][]int32, len(out.Cols))
+	bindSide(out, 0, left, lidx, a)
+	bindSide(out, wL, right, ridx, a)
+	return out
+}
+
+// bindSide points the output columns from off on at in's columns, read
+// through ix.
+func bindSide(out *Batch, off int, in *Batch, ix []int32, a *Arena) {
+	// Compositions made so far, by the identity of the input index vector.
+	type composed struct {
+		from *int32
+		to   []int32
+	}
+	var buf [8]composed
+	done := buf[:0]
+	for c, src := range in.Cols {
+		out.Cols[off+c] = src
+		inIx := in.late(c)
+		if inIx == nil {
+			out.idx[off+c] = ix
+			continue
+		}
+		var to []int32
+		for _, d := range done {
+			if d.from == &inIx[0] {
+				to = d.to
+				break
+			}
+		}
+		if to == nil {
+			to = a.Int32(len(ix))
+			for i, r := range ix {
+				to[i] = inIx[r]
+			}
+			done = append(done, composed{&inIx[0], to})
+		}
+		out.idx[off+c] = to
+	}
 }
 
 // FromTable transposes a row-major table into a columnar batch with every
@@ -53,9 +209,14 @@ func FromTable(t *data.Table, a *Arena) (*Batch, error) {
 	return b, nil
 }
 
-// Table materializes the live rows into a row-major table. All rows share
-// one flat backing array, so the conversion costs three allocations however
-// many rows it copies.
+// tileRows is how many rows Table writes per pass over the columns: a tile
+// of output rows stays in cache while every column is written into it.
+const tileRows = 256
+
+// Table materializes the live rows into a row-major table, reading late
+// columns through their index vectors, so no column is gathered first. All
+// rows share one flat backing array, so the conversion costs three
+// allocations however many rows it copies.
 func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
 	n, w := b.Rows(), len(b.Cols)
 	t := &data.Table{Rel: rel, Attrs: attrs}
@@ -64,22 +225,33 @@ func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
 	}
 	backing := make([]int64, n*w)
 	t.Rows = make([]data.Row, n)
-	if b.Sel != nil {
-		for i, ri := range b.Sel {
-			row := backing[i*w : (i+1)*w : (i+1)*w]
-			for c := 0; c < w; c++ {
-				row[c] = b.Cols[c][ri]
-			}
-			t.Rows[i] = row
-		}
-		return t
+	for i := range t.Rows {
+		t.Rows[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
-	for i := 0; i < n; i++ {
-		row := backing[i*w : (i+1)*w : (i+1)*w]
+	for lo := 0; lo < n; lo += tileRows {
+		hi := min(lo+tileRows, n)
 		for c := 0; c < w; c++ {
-			row[c] = b.Cols[c][i]
+			dst := backing[lo*w+c:]
+			src, ix := b.Cols[c], b.late(c)
+			switch {
+			case b.Sel == nil && ix == nil:
+				for i, v := range src[lo:hi] {
+					dst[i*w] = v
+				}
+			case b.Sel == nil:
+				for i, r := range ix[lo:hi] {
+					dst[i*w] = src[r]
+				}
+			case ix == nil:
+				for i, r := range b.Sel[lo:hi] {
+					dst[i*w] = src[r]
+				}
+			default:
+				for i, r := range b.Sel[lo:hi] {
+					dst[i*w] = src[ix[r]]
+				}
+			}
 		}
-		t.Rows[i] = row
 	}
 	return t
 }
@@ -184,55 +356,48 @@ func SelectPred(col []int64, sel []int32, n int, op workflow.CmpOp, c int64, out
 	return out[:k]
 }
 
-// Gather writes dst[i] = src[idx[i]] for every index.
-func Gather(dst, src []int64, idx []int32) {
-	for i, ri := range idx {
-		dst[i] = src[ri]
-	}
-}
-
 // JoinIndex is a chained hash index over one build column: head maps a key
 // to its first live build row, next links rows sharing the key in ascending
 // physical order (so probe matches surface in build order, like the
-// reference evaluator's bucket slices).
+// reference evaluator's bucket slices), and size counts each chain, so a
+// probe knows its match count before it walks the chain.
 type JoinIndex struct {
 	head map[int64]int32
 	next []int32
+	size []int32
 }
 
-// NewJoinIndex indexes the live rows of a build column. The next-chain is
-// arena-allocated; the head map is sized for the live count up front.
+// NewJoinIndex indexes the live rows of a build column. The next-chain and
+// the chain lengths are arena-allocated; the head map is sized for the live
+// count up front.
 func NewJoinIndex(col []int64, sel []int32, n int, a *Arena) *JoinIndex {
 	live := n
 	if sel != nil {
 		live = len(sel)
 	}
-	ix := &JoinIndex{head: make(map[int64]int32, live), next: a.Int32(n)}
+	ix := &JoinIndex{head: make(map[int64]int32, live), next: a.Int32(n), size: a.Int32(n)}
 	// Prepending while iterating in reverse leaves each chain in ascending
 	// row order.
 	if sel != nil {
 		for i := len(sel) - 1; i >= 0; i-- {
-			ri := sel[i]
-			v := col[ri]
-			if first, ok := ix.head[v]; ok {
-				ix.next[ri] = first
-			} else {
-				ix.next[ri] = -1
-			}
-			ix.head[v] = ri
+			ix.prepend(sel[i], col[sel[i]])
 		}
 		return ix
 	}
 	for i := n - 1; i >= 0; i-- {
-		v := col[i]
-		if first, ok := ix.head[v]; ok {
-			ix.next[i] = int32(first)
-		} else {
-			ix.next[i] = -1
-		}
-		ix.head[v] = int32(i)
+		ix.prepend(int32(i), col[i])
 	}
 	return ix
+}
+
+// prepend makes build row r the head of v's chain.
+func (ix *JoinIndex) prepend(r int32, v int64) {
+	if first, ok := ix.head[v]; ok {
+		ix.next[r], ix.size[r] = first, ix.size[first]+1
+	} else {
+		ix.next[r], ix.size[r] = -1, 1
+	}
+	ix.head[v] = r
 }
 
 // First returns the first build row holding the key, or -1.
@@ -245,3 +410,7 @@ func (ix *JoinIndex) First(v int64) int32 {
 
 // Next returns the next build row sharing r's key, or -1.
 func (ix *JoinIndex) Next(r int32) int32 { return ix.next[r] }
+
+// ChainLen returns how many build rows the chain holds from r to its end,
+// r included: for r = First(v), the number of build rows holding v.
+func (ix *JoinIndex) ChainLen(r int32) int { return int(ix.size[r]) }

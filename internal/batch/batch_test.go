@@ -66,6 +66,20 @@ func TestSelectionSemantics(t *testing.T) {
 	}
 }
 
+// A filter that keeps nothing leaves an empty selection, and a filter over
+// that keeps nothing either: an empty vector from the arena is not nil,
+// which would mean every row is live.
+func TestEmptySelectionStaysEmpty(t *testing.T) {
+	a := GetArena()
+	defer PutArena(a)
+	col := []int64{1, 2, 3}
+	none := SelectPred(col, nil, len(col), workflow.CmpGt, 9, a.Int32(len(col)))
+	again := SelectPred(col, none, len(col), workflow.CmpGt, 0, a.Int32(len(none)))
+	if b := (&Batch{Cols: [][]int64{col}, N: len(col), Sel: again}); again == nil || b.Rows() != 0 {
+		t.Fatalf("filter over an empty selection: sel %v, %d live rows, want an empty selection", again, b.Rows())
+	}
+}
+
 func TestSelectPredOps(t *testing.T) {
 	a := GetArena()
 	defer PutArena(a)

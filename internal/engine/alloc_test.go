@@ -83,7 +83,7 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 		t.Skip("pooled arenas are dropped at random under -race; the plain test job pins this")
 	}
 	const (
-		pinnedBytes  = 186_416
+		pinnedBytes  = 57_096
 		pinnedAllocs = 462
 	)
 	fact, fr := allocTable("F", []string{"k1", "k2", "v"}, []int{64, 32, 0}, allocRows)

@@ -12,14 +12,16 @@ import (
 
 // The columnar block interpreter. It executes a compiled block plan over typed
 // column vectors: filters mark rows in arena-allocated selection vectors,
-// projects share column pointers, joins gather matched rows through a
-// chained hash index, and every operator-lifetime vector comes from one
-// arena per block attempt. Observable behavior — block outputs,
+// projects share column pointers, joins probe a chained hash index and emit
+// the matched pairs as two index vectors over their inputs (a column is
+// gathered only when something reads it, and the block boundary writes its
+// rows straight from the scans), and every operator-lifetime vector comes
+// from one arena per block attempt. Observable behavior — block outputs,
 // materialized tables, observed statistics, the work metric, deterministic
 // metrics — is identical to internal/wftest's row-at-a-time reference
 // evaluator; the equivalence suite enforces it.
 
-// vecJoinChunk is how many pending join-output rows accumulate between row
+// vecJoinChunk is how many counted join-output rows accumulate between row
 // budget charges and cancellation polls.
 const vecJoinChunk = 4096
 
@@ -142,38 +144,23 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 func vecApplyOp(n *physical.Node, in *batch.Batch, a *batch.Arena) *batch.Batch {
 	switch n.Kind {
 	case physical.OpFilter:
-		sel := batch.SelectPred(in.Cols[n.PredCol], in.Sel, in.N,
+		sel := batch.SelectPred(in.Col(n.PredCol), in.Sel, in.N,
 			n.Pred.Op, n.Pred.Const, a.Int32(in.Rows()))
-		return &batch.Batch{Cols: in.Cols, N: in.N, Sel: sel}
+		return in.WithSel(sel)
 	case physical.OpProject:
 		// Zero copy: the projection is a column-pointer subset.
-		cols := make([][]int64, len(n.Cols))
-		for i, c := range n.Cols {
-			cols[i] = in.Cols[c]
-		}
-		return &batch.Batch{Cols: cols, N: in.N, Sel: in.Sel}
+		return in.Project(n.Cols)
 	case physical.OpTransform:
 		derived := a.Int64(in.N)
-		buf := make([]int64, len(n.FnIns))
-		if in.Sel != nil {
-			for _, ri := range in.Sel {
-				for i, c := range n.FnIns {
-					buf[i] = in.Cols[c][ri]
-				}
-				derived[ri] = n.Fn(buf)
+		ins := readCols(in, n.FnIns)
+		buf := make([]int64, len(ins))
+		eachLive(in, func(ri int32) {
+			for i, col := range ins {
+				buf[i] = col[ri]
 			}
-		} else {
-			for ri := 0; ri < in.N; ri++ {
-				for i, c := range n.FnIns {
-					buf[i] = in.Cols[c][ri]
-				}
-				derived[ri] = n.Fn(buf)
-			}
-		}
-		cols := make([][]int64, len(in.Cols)+1)
-		copy(cols, in.Cols)
-		cols[len(in.Cols)] = derived
-		return &batch.Batch{Cols: cols, N: in.N, Sel: in.Sel}
+			derived[ri] = n.Fn(buf)
+		})
+		return in.AppendCol(derived)
 	case physical.OpGroupBy:
 		return vecDedup(in, n.Cols, nil, a)
 	case physical.OpAggregateUDF:
@@ -199,12 +186,13 @@ func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *
 	for i := range cols {
 		cols[i] = a.Int64(live)
 	}
+	keys := readCols(in, keyCols)
 	seen := newKeySet()
 	scratch := make([]int64, w)
 	k := 0
 	emit := func(ri int32) {
-		for i, c := range keyCols {
-			scratch[i] = in.Cols[c][ri]
+		for i, col := range keys {
+			scratch[i] = col[ri]
 		}
 		if !seen.add(scratch) {
 			return
@@ -217,15 +205,7 @@ func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *
 		}
 		k++
 	}
-	if in.Sel != nil {
-		for _, ri := range in.Sel {
-			emit(ri)
-		}
-	} else {
-		for ri := 0; ri < in.N; ri++ {
-			emit(int32(ri))
-		}
-	}
+	eachLive(in, emit)
 	for i := range cols {
 		cols[i] = cols[i][:k]
 	}
@@ -233,15 +213,55 @@ func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *
 }
 
 // evalVecJoin evaluates a hash-join node columnar: build a chained index on
-// the right, probe with the left's live rows, gather the matched pairs into
-// fresh arena vectors. Misses stay selection vectors over the input batches
-// — collecting both sides' rejects costs no row materialization. The row
-// budget is charged while the match set grows, so a blowing-up join aborts
-// before gathering output columns.
+// the right, then probe with the left's live rows in two passes. The
+// counting pass finds each probe row's first match and sums the chain
+// lengths, charging the row budget as the count grows, so a blowing-up join
+// aborts before it allocates its output. The fill pass writes the matched
+// pairs into two index vectors of exactly that size, and the output batch is
+// those vectors over the inputs (batch.Join): no column is copied. Misses
+// stay selection vectors over the input batches — collecting both sides'
+// rejects costs no row materialization.
 func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start time.Time) (*batch.Batch, error) {
 	left, right := v.batches[n.Left.ID], v.batches[n.Right.ID]
-	lcol := left.Cols[n.LeftCol]
-	ix := batch.NewJoinIndex(right.Cols[n.RightCol], right.Sel, right.N, v.arena)
+	lcol := left.Col(n.LeftCol)
+	ix := batch.NewJoinIndex(right.Col(n.RightCol), right.Sel, right.N, v.arena)
+	live := left.Rows()
+	// heads[k] is the first match of the k-th live left row, or -1.
+	heads := v.arena.Int32(live)
+	missSel := v.arena.Int32(live)
+	nMiss := 0
+	var m, pending int64
+	for k := range heads {
+		li := int32(k)
+		if left.Sel != nil {
+			li = left.Sel[k]
+		}
+		r := ix.First(lcol[li])
+		heads[k] = r
+		if r < 0 {
+			missSel[nMiss] = li
+			nMiss++
+			continue
+		}
+		c := int64(ix.ChainLen(r))
+		m += c
+		pending += c
+		if pending >= vecJoinChunk {
+			if err := v.out.count(pending); err != nil {
+				return nil, err
+			}
+			pending = 0
+			if err := v.out.ctxErr(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := v.out.count(pending); err != nil {
+		return nil, err
+	}
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("join output beyond the int32 selection-vector limit")
+	}
 	// marks flags matched build rows; every row of a matched key gets set
 	// during the chain walk, making the unmarked set identical to the row
 	// interpreter's key-based right-miss set. Allocated only when the plan
@@ -250,71 +270,24 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 	if n.RightReject != nil {
 		marks = make([]bool, right.N)
 	}
-	missSel := v.arena.Int32(left.Rows())
-	nMiss := 0
-	lidx := make([]int32, 0, left.Rows())
-	ridx := make([]int32, 0, left.Rows())
-	var pending int64
-	probe := func(li int32) error {
-		r := ix.First(lcol[li])
-		if r < 0 {
-			missSel[nMiss] = li
-			nMiss++
-			return nil
+	lidx, ridx := v.arena.Int32(int(m)), v.arena.Int32(int(m))
+	j := 0
+	for k, r := range heads {
+		li := int32(k)
+		if left.Sel != nil {
+			li = left.Sel[k]
 		}
 		for ; r >= 0; r = ix.Next(r) {
-			lidx = append(lidx, li)
-			ridx = append(ridx, r)
+			lidx[j], ridx[j] = li, r
+			j++
 			if marks != nil {
 				marks[r] = true
 			}
-			pending++
-		}
-		if pending >= vecJoinChunk {
-			if err := v.out.count(pending); err != nil {
-				return err
-			}
-			pending = 0
-			if err := v.out.ctxErr(); err != nil {
-				return err
-			}
-			if len(lidx) > math.MaxInt32 {
-				return fmt.Errorf("join output beyond the int32 selection-vector limit")
-			}
-		}
-		return nil
-	}
-	if left.Sel != nil {
-		for _, li := range left.Sel {
-			if err := probe(li); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for li := 0; li < left.N; li++ {
-			if err := probe(int32(li)); err != nil {
-				return nil, err
-			}
 		}
 	}
-	if err := v.out.count(pending); err != nil {
-		return nil, err
-	}
-	// Gather matched pairs into output vectors.
-	m := len(lidx)
-	wL, wR := len(left.Cols), len(right.Cols)
-	cols := make([][]int64, wL+wR)
-	for c := 0; c < wL; c++ {
-		cols[c] = v.arena.Int64(m)
-		batch.Gather(cols[c], left.Cols[c], lidx)
-	}
-	for c := 0; c < wR; c++ {
-		cols[wL+c] = v.arena.Int64(m)
-		batch.Gather(cols[wL+c], right.Cols[c], ridx)
-	}
-	joined := &batch.Batch{Cols: cols, N: m}
+	joined := batch.Join(left, right, lidx, ridx, v.arena)
 	v.rels[n.ID] = v.rels[n.Left.ID] + "⋈" + v.rels[n.Right.ID]
-	leftMiss := &batch.Batch{Cols: left.Cols, N: left.N, Sel: missSel[:nMiss]}
+	leftMiss := left.WithSel(missSel[:nMiss])
 	taps, err := liveTaps(v.out, v.col, n.Taps, tapStat)
 	if err != nil {
 		return nil, err
@@ -325,7 +298,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 		// statistic observation below counts as tap overhead.
 		met.WallNanos += time.Since(start).Nanoseconds()
 		met.Calls++
-		met.RowsOut += int64(m)
+		met.RowsOut += m
 		tapStart = time.Now()
 	}
 	for _, t := range taps {
@@ -354,7 +327,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 				}
 			}
 		}
-		rightMiss := &batch.Batch{Cols: right.Cols, N: right.N, Sel: rightMissSel[:nr]}
+		rightMiss := right.WithSel(rightMissSel[:nr])
 		if err := v.collectVecReject(n.RightReject, rightMiss); err != nil {
 			return nil, err
 		}

@@ -30,6 +30,16 @@ func eachLive(b *batch.Batch, f func(ri int32)) {
 	}
 }
 
+// readCols returns b's columns cols as dense vectors, gathering the late
+// ones (Batch.Col).
+func readCols(b *batch.Batch, cols []int) [][]int64 {
+	out := make([][]int64, len(cols))
+	for i, c := range cols {
+		out[i] = b.Col(c)
+	}
+	return out
+}
+
 // vecCardObserver counts live rows.
 type vecCardObserver struct {
 	col  *collector
@@ -55,9 +65,10 @@ type vecHistObserver struct {
 }
 
 func (h *vecHistObserver) observeVec(b *batch.Batch) {
+	cols := readCols(b, h.cols)
 	eachLive(b, func(ri int32) {
-		for i, c := range h.cols {
-			h.vals[i] = b.Cols[c][ri]
+		for i, col := range cols {
+			h.vals[i] = col[ri]
 		}
 		if err := h.h.Inc(h.vals, 1); err != nil && h.err == nil {
 			h.err = err
@@ -99,7 +110,7 @@ func newVecDistinct(col *collector, stat stats.Stat, cols []int) *vecDistinctObs
 
 func (d *vecDistinctObserver) observeVec(b *batch.Batch) {
 	if d.single != nil {
-		col := b.Cols[d.cols[0]]
+		col := b.Col(d.cols[0])
 		if b.Sel != nil {
 			for _, ri := range b.Sel {
 				d.single[col[ri]] = struct{}{}
@@ -111,9 +122,10 @@ func (d *vecDistinctObserver) observeVec(b *batch.Batch) {
 		}
 		return
 	}
+	cols := readCols(b, d.cols)
 	eachLive(b, func(ri int32) {
-		for i, c := range d.cols {
-			d.vals[i] = b.Cols[c][ri]
+		for i, col := range cols {
+			d.vals[i] = col[ri]
 		}
 		d.set.add(d.vals)
 	})
@@ -141,7 +153,7 @@ type vecHLLObserver struct {
 
 func (o *vecHLLObserver) observeVec(b *batch.Batch) {
 	if len(o.cols) == 1 {
-		col := b.Cols[o.cols[0]]
+		col := b.Col(o.cols[0])
 		if b.Sel != nil {
 			for _, ri := range b.Sel {
 				o.h.Add(col[ri])
@@ -153,9 +165,10 @@ func (o *vecHLLObserver) observeVec(b *batch.Batch) {
 		}
 		return
 	}
+	cols := readCols(b, o.cols)
 	eachLive(b, func(ri int32) {
-		for i, c := range o.cols {
-			o.vals[i] = b.Cols[c][ri]
+		for i, col := range cols {
+			o.vals[i] = col[ri]
 		}
 		o.h.Add(o.vals...)
 	})
@@ -175,7 +188,7 @@ type vecCMObserver struct {
 }
 
 func (o *vecCMObserver) observeVec(b *batch.Batch) {
-	col := b.Cols[o.colIdx]
+	col := b.Col(o.colIdx)
 	if b.Sel != nil {
 		for _, ri := range b.Sel {
 			o.cm.Observe(col[ri])

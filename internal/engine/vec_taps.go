@@ -26,32 +26,31 @@ func (c *collector) collectVec(tap physical.Tap, b *batch.Batch) {
 
 // collectAux runs one union–division auxiliary join (rule J4's counter) —
 // the misses of one input joined with the registered partner's cooked batch
-// — and feeds the statistic. The joined batch's schema is miss columns then
-// partner columns, the order the compiler bound aj.Attrs in, so aj.Cols
-// indexes land on the same attributes.
+// — and feeds the statistic. The pairs are sized from the index's chain
+// lengths before they are written, and the joined batch is those index
+// vectors over the two inputs (batch.Join), so the counter gathers only the
+// columns its tap reads. The joined schema is miss columns then partner
+// columns, the order the compiler bound aj.Attrs in, so aj.Cols indexes land
+// on the same attributes.
 func (c *collector) collectAux(aj *physical.AuxJoin, misses, partner *batch.Batch, a *batch.Arena) {
 	if c == nil || c.store.Has(aj.Stat) {
 		return
 	}
-	ix := batch.NewJoinIndex(partner.Cols[aj.PartnerCol], partner.Sel, partner.N, a)
-	missCol := misses.Cols[aj.MissCol]
-	var midx, pidx []int32
+	ix := batch.NewJoinIndex(partner.Col(aj.PartnerCol), partner.Sel, partner.N, a)
+	missCol := misses.Col(aj.MissCol)
+	m := 0
 	eachLive(misses, func(mi int32) {
-		for r := ix.First(missCol[mi]); r >= 0; r = ix.Next(r) {
-			midx = append(midx, mi)
-			pidx = append(pidx, r)
+		if r := ix.First(missCol[mi]); r >= 0 {
+			m += ix.ChainLen(r)
 		}
 	})
-	m := len(midx)
-	wM, wP := len(misses.Cols), len(partner.Cols)
-	cols := make([][]int64, wM+wP)
-	for col := 0; col < wM; col++ {
-		cols[col] = a.Int64(m)
-		batch.Gather(cols[col], misses.Cols[col], midx)
-	}
-	for col := 0; col < wP; col++ {
-		cols[wM+col] = a.Int64(m)
-		batch.Gather(cols[wM+col], partner.Cols[col], pidx)
-	}
-	c.collectVec(physical.Tap{Stat: aj.Stat, Cols: aj.Cols}, &batch.Batch{Cols: cols, N: m})
+	midx, pidx := a.Int32(m), a.Int32(m)
+	k := 0
+	eachLive(misses, func(mi int32) {
+		for r := ix.First(missCol[mi]); r >= 0; r = ix.Next(r) {
+			midx[k], pidx[k] = mi, r
+			k++
+		}
+	})
+	c.collectVec(physical.Tap{Stat: aj.Stat, Cols: aj.Cols}, batch.Join(misses, partner, midx, pidx, a))
 }

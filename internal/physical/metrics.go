@@ -24,6 +24,10 @@ import (
 //   - WallNanos and TapNanos are per operator and exclusive (inputs are
 //     already materialized when an operator runs). Wall times are
 //     wall-clock and therefore never part of deterministic output.
+//   - A join's output columns are late (index vectors over its inputs,
+//     gathered on first read), so a tap that reads a late column pays its
+//     gather inside TapNanos, and the operator that first reads it (a
+//     filter's predicate column, the next join's key) inside WallNanos.
 //
 // The JSON form is the metrics shard a distributed worker ships back with
 // its block (internal/serve's response-frame header).

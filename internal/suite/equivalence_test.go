@@ -162,7 +162,7 @@ func TestMaxRowsGuard(t *testing.T) {
 	}
 	db := w.Data(0.01)
 	const limit = 500_000
-	const maxAlloc = 256 << 20
+	const maxAlloc = 8 << 20
 	for _, cfg := range engineConfigs {
 		e := cfg.newEngine(an, db)
 		e.MaxRows = limit

@@ -22,6 +22,9 @@
 # else, two identical trees included, is "no difference". Fewer than 10 pairs
 # conclude nothing, and neither does a time when the two sides' medians of
 # `reference kernel p50` differ by more than 5 %: the host changed speed.
+# Last, the heap each run ended with and its collections (the heap_sys and
+# gc of its summary line) get medians and quartiles and no verdict: they
+# explain a time, they are not one.
 # The exit code is 1 when a run failed its output checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,5 +126,9 @@ for w in workloads:
     for g in sorted(phases["ref"][0]):
         row(g + " (steady)", "s", True, True, [p[g] for p in phases["ref"]], [p[g] for p in phases["change"]], drift)
     row("reference kernel p50", "ms", True, False, kernel["ref"], kernel["change"], drift)
+    heap = {s: [re.search(r"heap_sys (\d+) MB, gc (\d+)", e).groups() for e in err[s]] for s in err}
+    for i, (name, unit) in enumerate((("heap_sys", "MB"), ("gc", "count"))):
+        (r1, rm, r3), (c1, cm, c3) = (quartiles([float(h[i]) for h in heap[s]]) for s in ("ref", "change"))
+        print(f"  {name:24s} ref {rm:11.6g} [{r1:.6g}, {r3:.6g}]  change {cm:11.6g} [{c1:.6g}, {c3:.6g}] {unit:5s}")
 sys.exit(1 if failed else 0)
 PY
