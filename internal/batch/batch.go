@@ -11,9 +11,12 @@ package batch
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/essential-stats/etlopt/internal/data"
+	"github.com/essential-stats/etlopt/internal/mix"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -29,7 +32,9 @@ import (
 // Cols[c][idx[c][r]]. Read columns through Col, which gathers a late column
 // into the batch's arena on its first read and caches the dense copy;
 // Cols[c] is the column itself only when it is dense. Because Col caches, a
-// Batch is not safe for concurrent use.
+// Batch is not safe for concurrent use — except that Table reads only Cols,
+// idx and Sel, which are never written once the batch is made, and never
+// the cache, so it copies one batch's row ranges on several goroutines.
 type Batch struct {
 	Cols [][]int64
 	N    int
@@ -213,47 +218,79 @@ func FromTable(t *data.Table, a *Arena) (*Batch, error) {
 // of output rows stays in cache while every column is written into it.
 const tileRows = 256
 
+// tableParts returns how many contiguous row ranges Table copies in
+// parallel for n rows of w columns: one per core, each of at least one
+// arena slab of cells, and never fewer than one.
+func tableParts(n, w int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n*w/slabElems))
+}
+
 // Table materializes the live rows into a row-major table, reading late
-// columns through their index vectors, so no column is gathered first. All
-// rows share one flat backing array, so the conversion costs three
-// allocations however many rows it copies.
+// columns through their index vectors, so no column is gathered first. The
+// live rows are split into tableParts contiguous ranges, copied
+// concurrently, the caller's goroutine taking the first; each range has one
+// flat backing array of its own, so the runtime's zeroing of it runs in
+// parallel too. Row order is the batch's.
 func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
-	n, w := b.Rows(), len(b.Cols)
+	return b.table(rel, attrs, tableParts(b.Rows(), len(b.Cols)))
+}
+
+// table is Table over the given number of ranges.
+func (b *Batch) table(rel string, attrs []workflow.Attr, parts int) *data.Table {
+	n := b.Rows()
 	t := &data.Table{Rel: rel, Attrs: attrs}
 	if n == 0 {
 		return t
 	}
-	backing := make([]int64, n*w)
 	t.Rows = make([]data.Row, n)
-	for i := range t.Rows {
-		t.Rows[i] = backing[i*w : (i+1)*w : (i+1)*w]
+	var wg sync.WaitGroup
+	for k := 1; k < parts; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.copyRows(t.Rows, k*n/parts, (k+1)*n/parts)
+		}()
 	}
-	for lo := 0; lo < n; lo += tileRows {
-		hi := min(lo+tileRows, n)
+	b.copyRows(t.Rows, 0, n/parts)
+	wg.Wait()
+	return t
+}
+
+// copyRows writes live rows [lo, hi) into rows[lo:hi] over one fresh
+// backing array, in tiles of tileRows rows. It reads only Cols, idx and Sel,
+// which no one writes once the batch is made, so ranges may be copied
+// concurrently.
+func (b *Batch) copyRows(rows []data.Row, lo, hi int) {
+	w := len(b.Cols)
+	backing := make([]int64, (hi-lo)*w)
+	for i := range rows[lo:hi] {
+		rows[lo+i] = backing[i*w : (i+1)*w : (i+1)*w]
+	}
+	for tlo := lo; tlo < hi; tlo += tileRows {
+		thi := min(tlo+tileRows, hi)
 		for c := 0; c < w; c++ {
-			dst := backing[lo*w+c:]
+			dst := backing[(tlo-lo)*w+c:]
 			src, ix := b.Cols[c], b.late(c)
 			switch {
 			case b.Sel == nil && ix == nil:
-				for i, v := range src[lo:hi] {
+				for i, v := range src[tlo:thi] {
 					dst[i*w] = v
 				}
 			case b.Sel == nil:
-				for i, r := range ix[lo:hi] {
+				for i, r := range ix[tlo:thi] {
 					dst[i*w] = src[r]
 				}
 			case ix == nil:
-				for i, r := range b.Sel[lo:hi] {
+				for i, r := range b.Sel[tlo:thi] {
 					dst[i*w] = src[r]
 				}
 			default:
-				for i, r := range b.Sel[lo:hi] {
+				for i, r := range b.Sel[tlo:thi] {
 					dst[i*w] = src[ix[r]]
 				}
 			}
 		}
 	}
-	return t
 }
 
 // SelectPred evaluates the single-attribute predicate over the column and
@@ -356,57 +393,71 @@ func SelectPred(col []int64, sel []int32, n int, op workflow.CmpOp, c int64, out
 	return out[:k]
 }
 
-// JoinIndex is a chained hash index over one build column: head maps a key
-// to its first live build row, next links rows sharing the key in ascending
+// JoinIndex is a chained hash index over one build column. heads is an
+// open-addressing table holding, per key, its first live build row + 1 (0
+// is an empty cell); a probe compares its key with the build column at that
+// row, so no key is copied. next links rows sharing the key in ascending
 // physical order (so probe matches surface in build order, like the
 // reference evaluator's bucket slices), and size counts each chain, so a
 // probe knows its match count before it walks the chain.
 type JoinIndex struct {
-	head map[int64]int32
-	next []int32
-	size []int32
+	col   []int64
+	heads []int32
+	next  []int32
+	size  []int32
 }
 
-// NewJoinIndex indexes the live rows of a build column. The next-chain and
-// the chain lengths are arena-allocated; the head map is sized for the live
-// count up front.
+// NewJoinIndex indexes the live rows of a build column. Every vector comes
+// from the arena: the heads table, sized once for the live rows at a load
+// of at most one half, the next-chain and the chain lengths.
 func NewJoinIndex(col []int64, sel []int32, n int, a *Arena) *JoinIndex {
 	live := n
 	if sel != nil {
 		live = len(sel)
 	}
-	ix := &JoinIndex{head: make(map[int64]int32, live), next: a.Int32(n), size: a.Int32(n)}
+	ix := &JoinIndex{col: col, heads: a.Int32(mix.TableSize(live)), next: a.Int32(n), size: a.Int32(n)}
+	clear(ix.heads)
 	// Prepending while iterating in reverse leaves each chain in ascending
 	// row order.
 	if sel != nil {
 		for i := len(sel) - 1; i >= 0; i-- {
-			ix.prepend(sel[i], col[sel[i]])
+			ix.prepend(sel[i])
 		}
 		return ix
 	}
 	for i := n - 1; i >= 0; i-- {
-		ix.prepend(int32(i), col[i])
+		ix.prepend(int32(i))
 	}
 	return ix
 }
 
-// prepend makes build row r the head of v's chain.
-func (ix *JoinIndex) prepend(r int32, v int64) {
-	if first, ok := ix.head[v]; ok {
+// cell returns the heads cell of key v: the one holding its chain, or the
+// empty cell where the chain would go.
+func (ix *JoinIndex) cell(v int64) int {
+	mask := len(ix.heads) - 1
+	i := int(mix.Value(v)) & mask
+	for {
+		h := ix.heads[i]
+		if h == 0 || ix.col[h-1] == v {
+			return i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// prepend makes build row r the head of its key's chain.
+func (ix *JoinIndex) prepend(r int32) {
+	i := ix.cell(ix.col[r])
+	if first := ix.heads[i] - 1; first >= 0 {
 		ix.next[r], ix.size[r] = first, ix.size[first]+1
 	} else {
 		ix.next[r], ix.size[r] = -1, 1
 	}
-	ix.head[v] = r
+	ix.heads[i] = r + 1
 }
 
 // First returns the first build row holding the key, or -1.
-func (ix *JoinIndex) First(v int64) int32 {
-	if r, ok := ix.head[v]; ok {
-		return r
-	}
-	return -1
-}
+func (ix *JoinIndex) First(v int64) int32 { return ix.heads[ix.cell(v)] - 1 }
 
 // Next returns the next build row sharing r's key, or -1.
 func (ix *JoinIndex) Next(r int32) int32 { return ix.next[r] }

@@ -1,9 +1,12 @@
 package batch
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
+	"github.com/essential-stats/etlopt/internal/mix"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -130,6 +133,82 @@ func TestJoinIndexChains(t *testing.T) {
 	ix2 := NewJoinIndex(col, []int32{0, 3}, len(col), a)
 	if r := ix2.First(7); r != 0 || ix2.Next(r) != -1 {
 		t.Fatalf("selected chain for 7 = %d, want only row 0", r)
+	}
+
+	// A map model over 200 seeds: build columns with and without a
+	// selection, over small and wide key domains, with keys chosen to land
+	// in one heads cell and live counts that fill the table to its full
+	// load of one half; every present and many absent keys are probed.
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := GetArena()
+		n := rng.Intn(600)
+		if seed%4 == 0 {
+			n = 1 << rng.Intn(10) // a power of two: full load when every row is live and distinct
+		}
+		var sel []int32
+		if seed%4 != 0 && rng.Intn(2) == 0 {
+			sel = a.Int32(n)[:0]
+			for r := 0; r < n; r++ {
+				if rng.Intn(3) > 0 {
+					sel = append(sel, int32(r))
+				}
+			}
+		}
+		live := liveRows(&Batch{N: n, Sel: sel})
+		size := mix.TableSize(len(live))
+		// Keys that share key 0's heads cell in a table of this size.
+		var sameCell []int64
+		for v := int64(1); len(sameCell) < 8; v++ {
+			if mix.Value(v)&uint64(size-1) == mix.Value(0)&uint64(size-1) {
+				sameCell = append(sameCell, v)
+			}
+		}
+		col := make([]int64, n)
+		for r := range col {
+			switch seed % 4 {
+			case 0:
+				col[r] = int64(r) // all distinct
+			case 1:
+				col[r] = int64(rng.Intn(1 + rng.Intn(20)))
+			case 2:
+				col[r] = sameCell[rng.Intn(len(sameCell))]
+			default:
+				col[r] = int64(rng.Intn(6) * size) // equal modulo the size
+			}
+		}
+		model := map[int64][]int32{}
+		for _, r := range live {
+			model[col[r]] = append(model[col[r]], r)
+		}
+		ix := NewJoinIndex(col, sel, n, a)
+		if len(ix.heads) != size {
+			t.Fatalf("seed %d: heads table of %d cells for %d rows, want %d", seed, len(ix.heads), n, size)
+		}
+		probe := func(v int64) {
+			want := model[v]
+			var got []int32
+			for r := ix.First(v); r >= 0; r = ix.Next(r) {
+				if len(got) == 0 && ix.ChainLen(r) != len(want) {
+					t.Fatalf("seed %d key %d: ChainLen %d, model %d", seed, v, ix.ChainLen(r), len(want))
+				}
+				got = append(got, r)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d key %d: chain %v, model %v", seed, v, got, want)
+			}
+		}
+		for v := range model {
+			probe(v)
+		}
+		for _, v := range sameCell {
+			probe(v)
+		}
+		for k := 0; k < 200; k++ {
+			probe(int64(n + k)) // absent in the all-distinct columns
+			probe(rng.Int63())
+		}
+		PutArena(a)
 	}
 }
 

@@ -1,9 +1,13 @@
 package batch
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+
+	"github.com/essential-stats/etlopt/internal/data"
 )
 
 // lateCase is a batch under test and its row model: model[i] is the i-th
@@ -300,5 +304,90 @@ func TestJoinGathersOnRead(t *testing.T) {
 	}
 	if tbl := jjj.Table("jjj", nil); len(tbl.Rows) != 25 || !slices.Equal(tbl.Rows[3], []int64{2, 2, 12, 2, 2, 6, 6, 3, 3}) {
 		t.Fatalf("third join: row 3 = %v", tbl.Rows[3])
+	}
+}
+
+// TestTablePartsModel holds the parallel copy-out to the row model and to
+// the one-range copy: dense and late batches, with and without a selection,
+// of more than four arena slabs of cells, at GOMAXPROCS 1 (one range) and 4
+// (four ranges), and at part counts of 3 and 7. No live row count is a
+// multiple of 256 or of a part count, so every range ends mid-tile.
+func TestTablePartsModel(t *testing.T) {
+	const n, dim = 120_001, 1000
+	rng := rand.New(rand.NewSource(1))
+	a := GetArena()
+	defer PutArena(a)
+	probe := &Batch{Cols: [][]int64{a.Int64(n), a.Int64(n), a.Int64(n)}, N: n}
+	for r := 0; r < n; r++ {
+		probe.Cols[0][r], probe.Cols[1][r], probe.Cols[2][r] = int64(r%dim), int64(r), rng.Int63()
+	}
+	build := &Batch{Cols: [][]int64{a.Int64(dim), a.Int64(dim)}, N: dim}
+	for r := 0; r < dim; r++ {
+		build.Cols[0][r], build.Cols[1][r] = int64(r), -int64(r)
+	}
+	lidx, ridx := a.Int32(n), a.Int32(n)
+	for r := range lidx {
+		lidx[r], ridx[r] = int32(r), int32(r%dim)
+	}
+	late := Join(probe, build, lidx, ridx, a)
+	// sel keeps about seven rows in eight, then drops rows until the count
+	// divides by none of 256, 3, 4 and 7.
+	sel := a.Int32(n)[:0]
+	for r := 0; r < n; r++ {
+		if rng.Intn(8) > 0 {
+			sel = append(sel, int32(r))
+		}
+	}
+	for k := len(sel); k%256 == 0 || k%3 == 0 || k%4 == 0 || k%7 == 0; k-- {
+		sel = sel[:k-1]
+	}
+	// row returns physical row r of the probe, followed by its build row
+	// for the joined batches.
+	row := func(r int32, joined bool) []int64 {
+		out := []int64{int64(r % dim), int64(r), probe.Cols[2][r]}
+		if joined {
+			out = append(out, int64(r%dim), -int64(r%dim))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		b      *Batch
+		joined bool
+	}{
+		{"dense", probe, false},
+		{"dense+sel", probe.WithSel(sel), false},
+		{"late", late, true},
+		{"late+sel", late.WithSel(sel), true},
+	} {
+		live, w := liveRows(tc.b), len(tc.b.Cols)
+		if cells := len(live) * w; cells < 4*slabElems {
+			t.Fatalf("%s: %d cells, want at least four parts' worth", tc.name, cells)
+		}
+		check := func(how string, tbl *data.Table) {
+			t.Helper()
+			if len(tbl.Rows) != len(live) {
+				t.Fatalf("%s %s: %d rows, want %d", tc.name, how, len(tbl.Rows), len(live))
+			}
+			for i, r := range live {
+				got := tbl.Rows[i]
+				if want := row(r, tc.joined); !slices.Equal(got, want) || cap(got) != w {
+					t.Fatalf("%s %s: row %d = %v (cap %d), model %v", tc.name, how, i, got, cap(got), want)
+				}
+			}
+		}
+		one := tc.b.table("T", nil, 1)
+		check("one part", one)
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			if got := tableParts(len(live), w); got != procs {
+				t.Fatalf("%s: %d parts at GOMAXPROCS %d, want %d", tc.name, got, procs, procs)
+			}
+			check(fmt.Sprintf("GOMAXPROCS %d", procs), tc.b.Table("T", nil))
+			runtime.GOMAXPROCS(prev)
+		}
+		for _, parts := range []int{3, 7} {
+			check(fmt.Sprintf("%d parts", parts), tc.b.table("T", nil, parts))
+		}
 	}
 }

@@ -12,10 +12,11 @@ import (
 
 // Regression test for the group-by allocation bug: deduplication once
 // allocated a key per input row, so grouping N rows cost at least N
-// allocations however few distinct keys existed. keySet's guarded insert
-// allocates on first-seen keys only, so a whole group-by run — compile,
-// scan, dedup, materialized output — must stay far below one allocation
-// per input row.
+// allocations however few distinct keys existed, and a string-keyed set
+// still allocated one key per distinct group. keySet lives in the block's
+// arena, so a whole group-by run — compile, scan, dedup, materialized
+// output — must stay far below one allocation per input row, and, with
+// every key distinct, far below one per group.
 
 const (
 	allocRows     = 8192
@@ -50,24 +51,39 @@ func allocTable(rel string, cols []string, mods []int, rows int) (*data.Table, *
 
 func TestGroupByAllocsBatch(t *testing.T) {
 	tbl, rel := allocTable("G", []string{"a", "b", "c"}, []int{allocDistinct, 4, 0}, allocRows)
-	b := workflow.NewBuilder("groupby-allocs")
-	b.Sink(b.GroupBy(b.Source("G"), workflow.Attr{Rel: "G", Col: "a"}, workflow.Attr{Rel: "G", Col: "b"}), "out")
-	an, err := workflow.Analyze(b.Graph(), &workflow.Catalog{Relations: []*workflow.Relation{rel}})
-	if err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	e := New(an, DB{"G": tbl}, nil)
-	allocs := testing.AllocsPerRun(5, func() {
-		res, err := e.RunPlans(nil, nil, nil)
+	for _, tc := range []struct {
+		name      string
+		keys      []string
+		groups    int64
+		maxAllocs float64
+	}{
+		{"few groups", []string{"a", "b"}, allocDistinct, allocRows / 8},
+		{"all distinct", []string{"c"}, allocRows, 128},
+	} {
+		b := workflow.NewBuilder("groupby-allocs")
+		var keys []workflow.Attr
+		for _, c := range tc.keys {
+			keys = append(keys, workflow.Attr{Rel: "G", Col: c})
+		}
+		b.Sink(b.GroupBy(b.Source("G"), keys...), "out")
+		an, err := workflow.Analyze(b.Graph(), &workflow.Catalog{Relations: []*workflow.Relation{rel}})
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("Analyze: %v", err)
 		}
-		if got := res.Sinks["out"].Card(); got != allocDistinct {
-			t.Fatalf("groups = %d, want %d", got, allocDistinct)
+		e := New(an, DB{"G": tbl}, nil)
+		allocs := testing.AllocsPerRun(5, func() {
+			res, err := e.RunPlans(nil, nil, nil)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := res.Sinks["out"].Card(); got != tc.groups {
+				t.Fatalf("%s: groups = %d, want %d", tc.name, got, tc.groups)
+			}
+		})
+		t.Logf("%s: %.0f allocations grouping %d rows into %d groups", tc.name, allocs, allocRows, tc.groups)
+		if allocs > tc.maxAllocs {
+			t.Errorf("%s: batch group-by run allocates %.0f over %d rows into %d groups, over the bound %.0f", tc.name, allocs, allocRows, tc.groups, tc.maxAllocs)
 		}
-	})
-	if allocs > allocRows/8 {
-		t.Fatalf("batch group-by run allocates %.0f over %d rows; scaling with rows, not groups", allocs, allocRows)
 	}
 }
 
@@ -83,8 +99,8 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 		t.Skip("pooled arenas are dropped at random under -race; the plain test job pins this")
 	}
 	const (
-		pinnedBytes  = 57_096
-		pinnedAllocs = 462
+		pinnedBytes  = 50_715
+		pinnedAllocs = 449
 	)
 	fact, fr := allocTable("F", []string{"k1", "k2", "v"}, []int{64, 32, 0}, allocRows)
 	d1, r1 := allocTable("D1", []string{"k1", "a"}, []int{0, 8}, 64)

@@ -1,42 +1,52 @@
 package engine
 
-// appendRowKey encodes a row of values into dst as fixed-width
-// little-endian bytes and returns the extended slice. Hot paths (hash
-// aggregation, distinct counting) reuse one buffer across rows and look up
-// maps with string(buf) — the compiler elides that conversion's allocation
-// for map access, so steady-state deduplication allocates only when a new
-// key is inserted.
-func appendRowKey(dst []byte, vals []int64) []byte {
-	for _, v := range vals {
-		dst = append(dst,
-			byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-	}
-	return dst
-}
+import (
+	"slices"
 
-// keySet deduplicates rows of int64 values by their fixed-width encoding.
-// It centralizes the reused-buffer idiom every hash-dedup path shares: the
-// lookup uses string(kbuf), whose conversion the compiler elides for map
-// access, and the guarded assignment in add runs only for first-seen keys —
-// an unconditional `seen[string(kbuf)] = true` would copy the key bytes on
-// every duplicate row, since map *assignment* conversions are never elided.
+	"github.com/essential-stats/etlopt/internal/batch"
+	"github.com/essential-stats/etlopt/internal/mix"
+)
+
+// keySet deduplicates tuples of int64 values — group-by and aggregate keys,
+// distinct-count combinations. The tuples it has seen sit row-major in one
+// arena vector, in first-seen order, and an open-addressing table of tuple
+// numbers (+1; 0 is an empty cell) hashed by mix.Tuple finds them. Both are
+// sized once, for the most tuples the set can be given, at a load of at
+// most one half: the set never grows and a key costs no heap allocation.
 type keySet struct {
-	seen map[string]bool
-	kbuf []byte
+	arity  int
+	tuples []int64
+	n      int
+	slots  []int32
 }
 
-func newKeySet() keySet { return keySet{seen: make(map[string]bool)} }
+// newKeySet returns an empty set of arity-value tuples with room for
+// capacity tuples, carved from the arena.
+func newKeySet(arity, capacity int, a *batch.Arena) keySet {
+	s := keySet{arity: arity, tuples: a.Int64(arity * capacity), slots: a.Int32(mix.TableSize(capacity))}
+	clear(s.slots)
+	return s
+}
 
-// add records vals' key, reporting whether it was first seen.
-func (s *keySet) add(vals []int64) bool {
-	s.kbuf = appendRowKey(s.kbuf[:0], vals)
-	if s.seen[string(s.kbuf)] {
-		return false
+// add records t, reporting whether it was first seen. t is copied.
+func (s *keySet) add(t []int64) bool {
+	w, mask := s.arity, len(s.slots)-1
+	i := int(mix.Tuple(t)) & mask
+	for {
+		e := int(s.slots[i])
+		if e == 0 {
+			break
+		}
+		if slices.Equal(s.tuples[(e-1)*w:e*w], t) {
+			return false
+		}
+		i = (i + 1) & mask
 	}
-	s.seen[string(s.kbuf)] = true
+	copy(s.tuples[s.n*w:], t)
+	s.n++
+	s.slots[i] = int32(s.n)
 	return true
 }
 
-// len returns the number of distinct keys recorded.
-func (s *keySet) len() int { return len(s.seen) }
+// len returns the number of distinct tuples recorded.
+func (s *keySet) len() int { return s.n }

@@ -126,14 +126,14 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 		if len(taps) > 0 {
 			tapStart := time.Now()
 			for _, t := range taps {
-				v.col.collectVec(t, b)
+				v.col.collectVec(t, b, v.arena)
 			}
 			met.TapNanos += time.Since(tapStart).Nanoseconds()
 		}
 		return b, nil
 	}
 	for _, t := range taps {
-		v.col.collectVec(t, b)
+		v.col.collectVec(t, b, v.arena)
 	}
 	return b, nil
 }
@@ -172,9 +172,9 @@ func vecApplyOp(n *physical.Node, in *batch.Batch, a *batch.Arena) *batch.Batch 
 
 // vecDedup emits one output row per distinct combination of the input's key
 // columns, in first-seen order; with fn non-nil it appends the UDF value as
-// a trailing column (the aggregate-UDF shape). Output vectors are
-// arena-allocated at the worst-case size (every live row distinct) and
-// sliced to the emitted count.
+// a trailing column (the aggregate-UDF shape). Output vectors and the key
+// set are arena-allocated at the worst-case size (every live row distinct);
+// the vectors are sliced to the emitted count.
 func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *batch.Batch {
 	live := in.Rows()
 	w := len(keyCols)
@@ -187,7 +187,7 @@ func vecDedup(in *batch.Batch, keyCols []int, fn physical.UDF, a *batch.Arena) *
 		cols[i] = a.Int64(live)
 	}
 	keys := readCols(in, keyCols)
-	seen := newKeySet()
+	seen := newKeySet(w, live, a)
 	scratch := make([]int64, w)
 	k := 0
 	emit := func(ri int32) {
@@ -302,7 +302,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 		tapStart = time.Now()
 	}
 	for _, t := range taps {
-		v.col.collectVec(t, joined)
+		v.col.collectVec(t, joined, v.arena)
 	}
 	if n.LeftReject != nil {
 		if err := v.collectVecReject(n.LeftReject, leftMiss); err != nil {
@@ -351,7 +351,7 @@ func (v *vecBlock) collectVecReject(rt *physical.RejectTaps, misses *batch.Batch
 		return err
 	}
 	for _, t := range singles {
-		v.col.collectVec(t, misses)
+		v.col.collectVec(t, misses, v.arena)
 	}
 	aux, err := liveTaps(v.out, v.col, rt.Aux, auxStat)
 	if err != nil {

@@ -85,43 +85,17 @@ func (h *vecHistObserver) finish() {
 	}
 }
 
-// vecDistinctObserver counts distinct combinations. Single-attribute taps
-// (the common case) hash values directly; wider taps go through keySet's
-// encoded keys.
+// vecDistinctObserver counts distinct combinations in a keySet sized for
+// the one batch it is fed.
 type vecDistinctObserver struct {
-	col    *collector
-	stat   stats.Stat
-	cols   []int
-	single map[int64]struct{}
-	set    keySet
-	vals   []int64
-}
-
-func newVecDistinct(col *collector, stat stats.Stat, cols []int) *vecDistinctObserver {
-	d := &vecDistinctObserver{col: col, stat: stat, cols: cols}
-	if len(cols) == 1 {
-		d.single = make(map[int64]struct{})
-	} else {
-		d.set = newKeySet()
-		d.vals = make([]int64, len(cols))
-	}
-	return d
+	col  *collector
+	stat stats.Stat
+	cols []int
+	set  keySet
+	vals []int64
 }
 
 func (d *vecDistinctObserver) observeVec(b *batch.Batch) {
-	if d.single != nil {
-		col := b.Col(d.cols[0])
-		if b.Sel != nil {
-			for _, ri := range b.Sel {
-				d.single[col[ri]] = struct{}{}
-			}
-		} else {
-			for ri := 0; ri < b.N; ri++ {
-				d.single[col[ri]] = struct{}{}
-			}
-		}
-		return
-	}
 	cols := readCols(b, d.cols)
 	eachLive(b, func(ri int32) {
 		for i, col := range cols {
@@ -130,14 +104,8 @@ func (d *vecDistinctObserver) observeVec(b *batch.Batch) {
 		d.set.add(d.vals)
 	})
 }
-func (d *vecDistinctObserver) count() int64 {
-	if d.single != nil {
-		return int64(len(d.single))
-	}
-	return int64(d.set.len())
-}
 func (d *vecDistinctObserver) finish() {
-	if err := d.col.store.Put(&stats.Value{Stat: d.stat, Scalar: d.count()}); err != nil {
+	if err := d.col.store.Put(&stats.Value{Stat: d.stat, Scalar: int64(d.set.len())}); err != nil {
 		d.col.markFailed(d.stat, err)
 	}
 }
@@ -206,8 +174,10 @@ func (o *vecCMObserver) finish() {
 }
 
 // newVecObserver builds the batch handler of one compiled tap — the one way
-// a batch is folded into a statistic. A kind without a handler yields nil.
-func newVecObserver(col *collector, t physical.Tap) vecObserver {
+// a batch is folded into a statistic — for a batch of at most rows live
+// rows; scratch sets come from the arena. A kind without a handler yields
+// nil.
+func newVecObserver(col *collector, t physical.Tap, rows int, a *batch.Arena) vecObserver {
 	switch t.Stat.Kind {
 	case stats.Card:
 		return &vecCardObserver{col: col, stat: t.Stat}
@@ -217,7 +187,10 @@ func newVecObserver(col *collector, t physical.Tap) vecObserver {
 			h: stats.NewHistogram(t.Stat.Attrs...), vals: make([]int64, len(t.Cols)),
 		}
 	case stats.Distinct:
-		return newVecDistinct(col, t.Stat, t.Cols)
+		return &vecDistinctObserver{
+			col: col, stat: t.Stat, cols: t.Cols,
+			set: newKeySet(len(t.Cols), rows, a), vals: make([]int64, len(t.Cols)),
+		}
 	case stats.HLLDistinct:
 		return &vecHLLObserver{
 			col: col, stat: t.Stat, cols: t.Cols,

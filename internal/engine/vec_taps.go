@@ -12,13 +12,14 @@ import (
 // recorded values are bit-identical to the reference evaluator's.
 
 // collectVec updates one tap's statistic from a whole batch: the tap's
-// observer, fed once. The store is write-once per statistic, so collection
-// stays idempotent if a plan surfaces the same target twice.
-func (c *collector) collectVec(tap physical.Tap, b *batch.Batch) {
+// observer, built for that batch over the block's arena and fed once. The
+// store is write-once per statistic, so collection stays idempotent if a
+// plan surfaces the same target twice.
+func (c *collector) collectVec(tap physical.Tap, b *batch.Batch, a *batch.Arena) {
 	if c == nil || c.store.Has(tap.Stat) {
 		return
 	}
-	if o := newVecObserver(c, tap); o != nil {
+	if o := newVecObserver(c, tap, b.Rows(), a); o != nil {
 		o.observeVec(b)
 		o.finish()
 	}
@@ -52,5 +53,5 @@ func (c *collector) collectAux(aj *physical.AuxJoin, misses, partner *batch.Batc
 			k++
 		}
 	})
-	c.collectVec(physical.Tap{Stat: aj.Stat, Cols: aj.Cols}, batch.Join(misses, partner, midx, pidx, a))
+	c.collectVec(physical.Tap{Stat: aj.Stat, Cols: aj.Cols}, batch.Join(misses, partner, midx, pidx, a), a)
 }

@@ -3,9 +3,9 @@ package stats
 import (
 	"cmp"
 	"fmt"
-	"math/rand/v2"
 	"slices"
 
+	"github.com/essential-stats/etlopt/internal/mix"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -18,8 +18,8 @@ import (
 //
 // Buckets live in flat arrays: bucket s (its slot) is the value tuple
 // vals[s*arity:(s+1)*arity] with frequency freq[s]. An open-addressing
-// table of slot numbers, hashed on the int64 tuple itself, finds a
-// tuple's slot; no bucket owns a key string or a pointer, so building,
+// table of slot numbers, hashed on the int64 tuple itself (mix.Tuple,
+// seeded once per process), finds a tuple's slot; no bucket owns a key string or a pointer, so building,
 // projecting and joining histograms allocates per call rather than per
 // bucket. A bucket whose frequency reaches zero keeps its slot and is
 // skipped by every reader until an increment revives it. Iteration is in
@@ -55,25 +55,6 @@ func newHistogramCap(attrs []workflow.Attr, n int) *Histogram {
 	return h
 }
 
-// hashSeed is drawn once per process: stores uploaded to the daemon are
-// untrusted, and a fixed tuple hash would let an upload choose values that
-// all collide. Iteration follows slot order, so no output depends on it.
-var hashSeed = rand.Uint64()
-
-// hashTuple mixes the tuple's values into the seed with the splitmix64
-// finalizer, one round per value.
-func hashTuple(t []int64) uint64 {
-	h := hashSeed
-	for _, v := range t {
-		h ^= uint64(v)
-		h += 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
-}
-
 // arity returns the number of attributes.
 func (h *Histogram) arity() int { return len(h.Attrs) }
 
@@ -92,7 +73,7 @@ func (h *Histogram) lookup(t []int64) (slot, cell int) {
 	}
 	n := len(h.Attrs)
 	mask := len(h.index) - 1
-	i := int(hashTuple(t)) & mask
+	i := int(mix.Tuple(t)) & mask
 	for {
 		e := int(h.index[i])
 		if e == 0 {
@@ -108,11 +89,7 @@ func (h *Histogram) lookup(t []int64) (slot, cell int) {
 
 // reserve sizes the index and the bucket arrays for n more slots.
 func (h *Histogram) reserve(n int) {
-	want := len(h.freq) + n
-	size := 8
-	for size < 2*want {
-		size *= 2
-	}
+	size := max(8, mix.TableSize(len(h.freq)+n))
 	if size > len(h.index) {
 		h.rehash(size)
 	}
@@ -126,7 +103,7 @@ func (h *Histogram) rehash(size int) {
 	h.index = make([]int32, size)
 	mask := size - 1
 	for s := range h.freq {
-		i := int(hashTuple(h.tuple(s))) & mask
+		i := int(mix.Tuple(h.tuple(s))) & mask
 		for h.index[i] != 0 {
 			i = (i + 1) & mask
 		}
