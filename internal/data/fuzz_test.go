@@ -94,19 +94,25 @@ const fuzzWireCells = 1 << 16
 // an error, never a panic, and because the format is canonical a stream it
 // does accept must be exactly what WriteTable emits for the decoded table.
 func FuzzReadTable(f *testing.F) {
-	for _, tbl := range []*Table{
-		nil,
-		column(),
-		column(serialKey(40)...),      // plain
-		column(constant(40, -3)...),   // rle
-		column(zipfDomain(40, 5)...),  // dict
-		column(constant(20000, 9)...), // width-0 dict
-		mixedTable(),
+	f.Add(encodeTable(f, nil))
+	f.Add(encodeTable(f, column()))
+	for _, seed := range []struct {
+		tbl *Table
+		tag byte // the last column's encoding
+	}{
+		{column(serialKey(40)...), encPlain},
+		{column(constant(40, -3)...), encRLE},
+		{column(shift(zipfDomain(40, 5), 1000)...), encDict},
+		{column(constant(20000, 9)...), encDict}, // width 0
+		{mixedTable(), encMap},
 		// map: an attribute of a foreign key, an equal join key, a chain
-		tableOf(zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return 100 - 7*v })),
-		tableOf(zipfDomain(60, 6), serialKey(60), zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return v / 2 })),
+		{tableOf(zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return 100 - 7*v })), encMap},
+		{tableOf(zipfDomain(60, 6), serialKey(60), zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return v / 2 })), encMap},
 	} {
-		f.Add(encodeTable(f, tbl))
+		if tags, _ := columnPlans(f, seed.tbl); tags[len(tags)-1] != seed.tag {
+			f.Fatalf("seed encodes its last column with tag %d, want %d", tags[len(tags)-1], seed.tag)
+		}
+		f.Add(encodeTable(f, seed.tbl))
 	}
 	small := encodeTable(f, &Table{Rel: "S", Attrs: mixedTable().Attrs[:3], Rows: []Row{{1, 7, 2}, {2, 7, 3}, {3, 7, 2}, {900, 7, 3}}})
 	for n := 0; n < len(small); n++ {

@@ -12,11 +12,11 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Table wire format (ETBL3). Distributed execution ships block boundary
+// Table wire format (ETBL4). Distributed execution ships block boundary
 // outputs between coordinator and worker processes; the encoding below is
 // the canonical byte form of a Table:
 //
-//	"ETBL3" | present(1) | relation | ncols | ncols × (attr rel, attr col)
+//	"ETBL4" | present(1) | relation | ncols | ncols × (attr rel, attr col)
 //	        | nrows | ncols × column        (no columns when nrows is 0)
 //
 // Strings are a uvarint length plus bytes, counts are uvarints. The body is
@@ -24,12 +24,13 @@ import (
 // its nrows values —
 //
 //	plain  zigzag varints, one per row
-//	rle    (zigzag varint value, uvarint run ≥ 1) pairs, adjacent pairs
-//	       differing in value, runs summing to nrows
+//	rle    uvarint run count r ≥ 1, then r zigzag varint deltas — the
+//	       first run's value from 0, each later one from the run before
+//	       it, never 0 — then r uvarint run lengths ≥ 1 summing to nrows
 //	dict   uvarint distinct count d, the sorted distinct values (zigzag
 //	       varint first value, then d-1 uvarint deltas ≥ 1), a width byte
-//	       w = ⌈log2 d⌉, then the rows' dictionary codes bit-packed
-//	       LSB-first at w bits each, zero-padded to a byte (w = 0, no
+//	       w = 8·⌈⌈log2 d⌉/8⌉, then the rows' dictionary codes packed
+//	       LSB-first at w bits each: one byte or two a row (w = 0, no
 //	       codes, for a constant column)
 //	map    uvarint j, an earlier column this one is a function of, then the
 //	       column's image: one zigzag varint per distinct value of column
@@ -42,7 +43,15 @@ import (
 // runs and tiny dictionaries, and most of their columns are what the paper's
 // key / foreign-key metadata (§3.2.2) describes — an attribute is a function
 // of its relation's key, both sides of an equi-join are one column — costing
-// a value per distinct key, not a code per row: ~1.2 bytes a row.
+// a value per distinct key, not a code per row.
+//
+// The table travels inside a DEFLATE frame (internal/serve), so the layouts
+// are the ones DEFLATE can model, not the smallest raw ones: a run stream's
+// values are deltas, which a join output's climbing key columns turn into a
+// few repeated bytes, and kept apart from the run lengths; dictionary codes
+// sit on byte boundaries, where equal codes are equal bytes. Block outputs
+// cost ~1.4 bytes a row before DEFLATE, a seventh more than the smallest raw
+// layouts, whose frames are a third larger after it.
 //
 // The format is lossless (ReadTable(WriteTable(t)) reproduces t exactly,
 // attribute and row order included) and canonical in both directions: the
@@ -55,12 +64,12 @@ import (
 // Like stats.ReadStore, the reader defends against truncated or hostile
 // streams: declared counts are capped, and because a run or a constant
 // column declares many rows in a few bytes, rows × columns is capped too
-// (ErrWireCap) before anything is allocated for them. The writer refuses
-// the same tables, so both ends of a dispatch classify an oversized block
-// alike.
+// (ErrWireCap) before anything is allocated for them, and a run stream's
+// count by the rows and by the bytes left. The writer refuses the same
+// tables, so both ends of a dispatch classify an oversized block alike.
 
 // tableMagic versions the stream; bump on any incompatible change.
-const tableMagic = "ETBL3"
+const tableMagic = "ETBL4"
 
 // Wire limits: a schema wider than maxWireCols or a name longer than
 // maxWireName is rejected outright (no workflow in the system approaches
@@ -100,6 +109,7 @@ type wireScratch struct {
 	stats []colStats
 	marks []uint16     // presence marks over [min, max], then dictionary codes
 	dict  []int64      // a decoded dictionary
+	runs  []int64      // a decoded run stream's values
 	image []imageEntry // a map column's image over its determinant's [min, max]
 	best  []imageEntry // the image of the column's best determinant so far
 	epoch uint64       // the image entries the current pass has written
@@ -136,6 +146,9 @@ const (
 func putScratch(sc *wireScratch) {
 	if cap(sc.cells) > maxPooledCells {
 		sc.cells = nil
+	}
+	if cap(sc.runs) > maxPooledCells {
+		sc.runs = nil
 	}
 	if cap(sc.out) > maxPooledBytes {
 		sc.out = nil
@@ -303,14 +316,11 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, 
 	// A run costs at least two bytes, so only a column with few enough runs
 	// is worth sizing exactly.
 	if 2*st.runs < best {
-		rle := 0
-		for i := 0; i < n; {
-			v, j := col[i], i+1
-			for j < n && col[j] == v {
-				j++
-			}
-			rle += varintLen(v) + uvarintLen(uint64(j-i))
-			i = j
+		rle, prev := uvarintLen(uint64(st.runs)), int64(0)
+		for i, j := 0, 0; i < n; i = j {
+			j = runEnd(col, i)
+			rle += varintLen(col[i]-prev) + uvarintLen(uint64(j-i))
+			prev = col[i]
 		}
 		if rle < best {
 			p.enc, best = encRLE, rle
@@ -364,10 +374,10 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, 
 		}
 	}
 
-	// Two dictionary entries or more spend a bit a row: past best, no marks pass.
+	// Two dictionary entries or more spend a byte a row: past best, no marks pass.
 	floor := varintLen(st.min) + 2
 	if st.runs > 1 {
-		floor += 1 + (n+7)/8
+		floor += 1 + n
 	}
 	if span := uint64(st.max) - uint64(st.min); span < maxDictSpan && floor <= best {
 		if cap(sc.marks) < maxDictSpan {
@@ -396,8 +406,17 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, 
 	return p
 }
 
-// dictWidth is the bits per code of a d-entry dictionary.
-func dictWidth(d int) int { return bits.Len(uint(d - 1)) }
+// dictWidth is the bits per code of a d-entry dictionary: whole bytes.
+func dictWidth(d int) int { return (bits.Len(uint(d-1)) + 7) &^ 7 }
+
+// runEnd is the end of the run of col[i].
+func runEnd(col []int64, i int) int {
+	j := i + 1
+	for j < len(col) && col[j] == col[i] {
+		j++
+	}
+	return j
+}
 
 func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 func uvarintLen(u uint64) int { return int(varintLens[bits.Len64(u)]) }
@@ -420,14 +439,15 @@ func appendColumn(buf []byte, cells []int64, stats []colStats, c int, p colPlan,
 			buf = binary.AppendVarint(buf, v)
 		}
 	case encRLE:
-		for i, n := 0, len(col); i < n; {
-			v, j := col[i], i+1
-			for j < n && col[j] == v {
-				j++
-			}
-			buf = binary.AppendVarint(buf, v)
+		buf = binary.AppendUvarint(buf, uint64(stats[c].runs))
+		prev := int64(0)
+		for i := 0; i < len(col); i = runEnd(col, i) {
+			buf = binary.AppendVarint(buf, col[i]-prev)
+			prev = col[i]
+		}
+		for i, j := 0, 0; i < len(col); i = j {
+			j = runEnd(col, i)
 			buf = binary.AppendUvarint(buf, uint64(j-i))
-			i = j
 		}
 	case encDict:
 		buf = binary.AppendUvarint(buf, uint64(p.dict))
@@ -655,7 +675,7 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 	case encPlain:
 		err = d.plainColumn(col)
 	case encRLE:
-		err = d.rleColumn(col, st)
+		err = d.rleColumn(col, st, sc)
 	case encDict:
 		dict, err = d.dictColumn(col, sc)
 	case encMap:
@@ -690,12 +710,38 @@ func (d *wireDecoder) plainColumn(col []int64) error {
 // rleColumn takes the column's statistics from its runs as it expands
 // them: four fifths of a join output's cells sit in runs, and scanning them
 // again value by value would cost as much as decoding them.
-func (d *wireDecoder) rleColumn(col []int64, st *colStats) error {
-	for i, n := 0, len(col); i < n; {
-		v, err := d.varintRaw()
+func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) error {
+	n := len(col)
+	r, err := d.uvarintRaw()
+	if err != nil {
+		return err
+	}
+	if r == 0 || r > uint64(n) {
+		return fmt.Errorf("%d runs for %d rows", r, n)
+	}
+	// A run costs at least two bytes, so the count is checked against what
+	// is left of the stream before it sizes anything.
+	if left := uint64(len(d.b) - d.pos); r > left/2 {
+		return fmt.Errorf("%d runs in %d bytes", r, left)
+	}
+	if uint64(cap(sc.runs)) < r {
+		sc.runs = make([]int64, r)
+	}
+	vals := sc.runs[:r]
+	prev := int64(0)
+	for k := range vals {
+		delta, err := d.varintRaw()
 		if err != nil {
 			return err
 		}
+		if k > 0 && delta == 0 {
+			return errors.New("non-canonical: adjacent runs of one value")
+		}
+		prev += delta // wraps as the writer's subtraction did
+		vals[k] = prev
+	}
+	i := 0
+	for _, v := range vals {
 		run, err := d.uvarintRaw()
 		if err != nil {
 			return err
@@ -703,15 +749,15 @@ func (d *wireDecoder) rleColumn(col []int64, st *colStats) error {
 		if run == 0 || run > uint64(n-i) {
 			return fmt.Errorf("run of %d at row %d of %d", run, i, n)
 		}
-		if i > 0 && col[i-1] == v {
-			return errors.New("non-canonical: adjacent runs of one value")
-		}
 		seg := col[i : i+int(run)]
 		for k := range seg {
 			seg[k] = v
 		}
 		st.addRun(v, len(seg))
 		i += len(seg)
+	}
+	if i != n {
+		return fmt.Errorf("runs cover %d of %d rows", i, n)
 	}
 	return nil
 }
@@ -785,9 +831,6 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 		}
 		col[i] = dict[code]
 	}
-	if acc != 0 {
-		return 0, errors.New("non-canonical: padding bits set")
-	}
 	return len(dict), nil
 }
 
@@ -819,12 +862,9 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 	}
 	// Expand by the determinant's runs, with statistics as in rleColumn.
 	col, st := wireColumn(cells, stats, c), &stats[c]
-	for i, n := 0, len(det); i < n; {
-		dv, k := det[i], i+1
-		for k < n && det[k] == dv {
-			k++
-		}
-		v := image[uint64(dv)-uint64(dst.min)].v
+	for i, k := 0, 0; i < len(det); i = k {
+		k = runEnd(det, i)
+		v := image[uint64(det[i])-uint64(dst.min)].v
 		for r := i; r < k; r++ {
 			col[r] = v
 		}
@@ -833,7 +873,6 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 		} else {
 			st.addRun(v, k-i)
 		}
-		i = k
 	}
 	return int(j), nil
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,6 +81,11 @@ func sortedZipf(n int, domain int64) []int64 {
 	return out
 }
 
+// shift is the column v+by.
+func shift(vals []int64, by int64) []int64 {
+	return apply(vals, func(v int64) int64 { return v + by })
+}
+
 func extremes(n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
@@ -91,9 +97,11 @@ func extremes(n int) []int64 {
 	return out
 }
 
-// mixedTable carries one column of each encoding plus a negative run.
+// mixedTable carries one column of each encoding, in tag order; its runs
+// are negative.
 func mixedTable() *Table {
-	cols := [][]int64{serialKey(300), sortedZipf(300, 9), zipfDomain(300, 40), constant(300, -5)}
+	dict := shift(zipfDomain(300, 40), 1000) // two-byte values: a code a row undercuts them
+	cols := [][]int64{serialKey(300), shift(sortedZipf(300, 9), -20), dict, apply(dict, func(v int64) int64 { return -v })}
 	tbl := &Table{Rel: "Mixed"}
 	for c := range cols {
 		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "M", Col: string(rune('a' + c))})
@@ -136,7 +144,7 @@ func apply(col []int64, f func(int64) int64) []int64 {
 // columnPlans encodes the table, checks that it round-trips and re-encodes
 // to the same bytes, and walks the stream with the package's own column
 // decoder: each column's tag and, for a map column, its determinant.
-func columnPlans(t *testing.T, tbl *Table) (tags []byte, dets []int) {
+func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 	t.Helper()
 	blob := encodeTable(t, tbl)
 	got, err := ReadTable(bytes.NewReader(blob))
@@ -205,19 +213,23 @@ func TestTableWireMapColumns(t *testing.T) {
 }
 
 // TestTableWireMapSearchBounded: a column looks for its determinant among at
-// most mapWork × nrows cells of the columns before it. Decoy keys that each
-// hold up as a determinant to their last row use that up, so a column with
-// mapWork of them before its determinant is encoded as if nothing determined
-// it — on both sides, whatever the table's width: planning stays linear in
-// the table's cells.
+// most mapWork × nrows cells of the columns before it, mapWork being 4.
+// Decoy keys that each hold up as a determinant to their last row use up a
+// column's worth each, so with two of them before its determinant a column
+// finds it, and with three it is encoded as if nothing determined it — on
+// both sides, whatever the table's width: planning stays linear in the
+// table's cells. The counts are literal, so a budget half or twice as large
+// fails here. The target is one byte a row as plain varints, a run a row and
+// a code a row cost more, and so does a decoy's image of it, a byte per
+// decoy value, from the decoy's last row on.
 func TestTableWireMapSearchBounded(t *testing.T) {
 	const n = 2000
 	det := apply(serialKey(n), func(v int64) int64 { return v % 4 })
-	target := apply(det, func(v int64) int64 { return 1<<40 + v })
+	target := apply(det, func(v int64) int64 { return 5*v + 7 })
 	for _, c := range []struct {
 		decoys int
 		tag    byte
-	}{{mapWork - 2, encMap}, {mapWork, encDict}, {300, encDict}} {
+	}{{2, encMap}, {3, encPlain}, {300, encPlain}} {
 		cols := make([][]int64, c.decoys, c.decoys+2)
 		for i := range cols {
 			cols[i] = serialKey(n)
@@ -307,11 +319,20 @@ func TestTableWireShapes(t *testing.T) {
 		{"zero columns", &Table{Rel: "Z", Rows: []Row{{}, {}, {}}}, -1},
 		{"one row", &Table{Rel: "O", Attrs: []workflow.Attr{{Rel: "O", Col: "a"}, {Rel: "O", Col: "b"}}, Rows: []Row{{-1, 1 << 40}}}, int(encPlain)},
 		{"serial key", column(serialKey(1000)...), int(encPlain)},
-		{"serial key past the dictionary span", column(serialKey(maxDictSpan + 10)...), int(encPlain)},
-		{"full range alternating", column(extremes(64)...), int(encPlain)},
+		{"shuffled key past the dictionary span", column(func() []int64 {
+			v := serialKey(maxDictSpan + 10)
+			rand.New(rand.NewSource(5)).Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
+			return v
+		}()...), int(encPlain)},
+		// Runs of one, at a delta of one: two bytes a row undercut three.
+		{"serial key past the dictionary span", column(serialKey(maxDictSpan + 10)...), int(encRLE)},
+		// The deltas wrap: -1 and +1, one byte each, after the first run.
+		{"full range alternating", column(extremes(64)...), int(encRLE)},
 		{"constant", column(constant(100, 42)...), int(encRLE)},
 		{"sorted small domain", column(sortedZipf(5000, 50)...), int(encRLE)},
-		{"zipf small domain", column(zipfDomain(5000, 50)...), int(encDict)},
+		// A code is a byte: it undercuts two-byte values, not one-byte ones.
+		{"zipf small domain", column(shift(zipfDomain(5000, 50), 1000)...), int(encDict)},
+		{"zipf small domain, one-byte values", column(zipfDomain(5000, 50)...), int(encPlain)},
 		{"zipf negative offset", column(func() []int64 {
 			v := zipfDomain(2000, 300)
 			for i := range v {
@@ -357,34 +378,140 @@ func TestTableWireShapes(t *testing.T) {
 	}
 }
 
-// TestTableWireDictionaryWidths round-trips dictionary columns at every
-// code width, with dictionary sizes on both sides of each power of two and
-// row counts that leave every possible number of padding bits.
+// TestTableWireDictionaryWidths walks the code widths, 0, 8 and 16 bits, with
+// dictionary sizes on both sides of each byte boundary. Every entry is used,
+// and the entries are spread over the span a dictionary may take, so that
+// neither plain varints nor run deltas undercut a code a row.
 func TestTableWireDictionaryWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for w := 1; w <= 16; w++ {
-		for _, d := range []int{1<<(w-1) + 1, 1 << w} {
-			n := 4*d + rng.Intn(8)
-			vals := make([]int64, n)
-			for i := range vals {
-				// Every entry is used; a large offset keeps plain varints
-				// (3+ bytes a row) from undercutting the dictionary.
-				vals[i] = -(1 << 40) + int64(i%d)
+	for _, c := range []struct{ d, width int }{
+		{1, 0}, {2, 8}, {3, 8}, {255, 8}, {256, 8}, {257, 16}, {65535, 16}, {65536, 16},
+	} {
+		n := max(4*c.d, 200) + rng.Intn(8)
+		step := int64((maxDictSpan - 1) / max(1, c.d-1))
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = -(1 << 40) + int64(i%c.d)*step
+		}
+		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		tbl := column(vals...)
+		blob := encodeTable(t, tbl)
+		if !bytes.Equal(blob, append(wireHeader(tbl), wireModel(vals)...)) {
+			t.Fatalf("%d distinct values over %d rows: the stream is not the model's", c.d, n)
+		}
+		d := &wireDecoder{b: blob, pos: len(wireHeader(tbl))}
+		if d.b[d.pos] != encDict {
+			t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", c.d, n, d.b[d.pos])
+		}
+		d.pos++
+		for k := 0; k < 1+1+c.d-1; k++ { // d, the first value, the deltas
+			if _, err := d.uvarintRaw(); err != nil {
+				t.Fatal(err)
 			}
-			rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-			tbl := column(vals...)
-			blob := encodeTable(t, tbl)
-			hdr := wireHeader(tbl)
-			if blob[len(hdr)] != encDict {
-				t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", d, n, blob[len(hdr)])
+		}
+		if w := int(d.b[d.pos]); w != c.width || len(d.b)-d.pos-1 != n*w/8 {
+			t.Errorf("%d distinct values over %d rows: width %d and %d code bytes, want width %d", c.d, n, w, len(d.b)-d.pos-1, c.width)
+		}
+		columnPlans(t, tbl)
+	}
+}
+
+// wireModel is the body of a one-column table, written from the format
+// comment alone: every encoding's bytes, and the shortest, ties to the
+// lower tag. No map: one column has no earlier column to be a function of.
+func wireModel(vals []int64) []byte {
+	plain := []byte{encPlain}
+	for _, v := range vals {
+		plain = binary.AppendVarint(plain, v)
+	}
+	var runVals []int64
+	var runLens []uint64
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			runLens[len(runLens)-1]++
+			continue
+		}
+		runVals, runLens = append(runVals, v), append(runLens, 1)
+	}
+	rle := binary.AppendUvarint([]byte{encRLE}, uint64(len(runVals)))
+	prev := int64(0)
+	for _, v := range runVals {
+		rle = binary.AppendVarint(rle, v-prev)
+		prev = v
+	}
+	for _, n := range runLens {
+		rle = binary.AppendUvarint(rle, n)
+	}
+	best := plain
+	if len(rle) < len(best) {
+		best = rle
+	}
+	dict := slices.Clone(vals)
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
+	if uint64(dict[len(dict)-1])-uint64(dict[0]) >= maxDictSpan {
+		return best
+	}
+	body := binary.AppendVarint(binary.AppendUvarint([]byte{encDict}, uint64(len(dict))), dict[0])
+	code := map[int64]int{dict[0]: 0}
+	for k := 1; k < len(dict); k++ {
+		body = binary.AppendUvarint(body, uint64(dict[k]-dict[k-1]))
+		code[dict[k]] = k
+	}
+	width := 0
+	for 1<<width < len(dict) {
+		width += 8
+	}
+	body = append(body, byte(width))
+	for _, v := range vals {
+		for b := 0; b < width; b += 8 {
+			body = append(body, byte(code[v]>>b))
+		}
+	}
+	if len(body) < len(best) {
+		best = body
+	}
+	return best
+}
+
+// TestTableWireRunModel holds generated run-shaped columns to wireModel, byte
+// for byte: climbing and falling runs, runs of one, and runs at the ends of
+// int64, whose deltas wrap.
+func TestTableWireRunModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ends := []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 0, -1}
+	seen := map[byte]bool{}
+	for round := 0; round < 600; round++ {
+		n, maxRun := 1+rng.Intn(300), 1+rng.Intn(6)
+		var vals []int64
+		v := rng.Int63n(1<<20) - 1<<19
+		for len(vals) < n {
+			switch round % 3 {
+			case 0: // climbing by small steps, as a join's probe-order key
+				v += 1 + rng.Int63n(3)
+			case 1: // falling
+				v -= 1 + rng.Int63n(1<<uint(rng.Intn(20)))
+			default: // the ends of int64, never twice in a row
+				for prev := v; v == prev; {
+					v = ends[rng.Intn(len(ends))]
+				}
 			}
-			got, err := ReadTable(bytes.NewReader(blob))
-			if err != nil {
-				t.Fatalf("%d distinct values over %d rows: %v", d, n, err)
+			for k := 1 + rng.Intn(maxRun); k > 0 && len(vals) < n; k-- {
+				vals = append(vals, v)
 			}
-			if !reflect.DeepEqual(got, tbl) {
-				t.Fatalf("%d distinct values over %d rows: round trip mismatch", d, n)
-			}
+		}
+		tbl := column(vals...)
+		blob := encodeTable(t, tbl)
+		hdr := wireHeader(tbl)
+		if want := append(hdr, wireModel(vals)...); !bytes.Equal(blob, want) {
+			t.Fatalf("round %d: % x\nmodel % x", round, blob[len(hdr):], want[len(hdr):])
+		}
+		columnPlans(t, tbl)
+		seen[blob[len(hdr)]] = true
+	}
+	for _, tag := range []byte{encPlain, encRLE} {
+		if !seen[tag] {
+			t.Errorf("no generated column selected encoding %d", tag)
 		}
 	}
 }
@@ -419,6 +546,9 @@ func TestTableWireConcurrent(t *testing.T) {
 
 func TestTableWireRejectsCorruption(t *testing.T) {
 	// One column of each encoding, so every decoder meets every cut.
+	if tags, _ := columnPlans(t, mixedTable()); !bytes.Equal(tags, []byte{encPlain, encRLE, encDict, encMap}) {
+		t.Fatalf("mixedTable's columns are encoded %v, want one of each encoding", tags)
+	}
 	full := encodeTable(t, mixedTable())
 
 	// Truncation at every prefix length must fail, never mis-decode.
@@ -437,8 +567,8 @@ func TestTableWireRejectsCorruption(t *testing.T) {
 	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	old := append([]byte("ETBL2"), full[len(tableMagic):]...)
-	if _, err := ReadTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `starts "ETBL2"`) {
+	old := append([]byte("ETBL3"), full[len(tableMagic):]...)
+	if _, err := ReadTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `starts "ETBL3"`) {
 		t.Fatalf("a stream of the previous version: err = %v", err)
 	}
 }
@@ -447,55 +577,93 @@ func TestTableWireRejectsCorruption(t *testing.T) {
 // valid table but are not what WriteTable emits for it: each must be
 // refused, or two byte strings would stand for one table.
 func TestTableWireRejectsNonCanonical(t *testing.T) {
-	three := column(5, 5, 5) // canonical: rle (5, run 3)
-	hdr := wireHeader(three)
+	four := column(5, 5, 5, 5) // canonical: rle, one run (delta 5, length 4)
+	hdr := wireHeader(four)
 	zz := func(v int64) byte { return byte(v<<1) ^ byte(v>>63) } // one-byte zigzag
 	cases := []struct {
 		name string
 		body []byte
+		want string // the refusal, where the stream breaks one of the run stream's own rules
 	}{
-		{"canonical", []byte{encRLE, zz(5), 3}},
-		{"plain where rle is smaller", []byte{encPlain, zz(5), zz(5), zz(5)}},
-		{"dictionary where rle is smaller", []byte{encDict, 1, zz(5), 0}},
-		{"split run", []byte{encRLE, zz(5), 2, zz(5), 1}},
-		{"empty run", []byte{encRLE, zz(5), 0, zz(5), 3}},
-		{"padded run length", []byte{encRLE, zz(5), 0x83, 0x00}},
-		{"padded value", []byte{encRLE, 0x8a, 0x00, 3}},
-		{"run past the row count", []byte{encRLE, zz(5), 4}},
-		{"unknown tag", []byte{4, zz(5), 3}},
+		{"canonical", []byte{encRLE, 1, zz(5), 4}, ""},
+		{"plain where rle is smaller", []byte{encPlain, zz(5), zz(5), zz(5), zz(5)}, ""},
+		{"dictionary where rle is smaller", []byte{encDict, 1, zz(5), 0}, ""},
+		{"padded run count", []byte{encRLE, 0x81, 0x00, zz(5), 4}, ""},
+		{"padded run length", []byte{encRLE, 1, zz(5), 0x84, 0x00}, ""},
+		{"padded value", []byte{encRLE, 1, 0x8a, 0x00, 4}, ""},
+		{"empty run", []byte{encRLE, 2, zz(5), zz(1), 0, 4}, "run of 0"},
+		{"run past the row count", []byte{encRLE, 1, zz(5), 5}, "run of 5"},
+		{"no runs", []byte{encRLE, 0}, "0 runs for 4 rows"},
+		{"more runs than rows", []byte{encRLE, 5, zz(5), zz(1), zz(1), zz(1), zz(1), 1, 1, 1, 1, 1}, "5 runs for 4 rows"},
+		{"more runs than half the bytes left", []byte{encRLE, 3, zz(5), zz(1), zz(1), 1}, "3 runs in 4 bytes"},
+		{"runs short of the rows", []byte{encRLE, 1, zz(5), 3}, "runs cover 3 of 4 rows"},
+		{"zero delta after the first run", []byte{encRLE, 2, zz(5), 0, 2, 2}, "adjacent runs of one value"},
+		{"unknown tag", []byte{4, 1, zz(5), 4}, ""},
 	}
 	for i, c := range cases {
 		_, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...)))
-		if (err == nil) != (i == 0) {
-			t.Errorf("%s: err = %v", c.name, err)
+		if (err == nil) != (i == 0) || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 
-	// Dictionary streams over a column whose canonical form is a dictionary.
-	vals := zipfDomain(64, 4)
+	// Dictionary streams over a column whose canonical form is a dictionary:
+	// 4 entries of two-byte varints, codes a byte a row.
+	vals := shift(zipfDomain(64, 4), 100)
 	canon := encodeTable(t, column(vals...))
 	hdr = wireHeader(column(vals...))
-	if canon[len(hdr)] != encDict || canon[len(hdr)+1] != 4 {
-		t.Fatalf("fixture is not a 4-entry dictionary column: % x", canon[len(hdr):len(hdr)+4])
+	dictHead := []byte{encDict, 4, 0xca, 0x01, 1, 1, 1, 8} // d=4, first value 101, deltas 1 1 1, width 8
+	if !bytes.Equal(canon[len(hdr):len(hdr)+len(dictHead)], dictHead) {
+		t.Fatalf("fixture is not a 4-entry dictionary column: % x", canon[len(hdr):len(hdr)+len(dictHead)])
 	}
-	// tag, d=4, first value 1, deltas 1 1 1, width 2, then 16 bytes of codes.
-	codes := canon[len(hdr)+7:]
+	codes := canon[len(hdr)+len(dictHead):]
+	var packed []byte // the codes at the two bits a row a 4-entry dictionary took before
+	for i := 0; i < len(codes); i += 4 {
+		packed = append(packed, codes[i]|codes[i+1]<<2|codes[i+2]<<4|codes[i+3]<<6)
+	}
+	pastDict := append([]byte{}, codes...)
+	pastDict[len(pastDict)-1] = 4
 	for _, c := range []struct {
 		name string
 		body []byte
 	}{
-		{"unused dictionary entry", append([]byte{encDict, 5, zz(1), 1, 1, 1, 1, 3}, make([]byte, 24)...)},
-		{"zero delta", append([]byte{encDict, 4, zz(1), 1, 0, 1, 2}, codes...)},
-		{"wrong width", append([]byte{encDict, 4, zz(1), 1, 1, 1, 3}, make([]byte, 24)...)},
+		{"unused dictionary entry", append([]byte{encDict, 5, 0xca, 0x01, 1, 1, 1, 1, 8}, codes...)},
+		{"zero delta", append([]byte{encDict, 4, 0xca, 0x01, 1, 0, 1, 8}, codes...)},
+		{"bit-packed width", append([]byte{encDict, 4, 0xca, 0x01, 1, 1, 1, 2}, packed...)},
+		{"code past the dictionary", append(append([]byte{}, dictHead...), pastDict...)},
 	} {
 		if _, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...))); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
+	if _, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), append(dictHead, codes...)...))); err != nil {
+		t.Errorf("the canonical dictionary stream rebuilt from its parts: %v", err)
+	}
+
+	// A 256-entry dictionary takes one byte a code, not two.
+	wide := make([]int64, 1024)
+	for i := range wide {
+		wide[i] = 1000 + int64(i*7%256)
+	}
+	canon = encodeTable(t, column(wide...))
+	hdr = wireHeader(column(wide...))
+	at := len(canon) - len(wide) - 1 // the width byte
+	if canon[len(hdr)] != encDict || canon[at] != 8 {
+		t.Fatalf("fixture is not a 256-entry dictionary column of width 8: tag %d, width %d", canon[len(hdr)], canon[at])
+	}
+	doubled := append([]byte{}, canon[:at]...)
+	doubled = append(doubled, 16)
+	for _, code := range canon[at+1:] {
+		doubled = append(doubled, code, 0)
+	}
+	if _, err := ReadTable(bytes.NewReader(doubled)); err == nil || !strings.Contains(err.Error(), "code width 16 for 256 dictionary entries") {
+		t.Errorf("16-bit codes for a 256-entry dictionary: err = %v", err)
+	}
+
 	// Map streams, over a key column k = 1 2 1 2 … whose canonical form is
-	// the 5-byte dictionary kcol.
+	// the 9-byte plain column kcol.
 	k := []int64{1, 2, 1, 2, 1, 2, 1, 2}
-	kcol := []byte{encDict, 2, zz(1), 1, 1, 0xaa}
+	kcol := append([]byte{encPlain}, bytes.Repeat([]byte{zz(1), zz(2)}, 4)...)
 	v := apply(k, func(v int64) int64 { return 10 * v })
 	for i, c := range []struct {
 		name string
@@ -510,7 +678,7 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		{"determinant is a map column", tableOf(k, v, v), []byte{encMap, 0, zz(10), zz(20), encMap, 1, zz(10), zz(20)}},
 		{"padded determinant", tableOf(k, v), []byte{encMap, 0x80, 0x00, zz(10), zz(20)}},
 		{"map where rle is smaller", tableOf(k, constant(8, 5)), []byte{encMap, 0, zz(5), zz(5)}},
-		{"dictionary where map is smaller", tableOf(k, v), []byte{encDict, 2, zz(10), 10, 1, 0xaa}},
+		{"dictionary where map is smaller", tableOf(k, v), []byte{encDict, 2, zz(10), 10, 8, 0, 1, 0, 1, 0, 1, 0, 1}},
 		{"plain where map is smaller", tableOf(k, v), append([]byte{encPlain}, bytes.Repeat([]byte{zz(10), zz(20)}, 4)...)},
 	} {
 		stream := append(append(wireHeader(c.tbl), kcol...), c.body...)
@@ -523,16 +691,6 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		if _, err := ReadTable(bytes.NewReader(encodeTable(t, tbl))); err != nil {
 			t.Errorf("canonical stream refused: %v", err)
 		}
-	}
-	// Padding bits: 15 two-bit codes leave two spare bits in the last byte.
-	pad := column(1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3)
-	blob := encodeTable(t, pad)
-	if blob[len(wireHeader(pad))] != encDict {
-		t.Fatal("fixture is not a dictionary column")
-	}
-	blob[len(blob)-1] |= 0x80
-	if _, err := ReadTable(bytes.NewReader(blob)); err == nil {
-		t.Error("set padding bits accepted")
 	}
 }
 
@@ -568,6 +726,6 @@ func TestTableWireCellCap(t *testing.T) {
 func rowBomb() []byte {
 	b := wireHeader(&Table{Rel: "B", Attrs: []workflow.Attr{{Rel: "B", Col: "x"}}})
 	b = binary.AppendUvarint(b[:len(b)-1], 1<<40) // replace the row count
-	b = append(b, encRLE, 0)
+	b = append(b, encRLE, 1, 0)
 	return binary.AppendUvarint(b, 1<<40)
 }

@@ -585,19 +585,22 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// The runs move 21,862 B, 7,930 B and 6,509 B under go 1.24's
-// compress/flate; the budgets were set at 1.25 × 21,895 B, 7,981 B and
-// 6,529 B. wf07 at scale 0.01 is two dispatches whose upstream table is
-// the largest the benchmark's dist-run makes; it never crosses the wire:
-// block 0's worker holds it and block 1's request names it (38 KB when it
-// crossed twice, 30 KB when it crossed once). wf08
-// at 0.05 is three dispatches moving ~167k rows of join output — 3,378,533 B
-// as base64 row-major varints in JSON, 289,889 B as column-encoded frames,
-// 19 KB as map columns deflated, 13.5 KB once each block of the chain went
-// to the worker that kept its input, 8 KB once the two intermediate outputs
-// stay there. wf12 at 0.002 is one instrumented block of few rows and many
-// statistics, so most of what it inflates to is the shard. A clean run makes
-// one exchange per block: no recompute.
+// The runs move 19,722 B, 5,383 B and 6,307 B under go 1.24's
+// compress/flate at level 3, and the budgets are 1.25 × those; the ETBL3
+// codec under level 2 moved 21,862 B, 7,930 B and 6,509 B. wf07 at scale
+// 0.01 is two dispatches whose upstream table is the largest the
+// benchmark's dist-run makes; it never crosses the wire: block 0's worker
+// holds it and block 1's request names it (38 KB when it crossed twice,
+// 30 KB when it crossed once). wf08 at 0.05 is three dispatches moving
+// ~167k rows of join output — 3,378,533 B as base64 row-major varints in
+// JSON, 289,889 B as column-encoded frames, 19 KB as map columns deflated,
+// 13.5 KB once each block of the chain went to the worker that kept its
+// input, 8 KB once the two intermediate outputs stay there, 5.4 KB once run
+// values went as deltas and dictionary codes as whole bytes, which DEFLATE
+// models (its tables inflate to 163,064 B, up from 133,320 B). wf12 at
+// 0.002 is one instrumented block of few rows and many statistics, so most
+// of what it inflates to is the shard. A clean run makes one exchange per
+// block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf           int
@@ -605,9 +608,9 @@ func TestDistributedWireBytes(t *testing.T) {
 		blocks, held int
 		budget       int64
 	}{
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 27_369},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 9_976},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 8_161},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 24_653},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 6_729},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 7_884},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)

@@ -50,7 +50,8 @@ import (
 // else: no base64, no JSON scanning, and the reader hands each section to
 // data.ReadTable or stats.ReadStore straight from the inflating stream.
 // DEFLATE takes what the table codec cannot see, repetition across columns
-// and rows: about 4/5 of what the codec leaves of a join block's frame.
+// and rows: 84 % (wf07) to 97 % (wf08) of what the codec leaves of a join
+// block's frames, for which the codec lays its bytes out (data.WriteTable).
 //
 // A block output a later block reads and no sink does never crosses the
 // wire: the request that makes it says Hold, and the worker keeps the output
@@ -65,8 +66,11 @@ const (
 	frameContentType      = "application/x-etlopt-block"
 	frameStored      byte = 0
 	frameDeflate     byte = 1
-	// Level 2: a tenth over level 6's size in a third of its time; beats 1 at both.
-	frameLevel = 2
+	// Level 3, over ETBL4 tables: 2-3 % under level 2's frames on every
+	// benchmark workload at about its time (level 2 leaves the small-table
+	// ones over what ETBL3 sent), where level 6 takes 8-9 % more off at
+	// 2.5 × the time, which a dist cycle feels.
+	frameLevel = 3
 )
 
 // errFrameCap marks a frame whose payload is over its handler's cap — one

@@ -195,8 +195,8 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // built the program, and is only required to carry the payload back.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c330102423002024230016b024230017600194554424c330102423202024232016b024232017601000a000c"
-		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3301034f757402034f7574016b034f75740176020002060004081e4554424c330105617564697402056175646974016b056175646974017600284554424c33010772656a65637473020772656a65637473016b0772656a6563747301760100120012c90145544c5354415402000000020000000000000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff00000028000000000000000200000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff010001005401006101050000000100000000000000010000000000000002000000000000000100000000000000030000000000000001000000000000000400000000000000010000000000000005000000000000000100000000000000"
+		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c340102423002024230016b024230017600194554424c340102423202024232016b024232017601000a000c"
+		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3401034f757402034f7574016b034f75740176020002060004081e4554424c340105617564697402056175646974016b056175646974017600284554424c34010772656a65637473020772656a65637473016b0772656a6563747301760100120012c90145544c5354415402000000020000000000000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff00000028000000000000000200000000000000000100000000000000ffffffffffffffffffffffffffffffffffffffffffffffff010001005401006101050000000100000000000000010000000000000002000000000000000100000000000000030000000000000001000000000000000400000000000000010000000000000005000000000000000100000000000000"
 	)
 	// The request a session builds from RunSpec + DispatchSpec.
 	coord, err := NewCoordinator(RunSpec{WF: 8, Scale: 0.5, MaxRows: 1000, CSS: css.DefaultOptions()}, CoordinatorOptions{Addrs: []string{"http://127.0.0.1:0"}})
