@@ -115,7 +115,6 @@ var censusAllowed = map[string]string{
 	"wftest": "test support: wftest's callers are tests",
 
 	// Seams tests turn.
-	"core.AdaptiveOptions.MaxReplans":         "test seam: TestAdaptiveMaxReplansCap lowers the cap to see it bite",
 	"serve.CoordinatorOptions.HeartbeatEvery": "timing seam: the lease-expiry tests shorten it from 200ms",
 	"serve.CoordinatorOptions.LeaseTTL":       "timing seam: the lease-expiry tests shorten it from 2s",
 	"serve.CoordinatorOptions.Faults":         "test seam: the network-fault matrix injects dispatch faults through it",

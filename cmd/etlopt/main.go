@@ -24,7 +24,6 @@
 //	etlopt run     -wf 3 -stats-tier=approx       # observe sketch-backed approximate statistics
 //	etlopt run     -wf 3 -stats-tier=auto         # sketches compete with exact taps on cost
 //	etlopt run     -wf 3 -adaptive                # mid-run re-optimization at block boundaries
-//	etlopt run     -wf 3 -adaptive -replan-skew 4 # force a replan (block-0 estimates skewed 4x)
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
 //	etlopt run     -wf 3 -worker-addrs http://localhost:9091,http://localhost:9092   # blocks run on the workers
@@ -109,7 +108,6 @@ type options struct {
 	saveStats   string
 	tier        core.StatsTier
 	adaptive    bool
-	skew        float64
 	addr        string
 	workerAddrs string
 	catalog     string
@@ -148,7 +146,6 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		return err
 	})
 	fs.BoolVar(&o.adaptive, "adaptive", false, "run: execute the optimized plans adaptively, re-optimizing the not-yet-executed blocks when boundary actuals refute the estimates")
-	fs.Float64Var(&o.skew, "replan-skew", 0, "run: multiply block 0's estimates by this factor during -adaptive boundary checks, forcing a replan (testing aid; 0 = off)")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
 	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
 	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
@@ -421,11 +418,7 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 	}
 	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Plans.Improvement())
 	if o.adaptive {
-		var adapt core.AdaptiveOptions
-		if o.skew > 0 {
-			adapt.Skew = map[int]float64{0: o.skew}
-		}
-		ar, err := cy.RunOptimizedAdaptiveCtx(ctx, adapt)
+		ar, err := cy.RunOptimizedAdaptiveCtx(ctx, db, cfg.Dispatcher)
 		if err != nil {
 			return nil, err
 		}

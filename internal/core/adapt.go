@@ -2,17 +2,20 @@ package core
 
 // Mid-run adaptive re-optimization: the first feature that closes the
 // observe → estimate → re-plan loop *inside* a run rather than between
-// runs. The optimized run executes under an engine AdaptCheck; at every
-// block boundary the driver folds the just-committed block's tapped
-// actuals into its evidence and compares them, through ConeFeedback,
-// against the estimates that justified the not-yet-executed cone. When a
-// boundary actual refutes its estimate beyond the de-flapped threshold the
-// run stops with a ReplanSignal; the driver injects every actual collected
-// so far as an exact cardinality into a shadow statistics store, re-invokes
-// the optimizer on only the pending blocks, and splices the re-optimized
-// cone in through the engine's resume path — completed blocks are never
-// re-run, and their boundary outputs, materialized tables and observed
-// statistics carry over through the checkpoint unchanged.
+// runs. A cycle's plans were optimized from the statistics its
+// instrumented run observed; RunOptimizedAdaptiveCtx executes them on the
+// data the caller hands it (today's, which may have drifted since) under
+// an engine AdaptCheck. At every block boundary the driver folds the
+// just-committed block's tapped actuals into its evidence and compares
+// them, through BuildFeedback, against the estimates that justified the
+// not-yet-executed cone. When a boundary actual refutes its estimate
+// beyond the de-flapped threshold the run stops with a ReplanSignal; the
+// driver injects every actual collected so far as an exact cardinality
+// into a shadow statistics store, re-invokes the optimizer on only the
+// pending blocks, and splices the re-optimized cone in through the
+// engine's resume path — completed blocks are never re-run, and their
+// boundary outputs, materialized tables and observed statistics carry
+// over through the checkpoint unchanged.
 //
 // De-flapping, in three layers:
 //
@@ -23,7 +26,7 @@ package core
 //     (Feedback.TripsReplan) — they are measurement noise, not refutation;
 //   - after a replan the absorbed actuals become exact store hits in the
 //     shadow estimator (q-error 1), so the same evidence cannot re-trigger;
-//     MaxReplans caps pathological workloads outright.
+//     maxReplans caps pathological workloads outright.
 
 import (
 	"context"
@@ -46,21 +49,9 @@ import (
 // widens it (AdaptiveResult.Threshold reports the effective value).
 const defaultReplanThreshold = 2.0
 
-// defaultMaxReplans caps replans per run.
-const defaultMaxReplans = 3
-
-// AdaptiveOptions tune one adaptive execution.
-type AdaptiveOptions struct {
-	// MaxReplans caps mid-run replans (0 = the default of 3).
-	MaxReplans int
-	// Skew multiplies the derived estimates of the named blocks during the
-	// boundary checks — the deterministic forcing knob the equivalence
-	// tests and the -replan-skew flag use to provoke a replan without
-	// perturbing data. It is dropped after the first replan it causes (the
-	// absorbed actuals already correct the skewed blocks), so a skew forces
-	// at most one replan.
-	Skew map[int]float64
-}
+// maxReplans caps replans per run (a variable so the cap's test can lower
+// it).
+var maxReplans = 3
 
 // Replan records one mid-run re-optimization.
 type Replan struct {
@@ -119,7 +110,6 @@ func (ar *AdaptiveResult) Summary() string {
 type adaptState struct {
 	cy        *Cycle
 	est       *estimate.Estimator
-	skew      map[int]float64
 	threshold float64
 	remaining int
 
@@ -141,7 +131,7 @@ func (st *adaptState) check(plan *physical.Plan, block int, done map[int]bool) b
 		return false
 	}
 	st.checks++
-	fb := estimate.ConeFeedback(st.cy.CSS, st.est, st.actuals, st.skew)
+	fb := estimate.BuildFeedback(st.cy.CSS, st.est, st.actuals)
 	rep, trip := fb.TripsReplan(st.threshold)
 	if !trip {
 		return false
@@ -203,11 +193,6 @@ func (st *adaptState) replan(cp *engine.Checkpoint, cur map[int]*workflow.JoinTr
 		cur[bi] = p.Tree
 	}
 	sort.Ints(rec.Changed)
-
-	// The skew forced this replan; the absorbed actuals already correct the
-	// skewed blocks, so keeping it would only burn the replan budget
-	// re-confirming a disagreement the shadow store no longer has.
-	st.skew = nil
 	st.remaining--
 	return rec, nil
 }
@@ -224,23 +209,20 @@ func renderTree(t *workflow.JoinTree, blk *workflow.Block) string {
 	return t.Render(blk)
 }
 
-// RunOptimizedAdaptiveCtx executes the cycle's optimized plans under ctx
-// with mid-run adaptive re-optimization (see the package comment at the top
-// of this file). The run is instrumented with the cycle's selected
-// statistics, so a following cycle can reuse its observations exactly like
-// RunOptimized's.
-func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptions) (*AdaptiveResult, error) {
+// RunOptimizedAdaptiveCtx executes the cycle's optimized plans on db under
+// ctx with mid-run adaptive re-optimization (see the package comment at the
+// top of this file): the plans were optimized from the data the cycle
+// observed, db is the data they run on now. dispatcher places the blocks
+// and must serve db (nil runs them in-process, as with Config.Dispatcher).
+// The run is instrumented with the cycle's selected statistics, so a
+// following cycle can reuse its observations exactly like RunOptimized's.
+func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, db engine.DB, dispatcher engine.BlockDispatcher) (*AdaptiveResult, error) {
 	if cy.Plans == nil || cy.CSS == nil || cy.Selection == nil {
 		return nil, fmt.Errorf("core: adaptive run needs a completed optimization cycle")
-	}
-	maxReplans := opts.MaxReplans
-	if maxReplans <= 0 {
-		maxReplans = defaultMaxReplans
 	}
 	st := &adaptState{
 		cy:        cy,
 		est:       cy.Estimator,
-		skew:      opts.Skew,
 		threshold: cy.Feedback.ReplanThreshold(defaultReplanThreshold),
 		remaining: maxReplans,
 		actuals:   make(map[stats.Target]int64),
@@ -258,7 +240,8 @@ func (cy *Cycle) RunOptimizedAdaptiveCtx(ctx context.Context, opts AdaptiveOptio
 	// wherever the executed (re-optimized) trees produce its target.
 	cfg := cy.cfg
 	cfg.CollectMetrics = true
-	eng := NewExecutor(cy.Analysis, cy.db, cfg)
+	cfg.Dispatcher = dispatcher
+	eng := NewExecutor(cy.Analysis, db, cfg)
 	eng.AdaptCheck = st.check
 	observe := cy.Selection.Observe
 	run, err := eng.RunPlansCtx(ctx, cur, cy.CSS, observe)

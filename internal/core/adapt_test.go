@@ -7,17 +7,19 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // twoBlockSkewed builds a workflow whose analysis yields two blocks: block
 // 0 joins Orders with Product and closes at a group-by boundary; block 1
 // joins the boundary output with the huge Log first (the designed, bad
-// order) although the tiny Region join would shrink it far more.
-func twoBlockSkewed(t *testing.T) (*workflow.Graph, *workflow.Catalog, engine.DB) {
+// order) although the tiny Region join would shrink it far more. orders
+// sizes the Orders table, so two calls give two days of the same feed.
+func twoBlockSkewed(t *testing.T, orders int64) (*workflow.Graph, *workflow.Catalog, engine.DB) {
 	t.Helper()
 	specs := []data.TableSpec{
-		{Rel: "Orders", Card: 3000, Columns: []data.ColumnSpec{
+		{Rel: "Orders", Card: orders, Columns: []data.ColumnSpec{
 			{Name: "oid", Serial: true},
 			{Name: "pid", Domain: 50, Skew: 1.1},
 			{Name: "lid", Domain: 40, Skew: 1.5},
@@ -57,12 +59,15 @@ func twoBlockSkewed(t *testing.T) (*workflow.Graph, *workflow.Catalog, engine.DB
 }
 
 // TestAdaptiveReplanSplicesCone is the driver-level tentpole test: a
-// forced mid-run replan re-optimizes only the pending cone, splices it in
-// through the resume path, changes the sabotaged block's join tree back to
-// the optimal one, and the spliced result is identical to a cold run of
-// the final plans — with the work metric proving no completed block re-ran.
+// plan optimized on yesterday's data meets today's grown Orders, the
+// block-0 boundary refutes its estimate, and the mid-run replan
+// re-optimizes only the pending cone, splices it in through the resume
+// path, changes the sabotaged block's join tree back to the optimal one,
+// and the spliced result is identical to a cold run of the final plans on
+// today's data — with the work metric proving no completed block re-ran.
 func TestAdaptiveReplanSplicesCone(t *testing.T) {
-	g, cat, db := twoBlockSkewed(t)
+	g, cat, db := twoBlockSkewed(t, 3000)
+	_, _, grown := twoBlockSkewed(t, 12000)
 	cy, err := Run(g, cat, db, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -76,16 +81,17 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 		t.Fatal("fixture broken: the optimizer kept block 1's designed order")
 	}
 
-	// Sabotage: schedule block 1 on its (bad) designed order, then force a
-	// replan at block 0's boundary via estimate skew. The shadow
-	// re-optimization must restore the good tree before block 1 runs.
+	// Sabotage: schedule block 1 on its (bad) designed order, then run on
+	// the grown data, whose block-0 actuals trip a replan at the first
+	// boundary. The shadow re-optimization must restore the good tree
+	// before block 1 runs.
 	cy.Plans.Plans[1].Tree = blk1.Initial
-	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{Skew: map[int]float64{0: 5}})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), grown, nil)
 	if err != nil {
 		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
 	if len(ar.Replans) != 1 {
-		t.Fatalf("replans = %d, want exactly 1 (skew is dropped after the first)", len(ar.Replans))
+		t.Fatalf("replans = %d, want exactly 1:\n%s", len(ar.Replans), ar.Summary())
 	}
 	rec := ar.Replans[0]
 	if rec.AtBlock != 0 || rec.Trigger.Block != 0 {
@@ -104,8 +110,9 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 		t.Fatal("no boundary checks recorded")
 	}
 
-	// The spliced run must be identical to a cold run of the final plans.
-	cold, err := engine.New(cy.Analysis, db, nil).RunPlansCtx(context.Background(), ar.Plans, cy.CSS, cy.Selection.Observe)
+	// The spliced run must be identical to a cold run of the final plans
+	// on the same data.
+	cold, err := engine.New(cy.Analysis, grown, nil).RunPlansCtx(context.Background(), ar.Plans, cy.CSS, cy.Selection.Observe)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
@@ -130,16 +137,16 @@ func TestAdaptiveReplanSplicesCone(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNoReplanOnAccurateEstimates: without skew the plan-time
-// estimates are exact (derived from the same data), so no boundary check
-// may trip — the adaptive machinery must be inert on accurate plans.
+// TestAdaptiveNoReplanOnAccurateEstimates: run on the data it was planned
+// from, the plan-time estimates are exact, so no boundary check may trip —
+// the adaptive machinery must be inert on accurate plans.
 func TestAdaptiveNoReplanOnAccurateEstimates(t *testing.T) {
-	g, cat, db := twoBlockSkewed(t)
+	g, cat, db := twoBlockSkewed(t, 3000)
 	cy, err := Run(g, cat, db, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), db, nil)
 	if err != nil {
 		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
@@ -161,23 +168,25 @@ func TestAdaptiveNoReplanOnAccurateEstimates(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMaxReplansCap: with a skew that would trip at every boundary
-// (applied to every block and never satisfiable), the replan budget caps
-// the loop instead of flapping.
+// TestAdaptiveMaxReplansCap drives wf08 from yesterday's scale to eight
+// times it, a drift that trips a replan at both of its boundaries: the
+// default cap lets both through, a cap of one stops after the first.
 func TestAdaptiveMaxReplansCap(t *testing.T) {
-	g, cat, db := twoBlockSkewed(t)
-	cy, err := Run(g, cat, db, DefaultConfig())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), AdaptiveOptions{
-		Skew:       map[int]float64{0: 5, 1: 5},
-		MaxReplans: 1,
-	})
-	if err != nil {
-		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
-	}
-	if len(ar.Replans) > 1 {
-		t.Fatalf("replans = %d, want <= 1 under MaxReplans=1", len(ar.Replans))
+	w := suite.MustGet(8)
+	today := w.Data(0.008)
+	defer func(old int) { maxReplans = old }(maxReplans)
+	for _, tc := range []struct{ limit, want int }{{maxReplans, 2}, {1, 1}} {
+		maxReplans = tc.limit
+		cy, err := Run(w.Graph, w.Catalog, w.Data(0.001), DefaultConfig())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), today, nil)
+		if err != nil {
+			t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
+		}
+		if len(ar.Replans) != tc.want {
+			t.Errorf("cap %d: replans = %d, want %d:\n%s", tc.limit, len(ar.Replans), tc.want, ar.Summary())
+		}
 	}
 }

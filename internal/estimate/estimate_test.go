@@ -68,8 +68,15 @@ func pipeline(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, db engine.
 // zipfRetail builds the retail workflow over skewed synthetic data.
 func zipfRetail(t *testing.T, seed int64) (*workflow.Graph, *workflow.Catalog, engine.DB) {
 	t.Helper()
+	return retailOrders(t, seed, 2000)
+}
+
+// retailOrders is zipfRetail with orders rows in Orders: one workflow,
+// another day's data.
+func retailOrders(t *testing.T, seed, orders int64) (*workflow.Graph, *workflow.Catalog, engine.DB) {
+	t.Helper()
 	specs := []data.TableSpec{
-		{Rel: "Orders", Card: 2000, Columns: []data.ColumnSpec{
+		{Rel: "Orders", Card: orders, Columns: []data.ColumnSpec{
 			{Name: "oid", Serial: true},
 			{Name: "pid", Domain: 60, Skew: 1.4},
 			{Name: "cid", Domain: 40, Skew: 1.6},

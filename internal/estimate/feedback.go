@@ -102,23 +102,9 @@ type Feedback struct {
 // that are not derivable are reported as such; underivable chain points are
 // skipped silently (inner chain points are only in the statistic universe
 // when a rule needs them, so their absence is expected, not a failure).
+// An adaptive run builds the same report at every block boundary from the
+// actuals tapped so far, against the estimator that justified its plans.
 func BuildFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int64) *Feedback {
-	return buildFeedback(res, est, actuals, nil)
-}
-
-// ConeFeedback builds the mid-run evidence an adaptive run checks at block
-// boundaries: actuals holds the cardinalities tapped from the blocks
-// completed so far (plus the boundary cardinalities feeding the pending
-// blocks), and est is the estimator whose derivations justified the
-// not-yet-executed cone. skew, when non-nil, multiplies the derived
-// estimates of the named target blocks — the deterministic forcing knob
-// the adaptive tests and the -replan-skew flag use to provoke a replan
-// without perturbing data.
-func ConeFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int64, skew map[int]float64) *Feedback {
-	return buildFeedback(res, est, actuals, skew)
-}
-
-func buildFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int64, skew map[int]float64) *Feedback {
 	targets := make([]stats.Target, 0, len(actuals))
 	for t := range actuals {
 		targets = append(targets, t)
@@ -163,9 +149,6 @@ func buildFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int
 		}
 		rep.Derivable = true
 		rep.Estimate = ex.Value.Scalar
-		if k, ok := skew[t.Block]; ok {
-			rep.Estimate = int64(float64(rep.Estimate) * k)
-		}
 		rep.Rule = ex.Rule
 		rep.Tier = "exact"
 		if ex.Value.Approx {

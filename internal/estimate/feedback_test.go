@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
+	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
 )
@@ -198,18 +199,25 @@ func TestBuildFeedbackUnderivable(t *testing.T) {
 	}
 }
 
-// TestConeFeedbackSkew pins the deterministic forcing knob the adaptive
-// tests and -replan-skew use: skewing a block's derived estimates produces
-// exactly that q-error, trips TripsReplan past the threshold, and leaves
-// other blocks' evidence exact.
-func TestConeFeedbackSkew(t *testing.T) {
+// TestTripsReplanOnDrift is the adaptive run's evidence without any
+// forcing: an estimator over the statistics observed on yesterday's data,
+// given the actuals of today's (Orders grown fourfold), reports Orders at
+// q 4, trips a replan above the worst disagreement and not at it, and the
+// same evidence against today's own statistics is exact and never trips.
+func TestTripsReplanOnDrift(t *testing.T) {
 	g, cat, db := zipfRetail(t, 5)
-	_, res, _, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
+	an, res, sel, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
+	_, _, grown := retailOrders(t, 5, 8000)
+	run, err := engine.New(an, grown, nil).RunPlans(nil, res, sel.Observe)
+	if err != nil {
+		t.Fatalf("RunPlans on today's data: %v", err)
+	}
+	today := New(res, run.Observed)
 
 	actuals := make(map[stats.Target]int64)
 	for bi, sp := range res.Spaces {
 		for _, se := range sp.SEs {
-			card, err := est.CardOf(bi, se)
+			card, err := today.CardOf(bi, se)
 			if err != nil || card == 0 {
 				continue
 			}
@@ -217,47 +225,53 @@ func TestConeFeedbackSkew(t *testing.T) {
 		}
 	}
 	if len(actuals) == 0 {
-		t.Fatal("no non-empty actuals derived from fixture")
+		t.Fatal("no non-empty actuals derived from today's data")
 	}
 
-	fb := ConeFeedback(res, est, actuals, map[int]float64{0: 3})
-	for _, r := range fb.SEs {
-		if !r.Derivable {
-			continue
-		}
-		want := 1.0
-		if r.Block == 0 {
-			want = 3
-		}
-		if math.Abs(r.QError-want) > 0.5 {
-			t.Errorf("blk%d %s q-error %v, want ~%v", r.Block, r.Label, r.QError, want)
+	fb := BuildFeedback(res, est, actuals)
+	var orders *SEReport
+	for i, r := range fb.SEs {
+		if r.Label == "Orders" {
+			orders = &fb.SEs[i]
 		}
 	}
-	rep, ok := fb.TripsReplan(2)
-	if !ok || rep.Block != 0 {
-		t.Fatalf("skewed block must trip replan: %+v, %v", rep, ok)
+	if orders == nil || orders.QError != 4 {
+		t.Fatalf("Orders report %+v, want q 4 (2000 rows yesterday, 8000 today)", orders)
 	}
-	if _, ok := fb.TripsReplan(4); ok {
-		t.Fatal("3x skew tripped a 4x threshold")
+	if fb.Unbounded != 0 || fb.MaxQ < 4 {
+		t.Fatalf("drifted evidence: max q %v, %d unbounded; want finite and >= 4", fb.MaxQ, fb.Unbounded)
 	}
-	// Without skew the same evidence is exact and never trips.
-	if rep, ok := BuildFeedback(res, est, actuals).TripsReplan(1); ok {
-		t.Fatalf("exact evidence tripped replan: %+v", rep)
+	rep, ok := fb.TripsReplan(fb.MaxQ - 0.01)
+	if !ok || rep.QError <= fb.MaxQ-0.01 {
+		t.Fatalf("drift must trip below its worst q-error %v: %+v, %v", fb.MaxQ, rep, ok)
+	}
+	if rep, ok := fb.TripsReplan(fb.MaxQ); ok {
+		t.Fatalf("drift tripped at its own worst q-error: %+v", rep)
+	}
+	if rep, ok := BuildFeedback(res, today, actuals).TripsReplan(1); ok {
+		t.Fatalf("today's evidence against today's statistics tripped: %+v", rep)
 	}
 }
 
 // TestBuildFeedbackVacuous pins the 0/0 tagging: a derivable target whose
-// actual and (skew-zeroed) estimate are both zero is vacuous — counted,
-// excluded from the q-error aggregates, and never counted as evidence for
-// the calibration.
+// actual and estimate are both zero is vacuous — counted, excluded from the
+// q-error aggregates, and never counted as evidence for the calibration.
+// The zero estimate comes from a store that holds the SE as an observed
+// empty cardinality, layered over the run's observations the way an
+// adaptive replan's shadow store is.
 func TestBuildFeedbackVacuous(t *testing.T) {
 	g, cat, db := zipfRetail(t, 5)
-	_, res, _, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
+	_, res, _, est, run := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
 
 	full := res.Space(0).Full()
 	target := stats.BlockSE(0, full)
 	actuals := map[stats.Target]int64{target: 0}
-	fb := ConeFeedback(res, est, actuals, map[int]float64{0: 0})
+	empty := stats.NewStore()
+	if err := empty.Put(&stats.Value{Stat: stats.NewCard(target), Scalar: 0}); err != nil {
+		t.Fatal(err)
+	}
+	empty.Merge(run.Observed)
+	fb := BuildFeedback(res, New(res, empty), actuals)
 	if fb.Derivable != 1 || fb.Vacuous != 1 {
 		t.Fatalf("feedback derivable=%d vacuous=%d, want 1/1", fb.Derivable, fb.Vacuous)
 	}

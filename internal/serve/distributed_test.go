@@ -54,20 +54,15 @@ func startWorker(t *testing.T) *httptest.Server {
 // the block runs and the response closes its connection, so the refusal is
 // in place by the time the coordinator holds the block — a kill that raced
 // the response let a fast coordinator hand the dying worker one more block.
-//
-// The switch acts on the first block-run request after it is armed, so a
-// test can let a cycle's earlier executions pass and kill the worker in the
-// middle of a later one.
 type killSwitch struct {
-	armed atomic.Bool
-	once  sync.Once
-	srv   *httptest.Server
+	once sync.Once
+	srv  *httptest.Server
 }
 
 func (k *killSwitch) wrap(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fatal := false
-		if r.URL.Path == "/v1/worker/run" && k.armed.Load() {
+		if r.URL.Path == "/v1/worker/run" {
 			k.once.Do(func() { fatal = true })
 		}
 		if fatal {
@@ -91,20 +86,11 @@ func (k *killSwitch) wrap(h http.Handler) http.Handler {
 // block.
 func startKillableWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, arm := startArmableWorker(t)
-	arm()
-	return srv
-}
-
-// startArmableWorker serves a Worker that dies after the first block it
-// completes once arm has been called.
-func startArmableWorker(t *testing.T) (srv *httptest.Server, arm func()) {
-	t.Helper()
 	ks := &killSwitch{}
-	srv = httptest.NewServer(ks.wrap(NewWorker().Handler()))
+	srv := httptest.NewServer(ks.wrap(NewWorker().Handler()))
 	ks.srv = srv
 	t.Cleanup(srv.Close)
-	return srv, func() { ks.armed.Store(true) }
+	return srv
 }
 
 // startFreezableWorker serves a Worker that freezes — run and health
@@ -891,39 +877,55 @@ func TestDistributedMetricsEquivalence(t *testing.T) {
 	})
 }
 
-// TestDistributedAdaptiveEquivalence is the adaptive golden: the boundary
-// checks read the actuals workers ship, so a forced mid-run replan makes
-// the same decisions — replan records, check count, final plans — and the
-// spliced run is byte-identical, with a clean fleet and with a worker
-// killed in the middle of the adaptive run.
+// The adaptive leg plans at adaptiveYesterday and runs at its workflow's
+// adaptiveToday scale: the drift pairs of the suite's adaptive golden, each
+// of which trips a replan (wf08's at two boundaries).
+const adaptiveYesterday = 0.001
+
+var adaptiveToday = map[int]float64{6: 0.004, 8: 0.008, 15: 0.004}
+
+// TestDistributedAdaptiveEquivalence is the adaptive golden: a cycle
+// planned on yesterday's data runs adaptively on today's, through a
+// coordinator at today's scale. The boundary checks read the actuals
+// workers ship, so the drift trips the same decisions — replan records,
+// check count, threshold, final plans — as the local run, and the spliced
+// run is byte-identical, with a clean fleet and with a worker killed in
+// the middle of the adaptive run.
 func TestDistributedAdaptiveEquivalence(t *testing.T) {
-	opts := core.AdaptiveOptions{Skew: map[int]float64{0: 4}}
 	eachDistLeg(t, func(t *testing.T, wf int) {
 		cfg := core.DefaultConfig()
-		local := cycleOf(t, wf, cfg)
-		want, err := local.RunOptimizedAdaptiveCtx(context.Background(), opts)
+		w := suite.MustGet(wf)
+		cy, err := core.Run(w.Graph, w.Catalog, w.Data(adaptiveYesterday), cfg)
+		if err != nil {
+			t.Fatalf("yesterday's cycle: %v", err)
+		}
+		scale := adaptiveToday[wf]
+		want, err := cy.RunOptimizedAdaptiveCtx(context.Background(), w.Data(scale), nil)
 		if err != nil {
 			t.Fatalf("local adaptive run: %v", err)
 		}
 		if len(want.Replans) == 0 {
-			t.Fatal("the skew forced no replan; the leg checks nothing")
+			t.Fatal("the drift tripped no replan; the leg checks nothing")
 		}
 		for _, kill := range []bool{false, true} {
 			name := map[bool]string{false: "clean", true: "worker-killed"}[kill]
-			victim, arm := startArmableWorker(t)
-			survivor := startWorker(t)
-			cy := cycleOf(t, wf, dispatched(t, cfg, wf, []string{victim.URL, survivor.URL}, nil))
+			victim := startWorker(t)
 			if kill {
-				arm()
+				victim = startKillableWorker(t)
 			}
-			got, err := cy.RunOptimizedAdaptiveCtx(context.Background(), opts)
+			coord, err := NewCoordinator(RunSpec{WF: wf, Scale: scale, CSS: cfg.CSS},
+				CoordinatorOptions{Addrs: []string{victim.URL, startWorker(t).URL}})
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			got, err := cy.RunOptimizedAdaptiveCtx(context.Background(), w.Data(scale), coord)
 			if err != nil {
 				t.Fatalf("%s: distributed adaptive run: %v", name, err)
 			}
 			if !reflect.DeepEqual(want.Replans, got.Replans) || want.Checks != got.Checks || want.Threshold != got.Threshold {
 				t.Errorf("%s: adaptive decisions differ:\n local %s dist  %s", name, want.Summary(), got.Summary())
 			}
-			if w, g := treesOf(local, want.Plans), treesOf(cy, got.Plans); w != g {
+			if w, g := treesOf(cy, want.Plans), treesOf(cy, got.Plans); w != g {
 				t.Errorf("%s: final plans differ:\n local %s\n dist  %s", name, w, g)
 			}
 			assertRunsEqual(t, name, want.Run, got.Run)

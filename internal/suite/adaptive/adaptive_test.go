@@ -6,6 +6,7 @@ package adaptive
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/core"
@@ -31,9 +32,35 @@ var engineConfigs = []engineConfig{
 	{"batch w4", 4},
 }
 
-// forcedSkew provokes a replan at the first block boundary: q=4 against the
-// default threshold of 2 trips on any non-vacuous block-0 actual.
-var forcedSkew = map[int]float64{0: 4}
+// yesterday is the scale every drift pair plans at: the cycle observes
+// and optimizes on yesterday's data, and the adaptive run executes its
+// plans on today's.
+const yesterday = 0.001
+
+// driftPairs pins today's scale, as a multiple of yesterday's, for every
+// multi-block suite workflow: each pair trips at least one replan, wf08's
+// and wf24's at two boundaries. Single-block workflows have no boundary
+// to check and run at half yesterday's scale (wf16's single block explodes
+// above it).
+var driftPairs = map[int]float64{6: 4, 7: 4, 8: 8, 13: 8, 14: 4, 15: 4, 18: 4, 24: 0.5, 25: 4, 29: 4}
+
+// today is the scale a suite workflow's adaptive run executes at.
+func today(id int) float64 {
+	if f, ok := driftPairs[id]; ok {
+		return yesterday * f
+	}
+	return yesterday / 2
+}
+
+// planYesterday runs one cycle over yesterday's data under c.
+func planYesterday(t *testing.T, w *suite.Workflow, c core.Config) *core.Cycle {
+	t.Helper()
+	cy, err := core.Run(w.Graph, w.Catalog, w.Data(yesterday), c)
+	if err != nil {
+		t.Fatalf("%s: Run: %v", w.Name, err)
+	}
+	return cy
+}
 
 // runPlansConfig executes the given per-block trees cold under one engine
 // configuration, instrumented the way the adaptive driver instruments its
@@ -45,21 +72,22 @@ func runPlansConfig(cfg engineConfig, an *workflow.Analysis, db engine.DB, plans
 }
 
 // TestAdaptiveEquivalenceGolden is the adaptive splice contract over the
-// whole suite: for every workflow under every engine configuration, a run
-// with a forced mid-run replan (estimate skew on block 0) must be
-// externally identical to a cold run of the plans the adaptive run finished
-// under. Single-block workflows exercise the inert path (no boundary, no
-// replan); multi-block ones replan at the first boundary and splice the
-// re-optimized cone through the resume path. The replan count must also
-// agree across all configurations — the decision is part of the
-// deterministic contract, not an execution-strategy artifact.
+// whole suite: every workflow plans on yesterday's data and runs
+// adaptively on today's, under every engine configuration, and the run
+// must be externally identical to a cold run of the plans it finished
+// under on the same data. Single-block workflows exercise the inert path
+// (no boundary, no replan); multi-block ones replan on their drift pair
+// and splice the re-optimized cone through the resume path. The replan
+// count must agree across all configurations — the decision is part of
+// the deterministic contract, not an execution-strategy artifact — and
+// replanning must never cost more work than yesterday's plans run
+// statically on today's data.
 func TestAdaptiveEquivalenceGolden(t *testing.T) {
-	const scale = 0.001
-	replanned := 0
 	for _, w := range suite.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			db := w.Data(scale)
+			db := w.Data(today(w.ID))
+			_, drifted := driftPairs[w.ID]
 			refReplans := -1
 			for _, cfg := range engineConfigs {
 				if raceDetector && cfg.workers == 1 {
@@ -69,23 +97,23 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 				}
 				c := core.DefaultConfig()
 				c.Workers = cfg.workers
-				cy, err := core.Run(w.Graph, w.Catalog, db, c)
-				if err != nil {
-					t.Fatalf("%s: Run: %v", cfg.name, err)
-				}
+				cy := planYesterday(t, w, c)
 				singleBlock := len(cy.Analysis.Blocks) == 1
-				ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: forcedSkew})
+				if singleBlock == drifted {
+					t.Fatalf("%d block(s), in driftPairs %v: it must list exactly the multi-block workflows", len(cy.Analysis.Blocks), drifted)
+				}
+				ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), db, nil)
 				if err != nil {
 					t.Fatalf("%s: RunOptimizedAdaptiveCtx: %v", cfg.name, err)
 				}
 				if singleBlock && len(ar.Replans) != 0 {
 					t.Errorf("%s: single-block workflow replanned", cfg.name)
 				}
+				if !singleBlock && len(ar.Replans) == 0 {
+					t.Errorf("%s: the drift pair tripped no replan", cfg.name)
+				}
 				if refReplans == -1 {
 					refReplans = len(ar.Replans)
-					if refReplans > 0 {
-						replanned++
-					}
 				} else if len(ar.Replans) != refReplans {
 					t.Errorf("%s: %d replan(s), other configs had %d", cfg.name, len(ar.Replans), refReplans)
 				}
@@ -99,48 +127,55 @@ func TestAdaptiveEquivalenceGolden(t *testing.T) {
 					// path, the remaining ones add nothing.
 					break
 				}
+				static, err := runPlansConfig(cfg, cy.Analysis, db, cy.Plans.Trees(), cy.CSS, cy.Selection.Observe, nil)
+				if err != nil {
+					t.Fatalf("%s: static run: %v", cfg.name, err)
+				}
+				if ar.Run.Rows > static.Rows {
+					t.Errorf("%s: adaptive work %d rows, yesterday's plans statically %d", cfg.name, ar.Run.Rows, static.Rows)
+				}
 			}
 		})
 	}
-	if replanned == 0 {
-		t.Error("no suite workflow tripped the forced replan — the skew knob is dead")
-	}
 }
 
-// TestAdaptiveLateBlockSkew forces the replan deep into the run: the skew
-// sits on block 1 of a three-block chain, so block 0's boundary check
-// passes (its estimates are exact), the trip happens only after block 1
-// commits, and just the final block is re-optimized — with two completed
-// blocks spliced through untouched.
-func TestAdaptiveLateBlockSkew(t *testing.T) {
+// TestAdaptiveLateBlockDrift follows wf08's drift pair through both of
+// its replans: block 0's boundary trips first and re-optimizes blocks 1
+// and 2; the absorbed actuals make block 0's evidence exact, yet block 1's
+// own output is still mispredicted, so its boundary trips again and just
+// the final block is re-optimized — with two completed blocks spliced
+// through untouched.
+func TestAdaptiveLateBlockDrift(t *testing.T) {
 	w := suite.MustGet(8)
-	db := w.Data(0.001)
-	cy, err := core.Run(w.Graph, w.Catalog, db, core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	db := w.Data(today(8))
+	cy := planYesterday(t, w, core.DefaultConfig())
 	if n := len(cy.Analysis.Blocks); n != 3 {
 		t.Fatalf("wf08 has %d blocks, want 3", n)
 	}
-	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: map[int]float64{1: 4}})
+	ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), db, nil)
 	if err != nil {
 		t.Fatalf("RunOptimizedAdaptiveCtx: %v", err)
 	}
-	if len(ar.Replans) != 1 {
-		t.Fatalf("replans = %d, want 1", len(ar.Replans))
+	if len(ar.Replans) != 2 {
+		t.Fatalf("replans = %d, want 2:\n%s", len(ar.Replans), ar.Summary())
 	}
-	rec := ar.Replans[0]
-	if rec.AtBlock != 1 || rec.Trigger.Block != 1 {
-		t.Fatalf("replan at block %d (trigger block %d), want the block-1 boundary", rec.AtBlock, rec.Trigger.Block)
-	}
-	if len(rec.Reoptimized) != 1 || rec.Reoptimized[0] != 2 {
-		t.Fatalf("reoptimized %v, want only the final block [2]", rec.Reoptimized)
+	for i, want := range []struct {
+		at          int
+		reoptimized []int
+	}{{0, []int{1, 2}}, {1, []int{2}}} {
+		rec := ar.Replans[i]
+		if rec.AtBlock != want.at || rec.Trigger.Block != want.at {
+			t.Errorf("replan %d at block %d (trigger block %d), want the block-%d boundary", i+1, rec.AtBlock, rec.Trigger.Block, want.at)
+		}
+		if !reflect.DeepEqual(rec.Reoptimized, want.reoptimized) {
+			t.Errorf("replan %d reoptimized %v, want %v", i+1, rec.Reoptimized, want.reoptimized)
+		}
 	}
 	cold, err := runPlansConfig(engineConfigs[0], cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, nil)
 	if err != nil {
 		t.Fatalf("cold run: %v", err)
 	}
-	diffAdaptive(t, "late-block skew", cold, ar.Run)
+	diffAdaptive(t, "late-block drift", cold, ar.Run)
 }
 
 // TestAdaptiveReplanUnderFaults crosses the adaptive splice with the fault
@@ -150,25 +185,22 @@ func TestAdaptiveLateBlockSkew(t *testing.T) {
 // faults — their outputs must still match, and the retry accounting must
 // show the faults actually fired.
 func TestAdaptiveReplanUnderFaults(t *testing.T) {
-	const scale = 0.001
 	inj := faults.New(1, 1, 1, 0)
 	for _, id := range []int{8, 13, 24} { // multi-block workflows
 		w := suite.MustGet(id)
 		label := w.Name
 		c := core.DefaultConfig()
 		c.Faults = inj
-		cy, err := core.Run(w.Graph, w.Catalog, w.Data(scale), c)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", label, err)
-		}
-		ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), core.AdaptiveOptions{Skew: forcedSkew})
+		cy := planYesterday(t, w, c)
+		db := w.Data(today(id))
+		ar, err := cy.RunOptimizedAdaptiveCtx(context.Background(), db, nil)
 		if err != nil {
 			t.Fatalf("%s: adaptive run under faults: %v", label, err)
 		}
 		if len(ar.Replans) == 0 {
-			t.Fatalf("%s: forced replan did not fire", label)
+			t.Fatalf("%s: the drift pair tripped no replan", label)
 		}
-		cold, err := runPlansConfig(engineConfigs[0], cy.Analysis, w.Data(scale), ar.Plans, cy.CSS, cy.Selection.Observe, inj)
+		cold, err := runPlansConfig(engineConfigs[0], cy.Analysis, db, ar.Plans, cy.CSS, cy.Selection.Observe, inj)
 		if err != nil {
 			t.Fatalf("%s: cold run under faults: %v", label, err)
 		}
