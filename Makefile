@@ -42,7 +42,7 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # distributed-smoke runs a coordinator against two real worker processes:
-# -metrics json and -adaptive runs on the live fleet, then a run with one
+# a -metrics json run and a schedule on the live fleet, then a run with one
 # worker SIGKILLed mid-run, each with stdout byte-identical to the
 # single-process run.
 distributed-smoke:
@@ -57,13 +57,13 @@ cli-smoke:
 # The block scheduler and the concurrent store are the main race surface;
 # this is the gate CI runs in addition to the plain test job. Timed one
 # package at a time on a 2-CPU, 8 GB host: internal/core 99 s,
-# experiments 67 s, engine 28 s, adaptive 28 s, estimate 23 s, every other
-# package under 20 s, and internal/suite about 4 min (run one golden subtest
-# at a time, process start-ups included). Twice the slowest is under go
-# test's default 10m package budget, so none is set. The detector is
-# hungry: experiments peaks at 4.0 GB RSS, estimate, wftest and adaptive
-# each at 5.4–5.8 GB and internal/suite above 6 GB (wf16's goldens), so on
-# a host that small run `go test -race -p 1 ./...`.
+# experiments 67 s, engine 28 s, estimate 23 s, every other package under
+# 20 s, and internal/suite about 4 min (run one golden subtest at a time,
+# process start-ups included). Twice the slowest is under go test's default
+# 10m package budget, so none is set. The detector is hungry: experiments
+# peaks at 4.0 GB RSS, estimate and wftest each at 5.4–5.8 GB and
+# internal/suite above 6 GB (wf16's goldens), so on a host that small run
+# `go test -race -p 1 ./...`.
 race:
 	$(GO) test -race ./...
 

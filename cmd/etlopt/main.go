@@ -23,11 +23,10 @@
 //	etlopt run     -wf 3 -save-stats wf03.stats   # …and persist the observed statistics
 //	etlopt run     -wf 3 -stats-tier=approx       # observe sketch-backed approximate statistics
 //	etlopt run     -wf 3 -stats-tier=auto         # sketches compete with exact taps on cost
-//	etlopt run     -wf 3 -adaptive                # mid-run re-optimization at block boundaries
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
 //	etlopt run     -wf 3 -worker-addrs http://localhost:9091,http://localhost:9092   # blocks run on the workers
-//	etlopt run     -wf 3 -worker-addrs … -metrics=json -adaptive   # placement composes with every run flag
+//	etlopt run     -wf 3 -worker-addrs … -metrics=json   # placement composes with every run flag
 //
 // A workflow document is the JSON form of workflow.Document: the operator
 // DAG plus the catalog of relations, domains and (optionally) functional
@@ -107,7 +106,6 @@ type options struct {
 	faults      *faults.Injector
 	saveStats   string
 	tier        core.StatsTier
-	adaptive    bool
 	addr        string
 	workerAddrs string
 	catalog     string
@@ -145,9 +143,8 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		o.tier, err = core.ParseStatsTier(s)
 		return err
 	})
-	fs.BoolVar(&o.adaptive, "adaptive", false, "run: execute the optimized plans adaptively, re-optimizing the not-yet-executed blocks when boundary actuals refute the estimates")
 	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
-	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -adaptive, -faults, -workers, -max-rows)")
+	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -faults, -workers, -max-rows)")
 	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
 	fs.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "serve: max relative drift before cached solutions invalidate")
 	fs.BoolVar(&o.cache, "cache", true, "serve: cache solved responses (off still deduplicates concurrent solves)")
@@ -417,15 +414,6 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 		fmt.Printf("block %d optimized: %s (cost %.0f)\n", bi, p.Tree.Render(blk), p.Cost)
 	}
 	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Plans.Improvement())
-	if o.adaptive {
-		ar, err := cy.RunOptimizedAdaptiveCtx(ctx, db, cfg.Dispatcher)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Println()
-		fmt.Print(ar.Summary())
-		fmt.Printf("adaptive run processed %d rows into %d sink(s)\n", ar.Run.Rows, len(ar.Run.Sinks))
-	}
 	if o.metrics != "" {
 		fmt.Println("\nmetrics:")
 		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
@@ -452,10 +440,10 @@ func explainCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	// Explain is always local: no statistics file, adaptive run or
-	// workers, whatever else the command line says.
+	// Explain is always local: no statistics file or workers, whatever
+	// else the command line says.
 	local := *o
-	local.saveStats, local.adaptive, local.workerAddrs = "", false, ""
+	local.saveStats, local.workerAddrs = "", ""
 	cfg, err := runConfig(&local)
 	if err != nil {
 		return err

@@ -76,10 +76,10 @@ type Config struct {
 	// Dispatcher, when non-nil, places every execution's blocks on remote
 	// worker processes (distributed mode; see internal/engine's dispatch
 	// seam and internal/serve's Coordinator). It changes where blocks run
-	// and nothing else: results, observed statistics, the work metric,
-	// CollectMetrics reports and adaptive replan decisions are
-	// byte-identical to local runs, and the fields a worker must mirror —
-	// Faults, CollectMetrics — reach it through the engine, set once.
+	// and nothing else: results, observed statistics, the work metric and
+	// CollectMetrics reports are byte-identical to local runs, and the
+	// fields a worker must mirror — Faults, CollectMetrics — reach it
+	// through the engine, set once.
 	Dispatcher engine.BlockDispatcher
 }
 

@@ -19,8 +19,8 @@ import (
 // block through the same commit point as a local one. A worker returns
 // what an in-process block leaves behind — boundary output, materialized
 // tables, work-metric rows, a private statistics shard and, under
-// CollectMetrics, its per-node metrics — so observed statistics, metrics
-// and replan decisions are byte-identical however the blocks were placed.
+// CollectMetrics, its per-node metrics — so observed statistics and metrics
+// are byte-identical however the blocks were placed.
 //
 // One exception is asked for: a boundary output no sink reads and a later
 // block does is held — left on the worker that made it, the run keeping

@@ -23,10 +23,10 @@ import (
 // in-memory BlockDispatcher that does what internal/serve's worker does —
 // build an engine from the DispatchSpec the scheduler hands it, run one
 // block with RunBlockCtx, keep the outputs the spec says to hold — so every
-// placement behaviour (ordering, failure reporting, fallback, the adaptive
-// hook, the metrics shard, held outputs) is testable against the local run
-// of the same multi-block fixture. The fixture's blocks 0 and 1 feed block
-// 2, the sink's, so both are held.
+// placement behaviour (ordering, failure reporting, fallback, the metrics
+// shard, held outputs) is testable against the local run of the same
+// multi-block fixture. The fixture's blocks 0 and 1 feed block 2, the
+// sink's, so both are held.
 
 // loopDispatcher loops dispatched blocks back to RunBlockCtx.
 type loopDispatcher struct {
@@ -497,97 +497,59 @@ func TestDispatchHeldFallBack(t *testing.T) {
 	}
 }
 
-// adaptTrace records what an AdaptCheck saw.
-type adaptTrace struct {
-	blocks  []int
-	actuals []map[stats.Target]int64
-	// stopAt requests a replan at that block's boundary (-1 = never).
-	stopAt int
-}
-
-func (a *adaptTrace) check(plan *physical.Plan, block int, done map[int]bool) bool {
-	a.blocks = append(a.blocks, block)
-	a.actuals = append(a.actuals, plan.BlockActuals(block))
-	return block == a.stopAt
-}
-
-// TestDispatchAdaptCheck is leg (e): under an AdaptCheck a dispatched run
-// keeps one block in flight, fires the check once per committed block in
-// index order with the actuals the local run sees, and a *ReplanSignal's
-// checkpoint resumes through the dispatcher.
-func TestDispatchAdaptCheck(t *testing.T) {
+// TestDispatchResumeHeld is leg (e): a dispatched run that committed held
+// block 0 and then failed permanently leaves a checkpoint carrying block 0's
+// handle. Resumed through a new dispatch session, block 2 reads block 0 by
+// that handle (nothing recomputed, block 0 not re-run); resumed without a
+// dispatcher, block 0 is made again in-process for block 2 to read.
+func TestDispatchResumeHeld(t *testing.T) {
 	f := newResumeFixture(t)
-	const name = "batch"
-	adaptive := func(d *loopDispatcher, tr *adaptTrace) *Engine {
-		e := f.engine(nil)
-		e.Workers, e.CollectMetrics, e.AdaptCheck = 4, true, tr.check
-		if d != nil {
-			e.Dispatch = d
-		}
-		return e
-	}
-	localTr := &adaptTrace{stopAt: -1}
-	want, err := f.run(adaptive(nil, localTr))
+	want, err := f.run(f.engine(nil))
 	if err != nil {
-		t.Fatalf("%s: local adaptive run: %v", name, err)
+		t.Fatalf("local run: %v", err)
+	}
+	broken := f.engine(nil)
+	broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+		if block == 1 {
+			return errors.New("block 1 is broken")
+		}
+		return nil
+	}}
+	_, err = f.run(broken)
+	var bf *BlockFailure
+	if !errors.As(err, &bf) || bf.Block != 1 {
+		t.Fatalf("want block 1's *BlockFailure, got %v", err)
+	}
+	cp := bf.Checkpoint
+	if t0, ok := cp.BlockOut[0]; !ok || t0 != nil || len(cp.BlockOut) != 1 {
+		t.Fatalf("checkpoint holds %d blocks (block 0: %v), want held block 0 alone", len(cp.BlockOut), t0)
+	}
+	if _, ok := cp.Held[0]; !ok {
+		t.Fatal("the checkpoint carries no handle on held block 0")
 	}
 
 	d := &loopDispatcher{f: f, slots: 2}
-	tr := &adaptTrace{stopAt: -1}
-	got, err := f.run(adaptive(d, tr))
+	e := f.engine(nil)
+	e.Dispatch = d
+	resumed, err := f.resume(e, cp)
 	if err != nil {
-		t.Fatalf("%s: dispatched adaptive run: %v", name, err)
+		t.Fatalf("resume through a new session: %v", err)
 	}
-	equalResults(t, name, want, got)
-	// The last block has nothing pending behind it: no check.
-	if wantBlocks := f.allBlocks()[:len(f.an.Blocks)-1]; !reflect.DeepEqual(tr.blocks, wantBlocks) {
-		t.Errorf("%s: checks fired for %v, want %v", name, tr.blocks, wantBlocks)
-	}
-	if !reflect.DeepEqual(tr.actuals, localTr.actuals) {
-		t.Errorf("%s: boundary actuals %v, the local run saw %v", name, tr.actuals, localTr.actuals)
-	}
-	if d.maxInflight != 1 {
-		t.Errorf("%s: %d blocks in flight under an AdaptCheck", name, d.maxInflight)
-	}
-	assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
-
-	// Replan at block 0's boundary, then resume through a dispatcher.
-	stop := &adaptTrace{stopAt: 0}
-	_, err = f.run(adaptive(&loopDispatcher{f: f, slots: 2}, stop))
-	var sig *ReplanSignal
-	if !errors.As(err, &sig) || sig.Block != 0 {
-		t.Fatalf("%s: want a *ReplanSignal at block 0, got %v", name, err)
-	}
-	if _, ok := sig.Checkpoint.BlockOut[0]; !ok || len(sig.Checkpoint.BlockOut) != 1 {
-		t.Fatalf("%s: signal checkpoint holds %d blocks", name, len(sig.Checkpoint.BlockOut))
-	}
-	d2 := &loopDispatcher{f: f, slots: 2}
-	rest := &adaptTrace{stopAt: -1}
-	if _, ok := sig.Checkpoint.Held[0]; !ok {
-		t.Fatalf("%s: the signal's checkpoint carries no handle on held block 0", name)
-	}
-	resumed, err := f.resume(adaptive(d2, rest), sig.Checkpoint)
-	if err != nil {
-		t.Fatalf("%s: resume after the signal: %v", name, err)
-	}
-	equalResults(t, name+"/resumed", want, resumed)
-	if !reflect.DeepEqual(rest.blocks, []int{1}) || d2.runs[0] != 0 {
-		t.Errorf("%s: resumed segment checked %v and ran block 0 %d time(s)", name, rest.blocks, d2.runs[0])
+	equalResults(t, "resumed", want, resumed)
+	if d.runs[0] != 0 {
+		t.Errorf("the resumed session ran block 0 %d time(s)", d.runs[0])
 	}
 	if r := resumed.Dist; r.Held != 1 || r.Recomputed != 0 {
-		t.Errorf("%s: the new session held %d and recomputed %d output(s), want 1 and 0", name, r.Held, r.Recomputed)
+		t.Errorf("the new session held %d and recomputed %d output(s), want 1 and 0", r.Held, r.Recomputed)
 	}
 
-	// The same checkpoint, resumed with no dispatcher: block 0 is made again
-	// in-process for block 2 to read.
-	local := &adaptTrace{stopAt: -1}
-	resumed, err = f.resume(adaptive(nil, local), sig.Checkpoint)
+	resumed, err = f.resume(f.engine(nil), cp)
 	if err != nil {
-		t.Fatalf("%s: resume without a dispatcher: %v", name, err)
+		t.Fatalf("resume without a dispatcher: %v", err)
 	}
-	equalResults(t, name+"/resumed-locally", want, resumed)
-	if !reflect.DeepEqual(local.blocks, []int{1}) || resumed.BlockOut[0] == nil {
-		t.Errorf("%s: local resume checked %v, block 0's output %v", name, local.blocks, resumed.BlockOut[0])
+	equalResults(t, "resumed-locally", want, resumed)
+	if resumed.BlockOut[0] == nil {
+		t.Error("a local resume left block 0's output unmade")
 	}
 }
 

@@ -54,14 +54,10 @@ type Engine struct {
 	// Faults injects deterministic failures at operator, source, tap and
 	// budget sites (nil, the default, injects nothing and costs nothing).
 	Faults *faults.Injector
-	// AdaptCheck, when non-nil, is consulted after every committed block;
-	// returning true stops the run with a *ReplanSignal. Keeps one block in
-	// flight at a time, wherever blocks run (see adapt.go).
-	AdaptCheck AdaptCheck
 	// Dispatch, when non-nil, places blocks on remote workers through the
 	// dispatcher instead of local goroutines (see dispatch.go). It composes
 	// with every other field: workers are told which knobs to mirror, and
-	// ship back the metrics CollectMetrics and AdaptCheck read.
+	// ship back the metrics CollectMetrics reads.
 	Dispatch BlockDispatcher
 }
 
@@ -128,12 +124,10 @@ func (e *Engine) RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTr
 	return e.runPlans(ctx, nil, plans, res, observe)
 }
 
-// Resume continues a run from a checkpoint (a *BlockFailure's or
-// *ReplanSignal's Checkpoint field): completed blocks are restored, only
-// the blocks downstream of it re-execute, and already-observed statistics
-// are kept (the store is write-once, so re-surfaced taps are no-ops). The
-// adaptive driver splices a re-optimized cone in this way: its taps sit
-// wherever the new trees produce their targets.
+// Resume continues a run from a checkpoint (a *BlockFailure's Checkpoint
+// field): completed blocks are restored, only the blocks downstream of it
+// re-execute, and already-observed statistics are kept (the store is
+// write-once, so re-surfaced taps are no-ops).
 func (e *Engine) Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
 	return e.runPlans(ctx, cp, plans, res, observe)
 }
@@ -160,7 +154,6 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 		out.Observed = col.store
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
-	env.adapt = e.AdaptCheck
 	err = e.runBlocks(plan, env, out, col, &DispatchSpec{
 		Plans: plans, Observe: observe, Instrument: res != nil,
 		Faults: e.Faults.String(), Metrics: e.CollectMetrics,

@@ -97,9 +97,6 @@ type runEnv struct {
 	budget  *rowBudget
 	flt     *faults.Injector
 	retries atomic.Int64
-	// adapt, when non-nil, is consulted at every block commit and caps the
-	// blocks in flight at one (see adapt.go).
-	adapt AdaptCheck
 }
 
 func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *runEnv {
@@ -122,8 +119,7 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		if attempt > 0 {
 			// A retry re-runs the whole block; whatever metrics the failed
 			// attempt accumulated on this block's nodes would double-count
-			// its rows (and corrupt the boundary actuals the adaptive check
-			// reads), so the attempt starts from zero.
+			// its rows, so the attempt starts from zero.
 			for _, n := range bp.Nodes {
 				n.Metrics = physical.Metrics{}
 			}

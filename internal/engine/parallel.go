@@ -171,7 +171,6 @@ type blockSched struct {
 	left                   int
 	started, done          map[int]bool
 	errs                   map[int]error
-	replan                 *ReplanSignal
 }
 
 // runBlocks executes every compiled block: one readiness → execute →
@@ -179,8 +178,7 @@ type blockSched struct {
 // block runs — in-process through env.runBlock, or on a worker through a
 // dispatch session. Both executors hand back a *RemoteBlock and one commit
 // folds it into the run. The blocks in flight are bounded: Workers
-// in-process, the session's slots on remote workers, and one — whatever
-// the placement — under an AdaptCheck (see adapt.go). When several blocks
+// in-process, the session's slots on remote workers. When several blocks
 // are ready the lowest block index starts first, and on failure the error
 // of the lowest failing block index is returned (as a *BlockFailure
 // carrying the checkpoint of what did complete), so error reporting is
@@ -218,9 +216,6 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 			rd, s.remote, s.limit = session, true, max(session.Slots(), 1)
 		}
 	}
-	if env.adapt != nil {
-		s.local, s.limit = 1, 1
-	}
 
 	// One loop per slot either placement may use; the caller's goroutine is
 	// the first, so a single slot starts none.
@@ -256,9 +251,6 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 			Err:        s.errs[idxs[0]],
 		}
 	}
-	if s.replan != nil {
-		return s.replan
-	}
 	return nil
 }
 
@@ -267,7 +259,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 func (s *blockSched) work(rd RunDispatch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.errs) == 0 && s.replan == nil && s.left > 0 {
+	for len(s.errs) == 0 && s.left > 0 {
 		var bp *physical.BlockPlan
 		if s.inflight < s.limit {
 			bp = s.nextReady()
@@ -374,9 +366,7 @@ func (s *blockSched) fallBack(reason error) {
 }
 
 // finish retires one executed block: a failed one is recorded for the
-// *BlockFailure; a successful one is committed and, with blocks still
-// pending, put to the AdaptCheck — under the scheduler's lock, which
-// nothing contends for, an AdaptCheck meaning a single slot.
+// *BlockFailure; a successful one is committed.
 func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool, err error) {
 	idx := bp.Block.Index
 	if err == nil {
@@ -388,9 +378,6 @@ func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 		return
 	}
 	s.done[idx] = true
-	if s.env.adapt != nil && s.left > 0 && s.env.adapt(s.plan, idx, s.done) {
-		s.replan = &ReplanSignal{Block: idx, Checkpoint: checkpointOf(s.out, nil)}
-	}
 }
 
 // commit folds one block's outcome into the run — the single commit point

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -116,4 +117,56 @@ func TestResumeSameCheckpointTwice(t *testing.T) {
 		t.Fatalf("second resume of the same checkpoint: %v", err)
 	}
 	equalResults(t, "second-resume", clean, second)
+}
+
+// TestMetricsAcrossTransientRetries fails every block's first attempt at
+// its first non-scan operator, after the scans recorded their rows: each
+// retry must start its block's node metrics from zero, so every node's
+// RowsIn/RowsOut, the actuals and the work metric equal a clean run's —
+// in-process at 1 and 4 workers, and on workers through a dispatcher.
+func TestMetricsAcrossTransientRetries(t *testing.T) {
+	f := newResumeFixture(t)
+	clean := f.engine(nil)
+	clean.CollectMetrics = true
+	want, err := f.run(clean)
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		dispatch bool
+	}{
+		{"workers=1", 1, false},
+		{"workers=4", 4, false},
+		{"dispatched", 1, true},
+	} {
+		e := f.engine(faults.New(7, 1, 1, faults.Operator))
+		e.Workers, e.CollectMetrics = tc.workers, true
+		if tc.dispatch {
+			e.Dispatch = &loopDispatcher{f: f, slots: 2}
+		}
+		got, err := f.run(e)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got.Retries != int64(len(f.an.Blocks)) {
+			t.Errorf("%s: %d retries, want one per block (%d)", tc.name, got.Retries, len(f.an.Blocks))
+		}
+		if got.Rows != want.Rows {
+			t.Errorf("%s: work metric %d, want %d", tc.name, got.Rows, want.Rows)
+		}
+		if len(got.Metrics.Nodes) != len(want.Metrics.Nodes) {
+			t.Fatalf("%s: %d node metrics, want %d", tc.name, len(got.Metrics.Nodes), len(want.Metrics.Nodes))
+		}
+		for i, g := range got.Metrics.Nodes {
+			if w := want.Metrics.Nodes[i]; g.RowsIn != w.RowsIn || g.RowsOut != w.RowsOut {
+				t.Errorf("%s: block %d node %d (%s): rows in/out %d/%d, want %d/%d",
+					tc.name, g.Block, g.Node, g.Label, g.RowsIn, g.RowsOut, w.RowsIn, w.RowsOut)
+			}
+		}
+		if g, w := got.Metrics.Actuals(), want.Metrics.Actuals(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: actuals %v, want %v", tc.name, g, w)
+		}
+	}
 }

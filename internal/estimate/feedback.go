@@ -15,9 +15,7 @@ import (
 // *actual* cardinality, and the estimator can derive the same cardinality
 // from the selected statistics set. Comparing the two per SE — the q-error
 // lens of the cardinality-estimation literature — tells an operator which
-// derivation rules held up, and calibrates how far a boundary actual must
-// stray before an adaptive run re-plans mid-run: a plan justified by shaky
-// estimates has already priced in that much disagreement.
+// derivation rules held up on this workload, and by how much.
 
 // SEReport compares one statistic target's actual cardinality against the
 // estimate derived from the selected statistics.
@@ -79,18 +77,18 @@ type Feedback struct {
 	MaxQ  float64 `json:"maxQ"`
 	MeanQ float64 `json:"meanQ"`
 	// P90Q is the 90th-percentile finite q-error of derivable, non-vacuous
-	// targets (nearest-rank; 0 when there are none). ReplanThreshold
-	// widens by it instead of MaxQ so a single outlier cannot blow the
-	// replan threshold open.
+	// targets (nearest-rank; 0 when there are none): the typical
+	// inaccuracy, which one outlying derivation cannot move the way it
+	// moves MaxQ.
 	P90Q float64 `json:"p90q,omitempty"`
 	// Unbounded counts derivable targets with an infinite q-error (one
 	// side zero, the other not).
 	Unbounded int `json:"unbounded"`
 	// UnboundedEmpty counts the unbounded targets whose actual was zero:
 	// the SE was empty at this scale and the estimate merely over-predicted
-	// a few rows. These disagreements are noise on tiny inputs, so they
-	// never trip a replan the way a genuinely broken derivation (actual > 0,
-	// estimate 0) does.
+	// a few rows — noise on tiny inputs, unlike a genuinely broken
+	// derivation (actual > 0, estimate 0), which the rest of Unbounded
+	// counts.
 	UnboundedEmpty int `json:"unboundedEmpty,omitempty"`
 	// Vacuous counts derivable targets where actual and estimate are both
 	// zero (see SEReport.Vacuous).
@@ -102,8 +100,8 @@ type Feedback struct {
 // that are not derivable are reported as such; underivable chain points are
 // skipped silently (inner chain points are only in the statistic universe
 // when a rule needs them, so their absence is expected, not a failure).
-// An adaptive run builds the same report at every block boundary from the
-// actuals tapped so far, against the estimator that justified its plans.
+// Vacuous and unbounded targets are counted apart and left out of MaxQ,
+// MeanQ and P90Q.
 func BuildFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int64) *Feedback {
 	targets := make([]stats.Target, 0, len(actuals))
 	for t := range actuals {
@@ -223,9 +221,9 @@ func qError(act, est int64) float64 {
 	return math.Max(a/b, b/a)
 }
 
-// calibrationQuantile is the finite q-error quantile ReplanThreshold widens
-// by: high enough to capture systematic inaccuracy, but not the maximum, so
-// one outlying derivation cannot blow the threshold open.
+// calibrationQuantile is the finite q-error quantile P90Q reports: high
+// enough to capture systematic inaccuracy, but not the maximum, so one
+// outlying derivation does not set it.
 const calibrationQuantile = 0.9
 
 // quantileOf returns the p-quantile of ascending-sorted qs by the
@@ -242,44 +240,6 @@ func quantileOf(qs []float64, p float64) float64 {
 		idx = len(qs) - 1
 	}
 	return qs[idx]
-}
-
-// ReplanThreshold widens a base mid-run replan threshold by the plan-time
-// estimate inaccuracy: a boundary actual deviating within the q-error
-// envelope the plan was already justified under is not news, so the
-// adaptive trigger only fires beyond it. Absent or untested feedback keeps
-// the base.
-func (f *Feedback) ReplanThreshold(base float64) float64 {
-	if f == nil || f.P90Q <= 1 {
-		return base
-	}
-	return base * f.P90Q
-}
-
-// TripsReplan returns the first report, in the feedback's deterministic
-// order, whose evidence refutes its estimate at the given q-error
-// threshold: a finite q-error above it, or an estimate of zero against a
-// non-zero actual. Vacuous 0/0 targets and over-predicted empty SEs never
-// trip — they are exactly the flapping inputs the calibration excludes.
-func (f *Feedback) TripsReplan(threshold float64) (SEReport, bool) {
-	if f == nil {
-		return SEReport{}, false
-	}
-	for _, r := range f.SEs {
-		if !r.Derivable || r.Vacuous {
-			continue
-		}
-		if math.IsInf(r.QError, 1) {
-			if r.Actual > 0 {
-				return r, true
-			}
-			continue
-		}
-		if r.QError > threshold {
-			return r, true
-		}
-	}
-	return SEReport{}, false
 }
 
 // Render formats the report as a deterministic fixed-order text table (no

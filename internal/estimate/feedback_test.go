@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/suite"
 )
 
 func TestQError(t *testing.T) {
@@ -31,18 +31,44 @@ func TestQError(t *testing.T) {
 	}
 }
 
-// TestReplanThresholdSingleOutlier pins the de-flapping fix: one finite
-// outlier among otherwise-exact derivations must not widen the threshold —
-// the calibration reads P90, not MaxQ.
-func TestReplanThresholdSingleOutlier(t *testing.T) {
-	outlier := &Feedback{Derivable: 10, Total: 10, MaxQ: 50, MeanQ: 5.9, P90Q: 1}
-	if got := outlier.ReplanThreshold(2); got != 2 {
-		t.Errorf("single-outlier threshold = %v, want base 2 (P90 calibration)", got)
+// suiteActuals runs wf12 (one block, 25 SEs) instrumented and returns the
+// estimator over its observations with every non-empty SE cardinality it
+// derives: actuals that are exact by construction, for a test to skew.
+func suiteActuals(t *testing.T) (*css.Result, *Estimator, map[stats.Target]int64, []stats.Target) {
+	t.Helper()
+	w := suite.MustGet(12)
+	_, res, _, est, _ := pipeline(t, w.Graph, w.Catalog, w.Data(0.002), css.DefaultOptions(), selector.MethodExact)
+	actuals := make(map[stats.Target]int64)
+	var targets []stats.Target
+	for bi, sp := range res.Spaces {
+		for _, se := range sp.SEs {
+			card, err := est.CardOf(bi, se)
+			if err != nil || card == 0 {
+				continue
+			}
+			tg := stats.BlockSE(bi, se)
+			actuals[tg] = card
+			targets = append(targets, tg)
+		}
 	}
-	// P90Q below 1 cannot narrow the threshold past base.
-	sub := &Feedback{Derivable: 2, Total: 2, P90Q: 0.5}
-	if got := sub.ReplanThreshold(2); got != 2 {
-		t.Errorf("sub-1 P90 threshold = %v, want clamped base 2", got)
+	if len(targets) < 10 {
+		t.Fatalf("wf12 derives %d non-empty SEs, want at least 10 for a 90th percentile to skip one", len(targets))
+	}
+	return res, est, actuals, targets
+}
+
+// TestP90QSingleOutlier pins that one finite outlier among exact
+// derivations leaves P90Q at 1: MaxQ reports the outlier, P90Q the typical
+// accuracy.
+func TestP90QSingleOutlier(t *testing.T) {
+	res, est, actuals, targets := suiteActuals(t)
+	if fb := BuildFeedback(res, est, actuals); fb.P90Q != 1 || fb.MaxQ != 1 {
+		t.Fatalf("exact evidence: p90 %v max %v, want 1 and 1", fb.P90Q, fb.MaxQ)
+	}
+	actuals[targets[0]] *= 50
+	fb := BuildFeedback(res, est, actuals)
+	if fb.P90Q != 1 || fb.MaxQ != 50 {
+		t.Errorf("one outlier in %d: p90 %v max %v, want 1 and 50", len(targets), fb.P90Q, fb.MaxQ)
 	}
 }
 
@@ -66,45 +92,24 @@ func TestQuantileOf(t *testing.T) {
 	}
 }
 
-func TestReplanThreshold(t *testing.T) {
-	// Plan-time inaccuracy widens the mid-run trigger: known-shaky
-	// estimates deviating within their own envelope is not news.
-	exact := &Feedback{Derivable: 4, P90Q: 1}
-	if got := exact.ReplanThreshold(2); got != 2 {
-		t.Errorf("exact replan threshold = %v, want 2", got)
+// TestP90QNearestRank pins P90Q as the nearest-rank 90th percentile of the
+// finite q-errors: with q-errors 1..n it is q = ceil(0.9·n). No evidence at
+// all (nil or empty actuals) gives 0.
+func TestP90QNearestRank(t *testing.T) {
+	res, est, actuals, targets := suiteActuals(t)
+	// BuildFeedback orders targets itself; the q-errors are a set either way.
+	for i, tg := range targets {
+		actuals[tg] *= int64(i + 1)
 	}
-	shaky := &Feedback{Derivable: 4, P90Q: 3}
-	if got := shaky.ReplanThreshold(2); got != 6 {
-		t.Errorf("shaky replan threshold = %v, want 6", got)
+	n := len(targets)
+	fb := BuildFeedback(res, est, actuals)
+	if want := math.Ceil(0.9 * float64(n)); fb.P90Q != want || fb.MaxQ != float64(n) {
+		t.Errorf("q-errors 1..%d: p90 %v max %v, want %v and %d", n, fb.P90Q, fb.MaxQ, want, n)
 	}
-	var nilFB *Feedback
-	if got := nilFB.ReplanThreshold(2); got != 2 {
-		t.Errorf("nil replan threshold = %v, want base 2", got)
-	}
-}
-
-func TestTripsReplan(t *testing.T) {
-	fb := &Feedback{SEs: []SEReport{
-		{Block: 0, Label: "underivable", Actual: 5},
-		{Block: 0, Label: "vacuous", Derivable: true, Vacuous: true, QError: 1},
-		{Block: 1, Label: "empty-se", Derivable: true, Actual: 0, Estimate: 7, QError: math.Inf(1)},
-		{Block: 1, Label: "exact", Derivable: true, Actual: 10, Estimate: 10, QError: 1},
-		{Block: 2, Label: "off", Derivable: true, Actual: 30, Estimate: 10, QError: 3},
-	}}
-	if rep, ok := fb.TripsReplan(2); !ok || rep.Label != "off" {
-		t.Fatalf("TripsReplan(2) = %+v, %v; want the q=3 report", rep, ok)
-	}
-	if _, ok := fb.TripsReplan(4); ok {
-		t.Fatal("TripsReplan(4) tripped below threshold")
-	}
-	// A broken derivation (estimate 0 against rows that exist) always trips.
-	fb.SEs = append(fb.SEs, SEReport{Block: 3, Label: "broken", Derivable: true, Actual: 9, QError: math.Inf(1)})
-	if rep, ok := fb.TripsReplan(100); !ok || rep.Label != "broken" {
-		t.Fatalf("TripsReplan must trip on hard-unbounded report, got %+v, %v", rep, ok)
-	}
-	var nilFB *Feedback
-	if _, ok := nilFB.TripsReplan(2); ok {
-		t.Fatal("nil feedback tripped")
+	for _, empty := range []map[stats.Target]int64{nil, {}} {
+		if fb := BuildFeedback(res, est, empty); fb.P90Q != 0 || fb.MaxQ != 0 || fb.Total != 0 {
+			t.Errorf("no evidence (%v): p90 %v max %v over %d targets, want 0", empty, fb.P90Q, fb.MaxQ, fb.Total)
+		}
 	}
 }
 
@@ -162,9 +167,8 @@ func TestBuildFeedbackOnRun(t *testing.T) {
 }
 
 // TestBuildFeedbackUnderivable pins the mixed case: an SE target with no
-// derivation is reported (not skipped) and drops the calibrated threshold
-// story to the remaining derivable ones; a chain point with no derivation
-// is silently skipped.
+// derivation is reported (not skipped) and counted in Total but not in
+// Derivable; a chain point with no derivation is silently skipped.
 func TestBuildFeedbackUnderivable(t *testing.T) {
 	g, cat, db := zipfRetail(t, 5)
 	_, res, _, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
@@ -199,66 +203,11 @@ func TestBuildFeedbackUnderivable(t *testing.T) {
 	}
 }
 
-// TestTripsReplanOnDrift is the adaptive run's evidence without any
-// forcing: an estimator over the statistics observed on yesterday's data,
-// given the actuals of today's (Orders grown fourfold), reports Orders at
-// q 4, trips a replan above the worst disagreement and not at it, and the
-// same evidence against today's own statistics is exact and never trips.
-func TestTripsReplanOnDrift(t *testing.T) {
-	g, cat, db := zipfRetail(t, 5)
-	an, res, sel, est, _ := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
-	_, _, grown := retailOrders(t, 5, 8000)
-	run, err := engine.New(an, grown, nil).RunPlans(nil, res, sel.Observe)
-	if err != nil {
-		t.Fatalf("RunPlans on today's data: %v", err)
-	}
-	today := New(res, run.Observed)
-
-	actuals := make(map[stats.Target]int64)
-	for bi, sp := range res.Spaces {
-		for _, se := range sp.SEs {
-			card, err := today.CardOf(bi, se)
-			if err != nil || card == 0 {
-				continue
-			}
-			actuals[stats.BlockSE(bi, se)] = card
-		}
-	}
-	if len(actuals) == 0 {
-		t.Fatal("no non-empty actuals derived from today's data")
-	}
-
-	fb := BuildFeedback(res, est, actuals)
-	var orders *SEReport
-	for i, r := range fb.SEs {
-		if r.Label == "Orders" {
-			orders = &fb.SEs[i]
-		}
-	}
-	if orders == nil || orders.QError != 4 {
-		t.Fatalf("Orders report %+v, want q 4 (2000 rows yesterday, 8000 today)", orders)
-	}
-	if fb.Unbounded != 0 || fb.MaxQ < 4 {
-		t.Fatalf("drifted evidence: max q %v, %d unbounded; want finite and >= 4", fb.MaxQ, fb.Unbounded)
-	}
-	rep, ok := fb.TripsReplan(fb.MaxQ - 0.01)
-	if !ok || rep.QError <= fb.MaxQ-0.01 {
-		t.Fatalf("drift must trip below its worst q-error %v: %+v, %v", fb.MaxQ, rep, ok)
-	}
-	if rep, ok := fb.TripsReplan(fb.MaxQ); ok {
-		t.Fatalf("drift tripped at its own worst q-error: %+v", rep)
-	}
-	if rep, ok := BuildFeedback(res, today, actuals).TripsReplan(1); ok {
-		t.Fatalf("today's evidence against today's statistics tripped: %+v", rep)
-	}
-}
-
 // TestBuildFeedbackVacuous pins the 0/0 tagging: a derivable target whose
-// actual and estimate are both zero is vacuous — counted, excluded from the
-// q-error aggregates, and never counted as evidence for the calibration.
-// The zero estimate comes from a store that holds the SE as an observed
-// empty cardinality, layered over the run's observations the way an
-// adaptive replan's shadow store is.
+// actual and estimate are both zero is vacuous — counted, and excluded from
+// the q-error aggregates. The zero estimate comes from a store that holds
+// the SE as an observed empty cardinality, layered over the run's
+// observations. An over-predicted empty SE is unbounded-empty instead.
 func TestBuildFeedbackVacuous(t *testing.T) {
 	g, cat, db := zipfRetail(t, 5)
 	_, res, _, est, run := pipeline(t, g, cat, db, css.DefaultOptions(), selector.MethodExact)
@@ -281,20 +230,17 @@ func TestBuildFeedbackVacuous(t *testing.T) {
 	if fb.P90Q != 0 || fb.MaxQ != 0 {
 		t.Fatalf("vacuous evidence leaked into aggregates: p90 %v max %v", fb.P90Q, fb.MaxQ)
 	}
-	if got := fb.ReplanThreshold(2); got != 2 {
-		t.Fatalf("vacuous-only calibration = %v, want base 2 (untested)", got)
-	}
-	if _, ok := fb.TripsReplan(0); ok {
-		t.Fatal("vacuous target tripped replan")
+	if fb.Unbounded != 0 || fb.UnboundedEmpty != 0 {
+		t.Fatalf("vacuous target counted unbounded: %d (%d empty)", fb.Unbounded, fb.UnboundedEmpty)
 	}
 
-	// An over-predicted empty SE is unbounded-empty, not broken: it never
-	// trips a replan.
+	// An over-predicted empty SE is unbounded-empty, not vacuous, and stays
+	// out of MaxQ.
 	fb = BuildFeedback(res, est, actuals)
-	if fb.Unbounded != 1 || fb.UnboundedEmpty != 1 {
-		t.Fatalf("feedback unbounded=%d empty=%d, want 1/1", fb.Unbounded, fb.UnboundedEmpty)
+	if fb.Unbounded != 1 || fb.UnboundedEmpty != 1 || fb.Vacuous != 0 {
+		t.Fatalf("feedback unbounded=%d empty=%d vacuous=%d, want 1/1/0", fb.Unbounded, fb.UnboundedEmpty, fb.Vacuous)
 	}
-	if _, ok := fb.TripsReplan(100); ok {
-		t.Fatal("empty-SE unbounded target tripped replan")
+	if fb.MaxQ != 0 || fb.P90Q != 0 {
+		t.Fatalf("unbounded evidence leaked into aggregates: p90 %v max %v", fb.P90Q, fb.MaxQ)
 	}
 }

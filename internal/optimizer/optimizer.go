@@ -86,23 +86,15 @@ type Options struct {
 	// cannot be derived (statistics lost to observation failures). Fallback
 	// blocks are reported in Result.Fallbacks.
 	FallbackInitial bool
-	// Only restricts optimization to the named block indices; the others
-	// are skipped entirely (absent from Result.Plans and the totals). The
-	// mid-run adaptive path sets it to re-optimize just the not-yet-executed
-	// cone. Nil optimizes every block.
-	Only map[int]bool
 }
 
-// OptimizeOpts chooses the cheapest join order for every block opt admits
-// by dynamic programming over connected sub-expressions (the same plan
-// space the CSS generation enumerated), costing each composition with
-// cardinalities from the card source.
+// OptimizeOpts chooses the cheapest join order for every block by dynamic
+// programming over connected sub-expressions (the same plan space the CSS
+// generation enumerated), costing each composition with cardinalities from
+// the card source.
 func OptimizeOpts(res *css.Result, cards CardSource, model CostModel, opt Options) (*Result, error) {
 	out := &Result{Plans: make(map[int]*Plan)}
 	for bi, sp := range res.Spaces {
-		if opt.Only != nil && !opt.Only[bi] {
-			continue
-		}
 		blk := res.Analysis.Blocks[bi]
 		p, err := optimizeBlock(bi, blk, sp, cards, model, opt)
 		if err != nil {

@@ -194,31 +194,3 @@ func TestOptimizeRejectPinnedBlock(t *testing.T) {
 		t.Fatal("pinned block must keep its initial tree")
 	}
 }
-
-// TestOptimizeOnly pins the partial-workflow mode the adaptive path uses:
-// with Only set, unnamed blocks are skipped entirely — absent from Plans
-// and from the cost totals.
-func TestOptimizeOnly(t *testing.T) {
-	res := chain3(t)
-	all, err := OptimizeOpts(res, fixedCards{}, Cout, Options{})
-	if err != nil {
-		t.Fatalf("OptimizeOpts: %v", err)
-	}
-	only, err := OptimizeOpts(res, fixedCards{}, Cout, Options{Only: map[int]bool{0: true}})
-	if err != nil {
-		t.Fatalf("OptimizeOpts(Only): %v", err)
-	}
-	if len(only.Plans) != 1 || only.Plans[0] == nil {
-		t.Fatalf("Only={0} produced plans for %d blocks, want 1", len(only.Plans))
-	}
-	if got, want := only.Plans[0].Tree.Render(res.Analysis.Blocks[0]), all.Plans[0].Tree.Render(res.Analysis.Blocks[0]); got != want {
-		t.Fatalf("Only changed block 0's plan:\n%s\nvs\n%s", got, want)
-	}
-	none, err := OptimizeOpts(res, fixedCards{}, Cout, Options{Only: map[int]bool{}})
-	if err != nil {
-		t.Fatalf("OptimizeOpts(empty Only): %v", err)
-	}
-	if len(none.Plans) != 0 || none.TotalCost != 0 {
-		t.Fatalf("empty Only still optimized: %d plans, cost %v", len(none.Plans), none.TotalCost)
-	}
-}

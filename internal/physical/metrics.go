@@ -133,23 +133,6 @@ func (rm *RunMetrics) Actuals() map[stats.Target]int64 {
 	return out
 }
 
-// BlockActuals reads one block's statistic-target cardinalities straight
-// off the live plan's node metrics — the per-boundary slice of Actuals the
-// adaptive check accumulates as blocks commit, without snapshotting the
-// whole plan at every boundary.
-func (p *Plan) BlockActuals(block int) map[stats.Target]int64 {
-	out := make(map[stats.Target]int64)
-	for _, bp := range p.Blocks {
-		if bp.Block.Index != block {
-			continue
-		}
-		for _, n := range bp.Nodes {
-			snapshotOf(block, n).addActuals(out)
-		}
-	}
-	return out
-}
-
 // addActuals records the statistic targets the node produced at its
 // RowsOut: the sub-expression of a join or chain-end node under its cooked
 // Depth=-1 identity, and the chain point of a chain node. A materialize

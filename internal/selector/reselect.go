@@ -41,20 +41,6 @@ func Reselect(u *Universe, have, failed []stats.Stat, opt Options) (*Selection, 
 	return sel, nil
 }
 
-// ScopeObserve filters an observation list to the statistics targeting the
-// named blocks — the adaptive resume path's observe list: completed blocks'
-// statistics are already in the checkpointed write-once store, so only the
-// re-optimized cone's blocks still need their taps armed.
-func ScopeObserve(observe []stats.Stat, blocks map[int]bool) []stats.Stat {
-	out := make([]stats.Stat, 0, len(observe))
-	for _, s := range observe {
-		if blocks[s.Target.Block] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // excluding clones the universe with the failed statistics banned from
 // observation (unobservable, infinite cost — they may still be *derived*
 // through their candidate sets) and the already-held statistics free

@@ -877,69 +877,6 @@ func TestDistributedMetricsEquivalence(t *testing.T) {
 	})
 }
 
-// The adaptive leg plans at adaptiveYesterday and runs at its workflow's
-// adaptiveToday scale: the drift pairs of the suite's adaptive golden, each
-// of which trips a replan (wf08's at two boundaries).
-const adaptiveYesterday = 0.001
-
-var adaptiveToday = map[int]float64{6: 0.004, 8: 0.008, 15: 0.004}
-
-// TestDistributedAdaptiveEquivalence is the adaptive golden: a cycle
-// planned on yesterday's data runs adaptively on today's, through a
-// coordinator at today's scale. The boundary checks read the actuals
-// workers ship, so the drift trips the same decisions — replan records,
-// check count, threshold, final plans — as the local run, and the spliced
-// run is byte-identical, with a clean fleet and with a worker killed in
-// the middle of the adaptive run.
-func TestDistributedAdaptiveEquivalence(t *testing.T) {
-	eachDistLeg(t, func(t *testing.T, wf int) {
-		cfg := core.DefaultConfig()
-		w := suite.MustGet(wf)
-		cy, err := core.Run(w.Graph, w.Catalog, w.Data(adaptiveYesterday), cfg)
-		if err != nil {
-			t.Fatalf("yesterday's cycle: %v", err)
-		}
-		scale := adaptiveToday[wf]
-		want, err := cy.RunOptimizedAdaptiveCtx(context.Background(), w.Data(scale), nil)
-		if err != nil {
-			t.Fatalf("local adaptive run: %v", err)
-		}
-		if len(want.Replans) == 0 {
-			t.Fatal("the drift tripped no replan; the leg checks nothing")
-		}
-		for _, kill := range []bool{false, true} {
-			name := map[bool]string{false: "clean", true: "worker-killed"}[kill]
-			victim := startWorker(t)
-			if kill {
-				victim = startKillableWorker(t)
-			}
-			coord, err := NewCoordinator(RunSpec{WF: wf, Scale: scale, CSS: cfg.CSS},
-				CoordinatorOptions{Addrs: []string{victim.URL, startWorker(t).URL}})
-			if err != nil {
-				t.Fatalf("NewCoordinator: %v", err)
-			}
-			got, err := cy.RunOptimizedAdaptiveCtx(context.Background(), w.Data(scale), coord)
-			if err != nil {
-				t.Fatalf("%s: distributed adaptive run: %v", name, err)
-			}
-			if !reflect.DeepEqual(want.Replans, got.Replans) || want.Checks != got.Checks || want.Threshold != got.Threshold {
-				t.Errorf("%s: adaptive decisions differ:\n local %s dist  %s", name, want.Summary(), got.Summary())
-			}
-			if w, g := treesOf(cy, want.Plans), treesOf(cy, got.Plans); w != g {
-				t.Errorf("%s: final plans differ:\n local %s\n dist  %s", name, w, g)
-			}
-			assertRunsEqual(t, name, want.Run, got.Run)
-			d := got.Run.Dist
-			if d == nil || d.FellBack || len(d.Remote) == 0 {
-				t.Errorf("%s: adaptive run was not placed remotely: %+v", name, d)
-			}
-			if kill && len(d.LostWorkers) != 1 {
-				t.Errorf("%s: lost workers %v, want the victim", name, d.LostWorkers)
-			}
-		}
-	})
-}
-
 // TestDistributedEngineFaultsSetOnce sets core.Config.Faults and nothing
 // else: the engine tells the workers, so transient faults retry and
 // permanent tap faults degrade on the workers exactly as they do in one

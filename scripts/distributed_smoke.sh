@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
 # Distributed-execution smoke test: build the CLI, start two worker
 # processes, and check the composed modes against the live fleet —
-# -worker-addrs with -metrics json and with -adaptive, and a multi-run
-# observation schedule, must each print the single-process stdout byte for
-# byte. The -adaptive leg runs on the data it was planned from, so its
-# boundary checks pass and it does not replan; replans on drifted data are
-# covered by TestDistributedAdaptiveEquivalence. Then run a
+# -worker-addrs with -metrics json, and a multi-run observation schedule,
+# must each print the single-process stdout byte for byte. Then run a
 # multi-block workflow distributed, SIGKILL one worker while the run is in
 # flight, and require exit 0 with stdout byte-identical to the
 # single-process reference; then repeat with the dead worker still
@@ -28,8 +25,6 @@ go build -o "$work/etlopt" ./cmd/etlopt
 echo "== single-process references"
 "$work/etlopt" run -wf "$wf" -scale "$scale" > "$work/ref.out"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -metrics json > "$work/ref-metrics.out" 2>/dev/null
-"$work/etlopt" run -wf "$wf" -scale "$scale" -adaptive > "$work/ref-adaptive.out"
-grep -q '^adaptive: 0 replan(s) in 2 boundary check(s), threshold q>2$' "$work/ref-adaptive.out"
 "$work/etlopt" schedule -wf 3 -budget 64 > "$work/ref-schedule.out"
 
 echo "== start 2 workers"
@@ -67,9 +62,6 @@ composed() {
 echo "== distributed -metrics json matches the single-process stdout"
 composed metrics -metrics json
 
-echo "== distributed -adaptive matches the single-process stdout"
-composed adaptive -adaptive
-
 echo "== distributed schedule -budget matches the single-process stdout"
 "$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$addrs" > "$work/dist-schedule.out"
 cmp "$work/ref-schedule.out" "$work/dist-schedule.out"
@@ -104,4 +96,4 @@ fi
 grep -q '^distributed:' "$work/dist2.err"
 cmp "$work/ref.out" "$work/dist2.out"
 
-echo "PASS: distributed runs compose with -metrics, -adaptive and schedule and survive a SIGKILLed worker, outputs identical"
+echo "PASS: distributed runs compose with -metrics and schedule and survive a SIGKILLed worker, outputs identical"
