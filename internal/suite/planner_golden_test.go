@@ -84,17 +84,6 @@ func renderPlanner(w *Workflow) (string, error) {
 	if err := renderSel("greedy", u, selector.MethodGreedy); err != nil {
 		return "", err
 	}
-	for _, force := range []bool{false, true} {
-		au, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{
-			Approx: selector.ApproxPolicy{Enable: true, Force: force},
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := renderSel(fmt.Sprintf("approx(force=%t)", force), au, selector.MethodExact); err != nil {
-			return "", err
-		}
-	}
 	for _, budget := range plannerBudgets {
 		plan, err := selector.PlanWithBudget(u, budget)
 		if err != nil {
