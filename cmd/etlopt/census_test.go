@@ -120,7 +120,6 @@ var censusAllowed = map[string]string{
 	"serve.CoordinatorOptions.Faults":         "test seam: the network-fault matrix injects dispatch faults through it",
 
 	// References tests hold the product to.
-	"costmodel.Coster.CPU":           "the §5.4 CPU term: TestApproxTierAcceptance prices the sketch tier's observation CPU with it",
 	"selector.Universe.Covered":      "the brute-force reference the exact solver is tested against: does a subset cover every requirement",
 	"selector.Universe.ObservedCost": "the brute-force reference the exact solver is tested against: what a subset costs",
 	"engine.BlockFailure":            "typed error: serve's distributed tests match a remote run's failed block and checkpoint against the local run's with errors.As",
@@ -131,11 +130,8 @@ var censusAllowed = map[string]string{
 	"stats.NewHist":       "fixture constructor: costmodel, css and engine tests spell histogram statistics with it",
 	"stats.NewDistinct":   "fixture constructor: costmodel and engine tests spell distinct-count statistics with it",
 	"stats.BlockRejectSE": "fixture constructor: costmodel, css and engine tests spell reject targets with it",
-	"core.TierExact":      "a StatsTier value: suite tests pick the exact tier with it",
-	"core.TierApprox":     "a StatsTier value: serve and suite tests pick the sketch tier with it",
 
 	// Values of an enumeration whose other values product code names.
-	"core.TierAuto":       "the StatsTier ParseStatsTier returns for -stats-tier auto",
 	"workflow.KindSource": "a NodeKind the Builder and the JSON codec spell; wftest's tests count sources by it",
 	"workflow.KindJoin":   "a NodeKind the Builder and the JSON codec spell",
 	"workflow.KindSink":   "a NodeKind the Builder and the JSON codec spell",

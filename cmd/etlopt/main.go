@@ -21,8 +21,6 @@
 //	etlopt schedule -wf 3 -budget 64  # Section 6.1 multi-run observation schedule
 //	etlopt report  -wf 3 > cycle.md   # markdown report of one full cycle
 //	etlopt run     -wf 3 -save-stats wf03.stats   # …and persist the observed statistics
-//	etlopt run     -wf 3 -stats-tier=approx       # observe sketch-backed approximate statistics
-//	etlopt run     -wf 3 -stats-tier=auto         # sketches compete with exact taps on cost
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
 //	etlopt run     -wf 3 -worker-addrs http://localhost:9091,http://localhost:9092   # blocks run on the workers
@@ -45,8 +43,8 @@
 //
 // Exit codes: 0 on success, 1 on any runtime error (bad input file,
 // failed run, exceeded -max-rows guard), 2 on usage errors (unknown
-// subcommand, missing arguments, bad -wf, -method, -faults or -stats-tier
-// value), 3 when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout
+// subcommand, missing arguments, bad -wf, -method or -faults value), 3
+// when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout
 // deadline.
 //
 // A -worker-addrs run that loses every worker is NOT an error: the
@@ -105,7 +103,6 @@ type options struct {
 	timeout     time.Duration
 	faults      *faults.Injector
 	saveStats   string
-	tier        core.StatsTier
 	addr        string
 	workerAddrs string
 	catalog     string
@@ -139,10 +136,6 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		return err
 	})
 	fs.StringVar(&o.saveStats, "save-stats", "", "run: write the observed statistics to this file (the /v1/observe upload format)")
-	fs.Func("stats-tier", "statistics tier: exact (default) | approx (sketch-backed observation wherever possible) | auto (sketches compete on cost)", func(s string) (err error) {
-		o.tier, err = core.ParseStatsTier(s)
-		return err
-	})
 	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
 	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -faults, -workers, -max-rows)")
 	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
@@ -325,7 +318,6 @@ func runConfig(o *options) (core.Config, error) {
 	cfg.MaxRows = o.maxRows
 	cfg.CollectMetrics = o.metrics != ""
 	cfg.Faults = o.faults
-	cfg.StatsTier = o.tier
 	addrs := splitAddrs(o.workerAddrs)
 	if len(addrs) == 0 {
 		return cfg, nil
@@ -427,7 +419,7 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 
 // explainCmd compiles the workflow's physical plan — the initial join trees
 // instrumented with the selection core.Select makes for the cycle `run`
-// would configure from the same flags (-stats-tier included) — and prints
+// would configure from the same flags (-union-division included) — and prints
 // it with every tap point. The output is deterministic (no execution happens
 // unless -metrics or -derive ask for it), so it doubles as a golden
 // rendering of what an instrumented run would do. With -metrics it
@@ -542,7 +534,7 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	u, err := core.Universe(res, cfg)
+	u, err := core.Universe(res)
 	if err != nil {
 		return err
 	}

@@ -59,14 +59,6 @@ type Config struct {
 	// block granularity; permanent tap faults degrade the observation and
 	// walk the cycle down the degradation ladder instead of aborting it.
 	Faults *faults.Injector
-	// StatsTier selects the statistics observation tier: TierExact (the
-	// default) observes exact counters and per-value histograms only;
-	// TierApprox replaces every exact Distinct/Hist that has a sketch
-	// sibling with the sketch (HyperLogLog distinct counts, count-min
-	// histograms), cutting observation CPU and statistic payload bytes at
-	// a calibrated estimate-accuracy cost; TierAuto admits sketches into
-	// the universe and lets the selection objective choose per statistic.
-	StatsTier StatsTier
 	// AllowPartialStats lets OptimizeFromSaved proceed when the saved
 	// store cannot derive every SE cardinality (a partial save from a
 	// degraded or cancelled run): blocks whose cardinalities are
@@ -81,43 +73,6 @@ type Config struct {
 	// fields a worker must mirror — Faults, CollectMetrics — reach it
 	// through the engine, set once.
 	Dispatcher engine.BlockDispatcher
-}
-
-// StatsTier names an observation tier.
-type StatsTier string
-
-// The observation tiers.
-const (
-	TierExact  StatsTier = "exact"
-	TierApprox StatsTier = "approx"
-	TierAuto   StatsTier = "auto"
-)
-
-// ParseStatsTier validates a tier name ("" means exact).
-func ParseStatsTier(s string) (StatsTier, error) {
-	switch StatsTier(s) {
-	case "", TierExact:
-		return TierExact, nil
-	case TierApprox:
-		return TierApprox, nil
-	case TierAuto:
-		return TierAuto, nil
-	default:
-		return "", fmt.Errorf("core: unknown stats tier %q (want exact, approx or auto)", s)
-	}
-}
-
-// approxPolicy maps the configured tier onto the selector's policy; every
-// sketch is admitted at its analytical guarantee.
-func (c Config) approxPolicy() selector.ApproxPolicy {
-	switch c.StatsTier {
-	case TierApprox:
-		return selector.ApproxPolicy{Enable: true, Force: true}
-	case TierAuto:
-		return selector.ApproxPolicy{Enable: true}
-	default:
-		return selector.ApproxPolicy{}
-	}
 }
 
 // DefaultConfig enables every rule family with the exact solver and the
@@ -176,12 +131,11 @@ func NewExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine
 }
 
 // Universe prices the candidate statistics by memory (the paper's Figure 11
-// objective) and builds the universe cfg's StatsTier admits: the first half
-// of Select, for callers that plan over the universe without solving it
+// objective) and builds the universe: the first half of Select, for callers that plan over the universe without solving it
 // (Section 6.1's budgeted schedules).
-func Universe(res *css.Result, cfg Config) (*selector.Universe, error) {
+func Universe(res *css.Result) (*selector.Universe, error) {
 	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
-	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{Approx: cfg.approxPolicy()})
+	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: select statistics: %w", err)
 	}
@@ -192,7 +146,7 @@ func Universe(res *css.Result, cfg Config) (*selector.Universe, error) {
 // the Universe and solves it with Method. Whoever asks which statistics a
 // run will observe asks here.
 func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
-	u, err := Universe(res, cfg)
+	u, err := Universe(res)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -23,16 +23,10 @@ import (
 //     avoids every failed statistic (already-held observations are free),
 //     and re-run the initial plan instrumented with just the missing ones.
 //     Repeated up to maxReselectRounds times as new failures surface.
-//  2. Sketch tier — tap faults model the observation side-memory
-//     exhausting, which bounded-memory sketches are immune to: re-observe
-//     the approximate variant (HLLDistinct / CMHist) of every failed
-//     statistic that has one. When every failure is recovered through its
-//     sketch sibling the cycle completes on approximate statistics.
-//  3. Pay-as-you-go — when sketches cannot cover the failures either
-//     (cardinality taps have no sketch variant), fall back to the Section
-//     7.3 baseline: execute the trivial-CSS plan sequence, learning
-//     whatever SE cardinalities the re-ordered plans expose.
-//  4. Initial plans — blocks whose cardinalities still cannot be derived
+//  2. Pay-as-you-go — when no covering set avoids the failures, fall back
+//     to the Section 7.3 baseline: execute the trivial-CSS plan sequence,
+//     learning whatever SE cardinalities the re-ordered plans expose.
+//  3. Initial plans — blocks whose cardinalities still cannot be derived
 //     keep their user-designed plans (optimizer.Options.FallbackInitial).
 //
 // Every completed cycle therefore carries plans for all blocks; Degradation
@@ -49,17 +43,12 @@ type Degradation struct {
 	// in canonical key order.
 	Failed []engine.FailedStat
 	// Mode is the ladder rung that completed the cycle: "alternate-css"
-	// (a covering selection avoiding the failures was re-observed),
-	// "sketch" (every failure was recovered through its bounded-memory
-	// approximate sibling) or "payg" (the trivial-CSS baseline supplied
-	// what it could).
+	// (a covering selection avoiding the failures was re-observed) or
+	// "payg" (the trivial-CSS baseline supplied what it could).
 	Mode string
 	// Reruns counts extra instrumented executions of the initial plan the
 	// alternate-CSS rung performed.
 	Reruns int
-	// SketchRuns counts executions of the sketch rung (at most one: all
-	// recoverable variants are observed in a single instrumented rerun).
-	SketchRuns int
 	// PaygRuns counts executions the pay-as-you-go rung performed.
 	PaygRuns int
 	// ExtraRows is the additional engine work (work-metric rows) the
@@ -78,9 +67,6 @@ func (d *Degradation) String() string {
 	s := fmt.Sprintf("degraded: %d statistic(s) unobservable, completed via %s", len(d.Failed), d.Mode)
 	if d.Reruns > 0 {
 		s += fmt.Sprintf(", %d re-observation run(s)", d.Reruns)
-	}
-	if d.SketchRuns > 0 {
-		s += fmt.Sprintf(", %d sketch run(s)", d.SketchRuns)
 	}
 	if d.PaygRuns > 0 {
 		s += fmt.Sprintf(", %d payg run(s)", d.PaygRuns)
@@ -147,53 +133,6 @@ func degrade(ctx context.Context, cy *Cycle, eng *engine.Engine, u *selector.Uni
 		for _, f := range rerun.Degraded {
 			if _, ok := failed[f.Stat.Key()]; !ok {
 				failed[f.Stat.Key()] = f
-			}
-		}
-	}
-
-	if deg.Mode == "" {
-		// Sketch rung: the failures' approximate siblings hold a fixed few
-		// hundred bytes regardless of data volume, so the side-memory
-		// exhaustion that permanent tap faults model cannot touch them (the
-		// engines never consult the injector for sketch taps). Observe every
-		// recoverable variant in one instrumented rerun.
-		sketchKeys := make([]stats.Key, 0, len(failed))
-		for k := range failed {
-			sketchKeys = append(sketchKeys, k)
-		}
-		sort.Slice(sketchKeys, func(i, j int) bool { return stats.KeyLess(sketchKeys[i], sketchKeys[j]) })
-		var observe []stats.Stat
-		for _, k := range sketchKeys {
-			v, ok := stats.ApproxVariant(failed[k].Stat)
-			if ok && res.StatObservable(v) && !store.Has(v) {
-				observe = append(observe, v)
-			}
-		}
-		if len(observe) > 0 {
-			rerun, err := eng.RunPlansCtx(ctx, nil, res, observe)
-			if err != nil {
-				return nil, fmt.Errorf("sketch-tier run: %w", err)
-			}
-			deg.SketchRuns++
-			deg.ExtraRows += rerun.Rows
-			store.Merge(rerun.Observed)
-			for _, f := range rerun.Degraded {
-				if _, ok := failed[f.Stat.Key()]; !ok {
-					failed[f.Stat.Key()] = f
-				}
-			}
-			// The rung completes the cycle only if every failed statistic is
-			// now covered through its sketch sibling; a residue (cardinality
-			// taps have no sketch variant) drops to pay-as-you-go.
-			covered := true
-			for _, f := range failed {
-				if v, ok := stats.ApproxVariant(f.Stat); !ok || !store.Has(v) {
-					covered = false
-					break
-				}
-			}
-			if covered {
-				deg.Mode = "sketch"
 			}
 		}
 	}

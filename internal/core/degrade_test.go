@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/faults"
-	"github.com/essential-stats/etlopt/internal/stats"
 )
 
 // TestDegradedCyclePermanentTapFaults is the ladder's contract: permanent
@@ -43,7 +44,7 @@ func TestDegradedCyclePermanentTapFaults(t *testing.T) {
 			if len(deg.Failed) == 0 {
 				t.Fatal("degradation report lists no failed statistics")
 			}
-			if deg.Mode != "alternate-css" && deg.Mode != "sketch" && deg.Mode != "payg" {
+			if deg.Mode != "alternate-css" && deg.Mode != "payg" {
 				t.Fatalf("unexpected degradation mode %q", deg.Mode)
 			}
 			if tc.rate == 1 && deg.Mode != "payg" {
@@ -107,13 +108,16 @@ func TestAlternateCSSRungReached(t *testing.T) {
 	t.Fatal("no injector seed in 1..32 completed via the alternate-css rung with a re-observation run")
 }
 
-// TestSketchRungReached scans injector seeds until the ladder completes on
-// the sketch rung: every permanently failed statistic recovered through its
-// bounded-memory approximate sibling (which tap faults cannot touch), with
-// no pay-as-you-go runs and no fallback blocks. The rate is chosen low
-// enough that some seed fails only statistics with sketch variants.
-func TestSketchRungReached(t *testing.T) {
+// TestPaygAfterAlternateCSSRungReached scans injector seeds until the
+// ladder walks both its rungs: the alternate-CSS rung re-observes at least
+// once, still cannot cover the failures, and the cycle completes via
+// pay-as-you-go with a plan for every block and the clean run's sinks.
+func TestPaygAfterAlternateCSSRungReached(t *testing.T) {
 	g, cat, db := skewedRetail(t)
+	clean, err := Run(g, cat, db, DefaultConfig())
+	if err != nil {
+		t.Fatalf("clean Run: %v", err)
+	}
 	for seed := uint64(1); seed <= 64; seed++ {
 		cfg := DefaultConfig()
 		cfg.Faults = faults.New(seed, 0.3, 0, faults.Tap)
@@ -122,30 +126,37 @@ func TestSketchRungReached(t *testing.T) {
 			t.Fatalf("seed %d: Run aborted: %v", seed, err)
 		}
 		deg := cy.Degradation
-		if deg == nil || deg.Mode != "sketch" {
+		if deg == nil || deg.Mode != "payg" || deg.Reruns == 0 {
 			continue
 		}
-		if deg.SketchRuns != 1 {
-			t.Fatalf("seed %d: sketch mode with %d sketch runs", seed, deg.SketchRuns)
+		if deg.PaygRuns == 0 {
+			t.Fatalf("seed %d: payg mode without a payg run", seed)
 		}
-		if deg.PaygRuns != 0 {
-			t.Fatalf("seed %d: sketch mode ran payg %d time(s)", seed, deg.PaygRuns)
+		if cy.Plans == nil || len(cy.Plans.Plans) != len(cy.Analysis.Blocks) {
+			t.Fatalf("seed %d: degraded cycle is missing block plans", seed)
 		}
-		// Every failure must actually be covered by an observed sketch.
-		store := cy.Observed.Observed
-		for _, f := range deg.Failed {
-			v, ok := stats.ApproxVariant(f.Stat)
-			if !ok || !store.Has(v) {
-				t.Fatalf("seed %d: failed statistic %v not covered by a sketch", seed, f.Stat.Key())
+		for name, tbl := range clean.Observed.Sinks {
+			if !sameRows(tbl, cy.Observed.Sinks[name]) {
+				t.Fatalf("seed %d: sink %q differs from the clean run", seed, name)
 			}
 		}
-		if n := len(deg.FallbackBlocks); n != 0 {
-			t.Fatalf("seed %d: sketch rung left %d fallback blocks", seed, n)
-		}
-		t.Logf("seed %d: sketch rung recovered %d failed statistic(s)", seed, len(deg.Failed))
+		t.Logf("seed %d: %d failed, %d alternate-css rerun(s), %d payg run(s)", seed, len(deg.Failed), deg.Reruns, deg.PaygRuns)
 		return
 	}
-	t.Fatal("no injector seed in 1..64 completed via the sketch rung")
+	t.Fatal("no injector seed in 1..64 completed via payg after an alternate-css rerun")
+}
+
+// sameRows reports whether two tables hold the same multiset of rows.
+func sameRows(a, b *data.Table) bool {
+	if a == nil || b == nil || a.Card() != b.Card() {
+		return false
+	}
+	sorted := func(t *data.Table) []data.Row {
+		rows := slices.Clone(t.Rows)
+		slices.SortFunc(rows, func(x, y data.Row) int { return slices.Compare(x, y) })
+		return rows
+	}
+	return slices.EqualFunc(sorted(a), sorted(b), func(x, y data.Row) bool { return slices.Equal(x, y) })
 }
 
 // TestDegradedCycleDeterministic re-runs the same faulted configuration and

@@ -133,27 +133,6 @@ func TestFreeSourceStats(t *testing.T) {
 	}
 }
 
-func TestIndependenceSizes(t *testing.T) {
-	res, cat := retailRes(t)
-	ind := independence{res, cat}
-	o := inputOf(t, res, "Orders")
-	p := inputOf(t, res, "Product")
-	sz, ok := ind.sizeOf(stats.BlockSE(0, expr.NewSet(o)))
-	if !ok || sz != 10000 {
-		t.Fatalf("sizeOf(Orders) = %v, %v; want 10000", sz, ok)
-	}
-	// |O⋈P| ≈ |O||P|/|pid| = 10000*500/500 = 10000.
-	sz, ok = ind.sizeOf(stats.BlockSE(0, expr.NewSet(o, p)))
-	if !ok || sz != 10000 {
-		t.Fatalf("sizeOf(O⋈P) = %v, %v; want 10000", sz, ok)
-	}
-	// Reject targets shrink by the reject fraction.
-	sz, ok = ind.sizeOf(stats.BlockRejectSE(0, expr.NewSet(o), o, 0))
-	if !ok || sz != 1000 {
-		t.Fatalf("sizeOf(reject O) = %v, %v; want 1000", sz, ok)
-	}
-}
-
 func TestMemorySaturatesInsteadOfOverflow(t *testing.T) {
 	cat := &workflow.Catalog{Relations: []*workflow.Relation{
 		{Name: "A", Card: 10, Columns: []workflow.Column{

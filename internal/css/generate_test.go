@@ -571,18 +571,3 @@ func TestBoundaryClassAndChainDepth(t *testing.T) {
 		t.Fatal("BoundaryClass over a base input: want error")
 	}
 }
-
-func TestStatObservableOutOfRange(t *testing.T) {
-	an := retailAnalysis(t)
-	res, err := Generate(an, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	// Out-of-range blocks and edges must answer false, not panic.
-	if res.StatObservable(stats.NewCard(stats.BlockSE(9, expr.NewSet(0)))) {
-		t.Fatal("out-of-range block observable")
-	}
-	if res.StatObservable(stats.NewCard(stats.BlockRejectSE(0, expr.NewSet(0), 0, 99))) {
-		t.Fatal("out-of-range edge observable")
-	}
-}

@@ -1,9 +1,6 @@
 package css
 
-import (
-	"github.com/essential-stats/etlopt/internal/expr"
-	"github.com/essential-stats/etlopt/internal/stats"
-)
+import "github.com/essential-stats/etlopt/internal/expr"
 
 // classify sorts a statistic into observable or derived-only (the S_O of
 // Section 5.1). A statistic is observable when the initial plan, suitably
@@ -64,35 +61,4 @@ func rejectObservable(bc *blockCtx, t, f int) bool {
 		}
 	}
 	return false
-}
-
-// StatObservable reports whether a statistic — possibly one outside the
-// generated universe — is observable under the initial plan, using the same
-// structural rules as classify. It decides which sketch siblings of
-// universe statistics are worth observing: the selector's approximate tier
-// admits only those, and core's degradation ladder re-observes only those
-// on its sketch rung. Instrumentation does not consult it: physical.Compile
-// taps a statistic wherever the executed trees produce its target, which on
-// the initial plan is exactly where this reports true.
-func (r *Result) StatObservable(s stats.Stat) bool {
-	if id, ok := r.Lookup(s); ok {
-		return r.Observable[id]
-	}
-	t := s.Target
-	if t.Block < 0 || t.Block >= len(r.blocks) {
-		return false
-	}
-	bc := r.blocks[t.Block]
-	switch {
-	case t.IsChainPoint():
-		if i := t.Set.Lowest(); i < 0 || i >= len(bc.blk.Inputs) || t.Depth > bc.chainLen(i) {
-			return false
-		}
-	case t.IsReject():
-		if t.RejectEdge < 0 || t.RejectEdge >= len(bc.blk.Joins) {
-			return false
-		}
-	}
-	ok, _ := classify(bc, targetOf(t))
-	return ok
 }

@@ -218,14 +218,6 @@ func liveTaps[T any](s *blockSink, col *collector, taps []T, stat func(T) stats.
 	live := taps[:0:0]
 	for _, t := range taps {
 		st := stat(t)
-		// Tap faults model the observation side-memory exhausting; sketch
-		// taps hold a fixed few hundred bytes no matter what flows past, so
-		// the injector is never consulted for them — they are the rung the
-		// degradation ladder retreats to when exact taps keep failing.
-		if st.Kind.Approx() {
-			live = append(live, t)
-			continue
-		}
 		err := s.flt.At(faults.Tap, tapSite(st), s.attempt)
 		if err == nil {
 			live = append(live, t)

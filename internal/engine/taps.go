@@ -10,7 +10,7 @@ import (
 // collector records compiled taps into a statistic store. All routing —
 // which statistic observes which operator output, with which physical
 // columns — was decided by the physical-plan compiler; the collector only
-// folds batches into scalars, histograms and sketches (collectVec and
+// folds batches into scalars and histograms (collectVec and
 // collectAux in vec_taps.go, the observers in vec_obs.go). A nil
 // *collector is valid and collects nothing (uninstrumented runs).
 //

@@ -110,69 +110,6 @@ func (d *vecDistinctObserver) finish() {
 	}
 }
 
-// vecHLLObserver sketches a distinct count over batches.
-type vecHLLObserver struct {
-	col  *collector
-	stat stats.Stat
-	cols []int
-	h    *stats.HLL
-	vals []int64
-}
-
-func (o *vecHLLObserver) observeVec(b *batch.Batch) {
-	if len(o.cols) == 1 {
-		col := b.Col(o.cols[0])
-		if b.Sel != nil {
-			for _, ri := range b.Sel {
-				o.h.Add(col[ri])
-			}
-		} else {
-			for ri := 0; ri < b.N; ri++ {
-				o.h.Add(col[ri])
-			}
-		}
-		return
-	}
-	cols := readCols(b, o.cols)
-	eachLive(b, func(ri int32) {
-		for i, col := range cols {
-			o.vals[i] = col[ri]
-		}
-		o.h.Add(o.vals...)
-	})
-}
-func (o *vecHLLObserver) finish() {
-	if err := o.col.store.Put(&stats.Value{Stat: o.stat, HLL: o.h}); err != nil {
-		o.col.markFailed(o.stat, err)
-	}
-}
-
-// vecCMObserver sketches a single-attribute distribution over batches.
-type vecCMObserver struct {
-	col    *collector
-	stat   stats.Stat
-	colIdx int
-	cm     *stats.CMH
-}
-
-func (o *vecCMObserver) observeVec(b *batch.Batch) {
-	col := b.Col(o.colIdx)
-	if b.Sel != nil {
-		for _, ri := range b.Sel {
-			o.cm.Observe(col[ri])
-		}
-	} else {
-		for ri := 0; ri < b.N; ri++ {
-			o.cm.Observe(col[ri])
-		}
-	}
-}
-func (o *vecCMObserver) finish() {
-	if err := o.col.store.Put(&stats.Value{Stat: o.stat, CM: o.cm}); err != nil {
-		o.col.markFailed(o.stat, err)
-	}
-}
-
 // newVecObserver builds the batch handler of one compiled tap — the one way
 // a batch is folded into a statistic — for a batch of at most rows live
 // rows; scratch sets come from the arena. A kind without a handler yields
@@ -190,16 +127,6 @@ func newVecObserver(col *collector, t physical.Tap, rows int, a *batch.Arena) ve
 		return &vecDistinctObserver{
 			col: col, stat: t.Stat, cols: t.Cols,
 			set: newKeySet(len(t.Cols), rows, a), vals: make([]int64, len(t.Cols)),
-		}
-	case stats.HLLDistinct:
-		return &vecHLLObserver{
-			col: col, stat: t.Stat, cols: t.Cols,
-			h: stats.NewHLL(stats.DefaultHLLP), vals: make([]int64, len(t.Cols)),
-		}
-	case stats.CMHist:
-		return &vecCMObserver{
-			col: col, stat: t.Stat, colIdx: t.Cols[0],
-			cm: stats.NewCMH(t.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth),
 		}
 	}
 	return nil

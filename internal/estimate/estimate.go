@@ -16,7 +16,6 @@ package estimate
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/essential-stats/etlopt/internal/css"
@@ -27,8 +26,8 @@ import (
 
 // Estimator derives statistic values from an observed store. It memoizes by
 // statistic id and follows candidate-set inputs as ids; only statistics
-// outside the generated universe (ad-hoc diagnostics, sketch probes) are
-// keyed by descriptor.
+// outside the generated universe (ad-hoc diagnostics) are keyed by
+// descriptor.
 type Estimator struct {
 	Res   *css.Result
 	Store *stats.Store
@@ -87,7 +86,7 @@ func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
 		return e.value(id)
 	}
 	// Outside the universe there are no candidate sets: the statistic is
-	// observed, directly or through its sketch sibling, or unknown.
+	// observed or unknown.
 	k := s.Key()
 	if v, ok := e.extra[k]; ok {
 		if v == nil {
@@ -95,10 +94,7 @@ func (e *Estimator) Value(s stats.Stat) (*stats.Value, error) {
 		}
 		return v, nil
 	}
-	v, err := e.observed(s)
-	if err != nil {
-		return nil, err
-	}
+	v := e.observed(s)
 	e.extra[k] = v
 	if v == nil {
 		return nil, &derivationError{format: errNoCandidates, stat: s}
@@ -132,21 +128,16 @@ func (e *derivationError) Error() string {
 
 func (e *derivationError) Unwrap() error { return e.cause }
 
-// observed returns the statistic's value when the store holds it or its
-// sketch sibling, and nil when it holds neither.
-func (e *Estimator) observed(s stats.Stat) (*stats.Value, error) {
-	if v, ok := e.Store.Get(s); ok {
-		return fromStore(s, v)
+// observed returns a copy of the statistic's stored value, or nil when the
+// store does not hold it.
+func (e *Estimator) observed(s stats.Stat) *stats.Value {
+	v, ok := e.Store.Get(s)
+	if !ok {
+		return nil
 	}
-	// Approximate tier (rules A1/A2): an unobserved exact statistic whose
-	// sketch sibling was observed takes the sketch's estimate. The value is
-	// tagged Approx so every derivation built on it inherits the tag.
-	if av, ok := stats.ApproxVariant(s); ok {
-		if v, ok := e.Store.Get(av); ok {
-			return fromStore(s, v)
-		}
-	}
-	return nil, nil
+	out := *v
+	out.Stat = s
+	return &out
 }
 
 // value is Value for a statistic of the universe, by id.
@@ -161,11 +152,7 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 	case inProgress:
 		return nil, &derivationError{format: errCyclic, stat: s}
 	}
-	v, err := e.observed(s)
-	if err != nil {
-		return nil, err
-	}
-	if v != nil {
+	if v := e.observed(s); v != nil {
 		e.memo[id], e.state[id] = v, evaluated
 		return v, nil
 	}
@@ -179,7 +166,6 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 			}
 			continue
 		}
-		v.Approx = v.Approx || e.anyApproxInput(c)
 		e.memo[id], e.state[id] = v, derived+evalState(i)
 		return v, nil
 	}
@@ -188,182 +174,6 @@ func (e *Estimator) value(id int32) (*stats.Value, error) {
 		return nil, &derivationError{format: errNotDerivable, stat: s, cause: firstErr}
 	}
 	return nil, &derivationError{format: errNoCandidates, stat: s}
-}
-
-// fromStore copies a stored value out as statistic s. A sketch also fills
-// the field its exact sibling reads: an HLL puts its estimate in Scalar
-// (rule A1); a count-min puts its bucketized distribution, expanded at
-// bucket midpoints, in Hist and keeps the sketch so join rules can use the
-// tighter sketch-level dot product (rule A2).
-func fromStore(s stats.Stat, v *stats.Value) (*stats.Value, error) {
-	out := *v
-	out.Stat = s
-	switch {
-	case v.HLL != nil:
-		out.Scalar = v.HLL.Estimate()
-	case v.CM != nil:
-		h, err := cmHistogram(v.CM, s.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		out.Hist = h
-	}
-	return &out, nil
-}
-
-// anyApproxInput reports whether any of the CSS's (memoized) inputs was
-// derived from the approximate tier.
-func (e *Estimator) anyApproxInput(c css.Candidate) bool {
-	for _, in := range c.Inputs {
-		if v := e.memo[in]; v != nil && v.Approx {
-			return true
-		}
-	}
-	return false
-}
-
-// cmHistogram expands a count-min sketch into a per-value histogram with
-// each bucket's estimated mass placed at the bucket midpoint, so the exact
-// rule algebra (marginals, predicate filters, joins) composes over it.
-func cmHistogram(cm *stats.CMH, attrs []workflow.Attr) (*stats.Histogram, error) {
-	if len(attrs) != 1 {
-		return nil, fmt.Errorf("estimate: cm-hist over %d attributes", len(attrs))
-	}
-	h := stats.NewHistogram(attrs...)
-	for b := 0; b < cm.Spec.N; b++ {
-		f := cm.BucketEstimate(b)
-		if f <= 0 {
-			continue
-		}
-		if err := h.Inc([]int64{specMidpoint(cm.Spec, b)}, f); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
-
-// specMidpoint returns the representative value a bucket's mass is placed
-// at. It must land inside its own bucket — Spec.Bucket(specMidpoint(spec,
-// b)) == b — or snapping a midpoint-expanded histogram back onto the grid
-// would shift mass across buckets. Truncating (b+0.5)·width can land one
-// value outside when the width is barely above one, so the result walks
-// back inside (at most a step or two of float error).
-func specMidpoint(spec stats.BucketSpec, b int) int64 {
-	mid := spec.Lo + int64((float64(b)+0.5)*spec.Width())
-	if mid > spec.Hi {
-		mid = spec.Hi
-	}
-	if mid < spec.Lo {
-		mid = spec.Lo
-	}
-	for spec.Bucket(mid) > b && mid > spec.Lo {
-		mid--
-	}
-	for spec.Bucket(mid) < b && mid < spec.Hi {
-		mid++
-	}
-	return mid
-}
-
-// bucketRange returns the inclusive integer value range covered by bucket b
-// (the analytical bounds corrected for float truncation, mirroring
-// specMidpoint's self-consistency guarantee).
-func bucketRange(spec stats.BucketSpec, b int) (lo, hi int64) {
-	w := spec.Width()
-	lo = spec.Lo + int64(math.Ceil(float64(b)*w))
-	hi = spec.Lo + int64(math.Ceil(float64(b+1)*w)) - 1
-	if lo < spec.Lo {
-		lo = spec.Lo
-	}
-	if hi > spec.Hi {
-		hi = spec.Hi
-	}
-	for lo > spec.Lo && spec.Bucket(lo-1) == b {
-		lo--
-	}
-	for lo < spec.Hi && spec.Bucket(lo) != b {
-		lo++
-	}
-	for hi < spec.Hi && spec.Bucket(hi+1) == b {
-		hi++
-	}
-	for hi > spec.Lo && spec.Bucket(hi) != b {
-		hi--
-	}
-	return lo, hi
-}
-
-// gridOf returns the count-min bucket layout carried by any of the values,
-// if one is sketch-backed. The zip rules (J2-J5, R1) match histogram
-// buckets by value, so whenever one input is a midpoint-expanded sketch the
-// other side must be snapped onto the same grid first — real data values
-// never equal bucket midpoints, and an unaligned zip silently produces
-// empty intersections or fails division.
-func gridOf(vs ...*stats.Value) (stats.BucketSpec, bool) {
-	for _, v := range vs {
-		if v != nil && v.CM != nil {
-			return v.CM.Spec, true
-		}
-	}
-	return stats.BucketSpec{}, false
-}
-
-// snapAttr re-buckets one attribute coordinate of a histogram onto the
-// grid: every value collapses to its bucket's midpoint, merging mass.
-// Snapping an already-midpoint-expanded histogram is the identity.
-func snapAttr(h *stats.Histogram, a workflow.Attr, spec stats.BucketSpec) (*stats.Histogram, error) {
-	pos := attrPos(h.Attrs, a)
-	if pos < 0 {
-		return nil, fmt.Errorf("estimate: snap attribute %v missing from histogram", a)
-	}
-	out := stats.NewHistogram(h.Attrs...)
-	var err error
-	proj := make([]int64, len(h.Attrs))
-	h.Each(func(vals []int64, f int64) {
-		copy(proj, vals)
-		proj[pos] = specMidpoint(spec, spec.Bucket(vals[pos]))
-		if e2 := out.Inc(proj, f); e2 != nil && err == nil {
-			err = e2
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// approxDivide is the union–division for sketch-backed inputs: hO's
-// buckets divide by hK's frequency at the matching join value (both sides
-// already snapped onto the same grid), rounding the quotient instead of
-// requiring the exact divisibility stats.Divide enforces — sketch
-// estimates are never exactly divisible. A dividend bucket with no
-// denominator partner divides by one: the super-SE's join values come from
-// the extra relation by construction, so a zero there is bucketization
-// noise, and dropping the mass would understate the cardinality.
-func approxDivide(hO, hK *stats.Histogram, join workflow.Attr) (*stats.Histogram, error) {
-	jPos := attrPos(hO.Attrs, join)
-	if jPos < 0 {
-		return nil, fmt.Errorf("estimate: join attribute %v missing from dividend", join)
-	}
-	out := stats.NewHistogram(hO.Attrs...)
-	var err error
-	hO.Each(func(vals []int64, f int64) {
-		d := hK.Freq(vals[jPos])
-		if d < 1 {
-			d = 1
-		}
-		q := int64(math.Round(float64(f) / float64(d)))
-		if q == 0 {
-			return
-		}
-		if e2 := out.Inc(vals, q); e2 != nil && err == nil {
-			err = e2
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // histInput evaluates input idx of the CSS as a histogram marginalized down
@@ -454,21 +264,11 @@ func (e *Estimator) evalSameScalar(s stats.Stat, c css.Candidate) (*stats.Value,
 // evalMarginal is the rules whose target is a marginal of their one
 // histogram input (P2, U2, I2).
 func (e *Estimator) evalMarginal(s stats.Stat, c css.Candidate) (*stats.Value, error) {
-	v, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
 	h, err := e.histInput(c, 0, s.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	out := &stats.Value{Stat: s, Hist: h}
-	// An identity marginal of a sketch-backed distribution keeps the
-	// grid, so downstream zip rules still see the count-min layout.
-	if v.CM != nil && h == v.Hist {
-		out.CM = v.CM
-	}
-	return out, nil
+	return &stats.Value{Stat: s, Hist: h}, nil
 }
 
 // evalD1 reads a distinct count off its histogram's bucket count.
@@ -496,28 +296,9 @@ func (e *Estimator) evalI1(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 }
 
 // evalJ1 computes |L ⋈ R| as the dot product of the join-column
-// distributions. When a side is backed by a count-min sketch the dot
-// product runs at sketch level: two sketches over the same bucket layout
-// multiply directly, and a sketch against an exact histogram multiplies
-// against the histogram bucketized to the sketch's layout — both tighter
-// than going through the midpoint expansion.
+// distributions.
 func (e *Estimator) evalJ1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	a := []workflow.Attr{c.Join}
-	vL, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	vR, err := e.value(c.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	if vL.CM != nil || vR.CM != nil {
-		card, err := approxJoinCard(vL, vR, a)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Scalar: card, Approx: true}, nil
-	}
 	hL, err := e.histInput(c, 0, a)
 	if err != nil {
 		return nil, err
@@ -531,43 +312,6 @@ func (e *Estimator) evalJ1(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 		return nil, err
 	}
 	return &stats.Value{Stat: s, Scalar: card}, nil
-}
-
-// approxJoinCard is the sketch-level J1 dot product.
-func approxJoinCard(vL, vR *stats.Value, join []workflow.Attr) (int64, error) {
-	if vL.CM != nil && vR.CM != nil && vL.CM.Spec == vR.CM.Spec {
-		f, err := stats.CMDotProduct(vL.CM, vR.CM)
-		if err != nil {
-			return 0, err
-		}
-		return int64(math.Round(f)), nil
-	}
-	// Normalize so cm is the sketch side and the other side an exact (or
-	// midpoint-expanded) histogram marginalized to the join attribute.
-	cm, other := vL.CM, vR
-	if cm == nil {
-		cm, other = vR.CM, vL
-	}
-	if other.Hist == nil {
-		return 0, fmt.Errorf("estimate: J1 input has neither histogram nor sketch")
-	}
-	h := other.Hist
-	if !sameAttrs(h.Attrs, join) {
-		m, err := h.Marginal(join...)
-		if err != nil {
-			return 0, err
-		}
-		h = m
-	}
-	ex, err := stats.Bucketize(h, cm.Spec)
-	if err != nil {
-		return 0, err
-	}
-	f, err := stats.ApproxDotProduct(cm.Approx(), ex)
-	if err != nil {
-		return 0, err
-	}
-	return int64(math.Round(f)), nil
 }
 
 // evalJoinHist computes the join result's distribution per the generalized
@@ -608,32 +352,6 @@ func (e *Estimator) evalJoinHist(s stats.Stat, c css.Candidate) (*stats.Value, e
 	if err != nil {
 		return nil, err
 	}
-	if spec, ok := gridOf(vL, vR); ok {
-		if hL, err = snapAttr(hL, c.Join, spec); err != nil {
-			return nil, err
-		}
-		if hR, err = snapAttr(hR, c.Join, spec); err != nil {
-			return nil, err
-		}
-		h, err := stats.Join(hL, hR, c.Join, s.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		// The bucket-level product counts every cross pair within a
-		// bucket; under the uniform-spread assumption only 1/width of
-		// them share a value — the same correction ApproxDotProduct
-		// applies for J1.
-		if w := spec.Width(); w > 1 {
-			scaled := stats.NewHistogram(h.Attrs...)
-			h.Each(func(vals []int64, f int64) {
-				if q := int64(math.Round(float64(f) / w)); q > 0 {
-					scaled.Inc(vals, q)
-				}
-			})
-			h = scaled
-		}
-		return &stats.Value{Stat: s, Hist: h, Approx: true}, nil
-	}
 	h, err := stats.Join(hL, hR, c.Join, s.Attrs)
 	if err != nil {
 		return nil, err
@@ -646,14 +364,6 @@ func (e *Estimator) evalJoinHist(s stats.Stat, c css.Candidate) (*stats.Value, e
 // add the reject-variant cardinality (Equation 3 of the paper).
 func (e *Estimator) evalJ4(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	a := []workflow.Attr{c.Join}
-	vO, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	vK, err := e.value(c.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
 	hO, err := e.histInput(c, 0, a)
 	if err != nil {
 		return nil, err
@@ -665,19 +375,6 @@ func (e *Estimator) evalJ4(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 	rej, err := e.scalarInput(c, 2)
 	if err != nil {
 		return nil, err
-	}
-	if spec, ok := gridOf(vO, vK); ok {
-		if hO, err = snapAttr(hO, c.Join, spec); err != nil {
-			return nil, err
-		}
-		if hK, err = snapAttr(hK, c.Join, spec); err != nil {
-			return nil, err
-		}
-		div, err := approxDivide(hO, hK, c.Join)
-		if err != nil {
-			return nil, err
-		}
-		return &stats.Value{Stat: s, Scalar: div.Total() + rej, Approx: true}, nil
 	}
 	div, err := stats.Divide(hO, hK)
 	if err != nil {
@@ -691,14 +388,6 @@ func (e *Estimator) evalJ4(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 // the join attribute, and add the reject variant's distribution.
 func (e *Estimator) evalJ5(s stats.Stat, c css.Candidate) (*stats.Value, error) {
 	oAttrs := workflow.SortAttrs(dedupeAttrs(append([]workflow.Attr{c.Join}, s.Attrs...)))
-	vO, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	vK, err := e.value(c.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
 	hO, err := e.histInput(c, 0, oAttrs)
 	if err != nil {
 		return nil, err
@@ -711,20 +400,7 @@ func (e *Estimator) evalJ5(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 	if err != nil {
 		return nil, err
 	}
-	var div *stats.Histogram
-	if spec, ok := gridOf(vO, vK); ok {
-		// Only the join coordinate snaps onto the sketch grid; the kept
-		// attributes retain their real values for the marginal below.
-		if hO, err = snapAttr(hO, c.Join, spec); err != nil {
-			return nil, err
-		}
-		if hK, err = snapAttr(hK, c.Join, spec); err != nil {
-			return nil, err
-		}
-		div, err = approxDivide(hO, hK, c.Join)
-	} else {
-		div, err = stats.DivideProject(hO, hK)
-	}
+	div, err := stats.DivideProject(hO, hK)
 	if err != nil {
 		return nil, err
 	}
@@ -742,53 +418,28 @@ func (e *Estimator) evalJ5(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 // evalR1 derives a reject singleton's statistic: the rows of t whose join
 // value has no partner in k.
 func (e *Estimator) evalR1(s stats.Stat, c css.Candidate) (*stats.Value, error) {
-	vT, err := e.value(c.Inputs[0])
+	want := []workflow.Attr{c.Join}
+	if s.Kind != stats.Card {
+		want = workflow.SortAttrs(dedupeAttrs(append(want, s.Attrs...)))
+	}
+	hT, err := e.histInput(c, 0, want)
 	if err != nil {
 		return nil, err
 	}
-	vK, err := e.value(c.Inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	spec, gridded := gridOf(vT, vK)
 	hK, err := e.histInput(c, 1, []workflow.Attr{c.Join})
 	if err != nil {
 		return nil, err
 	}
-	if gridded {
-		if hK, err = snapAttr(hK, c.Join, spec); err != nil {
-			return nil, err
-		}
-	}
+	jPos := attrPos(hT.Attrs, c.Join)
 	if s.Kind == stats.Card {
-		hT, err := e.histInput(c, 0, []workflow.Attr{c.Join})
-		if err != nil {
-			return nil, err
-		}
-		if gridded {
-			if hT, err = snapAttr(hT, c.Join, spec); err != nil {
-				return nil, err
-			}
-		}
 		var card int64
 		hT.Each(func(vals []int64, f int64) {
-			if hK.Freq(vals[0]) == 0 {
+			if hK.Freq(vals[jPos]) == 0 {
 				card += f
 			}
 		})
 		return &stats.Value{Stat: s, Scalar: card}, nil
 	}
-	tAttrs := workflow.SortAttrs(dedupeAttrs(append([]workflow.Attr{c.Join}, s.Attrs...)))
-	hT, err := e.histInput(c, 0, tAttrs)
-	if err != nil {
-		return nil, err
-	}
-	if gridded {
-		if hT, err = snapAttr(hT, c.Join, spec); err != nil {
-			return nil, err
-		}
-	}
-	jPos := attrPos(hT.Attrs, c.Join)
 	filtered := stats.NewHistogram(hT.Attrs...)
 	hT.Each(func(vals []int64, f int64) {
 		if hK.Freq(vals[jPos]) == 0 {
@@ -822,10 +473,6 @@ func (e *Estimator) evalBoundaryCopy(s stats.Stat, c css.Candidate) (*stats.Valu
 		}
 		up[i] = u
 	}
-	v0, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
 	h, err := e.histInput(c, 0, workflow.SortAttrs(dedupeAttrs(append([]workflow.Attr(nil), up...))))
 	if err != nil {
 		return nil, err
@@ -834,13 +481,7 @@ func (e *Estimator) evalBoundaryCopy(s stats.Stat, c css.Candidate) (*stats.Valu
 	if err != nil {
 		return nil, err
 	}
-	res := &stats.Value{Stat: s, Hist: out}
-	// Relabeling across a pass-through boundary moves no mass, so a
-	// sketch-backed single-attribute distribution keeps its grid.
-	if v0.CM != nil && len(s.Attrs) == 1 {
-		res.CM = v0.CM
-	}
-	return res, nil
+	return &stats.Value{Stat: s, Hist: out}, nil
 }
 
 // evalS1 sums the buckets of the predicate column's distribution that
@@ -852,28 +493,6 @@ func (e *Estimator) evalS1(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 	}
 	sp := e.Res.Space(s.Target.Block)
 	class := sp.ClassOf(op.Pred.Attr)
-	v, err := e.value(c.Inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	// A sketch-backed distribution has its mass at bucket midpoints;
-	// testing the predicate against those would make equality predicates
-	// match (almost) never and range predicates jump at bucket edges.
-	// Instead weight each bucket by the fraction of its value range that
-	// satisfies the predicate, assuming uniform spread within the bucket.
-	if v.CM != nil {
-		spec := v.CM.Spec
-		var card float64
-		for b := 0; b < spec.N; b++ {
-			f := v.CM.BucketEstimate(b)
-			if f <= 0 {
-				continue
-			}
-			lo, hi := bucketRange(spec, b)
-			card += float64(f) * predFraction(op.Pred, lo, hi)
-		}
-		return &stats.Value{Stat: s, Scalar: int64(math.Round(card)), Approx: true}, nil
-	}
 	h, err := e.histInput(c, 0, []workflow.Attr{class})
 	if err != nil {
 		return nil, err
@@ -885,47 +504,6 @@ func (e *Estimator) evalS1(s stats.Stat, c css.Candidate) (*stats.Value, error) 
 		}
 	})
 	return &stats.Value{Stat: s, Scalar: card}, nil
-}
-
-// predFraction returns the fraction of the integers in [lo, hi] that
-// satisfy the predicate.
-func predFraction(p *workflow.Predicate, lo, hi int64) float64 {
-	size := float64(hi) - float64(lo) + 1
-	if size <= 0 {
-		return 0
-	}
-	inRange := p.Const >= lo && p.Const <= hi
-	var n float64
-	switch p.Op {
-	case workflow.CmpEq:
-		if inRange {
-			n = 1
-		}
-	case workflow.CmpNe:
-		n = size
-		if inRange {
-			n--
-		}
-	case workflow.CmpLt:
-		n = clampf(float64(p.Const)-float64(lo), 0, size)
-	case workflow.CmpLe:
-		n = clampf(float64(p.Const)-float64(lo)+1, 0, size)
-	case workflow.CmpGt:
-		n = clampf(float64(hi)-float64(p.Const), 0, size)
-	case workflow.CmpGe:
-		n = clampf(float64(hi)-float64(p.Const)+1, 0, size)
-	}
-	return n / size
-}
-
-func clampf(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // evalS2 filters the joint distribution by the predicate and marginalizes

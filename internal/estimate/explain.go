@@ -35,24 +35,6 @@ func (e *Estimator) Explain(s stats.Stat) (*Explanation, error) {
 	if e.Store.Has(s) {
 		return &Explanation{Stat: s, Value: v, Rule: "observed"}, nil
 	}
-	// The approximate tier: the value came from the observed sketch
-	// sibling, so explain it as the A1/A2 conversion over an observed leaf.
-	if av, ok := stats.ApproxVariant(s); ok {
-		if sv, ok := e.Store.Get(av); ok {
-			rule := "A1"
-			if av.Kind == stats.CMHist {
-				rule = "A2"
-			}
-			leaf, err := fromStore(av, sv)
-			if err != nil {
-				return nil, err
-			}
-			return &Explanation{
-				Stat: s, Value: v, Rule: rule,
-				Inputs: []*Explanation{{Stat: av, Value: leaf, Rule: "observed"}},
-			}, nil
-		}
-	}
 	id, ok := e.Res.Lookup(s)
 	if !ok || e.state[id] < derived {
 		return nil, fmt.Errorf("estimate: no evaluable derivation for %v", s.Key())

@@ -44,11 +44,6 @@ type SEReport struct {
 	// agrees by coincidence tests nothing about the derivation, so vacuous
 	// targets are excluded from the q-error aggregates and the calibration.
 	Vacuous bool `json:"vacuous,omitempty"`
-	// Tier records which statistics tier fed the derivation: "approx" when
-	// any statistic on the derivation path came from a sketch, "exact"
-	// otherwise (empty when not derivable). Per-tier q-errors are what
-	// calibrate how much cheaper observation is worth in estimate quality.
-	Tier string `json:"tier,omitempty"`
 }
 
 // RuleAccuracy aggregates q-errors per root derivation rule, surfacing
@@ -148,10 +143,6 @@ func BuildFeedback(res *css.Result, est *Estimator, actuals map[stats.Target]int
 		rep.Derivable = true
 		rep.Estimate = ex.Value.Scalar
 		rep.Rule = ex.Rule
-		rep.Tier = "exact"
-		if ex.Value.Approx {
-			rep.Tier = "approx"
-		}
 		rep.QError = qError(rep.Actual, rep.Estimate)
 		rep.Vacuous = rep.Actual == 0 && rep.Estimate == 0
 		f.SEs = append(f.SEs, rep)
@@ -268,12 +259,8 @@ func (f *Feedback) Render() string {
 			fmt.Fprintf(&sb, "  blk%d %-28s actual %-10d not derivable\n", r.Block, r.Label, r.Actual)
 			continue
 		}
-		tier := ""
-		if r.Tier == "approx" {
-			tier = " (approx)"
-		}
-		fmt.Fprintf(&sb, "  blk%d %-28s actual %-10d est %-10d q %-8s %s%s\n",
-			r.Block, r.Label, r.Actual, r.Estimate, fmtQ(r.QError), r.Rule, tier)
+		fmt.Fprintf(&sb, "  blk%d %-28s actual %-10d est %-10d q %-8s %s\n",
+			r.Block, r.Label, r.Actual, r.Estimate, fmtQ(r.QError), r.Rule)
 	}
 	if len(f.Rules) > 0 {
 		sb.WriteString("  rule accuracy:\n")

@@ -17,25 +17,19 @@ import (
 // of the Section 8 extension: join cardinalities estimated from bucketized
 // histograms at a given resolution.
 //
-// Buckets is the per-histogram bucket count (0 = exact per-value), or
-// Sketch marks the count-min row. Memory counts the counters of every
-// summary; CPU is the Section 5.4 observation cost, tuples observed × the
-// per-kind update weight; the errors are |est−truth|/truth over the Joins
-// edges measured.
+// Buckets is the per-histogram bucket count (0 = exact per-value). Memory
+// counts the counters of every summary; the errors are |est−truth|/truth
+// over the Joins edges measured.
 type errorRow struct {
 	Buckets, Joins        int
-	Sketch                bool
 	Memory                int64
-	CPU                   float64
 	MeanRelErr, MaxRelErr float64
 }
 
 // errorSweep measures join-cardinality estimation error of equi-width
 // bucketized histograms against exact truth, over the join edges of the
-// given suite workflows at the given data scale, and appends the count-min
-// row: the approximate statistics tier's operating point on the same
-// edges. It realizes the space–time–error trade-off the paper sketches in
-// Sections 8.1/8.2.
+// given suite workflows at the given data scale. It realizes the
+// space–error trade-off the paper sketches in Sections 8.1/8.2.
 func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, error) {
 	var cases []*edgeCase
 	for _, id := range ids {
@@ -57,11 +51,11 @@ func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, erro
 		return nil, fmt.Errorf("experiments: no measurable join edges")
 	}
 	var out []*errorRow
-	for _, n := range append(bucketCounts, -1) {
-		row := &errorRow{Buckets: max(n, 0), Sketch: n < 0, Joins: len(cases)}
+	for _, n := range bucketCounts {
+		row := &errorRow{Buckets: n, Joins: len(cases)}
 		var sum float64
 		for _, c := range cases {
-			est, mem, weight, err := c.estimate(n)
+			est, mem, err := c.estimate(n)
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +63,6 @@ func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, erro
 			sum += relErr
 			row.MaxRelErr = max(row.MaxRelErr, relErr)
 			row.Memory += mem
-			row.CPU += float64(c.h1.Total()+c.h2.Total()) * weight
 		}
 		row.MeanRelErr = sum / float64(len(cases))
 		out = append(out, row)
@@ -120,33 +113,23 @@ func newEdgeCase(db map[string]*data.Table, blk *workflow.Block, e workflow.Bloc
 
 // estimate derives the edge's join cardinality from summaries of its two
 // columns — exact per-value histograms when n is 0, n equi-width buckets
-// when n > 0, count-min sketches at their default dimensions when n < 0 —
-// and returns the summaries' memory and per-tuple update weight with it.
-func (c *edgeCase) estimate(n int) (est float64, mem int64, weight float64, err error) {
-	switch {
-	case n == 0:
+// otherwise — and returns the summaries' memory with it.
+func (c *edgeCase) estimate(n int) (est float64, mem int64, err error) {
+	if n == 0 {
 		v, err := stats.DotProduct(c.h1, c.h2)
-		return float64(v), int64(c.h1.Buckets() + c.h2.Buckets()), 1, err
-	case n > 0:
-		spec := stats.NewBucketSpec(c.lo, c.hi, n)
-		a1, err := stats.Bucketize(c.h1, spec)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		a2, err := stats.Bucketize(c.h2, spec)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		est, err := stats.ApproxDotProduct(a1, a2)
-		return est, a1.Memory() + a2.Memory(), 1, err
+		return float64(v), int64(c.h1.Buckets() + c.h2.Buckets()), err
 	}
-	spec := stats.CMSpecFor(c.lo, c.hi)
-	cm1 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-	cm2 := stats.NewCMH(spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-	c.h1.Each(func(vals []int64, f int64) { cm1.Inc(vals[0], f) })
-	c.h2.Each(func(vals []int64, f int64) { cm2.Inc(vals[0], f) })
-	est, err = stats.CMDotProduct(cm1, cm2)
-	return est, cm1.MemoryUnits() + cm2.MemoryUnits(), costmodel.SketchUpdateWeight, err
+	spec := stats.NewBucketSpec(c.lo, c.hi, n)
+	a1, err := stats.Bucketize(c.h1, spec)
+	if err != nil {
+		return 0, 0, err
+	}
+	a2, err := stats.Bucketize(c.h2, spec)
+	if err != nil {
+		return 0, 0, err
+	}
+	est, err = stats.ApproxDotProduct(a1, a2)
+	return est, a1.Memory() + a2.Memory(), err
 }
 
 func baseTable(db map[string]*data.Table, blk *workflow.Block, input int) *data.Table {

@@ -316,15 +316,13 @@ func (r *report) freeTables() []*Table {
 
 func (r *report) errorTables() []*Table {
 	t := newTable("error", fmt.Sprintf("Section 8 extension: estimation error vs histogram memory (scale %g)", r.scale),
-		"buckets", "memory", "obsCPU", "meanRelErr", "maxRelErr", "joins")
+		"buckets", "memory", "meanRelErr", "maxRelErr", "joins")
 	for _, e := range r.errs {
 		label := fmt.Sprint(e.Buckets)
-		if e.Sketch {
-			label = "cm-sketch"
-		} else if e.Buckets == 0 {
+		if e.Buckets == 0 {
 			label = "exact"
 		}
-		t.add(label, e.Memory, fmt.Sprintf("%.0f", e.CPU), fmt.Sprintf("%.4f", e.MeanRelErr),
+		t.add(label, e.Memory, fmt.Sprintf("%.4f", e.MeanRelErr),
 			fmt.Sprintf("%.4f", e.MaxRelErr), e.Joins)
 	}
 	return []*Table{t}

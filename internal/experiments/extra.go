@@ -189,7 +189,7 @@ func budgetSweep(id int) ([]*budgetRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	u, err := core.Universe(res, cfg)
+	u, err := core.Universe(res)
 	if err != nil {
 		return nil, err
 	}

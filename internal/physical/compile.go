@@ -417,21 +417,7 @@ func (c *compiler) resolveTap(s stats.Stat, attrs []workflow.Attr) (Tap, error) 
 			return Tap{}, fmt.Errorf("attribute %s not present at observation point (schema %v)", phys[i], attrs)
 		}
 	}
-	tap := Tap{Stat: s, Cols: cols}
-	if s.Kind == stats.CMHist {
-		// Count-min buckets over the attribute's full catalog domain
-		// ([1, |a|] in this framework); resolving the spec here, once, keeps
-		// every observer shard on an identical layout so merges are exact
-		// counter additions.
-		dom, err := c.an.Cat.Domain(phys[0])
-		if err != nil {
-			if dom, err = c.an.Cat.Domain(s.Attrs[0]); err != nil {
-				return Tap{}, fmt.Errorf("cm-hist %v: %w", s.Key(), err)
-			}
-		}
-		tap.Spec = stats.CMSpecFor(1, dom)
-	}
-	return tap, nil
+	return Tap{Stat: s, Cols: cols}, nil
 }
 
 // idxOf returns a's position within attrs, or -1.

@@ -103,16 +103,12 @@ func (k OpKind) String() string {
 }
 
 // Tap is one statistic collector attached to a node's output. For Distinct
-// and Hist statistics (and their sketch-backed variants) Cols holds the
-// physical column positions of the statistic's (class-representative)
-// attributes, resolved at compile time; Card taps need no columns. CMHist
-// taps additionally carry the bucket spec, resolved from the attribute's
-// catalog domain at compile time so every worker shard buckets
-// identically.
+// and Hist statistics Cols holds the physical column positions of the
+// statistic's (class-representative) attributes, resolved at compile time;
+// Card taps need no columns.
 type Tap struct {
 	Stat stats.Stat
 	Cols []int
-	Spec stats.BucketSpec
 }
 
 // AuxJoin is a compiled union–division counter (rule J4): a two-input

@@ -54,7 +54,7 @@ func (u *Universe) excluding(failed, have []stats.Stat) *Universe {
 	v.inOff = append([]int32(nil), u.inOff...)
 	v.inputs = append([]int32(nil), u.inputs...)
 	for _, s := range have {
-		if i, ok := v.lookup(s); ok {
+		if i, ok := v.Res.Lookup(s); ok {
 			v.Observable[i] = true
 			v.Cost[i] = 0
 		}
@@ -62,7 +62,7 @@ func (u *Universe) excluding(failed, have []stats.Stat) *Universe {
 	// Bans win over haves: a statistic both held and failed (cannot happen
 	// from the engine, which only fails what it never stored) stays banned.
 	for _, s := range failed {
-		if i, ok := v.lookup(s); ok {
+		if i, ok := v.Res.Lookup(s); ok {
 			v.Observable[i] = false
 			v.Cost[i] = math.Inf(1)
 		}

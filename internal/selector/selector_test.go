@@ -34,7 +34,7 @@ func buildUniverse(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, opt c
 // indexOf returns a statistic's index in the universe.
 func indexOf(t *testing.T, u *Universe, s stats.Stat) int32 {
 	t.Helper()
-	i, ok := u.lookup(s)
+	i, ok := u.Res.Lookup(s)
 	if !ok {
 		t.Fatalf("statistic %v not in the universe", s.Key())
 	}

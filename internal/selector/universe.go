@@ -7,15 +7,14 @@
 // closure-based feasibility that minimises the paper's 0–1 program of
 // Section 5.2, and MethodGreedy, the greedy heuristic of Section 5.3.
 //
-// The solvers work on statistic ids — for the exact tier the css.Result's
-// own — over a flat candidate-set graph (Universe), and share one set of
+// The solvers work on statistic ids — the css.Result's own — over a flat
+// candidate-set graph (Universe), and share one set of
 // work arrays per solve (scratch): a closure, a cost pass or a
 // branch-and-bound node allocates nothing beyond the node's own sets.
 package selector
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
@@ -23,8 +22,7 @@ import (
 )
 
 // Universe is a css.Result priced and laid out for the solvers: statistic
-// i is res.Stats[i] (sketch variants of the approximate tier follow the
-// exact universe), costs are precomputed, and the candidate sets that can
+// i is res.Stats[i], costs are precomputed, and the candidate sets that can
 // ever be computed form a flat graph in compressed-row form. It is the
 // common substrate of both solvers and is read-only once built.
 type Universe struct {
@@ -49,56 +47,24 @@ type Universe struct {
 	// derivable marks the statistics computable when everything observable
 	// is observed (candidate sets needing any other statistic are dropped).
 	derivable []bool
-	// sketchOf[i] is the index of exact statistic i's admitted sketch
-	// sibling, or 0; nil without the approximate tier.
-	sketchOf []int32
 }
 
-// ApproxPolicy admits sketch-backed approximate statistics into the
-// universe as cheap alternatives to their exact counterparts.
-type ApproxPolicy struct {
-	// Enable turns the approximate tier on.
-	Enable bool
-	// Force makes each exact statistic with an admitted sketch sibling
-	// unobservable, so every selection must observe the sketch (the approx
-	// tier). Without it, sketches merely compete on cost (the auto tier).
-	Force bool
-}
-
-// UniverseOptions configure universe construction.
-type UniverseOptions struct {
-	Approx ApproxPolicy
-}
+// UniverseOptions configure universe construction. There is nothing to
+// configure: the type stays because callers outside this module pass it.
+type UniverseOptions struct{}
 
 // NewUniverseOpts indexes a CSS-generation result with the given coster. It
 // verifies that every required statistic is derivable at all (observable or
 // transitively covered), pruning candidate sets that reference underivable
-// statistics. When the approximate tier is enabled, each exact statistic
-// with a sketch sibling (Distinct → HLLDistinct, single-attribute
-// non-reject Hist → CMHist) that is observable under the initial plan
-// enters the universe as an extra observable statistic, and the exact
-// statistic gains a one-input candidate set (rules A1 and A2) so observing
-// the sketch covers it. The shared css.Result is never mutated.
-func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOptions) (*Universe, error) {
-	nExact := len(res.Stats)
+// statistics. The shared css.Result is never mutated.
+func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, _ UniverseOptions) (*Universe, error) {
 	u := &Universe{Res: res, Stats: res.Stats, Required: res.RequiredIDs}
-	if opts.Approx.Enable {
-		u.sketchOf = make([]int32, nExact)
-		u.Stats = slices.Clone(res.Stats) // appended to below; the result's is shared
-		for i, s := range res.Stats {
-			v, ok := stats.ApproxVariant(s)
-			if ok && res.StatObservable(v) {
-				u.sketchOf[i] = int32(len(u.Stats))
-				u.Stats = append(u.Stats, v)
-			}
-		}
-	}
 	n := len(u.Stats)
 	u.Observable = make([]bool, n)
 	u.Cost = make([]float64, n)
 	u.Mem = make([]int64, n)
 	u.cssOff = make([]int32, 1, n+1)
-	u.inOff = make([]int32, 1, res.NumCSS()+n-nExact+1)
+	u.inOff = make([]int32, 1, res.NumCSS()+1)
 	for i, s := range u.Stats {
 		// Costs are priced for every statistic, not just currently
 		// observable ones: the Section 6.1 budget planner treats any
@@ -107,20 +73,9 @@ func NewUniverseOpts(res *css.Result, coster *costmodel.Coster, opts UniverseOpt
 		if u.Cost[i], u.Mem[i], err = coster.Price(s); err != nil {
 			return nil, fmt.Errorf("selector: cost of %v: %w", s.Key(), err)
 		}
-		// Appended sketch variants are observable by construction (checked
-		// via StatObservable above) and have no candidate sets.
-		u.Observable[i] = true
-		if i < nExact {
-			u.Observable[i] = res.Observable[i]
-			for _, c := range res.CSS[i] {
-				u.addCSS(c.Inputs...)
-			}
-			if u.sketchOf != nil && u.sketchOf[i] > 0 {
-				// The exact statistic is derivable from its sketch sibling
-				// alone (rules A1 and A2); forced approx demotes it.
-				u.addCSS(u.sketchOf[i])
-				u.Observable[i] = u.Observable[i] && !opts.Approx.Force
-			}
+		u.Observable[i] = res.Observable[i]
+		for _, c := range res.CSS[i] {
+			u.addCSS(c.Inputs...)
 		}
 		u.cssOff = append(u.cssOff, int32(u.numCSS()))
 	}
@@ -144,18 +99,6 @@ func (u *Universe) addCSS(inputs ...int32) {
 
 // numCSS returns the number of candidate sets in the graph.
 func (u *Universe) numCSS() int { return len(u.inOff) - 1 }
-
-// lookup returns the index of a statistic in the universe, or false.
-func (u *Universe) lookup(s stats.Stat) (int32, bool) {
-	ex, sketch := stats.ExactVariant(s)
-	if !sketch {
-		return u.Res.Lookup(s)
-	}
-	if e, ok := u.Res.Lookup(ex); ok && u.sketchOf != nil && u.sketchOf[e] > 0 {
-		return u.sketchOf[e], true
-	}
-	return 0, false
-}
 
 // css returns the range of candidate sets of statistic i.
 func (u *Universe) css(i int32) (from, to int32) { return u.cssOff[i], u.cssOff[i+1] }

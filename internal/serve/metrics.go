@@ -29,22 +29,17 @@ type metrics struct {
 	generation map[string]int64   // per workflow: latest catalog generation
 	driftMax   map[string]float64 // per workflow: last upload's max relative drift
 	qerrMax    map[string]float64 // per workflow: max q-error of prev estimates vs new observations
-	// payloadBytes is each workflow's last /v1/observe body size;
-	// payloadShrink is the previous upload's size over the current one
-	// (> 1 when uploads got smaller, e.g. a producer switching to the
-	// sketch-backed approximate tier).
-	payloadBytes  map[string]int64
-	payloadShrink map[string]float64
+	// payloadBytes is each workflow's last /v1/observe body size.
+	payloadBytes map[string]int64
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		requests:      make(map[string]int64),
-		generation:    make(map[string]int64),
-		driftMax:      make(map[string]float64),
-		qerrMax:       make(map[string]float64),
-		payloadBytes:  make(map[string]int64),
-		payloadShrink: make(map[string]float64),
+		requests:     make(map[string]int64),
+		generation:   make(map[string]int64),
+		driftMax:     make(map[string]float64),
+		qerrMax:      make(map[string]float64),
+		payloadBytes: make(map[string]int64),
 	}
 }
 
@@ -107,9 +102,6 @@ func (m *metrics) observe(workflow string, generation int, driftMax float64, pay
 	m.observes++
 	m.generation[workflow] = int64(generation)
 	m.driftMax[workflow] = driftMax
-	if prev := m.payloadBytes[workflow]; prev > 0 && payload > 0 {
-		m.payloadShrink[workflow] = float64(prev) / float64(payload)
-	}
 	m.payloadBytes[workflow] = payload
 	m.mu.Unlock()
 }
@@ -149,9 +141,6 @@ func (m *metrics) render(w io.Writer) {
 	}
 	for _, wf := range sortedKeys(m.payloadBytes) {
 		fmt.Fprintf(w, "etlopt_serve_observe_payload_bytes{workflow=%q} %d\n", wf, m.payloadBytes[wf])
-	}
-	for _, wf := range sortedKeys(m.payloadShrink) {
-		fmt.Fprintf(w, "etlopt_serve_observe_payload_shrink{workflow=%q} %g\n", wf, m.payloadShrink[wf])
 	}
 }
 

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -57,6 +59,31 @@ func TestObserveUploadErrorStatus(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "reading upload") {
 		t.Fatalf("400 body %q", rec.Body.String())
+	}
+}
+
+// TestObserveRefusesSketchTierUpload: an upload carrying the retired sketch
+// kinds — the stream an approximate-tier producer sent for this workflow
+// when the tier existed — is refused as a corrupt stream that names the
+// unknown kind byte, and the catalog is left as it was.
+func TestObserveRefusesSketchTierUpload(t *testing.T) {
+	doc, _ := tinyWorkflow(t, 11, 600)
+	srv, _ := newTestServer(t, doc, Options{})
+	upload, err := os.ReadFile("testdata/sketch_tier_upload.etlstat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/observe?workflow=tiny", bytes.NewReader(upload))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("sketch-tier upload: %d %s, want 422", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "unknown kind byte 4") {
+		t.Fatalf("422 body %q does not name the retired kind", rec.Body.String())
+	}
+	if _, ok := srv.catalog.get("tiny"); ok {
+		t.Fatal("a refused upload reached the catalog")
 	}
 }
 

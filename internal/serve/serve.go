@@ -288,8 +288,8 @@ type observeResponse struct {
 	Reoptimize  bool      `json:"reoptimize"`
 	Invalidated int64     `json:"invalidated"`
 	QErrorMax   float64   `json:"qErrorMax,omitempty"`
-	// PayloadBytes is the size of this upload's binary stream — sketch-tier
-	// producers shrink it, and /metrics tracks the per-workflow ratio.
+	// PayloadBytes is the size of this upload's binary stream; /metrics
+	// tracks it per workflow.
 	PayloadBytes int64 `json:"payloadBytes"`
 }
 

@@ -393,26 +393,11 @@ func TestServePartialStoreConflict(t *testing.T) {
 }
 
 // TestServeObservePayloadMetrics: every upload reports its payload size,
-// and /metrics tracks the per-workflow byte gauge plus the shrink ratio
-// between consecutive generations — the signal that a producer switched to
-// the sketch-backed approximate tier. Sketch-kind (format v2) streams must
-// be accepted like any other upload.
+// and /metrics tracks the per-workflow byte gauge.
 func TestServeObservePayloadMetrics(t *testing.T) {
 	doc, db := tinyWorkflow(t, 11, 600)
 	_, ts := newTestServer(t, doc, Options{})
 	exact := observedStream(t, doc, db)
-
-	cfg := core.DefaultConfig()
-	cfg.StatsTier = core.TierApprox
-	cy, err := core.Run(doc.Graph, doc.Catalog, db, cfg)
-	if err != nil {
-		t.Fatalf("approx-tier Run: %v", err)
-	}
-	var abuf bytes.Buffer
-	if err := cy.SaveStats(&abuf); err != nil {
-		t.Fatalf("SaveStats: %v", err)
-	}
-	approx := abuf.Bytes()
 
 	var obs observeResponse
 	resp, body := post(t, ts.URL+"/v1/observe?workflow=tiny", "application/octet-stream", exact)
@@ -426,26 +411,9 @@ func TestServeObservePayloadMetrics(t *testing.T) {
 		t.Fatalf("exact upload reports %d payload bytes, want %d", obs.PayloadBytes, len(exact))
 	}
 
-	resp, body = post(t, ts.URL+"/v1/observe?workflow=tiny", "application/octet-stream", approx)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sketch-tier upload rejected: %d %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &obs); err != nil {
-		t.Fatal(err)
-	}
-	if obs.PayloadBytes != int64(len(approx)) {
-		t.Fatalf("approx upload reports %d payload bytes, want %d", obs.PayloadBytes, len(approx))
-	}
-
 	_, mbody := get(t, ts.URL+"/metrics")
-	for _, want := range []string{
-		fmt.Sprintf(`etlopt_serve_observe_payload_bytes{workflow="tiny"} %d`, len(approx)),
-		fmt.Sprintf(`etlopt_serve_observe_payload_shrink{workflow="tiny"} %g`,
-			float64(len(exact))/float64(len(approx))),
-	} {
-		if !strings.Contains(string(mbody), want) {
-			t.Fatalf("metrics output missing %q:\n%s", want, mbody)
-		}
+	if want := fmt.Sprintf(`etlopt_serve_observe_payload_bytes{workflow="tiny"} %d`, len(exact)); !strings.Contains(string(mbody), want) {
+		t.Fatalf("metrics output missing %q:\n%s", want, mbody)
 	}
 }
 

@@ -62,14 +62,14 @@ func (b BucketSpec) span() uint64 {
 	return uint64(b.Hi) - uint64(b.Lo)
 }
 
-// Width returns the (fractional) width of each bucket.
-func (b BucketSpec) Width() float64 {
+// width returns the (fractional) width of each bucket.
+func (b BucketSpec) width() float64 {
 	return (float64(b.span()) + 1) / float64(b.N)
 }
 
-// Bucket maps a value to its bucket index (values outside the range clamp
+// bucket maps a value to its bucket index (values outside the range clamp
 // to the edge buckets, as real histogram implementations do).
-func (b BucketSpec) Bucket(v int64) int {
+func (b BucketSpec) bucket(v int64) int {
 	if v < b.Lo {
 		return 0
 	}
@@ -77,7 +77,7 @@ func (b BucketSpec) Bucket(v int64) int {
 		return b.N - 1
 	}
 	off := uint64(v) - uint64(b.Lo)
-	idx := int(float64(off) / b.Width())
+	idx := int(float64(off) / b.width())
 	if idx >= b.N {
 		idx = b.N - 1
 	}
@@ -104,7 +104,7 @@ func Bucketize(h *Histogram, spec BucketSpec) (*Approx, error) {
 	}
 	a := newApprox(spec)
 	h.Each(func(vals []int64, f int64) {
-		a.Totals[spec.Bucket(vals[0])] += float64(f)
+		a.Totals[spec.bucket(vals[0])] += float64(f)
 	})
 	return a, nil
 }
@@ -121,7 +121,7 @@ func ApproxDotProduct(a1, a2 *Approx) (float64, error) {
 	if a1.Spec != a2.Spec {
 		return 0, fmt.Errorf("stats: bucket specs differ: %+v vs %+v", a1.Spec, a2.Spec)
 	}
-	width := a1.Spec.Width()
+	width := a1.Spec.width()
 	if width < 1 {
 		width = 1
 	}

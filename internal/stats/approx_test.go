@@ -12,15 +12,15 @@ import (
 
 func TestBucketSpec(t *testing.T) {
 	spec := NewBucketSpec(1, 100, 10)
-	if spec.N != 10 || spec.Width() != 10 {
-		t.Fatalf("spec = %+v width %v", spec, spec.Width())
+	if spec.N != 10 || spec.width() != 10 {
+		t.Fatalf("spec = %+v width %v", spec, spec.width())
 	}
-	if spec.Bucket(1) != 0 || spec.Bucket(10) != 0 || spec.Bucket(11) != 1 || spec.Bucket(100) != 9 {
+	if spec.bucket(1) != 0 || spec.bucket(10) != 0 || spec.bucket(11) != 1 || spec.bucket(100) != 9 {
 		t.Fatalf("bucket boundaries wrong: %d %d %d %d",
-			spec.Bucket(1), spec.Bucket(10), spec.Bucket(11), spec.Bucket(100))
+			spec.bucket(1), spec.bucket(10), spec.bucket(11), spec.bucket(100))
 	}
 	// Out-of-range clamps.
-	if spec.Bucket(-5) != 0 || spec.Bucket(1000) != 9 {
+	if spec.bucket(-5) != 0 || spec.bucket(1000) != 9 {
 		t.Fatal("clamping broken")
 	}
 	// More buckets than values collapses to the domain size.
@@ -52,21 +52,21 @@ func TestBucketSpecExtremeDomains(t *testing.T) {
 		if spec.N != wantN[i] {
 			t.Fatalf("spec %d: N = %d, want %d (overflowed clamp?)", i, spec.N, wantN[i])
 		}
-		w := spec.Width()
+		w := spec.width()
 		if !(w > 0) || math.IsInf(w, 0) || math.IsNaN(w) {
 			t.Fatalf("spec %d: width = %v", i, w)
 		}
-		if got := spec.Bucket(spec.Lo); got != 0 {
+		if got := spec.bucket(spec.Lo); got != 0 {
 			t.Fatalf("spec %d: Bucket(Lo) = %d, want 0", i, got)
 		}
-		if got := spec.Bucket(spec.Hi); got != spec.N-1 {
+		if got := spec.bucket(spec.Hi); got != spec.N-1 {
 			t.Fatalf("spec %d: Bucket(Hi) = %d, want %d", i, got, spec.N-1)
 		}
 		// Bucketing is monotone and in range across the domain.
 		probes := []int64{spec.Lo, spec.Lo + 1, spec.Lo/2 + spec.Hi/2, spec.Hi - 1, spec.Hi}
 		prev := 0
 		for _, v := range probes {
-			idx := spec.Bucket(v)
+			idx := spec.bucket(v)
 			if idx < 0 || idx >= spec.N {
 				t.Fatalf("spec %d: Bucket(%d) = %d out of [0,%d)", i, v, idx, spec.N)
 			}
@@ -84,8 +84,8 @@ func TestBucketSpecExtremeDomains(t *testing.T) {
 		if s.N != 1 {
 			t.Fatalf("single-value domain at %d: N = %d, want 1", v, s.N)
 		}
-		if s.Bucket(v) != 0 {
-			t.Fatalf("single-value domain at %d: Bucket = %d", v, s.Bucket(v))
+		if s.bucket(v) != 0 {
+			t.Fatalf("single-value domain at %d: Bucket = %d", v, s.bucket(v))
 		}
 	}
 

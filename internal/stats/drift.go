@@ -26,37 +26,13 @@ type Drift struct {
 // fixed order, so concurrent two-store operations cannot deadlock):
 // measuring drift against a store that is still being fed by an
 // instrumented run is safe.
-//
-// A sketch generation and an exact generation of the same target compare
-// as siblings: a statistic present in one store only under its exact kind
-// and in the other only under its approximate counterpart (same target and
-// attributes) counts as Shared, with the sketch's estimate compared against
-// the exact figure. Without this pairing, switching the observation tier
-// between runs would report total drift on every statistic — the same
-// mis-comparison the pre-PR3 mixed scalar/histogram bug made within a
-// store.
 func MeasureDrift(old, new *Store) Drift {
 	defer lockPair(old, new, false)()
 	var d Drift
 	var sum float64
-	// matchedNew tracks new-store keys consumed by sibling pairing so the
-	// OnlyNew sweep does not double-count them.
-	matchedNew := make(map[Key]bool)
 	for k, ov := range old.m {
 		nv, ok := new.m[k]
 		if !ok {
-			if sk, sok := siblingKey(k); sok {
-				if sv, have := new.m[sk]; have {
-					d.Shared++
-					matchedNew[sk] = true
-					rel := crossTierDrift(ov, sv)
-					sum += rel
-					if rel > d.MaxRel {
-						d.MaxRel = rel
-					}
-					continue
-				}
-			}
 			d.OnlyOld++
 			continue
 		}
@@ -68,7 +44,7 @@ func MeasureDrift(old, new *Store) Drift {
 		}
 	}
 	for k := range new.m {
-		if _, ok := old.m[k]; !ok && !matchedNew[k] {
+		if _, ok := old.m[k]; !ok {
 			d.OnlyNew++
 		}
 	}
@@ -78,96 +54,9 @@ func MeasureDrift(old, new *Store) Drift {
 	return d
 }
 
-// siblingKey toggles a key between a kind and its exact/approximate
-// counterpart (Distinct ↔ HLLDistinct, Hist ↔ CMHist); ok is false for
-// kinds without a counterpart.
-func siblingKey(k Key) (Key, bool) {
-	var sib Kind
-	switch k.Kind {
-	case Distinct:
-		sib = HLLDistinct
-	case HLLDistinct:
-		sib = Distinct
-	case Hist:
-		sib = CMHist
-	case CMHist:
-		sib = Hist
-	default:
-		return Key{}, false
-	}
-	k.Kind = sib
-	return k, true
-}
-
-// crossTierDrift compares a sketch observation against an exact one of the
-// same target (either ordering).
-func crossTierDrift(a, b *Value) float64 {
-	// Normalize so x is exact and y approximate.
-	x, y := a, b
-	if x.Stat.Kind.Approx() {
-		x, y = y, x
-	}
-	switch {
-	case y.HLL != nil && x.Hist == nil && x.CM == nil:
-		return relChange(float64(x.Scalar), float64(y.HLL.Estimate()))
-	case y.CM != nil && x.Hist != nil:
-		// Bucketize the exact histogram to the sketch's spec and compare
-		// bucket vectors by normalized L1, mirroring valueDrift's exact
-		// histogram comparison.
-		ex, err := Bucketize(x.Hist, y.CM.Spec)
-		if err != nil {
-			return 1
-		}
-		ap := y.CM.Approx()
-		var l1, exTotal, apTotal float64
-		for i := 0; i < y.CM.Spec.N; i++ {
-			l1 += math.Abs(ex.Totals[i] - ap.Totals[i])
-			exTotal += ex.Totals[i]
-			apTotal += ap.Totals[i]
-		}
-		denom := math.Max(exTotal, apTotal)
-		if denom == 0 {
-			if l1 == 0 {
-				return 0
-			}
-			return 1
-		}
-		return math.Min(1, l1/(2*denom))
-	}
-	// Shapes that cannot be compared meaningfully: full drift.
-	return 1
-}
-
 // valueDrift returns the relative change between two observations of the
 // same statistic.
 func valueDrift(ov, nv *Value) float64 {
-	if ov.HLL != nil || nv.HLL != nil {
-		// Two sketch generations of a distinct count: compare estimates.
-		if ov.HLL == nil || nv.HLL == nil {
-			return 1
-		}
-		return relChange(float64(ov.HLL.Estimate()), float64(nv.HLL.Estimate()))
-	}
-	if ov.CM != nil || nv.CM != nil {
-		if ov.CM == nil || nv.CM == nil || ov.CM.Spec != nv.CM.Spec {
-			return 1
-		}
-		a, b := ov.CM.Approx(), nv.CM.Approx()
-		var l1, at, bt float64
-		for i := 0; i < ov.CM.Spec.N; i++ {
-			l1 += math.Abs(a.Totals[i] - b.Totals[i])
-			at += a.Totals[i]
-			bt += b.Totals[i]
-		}
-		denom := math.Max(at, bt)
-		if denom == 0 {
-			if l1 == 0 {
-				return 0
-			}
-			return 1
-		}
-		return math.Min(1, l1/(2*denom))
-	}
 	if (ov.Hist == nil) != (nv.Hist == nil) {
 		// The representation itself changed between runs (scalar one run,
 		// histogram the other, e.g. differing instrumentation): comparing

@@ -40,21 +40,18 @@ func FuzzReadStore(f *testing.F) {
 	// Header count past the absolute cap.
 	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\xff\xff\xff\xff"))
 
-	// Version-2 streams: a genuine store carrying both sketch shapes, and
-	// its v1 downgrade (a valid v1 stream that must upgrade cleanly).
-	var valid2 bytes.Buffer
-	if _, err := sampleSketchStore().WriteTo(&valid2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid2.Bytes())
-	f.Add(valid2.Bytes()[:valid2.Len()-1]) // truncated sketch counters
-	// Hostile v2 mutants: sketch kind in a v1 stream, out-of-range shape
-	// byte, lying HLL precision, non-canonical count-min spec.
-	v1Sketch := append([]byte(nil), valid2.Bytes()...)
+	// A version-2 stream from when the sketch kinds were registered (each
+	// retired kind must now be refused) and its hostile mutants: truncated
+	// sketch counters, the v1 downgrade, and flipped bytes in the target,
+	// the HLL registers and the count-min counters.
+	valid2 := retiredSketchStream(f)
+	f.Add(valid2)
+	f.Add(valid2[:len(valid2)-1])
+	v1Sketch := append([]byte(nil), valid2...)
 	v1Sketch[7] = 1
 	f.Add(v1Sketch)
-	for _, off := range []int{16, 60, valid2.Len() / 2, valid2.Len() - 9} {
-		mut := append([]byte(nil), valid2.Bytes()...)
+	for _, off := range []int{16, 60, len(valid2) / 2, len(valid2) - 9} {
+		mut := append([]byte(nil), valid2...)
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/essential-stats/etlopt/internal/expr"
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -22,9 +21,10 @@ import (
 const (
 	persistMagic = "ETLSTAT"
 	// persistVersion is the version WriteTo emits. Version 1 carried the
-	// two-shape scalar/histogram union; version 2 added the sketch shapes
-	// (HLL register files, count-min counter matrices). ReadStore accepts
-	// both.
+	// two-shape scalar/histogram union; version 2 added two sketch kinds
+	// (bytes 3 and 4) that are since retired, so both versions now carry
+	// the same two shapes and ReadStore accepts both, refusing a retired
+	// kind byte as unknown.
 	persistVersion = 2
 	// persistVersionMin is the oldest version ReadStore accepts.
 	persistVersionMin = 1
@@ -192,25 +192,6 @@ func (r *statReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// readUvarint decodes one canonical (minimal-length) unsigned varint. The
-// format stays "WriteTo could have produced this": an over-long encoding
-// of a small value is rejected, so every accepted stream re-serializes to
-// identical bytes.
-func (r *statReader) readUvarint(what string) (uint64, error) {
-	start := r.off
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, r.corrupt("truncated %s", what)
-		}
-		return 0, r.corrupt("invalid %s varint: %v", what, err)
-	}
-	if n := r.off - start; n > 1 && v < 1<<(7*uint(n-1)) {
-		return 0, r.corrupt("non-minimal varint for %s", what)
-	}
-	return v, nil
-}
-
 // corrupt builds a typed formatError at the current offset.
 func (r *statReader) corrupt(format string, args ...any) error {
 	return &formatError{Offset: r.off, Msg: fmt.Sprintf(format, args...), Version: r.version, BadKind: -1}
@@ -319,11 +300,8 @@ func writeValue(w io.Writer, v *Value) error {
 			return err
 		}
 	}
-	// The shape byte mirrors the kind registry: 0 scalar, 1 histogram,
-	// 2 HLL register file, 3 count-min matrix (2 and 3 are version-2
-	// encodings).
-	switch {
-	case v.Hist != nil:
+	// The shape byte mirrors the kind registry: 0 scalar, 1 histogram.
+	if v.Hist != nil {
 		if err := binary.Write(w, binary.LittleEndian, uint8(shapeHist)); err != nil {
 			return err
 		}
@@ -343,41 +321,11 @@ func writeValue(w io.Writer, v *Value) error {
 			werr = binary.Write(w, binary.LittleEndian, freq)
 		})
 		return werr
-	case v.HLL != nil:
-		if err := binary.Write(w, binary.LittleEndian, uint8(shapeHLL)); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, v.HLL.P); err != nil {
-			return err
-		}
-		return writeHLLRegs(w, v.HLL)
-	case v.CM != nil:
-		if err := binary.Write(w, binary.LittleEndian, uint8(shapeCM)); err != nil {
-			return err
-		}
-		cm := v.CM
-		for _, x := range []int64{cm.Spec.Lo, cm.Spec.Hi} {
-			if err := binary.Write(w, binary.LittleEndian, x); err != nil {
-				return err
-			}
-		}
-		for _, x := range []uint32{uint32(cm.Spec.N), uint32(cm.Depth), uint32(cm.Width)} {
-			if err := binary.Write(w, binary.LittleEndian, x); err != nil {
-				return err
-			}
-		}
-		for _, c := range cm.Counters {
-			if err := writeUvarint(w, uint64(c)); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		if err := binary.Write(w, binary.LittleEndian, uint8(shapeScalar)); err != nil {
-			return err
-		}
-		return binary.Write(w, binary.LittleEndian, v.Scalar)
 	}
+	if err := binary.Write(w, binary.LittleEndian, uint8(shapeScalar)); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.LittleEndian, v.Scalar)
 }
 
 // intFieldRange is the valid range of the target's int fields. Statistic
@@ -395,11 +343,6 @@ func readValue(r *statReader) (*Value, error) {
 	}
 	if !Kind(kind).valid() {
 		return nil, r.unknownKind(kind)
-	}
-	if r.version < 2 && Kind(kind) > Hist {
-		// Sketch kinds did not exist in version 1; a v1 stream carrying one
-		// is not a stream any writer produced.
-		return nil, r.corrupt("statistic kind %v requires format version 2, stream is version %d", Kind(kind), r.version)
 	}
 	var block, set, depth, rejIn, rejEdge int64
 	for _, f := range []struct {
@@ -456,27 +399,18 @@ func readValue(r *statReader) (*Value, error) {
 	if err := binary.Read(r, binary.LittleEndian, &flag); err != nil {
 		return nil, r.readErr("shape flag", err)
 	}
-	maxShape := uint8(shapeHist)
-	if r.version >= 2 {
-		maxShape = uint8(shapeCM)
-	}
-	if flag > maxShape {
-		return nil, r.corrupt("shape flag %d (version %d allows at most %d)", flag, r.version, maxShape)
+	if flag > uint8(shapeHist) {
+		return nil, r.corrupt("shape flag %d (at most %d)", flag, shapeHist)
 	}
 	if shape(flag) != s.Kind.shape() {
 		return nil, r.corrupt("shape flag %d contradicts statistic kind %v", flag, s.Kind)
 	}
-	switch shape(flag) {
-	case shapeScalar:
+	if shape(flag) == shapeScalar {
 		var scalar int64
 		if err := binary.Read(r, binary.LittleEndian, &scalar); err != nil {
 			return nil, r.readErr("scalar", err)
 		}
 		return &Value{Stat: s, Scalar: scalar}, nil
-	case shapeHLL:
-		return r.readHLLValue(s)
-	case shapeCM:
-		return r.readCMValue(s)
 	}
 	var buckets uint32
 	if err := binary.Read(r, binary.LittleEndian, &buckets); err != nil {
@@ -527,57 +461,6 @@ func readValue(r *statReader) (*Value, error) {
 	return &Value{Stat: s, Hist: h}, nil
 }
 
-// hllSparse decides the register-file encoding: a register file whose
-// occupancy is below a quarter writes smaller as (index, rank) pairs —
-// each pair costs at most 4 bytes (a ≤3-byte index varint plus the rank) —
-// while a fuller one writes smaller dense. The rule depends only on the
-// nonzero-register count, so the reader can re-check it and keep the
-// stream canonical.
-func hllSparse(nonzero, regs int) bool { return 4*nonzero < regs }
-
-// writeHLLRegs encodes an HLL register file: a mode byte (0 dense, 1
-// sparse), then either all 2^p rank bytes or a varint pair count followed
-// by ascending (varint index, rank byte) pairs for the nonzero registers.
-func writeHLLRegs(w io.Writer, h *HLL) error {
-	nonzero := 0
-	for _, reg := range h.Regs {
-		if reg != 0 {
-			nonzero++
-		}
-	}
-	if !hllSparse(nonzero, len(h.Regs)) {
-		if err := binary.Write(w, binary.LittleEndian, uint8(0)); err != nil {
-			return err
-		}
-		_, err := w.Write(h.Regs)
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint8(1)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(nonzero)); err != nil {
-		return err
-	}
-	for i, reg := range h.Regs {
-		if reg == 0 {
-			continue
-		}
-		if err := writeUvarint(w, uint64(i)); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{reg}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeUvarint(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	_, err := w.Write(buf[:binary.PutUvarint(buf[:], v)])
-	return err
-}
-
 func writeString(w io.Writer, s string) error {
 	if len(s) > 0xFFFF {
 		return fmt.Errorf("stats: string too long (%d bytes)", len(s))
@@ -587,134 +470,6 @@ func writeString(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-// readHLLValue decodes an HLL register file: precision byte, then 2^p
-// registers (each a rank in [0, 65-p]).
-func (r *statReader) readHLLValue(s Stat) (*Value, error) {
-	var p uint8
-	if err := binary.Read(r, binary.LittleEndian, &p); err != nil {
-		return nil, r.readErr("hll precision", err)
-	}
-	if p < hllPMin || p > hllPMax {
-		return nil, r.corrupt("hll precision %d out of range [%d, %d]", p, hllPMin, hllPMax)
-	}
-	n := int64(1) << p
-	var mode uint8
-	if err := binary.Read(r, binary.LittleEndian, &mode); err != nil {
-		return nil, r.readErr("hll register mode", err)
-	}
-	maxRank := byte(65 - p)
-	switch mode {
-	case 0: // dense: 2^p raw rank bytes
-		if err := r.checkRemaining(n, 1, "hll register"); err != nil {
-			return nil, err
-		}
-		regs := make([]byte, n)
-		if _, err := io.ReadFull(r, regs); err != nil {
-			return nil, r.readErr("hll registers", err)
-		}
-		nonzero := 0
-		for i, reg := range regs {
-			if reg > maxRank {
-				return nil, r.corrupt("hll register %d holds impossible rank %d", i, reg)
-			}
-			if reg != 0 {
-				nonzero++
-			}
-		}
-		if hllSparse(nonzero, len(regs)) {
-			return nil, r.corrupt("dense hll encoding of %d/%d registers (writer emits sparse)", nonzero, len(regs))
-		}
-		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}}, nil
-	case 1: // sparse: pair count, ascending (index, rank) pairs
-		pairs, err := r.readUvarint("hll pair count")
-		if err != nil {
-			return nil, err
-		}
-		if !hllSparse(int(pairs), int(n)) || int64(pairs) > n {
-			return nil, r.corrupt("sparse hll encoding of %d/%d registers (writer emits dense)", pairs, n)
-		}
-		if err := r.checkRemaining(int64(pairs), 2, "hll register pair"); err != nil {
-			return nil, err
-		}
-		regs := make([]byte, n)
-		prev := int64(-1)
-		for i := uint64(0); i < pairs; i++ {
-			idx, err := r.readUvarint("hll register index")
-			if err != nil {
-				return nil, err
-			}
-			if int64(idx) >= n {
-				return nil, r.corrupt("hll register index %d out of range", idx)
-			}
-			if int64(idx) <= prev {
-				return nil, r.corrupt("hll register indexes not ascending at %d", idx)
-			}
-			prev = int64(idx)
-			var rank [1]byte
-			if _, err := io.ReadFull(r, rank[:]); err != nil {
-				return nil, r.readErr("hll register rank", err)
-			}
-			if rank[0] == 0 || rank[0] > maxRank {
-				return nil, r.corrupt("hll register %d holds impossible rank %d", idx, rank[0])
-			}
-			regs[idx] = rank[0]
-		}
-		return &Value{Stat: s, HLL: &HLL{P: p, Regs: regs}}, nil
-	default:
-		return nil, r.corrupt("hll register mode %d", mode)
-	}
-}
-
-// maxCMDim bounds the declared count-min dimensions; nothing the writer
-// produces comes close, and depth*width*8 drives the allocation.
-const maxCMDim = 1 << 12
-
-// readCMValue decodes a count-min matrix: bucket spec (lo, hi, n), depth,
-// width, then depth*width counters.
-func (r *statReader) readCMValue(s Stat) (*Value, error) {
-	var lo, hi int64
-	if err := binary.Read(r, binary.LittleEndian, &lo); err != nil {
-		return nil, r.readErr("cm bucket lo", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &hi); err != nil {
-		return nil, r.readErr("cm bucket hi", err)
-	}
-	var n, depth, width uint32
-	for _, f := range []struct {
-		p    *uint32
-		name string
-	}{{&n, "cm bucket count"}, {&depth, "cm depth"}, {&width, "cm width"}} {
-		if err := binary.Read(r, binary.LittleEndian, f.p); err != nil {
-			return nil, r.readErr(f.name, err)
-		}
-	}
-	spec := BucketSpec{Lo: lo, Hi: hi, N: int(n)}
-	// Acceptance stays "WriteTo could have produced this": the spec must be
-	// in the canonical form NewBucketSpec returns.
-	if n == 0 || n > maxCMDim || spec != NewBucketSpec(lo, hi, int(n)) {
-		return nil, r.corrupt("non-canonical cm bucket spec [%d, %d]/%d", lo, hi, n)
-	}
-	if depth == 0 || depth > maxCMDim || width == 0 || width > maxCMDim {
-		return nil, r.corrupt("cm dimensions %dx%d out of range", depth, width)
-	}
-	cells := int64(depth) * int64(width)
-	if err := r.checkRemaining(cells, 1, "cm counter"); err != nil {
-		return nil, err
-	}
-	counters := make([]int64, cells)
-	for i := range counters {
-		c, err := r.readUvarint("cm counter")
-		if err != nil {
-			return nil, err
-		}
-		if c > math.MaxInt64 {
-			return nil, r.corrupt("cm counter %d overflows at cell %d", c, i)
-		}
-		counters[i] = int64(c)
-	}
-	return &Value{Stat: s, CM: &CMH{Spec: spec, Depth: int(depth), Width: int(width), Counters: counters}}, nil
 }
 
 func readString(r *statReader) (string, error) {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -31,22 +33,64 @@ func sampleStore() *Store {
 	return st
 }
 
-// sampleSketchStore mixes exact values with both version-2 sketch shapes.
-func sampleSketchStore() *Store {
-	a := workflow.Attr{Rel: "Orders", Col: "cid"}
-	st := NewStore()
-	st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Scalar: 12345})
-	hll := NewHLL(DefaultHLLP)
-	for i := int64(0); i < 200; i++ {
-		hll.Add(i)
+// retiredSketchStream returns a checked-in version-2 stream written while
+// the sketch kinds (HyperLogLog distinct counts, kind byte 3; count-min
+// histograms, kind byte 4) were registered: an exact cardinality, then one
+// value of each retired kind.
+func retiredSketchStream(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzReadStore/retired_sketch_kinds")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	st.Put(&Value{Stat: hllDistinct(BlockSE(0, expr.NewSet(0)), a), HLL: hll})
-	cm := NewCMH(CMSpecFor(1, 500), DefaultCMDepth, DefaultCMWidth)
-	for i := int64(0); i < 300; i++ {
-		cm.Observe(i%500 + 1)
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "[]byte(")
+	in, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		tb.Fatalf("corpus entry: %v", err)
 	}
-	st.Put(&Value{Stat: cmHist(BlockSE(0, expr.NewSet(1)), a), CM: cm})
-	return st
+	return []byte(in)
+}
+
+// TestReadStoreRefusesRetiredKinds: a stream carrying a retired sketch kind
+// is refused through the unknown-kind rejection, in either version, and
+// carries the kind byte.
+func TestReadStoreRefusesRetiredKinds(t *testing.T) {
+	stream := retiredSketchStream(t)
+	// The first value is a scalar cardinality; the kind byte of the second
+	// follows it.
+	kindOff := persistHeaderLen + minValueLen
+	for _, tc := range []struct {
+		version uint32
+		kind    byte
+	}{{2, 3}, {2, 4}, {1, 3}, {1, 4}} {
+		in := append([]byte(nil), stream...)
+		binary.LittleEndian.PutUint32(in[len(persistMagic):], tc.version)
+		in[kindOff] = tc.kind
+		_, err := ReadStore(bytes.NewReader(in))
+		var fe *formatError
+		if !errors.As(err, &fe) || !errors.Is(err, errCorrupt) {
+			t.Fatalf("v%d kind %d: want *formatError wrapping errCorrupt, got %v", tc.version, tc.kind, err)
+		}
+		if fe.BadKind != int(tc.kind) || fe.Version != tc.version || fe.Offset != int64(kindOff+1) {
+			t.Fatalf("v%d kind %d: refusal carries kind %d version %d offset %d", tc.version, tc.kind, fe.BadKind, fe.Version, fe.Offset)
+		}
+	}
+}
+
+// TestPersistUnknownKindTyped: the forward-compatibility rejection carries
+// the unknown kind byte and the stream version.
+func TestPersistUnknownKindTyped(t *testing.T) {
+	// v2 header, one statistic, kind byte 9, padded past the minimal value
+	// length so the size pre-check does not fire first.
+	in := append([]byte("ETLSTAT\x02\x00\x00\x00\x01\x00\x00\x00\x09"), make([]byte, 64)...)
+	_, err := ReadStore(bytes.NewReader(in))
+	var fe *formatError
+	if !errors.As(err, &fe) || !errors.Is(err, errCorrupt) {
+		t.Fatalf("want *FormatError wrapping ErrCorrupt, got %v", err)
+	}
+	if fe.BadKind != 9 || fe.Version != 2 {
+		t.Fatalf("FormatError carries kind %d version %d, want 9/2", fe.BadKind, fe.Version)
+	}
 }
 
 func TestPersistRoundTrip(t *testing.T) {

@@ -26,13 +26,6 @@ const (
 	Distinct
 	// Hist is an exact frequency distribution H_T^a over an attribute set.
 	Hist
-	// HLLDistinct is the sketch-backed approximate counterpart of Distinct:
-	// a HyperLogLog register file whose estimate stands in for |a_T|.
-	HLLDistinct
-	// CMHist is the sketch-backed approximate counterpart of Hist: a
-	// count-min sketch over the buckets of a BucketSpec, standing in for a
-	// bucketized H_T^a.
-	CMHist
 )
 
 // shape is the field of Value a kind fills.
@@ -44,30 +37,19 @@ const (
 	shapeScalar shape = iota
 	// shapeHist is an exact frequency histogram.
 	shapeHist
-	// shapeHLL is a HyperLogLog register file.
-	shapeHLL
-	// shapeCM is a count-min sketch over histogram buckets.
-	shapeCM
 )
 
 // kindInfo is one row of the kind registry.
 type kindInfo struct {
 	name  string
 	shape shape
-	// approx marks sketch-backed kinds; exact names the exact kind an
-	// approximate one stands in for (itself for exact kinds).
-	approx bool
-	exact  Kind
 }
 
-// kindRegistry declares every statistic kind: name, value shape, and the
-// exact/approximate pairing the selector and degradation ladder navigate.
+// kindRegistry declares every statistic kind: its name and value shape.
 var kindRegistry = [...]kindInfo{
-	Card:        {name: "card", shape: shapeScalar, exact: Card},
-	Distinct:    {name: "distinct", shape: shapeScalar, exact: Distinct},
-	Hist:        {name: "hist", shape: shapeHist, exact: Hist},
-	HLLDistinct: {name: "hll-distinct", shape: shapeHLL, approx: true, exact: Distinct},
-	CMHist:      {name: "cm-hist", shape: shapeCM, approx: true, exact: Hist},
+	Card:     {name: "card", shape: shapeScalar},
+	Distinct: {name: "distinct", shape: shapeScalar},
+	Hist:     {name: "hist", shape: shapeHist},
 }
 
 // numKinds is the number of registered statistic kinds; kind bytes at or
@@ -79,13 +61,6 @@ func (k Kind) valid() bool { return int(k) < numKinds }
 
 // shape returns the value field the kind fills.
 func (k Kind) shape() shape { return kindRegistry[k].shape }
-
-// Approx reports whether the kind is a sketch-backed approximation.
-func (k Kind) Approx() bool { return kindRegistry[k].approx }
-
-// exactKind returns the exact kind an approximate kind stands in for
-// (the kind itself when already exact).
-func (k Kind) exactKind() Kind { return kindRegistry[k].exact }
 
 // String names the kind.
 func (k Kind) String() string {
@@ -194,33 +169,6 @@ func NewHist(t Target, attrs ...workflow.Attr) Stat {
 	return Stat{Kind: Hist, Target: t, Attrs: canonAttrs(attrs)}
 }
 
-// ApproxVariant returns the sketch-backed counterpart of an exact
-// statistic, when one exists: any distinct count has an HLL variant; a
-// histogram has a count-min variant only for single-attribute non-reject
-// targets (the bucketizable case the estimation algebra's J1 consumes —
-// joint distributions and reject-side auxiliary joins stay exact).
-func ApproxVariant(s Stat) (Stat, bool) {
-	switch s.Kind {
-	case Distinct:
-		return Stat{Kind: HLLDistinct, Target: s.Target, Attrs: s.Attrs}, true
-	case Hist:
-		if len(s.Attrs) != 1 || s.Target.IsReject() {
-			return Stat{}, false
-		}
-		return Stat{Kind: CMHist, Target: s.Target, Attrs: s.Attrs}, true
-	}
-	return Stat{}, false
-}
-
-// ExactVariant returns the exact statistic an approximate one stands in
-// for; ok is false when s is already exact.
-func ExactVariant(s Stat) (Stat, bool) {
-	if !s.Kind.Approx() {
-		return Stat{}, false
-	}
-	return Stat{Kind: s.Kind.exactKind(), Target: s.Target, Attrs: s.Attrs}, true
-}
-
 // canonAttrs sorts and de-duplicates an attribute list (rule composition
 // can mention the same class twice, e.g. J5 when the carried attribute is
 // the join attribute itself).
@@ -268,10 +216,6 @@ func (s Stat) Label(b *workflow.Block) string {
 		return "|" + s.Target.Label(b) + "|"
 	case Distinct:
 		return "|" + workflow.AttrsString(s.Attrs) + "_{" + s.Target.Label(b) + "}|"
-	case HLLDistinct:
-		return "|~" + workflow.AttrsString(s.Attrs) + "_{" + s.Target.Label(b) + "}|"
-	case CMHist:
-		return "~H^{" + workflow.AttrsString(s.Attrs) + "}_{" + s.Target.Label(b) + "}"
 	default:
 		return "H^{" + workflow.AttrsString(s.Attrs) + "}_{" + s.Target.Label(b) + "}"
 	}

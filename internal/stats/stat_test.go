@@ -146,7 +146,6 @@ func TestStorePutWriteOnce(t *testing.T) {
 	h1, h2 := NewHistogram(a), NewHistogram(a)
 	h1.Add(1)
 	h2.Add(2)
-	spec := CMSpecFor(1, 10)
 	for _, tc := range []struct {
 		name          string
 		first, second *Value
@@ -154,13 +153,9 @@ func TestStorePutWriteOnce(t *testing.T) {
 		wrong, double *Value
 	}{
 		{"scalar", &Value{Stat: NewCard(tgt), Scalar: 1}, &Value{Stat: NewCard(tgt), Scalar: 2},
-			&Value{Stat: NewCard(tgt), Hist: h1}, &Value{Stat: NewCard(tgt), HLL: NewHLL(DefaultHLLP), CM: NewCMH(spec, 2, 8)}},
+			&Value{Stat: NewCard(tgt), Hist: h1}, &Value{Stat: NewCard(tgt), Hist: h2, Scalar: 1}},
 		{"hist", &Value{Stat: NewHist(tgt, a), Hist: h1}, &Value{Stat: NewHist(tgt, a), Hist: h2},
 			&Value{Stat: NewHist(tgt, a), Scalar: 1}, &Value{Stat: NewHist(tgt, a), Hist: h2, Scalar: 1}},
-		{"hll", &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP)}, &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP)},
-			&Value{Stat: hllDistinct(tgt, a), Scalar: 1}, &Value{Stat: hllDistinct(tgt, a), HLL: NewHLL(DefaultHLLP), Hist: h1}},
-		{"cm", &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8)}, &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8)},
-			&Value{Stat: cmHist(tgt, a), HLL: NewHLL(DefaultHLLP)}, &Value{Stat: cmHist(tgt, a), CM: NewCMH(spec, 2, 8), Scalar: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := NewStore()
@@ -181,9 +176,6 @@ func TestStorePutWriteOnce(t *testing.T) {
 			got, ok := st.Get(tc.first.Stat)
 			if !ok || got != tc.first || st.Len() != 1 {
 				t.Fatalf("Get = %p, %v (len %d); want the first value %p", got, ok, st.Len(), tc.first)
-			}
-			if got.Approx != tc.first.Stat.Kind.Approx() {
-				t.Fatalf("Approx = %v, want %v", got.Approx, tc.first.Stat.Kind.Approx())
 			}
 			for _, bad := range []*Value{tc.wrong, tc.double} {
 				if err := st.Put(bad); !errors.As(err, &ke) {

@@ -11,19 +11,11 @@ import (
 
 // Value is an observed statistic value. A stored value fills exactly the
 // one field its kind registers: Scalar for cardinalities and distinct
-// counts, Hist for distributions, HLL or CM for the approximate kinds. The
-// estimator's values may fill more (an HLL with its estimate in Scalar, a
-// count-min with its midpoint histogram in Hist).
+// counts, Hist for distributions.
 type Value struct {
 	Stat   Stat
 	Scalar int64
 	Hist   *Histogram
-	HLL    *HLL
-	CM     *CMH
-	// Approx marks values whose figure came through the sketch tier —
-	// either a sketch itself or a scalar/histogram derived from one — so
-	// estimation feedback can tag its source tier.
-	Approx bool
 }
 
 // Store holds observed statistic values keyed by statistic identity. It is
@@ -102,7 +94,7 @@ func (st *Store) Has(s Stat) bool {
 
 // kindError reports a put whose value does not fill exactly the one field
 // the statistic kind registers (a scalar for a histogram statistic, a
-// histogram and a sketch at once, ...). It is a typed error so the
+// histogram and a scalar at once, ...). It is a typed error so the
 // observation layer can mark the statistic degraded and keep the run alive
 // instead of crashing it.
 type kindError struct {
@@ -115,33 +107,24 @@ func (e *kindError) Error() string {
 }
 
 // filled returns the shape of the one field v fills; ok is false when it
-// fills more than one. A value with no histogram or sketch is a scalar.
+// fills more than one. A value with no histogram is a scalar.
 func (v *Value) filled() (sh shape, ok bool) {
-	n := 0
 	if v.Hist != nil {
-		n, sh = n+1, shapeHist
+		return shapeHist, v.Scalar == 0
 	}
-	if v.HLL != nil {
-		n, sh = n+1, shapeHLL
-	}
-	if v.CM != nil {
-		n, sh = n+1, shapeCM
-	}
-	return sh, n == 0 || n == 1 && v.Scalar == 0
+	return shapeScalar, true
 }
 
 // Put records v unless its statistic is already present, atomically: the
 // first value per statistic wins and later ones are dropped (the
 // check-then-put the collectors rely on). The store keeps v itself, so the
-// caller must not modify it afterwards, and sets its Approx tag from the
-// kind. A value that does not fill exactly the field its kind registers is
+// caller must not modify it afterwards. A value that does not fill exactly the field its kind registers is
 // rejected with a *kindError and the store is left as it was.
 func (st *Store) Put(v *Value) error {
 	s := v.Stat
 	if sh, ok := v.filled(); !ok || !s.Kind.valid() || sh != s.Kind.shape() {
 		return &kindError{Stat: s}
 	}
-	v.Approx = s.Kind.Approx()
 	k := s.Key()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -225,10 +208,6 @@ func (st *Store) MemoryUnits() int64 {
 		switch {
 		case v.Hist != nil:
 			total += int64(v.Hist.Buckets())
-		case v.HLL != nil:
-			total += v.HLL.memoryUnits()
-		case v.CM != nil:
-			total += v.CM.MemoryUnits()
 		default:
 			total++
 		}
@@ -243,10 +222,6 @@ func (st *Store) Dump(b *workflow.Block) string {
 		switch {
 		case v.Hist != nil:
 			out += fmt.Sprintf("%s: %d buckets, total %d\n", v.Stat.Label(b), v.Hist.Buckets(), v.Hist.Total())
-		case v.HLL != nil:
-			out += fmt.Sprintf("%s ≈ %d (hll 2^%d)\n", v.Stat.Label(b), v.HLL.Estimate(), v.HLL.P)
-		case v.CM != nil:
-			out += fmt.Sprintf("%s: ~%d buckets, total %d (cm %dx%d)\n", v.Stat.Label(b), v.CM.Spec.N, v.CM.total(), v.CM.Depth, v.CM.Width)
 		default:
 			out += fmt.Sprintf("%s = %d\n", v.Stat.Label(b), v.Scalar)
 		}

@@ -223,18 +223,6 @@ func (ev *evaluator) collect(tap physical.Tap, tbl *data.Table) error {
 			}
 		}
 		return ev.store.Put(&stats.Value{Stat: tap.Stat, Hist: h})
-	case stats.HLLDistinct:
-		h := stats.NewHLL(stats.DefaultHLLP)
-		for _, r := range tbl.Rows {
-			h.Add(pick(r, tap.Cols)...)
-		}
-		return ev.store.Put(&stats.Value{Stat: tap.Stat, HLL: h})
-	case stats.CMHist:
-		cm := stats.NewCMH(tap.Spec, stats.DefaultCMDepth, stats.DefaultCMWidth)
-		for _, r := range tbl.Rows {
-			cm.Observe(r[tap.Cols[0]])
-		}
-		return ev.store.Put(&stats.Value{Stat: tap.Stat, CM: cm})
 	}
 	return fmt.Errorf("unexpected statistic kind %v", tap.Stat.Kind)
 }
