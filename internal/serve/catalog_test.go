@@ -3,6 +3,7 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -101,5 +102,29 @@ func TestCatalogIgnoresForeignDirs(t *testing.T) {
 	}
 	if len(c.Workflows()) != 0 {
 		t.Fatalf("stray dir surfaced as entry: %v", c.Workflows())
+	}
+}
+
+// TestCatalogRefusesRetiredGeneration: a catalog written before store
+// format version 3 does not open: the error names the workflow whose
+// generation must be observed again, and the version refused.
+func TestCatalogRefusesRetiredGeneration(t *testing.T) {
+	dir := t.TempDir()
+	v2, err := os.ReadFile("testdata/sketch_tier_upload.etlstat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "wf03"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wf03", "meta.json"), []byte(`{"workflow":"wf03","generation":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wf03", "gen-000001.stats"), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenCatalog(dir)
+	if err == nil || !strings.Contains(err.Error(), "catalog entry wf03") || !strings.Contains(err.Error(), "version 2 stream") {
+		t.Fatalf("a version-2 generation opened as %v, want a refusal naming wf03 and version 2", err)
 	}
 }

@@ -571,9 +571,11 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that fattens the wire fails here and not only in the benchmark.
-// The runs move 19,722 B, 5,383 B and 6,307 B under go 1.24's
-// compress/flate at level 3, and the budgets are 1.25 × those; the ETBL3
-// codec under level 2 moved 21,862 B, 7,930 B and 6,509 B. wf07 at scale
+// The runs move 19,675 B, 5,323 B, 3,877 B and 5,508 B under go 1.24's
+// compress/flate at level 3, and the budgets are 1.25 × those; before the
+// statistics store rode ETBL4 (store format version 3) they moved 19,722 B,
+// 5,383 B, 6,307 B and 8,243 B, and the ETBL3 codec under level 2 moved
+// 21,862 B, 7,930 B and 6,509 B of the first three. wf07 at scale
 // 0.01 is two dispatches whose upstream table is the largest the
 // benchmark's dist-run makes; it never crosses the wire: block 0's worker
 // holds it and block 1's request names it (38 KB when it crossed twice,
@@ -584,19 +586,23 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // input, 8 KB once the two intermediate outputs stay there, 5.4 KB once run
 // values went as deltas and dictionary codes as whole bytes, which DEFLATE
 // models (its tables inflate to 163,064 B, up from 133,320 B). wf12 at
-// 0.002 is one instrumented block of few rows and many statistics, so most
-// of what it inflates to is the shard. A clean run makes one exchange per
-// block: no recompute.
+// 0.002 and wf05 at 0.001 are one instrumented block each of many
+// statistics, so their shards are most of what they inflate to: 3,056 B and
+// 2,802 B as tables, 27,759 B and 25,887 B as the fixed-width buckets of
+// version 2. Each case pins its observed store's WriteTo bytes exactly. A
+// clean run makes one exchange per block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf           int
 		scale        float64
 		blocks, held int
 		budget       int64
+		store        int64
 	}{
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 24_653},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 6_729},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 7_884},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 24_594, store: 54},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 6_654, store: 74},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 4_847, store: 3_056},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, budget: 6_885, store: 2_802},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -625,6 +631,9 @@ func TestDistributedWireBytes(t *testing.T) {
 				}
 				if n := len(runs[i].exchanges); n != c.blocks {
 					t.Errorf("run %d made %d exchanges for %d blocks", i, n, c.blocks)
+				}
+				if n, err := cy.Observed.Observed.WriteTo(io.Discard); err != nil || n != c.store {
+					t.Errorf("run %d observed a store of %d bytes (%v), want %d", i, n, err, c.store)
 				}
 			}
 			sent, header, tables, shard, resident := runs[0].split(t)

@@ -64,8 +64,9 @@ func TestObserveUploadErrorStatus(t *testing.T) {
 
 // TestObserveRefusesSketchTierUpload: an upload carrying the retired sketch
 // kinds — the stream an approximate-tier producer sent for this workflow
-// when the tier existed — is refused as a corrupt stream that names the
-// unknown kind byte, and the catalog is left as it was.
+// when the tier existed, in store format version 2 — is refused as a
+// stream of a retired version, which the 422 names, and the catalog is left
+// as it was.
 func TestObserveRefusesSketchTierUpload(t *testing.T) {
 	doc, _ := tinyWorkflow(t, 11, 600)
 	srv, _ := newTestServer(t, doc, Options{})
@@ -79,8 +80,8 @@ func TestObserveRefusesSketchTierUpload(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("sketch-tier upload: %d %s, want 422", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), "unknown kind byte 4") {
-		t.Fatalf("422 body %q does not name the retired kind", rec.Body.String())
+	if !strings.Contains(rec.Body.String(), "version 2 stream, this build reads only version 3") {
+		t.Fatalf("422 body %q does not name the refused version", rec.Body.String())
 	}
 	if _, ok := srv.catalog.get("tiny"); ok {
 		t.Fatal("a refused upload reached the catalog")

@@ -25,37 +25,37 @@ func FuzzReadStore(f *testing.F) {
 	f.Add(valid.Bytes())
 	// Truncations at interesting boundaries.
 	f.Add(valid.Bytes()[:7])                 // magic only
-	f.Add(valid.Bytes()[:11])                // magic + version
-	f.Add(valid.Bytes()[:15])                // full header
+	f.Add(valid.Bytes()[:8])                 // magic + version
+	f.Add(valid.Bytes()[:9])                 // full header
 	f.Add(valid.Bytes()[:valid.Len()/2])     // mid-value
 	f.Add(valid.Bytes()[:valid.Len()-1])     // last byte missing
 	f.Add(append(valid.Bytes(), 0))          // trailing byte
 	f.Add([]byte{})                          // empty
 	f.Add([]byte("ETLSTAT"))                 // bare magic
 	f.Add([]byte("NOTMAGIC"))                // wrong magic
-	f.Add([]byte("ETLSTAT\x03\x00\x00\x00")) // future version
-	f.Add([]byte("ETLSTAT\x02\x00\x00\x00")) // v2 header, truncated count
+	f.Add([]byte("ETLSTAT\x04\x00"))         // future version
+	f.Add([]byte("ETLSTAT\x02\x00\x00\x00")) // v2 header, refused by its version
 	// Header claiming 2^24 statistics with no bytes behind it.
-	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\x00\x00\x00\x01"))
-	// Header count past the absolute cap.
-	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\xff\xff\xff\xff"))
+	f.Add([]byte("ETLSTAT\x03\x80\x80\x80\x08"))
+	// Header count past any stream.
+	f.Add([]byte("ETLSTAT\x03\xff\xff\xff\xff\x0f"))
 
-	// A version-2 stream from when the sketch kinds were registered (each
-	// retired kind must now be refused) and its hostile mutants: truncated
-	// sketch counters, the v1 downgrade, and flipped bytes in the target,
-	// the HLL registers and the count-min counters.
+	// A version-2 stream from when the sketch kinds were registered, its
+	// truncation and its v1 downgrade: refused by their version.
 	valid2 := retiredSketchStream(f)
 	f.Add(valid2)
 	f.Add(valid2[:len(valid2)-1])
 	v1Sketch := append([]byte(nil), valid2...)
 	v1Sketch[7] = 1
 	f.Add(v1Sketch)
-	for _, off := range []int{16, 60, len(valid2) / 2, len(valid2) - 9} {
-		mut := append([]byte(nil), valid2...)
+	// Flipped bytes in a target, an attribute, the histogram section's
+	// header and its last bucket.
+	for _, off := range []int{11, 53, valid.Len() - 30, valid.Len() - 2} {
+		mut := append([]byte(nil), valid.Bytes()...)
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
-	f.Add([]byte("ETLSTAT\x02\x00\x00\x00\x01\x00\x00\x00\x05"))
+	f.Add([]byte("ETLSTAT\x03\x01\x05"))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		st, err := ReadStore(bytes.NewReader(in))
@@ -69,16 +69,12 @@ func FuzzReadStore(f *testing.F) {
 			t.Fatal("nil store with nil error")
 		}
 		// The format is canonical: anything accepted must re-serialize to
-		// the exact input bytes, modulo the version field — the writer
-		// always emits the current version, so an accepted version-1 stream
-		// round-trips to its byte-identical version-2 upgrade.
+		// the exact input bytes.
 		var out bytes.Buffer
 		if _, err := st.WriteTo(&out); err != nil {
 			t.Fatalf("re-serialize accepted stream: %v", err)
 		}
-		want := append([]byte(nil), in...)
-		want[7] = persistVersion // version field follows the 7-byte magic
-		if !bytes.Equal(out.Bytes(), want) {
+		if !bytes.Equal(out.Bytes(), in) {
 			t.Fatalf("accepted stream is not canonical:\n in: %x\nout: %x", in, out.Bytes())
 		}
 		// A second read must agree, through a wrapper that hides the size
@@ -96,7 +92,13 @@ func FuzzReadStore(f *testing.F) {
 // FuzzReadStore's sibling invariant, checked directly: every rejection is
 // typed.
 func FuzzReadStoreTypedErrors(f *testing.F) {
-	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\x01\x00\x00\x00\x03"))
+	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\x01\x00\x00\x00\x03"))     // a version-1 stream
+	f.Add([]byte("ETLSTAT\x03\x01\x03\x00\x02\x01\x01\x01\x00\x00")) // a retired kind byte
+	var valid bytes.Buffer
+	if _, err := sampleStore().WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		_, err := ReadStore(bytes.NewReader(in))
 		if err == nil {
