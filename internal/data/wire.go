@@ -510,6 +510,14 @@ func ReadTable(r io.Reader) (*Table, error) { return ReadTableMax(r, maxWireCell
 // costs its reader some 40 bytes a cell however few bytes declared it, so a
 // block frame passes the cap on its own size, and the fuzzers a small one.
 func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
+	return ReadTableRows(r, maxWireCells, maxCells)
+}
+
+// ReadTableRows is ReadTableMax under a row cap as well, checked with the
+// cell cap before anything is sized. A caller whose tables hold distinct
+// rows can pass the stream's length: every row differs from the one before
+// it in a column that is no map, and each such change costs a byte.
+func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
 	sc.in.Reset()
@@ -567,7 +575,7 @@ func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
 	}
 	// A run or a constant column declares any number of rows in a few
 	// bytes, so the declared shape is capped before it sizes anything.
-	if limit := uint64(max(0, min(maxCells, maxWireCells))); nrows > limit || nrows*ncols > limit {
+	if limit := uint64(max(0, min(maxCells, maxWireCells))); nrows > uint64(max(0, maxRows)) || nrows > limit || nrows*ncols > limit {
 		return nil, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
 	}
 	n, w := int(nrows), int(ncols)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -304,6 +305,45 @@ func TestTableWireNilAndEmpty(t *testing.T) {
 	}
 	if got.Rel != "E" || len(got.Attrs) != 1 || len(got.Rows) != 0 {
 		t.Fatalf("empty table round trip: %+v", got)
+	}
+}
+
+// TestReadTableRowsDistinct holds ReadTableRows' premise: a table whose rows
+// are distinct spends a byte of its stream a row or more, whatever layouts
+// its columns take (constant, runs, dictionaries, maps), so its stream's
+// length is a row cap it always meets, and one row under its count refuses
+// it as ErrWireCap.
+func TestReadTableRowsDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		ncols, n := 1+rng.Intn(4), 1+rng.Intn(600)
+		tbl := &Table{}
+		for c := 0; c < ncols; c++ {
+			tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "T", Col: fmt.Sprint(c)})
+		}
+		seen := map[string]bool{}
+		for len(tbl.Rows) < n && len(seen) < 4*n {
+			row := make(Row, ncols)
+			for c := range row {
+				// Narrow domains give constants, runs and functional columns.
+				row[c] = int64(rng.Intn(1 + c*c*7))
+			}
+			row[0] = int64(len(tbl.Rows) / (1 + rng.Intn(3))) // climbing in short runs
+			if k := fmt.Sprint(row); !seen[k] {
+				seen[k] = true
+				tbl.Rows = append(tbl.Rows, row)
+			}
+		}
+		blob := encodeTable(t, tbl)
+		if len(blob) < len(tbl.Rows) {
+			t.Fatalf("trial %d: %d distinct rows in %d bytes", trial, len(tbl.Rows), len(blob))
+		}
+		if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(blob)), maxWireCells); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(tbl.Rows)-1), maxWireCells); !errors.Is(err, ErrWireCap) {
+			t.Fatalf("trial %d: %d rows under a cap of %d: got %v, want ErrWireCap", trial, len(tbl.Rows), len(tbl.Rows)-1, err)
+		}
 	}
 }
 
