@@ -114,11 +114,6 @@ var optionStruct = regexp.MustCompile(`(Options|Policy|Spec)$|^Config$`)
 var censusAllowed = map[string]string{
 	"wftest": "test support: wftest's callers are tests",
 
-	// Seams tests turn.
-	"serve.CoordinatorOptions.HeartbeatEvery": "timing seam: the lease-expiry tests shorten it from 200ms",
-	"serve.CoordinatorOptions.LeaseTTL":       "timing seam: the lease-expiry tests shorten it from 2s",
-	"serve.CoordinatorOptions.Faults":         "test seam: the network-fault matrix injects dispatch faults through it",
-
 	// References tests hold the product to.
 	"selector.Universe.Covered":      "the brute-force reference the exact solver is tested against: does a subset cover every requirement",
 	"selector.Universe.ObservedCost": "the brute-force reference the exact solver is tested against: what a subset costs",

@@ -64,6 +64,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -113,7 +114,7 @@ type options struct {
 // newFlags registers the flags of subcommand cmd. Every subcommand accepts
 // the same set; TestEveryFlagIsDriven requires a script to drive each one.
 func newFlags(cmd string) (*flag.FlagSet, *options) {
-	o := &options{}
+	o := &options{scale: 0.002}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	fs.StringVar(&o.file, "f", "", "workflow document (JSON) to load")
 	fs.IntVar(&o.wfID, "wf", 0, "built-in suite workflow id (1..30) instead of -f")
@@ -122,7 +123,17 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		return err
 	})
 	fs.BoolVar(&o.unionDiv, "union-division", true, "enable the union–division rules J4/J5")
-	fs.Float64Var(&o.scale, "scale", 0.002, "data scale for run/explain (suite workflows only)")
+	fs.Func("scale", "data scale for run/explain, in (0, 1] (suite workflows only; default 0.002)", func(s string) error {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return err
+		}
+		if !(v > 0 && v <= 1) {
+			return fmt.Errorf("%v is outside (0, 1]", v)
+		}
+		o.scale = v
+		return nil
+	})
 	fs.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
 	fs.StringVar(&o.outDir, "out", "", "output directory for gendata")
 	fs.Int64Var(&o.budget, "budget", 0, "per-run memory budget for schedule (integer units)")

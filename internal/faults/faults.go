@@ -39,15 +39,9 @@ const (
 	// Budget faults the run's row-budget accounting, simulating exhaustion
 	// of the intermediate-result allowance.
 	Budget
-	// Network faults a coordinator↔worker exchange of the distributed
-	// execution mode: a request or response is dropped, delayed or
-	// truncated (the perturbation is itself a pure function of seed and
-	// site — see NetworkAt). In-process runs never consult network sites,
-	// so the kind is inert outside distributed mode.
-	Network
 
 	// allKinds enables every fault class.
-	allKinds = SourceRead | Operator | Tap | Budget | Network
+	allKinds = SourceRead | Operator | Tap | Budget
 )
 
 // String names a single kind (bitmask combinations render as "multiple").
@@ -61,16 +55,14 @@ func (k Kind) String() string {
 		return "tap"
 	case Budget:
 		return "budget"
-	case Network:
-		return "network"
 	default:
 		return "multiple"
 	}
 }
 
-// Error is one injected fault. It is typed so recovery layers can
-// distinguish injected faults (and their transience) from organic errors.
-type Error struct {
+// injectedError is one injected fault. It is typed so IsTransient can
+// tell injected faults (and their transience) from organic errors.
+type injectedError struct {
 	// Kind is the faulted class.
 	Kind Kind
 	// Site identifies the injection point (stable across engines).
@@ -79,7 +71,7 @@ type Error struct {
 	Transient bool
 }
 
-func (e *Error) Error() string {
+func (e *injectedError) Error() string {
 	mode := "permanent"
 	if e.Transient {
 		mode = "transient"
@@ -90,7 +82,7 @@ func (e *Error) Error() string {
 // IsTransient reports whether err is (or wraps) a transient injected
 // fault — the class the engine retries with backoff.
 func IsTransient(err error) bool {
-	var fe *Error
+	var fe *injectedError
 	return errors.As(err, &fe) && fe.Transient
 }
 
@@ -134,7 +126,7 @@ func (f *Injector) At(kind Kind, site string, attempt int) error {
 	if transient && attempt >= f.Transient {
 		return nil
 	}
-	return &Error{Kind: kind, Site: site, Transient: transient}
+	return &injectedError{Kind: kind, Site: site, Transient: transient}
 }
 
 // hits evaluates the per-site Bernoulli draw: an FNV-1a hash of
@@ -159,69 +151,11 @@ func (f *Injector) hits(kind Kind, site string) bool {
 	return u < f.Rate
 }
 
-// NetMode is the deterministic perturbation an injected network fault
-// applies to a coordinator↔worker exchange.
-type NetMode uint8
-
-// The network perturbations.
-const (
-	// NetDrop fails the exchange before the request is sent.
-	NetDrop NetMode = iota
-	// NetDelay delays the exchange (it still succeeds) — the perturbation
-	// that exercises lease/heartbeat timing without consuming a retry.
-	NetDelay
-	// NetTruncate sends the request but cuts the response short, so the
-	// caller sees a decode failure after the worker did the work — the
-	// lost-ACK case idempotent block commits exist for.
-	NetTruncate
-)
-
-// String names the perturbation.
-func (m NetMode) String() string {
-	switch m {
-	case NetDrop:
-		return "drop"
-	case NetDelay:
-		return "delay"
-	case NetTruncate:
-		return "truncate"
-	default:
-		return fmt.Sprintf("NetMode(%d)", int(m))
-	}
-}
-
-// NetworkAt consults the injector for one network site on one attempt. A
-// nil error means the exchange is clean; otherwise the returned mode says
-// how the exchange is perturbed. Like At, the decision — including which
-// of the three perturbations applies — is a pure function of (Seed, site,
-// attempt), so distributed fault runs are exactly repeatable.
-func (f *Injector) NetworkAt(site string, attempt int) (NetMode, error) {
-	err := f.At(Network, site, attempt)
-	if err == nil {
-		return 0, nil
-	}
-	// The mode reuses the site hash with a distinct stream tag so it is
-	// independent of the hit/miss draw but just as deterministic.
-	h := fnv.New64a()
-	var buf [9]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(f.Seed >> (8 * i))
-	}
-	buf[8] = byte(Network) ^ 0xa5
-	h.Write(buf[:])
-	h.Write([]byte(site))
-	x := h.Sum64()
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return NetMode(x % 3), err
-}
-
 // Parse builds an injector from a CLI spec of comma-separated fields:
 //
 //	seed=<uint>,rate=<float>,transient=<int>,kinds=<k|k|...>
 //
-// where each kind is one of source, op, tap, budget, net (default: all).
+// where each kind is one of source, op, tap, budget (default: all).
 // Omitted fields default to seed=1, rate=1, transient=1, kinds=all — a
 // spec of "rate=1" alone forces one transient fault per site and lets
 // every retry succeed. An empty spec returns a nil injector.
@@ -270,12 +204,10 @@ func Parse(spec string) (*Injector, error) {
 					mask |= Tap
 				case "budget":
 					mask |= Budget
-				case "net", "network":
-					mask |= Network
 				case "all":
 					mask |= allKinds
 				default:
-					return nil, fmt.Errorf("faults: unknown kind %q (want source|op|tap|budget|net|all)", name)
+					return nil, fmt.Errorf("faults: unknown kind %q (want source|op|tap|budget|all)", name)
 				}
 			}
 			f.Kinds = mask
@@ -297,7 +229,7 @@ func (f *Injector) String() string {
 		for _, k := range []struct {
 			kind Kind
 			name string
-		}{{SourceRead, "source"}, {Operator, "op"}, {Tap, "tap"}, {Budget, "budget"}, {Network, "net"}} {
+		}{{SourceRead, "source"}, {Operator, "op"}, {Tap, "tap"}, {Budget, "budget"}} {
 			if f.Kinds&k.kind != 0 {
 				names = append(names, k.name)
 			}

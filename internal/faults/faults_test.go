@@ -24,7 +24,7 @@ func TestRateOneFaultsEverySite(t *testing.T) {
 		if err == nil {
 			t.Fatalf("rate=1 did not fault site %s", site)
 		}
-		var fe *Error
+		var fe *injectedError
 		if !errors.As(err, &fe) || fe.Site != site || fe.Kind != Operator || !fe.Transient {
 			t.Fatalf("unexpected fault %v", err)
 		}
@@ -94,7 +94,7 @@ func TestRateIsRoughlyCalibrated(t *testing.T) {
 }
 
 func TestIsTransientUnwraps(t *testing.T) {
-	err := fmt.Errorf("block 3: %w", &Error{Kind: SourceRead, Site: "src:3:0", Transient: true})
+	err := fmt.Errorf("block 3: %w", &injectedError{Kind: SourceRead, Site: "src:3:0", Transient: true})
 	if !IsTransient(err) {
 		t.Fatal("wrapped transient fault not recognized")
 	}
@@ -126,7 +126,7 @@ func TestParse(t *testing.T) {
 	if f.Seed != 1 || f.Transient != 1 || f.Kinds != 0 {
 		t.Fatalf("defaults %+v", f)
 	}
-	for _, bad := range []string{"rate=2", "rate=x", "seed=-1", "transient=-1", "kinds=disk", "novalue"} {
+	for _, bad := range []string{"rate=2", "rate=x", "seed=-1", "transient=-1", "kinds=disk", "kinds=net", "novalue"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}

@@ -16,7 +16,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
-	"github.com/essential-stats/etlopt/internal/faults"
 )
 
 // Coordinator is the scheduling side of distributed block dispatch: it
@@ -51,6 +50,9 @@ type Coordinator struct {
 	// maxBody caps a frame in either direction, as sent and as inflated
 	// (maxUploadBytes; tests lower it).
 	maxBody int64
+	// heartbeatEvery and leaseTTL time the lease (the constants of the same
+	// names; the lease-expiry test shortens them).
+	heartbeatEvery, leaseTTL time.Duration
 }
 
 // RunSpec is what the engine cannot tell the workers of a distributed run;
@@ -66,31 +68,25 @@ type RunSpec struct {
 	CSS css.Options
 }
 
-// CoordinatorOptions tune dispatch fault tolerance.
+// CoordinatorOptions are what a deployment sets: where the workers are and
+// how to reach them.
 type CoordinatorOptions struct {
 	// Addrs are the worker base URLs ("http://host:port"); at least one is
 	// required.
 	Addrs []string
-	// HeartbeatEvery is the health-probe period while a block is leased
-	// (default 200ms).
-	HeartbeatEvery time.Duration
-	// LeaseTTL is how long a lease survives without a successful probe
-	// before the block is reclaimed and reassigned (default 2s).
-	LeaseTTL time.Duration
-	// Faults injects deterministic Network-kind faults into dispatches
-	// (nil injects nothing). Sites are "net:block:<idx>", so the fault
-	// pattern is independent of worker placement and timing.
-	Faults *faults.Injector
 	// Client overrides the HTTP client (default: a fresh client with no
 	// global timeout; per-request contexts and lease deadlines bound every
 	// call).
 	Client *http.Client
 }
 
-// coordinator timing defaults and dispatch retry policy.
+// Lease timing and dispatch retry policy.
 const (
-	defaultHeartbeatEvery = 200 * time.Millisecond
-	defaultLeaseTTL       = 2 * time.Second
+	// heartbeatEvery is the health-probe period while a block is leased.
+	heartbeatEvery = 200 * time.Millisecond
+	// leaseTTL is how long a lease survives without a successful probe
+	// before the block is reclaimed and reassigned.
+	leaseTTL = 2 * time.Second
 	// dispatchRetryMax bounds attempts per block across workers: the
 	// first try plus two reassignments.
 	dispatchRetryMax = 3
@@ -103,16 +99,10 @@ func NewCoordinator(run RunSpec, opt CoordinatorOptions) (*Coordinator, error) {
 	if len(opt.Addrs) == 0 {
 		return nil, fmt.Errorf("serve: coordinator needs at least one worker address")
 	}
-	if opt.HeartbeatEvery <= 0 {
-		opt.HeartbeatEvery = defaultHeartbeatEvery
-	}
-	if opt.LeaseTTL <= 0 {
-		opt.LeaseTTL = defaultLeaseTTL
-	}
 	if opt.Client == nil {
 		opt.Client = &http.Client{}
 	}
-	return &Coordinator{run: run, opt: opt, maxBody: maxUploadBytes}, nil
+	return &Coordinator{run: run, opt: opt, maxBody: maxUploadBytes, heartbeatEvery: heartbeatEvery, leaseTTL: leaseTTL}, nil
 }
 
 // workerRef is one worker's live/lost state within a session.
@@ -242,7 +232,6 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 	if err != nil {
 		return nil, err
 	}
-	site := fmt.Sprintf("net:block:%d", block)
 	var lastErr error
 	for attempt := 0; attempt < dispatchRetryMax; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -260,22 +249,7 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		if w == nil {
 			return nil, fmt.Errorf("serve: block %d: all workers lost: %w", block, engine.ErrWorkersLost)
 		}
-		mode, ferr := s.c.opt.Faults.NetworkAt(site, attempt)
-		if ferr != nil && mode == faults.NetDrop {
-			// The request never leaves the coordinator; the worker stays
-			// live and the next attempt retries the exchange.
-			lastErr = fmt.Errorf("serve: block %d attempt %d: %w", block, attempt, ferr)
-			continue
-		}
-		if ferr != nil && mode == faults.NetDelay {
-			// A delayed exchange still happens; the pause exercises
-			// lease/heartbeat timing without consuming the attempt.
-			if err := engine.Backoff(ctx, s.c.opt.HeartbeatEvery, 0); err != nil {
-				return nil, err
-			}
-		}
-		truncate := ferr != nil && mode == faults.NetTruncate
-		rb, held, err := s.exchange(ctx, w, l, truncate)
+		rb, held, err := s.exchange(ctx, w, l)
 		if err == nil {
 			s.mu.Lock()
 			s.resident += int64(len(l.named))
@@ -308,9 +282,9 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 // up the chain as w lacks them — and the frame goes again. What a recompute
 // answers is dropped: its rows, retries, metrics and statistics were taken
 // when the output was first made.
-func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage, truncate bool) (*engine.RemoteBlock, bool, error) {
+func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage) (*engine.RemoteBlock, bool, error) {
 	for round := 0; ; round++ {
-		rb, held, err := s.tryWorker(ctx, w, l.block, l.frame, truncate)
+		rb, held, err := s.tryWorker(ctx, w, l.block, l.frame)
 		var miss *missError
 		if !errors.As(err, &miss) {
 			return rb, held, err
@@ -320,13 +294,12 @@ func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage
 			// that names them arrives.
 			return nil, false, fmt.Errorf("serve: block %d on %s: still missing %d upstream output(s) after %d recomputes", l.block, w.addr, len(miss.keys), round)
 		}
-		truncate = false
 		for _, key := range miss.keys {
 			i := slices.IndexFunc(l.named, func(up *lineage) bool { return up.key.String() == key })
 			if i < 0 {
 				return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s misses %q, which the request does not name", l.block, w.addr, key)}
 			}
-			if _, _, err := s.exchange(ctx, w, l.named[i], false); err != nil {
+			if _, _, err := s.exchange(ctx, w, l.named[i]); err != nil {
 				return nil, false, err
 			}
 			s.mu.Lock()
@@ -396,7 +369,7 @@ func (e *missError) Error() string {
 
 // tryWorker executes one leased dispatch attempt against one worker, and
 // reports whether the worker held the block's output.
-func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte, truncate bool) (*engine.RemoteBlock, bool, error) {
+func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte) (*engine.RemoteBlock, bool, error) {
 	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -422,14 +395,6 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		return nil, false, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
 	defer resp.Body.Close()
-	if truncate {
-		// Injected lost ACK: the worker completed the block, but the
-		// response is cut short before the coordinator can commit it. The
-		// retry re-runs the block; determinism makes the second copy
-		// byte-identical, and the engine commits only one.
-		return nil, false, fmt.Errorf("serve: block %d on %s: %w", block, w.addr,
-			&faults.Error{Kind: faults.Network, Site: fmt.Sprintf("net:block:%d", block), Transient: true})
-	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		switch {
@@ -484,16 +449,16 @@ const maxErrorBody = 1 << 16
 // in-flight request is cancelled with errLeaseExpired as the cause, which
 // surfaces as a reassignable failure in tryWorker.
 func (s *dispatchSession) heartbeat(ctx context.Context, w *workerRef, cancel context.CancelCauseFunc) {
-	t := time.NewTicker(s.c.opt.HeartbeatEvery)
+	t := time.NewTicker(s.c.heartbeatEvery)
 	defer t.Stop()
-	deadline := time.Now().Add(s.c.opt.LeaseTTL)
+	deadline := time.Now().Add(s.c.leaseTTL)
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
 			if err := s.probe(ctx, w); err == nil {
-				deadline = time.Now().Add(s.c.opt.LeaseTTL)
+				deadline = time.Now().Add(s.c.leaseTTL)
 			}
 			if time.Now().After(deadline) {
 				cancel(errLeaseExpired)
@@ -505,11 +470,7 @@ func (s *dispatchSession) heartbeat(ctx context.Context, w *workerRef, cancel co
 
 // probe is one health check, bounded by the heartbeat period.
 func (s *dispatchSession) probe(ctx context.Context, w *workerRef) error {
-	timeout := s.c.opt.HeartbeatEvery
-	if timeout <= 0 {
-		timeout = defaultHeartbeatEvery
-	}
-	pctx, cancel := context.WithTimeout(ctx, timeout)
+	pctx, cancel := context.WithTimeout(ctx, s.c.heartbeatEvery)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.addr+"/v1/worker/health", nil)
 	if err != nil {

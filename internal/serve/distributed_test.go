@@ -28,9 +28,10 @@ import (
 // The golden distributed-equivalence suite: a distributed run must be
 // byte-identical to a single-process run — sinks, materialized outputs,
 // observed statistics, work metric — whatever the fault pattern: a worker
-// SIGKILLed mid-run, deterministic network drops/delays/truncations, a
-// frozen worker whose lease expires, or every worker lost (which must
-// complete in-process from the last checkpoint, never partially).
+// SIGKILLed mid-run, requests dropped, delayed or cut short by a
+// deterministic transport, a frozen worker whose lease expires, or every
+// worker lost (which must complete in-process from the last checkpoint,
+// never partially).
 
 const distScale = 0.002
 
@@ -235,9 +236,9 @@ func assertRunsEqual(t *testing.T, name string, want, got *engine.Result) {
 }
 
 // TestDistributedEquivalenceWorkerKilledMidRun is the acceptance golden:
-// two workers, one SIGKILLed after its first completed block, under
-// deterministic network faults — the distributed run must be
-// byte-identical to the single-process run.
+// two workers, one SIGKILLed after its first completed block, over a
+// transport that cuts the first response short — the distributed run must
+// be byte-identical to the single-process run.
 func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 	for _, wf := range distWorkflows {
 		const name = "batch"
@@ -246,7 +247,7 @@ func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 			victim := startKillableWorker(t)
 			survivor := startWorker(t)
 			cfg := distConfig(t, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
-				o.Faults = faults.New(11, 1, 1, faults.Network)
+				o.Client = &http.Client{Transport: &flakyNet{fault: faultAt(map[int]netFault{0: netCut})}}
 			})
 			got := runCycleOf(t, wf, cfg)
 			assertRunsEqual(t, name, want, got)
@@ -303,45 +304,114 @@ func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
 	})
 }
 
-// TestDistributedNetworkFaultMatrix runs the Network fault kind across its
-// modes: transient faults (drop/delay/truncate per site hash) must be
-// absorbed by dispatch retry, and permanent ones must degrade to the
-// in-process fallback — byte-identical outputs either way.
-func TestDistributedNetworkFaultMatrix(t *testing.T) {
-	const wf = 8 // 3 blocks: three distinct "net:block:<idx>" fault sites
+// netFault is what flakyNet does to one block-run request.
+type netFault int
+
+const (
+	netClean netFault = iota
+	// netDrop fails the request before it is sent.
+	netDrop
+	// netCut sends the request and ends the response body after cutAt
+	// bytes: the worker did the work, the coordinator cannot read it.
+	netCut
+	// netDelay holds the request for delayBy, longer than a heartbeat
+	// period, then sends it.
+	netDelay
+)
+
+const (
+	cutAt   = 32
+	delayBy = heartbeatEvery + 50*time.Millisecond
+)
+
+// flakyNet is a deterministic network between a coordinator and its
+// workers: it numbers the block-run requests it carries from 0 and does
+// fault(n) to the n-th over the real transport. Health probes pass
+// untouched. Every failure it makes reaches the coordinator the way a real
+// one does: as an error from Client.Do, or as a body that stops short.
+type flakyNet struct {
+	fault func(n int) netFault
+	runs  atomic.Int64
+}
+
+// faultAt faults the requests a plan numbers and leaves the rest clean.
+func faultAt(plan map[int]netFault) func(int) netFault {
+	return func(n int) netFault { return plan[n] }
+}
+
+func (f *flakyNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, "/v1/worker/run") {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	switch f.fault(int(f.runs.Add(1) - 1)) {
+	case netDrop:
+		req.Body.Close()
+		return nil, errors.New("flaky network: request dropped before sending")
+	case netDelay:
+		select {
+		case <-time.After(delayBy):
+		case <-req.Context().Done():
+			req.Body.Close()
+			return nil, req.Context().Err()
+		}
+	case netCut:
+		resp, err := http.DefaultTransport.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.LimitReader(resp.Body, cutAt), resp.Body}
+		return resp, nil
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestDistributedTransportFaultMatrix runs wf08's three-block chain over a
+// flaky transport: a cut response is retried on the same pool, a dropped
+// request loses its worker to the survivor, delays longer than a heartbeat
+// cost nothing, and when every request fails the run finishes in-process —
+// byte-identical outputs every time.
+func TestDistributedTransportFaultMatrix(t *testing.T) {
+	const wf = 8
 	want := localRun(t, wf)
-
-	t.Run("transient", func(t *testing.T) {
-		// Several seeds so the mode hash covers drop, delay and truncate
-		// across the workflow's block sites.
-		for _, seed := range []uint64{1, 2, 3, 7, 11} {
-			inj := faults.New(seed, 1, 1, faults.Network)
-			w1, w2 := startWorker(t), startWorker(t)
-			cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
-				o.Faults = inj
+	every := func(f netFault) func(int) netFault { return func(int) netFault { return f } }
+	for _, c := range []struct {
+		name       string
+		fault      func(int) netFault
+		reassigned int64
+		lost       []int // indexes into the fleet
+		fellBack   bool
+	}{
+		{"cut", faultAt(map[int]netFault{0: netCut, 2: netCut}), 2, nil, false},
+		{"drop", faultAt(map[int]netFault{0: netDrop}), 1, []int{0}, false},
+		{"delay", every(netDelay), 0, nil, false},
+		{"cut, drop and delay", faultAt(map[int]netFault{0: netCut, 1: netDelay, 2: netDrop}), 2, []int{1}, false},
+		{"every request fails", every(netDrop), 2, []int{0, 1}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fleet := []string{startWorker(t).URL, startWorker(t).URL}
+			net := &flakyNet{fault: c.fault}
+			cfg := distConfig(t, wf, fleet, func(o *CoordinatorOptions) {
+				o.Client = &http.Client{Transport: net}
 			})
-			got := runCycleOf(t, wf, cfg)
-			assertRunsEqual(t, "transient", want, got)
-			if got.Dist.FellBack {
-				t.Errorf("seed %d: transient network faults must not force a fallback (%s)", seed, got.Dist.Reason)
+			cy := cycleOf(t, wf, cfg)
+			assertRunsEqual(t, c.name, want, cy.Observed)
+			d := cy.Observed.Dist
+			var lost []string
+			for _, i := range c.lost {
+				lost = append(lost, fleet[i])
 			}
-		}
-	})
-
-	t.Run("permanent", func(t *testing.T) {
-		// transient=0 faults every attempt: dispatch exhausts its budget
-		// and the run must complete locally, whole.
-		inj := faults.New(5, 1, 0, faults.Network)
-		w1, w2 := startWorker(t), startWorker(t)
-		cfg := distConfig(t, wf, []string{w1.URL, w2.URL}, func(o *CoordinatorOptions) {
-			o.Faults = inj
+			if d.FellBack != c.fellBack || d.Reassigned != c.reassigned || !slices.Equal(d.LostWorkers, lost) {
+				t.Errorf("fell back %v, %d reassignment(s), lost %v; want %v, %d, %v (%+v)",
+					d.FellBack, d.Reassigned, d.LostWorkers, c.fellBack, c.reassigned, lost, d)
+			}
+			if !c.fellBack && len(d.Remote) != len(cy.Analysis.Blocks) {
+				t.Errorf("blocks %v ran remotely, want all %d", d.Remote, len(cy.Analysis.Blocks))
+			}
 		})
-		got := runCycleOf(t, wf, cfg)
-		assertRunsEqual(t, "permanent", want, got)
-		if !got.Dist.FellBack {
-			t.Error("permanent network faults should degrade to the in-process fallback")
-		}
-	})
+	}
 }
 
 // startOversizeWorker answers health but returns the given body for every
@@ -783,10 +853,9 @@ func TestDistributedHungWorkerLeaseExpiry(t *testing.T) {
 	want := localRun(t, wf)
 	frozen := startFreezableWorker(t)
 	healthy := startWorker(t)
-	cfg := distConfig(t, wf, []string{frozen.URL, healthy.URL}, func(o *CoordinatorOptions) {
-		o.HeartbeatEvery = 50 * time.Millisecond
-		o.LeaseTTL = 300 * time.Millisecond
-	})
+	cfg := distConfig(t, wf, []string{frozen.URL, healthy.URL}, nil)
+	coord := cfg.Dispatcher.(*Coordinator)
+	coord.heartbeatEvery, coord.leaseTTL = 50*time.Millisecond, 300*time.Millisecond
 	got := runCycleOf(t, wf, cfg)
 	assertRunsEqual(t, "hung", want, got)
 	d := got.Dist

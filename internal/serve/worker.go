@@ -125,7 +125,7 @@ type wireFailedStat struct {
 // workerRunResponse is the header of a block's response frame. The
 // sections after it are the boundary output unless it is held, the
 // materialized targets in the order listed here, and the statistics shard
-// in the stats v2 store format (empty when uninstrumented).
+// in the stats store format (version 3; empty when uninstrumented).
 type workerRunResponse struct {
 	// Held reports that the output stays in this worker's store under the
 	// request's key, and is not in the frame.
@@ -178,6 +178,12 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, status, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	// Suite data is generated at scale × nominal rows: a scale past 1 can
+	// ask for more rows than a slice holds.
+	if !(req.Scale > 0 && req.Scale <= 1) {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("scale %v outside (0, 1]", req.Scale))
 		return
 	}
 	if missing := wk.resident.take(req.Resident, upstream); missing != nil {

@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -105,5 +107,28 @@ func TestOnceMap(t *testing.T) {
 	}
 	if v, err := m.get("bad", func() (int, error) { return 7, nil }); v != 7 || err != nil {
 		t.Errorf("build after a failed one = %d, %v", v, err)
+	}
+}
+
+// TestWorkerRefusesScaleOutOfRange: a scale outside (0, 1] is refused with
+// a 400 that names it, before any data is generated for it, and the same
+// worker then serves a valid block. A scale of 1e12 once panicked inside
+// the data generator and left its cache entry nil.
+func TestWorkerRefusesScaleOutOfRange(t *testing.T) {
+	wk := NewWorker()
+	h := wk.Handler()
+	for _, scale := range []float64{1e12, -1, 0} {
+		frame := requestFrame(t, &workerRunRequest{WF: 1, Scale: scale}, 0, nil, nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(frame)))
+		if want := fmt.Sprintf("scale %v outside (0, 1]", scale); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("scale %v: status %d, %s; want 400 naming %q", scale, rec.Code, rec.Body, want)
+		}
+	}
+	if n := len(wk.states.m); n != 0 {
+		t.Errorf("%d dataset(s) built for refused scales", n)
+	}
+	if code := postFrame(h, block0(t, 1)); code != http.StatusOK {
+		t.Errorf("a valid block after the refusals: status %d", code)
 	}
 }

@@ -109,6 +109,15 @@ grep -q '^observed 6 statistics (memory 304 units)' "$work/out"
 # There is no sketch statistics tier, so its old flag is a usage error.
 exits 2 "$etlopt" run -wf 3 -stats-tier approx
 grep -q 'flag provided but not defined' "$work/err"
+# Suite data is generated at scale × nominal rows: a scale outside (0, 1]
+# is a usage error, here and on every worker.
+exits 2 "$etlopt" run -wf 3 -scale 0
+grep -qF 'outside (0, 1]' "$work/err"
+exits 2 "$etlopt" run -wf 3 -scale 2
+grep -qF 'outside (0, 1]' "$work/err"
+# There is no network fault kind: network failures are the transport's.
+exits 2 "$etlopt" run -wf 3 -faults kinds=net
+grep -q 'unknown kind "net"' "$work/err"
 
 echo "== run, explain, report: -method and -union-division reach every subcommand"
 "$etlopt" run -wf 3 -union-division=false > "$work/out"
