@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -104,10 +105,13 @@ func FuzzReadTable(f *testing.F) {
 		{column(constant(40, -3)...), encRLE},
 		{column(shift(zipfDomain(40, 5), 1000)...), encDict},
 		{column(constant(20000, 9)...), encDict}, // width 0
-		{mixedTable(), encMap},
+		{mixedTable(), encChain},
 		// map: an attribute of a foreign key, an equal join key, a chain
 		{tableOf(zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return 100 - 7*v })), encMap},
 		{tableOf(zipfDomain(60, 6), serialKey(60), zipfDomain(60, 6), apply(zipfDomain(60, 6), func(v int64) int64 { return v / 2 })), encMap},
+		// a hash join: the build id a chain over the probe key, the build
+		// attribute a map over the build id
+		{hashJoin(rand.New(rand.NewSource(4))), encMap},
 	} {
 		if tags, _ := columnPlans(f, seed.tbl); tags[len(tags)-1] != seed.tag {
 			f.Fatalf("seed encodes its last column with tag %d, want %d", tags[len(tags)-1], seed.tag)

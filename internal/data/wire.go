@@ -7,20 +7,21 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Table wire format (ETBL4). Distributed execution ships block boundary
+// Table wire format (ETBL5). Distributed execution ships block boundary
 // outputs between coordinator and worker processes; the encoding below is
 // the canonical byte form of a Table:
 //
-//	"ETBL4" | present(1) | relation | ncols | ncols × (attr rel, attr col)
+//	"ETBL5" | present(1) | relation | ncols | ncols × (attr rel, attr col)
 //	        | nrows | ncols × column        (no columns when nrows is 0)
 //
 // Strings are a uvarint length plus bytes, counts are uvarints. The body is
-// column-major: each column is one tag byte and one of four encodings of
+// column-major: each column is one tag byte and one of five encodings of
 // its nrows values —
 //
 //	plain  zigzag varints, one per row
@@ -35,23 +36,28 @@ import (
 //	map    uvarint j, an earlier column this one is a function of, then the
 //	       column's image: one zigzag varint per distinct value of column
 //	       j, in ascending order of those values
+//	chain  uvarint j, an earlier column, then the image: for each distinct
+//	       value of column j, in ascending order, as many zigzag varints as
+//	       that value's longest run in column j. Row i is entry r of its
+//	       value's list, r being row i's offset in its run of column j
 //
 // — whichever is smallest by exact computed size, ties to the lower tag and
-// then to the lower j. dict, and a map's column j, need max-min < maxDictSpan,
-// which lets a table over [min, max] stand in for a hash map; column j is
-// never itself a map column. Join outputs over skewed small domains are long
-// runs and tiny dictionaries, and most of their columns are what the paper's
-// key / foreign-key metadata (§3.2.2) describes — an attribute is a function
-// of its relation's key, both sides of an equi-join are one column — costing
-// a value per distinct key, not a code per row.
+// then to the lower j. dict, and a map's or chain's column j, need max-min <
+// maxDictSpan, which lets a table over [min, max] stand in for a hash map; a
+// map's column j is never itself a map column. Join outputs over skewed
+// small domains are long runs and tiny dictionaries, and most of their
+// columns are what the paper's key / foreign-key metadata (§3.2.2)
+// describes — an attribute is a function of its relation's key, both sides
+// of an equi-join are one column — costing a value per distinct key, not a
+// code per row. A hash join's build side follows each probe row of key k
+// with the same H(k) build rows in the same order (rule J1's dot product
+// counts them): a chain over the join key ships them once per key.
 //
 // The table travels inside a DEFLATE frame (internal/serve), so the layouts
 // are the ones DEFLATE can model, not the smallest raw ones: a run stream's
 // values are deltas, which a join output's climbing key columns turn into a
 // few repeated bytes, and kept apart from the run lengths; dictionary codes
-// sit on byte boundaries, where equal codes are equal bytes. Block outputs
-// cost ~1.4 bytes a row before DEFLATE, a seventh more than the smallest raw
-// layouts, whose frames are a third larger after it.
+// sit on byte boundaries, where equal codes are equal bytes.
 //
 // The format is lossless (ReadTable(WriteTable(t)) reproduces t exactly,
 // attribute and row order included) and canonical in both directions: the
@@ -59,17 +65,18 @@ import (
 // on different workers returns byte-identical payloads and the coordinator
 // can commit whichever copy arrives first — and ReadTable accepts only
 // bytes WriteTable could have produced (minimal varints, maximal runs,
-// fully used dictionaries, the encoder's own choice of encoding).
+// fully used dictionaries and images, the encoder's own choice of encoding).
 //
 // Like stats.ReadStore, the reader defends against truncated or hostile
 // streams: declared counts are capped, and because a run or a constant
 // column declares many rows in a few bytes, rows × columns is capped too
 // (ErrWireCap) before anything is allocated for them, and a run stream's
-// count by the rows and by the bytes left. The writer refuses the same
-// tables, so both ends of a dispatch classify an oversized block alike.
+// count, or a chain's image, by the rows and by the bytes left. The writer
+// refuses the same tables, so both ends of a dispatch classify an oversized
+// block alike.
 
 // tableMagic versions the stream; bump on any incompatible change.
-const tableMagic = "ETBL4"
+const tableMagic = "ETBL5"
 
 // Wire limits: a schema wider than maxWireCols or a name longer than
 // maxWireName is rejected outright (no workflow in the system approaches
@@ -92,10 +99,12 @@ const (
 	encRLE
 	encDict
 	encMap
+	encChain
 )
 
-// maxDictSpan bounds max-min of a dictionary column and of a map column's
-// determinant, and so the mark, image and dictionary tables of both sides.
+// maxDictSpan bounds max-min of a dictionary column and of a map or chain
+// column's determinant, and so the mark, image and dictionary tables of both
+// sides.
 const maxDictSpan = 1 << 16
 
 // mapWork bounds one column's determinant search to mapWork × nrows cells of
@@ -109,20 +118,27 @@ type wireScratch struct {
 	stats []colStats
 	marks []uint16     // presence marks over [min, max], then dictionary codes
 	dict  []int64      // a decoded dictionary
-	runs  []int64      // a decoded run stream's values
-	image []imageEntry // a map column's image over its determinant's [min, max]
+	runs  []int64      // a decoded run stream's values, or a chain's image
+	image []imageEntry // a map or chain image over its determinant's [min, max]
 	best  []imageEntry // the image of the column's best determinant so far
 	epoch uint64       // the image entries the current pass has written
 	out   []byte       // the stream being encoded
 	in    bytes.Buffer // the stream being decoded
+
+	// chainable[j]: a chain over column j is worth sizing for the column
+	// being planned.
+	chainable []bool
 }
 
-// imageEntry is the value a map column takes where its determinant takes
-// min+index, stamped with the epoch of the pass that wrote it: a new pass
-// starts from an empty image without clearing the table.
+// imageEntry is what a column takes where its determinant takes min+index,
+// stamped with the epoch of the pass that wrote it: a new pass starts from
+// an empty image without clearing the table.
 type imageEntry struct {
 	epoch uint64
-	v     int64
+	v     int64 // as a map: the value
+	// As a chain: the value's list is n long, and starts at row at of the
+	// column (the writer's longest run so far) or of the decoded image.
+	at, n int32
 }
 
 // newImage starts a pass over an empty image table of more than span entries.
@@ -231,7 +247,7 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	for c := 0; c < ncols && nrows > 0; c++ {
-		p := planColumn(cells, stats, c, sc, -1, 0)
+		p := planColumn(cells, stats, c, sc, decoded{})
 		stats[c].mapped = p.enc == encMap
 		buf = appendColumn(buf, cells, stats, c, p, sc)
 	}
@@ -248,7 +264,7 @@ type colStats struct {
 	last     int64 // the previous value scanned
 	runs     int   // maximal runs of one value; 0 before the first value
 	plain    int   // bytes as zigzag varints
-	mapped   bool  // map-encoded, so not a determinant for later columns
+	mapped   bool  // map-encoded, so no map's determinant
 }
 
 // scan folds the next, non-empty, segment of the column into the statistics.
@@ -292,9 +308,19 @@ type colPlan struct {
 	// for exactly those.
 	dict  int
 	marks []uint16
-	// A map column's determinant, and the stamp of its image in sc.best.
+	// A map or chain column's determinant, and the stamp of its image in
+	// sc.best.
 	det   int
 	epoch uint64
+}
+
+// decoded is what a reader learnt decoding a column as a map or chain over
+// det: the size of its image, which the pass of that kind over det would
+// find, so that pass need not read the column again.
+type decoded struct {
+	enc  byte
+	det  int
+	size int
 }
 
 // wireColumn is column c of the column-major cells of a len(stats)-column table.
@@ -305,9 +331,10 @@ func wireColumn(cells []int64, stats []colStats, c int) []int64 {
 
 // planColumn picks the encoding of column c by exact encoded size; stats
 // holds the statistics of columns 0..c and the decisions for those before c.
-// A reader that built the column from its image over column known (-1 for the
-// writer) passes that and the image's size: the one pair it need not re-read.
-func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, knownSize int) colPlan {
+// A reader that built the column from an image over a determinant passes
+// what it learnt (the writer passes the zero value): the one pass it need
+// not repeat.
+func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known decoded) colPlan {
 	col, st := wireColumn(cells, stats, c), &stats[c]
 	n := len(col)
 	p := colPlan{enc: encPlain, min: st.min}
@@ -327,49 +354,59 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, 
 		}
 	}
 
-	// The determinant search, ascending so that ties go to the lower j. A pair
-	// ends at a row that contradicts it, an image no smaller than best, or the budget.
+	// The determinant search: maps, then chains, each ascending so that ties
+	// go to the lower j. A pass ends at a row that contradicts its image, an
+	// image that reaches its bound, or the budget, which every determinant
+	// tried and every row a pass reads are charged to.
 	budget := mapWork * n
+	chainable := sc.chainable[:0]
 	for j := 0; j < c && budget > 0; j++ {
 		budget--
 		dst := &stats[j]
 		span := uint64(dst.max) - uint64(dst.min)
-		if dst.mapped || span >= maxDictSpan {
-			continue
-		}
-		if j == known {
-			// The pass would find no conflict and this size, or stop short
-			// of it: then no plan is the one the stream claims.
-			if knownSize < best && budget >= n {
-				p.enc, p.det, best = encMap, j, knownSize
-				budget -= n
-			}
+		// A chain over a map column is sized; over any other, only where the
+		// column contradicts a map. Where a map holds, a chain's image is the
+		// map's repeated along the runs: no smaller, there or past the map's
+		// bound.
+		chainable = append(chainable, span < maxDictSpan && dst.mapped)
+		if span >= maxDictSpan || dst.mapped {
 			continue
 		}
 		det := wireColumn(cells, stats, j)[:min(n, budget)]
-		image, epoch := sc.newImage(span)
-		size, seen, ok := uvarintLen(uint64(j)), len(det), true
-		for i := 0; i < len(det); {
-			dv, v := det[i], col[i]
-			e := &image[uint64(dv)-uint64(dst.min)]
-			if e.epoch != epoch {
-				*e = imageEntry{epoch, v}
-				size += varintLen(v)
-				ok = size < best
-			} else {
-				ok = e.v == v
-			}
-			if !ok {
-				seen = i + 1
-				break
-			}
-			// A join repeats the outer row per match: skip the repeats.
-			for i++; i < len(det) && det[i] == dv && col[i] == v; i++ {
-			}
+		var size, seen int
+		var epoch uint64
+		if known.enc == encMap && j == known.det {
+			size, seen = known.size, len(det)
+		} else {
+			var image []imageEntry
+			image, epoch = sc.newImage(span)
+			size, seen, chainable[j] = mapPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
 		}
 		budget -= seen
-		if ok && len(det) == n {
+		if len(det) == n && size > 0 && size < best {
 			p.enc, p.det, p.epoch, best = encMap, j, epoch, size
+			sc.image, sc.best = sc.best, sc.image
+		}
+	}
+	sc.chainable = chainable
+	for j := 0; j < len(chainable) && budget > 0; j++ {
+		if !chainable[j] {
+			continue
+		}
+		dst := &stats[j]
+		det := wireColumn(cells, stats, j)[:min(n, budget)]
+		var size, seen int
+		var epoch uint64
+		if known.enc == encChain && j == known.det {
+			size, seen = known.size, len(det)
+		} else {
+			var image []imageEntry
+			image, epoch = sc.newImage(uint64(dst.max) - uint64(dst.min))
+			size, seen = chainPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
+		}
+		budget -= seen
+		if len(det) == n && size > 0 && size < best {
+			p.enc, p.det, p.epoch, best = encChain, j, epoch, size
 			sc.image, sc.best = sc.best, sc.image
 		}
 	}
@@ -399,11 +436,67 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known, 
 			}
 		}
 		size += uvarintLen(uint64(d)) + 1 + (n*dictWidth(d)+7)/8
-		if size < best || size == best && p.enc == encMap {
+		if size < best || size == best && p.enc > encDict {
 			p = colPlan{enc: encDict, min: st.min, dict: d, marks: marks}
 		}
 	}
 	return p
+}
+
+// mapPass sizes col as a map over det, the first rows of an earlier column
+// whose values start at dmin, an image of head bytes and then a value per
+// distinct value of det. It returns the size, 0 once the image reaches bound
+// or col contradicts it, the rows it read, and whether it stopped at a
+// contradiction. The size stands only if the rows are all of col's.
+func mapPass(col, det []int64, dmin int64, image []imageEntry, epoch uint64, head, bound int) (size, seen int, contradicted bool) {
+	size = head
+	i := 0
+	for i < len(det) && size < bound {
+		dv, v := det[i], col[i]
+		e := &image[uint64(dv)-uint64(dmin)]
+		if e.epoch != epoch {
+			*e = imageEntry{epoch: epoch, v: v}
+			size += varintLen(v)
+		} else if e.v != v {
+			return 0, i + 1, true
+		}
+		// A join repeats the outer row per match: skip the repeats.
+		for i++; i < len(det) && det[i] == dv && col[i] == v; i++ {
+		}
+	}
+	if size >= bound {
+		return 0, i, false
+	}
+	return size, i, false
+}
+
+// chainPass sizes col as a chain over det, as mapPass does as a map: the
+// image of each value of det is its longest run's rows of col, and every
+// other run of the value repeats a prefix of them.
+func chainPass(col, det []int64, dmin int64, image []imageEntry, epoch uint64, head, bound int) (size, seen int) {
+	size = head
+	i := 0
+	for k := 0; i < len(det) && size < bound; i = k {
+		k = runEnd(det, i)
+		e := &image[uint64(det[i])-uint64(dmin)]
+		if e.epoch != epoch {
+			*e = imageEntry{epoch: epoch}
+		}
+		m := min(k-i, int(e.n))
+		if !slices.Equal(col[i:i+m], col[e.at:int(e.at)+m]) {
+			return 0, k
+		}
+		if k-i > m {
+			for _, v := range col[i+m : k] {
+				size += varintLen(v)
+			}
+			e.at, e.n = int32(i), int32(k-i)
+		}
+	}
+	if size >= bound {
+		return 0, i
+	}
+	return size, i
 }
 
 // dictWidth is the bits per code of a d-entry dictionary: whole bytes.
@@ -492,6 +585,16 @@ func appendColumn(buf []byte, cells []int64, stats []colStats, c int, p colPlan,
 				buf = binary.AppendVarint(buf, e.v)
 			}
 		}
+	case encChain:
+		buf = binary.AppendUvarint(buf, uint64(p.det))
+		dst := &stats[p.det]
+		for _, e := range sc.best[:uint64(dst.max)-uint64(dst.min)+1] {
+			if e.epoch == p.epoch {
+				for _, v := range col[e.at : e.at+e.n] {
+					buf = binary.AppendVarint(buf, v)
+				}
+			}
+		}
 	}
 	return buf
 }
@@ -515,8 +618,9 @@ func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
 
 // ReadTableRows is ReadTableMax under a row cap as well, checked with the
 // cell cap before anything is sized. A caller whose tables hold distinct
-// rows can pass the stream's length: every row differs from the one before
-// it in a column that is no map, and each such change costs a byte.
+// rows can pass the stream's length if its writer refuses the rare table
+// under a byte a row: a row differs from the one before it somewhere, and a
+// change costs a byte, except where a chain column reuses its image.
 func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
@@ -524,22 +628,22 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	if _, err := sc.in.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("data: table stream: %w", err)
 	}
-	d := &wireDecoder{b: sc.in.Bytes()}
-	if len(d.b) < len(tableMagic) {
+	d := &wireDecoder{Cursor{B: sc.in.Bytes()}}
+	if len(d.B) < len(tableMagic) {
 		return nil, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
 	}
-	if magic := d.b[:len(tableMagic)]; string(magic) != tableMagic {
+	if magic := d.B[:len(tableMagic)]; string(magic) != tableMagic {
 		return nil, fmt.Errorf("data: table stream starts %q, this build reads only version %q", magic, tableMagic)
 	}
-	d.pos = len(tableMagic)
-	if d.pos == len(d.b) {
+	d.Pos = len(tableMagic)
+	if d.Pos == len(d.B) {
 		return nil, fmt.Errorf("data: table presence: %w", io.ErrUnexpectedEOF)
 	}
-	present := d.b[d.pos]
-	d.pos++
+	present := d.B[d.Pos]
+	d.Pos++
 	switch present {
 	case 0:
-		if d.pos != len(d.b) {
+		if d.Pos != len(d.B) {
 			return nil, errors.New("data: trailing bytes after a nil table")
 		}
 		return nil, nil
@@ -592,7 +696,7 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 			}
 		}
 	}
-	if d.pos != len(d.b) {
+	if d.Pos != len(d.B) {
 		return nil, fmt.Errorf("data: trailing bytes after %d row(s)", nrows)
 	}
 	if n == 0 {
@@ -612,39 +716,10 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 }
 
 // wireDecoder is a cursor over one encoded table.
-type wireDecoder struct {
-	b   []byte
-	pos int
-}
-
-var (
-	errWireOverflow   = errors.New("varint overflows 64 bits")
-	errWireNonMinimal = errors.New("non-canonical: varint is not minimal")
-)
-
-// uvarintRaw reads one uvarint, rejecting padded (non-minimal) forms: the
-// stream is canonical, so every number has exactly one spelling.
-func (d *wireDecoder) uvarintRaw() (uint64, error) {
-	u, n := binary.Uvarint(d.b[d.pos:])
-	switch {
-	case n == 0:
-		return 0, io.ErrUnexpectedEOF
-	case n < 0:
-		return 0, errWireOverflow
-	case n > 1 && d.b[d.pos+n-1] == 0:
-		return 0, errWireNonMinimal
-	}
-	d.pos += n
-	return u, nil
-}
-
-func (d *wireDecoder) varintRaw() (int64, error) {
-	u, err := d.uvarintRaw()
-	return int64(u>>1) ^ -int64(u&1), err
-}
+type wireDecoder struct{ Cursor }
 
 func (d *wireDecoder) uvarint(what string) (uint64, error) {
-	u, err := d.uvarintRaw()
+	u, err := d.Uvarint()
 	if err != nil {
 		return 0, fmt.Errorf("data: %s: %w", what, err)
 	}
@@ -652,32 +727,24 @@ func (d *wireDecoder) uvarint(what string) (uint64, error) {
 }
 
 func (d *wireDecoder) str(what string) (string, error) {
-	n, err := d.uvarint(what + " length")
+	s, err := d.String(maxWireName)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("data: %s: %w", what, err)
 	}
-	if n > maxWireName {
-		return "", fmt.Errorf("data: %s length %d exceeds wire cap %d", what, n, maxWireName)
-	}
-	if uint64(len(d.b)-d.pos) < n {
-		return "", fmt.Errorf("data: %s: %w", what, io.ErrUnexpectedEOF)
-	}
-	s := string(d.b[d.pos : d.pos+int(n)])
-	d.pos += int(n)
 	return s, nil
 }
 
 // column decodes column c into the column-major cells, after columns 0..c-1,
 // and verifies it is the encoding the writer would have chosen.
 func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScratch) error {
-	if d.pos == len(d.b) {
+	if d.Pos == len(d.B) {
 		return io.ErrUnexpectedEOF
 	}
-	enc := d.b[d.pos]
-	d.pos++
+	enc := d.B[d.Pos]
+	d.Pos++
 	col, st := wireColumn(cells, stats, c), &stats[c]
 	*st = colStats{}
-	dict, det, start := 0, -1, d.pos
+	dict, known, start := 0, decoded{det: -1}, d.Pos
 	var err error
 	switch enc {
 	case encPlain:
@@ -687,7 +754,9 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 	case encDict:
 		dict, err = d.dictColumn(col, sc)
 	case encMap:
-		det, err = d.mapColumn(cells, stats, c, sc)
+		known.det, err = d.mapColumn(cells, stats, c, sc)
+	case encChain:
+		known.det, err = d.chainColumn(cells, stats, c, sc)
 	default:
 		return fmt.Errorf("unknown encoding tag %d", enc)
 	}
@@ -697,8 +766,9 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 	if enc != encRLE && enc != encMap {
 		st.scan(col)
 	}
-	if p := planColumn(cells, stats, c, sc, det, d.pos-start); p.enc != enc || p.dict != dict || enc == encMap && p.det != det {
-		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, det, p.enc, p.dict, p.det)
+	known.enc, known.size = enc, d.Pos-start
+	if p := planColumn(cells, stats, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
+		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, known.det, p.enc, p.dict, p.det)
 	}
 	st.mapped = enc == encMap
 	return nil
@@ -706,7 +776,7 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 
 func (d *wireDecoder) plainColumn(col []int64) error {
 	for i := range col {
-		v, err := d.varintRaw()
+		v, err := d.Varint()
 		if err != nil {
 			return err
 		}
@@ -720,7 +790,7 @@ func (d *wireDecoder) plainColumn(col []int64) error {
 // again value by value would cost as much as decoding them.
 func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) error {
 	n := len(col)
-	r, err := d.uvarintRaw()
+	r, err := d.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -729,7 +799,7 @@ func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) erro
 	}
 	// A run costs at least two bytes, so the count is checked against what
 	// is left of the stream before it sizes anything.
-	if left := uint64(len(d.b) - d.pos); r > left/2 {
+	if left := uint64(len(d.B) - d.Pos); r > left/2 {
 		return fmt.Errorf("%d runs in %d bytes", r, left)
 	}
 	if uint64(cap(sc.runs)) < r {
@@ -738,7 +808,7 @@ func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) erro
 	vals := sc.runs[:r]
 	prev := int64(0)
 	for k := range vals {
-		delta, err := d.varintRaw()
+		delta, err := d.Varint()
 		if err != nil {
 			return err
 		}
@@ -750,7 +820,7 @@ func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) erro
 	}
 	i := 0
 	for _, v := range vals {
-		run, err := d.uvarintRaw()
+		run, err := d.Uvarint()
 		if err != nil {
 			return err
 		}
@@ -771,7 +841,7 @@ func (d *wireDecoder) rleColumn(col []int64, st *colStats, sc *wireScratch) erro
 }
 
 func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
-	nd, err := d.uvarintRaw()
+	nd, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -782,11 +852,11 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 		sc.dict = make([]int64, maxDictSpan)
 	}
 	dict := sc.dict[:nd]
-	if dict[0], err = d.varintRaw(); err != nil {
+	if dict[0], err = d.Varint(); err != nil {
 		return 0, err
 	}
 	for k := 1; k < len(dict); k++ {
-		delta, err := d.uvarintRaw()
+		delta, err := d.Uvarint()
 		if err != nil {
 			return 0, err
 		}
@@ -795,11 +865,11 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 			return 0, fmt.Errorf("dictionary delta %d at entry %d", delta, k)
 		}
 	}
-	if d.pos == len(d.b) {
+	if d.Pos == len(d.B) {
 		return 0, io.ErrUnexpectedEOF
 	}
-	w := uint(d.b[d.pos])
-	d.pos++
+	w := uint(d.B[d.Pos])
+	d.Pos++
 	if w != uint(dictWidth(len(dict))) {
 		return 0, fmt.Errorf("code width %d for %d dictionary entries", w, len(dict))
 	}
@@ -810,11 +880,11 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 		return len(dict), nil
 	}
 	need := (len(col)*int(w) + 7) / 8
-	if len(d.b)-d.pos < need {
+	if len(d.B)-d.Pos < need {
 		return 0, io.ErrUnexpectedEOF
 	}
-	packed := d.b[d.pos : d.pos+need]
-	d.pos += need
+	packed := d.B[d.Pos : d.Pos+need]
+	d.Pos += need
 	var acc uint64
 	var nb uint
 	mask := uint64(1)<<w - 1
@@ -845,7 +915,7 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 // mapColumn decodes a column that is a function of an earlier one: the image
 // entries pair up, in order, with that column's distinct values.
 func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wireScratch) (int, error) {
-	j, err := d.uvarintRaw()
+	j, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -863,7 +933,7 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 	}
 	for k := range image[:span+1] {
 		if image[k].epoch == epoch {
-			if image[k].v, err = d.varintRaw(); err != nil {
+			if image[k].v, err = d.Varint(); err != nil {
 				return 0, err
 			}
 		}
@@ -881,6 +951,59 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 		} else {
 			st.addRun(v, k-i)
 		}
+	}
+	return int(j), nil
+}
+
+// chainColumn decodes a column that repeats, along each run of an earlier
+// column, a list that column's value names, and returns that column.
+func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wireScratch) (int, error) {
+	j, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if j >= uint64(c) || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier or too wide", j, c)
+	}
+	dst := &stats[j]
+	span := uint64(dst.max) - uint64(dst.min)
+	det := wireColumn(cells, stats, int(j))
+	// Each value's longest run is the length of its list.
+	image, epoch := sc.newImage(span)
+	for i, k := 0, 0; i < len(det); i = k {
+		k = runEnd(det, i)
+		e := &image[uint64(det[i])-uint64(dst.min)]
+		if e.epoch != epoch {
+			*e = imageEntry{epoch: epoch}
+		}
+		e.n = max(e.n, int32(k-i))
+	}
+	total := 0
+	for k := range image[:span+1] {
+		if e := &image[k]; e.epoch == epoch {
+			e.at = int32(total)
+			total += int(e.n)
+		}
+	}
+	// A value costs at least a byte: the image is checked against what is
+	// left of the stream before it sizes anything.
+	if left := len(d.B) - d.Pos; total > left {
+		return 0, fmt.Errorf("an image of %d values in %d bytes", total, left)
+	}
+	if cap(sc.runs) < total {
+		sc.runs = make([]int64, total)
+	}
+	vals := sc.runs[:total]
+	for r := range vals {
+		if vals[r], err = d.Varint(); err != nil {
+			return 0, err
+		}
+	}
+	col := wireColumn(cells, stats, c)
+	for i, k := 0, 0; i < len(det); i = k {
+		k = runEnd(det, i)
+		e := &image[uint64(det[i])-uint64(dst.min)]
+		copy(col[i:k], vals[e.at:])
 	}
 	return int(j), nil
 }

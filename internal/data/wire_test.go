@@ -102,7 +102,7 @@ func extremes(n int) []int64 {
 // are negative.
 func mixedTable() *Table {
 	dict := shift(zipfDomain(300, 40), 1000) // two-byte values: a code a row undercuts them
-	cols := [][]int64{serialKey(300), shift(sortedZipf(300, 9), -20), dict, apply(dict, func(v int64) int64 { return -v })}
+	cols := [][]int64{serialKey(300), shift(sortedZipf(300, 9), -20), dict, apply(dict, func(v int64) int64 { return -v }), chainOf(dict)}
 	tbl := &Table{Rel: "Mixed"}
 	for c := range cols {
 		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "M", Col: string(rune('a' + c))})
@@ -115,6 +115,51 @@ func mixedTable() *Table {
 		tbl.Rows = append(tbl.Rows, row)
 	}
 	return tbl
+}
+
+// chainOf is a column that counts along each run of det from det's value:
+// a chain over det, and no function of it where a value repeats in a row.
+func chainOf(det []int64) []int64 {
+	out := make([]int64, len(det))
+	for i, v := range det {
+		out[i] = v
+		if i > 0 && det[i-1] == v {
+			out[i] = out[i-1] + 7
+		}
+	}
+	return out
+}
+
+// hashJoin is the output of a hash join of a generated probe side with a
+// generated build side, columns probe id, probe key, probe attribute, build
+// id, build key, build attribute: each probe row, in order, followed by the
+// build rows of its key in ascending row order. Probe keys repeat, often on
+// consecutive rows; a build attribute is a function of the build id.
+func hashJoin(rng *rand.Rand) *Table {
+	keys := 1 + rng.Intn(12)
+	var build [][3]int64 // id, key, attribute
+	for id := 0; id < rng.Intn(60); id++ {
+		k := int64(rng.Intn(keys))
+		build = append(build, [3]int64{int64(id + 1), k, 3*int64(id) - k})
+	}
+	var cols [6][]int64
+	k := int64(rng.Intn(keys))
+	for p := 0; p < 1+rng.Intn(80); p++ {
+		if rng.Intn(3) > 0 { // keep the key of the probe row before
+			k = int64(rng.Intn(keys))
+		}
+		for _, b := range build {
+			if b[1] == k {
+				for c, v := range [6]int64{int64(p), k, int64(p % 5), b[0], b[1], b[2]} {
+					cols[c] = append(cols[c], v)
+				}
+			}
+		}
+	}
+	if len(cols[0]) == 0 {
+		return tableOf(serialKey(3), constant(3, 1))
+	}
+	return tableOf(cols[:]...)
 }
 
 // tableOf builds a table from its columns.
@@ -144,7 +189,8 @@ func apply(col []int64, f func(int64) int64) []int64 {
 
 // columnPlans encodes the table, checks that it round-trips and re-encodes
 // to the same bytes, and walks the stream with the package's own column
-// decoder: each column's tag and, for a map column, its determinant.
+// decoder: each column's tag and, for a map or chain column, its
+// determinant.
 func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 	t.Helper()
 	blob := encodeTable(t, tbl)
@@ -159,12 +205,13 @@ func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 		t.Fatal("decoded table re-encodes to different bytes")
 	}
 	n, w := len(tbl.Rows), len(tbl.Attrs)
-	d := &wireDecoder{b: blob, pos: len(wireHeader(tbl))}
+	d := &wireDecoder{Cursor{B: blob, Pos: len(wireHeader(tbl))}}
 	cells, stats := make([]int64, n*w), make([]colStats, w)
 	for c := 0; c < w; c++ {
-		tags, dets = append(tags, d.b[d.pos]), append(dets, -1)
-		if d.b[d.pos] == encMap {
-			dets[c] = int(d.b[d.pos+1]) // one byte: the fixtures are narrow
+		tags, dets = append(tags, d.B[d.Pos]), append(dets, -1)
+		if d.B[d.Pos] >= encMap {
+			j, _ := binary.Uvarint(d.B[d.Pos+1:])
+			dets[c] = int(j)
 		}
 		if err := d.column(cells, stats, c, new(wireScratch)); err != nil {
 			t.Fatalf("column %d: %v", c, err)
@@ -193,9 +240,29 @@ func TestTableWireMapColumns(t *testing.T) {
 			[]byte{encDict, encMap}, []int{-1, 0}},
 		{"equal join keys", tableOf(key, serialKey(n), key),
 			[]byte{encDict, encPlain, encMap}, []int{-1, -1, 0}},
-		// B = f(A) is a map column, so C = g(B) goes through A.
+		// B = f(A) is a map column, so C = g(B) is no map over it; but C
+		// is a chain over B, whose short runs cost less than A's values.
 		{"chain", tableOf(key, apply(key, func(v int64) int64 { return v / 4 }), apply(key, func(v int64) int64 { return v / 4 % 7 })),
-			[]byte{encDict, encMap, encMap}, []int{-1, 0, 0}},
+			[]byte{encDict, encMap, encChain}, []int{-1, 0, 1}},
+		// A copy of a key is a map over it, and a chain over either costs
+		// the same: the tie goes to the lower determinant.
+		{"chain ties", func() *Table {
+			runs := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 2 % 3 })
+			return tableOf(runs, runs, chainOf(shift(runs, 5)))
+		}(), []byte{encPlain, encMap, encChain}, []int{-1, 0, 0}},
+		// A build side's id repeats its chain per probe row of a key: once
+		// per key as a chain over it, and the build attribute is a map
+		// over the chain column.
+		{"build rows per probe row", func() *Table {
+			probe := zipfDomain(n/10, 40)
+			var k, id, y []int64
+			for _, pk := range probe {
+				for b := int64(0); b < pk%4+1; b++ {
+					k, id, y = append(k, pk), append(id, 4*pk+b), append(y, (4*pk+b)*31%97)
+				}
+			}
+			return tableOf(k, id, y)
+		}(), []byte{encRLE, encChain, encMap}, []int{-1, 0, 1}},
 		{"determinant wider than the span", tableOf(apply(key, func(v int64) int64 { return v * 1000 }), apply(key, attr)),
 			[]byte{encPlain, encDict}, []int{-1, -1}},
 		{"a function until the last row", tableOf(key, brokenLast),
@@ -214,39 +281,80 @@ func TestTableWireMapColumns(t *testing.T) {
 }
 
 // TestTableWireMapSearchBounded: a column looks for its determinant among at
-// most mapWork × nrows cells of the columns before it, mapWork being 4.
-// Decoy keys that each hold up as a determinant to their last row use up a
-// column's worth each, so with two of them before its determinant a column
-// finds it, and with three it is encoded as if nothing determined it — on
-// both sides, whatever the table's width: planning stays linear in the
-// table's cells. The counts are literal, so a budget half or twice as large
-// fails here. The target is one byte a row as plain varints, a run a row and
-// a code a row cost more, and so does a decoy's image of it, a byte per
-// decoy value, from the decoy's last row on.
+// most mapWork × nrows cells of the columns before it, mapWork being 4, for
+// maps and then for chains. Decoy keys that each hold up as a determinant to
+// their last row use up a column's worth each, so with two of them before
+// its determinant a column finds it, and with three it is encoded as if
+// nothing determined it — on both sides, whatever the table's width:
+// planning stays linear in the table's cells. The counts are literal, so a
+// budget half or twice as large fails here. A decoy is the determinant with
+// its last row changed: the target's image over it is as small as over the
+// determinant up to that row, which contradicts it. The target is one byte a
+// row as plain varints, and a run a row and a code a row cost more. The
+// chain target counts along runs of four of its determinant, so every map
+// pass stops at its second row and leaves the budget to the chains.
 func TestTableWireMapSearchBounded(t *testing.T) {
 	const n = 2000
-	det := apply(serialKey(n), func(v int64) int64 { return v % 4 })
-	target := apply(det, func(v int64) int64 { return 5*v + 7 })
+	mapDet := apply(serialKey(n), func(v int64) int64 { return v % 4 })
+	chainDet := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 4 % 5 })
 	for _, c := range []struct {
-		decoys int
-		tag    byte
-	}{{2, encMap}, {3, encPlain}, {300, encPlain}} {
+		det, target []int64
+		decoys      int
+		tag         byte
+	}{
+		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 2, encMap},
+		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 3, encPlain},
+		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 300, encPlain},
+		{chainDet, chainOf(shift(chainDet, 5)), 2, encChain},
+		{chainDet, chainOf(shift(chainDet, 5)), 3, encPlain},
+	} {
 		cols := make([][]int64, c.decoys, c.decoys+2)
 		for i := range cols {
-			cols[i] = serialKey(n)
+			// Three ways to break the last row, so that no decoy of the
+			// first three is a map over another.
+			cols[i] = slices.Clone(c.det)
+			cols[i][n-1] = (c.det[n-1] + 1 + int64(i%3)) % 4
 		}
-		tags, dets := columnPlans(t, tableOf(append(cols, det, target)...))
-		if last := len(tags) - 1; tags[last] != c.tag || (c.tag == encMap) != (dets[last] == c.decoys) {
+		tags, dets := columnPlans(t, tableOf(append(cols, c.det, c.target)...))
+		if last := len(tags) - 1; tags[last] != c.tag || (c.tag >= encMap) != (dets[last] == c.decoys) {
 			t.Errorf("%d decoys: target encoded with tag %d through column %d, want tag %d", c.decoys, tags[last], dets[last], c.tag)
 		}
+	}
+
+	// A wider key whose runs are the determinant's comes first: the target
+	// is a chain over it too, twice the size, and its pass leaves the two
+	// decoys the budget but not the determinant. The reader, which decodes
+	// the target through that key, must charge its pass as the writer did,
+	// or it finds the smaller chain and refuses the stream.
+	wide := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 4 % 10 })
+	cols := [][]int64{wide}
+	for i := range 2 {
+		cols = append(cols, slices.Clone(chainDet))
+		cols[i+1][n-1] = (chainDet[n-1] + 1 + int64(i)) % 4
+	}
+	tags, dets := columnPlans(t, tableOf(append(cols, chainDet, chainOf(shift(chainDet, 5)))...))
+	if last := len(tags) - 1; tags[last] != encChain || dets[last] != 0 {
+		t.Errorf("behind a wider key: target encoded with tag %d through column %d, want a chain through column 0", tags[last], dets[last])
 	}
 }
 
 // TestTableWireRandomJoins round-trips generated tables whose columns are
-// fresh draws, copies or functions of earlier columns, at row counts small
-// enough that the search budget and the size ties are in play: the reader's
-// plan, which skips the pair it decoded through, must be the writer's.
+// fresh draws, copies or functions of earlier columns, and generated hash
+// join outputs, at row counts small enough that the search budget and the
+// size ties are in play: the reader's plan, which skips the pair it decoded
+// through, must be the writer's.
 func TestTableWireRandomJoins(t *testing.T) {
+	chains := 0
+	for seed := int64(0); seed < 200; seed++ {
+		tags, _ := columnPlans(t, hashJoin(rand.New(rand.NewSource(seed))))
+		if slices.Contains(tags, encChain) {
+			chains++
+		}
+	}
+	if chains == 0 {
+		t.Error("no generated hash join has a chain column")
+	}
+
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 400; round++ {
 		n, w := 1+rng.Intn(120), 1+rng.Intn(9)
@@ -309,10 +417,11 @@ func TestTableWireNilAndEmpty(t *testing.T) {
 }
 
 // TestReadTableRowsDistinct holds ReadTableRows' premise: a table whose rows
-// are distinct spends a byte of its stream a row or more, whatever layouts
-// its columns take (constant, runs, dictionaries, maps), so its stream's
-// length is a row cap it always meets, and one row under its count refuses
-// it as ErrWireCap.
+// are distinct mostly spends a byte of its stream a row or more, whatever
+// layouts its columns take (constant, runs, dictionaries, maps), so its
+// stream's length is a row cap it meets, and one row under its count refuses
+// it as ErrWireCap. A chain's image can take it under a byte a row: then the
+// cap refuses it, as a caller's writer must.
 func TestReadTableRowsDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -336,7 +445,10 @@ func TestReadTableRowsDistinct(t *testing.T) {
 		}
 		blob := encodeTable(t, tbl)
 		if len(blob) < len(tbl.Rows) {
-			t.Fatalf("trial %d: %d distinct rows in %d bytes", trial, len(tbl.Rows), len(blob))
+			if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(blob)), maxWireCells); !errors.Is(err, ErrWireCap) {
+				t.Fatalf("trial %d: %d distinct rows in %d bytes: got %v, want ErrWireCap", trial, len(tbl.Rows), len(blob), err)
+			}
+			continue
 		}
 		if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(blob)), maxWireCells); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -353,7 +465,7 @@ func TestTableWireShapes(t *testing.T) {
 	shapes := []struct {
 		name string
 		tbl  *Table
-		tag  int // the first column's encoding, -1 when the table has no column data
+		tag  int // the last column's encoding, -1 when the table has no column data
 	}{
 		{"zero rows", &Table{Rel: "Z", Attrs: []workflow.Attr{{Rel: "Z", Col: "a"}, {Rel: "Z", Col: "b"}}}, -1},
 		{"zero columns", &Table{Rel: "Z", Rows: []Row{{}, {}, {}}}, -1},
@@ -381,7 +493,8 @@ func TestTableWireShapes(t *testing.T) {
 			return v
 		}()...), int(encDict)},
 		{"long constant (width-0 dictionary)", column(constant(20000, 9)...), int(encDict)},
-		{"mixed", mixedTable(), int(encPlain)},
+		{"mixed", mixedTable(), int(encChain)},
+		{"hash join", hashJoin(rand.New(rand.NewSource(4))), int(encMap)},
 	}
 	seen := map[int]bool{}
 	for _, s := range shapes {
@@ -406,12 +519,12 @@ func TestTableWireShapes(t *testing.T) {
 			}
 			continue
 		}
-		if tag := int(blob[len(hdr)]); tag != s.tag {
-			t.Errorf("%s: first column encoded with tag %d, want %d", s.name, tag, s.tag)
+		if tags, _ := columnPlans(t, s.tbl); int(tags[len(tags)-1]) != s.tag {
+			t.Errorf("%s: last column encoded with tag %d, want %d", s.name, tags[len(tags)-1], s.tag)
 		}
 		seen[s.tag] = true
 	}
-	for _, tag := range []byte{encPlain, encRLE, encDict} {
+	for _, tag := range []byte{encPlain, encRLE, encDict, encMap, encChain} {
 		if !seen[int(tag)] {
 			t.Errorf("no shape selected encoding %d", tag)
 		}
@@ -439,18 +552,18 @@ func TestTableWireDictionaryWidths(t *testing.T) {
 		if !bytes.Equal(blob, append(wireHeader(tbl), wireModel(vals)...)) {
 			t.Fatalf("%d distinct values over %d rows: the stream is not the model's", c.d, n)
 		}
-		d := &wireDecoder{b: blob, pos: len(wireHeader(tbl))}
-		if d.b[d.pos] != encDict {
-			t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", c.d, n, d.b[d.pos])
+		d := &wireDecoder{Cursor{B: blob, Pos: len(wireHeader(tbl))}}
+		if d.B[d.Pos] != encDict {
+			t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", c.d, n, d.B[d.Pos])
 		}
-		d.pos++
+		d.Pos++
 		for k := 0; k < 1+1+c.d-1; k++ { // d, the first value, the deltas
-			if _, err := d.uvarintRaw(); err != nil {
+			if _, err := d.Uvarint(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if w := int(d.b[d.pos]); w != c.width || len(d.b)-d.pos-1 != n*w/8 {
-			t.Errorf("%d distinct values over %d rows: width %d and %d code bytes, want width %d", c.d, n, w, len(d.b)-d.pos-1, c.width)
+		if w := int(d.B[d.Pos]); w != c.width || len(d.B)-d.Pos-1 != n*w/8 {
+			t.Errorf("%d distinct values over %d rows: width %d and %d code bytes, want width %d", c.d, n, w, len(d.B)-d.Pos-1, c.width)
 		}
 		columnPlans(t, tbl)
 	}
@@ -586,7 +699,7 @@ func TestTableWireConcurrent(t *testing.T) {
 
 func TestTableWireRejectsCorruption(t *testing.T) {
 	// One column of each encoding, so every decoder meets every cut.
-	if tags, _ := columnPlans(t, mixedTable()); !bytes.Equal(tags, []byte{encPlain, encRLE, encDict, encMap}) {
+	if tags, _ := columnPlans(t, mixedTable()); !bytes.Equal(tags, []byte{encPlain, encRLE, encDict, encMap, encChain}) {
 		t.Fatalf("mixedTable's columns are encoded %v, want one of each encoding", tags)
 	}
 	full := encodeTable(t, mixedTable())
@@ -607,9 +720,11 @@ func TestTableWireRejectsCorruption(t *testing.T) {
 	if _, err := ReadTable(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	old := append([]byte("ETBL3"), full[len(tableMagic):]...)
-	if _, err := ReadTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `starts "ETBL3"`) {
-		t.Fatalf("a stream of the previous version: err = %v", err)
+	for _, magic := range []string{"ETBL3", "ETBL4"} {
+		old := append([]byte(magic), full[len(tableMagic):]...)
+		if _, err := ReadTable(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `starts "`+magic+`"`) {
+			t.Fatalf("a stream of an earlier version: err = %v", err)
+		}
 	}
 }
 
@@ -638,7 +753,7 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		{"more runs than half the bytes left", []byte{encRLE, 3, zz(5), zz(1), zz(1), 1}, "3 runs in 4 bytes"},
 		{"runs short of the rows", []byte{encRLE, 1, zz(5), 3}, "runs cover 3 of 4 rows"},
 		{"zero delta after the first run", []byte{encRLE, 2, zz(5), 0, 2, 2}, "adjacent runs of one value"},
-		{"unknown tag", []byte{4, 1, zz(5), 4}, ""},
+		{"unknown tag", []byte{encChain + 1, 1, zz(5), 4}, ""},
 	}
 	for i, c := range cases {
 		_, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...)))
@@ -726,10 +841,47 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 			t.Errorf("%s: err = %v", c.name, err)
 		}
 	}
+
 	// The canonical forms the rejected streams stood in for.
 	for _, tbl := range []*Table{tableOf(k, v, v), tableOf(k, constant(8, 5))} {
 		if _, err := ReadTable(bytes.NewReader(encodeTable(t, tbl))); err != nil {
 			t.Errorf("canonical stream refused: %v", err)
+		}
+	}
+
+	// Chain streams over a key column key = 1 1 2 1 1 2 1 1, whose canonical
+	// form is the 9-byte plain column keyCol: the chain counts along each run.
+	key := []int64{1, 1, 2, 1, 1, 2, 1, 1}
+	keyCol := []byte{encPlain, zz(1), zz(1), zz(2), zz(1), zz(1), zz(2), zz(1), zz(1)}
+	wideKey := apply(key, func(v int64) int64 { return v << 20 })
+	wideCol := encodeTable(t, column(wideKey...))[len(wireHeader(column(wideKey...))):]
+	ch := chainOf(shift(key, 9)) // 10 17 11 10 17 11 10 17
+	img := []byte{zz(10), zz(17), zz(11)}
+	for i, c := range []struct {
+		name string
+		tbl  *Table
+		body []byte // the columns after the key column
+		want string // the refusal, where the stream breaks one of the chain's own rules
+	}{
+		{"canonical", tableOf(key, ch), append([]byte{encChain, 0}, img...), ""},
+		{"determinant is the column itself", tableOf(key, ch), append([]byte{encChain, 1}, img...), "cannot chain"},
+		{"determinant too wide", tableOf(wideKey, ch), append([]byte{encChain, 0}, img...), "cannot chain"},
+		{"image short of the runs", tableOf(key, ch), []byte{encChain, 0, zz(10), zz(17)}, "an image of 3 values in 2 bytes"},
+		{"trailing image bytes", tableOf(key, ch), append([]byte{encChain, 0}, append(img, zz(12))...), "trailing bytes"},
+		{"padded image value", tableOf(key, ch), []byte{encChain, 0, 0x94, 0x00, zz(17), zz(11)}, "not minimal"},
+		{"chain where map is smaller", tableOf(key, shift(key, 9)), []byte{encChain, 0, zz(10), zz(10), zz(11)}, "non-canonical"},
+		{"plain where chain is smaller", tableOf(key, ch), []byte{encPlain, zz(10), zz(17), zz(11), zz(10), zz(17), zz(11), zz(10), zz(17)}, "non-canonical"},
+	} {
+		det := keyCol
+		if c.tbl.Rows[0][0] == wideKey[0] {
+			det = wideCol
+		}
+		stream := append(append(wireHeader(c.tbl), det...), c.body...)
+		if i == 0 && !bytes.Equal(stream, encodeTable(t, c.tbl)) {
+			t.Fatalf("fixture is not the canonical chain stream: % x", stream)
+		}
+		if _, err := ReadTable(bytes.NewReader(stream)); (err == nil) != (i == 0) || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -105,8 +105,8 @@ func TestCatalogIgnoresForeignDirs(t *testing.T) {
 	}
 }
 
-// TestCatalogRefusesRetiredGeneration: a catalog written before store
-// format version 3 does not open: the error names the workflow whose
+// TestCatalogRefusesRetiredGeneration: a catalog written in an earlier store
+// format does not open: the error names the workflow whose
 // generation must be observed again, and the version refused.
 func TestCatalogRefusesRetiredGeneration(t *testing.T) {
 	dir := t.TempDir()

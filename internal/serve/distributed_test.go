@@ -640,39 +640,36 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
-// change that fattens the wire fails here and not only in the benchmark.
-// The runs move 19,675 B, 5,323 B, 3,877 B and 5,508 B under go 1.24's
-// compress/flate at level 3, and the budgets are 1.25 × those; before the
-// statistics store rode ETBL4 (store format version 3) they moved 19,722 B,
-// 5,383 B, 6,307 B and 8,243 B, and the ETBL3 codec under level 2 moved
-// 21,862 B, 7,930 B and 6,509 B of the first three. wf07 at scale
-// 0.01 is two dispatches whose upstream table is the largest the
-// benchmark's dist-run makes; it never crosses the wire: block 0's worker
-// holds it and block 1's request names it (38 KB when it crossed twice,
-// 30 KB when it crossed once). wf08 at 0.05 is three dispatches moving
-// ~167k rows of join output — 3,378,533 B as base64 row-major varints in
-// JSON, 289,889 B as column-encoded frames, 19 KB as map columns deflated,
-// 13.5 KB once each block of the chain went to the worker that kept its
-// input, 8 KB once the two intermediate outputs stay there, 5.4 KB once run
-// values went as deltas and dictionary codes as whole bytes, which DEFLATE
-// models (its tables inflate to 163,064 B, up from 133,320 B). wf12 at
-// 0.002 and wf05 at 0.001 are one instrumented block each of many
-// statistics, so their shards are most of what they inflate to: 3,056 B and
-// 2,802 B as tables, 27,759 B and 25,887 B as the fixed-width buckets of
-// version 2. Each case pins its observed store's WriteTo bytes exactly. A
-// clean run makes one exchange per block: no recompute.
+// change that moves the wire fails here and not only in the benchmark. The
+// cases are the dist-run benchmark workload's six dispatched runs, and each
+// pins the bytes a run moves exactly, under go 1.24's compress/flate at
+// level 3: 3,835 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,345 B, 40,875 B
+// in all. Over ETBL4 tables, which ship a hash join's build rows once per
+// probe row where ETBL5's chain columns ship them once per key, they moved
+// 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B, 54,209 B in
+// all. wf07 at scale 0.01 is two dispatches whose upstream table is the
+// largest the benchmark makes; it never crosses the wire: block 0's worker
+// holds it and block 1's request names it. wf08 at 0.05 is three
+// dispatches moving ~167k rows of join output (3,378,533 B as base64
+// row-major varints in JSON), two of whose outputs stay on their workers.
+// wf05 at 0.001 and wf12 at 0.002 are one instrumented block each of many
+// statistics, so their shards are most of what they inflate to. Each case
+// pins its observed store's WriteTo bytes exactly. A clean run makes one
+// exchange per block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf           int
 		scale        float64
 		blocks, held int
-		budget       int64
-		store        int64
+		sent, store  int64
 	}{
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, budget: 24_594, store: 54},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, budget: 6_654, store: 74},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, budget: 4_847, store: 3_056},
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, budget: 6_885, store: 2_802},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_835, store: 2_802},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, sent: 16_297, store: 54},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, sent: 4_426, store: 74},
+		{wf: 13, scale: 0.1, blocks: 2, held: 0, sent: 10_514, store: 65},
+		{wf: 18, scale: 0.01, blocks: 2, held: 1, sent: 4_458, store: 849},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_345, store: 191},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_527, store: 3_056},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -713,8 +710,8 @@ func TestDistributedWireBytes(t *testing.T) {
 			if resident != int64(c.held) {
 				t.Errorf("the requests named %d resident output(s), want %d", resident, c.held)
 			}
-			if sent > c.budget {
-				t.Errorf("moved %d bytes over the wire, budget %d", sent, c.budget)
+			if sent != c.sent {
+				t.Errorf("moved %d bytes over the wire, want %d", sent, c.sent)
 			}
 			t.Logf("%d bytes over the wire, inflating to header %d + tables %d + shard %d; %d resident ref(s)", sent, header, tables, shard, resident)
 		})

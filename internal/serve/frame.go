@@ -66,10 +66,9 @@ const (
 	frameContentType      = "application/x-etlopt-block"
 	frameStored      byte = 0
 	frameDeflate     byte = 1
-	// Level 3, over ETBL4 tables: 2-3 % under level 2's frames on every
-	// benchmark workload at about its time (level 2 leaves the small-table
-	// ones over what ETBL3 sent), where level 6 takes 8-9 % more off at
-	// 2.5 × the time, which a dist cycle feels.
+	// Level 3, over ETBL5 tables: 1-2 % under level 2's frames on every
+	// benchmark workload at no more time, where level 6 takes 4-5 % more
+	// off at 1.2-1.7 × the compression time, which a dist cycle feels.
 	frameLevel = 3
 )
 

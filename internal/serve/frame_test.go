@@ -197,12 +197,12 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // store's own byte form, whose version moves independently of the frame's.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c340102423002024230016b024230017600194554424c340102423202024232016b024232017601000a000c"
-		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3401034f757402034f7574016b034f75740176020002060004081e4554424c340105617564697402056175646974016b056175646974017600284554424c34010772656a65637473020772656a65637473016b0772656a6563747301760100120012"
+		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c350102423002024230016b024230017600194554424c350102423202024232016b024232017601000a000c"
+		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3501034f757402034f7574016b034f75740176020002060004081e4554424c350105617564697402056175646974016b056175646974017600284554424c35010772656a65637473020772656a65637473016b0772656a6563747301760100120012"
 
 		// The stats shard, the response's last section, in store format
-		// version 3; goldenResponse is every section before it.
-		goldenShard = "3145544c5354415403020000020101010050020002010101194554424c340100020154016100000500020406080a01010205"
+		// version 4; goldenResponse is every section before it.
+		goldenShard = "3145544c5354415404020000020101010050020002010101194554424c350100020154016100000500020406080a01010205"
 	)
 	// The request a session builds from RunSpec + DispatchSpec.
 	coord, err := NewCoordinator(RunSpec{WF: 8, Scale: 0.5, MaxRows: 1000, CSS: css.DefaultOptions()}, CoordinatorOptions{Addrs: []string{"http://127.0.0.1:0"}})
@@ -505,6 +505,16 @@ func FuzzRunFrame(f *testing.F) {
 	f.Add(append(sealedFrame(f, frameStored, uint64(len(payload)), payload), 0))
 	f.Add(append(sealedFrame(f, frameDeflate, uint64(len(payload)), payload), 0))
 	f.Add(sealedFrame(f, frameStored, uint64(len(payload)), append(payload[:len(payload):len(payload)], 0)))
+	// An upstream table whose second column is a chain over its first.
+	var chain []data.Row
+	for _, k := range []int64{1, 1, 2, 1, 1, 2, 1, 1} {
+		v := 9 + k
+		if n := len(chain); n > 0 && chain[n-1][0] == k {
+			v = chain[n-1][1] + 7
+		}
+		chain = append(chain, data.Row{k, v})
+	}
+	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3, map[int]*data.Table{2: frameTable("B2", chain...)}, nil))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

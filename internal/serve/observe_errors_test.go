@@ -80,7 +80,7 @@ func TestObserveRefusesSketchTierUpload(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("sketch-tier upload: %d %s, want 422", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(rec.Body.String(), "version 2 stream, this build reads only version 3") {
+	if !strings.Contains(rec.Body.String(), "version 2 stream, this build reads only version 4") {
 		t.Fatalf("422 body %q does not name the refused version", rec.Body.String())
 	}
 	if _, ok := srv.catalog.get("tiny"); ok {

@@ -125,7 +125,7 @@ type wireFailedStat struct {
 // workerRunResponse is the header of a block's response frame. The
 // sections after it are the boundary output unless it is held, the
 // materialized targets in the order listed here, and the statistics shard
-// in the stats store format (version 3; empty when uninstrumented).
+// in the stats store format (version 4; empty when uninstrumented).
 type workerRunResponse struct {
 	// Held reports that the output stays in this worker's store under the
 	// request's key, and is not in the frame.

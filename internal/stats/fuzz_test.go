@@ -33,12 +33,13 @@ func FuzzReadStore(f *testing.F) {
 	f.Add([]byte{})                          // empty
 	f.Add([]byte("ETLSTAT"))                 // bare magic
 	f.Add([]byte("NOTMAGIC"))                // wrong magic
-	f.Add([]byte("ETLSTAT\x04\x00"))         // future version
+	f.Add([]byte("ETLSTAT\x05\x00"))         // future version
+	f.Add([]byte("ETLSTAT\x03\x00"))         // v3 header, refused by its version
 	f.Add([]byte("ETLSTAT\x02\x00\x00\x00")) // v2 header, refused by its version
 	// Header claiming 2^24 statistics with no bytes behind it.
-	f.Add([]byte("ETLSTAT\x03\x80\x80\x80\x08"))
+	f.Add([]byte("ETLSTAT\x04\x80\x80\x80\x08"))
 	// Header count past any stream.
-	f.Add([]byte("ETLSTAT\x03\xff\xff\xff\xff\x0f"))
+	f.Add([]byte("ETLSTAT\x04\xff\xff\xff\xff\x0f"))
 
 	// A version-2 stream from when the sketch kinds were registered, its
 	// truncation and its v1 downgrade: refused by their version.
@@ -55,7 +56,7 @@ func FuzzReadStore(f *testing.F) {
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
-	f.Add([]byte("ETLSTAT\x03\x01\x05"))
+	f.Add([]byte("ETLSTAT\x04\x01\x05"))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		st, err := ReadStore(bytes.NewReader(in))
@@ -93,7 +94,7 @@ func FuzzReadStore(f *testing.F) {
 // typed.
 func FuzzReadStoreTypedErrors(f *testing.F) {
 	f.Add([]byte("ETLSTAT\x01\x00\x00\x00\x01\x00\x00\x00\x03"))     // a version-1 stream
-	f.Add([]byte("ETLSTAT\x03\x01\x03\x00\x02\x01\x01\x01\x00\x00")) // a retired kind byte
+	f.Add([]byte("ETLSTAT\x04\x01\x03\x00\x02\x01\x01\x01\x00\x00")) // a retired kind byte
 	var valid bytes.Buffer
 	if _, err := sampleStore().WriteTo(&valid); err != nil {
 		f.Fatal(err)

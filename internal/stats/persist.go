@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"github.com/essential-stats/etlopt/internal/data"
@@ -16,12 +17,12 @@ import (
 // Statistics persistence: an ETL workflow runs on a schedule, usually in a
 // fresh process each time, so the statistics observed in one run must
 // survive to optimize the next (the design-once / execute-repeatedly loop
-// of the paper). The stream, format version 3, is
+// of the paper). The stream, format version 4, is
 //
 //	"ETLSTAT" | version | count | count × value
 //	value = kind(1) | block | set | depth | reject input | reject edge
 //	      | scalar kinds: nattrs | nattrs × (attr rel, attr col) | scalar
-//	      | histograms:   section+,  section = length | ETBL4 table
+//	      | histograms:   section+,  section = length | ETBL5 table
 //
 // Version, counts and lengths are uvarints, the target fields and the scalar
 // zigzag varints, strings a uvarint length plus bytes. A histogram is a table
@@ -29,7 +30,8 @@ import (
 // attributes and then one count column, countAttr; its rows are the buckets
 // in ascending compareTuples order, histSectionRows to a section. Its
 // attributes are named in each table header, and its sorted rows are what
-// the table codec's run and dictionary layouts compress.
+// the table codec's run and dictionary layouts compress. A section spends at
+// least a byte a bucket and at most histCellsPerByte cells a byte.
 //
 // The stream is deterministic (canonical statistic order, sorted buckets) and
 // canonical: ReadStore accepts only bytes WriteTo could have produced.
@@ -37,17 +39,19 @@ import (
 const (
 	persistMagic = "ETLSTAT"
 	// persistVersion is the one version WriteTo writes and ReadStore reads:
-	// a version 1 or 2 store (fixed-width fields) must be observed again.
-	persistVersion = 3
+	// a version 1 or 2 store (fixed-width fields), or a version 3 one (ETBL4
+	// sections), must be observed again.
+	persistVersion = 4
 
 	minValueLen = 1 + 5 + 1 + 1 // kind, five target varints, attribute count, scalar
 	minAttrLen  = 2             // two empty strings
 	// histCellsPerByte caps a histogram section's cells by its length, as
 	// its rows are (data.ReadTableRows: buckets are distinct, so a table
-	// spends a byte a row or more). Observed stores hold under 2 cells a
-	// byte and any histogram of up to 7 attributes fits; the writer refuses
-	// a denser one, as the reader would. A section so costs its reader
-	// under 160 bytes a byte.
+	// mostly spends a byte a row or more). Observed stores hold under 2
+	// cells a byte and any histogram of up to 7 attributes fits; the writer
+	// refuses a denser section, or one of more buckets than bytes (a chain
+	// column's image can be reused), as the reader would. A section so
+	// costs its reader under 160 bytes a byte.
 	histCellsPerByte = 8
 	// histSectionRows is the most rows a section holds. A full one is
 	// followed by the next (empty if the buckets divide evenly): a histogram
@@ -120,6 +124,9 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 			if cells := len(part.Rows) * len(tab.Attrs); cells > histCellsPerByte*sec.Len() {
 				return 0, fmt.Errorf("stats: histogram %v: %d cells in %d bytes, over the reader's %d a byte: %w", s.Key(), cells, sec.Len(), histCellsPerByte, data.ErrWireCap)
 			}
+			if len(part.Rows) > sec.Len() {
+				return 0, fmt.Errorf("stats: histogram %v: %d buckets in %d bytes, over the reader's one a byte: %w", s.Key(), len(part.Rows), sec.Len(), data.ErrWireCap)
+			}
 			buf = append(binary.AppendUvarint(buf, uint64(sec.Len())), sec.Bytes()...)
 			full = len(part.Rows) == histSectionRows
 		}
@@ -156,11 +163,11 @@ func ReadStore(r io.Reader) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stats: read statistics stream: %w", err)
 	}
-	d := &storeDecoder{b: b}
+	d := &storeDecoder{Cursor: data.Cursor{B: b}}
 	if !bytes.HasPrefix(b, []byte(persistMagic)) {
 		return nil, d.corrupt("stream does not start %q", persistMagic)
 	}
-	d.pos = len(persistMagic)
+	d.Pos = len(persistMagic)
 	version, err := d.uvarint("version")
 	if err != nil {
 		return nil, err
@@ -201,49 +208,47 @@ func ReadStore(r io.Reader) (*Store, error) {
 // storeDecoder is a cursor over one statistics stream, of the version its
 // header declares once parsed.
 type storeDecoder struct {
-	b       []byte
-	pos     int
+	data.Cursor
 	version uint32
 }
 
-func (d *storeDecoder) left() int { return len(d.b) - d.pos }
+func (d *storeDecoder) left() int { return len(d.B) - d.Pos }
 
 // corrupt builds a typed formatError at the current offset.
 func (d *storeDecoder) corrupt(format string, args ...any) error {
-	return &formatError{Offset: int64(d.pos), Msg: fmt.Sprintf(format, args...), Version: d.version, BadKind: -1}
+	return &formatError{Offset: int64(d.Pos), Msg: fmt.Sprintf(format, args...), Version: d.version, BadKind: -1}
 }
 
-// uvarint reads one uvarint, refusing padded (non-minimal) forms: the
-// stream is canonical, so every number has exactly one spelling.
-func (d *storeDecoder) uvarint(what string) (uint64, error) {
-	u, n := binary.Uvarint(d.b[d.pos:])
-	switch {
-	case n == 0:
-		return 0, d.corrupt("truncated %s", what)
-	case n < 0:
-		return 0, d.corrupt("%s overflows 64 bits", what)
-	case n > 1 && d.b[d.pos+n-1] == 0:
-		return 0, d.corrupt("%s is not a minimal varint", what)
+// refused is a failed cursor read of what, as a formatError.
+func (d *storeDecoder) refused(what string, err error) error {
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		return d.corrupt("truncated %s", what)
 	}
-	d.pos += n
+	return d.corrupt("%s: %v", what, err)
+}
+
+func (d *storeDecoder) uvarint(what string) (uint64, error) {
+	u, err := d.Uvarint()
+	if err != nil {
+		return 0, d.refused(what, err)
+	}
 	return u, nil
 }
 
 func (d *storeDecoder) varint(what string) (int64, error) {
-	u, err := d.uvarint(what)
-	return int64(u>>1) ^ -int64(u&1), err
+	v, err := d.Varint()
+	if err != nil {
+		return 0, d.refused(what, err)
+	}
+	return v, nil
 }
 
 func (d *storeDecoder) str(what string) (string, error) {
-	n, err := d.uvarint(what + " length")
-	if err == nil && n > uint64(d.left()) {
-		err = d.corrupt("truncated %s", what)
-	}
+	s, err := d.String(math.MaxInt)
 	if err != nil {
-		return "", err
+		return "", d.refused(what, err)
 	}
-	d.pos += int(n)
-	return string(d.b[d.pos-int(n) : d.pos]), nil
+	return s, nil
 }
 
 // value decodes one statistic and its value.
@@ -251,12 +256,12 @@ func (d *storeDecoder) value() (*Value, error) {
 	if d.left() == 0 {
 		return nil, d.corrupt("truncated kind")
 	}
-	kind := Kind(d.b[d.pos])
-	d.pos++
+	kind := Kind(d.B[d.Pos])
+	d.Pos++
 	if !kind.valid() {
 		// The error carries the unknown byte and the stream version, so a
 		// caller can tell a future-format stream from corruption.
-		return nil, &formatError{Offset: int64(d.pos), Msg: "unregistered statistic kind", Version: d.version, BadKind: int(kind)}
+		return nil, &formatError{Offset: int64(d.Pos), Msg: "unregistered statistic kind", Version: d.version, BadKind: int(kind)}
 	}
 	var tf [5]int64 // block, set, depth, reject input, reject edge
 	for i, name := range [...]string{"block", "set", "depth", "reject input", "reject edge"} {
@@ -328,14 +333,14 @@ func (d *storeDecoder) histogram() (*Histogram, error) {
 		if n > uint64(d.left()) {
 			return nil, d.corrupt("truncated histogram section: %d bytes declared, %d left", n, d.left())
 		}
-		t, err := data.ReadTableRows(bytes.NewReader(d.b[d.pos:d.pos+int(n)]), min(int64(n), histSectionRows), histCellsPerByte*int64(n))
+		t, err := data.ReadTableRows(bytes.NewReader(d.B[d.Pos:d.Pos+int(n)]), min(int64(n), histSectionRows), histCellsPerByte*int64(n))
 		if err != nil {
 			return nil, d.corrupt("histogram table: %v", err)
 		}
 		if t == nil || t.Rel != "" || len(t.Attrs) == 0 || t.Attrs[len(t.Attrs)-1] != countAttr {
 			return nil, d.corrupt("histogram section is not a table of relation \"\" ending in the count column")
 		}
-		d.pos += int(n)
+		d.Pos += int(n)
 		arity := len(t.Attrs) - 1
 		attrs := t.Attrs[:arity:arity]
 		if h == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -54,20 +55,24 @@ func retiredSketchStream(tb testing.TB) []byte {
 	return []byte(in)
 }
 
-// TestReadStoreRefusesRetiredKinds: the checked-in version-2 stream, and
-// its version-1 downgrade, are refused by their version, which the refusal
-// names beside the one this build reads; a version-3 stream carrying a
+// TestReadStoreRefusesRetiredKinds: the checked-in version-2 stream, its
+// version-1 downgrade, and a current stream labelled version 3 (whose
+// histograms were ETBL4 tables) are refused by their version, which the
+// refusal names beside the one this build reads; a current stream carrying a
 // retired sketch kind byte is refused as an unknown kind.
 func TestReadStoreRefusesRetiredKinds(t *testing.T) {
-	stream := retiredSketchStream(t)
-	for _, version := range []byte{2, 1} {
+	for _, version := range []byte{3, 2, 1} {
+		stream := retiredSketchStream(t)
+		if version == 3 {
+			stream = validStream(t)
+		}
 		in := append([]byte(nil), stream...)
 		in[len(persistMagic)] = version
 		fe := wantCorrupt(t, in, fmt.Sprintf("v%d stream", version))
 		if fe.BadKind != -1 || fe.Version != uint32(version) || fe.Offset != int64(len(persistMagic)+1) {
 			t.Fatalf("v%d: refusal carries kind %d version %d offset %d", version, fe.BadKind, fe.Version, fe.Offset)
 		}
-		if want := fmt.Sprintf("version %d stream, this build reads only version 3", version); !strings.Contains(fe.Error(), want) {
+		if want := fmt.Sprintf("version %d stream, this build reads only version %d", version, persistVersion); !strings.Contains(fe.Error(), want) {
 			t.Fatalf("v%d: refusal %q does not say %q", version, fe.Error(), want)
 		}
 	}
@@ -82,9 +87,9 @@ func TestReadStoreRefusesRetiredKinds(t *testing.T) {
 	for _, kind := range []byte{3, 4} {
 		in := append([]byte(nil), buf.Bytes()...)
 		in[kindOff] = kind
-		fe := wantCorrupt(t, in, fmt.Sprintf("v3 kind %d", kind))
+		fe := wantCorrupt(t, in, fmt.Sprintf("v%d kind %d", persistVersion, kind))
 		if fe.BadKind != int(kind) || fe.Version != persistVersion || fe.Offset != int64(kindOff+1) {
-			t.Fatalf("v3 kind %d: refusal carries kind %d version %d offset %d", kind, fe.BadKind, fe.Version, fe.Offset)
+			t.Fatalf("v%d kind %d: refusal carries kind %d version %d offset %d", persistVersion, kind, fe.BadKind, fe.Version, fe.Offset)
 		}
 	}
 }
@@ -92,16 +97,16 @@ func TestReadStoreRefusesRetiredKinds(t *testing.T) {
 // TestPersistUnknownKindTyped: the forward-compatibility rejection carries
 // the unknown kind byte and the stream version.
 func TestPersistUnknownKindTyped(t *testing.T) {
-	// v3 header, one statistic, kind byte 9, padded past the minimal value
+	// v4 header, one statistic, kind byte 9, padded past the minimal value
 	// length so the size pre-check does not fire first.
-	in := append([]byte("ETLSTAT\x03\x01\x09"), make([]byte, 64)...)
+	in := append([]byte("ETLSTAT\x04\x01\x09"), make([]byte, 64)...)
 	_, err := ReadStore(bytes.NewReader(in))
 	var fe *formatError
 	if !errors.As(err, &fe) || !errors.Is(err, errCorrupt) {
 		t.Fatalf("want *FormatError wrapping ErrCorrupt, got %v", err)
 	}
-	if fe.BadKind != 9 || fe.Version != 3 {
-		t.Fatalf("FormatError carries kind %d version %d, want 9/3", fe.BadKind, fe.Version)
+	if fe.BadKind != 9 || fe.Version != 4 {
+		t.Fatalf("FormatError carries kind %d version %d, want 9/4", fe.BadKind, fe.Version)
 	}
 }
 
@@ -223,7 +228,7 @@ func TestReadStoreRejectsCorruptStreams(t *testing.T) {
 
 	// A count header larger than the stream can possibly hold is rejected
 	// at the header, before any value parsing.
-	hostile := append([]byte("ETLSTAT\x03\xff\xff\x03"), valid[9:]...) // count = 65535
+	hostile := append([]byte("ETLSTAT\x04\xff\xff\x03"), valid[9:]...) // count = 65535
 	fe := wantCorrupt(t, hostile, "oversized count")
 	if fe.Offset != 11 {
 		t.Fatalf("oversized count detected at byte %d, want 11 (end of header)", fe.Offset)
@@ -233,7 +238,7 @@ func TestReadStoreRejectsCorruptStreams(t *testing.T) {
 	}
 
 	// So is a count past any stream, when the size is unknown.
-	capped := []byte("ETLSTAT\x03\xff\xff\xff\xff\x0f")
+	capped := []byte("ETLSTAT\x04\xff\xff\xff\xff\x0f")
 	if _, err := ReadStore(iotest.OneByteReader(bytes.NewReader(capped))); !errors.Is(err, errCorrupt) {
 		t.Fatalf("capped count on size-unknown stream: got %v", err)
 	}
@@ -255,12 +260,12 @@ func TestReadStoreRejectsCorruptStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	val := one.Bytes()[9:] // the single value's encoding
-	dup := append([]byte("ETLSTAT\x03\x02"), val...)
+	dup := append([]byte("ETLSTAT\x04\x02"), val...)
 	dup = append(dup, val...)
 	wantCorrupt(t, dup, "duplicate statistic")
 }
 
-// histStream is a version-3 stream of one histogram statistic whose
+// histStream is a version-4 stream of one histogram statistic whose
 // sections are tabs as data.WriteTable writes them, canonical for the store
 // or not.
 func histStream(tb testing.TB, tabs ...*data.Table) []byte {
@@ -276,7 +281,7 @@ func histStream(tb testing.TB, tabs ...*data.Table) []byte {
 	return rawHistStream(tb, secs...)
 }
 
-// rawHistStream is a version-3 stream of one histogram statistic whose
+// rawHistStream is a version-4 stream of one histogram statistic whose
 // sections are secs, each behind its length.
 func rawHistStream(tb testing.TB, secs ...[]byte) []byte {
 	tb.Helper()
@@ -404,7 +409,7 @@ func TestReadStoreHostileSectionBounded(t *testing.T) {
 	const size = 1 << 20
 	const wide = histCellsPerByte * size / histSectionRows // columns at the cell cap
 	junk := func(cols int) []byte {
-		hdr := binary.AppendUvarint([]byte("ETBL4\x01\x00"), uint64(cols))
+		hdr := binary.AppendUvarint([]byte("ETBL5\x01\x00"), uint64(cols))
 		hdr = append(hdr, make([]byte, 2*cols)...) // every attribute ""."" (refused later)
 		hdr = binary.AppendUvarint(hdr, histSectionRows)
 		return append(hdr, bytes.Repeat([]byte{0xff}, size-len(hdr))...)
@@ -501,6 +506,29 @@ func TestWriteToRefusesDenseHistogram(t *testing.T) {
 		case !errors.Is(err, data.ErrWireCap) || !strings.Contains(err.Error(), "over the reader's 8 a byte"):
 			t.Fatalf("arity %d: got %v, want the reader's cell cap refusal", c.arity, err)
 		}
+	}
+}
+
+// TestWriteToRefusesSparseSection: the reader caps a section's rows at its
+// length, and a chain column's image can take a histogram under a byte a
+// bucket. Here the third attribute counts 0-3 along each run of four of the
+// second, which cycles through 64 values: one image of 256 values serves all
+// 8,192 buckets, and the second attribute's runs cost two bytes each. WriteTo
+// refuses the section as data.ErrWireCap, as the reader refuses it.
+func TestWriteToRefusesSparseSection(t *testing.T) {
+	attrs := []workflow.Attr{{Rel: "T", Col: "a"}, {Rel: "T", Col: "b"}, {Rel: "T", Col: "c"}}
+	h := NewHistogram(attrs...)
+	for i := range int64(8192) {
+		h.Inc([]int64{i / 256, i / 4 % 64, i % 4}, 1)
+	}
+	st := NewStore()
+	st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), attrs...), Hist: h})
+	if _, err := st.WriteTo(io.Discard); !errors.Is(err, data.ErrWireCap) || !strings.Contains(err.Error(), "over the reader's one a byte") {
+		t.Fatalf("got %v, want the reader's row cap refusal", err)
+	}
+	fe := wantCorrupt(t, histStream(t, histTable(attrs, h)), "a section of more buckets than bytes")
+	if !strings.Contains(fe.Msg, "exceeds the wire cell cap") {
+		t.Errorf("refusal %q does not name the cap", fe.Msg)
 	}
 }
 
