@@ -265,6 +265,10 @@ type colStats struct {
 	runs     int   // maximal runs of one value; 0 before the first value
 	plain    int   // bytes as zigzag varints
 	mapped   bool  // map-encoded, so no map's determinant
+	// recurs is 1 if some value recurs in a later run, 2 if none does, 0
+	// before it is asked: a chain over a column none of whose values recurs
+	// is the chained column itself, value for value, and never beats plain.
+	recurs int8
 }
 
 // scan folds the next, non-empty, segment of the column into the statistics.
@@ -390,10 +394,10 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 	}
 	sc.chainable = chainable
 	for j := 0; j < len(chainable) && budget > 0; j++ {
-		if !chainable[j] {
+		dst := &stats[j]
+		if !chainable[j] || !sc.recurs(wireColumn(cells, stats, j), dst) {
 			continue
 		}
-		dst := &stats[j]
 		det := wireColumn(cells, stats, j)[:min(n, budget)]
 		var size, seen int
 		var epoch uint64
@@ -441,6 +445,23 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 		}
 	}
 	return p
+}
+
+// recurs reports whether a value of det recurs in a later run, and keeps
+// the answer in its statistics.
+func (sc *wireScratch) recurs(det []int64, st *colStats) bool {
+	if st.recurs == 0 {
+		st.recurs = 2
+		image, epoch := sc.newImage(uint64(st.max) - uint64(st.min))
+		for i := 0; i < len(det) && st.recurs == 2; i = runEnd(det, i) {
+			e := &image[uint64(det[i])-uint64(st.min)]
+			if e.epoch == epoch {
+				st.recurs = 1
+			}
+			e.epoch = epoch
+		}
+	}
+	return st.recurs == 1
 }
 
 // mapPass sizes col as a map over det, the first rows of an earlier column

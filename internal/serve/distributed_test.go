@@ -643,7 +643,7 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // change that moves the wire fails here and not only in the benchmark. The
 // cases are the dist-run benchmark workload's six dispatched runs, and each
 // pins the bytes a run moves exactly, under go 1.24's compress/flate at
-// level 3: 3,835 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,345 B, 40,875 B
+// level 3: 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,341 B, 40,504 B
 // in all. Over ETBL4 tables, which ship a hash join's build rows once per
 // probe row where ETBL5's chain columns ship them once per key, they moved
 // 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B, 54,209 B in
@@ -663,13 +663,13 @@ func TestDistributedWireBytes(t *testing.T) {
 		blocks, held int
 		sent, store  int64
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_835, store: 2_802},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_468, store: 2_802},
 		{wf: 7, scale: 0.01, blocks: 2, held: 1, sent: 16_297, store: 54},
 		{wf: 8, scale: 0.05, blocks: 3, held: 2, sent: 4_426, store: 74},
 		{wf: 13, scale: 0.1, blocks: 2, held: 0, sent: 10_514, store: 65},
 		{wf: 18, scale: 0.01, blocks: 2, held: 1, sent: 4_458, store: 849},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_345, store: 191},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_527, store: 3_056},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_341, store: 191},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_503, store: 3_056},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)

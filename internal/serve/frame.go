@@ -67,8 +67,8 @@ const (
 	frameStored      byte = 0
 	frameDeflate     byte = 1
 	// Level 3, over ETBL5 tables: 1-2 % under level 2's frames on every
-	// benchmark workload at no more time, where level 6 takes 4-5 % more
-	// off at 1.2-1.7 × the compression time, which a dist cycle feels.
+	// benchmark workload at no more time, where level 6 takes 3-5 % more
+	// off at up to 1.6 × the compression time, which a dist cycle feels.
 	frameLevel = 3
 )
 
