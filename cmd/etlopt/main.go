@@ -14,7 +14,7 @@
 //	etlopt run     -wf 3 -scale 0.002 # full cycle over generated data
 //	etlopt run     -f flow.json -data dir/   # full cycle over CSV flat files
 //	etlopt run     -wf 3 -metrics=table      # …plus per-operator metrics and the q-error report
-//	etlopt explain -wf 3              # compiled physical plan with the taps `run` would place (core.Select)
+//	etlopt explain -wf 3              # compiled physical plan with the taps `run` would place (core.Plan)
 //	etlopt explain -wf 3 -derive      # …plus the derivation tree of every SE cardinality
 //	etlopt explain -wf 3 -metrics=json       # …plus a Metrics section from an instrumented run
 //	etlopt gendata -wf 3 -out dir/    # export a suite workflow's data as CSVs
@@ -197,7 +197,7 @@ func main() {
 		err = withDoc(o, baseline)
 	case "dot":
 		err = withDoc(o, func(doc *workflow.Document) error {
-			an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
+			an, err := core.NewPlan(doc.Workflow, doc.Catalog, css.DefaultOptions()).Analysis()
 			if err != nil {
 				return err
 			}
@@ -429,7 +429,7 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 }
 
 // explainCmd compiles the workflow's physical plan — the initial join trees
-// instrumented with the selection core.Select makes for the cycle `run`
+// instrumented with the selection core.Plan makes for the cycle `run`
 // would configure from the same flags (-union-division included) — and prints
 // it with every tap point. The output is deterministic (no execution happens
 // unless -metrics or -derive ask for it), so it doubles as a golden
@@ -451,19 +451,13 @@ func explainCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	an, err := workflow.Analyze(g, cat)
+	p := core.NewPlan(g, cat, cfg.CSS)
+	sel, err := p.Selection(cfg.Method)
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return err
-	}
-	_, sel, err := core.Select(res, cfg)
-	if err != nil {
-		return err
-	}
-	plan, err := physical.Compile(an, db, physical.Options{Res: res, Observe: sel.Observe})
+	res, _ := p.CSS() // computed by the selection
+	plan, err := physical.Compile(res.Analysis, db, physical.Options{Res: res, Observe: sel.Observe})
 	if err != nil {
 		return err
 	}
@@ -537,18 +531,11 @@ func scheduleCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
-	an, err := workflow.Analyze(w.Graph, w.Catalog)
+	u, err := core.NewPlan(w.Graph, w.Catalog, cfg.CSS).Universe()
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return err
-	}
-	u, err := core.Universe(res)
-	if err != nil {
-		return err
-	}
+	res, an := u.Res, u.Res.Analysis
 	plan, err := schedule.Build(u, o.budget)
 	if err != nil {
 		return err
@@ -669,14 +656,11 @@ func analyze(doc *workflow.Document, o *options) error {
 	if err != nil {
 		return err
 	}
-	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
+	res, err := core.NewPlan(doc.Workflow, doc.Catalog, cfg.CSS).CSS()
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return err
-	}
+	an := res.Analysis
 	fmt.Printf("workflow %q: %d nodes, %d optimizable block(s)\n\n",
 		doc.Workflow.Name, len(doc.Workflow.Nodes), len(an.Blocks))
 	for bi, blk := range an.Blocks {
@@ -716,22 +700,16 @@ func statsCmd(doc *workflow.Document, o *options) error {
 	if err != nil {
 		return err
 	}
-	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
+	p := core.NewPlan(doc.Workflow, doc.Catalog, cfg.CSS)
+	sel, err := p.Selection(cfg.Method)
 	if err != nil {
 		return err
 	}
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return err
-	}
-	_, sel, err := core.Select(res, cfg)
-	if err != nil {
-		return err
-	}
+	res, _ := p.CSS() // computed by the selection
 	fmt.Printf("method=%s optimal=%v cost=%.0f memory=%d units\n\n", sel.Method, sel.Optimal, sel.Cost, sel.Memory)
 	fmt.Println("observe:")
 	for _, s := range sel.Observe {
-		blk := an.Blocks[s.Target.Block]
+		blk := res.Analysis.Blocks[s.Target.Block]
 		extra := ""
 		if res.RejectLinked(s) {
 			extra = "   [requires added reject link]"
@@ -742,11 +720,7 @@ func statsCmd(doc *workflow.Document, o *options) error {
 }
 
 func baseline(doc *workflow.Document) error {
-	an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
-	if err != nil {
-		return err
-	}
-	res, err := css.Generate(an, css.DefaultOptions())
+	res, err := core.NewPlan(doc.Workflow, doc.Catalog, css.DefaultOptions()).CSS()
 	if err != nil {
 		return err
 	}

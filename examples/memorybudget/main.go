@@ -16,7 +16,6 @@ import (
 	"log"
 
 	"github.com/essential-stats/etlopt/internal/core"
-	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/estimate"
 	"github.com/essential-stats/etlopt/internal/schedule"
@@ -28,18 +27,14 @@ func main() {
 	// wf03 is the union–division showcase: its unconstrained optimum is a
 	// few hundred units, but pretend memory is scarcer still.
 	w := suite.MustGet(3)
-	an, err := w.Analyze()
+	cfg := core.DefaultConfig()
+	p := core.NewPlan(w.Graph, w.Catalog, cfg.CSS)
+	unconstrained, err := p.Selection(cfg.Method)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := css.Generate(an, css.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	u, unconstrained, err := core.Select(res, core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	u, _ := p.Universe() // computed by the selection
+	res, an := u.Res, u.Res.Analysis
 	fmt.Printf("workflow %s — unconstrained optimum: %d memory units in ONE run\n\n",
 		w.Name, unconstrained.Memory)
 

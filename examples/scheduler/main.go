@@ -19,6 +19,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -55,15 +56,16 @@ func main() {
 		}
 
 		// Fresh process: optimize from the saved statistics, no observation.
-		saved := bytes.NewReader(statsFile.Bytes())
-		_, plans, err := core.OptimizeFromSaved(g, cat, saved, core.DefaultConfig())
+		saved, err := stats.ReadStore(bytes.NewReader(statsFile.Bytes()))
 		if err != nil {
 			log.Fatal(err)
 		}
-		an, err := workflow.Analyze(g, cat)
+		p := core.NewPlan(g, cat, core.DefaultConfig().CSS)
+		_, plans, err := p.Optimize(saved, core.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
+		an, _ := p.Analysis() // computed by the optimization
 		eng := engine.New(an, db, nil)
 		run, err := eng.RunPlans(plans.Trees(), nil, nil)
 		if err != nil {

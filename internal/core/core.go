@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/estimate"
@@ -59,8 +58,8 @@ type Config struct {
 	// block granularity; permanent tap faults degrade the observation and
 	// walk the cycle down the degradation ladder instead of aborting it.
 	Faults *faults.Injector
-	// AllowPartialStats lets OptimizeFromSaved proceed when the saved
-	// store cannot derive every SE cardinality (a partial save from a
+	// AllowPartialStats lets Plan.Optimize proceed when the saved store
+	// cannot derive every SE cardinality (a partial save from a
 	// degraded or cancelled run): blocks whose cardinalities are
 	// underivable keep their initial plans (reported in Result.Fallbacks)
 	// instead of the whole optimization failing with a MissingStatsError.
@@ -130,33 +129,6 @@ func NewExecutor(an *workflow.Analysis, db engine.DB, cfg Config) *engine.Engine
 	return eng
 }
 
-// Universe prices the candidate statistics by memory (the paper's Figure 11
-// objective) and builds the universe: the first half of Select, for callers that plan over the universe without solving it
-// (Section 6.1's budgeted schedules).
-func Universe(res *css.Result) (*selector.Universe, error) {
-	coster := costmodel.NewMemoryCoster(res, res.Analysis.Cat)
-	u, err := selector.NewUniverseOpts(res, coster, selector.UniverseOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("core: select statistics: %w", err)
-	}
-	return u, nil
-}
-
-// Select is the cycle's selection step (Section 5) on its own: it builds
-// the Universe and solves it with Method. Whoever asks which statistics a
-// run will observe asks here.
-func Select(res *css.Result, cfg Config) (*selector.Universe, *selector.Selection, error) {
-	u, err := Universe(res)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, err := selector.SelectUniverse(u, selector.Options{Method: cfg.Method})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: select statistics: %w", err)
-	}
-	return u, sel, nil
-}
-
 // Run executes one full cycle (steps 1–7 of Figure 2) over the workflow and
 // database: the initial plan runs once, instrumented with the selected
 // statistics, and the returned cycle carries the optimized per-block plans.
@@ -174,31 +146,29 @@ func Run(g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*C
 // degradation ladder and reports how in Cycle.Degradation.
 func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db engine.DB, cfg Config) (*Cycle, error) {
 	cy := &Cycle{cfg: cfg, db: db}
-	start := time.Now()
-	an, err := workflow.Analyze(g, cat)
+	p := NewPlan(g, cat, cfg.CSS)
+	an, err := p.Analysis()
 	if err != nil {
-		return cy, fmt.Errorf("core: analyze: %w", err)
+		return cy, err
 	}
 	cy.Analysis = an
-	cy.Timings.Analyze = time.Since(start)
-
-	start = time.Now()
-	res, err := css.Generate(an, cfg.CSS)
+	res, err := p.CSS()
 	if err != nil {
-		return cy, fmt.Errorf("core: generate CSS: %w", err)
+		return cy, err
 	}
 	cy.CSS = res
-	cy.Timings.GenerateCSS = time.Since(start)
-
-	start = time.Now()
-	u, sel, err := Select(res, cfg)
+	u, err := p.Universe()
+	if err != nil {
+		return cy, err
+	}
+	sel, err := p.Selection(cfg.Method)
 	if err != nil {
 		return cy, err
 	}
 	cy.Selection = sel
-	cy.Timings.Select = time.Since(start)
+	cy.Timings = p.Timings(cfg.Method)
 
-	start = time.Now()
+	start := time.Now()
 	eng := NewExecutor(an, db, cfg)
 	run, err := eng.RunPlansCtx(ctx, nil, res, sel.Observe)
 	cy.Observed = run
@@ -290,50 +260,6 @@ func (e *MissingStatsError) Error() string {
 	}
 	return fmt.Sprintf("core: saved statistics cannot derive %d required statistic(s) across block(s) %v: %s%s (partial save? set AllowPartialStats to optimize the derivable subset)",
 		len(e.Missing), e.Blocks, strings.Join(labels, ", "), suffix)
-}
-
-// OptimizeFromSaved rebuilds the optimization outcome from previously saved
-// statistics, without executing the workflow: analyze, regenerate the CSS
-// result, load the store, and cost-optimize. It returns the estimator and
-// plans a fresh process needs to run the optimized plan.
-//
-// A store that cannot derive every required SE cardinality fails with a
-// typed *MissingStatsError naming the underivable statistics — silent
-// estimation from incomplete statistics is exactly the failure mode the
-// paper's framework exists to rule out. Config.AllowPartialStats instead
-// optimizes the derivable subset, leaving affected blocks on their initial
-// plans (optimizer.Result.Fallbacks).
-func OptimizeFromSaved(g *workflow.Graph, cat *workflow.Catalog, r io.Reader, cfg Config) (*estimate.Estimator, *optimizer.Result, error) {
-	an, err := workflow.Analyze(g, cat)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: analyze: %w", err)
-	}
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: generate CSS: %w", err)
-	}
-	store, err := stats.ReadStore(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: load statistics: %w", err)
-	}
-	return OptimizeFromStore(res, store, cfg)
-}
-
-// OptimizeFromStore is OptimizeFromSaved past the loading phase: callers
-// holding an already-generated CSS result and an already-validated store
-// (the serving daemon's catalog) enter here, so both paths produce
-// identical plans and estimates by construction.
-func OptimizeFromStore(res *css.Result, store *stats.Store, cfg Config) (*estimate.Estimator, *optimizer.Result, error) {
-	est := estimate.New(res, store)
-	if miss := missingRequired(res, est); miss != nil && !cfg.AllowPartialStats {
-		return nil, nil, miss
-	}
-	plans, err := optimizer.OptimizeOpts(res, est, cfg.CostModel,
-		optimizer.Options{FallbackInitial: cfg.AllowPartialStats})
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: optimize: %w", err)
-	}
-	return est, plans, nil
 }
 
 // missingRequired probes every required statistic (the cardinality of

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/estimate"
+	"github.com/essential-stats/etlopt/internal/optimizer"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
@@ -93,8 +96,9 @@ func TestCycleTimingsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if cy.Timings.GenerateCSS <= 0 || cy.Timings.Select <= 0 || cy.Timings.ObserveRun <= 0 {
-		t.Fatalf("timings not populated: %+v", cy.Timings)
+	tm := cy.Timings
+	if tm.Analyze <= 0 || tm.GenerateCSS <= 0 || tm.Select <= 0 || tm.ObserveRun <= 0 || tm.Optimize <= 0 {
+		t.Fatalf("timings not populated: %+v", tm)
 	}
 }
 
@@ -138,6 +142,16 @@ func TestDriftReoptimization(t *testing.T) {
 	}
 }
 
+// optimizeSaved is a fresh process optimizing from a saved statistics
+// file: read the store, then optimize through a new Plan.
+func optimizeSaved(g *workflow.Graph, cat *workflow.Catalog, r io.Reader, cfg Config) (*estimate.Estimator, *optimizer.Result, error) {
+	store, err := stats.ReadStore(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewPlan(g, cat, cfg.CSS).Optimize(store, cfg)
+}
+
 func TestSaveAndOptimizeFromSaved(t *testing.T) {
 	g, cat, db := skewedRetail(t)
 	cy, err := Run(g, cat, db, DefaultConfig())
@@ -149,9 +163,9 @@ func TestSaveAndOptimizeFromSaved(t *testing.T) {
 		t.Fatalf("SaveStats: %v", err)
 	}
 	// A "fresh process": rebuild everything from the saved statistics.
-	est, plans, err := OptimizeFromSaved(g, cat, &buf, DefaultConfig())
+	est, plans, err := optimizeSaved(g, cat, &buf, DefaultConfig())
 	if err != nil {
-		t.Fatalf("OptimizeFromSaved: %v", err)
+		t.Fatalf("Optimize: %v", err)
 	}
 	if plans.TotalCost != cy.Plans.TotalCost {
 		t.Fatalf("reloaded optimization cost %v != original %v", plans.TotalCost, cy.Plans.TotalCost)
@@ -211,7 +225,7 @@ func TestOptimizeFromSavedPartialStore(t *testing.T) {
 	}
 
 	// Default mode: typed error naming the missing statistics.
-	_, _, err = OptimizeFromSaved(g, cat, bytes.NewReader(pbuf.Bytes()), DefaultConfig())
+	_, _, err = optimizeSaved(g, cat, bytes.NewReader(pbuf.Bytes()), DefaultConfig())
 	var miss *MissingStatsError
 	if !errors.As(err, &miss) {
 		t.Fatalf("want *MissingStatsError, got %v", err)
@@ -232,7 +246,7 @@ func TestOptimizeFromSavedPartialStore(t *testing.T) {
 	// initial plans.
 	cfg := DefaultConfig()
 	cfg.AllowPartialStats = true
-	_, plans, err := OptimizeFromSaved(g, cat, bytes.NewReader(pbuf.Bytes()), cfg)
+	_, plans, err := optimizeSaved(g, cat, bytes.NewReader(pbuf.Bytes()), cfg)
 	if err != nil {
 		t.Fatalf("AllowPartialStats mode: %v", err)
 	}
@@ -254,7 +268,7 @@ func TestOptimizeFromSavedPartialStore(t *testing.T) {
 	for _, allow := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.AllowPartialStats = allow
-		_, p2, err := OptimizeFromSaved(g, cat, bytes.NewReader(buf.Bytes()), cfg)
+		_, p2, err := optimizeSaved(g, cat, bytes.NewReader(buf.Bytes()), cfg)
 		if err != nil {
 			t.Fatalf("complete store, allow=%v: %v", allow, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -38,19 +37,17 @@ func TestDocumentedCatalogIsHonoured(t *testing.T) {
 	// memory of every statistic by label, and whether joint was taken.
 	selectDoc := func(doc *workflow.Document) (cost map[string]float64, mem map[string]int64, taken bool) {
 		t.Helper()
-		an, err := workflow.Analyze(doc.Workflow, doc.Catalog)
-		if err != nil {
-			t.Fatalf("Analyze: %v", err)
-		}
 		cfg := DefaultConfig()
-		res, err := css.Generate(an, cfg.CSS)
+		p := NewPlan(doc.Workflow, doc.Catalog, cfg.CSS)
+		u, err := p.Universe()
 		if err != nil {
-			t.Fatalf("Generate: %v", err)
+			t.Fatalf("Universe: %v", err)
 		}
-		u, sel, err := Select(res, cfg)
+		sel, err := p.Selection(cfg.Method)
 		if err != nil {
-			t.Fatalf("Select: %v", err)
+			t.Fatalf("Selection: %v", err)
 		}
+		an := u.Res.Analysis
 		cost, mem = map[string]float64{}, map[string]int64{}
 		for i, s := range u.Stats {
 			l := s.Label(an.Blocks[s.Target.Block])

@@ -52,8 +52,11 @@ func pipeline(t *testing.T, g *workflow.Graph, cat *workflow.Catalog, db engine.
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
-	sel, err := selector.Select(res, coster, selector.Options{Method: method})
+	u, err := selector.NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), selector.UniverseOptions{})
+	if err != nil {
+		t.Fatalf("NewUniverseOpts: %v", err)
+	}
+	sel, err := selector.SelectUniverse(u, selector.Options{Method: method})
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/essential-stats/etlopt/internal/costmodel"
+	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/selector"
@@ -34,7 +34,7 @@ func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, erro
 	var cases []*edgeCase
 	for _, id := range ids {
 		w := suite.MustGet(id)
-		an, err := w.Analyze()
+		an, err := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions()).Analysis()
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func errorSweep(ids []int, scale float64, bucketCounts []int) ([]*errorRow, erro
 			if err != nil {
 				return nil, err
 			}
-			relErr := stats.RelativeError(est, c.truth)
+			relErr := relativeError(est, c.truth)
 			sum += relErr
 			row.MaxRelErr = max(row.MaxRelErr, relErr)
 			row.Memory += mem
@@ -119,17 +119,17 @@ func (c *edgeCase) estimate(n int) (est float64, mem int64, err error) {
 		v, err := stats.DotProduct(c.h1, c.h2)
 		return float64(v), int64(c.h1.Buckets() + c.h2.Buckets()), err
 	}
-	spec := stats.NewBucketSpec(c.lo, c.hi, n)
-	a1, err := stats.Bucketize(c.h1, spec)
+	spec := newBucketSpec(c.lo, c.hi, n)
+	a1, err := bucketize(c.h1, spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	a2, err := stats.Bucketize(c.h2, spec)
+	a2, err := bucketize(c.h2, spec)
 	if err != nil {
 		return 0, 0, err
 	}
-	est, err = stats.ApproxDotProduct(a1, a2)
-	return est, a1.Memory() + a2.Memory(), err
+	est, err = approxDotProduct(a1, a2)
+	return est, a1.memory() + a2.memory(), err
 }
 
 func baseTable(db map[string]*data.Table, blk *workflow.Block, input int) *data.Table {
@@ -160,26 +160,17 @@ func scaleSweep(maxN int) ([]*scaleRow, error) {
 	for n := 3; n <= maxN; n++ {
 		for _, shape := range []string{"chain", "fk-star"} {
 			g, cat := scaleWorkflow(shape, n)
-			an, err := workflow.Analyze(g, cat)
+			p := core.NewPlan(g, cat, css.DefaultOptions())
+			sel, err := p.Selection(selector.MethodExact)
 			if err != nil {
 				return nil, fmt.Errorf("%s-%d: %w", shape, n, err)
 			}
-			start := time.Now()
-			res, err := css.Generate(an, css.DefaultOptions())
-			if err != nil {
-				return nil, fmt.Errorf("%s-%d: %w", shape, n, err)
-			}
-			gen := time.Since(start)
-			coster := costmodel.NewMemoryCoster(res, an.Cat)
-			start = time.Now()
-			sel, err := selector.Select(res, coster, selectOptions())
-			if err != nil {
-				return nil, fmt.Errorf("%s-%d: %w", shape, n, err)
-			}
+			res, _ := p.CSS() // computed by the selection
+			t := p.Timings(selector.MethodExact)
 			out = append(out, &scaleRow{
 				N: n, Shape: shape,
 				Stats: len(res.Stats), CSS: res.NumCSS(),
-				Gen: gen, Select: time.Since(start),
+				Gen: t.GenerateCSS, Select: t.Select,
 				Mem: sel.Memory, Optimal: sel.Optimal,
 			})
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/core"
-	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
@@ -16,12 +15,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/wftest"
 )
-
-// selectOptions caps the exact solver so wide workflows finish promptly;
-// the incumbent is still reported (Optimal=false) when the cap bites.
-func selectOptions() selector.Options {
-	return selector.Options{Method: selector.MethodExact, MaxNodes: 4000}
-}
 
 // workflowRow is one suite workflow's measurements, shared by Figures 9–12
 // and the greedy ablation; the Plain fields are without union–division.
@@ -38,44 +31,38 @@ type workflowRow struct {
 // runWorkflow produces the full measurement row for one suite workflow.
 func runWorkflow(w *suite.Workflow) (*workflowRow, error) {
 	row := &workflowRow{ID: w.ID}
-	an, err := w.Analyze()
+	plainPlan := core.NewPlan(w.Graph, w.Catalog, css.Options{})
+	udPlan := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
+	plain, err := plainPlan.CSS()
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	plain, err := css.Generate(an, css.Options{})
+	ud, err := udPlan.CSS()
 	if err != nil {
 		return nil, err
 	}
-	row.GenPlain = time.Since(start)
-	start = time.Now()
-	ud, err := css.Generate(an, css.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	row.GenUD = time.Since(start)
 	row.SEs, row.CSSPlain, row.CSSUnionDiv = ud.NumSEs(), plain.NumCSS(), ud.NumCSS()
 
-	selPlain, err := selector.Select(plain, costmodel.NewMemoryCoster(plain, an.Cat), selectOptions())
+	selPlain, err := plainPlan.Selection(selector.MethodExact)
 	if err != nil {
 		return nil, err
 	}
 	row.MemPlain, row.OptimalPlain = selPlain.Memory, selPlain.Optimal
-	// With union–division: the Figure 10 selection timing, and the greedy
-	// ablation on the same universe's coster.
-	costerUD := costmodel.NewMemoryCoster(ud, an.Cat)
-	start = time.Now()
-	selUD, err := selector.Select(ud, costerUD, selectOptions())
+	// With union–division: the Figure 10 selection, and the greedy ablation
+	// on the same universe.
+	selUD, err := udPlan.Selection(selector.MethodExact)
 	if err != nil {
 		return nil, err
 	}
-	row.SelectTime = time.Since(start)
 	row.MemUD, row.OptimalUD = selUD.Memory, selUD.Optimal
-	gr, err := selector.Select(ud, costerUD, selector.Options{Method: selector.MethodGreedy})
+	gr, err := udPlan.Selection(selector.MethodGreedy)
 	if err != nil {
 		return nil, err
 	}
 	row.GreedyMem = gr.Memory
+	row.GenPlain = plainPlan.Timings(selector.MethodExact).GenerateCSS
+	udTime := udPlan.Timings(selector.MethodExact)
+	row.GenUD, row.SelectTime = udTime.GenerateCSS, udTime.Select
 
 	rep := payg.Evaluate(ud) // the Figure 12 baseline
 	row.FormulaLB, row.SemanticLB, row.Found = rep.FormulaLB, rep.SemanticLB, rep.Found
@@ -180,20 +167,12 @@ type budgetRow struct {
 // mix across several re-ordered executions.
 func budgetSweep(id int) ([]*budgetRow, error) {
 	w := suite.MustGet(id)
-	an, err := w.Analyze()
+	p := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
+	u, err := p.Universe()
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	res, err := css.Generate(an, cfg.CSS)
-	if err != nil {
-		return nil, err
-	}
-	u, err := core.Universe(res)
-	if err != nil {
-		return nil, err
-	}
-	opt, err := selector.SelectUniverse(u, selectOptions())
+	opt, err := p.Selection(selector.MethodExact)
 	if err != nil {
 		return nil, err
 	}
@@ -229,39 +208,31 @@ func freeSourceAblation() ([]*freeRow, error) {
 	var out []*freeRow
 	for _, id := range []int{3, 5, 11, 16, 23} {
 		w := suite.MustGet(id)
-		an, err := w.Analyze()
-		if err != nil {
-			return nil, err
-		}
-		res, err := css.Generate(an, css.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		base := costmodel.NewMemoryCoster(res, an.Cat)
-		sel, err := selector.Select(res, base, selectOptions())
+		sel, err := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions()).Selection(selector.MethodExact)
 		if err != nil {
 			return nil, err
 		}
 		// Every second relation lives in a relational source that publishes
 		// statistics; the rest are flat-file feeds (the paper's worst case).
-		for i, rel := range an.Cat.Relations {
+		// suite.MustGet builds a fresh catalog to re-mark.
+		marked := suite.MustGet(id)
+		for i, rel := range marked.Catalog.Relations {
 			rel.HasSourceStats = i%2 == 0
 		}
-		free := costmodel.NewMemoryCoster(res, an.Cat)
-		selFree, err := selector.Select(res, free, selectOptions())
+		free := core.NewPlan(marked.Graph, marked.Catalog, css.DefaultOptions())
+		u, err := free.Universe()
 		if err != nil {
 			return nil, err
 		}
-		// Memory still counts the paid statistics only: recompute from the
-		// free selection ignoring zero-cost stats.
+		selFree, err := free.Selection(selector.MethodExact)
+		if err != nil {
+			return nil, err
+		}
+		// Memory still counts the paid statistics only.
 		var memFree int64
 		for _, s := range selFree.Observe {
-			c, m, err := free.Price(s)
-			if err != nil {
-				return nil, err
-			}
-			if c > 0 {
-				memFree += m
+			if i, ok := u.Res.Lookup(s); ok && u.Cost[i] > 0 {
+				memFree += u.Mem[i]
 			}
 		}
 		out = append(out, &freeRow{ID: id, Mem: sel.Memory, MemFree: memFree})
@@ -282,24 +253,16 @@ func workComparison(ids []int, scale float64) ([]*workRow, error) {
 	var out []*workRow
 	for _, id := range ids {
 		w := suite.MustGet(id)
-		an, err := w.Analyze()
+		p := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
+		sel, err := p.Selection(selector.MethodExact)
 		if err != nil {
 			return nil, err
 		}
-		res, err := css.Generate(an, css.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		db := w.Data(scale)
-		eng := engine.New(an, db, nil)
+		res, _ := p.CSS() // computed by the selection
+		eng := engine.New(res.Analysis, w.Data(scale), nil)
 		eng.Workers = runtime.GOMAXPROCS(0)
 
 		// Framework: one instrumented run with the optimal statistics.
-		coster := costmodel.NewMemoryCoster(res, an.Cat)
-		sel, err := selector.Select(res, coster, selectOptions())
-		if err != nil {
-			return nil, err
-		}
 		fw, err := eng.RunPlans(nil, res, sel.Observe)
 		if err != nil {
 			return nil, err

@@ -31,8 +31,11 @@ func TestDPOptimalAgainstEnumerationFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Generate: %v", err)
 			}
-			coster := costmodel.NewMemoryCoster(res, an.Cat)
-			sel, err := selector.Select(res, coster, selector.Options{Method: selector.MethodGreedy})
+			u, err := selector.NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), selector.UniverseOptions{})
+			if err != nil {
+				t.Fatalf("NewUniverseOpts: %v", err)
+			}
+			sel, err := selector.SelectUniverse(u, selector.Options{Method: selector.MethodGreedy})
 			if err != nil {
 				t.Fatalf("Select: %v", err)
 			}

@@ -16,7 +16,7 @@ import (
 func compileSuite(t *testing.T, id int) (*physical.Plan, *css.Result) {
 	t.Helper()
 	w := suite.MustGet(id)
-	an, err := w.Analyze()
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

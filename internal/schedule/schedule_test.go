@@ -18,7 +18,7 @@ import (
 func buildUniverse(t *testing.T, id int) (*selector.Universe, *css.Result, *workflow.Analysis, engine.DB) {
 	t.Helper()
 	w := suite.MustGet(id)
-	an, err := w.Analyze()
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // A noise-free gate on the planner's representation, next to the timed
@@ -19,7 +20,8 @@ import (
 const wf26AllocBound = 10000
 
 func TestPlannerAllocs(t *testing.T) {
-	an, err := suite.MustGet(26).Analyze()
+	w26 := suite.MustGet(26)
+	an, err := workflow.Analyze(w26.Graph, w26.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -72,7 +74,8 @@ func TestExactSolveWork(t *testing.T) {
 		{wf: 21, nodes: 53, maxPops: 34600},
 		{wf: 26, nodes: 13, maxPops: 4200},
 	} {
-		an, err := suite.MustGet(c.wf).Analyze()
+		w := suite.MustGet(c.wf)
+		an, err := workflow.Analyze(w.Graph, w.Catalog)
 		if err != nil {
 			t.Fatalf("wf%02d: Analyze: %v", c.wf, err)
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // TestGoalDirectedPass holds each read of a goal-directed cost pass — the
@@ -30,7 +31,7 @@ func TestGoalDirectedPass(t *testing.T) {
 	}
 	var inputs []input
 	for _, w := range suite.All() {
-		an, err := w.Analyze()
+		an, err := workflow.Analyze(w.Graph, w.Catalog)
 		if err != nil {
 			t.Fatalf("%s: Analyze: %v", w.Name, err)
 		}

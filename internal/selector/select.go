@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/essential-stats/etlopt/internal/costmodel"
-	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
@@ -54,46 +52,21 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("selector: unknown method %q (want exact or greedy)", name)
 }
 
-// Options configure Select.
+// Options configure SelectUniverse.
 type Options struct {
 	Method Method
-	// MaxNodes caps the exact method's search nodes (0 = a budget scaled
-	// inversely with the universe's size).
-	MaxNodes int
 }
 
-// Select determines a minimum-cost set of statistics to observe for the
-// generated CSS result, per Section 5 of the paper.
-func Select(res *css.Result, coster *costmodel.Coster, opt Options) (*Selection, error) {
-	u, err := NewUniverseOpts(res, coster, UniverseOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return SelectUniverse(u, opt)
-}
-
-// SelectUniverse is Select over a pre-built universe, so callers can reuse
-// the indexing across solver comparisons.
+// SelectUniverse determines a minimum-cost set of statistics to observe
+// over the universe, per Section 5 of the paper, with the method's solver.
 func SelectUniverse(u *Universe, opt Options) (*Selection, error) {
-	switch opt.Method {
-	case MethodGreedy:
+	if opt.Method == MethodGreedy {
 		return Greedy(u)
-	default:
-		maxNodes := opt.MaxNodes
-		if maxNodes <= 0 {
-			// Each branch-and-bound node costs two cost passes, each of
-			// which settles at most the whole CSS graph; scale the default
-			// budget inversely with graph size so worst-case solve time
-			// stays bounded while small universes still get exhaustive
-			// search.
-			maxNodes = 40_000_000 / (1 + len(u.inputs))
-			if maxNodes < 1000 {
-				maxNodes = 1000
-			}
-			if maxNodes > 200000 {
-				maxNodes = 200000
-			}
-		}
-		return newScratch(u).solveExact(maxNodes)
 	}
+	// Each branch-and-bound node costs two cost passes, each of which
+	// settles at most the whole CSS graph; scale the node budget inversely
+	// with graph size so worst-case solve time stays bounded while small
+	// universes still get exhaustive search.
+	maxNodes := min(max(40_000_000/(1+len(u.inputs)), 1000), 200000)
+	return newScratch(u).solveExact(maxNodes)
 }

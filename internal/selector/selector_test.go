@@ -380,9 +380,12 @@ func TestSelectDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	coster := costmodel.NewMemoryCoster(res, an.Cat)
+	u, err := NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), UniverseOptions{})
+	if err != nil {
+		t.Fatalf("NewUniverseOpts: %v", err)
+	}
 	for _, m := range []Method{MethodExact, MethodGreedy} {
-		sel, err := Select(res, coster, Options{Method: m})
+		sel, err := SelectUniverse(u, Options{Method: m})
 		if err != nil {
 			t.Fatalf("Select(%v): %v", m, err)
 		}

@@ -88,16 +88,16 @@ func TestObserveRefusesSketchTierUpload(t *testing.T) {
 	}
 }
 
-// TestUnknownWorkflowTyped: cssFor on a workflow with no document returns
+// TestUnknownWorkflowTyped: planFor on a workflow with no document returns
 // the typed error instead of panicking on the nil map entry, and the
 // HTTP surface turns it into a 404.
 func TestUnknownWorkflowTyped(t *testing.T) {
 	doc, _ := tinyWorkflow(t, 11, 600)
 	srv, _ := newTestServer(t, doc, Options{})
-	_, err := srv.cssFor("ghost")
+	_, err := srv.planFor("ghost")
 	var unknown *unknownWorkflowError
 	if !errors.As(err, &unknown) || unknown.Workflow != "ghost" {
-		t.Fatalf("cssFor(ghost) = %v, want *UnknownWorkflowError", err)
+		t.Fatalf("planFor(ghost) = %v, want *UnknownWorkflowError", err)
 	}
 	if !strings.Contains(err.Error(), "ghost") {
 		t.Fatalf("error %q does not name the workflow", err)

@@ -100,8 +100,6 @@ type Server struct {
 	catalog *Catalog
 	opts    Options
 
-	workflows map[string]*Document
-
 	// flight deduplicates concurrent identical solves; cache holds the
 	// solved response bytes, each entry bound to the statistics
 	// generation it was solved from; adm is the concurrent-solve limiter.
@@ -109,8 +107,9 @@ type Server struct {
 	cache  *solutionCache
 	adm    *admission
 
-	// built holds each workflow's generated CSS result.
-	built onceMap[string, *css.Result]
+	// plans holds each workflow's planning pipeline, one per document;
+	// every request planning a workflow shares its Plan's stages.
+	plans map[string]*core.Plan
 
 	metrics *metrics
 }
@@ -120,22 +119,25 @@ type Server struct {
 // invalid, so the error is always nil; the signature is one bench/ calls
 // and is frozen with it (ROADMAP item 4).
 func New(cat *Catalog, workflows map[string]*Document, opts Options) (*Server, error) {
+	plans := make(map[string]*core.Plan, 30)
 	if workflows == nil {
-		workflows = make(map[string]*Document, 30)
 		for _, w := range suite.All() {
-			workflows[w.Name] = &Document{Graph: w.Graph, Catalog: w.Catalog}
+			plans[w.Name] = core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
 		}
+	}
+	for name, doc := range workflows {
+		plans[name] = core.NewPlan(doc.Graph, doc.Catalog, css.DefaultOptions())
 	}
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = DefaultDriftThreshold
 	}
 	return &Server{
-		catalog:   cat,
-		opts:      opts,
-		workflows: workflows,
-		cache:     newSolutionCache(opts.CacheBytes),
-		adm:       newAdmission(opts.MaxSolves, opts.SolveQueue),
-		metrics:   newMetrics(),
+		catalog: cat,
+		opts:    opts,
+		plans:   plans,
+		cache:   newSolutionCache(opts.CacheBytes),
+		adm:     newAdmission(opts.MaxSolves, opts.SolveQueue),
+		metrics: newMetrics(),
 	}, nil
 }
 
@@ -158,21 +160,14 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return serveUntil(ctx, newHTTPServer(addr, s.Handler()))
 }
 
-// cssFor returns the workflow's generated CSS result, building it once per
-// workflow (concurrent first requests generate once; a failed build is
-// retried by the next request). An unknown name is a typed error.
-func (s *Server) cssFor(name string) (*css.Result, error) {
-	doc, ok := s.workflows[name]
+// planFor returns the workflow's planning pipeline; an unknown name is a
+// typed error.
+func (s *Server) planFor(name string) (*core.Plan, error) {
+	p, ok := s.plans[name]
 	if !ok {
 		return nil, &unknownWorkflowError{Workflow: name}
 	}
-	return s.built.get(name, func() (*css.Result, error) {
-		an, err := workflow.Analyze(doc.Graph, doc.Catalog)
-		if err != nil {
-			return nil, err
-		}
-		return css.Generate(an, css.DefaultOptions())
-	})
+	return p, nil
 }
 
 // solved runs the solver for (workflow, generation, key) at most once
@@ -258,16 +253,16 @@ type workflowInfo struct {
 
 func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 	s.metrics.request("workflows")
-	names := make([]string, 0, len(s.workflows))
-	for n := range s.workflows {
+	names := make([]string, 0, len(s.plans))
+	for n := range s.plans {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := make([]workflowInfo, 0, len(names))
 	for _, n := range names {
 		info := workflowInfo{Workflow: n}
-		if res, err := s.cssFor(n); err == nil {
-			info.Blocks = len(res.Analysis.Blocks)
+		if an, err := s.plans[n].Analysis(); err == nil {
+			info.Blocks = len(an.Blocks)
 		}
 		if e, ok := s.catalog.get(n); ok {
 			info.HasStats = true
@@ -313,7 +308,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.URL.Query().Get("workflow")
-	if _, ok := s.workflows[name]; !ok {
+	if _, ok := s.plans[name]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", name))
 		return
 	}
@@ -368,7 +363,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.observe(name, entry.Generation, drift.MaxRel, int64(len(body)))
 	if hadPrev {
-		if res, err := s.cssFor(name); err == nil {
+		if res, err := s.plans[name].CSS(); err == nil {
 			if q, ok := maxQError(res, prev, store); ok {
 				resp.QErrorMax = q
 				s.metrics.qerror(name, q)
@@ -446,7 +441,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if _, ok := s.workflows[req.Workflow]; !ok {
+	if _, ok := s.plans[req.Workflow]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
 		return
 	}
@@ -505,14 +500,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // solveOptimize produces the optimize response body from one catalog
 // entry.
 func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, entry *Entry) ([]byte, error) {
-	res, err := s.cssFor(req.Workflow)
+	p, err := s.planFor(req.Workflow)
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
 	cfg.CostModel = model
 	cfg.AllowPartialStats = req.AllowPartial
-	_, plans, err := core.OptimizeFromStore(res, entry.Store, cfg)
+	_, plans, err := p.Optimize(entry.Store, cfg)
+	if err != nil {
+		return nil, err
+	}
+	an, err := p.Analysis()
 	if err != nil {
 		return nil, err
 	}
@@ -525,18 +524,17 @@ func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, e
 		Improvement:      plans.Improvement(),
 		Fallbacks:        plans.Fallbacks,
 	}
-	for bi := range res.Analysis.Blocks {
-		blk := res.Analysis.Blocks[bi]
-		p, ok := plans.Plans[bi]
+	for bi, blk := range an.Blocks {
+		bp, ok := plans.Plans[bi]
 		if !ok {
 			continue
 		}
-		pj := planJSON{Block: bi, Cost: p.Cost, InitialCost: p.InitialCost}
+		pj := planJSON{Block: bi, Cost: bp.Cost, InitialCost: bp.InitialCost}
 		if blk.Initial != nil {
 			pj.Designed = blk.Initial.Render(blk)
 		}
-		if p.Tree != nil {
-			pj.Optimized = p.Tree.Render(blk)
+		if bp.Tree != nil {
+			pj.Optimized = bp.Tree.Render(blk)
 		}
 		resp.Blocks = append(resp.Blocks, pj)
 	}
@@ -594,7 +592,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if _, ok := s.workflows[req.Workflow]; !ok {
+	if _, ok := s.plans[req.Workflow]; !ok {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
 		return
 	}
@@ -635,16 +633,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // solveEstimate produces the estimate response body.
 func (s *Server) solveEstimate(req estimateRequest, method selector.Method, entry *Entry, hasStats bool) ([]byte, error) {
-	res, err := s.cssFor(req.Workflow)
+	p, err := s.planFor(req.Workflow)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Method = method
-	u, sel, err := core.Select(res, cfg)
+	u, err := p.Universe()
 	if err != nil {
 		return nil, err
 	}
+	sel, err := p.Selection(method)
+	if err != nil {
+		return nil, err
+	}
+	res := u.Res
 	resp := estimateResponse{
 		Workflow: req.Workflow,
 		Method:   req.Method,

@@ -9,10 +9,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/essential-stats/etlopt/internal/core"
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/optimizer"
+	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
@@ -128,7 +132,7 @@ func TestServeObserveOptimizeRoundTrip(t *testing.T) {
 		t.Fatalf("observe response %+v", obs)
 	}
 
-	// Optimize: must match a fresh OptimizeFromSaved over the same stream.
+	// Optimize: must match a fresh process optimizing the same stream.
 	req := []byte(`{"workflow":"tiny"}`)
 	resp, body = post(t, ts.URL+"/v1/optimize", "application/json", req)
 	if resp.StatusCode != http.StatusOK {
@@ -141,10 +145,7 @@ func TestServeObserveOptimizeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &opt); err != nil {
 		t.Fatal(err)
 	}
-	_, fresh, err := core.OptimizeFromSaved(doc.Graph, doc.Catalog, bytes.NewReader(stream), core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("OptimizeFromSaved: %v", err)
-	}
+	fresh := freshOptimize(t, doc, stream)
 	if opt.TotalCost != fresh.TotalCost || opt.TotalInitialCost != fresh.TotalInitialCost {
 		t.Fatalf("daemon costs (%v, %v) != fresh (%v, %v)",
 			opt.TotalCost, opt.TotalInitialCost, fresh.TotalCost, fresh.TotalInitialCost)
@@ -227,10 +228,7 @@ func TestServeObserveOptimizeRoundTrip(t *testing.T) {
 	if opt.Generation != 3 {
 		t.Fatalf("re-solved against generation %d, want 3", opt.Generation)
 	}
-	_, fresh2, err := core.OptimizeFromSaved(doc.Graph, doc.Catalog, bytes.NewReader(stream2), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh2 := freshOptimize(t, doc, stream2)
 	if opt.TotalCost != fresh2.TotalCost {
 		t.Fatalf("post-drift cost %v != fresh %v", opt.TotalCost, fresh2.TotalCost)
 	}
@@ -263,15 +261,31 @@ func TestServeObserveOptimizeRoundTrip(t *testing.T) {
 	}
 }
 
+// freshOptimize optimizes from a saved statistics stream the way a fresh
+// process does: its own Plan over the document, nothing shared with the
+// daemon.
+func freshOptimize(t *testing.T, doc *Document, stream []byte) *optimizer.Result {
+	t.Helper()
+	store, err := stats.ReadStore(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plans, err := core.NewPlan(doc.Graph, doc.Catalog, css.DefaultOptions()).Optimize(store, core.DefaultConfig())
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	return plans
+}
+
 // srvBlock fetches a block from the server's built analysis for rendering
 // comparisons.
 func srvBlock(t *testing.T, srv *Server, bi int) *workflow.Block {
 	t.Helper()
-	res, err := srv.cssFor("tiny")
+	an, err := srv.plans["tiny"].Analysis()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Analysis.Blocks[bi]
+	return an.Blocks[bi]
 }
 
 func TestServeErrorPaths(t *testing.T) {
@@ -443,6 +457,40 @@ func TestServeSuiteCatalogDefault(t *testing.T) {
 		}
 		if info.HasStats {
 			t.Fatalf("empty catalog claims statistics for %s", info.Workflow)
+		}
+	}
+}
+
+// TestEstimateMethodsShareOnePlan: an exact and a greedy /v1/estimate miss
+// on one workflow both select through the workflow's one Plan, so they
+// share its one CSS generation: after both, asking the Plan for either
+// selection, or for the CSS result, runs nothing.
+func TestEstimateMethodsShareOnePlan(t *testing.T) {
+	doc, _ := tinyWorkflow(t, 11, 600)
+	srv, ts := newTestServer(t, doc, Options{})
+	p := srv.plans["tiny"]
+	var gen time.Duration
+	for i, method := range []string{"exact", "greedy"} {
+		resp, body := post(t, ts.URL+"/v1/estimate", "application/json",
+			[]byte(fmt.Sprintf(`{"workflow":"tiny","method":%q}`, method)))
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("%s estimate: %d, X-Cache %q: %s", method, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+		}
+		tm := p.Timings(selector.MethodExact)
+		if i == 0 {
+			gen = tm.GenerateCSS
+		}
+		if gen <= 0 || tm.GenerateCSS != gen {
+			t.Fatalf("after the %s miss the CSS generation took %v, after the first %v", method, tm.GenerateCSS, gen)
+		}
+	}
+	for _, m := range []selector.Method{selector.MethodExact, selector.MethodGreedy} {
+		before := p.Timings(m)
+		if _, err := p.Selection(m); err != nil {
+			t.Fatal(err)
+		}
+		if after := p.Timings(m); after != before || before.Select <= 0 {
+			t.Fatalf("method %v: the daemon's solve did not go through the workflow's Plan (times %+v, then %+v)", m, before, after)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
@@ -55,12 +56,12 @@ type workerKey struct {
 	scale float64
 }
 
-// workerState caches what every block of one workflow shares: the analyzed
-// graph, the generated data, and CSS results per option set.
+// workerState caches what every block of one workflow shares: the
+// generated data, and the planning pipeline per CSS option set.
 type workerState struct {
-	an  *workflow.Analysis
-	db  engine.DB
-	css onceMap[css.Options, *css.Result]
+	wf    *suite.Workflow
+	db    engine.DB
+	plans onceMap[css.Options, *core.Plan]
 }
 
 // workerRunRequest is the header of a block-execution request frame (see
@@ -232,16 +233,22 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	p := st.plan(req.CSS)
+	an, err := p.Analysis()
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
 	var res *css.Result
 	var observe []stats.Stat
 	if req.Instrument {
-		res, err = st.cssResult(req.CSS)
+		// The physical compiler binds statistic taps through the CSS result.
+		res, err = p.CSS()
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 		observe = req.Observe
 	}
-	eng := engine.New(st.an, st.db, nil)
+	eng := engine.New(an, st.db, nil)
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
@@ -257,11 +264,11 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	return rb, 0, nil
 }
 
-// state returns (building once) the workflow's analysis and generated
-// data. Both are pure functions of (wf, scale), so every worker — and the
-// coordinator's own in-process fallback — sees identical tables. A cold
-// workflow's first block waits for its own data only: blocks of other
-// workflows go ahead while it is generated.
+// state returns (building once) the workflow's generated data. It is a
+// pure function of (wf, scale), so every worker — and the coordinator's own
+// in-process fallback — sees identical tables. A cold workflow's first
+// block waits for its own data only: blocks of other workflows go ahead
+// while it is generated.
 func (wk *Worker) state(wf int, scale float64) (*workerState, error) {
 	return wk.states.get(workerKey{wf: wf, scale: scale}, func() (*workerState, error) {
 		return newWorkerState(wf, scale)
@@ -273,15 +280,14 @@ func newWorkerState(wf int, scale float64) (*workerState, error) {
 	if err != nil {
 		return nil, err
 	}
-	an, err := workflow.Analyze(w.Graph, w.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	return &workerState{an: an, db: w.Data(scale)}, nil
+	return &workerState{wf: w, db: w.Data(scale)}, nil
 }
 
-// cssResult returns (building once per option set) the workflow's CSS
-// result, which the physical compiler needs to bind statistic taps.
-func (st *workerState) cssResult(opt css.Options) (*css.Result, error) {
-	return st.css.get(opt, func() (*css.Result, error) { return css.Generate(st.an, opt) })
+// plan returns the workflow's planning pipeline under one option set, the
+// same Plan for every block that names it.
+func (st *workerState) plan(opt css.Options) *core.Plan {
+	p, _ := st.plans.get(opt, func() (*core.Plan, error) {
+		return core.NewPlan(st.wf.Graph, st.wf.Catalog, opt), nil
+	})
+	return p
 }

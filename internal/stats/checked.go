@@ -42,13 +42,3 @@ func addInt64(a, b int64) (int64, error) {
 	}
 	return s, nil
 }
-
-// subInt64 returns a-b, or an error when the difference does not fit in
-// int64 (e.g. MaxInt64 - MinInt64).
-func subInt64(a, b int64) (int64, error) {
-	d := a - b
-	if (b > 0 && d > a) || (b < 0 && d < a) {
-		return 0, fmt.Errorf("%w: %d - %d", errOverflow, a, b)
-	}
-	return d, nil
-}

@@ -86,7 +86,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			an, err := w.Analyze()
+			an, err := workflow.Analyze(w.Graph, w.Catalog)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -156,7 +156,7 @@ func diffMetrics(t *testing.T, label string, ref, got *physical.RunMetrics) {
 // still small, so each leg's total allocation is bounded too.
 func TestMaxRowsGuard(t *testing.T) {
 	w := MustGet(24)
-	an, err := w.Analyze()
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/faults"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // TestEngineEquivalenceUnderFaults is the fault-matrix contract: with an
@@ -21,7 +22,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			an, err := w.Analyze()
+			an, err := workflow.Analyze(w.Graph, w.Catalog)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}

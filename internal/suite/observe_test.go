@@ -28,7 +28,11 @@ func TestInitialPlanTapsWhatIsObservable(t *testing.T) {
 	}
 	var wls []workload
 	for _, w := range All() {
-		wls = append(wls, workload{w.Name, w.Analyze, func() engine.DB { return w.Data(0.001) }})
+		wls = append(wls, workload{
+			w.Name,
+			func() (*workflow.Analysis, error) { return workflow.Analyze(w.Graph, w.Catalog) },
+			func() engine.DB { return w.Data(0.001) },
+		})
 	}
 	for seed := int64(0); seed < 200; seed++ {
 		g, cat, db := wftest.Generate(seed, wftest.Options{})

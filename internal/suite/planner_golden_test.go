@@ -12,6 +12,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/costmodel"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/selector"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 var updatePlannerDigest = flag.Bool("update-planner-digest", false, "rewrite testdata/planner.digest")
@@ -27,7 +28,7 @@ var plannerBudgets = []int64{64, 4}
 // observability bits, every candidate set, S_C, and the selections of each
 // solver tier and budget.
 func renderPlanner(w *Workflow) (string, error) {
-	an, err := w.Analyze()
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
 	if err != nil {
 		return "", err
 	}

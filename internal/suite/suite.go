@@ -47,11 +47,6 @@ type Workflow struct {
 	Seed int64
 }
 
-// Analyze runs block analysis on the workflow.
-func (w *Workflow) Analyze() (*workflow.Analysis, error) {
-	return workflow.Analyze(w.Graph, w.Catalog)
-}
-
 // Data materializes the workflow's source relations at the given scale
 // (1.0 = the catalog cardinalities; smaller scales shrink cardinalities
 // proportionally with a floor of 32 rows, for quick executions).

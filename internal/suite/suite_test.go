@@ -20,7 +20,7 @@ func TestAllWorkflowsAnalyze(t *testing.T) {
 	for _, w := range wfs {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			an, err := w.Analyze()
+			an, err := workflow.Analyze(w.Graph, w.Catalog)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -35,7 +35,7 @@ func TestAllWorkflowsGenerateAndSelect(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			an, err := w.Analyze()
+			an, err := workflow.Analyze(w.Graph, w.Catalog)
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
@@ -47,8 +47,11 @@ func TestAllWorkflowsGenerateAndSelect(t *testing.T) {
 				if res.NumSEs() == 0 {
 					t.Fatal("no SEs")
 				}
-				coster := costmodel.NewMemoryCoster(res, an.Cat)
-				sel, err := selector.Select(res, coster, selector.Options{Method: selector.MethodGreedy})
+				u, err := selector.NewUniverseOpts(res, costmodel.NewMemoryCoster(res, an.Cat), selector.UniverseOptions{})
+				if err != nil {
+					t.Fatalf("NewUniverseOpts(%+v): %v", opt, err)
+				}
+				sel, err := selector.SelectUniverse(u, selector.Options{Method: selector.MethodGreedy})
 				if err != nil {
 					t.Fatalf("Select(greedy, %+v): %v", opt, err)
 				}
@@ -85,7 +88,8 @@ func TestWorkflowDeterminism(t *testing.T) {
 
 func TestAnecdoteShapes(t *testing.T) {
 	// wf21 is the widest join in the suite (8 inputs in one block).
-	an21, err := MustGet(21).Analyze()
+	w21 := MustGet(21)
+	an21, err := workflow.Analyze(w21.Graph, w21.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze(21): %v", err)
 	}
@@ -99,7 +103,8 @@ func TestAnecdoteShapes(t *testing.T) {
 		t.Fatalf("wf21 widest block = %d inputs, want 8", max21)
 	}
 	// wf30 has a 6-input block.
-	an30, err := MustGet(30).Analyze()
+	w30 := MustGet(30)
+	an30, err := workflow.Analyze(w30.Graph, w30.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze(30): %v", err)
 	}
@@ -113,7 +118,8 @@ func TestAnecdoteShapes(t *testing.T) {
 		t.Fatalf("wf30 widest block = %d inputs, want 6", max30)
 	}
 	// wf08 (Figure 3) has three blocks.
-	an8, err := MustGet(8).Analyze()
+	w8 := MustGet(8)
+	an8, err := workflow.Analyze(w8.Graph, w8.Catalog)
 	if err != nil {
 		t.Fatalf("Analyze(8): %v", err)
 	}
@@ -122,7 +128,8 @@ func TestAnecdoteShapes(t *testing.T) {
 	}
 	// wf01 and wf02 are linear: exactly one plan each.
 	for _, id := range []int{1, 2} {
-		an, err := MustGet(id).Analyze()
+		w := MustGet(id)
+		an, err := workflow.Analyze(w.Graph, w.Catalog)
 		if err != nil {
 			t.Fatalf("Analyze(%d): %v", id, err)
 		}
@@ -171,7 +178,7 @@ func TestSuiteJSONRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
-			an1, err := w.Analyze()
+			an1, err := workflow.Analyze(w.Graph, w.Catalog)
 			if err != nil {
 				t.Fatalf("Analyze original: %v", err)
 			}
@@ -199,7 +206,7 @@ func TestSuiteGoldenStructure(t *testing.T) {
 	type shape struct{ blocks, widest, joins int }
 	golden := map[int]shape{}
 	for _, w := range All() {
-		an, err := w.Analyze()
+		an, err := workflow.Analyze(w.Graph, w.Catalog)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
