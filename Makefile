@@ -49,9 +49,10 @@ serve-smoke:
 distributed-smoke:
 	./scripts/distributed_smoke.sh
 
-# cli-smoke runs every design-time subcommand and every flag no other
-# smoke drives, one asserted line each, then cmd/experiments against
-# EXPERIMENTS.md (a few seconds after the builds).
+# cli-smoke runs every design-time subcommand and every (subcommand, flag)
+# pair no other smoke drives, one asserted line each, checks that flags a
+# subcommand does not read are usage errors, then runs cmd/experiments
+# against EXPERIMENTS.md (a few seconds after the builds).
 cli-smoke:
 	./scripts/cli_smoke.sh
 

@@ -24,7 +24,7 @@
 //	etlopt serve   -catalog dir -addr :8080       # statistics-serving daemon (docs/ARCHITECTURE.md)
 //	etlopt worker  -addr :9091                    # block-execution worker (docs/DISTRIBUTED.md)
 //	etlopt run     -wf 3 -worker-addrs http://localhost:9091,http://localhost:9092   # blocks run on the workers
-//	etlopt run     -wf 3 -worker-addrs … -metrics=json   # placement composes with every run flag
+//	etlopt run     -wf 3 -worker-addrs … -metrics=json   # placement composes with every other flag
 //
 // A workflow document is the JSON form of workflow.Document: the operator
 // DAG plus the catalog of relations, domains and (optionally) functional
@@ -43,9 +43,9 @@
 //
 // Exit codes: 0 on success, 1 on any runtime error (bad input file,
 // failed run, exceeded -max-rows guard), 2 on usage errors (unknown
-// subcommand, missing arguments, bad -wf, -method or -faults value), 3
-// when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout
-// deadline.
+// subcommand, a flag it does not read — `etlopt <subcommand> -h` lists the
+// flags it does — missing arguments, bad -wf, -method or -faults value), 3
+// when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout deadline.
 //
 // A -worker-addrs run that loses every worker is NOT an error: the
 // coordinator completes the run in-process from its last checkpoint,
@@ -69,6 +69,7 @@ import (
 	"syscall"
 	"text/tabwriter"
 	"time"
+	"unicode"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
@@ -111,19 +112,41 @@ type options struct {
 	cache       bool
 }
 
-// newFlags registers the flags of subcommand cmd. Every subcommand accepts
-// the same set; TestEveryFlagIsDriven requires a script to drive each one.
+// commands is the one table of etlopt's subcommands: what each does and
+// the flags it reads. newFlags registers only the row's flags, so any other
+// flag is a usage error and -h lists only the flags that apply.
+var commands = map[string]struct {
+	run   func(ctx context.Context, o *options) error
+	flags string
+}{
+	"suite":    {listSuite, ""},
+	"export":   {export, "wf"},
+	"analyze":  {withDoc(analyze), "f wf union-division"},
+	"stats":    {withDoc(statsCmd), "f wf method union-division"},
+	"baseline": {withDoc(baseline), "f wf"},
+	"dot":      {withDoc(dot), "f wf"},
+	"run":      {runCycle, "f wf method union-division scale data workers max-rows metrics timeout faults save-stats worker-addrs"},
+	"explain":  {explainCmd, "f wf method union-division scale data workers max-rows metrics derive timeout faults"},
+	"gendata":  {genData, "wf scale out"},
+	"schedule": {scheduleCmd, "wf union-division scale budget workers max-rows timeout faults worker-addrs"},
+	"report":   {reportCmd, "wf method union-division scale workers max-rows timeout faults worker-addrs"},
+	"serve":    {serveCmd, "catalog addr drift cache cache-bytes max-solves solve-queue"},
+	"worker":   {workerCmd, "addr"},
+}
+
+// newFlags registers the flags subcommand cmd reads, per commands;
+// TestEveryFlagIsDriven requires a script to drive each (cmd, flag) pair.
 func newFlags(cmd string) (*flag.FlagSet, *options) {
 	o := &options{scale: 0.002}
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	fs.StringVar(&o.file, "f", "", "workflow document (JSON) to load")
-	fs.IntVar(&o.wfID, "wf", 0, "built-in suite workflow id (1..30) instead of -f")
-	fs.Func("method", "statistics selection method: exact (default, the proven optimum of the paper's §5.2 program) | greedy (the §5.3 heuristic)", func(s string) (err error) {
+	all := new(flag.FlagSet) // every flag; only cmd's row reaches fs
+	all.StringVar(&o.file, "f", "", "workflow document (JSON) to load")
+	all.IntVar(&o.wfID, "wf", 0, "built-in suite workflow id (1..30) instead of -f")
+	all.Func("method", "statistics selection method: exact (default, the proven optimum of the paper's §5.2 program) | greedy (the §5.3 heuristic)", func(s string) (err error) {
 		o.method, err = selector.ParseMethod(s)
 		return err
 	})
-	fs.BoolVar(&o.unionDiv, "union-division", true, "enable the union–division rules J4/J5")
-	fs.Func("scale", "data scale for run/explain, in (0, 1] (suite workflows only; default 0.002)", func(s string) error {
+	all.BoolVar(&o.unionDiv, "union-division", true, "enable the union–division rules J4/J5")
+	all.Func("scale", "data scale, in (0, 1] (suite workflows only; default 0.002)", func(s string) error {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return err
@@ -134,39 +157,48 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 		o.scale = v
 		return nil
 	})
-	fs.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
-	fs.StringVar(&o.outDir, "out", "", "output directory for gendata")
-	fs.Int64Var(&o.budget, "budget", 0, "per-run memory budget for schedule (integer units)")
-	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "independent plan blocks executed concurrently, one goroutine each (1 = sequential)")
-	fs.Int64Var(&o.maxRows, "max-rows", 100_000_000, "abort a run whose intermediate results exceed this many rows (0 = unguarded)")
-	fs.BoolVar(&o.derive, "derive", false, "explain: also print the derivation tree of every SE cardinality")
-	fs.StringVar(&o.metrics, "metrics", "", "run/explain: collect per-operator metrics and print them with the q-error report (table|json)")
-	fs.DurationVar(&o.timeout, "timeout", 0, "abort run/explain/schedule/report after this duration (0 = no deadline)")
-	fs.Func("faults", "inject deterministic faults, e.g. seed=7,rate=0.5,transient=1,kinds=tap|op (see docs/FAULTS.md)", func(s string) (err error) {
+	all.StringVar(&o.dataDir, "data", "", "directory of CSV flat files to run over (instead of generated data)")
+	all.StringVar(&o.outDir, "out", "", "output directory for the CSV files")
+	all.Int64Var(&o.budget, "budget", 0, "per-run memory budget (integer units)")
+	all.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "independent plan blocks executed concurrently, one goroutine each (1 = sequential)")
+	all.Int64Var(&o.maxRows, "max-rows", 100_000_000, "abort a run whose intermediate results exceed this many rows (0 = unguarded)")
+	all.BoolVar(&o.derive, "derive", false, "also print the derivation tree of every SE cardinality")
+	all.StringVar(&o.metrics, "metrics", "", "collect per-operator metrics and print them with the q-error report (table|json)")
+	all.DurationVar(&o.timeout, "timeout", 0, "abort the run after this duration (0 = no deadline)")
+	all.Func("faults", "inject deterministic faults, e.g. seed=7,rate=0.5,transient=1,kinds=tap|op (see docs/FAULTS.md)", func(s string) (err error) {
 		o.faults, err = faults.Parse(s)
 		return err
 	})
-	fs.StringVar(&o.saveStats, "save-stats", "", "run: write the observed statistics to this file (the /v1/observe upload format)")
-	fs.StringVar(&o.addr, "addr", ":8080", "serve/worker: listen address")
-	fs.StringVar(&o.workerAddrs, "worker-addrs", "", "run/report/schedule: place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only; composes with -metrics, -faults, -workers, -max-rows)")
-	fs.StringVar(&o.catalog, "catalog", "", "serve: statistics catalog directory")
-	fs.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "serve: max relative drift before cached solutions invalidate")
-	fs.BoolVar(&o.cache, "cache", true, "serve: cache solved responses (off still deduplicates concurrent solves)")
-	fs.Int64Var(&o.serve.CacheBytes, "cache-bytes", serve.DefaultCacheBytes, "serve: solution-cache byte budget (LRU evicts beyond it)")
-	fs.IntVar(&o.serve.MaxSolves, "max-solves", 0, "serve: max concurrent solver executions (0 = unlimited)")
-	fs.IntVar(&o.serve.SolveQueue, "solve-queue", serve.DefaultSolveQueue, "serve: max requests waiting for a solve slot before shedding with 429 (with -max-solves)")
+	all.StringVar(&o.saveStats, "save-stats", "", "write the observed statistics to this file (the /v1/observe upload format)")
+	all.StringVar(&o.addr, "addr", ":8080", "listen address")
+	all.StringVar(&o.workerAddrs, "worker-addrs", "", "place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only)")
+	all.StringVar(&o.catalog, "catalog", "", "statistics catalog directory")
+	all.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "max relative drift before cached solutions invalidate")
+	all.BoolVar(&o.cache, "cache", true, "cache solved responses (off still deduplicates concurrent solves)")
+	all.Int64Var(&o.serve.CacheBytes, "cache-bytes", serve.DefaultCacheBytes, "solution-cache byte budget (LRU evicts beyond it)")
+	all.IntVar(&o.serve.MaxSolves, "max-solves", 0, "max concurrent solver executions (0 = unlimited)")
+	all.IntVar(&o.serve.SolveQueue, "solve-queue", serve.DefaultSolveQueue, "max requests waiting for a solve slot before shedding with 429 (with -max-solves)")
+
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	for _, name := range strings.Fields(commands[cmd].flags) {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
 	return fs, o
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	var cmd string
+	if len(os.Args) > 1 {
+		cmd = os.Args[1]
+	}
+	c, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintln(os.Stderr, "usage: etlopt <suite|export|analyze|stats|baseline|dot|run|explain|gendata|schedule|report|serve|worker> [-f flow.json | -wf N] [flags]")
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
 	fs, o := newFlags(cmd)
-	_ = fs.Parse(os.Args[2:]) // flag.ExitOnError: a bad flag or value exits 2
-	o.serve.DisableCache = !o.cache
+	_ = fs.Parse(os.Args[2:]) // flag.ExitOnError: a flag cmd does not read, or a bad value, exits 2
 
 	// Runs honor SIGINT/SIGTERM and -timeout through one context; engines
 	// poll it at operator and chunk boundaries, so cancellation is prompt
@@ -178,61 +210,17 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
-
-	var err error
-	switch cmd {
-	case "suite":
-		err = listSuite()
-	case "export":
-		err = export(o.wfID)
-	case "analyze":
-		err = withDoc(o, func(doc *workflow.Document) error {
-			return analyze(doc, o)
-		})
-	case "stats":
-		err = withDoc(o, func(doc *workflow.Document) error {
-			return statsCmd(doc, o)
-		})
-	case "baseline":
-		err = withDoc(o, baseline)
-	case "dot":
-		err = withDoc(o, func(doc *workflow.Document) error {
-			an, err := core.NewPlan(doc.Workflow, doc.Catalog, css.DefaultOptions()).Analysis()
-			if err != nil {
-				return err
-			}
-			fmt.Print(doc.Workflow.DOT(an))
-			return nil
-		})
-	case "run":
-		_, err = runCycle(ctx, o)
-	case "serve":
-		err = serveCmd(ctx, o)
-	case "worker":
-		err = workerCmd(ctx, o.addr)
-	case "explain":
-		err = explainCmd(ctx, o)
-	case "gendata":
-		err = genData(o)
-	case "schedule":
-		err = scheduleCmd(ctx, o)
-	case "report":
-		err = reportCmd(ctx, o)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := c.run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "etlopt:", err)
 		os.Exit(exitCode(err))
 	}
 }
 
 // exitCode maps a top-level error onto the documented process exit codes:
-// 3 for cancellation (SIGINT/SIGTERM or the -timeout deadline), 2 for
-// usage errors (an unknown suite workflow, like a bad subcommand), 1 for
-// any other runtime error. A nil error — including a distributed run that
-// fell back in-process and completed degraded — exits 0.
+// 3 for cancellation (SIGINT/SIGTERM or the -timeout deadline), 2 for usage
+// errors (a missing argument or an unknown suite workflow, like a bad flag),
+// 1 for any other runtime error. A nil error — including a distributed run
+// that fell back in-process and completed degraded — exits 0.
 func exitCode(err error) int {
 	if err == nil {
 		return 0
@@ -240,23 +228,26 @@ func exitCode(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return 3
-	case errors.As(err, new(*suite.UnknownWorkflowError)):
+	case errors.As(err, new(*suite.UnknownWorkflowError)), errors.As(err, new(usageError)):
 		return 2
 	}
 	return 1
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: etlopt <suite|export|analyze|stats|baseline|dot|run|explain|gendata|schedule|report|serve|worker> [-f flow.json | -wf N] [flags]")
-}
+// usageError is a missing required argument: a usage error, like a flag
+// the subcommand does not read.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
 
 // serveCmd runs the statistics-serving daemon until SIGINT/SIGTERM, then
 // drains and exits cleanly (exit code 0 — stopping a daemon is not an
 // error).
 func serveCmd(ctx context.Context, o *options) error {
 	if o.catalog == "" {
-		return fmt.Errorf("serve needs -catalog <dir>")
+		return usageError("serve needs -catalog <dir>")
 	}
+	o.serve.DisableCache = !o.cache
 	cat, err := serve.OpenCatalog(o.catalog)
 	if err != nil {
 		return err
@@ -292,33 +283,27 @@ func loadWorkflow(o *options) (*workflow.Graph, *workflow.Catalog, engine.DB, er
 		}
 		return w.Graph, w.Catalog, w.Data(o.scale), nil
 	default:
-		return nil, nil, nil, fmt.Errorf("run/explain need -wf <1..30>, or -f flow.json with -data dir/")
+		return nil, nil, nil, usageError("run/explain need -wf <1..30>, or -f flow.json with -data dir/")
 	}
 }
 
 // workerCmd runs a block-execution worker until SIGINT/SIGTERM, then
 // drains and exits cleanly (exit code 0 — stopping a worker is how fleets
 // scale down, not an error).
-func workerCmd(ctx context.Context, addr string) error {
+func workerCmd(ctx context.Context, o *options) error {
 	wk := serve.NewWorker()
-	fmt.Fprintf(os.Stderr, "etlopt worker: listening on %s\n", addr)
-	return wk.ListenAndServe(ctx, addr)
+	fmt.Fprintf(os.Stderr, "etlopt worker: listening on %s\n", o.addr)
+	return wk.ListenAndServe(ctx, o.addr)
 }
 
-// splitAddrs parses -worker-addrs: comma-separated, whitespace trimmed,
-// empty entries dropped. An empty result means a purely local run.
+// splitAddrs parses -worker-addrs: base URLs separated by commas or
+// whitespace. An empty result means a purely local run.
 func splitAddrs(list string) []string {
-	var addrs []string
-	for _, a := range strings.Split(list, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
+	return strings.FieldsFunc(list, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 }
 
 // runConfig maps the flags onto one cycle's configuration; every subcommand
-// that selects, runs or schedules takes its configuration from here. Worker
+// that runs or schedules takes its configuration from here. Worker
 // addresses make the run distributed; workers regenerate a suite
 // workflow's data from (id, scale), so that is the only kind they can run.
 func runConfig(o *options) (core.Config, error) {
@@ -349,16 +334,15 @@ func runConfig(o *options) (core.Config, error) {
 	return cfg, nil
 }
 
-// runCycle executes one full optimization cycle and prints its outcome;
-// the completed cycle is returned for explain -derive to render.
-func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
+// runCycle executes one full optimization cycle and prints its outcome.
+func runCycle(ctx context.Context, o *options) error {
 	g, cat, db, err := loadWorkflow(o)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg, err := runConfig(o)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cy, err := core.RunCtx(ctx, g, cat, db, cfg)
 	if err != nil {
@@ -367,30 +351,43 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 		if o.metrics != "" && cy != nil && cy.Metrics != nil {
 			fmt.Printf("partial metrics (run aborted: %v):\n", err)
 			if werr := cy.WriteMetrics(os.Stdout, o.metrics); werr != nil {
-				return nil, errors.Join(err, werr)
+				return errors.Join(err, werr)
 			}
 		}
-		return nil, err
+		return err
 	}
 	if o.saveStats != "" {
 		f, err := os.Create(o.saveStats)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := cy.SaveStats(f); err != nil {
 			f.Close()
-			return nil, err
+			return err
 		}
 		if err := f.Close(); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "saved %d observed statistics to %s\n",
 			cy.Observed.Observed.Len(), o.saveStats)
 	}
+	printCycle(cy)
+	if o.metrics != "" {
+		fmt.Println("\nmetrics:")
+		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
+			return err
+		}
+		// Wall-clock split goes to stderr so stdout stays deterministic.
+		cy.WriteMetricsTimings(os.Stderr)
+	}
+	return nil
+}
+
+// printCycle prints what an executed cycle observed and the plans it chose.
+func printCycle(cy *core.Cycle) {
 	// The distributed placement summary goes to stderr: stdout stays
 	// byte-identical to a single-process run (the smoke test diffs them).
-	if cy.Observed != nil && cy.Observed.Dist != nil {
-		d := cy.Observed.Dist
+	if d := cy.Observed.Dist; d != nil {
 		if d.FellBack {
 			fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
 				d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
@@ -399,8 +396,8 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 				len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident, d.Held, d.Recomputed)
 		}
 	}
-	fmt.Printf("workflow %s\n", g.Name)
-	if cy.Observed != nil && cy.Observed.Retries > 0 {
+	fmt.Printf("workflow %s\n", cy.Analysis.Graph.Name)
+	if cy.Observed.Retries > 0 {
 		fmt.Printf("recovered from transient faults: %d block retry(s)\n", cy.Observed.Retries)
 	}
 	if cy.Degraded() {
@@ -417,46 +414,41 @@ func runCycle(ctx context.Context, o *options) (*core.Cycle, error) {
 		fmt.Printf("block %d optimized: %s (cost %.0f)\n", bi, p.Tree.Render(blk), p.Cost)
 	}
 	fmt.Printf("\nplan-cost improvement: %.2fx\n", cy.Plans.Improvement())
-	if o.metrics != "" {
-		fmt.Println("\nmetrics:")
-		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
-			return nil, err
-		}
-		// Wall-clock split goes to stderr so stdout stays deterministic.
-		cy.WriteMetricsTimings(os.Stderr)
-	}
-	return cy, nil
 }
 
 // explainCmd compiles the workflow's physical plan — the initial join trees
-// instrumented with the selection core.Plan makes for the cycle `run`
-// would configure from the same flags (-union-division included) — and prints
-// it with every tap point. The output is deterministic (no execution happens
-// unless -metrics or -derive ask for it), so it doubles as a golden
-// rendering of what an instrumented run would do. With -metrics it
-// additionally executes one instrumented cycle and appends a Metrics
-// section (per-operator row counts plus the q-error feedback report); with
-// -derive it runs the full cycle and prints the derivation tree of every
-// SE cardinality.
+// instrumented with the selection `run` makes under the same flags — and
+// prints it with every tap point, a golden rendering of what an instrumented
+// run would do. Nothing executes unless -metrics or -derive ask for one
+// instrumented cycle; the plan printed is then that cycle's, -metrics
+// appends its per-operator row counts and q-error report, and -derive its
+// outcome and the derivation tree of every SE cardinality.
 func explainCmd(ctx context.Context, o *options) error {
 	g, cat, db, err := loadWorkflow(o)
 	if err != nil {
 		return err
 	}
-	// Explain is always local: no statistics file or workers, whatever
-	// else the command line says.
-	local := *o
-	local.saveStats, local.workerAddrs = "", ""
-	cfg, err := runConfig(&local)
+	cfg, err := runConfig(o)
 	if err != nil {
 		return err
 	}
-	p := core.NewPlan(g, cat, cfg.CSS)
-	sel, err := p.Selection(cfg.Method)
-	if err != nil {
-		return err
+	var (
+		cy  *core.Cycle
+		res *css.Result
+		sel *selector.Selection
+	)
+	if o.metrics != "" || o.derive {
+		if cy, err = core.RunCtx(ctx, g, cat, db, cfg); err != nil {
+			return err
+		}
+		res, sel = cy.CSS, cy.Selection
+	} else {
+		p := core.NewPlan(g, cat, cfg.CSS)
+		if sel, err = p.Selection(cfg.Method); err != nil {
+			return err
+		}
+		res, _ = p.CSS() // computed by the selection
 	}
-	res, _ := p.CSS() // computed by the selection
 	plan, err := physical.Compile(res.Analysis, db, physical.Options{Res: res, Observe: sel.Observe})
 	if err != nil {
 		return err
@@ -465,10 +457,6 @@ func explainCmd(ctx context.Context, o *options) error {
 		g.Name, len(plan.Blocks), plan.NumTaps())
 	fmt.Print(plan.String())
 	if o.metrics != "" {
-		cy, err := core.RunCtx(ctx, g, cat, db, cfg)
-		if err != nil {
-			return err
-		}
 		fmt.Println("\nmetrics (one instrumented run):")
 		if err := cy.WriteMetrics(os.Stdout, o.metrics); err != nil {
 			return err
@@ -479,11 +467,7 @@ func explainCmd(ctx context.Context, o *options) error {
 		return nil
 	}
 	fmt.Println()
-	local.metrics = ""
-	cy, err := runCycle(ctx, &local)
-	if err != nil {
-		return err
-	}
+	printCycle(cy)
 	fmt.Println("\nderivations:")
 	for bi, sp := range cy.CSS.Spaces {
 		blk := cy.Analysis.Blocks[bi]
@@ -501,7 +485,7 @@ func explainCmd(ctx context.Context, o *options) error {
 // reportCmd runs one cycle over a suite workflow and writes the markdown
 // report to stdout.
 func reportCmd(ctx context.Context, o *options) error {
-	w, err := suite.Get(o.wfID)
+	w, err := suiteWorkflow(o.wfID)
 	if err != nil {
 		return err
 	}
@@ -520,12 +504,12 @@ func reportCmd(ctx context.Context, o *options) error {
 // schedule under a per-run memory budget, then derives every SE cardinality
 // from the merged observations.
 func scheduleCmd(ctx context.Context, o *options) error {
-	w, err := suite.Get(o.wfID)
+	w, err := suiteWorkflow(o.wfID)
 	if err != nil {
 		return err
 	}
 	if o.budget <= 0 {
-		return fmt.Errorf("schedule needs -budget <units>")
+		return usageError("schedule needs -budget <units>")
 	}
 	cfg, err := runConfig(o)
 	if err != nil {
@@ -576,13 +560,13 @@ func scheduleCmd(ctx context.Context, o *options) error {
 
 // genData exports a suite workflow's generated relations as CSV files, so
 // the flat-file path can be tried end to end.
-func genData(o *options) error {
-	w, err := suite.Get(o.wfID)
+func genData(_ context.Context, o *options) error {
+	w, err := suiteWorkflow(o.wfID)
 	if err != nil {
 		return err
 	}
 	if o.outDir == "" {
-		return fmt.Errorf("gendata needs -out <dir>")
+		return usageError("gendata needs -out <dir>")
 	}
 	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		return err
@@ -605,12 +589,16 @@ func genData(o *options) error {
 	return nil
 }
 
-func withDoc(o *options, f func(*workflow.Document) error) error {
-	doc, err := loadDoc(o)
-	if err != nil {
-		return err
+// withDoc adapts a subcommand that prints a stage of a workflow document's
+// plan, made without data, to the commands table.
+func withDoc(f func(p *core.Plan, o *options) error) func(context.Context, *options) error {
+	return func(_ context.Context, o *options) error {
+		doc, err := loadDoc(o)
+		if err != nil {
+			return err
+		}
+		return f(core.NewPlan(doc.Workflow, doc.Catalog, css.Options{UnionDivision: o.unionDiv}), o)
 	}
-	return f(doc)
 }
 
 func loadDoc(o *options) (*workflow.Document, error) {
@@ -629,11 +617,11 @@ func loadDoc(o *options) (*workflow.Document, error) {
 		}
 		return &workflow.Document{Workflow: w.Graph, Catalog: w.Catalog}, nil
 	default:
-		return nil, fmt.Errorf("need -f <file> or -wf <1..30>")
+		return nil, usageError("need -f <file> or -wf <1..30>")
 	}
 }
 
-func listSuite() error {
+func listSuite(context.Context, *options) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "id\tname\tnote")
 	for _, wf := range suite.All() {
@@ -642,8 +630,17 @@ func listSuite() error {
 	return w.Flush()
 }
 
-func export(wfID int) error {
-	w, err := suite.Get(wfID)
+// suiteWorkflow resolves -wf for the subcommands that take only a suite
+// workflow: an absent -wf is missing, not workflow 0.
+func suiteWorkflow(id int) (*suite.Workflow, error) {
+	if id == 0 {
+		return nil, usageError("need -wf <1..30>")
+	}
+	return suite.Get(id)
+}
+
+func export(_ context.Context, o *options) error {
+	w, err := suiteWorkflow(o.wfID)
 	if err != nil {
 		return err
 	}
@@ -651,18 +648,14 @@ func export(wfID int) error {
 	return doc.Encode(os.Stdout)
 }
 
-func analyze(doc *workflow.Document, o *options) error {
-	cfg, err := runConfig(o)
-	if err != nil {
-		return err
-	}
-	res, err := core.NewPlan(doc.Workflow, doc.Catalog, cfg.CSS).CSS()
+func analyze(p *core.Plan, _ *options) error {
+	res, err := p.CSS()
 	if err != nil {
 		return err
 	}
 	an := res.Analysis
 	fmt.Printf("workflow %q: %d nodes, %d optimizable block(s)\n\n",
-		doc.Workflow.Name, len(doc.Workflow.Nodes), len(an.Blocks))
+		an.Graph.Name, len(an.Graph.Nodes), len(an.Blocks))
 	for bi, blk := range an.Blocks {
 		sp := res.Space(bi)
 		fmt.Printf("block %d: %d input(s), %d join(s)", bi, len(blk.Inputs), len(blk.Joins))
@@ -695,13 +688,8 @@ func analyze(doc *workflow.Document, o *options) error {
 	return nil
 }
 
-func statsCmd(doc *workflow.Document, o *options) error {
-	cfg, err := runConfig(o)
-	if err != nil {
-		return err
-	}
-	p := core.NewPlan(doc.Workflow, doc.Catalog, cfg.CSS)
-	sel, err := p.Selection(cfg.Method)
+func statsCmd(p *core.Plan, o *options) error {
+	sel, err := p.Selection(o.method)
 	if err != nil {
 		return err
 	}
@@ -719,8 +707,8 @@ func statsCmd(doc *workflow.Document, o *options) error {
 	return nil
 }
 
-func baseline(doc *workflow.Document) error {
-	res, err := core.NewPlan(doc.Workflow, doc.Catalog, css.DefaultOptions()).CSS()
+func baseline(p *core.Plan, _ *options) error {
+	res, err := p.CSS()
 	if err != nil {
 		return err
 	}
@@ -734,5 +722,14 @@ func baseline(doc *workflow.Document) error {
 		fmt.Printf("  block %d (%d inputs): formula %d, semantic %d, found %d\n",
 			br.Block, br.Inputs, br.FormulaLB, br.SemanticLB, br.Found)
 	}
+	return nil
+}
+
+func dot(p *core.Plan, _ *options) error {
+	an, err := p.Analysis()
+	if err != nil {
+		return err
+	}
+	fmt.Print(an.Graph.DOT(an))
 	return nil
 }

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,8 +23,8 @@ import (
 
 // TestExitCode pins the documented process exit codes: 0 on success
 // (including a degraded distributed fallback, which completes the run), 3
-// on cancellation or deadline, 2 on an unknown suite workflow, 1 on any
-// other runtime error.
+// on cancellation or deadline, 2 on an unknown suite workflow or a missing
+// argument, 1 on any other runtime error.
 func TestExitCode(t *testing.T) {
 	cases := []struct {
 		name string
@@ -40,6 +42,7 @@ func TestExitCode(t *testing.T) {
 		{"wrapped deadline", fmt.Errorf("run: %w", context.DeadlineExceeded), 3},
 		{"unknown workflow", &suite.UnknownWorkflowError{ID: 99}, 2},
 		{"wrapped unknown workflow", fmt.Errorf("suite: %w", &suite.UnknownWorkflowError{ID: 0}), 2},
+		{"missing argument", usageError("schedule needs -budget <units>"), 2},
 		{"generic", errors.New("boom"), 1},
 		{"wrapped generic", fmt.Errorf("run: %w", errors.New("boom")), 1},
 	}
@@ -91,6 +94,22 @@ func TestDistOptionsFor(t *testing.T) {
 // its observation runs reach the worker, where they once ran in-process
 // whatever the flag said.
 func TestScheduleDispatches(t *testing.T) {
+	if dispatched(t, "schedule", "-wf", "3", "-budget", "64") == 0 {
+		t.Error("schedule -worker-addrs executed every run in-process")
+	}
+}
+
+// TestReportDispatches pins the same for report's one cycle.
+func TestReportDispatches(t *testing.T) {
+	if dispatched(t, "report", "-wf", "3") == 0 {
+		t.Error("report -worker-addrs executed the cycle in-process")
+	}
+}
+
+// dispatched runs subcommand cmd with args and -worker-addrs naming one
+// in-process worker, and returns the block runs the worker received.
+func dispatched(t *testing.T, cmd string, args ...string) int64 {
+	t.Helper()
 	var runs atomic.Int64
 	h := serve.NewWorker().Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -100,28 +119,26 @@ func TestScheduleDispatches(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	fs, o := newFlags("schedule")
-	if err := fs.Parse([]string{"-wf", "3", "-budget", "64", "-worker-addrs", srv.URL}); err != nil {
+	fs, o := newFlags(cmd)
+	if err := fs.Parse(append(args, "-worker-addrs", srv.URL)); err != nil {
 		t.Fatal(err)
 	}
-	if err := scheduleCmd(context.Background(), o); err != nil {
+	if err := commands[cmd].run(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
-	if runs.Load() == 0 {
-		t.Error("schedule -worker-addrs executed every run in-process")
-	}
+	return runs.Load()
 }
 
-// scriptedFlags collects every -flag some etlopt command line of
-// ../../scripts/*.sh passes (continuation lines joined, the command cut at
-// the first pipe, redirect or separator).
+// scriptedFlags collects every (subcommand, -flag) pair some etlopt command
+// line of ../../scripts/*.sh passes, as "subcommand -flag" (continuation
+// lines joined, the command cut at the first pipe, redirect or separator).
 func scriptedFlags(t *testing.T) map[string]bool {
 	t.Helper()
 	paths, err := filepath.Glob("../../scripts/*.sh")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no scripts found: %v", err)
 	}
-	command := regexp.MustCompile(`etlopt"?\s+[a-z]+\s(.*)`)
+	command := regexp.MustCompile(`etlopt"?\s+([a-z]+)\s(.*)`)
 	driven := make(map[string]bool)
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
@@ -134,13 +151,13 @@ func scriptedFlags(t *testing.T) map[string]bool {
 			if m == nil || strings.HasPrefix(strings.TrimSpace(line), "#") {
 				continue
 			}
-			for _, tok := range strings.Fields(m[1]) {
+			for _, tok := range strings.Fields(m[2]) {
 				if strings.ContainsAny(tok[:1], "|><&;") || strings.HasPrefix(tok, "2>") {
 					break
 				}
 				if name := strings.TrimLeft(tok, "-"); name != tok {
 					name, _, _ = strings.Cut(name, "=")
-					driven[name] = true
+					driven[m[1]+" -"+name] = true
 				}
 			}
 		}
@@ -148,14 +165,55 @@ func scriptedFlags(t *testing.T) map[string]bool {
 	return driven
 }
 
-// TestEveryFlagIsDriven is ROADMAP item 7's bar as a check: a flag stays
-// only while a smoke script runs the binary with it.
+// TestEveryFlagIsDriven is ROADMAP item 7's bar as a check, one
+// (subcommand, flag) pair at a time: a subcommand keeps a flag only while a
+// smoke script runs that subcommand with it.
 func TestEveryFlagIsDriven(t *testing.T) {
 	driven := scriptedFlags(t)
-	fs, _ := newFlags("census")
-	fs.VisitAll(func(f *flag.Flag) {
-		if !driven[f.Name] {
-			t.Errorf("no etlopt command line in scripts/*.sh passes -%s: drive it or delete it", f.Name)
+	for cmd := range commands {
+		fs, _ := newFlags(cmd)
+		fs.VisitAll(func(f *flag.Flag) {
+			if !driven[cmd+" -"+f.Name] {
+				t.Errorf("no etlopt %s command line in scripts/*.sh passes -%s: drive it or take it out of the commands table", cmd, f.Name)
+			}
+		})
+	}
+}
+
+// TestUnreadFlagsAreRefused walks every (subcommand, flag) pair the commands
+// table does not name and requires the subcommand's flag set to refuse it as
+// the flag package's usage error (exit 2 under flag.ExitOnError). Only the
+// flag sets parse: no subcommand runs.
+func TestUnreadFlagsAreRefused(t *testing.T) {
+	all := make(map[string]bool)
+	for _, c := range commands {
+		for _, name := range strings.Fields(c.flags) {
+			all[name] = true
 		}
-	})
+	}
+	registered, refused := 0, 0
+	for cmd, c := range commands {
+		reads := strings.Fields(c.flags)
+		for name := range all {
+			fs, _ := newFlags(cmd)
+			fs.Init(cmd, flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			err := fs.Parse([]string{"-" + name})
+			if slices.Contains(reads, name) {
+				registered++
+				if fs.Lookup(name) == nil {
+					t.Errorf("%s does not register -%s, which its row names", cmd, name)
+				}
+				continue
+			}
+			refused++
+			if want := "flag provided but not defined: -" + name; err == nil || err.Error() != want {
+				t.Errorf("%s -%s: err = %v, want %q", cmd, name, err, want)
+			}
+		}
+	}
+	if n := len(commands) * len(all); registered+refused != n {
+		t.Errorf("walked %d pairs, want %d", registered+refused, n)
+	}
+	t.Logf("%d subcommands × %d flags: %d pairs registered, %d refused", len(commands), len(all), registered, refused)
 }

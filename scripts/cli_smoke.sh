@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# CLI smoke test: every design-time subcommand and every flag that no other
-# smoke script drives, one asserted line each — the assertion is something
-# the flag changes, not just exit 0 — and cmd/experiments' three flags. The
-# md5s pin planner output the paper's figures rest on (Figure 11 is the
-# -union-division pair below); they move only when the planner does. cmd/etlopt's TestEveryFlagIsDriven reads this
-# file: a flag stays only while a script passes it. CI runs this as its own
-# job; `make cli-smoke` runs it locally (about a second after the build).
+# CLI smoke test: every design-time subcommand and every (subcommand, flag)
+# pair that no other smoke script drives, one asserted line each — the
+# assertion is something the flag changes, not just exit 0 — flags a
+# subcommand does not read refused as usage errors, and cmd/experiments'
+# three flags. The md5s pin planner output the paper's figures rest on
+# (Figure 11 is the -union-division pair below); they move only when the
+# planner does. cmd/etlopt's TestEveryFlagIsDriven reads this file: a
+# subcommand keeps a flag only while a script runs it with that flag. CI
+# runs this as its own job; `make cli-smoke` runs it locally (a few seconds
+# after the build).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -58,10 +61,29 @@ sum="$(for i in $(seq 1 30); do "$etlopt" stats -wf "$i"; done | md5sum | cut -d
 echo "== baseline, dot, report"
 "$etlopt" baseline -wf 21 > "$work/out"
 grep -q 'this framework: *1 execution' "$work/out"
+# A document plans as the suite workflow it was exported from.
+"$etlopt" baseline -f "$work/f.json" > "$work/out"
+"$etlopt" baseline -wf 3 | cmp - "$work/out"
 "$etlopt" dot -wf 8 > "$work/out"
 grep -q '^digraph "wf08' "$work/out"
+"$etlopt" dot -f "$work/f.json" > "$work/out"
+grep -q '^digraph "wf03' "$work/out"
 "$etlopt" report -wf 3 > "$work/out"
 grep -q '^# Optimization cycle — wf03' "$work/out"
+
+echo "== report: -union-division, -scale, -workers, -max-rows, -timeout, -faults"
+"$etlopt" report -wf 3 -union-division=false > "$work/out"
+grep -q '^- candidate statistics sets: 15$' "$work/out"
+"$etlopt" report -wf 3 -scale 0.004 > "$work/out"
+grep -qxF '|T1| = 720' "$work/out"
+# The phase timings are wall-clock; everything else is deterministic.
+"$etlopt" report -wf 13 -workers 1 | grep -v '^- phase timings' > "$work/w1.out"
+"$etlopt" report -wf 13 -workers 4 | grep -v '^- phase timings' | cmp - "$work/w1.out"
+exits 1 "$etlopt" report -wf 3 -max-rows 1000
+grep -q 'run exceeded MaxRows=1000' "$work/err"
+exits 3 "$etlopt" report -wf 3 -timeout 1ns
+exits 1 "$etlopt" report -wf 3 -faults seed=7,rate=1,transient=0,kinds=op
+grep -q 'injected permanent operator fault' "$work/err"
 
 echo "== explain -derive, schedule -budget"
 "$etlopt" explain -wf 3 > "$work/out"
@@ -73,7 +95,7 @@ sum="$("$etlopt" explain -wf 3 -derive | md5sum | cut -d' ' -f1)"
 [ "$sum" = 174ffcbd5231fd7277f4a7e398873ddb ]
 sum="$("$etlopt" schedule -wf 3 -budget 64 | md5sum | cut -d' ' -f1)"
 [ "$sum" = 276cc55292e55d136637ef4701a0f872 ]
-exits 1 "$etlopt" schedule -wf 3
+exits 2 "$etlopt" schedule -wf 3
 grep -q 'needs -budget' "$work/err"
 # wf29's schedule re-orders two blocks in one run: they print in ascending
 # block order, identically on every invocation (a map-ordered print
@@ -82,13 +104,50 @@ grep -q 'needs -budget' "$work/err"
 [ "$(awk '/ re-ordered:/ { printf "%s ", $2 }' "$work/sched")" = "0 1 " ]
 for i in $(seq 1 31); do "$etlopt" schedule -wf 29 -budget 8 | cmp -s - "$work/sched"; done
 
-echo "== gendata -out, run -f -data"
+echo "== explain: -method, -metrics, -scale, -workers, -max-rows, -timeout, -faults"
+"$etlopt" explain -wf 3 -method greedy > "$work/out"
+grep -q '^workflow wf03.* 8 tap(s))$' "$work/out"
+"$etlopt" explain -wf 3 -metrics table > "$work/out" 2>/dev/null
+grep -q '^metrics (one instrumented run):$' "$work/out"
+# -metrics with -derive prints both sections from one instrumented run.
+sum="$("$etlopt" explain -wf 3 -metrics table -derive 2>/dev/null | md5sum | cut -d' ' -f1)"
+[ "$sum" = 34fb7cc61e68d53facde67f44e3b6599 ]
+"$etlopt" explain -wf 3 -scale 0.004 -derive > "$work/out"
+grep -qF '|T1| = 720   (observed)' "$work/out"
+"$etlopt" explain -wf 13 -derive -workers 1 > "$work/w1.out"
+"$etlopt" explain -wf 13 -derive -workers 4 | cmp - "$work/w1.out"
+exits 1 "$etlopt" explain -wf 3 -derive -max-rows 1000
+grep -q 'run exceeded MaxRows=1000' "$work/err"
+exits 3 "$etlopt" explain -wf 3 -derive -timeout 1ns
+"$etlopt" explain -wf 7 -derive -faults seed=7,rate=0.5,transient=1 > "$work/out"
+grep -q '^recovered from transient faults: ' "$work/out"
+
+echo "== schedule: -union-division, -scale, -workers, -max-rows, -timeout, -faults"
+# Without union–division wf03 observes the two j12 histograms instead.
+"$etlopt" schedule -wf 3 -budget 1000000 -union-division=false > "$work/out"
+grep -qxF '  observe H^{T1.j12}_{T2}' "$work/out"
+"$etlopt" schedule -wf 3 -budget 64 -scale 0.004 > "$work/out"
+grep -qxF '  |T1| = 720' "$work/out"
+sum="$("$etlopt" schedule -wf 3 -budget 64 -workers 1 | md5sum | cut -d' ' -f1)"
+[ "$sum" = 276cc55292e55d136637ef4701a0f872 ]
+exits 1 "$etlopt" schedule -wf 3 -budget 64 -max-rows 1000
+grep -q 'run exceeded MaxRows=1000' "$work/err"
+exits 3 "$etlopt" schedule -wf 3 -budget 64 -timeout 1ns
+exits 1 "$etlopt" schedule -wf 3 -budget 64 -faults seed=7,rate=1,transient=0,kinds=op
+grep -q 'injected permanent operator fault' "$work/err"
+
+echo "== gendata -out -scale, run and explain -f -data"
 "$etlopt" gendata -wf 3 -out "$work/d" > "$work/out"
 grep -q '^wrote 3 relations' "$work/out"
+"$etlopt" gendata -wf 3 -scale 0.004 -out "$work/d2" > "$work/out"
+[ "$(wc -l < "$work/d2/T1.csv")" -eq 721 ]
 "$etlopt" run -f "$work/f.json" -data "$work/d" > "$work/out"
 grep -q '^block 0 optimized:' "$work/out"
-exits 1 "$etlopt" run -f "$work/f.json"
+exits 2 "$etlopt" run -f "$work/f.json"
 grep -q 'with -data' "$work/err"
+# explain reads the flat files it is given: T1 has the rows of d2.
+"$etlopt" explain -f "$work/f.json" -data "$work/d2" -derive > "$work/out"
+grep -qF '|T1| = 720   (observed)' "$work/out"
 # Workers regenerate a suite workflow's data; they cannot run a document.
 exits 1 "$etlopt" run -f "$work/f.json" -data "$work/d" -worker-addrs http://127.0.0.1:1
 grep -q 'needs a suite workflow' "$work/err"
@@ -137,6 +196,18 @@ grep -q '^observed 8 statistics (memory 306 units)' "$work/out"
 "$etlopt" report -wf 3 -method greedy > "$work/out"
 grep -q '^- selection: greedy ' "$work/out"
 exits 2 "$etlopt" run -wf 3 -method bogus
+
+echo "== a flag the subcommand does not read, or no subcommand, is a usage error"
+exits 2 "$etlopt" run -wf 3 -catalog /nonexistent -cache-bytes 1 -drift 9 -budget 5 -out /x -addr :1 -derive
+grep -q 'flag provided but not defined: -catalog' "$work/err"
+exits 2 "$etlopt" analyze -wf 3 -worker-addrs http://x -save-stats "$work/unwritten.stats" -metrics json -max-rows 5
+grep -q 'flag provided but not defined: -worker-addrs' "$work/err"
+[ ! -e "$work/unwritten.stats" ]
+# The daemons run until signalled: -timeout is a run's deadline, not theirs.
+exits 2 "$etlopt" worker -addr 127.0.0.1:0 -timeout 1ms
+grep -q 'flag provided but not defined: -timeout' "$work/err"
+exits 2 "$etlopt" bogus -wf 3
+grep -q '^usage: etlopt <suite|' "$work/err"
 
 echo "== experiments: -exp, -wf"
 experiments="$work/experiments"

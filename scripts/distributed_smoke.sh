@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Distributed-execution smoke test: build the CLI, start two worker
 # processes, and check the composed modes against the live fleet —
-# -worker-addrs with -metrics json, and a multi-run observation schedule,
-# must each print the single-process stdout byte for byte. Then run a
+# -worker-addrs with -metrics json, a multi-run observation schedule and a
+# cycle report must each print the single-process stdout byte for byte (the
+# report's wall-clock phase timings aside). Then run a
 # multi-block workflow distributed, SIGKILL one worker while the run is in
 # flight, and require exit 0 with stdout byte-identical to the
 # single-process reference; then repeat with the dead worker still
@@ -26,6 +27,7 @@ echo "== single-process references"
 "$work/etlopt" run -wf "$wf" -scale "$scale" > "$work/ref.out"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -metrics json > "$work/ref-metrics.out" 2>/dev/null
 "$work/etlopt" schedule -wf 3 -budget 64 > "$work/ref-schedule.out"
+"$work/etlopt" report -wf 3 | grep -v '^- phase timings' > "$work/ref-report.out"
 
 echo "== start 2 workers"
 "$work/etlopt" worker -addr "127.0.0.1:$p1" 2> "$work/w1.log" &
@@ -65,6 +67,10 @@ composed metrics -metrics json
 echo "== distributed schedule -budget matches the single-process stdout"
 "$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$addrs" > "$work/dist-schedule.out"
 cmp "$work/ref-schedule.out" "$work/dist-schedule.out"
+
+echo "== distributed report matches the single-process report"
+"$work/etlopt" report -wf 3 -worker-addrs "$addrs" | grep -v '^- phase timings' > "$work/dist-report.out"
+cmp "$work/ref-report.out" "$work/dist-report.out"
 
 echo "== distributed run, one worker SIGKILLed mid-run"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
