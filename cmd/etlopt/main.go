@@ -383,19 +383,24 @@ func runCycle(ctx context.Context, o *options) error {
 	return nil
 }
 
+// printDist prints a distributed run's placement summary, if the run had a
+// dispatcher, on stderr: stdout stays byte-identical to a single-process run
+// (the smoke test diffs them).
+func printDist(d *engine.DistReport) {
+	switch {
+	case d == nil:
+	case d.FellBack:
+		fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
+			d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
+	default:
+		fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident, %d output(s) held, %d recomputed\n",
+			len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident, d.Held, d.Recomputed)
+	}
+}
+
 // printCycle prints what an executed cycle observed and the plans it chose.
 func printCycle(cy *core.Cycle) {
-	// The distributed placement summary goes to stderr: stdout stays
-	// byte-identical to a single-process run (the smoke test diffs them).
-	if d := cy.Observed.Dist; d != nil {
-		if d.FellBack {
-			fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
-				d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
-		} else {
-			fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident, %d output(s) held, %d recomputed\n",
-				len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident, d.Held, d.Recomputed)
-		}
-	}
+	printDist(cy.Observed.Dist)
 	fmt.Printf("workflow %s\n", cy.Analysis.Graph.Name)
 	if cy.Observed.Retries > 0 {
 		fmt.Printf("recovered from transient faults: %d block retry(s)\n", cy.Observed.Retries)
@@ -497,6 +502,7 @@ func reportCmd(ctx context.Context, o *options) error {
 	if err != nil {
 		return err
 	}
+	printDist(cy.Observed.Dist)
 	return cy.Report(os.Stdout)
 }
 
@@ -539,9 +545,12 @@ func scheduleCmd(ctx context.Context, o *options) error {
 			fmt.Printf("  observe %s\n", st.Label(an.Blocks[st.Target.Block]))
 		}
 	}
-	store, err := schedule.ExecuteCtx(ctx, core.NewExecutor(an, w.Data(o.scale), cfg), res, plan)
+	store, dist, err := schedule.ExecuteCtx(ctx, core.NewExecutor(an, w.Data(o.scale), cfg), res, plan)
 	if err != nil {
 		return err
+	}
+	for _, d := range dist {
+		printDist(d)
 	}
 	est := estimate.New(res, store)
 	fmt.Println("\nderived cardinalities after the schedule:")

@@ -70,7 +70,7 @@ func main() {
 	}
 	db := w.Data(0.002)
 	eng := engine.New(an, db, nil)
-	store, err := schedule.ExecuteCtx(context.Background(), eng, res, plan)
+	store, _, err := schedule.ExecuteCtx(context.Background(), eng, res, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

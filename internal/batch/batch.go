@@ -195,6 +195,60 @@ func bindSide(out *Batch, off int, in *Batch, ix []int32, a *Arena) {
 	}
 }
 
+// Read is one of a batch's distinct index vectors, with the selection folded
+// in: live row i of each column in Cols is Cols[c][Idx[i]] of the batch.
+type Read struct {
+	Idx  []int32
+	Cols []int
+}
+
+// Reads returns the batch's distinct index vectors over its live rows, each
+// with the columns it reads, in the order of their first columns: one per
+// index vector late columns share, and one for the dense columns, which read
+// through the selection or, without one, the identity. The vectors are new,
+// so they outlive the arena.
+func (b *Batch) Reads() []Read {
+	var reads []Read
+	// The index vector each read composes, by its first element; nil for
+	// the dense columns, and for every column of a batch without rows.
+	var from []*int32
+	for c := range b.Cols {
+		ix := b.late(c)
+		var key *int32
+		if len(ix) > 0 {
+			key = &ix[0]
+		}
+		k := slices.Index(from, key)
+		if k < 0 {
+			k = len(reads)
+			from = append(from, key)
+			reads = append(reads, Read{Idx: b.liveIndex(ix)})
+		}
+		reads[k].Cols = append(reads[k].Cols, c)
+	}
+	return reads
+}
+
+// liveIndex is ix, or the identity for a nil ix, read at the live rows.
+func (b *Batch) liveIndex(ix []int32) []int32 {
+	out := make([]int32, b.Rows())
+	switch {
+	case ix == nil && b.Sel == nil:
+		for i := range out {
+			out[i] = int32(i)
+		}
+	case ix == nil:
+		copy(out, b.Sel)
+	case b.Sel == nil:
+		copy(out, ix[:b.N])
+	default:
+		for i, r := range b.Sel {
+			out[i] = ix[r]
+		}
+	}
+	return out
+}
+
 // FromTable transposes a row-major table into a columnar batch with every
 // column allocated from the arena.
 func FromTable(t *data.Table, a *Arena) (*Batch, error) {

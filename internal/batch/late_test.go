@@ -203,6 +203,7 @@ func checkCase(t *testing.T, seed int64, lc lateCase) {
 		}
 	}
 	check("before any read")
+	checkReads(t, seed, lc)
 	live := liveRows(lc.b)
 	for c := range lc.b.Cols {
 		col := lc.b.Col(c)
@@ -213,6 +214,40 @@ func checkCase(t *testing.T, seed int64, lc lateCase) {
 		}
 	}
 	check("after every column was read")
+}
+
+// checkReads holds Reads to the row model: every column is read by exactly
+// one of its index vectors, which gives each live row the model's value, and
+// no two of them compose one index vector.
+func checkReads(t *testing.T, seed int64, lc lateCase) {
+	t.Helper()
+	seen := make([]bool, len(lc.b.Cols))
+	var from []*int32
+	for _, rd := range lc.b.Reads() {
+		if len(rd.Idx) != len(lc.model) {
+			t.Fatalf("seed %d: a read of %d rows, model %d", seed, len(rd.Idx), len(lc.model))
+		}
+		if ix := lc.b.late(rd.Cols[0]); len(ix) > 0 {
+			if slices.Contains(from, &ix[0]) {
+				t.Fatalf("seed %d: two reads compose one index vector", seed)
+			}
+			from = append(from, &ix[0])
+		}
+		for _, c := range rd.Cols {
+			if seen[c] {
+				t.Fatalf("seed %d: column %d in two reads", seed, c)
+			}
+			seen[c] = true
+			for i, r := range rd.Idx {
+				if v := lc.b.Cols[c][r]; v != lc.model[i][c] {
+					t.Fatalf("seed %d: column %d live row %d reads %d, model %d", seed, c, i, v, lc.model[i][c])
+				}
+			}
+		}
+	}
+	if slices.Contains(seen, false) {
+		t.Fatalf("seed %d: a column no read reads", seed)
+	}
 }
 
 // TestLateColumnsModel holds late columns to a nested-loop row model: random

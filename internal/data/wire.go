@@ -20,7 +20,8 @@ import (
 //	"ETBL5" | present(1) | relation | ncols | ncols × (attr rel, attr col)
 //	        | nrows | ncols × column        (no columns when nrows is 0)
 //
-// Strings are a uvarint length plus bytes, counts are uvarints. The body is
+// (present 0 is a nil table, with nothing after it; present 2 a late table,
+// late.go). Strings are a uvarint length plus bytes, counts are uvarints. The body is
 // column-major: each column is one tag byte and one of five encodings of
 // its nrows values —
 //
@@ -123,6 +124,8 @@ type wireScratch struct {
 	best  []imageEntry // the image of the column's best determinant so far
 	epoch uint64       // the image entries the current pass has written
 	out   []byte       // the stream being encoded
+	body  []byte       // a late table's columns, encoded after its groups
+	trial []byte       // a late table input's columns, encoded plain
 	in    bytes.Buffer // the stream being decoded
 
 	// chainable[j]: a chain over column j is worth sizing for the column
@@ -169,6 +172,12 @@ func putScratch(sc *wireScratch) {
 	if cap(sc.out) > maxPooledBytes {
 		sc.out = nil
 	}
+	if cap(sc.body) > maxPooledBytes {
+		sc.body = nil
+	}
+	if cap(sc.trial) > maxPooledBytes {
+		sc.trial = nil
+	}
 	if sc.in.Cap() > maxPooledBytes {
 		sc.in = bytes.Buffer{}
 	}
@@ -190,22 +199,28 @@ func WriteTable(w io.Writer, t *Table) error {
 	return err
 }
 
-func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
-	buf = append(buf, tableMagic...)
-	if t == nil {
-		return append(buf, 0), nil
-	}
-	buf = append(buf, 1)
+// Presence bytes: a nil table, a table, a late table (late.go).
+const (
+	presentNil byte = iota
+	presentTable
+	presentLate
+)
+
+// appendHead appends what every table section starts with after the magic:
+// the presence byte, the relation, the schema and the row count, refusing a
+// table the wire does not carry.
+func appendHead(buf []byte, present byte, rel string, attrs []workflow.Attr, nrows int) ([]byte, error) {
+	buf = append(buf, present)
 	var err error
-	if buf, err = appendWireString(buf, t.Rel); err != nil {
+	if buf, err = appendWireString(buf, rel); err != nil {
 		return buf, err
 	}
-	ncols, nrows := len(t.Attrs), len(t.Rows)
+	ncols := len(attrs)
 	if ncols > maxWireCols {
-		return buf, fmt.Errorf("data: table %q has %d columns, wire cap is %d", t.Rel, ncols, maxWireCols)
+		return buf, fmt.Errorf("data: table %q has %d columns, wire cap is %d", rel, ncols, maxWireCols)
 	}
 	buf = binary.AppendUvarint(buf, uint64(ncols))
-	for _, a := range t.Attrs {
+	for _, a := range attrs {
 		if buf, err = appendWireString(buf, a.Rel); err != nil {
 			return buf, err
 		}
@@ -214,9 +229,21 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	if nrows > maxWireCells || nrows*ncols > maxWireCells {
-		return buf, fmt.Errorf("data: table %q (%d rows × %d columns): %w", t.Rel, nrows, ncols, ErrWireCap)
+		return buf, fmt.Errorf("data: table %q (%d rows × %d columns): %w", rel, nrows, ncols, ErrWireCap)
 	}
-	buf = binary.AppendUvarint(buf, uint64(nrows))
+	return binary.AppendUvarint(buf, uint64(nrows)), nil
+}
+
+func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
+	buf = append(buf, tableMagic...)
+	if t == nil {
+		return append(buf, presentNil), nil
+	}
+	ncols, nrows := len(t.Attrs), len(t.Rows)
+	buf, err := appendHead(buf, presentTable, t.Rel, t.Attrs, nrows)
+	if err != nil {
+		return buf, err
+	}
 
 	// Transpose into column-major scratch a tile of rows at a time, and
 	// take each column's statistics from the tile while it is still in
@@ -247,7 +274,7 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	for c := 0; c < ncols && nrows > 0; c++ {
-		p := planColumn(cells, stats, c, sc, decoded{})
+		p := planColumn(cells, stats, c, c, sc, decoded{})
 		stats[c].mapped = p.enc == encMap
 		buf = appendColumn(buf, cells, stats, c, p, sc)
 	}
@@ -265,6 +292,7 @@ type colStats struct {
 	runs     int   // maximal runs of one value; 0 before the first value
 	plain    int   // bytes as zigzag varints
 	mapped   bool  // map-encoded, so no map's determinant
+	index    bool  // a late table's row index, so no determinant at all
 	// recurs is 1 if some value recurs in a later run, 2 if none does, 0
 	// before it is asked: a chain over a column none of whose values recurs
 	// is the chained column itself, value for value, and never beats plain.
@@ -333,12 +361,13 @@ func wireColumn(cells []int64, stats []colStats, c int) []int64 {
 	return cells[c*n : (c+1)*n]
 }
 
-// planColumn picks the encoding of column c by exact encoded size; stats
-// holds the statistics of columns 0..c and the decisions for those before c.
-// A reader that built the column from an image over a determinant passes
-// what it learnt (the writer passes the zero value): the one pass it need
-// not repeat.
-func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known decoded) colPlan {
+// planColumn picks the encoding of column c by exact encoded size, over the
+// determinants 0..dets-1 (c in a table; a late table's writer sizes an index
+// column in a slot past the others); stats holds the statistics of those
+// columns and of c, and the decisions for the determinants. A reader that
+// built the column from an image over a determinant passes what it learnt
+// (the writer passes the zero value): the one pass it need not repeat.
+func planColumn(cells []int64, stats []colStats, c, dets int, sc *wireScratch, known decoded) colPlan {
 	col, st := wireColumn(cells, stats, c), &stats[c]
 	n := len(col)
 	p := colPlan{enc: encPlain, min: st.min}
@@ -364,7 +393,7 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 	// tried and every row a pass reads are charged to.
 	budget := mapWork * n
 	chainable := sc.chainable[:0]
-	for j := 0; j < c && budget > 0; j++ {
+	for j := 0; j < dets && budget > 0; j++ {
 		budget--
 		dst := &stats[j]
 		span := uint64(dst.max) - uint64(dst.min)
@@ -372,8 +401,8 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 		// column contradicts a map. Where a map holds, a chain's image is the
 		// map's repeated along the runs: no smaller, there or past the map's
 		// bound.
-		chainable = append(chainable, span < maxDictSpan && dst.mapped)
-		if span >= maxDictSpan || dst.mapped {
+		chainable = append(chainable, span < maxDictSpan && dst.mapped && !dst.index)
+		if span >= maxDictSpan || dst.mapped || dst.index {
 			continue
 		}
 		det := wireColumn(cells, stats, j)[:min(n, budget)]
@@ -643,13 +672,19 @@ func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
 // under a byte a row: a row differs from the one before it somewhere, and a
 // change costs a byte, except where a chain column reuses its image.
 func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
+	return readTable(r, maxRows, maxCells, nil)
+}
+
+// readTable reads a table section: one WriteTable wrote when db is nil, one
+// WriteLate wrote, resolving the relations it names in db, when it is not.
+func readTable(r io.Reader, maxRows, maxCells int64, db map[string]*Table) (*Table, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
 	sc.in.Reset()
 	if _, err := sc.in.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("data: table stream: %w", err)
 	}
-	d := &wireDecoder{Cursor{B: sc.in.Bytes()}}
+	d := &wireDecoder{Cursor: Cursor{B: sc.in.Bytes()}, verify: db == nil}
 	if len(d.B) < len(tableMagic) {
 		return nil, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
 	}
@@ -662,13 +697,13 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	}
 	present := d.B[d.Pos]
 	d.Pos++
-	switch present {
-	case 0:
+	switch {
+	case db == nil && present == presentNil:
 		if d.Pos != len(d.B) {
 			return nil, errors.New("data: trailing bytes after a nil table")
 		}
 		return nil, nil
-	case 1:
+	case db == nil && present == presentTable, db != nil && present == presentLate:
 	default:
 		return nil, fmt.Errorf("data: bad table presence byte %d", present)
 	}
@@ -704,7 +739,13 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 		return nil, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
 	}
 	n, w := int(nrows), int(ncols)
-	if n > 0 {
+	// out[c] is the scratch column holding column c of the table.
+	var out []int
+	if n > 0 && db != nil {
+		if out, err = d.lateColumns(n, w, db, sc); err != nil {
+			return nil, err
+		}
+	} else if n > 0 {
 		if cap(sc.cells) < n*w {
 			sc.cells = make([]int64, n*w)
 		}
@@ -728,16 +769,27 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	t.Rows = make([]Row, n)
 	for r := range t.Rows {
 		row := flat[r*w : (r+1)*w : (r+1)*w]
-		for c := range row {
-			row[c] = sc.cells[c*n+r]
+		if out == nil {
+			for c := range row {
+				row[c] = sc.cells[c*n+r]
+			}
+		} else {
+			for c := range row {
+				row[c] = sc.cells[out[c]*n+r]
+			}
 		}
 		t.Rows[r] = row
 	}
 	return t, nil
 }
 
-// wireDecoder is a cursor over one encoded table.
-type wireDecoder struct{ Cursor }
+// wireDecoder is a cursor over one encoded table. verify asks each column
+// to be the writer's own choice of encoding; a late table's reader checks
+// its structure and bounds only (late.go).
+type wireDecoder struct {
+	Cursor
+	verify bool
+}
 
 func (d *wireDecoder) uvarint(what string) (uint64, error) {
 	u, err := d.Uvarint()
@@ -788,7 +840,11 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 		st.scan(col)
 	}
 	known.enc, known.size = enc, d.Pos-start
-	if p := planColumn(cells, stats, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
+	if !d.verify {
+		st.mapped = enc == encMap
+		return nil
+	}
+	if p := planColumn(cells, stats, c, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
 		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, known.det, p.enc, p.dict, p.det)
 	}
 	st.mapped = enc == encMap
@@ -940,8 +996,8 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 	if err != nil {
 		return 0, err
 	}
-	if j >= uint64(c) || stats[j].mapped || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
-		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier, map-encoded or too wide", j, c)
+	if j >= uint64(c) || stats[j].mapped || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier, map-encoded, a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)
@@ -983,8 +1039,8 @@ func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wi
 	if err != nil {
 		return 0, err
 	}
-	if j >= uint64(c) || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
-		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier or too wide", j, c)
+	if j >= uint64(c) || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier, a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)

@@ -205,7 +205,7 @@ func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 		t.Fatal("decoded table re-encodes to different bytes")
 	}
 	n, w := len(tbl.Rows), len(tbl.Attrs)
-	d := &wireDecoder{Cursor{B: blob, Pos: len(wireHeader(tbl))}}
+	d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true}
 	cells, stats := make([]int64, n*w), make([]colStats, w)
 	for c := 0; c < w; c++ {
 		tags, dets = append(tags, d.B[d.Pos]), append(dets, -1)
@@ -552,7 +552,7 @@ func TestTableWireDictionaryWidths(t *testing.T) {
 		if !bytes.Equal(blob, append(wireHeader(tbl), wireModel(vals)...)) {
 			t.Fatalf("%d distinct values over %d rows: the stream is not the model's", c.d, n)
 		}
-		d := &wireDecoder{Cursor{B: blob, Pos: len(wireHeader(tbl))}}
+		d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true}
 		if d.B[d.Pos] != encDict {
 			t.Fatalf("%d distinct values over %d rows: tag %d, want a dictionary", c.d, n, d.B[d.Pos])
 		}

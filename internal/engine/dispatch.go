@@ -66,6 +66,10 @@ type DispatchSpec struct {
 	// Held maps block index to the handle of a held output the run resumed
 	// from a checkpoint; RunBlock may be asked for a block that reads it.
 	Held map[int]Held
+	// DB is the run's data. A worker's tables name the rows of its source
+	// relations they read (data.Late), and the dispatcher gathers them from
+	// here: it must be the data the workers generate.
+	DB DB
 }
 
 // Held is a dispatcher's handle on a block output it left on a worker. It is
@@ -100,6 +104,15 @@ type RemoteBlock struct {
 	// (the compiler is deterministic, so ids agree across processes); nil
 	// unless the worker engine ran with CollectMetrics.
 	Metrics []physical.Metrics
+	// LateOut and LateMaterialized are what RunBlockCtx returns in place of
+	// Out (unless the output is held) and of Materialized: the tables a
+	// worker ships, in late form, naming the source rows they read.
+	LateOut          *data.Late
+	LateMaterialized map[string]*data.Late
+	// Sources is the row count of every source relation the block scanned,
+	// by name: a dispatcher checks them against the run's data
+	// (DispatchSpec.DB), which the worker's must be.
+	Sources map[string]int
 }
 
 // RunDispatch is one run's dispatch session.
@@ -162,8 +175,10 @@ type DistReport struct {
 // the usual per-attempt isolation, transient retry and fault injection),
 // and returns the block's outcome plus a private statistics shard holding
 // only what this block's taps observed — and, under CollectMetrics, the
-// block's per-node metrics.
-func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table) (*RemoteBlock, error) {
+// block's per-node metrics. The tables it ships come back late
+// (LateMaterialized, and LateOut); an output the caller holds comes back as
+// rows, in Out.
+func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table, hold bool) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
@@ -190,12 +205,24 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		col = newCollector()
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
-	rb, err := env.runBlock(bp, upstream, col, e.CollectMetrics)
+	ship := shipAll
+	if hold {
+		ship = shipMaterialized
+	}
+	rb, err := env.runBlock(bp, upstream, col, e.CollectMetrics, ship)
 	if err != nil {
 		return nil, err
 	}
 	rb.Degraded = col.failedStats()
 	rb.Retries = env.retries.Load()
+	for _, n := range bp.Nodes {
+		if n.Kind == physical.OpScan && n.FromBlock < 0 {
+			if rb.Sources == nil {
+				rb.Sources = make(map[string]int)
+			}
+			rb.Sources[n.SourceRel] = len(n.Src.Rows)
+		}
+	}
 	if col != nil {
 		rb.Observed = col.store
 	}

@@ -116,11 +116,15 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	d.runs[block]++
 	d.mu.Unlock()
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up)
+	hold := slices.Contains(spec.Hold, block)
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up, hold)
 	if err != nil {
 		return nil, err
 	}
-	if slices.Contains(spec.Hold, block) {
+	if err := land(spec, rb); err != nil {
+		return nil, err
+	}
+	if hold {
 		h := &loopHeld{t: rb.Out}
 		rb.Out, rb.Held = nil, h
 		d.mu.Lock()
@@ -131,6 +135,35 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 		d.after(block, rb)
 	}
 	return rb, nil
+}
+
+// land carries a block's late tables over an in-memory wire, the way the
+// coordinator takes them in: written, then read back into rows over the
+// spec's data.
+func land(spec *DispatchSpec, rb *RemoteBlock) error {
+	read := func(l *data.Late) (*data.Table, error) {
+		var buf bytes.Buffer
+		if err := data.WriteLate(&buf, l); err != nil {
+			return nil, err
+		}
+		return data.ReadLate(&buf, 1<<26, spec.DB)
+	}
+	var err error
+	if rb.LateOut != nil {
+		if rb.Out, err = read(rb.LateOut); err != nil {
+			return err
+		}
+	}
+	if len(rb.LateMaterialized) > 0 {
+		rb.Materialized = make(map[string]*data.Table, len(rb.LateMaterialized))
+	}
+	for name, l := range rb.LateMaterialized {
+		if rb.Materialized[name], err = read(l); err != nil {
+			return err
+		}
+	}
+	rb.LateOut, rb.LateMaterialized = nil, nil
+	return nil
 }
 
 // errLoopLost is the error a dead fleet reports.
@@ -409,7 +442,7 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil)
+	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
 	err = e.runBlocks(plan, env, out, col, &DispatchSpec{
 		Plans: plans, Observe: observe, Instrument: res != nil,
-		Faults: e.Faults.String(), Metrics: e.CollectMetrics,
+		Faults: e.Faults.String(), Metrics: e.CollectMetrics, DB: e.DB,
 	})
 	out.Retries = env.retries.Load()
 	out.Degraded = col.failedStats()

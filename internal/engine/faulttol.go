@@ -110,7 +110,7 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *ru
 // and all a worker does — with per-attempt isolation and transient retry.
 // Each attempt gets a fresh sink over a child row budget; a failed attempt
 // refunds the child's charge, so retries never double-charge MaxRows.
-func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, col *collector, metrics bool) (*RemoteBlock, error) {
+func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, col *collector, metrics bool, ship shipping) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {
 		if err := env.ctx.Err(); err != nil {
@@ -128,7 +128,7 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		if env.flt != nil {
 			inject = env.flt.At(faults.Budget, fmt.Sprintf("budget:%d", idx), attempt)
 		}
-		sink := newBlockSink(env.budget.child(inject))
+		sink := newBlockSink(env.budget.child(inject), ship)
 		sink.upstream = upstream
 		sink.ctx = env.ctx
 		sink.flt = env.flt
@@ -136,7 +136,10 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		sink.block = idx
 		tbl, err := runVecBlock(bp, col, sink, metrics)
 		if err == nil {
-			return &RemoteBlock{Out: tbl, Materialized: sink.materialized, Rows: sink.rows}, nil
+			return &RemoteBlock{
+				Out: tbl, Materialized: sink.materialized, Rows: sink.rows,
+				LateOut: sink.lateOut, LateMaterialized: sink.lateMaterialized,
+			}, nil
 		}
 		sink.budget.release()
 		if !faults.IsTransient(err) || attempt+1 >= defaultRetryMax {

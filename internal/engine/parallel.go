@@ -114,15 +114,38 @@ type blockSink struct {
 	rows         int64
 	budget       *rowBudget
 
+	// ship says which tables the block returns late (lateOut,
+	// lateMaterialized) instead of as rows.
+	ship             shipping
+	lateOut          *data.Late
+	lateMaterialized map[string]*data.Late
+
 	ctx     context.Context
 	flt     *faults.Injector
 	attempt int
 	block   int
 }
 
-func newBlockSink(budget *rowBudget) *blockSink {
-	return &blockSink{materialized: make(map[string]*data.Table), budget: budget}
+func newBlockSink(budget *rowBudget, ship shipping) *blockSink {
+	s := &blockSink{budget: budget, ship: ship}
+	if ship == shipNone {
+		s.materialized = make(map[string]*data.Table)
+	} else {
+		s.lateMaterialized = make(map[string]*data.Late)
+	}
+	return s
 }
+
+// shipping is which of a block's tables it returns in late form
+// (data.Late): none in-process; on a worker, which ships them, its
+// materialized tables, and its output too unless the worker holds it.
+type shipping uint8
+
+const (
+	shipNone shipping = iota
+	shipMaterialized
+	shipAll
+)
 
 // count adds n rows to the block's work metric and charges the run's row
 // budget.
@@ -283,7 +306,7 @@ func (s *blockSched) work(rd RunDispatch) {
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
 		} else if err = s.recompute(upstream); err == nil {
-			rb, err = s.env.runBlock(bp, upstream, s.col, s.metrics)
+			rb, err = s.env.runBlock(bp, upstream, s.col, s.metrics, shipNone)
 		}
 		s.mu.Lock()
 		s.inflight--
@@ -338,7 +361,7 @@ func (s *blockSched) recompute(upstream map[int]*data.Table) error {
 			return err
 		}
 		env := newRunEnv(s.env.ctx, nil, nil)
-		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false)
+		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false, shipNone)
 		if err != nil {
 			return fmt.Errorf("recomputing held block %d: %w", d, err)
 		}

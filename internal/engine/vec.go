@@ -8,6 +8,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/batch"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // The columnar block interpreter. It executes a compiled block plan over typed
@@ -58,8 +59,73 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 		v.batches[n.ID] = b
 	}
 	root := bp.Root
-	// The boundary output outlives the arena: copy it out.
+	// The boundary output outlives the arena: copy it out, or on a worker
+	// that ships it, its late form.
+	if out.ship == shipAll {
+		out.lateOut = v.late(v.batches[root.ID], v.rels[root.ID], root.Attrs)
+		return nil, nil
+	}
 	return v.batches[root.ID].Table(v.rels[root.ID], root.Attrs), nil
+}
+
+// materialize keeps a table the block leaves behind (a materialization or a
+// reject link), which outlives the arena: its live rows copied out, or on a
+// worker, which ships it, its late form.
+func (v *vecBlock) materialize(name string, b *batch.Batch, rel string, attrs []workflow.Attr) {
+	if v.out.ship != shipNone {
+		v.out.lateMaterialized[name] = v.late(b, rel, attrs)
+		return
+	}
+	v.out.materialized[name] = b.Table(rel, attrs)
+}
+
+// late returns the live rows of b in late form. A column whose vector is a
+// column of a source scan's batch reads that relation, which both ends of a
+// dispatch hold, through the column's index vector; every other column is
+// gathered into values.
+func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data.Late {
+	type scanCol struct {
+		src *data.Table
+		col int
+	}
+	scans := make(map[*int64]scanCol)
+	for _, n := range v.bp.Nodes {
+		sb := v.batches[n.ID]
+		if n.Kind != physical.OpScan || n.FromBlock >= 0 || sb == nil || n.Src.Rel != n.SourceRel {
+			continue
+		}
+		for j, col := range sb.Cols {
+			if len(col) > 0 {
+				scans[&col[0]] = scanCol{n.Src, j}
+			}
+		}
+	}
+	l := &data.Late{Rel: rel, Attrs: attrs, N: b.Rows(), Cols: make([]data.LateCol, len(b.Cols))}
+	for _, rd := range b.Reads() {
+		first := len(l.Ins) // the inputs of this read start here
+		for _, c := range rd.Cols {
+			src := b.Cols[c]
+			if len(src) > 0 {
+				if sc, ok := scans[&src[0]]; ok {
+					k := first
+					for k < len(l.Ins) && l.Ins[k].Src != sc.src {
+						k++
+					}
+					if k == len(l.Ins) {
+						l.Ins = append(l.Ins, data.LateInput{Src: sc.src, Idx: rd.Idx})
+					}
+					l.Cols[c] = data.LateCol{In: k, Col: sc.col}
+					continue
+				}
+			}
+			vals := make([]int64, len(rd.Idx))
+			for i, r := range rd.Idx {
+				vals[i] = src[r]
+			}
+			l.Cols[c] = data.LateCol{In: -1, Vals: vals}
+		}
+	}
+	return l
 }
 
 // evalVec evaluates one physical node over its input batches, counts its
@@ -104,8 +170,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 		return v.evalVecJoin(n, met, start)
 	case physical.OpMaterialize:
 		in := v.batches[n.Input.ID]
-		// The materialized table outlives the arena: copy the live rows out.
-		v.out.materialized[n.Rel] = in.Table(v.rels[n.Input.ID], n.Attrs)
+		v.materialize(n.Rel, in, v.rels[n.Input.ID], n.Attrs)
 		v.rels[n.ID] = v.rels[n.Input.ID]
 		// Materialization moves no rows: not counted, never tapped.
 		return in, nil
@@ -336,8 +401,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 		met.TapNanos += time.Since(tapStart).Nanoseconds()
 	}
 	if n.RejectLink != "" {
-		// The reject link outlives the arena: copy the miss rows out.
-		v.out.materialized[n.RejectLink] = leftMiss.Table(v.rels[n.Left.ID]+"!", n.Left.Attrs)
+		v.materialize(n.RejectLink, leftMiss, v.rels[n.Left.ID]+"!", n.Left.Attrs)
 	}
 	return joined, nil
 }

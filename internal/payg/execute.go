@@ -23,11 +23,13 @@ type Run struct {
 // ObserveRuns executes the runs on one engine, each a full execution that
 // taps its statistics wherever its trees produce them, at most eng.Workers
 // at a time. The stores merge in run order and the work rows add up, so the
-// outcome is the sequential one whatever the completion order. After a
-// failure no further run starts and the earliest failed run's error is
-// returned.
-func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs []*Run) (*stats.Store, int64, error) {
+// outcome is the sequential one whatever the completion order; each run's
+// placement comes back in run order (nil entries without a dispatcher).
+// After a failure no further run starts and the earliest failed run's error
+// is returned.
+func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs []*Run) (*stats.Store, int64, []*engine.DistReport, error) {
 	stores := make([]*stats.Store, len(runs))
+	dist := make([]*engine.DistReport, len(runs))
 	rows := make([]int64, len(runs))
 	errs := make([]error, len(runs))
 	var failed atomic.Bool
@@ -49,7 +51,7 @@ func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs 
 				failed.Store(true)
 				return
 			}
-			stores[i], rows[i] = result.Observed, result.Rows
+			stores[i], rows[i], dist[i] = result.Observed, result.Rows, result.Dist
 		}()
 	}
 	wg.Wait()
@@ -57,12 +59,12 @@ func ObserveRuns(ctx context.Context, eng *engine.Engine, res *css.Result, runs 
 	var total int64
 	for i, err := range errs {
 		if err != nil {
-			return nil, 0, fmt.Errorf("run %d: %w", i+1, err)
+			return nil, 0, nil, fmt.Errorf("run %d: %w", i+1, err)
 		}
 		merged.Merge(stores[i])
 		total += rows[i]
 	}
-	return merged, total, nil
+	return merged, total, dist, nil
 }
 
 // ExecuteResult is the outcome of actually running the baseline's plan
@@ -104,7 +106,7 @@ func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, rep *R
 		}
 		runs[r] = &Run{Observe: observe, Trees: plans}
 	}
-	learned, rows, err := ObserveRuns(ctx, eng, res, runs)
+	learned, rows, _, err := ObserveRuns(ctx, eng, res, runs)
 	if err != nil {
 		return nil, fmt.Errorf("payg: %w", err)
 	}

@@ -203,19 +203,20 @@ func render(t *workflow.JoinTree) string {
 }
 
 // ExecuteCtx runs the schedule through payg.ObserveRuns (later runs observe
-// under re-ordered plans) and returns the merged observations; a statistic
-// no run's plans exposed is an error.
-func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, plan *Plan) (*stats.Store, error) {
-	merged, _, err := payg.ObserveRuns(ctx, eng, res, plan.Runs)
+// under re-ordered plans) and returns the merged observations and each
+// run's placement (nil entries without a dispatcher); a statistic no run's
+// plans exposed is an error.
+func ExecuteCtx(ctx context.Context, eng *engine.Engine, res *css.Result, plan *Plan) (*stats.Store, []*engine.DistReport, error) {
+	merged, _, dist, err := payg.ObserveRuns(ctx, eng, res, plan.Runs)
 	if err != nil {
-		return nil, fmt.Errorf("schedule: %w", err)
+		return nil, nil, fmt.Errorf("schedule: %w", err)
 	}
 	for _, run := range plan.Runs {
 		for _, s := range run.Observe {
 			if !merged.Has(s) {
-				return nil, fmt.Errorf("schedule: statistic %v was never exposed", s.Key())
+				return nil, nil, fmt.Errorf("schedule: statistic %v was never exposed", s.Key())
 			}
 		}
 	}
-	return merged, nil
+	return merged, dist, nil
 }

@@ -79,7 +79,7 @@ func TestExecuteScheduleCoversAndEstimates(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	eng := engine.New(an, db, nil)
-	store, err := ExecuteCtx(context.Background(), eng, res, plan)
+	store, _, err := ExecuteCtx(context.Background(), eng, res, plan)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -119,13 +119,13 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	seqEng := engine.New(an, db, nil)
-	seq, err := ExecuteCtx(context.Background(), seqEng, res, plan)
+	seq, _, err := ExecuteCtx(context.Background(), seqEng, res, plan)
 	if err != nil {
 		t.Fatalf("sequential Execute: %v", err)
 	}
 	parEng := engine.New(an, db, nil)
 	parEng.Workers = 4
-	par, err := ExecuteCtx(context.Background(), parEng, res, plan)
+	par, _, err := ExecuteCtx(context.Background(), parEng, res, plan)
 	if err != nil {
 		t.Fatalf("parallel Execute: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestScheduleFuzz(t *testing.T) {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
 		eng := engine.New(an, engine.DB(db), nil)
-		store, err := ExecuteCtx(context.Background(), eng, res, plan)
+		store, _, err := ExecuteCtx(context.Background(), eng, res, plan)
 		if err != nil {
 			t.Fatalf("seed %d: Execute: %v", seed, err)
 		}

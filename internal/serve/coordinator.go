@@ -116,7 +116,8 @@ type workerRef struct {
 type dispatchSession struct {
 	c    *Coordinator
 	base *workerRunRequest
-	hold []int // the blocks the engine asked to hold
+	hold []int     // the blocks the engine asked to hold
+	db   engine.DB // the run's data, which responses name rows of
 
 	mu                               sync.Mutex
 	workers                          []*workerRef
@@ -142,7 +143,7 @@ type lineage struct {
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{c: c, base: c.baseRequest(spec), hold: spec.Hold, produced: map[int]*lineage{}}
+	s := &dispatchSession{c: c, base: c.baseRequest(spec), hold: spec.Hold, db: spec.DB, produced: map[int]*lineage{}}
 	for idx, h := range spec.Held {
 		if l, ok := h.(*lineage); ok {
 			s.produced[idx] = l
@@ -420,7 +421,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, held, err := decodeRunResponse(lr, s.c.maxBody)
+	rb, held, err := decodeRunResponse(lr, s.c.maxBody, s.db)
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
@@ -434,6 +435,11 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	}
 	if overCap(err) {
 		return nil, false, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
+	}
+	if errors.Is(err, data.ErrUnresolved) {
+		// The workers compute from other data than the engine's: every
+		// worker would, so the block is the run's to finish.
+		return nil, false, fmt.Errorf("serve: block %d: %s computed from other data than the run's (%v): %w", block, w.addr, err, engine.ErrWorkersLost)
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)

@@ -544,6 +544,35 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 	})
 }
 
+// TestDistributedDataMismatchFallsBack runs a coordinator whose engine's
+// data is the suite's at four times the scale its RunSpec tells the workers:
+// the first response says its block read a source relation of another row
+// count — though wf06's block 0 is held and ships no table — so the run
+// falls back in-process, says which relation, and ends as the local run over
+// the engine's data does.
+func TestDistributedDataMismatchFallsBack(t *testing.T) {
+	const wf = 6
+	w := suite.MustGet(wf)
+	db := w.Data(4 * distScale)
+	want, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, db, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.RunCtx(context.Background(), w.Graph, w.Catalog, db, distConfig(t, wf, []string{startWorker(t).URL}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRunsEqual(t, "mismatched data", want.Observed, got.Observed)
+	d := got.Observed.Dist
+	if d == nil || !d.FellBack || len(d.Remote) != 0 {
+		t.Fatalf("a run over other data than the workers' was placed %+v", d)
+	}
+	if !strings.Contains(d.Reason, `relation "Orders" at 87 rows, the run's data has 351`) {
+		t.Errorf("fallback reason should name the relation and its row counts, got %q", d.Reason)
+	}
+	t.Log(d.Reason)
+}
+
 // wireCounter keeps the block dispatches it carries — where each went, the
 // status it got and both bodies — to count them the way the benchmark's
 // dist_wire_mb does and to take each frame's payload apart for what the
@@ -643,11 +672,15 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // change that moves the wire fails here and not only in the benchmark. The
 // cases are the dist-run benchmark workload's six dispatched runs, and each
 // pins the bytes a run moves exactly, under go 1.24's compress/flate at
-// level 3: 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,341 B, 40,504 B
-// in all. Over ETBL4 tables, which ship a hash join's build rows once per
-// probe row where ETBL5's chain columns ship them once per key, they moved
-// 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B, 54,209 B in
-// all. wf07 at scale 0.01 is two dispatches whose upstream table is the
+// level 3: 3,115 B, 7,755 B, 4,235 B, 4,868 B, 3,598 B and 1,340 B, 24,911 B
+// in all. Responses ship their tables late (data.WriteLate): a source
+// relation's columns as a row index into the relation, which the
+// coordinator holds too, and their headers the row counts of the sources
+// the block read. When they shipped every cell, in ETBL5 tables,
+// the runs moved 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,341 B,
+// 40,504 B in all; over ETBL4 tables, which ship a hash join's build rows
+// once per probe row where ETBL5's chain columns ship them once per key,
+// 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B, 54,209 B. wf07 at scale 0.01 is two dispatches whose upstream table is the
 // largest the benchmark makes; it never crosses the wire: block 0's worker
 // holds it and block 1's request names it. wf08 at 0.05 is three
 // dispatches moving ~167k rows of join output (3,378,533 B as base64
@@ -663,13 +696,13 @@ func TestDistributedWireBytes(t *testing.T) {
 		blocks, held int
 		sent, store  int64
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_468, store: 2_802},
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, sent: 16_297, store: 54},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, sent: 4_426, store: 74},
-		{wf: 13, scale: 0.1, blocks: 2, held: 0, sent: 10_514, store: 65},
-		{wf: 18, scale: 0.01, blocks: 2, held: 1, sent: 4_458, store: 849},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_341, store: 191},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_503, store: 3_056},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_115, store: 2_802},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, sent: 7_755, store: 54},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, sent: 4_235, store: 74},
+		{wf: 13, scale: 0.1, blocks: 2, held: 0, sent: 4_868, store: 65},
+		{wf: 18, scale: 0.01, blocks: 2, held: 1, sent: 3_598, store: 849},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_340, store: 191},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_390, store: 3_056},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)

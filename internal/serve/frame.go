@@ -46,12 +46,16 @@ import (
 //	          statistics shard (length 0 when the block was not
 //	          instrumented)
 //
-// — so a table crosses the wire as its data.WriteTable bytes and nothing
-// else: no base64, no JSON scanning, and the reader hands each section to
-// data.ReadTable or stats.ReadStore straight from the inflating stream.
-// DEFLATE takes what the table codec cannot see, repetition across columns
-// and rows: 84 % (wf07) to 97 % (wf08) of what the codec leaves of a join
-// block's frames, for which the codec lays its bytes out (data.WriteTable).
+// — so a table crosses the wire as its codec bytes and nothing else: no
+// base64, no JSON scanning, and the reader hands each section to the codec
+// or stats.ReadStore straight from the inflating stream. A request's tables
+// are data.WriteTable's. A response's are data.WriteLate's: a source
+// relation the coordinator holds too is named, with a row index into it,
+// and its columns are gathered from the coordinator's copy (the engine's
+// data, DispatchSpec.DB), so only index columns and the cells no source
+// holds cross. DEFLATE takes what the codec cannot see, repetition across
+// columns and rows: 56 % (wf15) to 94 % (wf08) of the payload bytes of the
+// dist-run benchmark's runs (TestDistributedWireBytes logs both).
 //
 // A block output a later block reads and no sink does never crosses the
 // wire: the request that makes it says Hold, and the worker keeps the output
@@ -137,6 +141,16 @@ func (f *frameWriter) add(section []byte) {
 func (f *frameWriter) table(t *data.Table) error {
 	f.section.Reset()
 	if err := data.WriteTable(&f.section, t); err != nil {
+		return err
+	}
+	f.add(f.section.Bytes())
+	return nil
+}
+
+// late appends a late table section.
+func (f *frameWriter) late(t *data.Late) error {
+	f.section.Reset()
+	if err := data.WriteLate(&f.section, t); err != nil {
 		return err
 	}
 	f.add(f.section.Bytes())
@@ -312,6 +326,16 @@ func (f *frameReader) table() (*data.Table, error) {
 	return data.ReadTableMax(sec, f.payload.max)
 }
 
+// lateTable decodes the next section as a late table, gathering the rows it
+// names from db, under table's cap.
+func (f *frameReader) lateTable(db engine.DB) (*data.Table, error) {
+	sec, err := f.section()
+	if err != nil {
+		return nil, err
+	}
+	return data.ReadLate(sec, f.payload.max, db)
+}
+
 // end requires the last section to end the payload, and the payload the
 // body: a byte after it is malformed in either mode, never over the cap.
 func (f *frameReader) end() error {
@@ -398,11 +422,12 @@ func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int
 	return req, upstream, nil
 }
 
-// encodeRunResponse builds the response frame for one executed block; a
-// block without an output is a held one.
+// encodeRunResponse builds the response frame for one executed block from
+// the late tables RunBlockCtx returns; a block without a late output is a
+// held one.
 func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
-	resp := workerRunResponse{Held: rb.Out == nil, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
-	for name := range rb.Materialized {
+	resp := workerRunResponse{Held: rb.LateOut == nil, Sources: rb.Sources, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
+	for name := range rb.LateMaterialized {
 		resp.Materialized = append(resp.Materialized, name)
 	}
 	sort.Strings(resp.Materialized)
@@ -414,12 +439,12 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error)
 		return nil, err
 	}
 	if !resp.Held {
-		if err := f.table(rb.Out); err != nil {
+		if err := f.late(rb.LateOut); err != nil {
 			return nil, fmt.Errorf("block output: %w", err)
 		}
 	}
 	for _, name := range resp.Materialized {
-		if err := f.table(rb.Materialized[name]); err != nil {
+		if err := f.late(rb.LateMaterialized[name]); err != nil {
 			return nil, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
@@ -433,29 +458,50 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error)
 	return f.seal(maxPayload)
 }
 
-// decodeRunResponse reads a worker's 200 body into the engine's form, and
-// whether the worker held the output: then the block has none.
-func decodeRunResponse(r io.Reader, maxPayload int64) (*engine.RemoteBlock, bool, error) {
+// checkSources requires db to hold every source relation a worker says its
+// block read, at the row count it read: its rows are what the worker
+// computed from, and what a late table's names resolve to.
+func checkSources(sources map[string]int, db engine.DB) error {
+	rels := make([]string, 0, len(sources))
+	for rel := range sources {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		switch t := db[rel]; {
+		case t == nil:
+			return fmt.Errorf("%w: the block read relation %q, which is not in the run's data", data.ErrUnresolved, rel)
+		case len(t.Rows) != sources[rel]:
+			return fmt.Errorf("%w: the block read relation %q at %d rows, the run's data has %d", data.ErrUnresolved, rel, sources[rel], len(t.Rows))
+		}
+	}
+	return nil
+}
+
+// decodeRunResponse reads a worker's 200 body into the engine's form, its
+// tables gathered into rows from db, and whether the worker held the output:
+// then the block has none.
+func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, bool, error) {
 	var resp workerRunResponse
 	f, err := openFrame(r, &resp, maxPayload, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.close()
+	if err := checkSources(resp.Sources, db); err != nil {
+		return nil, false, err
+	}
 	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
 	if !resp.Held {
-		if rb.Out, err = f.table(); err != nil {
+		if rb.Out, err = f.lateTable(db); err != nil {
 			return nil, false, fmt.Errorf("block output: %w", err)
-		}
-		if rb.Out == nil {
-			return nil, false, errors.New("block output: nil table")
 		}
 	}
 	if len(resp.Materialized) > 0 {
 		rb.Materialized = make(map[string]*data.Table, len(resp.Materialized))
 	}
 	for _, name := range resp.Materialized {
-		if rb.Materialized[name], err = f.table(); err != nil {
+		if rb.Materialized[name], err = f.lateTable(db); err != nil {
 			return nil, false, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}

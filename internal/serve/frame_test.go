@@ -21,6 +21,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -29,19 +30,27 @@ func frameTable(rel string, rows ...data.Row) *data.Table {
 	return &data.Table{Rel: rel, Attrs: []workflow.Attr{{Rel: rel, Col: "k"}, {Rel: rel, Col: "v"}}, Rows: rows}
 }
 
-// frameBlock is a block outcome that fills every part of a response frame.
+// frameBlock is a block outcome that fills every part of a response frame:
+// its tables as a worker ships them (late, naming no relation), and as a
+// coordinator reads them back.
 func frameBlock(t testing.TB) *engine.RemoteBlock {
-	return &engine.RemoteBlock{
+	rb := &engine.RemoteBlock{
 		Out: frameTable("Out", data.Row{1, 2}, data.Row{3, 4}),
 		Materialized: map[string]*data.Table{
 			"rejects": frameTable("rejects", data.Row{9, 9}),
 			"audit":   frameTable("audit"),
 		},
-		Rows:     7,
-		Observed: scalarStore(t, 40),
-		Degraded: []engine.FailedStat{{Stat: stats.NewCard(stats.BlockSE(0, 1)), Err: errors.New("tap failed")}},
-		Retries:  2,
+		LateMaterialized: map[string]*data.Late{},
+		Rows:             7,
+		Observed:         scalarStore(t, 40),
+		Degraded:         []engine.FailedStat{{Stat: stats.NewCard(stats.BlockSE(0, 1)), Err: errors.New("tap failed")}},
+		Retries:          2,
 	}
+	rb.LateOut = data.LateOf(rb.Out)
+	for name, tbl := range rb.Materialized {
+		rb.LateMaterialized[name] = data.LateOf(tbl)
+	}
+	return rb
 }
 
 // responseFrame and requestFrame encode under the production cap.
@@ -112,7 +121,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, held, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+	got, held, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
 	if err != nil || held {
 		t.Fatalf("decodeRunResponse: held %v, %v", held, err)
 	}
@@ -131,7 +140,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	withShard := frameBlock(t)
 	withShard.Metrics = []physical.Metrics{{RowsOut: 5, Calls: 1, WallNanos: 10, TapNanos: 3}, {}, {RowsOut: 2}}
 	shardFrame := responseFrame(t, withShard)
-	if gotShard, _, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
+	if gotShard, _, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
 		t.Errorf("metrics shard after the round trip: %+v (%v)", gotShard, err)
 	}
 	var a, b bytes.Buffer
@@ -141,7 +150,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 		t.Error("statistics shard differs after the round trip")
 	}
 	// A held block's frame has everything but the output.
-	gotHeld, held, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes)
+	gotHeld, held, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes, nil)
 	if err != nil || !held || gotHeld.Out != nil || !reflect.DeepEqual(gotHeld.Materialized, want.Materialized) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
 		t.Errorf("held response after the round trip: held %v, %+v (%v)", held, gotHeld, err)
 	}
@@ -195,10 +204,12 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // built the program, and is only required to carry the payload back. The
 // stats shard is pinned apart from the sections before it: it is the
 // store's own byte form, whose version moves independently of the frame's.
+// The response's tables are late sections (data.WriteLate) of one plain
+// group each: they name no relation.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
 		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c350102423002024230016b024230017600194554424c350102423202024232016b024232017601000a000c"
-		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d1e4554424c3501034f757402034f7574016b034f75740176020002060004081e4554424c350105617564697402056175646974016b056175646974017600284554424c35010772656a65637473020772656a65637473016b0772656a6563747301760100120012"
+		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
 
 		// The stats shard, the response's last section, in store format
 		// version 4; goldenResponse is every section before it.
@@ -233,7 +244,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(resp) >= len(payload) {
 		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
 	}
-	if rb, _, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
+	if rb, _, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
 }
@@ -278,10 +289,10 @@ func TestRunFrameCap(t *testing.T) {
 			"declared over the cap": {sealedFrame(t, mode, uint64(len(bomb)), bomb), true},
 			"past its claim":        {sealedFrame(t, mode, uint64(len(payload)), bomb), mode == frameDeflate},
 		} {
-			decodeRunResponse(bytes.NewReader(tc.frame), limit) // warm the pools
+			decodeRunResponse(bytes.NewReader(tc.frame), limit, nil) // warm the pools
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := decodeRunResponse(bytes.NewReader(tc.frame), limit)
+			_, _, err := decodeRunResponse(bytes.NewReader(tc.frame), limit, nil)
 			runtime.ReadMemStats(&after)
 			if err == nil || errors.Is(err, errFrameCap) != tc.capped {
 				t.Errorf("mode %d, %s: err = %v, want errFrameCap %v", mode, name, err, tc.capped)
@@ -291,7 +302,7 @@ func TestRunFrameCap(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload))); errors.Is(err, errFrameCap) {
+	if _, _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
 	}
 	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
@@ -301,7 +312,7 @@ func TestRunFrameCap(t *testing.T) {
 
 func TestRunFrameRejectsCorruption(t *testing.T) {
 	decode := func(frame []byte) error {
-		_, _, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes)
+		_, _, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
 		return err
 	}
 	deflated := responseFrame(t, frameBlock(t))
@@ -391,7 +402,7 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 // heldBlock is frameBlock with its output held.
 func heldBlock(t testing.TB) *engine.RemoteBlock {
 	rb := frameBlock(t)
-	rb.Out = nil
+	rb.Out, rb.LateOut = nil, nil
 	return rb
 }
 
@@ -420,8 +431,9 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		return rec
 	}
 	base := &workerRunRequest{WF: 7, Scale: distScale}
+	db := suite.MustGet(7).Data(distScale)
 	sent := post(requestFrame(t, base, 0, nil, nil))
-	out, kept, err := decodeRunResponse(sent.Body, maxUploadBytes)
+	out, kept, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
 	if sent.Code != http.StatusOK || err != nil || kept || len(wk.resident.byKey) != 0 {
 		t.Fatalf("block 0: status %d, held %v, %d output(s) kept, %v", sent.Code, kept, len(wk.resident.byKey), err)
 	}
@@ -430,7 +442,7 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	answer := post(hold)
-	rb, kept, err := decodeRunResponse(answer.Body, maxUploadBytes)
+	rb, kept, err := decodeRunResponse(answer.Body, maxUploadBytes, db)
 	if answer.Code != http.StatusOK || err != nil || !kept || rb.Out != nil || rb.Rows != out.Rows || !held(&wk.resident, key) {
 		t.Fatalf("block 0 held: status %d, held %v, output %v, rows %d (want %d), kept under its key %v; %v",
 			answer.Code, kept, rb.Out, rb.Rows, out.Rows, held(&wk.resident, key), err)
@@ -471,6 +483,104 @@ func mustFrame(t testing.TB, header any, tables ...*data.Table) []byte {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// frameDB is the data the hostile late sections below name: relation S of
+// two rows.
+var frameDB = engine.DB{"S": frameTable("S", data.Row{1, 2}, data.Row{3, 4})}
+
+// lateSection writes a late table section by hand, from the format comment
+// in internal/data/late.go: one column, S.k, of nrows rows, in one group
+// that names rel and declares its row count, after which index — a tag
+// byte and its column — is the group's row index.
+func lateSection(rel string, declared uint64, nrows uint64, index ...byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte("ETBL5"), 2)
+	b = str(b, "Out")
+	b = binary.AppendUvarint(b, 1)
+	b = str(str(b, "S"), "k")
+	b = binary.AppendUvarint(b, nrows)
+	b = append(binary.AppendUvarint(b, 1), 1) // one group, named
+	b = binary.AppendUvarint(str(b, rel), declared)
+	b = append(b, 0, 0) // column 0 in group 0, S's column 0
+	return append(b, index...)
+}
+
+// lateResponse seals a response frame whose output is the given section,
+// from a block that read S's two rows.
+func lateResponse(t testing.TB, section []byte) []byte {
+	return sourcesResponse(t, map[string]int{"S": 2}, section)
+}
+
+// sourcesResponse seals a response frame whose header says the block read
+// the given sources, and whose output is the given section.
+func sourcesResponse(t testing.TB, sources map[string]int, section []byte) []byte {
+	t.Helper()
+	f, err := beginFrame(&workerRunResponse{Rows: 1, Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.add(section)
+	f.add(nil) // no statistics shard
+	frame, err := f.seal(maxUploadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// hostileLate are response frames whose late output a coordinator holding
+// frameDB must refuse, each with the refusal it gets: a row the data does
+// not hold is data.ErrUnresolved, which falls back in-process.
+var hostileLate = []struct {
+	name       string
+	section    []byte
+	unresolved bool
+	refusal    string
+}{
+	// S rows 0 and 1, plain, then the same as runs.
+	{"honest", lateSection("S", 2, 2, 0, 0, 2), false, ""},
+	{"index shorter than the rows", lateSection("S", 2, 3, 1, 1, 0, 2), false, "runs cover 2 of 3 rows"},
+	{"index past the rows", lateSection("S", 2, 2, 0, 0, 4), true, `row 2 of relation "S", which has 2`},
+	{"unknown relation", lateSection("T", 2, 2, 0, 0, 2), true, `relation "T" is not in`},
+	{"row count", lateSection("S", 3, 2, 0, 0, 2), true, `relation "S" has 2 rows here, 3 where`},
+	{"chain over no earlier column", lateSection("S", 2, 2, 4, 0, 0, 2), false, "cannot chain column 0"},
+}
+
+// TestRunFrameRefusesHostileLateTables decodes response frames whose output
+// names rows the coordinator does not hold, or is malformed around its row
+// index, or whose block read other data: each is refused with its own
+// error, never a panic, and a name, an index or a source the data cannot
+// resolve is data.ErrUnresolved.
+func TestRunFrameRefusesHostileLateTables(t *testing.T) {
+	for _, c := range hostileLate {
+		rb, _, err := decodeRunResponse(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
+		if c.refusal == "" {
+			if err != nil || !reflect.DeepEqual(rb.Out.Rows, []data.Row{{1}, {3}}) {
+				t.Errorf("%s: %v, rows %v", c.name, err, rb)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.refusal) || errors.Is(err, data.ErrUnresolved) != c.unresolved {
+			t.Errorf("%s: err = %v, want %q (unresolved %v)", c.name, err, c.refusal, c.unresolved)
+		}
+	}
+	// A block that read a relation the coordinator's data lacks, or holds at
+	// another row count, is refused whatever its tables name.
+	honest := hostileLate[0].section
+	for sources, refusal := range map[string]string{
+		`{"S": 3}`: `the block read relation "S" at 3 rows, the run's data has 2`,
+		`{"T": 2}`: `the block read relation "T", which is not in`,
+	} {
+		var declared map[string]int
+		if err := json.Unmarshal([]byte(sources), &declared); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := decodeRunResponse(bytes.NewReader(sourcesResponse(t, declared, honest)), maxUploadBytes, frameDB)
+		if !errors.Is(err, data.ErrUnresolved) || !strings.Contains(err.Error(), refusal) {
+			t.Errorf("sources %s: err = %v, want %q", sources, err, refusal)
+		}
+	}
 }
 
 // FuzzRunFrame drives both frame decoders — the worker's, open to any peer
@@ -515,11 +625,16 @@ func FuzzRunFrame(f *testing.F) {
 		chain = append(chain, data.Row{k, v})
 	}
 	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3, map[int]*data.Table{2: frameTable("B2", chain...)}, nil))
+	// One late output per refusal a late section can get.
+	for _, c := range hostileLate {
+		f.Add(lateResponse(f, c.section))
+	}
+	f.Add(sourcesResponse(f, map[string]int{"S": 3}, hostileLate[0].section))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		decodeRunRequest(bytes.NewReader(in), limit)
-		decodeRunResponse(bytes.NewReader(in), limit)
+		decodeRunResponse(bytes.NewReader(in), limit, frameDB)
 		runtime.ReadMemStats(&after)
 		// 40 bytes a cell of a table of the cap's cells, twice, and the
 		// codec's fixed scratch: a bomb would be hundreds of megabytes.

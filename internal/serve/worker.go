@@ -133,6 +133,9 @@ type workerRunResponse struct {
 	Held bool `json:"held,omitempty"`
 	// Materialized names the block's materialized targets, sorted.
 	Materialized []string `json:"materialized,omitempty"`
+	// Sources is the row count of every source relation the block read,
+	// by name, for the coordinator to check against its own data.
+	Sources map[string]int `json:"sources,omitempty"`
 	// Rows is the block's work-metric contribution.
 	Rows int64 `json:"rows"`
 	// Degraded lists statistics whose observation failed permanently.
@@ -201,8 +204,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Kept before the response leaves, so a request that names it can only
 	// arrive after it is here; one over the store's bound is sent instead.
-	if req.Hold && wk.resident.put(req.key, rb.Out) {
-		rb.Out = nil
+	if req.Hold && !wk.resident.put(req.key, rb.Out) {
+		rb.LateOut = data.LateOf(rb.Out)
 	}
 	frame, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
@@ -252,7 +255,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream, req.Hold)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

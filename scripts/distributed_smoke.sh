@@ -3,7 +3,8 @@
 # processes, and check the composed modes against the live fleet —
 # -worker-addrs with -metrics json, a multi-run observation schedule and a
 # cycle report must each print the single-process stdout byte for byte (the
-# report's wall-clock phase timings aside). Then run a
+# report's wall-clock phase timings aside) and their placement on stderr, as
+# must a schedule and a report whose only worker cannot be reached. Then run a
 # multi-block workflow distributed, SIGKILL one worker while the run is in
 # flight, and require exit 0 with stdout byte-identical to the
 # single-process reference; then repeat with the dead worker still
@@ -64,13 +65,25 @@ composed() {
 echo "== distributed -metrics json matches the single-process stdout"
 composed metrics -metrics json
 
-echo "== distributed schedule -budget matches the single-process stdout"
-"$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$addrs" > "$work/dist-schedule.out"
+echo "== distributed schedule -budget matches the single-process stdout, one placement line a run"
+"$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$addrs" > "$work/dist-schedule.out" 2> "$work/dist-schedule.err"
 cmp "$work/ref-schedule.out" "$work/dist-schedule.out"
+runs=$(grep -c '^run [0-9]*:$' "$work/ref-schedule.out")
+[ "$(grep -c '^distributed: 1 block(s) executed remotely' "$work/dist-schedule.err")" -eq "$runs" ]
 
 echo "== distributed report matches the single-process report"
-"$work/etlopt" report -wf 3 -worker-addrs "$addrs" | grep -v '^- phase timings' > "$work/dist-report.out"
+"$work/etlopt" report -wf 3 -worker-addrs "$addrs" 2> "$work/dist-report.err" | grep -v '^- phase timings' > "$work/dist-report.out"
 cmp "$work/ref-report.out" "$work/dist-report.out"
+grep -q '^distributed: 1 block(s) executed remotely' "$work/dist-report.err"
+
+echo "== schedule and report with no reachable worker fall back in-process, say so, and match"
+dead=http://127.0.0.1:1
+"$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$dead" > "$work/dead-schedule.out" 2> "$work/dead-schedule.err"
+cmp "$work/ref-schedule.out" "$work/dead-schedule.out"
+[ "$(grep -c '^distributed: fell back in-process' "$work/dead-schedule.err")" -eq "$runs" ]
+"$work/etlopt" report -wf 3 -worker-addrs "$dead" 2> "$work/dead-report.err" | grep -v '^- phase timings' > "$work/dead-report.out"
+cmp "$work/ref-report.out" "$work/dead-report.out"
+grep -q '^distributed: fell back in-process' "$work/dead-report.err"
 
 echo "== distributed run, one worker SIGKILLed mid-run"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
