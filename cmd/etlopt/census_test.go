@@ -117,8 +117,7 @@ var censusAllowed = map[string]string{
 	// References tests hold the product to.
 	"selector.Universe.Covered":      "the brute-force reference the exact solver is tested against: does a subset cover every requirement",
 	"selector.Universe.ObservedCost": "the brute-force reference the exact solver is tested against: what a subset costs",
-	"engine.BlockFailure":            "typed error: serve's distributed tests match a remote run's failed block and checkpoint against the local run's with errors.As",
-	"engine.Engine.Resume":           "fault recovery: a *BlockFailure's checkpoint resumes through it; resume_test and TestDispatchResumeHeld pin it",
+	"engine.BlockFailure":            "typed error: serve's distributed tests match a remote run's failed block and error against the local run's with errors.As",
 
 	// Fixture constructors and constants other packages' tests build with.
 	"faults.New":          "fixture constructor: core, engine and suite tests build injectors with it",

@@ -48,7 +48,7 @@
 // when the run was cancelled (SIGINT/SIGTERM) or hit the -timeout deadline.
 //
 // A -worker-addrs run that loses every worker is NOT an error: the
-// coordinator completes the run in-process from its last checkpoint,
+// coordinator completes the run in-process from the blocks it committed,
 // prints a "distributed: ... fell back in-process" summary on stderr, and
 // exits 0 — outputs are byte-identical to a single-process run, only the
 // placement degraded (docs/DISTRIBUTED.md).

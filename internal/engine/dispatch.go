@@ -23,11 +23,10 @@ import (
 // are byte-identical however the blocks were placed.
 //
 // One exception is asked for: a boundary output no sink reads and a later
-// block does is held — left on the worker that made it, the run keeping
-// only the dispatcher's Held handle in its place. The block that reads it
-// runs remotely, on a dispatcher that finds it by that handle; one that runs
-// in-process after a fallback, or on a resume without a dispatcher, first
-// recomputes it here, output only.
+// block does is held — left on the worker that made it, the run keeping a
+// nil output in its place. The block that reads it runs remotely, in the
+// same session, which knows where the output is; one that runs in-process
+// after a fallback first recomputes it here, output only.
 //
 // Robustness is structural, not best-effort: a dispatcher signals
 // unrecoverable infrastructure loss with ErrWorkersLost, and the scheduler
@@ -37,7 +36,7 @@ import (
 
 // ErrWorkersLost is the dispatcher's terminal signal: every worker is dead
 // or unreachable past the dispatcher's retry budget. The scheduler reacts
-// by falling back to in-process execution from the last checkpoint.
+// by falling back to in-process execution from the committed blocks.
 var ErrWorkersLost = errors.New("engine: all workers lost")
 
 // DispatchSpec tells the dispatcher what run its workers must reproduce;
@@ -60,22 +59,14 @@ type DispatchSpec struct {
 	Faults  string
 	Metrics bool
 	// Hold lists, ascending, the blocks whose boundary output the session
-	// should leave on the worker that made it and return as a Held handle:
-	// a later block reads each, no sink does.
+	// should leave on the worker that made it and return as Held: a later
+	// block reads each, no sink does.
 	Hold []int
-	// Held maps block index to the handle of a held output the run resumed
-	// from a checkpoint; RunBlock may be asked for a block that reads it.
-	Held map[int]Held
 	// DB is the run's data. A worker's tables name the rows of its source
 	// relations they read (data.Late), and the dispatcher gathers them from
 	// here: it must be the data the workers generate.
 	DB DB
 }
-
-// Held is a dispatcher's handle on a block output it left on a worker. It is
-// opaque to the engine, which keeps it where the output would be, puts it in
-// a checkpoint, and hands it back in a later session's DispatchSpec.
-type Held any
 
 // RemoteBlock is one block's execution outcome, whichever side of the
 // dispatch seam produced it. In-process execution fills Out, Materialized
@@ -84,9 +75,9 @@ type Held any
 type RemoteBlock struct {
 	// Out is the block's boundary output; nil when it is held.
 	Out *data.Table
-	// Held is the handle on a held output, for a block DispatchSpec.Hold
-	// lists; nil when Out is set.
-	Held Held
+	// Held reports that the output stayed on the worker, for a block
+	// DispatchSpec.Hold lists; Out is then nil.
+	Held bool
 	// Materialized holds the block's materialized targets (reject links,
 	// explicit materializations).
 	Materialized map[string]*data.Table
@@ -119,10 +110,9 @@ type RemoteBlock struct {
 type RunDispatch interface {
 	// RunBlock executes one block remotely. The upstream map has an entry
 	// for every block this block reads from: its boundary output, or nil
-	// when it is held — by this session, or by the handle in
-	// DispatchSpec.Held. An error wrapping ErrWorkersLost means dispatch is
-	// permanently unavailable; any other error is the block's own
-	// (deterministic) execution error.
+	// when this session holds it. An error wrapping ErrWorkersLost means
+	// dispatch is permanently unavailable; any other error is the block's
+	// own (deterministic) execution error.
 	RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error)
 	// Slots bounds how many blocks the scheduler keeps in flight.
 	Slots() int

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -30,7 +29,7 @@ import (
 
 // loopDispatcher loops dispatched blocks back to RunBlockCtx.
 type loopDispatcher struct {
-	f     *resumeFixture
+	f     *multiBlockFixture
 	slots int
 	// maxRows is the per-block worker cap (serve.RunSpec.MaxRows).
 	maxRows int64
@@ -47,14 +46,10 @@ type loopDispatcher struct {
 	inflight    int
 	maxInflight int
 	spec        *DispatchSpec
-	// held is the session's handles: from the spec, and on the outputs it
-	// held.
-	held map[int]Held
+	// held is the session's held outputs, which a real dispatcher leaves
+	// on its workers.
+	held map[int]*data.Table
 }
-
-// loopHeld is the loop dispatcher's handle: the held table, which a real
-// dispatcher leaves on its worker.
-type loopHeld struct{ t *data.Table }
 
 func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (RunDispatch, error) {
 	if d.openErr != nil {
@@ -62,8 +57,7 @@ func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (Run
 	}
 	d.mu.Lock()
 	d.spec = spec
-	d.held = map[int]Held{}
-	maps.Copy(d.held, spec.Held)
+	d.held = map[int]*data.Table{}
 	d.mu.Unlock()
 	return d, nil
 }
@@ -80,12 +74,10 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	up := make(map[int]*data.Table, len(upstream))
 	for u, t := range upstream {
 		if t == nil {
-			h, ok := d.held[u].(*loopHeld)
-			if !ok {
+			if t = d.held[u]; t == nil {
 				d.mu.Unlock()
-				return nil, fmt.Errorf("loop: block %d reads block %d, held by no handle of this session", block, u)
+				return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold", block, u)
 			}
-			t = h.t
 		}
 		up[u] = t
 	}
@@ -125,11 +117,10 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 		return nil, err
 	}
 	if hold {
-		h := &loopHeld{t: rb.Out}
-		rb.Out, rb.Held = nil, h
 		d.mu.Lock()
-		d.held[block] = h
+		d.held[block] = rb.Out
 		d.mu.Unlock()
+		rb.Out, rb.Held = nil, true
 	}
 	if d.after != nil {
 		d.after(block, rb)
@@ -202,7 +193,7 @@ func degradedKeys(r *Result) []stats.Key {
 }
 
 // allBlocks lists the fixture's block indices, ascending.
-func (f *resumeFixture) allBlocks() []int {
+func (f *multiBlockFixture) allBlocks() []int {
 	var idx []int
 	for _, b := range f.an.Blocks {
 		idx = append(idx, b.Index)
@@ -227,7 +218,7 @@ func assertPlacement(t *testing.T, name string, d *DistReport, remote, local []i
 // statistics and the deterministic metrics — with the engine's fault
 // injector, worker count and metrics bit set once, on the engine.
 func TestDispatchMatchesLocal(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	for _, tc := range []struct {
 		name string
 		flt  *faults.Injector
@@ -277,14 +268,11 @@ func TestDispatchMatchesLocal(t *testing.T) {
 }
 
 // TestDispatchOrderAndFailure is leg (b): the lowest-index ready block is
-// dispatched first, and of several failing blocks the lowest index is the
-// one reported, as a *BlockFailure whose checkpoint resumes.
+// dispatched first, of several failing blocks the lowest index is the one
+// reported, as a *BlockFailure, and the partial result beside it holds what
+// did complete.
 func TestDispatchOrderAndFailure(t *testing.T) {
-	f := newResumeFixture(t)
-	clean, err := f.run(f.engine(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newMultiBlockFixture(t)
 
 	t.Run("order", func(t *testing.T) {
 		d := &loopDispatcher{f: f, slots: 1}
@@ -319,12 +307,12 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		if !errors.As(err, &bf) {
 			t.Fatalf("want a *BlockFailure, got %v", err)
 		}
-		if bf.Block != 0 || !reflect.DeepEqual(bf.Checkpoint.Failed, []int{0, 1}) || !strings.Contains(bf.Err.Error(), "block 0 is broken") {
-			t.Errorf("reported block %d (%v), failed set %v", bf.Block, bf.Err, bf.Checkpoint.Failed)
+		if bf.Block != 0 || !strings.Contains(bf.Err.Error(), "block 0 is broken") {
+			t.Errorf("reported block %d (%v)", bf.Block, bf.Err)
 		}
 	})
 
-	t.Run("resume/batch", func(t *testing.T) {
+	t.Run("partial", func(t *testing.T) {
 		d := &loopDispatcher{f: f, slots: 1, before: func(block int) error {
 			if block == 1 {
 				return errors.New("block 1 is broken")
@@ -333,36 +321,24 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 		}}
 		e := f.engine(nil)
 		e.Dispatch = d
-		_, err := f.run(e)
+		partial, err := f.run(e)
 		var bf *BlockFailure
 		if !errors.As(err, &bf) || bf.Block != 1 {
 			t.Fatalf("want block 1's *BlockFailure, got %v", err)
 		}
-		if _, ok := bf.Checkpoint.BlockOut[0]; !ok || len(bf.Checkpoint.BlockOut) != 1 {
-			t.Fatalf("checkpoint holds %d blocks, want block 0 alone", len(bf.Checkpoint.BlockOut))
+		if _, ok := partial.BlockOut[0]; !ok || len(partial.BlockOut) != 1 {
+			t.Fatalf("the partial result holds %d blocks, want block 0 alone", len(partial.BlockOut))
 		}
-		d2 := &loopDispatcher{f: f, slots: 2}
-		e2 := f.engine(nil)
-		e2.Dispatch = d2
-		got, err := f.resume(e2, bf.Checkpoint)
-		if err != nil {
-			t.Fatalf("resume through the dispatcher: %v", err)
-		}
-		equalResults(t, "resumed", clean, got)
-		if d2.runs[0] != 0 {
-			t.Error("the checkpointed block ran again")
-		}
-		assertPlacement(t, "resumed", got.Dist, []int{1, 2}, nil)
+		assertPlacement(t, "partial", partial.Dist, []int{0}, nil)
 	})
 }
 
 // TestDispatchWorkersLost is leg (c): ErrWorkersLost at session open, at
 // the first block and mid-run each leave a whole result, a report marked
 // FellBack whose Remote and Local partition exactly the blocks that ran,
-// and no block executed twice. The resume case pins the DistReport.Local
-// fix: blocks restored from a checkpoint are not "executed locally".
+// and no block executed twice.
 func TestDispatchWorkersLost(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	loseFrom := func(first int) func(int) error {
 		return func(block int) error {
 			if block >= first {
@@ -375,42 +351,20 @@ func TestDispatchWorkersLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A checkpoint with block 0 done: block 1's worker reports an error.
-	broken := f.engine(nil)
-	broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
-		if block == 1 {
-			return errors.New("block 1 is broken")
-		}
-		return nil
-	}}
-	_, err = f.run(broken)
-	var bf *BlockFailure
-	if !errors.As(err, &bf) || len(bf.Checkpoint.BlockOut) != 1 {
-		t.Fatalf("want a checkpoint of block 0 alone, got %v", err)
-	}
-	cp := bf.Checkpoint
 	for _, tc := range []struct {
 		name          string
 		d             *loopDispatcher
-		cp            *Checkpoint
 		remote, local []int
 	}{
-		{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, nil, []int{0, 1, 2}},
-		{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, nil, []int{0, 1, 2}},
-		{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, nil, []int{0}, []int{1, 2}},
-		{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, nil, []int{0, 1}, []int{2}},
-		{"resume/session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, cp, nil, []int{1, 2}},
-		{"resume/mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(2)}, cp, []int{1}, []int{2}},
+		{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, []int{0, 1, 2}},
+		{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, []int{0, 1, 2}},
+		{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, []int{0}, []int{1, 2}},
+		{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, []int{0, 1}, []int{2}},
 	} {
 		name := tc.name
 		e := f.engine(nil)
 		e.Workers, e.Dispatch = 2, tc.d
-		var got *Result
-		if tc.cp != nil {
-			got, err = f.resume(e, tc.cp)
-		} else {
-			got, err = f.run(e)
-		}
+		got, err := f.run(e)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -435,9 +389,9 @@ func TestDispatchWorkersLost(t *testing.T) {
 
 // TestCommitOnce is leg (d): a block delivered twice — a retried dispatch
 // whose first response was lost after all — is committed once, held or not;
-// a handle on a block the session was not asked to hold is refused.
+// a held output of a block the session was not asked to hold is refused.
 func TestCommitOnce(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	plan, err := physical.Compile(f.an, f.db, physical.Options{Res: f.res, Observe: f.observe})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +420,7 @@ func TestCommitOnce(t *testing.T) {
 	}
 
 	held := *rb
-	held.Out, held.Held = nil, &loopHeld{t: rb.Out}
+	held.Out, held.Held = nil, true
 	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil)
 	out = &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
 	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}}
@@ -475,15 +429,15 @@ func TestCommitOnce(t *testing.T) {
 			t.Fatalf("held delivery %d: %v", i, err)
 		}
 	}
-	if t0, ok := out.BlockOut[0]; !ok || t0 != nil || out.Held[0] != held.Held || len(out.Held) != 1 {
-		t.Errorf("a held block committed as output %v, handles %v", t0, out.Held)
+	if t0, ok := out.BlockOut[0]; !ok || t0 != nil {
+		t.Errorf("a held block committed as output %v", t0)
 	}
 	if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries || s.report.Held != 1 {
 		t.Errorf("two held deliveries left rows %d budget %d retries %d held %d, want %d/%d/%d/1",
 			out.Rows, env.budget.used.Load(), env.retries.Load(), s.report.Held, rb.Rows, rb.Rows, rb.Retries)
 	}
-	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: &loopHeld{}}, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
-		t.Errorf("a handle on a block no one asked to hold: err = %v", err)
+	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: true}, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
+		t.Errorf("a held output of a block no one asked to hold: err = %v", err)
 	}
 }
 
@@ -493,7 +447,7 @@ func TestCommitOnce(t *testing.T) {
 // charged once — MaxRows at the local run's exact total still passes — and
 // equal the local run's.
 func TestDispatchHeldFallBack(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	flt := faults.New(7, 1, 1, 0)
 	want, err := f.run(f.engine(flt))
 	if err != nil {
@@ -522,75 +476,19 @@ func TestDispatchHeldFallBack(t *testing.T) {
 	if g := got.Dist; !g.FellBack || g.Held != 2 || g.Recomputed != 2 {
 		t.Errorf("report %+v, want a fallback after 2 held outputs, both recomputed", g)
 	}
-	if len(got.Held) != 0 || got.BlockOut[0] == nil || got.BlockOut[1] == nil {
-		t.Errorf("after the recompute the result still holds %v", got.Held)
+	if got.BlockOut[0] == nil || got.BlockOut[1] == nil {
+		t.Error("after the recompute the result still lacks a held output")
 	}
 	if d.runs[0] != 1 || d.runs[1] != 1 {
 		t.Errorf("the workers ran blocks 0 and 1 %d and %d time(s)", d.runs[0], d.runs[1])
 	}
 }
 
-// TestDispatchResumeHeld is leg (e): a dispatched run that committed held
-// block 0 and then failed permanently leaves a checkpoint carrying block 0's
-// handle. Resumed through a new dispatch session, block 2 reads block 0 by
-// that handle (nothing recomputed, block 0 not re-run); resumed without a
-// dispatcher, block 0 is made again in-process for block 2 to read.
-func TestDispatchResumeHeld(t *testing.T) {
-	f := newResumeFixture(t)
-	want, err := f.run(f.engine(nil))
-	if err != nil {
-		t.Fatalf("local run: %v", err)
-	}
-	broken := f.engine(nil)
-	broken.Dispatch = &loopDispatcher{f: f, slots: 1, before: func(block int) error {
-		if block == 1 {
-			return errors.New("block 1 is broken")
-		}
-		return nil
-	}}
-	_, err = f.run(broken)
-	var bf *BlockFailure
-	if !errors.As(err, &bf) || bf.Block != 1 {
-		t.Fatalf("want block 1's *BlockFailure, got %v", err)
-	}
-	cp := bf.Checkpoint
-	if t0, ok := cp.BlockOut[0]; !ok || t0 != nil || len(cp.BlockOut) != 1 {
-		t.Fatalf("checkpoint holds %d blocks (block 0: %v), want held block 0 alone", len(cp.BlockOut), t0)
-	}
-	if _, ok := cp.Held[0]; !ok {
-		t.Fatal("the checkpoint carries no handle on held block 0")
-	}
-
-	d := &loopDispatcher{f: f, slots: 2}
-	e := f.engine(nil)
-	e.Dispatch = d
-	resumed, err := f.resume(e, cp)
-	if err != nil {
-		t.Fatalf("resume through a new session: %v", err)
-	}
-	equalResults(t, "resumed", want, resumed)
-	if d.runs[0] != 0 {
-		t.Errorf("the resumed session ran block 0 %d time(s)", d.runs[0])
-	}
-	if r := resumed.Dist; r.Held != 1 || r.Recomputed != 0 {
-		t.Errorf("the new session held %d and recomputed %d output(s), want 1 and 0", r.Held, r.Recomputed)
-	}
-
-	resumed, err = f.resume(f.engine(nil), cp)
-	if err != nil {
-		t.Fatalf("resume without a dispatcher: %v", err)
-	}
-	equalResults(t, "resumed-locally", want, resumed)
-	if resumed.BlockOut[0] == nil {
-		t.Error("a local resume left block 0's output unmade")
-	}
-}
-
-// TestDispatchMetricsShardLength is leg (f): a metrics shard whose length
+// TestDispatchMetricsShardLength is leg (e): a metrics shard whose length
 // is not the block's node count — or any shard when metrics are off — is
 // the block's error, never an index panic.
 func TestDispatchMetricsShardLength(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	for _, tc := range []struct {
 		name    string
 		metrics bool
@@ -621,7 +519,7 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 // same guard, although no single block comes near the cap its worker
 // applies; the exact total passes.
 func TestDispatchMaxRowsRunLevel(t *testing.T) {
-	f := newResumeFixture(t)
+	f := newMultiBlockFixture(t)
 	const name = "batch"
 	clean, err := f.run(f.engine(nil))
 	if err != nil {
@@ -640,8 +538,8 @@ func TestDispatchMaxRowsRunLevel(t *testing.T) {
 			t.Errorf("%s dispatch=%v: MaxRows = total: %v", name, dispatch, err)
 		}
 	}
-	_, lerr := guarded(clean.Rows-1, false)
-	_, derr := guarded(clean.Rows-1, true)
+	lout, lerr := guarded(clean.Rows-1, false)
+	dout, derr := guarded(clean.Rows-1, true)
 	var lbf, dbf *BlockFailure
 	if !errors.As(lerr, &lbf) || !errors.As(derr, &dbf) {
 		t.Fatalf("%s: MaxRows = total-1: local %v, dispatched %v", name, lerr, derr)
@@ -652,8 +550,8 @@ func TestDispatchMaxRowsRunLevel(t *testing.T) {
 	if lbf.Block != dbf.Block || !strings.HasPrefix(guard, "intermediate-cardinality guard") || !strings.HasSuffix(lbf.Err.Error(), guard) {
 		t.Errorf("%s: local failed block %d (%v), dispatched block %d (%v)", name, lbf.Block, lbf.Err, dbf.Block, dbf.Err)
 	}
-	if len(dbf.Checkpoint.BlockOut) != len(lbf.Checkpoint.BlockOut) || dbf.Checkpoint.Rows != lbf.Checkpoint.Rows {
-		t.Errorf("%s: checkpoints differ: local %d blocks/%d rows, dispatched %d/%d", name,
-			len(lbf.Checkpoint.BlockOut), lbf.Checkpoint.Rows, len(dbf.Checkpoint.BlockOut), dbf.Checkpoint.Rows)
+	if len(dout.BlockOut) != len(lout.BlockOut) || dout.Rows != lout.Rows {
+		t.Errorf("%s: partial results differ: local %d blocks/%d rows, dispatched %d/%d", name,
+			len(lout.BlockOut), lout.Rows, len(dout.BlockOut), dout.Rows)
 	}
 }

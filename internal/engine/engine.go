@@ -77,12 +77,9 @@ func NewStream(an *workflow.Analysis, db DB, reg physical.Registry) *Engine { re
 
 // Result is the outcome of one workflow execution.
 type Result struct {
-	// BlockOut holds each block's boundary output; the entry of a held one
-	// is nil, its handle in Held.
+	// BlockOut holds each block's boundary output; the entry of one a
+	// worker holds (see DispatchSpec.Hold) is nil.
 	BlockOut map[int]*data.Table
-	// Held maps block index to the dispatcher's handle on an output a
-	// worker holds (see DispatchSpec.Hold); nil when there is none.
-	Held map[int]Held
 	// Sinks holds the target record-sets by name.
 	Sinks map[string]*data.Table
 	// Materialized holds explicitly materialized intermediate results by
@@ -113,7 +110,7 @@ type Result struct {
 // the executed trees produce its target (see physical.Compile); one whose
 // target they do not produce is absent from the store.
 func (e *Engine) RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(context.Background(), nil, plans, res, observe)
+	return e.runPlans(context.Background(), plans, res, observe)
 }
 
 // RunPlansCtx is RunPlans under a context: cancellation (or deadline
@@ -121,18 +118,10 @@ func (e *Engine) RunPlans(plans map[int]*workflow.JoinTree, res *css.Result, obs
 // metrics and block outputs — is returned alongside it, so callers can
 // flush what the run did finish.
 func (e *Engine) RunPlansCtx(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, nil, plans, res, observe)
+	return e.runPlans(ctx, plans, res, observe)
 }
 
-// Resume continues a run from a checkpoint (a *BlockFailure's Checkpoint
-// field): completed blocks are restored, only the blocks downstream of it
-// re-execute, and already-observed statistics are kept (the store is
-// write-once, so re-surfaced taps are no-ops).
-func (e *Engine) Resume(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
-	return e.runPlans(ctx, cp, plans, res, observe)
-}
-
-func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
+func (e *Engine) runPlans(ctx context.Context, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) (*Result, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
@@ -144,13 +133,9 @@ func (e *Engine) runPlans(ctx context.Context, cp *Checkpoint, plans map[int]*wo
 		Sinks:        make(map[string]*data.Table),
 		Materialized: make(map[string]*data.Table),
 	}
-	seedFrom(out, cp)
 	var col *collector
 	if res != nil {
 		col = newCollector()
-		if cp != nil && cp.Observed != nil {
-			col.store = cp.Observed
-		}
 		out.Observed = col.store
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 	"github.com/essential-stats/etlopt/internal/stats"
 )
 
-// Fault tolerance. Three mechanisms compose here:
+// Fault tolerance. Two mechanisms compose here:
 //
 //   - Cancellation: every run threads a context.Context; the interpreter
 //     polls it at operator boundaries and inside the join probe, so a run
@@ -25,14 +24,13 @@ import (
 //     exponential backoff. Each attempt works against a private row-budget
 //     child and a private sink, so a failed attempt refunds its budget and
 //     leaves no partial side effects.
-//   - Checkpoints: block boundary outputs plus the observed-statistics
-//     store form a restartable checkpoint. A permanent failure returns a
-//     *BlockFailure carrying the checkpoint of everything that did
-//     complete; Resume re-runs only the missing blocks (the failed block's
-//     downstream cone), skipping completed ones entirely.
 //
-// All of it is zero-cost when unused: nil context checks, nil injector and
-// nil checkpoint keep the hot paths on their PR-3 fast paths.
+// A permanent failure returns a *BlockFailure beside the partial *Result of
+// the blocks that did complete. Execution and the injector are
+// deterministic, so the remedy is a new run, not a resumed one.
+//
+// Both are zero-cost when unused: nil context checks and a nil injector
+// keep the hot paths on their fast paths.
 
 // defaultRetryMax bounds per-block attempts (first try + retries).
 const defaultRetryMax = 3
@@ -49,39 +47,11 @@ type FailedStat struct {
 	Err  error
 }
 
-// Checkpoint is the restartable state of a partially completed run: every
-// finished block's boundary output and side effects, plus the statistics
-// observed so far. It is placement-independent: a checkpoint of blocks
-// that ran on workers resumes in-process and vice versa, since both execute
-// the same physical plan. A held output is read through its handle by a
-// later dispatch session, or recomputed by an in-process block that reads
-// it.
-type Checkpoint struct {
-	// BlockOut holds the boundary outputs of completed blocks; a held one's
-	// entry is nil.
-	BlockOut map[int]*data.Table
-	// Held holds the handles of completed blocks whose output a worker
-	// holds.
-	Held map[int]Held
-	// Materialized holds completed blocks' materialized targets.
-	Materialized map[string]*data.Table
-	// Rows is the work metric accumulated by completed blocks.
-	Rows int64
-	// Observed holds the statistics collected so far (nil when the run was
-	// uninstrumented).
-	Observed *stats.Store
-	// Failed lists the block indices whose execution failed (ascending).
-	Failed []int
-}
-
-// BlockFailure is returned when a block fails permanently (after retries).
-// It carries the checkpoint of everything that did complete, so the caller
-// can resume instead of restarting from scratch.
+// BlockFailure is returned when a block fails permanently (after retries),
+// beside the partial *Result of what did complete.
 type BlockFailure struct {
 	// Block is the lowest failing block index.
 	Block int
-	// Checkpoint restores the completed blocks on Resume.
-	Checkpoint *Checkpoint
 	// Err is the block's final error.
 	Err error
 }
@@ -241,33 +211,3 @@ func auxStat(a *physical.AuxJoin) stats.Stat { return a.Stat }
 // tapSite renders a statistic's engine-independent fault site: the
 // comparable statistic key, identical however the plan is executed.
 func tapSite(s stats.Stat) string { return fmt.Sprintf("tap:%v", s.Key()) }
-
-// checkpointOf snapshots a quiescent partial result as a checkpoint.
-func checkpointOf(out *Result, failed []int) *Checkpoint {
-	return &Checkpoint{
-		BlockOut:     out.BlockOut,
-		Held:         out.Held,
-		Materialized: out.Materialized,
-		Rows:         out.Rows,
-		Observed:     out.Observed,
-		Failed:       failed,
-	}
-}
-
-// seedFrom pre-loads a result with a checkpoint's completed state; the
-// block scheduler then skips every block that already has an output.
-func seedFrom(out *Result, cp *Checkpoint) {
-	if cp == nil {
-		return
-	}
-	for k, v := range cp.BlockOut {
-		out.BlockOut[k] = v
-	}
-	if len(cp.Held) > 0 {
-		out.Held = maps.Clone(cp.Held)
-	}
-	for k, v := range cp.Materialized {
-		out.Materialized[k] = v
-	}
-	out.Rows += cp.Rows
-}

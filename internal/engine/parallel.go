@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -203,36 +202,27 @@ type blockSched struct {
 // folds it into the run. The blocks in flight are bounded: Workers
 // in-process, the session's slots on remote workers. When several blocks
 // are ready the lowest block index starts first, and on failure the error
-// of the lowest failing block index is returned (as a *BlockFailure
-// carrying the checkpoint of what did complete), so error reporting is
-// deterministic regardless of goroutine timing.
+// of the lowest failing block index is returned as a *BlockFailure, so error
+// reporting is deterministic regardless of goroutine timing; out keeps what
+// did complete.
 //
-// Blocks whose output is already present in out (a checkpoint seeded by
-// Resume), held or not, are skipped. A dispatch session is asked to
-// hold the outputs heldBlocks names. A dispatcher that reports ErrWorkersLost,
-// at session open or from any block, flips the blocks not yet committed to
-// in-process execution inside the same loop: the placement degrades, the
-// result stays whole.
+// A dispatch session is asked to hold the outputs heldBlocks names. A
+// dispatcher that reports ErrWorkersLost, at session open or from any
+// block, flips the blocks not yet committed to in-process execution inside
+// the same loop: the placement degrades, the result stays whole.
 func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *collector, spec *DispatchSpec) error {
 	s := &blockSched{
 		plan: plan, deps: blockDeps(plan), env: env, out: out, col: col, metrics: e.CollectMetrics,
-		local: max(e.Workers, 1), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
+		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	for _, bp := range plan.Blocks {
-		_, seeded := out.BlockOut[bp.Block.Index]
-		s.started[bp.Block.Index], s.done[bp.Block.Index] = seeded, seeded
-		if !seeded {
-			s.left++
-		}
-	}
 	s.limit = s.local
 	var rd RunDispatch
 	if e.Dispatch != nil {
 		s.report = &DistReport{}
 		out.Dist = s.report
 		s.hold = heldBlocks(e.An, s.deps)
-		spec.Hold, spec.Held = s.hold, maps.Clone(out.Held)
+		spec.Hold = s.hold
 		if session, err := e.Dispatch.DispatchRun(env.ctx, spec); err != nil {
 			s.fallBack(err) // no reachable worker: the whole run is in-process
 		} else {
@@ -268,11 +258,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
-		return &BlockFailure{
-			Block:      idxs[0],
-			Checkpoint: checkpointOf(out, idxs),
-			Err:        s.errs[idxs[0]],
-		}
+		return &BlockFailure{Block: idxs[0], Err: s.errs[idxs[0]]}
 	}
 	return nil
 }
@@ -344,8 +330,8 @@ func (s *blockSched) nextReady() *physical.BlockPlan {
 // recompute fills in the held outputs of an upstream map for an in-process
 // block to read, recomputing each — and what it reads, as far up as needed —
 // output only: no taps, no metrics, no row-budget charge, no injected
-// faults, no retries. What it makes replaces the handle in the result, where
-// later readers find it.
+// faults, no retries. What it makes replaces the nil output in the result,
+// where later readers find it.
 func (s *blockSched) recompute(upstream map[int]*data.Table) error {
 	for d, t := range upstream {
 		if t != nil {
@@ -368,10 +354,7 @@ func (s *blockSched) recompute(upstream map[int]*data.Table) error {
 		s.mu.Lock()
 		if s.out.BlockOut[d] == nil {
 			s.out.BlockOut[d] = rb.Out
-			delete(s.out.Held, d)
-			if s.report != nil {
-				s.report.Recomputed++
-			}
+			s.report.Recomputed++
 		}
 		upstream[d] = s.out.BlockOut[d]
 		s.mu.Unlock()
@@ -409,7 +392,7 @@ func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 // ran; a remote block brings all three along, and crossing MaxRows here
 // fails it as crossing it mid-block fails a local one. A block already
 // committed (a duplicate delivery) is left alone; a held one is committed
-// as its handle, next to a nil output.
+// as a nil output.
 func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool) error {
 	idx := bp.Block.Index
 	if _, ok := s.out.BlockOut[idx]; ok {
@@ -423,8 +406,8 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 		if len(rb.Metrics) != want {
 			return fmt.Errorf("engine: block %d: worker shipped a metrics shard of %d nodes, the compiled block has %d", idx, len(rb.Metrics), want)
 		}
-		if rb.Out == nil && (rb.Held == nil || !slices.Contains(s.hold, idx)) {
-			return fmt.Errorf("engine: block %d: the dispatcher returned neither its output nor a handle it was asked to hold", idx)
+		if rb.Out == nil && (!rb.Held || !slices.Contains(s.hold, idx)) {
+			return fmt.Errorf("engine: block %d: the dispatcher returned neither its output nor one it was asked to hold", idx)
 		}
 		if err := s.env.budget.add(rb.Rows); err != nil {
 			return err
@@ -447,10 +430,6 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 	}
 	s.out.BlockOut[idx] = rb.Out
 	if rb.Out == nil {
-		if s.out.Held == nil {
-			s.out.Held = make(map[int]Held)
-		}
-		s.out.Held[idx] = rb.Held
 		s.report.Held++
 	}
 	for k, v := range rb.Materialized {

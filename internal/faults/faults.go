@@ -3,7 +3,7 @@
 // characteristic ways — a source extract cannot be read, an operator's
 // runtime dependency breaks, a statistic tap's side memory is exhausted,
 // the run's row budget trips — and the engine's recovery machinery (block
-// retry, checkpoint/resume, degraded observation) needs all of them to be
+// retry, in-process fallback, degraded observation) needs all of them to be
 // reproducible on demand. The injector decides every fault as a pure
 // function of (seed, kind, site, attempt), so a faulted run is exactly
 // repeatable across worker counts and processes: the same sites

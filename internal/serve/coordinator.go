@@ -42,8 +42,8 @@ import (
 //
 // When every worker is lost, or one block exhausts its dispatch budget,
 // the coordinator reports engine.ErrWorkersLost and the engine finishes
-// the run in-process from its last checkpoint: degraded placement, never a
-// partial result.
+// the run in-process from the blocks it committed: degraded placement,
+// never a partial result.
 type Coordinator struct {
 	run RunSpec
 	opt CoordinatorOptions
@@ -129,8 +129,7 @@ type dispatchSession struct {
 
 // lineage is how a held block output was made: the request frame that made
 // it — which makes it again, on any worker — and the lineage of every held
-// output that frame names. It is the engine.Held handle the session hands
-// the engine, so a later session resumes from it too.
+// output that frame names. It lives and dies with its session.
 type lineage struct {
 	block int
 	addr  string // the worker that made and holds it
@@ -144,11 +143,6 @@ type lineage struct {
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
 	s := &dispatchSession{c: c, base: c.baseRequest(spec), hold: spec.Hold, db: spec.DB, produced: map[int]*lineage{}}
-	for idx, h := range spec.Held {
-		if l, ok := h.(*lineage); ok {
-			s.produced[idx] = l
-		}
-	}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -250,14 +244,13 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		if w == nil {
 			return nil, fmt.Errorf("serve: block %d: all workers lost: %w", block, engine.ErrWorkersLost)
 		}
-		rb, held, err := s.exchange(ctx, w, l)
+		rb, err := s.exchange(ctx, w, l)
 		if err == nil {
 			s.mu.Lock()
 			s.resident += int64(len(l.named))
-			if held {
+			if rb.Held {
 				l.addr = w.addr
 				s.produced[block] = l
-				rb.Held = l
 			}
 			s.mu.Unlock()
 			return rb, nil
@@ -283,25 +276,25 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 // up the chain as w lacks them — and the frame goes again. What a recompute
 // answers is dropped: its rows, retries, metrics and statistics were taken
 // when the output was first made.
-func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage) (*engine.RemoteBlock, bool, error) {
+func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage) (*engine.RemoteBlock, error) {
 	for round := 0; ; round++ {
-		rb, held, err := s.tryWorker(ctx, w, l.block, l.frame)
+		rb, err := s.tryWorker(ctx, w, l.block, l.frame)
 		var miss *missError
 		if !errors.As(err, &miss) {
-			return rb, held, err
+			return rb, err
 		}
 		if round == dispatchRetryMax {
 			// The outputs it makes keep leaving the store before the frame
 			// that names them arrives.
-			return nil, false, fmt.Errorf("serve: block %d on %s: still missing %d upstream output(s) after %d recomputes", l.block, w.addr, len(miss.keys), round)
+			return nil, fmt.Errorf("serve: block %d on %s: still missing %d upstream output(s) after %d recomputes", l.block, w.addr, len(miss.keys), round)
 		}
 		for _, key := range miss.keys {
 			i := slices.IndexFunc(l.named, func(up *lineage) bool { return up.key.String() == key })
 			if i < 0 {
-				return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s misses %q, which the request does not name", l.block, w.addr, key)}
+				return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s misses %q, which the request does not name", l.block, w.addr, key)}
 			}
-			if _, _, err := s.exchange(ctx, w, l.named[i]); err != nil {
-				return nil, false, err
+			if _, err := s.exchange(ctx, w, l.named[i]); err != nil {
+				return nil, err
 			}
 			s.mu.Lock()
 			s.recomputed++
@@ -368,9 +361,8 @@ func (e *missError) Error() string {
 	return fmt.Sprintf("%d upstream output(s) not held", len(e.keys))
 }
 
-// tryWorker executes one leased dispatch attempt against one worker, and
-// reports whether the worker held the block's output.
-func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte) (*engine.RemoteBlock, bool, error) {
+// tryWorker executes one leased dispatch attempt against one worker.
+func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte) (*engine.RemoteBlock, error) {
 	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -381,7 +373,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 
 	req, err := http.NewRequestWithContext(lctx, http.MethodPost, w.addr+"/v1/worker/run", bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", frameContentType)
 	resp, err := s.c.opt.Client.Do(req)
@@ -391,60 +383,60 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		// lease protocol).
 		s.markLost(w)
 		if errors.Is(context.Cause(lctx), errLeaseExpired) {
-			return nil, false, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
+			return nil, fmt.Errorf("serve: lease on %s expired for block %d: %w", w.addr, block, err)
 		}
-		return nil, false, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
+		return nil, fmt.Errorf("serve: block %d on %s: %w", block, w.addr, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		switch {
 		case resp.StatusCode == http.StatusRequestEntityTooLarge:
-			return nil, false, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
+			return nil, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
 		case resp.StatusCode == http.StatusConflict:
 			var miss missingResident
 			if err := json.Unmarshal(msg, &miss); err != nil || len(miss.Missing) == 0 {
-				return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: 409 naming no missing output: %s", block, w.addr, errorBody(msg))}
+				return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: 409 naming no missing output: %s", block, w.addr, errorBody(msg))}
 			}
-			return nil, false, &missError{keys: miss.Missing}
+			return nil, &missError{keys: miss.Missing}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
 			// The worker ran the block and it failed deterministically (or
 			// the request itself is invalid): reassignment cannot change
 			// the outcome.
-			return nil, false, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
+			return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
 		default:
 			s.markLost(w)
-			return nil, false, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
+			return nil, fmt.Errorf("serve: block %d on %s: status %d: %s", block, w.addr, resp.StatusCode, errorBody(msg))
 		}
 	}
 	// Decode straight from the body, one section at a time. One byte past
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, held, err := decodeRunResponse(lr, s.c.maxBody, s.db)
+	rb, err := decodeRunResponse(lr, s.c.maxBody, s.db)
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
 		if _, rerr := io.Copy(io.Discard, lr); rerr != nil {
 			s.markLost(w)
-			return nil, false, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
+			return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, rerr)
 		}
 	}
 	if lr.N <= 0 {
-		return nil, false, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
+		return nil, wireCapError(block, fmt.Sprintf("response from %s over %d bytes", w.addr, s.c.maxBody))
 	}
 	if overCap(err) {
-		return nil, false, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
+		return nil, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
 	}
 	if errors.Is(err, data.ErrUnresolved) {
 		// The workers compute from other data than the engine's: every
 		// worker would, so the block is the run's to finish.
-		return nil, false, fmt.Errorf("serve: block %d: %s computed from other data than the run's (%v): %w", block, w.addr, err, engine.ErrWorkersLost)
+		return nil, fmt.Errorf("serve: block %d: %s computed from other data than the run's (%v): %w", block, w.addr, err, engine.ErrWorkersLost)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
+		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
 	}
-	return rb, held, nil
+	return rb, nil
 }
 
 // maxErrorBody bounds how much of a non-200 reply is read for its message.

@@ -30,15 +30,15 @@ import (
 // observed statistics, work metric — whatever the fault pattern: a worker
 // SIGKILLed mid-run, requests dropped, delayed or cut short by a
 // deterministic transport, a frozen worker whose lease expires, or every
-// worker lost (which must complete in-process from the last checkpoint,
+// worker lost (which must complete in-process from the committed blocks,
 // never partially).
 
 const distScale = 0.002
 
 // distWorkflows are the multi-block suite workflows the golden tests
 // exercise (2, 3 and 2 blocks — enough for real scheduling, reassignment
-// and checkpoint handoff, without join explosions that would dwarf the
-// wire cap).
+// and the in-process fallback, without join explosions that would dwarf
+// the wire cap).
 var distWorkflows = []int{6, 8, 15}
 
 // startWorker serves a fresh Worker over httptest.
@@ -265,7 +265,7 @@ func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestDistributedAllWorkersLostFallsBack kills every worker mid-run: the
-// coordinator must finish in-process from the last checkpoint and report
+// coordinator must finish in-process from the committed blocks and report
 // the degradation — outputs still byte-identical, never partial.
 func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
 	const name = "batch"
@@ -368,27 +368,39 @@ func (f *flakyNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
-// TestDistributedTransportFaultMatrix runs wf08's three-block chain over a
-// flaky transport: a cut response is retried on the same pool, a dropped
-// request loses its worker to the survivor, delays longer than a heartbeat
-// cost nothing, and when every request fails the run finishes in-process —
-// byte-identical outputs every time.
+// TestDistributedTransportFaultMatrix runs wf08's three-block chain 0 → 1
+// → 2 over a flaky transport: a cut response is retried on the same pool, a
+// dropped request loses its worker to the survivor, delays longer than a
+// heartbeat cost nothing, and when every request fails the run finishes
+// in-process — byte-identical outputs every time. When only block 2's
+// requests fail, blocks 0 and 1 have committed held, so the in-process
+// block 2 recomputes block 1 and, to make it, block 0: two levels up.
 func TestDistributedTransportFaultMatrix(t *testing.T) {
 	const wf = 8
 	want := localRun(t, wf)
 	every := func(f netFault) func(int) netFault { return func(int) netFault { return f } }
+	from := func(first int, f netFault) func(int) netFault {
+		return func(n int) netFault {
+			if n < first {
+				return netClean
+			}
+			return f
+		}
+	}
 	for _, c := range []struct {
-		name       string
-		fault      func(int) netFault
-		reassigned int64
-		lost       []int // indexes into the fleet
-		fellBack   bool
+		name             string
+		fault            func(int) netFault
+		reassigned       int64
+		lost             []int // indexes into the fleet
+		local            []int // blocks run in-process after the fleet was lost
+		held, recomputed int64
 	}{
-		{"cut", faultAt(map[int]netFault{0: netCut, 2: netCut}), 2, nil, false},
-		{"drop", faultAt(map[int]netFault{0: netDrop}), 1, []int{0}, false},
-		{"delay", every(netDelay), 0, nil, false},
-		{"cut, drop and delay", faultAt(map[int]netFault{0: netCut, 1: netDelay, 2: netDrop}), 2, []int{1}, false},
-		{"every request fails", every(netDrop), 2, []int{0, 1}, true},
+		{"cut", faultAt(map[int]netFault{0: netCut, 2: netCut}), 2, nil, nil, 2, 0},
+		{"drop", faultAt(map[int]netFault{0: netDrop}), 1, []int{0}, nil, 2, 0},
+		{"delay", every(netDelay), 0, nil, nil, 2, 0},
+		{"cut, drop and delay", faultAt(map[int]netFault{0: netCut, 1: netDelay, 2: netDrop}), 2, []int{1}, nil, 2, 0},
+		{"every request fails", every(netDrop), 2, []int{0, 1}, []int{0, 1, 2}, 0, 0},
+		{"every request from the third fails", from(2, netDrop), 2, []int{0, 1}, []int{2}, 2, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fleet := []string{startWorker(t).URL, startWorker(t).URL}
@@ -403,12 +415,19 @@ func TestDistributedTransportFaultMatrix(t *testing.T) {
 			for _, i := range c.lost {
 				lost = append(lost, fleet[i])
 			}
-			if d.FellBack != c.fellBack || d.Reassigned != c.reassigned || !slices.Equal(d.LostWorkers, lost) {
+			if d.FellBack != (len(c.local) > 0) || d.Reassigned != c.reassigned || !slices.Equal(d.LostWorkers, lost) {
 				t.Errorf("fell back %v, %d reassignment(s), lost %v; want %v, %d, %v (%+v)",
-					d.FellBack, d.Reassigned, d.LostWorkers, c.fellBack, c.reassigned, lost, d)
+					d.FellBack, d.Reassigned, d.LostWorkers, len(c.local) > 0, c.reassigned, lost, d)
 			}
-			if !c.fellBack && len(d.Remote) != len(cy.Analysis.Blocks) {
-				t.Errorf("blocks %v ran remotely, want all %d", d.Remote, len(cy.Analysis.Blocks))
+			var remote []int
+			for _, b := range cy.Analysis.Blocks {
+				if !slices.Contains(c.local, b.Index) {
+					remote = append(remote, b.Index)
+				}
+			}
+			if !slices.Equal(d.Remote, remote) || !slices.Equal(d.Local, c.local) || d.Held != c.held || d.Recomputed != c.recomputed {
+				t.Errorf("remote %v, local %v, %d held, %d recomputed; want %v, %v, %d, %d",
+					d.Remote, d.Local, d.Held, d.Recomputed, remote, c.local, c.held, c.recomputed)
 			}
 		})
 	}
@@ -1054,7 +1073,7 @@ func TestDistributedMaxRowsRunLevel(t *testing.T) {
 		}
 
 		cfg.MaxRows = total - 1
-		_, lerr := tryCycle(t, wf, cfg)
+		lcy, lerr := tryCycle(t, wf, cfg)
 		var want *engine.BlockFailure
 		if !errors.As(lerr, &want) || !strings.Contains(lerr.Error(), "intermediate-cardinality guard") {
 			t.Fatalf("local run with MaxRows = total-1: %v", lerr)
@@ -1071,9 +1090,9 @@ func TestDistributedMaxRowsRunLevel(t *testing.T) {
 				t.Errorf("%s: failed with %q, the local run with %q", name, guard, want.Err)
 			}
 			// One slot commits blocks in index order, like the local run.
-			if name == "one-slot" && (got.Block != want.Block || got.Checkpoint.Rows != want.Checkpoint.Rows) {
+			if name == "one-slot" && (got.Block != want.Block || cy.Observed.Rows != lcy.Observed.Rows) {
 				t.Errorf("%s: failed at block %d after %d rows, the local run at block %d after %d",
-					name, got.Block, got.Checkpoint.Rows, want.Block, want.Checkpoint.Rows)
+					name, got.Block, cy.Observed.Rows, want.Block, lcy.Observed.Rows)
 			}
 		}
 	})

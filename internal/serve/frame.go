@@ -479,22 +479,22 @@ func checkSources(sources map[string]int, db engine.DB) error {
 }
 
 // decodeRunResponse reads a worker's 200 body into the engine's form, its
-// tables gathered into rows from db, and whether the worker held the output:
-// then the block has none.
-func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, bool, error) {
+// tables gathered into rows from db; a block whose output the worker held
+// has none, and says Held.
+func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, error) {
 	var resp workerRunResponse
 	f, err := openFrame(r, &resp, maxPayload, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer f.close()
 	if err := checkSources(resp.Sources, db); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
+	rb := &engine.RemoteBlock{Held: resp.Held, Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
 	if !resp.Held {
 		if rb.Out, err = f.lateTable(db); err != nil {
-			return nil, false, fmt.Errorf("block output: %w", err)
+			return nil, fmt.Errorf("block output: %w", err)
 		}
 	}
 	if len(resp.Materialized) > 0 {
@@ -502,20 +502,20 @@ func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.Rem
 	}
 	for _, name := range resp.Materialized {
 		if rb.Materialized[name], err = f.lateTable(db); err != nil {
-			return nil, false, fmt.Errorf("materialized %q: %w", name, err)
+			return nil, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
 	shard, err := f.section()
 	if err != nil {
-		return nil, false, fmt.Errorf("stats shard: %w", err)
+		return nil, fmt.Errorf("stats shard: %w", err)
 	}
 	if shard.N > 0 {
 		if rb.Observed, err = stats.ReadStore(shard); err != nil {
-			return nil, false, fmt.Errorf("stats shard: %w", err)
+			return nil, fmt.Errorf("stats shard: %w", err)
 		}
 	}
 	for _, wf := range resp.Degraded {
 		rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: errors.New(wf.Err)})
 	}
-	return rb, resp.Held, f.end()
+	return rb, f.end()
 }

@@ -121,9 +121,9 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, held, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
-	if err != nil || held {
-		t.Fatalf("decodeRunResponse: held %v, %v", held, err)
+	got, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
+	if err != nil || got.Held {
+		t.Fatalf("decodeRunResponse: %+v, %v", got, err)
 	}
 	if !reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Materialized, want.Materialized) {
 		t.Error("tables differ after the round trip")
@@ -140,7 +140,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	withShard := frameBlock(t)
 	withShard.Metrics = []physical.Metrics{{RowsOut: 5, Calls: 1, WallNanos: 10, TapNanos: 3}, {}, {RowsOut: 2}}
 	shardFrame := responseFrame(t, withShard)
-	if gotShard, _, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
+	if gotShard, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
 		t.Errorf("metrics shard after the round trip: %+v (%v)", gotShard, err)
 	}
 	var a, b bytes.Buffer
@@ -150,9 +150,9 @@ func TestRunFramesRoundTrip(t *testing.T) {
 		t.Error("statistics shard differs after the round trip")
 	}
 	// A held block's frame has everything but the output.
-	gotHeld, held, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes, nil)
-	if err != nil || !held || gotHeld.Out != nil || !reflect.DeepEqual(gotHeld.Materialized, want.Materialized) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
-		t.Errorf("held response after the round trip: held %v, %+v (%v)", held, gotHeld, err)
+	gotHeld, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes, nil)
+	if err != nil || !gotHeld.Held || gotHeld.Out != nil || !reflect.DeepEqual(gotHeld.Materialized, want.Materialized) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
+		t.Errorf("held response after the round trip: %+v (%v)", gotHeld, err)
 	}
 
 	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
@@ -244,7 +244,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(resp) >= len(payload) {
 		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
 	}
-	if rb, _, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
+	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
 }
@@ -292,7 +292,7 @@ func TestRunFrameCap(t *testing.T) {
 			decodeRunResponse(bytes.NewReader(tc.frame), limit, nil) // warm the pools
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := decodeRunResponse(bytes.NewReader(tc.frame), limit, nil)
+			_, err := decodeRunResponse(bytes.NewReader(tc.frame), limit, nil)
 			runtime.ReadMemStats(&after)
 			if err == nil || errors.Is(err, errFrameCap) != tc.capped {
 				t.Errorf("mode %d, %s: err = %v, want errFrameCap %v", mode, name, err, tc.capped)
@@ -302,7 +302,7 @@ func TestRunFrameCap(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
+	if _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
 	}
 	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
@@ -312,7 +312,7 @@ func TestRunFrameCap(t *testing.T) {
 
 func TestRunFrameRejectsCorruption(t *testing.T) {
 	decode := func(frame []byte) error {
-		_, _, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
+		_, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
 		return err
 	}
 	deflated := responseFrame(t, frameBlock(t))
@@ -433,19 +433,19 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	base := &workerRunRequest{WF: 7, Scale: distScale}
 	db := suite.MustGet(7).Data(distScale)
 	sent := post(requestFrame(t, base, 0, nil, nil))
-	out, kept, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
-	if sent.Code != http.StatusOK || err != nil || kept || len(wk.resident.byKey) != 0 {
-		t.Fatalf("block 0: status %d, held %v, %d output(s) kept, %v", sent.Code, kept, len(wk.resident.byKey), err)
+	out, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
+	if sent.Code != http.StatusOK || err != nil || out.Held || len(wk.resident.byKey) != 0 {
+		t.Fatalf("block 0: status %d, response %+v, %d output(s) kept, %v", sent.Code, out, len(wk.resident.byKey), err)
 	}
 	hold, key, err := encodeRunRequest(base, 0, true, nil, nil, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	answer := post(hold)
-	rb, kept, err := decodeRunResponse(answer.Body, maxUploadBytes, db)
-	if answer.Code != http.StatusOK || err != nil || !kept || rb.Out != nil || rb.Rows != out.Rows || !held(&wk.resident, key) {
-		t.Fatalf("block 0 held: status %d, held %v, output %v, rows %d (want %d), kept under its key %v; %v",
-			answer.Code, kept, rb.Out, rb.Rows, out.Rows, held(&wk.resident, key), err)
+	rb, err := decodeRunResponse(answer.Body, maxUploadBytes, db)
+	if err != nil || answer.Code != http.StatusOK || !rb.Held || rb.Out != nil || rb.Rows != out.Rows || !held(&wk.resident, key) {
+		t.Fatalf("block 0 held: status %d, response %+v (want rows %d), kept under its key %v; %v",
+			answer.Code, rb, out.Rows, held(&wk.resident, key), err)
 	}
 	carried := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, nil))
 	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: key}))
@@ -554,7 +554,7 @@ var hostileLate = []struct {
 // resolve is data.ErrUnresolved.
 func TestRunFrameRefusesHostileLateTables(t *testing.T) {
 	for _, c := range hostileLate {
-		rb, _, err := decodeRunResponse(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
+		rb, err := decodeRunResponse(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
 		if c.refusal == "" {
 			if err != nil || !reflect.DeepEqual(rb.Out.Rows, []data.Row{{1}, {3}}) {
 				t.Errorf("%s: %v, rows %v", c.name, err, rb)
@@ -576,7 +576,7 @@ func TestRunFrameRefusesHostileLateTables(t *testing.T) {
 		if err := json.Unmarshal([]byte(sources), &declared); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := decodeRunResponse(bytes.NewReader(sourcesResponse(t, declared, honest)), maxUploadBytes, frameDB)
+		_, err := decodeRunResponse(bytes.NewReader(sourcesResponse(t, declared, honest)), maxUploadBytes, frameDB)
 		if !errors.Is(err, data.ErrUnresolved) || !strings.Contains(err.Error(), refusal) {
 			t.Errorf("sources %s: err = %v, want %q", sources, err, refusal)
 		}

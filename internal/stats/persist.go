@@ -277,7 +277,7 @@ func (d *storeDecoder) value() (*Value, error) {
 	s := Stat{Kind: kind, Target: Target{
 		Block: int(tf[0]), Set: expr.Set(tf[1]), Depth: int(tf[2]), RejectInput: int(tf[3]), RejectEdge: int(tf[4]),
 	}}
-	if kind.shape() == shapeHist {
+	if kind == Hist {
 		h, err := d.histogram()
 		if err != nil {
 			return nil, err

@@ -28,44 +28,18 @@ const (
 	Hist
 )
 
-// shape is the field of Value a kind fills.
-type shape uint8
+// kindNames names the statistic kinds. A Card or Distinct value is a
+// scalar, a Hist value a histogram.
+var kindNames = [...]string{Card: "card", Distinct: "distinct", Hist: "hist"}
 
-// Value shapes.
-const (
-	// shapeScalar is a single int64 (cardinalities, distinct counts).
-	shapeScalar shape = iota
-	// shapeHist is an exact frequency histogram.
-	shapeHist
-)
-
-// kindInfo is one row of the kind registry.
-type kindInfo struct {
-	name  string
-	shape shape
-}
-
-// kindRegistry declares every statistic kind: its name and value shape.
-var kindRegistry = [...]kindInfo{
-	Card:     {name: "card", shape: shapeScalar},
-	Distinct: {name: "distinct", shape: shapeScalar},
-	Hist:     {name: "hist", shape: shapeHist},
-}
-
-// numKinds is the number of registered statistic kinds; kind bytes at or
-// beyond it are unknown (possibly from a future format version).
-const numKinds = len(kindRegistry)
-
-// valid reports whether the kind is registered.
-func (k Kind) valid() bool { return int(k) < numKinds }
-
-// shape returns the value field the kind fills.
-func (k Kind) shape() shape { return kindRegistry[k].shape }
+// valid reports whether the kind is one of the three; a kind byte beyond
+// them is unknown (possibly from a future format version).
+func (k Kind) valid() bool { return k <= Hist }
 
 // String names the kind.
 func (k Kind) String() string {
 	if k.valid() {
-		return kindRegistry[k].name
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

@@ -128,7 +128,7 @@ func TestStorePutKindErrors(t *testing.T) {
 	if err := st.Put(&Value{Stat: NewCard(BlockSE(0, expr.NewSet(0))), Hist: NewHistogram(a)}); !errors.As(err, &ke) {
 		t.Errorf("Put(hist on card stat) = %v, want *kindError", err)
 	}
-	if err := st.Put(&Value{Stat: Stat{Kind: Kind(numKinds)}}); !errors.As(err, &ke) || ke.Error() == "" {
+	if err := st.Put(&Value{Stat: Stat{Kind: Hist + 1}}); !errors.As(err, &ke) || ke.Error() == "" {
 		t.Errorf("Put(unknown kind) = %v, want *kindError", err)
 	}
 	// A rejected put must leave the store untouched.

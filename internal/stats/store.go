@@ -9,9 +9,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Value is an observed statistic value. A stored value fills exactly the
-// one field its kind registers: Scalar for cardinalities and distinct
-// counts, Hist for distributions.
+// Value is an observed statistic value. A stored value fills exactly one
+// field, by its kind: Scalar for cardinalities and distinct counts, Hist
+// for distributions.
 type Value struct {
 	Stat   Stat
 	Scalar int64
@@ -93,10 +93,10 @@ func (st *Store) Has(s Stat) bool {
 }
 
 // kindError reports a put whose value does not fill exactly the one field
-// the statistic kind registers (a scalar for a histogram statistic, a
-// histogram and a scalar at once, ...). It is a typed error so the
-// observation layer can mark the statistic degraded and keep the run alive
-// instead of crashing it.
+// its statistic kind fills (a scalar for a histogram statistic, a histogram
+// and a scalar at once, ...), or whose kind is unknown. It is a typed error
+// so the observation layer can mark the statistic degraded and keep the run
+// alive instead of crashing it.
 type kindError struct {
 	// Stat is the mis-declared statistic.
 	Stat Stat
@@ -106,23 +106,16 @@ func (e *kindError) Error() string {
 	return fmt.Sprintf("stats: value does not fill exactly the field a %v statistic registers: %v", e.Stat.Kind, e.Stat.Key())
 }
 
-// filled returns the shape of the one field v fills; ok is false when it
-// fills more than one. A value with no histogram is a scalar.
-func (v *Value) filled() (sh shape, ok bool) {
-	if v.Hist != nil {
-		return shapeHist, v.Scalar == 0
-	}
-	return shapeScalar, true
-}
-
 // Put records v unless its statistic is already present, atomically: the
 // first value per statistic wins and later ones are dropped (the
 // check-then-put the collectors rely on). The store keeps v itself, so the
-// caller must not modify it afterwards. A value that does not fill exactly the field its kind registers is
-// rejected with a *kindError and the store is left as it was.
+// caller must not modify it afterwards. A value of an unknown kind, with a
+// histogram where its kind is not Hist or none where it is, or with both a
+// histogram and a scalar, is rejected with a *kindError and the store is
+// left as it was.
 func (st *Store) Put(v *Value) error {
 	s := v.Stat
-	if sh, ok := v.filled(); !ok || !s.Kind.valid() || sh != s.Kind.shape() {
+	if !s.Kind.valid() || (v.Hist != nil) != (s.Kind == Hist) || v.Hist != nil && v.Scalar != 0 {
 		return &kindError{Stat: s}
 	}
 	k := s.Key()
