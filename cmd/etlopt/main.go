@@ -390,7 +390,7 @@ func printDist(d *engine.DistReport) {
 	switch {
 	case d == nil:
 	case d.FellBack:
-		fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d from the last checkpoint locally, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
+		fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d run in-process, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
 			d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
 	default:
 		fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident, %d output(s) held, %d recomputed\n",

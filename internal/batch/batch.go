@@ -268,6 +268,20 @@ func FromTable(t *data.Table, a *Arena) (*Batch, error) {
 	return b, nil
 }
 
+// FromLate gathers a late table into a columnar batch with every column
+// allocated from the arena.
+func FromLate(t *data.Late, a *Arena) (*Batch, error) {
+	if t.N > math.MaxInt32 {
+		return nil, fmt.Errorf("batch: table %s has %d rows, beyond the int32 selection-vector limit", t.Rel, t.N)
+	}
+	b := &Batch{Cols: make([][]int64, len(t.Cols)), N: t.N}
+	for c := range b.Cols {
+		b.Cols[c] = a.Int64(t.N)
+		t.Gather(b.Cols[c], c)
+	}
+	return b, nil
+}
+
 // tileRows is how many rows Table writes per pass over the columns: a tile
 // of output rows stays in cache while every column is written into it.
 const tileRows = 256

@@ -91,19 +91,6 @@ type LateCol struct {
 	Vals    []int64
 }
 
-// LateOf returns t as a late table that reads no relation.
-func LateOf(t *Table) *Late {
-	l := &Late{Rel: t.Rel, Attrs: t.Attrs, N: len(t.Rows), Cols: make([]LateCol, len(t.Attrs))}
-	for c := range l.Cols {
-		vals := make([]int64, l.N)
-		for r, row := range t.Rows {
-			vals[r] = row[c]
-		}
-		l.Cols[c] = LateCol{In: -1, Vals: vals}
-	}
-	return l
-}
-
 // WriteLate serializes a late table with a single Write.
 func WriteLate(w io.Writer, t *Late) error {
 	sc := wirePool.Get().(*wireScratch)
@@ -181,8 +168,9 @@ func lateGroups(t *Late) ([]lateGroup, error) {
 	return groups, nil
 }
 
-// lateValues writes column c's values into col.
-func lateValues(col []int64, t *Late, c int) {
+// Gather writes column c's values, one a row, into col: the named
+// relation's cells through its index, or the column's own values.
+func (t *Late) Gather(col []int64, c int) {
 	lc := t.Cols[c]
 	if lc.In < 0 {
 		copy(col, lc.Vals)
@@ -225,7 +213,7 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 		m := len(grp.cols)
 		for i, c := range grp.cols {
 			col := wireColumn(cells, stats, p+i)
-			lateValues(col, t, c)
+			t.Gather(col, c)
 			stats[p+i].scan(col)
 		}
 		if grp.in < 0 {

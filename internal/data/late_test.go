@@ -156,7 +156,7 @@ func TestLateRoundTripJoins(t *testing.T) {
 		if l.N == 0 {
 			continue
 		}
-		plain := encodeLate(t, LateOf(want))
+		plain := encodeLate(t, lateOf(want))
 		rels, body := lateLayout(t, b)
 		if len(b) > len(plain)+len(rels)-1 {
 			t.Errorf("seed %d: %d bytes late, %d all plain, %d groups", seed, len(b), len(plain), len(rels))
@@ -254,4 +254,18 @@ func TestLateRefusesUnresolved(t *testing.T) {
 	if _, err := ReadLate(bytes.NewReader(encodeTable(t, column(1, 2))), maxWireCells, db); err == nil {
 		t.Error("ReadLate read a plain table")
 	}
+}
+
+// lateOf returns t as a late table that reads no relation: every column
+// plain.
+func lateOf(t *Table) *Late {
+	l := &Late{Rel: t.Rel, Attrs: t.Attrs, N: len(t.Rows), Cols: make([]LateCol, len(t.Attrs))}
+	for c := range l.Cols {
+		vals := make([]int64, l.N)
+		for r, row := range t.Rows {
+			vals[r] = row[c]
+		}
+		l.Cols[c] = LateCol{In: -1, Vals: vals}
+	}
+	return l
 }

@@ -96,13 +96,15 @@ type RemoteBlock struct {
 	// unless the worker engine ran with CollectMetrics.
 	Metrics []physical.Metrics
 	// LateOut and LateMaterialized are what RunBlockCtx returns in place of
-	// Out (unless the output is held) and of Materialized: the tables a
-	// worker ships, in late form, naming the source rows they read.
+	// Out and Materialized: the tables a worker ships, in late form, naming
+	// the source rows they read. A worker that holds the output keeps
+	// LateOut and ships none.
 	LateOut          *data.Late
 	LateMaterialized map[string]*data.Late
-	// Sources is the row count of every source relation the block scanned,
-	// by name: a dispatcher checks them against the run's data
-	// (DispatchSpec.DB), which the worker's must be.
+	// Sources is the row count of every source relation the block read, by
+	// name — scanned, or read through a held upstream output: a dispatcher
+	// checks them against the run's data (DispatchSpec.DB), which the
+	// worker's must be.
 	Sources map[string]int
 }
 
@@ -160,15 +162,16 @@ type DistReport struct {
 
 // RunBlockCtx executes exactly one block of the workflow — the worker side
 // of distributed dispatch. The caller supplies the boundary outputs of
-// every upstream block; the engine compiles the same deterministic
-// physical plan a full run would, executes just the requested block (with
-// the usual per-attempt isolation, transient retry and fault injection),
-// and returns the block's outcome plus a private statistics shard holding
-// only what this block's taps observed — and, under CollectMetrics, the
-// block's per-node metrics. The tables it ships come back late
-// (LateMaterialized, and LateOut); an output the caller holds comes back as
-// rows, in Out.
-func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table, hold bool) (*RemoteBlock, error) {
+// every upstream block: as rows in upstream, or in held, as the late form
+// RunBlockCtx made them in, which the caller kept. The engine compiles the
+// same deterministic physical plan a full run would, executes just the
+// requested block (with the usual per-attempt isolation, transient retry
+// and fault injection), and returns the block's outcome plus a private
+// statistics shard holding only what this block's taps observed — and,
+// under CollectMetrics, the block's per-node metrics. Its tables come back
+// late (LateOut and LateMaterialized), Out and Materialized empty: a column
+// read from a held upstream output names the source rows that output read.
+func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table, held map[int]*data.Late) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
@@ -186,7 +189,7 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		return nil, errors.New("engine: no such block in compiled plan")
 	}
 	for _, d := range blockDeps(plan)[block] {
-		if upstream[d] == nil {
+		if upstream[d] == nil && held[d] == nil {
 			return nil, errors.New("engine: missing upstream boundary output for block dispatch")
 		}
 	}
@@ -195,22 +198,27 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		col = newCollector()
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
-	ship := shipAll
-	if hold {
-		ship = shipMaterialized
-	}
-	rb, err := env.runBlock(bp, upstream, col, e.CollectMetrics, ship)
+	rb, err := env.runBlock(bp, upstream, held, col, e.CollectMetrics, true)
 	if err != nil {
 		return nil, err
 	}
 	rb.Degraded = col.failedStats()
 	rb.Retries = env.retries.Load()
+	source := func(rel string, rows int) {
+		if rb.Sources == nil {
+			rb.Sources = make(map[string]int)
+		}
+		rb.Sources[rel] = rows
+	}
 	for _, n := range bp.Nodes {
-		if n.Kind == physical.OpScan && n.FromBlock < 0 {
-			if rb.Sources == nil {
-				rb.Sources = make(map[string]int)
+		switch {
+		case n.Kind != physical.OpScan:
+		case n.FromBlock < 0:
+			source(n.SourceRel, len(n.Src.Rows))
+		case held[n.FromBlock] != nil:
+			for _, in := range held[n.FromBlock].Ins {
+				source(in.Src.Rel, len(in.Src.Rows))
 			}
-			rb.Sources[n.SourceRel] = len(n.Src.Rows)
 		}
 	}
 	if col != nil {

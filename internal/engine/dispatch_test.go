@@ -46,9 +46,9 @@ type loopDispatcher struct {
 	inflight    int
 	maxInflight int
 	spec        *DispatchSpec
-	// held is the session's held outputs, which a real dispatcher leaves
-	// on its workers.
-	held map[int]*data.Table
+	// held is the session's held outputs, in the late form a real
+	// dispatcher's workers keep them in.
+	held map[int]*data.Late
 }
 
 func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (RunDispatch, error) {
@@ -57,7 +57,7 @@ func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (Run
 	}
 	d.mu.Lock()
 	d.spec = spec
-	d.held = map[int]*data.Table{}
+	d.held = map[int]*data.Late{}
 	d.mu.Unlock()
 	return d, nil
 }
@@ -71,15 +71,17 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	d.inflight++
 	d.maxInflight = max(d.maxInflight, d.inflight)
 	spec := d.spec
-	up := make(map[int]*data.Table, len(upstream))
+	up, held := make(map[int]*data.Table, len(upstream)), make(map[int]*data.Late)
 	for u, t := range upstream {
-		if t == nil {
-			if t = d.held[u]; t == nil {
-				d.mu.Unlock()
-				return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold", block, u)
-			}
+		switch {
+		case t != nil:
+			up[u] = t
+		case d.held[u] != nil:
+			held[u] = d.held[u]
+		default:
+			d.mu.Unlock()
+			return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold", block, u)
 		}
-		up[u] = t
 	}
 	d.mu.Unlock()
 	defer func() {
@@ -108,19 +110,18 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	d.runs[block]++
 	d.mu.Unlock()
-	hold := slices.Contains(spec.Hold, block)
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up, hold)
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up, held)
 	if err != nil {
 		return nil, err
 	}
+	if slices.Contains(spec.Hold, block) {
+		d.mu.Lock()
+		d.held[block] = rb.LateOut
+		d.mu.Unlock()
+		rb.LateOut, rb.Held = nil, true
+	}
 	if err := land(spec, rb); err != nil {
 		return nil, err
-	}
-	if hold {
-		d.mu.Lock()
-		d.held[block] = rb.Out
-		d.mu.Unlock()
-		rb.Out, rb.Held = nil, true
 	}
 	if d.after != nil {
 		d.after(block, rb)
@@ -396,8 +397,11 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil, true)
+	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := land(&DispatchSpec{DB: f.db}, rb); err != nil {
 		t.Fatal(err)
 	}
 	if rb.Rows == 0 || rb.Retries == 0 {

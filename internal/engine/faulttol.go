@@ -79,8 +79,10 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *ru
 // runBlock executes one block in-process — the scheduler's local executor,
 // and all a worker does — with per-attempt isolation and transient retry.
 // Each attempt gets a fresh sink over a child row budget; a failed attempt
-// refunds the child's charge, so retries never double-charge MaxRows.
-func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, col *collector, metrics bool, ship shipping) (*RemoteBlock, error) {
+// refunds the child's charge, so retries never double-charge MaxRows. The
+// block reads its upstream outputs from upstream, as rows, and from held,
+// in late form; late asks for its tables in late form.
+func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, held map[int]*data.Late, col *collector, metrics, late bool) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {
 		if err := env.ctx.Err(); err != nil {
@@ -98,8 +100,8 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		if env.flt != nil {
 			inject = env.flt.At(faults.Budget, fmt.Sprintf("budget:%d", idx), attempt)
 		}
-		sink := newBlockSink(env.budget.child(inject), ship)
-		sink.upstream = upstream
+		sink := newBlockSink(env.budget.child(inject), late)
+		sink.upstream, sink.held = upstream, held
 		sink.ctx = env.ctx
 		sink.flt = env.flt
 		sink.attempt = attempt

@@ -101,7 +101,8 @@ func (b *rowBudget) release() {
 
 // blockSink collects one block's side effects during execution. upstream
 // holds the boundary outputs of the blocks this block reads from (complete
-// before the block is scheduled), so chains never read the shared Result.
+// before the block is scheduled), so chains never read the shared Result;
+// on a worker, held has those it kept, in the late form they were made in.
 //
 // The sink also carries the attempt's fault-tolerance state: the run
 // context (polled at operator boundaries), the fault injector and the
@@ -109,13 +110,15 @@ func (b *rowBudget) release() {
 // runs — the interpreter's fast paths stay branch-cheap.
 type blockSink struct {
 	upstream     map[int]*data.Table
+	held         map[int]*data.Late
 	materialized map[string]*data.Table
 	rows         int64
 	budget       *rowBudget
 
-	// ship says which tables the block returns late (lateOut,
-	// lateMaterialized) instead of as rows.
-	ship             shipping
+	// late says the block returns its tables in late form (lateOut,
+	// lateMaterialized), as a worker ships or keeps them, instead of as
+	// rows.
+	late             bool
 	lateOut          *data.Late
 	lateMaterialized map[string]*data.Late
 
@@ -125,26 +128,15 @@ type blockSink struct {
 	block   int
 }
 
-func newBlockSink(budget *rowBudget, ship shipping) *blockSink {
-	s := &blockSink{budget: budget, ship: ship}
-	if ship == shipNone {
-		s.materialized = make(map[string]*data.Table)
-	} else {
+func newBlockSink(budget *rowBudget, late bool) *blockSink {
+	s := &blockSink{budget: budget, late: late}
+	if late {
 		s.lateMaterialized = make(map[string]*data.Late)
+	} else {
+		s.materialized = make(map[string]*data.Table)
 	}
 	return s
 }
-
-// shipping is which of a block's tables it returns in late form
-// (data.Late): none in-process; on a worker, which ships them, its
-// materialized tables, and its output too unless the worker holds it.
-type shipping uint8
-
-const (
-	shipNone shipping = iota
-	shipMaterialized
-	shipAll
-)
 
 // count adds n rows to the block's work metric and charges the run's row
 // budget.
@@ -292,7 +284,7 @@ func (s *blockSched) work(rd RunDispatch) {
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
 		} else if err = s.recompute(upstream); err == nil {
-			rb, err = s.env.runBlock(bp, upstream, s.col, s.metrics, shipNone)
+			rb, err = s.env.runBlock(bp, upstream, nil, s.col, s.metrics, false)
 		}
 		s.mu.Lock()
 		s.inflight--
@@ -347,7 +339,7 @@ func (s *blockSched) recompute(upstream map[int]*data.Table) error {
 			return err
 		}
 		env := newRunEnv(s.env.ctx, nil, nil)
-		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false, shipNone)
+		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, nil, false, false)
 		if err != nil {
 			return fmt.Errorf("recomputing held block %d: %w", d, err)
 		}

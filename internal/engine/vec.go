@@ -59,9 +59,9 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 		v.batches[n.ID] = b
 	}
 	root := bp.Root
-	// The boundary output outlives the arena: copy it out, or on a worker
-	// that ships it, its late form.
-	if out.ship == shipAll {
+	// The boundary output outlives the arena: copy it out, or on a worker,
+	// which ships or keeps it, its late form.
+	if out.late {
 		out.lateOut = v.late(v.batches[root.ID], v.rels[root.ID], root.Attrs)
 		return nil, nil
 	}
@@ -72,7 +72,7 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 // reject link), which outlives the arena: its live rows copied out, or on a
 // worker, which ships it, its late form.
 func (v *vecBlock) materialize(name string, b *batch.Batch, rel string, attrs []workflow.Attr) {
-	if v.out.ship != shipNone {
+	if v.out.late {
 		v.out.lateMaterialized[name] = v.late(b, rel, attrs)
 		return
 	}
@@ -81,38 +81,64 @@ func (v *vecBlock) materialize(name string, b *batch.Batch, rel string, attrs []
 
 // late returns the live rows of b in late form. A column whose vector is a
 // column of a source scan's batch reads that relation, which both ends of a
-// dispatch hold, through the column's index vector; every other column is
-// gathered into values.
+// dispatch hold, through the column's index vector. So does a column of a
+// held upstream output's scan that reads a source relation: through the
+// held output's index composed with the column's, one input per index the
+// held output has. Every other column is gathered into values.
 func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data.Late {
+	// scanCol is a scanned vector that is column col of src, read at row
+	// idx[r] for the scan's row r; idx is nil, the identity, for a scan of
+	// src itself.
 	type scanCol struct {
 		src *data.Table
+		idx []int32
 		col int
 	}
 	scans := make(map[*int64]scanCol)
 	for _, n := range v.bp.Nodes {
 		sb := v.batches[n.ID]
-		if n.Kind != physical.OpScan || n.FromBlock >= 0 || sb == nil || n.Src.Rel != n.SourceRel {
+		if n.Kind != physical.OpScan || sb == nil {
 			continue
 		}
+		up := v.out.held[n.FromBlock]
 		for j, col := range sb.Cols {
-			if len(col) > 0 {
-				scans[&col[0]] = scanCol{n.Src, j}
+			switch {
+			case len(col) == 0:
+			case n.FromBlock < 0 && n.Src.Rel == n.SourceRel:
+				scans[&col[0]] = scanCol{src: n.Src, col: j}
+			case up != nil && up.Cols[j].In >= 0:
+				in := up.Ins[up.Cols[j].In]
+				scans[&col[0]] = scanCol{src: in.Src, idx: in.Idx, col: up.Cols[j].Col}
 			}
 		}
 	}
 	l := &data.Late{Rel: rel, Attrs: attrs, N: b.Rows(), Cols: make([]data.LateCol, len(b.Cols))}
+	// The index each input composes with the read's, nil for none.
+	var through []*int32
 	for _, rd := range b.Reads() {
 		first := len(l.Ins) // the inputs of this read start here
 		for _, c := range rd.Cols {
 			src := b.Cols[c]
 			if len(src) > 0 {
 				if sc, ok := scans[&src[0]]; ok {
+					var key *int32
+					if sc.idx != nil {
+						key = &sc.idx[0]
+					}
 					k := first
-					for k < len(l.Ins) && l.Ins[k].Src != sc.src {
+					for k < len(l.Ins) && (l.Ins[k].Src != sc.src || through[k] != key) {
 						k++
 					}
 					if k == len(l.Ins) {
-						l.Ins = append(l.Ins, data.LateInput{Src: sc.src, Idx: rd.Idx})
+						idx := rd.Idx
+						if sc.idx != nil {
+							idx = make([]int32, len(rd.Idx))
+							for i, r := range rd.Idx {
+								idx[i] = sc.idx[r]
+							}
+						}
+						l.Ins = append(l.Ins, data.LateInput{Src: sc.src, Idx: idx})
+						through = append(through, key)
 					}
 					l.Cols[c] = data.LateCol{In: k, Col: sc.col}
 					continue
@@ -149,19 +175,10 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 	var b *batch.Batch
 	switch n.Kind {
 	case physical.OpScan:
-		src := n.Src
-		if n.FromBlock >= 0 {
-			up, ok := v.out.upstream[n.FromBlock]
-			if !ok {
-				return nil, fmt.Errorf("upstream block %d not yet executed", n.FromBlock)
-			}
-			src = up
-		}
 		var err error
-		if b, err = batch.FromTable(src, v.arena); err != nil {
+		if b, err = v.scan(n); err != nil {
 			return nil, err
 		}
-		v.rels[n.ID] = src.Rel
 	case physical.OpFilter, physical.OpProject, physical.OpTransform,
 		physical.OpGroupBy, physical.OpAggregateUDF:
 		b = vecApplyOp(n, v.batches[n.Input.ID], v.arena)
@@ -201,6 +218,26 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 		v.col.collectVec(t, b, v.arena)
 	}
 	return b, nil
+}
+
+// scan reads a scan node's relation into a batch: a source relation, or an
+// upstream block's output — as rows, or gathered from the late form a worker
+// that holds it kept.
+func (v *vecBlock) scan(n *physical.Node) (*batch.Batch, error) {
+	src := n.Src
+	if n.FromBlock >= 0 {
+		if up, ok := v.out.held[n.FromBlock]; ok {
+			v.rels[n.ID] = up.Rel
+			return batch.FromLate(up, v.arena)
+		}
+		up, ok := v.out.upstream[n.FromBlock]
+		if !ok {
+			return nil, fmt.Errorf("upstream block %d not yet executed", n.FromBlock)
+		}
+		src = up
+	}
+	v.rels[n.ID] = src.Rel
+	return batch.FromTable(src, v.arena)
 }
 
 // vecApplyOp evaluates one per-row or blocking unary operator over a batch,

@@ -667,13 +667,14 @@ func requestOf(t *testing.T, frame []byte) (hdr workerRunRequest, tables [][]byt
 	return hdr, tables
 }
 
-// split is the bytes sent, what their payloads inflate to (section length
-// prefixes left out) and the resident refs the requests made: a frame's
-// first section is the header, a response's last the statistics shard,
-// every other a table.
-func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident int64) {
+// split is the bytes the requests and the responses sent, what their
+// payloads inflate to (section length prefixes left out) and the resident
+// refs the requests made: a frame's first section is the header, a
+// response's last the statistics shard, every other a table.
+func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, shard, resident int64) {
 	for _, x := range c.exchanges {
-		sent += int64(len(x.req) + len(x.resp))
+		requests += int64(len(x.req))
+		responses += int64(len(x.resp))
 		hdr, carried := requestOf(t, x.req)
 		resident += int64(len(hdr.Resident))
 		sections := append(frameSections(t, x.req)[:1], frameSections(t, x.resp)...)
@@ -683,25 +684,31 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 		header += int64(len(sections[0]) + len(sections[1]))
 		shard += int64(len(sections[len(sections)-1]))
 	}
-	return sent, header, tables, shard, resident
+	return requests, responses, header, tables, shard, resident
 }
 
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that moves the wire fails here and not only in the benchmark. The
 // cases are the dist-run benchmark workload's six dispatched runs, and each
-// pins the bytes a run moves exactly, under go 1.24's compress/flate at
-// level 3: 3,115 B, 7,755 B, 4,235 B, 4,868 B, 3,598 B and 1,340 B, 24,911 B
-// in all. Responses ship their tables late (data.WriteLate): a source
-// relation's columns as a row index into the relation, which the
-// coordinator holds too, and their headers the row counts of the sources
-// the block read. When they shipped every cell, in ETBL5 tables,
-// the runs moved 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and 1,341 B,
-// 40,504 B in all; over ETBL4 tables, which ship a hash join's build rows
-// once per probe row where ETBL5's chain columns ship them once per key,
-// 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B, 54,209 B. wf07 at scale 0.01 is two dispatches whose upstream table is the
-// largest the benchmark makes; it never crosses the wire: block 0's worker
-// holds it and block 1's request names it. wf08 at 0.05 is three
+// pins the bytes its requests and its responses move, exactly, under go
+// 1.24's compress/flate at level 3: 243 + 2,872, 421 + 5,421, 670 + 3,058,
+// 350 + 4,489, 507 + 2,693 and 456 + 792 B, 2,647 + 19,325 = 21,972 B in
+// all. A request carries only its own block's statistics; a response ships
+// its tables late (data.WriteLate): a source relation's columns as a row
+// index into the relation, which the coordinator holds too — read directly
+// or through a held upstream output — and its header the row counts of the
+// sources the block read. When requests carried every block's statistics
+// and a column read from a held output shipped plain, the runs moved
+// 243 + 2,872, 449 + 7,306, 734 + 3,501, 379 + 4,489, 617 + 2,981 and
+// 527 + 813 B, 2,949 + 21,962 = 24,911 B; when responses shipped every
+// cell, in ETBL5 tables, 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and
+// 1,341 B, 40,504 B in all; over ETBL4 tables, which ship a hash join's
+// build rows once per probe row where ETBL5's chain columns ship them once
+// per key, 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B,
+// 54,209 B. wf07 at scale 0.01 is two dispatches whose upstream table is
+// the largest the benchmark makes; it never crosses the wire: block 0's
+// worker holds it and block 1's request names it. wf08 at 0.05 is three
 // dispatches moving ~167k rows of join output (3,378,533 B as base64
 // row-major varints in JSON), two of whose outputs stay on their workers.
 // wf05 at 0.001 and wf12 at 0.002 are one instrumented block each of many
@@ -710,18 +717,18 @@ func (c *wireCounter) split(t *testing.T) (sent, header, tables, shard, resident
 // exchange per block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
-		wf           int
-		scale        float64
-		blocks, held int
-		sent, store  int64
+		wf                               int
+		scale                            float64
+		blocks, held                     int
+		requests, responses, sent, store int64
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, sent: 3_115, store: 2_802},
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, sent: 7_755, store: 54},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, sent: 4_235, store: 74},
-		{wf: 13, scale: 0.1, blocks: 2, held: 0, sent: 4_868, store: 65},
-		{wf: 18, scale: 0.01, blocks: 2, held: 1, sent: 3_598, store: 849},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, sent: 1_340, store: 191},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, sent: 3_390, store: 3_056},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 243, responses: 2_872, sent: 3_115, store: 2_802},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 421, responses: 5_421, sent: 5_842, store: 54},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 670, responses: 3_058, sent: 3_728, store: 74},
+		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 350, responses: 4_489, sent: 4_839, store: 65},
+		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 507, responses: 2_693, sent: 3_200, store: 849},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 456, responses: 792, sent: 1_248, store: 191},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 290, responses: 3_100, sent: 3_390, store: 3_056},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -755,17 +762,20 @@ func TestDistributedWireBytes(t *testing.T) {
 					t.Errorf("run %d observed a store of %d bytes (%v), want %d", i, n, err, c.store)
 				}
 			}
-			sent, header, tables, shard, resident := runs[0].split(t)
-			if again, _, _, _, _ := runs[1].split(t); sent != again {
-				t.Errorf("the same run moved %d bytes, then %d", sent, again)
+			requests, responses, header, tables, shard, resident := runs[0].split(t)
+			if again, againResp, _, _, _, _ := runs[1].split(t); requests != again || responses != againResp {
+				t.Errorf("the same run moved %d + %d bytes, then %d + %d", requests, responses, again, againResp)
 			}
 			if resident != int64(c.held) {
 				t.Errorf("the requests named %d resident output(s), want %d", resident, c.held)
 			}
-			if sent != c.sent {
-				t.Errorf("moved %d bytes over the wire, want %d", sent, c.sent)
+			if c.requests+c.responses != c.sent {
+				t.Fatalf("the case pins %d + %d request and response bytes, which is not its %d", c.requests, c.responses, c.sent)
 			}
-			t.Logf("%d bytes over the wire, inflating to header %d + tables %d + shard %d; %d resident ref(s)", sent, header, tables, shard, resident)
+			if requests != c.requests || responses != c.responses {
+				t.Errorf("moved %d request + %d response bytes over the wire, want %d + %d", requests, responses, c.requests, c.responses)
+			}
+			t.Logf("%d + %d = %d bytes over the wire, inflating to header %d + tables %d + shard %d; %d resident ref(s)", requests, responses, requests+responses, header, tables, shard, resident)
 		})
 	}
 }

@@ -50,16 +50,17 @@ import (
 // base64, no JSON scanning, and the reader hands each section to the codec
 // or stats.ReadStore straight from the inflating stream. A request's tables
 // are data.WriteTable's. A response's are data.WriteLate's: a source
-// relation the coordinator holds too is named, with a row index into it,
-// and its columns are gathered from the coordinator's copy (the engine's
-// data, DispatchSpec.DB), so only index columns and the cells no source
-// holds cross. DEFLATE takes what the codec cannot see, repetition across
-// columns and rows: 56 % (wf15) to 94 % (wf08) of the payload bytes of the
-// dist-run benchmark's runs (TestDistributedWireBytes logs both).
+// relation the coordinator holds too is named, with a row index into it —
+// read directly, or through a held upstream output's index — and its
+// columns are gathered from the coordinator's copy (the engine's data,
+// DispatchSpec.DB), so only index columns and the cells no source holds
+// cross. DEFLATE takes what the codec cannot see, repetition across columns
+// and rows: 44 % (wf15) to 95 % (wf08) of the payload bytes of the dist-run
+// benchmark's runs (TestDistributedWireBytes logs both).
 //
 // A block output a later block reads and no sink does never crosses the
-// wire: the request that makes it says Hold, and the worker keeps the output
-// under the request's key — the SHA-256 of the request's payload, which both
+// wire: the request that makes it says Hold, and the worker keeps the output,
+// in its late form, under the request's key — the SHA-256 of the request's payload, which both
 // ends compute over the bytes they write or read, so it is never sent — and
 // answers Held, with no output section. The request that reads it names it
 // in Resident by that key, and it has no section of its own. Equal payloads
@@ -354,12 +355,21 @@ func (f *frameReader) end() error {
 	return nil
 }
 
-// encodeRunRequest builds the request frame for one block, and its key. An
-// upstream block listed in named is named by its key instead of carried;
-// hold asks the worker to keep the block's output instead of sending it.
+// encodeRunRequest builds the request frame for one block, and its key. It
+// carries the statistics of the run's that the block observes — the
+// compiler places a tap only in its target's block — and every block's join
+// tree, since upstream schemas compile from them. An upstream block listed
+// in named is named by its key instead of carried; hold asks the worker to
+// keep the block's output instead of sending it.
 func encodeRunRequest(base *workerRunRequest, block int, hold bool, upstream map[int]*data.Table, named map[int]digest, maxPayload int64) ([]byte, digest, error) {
 	req := *base
 	req.Block, req.Hold = block, hold
+	req.Observe = nil
+	for _, st := range base.Observe {
+		if st.Target.Block == block {
+			req.Observe = append(req.Observe, st)
+		}
+	}
 	req.Upstream = make([]int, 0, len(upstream))
 	for idx := range upstream {
 		if key, ok := named[idx]; ok {

@@ -16,10 +16,12 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/physical"
+	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -28,6 +30,20 @@ import (
 // frameTable builds a small table named rel.
 func frameTable(rel string, rows ...data.Row) *data.Table {
 	return &data.Table{Rel: rel, Attrs: []workflow.Attr{{Rel: rel, Col: "k"}, {Rel: rel, Col: "v"}}, Rows: rows}
+}
+
+// lateOf returns t as a late table that reads no relation: every column
+// plain.
+func lateOf(t *data.Table) *data.Late {
+	l := &data.Late{Rel: t.Rel, Attrs: t.Attrs, N: len(t.Rows), Cols: make([]data.LateCol, len(t.Attrs))}
+	for c := range l.Cols {
+		vals := make([]int64, l.N)
+		for r, row := range t.Rows {
+			vals[r] = row[c]
+		}
+		l.Cols[c] = data.LateCol{In: -1, Vals: vals}
+	}
+	return l
 }
 
 // frameBlock is a block outcome that fills every part of a response frame:
@@ -46,9 +62,9 @@ func frameBlock(t testing.TB) *engine.RemoteBlock {
 		Degraded:         []engine.FailedStat{{Stat: stats.NewCard(stats.BlockSE(0, 1)), Err: errors.New("tap failed")}},
 		Retries:          2,
 	}
-	rb.LateOut = data.LateOf(rb.Out)
+	rb.LateOut = lateOf(rb.Out)
 	for name, tbl := range rb.Materialized {
-		rb.LateMaterialized[name] = data.LateOf(tbl)
+		rb.LateMaterialized[name] = lateOf(tbl)
 	}
 	return rb
 }
@@ -155,7 +171,9 @@ func TestRunFramesRoundTrip(t *testing.T) {
 		t.Errorf("held response after the round trip: %+v (%v)", gotHeld, err)
 	}
 
-	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))}}
+	// The session's statistics are the run's; a request carries its block's.
+	block3 := stats.NewCard(stats.BlockSE(3, 1))
+	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), block3}}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
 	reqFrame, key, err := encodeRunRequest(base, 3, false, upstream, nil, maxUploadBytes)
 	if err != nil {
@@ -165,7 +183,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
 	}
-	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Upstream, []int{0, 2}) || !reflect.DeepEqual(req.Observe, base.Observe) {
+	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Upstream, []int{0, 2}) || !reflect.DeepEqual(req.Observe, []stats.Stat{block3}) {
 		t.Errorf("request header = %+v", req)
 	}
 	if !reflect.DeepEqual(gotUp, upstream) {
@@ -191,7 +209,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if req.key != heldKey || heldKey == key {
 		t.Errorf("held request key %s, written %s; the carried request's %s", req.key, heldKey, key)
 	}
-	if base.Block != 0 || base.Upstream != nil || base.Resident != nil || base.Hold {
+	if base.Block != 0 || base.Upstream != nil || base.Resident != nil || base.Hold || len(base.Observe) != 2 {
 		t.Error("encodeRunRequest modified the session's base request")
 	}
 }
@@ -204,11 +222,12 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // built the program, and is only required to carry the payload back. The
 // stats shard is pinned apart from the sections before it: it is the
 // store's own byte form, whose version moves independently of the frame's.
-// The response's tables are late sections (data.WriteLate) of one plain
-// group each: they name no relation.
+// The request carries the one statistic of the run's two that its block
+// observes. The response's tables are late sections (data.WriteLate) of one
+// plain group each: they name no relation.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a312c22536574223a332c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c350102423002024230016b024230017600194554424c350102423202024232016b024232017601000a000c"
+		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a332c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c350102423002024230016b024230017600194554424c350102423202024232016b024232017601000a000c"
 		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
 
 		// The stats shard, the response's last section, in store format
@@ -221,7 +240,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &engine.DispatchSpec{
-		Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3))},
+		Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), stats.NewCard(stats.BlockSE(3, 1))},
 		Faults: "seed=7,rate=1,transient=1",
 	}
 	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
@@ -420,8 +439,9 @@ func residentFrame(t testing.TB, carried []int, refs ...residentRef) []byte {
 // TestWorkerResidentOutputs drives the store through a worker's handler: a
 // request that says Hold leaves the block's output here, under the request's
 // key, and answers without it; a request that names that key gets the
-// response the request that carries the output gets, byte for byte; and one
-// that names a key the store lacks gets a 409 listing it.
+// block the request that carries the output gets — its output, materialized
+// tables, statistics shard and rows — in no more bytes; and one that names
+// a key the store lacks gets a 409 listing it.
 func TestWorkerResidentOutputs(t *testing.T) {
 	wk := NewWorker()
 	h := wk.Handler()
@@ -430,8 +450,13 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(frame)))
 		return rec
 	}
-	base := &workerRunRequest{WF: 7, Scale: distScale}
-	db := suite.MustGet(7).Data(distScale)
+	w := suite.MustGet(7)
+	sel, err := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions()).Selection(selector.MethodExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &workerRunRequest{WF: 7, Scale: distScale, CSS: css.DefaultOptions(), Instrument: true, Observe: sel.Observe}
+	db := w.Data(distScale)
 	sent := post(requestFrame(t, base, 0, nil, nil))
 	out, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
 	if sent.Code != http.StatusOK || err != nil || out.Held || len(wk.resident.byKey) != 0 {
@@ -449,8 +474,31 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	}
 	carried := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, nil))
 	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: key}))
-	if carried.Code != http.StatusOK || named.Code != http.StatusOK || !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()) {
-		t.Errorf("block 1: status %d carried, %d named; the responses differ: %v", carried.Code, named.Code, !bytes.Equal(carried.Body.Bytes(), named.Body.Bytes()))
+	if carried.Code != http.StatusOK || named.Code != http.StatusOK {
+		t.Fatalf("block 1: status %d carried, %d named", carried.Code, named.Code)
+	}
+	// A carried table's rows say nothing of the source rows they came from,
+	// so the named response names more of them: the same block, in fewer
+	// bytes or as many.
+	if c, n := carried.Body.Len(), named.Body.Len(); n > c {
+		t.Errorf("block 1: the named response is %d bytes, the carried one %d", n, c)
+	} else {
+		t.Logf("block 1: the named response is %d bytes, the carried one %d", n, c)
+	}
+	fromCarried, err := decodeRunResponse(carried.Body, maxUploadBytes, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromNamed, err := decodeRunResponse(named.Body, maxUploadBytes, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shardC, shardN bytes.Buffer
+	fromCarried.Observed.WriteTo(&shardC)
+	fromNamed.Observed.WriteTo(&shardN)
+	if !reflect.DeepEqual(fromCarried.Out, fromNamed.Out) || !reflect.DeepEqual(fromCarried.Materialized, fromNamed.Materialized) ||
+		!bytes.Equal(shardC.Bytes(), shardN.Bytes()) || fromCarried.Rows != fromNamed.Rows || fromNamed.Out == nil || fromNamed.Observed.Len() == 0 {
+		t.Error("block 1: the named response decodes to another block than the carried one")
 	}
 	if n := len(wk.resident.byKey); n != 1 {
 		t.Errorf("the store holds %d output(s); only the held request's is kept", n)

@@ -7,22 +7,41 @@ import (
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/data"
-	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// charged is a table the store charges mib MiB for: 1,024 columns of
-// empty rows, so it costs the test next to nothing.
-func charged(mib int) *data.Table {
-	return &data.Table{Attrs: make([]workflow.Attr, 1024), Rows: make([]data.Row, mib<<20/8/1024)}
+// charged is a late table the store charges mib MiB for: 1,024 inputs that
+// share one row index, so it costs the test a KiB a MiB.
+func charged(mib int) *data.Late {
+	in := data.LateInput{Idx: make([]int32, mib<<20/4/1024)}
+	t := &data.Late{N: len(in.Idx), Ins: make([]data.LateInput, 1024)}
+	for i := range t.Ins {
+		t.Ins[i] = in
+	}
+	return t
 }
 
 func held(s *residentStore, key digest) bool {
-	return s.take([]residentRef{{Block: 0, SHA256: key.String()}}, map[int]*data.Table{}) == nil
+	return s.take([]residentRef{{Block: 0, SHA256: key.String()}}, map[int]*data.Late{}) == nil
 }
 
-// TestResidentStoreBound: the store charges rows × columns × 8 bytes, keeps
-// under residentBytes by dropping the least recently used output, and
-// keeps no table over the whole bound.
+// TestLateBytes: an output is charged 4 bytes a row for each row index and
+// 8 a cell for each plain column, never for the source cells it names.
+func TestLateBytes(t *testing.T) {
+	src := frameTable("S", data.Row{1, 2}, data.Row{3, 4}, data.Row{5, 6})
+	l := &data.Late{N: 5, Ins: []data.LateInput{{Src: src, Idx: []int32{0, 1, 2, 2, 1}}}, Cols: []data.LateCol{
+		{In: 0, Col: 0}, {In: 0, Col: 1}, {In: -1, Vals: []int64{7, 8, 9, 10, 11}},
+	}}
+	if got, want := lateBytes(l), int64(5*4+5*8); got != want {
+		t.Errorf("charged %d bytes, want %d", got, want)
+	}
+	if got, want := lateBytes(lateOf(src)), int64(3*2*8); got != want {
+		t.Errorf("an all-plain table charged %d bytes, want %d (its cells)", got, want)
+	}
+}
+
+// TestResidentStoreBound: the store charges what an output's late form
+// holds, keeps under residentBytes by dropping the least recently used
+// output, and keeps no output over the whole bound.
 func TestResidentStoreBound(t *testing.T) {
 	var s residentStore
 	a, b, c, huge := sha256.Sum256([]byte("a")), sha256.Sum256([]byte("b")), sha256.Sum256([]byte("c")), sha256.Sum256([]byte("huge"))
@@ -57,8 +76,8 @@ func TestResidentStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				key := digest(sha256.Sum256([]byte(fmt.Sprint(g, i%10))))
-				s.put(key, frameTable("B0"))
-				up := map[int]*data.Table{}
+				s.put(key, lateOf(frameTable("B0")))
+				up := map[int]*data.Late{}
 				if missing := s.take([]residentRef{{Block: 0, SHA256: key.String()}}, up); missing != nil || up[0] == nil {
 					t.Errorf("goroutine %d: a kept output is missing", g)
 					return

@@ -190,22 +190,23 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("scale %v outside (0, 1]", req.Scale))
 		return
 	}
-	if missing := wk.resident.take(req.Resident, upstream); missing != nil {
+	held := make(map[int]*data.Late, len(req.Resident))
+	if missing := wk.resident.take(req.Resident, held); missing != nil {
 		writeJSON(w, http.StatusConflict, missingResident{
 			Error:   fmt.Sprintf("%d resident upstream output(s) not held here; send the requests that make them", len(missing)),
 			Missing: missing,
 		})
 		return
 	}
-	rb, status, err := wk.runBlock(r.Context(), req, upstream)
+	rb, status, err := wk.runBlock(r.Context(), req, upstream, held)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
 	}
 	// Kept before the response leaves, so a request that names it can only
 	// arrive after it is here; one over the store's bound is sent instead.
-	if req.Hold && !wk.resident.put(req.key, rb.Out) {
-		rb.LateOut = data.LateOf(rb.Out)
+	if req.Hold && wk.resident.put(req.key, rb.LateOut) {
+		rb.LateOut = nil
 	}
 	frame, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
@@ -227,7 +228,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 // classifies failures for the coordinator: 4xx are deterministic (bad
 // request or the block's own execution error — retrying elsewhere cannot
 // help), 5xx would be worker-local trouble.
-func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream map[int]*data.Table) (*engine.RemoteBlock, int, error) {
+func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream map[int]*data.Table, held map[int]*data.Late) (*engine.RemoteBlock, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
 		return nil, http.StatusNotFound, err
@@ -255,7 +256,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream, req.Hold)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream, held)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

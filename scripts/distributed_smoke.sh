@@ -80,10 +80,11 @@ echo "== schedule and report with no reachable worker fall back in-process, say 
 dead=http://127.0.0.1:1
 "$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$dead" > "$work/dead-schedule.out" 2> "$work/dead-schedule.err"
 cmp "$work/ref-schedule.out" "$work/dead-schedule.out"
-[ "$(grep -c '^distributed: fell back in-process' "$work/dead-schedule.err")" -eq "$runs" ]
+fallback='^distributed: fell back in-process (.*): 0 block(s) completed remotely, 1 run in-process, 0 output(s) held, 0 recomputed; run completed whole, outputs identical$'
+[ "$(grep -c "$fallback" "$work/dead-schedule.err")" -eq "$runs" ]
 "$work/etlopt" report -wf 3 -worker-addrs "$dead" 2> "$work/dead-report.err" | grep -v '^- phase timings' > "$work/dead-report.out"
 cmp "$work/ref-report.out" "$work/dead-report.out"
-grep -q '^distributed: fell back in-process' "$work/dead-report.err"
+grep -q "$fallback" "$work/dead-report.err"
 
 echo "== distributed run, one worker SIGKILLed mid-run"
 "$work/etlopt" run -wf "$wf" -scale "$scale" -worker-addrs "$addrs" \
