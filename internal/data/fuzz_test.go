@@ -125,7 +125,7 @@ func FuzzReadTable(f *testing.F) {
 	f.Add(rowBomb())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		tbl, err := ReadTableMax(bytes.NewReader(in), fuzzWireCells)
+		tbl, err := ReadTableRows(bytes.NewReader(in), maxWireCells, fuzzWireCells)
 		if err != nil {
 			return // rejected cleanly — the property under test
 		}

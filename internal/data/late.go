@@ -13,10 +13,10 @@ import (
 // Late table sections. A block output is, until something reads it row by
 // row, a few index vectors into its inputs (a join's two index vectors, a
 // filter's selection) plus the cells no input holds: transform outputs and
-// aggregates. Where both ends of a dispatch hold an input — a source
-// relation of the run's data, generated from the same (workflow, scale) —
-// the section carries the index vector and names the relation, and the
-// reader gathers that relation's columns from its own copy:
+// aggregates. Both ends of a dispatch hold every input — a source relation
+// of the run's data, generated from the same (workflow, scale) — so the
+// section carries each input's index vector and names the relation, and
+// the reader gathers that relation's columns from its own copy:
 //
 //	"ETBL5" | 2 | relation | ncols | ncols × (attr rel, attr col) | nrows
 //	        | ngroups | ngroups × group | ncols × ref | columns
@@ -42,17 +42,16 @@ import (
 //
 // The writer groups the columns in table order: each input's where the
 // table first reads it, and each run of columns that read no input — the
-// cells no input holds — where it starts. It sends an input named where its
-// index column and name cost fewer bytes than its columns as plain ETBL5
-// columns, plain otherwise (ties plain), deciding input by input in group
-// order, so no section is larger than its all-plain form by more than the
-// groups and refs. The choice is canonical — the same late table always
-// makes the same bytes — but the reader does not repeat
-// it, nor any column's: it checks the structure, every length and every
-// index against the relation it resolved, and re-runs no search. A relation
-// the reader does not hold, or holds with another row count, and an index
-// past its rows are ErrUnresolved: the section names rows the reader cannot
-// gather.
+// cells no input holds — where it starts, and it names every input: a
+// plain group is one whose columns read none. Nothing in the writer bounds
+// a section by its all-plain form (an input whose few columns a wide index
+// reads can cost more named than plain), so the tests hold generated joins
+// to that bound instead. The section is canonical — the same late table
+// always makes the same bytes — but the reader repeats no column's choice:
+// it checks the structure, every length and every index against the
+// relation it resolved, and re-runs no search. A relation the reader does
+// not hold, or holds with another row count, and an index past its rows are
+// ErrUnresolved: the section names rows the reader cannot gather.
 
 // ErrUnresolved reports source rows a reader does not hold as their writer
 // did: a late table section naming a relation the reader lacks or holds with
@@ -104,9 +103,10 @@ func WriteLate(w io.Writer, t *Late) error {
 	return err
 }
 
-// ReadLate reads a section WriteLate wrote, consuming r to EOF, under
-// ReadTableMax's cell cap, gathering the columns it names from db's
-// relations into rows.
+// ReadLate reads a section WriteLate wrote, consuming r to EOF, gathering
+// the columns it names from db's relations into rows, of at most maxCells
+// cells: a table costs its reader some 40 bytes a cell however few bytes
+// declared it, so a block frame passes the cap on its own size.
 func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Table, error) {
 	if db == nil {
 		db = map[string]*Table{}
@@ -193,78 +193,48 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	// The sequence of columns has room for every input's index, and one slot
-	// past them where an input's index is sized before it has a place.
-	nv := len(t.Attrs) + len(groups)
-	slot := nv
-	if cap(sc.cells) < n*(nv+1) {
-		sc.cells = make([]int64, n*(nv+1))
+	// The sequence of columns: each group's, an input's behind its index.
+	nv := len(t.Attrs)
+	for _, grp := range groups {
+		if grp.in >= 0 {
+			nv++
+		}
 	}
-	cells := sc.cells[:n*(nv+1)]
-	if cap(sc.stats) < nv+1 {
-		sc.stats = make([]colStats, nv+1)
+	if cap(sc.cells) < n*nv {
+		sc.cells = make([]int64, n*nv)
 	}
-	stats := sc.stats[:nv+1]
+	cells := sc.cells[:n*nv]
+	if cap(sc.stats) < nv {
+		sc.stats = make([]colStats, nv)
+	}
+	stats := sc.stats[:nv]
 	clear(stats)
-	named := make([]bool, len(groups))
-	body, plain := sc.body[:0], sc.trial[:0]
+	body := sc.body[:0]
 	p := 0 // the next column of the sequence
-	for g, grp := range groups {
-		m := len(grp.cols)
-		for i, c := range grp.cols {
-			col := wireColumn(cells, stats, p+i)
-			t.Gather(col, c)
-			stats[p+i].scan(col)
-		}
-		if grp.in < 0 {
-			for v := p; v < p+m; v++ {
-				pl := latePlan(cells, stats, v, v, sc)
-				stats[v].mapped = pl.enc == encMap
-				body = appendColumn(body, cells, stats, v, pl, sc)
+	for _, grp := range groups {
+		if grp.in >= 0 {
+			ix := wireColumn(cells, stats, p)
+			for r, i := range t.Ins[grp.in].Idx {
+				ix[r] = int64(i)
 			}
-			p += m
-			continue
+			stats[p].scan(ix)
+			body = appendColumn(body, cells, stats, p, latePlan(cells, stats, p, sc), sc)
+			stats[p].index = true
+			p++
 		}
-		// The index, sized in the slot over the columns before the group.
-		in := &t.Ins[grp.in]
-		ix := wireColumn(cells, stats, slot)
-		for r, i := range in.Idx {
-			ix[r] = int64(i)
-		}
-		stats[slot] = colStats{}
-		stats[slot].scan(ix)
-		at := len(body)
-		body = appendColumn(body, cells, stats, slot, latePlan(cells, stats, slot, p, sc), sc)
-		cost := len(body) - at + uvarintLen(uint64(len(in.Src.Rel))) + len(in.Src.Rel) + uvarintLen(uint64(len(in.Src.Rows)))
 		for _, c := range grp.cols {
-			cost += uvarintLen(uint64(t.Cols[c].Col))
+			col := wireColumn(cells, stats, p)
+			t.Gather(col, c)
+			stats[p].scan(col)
+			if grp.in < 0 {
+				pl := latePlan(cells, stats, p, sc)
+				stats[p].mapped = pl.enc == encMap
+				body = appendColumn(body, cells, stats, p, pl, sc)
+			}
+			p++
 		}
-		// The group's columns as plain columns, in place, for as long as
-		// they cost no more than the index.
-		plain = plain[:0]
-		for v := p; v < p+m && len(plain) <= cost; v++ {
-			pl := latePlan(cells, stats, v, v, sc)
-			stats[v].mapped = pl.enc == encMap
-			plain = appendColumn(plain, cells, stats, v, pl, sc)
-		}
-		if len(plain) <= cost {
-			body = append(body[:at], plain...)
-			p += m
-			continue
-		}
-		// Named: the index goes in front of the columns, which are gathered.
-		named[g] = true
-		copy(cells[(p+1)*n:(p+1+m)*n], cells[p*n:(p+m)*n])
-		copy(wireColumn(cells, stats, p), ix)
-		copy(stats[p+1:p+1+m], stats[p:p+m])
-		stats[p] = stats[slot]
-		stats[p].index = true
-		for v := p + 1; v <= p+m; v++ {
-			stats[v].mapped = false
-		}
-		p += m + 1
 	}
-	sc.body, sc.trial = body, plain
+	sc.body = body
 
 	buf = binary.AppendUvarint(buf, uint64(len(groups)))
 	groupOf := make([]int, len(t.Attrs))
@@ -272,7 +242,7 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 		for _, c := range grp.cols {
 			groupOf[c] = g
 		}
-		if !named[g] {
+		if grp.in < 0 {
 			buf = append(buf, 0)
 			continue
 		}
@@ -285,7 +255,7 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	}
 	for c, g := range groupOf {
 		buf = binary.AppendUvarint(buf, uint64(g))
-		if named[g] {
+		if groups[g].in >= 0 {
 			buf = binary.AppendUvarint(buf, uint64(t.Cols[c].Col))
 		}
 	}
@@ -294,8 +264,8 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 
 // latePlan is planColumn for a late section's column: a column that never
 // decreases is sent as runs where plain would be smaller.
-func latePlan(cells []int64, stats []colStats, c, dets int, sc *wireScratch) colPlan {
-	pl := planColumn(cells, stats, c, dets, sc, decoded{})
+func latePlan(cells []int64, stats []colStats, c int, sc *wireScratch) colPlan {
+	pl := planColumn(cells, stats, c, sc, decoded{})
 	if pl.enc == encPlain && slices.IsSorted(wireColumn(cells, stats, c)) {
 		pl.enc = encRLE
 	}

@@ -125,7 +125,6 @@ type wireScratch struct {
 	epoch uint64       // the image entries the current pass has written
 	out   []byte       // the stream being encoded
 	body  []byte       // a late table's columns, encoded after its groups
-	trial []byte       // a late table input's columns, encoded plain
 	in    bytes.Buffer // the stream being decoded
 
 	// chainable[j]: a chain over column j is worth sizing for the column
@@ -174,9 +173,6 @@ func putScratch(sc *wireScratch) {
 	}
 	if cap(sc.body) > maxPooledBytes {
 		sc.body = nil
-	}
-	if cap(sc.trial) > maxPooledBytes {
-		sc.trial = nil
 	}
 	if sc.in.Cap() > maxPooledBytes {
 		sc.in = bytes.Buffer{}
@@ -274,7 +270,7 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	for c := 0; c < ncols && nrows > 0; c++ {
-		p := planColumn(cells, stats, c, c, sc, decoded{})
+		p := planColumn(cells, stats, c, sc, decoded{})
 		stats[c].mapped = p.enc == encMap
 		buf = appendColumn(buf, cells, stats, c, p, sc)
 	}
@@ -362,12 +358,11 @@ func wireColumn(cells []int64, stats []colStats, c int) []int64 {
 }
 
 // planColumn picks the encoding of column c by exact encoded size, over the
-// determinants 0..dets-1 (c in a table; a late table's writer sizes an index
-// column in a slot past the others); stats holds the statistics of those
-// columns and of c, and the decisions for the determinants. A reader that
+// determinants 0..c-1; stats holds the statistics of those columns and of
+// c, and the decisions for the determinants. A reader that
 // built the column from an image over a determinant passes what it learnt
 // (the writer passes the zero value): the one pass it need not repeat.
-func planColumn(cells []int64, stats []colStats, c, dets int, sc *wireScratch, known decoded) colPlan {
+func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known decoded) colPlan {
 	col, st := wireColumn(cells, stats, c), &stats[c]
 	n := len(col)
 	p := colPlan{enc: encPlain, min: st.min}
@@ -393,7 +388,7 @@ func planColumn(cells []int64, stats []colStats, c, dets int, sc *wireScratch, k
 	// tried and every row a pass reads are charged to.
 	budget := mapWork * n
 	chainable := sc.chainable[:0]
-	for j := 0; j < dets && budget > 0; j++ {
+	for j := 0; j < c && budget > 0; j++ {
 		budget--
 		dst := &stats[j]
 		span := uint64(dst.max) - uint64(dst.min)
@@ -657,20 +652,15 @@ func appendWireString(buf []byte, s string) ([]byte, error) {
 }
 
 // ReadTable deserializes a table written by WriteTable, consuming r to EOF.
-func ReadTable(r io.Reader) (*Table, error) { return ReadTableMax(r, maxWireCells) }
+func ReadTable(r io.Reader) (*Table, error) { return ReadTableRows(r, maxWireCells, maxWireCells) }
 
-// ReadTableMax is ReadTable under a cell cap below the format's own: a table
-// costs its reader some 40 bytes a cell however few bytes declared it, so a
-// block frame passes the cap on its own size, and the fuzzers a small one.
-func ReadTableMax(r io.Reader, maxCells int64) (*Table, error) {
-	return ReadTableRows(r, maxWireCells, maxCells)
-}
-
-// ReadTableRows is ReadTableMax under a row cap as well, checked with the
-// cell cap before anything is sized. A caller whose tables hold distinct
-// rows can pass the stream's length if its writer refuses the rare table
-// under a byte a row: a row differs from the one before it somewhere, and a
-// change costs a byte, except where a chain column reuses its image.
+// ReadTableRows is ReadTable under a row cap and a cell cap below the
+// format's own, checked before anything is sized: a table costs its reader
+// some 40 bytes a cell however few bytes declared it. A caller whose tables
+// hold distinct rows can pass the stream's length if its writer refuses the
+// rare table under a byte a row: a row differs from the one before it
+// somewhere, and a change costs a byte, except where a chain column reuses
+// its image.
 func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	return readTable(r, maxRows, maxCells, nil)
 }
@@ -844,7 +834,7 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 		st.mapped = enc == encMap
 		return nil
 	}
-	if p := planColumn(cells, stats, c, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
+	if p := planColumn(cells, stats, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
 		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, known.det, p.enc, p.dict, p.det)
 	}
 	st.mapped = enc == encMap

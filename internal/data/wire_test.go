@@ -670,24 +670,43 @@ func TestTableWireRunModel(t *testing.T) {
 }
 
 // TestTableWireConcurrent shares the scratch pool between goroutines the
-// way a coordinator's dispatch slots and a worker's handlers do; run it
-// under -race.
+// way a coordinator's dispatch slots and a worker's handlers do: plain
+// tables, and late sections of generated joins read back over the
+// relations they name, one codec's calls between the other's; run it under
+// -race.
 func TestTableWireConcurrent(t *testing.T) {
-	tables := []*Table{mixedTable(), column(zipfDomain(3000, 200)...), column(constant(500, 1)...), nil}
+	type wireCase struct {
+		late *Late // nil for a plain table
+		db   map[string]*Table
+		want *Table
+	}
+	var cases []wireCase
+	for _, tbl := range []*Table{mixedTable(), column(zipfDomain(3000, 200)...), column(constant(500, 1)...), nil} {
+		cases = append(cases, wireCase{want: tbl})
+	}
+	for seed := int64(0); len(cases) < 8; seed++ {
+		if l, db, want := lateJoin(rand.New(rand.NewSource(seed))); l.N > 0 {
+			cases = append(cases, wireCase{late: l, db: db, want: want})
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tbl := tables[(g+i)%len(tables)]
+				c := cases[(g+i)%len(cases)]
 				var buf bytes.Buffer
-				err := WriteTable(&buf, tbl)
 				var got *Table
-				if err == nil {
-					got, err = ReadTable(&buf)
+				var err error
+				if c.late == nil {
+					if err = WriteTable(&buf, c.want); err == nil {
+						got, err = ReadTable(&buf)
+					}
+				} else if err = WriteLate(&buf, c.late); err == nil {
+					got, err = ReadLate(&buf, maxWireCells, c.db)
 				}
-				if err != nil || !reflect.DeepEqual(got, tbl) {
+				if err != nil || !reflect.DeepEqual(got, c.want) {
 					t.Errorf("goroutine %d round %d: round trip failed: %v", g, i, err)
 					return
 				}

@@ -112,17 +112,19 @@ type RemoteBlock struct {
 type RunDispatch interface {
 	// RunBlock executes one block remotely. The upstream map has an entry
 	// for every block this block reads from: its boundary output, or nil
-	// when this session holds it. An error wrapping ErrWorkersLost means
-	// dispatch is permanently unavailable; any other error is the block's
-	// own (deterministic) execution error.
+	// when this session holds it. A worker reads only outputs held where it
+	// runs, so a block that reads one the session does not hold is
+	// undeliverable. An error wrapping ErrWorkersLost means dispatch is
+	// unavailable to the block and the rest of the run; any other error is
+	// the block's own (deterministic) execution error.
 	RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error)
 	// Slots bounds how many blocks the scheduler keeps in flight.
 	Slots() int
 	// Summary reports the session so far: dispatch attempts retried, on the
 	// same or another worker, after a lease expired or a request failed;
-	// upstream outputs a worker took from its own store instead of the
-	// request; held outputs a worker made again because one it was asked
-	// to read was not there; and the workers marked dead.
+	// upstream outputs a worker took from its own store; held outputs a
+	// worker made again because one it was asked to read was not there; and
+	// the workers marked dead.
 	Summary() (reassigned, resident, recomputed int64, lostWorkers []string)
 }
 
@@ -143,7 +145,7 @@ type DistReport struct {
 	// request failure.
 	Reassigned int64
 	// Resident counts upstream outputs a worker took from its store, where
-	// the request named them instead of carrying them.
+	// the request named them.
 	Resident int64
 	// Held counts the committed blocks whose output stayed on a worker.
 	Held int64
@@ -161,17 +163,17 @@ type DistReport struct {
 }
 
 // RunBlockCtx executes exactly one block of the workflow — the worker side
-// of distributed dispatch. The caller supplies the boundary outputs of
-// every upstream block: as rows in upstream, or in held, as the late form
-// RunBlockCtx made them in, which the caller kept. The engine compiles the
-// same deterministic physical plan a full run would, executes just the
-// requested block (with the usual per-attempt isolation, transient retry
-// and fault injection), and returns the block's outcome plus a private
-// statistics shard holding only what this block's taps observed — and,
-// under CollectMetrics, the block's per-node metrics. Its tables come back
+// of distributed dispatch. The caller supplies the boundary output of every
+// upstream block in held, in the late form RunBlockCtx made it in, which
+// the caller kept. The engine compiles the same deterministic physical plan
+// a full run would, executes just the requested block (with the usual
+// per-attempt isolation, transient retry and fault injection), and returns
+// the block's outcome plus a private statistics shard holding only what
+// this block's taps observed — and, under CollectMetrics, the block's
+// per-node metrics. Its tables come back
 // late (LateOut and LateMaterialized), Out and Materialized empty: a column
 // read from a held upstream output names the source rows that output read.
-func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, upstream map[int]*data.Table, held map[int]*data.Late) (*RemoteBlock, error) {
+func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, held map[int]*data.Late) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
@@ -189,7 +191,7 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		return nil, errors.New("engine: no such block in compiled plan")
 	}
 	for _, d := range blockDeps(plan)[block] {
-		if upstream[d] == nil && held[d] == nil {
+		if held[d] == nil {
 			return nil, errors.New("engine: missing upstream boundary output for block dispatch")
 		}
 	}
@@ -198,7 +200,7 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 		col = newCollector()
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
-	rb, err := env.runBlock(bp, upstream, held, col, e.CollectMetrics, true)
+	rb, err := env.runBlock(bp, nil, held, col, e.CollectMetrics, true)
 	if err != nil {
 		return nil, err
 	}

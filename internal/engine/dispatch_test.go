@@ -71,16 +71,11 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	d.inflight++
 	d.maxInflight = max(d.maxInflight, d.inflight)
 	spec := d.spec
-	up, held := make(map[int]*data.Table, len(upstream)), make(map[int]*data.Late)
-	for u, t := range upstream {
-		switch {
-		case t != nil:
-			up[u] = t
-		case d.held[u] != nil:
-			held[u] = d.held[u]
-		default:
+	held := make(map[int]*data.Late, len(upstream))
+	for u := range upstream {
+		if held[u] = d.held[u]; held[u] == nil {
 			d.mu.Unlock()
-			return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold", block, u)
+			return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold: %w", block, u, ErrWorkersLost)
 		}
 	}
 	d.mu.Unlock()
@@ -110,7 +105,7 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	d.runs[block]++
 	d.mu.Unlock()
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, up, held)
+	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, held)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +392,7 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil, nil)
+	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,9 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *ru
 // and all a worker does — with per-attempt isolation and transient retry.
 // Each attempt gets a fresh sink over a child row budget; a failed attempt
 // refunds the child's charge, so retries never double-charge MaxRows. The
-// block reads its upstream outputs from upstream, as rows, and from held,
-// in late form; late asks for its tables in late form.
+// scheduler's block reads its upstream outputs from upstream, as rows; a
+// worker's from held, in late form, and late asks for its tables in late
+// form.
 func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, held map[int]*data.Late, col *collector, metrics, late bool) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {

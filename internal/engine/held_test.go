@@ -38,11 +38,11 @@ func suiteEngine(t *testing.T, id int, scale float64) (*engine.Engine, engine.DB
 func TestHeldUpstreamNamesSources(t *testing.T) {
 	e, _ := suiteEngine(t, 7, 0.01)
 	ctx := context.Background()
-	b0, err := e.RunBlockCtx(ctx, 0, nil, nil, nil, nil, nil)
+	b0, err := e.RunBlockCtx(ctx, 0, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := e.RunBlockCtx(ctx, 1, nil, nil, nil, nil, map[int]*data.Late{0: b0.LateOut})
+	b1, err := e.RunBlockCtx(ctx, 1, nil, nil, nil, map[int]*data.Late{0: b0.LateOut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestHeldUpstreamRoundTrip(t *testing.T) {
 						up[in.FromBlock] = held[in.FromBlock]
 					}
 				}
-				rb, err := e.RunBlockCtx(context.Background(), blk.Index, nil, nil, nil, nil, up)
+				rb, err := e.RunBlockCtx(context.Background(), blk.Index, nil, nil, nil, up)
 				if err != nil {
 					t.Fatalf("block %d: %v", blk.Index, err)
 				}

@@ -102,7 +102,7 @@ func (b *rowBudget) release() {
 // blockSink collects one block's side effects during execution. upstream
 // holds the boundary outputs of the blocks this block reads from (complete
 // before the block is scheduled), so chains never read the shared Result;
-// on a worker, held has those it kept, in the late form they were made in.
+// on a worker, held has them instead, in the late form they were made in.
 //
 // The sink also carries the attempt's fault-tolerance state: the run
 // context (polled at operator boundaries), the fault injector and the

@@ -25,7 +25,9 @@ import (
 // stays on the worker that made it, and the coordinator keeps its lineage —
 // the request frame that made it — instead of its bytes. The block that
 // reads it goes to that worker if it is live, and its request names the
-// output by key (see Worker); blocks that read none go round-robin. A worker
+// output by key (see Worker); blocks that read none go round-robin. A
+// request carries no table: a block that reads an output with no lineage
+// here runs in-process. A worker
 // that misses a named output — evicted, restarted, or never the one that
 // made it — answers 409, and every such miss gets one answer: the lineage
 // frame goes to that worker, output only, then the request again.
@@ -201,26 +203,30 @@ func (e *permanentError) Unwrap() error { return e.err }
 // declared undeliverable (engine.ErrWorkersLost) and the engine falls back
 // in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	// The frame names every held upstream output by its key and carries the
-	// rest, so it is the same on every worker and every retry.
+	// The frame names every upstream output by its key, by ascending block,
+	// so it is the same on every worker and every retry. An output the session has no lineage for
+	// — one a worker sent because its store would not hold it — reaches no
+	// worker: the block is the run's to finish.
 	l := &lineage{block: block}
-	keys := make(map[int]digest)
+	var refs []residentRef
+	reads := make([]int, 0, len(upstream))
+	for idx := range upstream {
+		reads = append(reads, idx)
+	}
+	sort.Ints(reads)
 	s.mu.Lock()
-	for idx, t := range upstream {
-		if t != nil {
-			continue
-		}
+	for _, idx := range reads {
 		up := s.produced[idx]
 		if up == nil {
 			s.mu.Unlock()
-			return nil, fmt.Errorf("serve: block %d reads held block %d, whose lineage this session does not have", block, idx)
+			return nil, fmt.Errorf("serve: block %d reads block %d, whose output this session has no lineage for: %w", block, idx, engine.ErrWorkersLost)
 		}
-		l.named, keys[idx] = append(l.named, up), up.key
+		l.named = append(l.named, up)
+		refs = append(refs, residentRef{Block: idx, SHA256: up.key.String()})
 	}
 	s.mu.Unlock()
-	sort.Slice(l.named, func(i, j int) bool { return l.named[i].block < l.named[j].block })
 	var err error
-	l.frame, l.key, err = encodeRunRequest(s.base, block, slices.Contains(s.hold, block), upstream, keys, s.c.maxBody)
+	l.frame, l.key, err = encodeRunRequest(s.base, block, slices.Contains(s.hold, block), refs, s.c.maxBody)
 	if overCap(err) {
 		return nil, wireCapError(block, "request of "+err.Error())
 	}

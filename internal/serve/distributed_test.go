@@ -494,8 +494,9 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 }
 
 // TestDistributedOversizeRequestFallsBack is the request-side twin: a block
-// whose request frame is over the cap — its upstream tables are too big —
-// is as undeliverable as one whose response is, whichever end notices. The
+// whose request frame is over the cap — here a cap lowered under its
+// header — is as undeliverable as one whose response is, whichever end
+// notices. The
 // coordinator checks the frame it built before sending it; a worker with a
 // smaller cap answers 413, to a frame that declares too much before it
 // inflates any of it. All must degrade to in-process execution, not fail
@@ -646,42 +647,36 @@ func frameSections(t *testing.T, frame []byte) [][]byte {
 	return sections
 }
 
-// requestOf takes a request frame apart: its header, and its table
-// sections, which must be one per carried upstream block and none for a
-// block the header names resident.
-func requestOf(t *testing.T, frame []byte) (hdr workerRunRequest, tables [][]byte) {
+// requestOf takes a request frame apart: its header, which must be all of
+// it, and the header's size.
+func requestOf(t *testing.T, frame []byte) (hdr workerRunRequest, size int) {
 	t.Helper()
 	sections := frameSections(t, frame)
 	if err := json.Unmarshal(sections[0], &hdr); err != nil {
 		t.Fatalf("request header: %v", err)
 	}
-	tables = sections[1:]
-	if len(tables) != len(hdr.Upstream) {
-		t.Errorf("block %d: %d table section(s) for upstream %v", hdr.Block, len(tables), hdr.Upstream)
+	if len(sections) != 1 {
+		t.Errorf("block %d: %d section(s) after the request header", hdr.Block, len(sections)-1)
 	}
-	for _, ref := range hdr.Resident {
-		if slices.Contains(hdr.Upstream, ref.Block) {
-			t.Errorf("block %d: resident upstream block %d also carried", hdr.Block, ref.Block)
-		}
-	}
-	return hdr, tables
+	return hdr, len(sections[0])
 }
 
 // split is the bytes the requests and the responses sent, what their
 // payloads inflate to (section length prefixes left out) and the resident
-// refs the requests made: a frame's first section is the header, a
-// response's last the statistics shard, every other a table.
+// refs the requests made: a request is its header, a response's first
+// section is its header, its last the statistics shard, every other a
+// table.
 func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, shard, resident int64) {
 	for _, x := range c.exchanges {
 		requests += int64(len(x.req))
 		responses += int64(len(x.resp))
-		hdr, carried := requestOf(t, x.req)
+		hdr, size := requestOf(t, x.req)
 		resident += int64(len(hdr.Resident))
-		sections := append(frameSections(t, x.req)[:1], frameSections(t, x.resp)...)
-		for _, sec := range append(carried, sections[2:len(sections)-1]...) {
+		sections := frameSections(t, x.resp)
+		for _, sec := range sections[1 : len(sections)-1] {
 			tables += int64(len(sec))
 		}
-		header += int64(len(sections[0]) + len(sections[1]))
+		header += int64(size + len(sections[0]))
 		shard += int64(len(sections[len(sections)-1]))
 	}
 	return requests, responses, header, tables, shard, resident
@@ -822,6 +817,33 @@ func TestDistributedResidentMiss(t *testing.T) {
 	}
 }
 
+// TestDistributedUnheldOutputFallsBack lowers the worker's store bound
+// under wf07's block 0 output: the worker sends the output it was asked to
+// hold, so the session has no request that names it, and block 1, which
+// reads it, runs in-process — with the local run's results, and a reason
+// that names both blocks.
+func TestDistributedUnheldOutputFallsBack(t *testing.T) {
+	const wf = 7
+	want := localRun(t, wf)
+	wk := NewWorker()
+	wk.resident.max = 0
+	srv := httptest.NewServer(wk.Handler())
+	t.Cleanup(srv.Close)
+	got := runCycleOf(t, wf, distConfig(t, wf, []string{srv.URL}, nil))
+	assertRunsEqual(t, "output sent, not held", want, got)
+	d := got.Dist
+	if !d.FellBack || !slices.Equal(d.Remote, []int{0}) || !slices.Equal(d.Local, []int{1}) || d.Held != 0 || d.Resident != 0 || d.Recomputed != 0 {
+		t.Errorf("placement: %+v; want block 0 remote and sent, block 1 in-process", d)
+	}
+	if !strings.Contains(d.Reason, "block 1 reads block 0") {
+		t.Errorf("fallback reason should name both blocks, got %q", d.Reason)
+	}
+	if n := len(wk.resident.byKey); n != 0 {
+		t.Errorf("the store holds %d output(s) over its bound", n)
+	}
+	t.Log(d.Reason)
+}
+
 // TestDistributedResidentMissTwoLevels empties both workers' stores before
 // block 2 of wf08's chain: block 2's frame misses block 1's output, whose
 // lineage frame misses block 0's, so the recompute goes two levels up before
@@ -860,7 +882,7 @@ func TestDistributedResidentMissTwoLevels(t *testing.T) {
 // TestDistributedResidentProducerLost kills the producer after block 0 of a
 // chain: block 1 is reassigned to the survivor, which never held block 0's
 // output — it answers 409, makes the output from its lineage, and runs
-// block 1 with it named, never carried.
+// block 1 with it named.
 func TestDistributedResidentProducerLost(t *testing.T) {
 	const wf = 7
 	want := localRun(t, wf)
@@ -886,17 +908,18 @@ func TestDistributedResidentProducerLost(t *testing.T) {
 
 // assertExchanges checks a run's dispatches, in order: every one went to
 // addr, for the given blocks, answered with the given statuses; no request
-// carried a table; and a 409 names the key its frame named.
+// carried a section after its header; and a 409 names the key its frame
+// named.
 func assertExchanges(t *testing.T, wire *wireCounter, addr string, blocks, statuses []int) {
 	t.Helper()
 	if len(wire.exchanges) != len(blocks) {
 		t.Fatalf("%d exchanges, want %d (blocks %v)", len(wire.exchanges), len(blocks), blocks)
 	}
 	for i, x := range wire.exchanges {
-		hdr, tables := requestOf(t, x.req)
-		if x.addr != addr || hdr.Block != blocks[i] || x.status != statuses[i] || len(tables) != 0 {
-			t.Errorf("exchange %d: block %d to %s: status %d, %d table(s); want block %d to %s, %d, none",
-				i, hdr.Block, x.addr, x.status, len(tables), blocks[i], addr, statuses[i])
+		hdr, _ := requestOf(t, x.req)
+		if x.addr != addr || hdr.Block != blocks[i] || x.status != statuses[i] {
+			t.Errorf("exchange %d: block %d to %s: status %d; want block %d to %s, %d",
+				i, hdr.Block, x.addr, x.status, blocks[i], addr, statuses[i])
 		}
 		if x.status == http.StatusConflict && (len(hdr.Resident) != 1 || !strings.Contains(string(x.resp), hdr.Resident[0].SHA256)) {
 			t.Errorf("exchange %d: the 409 does not name the key its frame named: %s", i, x.resp)

@@ -37,34 +37,31 @@ import (
 // compress/flate versions: nothing compares frames from different builds.
 //
 // The header is the exchange's scalar fields (workerRunRequest or
-// workerRunResponse); everything bulky follows it as raw sections, each a
-// uvarint length and that many bytes, in an order the header fixes —
-//
-//	request:  one table per Upstream entry (ascending block index)
-//	response: the boundary output (none when the header says it is held),
-//	          one table per Materialized entry (sorted by name), then the
-//	          statistics shard (length 0 when the block was not
-//	          instrumented)
-//
-// — so a table crosses the wire as its codec bytes and nothing else: no
-// base64, no JSON scanning, and the reader hands each section to the codec
-// or stats.ReadStore straight from the inflating stream. A request's tables
-// are data.WriteTable's. A response's are data.WriteLate's: a source
-// relation the coordinator holds too is named, with a row index into it —
-// read directly, or through a held upstream output's index — and its
-// columns are gathered from the coordinator's copy (the engine's data,
-// DispatchSpec.DB), so only index columns and the cells no source holds
-// cross. DEFLATE takes what the codec cannot see, repetition across columns
-// and rows: 44 % (wf15) to 95 % (wf08) of the payload bytes of the dist-run
-// benchmark's runs (TestDistributedWireBytes logs both).
+// workerRunResponse). A request is its header and nothing else. A
+// response's bulk follows its header as raw sections, each a uvarint length
+// and that many bytes, in an order the header fixes: the boundary output
+// (none when the header says it is held), one table per Materialized entry
+// (sorted by name), then the statistics shard (length 0 when the block was
+// not instrumented). So a table crosses the wire as its codec bytes and
+// nothing else: no base64, no JSON scanning, and the reader hands each
+// section to the codec or stats.ReadStore straight from the inflating
+// stream. The tables are data.WriteLate's: every source relation a column
+// reads is named, with a row index into it — read directly, or through a
+// held upstream output's index — and its columns are gathered from the
+// coordinator's copy (the engine's data, DispatchSpec.DB), so only index
+// columns and the cells no source holds cross. DEFLATE takes what the codec
+// cannot see, repetition across columns and rows: 44 % (wf15) to 95 %
+// (wf08) of the payload bytes of the dist-run benchmark's runs
+// (TestDistributedWireBytes logs both).
 //
 // A block output a later block reads and no sink does never crosses the
 // wire: the request that makes it says Hold, and the worker keeps the output,
 // in its late form, under the request's key — the SHA-256 of the request's payload, which both
 // ends compute over the bytes they write or read, so it is never sent — and
 // answers Held, with no output section. The request that reads it names it
-// in Resident by that key, and it has no section of its own. Equal payloads
-// make equal outputs, so the key names the output by its lineage.
+// in Resident by that key: every upstream output a worker reads is one it
+// holds. Equal payloads make equal outputs, so the key names the output by
+// its lineage.
 
 const (
 	frameMagic            = "EBLK2"
@@ -136,16 +133,6 @@ func beginFrame(header any) (*frameWriter, error) {
 // add appends one length-prefixed section.
 func (f *frameWriter) add(section []byte) {
 	f.payload = append(binary.AppendUvarint(f.payload, uint64(len(section))), section...)
-}
-
-// table appends a table section.
-func (f *frameWriter) table(t *data.Table) error {
-	f.section.Reset()
-	if err := data.WriteTable(&f.section, t); err != nil {
-		return err
-	}
-	f.add(f.section.Bytes())
-	return nil
 }
 
 // late appends a late table section.
@@ -317,18 +304,9 @@ func (f *frameReader) section() (*io.LimitedReader, error) {
 	return &io.LimitedReader{R: &f.payload, N: int64(n)}, nil
 }
 
-// table decodes the next section as a table, of no more cells than the
-// frame may have bytes: what bounds the body bounds what is built from it.
-func (f *frameReader) table() (*data.Table, error) {
-	sec, err := f.section()
-	if err != nil {
-		return nil, err
-	}
-	return data.ReadTableMax(sec, f.payload.max)
-}
-
 // lateTable decodes the next section as a late table, gathering the rows it
-// names from db, under table's cap.
+// names from db, of no more cells than the frame may have bytes: what bounds
+// the body bounds what is built from it.
 func (f *frameReader) lateTable(db engine.DB) (*data.Table, error) {
 	sec, err := f.section()
 	if err != nil {
@@ -358,78 +336,54 @@ func (f *frameReader) end() error {
 // encodeRunRequest builds the request frame for one block, and its key. It
 // carries the statistics of the run's that the block observes — the
 // compiler places a tap only in its target's block — and every block's join
-// tree, since upstream schemas compile from them. An upstream block listed
-// in named is named by its key instead of carried; hold asks the worker to
-// keep the block's output instead of sending it.
-func encodeRunRequest(base *workerRunRequest, block int, hold bool, upstream map[int]*data.Table, named map[int]digest, maxPayload int64) ([]byte, digest, error) {
+// tree, since upstream schemas compile from them. resident names every
+// upstream block's output, by ascending block; hold asks the worker to keep
+// the block's output instead of sending it.
+func encodeRunRequest(base *workerRunRequest, block int, hold bool, resident []residentRef, maxPayload int64) ([]byte, digest, error) {
 	req := *base
-	req.Block, req.Hold = block, hold
+	req.Block, req.Hold, req.Resident = block, hold, resident
 	req.Observe = nil
 	for _, st := range base.Observe {
 		if st.Target.Block == block {
 			req.Observe = append(req.Observe, st)
 		}
 	}
-	req.Upstream = make([]int, 0, len(upstream))
-	for idx := range upstream {
-		if key, ok := named[idx]; ok {
-			req.Resident = append(req.Resident, residentRef{Block: idx, SHA256: key.String()})
-		} else {
-			req.Upstream = append(req.Upstream, idx)
-		}
-	}
-	sort.Ints(req.Upstream)
-	sort.Slice(req.Resident, func(i, j int) bool { return req.Resident[i].Block < req.Resident[j].Block })
 	var key digest
 	f, err := beginFrame(&req)
 	if err != nil {
 		return nil, key, err
-	}
-	for _, idx := range req.Upstream {
-		if err := f.table(upstream[idx]); err != nil {
-			return nil, key, fmt.Errorf("upstream block %d: %w", idx, err)
-		}
 	}
 	key = sha256.Sum256(f.payload)
 	frame, err := f.seal(maxPayload)
 	return frame, key, err
 }
 
-// decodeRunRequest reads a request frame, its key and the upstream tables
-// it carries; the ones it names by key are the caller's to find. A
-// malformed key, or a block named twice, is an error here.
-func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, map[int]*data.Table, error) {
+// decodeRunRequest reads a request frame and its key; the outputs it names
+// are the caller's to find. A malformed key, a block named twice, or a
+// section after the header is an error here.
+func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, error) {
 	req := &workerRunRequest{}
 	sum := sha256.New()
 	f, err := openFrame(r, req, maxPayload, sum)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.close()
 	named := make(map[int]bool, len(req.Resident))
 	for _, ref := range req.Resident {
 		if _, err := parseDigest(ref.SHA256); err != nil {
-			return nil, nil, fmt.Errorf("resident block %d: %w", ref.Block, err)
+			return nil, fmt.Errorf("resident block %d: %w", ref.Block, err)
 		}
 		if named[ref.Block] {
-			return nil, nil, fmt.Errorf("resident block %d named twice", ref.Block)
+			return nil, fmt.Errorf("resident block %d named twice", ref.Block)
 		}
 		named[ref.Block] = true
 	}
-	upstream := make(map[int]*data.Table, len(req.Upstream))
-	for _, idx := range req.Upstream {
-		if named[idx] {
-			return nil, nil, fmt.Errorf("upstream block %d is both resident and carried", idx)
-		}
-		if upstream[idx], err = f.table(); err != nil {
-			return nil, nil, fmt.Errorf("upstream block %d: %w", idx, err)
-		}
-	}
 	if err := f.end(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sum.Sum(req.key[:0])
-	return req, upstream, nil
+	return req, nil
 }
 
 // encodeRunResponse builds the response frame for one executed block from

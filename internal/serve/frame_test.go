@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -79,9 +80,9 @@ func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 	return frame
 }
 
-func requestFrame(t testing.TB, base *workerRunRequest, block int, upstream map[int]*data.Table, resident map[int]digest) []byte {
+func requestFrame(t testing.TB, base *workerRunRequest, block int, resident ...residentRef) []byte {
 	t.Helper()
-	frame, _, err := encodeRunRequest(base, block, false, upstream, resident, maxUploadBytes)
+	frame, _, err := encodeRunRequest(base, block, false, resident, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,45 +172,44 @@ func TestRunFramesRoundTrip(t *testing.T) {
 		t.Errorf("held response after the round trip: %+v (%v)", gotHeld, err)
 	}
 
-	// The session's statistics are the run's; a request carries its block's.
+	// The session's statistics are the run's; a request carries its block's,
+	// and names every upstream output by key, by ascending block.
 	block3 := stats.NewCard(stats.BlockSE(3, 1))
 	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), block3}}
-	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	reqFrame, key, err := encodeRunRequest(base, 3, false, upstream, nil, maxUploadBytes)
+	k0, k2 := digest(sha256.Sum256([]byte("block 0"))), digest(sha256.Sum256([]byte("block 2")))
+	named := []residentRef{{0, k0.String()}, {2, k2.String()}}
+	reqFrame, key, err := encodeRunRequest(base, 3, false, named, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, gotUp, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
+	req, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
 	}
-	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Upstream, []int{0, 2}) || !reflect.DeepEqual(req.Observe, []stats.Stat{block3}) {
+	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Resident, named) || !reflect.DeepEqual(req.Observe, []stats.Stat{block3}) {
 		t.Errorf("request header = %+v", req)
 	}
-	if !reflect.DeepEqual(gotUp, upstream) {
-		t.Error("upstream tables differ after the round trip")
+	// Both ends key the request by the SHA-256 of its payload, which is
+	// its header and nothing else.
+	if sections := frameSections(t, reqFrame); len(sections) != 1 {
+		t.Errorf("the request has %d sections after its header", len(sections)-1)
 	}
-	// Both ends key the request by the SHA-256 of its payload.
 	if _, payload := framePayload(t, reqFrame); key != sha256.Sum256(payload) || req.key != key {
 		t.Errorf("request key: read %s, written %s, want the payload's %x", req.key, key, sha256.Sum256(payload))
 	}
-	// A held upstream is named, and stays home; a held request says so, and
-	// is another request.
-	named, heldKey, err := encodeRunRequest(base, 3, true, map[int]*data.Table{2: nil, 0: upstream[0]}, map[int]digest{2: key}, maxUploadBytes)
+	// A held request says so, and is another request.
+	heldFrame, heldKey, err := encodeRunRequest(base, 3, true, named, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, gotUp, err = decodeRunRequest(bytes.NewReader(named), maxUploadBytes)
+	req, err = decodeRunRequest(bytes.NewReader(heldFrame), maxUploadBytes)
 	if err != nil {
-		t.Fatalf("decodeRunRequest, resident: %v", err)
+		t.Fatalf("decodeRunRequest, held: %v", err)
 	}
-	if !req.Hold || !reflect.DeepEqual(req.Upstream, []int{0}) || !reflect.DeepEqual(req.Resident, []residentRef{{Block: 2, SHA256: key.String()}}) || len(gotUp) != 1 || gotUp[0] == nil {
-		t.Errorf("resident request: header %+v, %d table(s)", req, len(gotUp))
+	if !req.Hold || req.key != heldKey || heldKey == key {
+		t.Errorf("held request: header %+v, key %s, written %s; the unheld request's %s", req, req.key, heldKey, key)
 	}
-	if req.key != heldKey || heldKey == key {
-		t.Errorf("held request key %s, written %s; the carried request's %s", req.key, heldKey, key)
-	}
-	if base.Block != 0 || base.Upstream != nil || base.Resident != nil || base.Hold || len(base.Observe) != 2 {
+	if base.Block != 0 || base.Resident != nil || base.Hold || len(base.Observe) != 2 {
 		t.Error("encodeRunRequest modified the session's base request")
 	}
 }
@@ -222,12 +222,12 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // built the program, and is only required to carry the payload back. The
 // stats shard is pinned apart from the sections before it: it is the
 // store's own byte form, whose version moves independently of the frame's.
-// The request carries the one statistic of the run's two that its block
-// observes. The response's tables are late sections (data.WriteLate) of one
+// The request is its header alone, and carries the one statistic of the
+// run's two that its block observes. The response's tables are late sections (data.WriteLate) of one
 // plain group each: they name no relation.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
-		goldenRequest  = "80027b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a332c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a332c22757073747265616d223a5b302c325d7d154554424c350102423002024230016b024230017600194554424c350102423202024232016b024232017601000a000c"
+		goldenRequest  = "ef017b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a332c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a337d"
 		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
 
 		// The stats shard, the response's last section, in store format
@@ -243,8 +243,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 		Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), stats.NewCard(stats.BlockSE(3, 1))},
 		Faults: "seed=7,rate=1,transient=1",
 	}
-	upstream := map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}), 0: frameTable("B0")}
-	req := requestFrame(t, coord.baseRequest(spec), 3, upstream, nil)
+	req := requestFrame(t, coord.baseRequest(spec), 3)
 	mode, payload := framePayload(t, req)
 	if got := hex.EncodeToString(payload); got != goldenRequest {
 		t.Errorf("request payload changed on the wire:\n got %s\nwant %s", got, goldenRequest)
@@ -252,7 +251,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(req) >= len(payload) {
 		t.Errorf("request frame: mode %d, %d bytes for a payload of %d", mode, len(req), len(payload))
 	}
-	if hdr, up, err := decodeRunRequest(bytes.NewReader(req), maxUploadBytes); err != nil || hdr.Block != 3 || !reflect.DeepEqual(up, upstream) {
+	if hdr, err := decodeRunRequest(bytes.NewReader(req), maxUploadBytes); err != nil || hdr.Block != 3 {
 		t.Errorf("request frame does not decode to what built it: %+v, %v", hdr, err)
 	}
 	resp := responseFrame(t, frameBlock(t))
@@ -275,12 +274,12 @@ func TestRunFrameStoredMode(t *testing.T) {
 	if mode != frameStored || len(frame) != len(frameMagic)+2+len(payload) {
 		t.Fatalf("a %d-byte payload travels in mode %d as %d bytes", len(payload), mode, len(frame))
 	}
-	req, up, err := decodeRunRequest(bytes.NewReader(frame), maxUploadBytes)
-	if err != nil || req.WF != 6 || req.Block != 1 || len(up) != 0 {
+	req, err := decodeRunRequest(bytes.NewReader(frame), maxUploadBytes)
+	if err != nil || req.WF != 6 || req.Block != 1 {
 		t.Fatalf("stored frame: %+v, %v", req, err)
 	}
 	// The same payload deflated is a frame too, but not the writer's.
-	if _, _, err := decodeRunRequest(bytes.NewReader(sealedFrame(t, frameDeflate, uint64(len(payload)), payload)), maxUploadBytes); err != nil {
+	if _, err := decodeRunRequest(bytes.NewReader(sealedFrame(t, frameDeflate, uint64(len(payload)), payload)), maxUploadBytes); err != nil {
 		t.Errorf("deflated twin of a stored frame: %v", err)
 	}
 }
@@ -381,7 +380,7 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // are not a request frame: 400 with a JSON error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
-	stored := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0, nil, nil)
+	stored := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0)
 	mode, payload := framePayload(t, stored)
 	if mode != frameStored {
 		t.Fatalf("the fixture request travels in mode %d", mode)
@@ -389,6 +388,11 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	deflated := sealedFrame(t, frameDeflate, uint64(len(payload)), payload)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
 	ref := digest(sha256.Sum256(nil)).String()
+	var table bytes.Buffer
+	if err := data.WriteTable(&table, frameTable("B0", data.Row{1, 2})); err != nil {
+		t.Fatal(err)
+	}
+	header := &workerRunRequest{WF: 6, Scale: distScale}
 	for name, body := range map[string][]byte{
 		"empty":              nil,
 		"json":               legacy,
@@ -396,16 +400,19 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 		"trailing stored":    append(append([]byte{}, stored...), 0),
 		"truncated deflated": deflated[:len(deflated)-1],
 		"trailing deflated":  append(append([]byte{}, deflated...), 0),
-		"missing tables":     mustFrame(t, &workerRunRequest{WF: 6, Scale: distScale, Upstream: []int{0}}),
+		// A request is its header: it names upstream outputs, never
+		// carries them.
+		"upstream field":                 mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 1, "upstream": []int{0}}),
+		"table after the header":         mustFrame(t, header, table.Bytes()),
+		"empty section after the header": mustFrame(t, header, nil),
 		// The row interpreters are gone from the product; a peer still asking
 		// for one must be refused, not silently run columnar.
 		"row_mode": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "row_mode": true}),
 		// Resident refs no store could answer, whatever it holds.
-		"short digest":      residentFrame(t, nil, residentRef{0, ref[:63]}),
-		"uppercase digest":  residentFrame(t, nil, residentRef{0, strings.ToUpper(ref)}),
-		"non-hex digest":    residentFrame(t, nil, residentRef{0, strings.Repeat("g", 64)}),
-		"duplicate ref":     residentFrame(t, nil, residentRef{0, ref}, residentRef{0, ref}),
-		"named and carried": residentFrame(t, []int{0}, residentRef{0, ref}),
+		"short digest":     residentFrame(t, residentRef{0, ref[:63]}),
+		"uppercase digest": residentFrame(t, residentRef{0, strings.ToUpper(ref)}),
+		"non-hex digest":   residentFrame(t, residentRef{0, strings.Repeat("g", 64)}),
+		"duplicate ref":    residentFrame(t, residentRef{0, ref}, residentRef{0, ref}),
 		// A hold flag that is not one, and a held response sent as a request.
 		"hold not a bool": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "hold": "yes"}),
 		"held response":   responseFrame(t, heldBlock(t)),
@@ -425,23 +432,18 @@ func heldBlock(t testing.TB) *engine.RemoteBlock {
 	return rb
 }
 
-// residentFrame is a request for block 1 of wf07 that carries the upstream
-// blocks listed and names the given refs.
-func residentFrame(t testing.TB, carried []int, refs ...residentRef) []byte {
+// residentFrame is a request for block 1 of wf07 that names the given refs.
+func residentFrame(t testing.TB, refs ...residentRef) []byte {
 	t.Helper()
-	var tables []*data.Table
-	for range carried {
-		tables = append(tables, frameTable("B0"))
-	}
-	return mustFrame(t, &workerRunRequest{WF: 7, Scale: distScale, Block: 1, Upstream: carried, Resident: refs}, tables...)
+	return mustFrame(t, &workerRunRequest{WF: 7, Scale: distScale, Block: 1, Resident: refs})
 }
 
 // TestWorkerResidentOutputs drives the store through a worker's handler: a
 // request that says Hold leaves the block's output here, under the request's
-// key, and answers without it; a request that names that key gets the
-// block the request that carries the output gets — its output, materialized
-// tables, statistics shard and rows — in no more bytes; and one that names
-// a key the store lacks gets a 409 listing it.
+// key, and answers without it; a request that names that key gets, byte for
+// byte, the response an in-process RunBlockCtx of the same block over the
+// same late output makes; and one that names a key the store lacks gets a
+// 409 listing it.
 func TestWorkerResidentOutputs(t *testing.T) {
 	wk := NewWorker()
 	h := wk.Handler()
@@ -451,18 +453,19 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		return rec
 	}
 	w := suite.MustGet(7)
-	sel, err := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions()).Selection(selector.MethodExact)
+	p := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
+	sel, err := p.Selection(selector.MethodExact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := &workerRunRequest{WF: 7, Scale: distScale, CSS: css.DefaultOptions(), Instrument: true, Observe: sel.Observe}
 	db := w.Data(distScale)
-	sent := post(requestFrame(t, base, 0, nil, nil))
+	sent := post(requestFrame(t, base, 0))
 	out, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
 	if sent.Code != http.StatusOK || err != nil || out.Held || len(wk.resident.byKey) != 0 {
 		t.Fatalf("block 0: status %d, response %+v, %d output(s) kept, %v", sent.Code, out, len(wk.resident.byKey), err)
 	}
-	hold, key, err := encodeRunRequest(base, 0, true, nil, nil, maxUploadBytes)
+	hold, key, err := encodeRunRequest(base, 0, true, nil, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,40 +475,41 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		t.Fatalf("block 0 held: status %d, response %+v (want rows %d), kept under its key %v; %v",
 			answer.Code, rb, out.Rows, held(&wk.resident, key), err)
 	}
-	carried := post(requestFrame(t, base, 1, map[int]*data.Table{0: out.Out}, nil))
-	named := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: key}))
-	if carried.Code != http.StatusOK || named.Code != http.StatusOK {
-		t.Fatalf("block 1: status %d carried, %d named", carried.Code, named.Code)
+	named := post(requestFrame(t, base, 1, residentRef{0, key.String()}))
+	if named.Code != http.StatusOK {
+		t.Fatalf("block 1: status %d: %s", named.Code, named.Body.Bytes())
 	}
-	// A carried table's rows say nothing of the source rows they came from,
-	// so the named response names more of them: the same block, in fewer
-	// bytes or as many.
-	if c, n := carried.Body.Len(), named.Body.Len(); n > c {
-		t.Errorf("block 1: the named response is %d bytes, the carried one %d", n, c)
-	} else {
-		t.Logf("block 1: the named response is %d bytes, the carried one %d", n, c)
-	}
-	fromCarried, err := decodeRunResponse(carried.Body, maxUploadBytes, db)
+
+	// The same two blocks in-process, block 1 reading block 0's late output.
+	an, err := p.Analysis()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromNamed, err := decodeRunResponse(named.Body, maxUploadBytes, db)
+	res, err := p.CSS()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shardC, shardN bytes.Buffer
-	fromCarried.Observed.WriteTo(&shardC)
-	fromNamed.Observed.WriteTo(&shardN)
-	if !reflect.DeepEqual(fromCarried.Out, fromNamed.Out) || !reflect.DeepEqual(fromCarried.Materialized, fromNamed.Materialized) ||
-		!bytes.Equal(shardC.Bytes(), shardN.Bytes()) || fromCarried.Rows != fromNamed.Rows || fromNamed.Out == nil || fromNamed.Observed.Len() == 0 {
-		t.Error("block 1: the named response decodes to another block than the carried one")
+	local := engine.New(an, db, nil)
+	b0, err := local.RunBlockCtx(context.Background(), 0, nil, res, sel.Observe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, err := local.RunBlockCtx(context.Background(), 1, nil, res, sel.Observe, map[int]*data.Late{0: b0.LateOut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := responseFrame(t, b1); !bytes.Equal(named.Body.Bytes(), want) {
+		t.Errorf("block 1: the named response (%d bytes) is not the in-process block's (%d bytes)", named.Body.Len(), len(want))
+	}
+	if fromNamed, err := decodeRunResponse(named.Body, maxUploadBytes, db); err != nil || fromNamed.Out == nil || fromNamed.Observed.Len() == 0 {
+		t.Errorf("block 1: the named response decodes to %+v, %v", fromNamed, err)
 	}
 	if n := len(wk.resident.byKey); n != 1 {
 		t.Errorf("the store holds %d output(s); only the held request's is kept", n)
 	}
 
 	unknown := digest(sha256.Sum256([]byte("never produced")))
-	miss := post(requestFrame(t, base, 1, map[int]*data.Table{0: nil}, map[int]digest{0: unknown}))
+	miss := post(requestFrame(t, base, 1, residentRef{0, unknown.String()}))
 	var body missingResident
 	if err := json.Unmarshal(miss.Body.Bytes(), &body); miss.Code != http.StatusConflict || err != nil ||
 		body.Error == "" || !reflect.DeepEqual(body.Missing, []string{unknown.String()}) {
@@ -513,18 +517,16 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	}
 }
 
-// mustFrame seals a frame of the given header and table sections, whatever
-// they say.
-func mustFrame(t testing.TB, header any, tables ...*data.Table) []byte {
+// mustFrame seals a frame of the given header and sections, whatever they
+// say.
+func mustFrame(t testing.TB, header any, sections ...[]byte) []byte {
 	t.Helper()
 	f, err := beginFrame(header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tbl := range tables {
-		if err := f.table(tbl); err != nil {
-			t.Fatal(err)
-		}
+	for _, sec := range sections {
+		f.add(sec)
 	}
 	frame, err := f.seal(maxUploadBytes)
 	if err != nil {
@@ -640,7 +642,7 @@ func FuzzRunFrame(f *testing.F) {
 	resp := responseFrame(f, frameBlock(f))
 	_, payload := framePayload(f, resp)
 	req := requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
-		map[int]*data.Table{2: frameTable("B2", data.Row{5, 6}, data.Row{5, 7}), 0: frameTable("B0")}, nil)
+		residentRef{0, digest(sha256.Sum256(nil)).String()}, residentRef{2, digest(sha256.Sum256([]byte("block 2"))).String()})
 	f.Add(resp)
 	f.Add(req)
 	f.Add(mustFrame(f, map[string]int{"wf": 6})) // stored
@@ -650,10 +652,8 @@ func FuzzRunFrame(f *testing.F) {
 	for n := 0; n < len(req); n += 7 {
 		f.Add(req[:n])
 	}
-	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3,
-		map[int]*data.Table{2: frameTable("B2"), 0: frameTable("B0")}, map[int]digest{2: sha256.Sum256(nil)}))
 	held, _, err := encodeRunRequest(&workerRunRequest{WF: 8, Scale: 0.5}, 1, true,
-		map[int]*data.Table{0: nil}, map[int]digest{0: sha256.Sum256(nil)}, maxUploadBytes)
+		[]residentRef{{0, digest(sha256.Sum256(nil)).String()}}, maxUploadBytes)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -663,16 +663,10 @@ func FuzzRunFrame(f *testing.F) {
 	f.Add(append(sealedFrame(f, frameStored, uint64(len(payload)), payload), 0))
 	f.Add(append(sealedFrame(f, frameDeflate, uint64(len(payload)), payload), 0))
 	f.Add(sealedFrame(f, frameStored, uint64(len(payload)), append(payload[:len(payload):len(payload)], 0)))
-	// An upstream table whose second column is a chain over its first.
-	var chain []data.Row
-	for _, k := range []int64{1, 1, 2, 1, 1, 2, 1, 1} {
-		v := 9 + k
-		if n := len(chain); n > 0 && chain[n-1][0] == k {
-			v = chain[n-1][1] + 7
-		}
-		chain = append(chain, data.Row{k, v})
-	}
-	f.Add(requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5}, 3, map[int]*data.Table{2: frameTable("B2", chain...)}, nil))
+	// A request with sections after its header: a late table, and an empty
+	// one.
+	f.Add(mustFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Block: 3}, hostileLate[0].section))
+	f.Add(mustFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Block: 3}, nil))
 	// One late output per refusal a late section can get.
 	for _, c := range hostileLate {
 		f.Add(lateResponse(f, c.section))

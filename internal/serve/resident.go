@@ -17,9 +17,9 @@ const residentBytes = 128 << 20
 // of the request that made them, least recently used first out. It is soft
 // state: a coordinator that names an output the store no longer holds gets
 // a 409 and sends the request that makes it again, so an eviction or a
-// restart costs a recompute, never a result. The zero value is empty and
-// ready; requests share it.
+// restart costs a recompute, never a result. Requests share it.
 type residentStore struct {
+	max   int64 // the bytes it may hold (residentBytes; tests lower it)
 	mu    sync.Mutex
 	bytes int64
 	order list.List // front = most recently used; values are *residentEntry
@@ -48,10 +48,10 @@ func lateBytes(t *data.Late) int64 {
 
 // put stores t under key, evicting the least recently used outputs to fit,
 // and reports whether it kept it: an output over the whole bound is not
-// kept.
+// kept, and its worker sends it instead.
 func (s *residentStore) put(key digest, t *data.Late) bool {
 	size := lateBytes(t)
-	if size > residentBytes {
+	if size > s.max {
 		return false
 	}
 	s.mu.Lock()
@@ -64,7 +64,7 @@ func (s *residentStore) put(key digest, t *data.Late) bool {
 		s.byKey = make(map[digest]*list.Element)
 	}
 	s.byKey[key] = s.order.PushFront(&residentEntry{key: key, t: t, size: size})
-	for s.bytes += size; s.bytes > residentBytes; {
+	for s.bytes += size; s.bytes > s.max; {
 		e := s.order.Remove(s.order.Back()).(*residentEntry)
 		delete(s.byKey, e.key)
 		s.bytes -= e.size

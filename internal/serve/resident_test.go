@@ -43,7 +43,7 @@ func TestLateBytes(t *testing.T) {
 // holds, keeps under residentBytes by dropping the least recently used
 // output, and keeps no output over the whole bound.
 func TestResidentStoreBound(t *testing.T) {
-	var s residentStore
+	s := residentStore{max: residentBytes}
 	a, b, c, huge := sha256.Sum256([]byte("a")), sha256.Sum256([]byte("b")), sha256.Sum256([]byte("c")), sha256.Sum256([]byte("huge"))
 	s.put(a, charged(50))
 	s.put(b, charged(50))
@@ -68,7 +68,7 @@ func TestResidentStoreBound(t *testing.T) {
 // TestResidentStoreConcurrent shares one store among requests that keep
 // and take outputs at once (run it under -race).
 func TestResidentStoreConcurrent(t *testing.T) {
-	var s residentStore
+	s := residentStore{max: residentBytes}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -26,15 +26,17 @@ import (
 // coordinator's fault tolerance simple: a block request carries (or
 // deterministically implies) everything its execution needs — the suite
 // workflow id and scale pin the generated data, the shipped join trees and
-// observe list pin the compiled plan, the upstream tables arrive in the
-// request body or are named by the request that made them — so any worker
-// can run any block, a reassigned block produces byte-identical results on
-// a different worker, and a worker that dies loses nothing but in-flight
-// work and what it held. What it holds is soft state: a request that says
-// Hold leaves its output here, under the request's key, and a later request
-// names it instead of carrying it; a worker that does not hold what a
-// request names answers 409 with the keys it misses, and the coordinator
-// sends it the requests that make them.
+// observe list pin the compiled plan, and each upstream output is named by
+// the request that made it — so any worker can run any block, a reassigned
+// block produces byte-identical results on a different worker, and a
+// worker that dies loses nothing but in-flight work and what it held. What
+// it holds is soft state: a request that says Hold leaves its output here,
+// under the request's key, and a later request names it; a worker that
+// does not hold what a request names answers 409 with the keys it misses,
+// and the coordinator sends it the requests that make them. An output over
+// the store's bound is sent instead of held, and the coordinator, which
+// then has no request that names it, runs the block that reads it
+// in-process.
 type Worker struct {
 	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
 	// lower it).
@@ -46,7 +48,7 @@ type Worker struct {
 
 // NewWorker returns a worker with an empty workflow cache.
 func NewWorker() *Worker {
-	return &Worker{maxBody: maxUploadBytes}
+	return &Worker{maxBody: maxUploadBytes, resident: residentStore{max: residentBytes}}
 }
 
 // workerKey identifies one deterministic dataset: the suite workflow and
@@ -66,8 +68,7 @@ type workerState struct {
 
 // workerRunRequest is the header of a block-execution request frame (see
 // frame.go): plain JSON — stats.Stat, workflow.JoinTree and css.Options are
-// flat exported structs that round-trip exactly. The upstream tables
-// follow it as raw sections in the data package's canonical binary codec.
+// flat exported structs that round-trip exactly. Nothing follows it.
 type workerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
@@ -87,12 +88,10 @@ type workerRunRequest struct {
 	Metrics    bool         `json:"metrics,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
 	Plans map[int]*workflow.JoinTree `json:"plans,omitempty"`
-	// Block is the block to execute; Upstream lists, ascending, the blocks
-	// whose boundary outputs follow the header, one table section each.
-	Block    int   `json:"block"`
-	Upstream []int `json:"upstream,omitempty"`
-	// Resident lists, by ascending block, the other upstream blocks: their
-	// outputs are in this worker's store, named by key, with no section.
+	// Block is the block to execute.
+	Block int `json:"block"`
+	// Resident lists, by ascending block, every block it reads from: their
+	// outputs are in this worker's store, named by key.
 	Resident []residentRef `json:"resident,omitempty"`
 	// Hold asks the worker to keep the block's output under this request's
 	// key and answer without it.
@@ -174,7 +173,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	req, upstream, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, wk.maxBody), wk.maxBody)
+	req, err := decodeRunRequest(http.MaxBytesReader(w, r.Body, wk.maxBody), wk.maxBody)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -198,7 +197,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	rb, status, err := wk.runBlock(r.Context(), req, upstream, held)
+	rb, status, err := wk.runBlock(r.Context(), req, held)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
@@ -228,7 +227,7 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 // classifies failures for the coordinator: 4xx are deterministic (bad
 // request or the block's own execution error — retrying elsewhere cannot
 // help), 5xx would be worker-local trouble.
-func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream map[int]*data.Table, held map[int]*data.Late) (*engine.RemoteBlock, int, error) {
+func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, held map[int]*data.Late) (*engine.RemoteBlock, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
 		return nil, http.StatusNotFound, err
@@ -256,7 +255,7 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, upstream 
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, upstream, held)
+	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, held)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The coordinator hung up (lease expiry or run cancellation);

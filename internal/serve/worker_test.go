@@ -16,7 +16,7 @@ import (
 // block0 is the request frame for the first block of a suite workflow, and
 // postFrame the status the worker answers a frame with.
 func block0(t *testing.T, wf int) []byte {
-	return requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale, Instrument: true}, 0, nil, nil)
+	return requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale, Instrument: true}, 0)
 }
 
 func postFrame(h http.Handler, frame []byte) int {
@@ -118,7 +118,7 @@ func TestWorkerRefusesScaleOutOfRange(t *testing.T) {
 	wk := NewWorker()
 	h := wk.Handler()
 	for _, scale := range []float64{1e12, -1, 0} {
-		frame := requestFrame(t, &workerRunRequest{WF: 1, Scale: scale}, 0, nil, nil)
+		frame := requestFrame(t, &workerRunRequest{WF: 1, Scale: scale}, 0)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(frame)))
 		if want := fmt.Sprintf("scale %v outside (0, 1]", scale); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
