@@ -59,8 +59,9 @@ cli-smoke:
 # The block scheduler and the concurrent store are the main race surface;
 # this is the gate CI runs in addition to the plain test job. Timed one
 # package at a time on a 2-CPU, 8 GB host: internal/core 99 s,
-# experiments 67 s, engine 28 s, estimate 23 s, every other package under
-# 20 s, and internal/suite about 4 min (run one golden subtest at a time,
+# experiments 67 s, optimizer 58 s (it runs 1,469 join trees, each a whole
+# workflow), engine 28 s, estimate 23 s, every other package under 20 s,
+# and internal/suite about 4 min (run one golden subtest at a time,
 # process start-ups included). Twice the slowest is under go test's default
 # 10m package budget, so none is set. The detector is hungry: experiments
 # peaks at 4.0 GB RSS, estimate and wftest each at 5.4–5.8 GB and

@@ -27,7 +27,7 @@ func TestEstimateAllocs(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(5, func() {
 			est := estimate.New(cy.CSS, cy.Observed.Observed)
-			if _, err := optimizer.OptimizeOpts(cy.CSS, est, cfg.CostModel, optimizer.Options{}); err != nil {
+			if _, err := optimizer.OptimizeOpts(cy.CSS, est, optimizer.Cout, optimizer.Options{}); err != nil {
 				t.Fatalf("wf%02d: OptimizeOpts: %v", c.wf, err)
 			}
 		})

@@ -33,7 +33,10 @@ type Config struct {
 	CSS css.Options
 	// Method selects the statistics-selection solver.
 	Method selector.Method
-	// CostModel prices plans during join-order optimization.
+	// CostModel is read by nothing: C_out is the only plan cost.
+	//
+	// Deprecated: the field stays only because bench/ passes it on
+	// (ROADMAP item 4 removes it with optimizer.CostModel).
 	CostModel optimizer.CostModel
 	// Streaming is read by nothing.
 	//
@@ -190,7 +193,7 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 
 	start = time.Now()
 	cy.Estimator = estimate.New(res, run.Observed)
-	plans, err := optimizer.OptimizeOpts(res, cy.Estimator, cfg.CostModel,
+	plans, err := optimizer.OptimizeOpts(res, cy.Estimator, optimizer.Cout,
 		optimizer.Options{FallbackInitial: cy.Degradation != nil})
 	if err != nil {
 		return cy, fmt.Errorf("core: optimize: %w", err)

@@ -143,8 +143,8 @@ func (p *Plan) Timings(m selector.Method) Timings {
 
 // Optimize cost-optimizes every block from a statistics store — saved by
 // an earlier run, or held by the serving daemon's catalog — without
-// executing the workflow. cfg supplies the cost model and
-// AllowPartialStats; the Plan supplies the CSS options.
+// executing the workflow. cfg supplies AllowPartialStats; the Plan
+// supplies the CSS options.
 //
 // A store that cannot derive every required SE cardinality fails with a
 // typed *MissingStatsError naming the underivable statistics — silent
@@ -161,7 +161,7 @@ func (p *Plan) Optimize(store *stats.Store, cfg Config) (*estimate.Estimator, *o
 	if miss := missingRequired(res, est); miss != nil && !cfg.AllowPartialStats {
 		return nil, nil, miss
 	}
-	plans, err := optimizer.OptimizeOpts(res, est, cfg.CostModel,
+	plans, err := optimizer.OptimizeOpts(res, est, optimizer.Cout,
 		optimizer.Options{FallbackInitial: cfg.AllowPartialStats})
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: optimize: %w", err)

@@ -28,6 +28,9 @@ import (
 // With one slot the loop is the plain topological order, on the caller's
 // goroutine.
 
+// ErrRowGuard is what a run stopped by Engine.MaxRows fails with (wrapped).
+var ErrRowGuard = errors.New("intermediate-cardinality guard")
+
 // rowBudget is the shared intermediate-cardinality guard: every counted row
 // of the run charges it, across blocks and workers. A nil budget (MaxRows
 // <= 0) never trips.
@@ -82,7 +85,7 @@ func (b *rowBudget) add(n int64) error {
 		return b.parent.add(n)
 	}
 	if b.limit > 0 && used > b.limit {
-		return fmt.Errorf("intermediate-cardinality guard: run exceeded MaxRows=%d intermediate rows (join blowup from data skew or a bad join order; raise MaxRows or set 0 to disable)", b.limit)
+		return fmt.Errorf("%w: run exceeded MaxRows=%d intermediate rows (join blowup from data skew or a bad join order; raise MaxRows or set 0 to disable)", ErrRowGuard, b.limit)
 	}
 	return nil
 }

@@ -100,7 +100,11 @@ func Tables(exp string, scale float64) ([]*Table, error) {
 // EndToEndTable is E6's table for one suite workflow; an id outside the
 // suite returns *suite.UnknownWorkflowError.
 func EndToEndTable(id int, scale float64) (*Table, error) {
-	rows, err := endToEnd([]int{id}, scale)
+	w, err := suite.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := endToEnd([]*suite.Workflow{w}, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +138,7 @@ var experimentOrder = []struct {
 	{"fig10", (*report).sweepSuite, (*report).fig10},
 	{"fig11", (*report).sweepSuite, (*report).fig11},
 	{"fig12", (*report).sweepSuite, (*report).fig12},
-	{"e2e", func(r *report) (err error) { r.e2e, err = endToEnd(e2eWorkflows, r.scale); return err }, (*report).e2eTables},
+	{"e2e", func(r *report) (err error) { r.e2e, err = endToEnd(suite.All(), r.scale); return err }, (*report).e2eTables},
 	{"greedy", (*report).sweepSuite, (*report).greedyTables},
 	{"budget", func(r *report) (err error) { r.budget, err = budgetSweep(9); return err }, (*report).budgetTables},
 	{"free", func(r *report) (err error) { r.free, err = freeSourceAblation(); return err }, (*report).freeTables},
@@ -273,6 +277,10 @@ func (r *report) e2eTables() []*Table {
 	t := newTable("e2e", fmt.Sprintf("E6: end-to-end, observe once and optimize exactly (scale %g)", r.scale),
 		"wf", "SEs", "exact", "initCost", "optCost", "speedup", "initRows", "optRows", "maxQ")
 	for _, e := range r.e2e {
+		if e.Stopped {
+			t.add(e.ID, "—", fmt.Sprintf("stopped at %d rows", e2eMaxRows), "—", "—", "—", "—", "—", "—")
+			continue
+		}
 		t.add(e.ID, e.SEs, fmt.Sprintf("%d/%d", e.ExactSEs, e.SEs), fmt.Sprintf("%.0f", e.InitCost),
 			fmt.Sprintf("%.0f", e.OptCost), fmt.Sprintf("%.2fx", e.Speedup), e.InitRows, e.OptRows,
 			fmt.Sprintf("%.3g", e.MaxQ))

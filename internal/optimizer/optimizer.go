@@ -1,8 +1,11 @@
 // Package optimizer implements the final step of the paper's loop (Section
 // 3.2.7): classical cost-based join-order optimization per optimizable
 // block, driven by the cardinalities the estimation layer derives from the
-// observed statistics. Because the derived cardinalities are exact, the
-// optimizer costs every alternative plan exactly — the property the whole
+// observed statistics. A plan costs C_out, the sum of its joins' output
+// cardinalities. That is the engine's own work up to a per-block constant
+// (every reordering shares the block's other operators), so with exact
+// cardinalities the optimizer costs every alternative exactly, and the
+// tree it picks runs the fewest rows — the property the whole
 // statistics-selection framework exists to establish.
 package optimizer
 
@@ -21,26 +24,24 @@ type CardSource interface {
 	CardOf(block int, se expr.Set) (int64, error)
 }
 
-// CostModel prices a join given input and output cardinalities.
+// CostModel is read by nothing.
+//
+// Deprecated: C_out is the only plan cost; the type and Cout stay only
+// because bench/ passes them (ROADMAP item 4 removes both).
 type CostModel int
 
-// Supported cost models.
-const (
-	// Cout sums the cardinalities of all intermediate results — the
-	// classical C_out metric, which isolates join-order quality from
-	// physical details.
-	Cout CostModel = iota
-	// HashJoin prices each join as build + probe + output
-	// (|build| + |probe| + |out|), a closer proxy for a batch ETL engine.
-	HashJoin
-)
+// Cout is the only CostModel.
+//
+// Deprecated: see CostModel.
+const Cout CostModel = 0
 
 // Plan is an optimized plan for one block.
 type Plan struct {
 	Block int
 	// Tree is the chosen join order (nil for join-free blocks).
 	Tree *workflow.JoinTree
-	// Cost is the plan's estimated cost under the chosen model.
+	// Cost is the plan's C_out: the summed estimated output cardinalities
+	// of its joins.
 	Cost float64
 	// InitialCost is the user-designed plan's cost, for comparison.
 	InitialCost float64
@@ -70,13 +71,14 @@ func (r *Result) Trees() map[int]*workflow.JoinTree {
 }
 
 // Improvement returns the ratio of initial plan cost to optimized plan cost
-// under the cost model the plans were priced with (1.0 = the initial plans
-// were already optimal, or nothing was optimized).
+// (1.0 = the initial plans were already optimal, or nothing was optimized).
+// An optimized cost of 0 — every join of the chosen plans empty — divides
+// as 1, so the ratio is the initial cost itself and stays finite.
 func (r *Result) Improvement() float64 {
-	if r == nil || r.TotalCost == 0 {
+	if r == nil || r.TotalInitialCost == r.TotalCost {
 		return 1
 	}
-	return r.TotalInitialCost / r.TotalCost
+	return r.TotalInitialCost / max(r.TotalCost, 1)
 }
 
 // Options tune the optimizer's plan space.
@@ -91,12 +93,12 @@ type Options struct {
 // OptimizeOpts chooses the cheapest join order for every block by dynamic
 // programming over connected sub-expressions (the same plan space the CSS
 // generation enumerated), costing each composition with cardinalities from
-// the card source.
-func OptimizeOpts(res *css.Result, cards CardSource, model CostModel, opt Options) (*Result, error) {
+// the card source. The CostModel argument is ignored.
+func OptimizeOpts(res *css.Result, cards CardSource, _ CostModel, opt Options) (*Result, error) {
 	out := &Result{Plans: make(map[int]*Plan)}
 	for bi, sp := range res.Spaces {
 		blk := res.Analysis.Blocks[bi]
-		p, err := optimizeBlock(bi, blk, sp, cards, model, opt)
+		p, err := optimizeBlock(bi, blk, sp, cards)
 		if err != nil {
 			if !opt.FallbackInitial {
 				return nil, fmt.Errorf("block %d: %w", bi, err)
@@ -111,12 +113,12 @@ func OptimizeOpts(res *css.Result, cards CardSource, model CostModel, opt Option
 	return out, nil
 }
 
-func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource, model CostModel, opt Options) (*Plan, error) {
+func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource) (*Plan, error) {
 	if blk.Initial == nil || blk.RejectPinned {
 		// Join-free or pinned blocks admit exactly one plan.
 		cost := 0.0
 		if blk.Initial != nil {
-			c, err := treeCost(bi, blk, sp, blk.Initial, cards, model)
+			c, err := treeCost(bi, blk.Initial, cards)
 			if err != nil {
 				return nil, err
 			}
@@ -124,35 +126,25 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 		}
 		return &Plan{Block: bi, Tree: blk.Initial, Cost: cost, InitialCost: cost}, nil
 	}
-	// Everything below is indexed by an SE's position in sp.SEs: the DP
-	// table, and the cardinalities, each asked of the card source once.
-	cardOf := make([]float64, len(sp.SEs))
-	known := make([]bool, len(sp.SEs))
-	card := func(i int) (float64, error) {
-		if !known[i] {
-			c, err := cards.CardOf(bi, sp.SEs[i])
-			if err != nil {
-				return 0, err
-			}
-			cardOf[i], known[i] = float64(c), true
-		}
-		return cardOf[i], nil
-	}
+	// The DP table is indexed by an SE's position in sp.SEs. Every SE's
+	// cardinality is asked, leaves included, so a block whose statistics
+	// cannot derive one falls back however cheap its plans would be.
 	type entry struct {
 		cost float64
 		tree *workflow.JoinTree
 	}
 	best := make([]entry, len(sp.SEs))
 	for i, se := range sp.SEs { // sorted by size: DP order
+		card, err := cards.CardOf(bi, se)
+		if err != nil {
+			return nil, err
+		}
 		if se.Len() == 1 {
 			best[i] = entry{cost: 0, tree: &workflow.JoinTree{Leaf: se.Lowest(), Join: -1}}
 			continue
 		}
+		// Every plan of se pays the same output, so the subplans decide.
 		cur := entry{cost: math.Inf(1)}
-		outCard, err := card(i)
-		if err != nil {
-			return nil, err
-		}
 		for _, p := range sp.Plans[se] {
 			li, okL := sp.IndexOf(p.Left)
 			ri, okR := sp.IndexOf(p.Right)
@@ -160,19 +152,10 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 				continue
 			}
 			l, r := best[li], best[ri]
-			lCard, err := card(li)
-			if err != nil {
-				return nil, err
-			}
-			rCard, err := card(ri)
-			if err != nil {
-				return nil, err
-			}
-			c := l.cost + r.cost + joinCost(model, lCard, rCard, outCard)
 			// Strict < keeps the earliest enumerated plan on cost ties;
 			// sp.Plans order is deterministic (SEs sorted, subset splits
 			// ordered), so the chosen tree is stable across runs.
-			if c < cur.cost {
+			if c := l.cost + r.cost; c < cur.cost {
 				cur = entry{
 					cost: c,
 					tree: &workflow.JoinTree{Leaf: -1, Join: p.Edge, Left: l.tree, Right: r.tree},
@@ -182,54 +165,32 @@ func optimizeBlock(bi int, blk *workflow.Block, sp *expr.Space, cards CardSource
 		if math.IsInf(cur.cost, 1) {
 			return nil, fmt.Errorf("no plan for SE %s", se.Label(blk))
 		}
+		cur.cost += float64(card)
 		best[i] = cur
 	}
 	fi, _ := sp.IndexOf(sp.Full())
 	full := best[fi]
-	initCost, err := treeCost(bi, blk, sp, blk.Initial, cards, model)
+	initCost, err := treeCost(bi, blk.Initial, cards)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{Block: bi, Tree: full.tree, Cost: full.cost, InitialCost: initCost}, nil
 }
 
-// treeCost prices a concrete join tree.
-func treeCost(bi int, blk *workflow.Block, sp *expr.Space, t *workflow.JoinTree, cards CardSource, model CostModel) (float64, error) {
-	if t == nil || t.IsLeaf() {
-		return 0, nil
+// treeCost prices a concrete join tree by C_out. Its leaves cost nothing
+// but are asked too, like the DP's.
+func treeCost(bi int, t *workflow.JoinTree, cards CardSource) (float64, error) {
+	card, err := cards.CardOf(bi, expr.NewSet(t.Inputs()...))
+	if err != nil || t.IsLeaf() {
+		return 0, err
 	}
-	lc, err := treeCost(bi, blk, sp, t.Left, cards, model)
+	l, err := treeCost(bi, t.Left, cards)
 	if err != nil {
 		return 0, err
 	}
-	rc, err := treeCost(bi, blk, sp, t.Right, cards, model)
+	r, err := treeCost(bi, t.Right, cards)
 	if err != nil {
 		return 0, err
 	}
-	lSet := expr.NewSet(t.Left.Inputs()...)
-	rSet := expr.NewSet(t.Right.Inputs()...)
-	lCard, err := cards.CardOf(bi, lSet)
-	if err != nil {
-		return 0, err
-	}
-	rCard, err := cards.CardOf(bi, rSet)
-	if err != nil {
-		return 0, err
-	}
-	oCard, err := cards.CardOf(bi, lSet.Union(rSet))
-	if err != nil {
-		return 0, err
-	}
-	return lc + rc + joinCost(model, float64(lCard), float64(rCard), float64(oCard)), nil
-}
-
-func joinCost(model CostModel, left, right, out float64) float64 {
-	switch model {
-	case HashJoin:
-		build := math.Min(left, right)
-		probe := math.Max(left, right)
-		return build*1.5 + probe + out
-	default: // Cout
-		return out
-	}
+	return l + r + float64(card), nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/expr"
+	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
@@ -151,22 +152,6 @@ func TestOptimizeDeterministicUnderTies(t *testing.T) {
 	}
 }
 
-func TestOptimizeHashJoinModel(t *testing.T) {
-	res := chain3(t)
-	cards := fixedCards{res.Space(0).Full(): 10}
-	out, err := OptimizeOpts(res, cards, HashJoin, Options{})
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if out.Plans[0].Cost <= 0 {
-		t.Fatalf("hash-join cost = %v, want positive", out.Plans[0].Cost)
-	}
-	trees := out.Trees()
-	if trees[0] == nil {
-		t.Fatal("Trees() lost the plan")
-	}
-}
-
 func TestOptimizeRejectPinnedBlock(t *testing.T) {
 	cat := &workflow.Catalog{Relations: []*workflow.Relation{
 		{Name: "A", Card: 10, Columns: []workflow.Column{{Name: "k", Domain: 5}}},
@@ -192,5 +177,26 @@ func TestOptimizeRejectPinnedBlock(t *testing.T) {
 	p := out.Plans[0]
 	if p.Tree != an.Blocks[0].Initial {
 		t.Fatal("pinned block must keep its initial tree")
+	}
+}
+
+// TestImprovementOfAnEmptyPlan pins Improvement where the optimized plans
+// cost 0: at scale 0.002 wf17's reordered joins all come out empty (C_out
+// 6,086 → 0), and the ratio is the initial cost itself, where it used to
+// read 1. Wherever the optimized cost is at least 1 it is the plain ratio.
+func TestImprovementOfAnEmptyPlan(t *testing.T) {
+	w := suite.MustGet(17)
+	_, _, out := learn(t, w.Graph, w.Catalog, w.Data(0.002))
+	if out.TotalInitialCost != 6086 || out.TotalCost != 0 || out.Improvement() != 6086 {
+		t.Errorf("wf17: cost %v → %v, improvement %v; want 6086 → 0, 6086",
+			out.TotalInitialCost, out.TotalCost, out.Improvement())
+	}
+	for _, c := range []struct{ initial, optimized, want float64 }{
+		{0, 0, 1}, {7, 7, 1}, {10, 4, 2.5}, {3, 1, 3},
+	} {
+		r := &Result{TotalInitialCost: c.initial, TotalCost: c.optimized}
+		if got := r.Improvement(); got != c.want {
+			t.Errorf("Improvement(%v → %v) = %v, want %v", c.initial, c.optimized, got, c.want)
+		}
 	}
 }

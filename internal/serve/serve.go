@@ -40,7 +40,6 @@ import (
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/estimate"
-	"github.com/essential-stats/etlopt/internal/optimizer"
 	"github.com/essential-stats/etlopt/internal/schedule"
 	"github.com/essential-stats/etlopt/internal/selector"
 	"github.com/essential-stats/etlopt/internal/stats"
@@ -407,8 +406,6 @@ func maxQError(res *css.Result, prev, cur *stats.Store) (float64, bool) {
 // optimizeRequest asks for cost-based plans from the cataloged statistics.
 type optimizeRequest struct {
 	Workflow string `json:"workflow"`
-	// CostModel is "cout" (default) or "hashjoin".
-	CostModel string `json:"costModel,omitempty"`
 	// AllowPartial optimizes the derivable subset of a partial store,
 	// leaving affected blocks on their initial plans (core.Config.
 	// AllowPartialStats).
@@ -419,7 +416,6 @@ type optimizeRequest struct {
 type optimizeResponse struct {
 	Workflow         string     `json:"workflow"`
 	Generation       int        `json:"generation"`
-	CostModel        string     `json:"costModel"`
 	TotalCost        float64    `json:"totalCost"`
 	TotalInitialCost float64    `json:"totalInitialCost"`
 	Improvement      float64    `json:"improvement"`
@@ -445,16 +441,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown workflow %q", req.Workflow))
 		return
 	}
-	model := optimizer.Cout
-	switch req.CostModel {
-	case "", "cout":
-		req.CostModel = "cout"
-	case "hashjoin":
-		model = optimizer.HashJoin
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown cost model %q", req.CostModel))
-		return
-	}
 	entry, ok := s.catalog.get(req.Workflow)
 	s.metrics.catalog(ok)
 	if !ok {
@@ -469,9 +455,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// solved from); a drifted upload raises the workflow's generation
 	// bound instead, which both empties the cache and blocks late inserts
 	// from solves still in flight against the superseded store.
-	key := fmt.Sprintf("optimize|%s|partial=%v", req.CostModel, req.AllowPartial)
+	key := fmt.Sprintf("optimize|partial=%v", req.AllowPartial)
 	body, hit, err := s.solved(r.Context(), req.Workflow, entry.Generation, key, func() ([]byte, error) {
-		return s.solveOptimize(req, model, entry)
+		return s.solveOptimize(req, entry)
 	})
 	if err != nil {
 		var busy *busyError
@@ -499,13 +485,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 // solveOptimize produces the optimize response body from one catalog
 // entry.
-func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, entry *Entry) ([]byte, error) {
+func (s *Server) solveOptimize(req optimizeRequest, entry *Entry) ([]byte, error) {
 	p, err := s.planFor(req.Workflow)
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.CostModel = model
 	cfg.AllowPartialStats = req.AllowPartial
 	_, plans, err := p.Optimize(entry.Store, cfg)
 	if err != nil {
@@ -518,7 +503,6 @@ func (s *Server) solveOptimize(req optimizeRequest, model optimizer.CostModel, e
 	resp := optimizeResponse{
 		Workflow:         req.Workflow,
 		Generation:       entry.Generation,
-		CostModel:        req.CostModel,
 		TotalCost:        plans.TotalCost,
 		TotalInitialCost: plans.TotalInitialCost,
 		Improvement:      plans.Improvement(),

@@ -320,9 +320,11 @@ func TestServeErrorPaths(t *testing.T) {
 	}
 
 	// Bad request bodies.
-	resp, _ = post(t, ts.URL+"/v1/optimize", "application/json", []byte(`{"workflow":"tiny","costModel":"quantum"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad cost model: %d", resp.StatusCode)
+	// C_out is the only plan cost: a costModel field, even "cout", is an
+	// unknown field.
+	resp, body = post(t, ts.URL+"/v1/optimize", "application/json", []byte(`{"workflow":"tiny","costModel":"cout"}`))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"costModel\"`) {
+		t.Fatalf("costModel field: %d %s", resp.StatusCode, body)
 	}
 	resp, _ = post(t, ts.URL+"/v1/estimate", "application/json", []byte(`{"workflow":"tiny","method":"oracle"}`))
 	if resp.StatusCode != http.StatusBadRequest {

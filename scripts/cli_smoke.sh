@@ -165,6 +165,10 @@ grep -q '^recovered from transient faults: ' "$work/faults.out"
 grep -v '^recovered from transient faults: ' "$work/faults.out" | cmp - "$work/plain.out"
 "$etlopt" run -wf 3 > "$work/out"
 grep -q '^observed 6 statistics (memory 304 units)' "$work/out"
+# wf17's optimized joins are all empty (cost 6086 -> 0): the improvement
+# is the initial cost itself, finite, never the 1.00x of "nothing gained".
+"$etlopt" run -wf 17 -scale 0.002 > "$work/out"
+grep -q '^plan-cost improvement: 6086.00x$' "$work/out"
 # There is no sketch statistics tier, so its old flag is a usage error.
 exits 2 "$etlopt" run -wf 3 -stats-tier approx
 grep -q 'flag provided but not defined' "$work/err"
