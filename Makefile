@@ -31,6 +31,7 @@ test: fuzz
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadLate$$' -fuzztime=$(FUZZTIME) ./internal/data
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzReadStoreTypedErrors$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run='^$$' -fuzz='^FuzzRunFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve

@@ -1,7 +1,5 @@
 package batch
 
-import "sync"
-
 // slabElems is the default slab size in elements. One slab holds 64Ki
 // values (512KiB for int64) — large enough that a typical operator output
 // costs zero allocations once the arena is warm, small enough that a run
@@ -14,9 +12,10 @@ const slabElems = 1 << 16
 // carve pointer without releasing the slabs, so steady-state allocation is
 // pointer arithmetic.
 type slabs[T int64 | int32] struct {
-	all [][]T
-	cur int // slab being carved
-	off int // carve offset within all[cur]
+	all   [][]T
+	cur   int // slab being carved
+	off   int // carve offset within all[cur]
+	elems int // elements in all
 }
 
 func (s *slabs[T]) alloc(n int) []T {
@@ -33,12 +32,8 @@ func (s *slabs[T]) alloc(n int) []T {
 		s.cur++
 		s.off = 0
 	}
-	size := n
-	if size < slabElems {
-		size = slabElems
-	}
-	slab := make([]T, size)
-	s.all = append(s.all, slab)
+	slab := make([]T, max(n, slabElems))
+	s.all, s.elems = append(s.all, slab), s.elems+len(slab)
 	s.off = n
 	return slab[:n:n]
 }
@@ -53,8 +48,9 @@ func (s *slabs[T]) reset() { s.cur, s.off = 0, 0 }
 //
 // Lifetime rule: nothing allocated from an arena may outlive its reset.
 // Everything that crosses an arena boundary — block outputs, materialized
-// tables, reject links, statistic values — is copied out first (Table and
-// the statistic stores own their memory).
+// tables, reject links, statistic values — leaves in memory of its own: the
+// index vectors Reads returns, the values the engine copies into a late
+// table, the statistic stores.
 //
 // An Arena is not safe for concurrent use; blocks running concurrently take
 // one each.
@@ -78,16 +74,33 @@ func (a *Arena) reset() {
 	a.i32.reset()
 }
 
-// arenaPool recycles arenas (and therefore their slabs) across block
-// attempts and runs.
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+// arenas recycles arenas, and so their slabs, across block attempts and
+// runs. A sync.Pool lost most of them to the row build the scheduler runs
+// after each block (data.Late.Table), whose collections and goroutine
+// hand-offs emptied it. An arena of more than maxArenaElems is dropped, so
+// one huge block does not pin its memory.
+var arenas = make(chan *Arena, 8)
 
-// GetArena returns a reset arena from the pool.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
+const maxArenaElems = 1 << 23
 
-// PutArena resets the arena and returns it to the pool. The caller must not
-// retain any vector allocated from it.
+// GetArena returns a reset arena from the free list, or a new one.
+func GetArena() *Arena {
+	select {
+	case a := <-arenas:
+		return a
+	default:
+		return new(Arena)
+	}
+}
+
+// PutArena resets the arena and hands it back to the free list. The caller
+// must not retain any vector allocated from it.
 func PutArena(a *Arena) {
 	a.reset()
-	arenaPool.Put(a)
+	if a.i64.elems+a.i32.elems <= maxArenaElems {
+		select {
+		case arenas <- a:
+		default:
+		}
+	}
 }

@@ -3,17 +3,17 @@
 // batch-at-a-time over these vectors instead of row-at-a-time over
 // map/slice rows — filters mark rows in a selection vector instead of
 // materializing new tables, joins emit index vectors instead of copying
-// columns, operators allocate their output vectors from a per-scope arena,
-// and only results that cross an engine boundary (block outputs,
-// materialized targets, statistic values) are copied out.
+// columns, and operators allocate their output vectors from a per-scope
+// arena. Nothing here builds rows: a table that crosses a block boundary
+// (a block output, a materialized target) leaves as the index vectors Reads
+// returns, in the engine's late form (data.Late), whose Table is the one
+// row kernel, and an upstream output comes back in through FromLate.
 package batch
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/mix"
@@ -32,9 +32,7 @@ import (
 // Cols[c][idx[c][r]]. Read columns through Col, which gathers a late column
 // into the batch's arena on its first read and caches the dense copy;
 // Cols[c] is the column itself only when it is dense. Because Col caches, a
-// Batch is not safe for concurrent use — except that Table reads only Cols,
-// idx and Sel, which are never written once the batch is made, and never
-// the cache, so it copies one batch's row ranges on several goroutines.
+// Batch is not safe for concurrent use.
 type Batch struct {
 	Cols [][]int64
 	N    int
@@ -229,28 +227,28 @@ func (b *Batch) Reads() []Read {
 	return reads
 }
 
-// liveIndex is ix, or the identity for a nil ix, read at the live rows.
+// liveIndex is ix, or the identity for a nil ix, read at the live rows. A
+// copy is a clone, which the runtime does not zero first.
 func (b *Batch) liveIndex(ix []int32) []int32 {
-	out := make([]int32, b.Rows())
 	switch {
-	case ix == nil && b.Sel == nil:
-		for i := range out {
+	case ix == nil && b.Sel != nil:
+		return slices.Clone(b.Sel)
+	case ix != nil && b.Sel == nil:
+		return slices.Clone(ix[:b.N])
+	}
+	out := make([]int32, b.Rows())
+	for i := range out {
+		if ix == nil {
 			out[i] = int32(i)
-		}
-	case ix == nil:
-		copy(out, b.Sel)
-	case b.Sel == nil:
-		copy(out, ix[:b.N])
-	default:
-		for i, r := range b.Sel {
-			out[i] = ix[r]
+		} else {
+			out[i] = ix[b.Sel[i]]
 		}
 	}
 	return out
 }
 
-// FromTable transposes a row-major table into a columnar batch with every
-// column allocated from the arena.
+// FromTable transposes a row-major source relation into a columnar batch
+// with every column allocated from the arena.
 func FromTable(t *data.Table, a *Arena) (*Batch, error) {
 	n, w := len(t.Rows), len(t.Attrs)
 	if n > math.MaxInt32 {
@@ -280,85 +278,6 @@ func FromLate(t *data.Late, a *Arena) (*Batch, error) {
 		t.Gather(b.Cols[c], c)
 	}
 	return b, nil
-}
-
-// tileRows is how many rows Table writes per pass over the columns: a tile
-// of output rows stays in cache while every column is written into it.
-const tileRows = 256
-
-// tableParts returns how many contiguous row ranges Table copies in
-// parallel for n rows of w columns: one per core, each of at least one
-// arena slab of cells, and never fewer than one.
-func tableParts(n, w int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), n*w/slabElems))
-}
-
-// Table materializes the live rows into a row-major table, reading late
-// columns through their index vectors, so no column is gathered first. The
-// live rows are split into tableParts contiguous ranges, copied
-// concurrently, the caller's goroutine taking the first; each range has one
-// flat backing array of its own, so the runtime's zeroing of it runs in
-// parallel too. Row order is the batch's.
-func (b *Batch) Table(rel string, attrs []workflow.Attr) *data.Table {
-	return b.table(rel, attrs, tableParts(b.Rows(), len(b.Cols)))
-}
-
-// table is Table over the given number of ranges.
-func (b *Batch) table(rel string, attrs []workflow.Attr, parts int) *data.Table {
-	n := b.Rows()
-	t := &data.Table{Rel: rel, Attrs: attrs}
-	if n == 0 {
-		return t
-	}
-	t.Rows = make([]data.Row, n)
-	var wg sync.WaitGroup
-	for k := 1; k < parts; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.copyRows(t.Rows, k*n/parts, (k+1)*n/parts)
-		}()
-	}
-	b.copyRows(t.Rows, 0, n/parts)
-	wg.Wait()
-	return t
-}
-
-// copyRows writes live rows [lo, hi) into rows[lo:hi] over one fresh
-// backing array, in tiles of tileRows rows. It reads only Cols, idx and Sel,
-// which no one writes once the batch is made, so ranges may be copied
-// concurrently.
-func (b *Batch) copyRows(rows []data.Row, lo, hi int) {
-	w := len(b.Cols)
-	backing := make([]int64, (hi-lo)*w)
-	for i := range rows[lo:hi] {
-		rows[lo+i] = backing[i*w : (i+1)*w : (i+1)*w]
-	}
-	for tlo := lo; tlo < hi; tlo += tileRows {
-		thi := min(tlo+tileRows, hi)
-		for c := 0; c < w; c++ {
-			dst := backing[(tlo-lo)*w+c:]
-			src, ix := b.Cols[c], b.late(c)
-			switch {
-			case b.Sel == nil && ix == nil:
-				for i, v := range src[tlo:thi] {
-					dst[i*w] = v
-				}
-			case b.Sel == nil:
-				for i, r := range ix[tlo:thi] {
-					dst[i*w] = src[r]
-				}
-			case ix == nil:
-				for i, r := range b.Sel[tlo:thi] {
-					dst[i*w] = src[r]
-				}
-			default:
-				for i, r := range b.Sel[tlo:thi] {
-					dst[i*w] = src[ix[r]]
-				}
-			}
-		}
-	}
 }
 
 // SelectPred evaluates the single-attribute predicate over the column and

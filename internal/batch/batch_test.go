@@ -18,6 +18,23 @@ func testTable(rows ...[]int64) *data.Table {
 	return t
 }
 
+// rowsOf returns b's live rows, each column read through Reads: the index
+// vectors a block boundary's late form leaves with.
+func rowsOf(b *Batch) [][]int64 {
+	rows := make([][]int64, b.Rows())
+	for i := range rows {
+		rows[i] = make([]int64, len(b.Cols))
+	}
+	for _, rd := range b.Reads() {
+		for _, c := range rd.Cols {
+			for i, r := range rd.Idx {
+				rows[i][c] = b.Cols[c][r]
+			}
+		}
+	}
+	return rows
+}
+
 func TestFromTableRoundTrip(t *testing.T) {
 	a := GetArena()
 	defer PutArena(a)
@@ -29,11 +46,11 @@ func TestFromTableRoundTrip(t *testing.T) {
 	if b.Rows() != 3 || len(b.Cols) != 2 {
 		t.Fatalf("batch shape %dx%d, want 3x2", b.Rows(), len(b.Cols))
 	}
-	back := b.Table(tbl.Rel, tbl.Attrs)
-	if len(back.Rows) != 3 {
-		t.Fatalf("round trip rows = %d, want 3", len(back.Rows))
+	back := rowsOf(b)
+	if len(back) != 3 {
+		t.Fatalf("round trip rows = %d, want 3", len(back))
 	}
-	for i, r := range back.Rows {
+	for i, r := range back {
 		for c, v := range r {
 			if v != tbl.Rows[i][c] {
 				t.Fatalf("round trip [%d][%d] = %d, want %d", i, c, v, tbl.Rows[i][c])
@@ -63,9 +80,9 @@ func TestSelectionSemantics(t *testing.T) {
 		t.Fatalf("chained sel = %v, want [3]", sel2)
 	}
 	// Materializing honors the selection in order.
-	out := (&Batch{Cols: b.Cols, N: b.N, Sel: sel}).Table("f", tbl.Attrs)
-	if len(out.Rows) != 2 || out.Rows[0][1] != 20 || out.Rows[1][1] != 40 {
-		t.Fatalf("materialized selection = %v", out.Rows)
+	out := rowsOf(&Batch{Cols: b.Cols, N: b.N, Sel: sel})
+	if len(out) != 2 || out[0][1] != 20 || out[1][1] != 40 {
+		t.Fatalf("materialized selection = %v", out)
 	}
 }
 

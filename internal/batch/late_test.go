@@ -1,13 +1,9 @@
 package batch
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
-
-	"github.com/essential-stats/etlopt/internal/data"
 )
 
 // lateCase is a batch under test and its row model: model[i] is the i-th
@@ -188,17 +184,18 @@ func treeCase(t *testing.T, rng *rand.Rand, joins *int, a *Arena, all *[]lateCas
 	return out
 }
 
-// checkCase holds Table and every Col to the row model.
+// checkCase holds the rows read through Reads and every Col to the row
+// model.
 func checkCase(t *testing.T, seed int64, lc lateCase) {
 	t.Helper()
 	check := func(when string) {
-		tbl := lc.b.Table("T", nil)
-		if len(tbl.Rows) != len(lc.model) {
-			t.Fatalf("seed %d %s: Table has %d rows, model %d", seed, when, len(tbl.Rows), len(lc.model))
+		rows := rowsOf(lc.b)
+		if len(rows) != len(lc.model) {
+			t.Fatalf("seed %d %s: %d rows, model %d", seed, when, len(rows), len(lc.model))
 		}
-		for i, row := range tbl.Rows {
+		for i, row := range rows {
 			if !slices.Equal(row, lc.model[i]) {
-				t.Fatalf("seed %d %s: Table row %d = %v, model %v", seed, when, i, row, lc.model[i])
+				t.Fatalf("seed %d %s: row %d = %v, model %v", seed, when, i, row, lc.model[i])
 			}
 		}
 	}
@@ -270,7 +267,7 @@ func TestLateColumnsModel(t *testing.T) {
 }
 
 // TestJoinGathersOnRead pins where late columns spend arena memory: a join
-// and its Table carve no int64 vector, the first Col of a column carves
+// and its Reads carve no int64 vector, the first Col of a column carves
 // exactly N values and the second nothing, and a join of a join composes
 // one int32 vector per distinct input index — however the columns of the
 // two sides are interleaved, and whether or not a column was gathered
@@ -296,11 +293,11 @@ func TestJoinGathersOnRead(t *testing.T) {
 	if a.i32.off != i32 {
 		t.Fatalf("joining two dense batches carved %d int32 values, want none", a.i32.off-i32)
 	}
-	if tbl := j.Table("j", nil); len(tbl.Rows) != 100 || tbl.Rows[37][2] != 7 {
-		t.Fatalf("join table: %d rows, row 37 = %v", len(tbl.Rows), tbl.Rows[37])
+	if rows := rowsOf(j); len(rows) != 100 || rows[37][2] != 7 {
+		t.Fatalf("join rows: %d rows, row 37 = %v", len(rows), rows[37])
 	}
 	if len(a.i64.all) != 0 {
-		t.Fatal("Join + Table carved an int64 vector")
+		t.Fatal("Join + Reads carved an int64 vector")
 	}
 	if col := j.Col(2); len(col) != j.N || col[37] != 7 || a.i64.off != j.N {
 		t.Fatalf("first Col(2) carved %d int64 values, want %d", a.i64.off, j.N)
@@ -328,8 +325,8 @@ func TestJoinGathersOnRead(t *testing.T) {
 	if composed != 2*jj.N {
 		t.Fatalf("join of a join composed %d int32 values, want %d (one vector per distinct index)", composed, 2*jj.N)
 	}
-	if tbl := jj.Table("jj", nil); len(tbl.Rows) != 50 || !slices.Equal(tbl.Rows[3], []int64{6, 6, 6, 6, 6, 3, 3}) {
-		t.Fatalf("join of a join: row 3 = %v", tbl.Rows[3])
+	if rows := rowsOf(jj); len(rows) != 50 || !slices.Equal(rows[3], []int64{6, 6, 6, 6, 6, 3, 3}) {
+		t.Fatalf("join of a join: row 3 = %v", rows[3])
 	}
 	// jj has three distinct indexes, whichever of its columns was read.
 	jj.Col(0)
@@ -337,92 +334,7 @@ func TestJoinGathersOnRead(t *testing.T) {
 	if composed != 3*jjj.N {
 		t.Fatalf("third join composed %d int32 values, want %d", composed, 3*jjj.N)
 	}
-	if tbl := jjj.Table("jjj", nil); len(tbl.Rows) != 25 || !slices.Equal(tbl.Rows[3], []int64{2, 2, 12, 2, 2, 6, 6, 3, 3}) {
-		t.Fatalf("third join: row 3 = %v", tbl.Rows[3])
-	}
-}
-
-// TestTablePartsModel holds the parallel copy-out to the row model and to
-// the one-range copy: dense and late batches, with and without a selection,
-// of more than four arena slabs of cells, at GOMAXPROCS 1 (one range) and 4
-// (four ranges), and at part counts of 3 and 7. No live row count is a
-// multiple of 256 or of a part count, so every range ends mid-tile.
-func TestTablePartsModel(t *testing.T) {
-	const n, dim = 120_001, 1000
-	rng := rand.New(rand.NewSource(1))
-	a := GetArena()
-	defer PutArena(a)
-	probe := &Batch{Cols: [][]int64{a.Int64(n), a.Int64(n), a.Int64(n)}, N: n}
-	for r := 0; r < n; r++ {
-		probe.Cols[0][r], probe.Cols[1][r], probe.Cols[2][r] = int64(r%dim), int64(r), rng.Int63()
-	}
-	build := &Batch{Cols: [][]int64{a.Int64(dim), a.Int64(dim)}, N: dim}
-	for r := 0; r < dim; r++ {
-		build.Cols[0][r], build.Cols[1][r] = int64(r), -int64(r)
-	}
-	lidx, ridx := a.Int32(n), a.Int32(n)
-	for r := range lidx {
-		lidx[r], ridx[r] = int32(r), int32(r%dim)
-	}
-	late := Join(probe, build, lidx, ridx, a)
-	// sel keeps about seven rows in eight, then drops rows until the count
-	// divides by none of 256, 3, 4 and 7.
-	sel := a.Int32(n)[:0]
-	for r := 0; r < n; r++ {
-		if rng.Intn(8) > 0 {
-			sel = append(sel, int32(r))
-		}
-	}
-	for k := len(sel); k%256 == 0 || k%3 == 0 || k%4 == 0 || k%7 == 0; k-- {
-		sel = sel[:k-1]
-	}
-	// row returns physical row r of the probe, followed by its build row
-	// for the joined batches.
-	row := func(r int32, joined bool) []int64 {
-		out := []int64{int64(r % dim), int64(r), probe.Cols[2][r]}
-		if joined {
-			out = append(out, int64(r%dim), -int64(r%dim))
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name   string
-		b      *Batch
-		joined bool
-	}{
-		{"dense", probe, false},
-		{"dense+sel", probe.WithSel(sel), false},
-		{"late", late, true},
-		{"late+sel", late.WithSel(sel), true},
-	} {
-		live, w := liveRows(tc.b), len(tc.b.Cols)
-		if cells := len(live) * w; cells < 4*slabElems {
-			t.Fatalf("%s: %d cells, want at least four parts' worth", tc.name, cells)
-		}
-		check := func(how string, tbl *data.Table) {
-			t.Helper()
-			if len(tbl.Rows) != len(live) {
-				t.Fatalf("%s %s: %d rows, want %d", tc.name, how, len(tbl.Rows), len(live))
-			}
-			for i, r := range live {
-				got := tbl.Rows[i]
-				if want := row(r, tc.joined); !slices.Equal(got, want) || cap(got) != w {
-					t.Fatalf("%s %s: row %d = %v (cap %d), model %v", tc.name, how, i, got, cap(got), want)
-				}
-			}
-		}
-		one := tc.b.table("T", nil, 1)
-		check("one part", one)
-		for _, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			if got := tableParts(len(live), w); got != procs {
-				t.Fatalf("%s: %d parts at GOMAXPROCS %d, want %d", tc.name, got, procs, procs)
-			}
-			check(fmt.Sprintf("GOMAXPROCS %d", procs), tc.b.Table("T", nil))
-			runtime.GOMAXPROCS(prev)
-		}
-		for _, parts := range []int{3, 7} {
-			check(fmt.Sprintf("%d parts", parts), tc.b.table("T", nil, parts))
-		}
+	if rows := rowsOf(jjj); len(rows) != 25 || !slices.Equal(rows[3], []int64{2, 2, 12, 2, 2, 6, 6, 3, 3}) {
+		t.Fatalf("third join: row 3 = %v", rows[3])
 	}
 }

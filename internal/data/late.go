@@ -5,18 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// Late table sections. A block output is, until something reads it row by
-// row, a few index vectors into its inputs (a join's two index vectors, a
-// filter's selection) plus the cells no input holds: transform outputs and
-// aggregates. Both ends of a dispatch hold every input — a source relation
-// of the run's data, generated from the same (workflow, scale) — so the
-// section carries each input's index vector and names the relation, and
-// the reader gathers that relation's columns from its own copy:
+// Late table sections. A block output, whichever executor made it, is a
+// few index vectors into its inputs (a join's two index vectors, a filter's
+// selection) plus the cells no input holds: transform outputs and
+// aggregates; Table builds its rows where they are needed. Both ends of a
+// dispatch hold every input — a source relation of the run's data,
+// generated from the same (workflow, scale) — so the section carries each
+// input's index vector and names the relation, and the reader resolves it
+// in its own copy:
 //
 //	"ETBL5" | 2 | relation | ncols | ncols × (attr rel, attr col) | nrows
 //	        | ngroups | ngroups × group | ncols × ref | columns
@@ -27,11 +30,11 @@ import (
 // one group, and every group holds at least one. The columns are the groups'
 // in group order: a plain group's columns in table order, each an ETBL5
 // column; a named group's row index — an ETBL5 column of nrows values in
-// [0, row count) — and then its columns in table order, which are gathered,
+// [0, row count) — and then its columns in table order, which are named,
 // not sent. Every column counts, as a determinant of a later map or chain,
-// by its place in that sequence; a gathered column is one (the build side's
-// index of a hash join is a chain over the probe key, gathered from the
-// probe's relation), a row index never is.
+// by its place in that sequence; a named column is one (the build side's
+// index of a hash join is a chain over the probe key, which the reader then
+// gathers from the probe's relation), a row index never is.
 //
 // A column that never decreases — above all the row index of a relation
 // read in scan order, as a probe side's or a selection's is — is sent as
@@ -103,21 +106,38 @@ func WriteLate(w io.Writer, t *Late) error {
 	return err
 }
 
-// ReadLate reads a section WriteLate wrote, consuming r to EOF, gathering
-// the columns it names from db's relations into rows, of at most maxCells
-// cells: a table costs its reader some 40 bytes a cell however few bytes
-// declared it, so a block frame passes the cap on its own size.
-func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Table, error) {
-	if db == nil {
-		db = map[string]*Table{}
+// ReadLate reads a section WriteLate wrote, consuming r to EOF, and returns
+// the late table it declares over db's relations, of at most maxCells cells:
+// the table and the rows its Table builds cost their reader some 40 bytes a
+// cell however few bytes declared them, so a block frame passes the cap on
+// its own size. A named column is gathered only as a determinant.
+func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Late, error) {
+	sc := wirePool.Get().(*wireScratch)
+	defer putScratch(sc)
+	d, t, n, err := openSection(r, sc, presentLate, maxWireCells, maxCells)
+	if err != nil {
+		return nil, err
 	}
-	return readTable(r, maxWireCells, maxCells, db)
+	l := &Late{Rel: t.Rel, Attrs: t.Attrs, N: n, Cols: make([]LateCol, len(t.Attrs))}
+	if n == 0 {
+		for c := range l.Cols {
+			l.Cols[c].In = -1 // every column is its (empty) values
+		}
+	} else if err := d.lateColumns(l, db, sc); err != nil {
+		return nil, err
+	}
+	if d.Pos != len(d.B) {
+		return nil, fmt.Errorf("data: trailing bytes after %d row(s)", n)
+	}
+	return l, nil
 }
 
 // lateGroup is one group of a late table: an input's columns, or (in < 0)
-// the columns that read no input; cols ascend.
+// the columns that read no input; cols ascend. A reader has the input's
+// relation, src, and no number for it.
 type lateGroup struct {
 	in   int
+	src  *Table
 	cols []int
 }
 
@@ -179,6 +199,74 @@ func (t *Late) Gather(col []int64, c int) {
 	in := &t.Ins[lc.In]
 	for r, i := range in.Idx {
 		col[r] = in.Src.Rows[i][lc.Col]
+	}
+}
+
+// tableCells is the fewest cells Table gives a goroutine: an arena slab's.
+const tableCells = 1 << 16
+
+// Table builds the late table's rows, the one place a table's rows are made
+// from columns. Each row fetches each input's source row once. The rows are
+// split into one contiguous range per core, each of at least tableCells
+// cells, built concurrently, the caller's goroutine taking the first; each
+// range has a backing array of its own, so the runtime zeroes them in
+// parallel too. t is only read: goroutines may share it.
+func (t *Late) Table() *Table {
+	return t.table(max(1, min(runtime.GOMAXPROCS(0), t.N*len(t.Cols)/tableCells)))
+}
+
+// table is Table over the given number of ranges.
+func (t *Late) table(parts int) *Table {
+	out := &Table{Rel: t.Rel, Attrs: t.Attrs}
+	if t.N == 0 {
+		return out
+	}
+	out.Rows = make([]Row, t.N)
+	var wg sync.WaitGroup
+	for k := 1; k < parts; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.rows(out.Rows, k*t.N/parts, (k+1)*t.N/parts)
+		}()
+	}
+	t.rows(out.Rows, 0, t.N/parts)
+	wg.Wait()
+	return out
+}
+
+// rows builds rows [lo, hi) into rows[lo:hi]. A source row is fetched into
+// a local, so no pointer is stored but the row's own.
+func (t *Late) rows(rows []Row, lo, hi int) {
+	w := len(t.Cols)
+	backing := make([]int64, (hi-lo)*w)
+	// Each input's named columns, and the plain columns: where each goes
+	// and which column of the relation it reads, or its values.
+	type named struct{ c, col int }
+	type plain struct {
+		c    int
+		vals []int64
+	}
+	ins, plains := make([][]named, len(t.Ins)), []plain(nil)
+	for c, lc := range t.Cols {
+		if lc.In < 0 {
+			plains = append(plains, plain{c, lc.Vals})
+		} else {
+			ins[lc.In] = append(ins[lc.In], named{c, lc.Col})
+		}
+	}
+	for r := lo; r < hi; r++ {
+		row := backing[(r-lo)*w : (r-lo+1)*w : (r-lo+1)*w]
+		for k, cols := range ins {
+			src := t.Ins[k].Src.Rows[t.Ins[k].Idx[r]]
+			for _, p := range cols {
+				row[p.c] = src[p.col]
+			}
+		}
+		for _, p := range plains {
+			row[p.c] = p.vals[r]
+		}
+		rows[r] = row
 	}
 }
 
@@ -272,65 +360,58 @@ func latePlan(cells []int64, stats []colStats, c int, sc *wireScratch) colPlan {
 	return pl
 }
 
-// lateRead is one group as the reader resolved it: its relation (nil for a
-// plain group) and its columns, ascending.
-type lateRead struct {
-	src  *Table
-	cols []int
-}
-
-// lateColumns decodes a late section's groups, refs and columns into the
-// scratch cells, resolving named relations in db, and returns the scratch
-// column of each of the w table columns.
-func (d *wireDecoder) lateColumns(n, w int, db map[string]*Table, sc *wireScratch) ([]int, error) {
+// lateColumns decodes a late section's groups, refs and columns into l,
+// resolving named relations in db: each named group becomes an input, its
+// row index the input's index, and each plain column its values. The scratch
+// holds only those; a named column gets a vector of its own only as a
+// determinant (wireDecoder.gathered).
+func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch) error {
+	n, w := l.N, len(l.Attrs)
 	ng, err := d.uvarint("group count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if ng > uint64(w) || ng == 0 && w > 0 {
-		return nil, fmt.Errorf("data: %d groups for %d columns", ng, w)
+		return fmt.Errorf("data: %d groups for %d columns", ng, w)
 	}
-	groups := make([]lateRead, ng)
-	nv := w
+	groups := make([]lateGroup, ng)
+	indexes, plain := 0, w
 	for g := range groups {
 		if d.Pos == len(d.B) {
-			return nil, fmt.Errorf("data: group %d: %w", g, io.ErrUnexpectedEOF)
+			return fmt.Errorf("data: group %d: %w", g, io.ErrUnexpectedEOF)
 		}
 		kind := d.B[d.Pos]
 		d.Pos++
-		switch kind {
-		case 0:
+		if kind == 0 {
 			continue
-		case 1:
-		default:
-			return nil, fmt.Errorf("data: group %d: bad kind %d", g, kind)
+		} else if kind != 1 {
+			return fmt.Errorf("data: group %d: bad kind %d", g, kind)
 		}
 		rel, err := d.str("relation name")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rows, err := d.uvarint("relation row count")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		src := db[rel]
 		if src == nil {
-			return nil, fmt.Errorf("%w: relation %q is not in the reader's data", ErrUnresolved, rel)
+			return fmt.Errorf("%w: relation %q is not in the reader's data", ErrUnresolved, rel)
 		}
 		if uint64(len(src.Rows)) != rows {
-			return nil, fmt.Errorf("%w: relation %q has %d rows here, %d where it was written", ErrUnresolved, rel, len(src.Rows), rows)
+			return fmt.Errorf("%w: relation %q has %d rows here, %d where it was written", ErrUnresolved, rel, len(src.Rows), rows)
 		}
 		groups[g].src = src
-		nv++
+		indexes++
 	}
-	pos := make([]int, w) // a named column's column of its relation
-	for c := range pos {
+	for c := range l.Cols {
 		g, err := d.uvarint("column group")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if g >= ng {
-			return nil, fmt.Errorf("data: column %d in group %d of %d", c, g, ng)
+			return fmt.Errorf("data: column %d in group %d of %d", c, g, ng)
 		}
 		grp := &groups[g]
 		grp.cols = append(grp.cols, c)
@@ -339,58 +420,79 @@ func (d *wireDecoder) lateColumns(n, w int, db map[string]*Table, sc *wireScratc
 		}
 		at, err := d.uvarint("relation column")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if at >= uint64(len(grp.src.Attrs)) {
-			return nil, fmt.Errorf("%w: column %d of relation %q, which has %d", ErrUnresolved, at, grp.src.Rel, len(grp.src.Attrs))
+			return fmt.Errorf("%w: column %d of relation %q, which has %d", ErrUnresolved, at, grp.src.Rel, len(grp.src.Attrs))
 		}
-		pos[c] = int(at)
+		l.Cols[c].Col = int(at)
+		plain--
 	}
-	if cap(sc.cells) < n*nv {
-		sc.cells = make([]int64, n*nv)
+	// The scratch holds the columns the section carries: the plain ones and
+	// the indexes.
+	if cap(sc.cells) < n*(plain+indexes) {
+		sc.cells = make([]int64, n*(plain+indexes))
 	}
-	cells := sc.cells[:n*nv]
+	cells := sc.cells[:n*(plain+indexes)]
+	nv := w + indexes // the places: every column and every index
 	if cap(sc.stats) < nv {
 		sc.stats = make([]colStats, nv)
 	}
 	stats := sc.stats[:nv]
-	out := make([]int, w)
+	d.late, d.cols, d.named = l, make([][]int64, nv), make([]int, nv)
 	v := 0
+	// decode decodes place v into the next scratch column.
+	decode := func() error {
+		d.cols[v], cells = cells[:n:n], cells[n:]
+		return d.column(nil, stats, v, sc)
+	}
 	for g, grp := range groups {
 		if len(grp.cols) == 0 {
-			return nil, fmt.Errorf("data: group %d holds no column", g)
+			return fmt.Errorf("data: group %d holds no column", g)
 		}
 		if grp.src == nil {
 			for _, c := range grp.cols {
-				if err := d.column(cells, stats, v, sc); err != nil {
-					return nil, fmt.Errorf("data: column %d: %w", c, err)
+				if err := decode(); err != nil {
+					return fmt.Errorf("data: column %d: %w", c, err)
 				}
-				out[c] = v
+				l.Cols[c] = LateCol{In: -1, Vals: slices.Clone(d.cols[v])}
 				v++
 			}
 			continue
 		}
-		if err := d.column(cells, stats, v, sc); err != nil {
-			return nil, fmt.Errorf("data: group %d's row index: %w", g, err)
+		if err := decode(); err != nil {
+			return fmt.Errorf("data: group %d's row index: %w", g, err)
 		}
 		stats[v].index = true
-		ix, rows := wireColumn(cells, stats, v), int64(len(grp.src.Rows))
-		for _, r := range ix {
-			if r < 0 || r >= rows {
-				return nil, fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, r, grp.src.Rel, rows)
+		rows := int64(len(grp.src.Rows))
+		idx := make([]int32, n)
+		for r, i := range d.cols[v] {
+			if i < 0 || i >= rows {
+				return fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, i, grp.src.Rel, rows)
 			}
+			idx[r] = int32(i)
 		}
+		l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx})
 		v++
 		for _, c := range grp.cols {
-			col, at := wireColumn(cells, stats, v), pos[c]
-			for r, i := range ix {
-				col[r] = grp.src.Rows[i][at]
-			}
-			stats[v] = colStats{}
-			stats[v].scan(col)
-			out[c] = v
+			l.Cols[c].In = len(l.Ins) - 1
+			d.named[v] = c
 			v++
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// gathered gives place j of a late section's columns its values and
+// statistics: a named column, which the reader leaves without either, is
+// gathered and scanned on the first read of it, as a determinant.
+func (d *wireDecoder) gathered(stats []colStats, j int) {
+	if d.cols == nil || d.cols[j] != nil {
+		return
+	}
+	col := make([]int64, d.late.N)
+	d.late.Gather(col, d.named[j])
+	d.cols[j] = col
+	stats[j] = colStats{}
+	stats[j].scan(col)
 }

@@ -662,123 +662,115 @@ func ReadTable(r io.Reader) (*Table, error) { return ReadTableRows(r, maxWireCel
 // somewhere, and a change costs a byte, except where a chain column reuses
 // its image.
 func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
-	return readTable(r, maxRows, maxCells, nil)
-}
-
-// readTable reads a table section: one WriteTable wrote when db is nil, one
-// WriteLate wrote, resolving the relations it names in db, when it is not.
-func readTable(r io.Reader, maxRows, maxCells int64, db map[string]*Table) (*Table, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
+	d, t, n, err := openSection(r, sc, presentTable, maxRows, maxCells)
+	if t == nil || err != nil {
+		return nil, err
+	}
+	w := len(t.Attrs)
+	if cap(sc.cells) < n*w {
+		sc.cells = make([]int64, n*w)
+	}
+	d.verify = true
+	if cap(sc.stats) < w {
+		sc.stats = make([]colStats, w)
+	}
+	for c := 0; c < w && n > 0; c++ {
+		if err := d.column(sc.cells[:n*w], sc.stats[:w], c, sc); err != nil {
+			return nil, fmt.Errorf("data: column %d: %w", c, err)
+		}
+	}
+	if d.Pos != len(d.B) {
+		return nil, fmt.Errorf("data: trailing bytes after %d row(s)", n)
+	}
+	// The rows are the one row kernel's, over columns that read no input:
+	// the scratch's, copied out before it goes back to the pool.
+	l := &Late{Rel: t.Rel, Attrs: t.Attrs, N: n, Cols: make([]LateCol, w)}
+	for c := range l.Cols {
+		l.Cols[c] = LateCol{In: -1, Vals: sc.cells[c*n : (c+1)*n]}
+	}
+	return l.Table(), nil
+}
+
+// openSection reads a table section into the scratch and decodes its head:
+// the magic, the presence byte, which must be present, the relation, the
+// schema and the row count, capped before it sizes anything. A nil table,
+// where a plain one may be, is a nil table and no error.
+func openSection(r io.Reader, sc *wireScratch, present byte, maxRows, maxCells int64) (*wireDecoder, *Table, int, error) {
 	sc.in.Reset()
 	if _, err := sc.in.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("data: table stream: %w", err)
+		return nil, nil, 0, fmt.Errorf("data: table stream: %w", err)
 	}
-	d := &wireDecoder{Cursor: Cursor{B: sc.in.Bytes()}, verify: db == nil}
-	if len(d.B) < len(tableMagic) {
-		return nil, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
+	d := &wireDecoder{Cursor: Cursor{B: sc.in.Bytes()}}
+	if len(d.B) <= len(tableMagic) {
+		return nil, nil, 0, fmt.Errorf("data: table header: %w", io.ErrUnexpectedEOF)
 	}
 	if magic := d.B[:len(tableMagic)]; string(magic) != tableMagic {
-		return nil, fmt.Errorf("data: table stream starts %q, this build reads only version %q", magic, tableMagic)
+		return nil, nil, 0, fmt.Errorf("data: table stream starts %q, this build reads only version %q", magic, tableMagic)
 	}
-	d.Pos = len(tableMagic)
-	if d.Pos == len(d.B) {
-		return nil, fmt.Errorf("data: table presence: %w", io.ErrUnexpectedEOF)
-	}
-	present := d.B[d.Pos]
-	d.Pos++
-	switch {
-	case db == nil && present == presentNil:
+	d.Pos = len(tableMagic) + 1
+	switch got := d.B[d.Pos-1]; {
+	case got == presentNil && present == presentTable:
 		if d.Pos != len(d.B) {
-			return nil, errors.New("data: trailing bytes after a nil table")
+			return nil, nil, 0, errors.New("data: trailing bytes after a nil table")
 		}
-		return nil, nil
-	case db == nil && present == presentTable, db != nil && present == presentLate:
-	default:
-		return nil, fmt.Errorf("data: bad table presence byte %d", present)
+		return d, nil, 0, nil
+	case got != present:
+		return nil, nil, 0, fmt.Errorf("data: bad table presence byte %d", got)
 	}
 	rel, err := d.str("relation name")
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	t := &Table{Rel: rel}
 	ncols, err := d.uvarint("column count")
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	if ncols > maxWireCols {
-		return nil, fmt.Errorf("data: column count %d exceeds wire cap %d", ncols, maxWireCols)
+		return nil, nil, 0, fmt.Errorf("data: column count %d exceeds wire cap %d", ncols, maxWireCols)
 	}
 	for i := uint64(0); i < ncols; i++ {
 		var a workflow.Attr
 		if a.Rel, err = d.str("attribute relation"); err != nil {
-			return nil, err
+			return nil, nil, 0, err
 		}
 		if a.Col, err = d.str("attribute column"); err != nil {
-			return nil, err
+			return nil, nil, 0, err
 		}
 		t.Attrs = append(t.Attrs, a)
 	}
 	nrows, err := d.uvarint("row count")
 	if err != nil {
-		return nil, err
+		return nil, nil, 0, err
 	}
 	// A run or a constant column declares any number of rows in a few
 	// bytes, so the declared shape is capped before it sizes anything.
 	if limit := uint64(max(0, min(maxCells, maxWireCells))); nrows > uint64(max(0, maxRows)) || nrows > limit || nrows*ncols > limit {
-		return nil, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
+		return nil, nil, 0, fmt.Errorf("data: %d rows × %d columns: %w", nrows, ncols, ErrWireCap)
 	}
-	n, w := int(nrows), int(ncols)
-	// out[c] is the scratch column holding column c of the table.
-	var out []int
-	if n > 0 && db != nil {
-		if out, err = d.lateColumns(n, w, db, sc); err != nil {
-			return nil, err
-		}
-	} else if n > 0 {
-		if cap(sc.cells) < n*w {
-			sc.cells = make([]int64, n*w)
-		}
-		if cap(sc.stats) < w {
-			sc.stats = make([]colStats, w)
-		}
-		for c := 0; c < w; c++ {
-			if err := d.column(sc.cells[:n*w], sc.stats[:w], c, sc); err != nil {
-				return nil, fmt.Errorf("data: column %d: %w", c, err)
-			}
-		}
-	}
-	if d.Pos != len(d.B) {
-		return nil, fmt.Errorf("data: trailing bytes after %d row(s)", nrows)
-	}
-	if n == 0 {
-		return t, nil
-	}
-	// One flat backing and one header slice, however many rows.
-	flat := make([]int64, n*w)
-	t.Rows = make([]Row, n)
-	for r := range t.Rows {
-		row := flat[r*w : (r+1)*w : (r+1)*w]
-		if out == nil {
-			for c := range row {
-				row[c] = sc.cells[c*n+r]
-			}
-		} else {
-			for c := range row {
-				row[c] = sc.cells[out[c]*n+r]
-			}
-		}
-		t.Rows[r] = row
-	}
-	return t, nil
+	return d, t, int(nrows), nil
 }
 
 // wireDecoder is a cursor over one encoded table. verify asks each column
-// to be the writer's own choice of encoding; a late table's reader checks
-// its structure and bounds only (late.go).
+// to be the writer's own choice of encoding. A late table's reader checks
+// structure and bounds only, and gives each column a vector in cols; a named
+// one, column named[j] of late, none until a determinant reads it (late.go).
 type wireDecoder struct {
 	Cursor
 	verify bool
+	cols   [][]int64
+	late   *Late
+	named  []int
+}
+
+// col is column c: of the column-major cells, or a late reader's own.
+func (d *wireDecoder) col(cells []int64, stats []colStats, c int) []int64 {
+	if d.cols != nil {
+		return d.cols[c]
+	}
+	return wireColumn(cells, stats, c)
 }
 
 func (d *wireDecoder) uvarint(what string) (uint64, error) {
@@ -805,7 +797,7 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 	}
 	enc := d.B[d.Pos]
 	d.Pos++
-	col, st := wireColumn(cells, stats, c), &stats[c]
+	col, st := d.col(cells, stats, c), &stats[c]
 	*st = colStats{}
 	dict, known, start := 0, decoded{det: -1}, d.Pos
 	var err error
@@ -986,12 +978,16 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 	if err != nil {
 		return 0, err
 	}
-	if j >= uint64(c) || stats[j].mapped || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
-		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier, map-encoded, a row index or too wide", j, c)
+	if j >= uint64(c) {
+		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier", j, c)
+	}
+	d.gathered(stats, int(j))
+	if stats[j].mapped || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot determine column %d: map-encoded, a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)
-	det := wireColumn(cells, stats, int(j))
+	det := d.col(cells, stats, int(j))
 	image, epoch := sc.newImage(span)
 	for i, dv := range det {
 		if i == 0 || dv != det[i-1] {
@@ -1006,7 +1002,7 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 		}
 	}
 	// Expand by the determinant's runs, with statistics as in rleColumn.
-	col, st := wireColumn(cells, stats, c), &stats[c]
+	col, st := d.col(cells, stats, c), &stats[c]
 	for i, k := 0, 0; i < len(det); i = k {
 		k = runEnd(det, i)
 		v := image[uint64(det[i])-uint64(dst.min)].v
@@ -1029,12 +1025,16 @@ func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wi
 	if err != nil {
 		return 0, err
 	}
-	if j >= uint64(c) || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
-		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier, a row index or too wide", j, c)
+	if j >= uint64(c) {
+		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier", j, c)
+	}
+	d.gathered(stats, int(j))
+	if stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
+		return 0, fmt.Errorf("column %d cannot chain column %d: a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)
-	det := wireColumn(cells, stats, int(j))
+	det := d.col(cells, stats, int(j))
 	// Each value's longest run is the length of its list.
 	image, epoch := sc.newImage(span)
 	for i, k := 0, 0; i < len(det); i = k {
@@ -1066,7 +1066,7 @@ func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wi
 			return 0, err
 		}
 	}
-	col := wireColumn(cells, stats, c)
+	col := d.col(cells, stats, c)
 	for i, k := 0, 0; i < len(det); i = k {
 		k = runEnd(det, i)
 		e := &image[uint64(det[i])-uint64(dst.min)]

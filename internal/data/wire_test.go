@@ -704,7 +704,10 @@ func TestTableWireConcurrent(t *testing.T) {
 						got, err = ReadTable(&buf)
 					}
 				} else if err = WriteLate(&buf, c.late); err == nil {
-					got, err = ReadLate(&buf, maxWireCells, c.db)
+					var l *Late
+					if l, err = ReadLate(&buf, maxWireCells, c.db); err == nil {
+						got = l.Table()
+					}
 				}
 				if err != nil || !reflect.DeepEqual(got, c.want) {
 					t.Errorf("goroutine %d round %d: round trip failed: %v", g, i, err)

@@ -63,24 +63,25 @@ type DispatchSpec struct {
 	// block reads each, no sink does.
 	Hold []int
 	// DB is the run's data. A worker's tables name the rows of its source
-	// relations they read (data.Late), and the dispatcher gathers them from
+	// relations they read (data.Late), and the dispatcher resolves them
 	// here: it must be the data the workers generate.
 	DB DB
 }
 
 // RemoteBlock is one block's execution outcome, whichever side of the
-// dispatch seam produced it. In-process execution fills Out, Materialized
+// dispatch seam produced it, its tables in late form (data.Late), whose
+// rows the scheduler builds. In-process execution fills Out, Materialized
 // and Rows — its statistics, metrics and retries went straight into the
 // run's own collector, plan and counters; a worker ships all of it.
 type RemoteBlock struct {
 	// Out is the block's boundary output; nil when it is held.
-	Out *data.Table
+	Out *data.Late
 	// Held reports that the output stayed on the worker, for a block
 	// DispatchSpec.Hold lists; Out is then nil.
 	Held bool
 	// Materialized holds the block's materialized targets (reject links,
 	// explicit materializations).
-	Materialized map[string]*data.Table
+	Materialized map[string]*data.Late
 	// Rows is the block's work-metric contribution.
 	Rows int64
 	// Observed is the block's statistics shard (nil when uninstrumented).
@@ -95,12 +96,6 @@ type RemoteBlock struct {
 	// (the compiler is deterministic, so ids agree across processes); nil
 	// unless the worker engine ran with CollectMetrics.
 	Metrics []physical.Metrics
-	// LateOut and LateMaterialized are what RunBlockCtx returns in place of
-	// Out and Materialized: the tables a worker ships, in late form, naming
-	// the source rows they read. A worker that holds the output keeps
-	// LateOut and ships none.
-	LateOut          *data.Late
-	LateMaterialized map[string]*data.Late
 	// Sources is the row count of every source relation the block read, by
 	// name — scanned, or read through a held upstream output: a dispatcher
 	// checks them against the run's data (DispatchSpec.DB), which the
@@ -170,9 +165,9 @@ type DistReport struct {
 // per-attempt isolation, transient retry and fault injection), and returns
 // the block's outcome plus a private statistics shard holding only what
 // this block's taps observed — and, under CollectMetrics, the block's
-// per-node metrics. Its tables come back
-// late (LateOut and LateMaterialized), Out and Materialized empty: a column
-// read from a held upstream output names the source rows that output read.
+// per-node metrics. Its tables come back late, as an in-process block's
+// do: a column read from a held upstream output names the source rows that
+// output read.
 func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, held map[int]*data.Late) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
@@ -190,36 +185,26 @@ func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*work
 	if bp == nil {
 		return nil, errors.New("engine: no such block in compiled plan")
 	}
-	for _, d := range blockDeps(plan)[block] {
-		if held[d] == nil {
-			return nil, errors.New("engine: missing upstream boundary output for block dispatch")
-		}
-	}
 	var col *collector
 	if res != nil {
 		col = newCollector()
 	}
 	env := newRunEnv(ctx, newRowBudget(e.MaxRows), e.Faults)
-	rb, err := env.runBlock(bp, nil, held, col, e.CollectMetrics, true)
+	rb, err := env.runBlock(bp, held, col, e.CollectMetrics)
 	if err != nil {
 		return nil, err
 	}
 	rb.Degraded = col.failedStats()
 	rb.Retries = env.retries.Load()
-	source := func(rel string, rows int) {
-		if rb.Sources == nil {
-			rb.Sources = make(map[string]int)
-		}
-		rb.Sources[rel] = rows
-	}
+	rb.Sources = make(map[string]int) // every upstream a scan read is in held
 	for _, n := range bp.Nodes {
 		switch {
 		case n.Kind != physical.OpScan:
 		case n.FromBlock < 0:
-			source(n.SourceRel, len(n.Src.Rows))
-		case held[n.FromBlock] != nil:
+			rb.Sources[n.SourceRel] = len(n.Src.Rows)
+		default:
 			for _, in := range held[n.FromBlock].Ins {
-				source(in.Src.Rel, len(in.Src.Rows))
+				rb.Sources[in.Src.Rel] = len(in.Src.Rows)
 			}
 		}
 	}

@@ -111,9 +111,9 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	}
 	if slices.Contains(spec.Hold, block) {
 		d.mu.Lock()
-		d.held[block] = rb.LateOut
+		d.held[block] = rb.Out
 		d.mu.Unlock()
-		rb.LateOut, rb.Held = nil, true
+		rb.Out, rb.Held = nil, true
 	}
 	if err := land(spec, rb); err != nil {
 		return nil, err
@@ -125,10 +125,9 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 }
 
 // land carries a block's late tables over an in-memory wire, the way the
-// coordinator takes them in: written, then read back into rows over the
-// spec's data.
+// coordinator takes them in: written, then read back over the spec's data.
 func land(spec *DispatchSpec, rb *RemoteBlock) error {
-	read := func(l *data.Late) (*data.Table, error) {
+	read := func(l *data.Late) (*data.Late, error) {
 		var buf bytes.Buffer
 		if err := data.WriteLate(&buf, l); err != nil {
 			return nil, err
@@ -136,20 +135,16 @@ func land(spec *DispatchSpec, rb *RemoteBlock) error {
 		return data.ReadLate(&buf, 1<<26, spec.DB)
 	}
 	var err error
-	if rb.LateOut != nil {
-		if rb.Out, err = read(rb.LateOut); err != nil {
+	if rb.Out != nil {
+		if rb.Out, err = read(rb.Out); err != nil {
 			return err
 		}
 	}
-	if len(rb.LateMaterialized) > 0 {
-		rb.Materialized = make(map[string]*data.Table, len(rb.LateMaterialized))
-	}
-	for name, l := range rb.LateMaterialized {
+	for name, l := range rb.Materialized {
 		if rb.Materialized[name], err = read(l); err != nil {
 			return err
 		}
 	}
-	rb.LateOut, rb.LateMaterialized = nil, nil
 	return nil
 }
 
@@ -404,9 +399,10 @@ func TestCommitOnce(t *testing.T) {
 	}
 	env := newRunEnv(context.Background(), newRowBudget(1<<20), nil)
 	out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
-	s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}}
+	s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, held: map[int]*data.Late{}}
 	for i := 0; i < 2; i++ {
-		if err := s.commit(plan.Blocks[0], rb, true); err != nil {
+		out0, mat0 := rowsOf(rb)
+		if err := s.commit(plan.Blocks[0], rb, out0, mat0, true); err != nil {
 			t.Fatalf("delivery %d: %v", i, err)
 		}
 	}
@@ -422,9 +418,10 @@ func TestCommitOnce(t *testing.T) {
 	held.Out, held.Held = nil, true
 	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil)
 	out = &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
-	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}}
+	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}, held: map[int]*data.Late{}}
 	for i := 0; i < 2; i++ {
-		if err := s.commit(plan.Blocks[0], &held, true); err != nil {
+		hout, hmat := rowsOf(&held)
+		if err := s.commit(plan.Blocks[0], &held, hout, hmat, true); err != nil {
 			t.Fatalf("held delivery %d: %v", i, err)
 		}
 	}
@@ -435,7 +432,7 @@ func TestCommitOnce(t *testing.T) {
 		t.Errorf("two held deliveries left rows %d budget %d retries %d held %d, want %d/%d/%d/1",
 			out.Rows, env.budget.used.Load(), env.retries.Load(), s.report.Held, rb.Rows, rb.Rows, rb.Retries)
 	}
-	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: true}, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
+	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: true}, nil, nil, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
 		t.Errorf("a held output of a block no one asked to hold: err = %v", err)
 	}
 }

@@ -80,10 +80,9 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *ru
 // and all a worker does — with per-attempt isolation and transient retry.
 // Each attempt gets a fresh sink over a child row budget; a failed attempt
 // refunds the child's charge, so retries never double-charge MaxRows. The
-// scheduler's block reads its upstream outputs from upstream, as rows; a
-// worker's from held, in late form, and late asks for its tables in late
-// form.
-func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table, held map[int]*data.Late, col *collector, metrics, late bool) (*RemoteBlock, error) {
+// block reads its upstream outputs from held and returns its tables in the
+// same late form.
+func (env *runEnv) runBlock(bp *physical.BlockPlan, held map[int]*data.Late, col *collector, metrics bool) (*RemoteBlock, error) {
 	idx := bp.Block.Index
 	for attempt := 0; ; attempt++ {
 		if err := env.ctx.Err(); err != nil {
@@ -101,18 +100,13 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, upstream map[int]*data.Table
 		if env.flt != nil {
 			inject = env.flt.At(faults.Budget, fmt.Sprintf("budget:%d", idx), attempt)
 		}
-		sink := newBlockSink(env.budget.child(inject), late)
-		sink.upstream, sink.held = upstream, held
-		sink.ctx = env.ctx
-		sink.flt = env.flt
-		sink.attempt = attempt
-		sink.block = idx
-		tbl, err := runVecBlock(bp, col, sink, metrics)
+		sink := &blockSink{
+			held: held, materialized: make(map[string]*data.Late), budget: env.budget.child(inject),
+			ctx: env.ctx, flt: env.flt, attempt: attempt, block: idx,
+		}
+		err := runVecBlock(bp, col, sink, metrics)
 		if err == nil {
-			return &RemoteBlock{
-				Out: tbl, Materialized: sink.materialized, Rows: sink.rows,
-				LateOut: sink.lateOut, LateMaterialized: sink.lateMaterialized,
-			}, nil
+			return &RemoteBlock{Out: sink.out, Materialized: sink.materialized, Rows: sink.rows}, nil
 		}
 		sink.budget.release()
 		if !faults.IsTransient(err) || attempt+1 >= defaultRetryMax {

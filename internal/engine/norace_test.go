@@ -2,5 +2,5 @@
 
 package engine
 
-// raceDetector is false in ordinary builds; see race_test.go.
-const raceDetector = false
+// RaceDetector is false in ordinary builds; see race_test.go.
+const RaceDetector = false

@@ -102,43 +102,26 @@ func (b *rowBudget) release() {
 	}
 }
 
-// blockSink collects one block's side effects during execution. upstream
-// holds the boundary outputs of the blocks this block reads from (complete
-// before the block is scheduled), so chains never read the shared Result;
-// on a worker, held has them instead, in the late form they were made in.
+// blockSink collects one block's side effects during execution. held holds
+// the outputs of the blocks this block reads from (complete before it is
+// scheduled), so chains never read the shared Result; out and materialized
+// receive the block's own tables, in the same late form.
 //
 // The sink also carries the attempt's fault-tolerance state: the run
 // context (polled at operator boundaries), the fault injector and the
 // attempt number the injector's decisions key on. All nil/zero for plain
 // runs — the interpreter's fast paths stay branch-cheap.
 type blockSink struct {
-	upstream     map[int]*data.Table
 	held         map[int]*data.Late
-	materialized map[string]*data.Table
+	out          *data.Late
+	materialized map[string]*data.Late
 	rows         int64
 	budget       *rowBudget
-
-	// late says the block returns its tables in late form (lateOut,
-	// lateMaterialized), as a worker ships or keeps them, instead of as
-	// rows.
-	late             bool
-	lateOut          *data.Late
-	lateMaterialized map[string]*data.Late
 
 	ctx     context.Context
 	flt     *faults.Injector
 	attempt int
 	block   int
-}
-
-func newBlockSink(budget *rowBudget, late bool) *blockSink {
-	s := &blockSink{budget: budget, late: late}
-	if late {
-		s.lateMaterialized = make(map[string]*data.Late)
-	} else {
-		s.materialized = make(map[string]*data.Table)
-	}
-	return s
 }
 
 // count adds n rows to the block's work metric and charges the run's row
@@ -164,7 +147,8 @@ func blockDeps(plan *physical.Plan) map[int][]int {
 }
 
 // blockSched is the state of the one block scheduler, runBlocks. Fields
-// below mu are guarded by it.
+// below mu are guarded by it; held has the late form of every committed
+// output the run has, which is what an in-process block reads.
 type blockSched struct {
 	plan *physical.Plan
 	deps map[int][]int
@@ -188,6 +172,7 @@ type blockSched struct {
 	left                   int
 	started, done          map[int]bool
 	errs                   map[int]error
+	held                   map[int]*data.Late
 }
 
 // runBlocks executes every compiled block: one readiness → execute →
@@ -209,6 +194,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 	s := &blockSched{
 		plan: plan, deps: blockDeps(plan), env: env, out: out, col: col, metrics: e.CollectMetrics,
 		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
+		held: map[int]*data.Late{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.limit = s.local
@@ -259,7 +245,8 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 }
 
 // work is one slot's loop: start the lowest-index ready block, execute it
-// where the placement in force says, retire it.
+// where the placement in force says, build its rows, retire it. Both the
+// block and its rows run outside the lock.
 func (s *blockSched) work(rd RunDispatch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,16 +265,22 @@ func (s *blockSched) work(rd RunDispatch) {
 		s.started[idx] = true
 		s.inflight++
 		upstream := make(map[int]*data.Table, len(s.deps[idx]))
+		held := make(map[int]*data.Late, len(s.deps[idx]))
 		for _, d := range s.deps[idx] {
-			upstream[d] = s.out.BlockOut[d] // nil when held
+			upstream[d], held[d] = s.out.BlockOut[d], s.held[d] // nil when a worker holds it
 		}
 		s.mu.Unlock()
 		var rb *RemoteBlock
+		var out *data.Table
+		var materialized map[string]*data.Table
 		var err error
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
-		} else if err = s.recompute(upstream); err == nil {
-			rb, err = s.env.runBlock(bp, upstream, nil, s.col, s.metrics, false)
+		} else if err = s.recompute(held); err == nil {
+			rb, err = s.env.runBlock(bp, held, s.col, s.metrics)
+		}
+		if err == nil {
+			out, materialized = rowsOf(rb)
 		}
 		s.mu.Lock()
 		s.inflight--
@@ -296,7 +289,7 @@ func (s *blockSched) work(rd RunDispatch) {
 			s.started[idx] = false
 			s.fallBack(err)
 		} else {
-			s.finish(bp, rb, remote, err)
+			s.finish(bp, rb, out, materialized, remote, err)
 		}
 		s.cond.Broadcast()
 	}
@@ -322,36 +315,37 @@ func (s *blockSched) nextReady() *physical.BlockPlan {
 	return nil
 }
 
-// recompute fills in the held outputs of an upstream map for an in-process
-// block to read, recomputing each — and what it reads, as far up as needed —
-// output only: no taps, no metrics, no row-budget charge, no injected
-// faults, no retries. What it makes replaces the nil output in the result,
-// where later readers find it.
-func (s *blockSched) recompute(upstream map[int]*data.Table) error {
-	for d, t := range upstream {
-		if t != nil {
+// recompute fills in the outputs a worker holds of an upstream map for an
+// in-process block to read, recomputing each — and what it reads, as far up
+// as needed — output only: no taps, no metrics, no row-budget charge, no
+// injected faults, no retries. What it makes joins the run's late outputs,
+// and its rows fill the nil output in the result.
+func (s *blockSched) recompute(held map[int]*data.Late) error {
+	for d, l := range held {
+		if l != nil {
 			continue
 		}
-		up := make(map[int]*data.Table, len(s.deps[d]))
+		up := make(map[int]*data.Late, len(s.deps[d]))
 		s.mu.Lock()
 		for _, u := range s.deps[d] {
-			up[u] = s.out.BlockOut[u]
+			up[u] = s.held[u]
 		}
 		s.mu.Unlock()
 		if err := s.recompute(up); err != nil {
 			return err
 		}
 		env := newRunEnv(s.env.ctx, nil, nil)
-		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, nil, false, false)
+		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false)
 		if err != nil {
 			return fmt.Errorf("recomputing held block %d: %w", d, err)
 		}
+		t := rb.Out.Table()
 		s.mu.Lock()
-		if s.out.BlockOut[d] == nil {
-			s.out.BlockOut[d] = rb.Out
+		if s.held[d] == nil {
+			s.held[d], s.out.BlockOut[d] = rb.Out, t
 			s.report.Recomputed++
 		}
-		upstream[d] = s.out.BlockOut[d]
+		held[d] = s.held[d]
 		s.mu.Unlock()
 	}
 	return nil
@@ -366,12 +360,27 @@ func (s *blockSched) fallBack(reason error) {
 	}
 }
 
+// rowsOf builds the rows of a block's tables: its output, unless a worker
+// holds it, and its materialized targets.
+func rowsOf(rb *RemoteBlock) (out *data.Table, materialized map[string]*data.Table) {
+	if rb.Out != nil {
+		out = rb.Out.Table()
+	}
+	if len(rb.Materialized) > 0 {
+		materialized = make(map[string]*data.Table, len(rb.Materialized))
+	}
+	for name, l := range rb.Materialized {
+		materialized[name] = l.Table()
+	}
+	return out, materialized
+}
+
 // finish retires one executed block: a failed one is recorded for the
 // *BlockFailure; a successful one is committed.
-func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool, err error) {
+func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, out *data.Table, materialized map[string]*data.Table, remote bool, err error) {
 	idx := bp.Block.Index
 	if err == nil {
-		err = s.commit(bp, rb, remote)
+		err = s.commit(bp, rb, out, materialized, remote)
 	}
 	s.left--
 	if err != nil {
@@ -387,8 +396,9 @@ func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 // ran; a remote block brings all three along, and crossing MaxRows here
 // fails it as crossing it mid-block fails a local one. A block already
 // committed (a duplicate delivery) is left alone; a held one is committed
-// as a nil output.
-func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool) error {
+// as a nil output. out and materialized are rb's tables as rows, built
+// outside the lock.
+func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.Table, materialized map[string]*data.Table, remote bool) error {
 	idx := bp.Block.Index
 	if _, ok := s.out.BlockOut[idx]; ok {
 		return nil
@@ -423,11 +433,11 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, remote bool
 	} else if s.report != nil {
 		s.report.Local = append(s.report.Local, idx)
 	}
-	s.out.BlockOut[idx] = rb.Out
+	s.out.BlockOut[idx], s.held[idx] = out, rb.Out
 	if rb.Out == nil {
 		s.report.Held++
 	}
-	for k, v := range rb.Materialized {
+	for k, v := range materialized {
 		s.out.Materialized[k] = v
 	}
 	s.out.Rows += rb.Rows

@@ -15,12 +15,12 @@ import (
 // column vectors: filters mark rows in arena-allocated selection vectors,
 // projects share column pointers, joins probe a chained hash index and emit
 // the matched pairs as two index vectors over their inputs (a column is
-// gathered only when something reads it, and the block boundary writes its
-// rows straight from the scans), and every operator-lifetime vector comes
-// from one arena per block attempt. Observable behavior — block outputs,
-// materialized tables, observed statistics, the work metric, deterministic
-// metrics — is identical to internal/wftest's row-at-a-time reference
-// evaluator; the equivalence suite enforces it.
+// gathered only when something reads it, and a block's tables leave as index
+// vectors into the scans: data.Late), and every operator-lifetime vector
+// comes from one arena per block attempt. Observable behavior — block
+// outputs, materialized tables, observed statistics, the work metric,
+// deterministic metrics — is identical to internal/wftest's row-at-a-time
+// reference evaluator; the equivalence suite enforces it.
 
 // vecJoinChunk is how many counted join-output rows accumulate between row
 // budget charges and cancellation polls.
@@ -41,9 +41,9 @@ type vecBlock struct {
 // runVecBlock interprets one compiled block columnar batch-at-a-time: every
 // node evaluates in topological order over vectors, feeding its taps over
 // the whole output batch at once. All vectors live in one arena scoped to
-// the attempt; only block outputs, materialized tables and statistic values
-// are copied out.
-func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics bool) (*data.Table, error) {
+// the attempt; the block's output and the tables it materializes leave in
+// late form, the statistic values in their store.
+func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics bool) error {
 	a := batch.GetArena()
 	defer batch.PutArena(a)
 	v := &vecBlock{
@@ -54,44 +54,29 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 	for _, n := range bp.Nodes {
 		b, err := v.evalVec(n)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n.Label, err)
+			return fmt.Errorf("%s: %w", n.Label, err)
 		}
 		v.batches[n.ID] = b
 	}
-	root := bp.Root
-	// The boundary output outlives the arena: copy it out, or on a worker,
-	// which ships or keeps it, its late form.
-	if out.late {
-		out.lateOut = v.late(v.batches[root.ID], v.rels[root.ID], root.Attrs)
-		return nil, nil
-	}
-	return v.batches[root.ID].Table(v.rels[root.ID], root.Attrs), nil
+	out.out = v.late(v.batches[bp.Root.ID], v.rels[bp.Root.ID], bp.Root.Attrs)
+	return nil
 }
 
-// materialize keeps a table the block leaves behind (a materialization or a
-// reject link), which outlives the arena: its live rows copied out, or on a
-// worker, which ships it, its late form.
-func (v *vecBlock) materialize(name string, b *batch.Batch, rel string, attrs []workflow.Attr) {
-	if v.out.late {
-		v.out.lateMaterialized[name] = v.late(b, rel, attrs)
-		return
-	}
-	v.out.materialized[name] = b.Table(rel, attrs)
-}
-
-// late returns the live rows of b in late form. A column whose vector is a
-// column of a source scan's batch reads that relation, which both ends of a
-// dispatch hold, through the column's index vector. So does a column of a
-// held upstream output's scan that reads a source relation: through the
-// held output's index composed with the column's, one input per index the
-// held output has. Every other column is gathered into values.
+// late returns the live rows of b — the block's output, a materialization or
+// a reject link — in late form, which outlives the arena. A column whose
+// vector is a column of a source scan's batch reads that relation, which
+// both ends of a dispatch hold, through the column's index vector. So does a
+// column of an upstream output's scan that reads a source relation: through
+// the upstream output's index composed with the column's, one input per
+// index the upstream output has. Every other column is gathered into values.
 func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data.Late {
 	// scanCol is a scanned vector that is column col of src, read at row
 	// idx[r] for the scan's row r; idx is nil, the identity, for a scan of
-	// src itself.
+	// src itself, and key is its first element's address, nil for none.
 	type scanCol struct {
 		src *data.Table
 		idx []int32
+		key *int32
 		col int
 	}
 	scans := make(map[*int64]scanCol)
@@ -108,7 +93,7 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 				scans[&col[0]] = scanCol{src: n.Src, col: j}
 			case up != nil && up.Cols[j].In >= 0:
 				in := up.Ins[up.Cols[j].In]
-				scans[&col[0]] = scanCol{src: in.Src, idx: in.Idx, col: up.Cols[j].Col}
+				scans[&col[0]] = scanCol{src: in.Src, idx: in.Idx, key: &in.Idx[0], col: up.Cols[j].Col}
 			}
 		}
 	}
@@ -121,12 +106,8 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 			src := b.Cols[c]
 			if len(src) > 0 {
 				if sc, ok := scans[&src[0]]; ok {
-					var key *int32
-					if sc.idx != nil {
-						key = &sc.idx[0]
-					}
 					k := first
-					for k < len(l.Ins) && (l.Ins[k].Src != sc.src || through[k] != key) {
+					for k < len(l.Ins) && (l.Ins[k].Src != sc.src || through[k] != sc.key) {
 						k++
 					}
 					if k == len(l.Ins) {
@@ -138,7 +119,7 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 							}
 						}
 						l.Ins = append(l.Ins, data.LateInput{Src: sc.src, Idx: idx})
-						through = append(through, key)
+						through = append(through, sc.key)
 					}
 					l.Cols[c] = data.LateCol{In: k, Col: sc.col}
 					continue
@@ -187,7 +168,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 		return v.evalVecJoin(n, met, start)
 	case physical.OpMaterialize:
 		in := v.batches[n.Input.ID]
-		v.materialize(n.Rel, in, v.rels[n.Input.ID], n.Attrs)
+		v.out.materialized[n.Rel] = v.late(in, v.rels[n.Input.ID], n.Attrs)
 		v.rels[n.ID] = v.rels[n.Input.ID]
 		// Materialization moves no rows: not counted, never tapped.
 		return in, nil
@@ -221,23 +202,18 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 }
 
 // scan reads a scan node's relation into a batch: a source relation, or an
-// upstream block's output — as rows, or gathered from the late form a worker
-// that holds it kept.
+// upstream block's output, gathered from its late form.
 func (v *vecBlock) scan(n *physical.Node) (*batch.Batch, error) {
-	src := n.Src
-	if n.FromBlock >= 0 {
-		if up, ok := v.out.held[n.FromBlock]; ok {
-			v.rels[n.ID] = up.Rel
-			return batch.FromLate(up, v.arena)
-		}
-		up, ok := v.out.upstream[n.FromBlock]
-		if !ok {
-			return nil, fmt.Errorf("upstream block %d not yet executed", n.FromBlock)
-		}
-		src = up
+	if n.FromBlock < 0 {
+		v.rels[n.ID] = n.Src.Rel
+		return batch.FromTable(n.Src, v.arena)
 	}
-	v.rels[n.ID] = src.Rel
-	return batch.FromTable(src, v.arena)
+	up, ok := v.out.held[n.FromBlock]
+	if !ok || up == nil {
+		return nil, fmt.Errorf("no output of upstream block %d to read", n.FromBlock)
+	}
+	v.rels[n.ID] = up.Rel
+	return batch.FromLate(up, v.arena)
 }
 
 // vecApplyOp evaluates one per-row or blocking unary operator over a batch,
@@ -438,7 +414,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 		met.TapNanos += time.Since(tapStart).Nanoseconds()
 	}
 	if n.RejectLink != "" {
-		v.materialize(n.RejectLink, leftMiss, v.rels[n.Left.ID]+"!", n.Left.Attrs)
+		v.out.materialized[n.RejectLink] = v.late(leftMiss, v.rels[n.Left.ID]+"!", n.Left.Attrs)
 	}
 	return joined, nil
 }

@@ -146,16 +146,24 @@ func (c *Catalog) Workflows() []string {
 // the server reads uploads through the hardened stats.ReadStore before they
 // reach the catalog.
 func (c *Catalog) Put(workflow string, store *stats.Store) (*Entry, stats.Drift, bool, error) {
+	e, prev, drift, err := c.put(workflow, store)
+	return e, drift, prev != nil, err
+}
+
+// put is Put, and also returns the entry the new one replaced (nil for a
+// first upload), read under the same lock as the generation it follows: two
+// uploads racing for one workflow each get the entry they replaced.
+func (c *Catalog) put(workflow string, store *stats.Store) (*Entry, *Entry, stats.Drift, error) {
 	if !workflowName.MatchString(workflow) {
-		return nil, stats.Drift{}, false, fmt.Errorf("serve: invalid workflow name %q", workflow)
+		return nil, nil, stats.Drift{}, fmt.Errorf("serve: invalid workflow name %q", workflow)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	var drift stats.Drift
 	gen := 1
-	prev, hadPrev := c.entries[workflow]
-	if hadPrev {
+	prev := c.entries[workflow]
+	if prev != nil {
 		gen = prev.Generation + 1
 		drift = stats.MeasureDrift(prev.Store, store)
 	}
@@ -173,28 +181,28 @@ func (c *Catalog) Put(workflow string, store *stats.Store) (*Entry, stats.Drift,
 
 	wfDir := filepath.Join(c.dir, workflow)
 	if err := os.MkdirAll(wfDir, 0o755); err != nil {
-		return nil, stats.Drift{}, false, fmt.Errorf("serve: put %s: %w", workflow, err)
+		return nil, nil, stats.Drift{}, fmt.Errorf("serve: put %s: %w", workflow, err)
 	}
 	if err := atomicWrite(wfDir, genFile(gen), func(f *os.File) error {
 		_, err := store.WriteTo(f)
 		return err
 	}); err != nil {
-		return nil, stats.Drift{}, false, fmt.Errorf("serve: put %s: %w", workflow, err)
+		return nil, nil, stats.Drift{}, fmt.Errorf("serve: put %s: %w", workflow, err)
 	}
 	meta, err := json.MarshalIndent(e.Meta, "", "  ")
 	if err != nil {
-		return nil, stats.Drift{}, false, err
+		return nil, nil, stats.Drift{}, err
 	}
 	meta = append(meta, '\n')
 	if err := atomicWrite(wfDir, "meta.json", func(f *os.File) error {
 		_, err := f.Write(meta)
 		return err
 	}); err != nil {
-		return nil, stats.Drift{}, false, fmt.Errorf("serve: put %s: %w", workflow, err)
+		return nil, nil, stats.Drift{}, fmt.Errorf("serve: put %s: %w", workflow, err)
 	}
 
 	c.entries[workflow] = e
-	return e, drift, hadPrev, nil
+	return e, prev, drift, nil
 }
 
 // atomicWrite writes a file via a temp file in the same directory plus a

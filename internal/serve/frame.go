@@ -47,9 +47,10 @@ import (
 // section to the codec or stats.ReadStore straight from the inflating
 // stream. The tables are data.WriteLate's: every source relation a column
 // reads is named, with a row index into it — read directly, or through a
-// held upstream output's index — and its columns are gathered from the
+// held upstream output's index — and the reader resolves it in the
 // coordinator's copy (the engine's data, DispatchSpec.DB), so only index
-// columns and the cells no source holds cross. DEFLATE takes what the codec
+// columns and the cells no source holds cross; the engine's scheduler
+// builds the rows of what it reads. DEFLATE takes what the codec
 // cannot see, repetition across columns and rows: 44 % (wf15) to 95 %
 // (wf08) of the payload bytes of the dist-run benchmark's runs
 // (TestDistributedWireBytes logs both).
@@ -304,10 +305,10 @@ func (f *frameReader) section() (*io.LimitedReader, error) {
 	return &io.LimitedReader{R: &f.payload, N: int64(n)}, nil
 }
 
-// lateTable decodes the next section as a late table, gathering the rows it
-// names from db, of no more cells than the frame may have bytes: what bounds
-// the body bounds what is built from it.
-func (f *frameReader) lateTable(db engine.DB) (*data.Table, error) {
+// lateTable decodes the next section as a late table over db, of no more
+// cells than the frame may have bytes: what bounds the body bounds what is
+// built from it, the table and its rows.
+func (f *frameReader) lateTable(db engine.DB) (*data.Late, error) {
 	sec, err := f.section()
 	if err != nil {
 		return nil, err
@@ -387,11 +388,11 @@ func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, error) 
 }
 
 // encodeRunResponse builds the response frame for one executed block from
-// the late tables RunBlockCtx returns; a block without a late output is a
-// held one.
+// the late tables RunBlockCtx returns; a block without an output is a held
+// one.
 func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
-	resp := workerRunResponse{Held: rb.LateOut == nil, Sources: rb.Sources, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
-	for name := range rb.LateMaterialized {
+	resp := workerRunResponse{Held: rb.Out == nil, Sources: rb.Sources, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
+	for name := range rb.Materialized {
 		resp.Materialized = append(resp.Materialized, name)
 	}
 	sort.Strings(resp.Materialized)
@@ -403,12 +404,12 @@ func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error)
 		return nil, err
 	}
 	if !resp.Held {
-		if err := f.late(rb.LateOut); err != nil {
+		if err := f.late(rb.Out); err != nil {
 			return nil, fmt.Errorf("block output: %w", err)
 		}
 	}
 	for _, name := range resp.Materialized {
-		if err := f.late(rb.LateMaterialized[name]); err != nil {
+		if err := f.late(rb.Materialized[name]); err != nil {
 			return nil, fmt.Errorf("materialized %q: %w", name, err)
 		}
 	}
@@ -443,8 +444,8 @@ func checkSources(sources map[string]int, db engine.DB) error {
 }
 
 // decodeRunResponse reads a worker's 200 body into the engine's form, its
-// tables gathered into rows from db; a block whose output the worker held
-// has none, and says Held.
+// late tables resolved in db; a block whose output the worker held has none,
+// and says Held.
 func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, error) {
 	var resp workerRunResponse
 	f, err := openFrame(r, &resp, maxPayload, nil)
@@ -462,7 +463,7 @@ func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.Rem
 		}
 	}
 	if len(resp.Materialized) > 0 {
-		rb.Materialized = make(map[string]*data.Table, len(resp.Materialized))
+		rb.Materialized = make(map[string]*data.Late, len(resp.Materialized))
 	}
 	for _, name := range resp.Materialized {
 		if rb.Materialized[name], err = f.lateTable(db); err != nil {

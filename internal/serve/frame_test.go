@@ -47,27 +47,34 @@ func lateOf(t *data.Table) *data.Late {
 	return l
 }
 
-// frameBlock is a block outcome that fills every part of a response frame:
-// its tables as a worker ships them (late, naming no relation), and as a
-// coordinator reads them back.
+// frameBlock is a block outcome that fills every part of a response frame,
+// its tables as a worker ships them: late, naming no relation.
 func frameBlock(t testing.TB) *engine.RemoteBlock {
-	rb := &engine.RemoteBlock{
-		Out: frameTable("Out", data.Row{1, 2}, data.Row{3, 4}),
-		Materialized: map[string]*data.Table{
-			"rejects": frameTable("rejects", data.Row{9, 9}),
-			"audit":   frameTable("audit"),
+	return &engine.RemoteBlock{
+		Out: lateOf(frameTable("Out", data.Row{1, 2}, data.Row{3, 4})),
+		Materialized: map[string]*data.Late{
+			"rejects": lateOf(frameTable("rejects", data.Row{9, 9})),
+			"audit":   lateOf(frameTable("audit")),
 		},
-		LateMaterialized: map[string]*data.Late{},
-		Rows:             7,
-		Observed:         scalarStore(t, 40),
-		Degraded:         []engine.FailedStat{{Stat: stats.NewCard(stats.BlockSE(0, 1)), Err: errors.New("tap failed")}},
-		Retries:          2,
+		Rows:     7,
+		Observed: scalarStore(t, 40),
+		Degraded: []engine.FailedStat{{Stat: stats.NewCard(stats.BlockSE(0, 1)), Err: errors.New("tap failed")}},
+		Retries:  2,
 	}
-	rb.LateOut = lateOf(rb.Out)
-	for name, tbl := range rb.Materialized {
-		rb.LateMaterialized[name] = lateOf(tbl)
+}
+
+// rowsOf returns the rows of a block's tables, as the scheduler builds them:
+// its output (nil when held) and its materialized targets.
+func rowsOf(rb *engine.RemoteBlock) (*data.Table, map[string]*data.Table) {
+	var out *data.Table
+	if rb.Out != nil {
+		out = rb.Out.Table()
 	}
-	return rb
+	mat := make(map[string]*data.Table, len(rb.Materialized))
+	for name, l := range rb.Materialized {
+		mat[name] = l.Table()
+	}
+	return out, mat
 }
 
 // responseFrame and requestFrame encode under the production cap.
@@ -142,7 +149,9 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if err != nil || got.Held {
 		t.Fatalf("decodeRunResponse: %+v, %v", got, err)
 	}
-	if !reflect.DeepEqual(got.Out, want.Out) || !reflect.DeepEqual(got.Materialized, want.Materialized) {
+	gotOut, gotMat := rowsOf(got)
+	wantOut, wantMat := rowsOf(want)
+	if !reflect.DeepEqual(gotOut, wantOut) || !reflect.DeepEqual(gotMat, wantMat) {
 		t.Error("tables differ after the round trip")
 	}
 	if got.Rows != want.Rows || got.Retries != want.Retries {
@@ -168,7 +177,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	}
 	// A held block's frame has everything but the output.
 	gotHeld, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes, nil)
-	if err != nil || !gotHeld.Held || gotHeld.Out != nil || !reflect.DeepEqual(gotHeld.Materialized, want.Materialized) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
+	if _, heldMat := rowsOf(gotHeld); err != nil || !gotHeld.Held || gotHeld.Out != nil || !reflect.DeepEqual(heldMat, wantMat) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
 		t.Errorf("held response after the round trip: %+v (%v)", gotHeld, err)
 	}
 
@@ -262,7 +271,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(resp) >= len(payload) {
 		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
 	}
-	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out, frameBlock(t).Out) {
+	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out.Table(), frameBlock(t).Out.Table()) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
 }
@@ -428,7 +437,7 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 // heldBlock is frameBlock with its output held.
 func heldBlock(t testing.TB) *engine.RemoteBlock {
 	rb := frameBlock(t)
-	rb.Out, rb.LateOut = nil, nil
+	rb.Out = nil
 	return rb
 }
 
@@ -494,7 +503,7 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := local.RunBlockCtx(context.Background(), 1, nil, res, sel.Observe, map[int]*data.Late{0: b0.LateOut})
+	b1, err := local.RunBlockCtx(context.Background(), 1, nil, res, sel.Observe, map[int]*data.Late{0: b0.Out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +615,7 @@ func TestRunFrameRefusesHostileLateTables(t *testing.T) {
 	for _, c := range hostileLate {
 		rb, err := decodeRunResponse(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
 		if c.refusal == "" {
-			if err != nil || !reflect.DeepEqual(rb.Out.Rows, []data.Row{{1}, {3}}) {
+			if err != nil || !reflect.DeepEqual(rb.Out.Table().Rows, []data.Row{{1}, {3}}) {
 				t.Errorf("%s: %v, rows %v", c.name, err, rb)
 			}
 			continue

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -157,5 +159,56 @@ func TestObserveOptimizeRaceNoStaleCache(t *testing.T) {
 	}
 	if !bytes.Equal(body, body2) {
 		t.Fatal("cache hit differs from the solved body")
+	}
+}
+
+// TestConcurrentFirstUploads sends a workflow's first uploads eight at a
+// time, straight to the handler, over a fresh catalog each round (run under
+// -race in CI). Each upload compares itself with the generation it
+// replaced, so every one must be answered 200, the generations must be 1
+// to 8, and none may compare with a generation it did not replace — before
+// the fix, one that read the catalog before another's Put compared with
+// nothing and panicked.
+func TestConcurrentFirstUploads(t *testing.T) {
+	doc, db := tinyWorkflow(t, 11, 600)
+	stream := observedStream(t, doc, db)
+	const uploads = 8
+	rounds := 50
+	if testing.Short() {
+		rounds = 10
+	}
+	for round := 0; round < rounds; round++ {
+		cat, err := OpenCatalog(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(cat, map[string]*Document{"tiny": doc}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		gens := make([]int, uploads)
+		var wg sync.WaitGroup
+		for i := range gens {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/observe?workflow=tiny", bytes.NewReader(stream)))
+				var obs observeResponse
+				if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &obs) != nil {
+					t.Errorf("round %d: upload answered %d %s", round, rec.Code, rec.Body)
+					return
+				}
+				gens[i] = obs.Generation
+			}()
+		}
+		wg.Wait()
+		slices.Sort(gens)
+		for i, g := range gens {
+			if g != i+1 {
+				t.Fatalf("round %d: generations %v, want 1 to %d", round, gens, uploads)
+			}
+		}
 	}
 }

@@ -333,11 +333,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var prev *stats.Store
-	if e, ok := s.catalog.get(name); ok {
-		prev = e.Store
-	}
-	entry, drift, hadPrev, err := s.catalog.Put(name, store)
+	entry, prev, drift, err := s.catalog.put(name, store)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -356,14 +352,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// First generation, or drift past threshold: whatever was solved before
 	// no longer stands. Raising the cache's generation bound (not just
 	// emptying it) is what makes this stick against in-flight solves.
-	if !hadPrev || drift.Exceeds(s.opts.DriftThreshold) {
+	if prev == nil || drift.Exceeds(s.opts.DriftThreshold) {
 		resp.Reoptimize = true
 		resp.Invalidated = s.invalidate(name, entry.Generation)
 	}
 	s.metrics.observe(name, entry.Generation, drift.MaxRel, int64(len(body)))
-	if hadPrev {
+	if prev != nil {
 		if res, err := s.plans[name].CSS(); err == nil {
-			if q, ok := maxQError(res, prev, store); ok {
+			if q, ok := maxQError(res, prev.Store, store); ok {
 				resp.QErrorMax = q
 				s.metrics.qerror(name, q)
 			}

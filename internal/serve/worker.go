@@ -204,8 +204,8 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Kept before the response leaves, so a request that names it can only
 	// arrive after it is here; one over the store's bound is sent instead.
-	if req.Hold && wk.resident.put(req.key, rb.LateOut) {
-		rb.LateOut = nil
+	if req.Hold && wk.resident.put(req.key, rb.Out) {
+		rb.Out = nil
 	}
 	frame, err := encodeRunResponse(rb, wk.maxBody)
 	if err != nil {
