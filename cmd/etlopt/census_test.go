@@ -121,8 +121,6 @@ var censusAllowed = map[string]string{
 
 	// Fixture constructors and constants other packages' tests build with.
 	"faults.New":          "fixture constructor: core, engine and suite tests build injectors with it",
-	"stats.NewHist":       "fixture constructor: costmodel, css and engine tests spell histogram statistics with it",
-	"stats.NewDistinct":   "fixture constructor: costmodel and engine tests spell distinct-count statistics with it",
 	"stats.BlockRejectSE": "fixture constructor: costmodel, css and engine tests spell reject targets with it",
 
 	// Values of an enumeration whose other values product code names.

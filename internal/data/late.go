@@ -270,6 +270,13 @@ func (t *Late) rows(rows []Row, lo, hi int) {
 	}
 }
 
+// appendLate writes a late table section. The scratch holds only the row
+// indexes, widened to the codec's cells; a plain column is planned and
+// encoded from the table's own values, and a named column, which the section
+// names and does not send, is read only as a determinant of a later plain
+// column: its min and max come from its relation where that is cheaper
+// (wireCols.resolve), and its rows are gathered only as far as a map pass,
+// a chain pass or recurs reads them.
 func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	buf = append(buf, tableMagic...)
 	n := t.N
@@ -282,43 +289,50 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 		return buf, err
 	}
 	// The sequence of columns: each group's, an input's behind its index.
-	nv := len(t.Attrs)
+	indexes := 0
 	for _, grp := range groups {
 		if grp.in >= 0 {
-			nv++
+			indexes++
 		}
 	}
-	if cap(sc.cells) < n*nv {
-		sc.cells = make([]int64, n*nv)
+	nv := len(t.Attrs) + indexes
+	if cap(sc.cells) < n*indexes {
+		sc.cells = make([]int64, n*indexes)
 	}
-	cells := sc.cells[:n*nv]
+	cells := sc.cells[:n*indexes]
 	if cap(sc.stats) < nv {
 		sc.stats = make([]colStats, nv)
 	}
 	stats := sc.stats[:nv]
 	clear(stats)
+	cols := &sc.cols
+	cols.reset(n, nv, t)
 	body := sc.body[:0]
 	p := 0 // the next column of the sequence
 	for _, grp := range groups {
-		if grp.in >= 0 {
-			ix := wireColumn(cells, stats, p)
-			for r, i := range t.Ins[grp.in].Idx {
-				ix[r] = int64(i)
-			}
-			stats[p].scan(ix)
-			body = appendColumn(body, cells, stats, p, latePlan(cells, stats, p, sc), sc)
-			stats[p].index = true
-			p++
-		}
-		for _, c := range grp.cols {
-			col := wireColumn(cells, stats, p)
-			t.Gather(col, c)
-			stats[p].scan(col)
-			if grp.in < 0 {
-				pl := latePlan(cells, stats, p, sc)
+		if grp.in < 0 {
+			for _, c := range grp.cols {
+				cols.vals[p] = t.Cols[c].Vals
+				stats[p].scan(cols.vals[p])
+				pl := latePlan(cols, stats, p, sc)
 				stats[p].mapped = pl.enc == encMap
-				body = appendColumn(body, cells, stats, p, pl, sc)
+				body = appendColumn(body, cols, stats, p, pl, sc)
+				p++
 			}
+			continue
+		}
+		ix := cells[:n:n]
+		cells = cells[n:]
+		for r, i := range t.Ins[grp.in].Idx {
+			ix[r] = int64(i)
+		}
+		cols.vals[p] = ix
+		stats[p].scan(ix)
+		body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
+		stats[p].index = true
+		p++
+		for _, c := range grp.cols {
+			cols.named[p] = c
 			p++
 		}
 	}
@@ -352,9 +366,9 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 
 // latePlan is planColumn for a late section's column: a column that never
 // decreases is sent as runs where plain would be smaller.
-func latePlan(cells []int64, stats []colStats, c int, sc *wireScratch) colPlan {
-	pl := planColumn(cells, stats, c, sc, decoded{})
-	if pl.enc == encPlain && slices.IsSorted(wireColumn(cells, stats, c)) {
+func latePlan(cols *wireCols, stats []colStats, c int, sc *wireScratch) colPlan {
+	pl := planColumn(cols, stats, c, sc, decoded{})
+	if pl.enc == encPlain && slices.IsSorted(cols.vals[c]) {
 		pl.enc = encRLE
 	}
 	return pl
@@ -439,12 +453,13 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 		sc.stats = make([]colStats, nv)
 	}
 	stats := sc.stats[:nv]
-	d.late, d.cols, d.named = l, make([][]int64, nv), make([]int, nv)
+	d.cols = &sc.cols
+	d.cols.reset(n, nv, l)
 	v := 0
 	// decode decodes place v into the next scratch column.
 	decode := func() error {
-		d.cols[v], cells = cells[:n:n], cells[n:]
-		return d.column(nil, stats, v, sc)
+		d.cols.vals[v], cells = cells[:n:n], cells[n:]
+		return d.column(stats, v, sc)
 	}
 	for g, grp := range groups {
 		if len(grp.cols) == 0 {
@@ -455,7 +470,7 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 				if err := decode(); err != nil {
 					return fmt.Errorf("data: column %d: %w", c, err)
 				}
-				l.Cols[c] = LateCol{In: -1, Vals: slices.Clone(d.cols[v])}
+				l.Cols[c] = LateCol{In: -1, Vals: slices.Clone(d.cols.vals[v])}
 				v++
 			}
 			continue
@@ -466,7 +481,7 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 		stats[v].index = true
 		rows := int64(len(grp.src.Rows))
 		idx := make([]int32, n)
-		for r, i := range d.cols[v] {
+		for r, i := range d.cols.vals[v] {
 			if i < 0 || i >= rows {
 				return fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, i, grp.src.Rel, rows)
 			}
@@ -476,23 +491,9 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 		v++
 		for _, c := range grp.cols {
 			l.Cols[c].In = len(l.Ins) - 1
-			d.named[v] = c
+			d.cols.named[v] = c
 			v++
 		}
 	}
 	return nil
-}
-
-// gathered gives place j of a late section's columns its values and
-// statistics: a named column, which the reader leaves without either, is
-// gathered and scanned on the first read of it, as a determinant.
-func (d *wireDecoder) gathered(stats []colStats, j int) {
-	if d.cols == nil || d.cols[j] != nil {
-		return
-	}
-	col := make([]int64, d.late.N)
-	d.late.Gather(col, d.named[j])
-	d.cols[j] = col
-	stats[j] = colStats{}
-	stats[j].scan(col)
 }

@@ -165,8 +165,8 @@ func TestLateRoundTripJoins(t *testing.T) {
 			bothNamed++
 			// P's index is the first column, over no determinant: decoded
 			// alone, it ends where B's index starts.
-			d := &wireDecoder{Cursor: Cursor{B: b, Pos: body}}
-			if err := d.column(make([]int64, l.N), make([]colStats, 1), 0, new(wireScratch)); err != nil {
+			d := &wireDecoder{Cursor: Cursor{B: b, Pos: body}, cols: new(wireCols).plain(make([]int64, l.N), 1)}
+			if err := d.column(make([]colStats, 1), 0, new(wireScratch)); err != nil {
 				t.Fatalf("seed %d: P's index: %v", seed, err)
 			}
 			if b[d.Pos] == encChain {

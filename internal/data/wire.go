@@ -116,6 +116,7 @@ const mapWork = 4
 // wireScratch is the working memory of one WriteTable or ReadTable call.
 type wireScratch struct {
 	cells []int64 // the table, column-major
+	cols  wireCols
 	stats []colStats
 	marks []uint16     // presence marks over [min, max], then dictionary codes
 	dict  []int64      // a decoded dictionary
@@ -168,6 +169,9 @@ func putScratch(sc *wireScratch) {
 	if cap(sc.runs) > maxPooledCells {
 		sc.runs = nil
 	}
+	if cap(sc.cols.arena) > maxPooledCells {
+		sc.cols.arena = nil
+	}
 	if cap(sc.out) > maxPooledBytes {
 		sc.out = nil
 	}
@@ -177,6 +181,10 @@ func putScratch(sc *wireScratch) {
 	if sc.in.Cap() > maxPooledBytes {
 		sc.in = bytes.Buffer{}
 	}
+	// The column views name the caller's tables and the vectors gathered
+	// for them: none outlives the call.
+	clear(sc.cols.vals)
+	sc.cols.late = nil
 	wirePool.Put(sc)
 }
 
@@ -269,10 +277,11 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 			stats[c].scan(cells[c*nrows+r0 : c*nrows+r0+len(tile)])
 		}
 	}
+	cols := sc.cols.plain(cells, ncols)
 	for c := 0; c < ncols && nrows > 0; c++ {
-		p := planColumn(cells, stats, c, sc, decoded{})
+		p := planColumn(cols, stats, c, sc, decoded{})
 		stats[c].mapped = p.enc == encMap
-		buf = appendColumn(buf, cells, stats, c, p, sc)
+		buf = appendColumn(buf, cols, stats, c, p, sc)
 	}
 	return buf, nil
 }
@@ -281,7 +290,9 @@ func appendTable(buf []byte, t *Table, sc *wireScratch) ([]byte, error) {
 // 14-column table are 56 KiB, inside L2.
 const wireTile = 512
 
-// colStats is what one sequential pass over a column yields.
+// colStats is what one sequential pass over a column yields. A late table
+// writer's named column has none until planColumn looks at it as a
+// determinant (wireCols.resolve), and then only its min and max.
 type colStats struct {
 	min, max int64
 	last     int64 // the previous value scanned
@@ -351,10 +362,140 @@ type decoded struct {
 	size int
 }
 
-// wireColumn is column c of the column-major cells of a len(stats)-column table.
-func wireColumn(cells []int64, stats []colStats, c int) []int64 {
-	n := len(cells) / len(stats)
-	return cells[c*n : (c+1)*n]
+// wireCols is a table's columns by place, as planColumn and the decoder read
+// them: vals[j] is all of column j, but for a late table's named columns
+// (named[j] ≥ 0, the table's column it reads), whose rows are gathered from
+// their relation only as far as a determinant pass reads them, and kept.
+type wireCols struct {
+	n     int
+	vals  [][]int64
+	late  *Late
+	named []int
+	// srcs[j] is named column j's relation column, copied out on the first
+	// read where the relation has fewer rows than the table: gathering then
+	// reads one small vector, not a row a cell.
+	srcs [][]int64
+	// arena holds the gathered columns and the copied-out ones, used cells
+	// of it this call: the scratch keeps it, so a warm writer or reader
+	// allocates none.
+	arena []int64
+	used  int
+}
+
+// take is k cells of the arena, holding v's: v's own, grown in place, when
+// it is the arena's last take and the arena has room.
+func (cs *wireCols) take(v []int64, k int) []int64 {
+	if n := len(v); n > 0 && cs.used >= n && &cs.arena[cs.used-n] == &v[0] && len(cs.arena)-cs.used >= k-n {
+		cs.used += k - n
+		return cs.arena[cs.used-k : cs.used-k+n : cs.used]
+	}
+	if len(cs.arena)-cs.used < k {
+		cs.arena, cs.used = make([]int64, max(k, 2*len(cs.arena), cs.n)), 0
+	}
+	out := append(cs.arena[cs.used:cs.used:cs.used+k], v...)
+	cs.used += k
+	return out
+}
+
+// gatherChunk is the fewest rows a named column is first gathered to; each
+// later gather takes it gatherGrowth times as far.
+const (
+	gatherChunk  = 1 << 10
+	gatherGrowth = 4
+)
+
+// plain views w columns of column-major cells: every column complete.
+func (cs *wireCols) plain(cells []int64, w int) *wireCols {
+	n := 0
+	if w > 0 {
+		n = len(cells) / w
+	}
+	cs.reset(n, w, nil)
+	for c := range cs.vals {
+		cs.vals[c] = cells[c*n : (c+1)*n]
+	}
+	return cs
+}
+
+// reset starts the view of a table of n rows and w places, none set; every
+// place of a late table is one the caller sets or names.
+func (cs *wireCols) reset(n, w int, late *Late) {
+	cs.n, cs.late, cs.used = n, late, 0
+	if cap(cs.vals) < w {
+		cs.vals, cs.srcs, cs.named = make([][]int64, w), make([][]int64, w), make([]int, w)
+	}
+	cs.vals, cs.srcs, cs.named = cs.vals[:w], cs.srcs[:w], cs.named[:w]
+	clear(cs.vals)
+	clear(cs.srcs)
+	for j := range cs.named {
+		cs.named[j] = -1
+	}
+}
+
+// source is named column j's relation and index, and the relation's column
+// where it has fewer rows than the table (nil otherwise).
+func (cs *wireCols) source(j int) (*LateInput, int, []int64) {
+	lc := cs.late.Cols[cs.named[j]]
+	in := &cs.late.Ins[lc.In]
+	if cs.srcs[j] == nil && len(in.Src.Rows) < cs.n {
+		col := cs.take(nil, len(in.Src.Rows))
+		for _, row := range in.Src.Rows {
+			col = append(col, row[lc.Col])
+		}
+		cs.srcs[j] = col
+	}
+	return in, lc.Col, cs.srcs[j]
+}
+
+// rows gives column j at least min(k, n) of its rows and returns all it
+// has: a named column short of them is gathered gatherGrowth times as far
+// as it was, and at least gatherChunk rows, or k if that is further.
+func (cs *wireCols) rows(j, k int) []int64 {
+	v := cs.vals[j]
+	if len(v) >= min(k, cs.n) {
+		return v
+	}
+	k = min(max(k, gatherGrowth*len(v), gatherChunk), cs.n)
+	in, col, src := cs.source(j)
+	v = cs.take(v, k)
+	if src != nil {
+		for _, i := range in.Idx[len(v):k] {
+			v = append(v, src[i])
+		}
+	} else {
+		for _, i := range in.Idx[len(v):k] {
+			v = append(v, in.Src.Rows[i][col])
+		}
+	}
+	cs.vals[j] = v
+	return v
+}
+
+// head is the first rows of determinant j a pass may read: those gathered,
+// at least min(k, limit), and no more than limit.
+func (cs *wireCols) head(j, k, limit int) []int64 {
+	v := cs.rows(j, k)
+	return v[:min(len(v), limit)]
+}
+
+// resolve gives a named column its min and max the first time planColumn
+// looks at it: its relation's column's where the relation has fewer rows
+// than the table and that span is under maxDictSpan — a gathered subset's
+// span is no wider, and a map's or chain's image lists only the values
+// present, in order, so the bytes are those of the subset's own bounds —
+// and otherwise the gathered column's own.
+func (cs *wireCols) resolve(stats []colStats, j int) {
+	if cs.late == nil || cs.named[j] < 0 || stats[j].runs != 0 {
+		return
+	}
+	if _, _, src := cs.source(j); src != nil {
+		mn, mx := slices.Min(src), slices.Max(src)
+		if uint64(mx)-uint64(mn) < maxDictSpan {
+			stats[j] = colStats{min: mn, max: mx, last: mx, runs: 1}
+			return
+		}
+	}
+	stats[j].scan(cs.rows(j, cs.n))
 }
 
 // planColumn picks the encoding of column c by exact encoded size, over the
@@ -362,8 +503,8 @@ func wireColumn(cells []int64, stats []colStats, c int) []int64 {
 // c, and the decisions for the determinants. A reader that
 // built the column from an image over a determinant passes what it learnt
 // (the writer passes the zero value): the one pass it need not repeat.
-func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known decoded) colPlan {
-	col, st := wireColumn(cells, stats, c), &stats[c]
+func planColumn(cols *wireCols, stats []colStats, c int, sc *wireScratch, known decoded) colPlan {
+	col, st := cols.vals[c], &stats[c]
 	n := len(col)
 	p := colPlan{enc: encPlain, min: st.min}
 	best := st.plain
@@ -385,11 +526,15 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 	// The determinant search: maps, then chains, each ascending so that ties
 	// go to the lower j. A pass ends at a row that contradicts its image, an
 	// image that reaches its bound, or the budget, which every determinant
-	// tried and every row a pass reads are charged to.
+	// tried and every row a pass reads are charged to. A pass that reads
+	// all a named column has gathered runs again over gatherGrowth times the
+	// rows until it ends before them: what it returns, and charges, is then
+	// what it would over the whole column.
 	budget := mapWork * n
 	chainable := sc.chainable[:0]
 	for j := 0; j < c && budget > 0; j++ {
 		budget--
+		cols.resolve(stats, j)
 		dst := &stats[j]
 		span := uint64(dst.max) - uint64(dst.min)
 		// A chain over a map column is sized; over any other, only where the
@@ -400,18 +545,23 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 		if span >= maxDictSpan || dst.mapped || dst.index {
 			continue
 		}
-		det := wireColumn(cells, stats, j)[:min(n, budget)]
+		limit := min(n, budget)
 		var size, seen int
 		var epoch uint64
 		if known.enc == encMap && j == known.det {
-			size, seen = known.size, len(det)
+			size, seen = known.size, limit
 		} else {
-			var image []imageEntry
-			image, epoch = sc.newImage(span)
-			size, seen, chainable[j] = mapPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
+			for det := cols.head(j, 1, limit); ; det = cols.head(j, len(det)+1, limit) {
+				var image []imageEntry
+				image, epoch = sc.newImage(span)
+				size, seen, chainable[j] = mapPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
+				if chainable[j] || seen < len(det) || len(det) == limit {
+					break
+				}
+			}
 		}
 		budget -= seen
-		if len(det) == n && size > 0 && size < best {
+		if limit == n && size > 0 && size < best {
 			p.enc, p.det, p.epoch, best = encMap, j, epoch, size
 			sc.image, sc.best = sc.best, sc.image
 		}
@@ -419,21 +569,26 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 	sc.chainable = chainable
 	for j := 0; j < len(chainable) && budget > 0; j++ {
 		dst := &stats[j]
-		if !chainable[j] || !sc.recurs(wireColumn(cells, stats, j), dst) {
+		if !chainable[j] || !sc.recurs(cols, j, dst) {
 			continue
 		}
-		det := wireColumn(cells, stats, j)[:min(n, budget)]
+		limit := min(n, budget)
 		var size, seen int
 		var epoch uint64
 		if known.enc == encChain && j == known.det {
-			size, seen = known.size, len(det)
+			size, seen = known.size, limit
 		} else {
-			var image []imageEntry
-			image, epoch = sc.newImage(uint64(dst.max) - uint64(dst.min))
-			size, seen = chainPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
+			for det := cols.head(j, 1, limit); ; det = cols.head(j, len(det)+1, limit) {
+				var image []imageEntry
+				image, epoch = sc.newImage(uint64(dst.max) - uint64(dst.min))
+				size, seen = chainPass(col, det, dst.min, image, epoch, uvarintLen(uint64(j)), best)
+				if seen < len(det) || len(det) == limit {
+					break
+				}
+			}
 		}
 		budget -= seen
-		if len(det) == n && size > 0 && size < best {
+		if limit == n && size > 0 && size < best {
 			p.enc, p.det, p.epoch, best = encChain, j, epoch, size
 			sc.image, sc.best = sc.best, sc.image
 		}
@@ -471,18 +626,23 @@ func planColumn(cells []int64, stats []colStats, c int, sc *wireScratch, known d
 	return p
 }
 
-// recurs reports whether a value of det recurs in a later run, and keeps
-// the answer in its statistics.
-func (sc *wireScratch) recurs(det []int64, st *colStats) bool {
-	if st.recurs == 0 {
-		st.recurs = 2
+// recurs reports whether a value of column j recurs in a later run, and
+// keeps the answer in its statistics, st. A named column is read as far as
+// the first recurrence, over gatherGrowth times the rows at each try.
+func (sc *wireScratch) recurs(cols *wireCols, j int, st *colStats) bool {
+	for det := []int64(nil); st.recurs == 0; {
+		det = cols.rows(j, len(det)+1)
 		image, epoch := sc.newImage(uint64(st.max) - uint64(st.min))
-		for i := 0; i < len(det) && st.recurs == 2; i = runEnd(det, i) {
+		for i := 0; i < len(det); i = runEnd(det, i) {
 			e := &image[uint64(det[i])-uint64(st.min)]
 			if e.epoch == epoch {
 				st.recurs = 1
+				break
 			}
 			e.epoch = epoch
+		}
+		if st.recurs == 0 && len(det) == cols.n {
+			st.recurs = 2
 		}
 	}
 	return st.recurs == 1
@@ -568,8 +728,8 @@ var varintLens = func() (t [65]uint8) {
 }()
 
 // appendColumn encodes column c as planned.
-func appendColumn(buf []byte, cells []int64, stats []colStats, c int, p colPlan, sc *wireScratch) []byte {
-	col := wireColumn(cells, stats, c)
+func appendColumn(buf []byte, cols *wireCols, stats []colStats, c int, p colPlan, sc *wireScratch) []byte {
+	col := cols.vals[c]
 	buf = append(buf, p.enc)
 	switch p.enc {
 	case encPlain:
@@ -676,8 +836,9 @@ func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
 	if cap(sc.stats) < w {
 		sc.stats = make([]colStats, w)
 	}
+	d.cols = sc.cols.plain(sc.cells[:n*w], w)
 	for c := 0; c < w && n > 0; c++ {
-		if err := d.column(sc.cells[:n*w], sc.stats[:w], c, sc); err != nil {
+		if err := d.column(sc.stats[:w], c, sc); err != nil {
 			return nil, fmt.Errorf("data: column %d: %w", c, err)
 		}
 	}
@@ -754,23 +915,28 @@ func openSection(r io.Reader, sc *wireScratch, present byte, maxRows, maxCells i
 }
 
 // wireDecoder is a cursor over one encoded table. verify asks each column
-// to be the writer's own choice of encoding. A late table's reader checks
-// structure and bounds only, and gives each column a vector in cols; a named
-// one, column named[j] of late, none until a determinant reads it (late.go).
+// to be the writer's own choice of encoding. cols are the columns decoded
+// into: a plain table's cells, or a late table's own vectors, its named
+// columns gathered only where a determinant reads them (late.go).
 type wireDecoder struct {
 	Cursor
 	verify bool
-	cols   [][]int64
-	late   *Late
-	named  []int
+	cols   *wireCols
 }
 
-// col is column c: of the column-major cells, or a late reader's own.
-func (d *wireDecoder) col(cells []int64, stats []colStats, c int) []int64 {
-	if d.cols != nil {
-		return d.cols[c]
+// det is all of determinant j, with its statistics: a late table's named
+// column, which the reader leaves without either, is gathered and scanned on
+// the first read of it.
+func (d *wireDecoder) det(stats []colStats, j int) []int64 {
+	cs := d.cols
+	if cs.late != nil && cs.named[j] >= 0 && cs.vals[j] == nil {
+		col := make([]int64, cs.n)
+		cs.late.Gather(col, cs.named[j])
+		cs.vals[j] = col
+		stats[j] = colStats{}
+		stats[j].scan(col)
 	}
-	return wireColumn(cells, stats, c)
+	return cs.vals[j]
 }
 
 func (d *wireDecoder) uvarint(what string) (uint64, error) {
@@ -791,13 +957,13 @@ func (d *wireDecoder) str(what string) (string, error) {
 
 // column decodes column c into the column-major cells, after columns 0..c-1,
 // and verifies it is the encoding the writer would have chosen.
-func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScratch) error {
+func (d *wireDecoder) column(stats []colStats, c int, sc *wireScratch) error {
 	if d.Pos == len(d.B) {
 		return io.ErrUnexpectedEOF
 	}
 	enc := d.B[d.Pos]
 	d.Pos++
-	col, st := d.col(cells, stats, c), &stats[c]
+	col, st := d.cols.vals[c], &stats[c]
 	*st = colStats{}
 	dict, known, start := 0, decoded{det: -1}, d.Pos
 	var err error
@@ -809,9 +975,9 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 	case encDict:
 		dict, err = d.dictColumn(col, sc)
 	case encMap:
-		known.det, err = d.mapColumn(cells, stats, c, sc)
+		known.det, err = d.mapColumn(stats, c, sc)
 	case encChain:
-		known.det, err = d.chainColumn(cells, stats, c, sc)
+		known.det, err = d.chainColumn(stats, c, sc)
 	default:
 		return fmt.Errorf("unknown encoding tag %d", enc)
 	}
@@ -826,7 +992,7 @@ func (d *wireDecoder) column(cells []int64, stats []colStats, c int, sc *wireScr
 		st.mapped = enc == encMap
 		return nil
 	}
-	if p := planColumn(cells, stats, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
+	if p := planColumn(d.cols, stats, c, sc, known); p.enc != enc || p.dict != dict || enc >= encMap && p.det != known.det {
 		return fmt.Errorf("non-canonical: encoding %d (%d dictionary entries, determinant %d), the writer picks %d (%d, %d)", enc, dict, known.det, p.enc, p.dict, p.det)
 	}
 	st.mapped = enc == encMap
@@ -973,7 +1139,7 @@ func (d *wireDecoder) dictColumn(col []int64, sc *wireScratch) (int, error) {
 
 // mapColumn decodes a column that is a function of an earlier one: the image
 // entries pair up, in order, with that column's distinct values.
-func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wireScratch) (int, error) {
+func (d *wireDecoder) mapColumn(stats []colStats, c int, sc *wireScratch) (int, error) {
 	j, err := d.Uvarint()
 	if err != nil {
 		return 0, err
@@ -981,13 +1147,12 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 	if j >= uint64(c) {
 		return 0, fmt.Errorf("column %d cannot determine column %d: not earlier", j, c)
 	}
-	d.gathered(stats, int(j))
+	det := d.det(stats, int(j))
 	if stats[j].mapped || stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
 		return 0, fmt.Errorf("column %d cannot determine column %d: map-encoded, a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)
-	det := d.col(cells, stats, int(j))
 	image, epoch := sc.newImage(span)
 	for i, dv := range det {
 		if i == 0 || dv != det[i-1] {
@@ -1002,7 +1167,7 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 		}
 	}
 	// Expand by the determinant's runs, with statistics as in rleColumn.
-	col, st := d.col(cells, stats, c), &stats[c]
+	col, st := d.cols.vals[c], &stats[c]
 	for i, k := 0, 0; i < len(det); i = k {
 		k = runEnd(det, i)
 		v := image[uint64(det[i])-uint64(dst.min)].v
@@ -1020,7 +1185,7 @@ func (d *wireDecoder) mapColumn(cells []int64, stats []colStats, c int, sc *wire
 
 // chainColumn decodes a column that repeats, along each run of an earlier
 // column, a list that column's value names, and returns that column.
-func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wireScratch) (int, error) {
+func (d *wireDecoder) chainColumn(stats []colStats, c int, sc *wireScratch) (int, error) {
 	j, err := d.Uvarint()
 	if err != nil {
 		return 0, err
@@ -1028,13 +1193,12 @@ func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wi
 	if j >= uint64(c) {
 		return 0, fmt.Errorf("column %d cannot chain column %d: not earlier", j, c)
 	}
-	d.gathered(stats, int(j))
+	det := d.det(stats, int(j))
 	if stats[j].index || uint64(stats[j].max)-uint64(stats[j].min) >= maxDictSpan {
 		return 0, fmt.Errorf("column %d cannot chain column %d: a row index or too wide", j, c)
 	}
 	dst := &stats[j]
 	span := uint64(dst.max) - uint64(dst.min)
-	det := d.col(cells, stats, int(j))
 	// Each value's longest run is the length of its list.
 	image, epoch := sc.newImage(span)
 	for i, k := 0, 0; i < len(det); i = k {
@@ -1066,7 +1230,7 @@ func (d *wireDecoder) chainColumn(cells []int64, stats []colStats, c int, sc *wi
 			return 0, err
 		}
 	}
-	col := d.col(cells, stats, c)
+	col := d.cols.vals[c]
 	for i, k := 0, 0; i < len(det); i = k {
 		k = runEnd(det, i)
 		e := &image[uint64(det[i])-uint64(dst.min)]

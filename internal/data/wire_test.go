@@ -205,15 +205,15 @@ func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 		t.Fatal("decoded table re-encodes to different bytes")
 	}
 	n, w := len(tbl.Rows), len(tbl.Attrs)
-	d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true}
 	cells, stats := make([]int64, n*w), make([]colStats, w)
+	d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true, cols: new(wireCols).plain(cells, w)}
 	for c := 0; c < w; c++ {
 		tags, dets = append(tags, d.B[d.Pos]), append(dets, -1)
 		if d.B[d.Pos] >= encMap {
 			j, _ := binary.Uvarint(d.B[d.Pos+1:])
 			dets[c] = int(j)
 		}
-		if err := d.column(cells, stats, c, new(wireScratch)); err != nil {
+		if err := d.column(stats, c, new(wireScratch)); err != nil {
 			t.Fatalf("column %d: %v", c, err)
 		}
 	}

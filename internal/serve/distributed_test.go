@@ -686,44 +686,48 @@ func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, 
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that moves the wire fails here and not only in the benchmark. The
 // cases are the dist-run benchmark workload's six dispatched runs, and each
-// pins the bytes its requests and its responses move, exactly, under go
-// 1.24's compress/flate at level 3: 243 + 2,872, 421 + 5,421, 670 + 3,058,
-// 350 + 4,489, 507 + 2,693 and 456 + 792 B, 2,647 + 19,325 = 21,972 B in
-// all. A request carries only its own block's statistics; a response ships
-// its tables late (data.WriteLate): a source relation's columns as a row
-// index into the relation, which the coordinator holds too — read directly
-// or through a held upstream output — and its header the row counts of the
+// pins two things apart. The sections — what the responses' tables and
+// statistics shards inflate to, section length prefixes left out — are the
+// codec's and the store's bytes, which no framing change may move. The
+// bytes the requests and the responses move are the frames', pinned under
+// go 1.24's compress/flate at level 6 over the preset dictionary:
+// 92 + 2,711, 143 + 5,018, 236 + 2,519, 90 + 4,246, 205 + 2,403 and
+// 162 + 693 B, 928 + 17,590 = 18,518 B in all. At level 3 without the
+// dictionary (EBLK2) they were 243 + 2,872, 421 + 5,421, 670 + 3,058,
+// 350 + 4,489, 507 + 2,693 and 456 + 792 B, 2,647 + 19,325 = 21,972 B. A
+// request carries only its own block's statistics; a response ships its
+// tables late (data.WriteLate): a source relation's columns as a row index
+// into the relation, which the coordinator holds too — read directly or
+// through a held upstream output — and its header the row counts of the
 // sources the block read. When requests carried every block's statistics
 // and a column read from a held output shipped plain, the runs moved
-// 243 + 2,872, 449 + 7,306, 734 + 3,501, 379 + 4,489, 617 + 2,981 and
-// 527 + 813 B, 2,949 + 21,962 = 24,911 B; when responses shipped every
-// cell, in ETBL5 tables, 3,468 B, 16,297 B, 4,426 B, 10,514 B, 4,458 B and
-// 1,341 B, 40,504 B in all; over ETBL4 tables, which ship a hash join's
-// build rows once per probe row where ETBL5's chain columns ship them once
-// per key, 5,508 B, 19,675 B, 5,323 B, 17,443 B, 4,848 B and 1,412 B,
-// 54,209 B. wf07 at scale 0.01 is two dispatches whose upstream table is
-// the largest the benchmark makes; it never crosses the wire: block 0's
-// worker holds it and block 1's request names it. wf08 at 0.05 is three
-// dispatches moving ~167k rows of join output (3,378,533 B as base64
-// row-major varints in JSON), two of whose outputs stay on their workers.
-// wf05 at 0.001 and wf12 at 0.002 are one instrumented block each of many
-// statistics, so their shards are most of what they inflate to. Each case
-// pins its observed store's WriteTo bytes exactly. A clean run makes one
-// exchange per block: no recompute.
+// 24,911 B at level 3; when responses shipped every cell, in ETBL5 tables,
+// 40,504 B; over ETBL4 tables, which ship a hash join's build rows once per
+// probe row where ETBL5's chain columns ship them once per key, 54,209 B.
+// wf07 at scale 0.01 is two dispatches whose upstream table is the largest
+// the benchmark makes; it never crosses the wire: block 0's worker holds it
+// and block 1's request names it. wf08 at 0.05 is three dispatches moving
+// ~167k rows of join output (3,378,533 B as base64 row-major varints in
+// JSON), two of whose outputs stay on their workers. wf05 at 0.001 and
+// wf12 at 0.002 are one instrumented block each of many statistics, so
+// their shards are most of what they inflate to. Each case pins its
+// observed store's WriteTo bytes exactly. A clean run makes one exchange
+// per block: no recompute.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf                               int
 		scale                            float64
 		blocks, held                     int
 		requests, responses, sent, store int64
+		tables, shard                    int64
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 243, responses: 2_872, sent: 3_115, store: 2_802},
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 421, responses: 5_421, sent: 5_842, store: 54},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 670, responses: 3_058, sent: 3_728, store: 74},
-		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 350, responses: 4_489, sent: 4_839, store: 65},
-		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 507, responses: 2_693, sent: 3_200, store: 849},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 456, responses: 792, sent: 1_248, store: 191},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 290, responses: 3_100, sent: 3_390, store: 3_056},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 92, responses: 2_711, sent: 2_803, store: 2_802, tables: 7_841, shard: 2_802},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 143, responses: 5_018, sent: 5_161, store: 54, tables: 19_000, shard: 63},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 236, responses: 2_519, sent: 2_755, store: 74, tables: 70_463, shard: 92},
+		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 90, responses: 4_246, sent: 4_336, store: 65, tables: 11_498, shard: 74},
+		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 205, responses: 2_403, sent: 2_608, store: 849, tables: 15_098, shard: 858},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 162, responses: 693, sent: 855, store: 191, tables: 872, shard: 200},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 139, responses: 2_862, sent: 3_001, store: 3_056, tables: 9_180, shard: 3_056},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -766,6 +770,9 @@ func TestDistributedWireBytes(t *testing.T) {
 			}
 			if c.requests+c.responses != c.sent {
 				t.Fatalf("the case pins %d + %d request and response bytes, which is not its %d", c.requests, c.responses, c.sent)
+			}
+			if tables != c.tables || shard != c.shard {
+				t.Errorf("the responses' sections inflate to tables %d + shard %d bytes, want %d + %d", tables, shard, c.tables, c.shard)
 			}
 			if requests != c.requests || responses != c.responses {
 				t.Errorf("moved %d request + %d response bytes over the wire, want %d + %d", requests, responses, c.requests, c.responses)

@@ -12,22 +12,29 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/stats"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
 // Block-dispatch frames. Both bodies of a /v1/worker/run exchange are one
 // binary frame:
 //
-//	"EBLK2" | mode(1) | uvarint payload length | payload
+//	"EBLK3" | mode(1) | uvarint payload length | payload
 //	payload = uvarint header length | header JSON | sections
 //
-// Mode 0 stores the payload as it is, mode 1 is one raw DEFLATE stream of it;
-// the writer sends the shorter (ties stored). The length is the payload's
+// Mode 0 stores the payload as it is, mode 1 is one raw DEFLATE stream of it
+// at frameLevel over the preset dictionary frameDict, which both ends build
+// the same way; the writer sends the shorter (ties stored). EBLK2, the same
+// layout deflated with no dictionary, is refused by its magic
+// (errFrameVersion). The length is the payload's
 // before compression in both modes: a reader refuses a frame that declares
 // more than its cap before it inflates a byte, and one that inflates past
 // what it declared at the byte where it does, so a kilobyte of deflated zeros
@@ -51,9 +58,11 @@ import (
 // coordinator's copy (the engine's data, DispatchSpec.DB), so only index
 // columns and the cells no source holds cross; the engine's scheduler
 // builds the rows of what it reads. DEFLATE takes what the codec
-// cannot see, repetition across columns and rows: 44 % (wf15) to 95 %
-// (wf08) of the payload bytes of the dist-run benchmark's runs
-// (TestDistributedWireBytes logs both).
+// cannot see, repetition across columns and rows, and the dictionary what
+// every frame repeats, the headers' JSON above all: 62 % (wf15) to 96 %
+// (wf08) of the payload bytes of the dist-run benchmark's runs, where level
+// 3 with no dictionary took 44 % to 95 % (TestDistributedWireBytes logs
+// both).
 //
 // A block output a later block reads and no sink does never crosses the
 // wire: the request that makes it says Hold, and the worker keeps the output,
@@ -65,20 +74,64 @@ import (
 // its lineage.
 
 const (
-	frameMagic            = "EBLK2"
+	frameMagic            = "EBLK3"
 	frameContentType      = "application/x-etlopt-block"
 	frameStored      byte = 0
 	frameDeflate     byte = 1
-	// Level 3, over ETBL5 tables: 1-2 % under level 2's frames on every
-	// benchmark workload at no more time, where level 6 takes 3-5 % more
-	// off at up to 1.6 × the compression time, which a dist cycle feels.
-	frameLevel = 3
+	// Level 6: with the dictionary, one round of the dist-run benchmark's
+	// frames (max_rows 4,000,000) is 18,543 B against 19,746 B at level 3
+	// (22,138 B at level 3 without it), and DEFLATE takes 5.6 ms of the
+	// round against 3.4 ms on a 2-CPU x86-64 host, less than the late writer
+	// no longer spends; level 9 takes 11.1 ms for 18,343 B.
+	frameLevel = 6
 )
+
+// frameDict is the preset dictionary every frame's DEFLATE stream starts
+// from, built the same way at both ends: the JSON of a typical request and
+// response header — field names, stat targets, the shapes their values
+// take — and the start of each section kind, which a stream would otherwise
+// spell out again in every frame. A request, a few hundred bytes of header,
+// is mostly matches into it. (The order of the four parts moves dist-run's
+// six runs by under 30 B.)
+var frameDict = func() []byte {
+	target := stats.BlockSE(1, 2)
+	attrs := []workflow.Attr{{Rel: "R1", Col: "n1"}, {Rel: "R2", Col: "n2"}}
+	req, err := json.Marshal(&workerRunRequest{
+		WF: 8, Scale: 0.05, MaxRows: 4000000, Faults: "seed=1,rate=0.1",
+		CSS: css.DefaultOptions(), Instrument: true, Metrics: true,
+		Observe: []stats.Stat{stats.NewCard(target), stats.NewDistinct(target, attrs[0]), stats.NewHist(target, attrs...),
+			stats.NewCard(stats.BlockSE(1, 3))},
+		Plans:    map[int]*workflow.JoinTree{1: {Leaf: -1, Join: 0, Left: &workflow.JoinTree{Leaf: 0, Join: -1}, Right: &workflow.JoinTree{Leaf: 1, Join: -1}}},
+		Block:    1,
+		Resident: []residentRef{{Block: 0}},
+		Hold:     true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	resp, err := json.Marshal(&workerRunResponse{
+		Held: true, Materialized: []string{"n5.reject"}, Sources: map[string]int{"R1": 334, "R2": 221},
+		Rows: 25942, Retries: 1, Metrics: []physical.Metrics{{RowsOut: 6247, Calls: 1, WallNanos: 1, TapNanos: 1}},
+		Degraded: []wireFailedStat{{Stat: stats.NewCard(target), Err: "tap failed"}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	var table, store bytes.Buffer
+	data.WriteLate(&table, &data.Late{Rel: "R1⋈R2"}) // a late section's head
+	stats.NewStore().WriteTo(&store)                 // a statistics shard's
+	return slices.Concat(req, resp, table.Bytes(), store.Bytes())
+}()
 
 // errFrameCap marks a frame whose payload is over its handler's cap — one
 // that declares more, or inflates past what it declared: like
 // data.ErrWireCap a property of the block, which then runs in-process.
 var errFrameCap = errors.New("frame over the cap")
+
+// errFrameVersion marks a frame of another format version, EBLK2's
+// dictionary-less DEFLATE among them: a peer of another build, refused by
+// its magic before a byte of it is inflated.
+var errFrameVersion = errors.New("frame of another version")
 
 // digest is the SHA-256 of a request frame's payload: the key the block
 // output it made is kept under.
@@ -124,7 +177,7 @@ func beginFrame(header any) (*frameWriter, error) {
 	case f = <-frameWriters:
 	default:
 		f = new(frameWriter)
-		f.fw, _ = flate.NewWriter(&f.packed, frameLevel) // the level is valid
+		f.fw, _ = flate.NewWriterDict(&f.packed, frameLevel, frameDict) // the level is valid
 	}
 	f.payload = f.payload[:0]
 	f.add(hdr)
@@ -241,7 +294,7 @@ func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 	}
 	magic, mode := string(prefix[:len(frameMagic)]), prefix[len(frameMagic)]
 	if magic != frameMagic {
-		return fmt.Errorf("frame starts %q, this build reads only version %q", magic, frameMagic)
+		return fmt.Errorf("frame starts %q, this build reads only version %q: %w", magic, frameMagic, errFrameVersion)
 	}
 	n, err := binary.ReadUvarint(f.br)
 	if err != nil {
@@ -257,8 +310,8 @@ func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 		f.payload.src = &f.stored
 	case frameDeflate:
 		if f.inflate == nil {
-			f.inflate = flate.NewReader(f.br)
-		} else if err := f.inflate.(flate.Resetter).Reset(f.br, nil); err != nil {
+			f.inflate = flate.NewReaderDict(f.br, frameDict)
+		} else if err := f.inflate.(flate.Resetter).Reset(f.br, frameDict); err != nil {
 			return err
 		}
 		f.payload.src = f.inflate

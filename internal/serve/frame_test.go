@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -97,8 +98,8 @@ func requestFrame(t testing.TB, base *workerRunRequest, block int, resident ...r
 }
 
 // framePayload takes a frame apart by the layout in frame.go's header
-// comment, with nothing of frame.go's reader: its mode byte and its payload,
-// inflated when the frame is deflated.
+// comment, with nothing of frame.go's reader but its dictionary: its mode
+// byte and its payload, inflated when the frame is deflated.
 func framePayload(t testing.TB, frame []byte) (mode byte, payload []byte) {
 	t.Helper()
 	if !bytes.HasPrefix(frame, []byte(frameMagic)) {
@@ -109,7 +110,7 @@ func framePayload(t testing.TB, frame []byte) (mode byte, payload []byte) {
 	body := frame[len(frameMagic)+1+w:]
 	if mode == frameDeflate {
 		var err error
-		if body, err = io.ReadAll(flate.NewReader(bytes.NewReader(body))); err != nil {
+		if body, err = io.ReadAll(flate.NewReaderDict(bytes.NewReader(body), frameDict)); err != nil {
 			t.Fatalf("inflate: %v", err)
 		}
 	}
@@ -120,8 +121,14 @@ func framePayload(t testing.TB, frame []byte) (mode byte, payload []byte) {
 }
 
 // sealedFrame wraps a payload the way a peer of its own mind would: in the
-// given mode, declaring the given length, true or not.
+// given mode, declaring the given length, true or not, deflated against the
+// frames' dictionary.
 func sealedFrame(t testing.TB, mode byte, declared uint64, payload []byte) []byte {
+	return sealedFrameDict(t, mode, declared, payload, frameDict)
+}
+
+// sealedFrameDict is sealedFrame deflating against the given dictionary.
+func sealedFrameDict(t testing.TB, mode byte, declared uint64, payload, dict []byte) []byte {
 	t.Helper()
 	frame := append([]byte(frameMagic), mode)
 	frame = binary.AppendUvarint(frame, declared)
@@ -129,7 +136,7 @@ func sealedFrame(t testing.TB, mode byte, declared uint64, payload []byte) []byt
 		return append(frame, payload...)
 	}
 	var packed bytes.Buffer
-	fw, err := flate.NewWriter(&packed, flate.BestCompression)
+	fw, err := flate.NewWriterDict(&packed, flate.BestCompression, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,20 +283,36 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestRunFrameStoredMode: a frame DEFLATE cannot shrink travels as it is.
+// TestRunFrameStoredMode: a frame DEFLATE cannot shrink travels as it is,
+// and reads as its deflated twin does. A header alone always deflates
+// smaller against the dictionary; this payload ends in random bytes.
 func TestRunFrameStoredMode(t *testing.T) {
-	frame := mustFrame(t, map[string]int{"wf": 6, "block": 1})
+	junk := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(junk)
+	frame := mustFrame(t, &workerRunRequest{WF: 6, Block: 1}, junk)
 	mode, payload := framePayload(t, frame)
-	if mode != frameStored || len(frame) != len(frameMagic)+2+len(payload) {
+	if mode != frameStored || len(frame) != len(frameMagic)+1+len(binary.AppendUvarint(nil, uint64(len(payload))))+len(payload) {
 		t.Fatalf("a %d-byte payload travels in mode %d as %d bytes", len(payload), mode, len(frame))
 	}
-	req, err := decodeRunRequest(bytes.NewReader(frame), maxUploadBytes)
-	if err != nil || req.WF != 6 || req.Block != 1 {
-		t.Fatalf("stored frame: %+v, %v", req, err)
-	}
 	// The same payload deflated is a frame too, but not the writer's.
-	if _, err := decodeRunRequest(bytes.NewReader(sealedFrame(t, frameDeflate, uint64(len(payload)), payload)), maxUploadBytes); err != nil {
-		t.Errorf("deflated twin of a stored frame: %v", err)
+	for m, fr := range [][]byte{frame, sealedFrame(t, frameDeflate, uint64(len(payload)), payload)} {
+		var hdr workerRunRequest
+		r, err := openFrame(bytes.NewReader(fr), &hdr, maxUploadBytes, nil)
+		if err != nil {
+			t.Fatalf("mode %d: %v", m, err)
+		}
+		sec, err := r.section()
+		if err != nil {
+			t.Fatalf("mode %d: %v", m, err)
+		}
+		got, err := io.ReadAll(sec)
+		if err == nil {
+			err = r.end()
+		}
+		r.close()
+		if err != nil || hdr.WF != 6 || hdr.Block != 1 || !bytes.Equal(got, junk) {
+			t.Errorf("mode %d: header %+v, a section of %d bytes (equal %v), %v", m, hdr, len(got), bytes.Equal(got, junk), err)
+		}
 	}
 }
 
@@ -331,6 +354,24 @@ func TestRunFrameCap(t *testing.T) {
 	}
 	if _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
+	}
+	// A stream of matches into the dictionary, past what its frame declared,
+	// is stopped where it passes the claim like any other.
+	echo := append(payload[:len(payload):len(payload)], bytes.Repeat(frameDict, limit/len(frameDict)+1)...)
+	if deflated := sealedFrame(t, frameDeflate, uint64(len(payload)), echo); len(deflated) > 16<<10 {
+		t.Errorf("the dictionary echo deflates to %d bytes", len(deflated))
+	} else {
+		decodeRunResponse(bytes.NewReader(deflated), limit, nil) // warm the pools
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeRunResponse(bytes.NewReader(deflated), limit, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errFrameCap) {
+			t.Errorf("dictionary echo past its claim: err = %v, want errFrameCap", err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit/2 {
+			t.Errorf("dictionary echo past its claim: refusing the frame allocated %d bytes", got)
+		}
 	}
 	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
 		t.Errorf("writing a frame over the cap: err = %v, want errFrameCap", err)
@@ -379,9 +420,48 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 		t.Errorf("unknown header field: err = %v", err)
 	}
 	// The formats this one replaced are refused by name, not as noise.
-	old := append([]byte("EBLK1"), deflated[len(frameMagic):]...)
-	if err := decode(old); err == nil || !strings.Contains(err.Error(), `starts "EBLK1"`) {
-		t.Errorf("a frame of the previous version: err = %v", err)
+	for _, magic := range []string{"EBLK1", "EBLK2"} {
+		old := append([]byte(magic), deflated[len(frameMagic):]...)
+		if err := decode(old); !errors.Is(err, errFrameVersion) || !strings.Contains(err.Error(), `starts "`+magic+`"`) {
+			t.Errorf("a frame of version %s: err = %v", magic, err)
+		}
+	}
+}
+
+// TestRunFrameDictionary: the dictionary is what makes a request small, and
+// why the magic moved. An EBLK2 frame — the same layout, deflated with no
+// dictionary — is refused by its magic, typed, at the worker a 400. A
+// payload deflated with no dictionary under this version's magic is the
+// same payload: a stream that never reaches into the dictionary inflates
+// alike with it, so it reads back, and is no hazard. A stream that does
+// reach into it is corrupt to a reader without it, as EBLK2's reader was.
+func TestRunFrameDictionary(t *testing.T) {
+	req := requestFrame(t, &workerRunRequest{WF: 8, Scale: 0.05, CSS: css.DefaultOptions(), Instrument: true,
+		Observe: []stats.Stat{stats.NewCard(stats.BlockSE(3, 1)), stats.NewCard(stats.BlockSE(3, 2))}}, 3)
+	mode, payload := framePayload(t, req)
+	plain := sealedFrameDict(t, frameDeflate, uint64(len(payload)), payload, nil)
+	if mode != frameDeflate || len(req) >= len(plain) {
+		t.Errorf("a request of %d payload bytes is %d bytes in mode %d, and %d deflated with no dictionary", len(payload), len(req), mode, len(plain))
+	}
+	got, err := decodeRunRequest(bytes.NewReader(plain), maxUploadBytes)
+	if err != nil || got.Block != 3 || got.key != sha256.Sum256(payload) {
+		t.Errorf("a payload deflated with no dictionary: %+v, %v", got, err)
+	}
+	if _, err := io.ReadAll(flate.NewReader(bytes.NewReader(req[len(frameMagic)+2:]))); err == nil {
+		t.Error("a frame deflated against the dictionary inflated without it")
+	}
+	eblk2 := append([]byte("EBLK2"), plain[len(frameMagic):]...)
+	if _, err := decodeRunRequest(bytes.NewReader(eblk2), maxUploadBytes); !errors.Is(err, errFrameVersion) {
+		t.Errorf("an EBLK2 request: err = %v, want errFrameVersion", err)
+	}
+	if code := postFrame(NewWorker().Handler(), eblk2); code != http.StatusBadRequest {
+		t.Errorf("an EBLK2 request: status %d, want 400", code)
+	}
+	resp := responseFrame(t, frameBlock(t))
+	_, payload = framePayload(t, resp)
+	eblk2 = append([]byte("EBLK2"), sealedFrameDict(t, frameDeflate, uint64(len(payload)), payload, nil)[len(frameMagic):]...)
+	if _, err := decodeRunResponse(bytes.NewReader(eblk2), maxUploadBytes, nil); !errors.Is(err, errFrameVersion) {
+		t.Errorf("an EBLK2 response: err = %v, want errFrameVersion", err)
 	}
 }
 
@@ -389,12 +469,9 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // are not a request frame: 400 with a JSON error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
-	stored := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0)
-	mode, payload := framePayload(t, stored)
-	if mode != frameStored {
-		t.Fatalf("the fixture request travels in mode %d", mode)
-	}
-	deflated := sealedFrame(t, frameDeflate, uint64(len(payload)), payload)
+	deflated := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0)
+	_, payload := framePayload(t, deflated)
+	stored := sealedFrame(t, frameStored, uint64(len(payload)), payload)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
 	ref := digest(sha256.Sum256(nil)).String()
 	var table bytes.Buffer
@@ -654,12 +731,23 @@ func FuzzRunFrame(f *testing.F) {
 		residentRef{0, digest(sha256.Sum256(nil)).String()}, residentRef{2, digest(sha256.Sum256([]byte("block 2"))).String()})
 	f.Add(resp)
 	f.Add(req)
-	f.Add(mustFrame(f, map[string]int{"wf": 6})) // stored
+	_, small := framePayload(f, mustFrame(f, map[string]int{"wf": 6}))
+	f.Add(sealedFrame(f, frameStored, uint64(len(small)), small))
 	f.Add(sealedFrame(f, frameStored, uint64(len(payload)), payload))
 	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], make([]byte, 1<<20)...)))
 	f.Add(sealedFrame(f, frameDeflate, 1<<40, nil))
+	// The previous version's frame, and this one's payload deflated with no
+	// dictionary.
+	f.Add(append([]byte("EBLK2"), sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil)[len(frameMagic):]...))
+	f.Add(sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil))
+	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], bytes.Repeat(frameDict, 64)...)))
+	// Frames cut short: a request, and a response from a worker that died
+	// while sending it.
 	for n := 0; n < len(req); n += 7 {
 		f.Add(req[:n])
+	}
+	for n := 3; n < len(resp); n += 7 {
+		f.Add(resp[:n])
 	}
 	held, _, err := encodeRunRequest(&workerRunRequest{WF: 8, Scale: 0.5}, 1, true,
 		[]residentRef{{0, digest(sha256.Sum256(nil)).String()}}, maxUploadBytes)

@@ -46,9 +46,16 @@ type Worker struct {
 	resident residentStore
 }
 
+// workerDatasets bounds the datasets a worker keeps, least recently used
+// out first: any scale in (0, 1] is a dataset of its own, and a coordinator
+// that sweeps scales would otherwise grow the worker without end. A dropped
+// dataset regenerates identically when a block asks for it again. The
+// dist-run benchmark keeps six.
+const workerDatasets = 8
+
 // NewWorker returns a worker with an empty workflow cache.
 func NewWorker() *Worker {
-	return &Worker{maxBody: maxUploadBytes, resident: residentStore{max: residentBytes}}
+	return &Worker{maxBody: maxUploadBytes, states: onceMap[workerKey, *workerState]{max: workerDatasets}, resident: residentStore{max: residentBytes}}
 }
 
 // workerKey identifies one deterministic dataset: the suite workflow and

@@ -132,3 +132,82 @@ func TestWorkerRefusesScaleOutOfRange(t *testing.T) {
 		t.Errorf("a valid block after the refusals: status %d", code)
 	}
 }
+
+// TestOnceMapBounded: with max set, a onceMap keeps the max keys most
+// recently asked for, and a dropped key is built again when asked for.
+func TestOnceMapBounded(t *testing.T) {
+	m := onceMap[string, int]{max: 2}
+	builds := map[string]int{}
+	get := func(k string) {
+		if v, err := m.get(k, func() (int, error) { builds[k]++; return len(k), nil }); v != len(k) || err != nil {
+			t.Errorf("get(%q) = %d, %v", k, v, err)
+		}
+	}
+	for _, k := range []string{"a", "bb", "a", "ccc"} { // "bb" is the least recently used
+		get(k)
+	}
+	if _, kept := m.m["bb"]; kept || len(m.m) != 2 || m.order.Len() != 2 {
+		t.Errorf("kept %v (order %d), want a and ccc", m.m, m.order.Len())
+	}
+	get("bb")
+	get("a")
+	if builds["bb"] != 2 || builds["a"] != 2 || builds["ccc"] != 1 {
+		t.Errorf("builds %v: bb and then a were dropped, ccc never", builds)
+	}
+	// Eight callers over more keys than it keeps: every one gets its own
+	// key's value, and the bound holds once they are done.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := strings.Repeat("k", 1+(g+i)%5)
+				if v, err := m.get(k, func() (int, error) { return len(k), nil }); v != len(k) || err != nil {
+					t.Errorf("get(%q) = %d, %v", k, v, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(m.m) != 2 || m.order.Len() != 2 {
+		t.Errorf("after concurrent callers: %d kept (order %d), bound 2", len(m.m), m.order.Len())
+	}
+	get("a")
+	boom := errors.New("boom")
+	if _, err := m.get("bad", func() (int, error) { return 0, boom }); err != boom || len(m.m) != 2 || m.order.Len() != 2 || m.m["a"] == nil {
+		t.Errorf("a failed build: err %v, kept %v (order %d); it drops no other key", err, m.m, m.order.Len())
+	}
+}
+
+// TestWorkerDatasetsBounded runs one block of wf06 at more scales than a
+// worker keeps datasets: it keeps at most workerDatasets of them, and the
+// first scale's block, whose dataset was dropped, answers byte for byte as
+// it did before.
+func TestWorkerDatasetsBounded(t *testing.T) {
+	wk := NewWorker()
+	h := wk.Handler()
+	run := func(scale float64) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(
+			requestFrame(t, &workerRunRequest{WF: 6, Scale: scale, Instrument: true}, 0))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("scale %v: status %d: %s", scale, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	first := run(distScale)
+	for i := 1; i <= 2*workerDatasets; i++ {
+		run(distScale * (1 + float64(i)/64))
+		if n := len(wk.states.m); n > workerDatasets {
+			t.Fatalf("%d datasets kept after %d scales, bound %d", n, i+1, workerDatasets)
+		}
+	}
+	if _, kept := wk.states.m[workerKey{wf: 6, scale: distScale}]; kept {
+		t.Fatal("the least recently used dataset was kept")
+	}
+	if again := run(distScale); !bytes.Equal(again, first) {
+		t.Errorf("the block over its regenerated dataset answered %d bytes, first %d, and they differ", len(again), len(first))
+	}
+}
