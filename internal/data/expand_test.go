@@ -1,0 +1,332 @@
+package data
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"github.com/essential-stats/etlopt/internal/workflow"
+)
+
+// joinLate generates a late table whose index vectors are a join in the
+// engine's order: a nested loop over 1–4 inputs, each a relation of 1–40
+// rows over small domains (some read twice), filtered, every input past the
+// first keyed by a column of an earlier one; its columns interleave each
+// input's named columns, in any order, with plain ones, some of them maps
+// or chains over a named column. If moved, two rows that read other input
+// rows trade places, and the table is no expansion.
+func joinLate(rng *rand.Rand, moved bool) *Late {
+	for {
+		if l := tryJoinLate(rng, moved); l != nil {
+			return l
+		}
+	}
+}
+
+// tryJoinLate is one draw of joinLate, nil if it makes no rows or more
+// than 3,000.
+func tryJoinLate(rng *rand.Rand, moved bool) *Late {
+	pool := make([]*Table, 1+rng.Intn(3))
+	for s := range pool {
+		cols := make([][]int64, 1+rng.Intn(3))
+		n := 1 + rng.Intn(40)
+		for c := range cols {
+			domain := 1 + rng.Int63n(6)
+			for r := 0; r < n; r++ {
+				cols[c] = append(cols[c], rng.Int63n(domain)*7-3)
+			}
+		}
+		pool[s] = source(fmt.Sprintf("R%d", s), cols...)
+	}
+	m := 1 + rng.Intn(4)
+	lv := make([]level, m)
+	for k := range lv {
+		lk := &lv[k]
+		lk.src = pool[rng.Intn(len(pool))]
+		for r := range lk.src.Rows {
+			if rng.Intn(4) > 0 { // the filter
+				lk.rows = append(lk.rows, int32(r))
+			}
+		}
+		if k > 0 {
+			lk.key, lk.from = rng.Intn(len(lk.src.Attrs)), rng.Intn(k)
+			lk.fromCol = rng.Intn(len(lv[lk.from].src.Attrs))
+			lk.index()
+		}
+	}
+	// The nested loop, as the engine runs it, by recursion.
+	idx := make([][]int32, m)
+	cur := make([]int32, m)
+	var walk func(k int) bool
+	walk = func(k int) bool {
+		if k == m {
+			for j, r := range cur {
+				idx[j] = append(idx[j], r)
+			}
+			return len(idx[0]) <= 3000
+		}
+		rows := lv[k].rows
+		if k > 0 {
+			l := &lv[k]
+			rows = l.match(lv[l.from].src.Rows[cur[l.from]][l.fromCol])
+		}
+		for _, r := range rows {
+			cur[k] = r
+			if !walk(k + 1) {
+				return false
+			}
+		}
+		return true
+	}
+	if !walk(0) || len(idx[0]) == 0 {
+		return nil
+	}
+	l := &Late{Rel: "join", N: len(idx[0])}
+	if moved {
+		for r := 1; r < l.N; r++ {
+			if slices.ContainsFunc(idx, func(ix []int32) bool { return ix[r] != ix[r-1] }) {
+				for _, ix := range idx {
+					ix[r], ix[r-1] = ix[r-1], ix[r]
+				}
+				break
+			}
+		}
+	}
+	// Inputs in a random order, and each input's columns.
+	for _, k := range rng.Perm(m) {
+		l.Ins = append(l.Ins, LateInput{Src: lv[k].src, Idx: idx[k]})
+	}
+	var named []LateCol
+	for in := range l.Ins {
+		for c := 1 + rng.Intn(3); c > 0; c-- {
+			named = append(named, LateCol{In: in, Col: rng.Intn(len(l.Ins[in].Src.Attrs))})
+		}
+	}
+	rng.Shuffle(len(named), func(i, j int) { named[i], named[j] = named[j], named[i] })
+	for _, lc := range named {
+		if rng.Intn(3) == 0 {
+			vals := make([]int64, l.N)
+			for r := range vals {
+				vals[r] = rng.Int63n(50)
+			}
+			l.Cols = append(l.Cols, LateCol{In: -1, Vals: vals})
+		}
+		l.Cols = append(l.Cols, lc)
+	}
+	for c := range l.Cols {
+		l.Attrs = append(l.Attrs, workflow.Attr{Rel: "join", Col: fmt.Sprintf("c%d", c)})
+	}
+	return derived(l, rng)
+}
+
+// LateDB is the relations l reads, by name.
+func LateDB(l *Late) map[string]*Table {
+	db := make(map[string]*Table)
+	for _, in := range l.Ins {
+		db[in.Src.Rel] = in.Src
+	}
+	return db
+}
+
+// CheckExpansion writes l as WriteLate does and reports whether the section
+// is an expansion. One is read back over the relations l reads and must
+// give each input, in group order, exactly its index vector, and every
+// column exactly its source; any other section must be the eager writer's
+// byte for byte (late_writer_test.go), which writes the index columns.
+func CheckExpansion(l *Late) (expanded bool, err error) {
+	var got bytes.Buffer
+	if err := WriteLate(&got, l); err != nil {
+		return false, err
+	}
+	want, err := WriteLateEager(l)
+	if err != nil {
+		return false, err
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		return false, fmt.Errorf("WriteLate wrote %d bytes, the eager writer %d, and they differ", got.Len(), len(want))
+	}
+	if l.N == 0 || got.Bytes()[len(tableMagic)] != presentExpanded {
+		return false, nil
+	}
+	back, err := ReadLate(&got, maxWireCells, LateDB(l))
+	if err != nil {
+		return true, fmt.Errorf("the expansion does not read back: %w", err)
+	}
+	var order []int // l's inputs in group order
+	at := make(map[int]int)
+	for _, lc := range l.Cols {
+		if _, ok := at[lc.In]; lc.In >= 0 && !ok {
+			at[lc.In] = len(order)
+			order = append(order, lc.In)
+		}
+	}
+	if len(back.Ins) != len(order) {
+		return true, fmt.Errorf("%d inputs read back, %d written", len(back.Ins), len(order))
+	}
+	for k, in := range order {
+		if back.Ins[k].Src != l.Ins[in].Src || !slices.Equal(back.Ins[k].Idx, l.Ins[in].Idx) {
+			return true, fmt.Errorf("input %d (%s) reads back another index", in, l.Ins[in].Src.Rel)
+		}
+	}
+	for c, lc := range l.Cols {
+		bc := back.Cols[c]
+		switch {
+		case lc.In < 0 && (bc.In >= 0 || !slices.Equal(bc.Vals, lc.Vals)):
+			return true, fmt.Errorf("plain column %d reads back other values", c)
+		case lc.In >= 0 && (bc.In != at[lc.In] || bc.Col != lc.Col):
+			return true, fmt.Errorf("column %d reads back input %d column %d, want %d and %d", c, bc.In, bc.Col, at[lc.In], lc.Col)
+		}
+	}
+	return true, nil
+}
+
+// GeneratedLates is the late tables the expansion model test holds the
+// writer to: for each of 200 seeds, TestLateTableModel's table, a join in
+// the engine's order, and that join with two rows moved.
+func GeneratedLates() (names []string, lates []*Late) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		names = append(names, fmt.Sprintf("seed %d", seed), fmt.Sprintf("seed %d join", seed), fmt.Sprintf("seed %d join, moved", seed))
+		lates = append(lates, randomLate(rng), joinLate(rng, false), joinLate(rng, true))
+	}
+	return names, lates
+}
+
+// expandedSection writes an expanded late section by hand, from the format
+// comment in late.go: one column a group, each reading column 0 of rel and
+// declaring its row count, nrows rows, and then the expansion and columns,
+// rest.
+func expandedSection(rel string, declared, nrows uint64, groups int, rest ...byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte(tableMagic), presentExpanded)
+	b = str(b, "Out")
+	b = binary.AppendUvarint(b, uint64(groups))
+	for g := 0; g < groups; g++ {
+		b = str(str(b, rel), "k")
+	}
+	b = binary.AppendUvarint(b, nrows)
+	b = binary.AppendUvarint(b, uint64(groups))
+	for g := 0; g < groups; g++ {
+		b = binary.AppendUvarint(str(append(b, 1), rel), declared)
+	}
+	for g := 0; g < groups; g++ {
+		b = append(b, byte(g), 0) // column g in group g, rel's column 0
+	}
+	return append(b, rest...)
+}
+
+// hostileExpansions are expanded sections a reader of S (keys 1, 3) and D
+// (keys 7, 7) must refuse, each with the refusal it gets; the first is
+// honest.
+var hostileExpansions = []struct {
+	name    string
+	section []byte
+	want    error // nil: any error
+	refusal string
+}{
+	{"honest", expandedSection("S", 2, 2, 1, 0, 2, 0, 0), nil, ""},
+	{"past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "more than the 3 rows declared"},
+	{"short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "4 rows of the 5 declared"},
+	{"a survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), ErrUnresolved, `past the 2 of relation "S"`},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 1, 0, 2, 0, 0), errExpansion, "keyed by level 1"},
+	{"a key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), ErrUnresolved, `column 5 of relation "D"`},
+	{"a keying column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 0, 9, 2, 0, 0), ErrUnresolved, `column 9 of relation "D"`},
+	{"a group named twice", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0), errExpansion, "level 1 is group 0"},
+	{"no survivors", expandedSection("S", 2, 2, 1, 0, 0), errExpansion, "0 rows of the 2 declared"},
+	{"more survivors than rows", expandedSection("S", 2, 1, 1, 0, 2, 0, 0), errExpansion, "2 surviving rows for 1 rows"},
+	{"no rows", expandedSection("S", 2, 0, 1), errExpansion, "an expansion of no rows"},
+	// S.k and a plain column: a chain over the place after it, and a map
+	// over S's row index, which is not sent.
+	{"a determinant past the column", plainAfter(encChain, 3), nil, "cannot chain column 2: not earlier"},
+	{"a determinant that is a row index", plainAfter(encMap, 0), nil, "a row index"},
+}
+
+// plainAfter is an expanded section of S's two rows, reading S.k, then a
+// plain column encoded as tag over determinant det and one image value.
+func plainAfter(tag byte, det byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte(tableMagic), presentExpanded)
+	b = str(b, "Out")
+	b = str(str(append(b, 2), "S"), "k")
+	b = str(str(b, "Out"), "f")
+	b = append(b, 2, 2, 1) // two rows, two groups, the first named
+	b = append(str(b, "S"), 2, 0)
+	b = append(b, 0, 0, 1) // S.k in group 0, the plain column in group 1
+	b = append(b, 0, 2, 0, 0)
+	return append(b, tag, det, 2, 2)
+}
+
+// expansionDB is S and D, the relations the hostile expansions read.
+func expansionDB() map[string]*Table {
+	return map[string]*Table{"S": source("S", []int64{1, 3}, []int64{2, 4}), "D": source("D", []int64{7, 7})}
+}
+
+// TestLateRefusesHostileExpansions reads expanded sections that declare
+// rows their expansion does not make, or name what they may not: each is
+// refused with its typed error and names the fault; the honest one reads
+// S's two rows.
+func TestLateRefusesHostileExpansions(t *testing.T) {
+	db := expansionDB()
+	for _, c := range hostileExpansions {
+		l, err := ReadLate(bytes.NewReader(c.section), maxWireCells, db)
+		if c.refusal == "" {
+			if err != nil || !slices.EqualFunc(l.Table().Rows, []Row{{1}, {3}}, slices.Equal) {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.refusal) || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %q (%v)", c.name, err, c.refusal, c.want)
+		}
+	}
+}
+
+// TestLateExpansionBounded: an expansion whose middle level keeps rows the
+// table never reads — every row of it matches every row of the first level,
+// and the last level matches only the first level's last row — makes a row
+// per middle row in rows² steps. The reader stops it at levels × rows steps,
+// typed; the writer, whose surviving rows are the ones the table reads,
+// expands the same rows in under that and reads them back.
+func TestLateExpansionBounded(t *testing.T) {
+	const n = 2000
+	zero, serial := make([]int64, n), make([]int64, n)
+	for r := range serial {
+		serial[r] = int64(r)
+	}
+	a, b, c := source("A", zero, serial), source("B", zero), source("C", []int64{n - 1})
+	lv := []level{
+		{src: a, rows: serial32(n)},
+		{src: b, rows: serial32(n), key: 0, from: 0, fromCol: 0},
+		{src: c, rows: []int32{0}, key: 0, from: 0, fromCol: 1},
+	}
+	for k := 1; k < len(lv); k++ {
+		lv[k].index()
+	}
+	idx := [][]int32{make([]int32, n), make([]int32, n), make([]int32, n)}
+	if err := expand(lv, n, idx, false); !errors.Is(err, errExpansion) || !strings.Contains(err.Error(), "steps") {
+		t.Errorf("expanding in rows² steps: %v, want errExpansion at the step budget", err)
+	}
+	l := &Late{Rel: "out", N: n, Ins: []LateInput{{Src: a, Idx: make([]int32, n)}, {Src: b, Idx: serial32(n)}, {Src: c, Idx: make([]int32, n)}}}
+	for r := range n {
+		l.Ins[0].Idx[r] = n - 1
+	}
+	l.Cols = []LateCol{{In: 0, Col: 1}, {In: 1, Col: 0}, {In: 2, Col: 0}}
+	l.Attrs = []workflow.Attr{{Rel: "out", Col: "a"}, {Rel: "out", Col: "b"}, {Rel: "out", Col: "c"}}
+	if expanded, err := CheckExpansion(l); !expanded || err != nil {
+		t.Errorf("the writer's expansion of the same rows: expanded %v, %v", expanded, err)
+	}
+}
+
+// serial32 is 0, 1, ..., n-1.
+func serial32(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
+}

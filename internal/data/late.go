@@ -55,6 +55,33 @@ import (
 // relation it resolved, and re-runs no search. A relation the reader does
 // not hold, or holds with another row count, and an index past its rows are
 // ErrUnresolved: the section names rows the reader cannot gather.
+//
+// Where the row indexes are a join expansion (expand.go) — the nested loop
+// a block's hash joins run, which a probe side's scan order and its build
+// sides' keys fix — the section is expanded: presence byte 3, the same
+// groups and refs, and the expansion in place of the row indexes,
+//
+//	"ETBL5" | 3 | relation | ncols | ncols × (attr rel, attr col) | nrows
+//	        | ngroups | ngroups × group | ncols × ref | levels | columns
+//	levels = one level per named group, the first leading the loop:
+//	         uvarint group [, uvarint key column of its relation, uvarint
+//	         earlier level, uvarint column of that level's relation]
+//	         (the key: past the first level only) | survivors
+//	survivors = uvarint count ≤ nrows, then the surviving rows ascending:
+//	         the first as its row, each later one as its gap from the one
+//	         before, less one
+//
+// and the columns are the plain groups' alone, each in the encoding it
+// takes in the index form: the row index places are still places, and no
+// map or chain reads one. The reader runs the loop into the row indexes
+// before it decodes a column, stopping at nrows rows and at levels × nrows
+// steps. A level that names a plain group or a named one twice, a key over
+// a level not earlier, more survivors than rows or the bytes left, and a
+// loop that makes more or fewer than nrows rows are errExpansion; a
+// survivor past its relation's rows and a key column past its relation's
+// columns are ErrUnresolved. The writer expands a section only where
+// running its expansion reproduces every index vector exactly, and writes
+// the index form otherwise.
 
 // ErrUnresolved reports source rows a reader does not hold as their writer
 // did: a late table section naming a relation the reader lacks or holds with
@@ -114,16 +141,25 @@ func WriteLate(w io.Writer, t *Late) error {
 func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Late, error) {
 	sc := wirePool.Get().(*wireScratch)
 	defer putScratch(sc)
+	return readLate(r, maxCells, db, sc)
+}
+
+// readLate is ReadLate on the given scratch.
+func readLate(r io.Reader, maxCells int64, db map[string]*Table, sc *wireScratch) (*Late, error) {
 	d, t, n, err := openSection(r, sc, presentLate, maxWireCells, maxCells)
 	if err != nil {
 		return nil, err
 	}
+	expanded := d.B[len(tableMagic)] == presentExpanded
 	l := &Late{Rel: t.Rel, Attrs: t.Attrs, N: n, Cols: make([]LateCol, len(t.Attrs))}
 	if n == 0 {
+		if expanded {
+			return nil, fmt.Errorf("%w: an expansion of no rows", errExpansion)
+		}
 		for c := range l.Cols {
 			l.Cols[c].In = -1 // every column is its (empty) values
 		}
-	} else if err := d.lateColumns(l, db, sc); err != nil {
+	} else if err := d.lateColumns(l, db, sc, expanded); err != nil {
 		return nil, err
 	}
 	if d.Pos != len(d.B) {
@@ -279,6 +315,7 @@ func (t *Late) rows(rows []Row, lo, hi int) {
 // a chain pass or recurs reads them.
 func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	buf = append(buf, tableMagic...)
+	present := len(buf)
 	n := t.N
 	buf, err := appendHead(buf, presentLate, t.Rel, t.Attrs, n)
 	if err != nil || n == 0 {
@@ -288,18 +325,26 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
+	// An expansion takes the place of the index columns.
+	lv := findExpansion(t, groups, sc)
+	if lv != nil {
+		buf[present] = presentExpanded
+	}
 	// The sequence of columns: each group's, an input's behind its index.
-	indexes := 0
+	indexes, sent := 0, 0
 	for _, grp := range groups {
 		if grp.in >= 0 {
 			indexes++
 		}
 	}
-	nv := len(t.Attrs) + indexes
-	if cap(sc.cells) < n*indexes {
-		sc.cells = make([]int64, n*indexes)
+	if lv == nil {
+		sent = indexes
 	}
-	cells := sc.cells[:n*indexes]
+	nv := len(t.Attrs) + indexes
+	if cap(sc.cells) < n*sent {
+		sc.cells = make([]int64, n*sent)
+	}
+	cells := sc.cells[:n*sent]
 	if cap(sc.stats) < nv {
 		sc.stats = make([]colStats, nv)
 	}
@@ -321,14 +366,16 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 			}
 			continue
 		}
-		ix := cells[:n:n]
-		cells = cells[n:]
-		for r, i := range t.Ins[grp.in].Idx {
-			ix[r] = int64(i)
+		if lv == nil {
+			ix := cells[:n:n]
+			cells = cells[n:]
+			for r, i := range t.Ins[grp.in].Idx {
+				ix[r] = int64(i)
+			}
+			cols.vals[p] = ix
+			stats[p].scan(ix)
+			body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
 		}
-		cols.vals[p] = ix
-		stats[p].scan(ix)
-		body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
 		stats[p].index = true
 		p++
 		for _, c := range grp.cols {
@@ -361,6 +408,9 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(t.Cols[c].Col))
 		}
 	}
+	if lv != nil {
+		buf = appendExpansion(buf, lv)
+	}
 	return append(buf, body...), nil
 }
 
@@ -374,12 +424,13 @@ func latePlan(cols *wireCols, stats []colStats, c int, sc *wireScratch) colPlan 
 	return pl
 }
 
-// lateColumns decodes a late section's groups, refs and columns into l,
-// resolving named relations in db: each named group becomes an input, its
-// row index the input's index, and each plain column its values. The scratch
-// holds only those; a named column gets a vector of its own only as a
-// determinant (wireDecoder.gathered).
-func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch) error {
+// lateColumns decodes a late section's groups, refs, expansion if it is
+// expanded, and columns into l, resolving named relations in db: each named
+// group becomes an input, its row index — sent, or run from the expansion —
+// the input's index, and each plain column its values. The scratch holds
+// only those; a named column is gathered, into the scratch's arena, only as
+// a determinant (wireDecoder.det).
+func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch, expanded bool) error {
 	n, w := l.N, len(l.Attrs)
 	ng, err := d.uvarint("group count")
 	if err != nil {
@@ -443,11 +494,18 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 		plain--
 	}
 	// The scratch holds the columns the section carries: the plain ones and
-	// the indexes.
-	if cap(sc.cells) < n*(plain+indexes) {
-		sc.cells = make([]int64, n*(plain+indexes))
+	// the indexes, which an expansion makes instead.
+	sent := indexes
+	if expanded {
+		if err := d.expansion(l, groups, indexes); err != nil {
+			return err
+		}
+		sent = 0
 	}
-	cells := sc.cells[:n*(plain+indexes)]
+	if cap(sc.cells) < n*(plain+sent) {
+		sc.cells = make([]int64, n*(plain+sent))
+	}
+	cells := sc.cells[:n*(plain+sent)]
 	nv := w + indexes // the places: every column and every index
 	if cap(sc.stats) < nv {
 		sc.stats = make([]colStats, nv)
@@ -455,7 +513,7 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 	stats := sc.stats[:nv]
 	d.cols = &sc.cols
 	d.cols.reset(n, nv, l)
-	v := 0
+	v, in := 0, 0 // the next place, and the inputs so far
 	// decode decodes place v into the next scratch column.
 	decode := func() error {
 		d.cols.vals[v], cells = cells[:n:n], cells[n:]
@@ -475,22 +533,27 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 			}
 			continue
 		}
-		if err := decode(); err != nil {
-			return fmt.Errorf("data: group %d's row index: %w", g, err)
-		}
-		stats[v].index = true
-		rows := int64(len(grp.src.Rows))
-		idx := make([]int32, n)
-		for r, i := range d.cols.vals[v] {
-			if i < 0 || i >= rows {
-				return fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, i, grp.src.Rel, rows)
+		if expanded {
+			stats[v] = colStats{index: true}
+		} else {
+			if err := decode(); err != nil {
+				return fmt.Errorf("data: group %d's row index: %w", g, err)
 			}
-			idx[r] = int32(i)
+			stats[v].index = true
+			rows := int64(len(grp.src.Rows))
+			idx := make([]int32, n)
+			for r, i := range d.cols.vals[v] {
+				if i < 0 || i >= rows {
+					return fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, i, grp.src.Rel, rows)
+				}
+				idx[r] = int32(i)
+			}
+			l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx})
 		}
-		l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx})
+		in++
 		v++
 		for _, c := range grp.cols {
-			l.Cols[c].In = len(l.Ins) - 1
+			l.Cols[c].In = in - 1
 			d.cols.named[v] = c
 			v++
 		}

@@ -156,11 +156,11 @@ func TestLateTableModel(t *testing.T) {
 	}
 }
 
-// fuzzLateDB is the data FuzzReadLate's sections are read over: relation S
-// of two rows, which hand-written sections name, and the relations of the
-// generated joins its round-trip seeds are made of.
+// fuzzLateDB is the data FuzzReadLate's sections are read over: relations S
+// and D of two rows, which hand-written sections name, and the relations of
+// the generated joins its round-trip seeds are made of.
 func fuzzLateDB(tb testing.TB) (map[string]*Table, [][]byte) {
-	db := map[string]*Table{"S": source("S", []int64{1, 3}, []int64{2, 4})}
+	db := expansionDB()
 	var seeds [][]byte
 	for seed := int64(0); len(seeds) < 6; seed++ {
 		l, _, _ := lateJoin(rand.New(rand.NewSource(seed)))
@@ -218,6 +218,13 @@ func FuzzReadLate(f *testing.F) {
 		lateSection("S", 2, 2, encChain, 0, 0, 2),
 	} {
 		f.Add(s)
+	}
+	// The expanded sections a reader refuses: past the declared rows or
+	// short of them, a survivor past the relation's end, a key over a later
+	// level or a column out of range, a determinant past its column, no
+	// survivors for the rows declared.
+	for _, c := range hostileExpansions {
+		f.Add(c.section)
 	}
 	f.Add(encodeLate(f, lateOf(mixedTable())))
 	f.Add(encodeLate(f, &Late{Rel: "empty", Attrs: mixedTable().Attrs}))

@@ -28,6 +28,13 @@ func source(rel string, cols ...[]int64) *Table {
 // as a late table over P and B with one computed column, plus the database
 // both hold and the join's rows.
 func lateJoin(rng *rand.Rand) (*Late, map[string]*Table, *Table) {
+	return lateJoinOrder(rng, false)
+}
+
+// lateJoinOrder is lateJoin, with each probe row's build rows in descending
+// build order if reverse: a join that is no expansion where a key has two
+// build rows.
+func lateJoinOrder(rng *rand.Rand, reverse bool) (*Late, map[string]*Table, *Table) {
 	keys := int64(1 + rng.Intn(12))
 	nb, np := rng.Intn(60), 1+rng.Intn(200)
 	var bcols, pcols [3][]int64 // id, key, attribute
@@ -62,8 +69,12 @@ func lateJoin(rng *rand.Rand) (*Late, map[string]*Table, *Table) {
 		if pr[2] == 3 { // the filter
 			continue
 		}
-		for bi, br := range b.Rows {
-			if br[1] == pr[1] {
+		for i := range b.Rows {
+			bi := i
+			if reverse {
+				bi = len(b.Rows) - 1 - i
+			}
+			if br := b.Rows[bi]; br[1] == pr[1] {
 				l.Ins[0].Idx = append(l.Ins[0].Idx, int32(pi))
 				l.Ins[1].Idx = append(l.Ins[1].Idx, int32(bi))
 				derived = append(derived, pr[1]*10+br[2]%3)
@@ -132,13 +143,16 @@ func lateLayout(t testing.TB, b []byte) (rels []string, body int) {
 // TestLateRoundTripJoins writes generated hash joins in late form and reads
 // them back over the relations they name: the rows are the join's, the same
 // late table always makes the same bytes, and no section is larger than the
-// same rows with every column plain, but for the groups' bytes. Some joins
-// name both inputs; in some the build side's index is a chain over a
-// gathered column.
+// same rows with every column plain, but for the groups' bytes. Every join
+// in the engine's order that makes rows is sent as its expansion; of those
+// whose build rows come in descending order, which are none where a key has
+// two build rows, some name both inputs, and in some of those the build
+// side's index is a chain over a gathered column.
 func TestLateRoundTripJoins(t *testing.T) {
-	bothNamed, gatheredChain := 0, 0
+	expanded, bothNamed, gatheredChain := 0, 0, 0
 	for seed := int64(0); seed < 300; seed++ {
-		l, db, want := lateJoin(rand.New(rand.NewSource(seed)))
+		reverse := seed%2 == 1
+		l, db, want := lateJoinOrder(rand.New(rand.NewSource(seed)), reverse)
 		b := encodeLate(t, l)
 		if again := encodeLate(t, l); !bytes.Equal(b, again) {
 			t.Fatalf("seed %d: one late table made two streams", seed)
@@ -161,6 +175,13 @@ func TestLateRoundTripJoins(t *testing.T) {
 		if len(b) > len(plain)+len(rels)-1 {
 			t.Errorf("seed %d: %d bytes late, %d all plain, %d groups", seed, len(b), len(plain), len(rels))
 		}
+		if b[len(tableMagic)] == presentExpanded {
+			expanded++
+			continue
+		}
+		if !reverse {
+			t.Errorf("seed %d: a join in the engine's order is not sent as its expansion", seed)
+		}
 		if len(rels) > 1 && rels[0] == "P" && rels[1] == "B" {
 			bothNamed++
 			// P's index is the first column, over no determinant: decoded
@@ -174,9 +195,9 @@ func TestLateRoundTripJoins(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of 300 joins named both inputs, %d of them B's index as a chain", bothNamed, gatheredChain)
-	if bothNamed == 0 || gatheredChain == 0 {
-		t.Errorf("%d joins named both inputs, %d had a chain column; want some of each", bothNamed, gatheredChain)
+	t.Logf("%d of 300 joins sent as their expansion; of the others, %d named both inputs, %d of them B's index as a chain", expanded, bothNamed, gatheredChain)
+	if expanded == 0 || bothNamed == 0 || gatheredChain == 0 {
+		t.Errorf("%d joins expanded, %d others named both inputs, %d had a chain column; want some of each", expanded, bothNamed, gatheredChain)
 	}
 }
 

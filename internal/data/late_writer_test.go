@@ -12,9 +12,12 @@ import (
 
 // appendLateEager is a late writer that gathers and scans every named
 // column into the scratch before it plans a plain one, as WriteLate once
-// did: the model WriteLate's lazy named columns are held to.
+// did: the model WriteLate's lazy named columns are held to. Where the
+// index vectors are a join expansion (findExpansion), it writes that in
+// their place, as WriteLate does.
 func appendLateEager(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	buf = append(buf, tableMagic...)
+	present := len(buf)
 	n := t.N
 	buf, err := appendHead(buf, presentLate, t.Rel, t.Attrs, n)
 	if err != nil || n == 0 {
@@ -23,6 +26,10 @@ func appendLateEager(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	groups, err := lateGroups(t)
 	if err != nil {
 		return buf, err
+	}
+	lv := findExpansion(t, groups, sc)
+	if lv != nil {
+		buf[present] = presentExpanded
 	}
 	nv := len(t.Attrs)
 	for _, grp := range groups {
@@ -41,7 +48,9 @@ func appendLateEager(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 				ix[r] = int64(i)
 			}
 			stats[p].scan(ix)
-			body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
+			if lv == nil {
+				body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
+			}
 			stats[p].index = true
 			p++
 		}
@@ -80,6 +89,9 @@ func appendLateEager(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(t.Cols[c].Col))
 		}
 	}
+	if lv != nil {
+		buf = appendExpansion(buf, lv)
+	}
 	return append(buf, body...), nil
 }
 
@@ -98,6 +110,23 @@ func WriteLateCells(t *Late) (section []byte, gathered int, err error) {
 		}
 	}
 	return section, gathered, err
+}
+
+// ReadLateDeterminants reads a section as ReadLate does, on scratch of its
+// own, and counts the named columns it gathered: those a map or chain column
+// read as its determinant.
+func ReadLateDeterminants(section []byte, db map[string]*Table) (int, error) {
+	sc := new(wireScratch)
+	if _, err := readLate(bytes.NewReader(section), maxWireCells, db, sc); err != nil {
+		return 0, err
+	}
+	gathered := 0
+	for j, v := range sc.cols.vals {
+		if sc.cols.named[j] >= 0 && v != nil {
+			gathered++
+		}
+	}
+	return gathered, nil
 }
 
 // withOutliers is l over copies of its relations that end in one row no

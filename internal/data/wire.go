@@ -126,7 +126,10 @@ type wireScratch struct {
 	epoch uint64       // the image entries the current pass has written
 	out   []byte       // the stream being encoded
 	body  []byte       // a late table's columns, encoded after its groups
-	in    bytes.Buffer // the stream being decoded
+	// starts marks the rows where a late table's expansion search
+	// (findExpansion) saw an earlier level's row change.
+	starts []bool
+	in     bytes.Buffer // the stream being decoded
 
 	// chainable[j]: a chain over column j is worth sizing for the column
 	// being planned.
@@ -178,6 +181,9 @@ func putScratch(sc *wireScratch) {
 	if cap(sc.body) > maxPooledBytes {
 		sc.body = nil
 	}
+	if cap(sc.starts) > maxPooledBytes {
+		sc.starts = nil
+	}
 	if sc.in.Cap() > maxPooledBytes {
 		sc.in = bytes.Buffer{}
 	}
@@ -203,11 +209,13 @@ func WriteTable(w io.Writer, t *Table) error {
 	return err
 }
 
-// Presence bytes: a nil table, a table, a late table (late.go).
+// Presence bytes: a nil table, a table, a late table and an expanded one
+// (late.go).
 const (
 	presentNil byte = iota
 	presentTable
 	presentLate
+	presentExpanded
 )
 
 // appendHead appends what every table section starts with after the magic:
@@ -627,9 +635,16 @@ func planColumn(cols *wireCols, stats []colStats, c int, sc *wireScratch, known 
 }
 
 // recurs reports whether a value of column j recurs in a later run, and
-// keeps the answer in its statistics, st. A named column is read as far as
-// the first recurrence, over gatherGrowth times the rows at each try.
+// keeps the answer in its statistics, st. A named column whose relation
+// column holds distinct values recurs where its row index does, which is
+// read instead; any other is read as far as the first recurrence, over
+// gatherGrowth times the rows at each try.
 func (sc *wireScratch) recurs(cols *wireCols, j int, st *colStats) bool {
+	if st.recurs == 0 && cols.late != nil && cols.named[j] >= 0 {
+		if in, _, src := cols.source(j); src != nil && sc.distinct(src) {
+			st.recurs = indexRecurs(in.Idx, len(src))
+		}
+	}
 	for det := []int64(nil); st.recurs == 0; {
 		det = cols.rows(j, len(det)+1)
 		image, epoch := sc.newImage(uint64(st.max) - uint64(st.min))
@@ -646,6 +661,40 @@ func (sc *wireScratch) recurs(cols *wireCols, j int, st *colStats) bool {
 		}
 	}
 	return st.recurs == 1
+}
+
+// distinct reports whether col, a relation's column, holds each value at
+// most once; one spanning maxDictSpan or more is taken not to.
+func (sc *wireScratch) distinct(col []int64) bool {
+	mn, mx := slices.Min(col), slices.Max(col)
+	if uint64(mx)-uint64(mn) >= maxDictSpan {
+		return false
+	}
+	image, epoch := sc.newImage(uint64(mx) - uint64(mn))
+	for _, v := range col {
+		e := &image[uint64(v)-uint64(mn)]
+		if e.epoch == epoch {
+			return false
+		}
+		e.epoch = epoch
+	}
+	return true
+}
+
+// indexRecurs is recurs's answer for a row index into a relation of rows
+// rows: 1 if some row recurs in a later run, 2 if none does.
+func indexRecurs(idx []int32, rows int) int8 {
+	seen := make([]bool, rows)
+	for i := 0; i < len(idx); {
+		r := idx[i]
+		if seen[r] {
+			return 1
+		}
+		seen[r] = true
+		for i++; i < len(idx) && idx[i] == r; i++ {
+		}
+	}
+	return 2
 }
 
 // mapPass sizes col as a map over det, the first rows of an earlier column
@@ -877,7 +926,7 @@ func openSection(r io.Reader, sc *wireScratch, present byte, maxRows, maxCells i
 			return nil, nil, 0, errors.New("data: trailing bytes after a nil table")
 		}
 		return d, nil, 0, nil
-	case got != present:
+	case got != present && (present != presentLate || got != presentExpanded):
 		return nil, nil, 0, fmt.Errorf("data: bad table presence byte %d", got)
 	}
 	rel, err := d.str("relation name")
@@ -925,12 +974,12 @@ type wireDecoder struct {
 }
 
 // det is all of determinant j, with its statistics: a late table's named
-// column, which the reader leaves without either, is gathered and scanned on
-// the first read of it.
+// column, which the reader leaves without either, is gathered into the
+// scratch's arena and scanned on the first read of it.
 func (d *wireDecoder) det(stats []colStats, j int) []int64 {
 	cs := d.cols
 	if cs.late != nil && cs.named[j] >= 0 && cs.vals[j] == nil {
-		col := make([]int64, cs.n)
+		col := cs.take(nil, cs.n)[:cs.n]
 		cs.late.Gather(col, cs.named[j])
 		cs.vals[j] = col
 		stats[j] = colStats{}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -164,81 +162,4 @@ func equalRows(a, b *data.Table) bool {
 		}
 	}
 	return true
-}
-
-// TestReadLateAllocs pins what a coordinator's reader allocates decoding
-// wf08@0.05's last block section, made as a worker makes it — both
-// upstream outputs held — and read with the codec's scratch warm, as a
-// session reads: the late table's own vectors, an index of 4 B a row for
-// each of the four relations it names and 8 B a row for its one column no
-// relation holds, and 8 B a row for the one named column a chain reads
-// (the probe key, which the build side's index chains over); nothing for
-// the other nine named columns. The pins are measured values (go1.24.0 on
-// amd64); the bound leaves a quarter for Go-release drift.
-func TestReadLateAllocs(t *testing.T) {
-	if engine.RaceDetector {
-		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
-	}
-	const (
-		pinnedBytes  = 4_115_601
-		pinnedAllocs = 61
-		determinants = 1
-	)
-	e, db := suiteEngine(t, 8, 0.05)
-	ctx := context.Background()
-	held := map[int]*data.Late{}
-	var out *data.Late
-	for _, blk := range e.An.Blocks {
-		rb, err := e.RunBlockCtx(ctx, blk.Index, nil, nil, nil, held)
-		if err != nil {
-			t.Fatal(err)
-		}
-		held[blk.Index], out = rb.Out, rb.Out
-	}
-	var buf bytes.Buffer
-	if err := data.WriteLate(&buf, out); err != nil {
-		t.Fatal(err)
-	}
-	section := buf.Bytes()
-	read := func() *data.Late {
-		l, err := data.ReadLate(bytes.NewReader(section), 1<<26, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	// One P and no collection while measuring: the pooled scratch the
-	// warm-up read grew is the one every measured read takes.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	l := read()
-	var own int64
-	for _, in := range l.Ins {
-		own += 4 * int64(len(in.Idx))
-	}
-	plain := 0
-	for _, c := range l.Cols {
-		if c.In < 0 {
-			own += 8 * int64(len(c.Vals))
-			plain++
-		}
-	}
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		read()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := int64(after.TotalAlloc-before.TotalAlloc) / runs
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	t.Logf("a section of %d B, %d rows × %d columns: %d B in %d allocations (pinned %d / %d); its late form holds %d indexes and %d plain columns, %d B",
-		len(section), l.N, len(l.Cols), bytes, allocs, pinnedBytes, pinnedAllocs, len(l.Ins), plain, own)
-	if bytes > pinnedBytes*5/4 || allocs > pinnedAllocs*5/4 {
-		t.Errorf("decoding allocated %d B in %d allocations, over 1.25 x the pinned %d / %d", bytes, allocs, pinnedBytes, pinnedAllocs)
-	}
-	// A gathered column costs 8 B a row beyond what the late form holds.
-	if gathered := (bytes - own) / (8 * int64(l.N)); gathered != determinants {
-		t.Errorf("decoding allocated %d B beyond the late form's own %d B: %d named columns gathered, want %d", bytes-own, own, gathered, determinants)
-	}
 }

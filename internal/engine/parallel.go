@@ -148,10 +148,13 @@ func blockDeps(plan *physical.Plan) map[int][]int {
 
 // blockSched is the state of the one block scheduler, runBlocks. Fields
 // below mu are guarded by it; held has the late form of every committed
-// output the run has, which is what an in-process block reads.
+// output a later block reads, which is what an in-process block reads and
+// recompute makes again (nil where a worker holds it).
 type blockSched struct {
 	plan *physical.Plan
 	deps map[int][]int
+	// read is the blocks a later block reads: no other's output is held.
+	read map[int]bool
 	env  *runEnv
 	out  *Result
 	col  *collector
@@ -191,13 +194,7 @@ type blockSched struct {
 // block, flips the blocks not yet committed to in-process execution inside
 // the same loop: the placement degrades, the result stays whole.
 func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *collector, spec *DispatchSpec) error {
-	s := &blockSched{
-		plan: plan, deps: blockDeps(plan), env: env, out: out, col: col, metrics: e.CollectMetrics,
-		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
-		held: map[int]*data.Late{},
-	}
-	s.cond = sync.NewCond(&s.mu)
-	s.limit = s.local
+	s := e.newBlockSched(plan, env, out, col)
 	var rd RunDispatch
 	if e.Dispatch != nil {
 		s.report = &DistReport{}
@@ -242,6 +239,19 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 		return &BlockFailure{Block: idxs[0], Err: s.errs[idxs[0]]}
 	}
 	return nil
+}
+
+// newBlockSched starts the scheduler of one run, every block in-process.
+func (e *Engine) newBlockSched(plan *physical.Plan, env *runEnv, out *Result, col *collector) *blockSched {
+	deps := blockDeps(plan)
+	s := &blockSched{
+		plan: plan, deps: deps, read: readBlocks(deps), env: env, out: out, col: col, metrics: e.CollectMetrics,
+		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
+		held: map[int]*data.Late{},
+	}
+	s.cond = sync.NewCond(&s.mu)
+	s.limit = s.local
+	return s
 }
 
 // work is one slot's loop: start the lowest-index ready block, execute it
@@ -433,7 +443,10 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 	} else if s.report != nil {
 		s.report.Local = append(s.report.Local, idx)
 	}
-	s.out.BlockOut[idx], s.held[idx] = out, rb.Out
+	s.out.BlockOut[idx] = out
+	if s.read[idx] {
+		s.held[idx] = rb.Out
+	}
 	if rb.Out == nil {
 		s.report.Held++
 	}
@@ -447,12 +460,7 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 // heldBlocks lists, ascending, the blocks whose output a dispatch session
 // is asked to hold: a later block reads it and no sink does.
 func heldBlocks(an *workflow.Analysis, deps map[int][]int) []int {
-	read := make(map[int]bool)
-	for _, d := range deps {
-		for _, idx := range d {
-			read[idx] = true
-		}
-	}
+	read := readBlocks(deps)
 	for _, sink := range an.Graph.Sinks() {
 		if blk := sinkBlock(an, sink); blk != nil {
 			delete(read, blk.Index)
@@ -464,6 +472,17 @@ func heldBlocks(an *workflow.Analysis, deps map[int][]int) []int {
 	}
 	sort.Ints(held)
 	return held
+}
+
+// readBlocks is the blocks some later block reads.
+func readBlocks(deps map[int][]int) map[int]bool {
+	read := make(map[int]bool)
+	for _, d := range deps {
+		for _, idx := range d {
+			read[idx] = true
+		}
+	}
+	return read
 }
 
 // sinkBlock returns the block whose output a sink reads, nil when there is

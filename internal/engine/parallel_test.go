@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/essential-stats/etlopt/internal/css"
+	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/physical"
 	"github.com/essential-stats/etlopt/internal/wftest"
 	"github.com/essential-stats/etlopt/internal/workflow"
@@ -153,6 +156,49 @@ func TestParallelErrorDeterministic(t *testing.T) {
 		}
 		if err.Error() != first {
 			t.Fatalf("error varies across runs: %q vs %q", first, err.Error())
+		}
+	}
+}
+
+// TestSchedHoldsOnlyReadOutputs runs the diamond's blocks through the
+// scheduler in-process, at one slot and at four: the late forms it keeps
+// are the two group-bys' the join reads, and not the join's, which only a
+// sink reads; every block's rows are committed.
+func TestSchedHoldsOnlyReadOutputs(t *testing.T) {
+	f := newMultiBlockFixture(t)
+	plan, err := physical.Compile(f.an, f.db, physical.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := blockDeps(plan)
+	var want []int
+	for _, d := range deps {
+		want = append(want, d...)
+	}
+	slices.Sort(want)
+	if want = slices.Compact(want); len(want) == 0 || len(want) == len(plan.Blocks) {
+		t.Fatalf("blocks %v are read, of %d: want some and not all", want, len(plan.Blocks))
+	}
+	for _, workers := range []int{1, 4} {
+		e := f.engine(nil)
+		e.Workers = workers
+		out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
+		s := e.newBlockSched(plan, newRunEnv(context.Background(), nil, nil), out, nil)
+		s.work(nil)
+		if len(s.errs) > 0 || len(out.BlockOut) != len(plan.Blocks) {
+			t.Fatalf("%d worker(s): errors %v, %d of %d blocks committed", workers, s.errs, len(out.BlockOut), len(plan.Blocks))
+		}
+		var got []int
+		for idx := range s.held {
+			got = append(got, idx)
+		}
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%d worker(s): the scheduler keeps the late form of blocks %v, want %v, the blocks a later block reads", workers, got, want)
+		}
+		for idx, l := range s.held {
+			if l == nil || out.BlockOut[idx] == nil {
+				t.Errorf("%d worker(s): block %d is held as %v with rows %v", workers, idx, l, out.BlockOut[idx])
+			}
 		}
 	}
 }

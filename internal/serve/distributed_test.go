@@ -682,6 +682,44 @@ func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, 
 	return requests, responses, header, tables, shard, resident
 }
 
+// forms names each table section the responses carry and the form it takes
+// (data.WriteLate): "expanded" where its join expansion replaces its index
+// columns, "indexes" where it sends them, and how many are expanded.
+func (c *wireCounter) forms(t *testing.T) (names []string, expanded int) {
+	for _, x := range c.exchanges {
+		hdr, _ := requestOf(t, x.req)
+		sections := frameSections(t, x.resp)
+		var resp workerRunResponse
+		if err := json.Unmarshal(sections[0], &resp); err != nil {
+			t.Fatalf("response header: %v", err)
+		}
+		tables := resp.Materialized
+		if !resp.Held {
+			tables = append([]string{"out"}, tables...)
+		}
+		for i, sec := range sections[1 : len(sections)-1] {
+			form := "indexes"
+			if len(sec) > len("ETBL5") && sec[len("ETBL5")] == 3 { // the expanded presence byte
+				form = "expanded"
+				expanded++
+			}
+			names = append(names, fmt.Sprintf("b%d %s %s", hdr.Block, tables[i], form))
+		}
+	}
+	slices.Sort(names) // independent blocks answer in any order
+	return names, expanded
+}
+
+// payloads is what the frames carry before DEFLATE.
+func (c *wireCounter) payloads(t *testing.T) (n int64) {
+	for _, x := range c.exchanges {
+		_, req := framePayload(t, x.req)
+		_, resp := framePayload(t, x.resp)
+		n += int64(len(req) + len(resp))
+	}
+	return n
+}
+
 // TestDistributedWireBytes is the wire format's regression guard inside
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that moves the wire fails here and not only in the benchmark. The
@@ -691,15 +729,19 @@ func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, 
 // codec's and the store's bytes, which no framing change may move. The
 // bytes the requests and the responses move are the frames', pinned under
 // go 1.24's compress/flate at level 6 over the preset dictionary:
-// 92 + 2,711, 143 + 5,018, 236 + 2,519, 90 + 4,246, 205 + 2,403 and
-// 162 + 693 B, 928 + 17,590 = 18,518 B in all. At level 3 without the
-// dictionary (EBLK2) they were 243 + 2,872, 421 + 5,421, 670 + 3,058,
-// 350 + 4,489, 507 + 2,693 and 456 + 792 B, 2,647 + 19,325 = 21,972 B. A
-// request carries only its own block's statistics; a response ships its
-// tables late (data.WriteLate): a source relation's columns as a row index
-// into the relation, which the coordinator holds too — read directly or
-// through a held upstream output — and its header the row counts of the
-// sources the block read. When requests carried every block's statistics
+// 92 + 1,815, 143 + 1,434, 236 + 2,504, 90 + 1,203, 205 + 1,197 and
+// 162 + 497 B, 928 + 8,650 = 9,578 B in all. A request carries only its
+// own block's statistics; a response ships its tables late
+// (data.WriteLate): a source relation's columns named, not sent, in the
+// relation the coordinator holds too — read directly or through a held
+// upstream output — and its header the row counts of the sources the block
+// read. A table that is a join expansion sends each input's surviving rows
+// and the columns that key it; the log names each table's form, and each
+// case pins how many expand: all but wf08's last block, whose T4 joins on a
+// transform's output and sends its row indexes. With row indexes for every
+// table the runs moved 92 + 2,711, 143 + 5,018, 236 + 2,519, 90 + 4,246,
+// 205 + 2,403 and 162 + 693 B, 18,518 B in all; at level 3 without the
+// dictionary (EBLK2), 21,972 B. When requests carried every block's statistics
 // and a column read from a held output shipped plain, the runs moved
 // 24,911 B at level 3; when responses shipped every cell, in ETBL5 tables,
 // 40,504 B; over ETBL4 tables, which ship a hash join's build rows once per
@@ -720,14 +762,15 @@ func TestDistributedWireBytes(t *testing.T) {
 		blocks, held                     int
 		requests, responses, sent, store int64
 		tables, shard                    int64
+		expanded                         int
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 92, responses: 2_711, sent: 2_803, store: 2_802, tables: 7_841, shard: 2_802},
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 143, responses: 5_018, sent: 5_161, store: 54, tables: 19_000, shard: 63},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 236, responses: 2_519, sent: 2_755, store: 74, tables: 70_463, shard: 92},
-		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 90, responses: 4_246, sent: 4_336, store: 65, tables: 11_498, shard: 74},
-		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 205, responses: 2_403, sent: 2_608, store: 849, tables: 15_098, shard: 858},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 162, responses: 693, sent: 855, store: 191, tables: 872, shard: 200},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 139, responses: 2_862, sent: 3_001, store: 3_056, tables: 9_180, shard: 3_056},
+		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 92, responses: 1_815, sent: 1_907, store: 2_802, tables: 538, shard: 2_802, expanded: 1},
+		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 143, responses: 1_434, sent: 1_577, store: 54, tables: 3_576, shard: 63, expanded: 2},
+		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 236, responses: 2_504, sent: 2_740, store: 74, tables: 70_400, shard: 92, expanded: 1},
+		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 90, responses: 1_203, sent: 1_293, store: 65, tables: 5_156, shard: 74, expanded: 2},
+		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 205, responses: 1_197, sent: 1_402, store: 849, tables: 713, shard: 858, expanded: 2},
+		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 162, responses: 497, sent: 659, store: 191, tables: 431, shard: 200, expanded: 2},
+		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 139, responses: 2_047, sent: 2_186, store: 3_056, tables: 454, shard: 3_056, expanded: 1},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -777,7 +820,13 @@ func TestDistributedWireBytes(t *testing.T) {
 			if requests != c.requests || responses != c.responses {
 				t.Errorf("moved %d request + %d response bytes over the wire, want %d + %d", requests, responses, c.requests, c.responses)
 			}
-			t.Logf("%d + %d = %d bytes over the wire, inflating to header %d + tables %d + shard %d; %d resident ref(s)", requests, responses, requests+responses, header, tables, shard, resident)
+			forms, expanded := runs[0].forms(t)
+			if expanded != c.expanded {
+				t.Errorf("%d table section(s) expanded, want %d: %v", expanded, c.expanded, forms)
+			}
+			payloads := runs[0].payloads(t)
+			t.Logf("%d + %d = %d bytes over the wire, inflating to header %d + tables %d + shard %d (payloads of %d B, %.0f %% taken by DEFLATE); %d resident ref(s); tables %v",
+				requests, responses, requests+responses, header, tables, shard, payloads, 100-100*float64(requests+responses)/float64(payloads), resident, forms)
 		})
 	}
 }

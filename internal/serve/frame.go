@@ -27,14 +27,15 @@ import (
 // Block-dispatch frames. Both bodies of a /v1/worker/run exchange are one
 // binary frame:
 //
-//	"EBLK3" | mode(1) | uvarint payload length | payload
+//	"EBLK4" | mode(1) | uvarint payload length | payload
 //	payload = uvarint header length | header JSON | sections
 //
 // Mode 0 stores the payload as it is, mode 1 is one raw DEFLATE stream of it
 // at frameLevel over the preset dictionary frameDict, which both ends build
 // the same way; the writer sends the shorter (ties stored). EBLK2, the same
-// layout deflated with no dictionary, is refused by its magic
-// (errFrameVersion). The length is the payload's
+// layout deflated with no dictionary, and EBLK3, whose late sections had no
+// expanded form, are refused by their magic (errFrameVersion). The length
+// is the payload's
 // before compression in both modes: a reader refuses a frame that declares
 // more than its cap before it inflates a byte, and one that inflates past
 // what it declared at the byte where it does, so a kilobyte of deflated zeros
@@ -56,13 +57,15 @@ import (
 // reads is named, with a row index into it — read directly, or through a
 // held upstream output's index — and the reader resolves it in the
 // coordinator's copy (the engine's data, DispatchSpec.DB), so only index
-// columns and the cells no source holds cross; the engine's scheduler
-// builds the rows of what it reads. DEFLATE takes what the codec
-// cannot see, repetition across columns and rows, and the dictionary what
-// every frame repeats, the headers' JSON above all: 62 % (wf15) to 96 %
-// (wf08) of the payload bytes of the dist-run benchmark's runs, where level
-// 3 with no dictionary took 44 % to 95 % (TestDistributedWireBytes logs
-// both).
+// columns and the cells no source holds cross; a join's output, whose row
+// indexes are the nested loop its hash joins ran, sends each input's
+// surviving rows and the columns that key it instead of its indexes. The
+// engine's scheduler builds the rows of what it reads. DEFLATE takes what
+// the codec cannot see, repetition across columns and rows, and the
+// dictionary what every frame repeats, the headers' JSON above all: 54 %
+// (wf18) to 96 % (wf08, whose last block sends its row indexes) of the
+// payload bytes of the dist-run benchmark's runs, and 56 % to 79 % of the
+// other five's (TestDistributedWireBytes logs each run's share).
 //
 // A block output a later block reads and no sink does never crosses the
 // wire: the request that makes it says Hold, and the worker keeps the output,
@@ -74,15 +77,16 @@ import (
 // its lineage.
 
 const (
-	frameMagic            = "EBLK3"
+	frameMagic            = "EBLK4"
 	frameContentType      = "application/x-etlopt-block"
 	frameStored      byte = 0
 	frameDeflate     byte = 1
 	// Level 6: with the dictionary, one round of the dist-run benchmark's
-	// frames (max_rows 4,000,000) is 18,543 B against 19,746 B at level 3
-	// (22,138 B at level 3 without it), and DEFLATE takes 5.6 ms of the
-	// round against 3.4 ms on a 2-CPU x86-64 host, less than the late writer
-	// no longer spends; level 9 takes 11.1 ms for 18,343 B.
+	// frames (max_rows 4,000,000), when every join output sent its row
+	// indexes, was 18,543 B against 19,746 B at level 3 (22,138 B at level
+	// 3 without it), and DEFLATE took 5.6 ms of the round against 3.4 ms on
+	// a 2-CPU x86-64 host, less than the late writer no longer spent; level
+	// 9 took 11.1 ms for 18,343 B.
 	frameLevel = 6
 )
 
@@ -117,9 +121,13 @@ var frameDict = func() []byte {
 	if err != nil {
 		panic(err)
 	}
+	// A late section's head, in the expanded form a join output takes: one
+	// row of R1.
 	var table, store bytes.Buffer
-	data.WriteLate(&table, &data.Late{Rel: "R1⋈R2"}) // a late section's head
-	stats.NewStore().WriteTo(&store)                 // a statistics shard's
+	r1 := &data.Table{Rel: "R1", Attrs: attrs[:1], Rows: []data.Row{{1}}}
+	data.WriteLate(&table, &data.Late{Rel: "R1⋈R2", Attrs: attrs[:1], N: 1,
+		Ins: []data.LateInput{{Src: r1, Idx: []int32{0}}}, Cols: []data.LateCol{{In: 0, Col: 0}}})
+	stats.NewStore().WriteTo(&store) // a statistics shard's
 	return slices.Concat(req, resp, table.Bytes(), store.Bytes())
 }()
 

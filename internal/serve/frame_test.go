@@ -239,12 +239,20 @@ func TestRunFramesRoundTrip(t *testing.T) {
 // stats shard is pinned apart from the sections before it: it is the
 // store's own byte form, whose version moves independently of the frame's.
 // The request is its header alone, and carries the one statistic of the
-// run's two that its block observes. The response's tables are late sections (data.WriteLate) of one
-// plain group each: they name no relation.
+// run's two that its block observes. The response's tables are late
+// sections (data.WriteLate) of one plain group each: they name no relation.
+// A second response carries a join of a relation with itself, in its
+// expanded form.
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
 		goldenRequest  = "ef017b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a332c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a337d"
 		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
+
+		// A response whose output is a join of D with itself on its key:
+		// the section names D twice, then the expansion — group 0's
+		// survivors 0 and 1, and group 1's, keyed by D.k on level 0's D.k
+		// — and the plain column.
+		goldenJoin = "0a7b22726f7773223a307d434554424c35030544e28b8844040144016b01440176014401760544e28b884401660403010144020101440200000000010101020002000001000000020000000a0c0c0a00"
 
 		// The stats shard, the response's last section, in store format
 		// version 4; goldenResponse is every section before it.
@@ -280,6 +288,19 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	}
 	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out.Table(), frameBlock(t).Out.Table()) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
+	}
+	// A join's output crosses as its expansion: D's rows, then D's rows of
+	// each one's key, with a plain column after them.
+	d := frameDB["D"]
+	joined := &engine.RemoteBlock{Out: &data.Late{Rel: "D⋈D", Attrs: []workflow.Attr{d.Attrs[0], d.Attrs[1], d.Attrs[1], {Rel: "D⋈D", Col: "f"}}, N: 4,
+		Ins:  []data.LateInput{{Src: d, Idx: []int32{0, 0, 1, 1}}, {Src: d, Idx: []int32{0, 1, 0, 1}}},
+		Cols: []data.LateCol{{In: 0, Col: 0}, {In: 0, Col: 1}, {In: 1, Col: 1}, {In: -1, Vals: []int64{5, 6, 6, 5}}}}}
+	resp = responseFrame(t, joined)
+	if _, payload = framePayload(t, resp); hex.EncodeToString(payload) != goldenJoin {
+		t.Errorf("a join's response payload changed on the wire:\n got %x\nwant %s", payload, goldenJoin)
+	}
+	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, frameDB); err != nil || !reflect.DeepEqual(rb.Out.Table(), joined.Out.Table()) {
+		t.Errorf("a join's response frame does not decode to what built it: %v", err)
 	}
 }
 
@@ -419,8 +440,10 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 	if err := decode(mustFrame(t, map[string]int{"rows": 1, "bogus": 2})); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown header field: err = %v", err)
 	}
-	// The formats this one replaced are refused by name, not as noise.
-	for _, magic := range []string{"EBLK1", "EBLK2"} {
+	// The formats this one replaced are refused by name, not as noise:
+	// EBLK3 is this layout from a build whose late sections had no
+	// expansions.
+	for _, magic := range []string{"EBLK1", "EBLK2", "EBLK3"} {
 		old := append([]byte(magic), deflated[len(frameMagic):]...)
 		if err := decode(old); !errors.Is(err, errFrameVersion) || !strings.Contains(err.Error(), `starts "`+magic+`"`) {
 			t.Errorf("a frame of version %s: err = %v", magic, err)
@@ -621,9 +644,9 @@ func mustFrame(t testing.TB, header any, sections ...[]byte) []byte {
 	return frame
 }
 
-// frameDB is the data the hostile late sections below name: relation S of
-// two rows.
-var frameDB = engine.DB{"S": frameTable("S", data.Row{1, 2}, data.Row{3, 4})}
+// frameDB is the data the hostile late sections below name: relations S,
+// of keys 1 and 3, and D, of keys 7 and 7.
+var frameDB = engine.DB{"S": frameTable("S", data.Row{1, 2}, data.Row{3, 4}), "D": frameTable("D", data.Row{7, 0}, data.Row{7, 1})}
 
 // lateSection writes a late table section by hand, from the format comment
 // in internal/data/late.go: one column, S.k, of nrows rows, in one group
@@ -640,6 +663,30 @@ func lateSection(rel string, declared uint64, nrows uint64, index ...byte) []byt
 	b = binary.AppendUvarint(str(b, rel), declared)
 	b = append(b, 0, 0) // column 0 in group 0, S's column 0
 	return append(b, index...)
+}
+
+// expandedSection writes an expanded late section by hand, from the same
+// comment: groups columns, column g reading rel's column k through group g,
+// each group naming rel and declaring its row count, nrows rows, and then
+// the expansion, rest — per level its group, past the first its key column,
+// keying level and keying column, then its survivor count and survivors.
+func expandedSection(rel string, declared, nrows uint64, groups int, rest ...byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte("ETBL5"), 3)
+	b = str(b, "Out")
+	b = binary.AppendUvarint(b, uint64(groups))
+	for g := 0; g < groups; g++ {
+		b = str(str(b, rel), "k")
+	}
+	b = binary.AppendUvarint(b, nrows)
+	b = binary.AppendUvarint(b, uint64(groups))
+	for g := 0; g < groups; g++ {
+		b = binary.AppendUvarint(str(append(b, 1), rel), declared)
+	}
+	for g := 0; g < groups; g++ {
+		b = append(b, byte(g), 0)
+	}
+	return append(b, rest...)
 }
 
 // lateResponse seals a response frame whose output is the given section,
@@ -681,6 +728,15 @@ var hostileLate = []struct {
 	{"unknown relation", lateSection("T", 2, 2, 0, 0, 2), true, `relation "T" is not in`},
 	{"row count", lateSection("S", 3, 2, 0, 0, 2), true, `relation "S" has 2 rows here, 3 where`},
 	{"chain over no earlier column", lateSection("S", 2, 2, 4, 0, 0, 2), false, "cannot chain column 0"},
+	// Expansions: S's two rows, then D joined to itself on its key, which
+	// makes four rows.
+	{"honest expansion", expandedSection("S", 2, 2, 1, 0, 2, 0, 0), false, ""},
+	{"expansion past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "more than the 3 rows declared"},
+	{"expansion short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "4 rows of the 5 declared"},
+	{"survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), true, `past the 2 of relation "S"`},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 1, 0, 2, 0, 0), false, "keyed by level 1"},
+	{"key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), true, `column 5 of relation "D"`},
+	{"no survivors for the rows declared", expandedSection("S", 2, 2, 1, 0, 0), false, "0 rows of the 2 declared"},
 }
 
 // TestRunFrameRefusesHostileLateTables decodes response frames whose output
@@ -736,9 +792,10 @@ func FuzzRunFrame(f *testing.F) {
 	f.Add(sealedFrame(f, frameStored, uint64(len(payload)), payload))
 	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], make([]byte, 1<<20)...)))
 	f.Add(sealedFrame(f, frameDeflate, 1<<40, nil))
-	// The previous version's frame, and this one's payload deflated with no
-	// dictionary.
+	// The previous versions' frames, and this one's payload deflated with
+	// no dictionary.
 	f.Add(append([]byte("EBLK2"), sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil)[len(frameMagic):]...))
+	f.Add(append([]byte("EBLK3"), resp[len(frameMagic):]...))
 	f.Add(sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil))
 	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], bytes.Repeat(frameDict, 64)...)))
 	// Frames cut short: a request, and a response from a worker that died
