@@ -390,11 +390,11 @@ func printDist(d *engine.DistReport) {
 	switch {
 	case d == nil:
 	case d.FellBack:
-		fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely, %d run in-process, %d output(s) held, %d recomputed; run completed whole, outputs identical\n",
-			d.Reason, len(d.Remote), len(d.Local), d.Held, d.Recomputed)
+		fmt.Fprintf(os.Stderr, "distributed: fell back in-process (%s): %d block(s) completed remotely in %d exchange(s), %d run in-process; run completed whole, outputs identical\n",
+			d.Reason, len(d.Remote), d.Exchanges, len(d.Local))
 	default:
-		fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely, %d reassignment(s), %d worker(s) lost, %d upstream table(s) resident, %d output(s) held, %d recomputed\n",
-			len(d.Remote), d.Reassigned, len(d.LostWorkers), d.Resident, d.Held, d.Recomputed)
+		fmt.Fprintf(os.Stderr, "distributed: %d block(s) executed remotely in %d exchange(s), %d run in-process, %d reassignment(s), %d worker(s) lost\n",
+			len(d.Remote), d.Exchanges, len(d.Local), d.Reassigned, len(d.LostWorkers))
 	}
 }
 

@@ -122,7 +122,7 @@ type LateCol struct {
 
 // WriteLate serializes a late table with a single Write.
 func WriteLate(w io.Writer, t *Late) error {
-	sc := wirePool.Get().(*wireScratch)
+	sc := getScratch()
 	defer putScratch(sc)
 	buf, err := appendLate(sc.out[:0], t, sc)
 	sc.out = buf
@@ -139,7 +139,7 @@ func WriteLate(w io.Writer, t *Late) error {
 // cell however few bytes declared them, so a block frame passes the cap on
 // its own size. A named column is gathered only as a determinant.
 func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Late, error) {
-	sc := wirePool.Get().(*wireScratch)
+	sc := getScratch()
 	defer putScratch(sc)
 	return readLate(r, maxCells, db, sc)
 }

@@ -108,11 +108,10 @@ func TestLateWriterCells(t *testing.T) {
 	if want, err := data.WriteLateEager(out); err != nil || !bytes.Equal(section, want) {
 		t.Fatalf("the section differs from the eager writer's (%v)", err)
 	}
-	// One P, no collection while measuring, and the codec's pool emptied by
-	// the two collections before.
+	// One P, no collection while measuring, and the codec's free list of
+	// scratch emptied.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.GC()
+	data.DropScratch()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -128,6 +127,37 @@ func TestLateWriterCells(t *testing.T) {
 	}
 	if allocated > pinnedBytes*5/4 {
 		t.Errorf("writing the section allocated %d B, over 1.25 x the pinned %d", allocated, pinnedBytes)
+	}
+}
+
+// TestWriteLateWarmAllocs pins what a warm WriteLate allocates for
+// wf08@0.05's last block, the largest section a dist-run round encodes,
+// when collections ran since the call before, as they do between a
+// worker's rounds: the scratch that call grew is still on the codec's free
+// list, where a sync.Pool's was emptied and grown again from nothing,
+// 11,642,712 B a call. The pin is a measured value (go1.24.0 on amd64); the
+// bound leaves a quarter for Go-release drift.
+func TestWriteLateWarmAllocs(t *testing.T) {
+	const pinnedBytes = 2_448
+	outs := blockOutputs(t, 8, 0.05)
+	out := outs[len(outs)-1]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := data.WriteLate(io.Discard, out); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := data.WriteLate(io.Discard, out); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a warm call after two collections allocated %d B (pinned %d)", allocated, pinnedBytes)
+	if allocated > pinnedBytes*5/4 {
+		t.Errorf("a warm call allocated %d B, over 1.25 x the pinned %d", allocated, pinnedBytes)
 	}
 }
 

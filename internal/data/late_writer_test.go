@@ -262,3 +262,11 @@ func TestLateWriterModel(t *testing.T) {
 		t.Errorf("%d tables gathered no named row and %d past the first gather; want some of each", none, past)
 	}
 }
+
+// DropScratch empties the codec's free list of scratch, so that the next
+// call grows its own from nothing.
+func DropScratch() {
+	wireScratches.Lock()
+	defer wireScratches.Unlock()
+	wireScratches.free = nil
+}

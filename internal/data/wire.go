@@ -156,49 +156,62 @@ func (sc *wireScratch) newImage(span uint64) ([]imageEntry, uint64) {
 	return sc.image, sc.epoch
 }
 
-var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
+// Scratch sits on a free list, not in a sync.Pool: the collector empties a
+// pool, and a worker that writes one large late table a round, with
+// collections between rounds, grew its scratch from nothing every round —
+// 11.6 MB for wf08@0.05's last block. The list is a stack, so the scratch a
+// call grew is the next one taken; it keeps a few, and scratch over
+// keptScratchBytes is dropped rather than kept, so one huge (or hostile)
+// table does not pin its working memory.
+var wireScratches struct {
+	sync.Mutex
+	free []*wireScratch
+}
 
-// Scratch larger than this is dropped rather than pooled, so one huge (or
-// hostile) table does not pin its working memory.
 const (
-	maxPooledCells = 1 << 22
-	maxPooledBytes = 1 << 24
+	keptScratches    = 4
+	keptScratchBytes = 1 << 24
 )
 
+// getScratch takes scratch off the free list, or makes it.
+func getScratch() *wireScratch {
+	l := &wireScratches
+	l.Lock()
+	defer l.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(wireScratch)
+	}
+	sc := l.free[n-1]
+	l.free = l.free[:n-1]
+	return sc
+}
+
+// putScratch returns scratch to the free list, unless the list is full or
+// the scratch is over keptScratchBytes.
 func putScratch(sc *wireScratch) {
-	if cap(sc.cells) > maxPooledCells {
-		sc.cells = nil
-	}
-	if cap(sc.runs) > maxPooledCells {
-		sc.runs = nil
-	}
-	if cap(sc.cols.arena) > maxPooledCells {
-		sc.cols.arena = nil
-	}
-	if cap(sc.out) > maxPooledBytes {
-		sc.out = nil
-	}
-	if cap(sc.body) > maxPooledBytes {
-		sc.body = nil
-	}
-	if cap(sc.starts) > maxPooledBytes {
-		sc.starts = nil
-	}
-	if sc.in.Cap() > maxPooledBytes {
-		sc.in = bytes.Buffer{}
+	size := 8*(cap(sc.cells)+cap(sc.runs)+cap(sc.cols.arena)+cap(sc.dict)) + 24*(cap(sc.image)+cap(sc.best)) +
+		2*cap(sc.marks) + cap(sc.out) + cap(sc.body) + cap(sc.starts) + sc.in.Cap()
+	if size > keptScratchBytes {
+		return
 	}
 	// The column views name the caller's tables and the vectors gathered
 	// for them: none outlives the call.
 	clear(sc.cols.vals)
 	sc.cols.late = nil
-	wirePool.Put(sc)
+	l := &wireScratches
+	l.Lock()
+	defer l.Unlock()
+	if len(l.free) < keptScratches {
+		l.free = append(l.free, sc)
+	}
 }
 
 // WriteTable serializes the table with a single Write. A nil table encodes
 // as a present/absent marker so map values can round-trip without a
 // sidecar.
 func WriteTable(w io.Writer, t *Table) error {
-	sc := wirePool.Get().(*wireScratch)
+	sc := getScratch()
 	defer putScratch(sc)
 	buf, err := appendTable(sc.out[:0], t, sc)
 	sc.out = buf
@@ -871,7 +884,7 @@ func ReadTable(r io.Reader) (*Table, error) { return ReadTableRows(r, maxWireCel
 // somewhere, and a change costs a byte, except where a chain column reuses
 // its image.
 func ReadTableRows(r io.Reader, maxRows, maxCells int64) (*Table, error) {
-	sc := wirePool.Get().(*wireScratch)
+	sc := getScratch()
 	defer putScratch(sc)
 	d, t, n, err := openSection(r, sc, presentTable, maxRows, maxCells)
 	if t == nil || err != nil {

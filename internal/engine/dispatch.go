@@ -13,20 +13,24 @@ import (
 
 // Distributed block dispatch. A run with Engine.Dispatch set places its
 // blocks through a BlockDispatcher — in practice internal/serve's
-// Coordinator, which leases each block to a worker process over HTTP —
-// instead of executing them on local goroutines. Placement is all that
-// changes: the one scheduler (runBlocks in parallel.go) commits a remote
-// block through the same commit point as a local one. A worker returns
-// what an in-process block leaves behind — boundary output, materialized
-// tables, work-metric rows, a private statistics shard and, under
-// CollectMetrics, its per-node metrics — so observed statistics and metrics
-// are byte-identical however the blocks were placed.
+// Coordinator, which leases them to worker processes over HTTP — instead of
+// executing them on local goroutines. Placement is all that changes: the
+// one scheduler (runBlocks in parallel.go) commits a remote block through
+// the same commit point as a local one. A worker returns what an in-process
+// block leaves behind — boundary output, materialized tables, work-metric
+// rows, a private statistics shard and, under CollectMetrics, its per-node
+// metrics — so observed statistics and metrics are byte-identical however
+// the blocks were placed.
 //
-// One exception is asked for: a boundary output no sink reads and a later
-// block does is held — left on the worker that made it, the run keeping a
-// nil output in its place. The block that reads it runs remotely, in the
-// same session, which knows where the output is; one that runs in-process
-// after a fallback first recomputes it here, output only.
+// The unit of dispatch is a chain: a block and the blocks after it, each of
+// which reads only the output of the one before it, which no sink and no
+// other block reads (DispatchSpec.Chains). One exchange runs a whole chain
+// on one worker, and the outputs inside it never leave that worker: the run
+// keeps a nil output in their place. The scheduler still asks for every
+// block, and commits each on its own; the session answers a chain's later
+// blocks from the exchange its head made, after a fallback too. An output
+// that leaves its chain is shipped, and a block that reads one runs
+// in-process: a request carries no table.
 //
 // Robustness is structural, not best-effort: a dispatcher signals
 // unrecoverable infrastructure loss with ErrWorkersLost, and the scheduler
@@ -54,14 +58,15 @@ type DispatchSpec struct {
 	// be instrumented with an empty tap set on some blocks).
 	Instrument bool
 	// Faults is the injector's spec (faults.Parse form); Metrics is the
-	// Engine's CollectMetrics. Workers is not mirrored: a worker runs one
-	// block per request.
+	// Engine's CollectMetrics. Workers is not mirrored: a worker runs the
+	// blocks of a chain one after another.
 	Faults  string
 	Metrics bool
-	// Hold lists, ascending, the blocks whose boundary output the session
-	// should leave on the worker that made it and return as Held: a later
-	// block reads each, no sink does.
-	Hold []int
+	// Chains lists the run's chains of more than one block, by ascending
+	// head, each in order: every block after the first reads only the
+	// output of the one before it, which no sink and no other block reads.
+	// A block in none is a chain of its own.
+	Chains [][]int
 	// DB is the run's data. A worker's tables name the rows of its source
 	// relations they read (data.Late), and the dispatcher resolves them
 	// here: it must be the data the workers generate.
@@ -74,11 +79,9 @@ type DispatchSpec struct {
 // and Rows — its statistics, metrics and retries went straight into the
 // run's own collector, plan and counters; a worker ships all of it.
 type RemoteBlock struct {
-	// Out is the block's boundary output; nil when it is held.
+	// Out is the block's boundary output; nil for a block of a chain but
+	// its last, whose output the next block read on the worker.
 	Out *data.Late
-	// Held reports that the output stayed on the worker, for a block
-	// DispatchSpec.Hold lists; Out is then nil.
-	Held bool
 	// Materialized holds the block's materialized targets (reject links,
 	// explicit materializations).
 	Materialized map[string]*data.Late
@@ -97,30 +100,29 @@ type RemoteBlock struct {
 	// unless the worker engine ran with CollectMetrics.
 	Metrics []physical.Metrics
 	// Sources is the row count of every source relation the block read, by
-	// name — scanned, or read through a held upstream output: a dispatcher
-	// checks them against the run's data (DispatchSpec.DB), which the
-	// worker's must be.
+	// name — scanned, or read through its chain's upstream output: a
+	// dispatcher checks them against the run's data (DispatchSpec.DB), which
+	// the worker's must be.
 	Sources map[string]int
 }
 
 // RunDispatch is one run's dispatch session.
 type RunDispatch interface {
-	// RunBlock executes one block remotely. The upstream map has an entry
-	// for every block this block reads from: its boundary output, or nil
-	// when this session holds it. A worker reads only outputs held where it
-	// runs, so a block that reads one the session does not hold is
-	// undeliverable. An error wrapping ErrWorkersLost means dispatch is
-	// unavailable to the block and the rest of the run; any other error is
-	// the block's own (deterministic) execution error.
+	// RunBlock executes one block remotely: a chain's head in one exchange
+	// with the blocks after it, whose results it keeps; a later block of a
+	// chain from what its head's exchange kept, whatever the placement in
+	// force since. The upstream map has an entry, nil, for the block before
+	// it in its chain; a block that reads any other output is never asked
+	// for. An error wrapping ErrWorkersLost means dispatch is unavailable to
+	// the chain and the rest of the run; any other error is the block's own
+	// (deterministic) execution error.
 	RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error)
 	// Slots bounds how many blocks the scheduler keeps in flight.
 	Slots() int
 	// Summary reports the session so far: dispatch attempts retried, on the
 	// same or another worker, after a lease expired or a request failed;
-	// upstream outputs a worker took from its own store; held outputs a
-	// worker made again because one it was asked to read was not there; and
-	// the workers marked dead.
-	Summary() (reassigned, resident, recomputed int64, lostWorkers []string)
+	// the exchanges that ran a chain; and the workers marked dead.
+	Summary() (reassigned, exchanges int64, lostWorkers []string)
 }
 
 // BlockDispatcher opens dispatch sessions; internal/serve's Coordinator
@@ -134,20 +136,14 @@ type BlockDispatcher interface {
 type DistReport struct {
 	// Remote lists blocks executed on workers (ascending).
 	Remote []int
-	// Local lists blocks executed in-process after a fallback (ascending).
+	// Local lists blocks executed in-process (ascending): after a fallback,
+	// or because they read an output that left its chain.
 	Local []int
 	// Reassigned counts dispatch attempts retried after lease expiry or
 	// request failure.
 	Reassigned int64
-	// Resident counts upstream outputs a worker took from its store, where
-	// the request named them.
-	Resident int64
-	// Held counts the committed blocks whose output stayed on a worker.
-	Held int64
-	// Recomputed counts held outputs made again, output only, because the
-	// one made first could not be read where it was needed: by a worker
-	// that lacked it, or in-process after a fallback.
-	Recomputed int64
+	// Exchanges counts the requests that ran a chain on a worker.
+	Exchanges int64
 	// LostWorkers lists worker addresses marked dead during the run.
 	LostWorkers []string
 	// FellBack reports that the run degraded to in-process execution for
@@ -158,16 +154,16 @@ type DistReport struct {
 }
 
 // RunBlockCtx executes exactly one block of the workflow — the worker side
-// of distributed dispatch. The caller supplies the boundary output of every
-// upstream block in held, in the late form RunBlockCtx made it in, which
-// the caller kept. The engine compiles the same deterministic physical plan
-// a full run would, executes just the requested block (with the usual
-// per-attempt isolation, transient retry and fault injection), and returns
-// the block's outcome plus a private statistics shard holding only what
-// this block's taps observed — and, under CollectMetrics, the block's
-// per-node metrics. Its tables come back late, as an in-process block's
-// do: a column read from a held upstream output names the source rows that
-// output read.
+// of distributed dispatch, called once for each block of a chain. The
+// caller supplies the boundary output of every upstream block in held, in
+// the late form RunBlockCtx made it in, which the caller kept. The engine
+// compiles the same deterministic physical plan a full run would, executes
+// just the requested block (with the usual per-attempt isolation, transient
+// retry and fault injection), and returns the block's outcome plus a
+// private statistics shard holding only what this block's taps observed —
+// and, under CollectMetrics, the block's per-node metrics. Its tables come
+// back late, as an in-process block's do: a column read from an upstream
+// output names the source rows that output read.
 func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, held map[int]*data.Late) (*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,

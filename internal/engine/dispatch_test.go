@@ -19,15 +19,19 @@ import (
 )
 
 // The block scheduler under dispatch, without HTTP: loopDispatcher is an
-// in-memory BlockDispatcher that does what internal/serve's worker does —
-// build an engine from the DispatchSpec the scheduler hands it, run one
-// block with RunBlockCtx, keep the outputs the spec says to hold — so every
-// placement behaviour (ordering, failure reporting, fallback, the metrics
-// shard, held outputs) is testable against the local run of the same
-// multi-block fixture. The fixture's blocks 0 and 1 feed block 2, the
-// sink's, so both are held.
+// in-memory BlockDispatcher that does what internal/serve's coordinator and
+// worker do — build an engine from the DispatchSpec the scheduler hands it,
+// run a chain's blocks one after another with RunBlockCtx in one exchange,
+// pass each output inside the chain to the next block, and keep the later
+// blocks' results for their own RunBlock calls — so every placement
+// behaviour (ordering, failure reporting, fallback, the metrics shard,
+// chains) is testable against the local run of the same fixture. In the
+// diamond fixture (newMultiBlockFixture) blocks 0 and 1 both feed block 2,
+// the sink's, so every block is a chain of its own, and block 2 reads
+// outputs that left their chains; in the chain fixture (newChainFixture)
+// block 0 feeds block 2, one chain, and block 1 is a chain of its own.
 
-// loopDispatcher loops dispatched blocks back to RunBlockCtx.
+// loopDispatcher loops dispatched chains back to RunBlockCtx.
 type loopDispatcher struct {
 	f     *multiBlockFixture
 	slots int
@@ -35,20 +39,28 @@ type loopDispatcher struct {
 	maxRows int64
 	// openErr, when set, fails DispatchRun.
 	openErr error
-	// before runs ahead of a block's execution; an error it returns is the
-	// RunBlock result. after may alter the outcome of a successful block.
+	// before runs ahead of an exchange, given its chain's head; an error it
+	// returns is the RunBlock result. after may alter the outcome of a
+	// successful block.
 	before func(block int) error
 	after  func(block int, rb *RemoteBlock)
 
-	mu          sync.Mutex
-	started     []int
+	mu sync.Mutex
+	// started is the blocks RunBlock was asked for, exchanged the heads of
+	// the chains it ran, in order.
+	started, exchanged []int
+	// runs counts the executions of each block.
 	runs        map[int]int
 	inflight    int
 	maxInflight int
 	spec        *DispatchSpec
-	// held is the session's held outputs, in the late form a real
-	// dispatcher's workers keep them in.
-	held map[int]*data.Late
+	// kept is the results of chain blocks after their head, until asked for.
+	kept map[int]loopResult
+}
+
+type loopResult struct {
+	rb  *RemoteBlock
+	err error
 }
 
 func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (RunDispatch, error) {
@@ -57,25 +69,39 @@ func (d *loopDispatcher) DispatchRun(_ context.Context, spec *DispatchSpec) (Run
 	}
 	d.mu.Lock()
 	d.spec = spec
-	d.held = map[int]*data.Late{}
+	d.kept = map[int]loopResult{}
+	d.runs = map[int]int{}
 	d.mu.Unlock()
 	return d, nil
 }
 
-func (d *loopDispatcher) Slots() int                               { return d.slots }
-func (d *loopDispatcher) Summary() (int64, int64, int64, []string) { return 0, 0, 0, nil }
+func (d *loopDispatcher) Slots() int { return d.slots }
+
+func (d *loopDispatcher) Summary() (int64, int64, []string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return 0, int64(len(d.exchanged)), nil
+}
 
 func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*RemoteBlock, error) {
 	d.mu.Lock()
 	d.started = append(d.started, block)
+	if r, ok := d.kept[block]; ok {
+		delete(d.kept, block)
+		d.mu.Unlock()
+		return r.rb, r.err
+	}
+	if len(upstream) > 0 {
+		d.mu.Unlock()
+		return nil, fmt.Errorf("loop: block %d reads an output no exchange carries", block)
+	}
 	d.inflight++
 	d.maxInflight = max(d.maxInflight, d.inflight)
 	spec := d.spec
-	held := make(map[int]*data.Late, len(upstream))
-	for u := range upstream {
-		if held[u] = d.held[u]; held[u] == nil {
-			d.mu.Unlock()
-			return nil, fmt.Errorf("loop: block %d reads block %d, which this session does not hold: %w", block, u, ErrWorkersLost)
+	chain := []int{block}
+	for _, c := range spec.Chains {
+		if c[0] == block {
+			chain = c
 		}
 	}
 	d.mu.Unlock()
@@ -99,29 +125,36 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	if !spec.Instrument {
 		res = nil
 	}
-	d.mu.Lock()
-	if d.runs == nil {
-		d.runs = make(map[int]int)
-	}
-	d.runs[block]++
-	d.mu.Unlock()
-	rb, err := e.RunBlockCtx(ctx, block, spec.Plans, res, spec.Observe, held)
-	if err != nil {
-		return nil, err
-	}
-	if slices.Contains(spec.Hold, block) {
+	var results []loopResult
+	held := map[int]*data.Late{}
+	for i, b := range chain {
 		d.mu.Lock()
-		d.held[block] = rb.Out
+		d.runs[b]++
 		d.mu.Unlock()
-		rb.Out, rb.Held = nil, true
+		rb, err := e.RunBlockCtx(ctx, b, spec.Plans, res, spec.Observe, held)
+		if err != nil {
+			results = append(results, loopResult{err: err})
+			break
+		}
+		if i < len(chain)-1 {
+			held = map[int]*data.Late{b: rb.Out}
+			rb.Out = nil
+		}
+		if err := land(spec, rb); err != nil {
+			return nil, err
+		}
+		if d.after != nil {
+			d.after(b, rb)
+		}
+		results = append(results, loopResult{rb: rb})
 	}
-	if err := land(spec, rb); err != nil {
-		return nil, err
+	d.mu.Lock()
+	d.exchanged = append(d.exchanged, block)
+	for i, r := range results[1:] {
+		d.kept[chain[i+1]] = r
 	}
-	if d.after != nil {
-		d.after(block, rb)
-	}
-	return rb, nil
+	d.mu.Unlock()
+	return results[0].rb, results[0].err
 }
 
 // land carries a block's late tables over an in-memory wire, the way the
@@ -207,26 +240,43 @@ func assertPlacement(t *testing.T, name string, d *DistReport, remote, local []i
 // TestDispatchMatchesLocal is leg (a): a dispatched run equals the local
 // run on sinks, materialized tables, Rows, store bytes, Retries, degraded
 // statistics and the deterministic metrics — with the engine's fault
-// injector, worker count and metrics bit set once, on the engine.
+// injector, worker count and metrics bit set once, on the engine. In the
+// diamond block 2 reads outputs that left their chains and runs in-process,
+// no fallback; the chain fixture runs its three blocks in two exchanges.
 func TestDispatchMatchesLocal(t *testing.T) {
-	f := newMultiBlockFixture(t)
-	for _, tc := range []struct {
-		name string
-		flt  *faults.Injector
+	for _, fx := range []struct {
+		name          string
+		f             *multiBlockFixture
+		remote, local []int
+		exchanges     int64
 	}{
-		{"clean", nil},
-		{"transient", faults.New(7, 1, 1, 0)},
-		{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
+		{"diamond", newMultiBlockFixture(t), []int{0, 1}, []int{2}, 2},
+		{"chains", newChainFixture(t), []int{0, 1, 2}, nil, 2},
 	} {
-		name := tc.name
-		local := f.engine(tc.flt)
+		for _, tc := range []struct {
+			name string
+			flt  *faults.Injector
+		}{
+			{"clean", nil},
+			{"transient", faults.New(7, 1, 1, 0)},
+			{"degraded-taps", faults.New(7, 0.5, 0, faults.Tap)},
+		} {
+			matchesLocal(t, fx.name+"/"+tc.name, fx.f, tc.flt, fx.remote, fx.local, fx.exchanges)
+		}
+	}
+}
+
+func matchesLocal(t *testing.T, name string, f *multiBlockFixture, flt *faults.Injector, remoteBlocks, localBlocks []int, exchanges int64) {
+	t.Helper()
+	{
+		local := f.engine(flt)
 		local.Workers, local.CollectMetrics = 2, true
 		want, err := f.run(local)
 		if err != nil {
 			t.Fatalf("%s: local run: %v", name, err)
 		}
 		d := &loopDispatcher{f: f, slots: 2}
-		remote := f.engine(tc.flt)
+		remote := f.engine(flt)
 		remote.Workers, remote.CollectMetrics, remote.Dispatch = 2, true, d
 		got, err := f.run(remote)
 		if err != nil {
@@ -239,21 +289,21 @@ func TestDispatchMatchesLocal(t *testing.T) {
 		if want.Retries != got.Retries {
 			t.Errorf("%s: retries %d, want %d", name, got.Retries, want.Retries)
 		}
-		if tc.name == "transient" && got.Retries == 0 {
+		if strings.HasSuffix(name, "/transient") && got.Retries == 0 {
 			t.Errorf("%s: the injector never fired on the workers", name)
 		}
 		if !reflect.DeepEqual(degradedKeys(want), degradedKeys(got)) {
 			t.Errorf("%s: degraded %v, want %v", name, degradedKeys(got), degradedKeys(want))
 		}
-		if tc.name == "degraded-taps" && len(got.Degraded) == 0 {
+		if strings.HasSuffix(name, "/degraded-taps") && len(got.Degraded) == 0 {
 			t.Errorf("%s: no tap degraded on the workers", name)
 		}
 		if w, g := metricsJSON(t, want), metricsJSON(t, got); w != g {
 			t.Errorf("%s: metrics differ:\n local %s\nremote %s", name, w, g)
 		}
-		assertPlacement(t, name, got.Dist, f.allBlocks(), nil)
-		if got.Dist.FellBack {
-			t.Errorf("%s: fell back: %s", name, got.Dist.Reason)
+		assertPlacement(t, name, got.Dist, remoteBlocks, localBlocks)
+		if got.Dist.FellBack || got.Dist.Exchanges != exchanges {
+			t.Errorf("%s: fell back %v (%s) after %d exchanges, want no fallback and %d", name, got.Dist.FellBack, got.Dist.Reason, got.Dist.Exchanges, exchanges)
 		}
 	}
 }
@@ -261,23 +311,45 @@ func TestDispatchMatchesLocal(t *testing.T) {
 // TestDispatchOrderAndFailure is leg (b): the lowest-index ready block is
 // dispatched first, of several failing blocks the lowest index is the one
 // reported, as a *BlockFailure, and the partial result beside it holds what
-// did complete.
+// did complete. A block that fails inside its chain's exchange is reported
+// as itself, with its own error's text, after the blocks before it
+// committed, as it is in-process.
 func TestDispatchOrderAndFailure(t *testing.T) {
 	f := newMultiBlockFixture(t)
 
 	t.Run("order", func(t *testing.T) {
+		f := newChainFixture(t)
 		d := &loopDispatcher{f: f, slots: 1}
 		e := f.engine(nil)
 		e.Workers, e.Dispatch = 4, d
 		if _, err := f.run(e); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(d.started, f.allBlocks()) {
-			t.Errorf("one slot dispatched blocks in order %v, want %v", d.started, f.allBlocks())
+		if !reflect.DeepEqual(d.started, f.allBlocks()) || !reflect.DeepEqual(d.exchanged, []int{0, 1}) {
+			t.Errorf("one slot asked for blocks %v in exchanges headed %v, want %v in [0 1]", d.started, d.exchanged, f.allBlocks())
 		}
 		if d.maxInflight != 1 {
 			t.Errorf("one slot kept %d blocks in flight", d.maxInflight)
 		}
+	})
+
+	t.Run("inside a chain", func(t *testing.T) {
+		// Seed 2 faults block 2's join for good, and neither block before it.
+		f := newChainFixture(t)
+		flt := faults.New(2, 0.5, 0, faults.Operator)
+		want, werr := f.run(f.engine(flt))
+		d := &loopDispatcher{f: f, slots: 1}
+		e := f.engine(flt)
+		e.Dispatch = d
+		got, gerr := f.run(e)
+		var lbf, dbf *BlockFailure
+		if !errors.As(werr, &lbf) || !errors.As(gerr, &dbf) || lbf.Block != 2 || dbf.Block != 2 || lbf.Err.Error() != dbf.Err.Error() {
+			t.Fatalf("in-process %v, dispatched %v: want block 2's failure, the same text", werr, gerr)
+		}
+		if len(got.BlockOut) != 2 || len(want.BlockOut) != 2 || d.runs[2] != 1 {
+			t.Errorf("partial results hold %d blocks dispatched, %d in-process; block 2 ran %d time(s) on the workers", len(got.BlockOut), len(want.BlockOut), d.runs[2])
+		}
+		assertPlacement(t, "inside a chain", got.Dist, []int{0, 1}, nil)
 	})
 
 	t.Run("lowest failing index", func(t *testing.T) {
@@ -329,7 +401,7 @@ func TestDispatchOrderAndFailure(t *testing.T) {
 // FellBack whose Remote and Local partition exactly the blocks that ran,
 // and no block executed twice.
 func TestDispatchWorkersLost(t *testing.T) {
-	f := newMultiBlockFixture(t)
+	diamond, chains := newMultiBlockFixture(t), newChainFixture(t)
 	loseFrom := func(first int) func(int) error {
 		return func(block int) error {
 			if block >= first {
@@ -338,24 +410,25 @@ func TestDispatchWorkersLost(t *testing.T) {
 			return nil
 		}
 	}
-	clean, err := f.run(f.engine(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name          string
+		f             *multiBlockFixture
 		d             *loopDispatcher
 		remote, local []int
 	}{
-		{"session-open", &loopDispatcher{f: f, slots: 2, openErr: errLoopLost}, nil, []int{0, 1, 2}},
-		{"first-block", &loopDispatcher{f: f, slots: 2, before: loseFrom(0)}, nil, []int{0, 1, 2}},
-		{"mid-run", &loopDispatcher{f: f, slots: 2, before: loseFrom(1)}, []int{0}, []int{1, 2}},
-		{"mid-run/one-slot", &loopDispatcher{f: f, slots: 1, before: loseFrom(2)}, []int{0, 1}, []int{2}},
+		{"session-open", diamond, &loopDispatcher{f: diamond, slots: 2, openErr: errLoopLost}, nil, []int{0, 1, 2}},
+		{"first-block", diamond, &loopDispatcher{f: diamond, slots: 2, before: loseFrom(0)}, nil, []int{0, 1, 2}},
+		{"mid-run", diamond, &loopDispatcher{f: diamond, slots: 2, before: loseFrom(1)}, []int{0}, []int{1, 2}},
+		{"chains/first-block", chains, &loopDispatcher{f: chains, slots: 1, before: loseFrom(0)}, nil, []int{0, 1, 2}},
 	} {
 		name := tc.name
-		e := f.engine(nil)
+		clean, err := tc.f.run(tc.f.engine(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := tc.f.engine(nil)
 		e.Workers, e.Dispatch = 2, tc.d
-		got, err := f.run(e)
+		got, err := tc.f.run(e)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -364,12 +437,10 @@ func TestDispatchWorkersLost(t *testing.T) {
 		if !got.Dist.FellBack || !strings.Contains(got.Dist.Reason, "fleet gone") {
 			t.Errorf("%s: FellBack=%v reason %q", name, got.Dist.FellBack, got.Dist.Reason)
 		}
-		for _, b := range f.allBlocks() {
+		for _, b := range tc.f.allBlocks() {
 			want := 0
-			for _, r := range tc.remote {
-				if r == b {
-					want = 1
-				}
+			if slices.Contains(tc.remote, b) {
+				want = 1
 			}
 			if tc.d.runs[b] != want {
 				t.Errorf("%s: workers executed block %d %d time(s), want %d", name, b, tc.d.runs[b], want)
@@ -379,10 +450,11 @@ func TestDispatchWorkersLost(t *testing.T) {
 }
 
 // TestCommitOnce is leg (d): a block delivered twice — a retried dispatch
-// whose first response was lost after all — is committed once, held or not;
-// a held output of a block the session was not asked to hold is refused.
+// whose first response was lost after all — is committed once, whether its
+// output came along or stayed inside its chain; a block whose output leaves
+// its chain and comes back without one is refused.
 func TestCommitOnce(t *testing.T) {
-	f := newMultiBlockFixture(t)
+	f := newChainFixture(t)
 	plan, err := physical.Compile(f.an, f.db, physical.Options{Res: f.res, Observe: f.observe})
 	if err != nil {
 		t.Fatal(err)
@@ -397,60 +469,54 @@ func TestCommitOnce(t *testing.T) {
 	if rb.Rows == 0 || rb.Retries == 0 {
 		t.Fatalf("fixture block 0: rows %d retries %d", rb.Rows, rb.Retries)
 	}
-	env := newRunEnv(context.Background(), newRowBudget(1<<20), nil)
-	out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
-	s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, held: map[int]*data.Late{}}
-	for i := 0; i < 2; i++ {
-		out0, mat0 := rowsOf(rb)
-		if err := s.commit(plan.Blocks[0], rb, out0, mat0, true); err != nil {
-			t.Fatalf("delivery %d: %v", i, err)
+	inner := *rb
+	inner.Out = nil
+	for _, c := range []struct {
+		name string
+		rb   *RemoteBlock
+	}{{"shipped", rb}, {"inside its chain", &inner}} {
+		env := newRunEnv(context.Background(), newRowBudget(1<<20), nil)
+		out := &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
+		s := &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, inner: map[int]bool{0: true}, held: map[int]*data.Late{}}
+		for i := 0; i < 2; i++ {
+			out0, mat0 := rowsOf(c.rb)
+			if err := s.commit(plan.Blocks[0], c.rb, out0, mat0, true); err != nil {
+				t.Fatalf("%s: delivery %d: %v", c.name, i, err)
+			}
 		}
-	}
-	if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries {
-		t.Errorf("two deliveries left rows %d budget %d retries %d, want %d/%d/%d",
-			out.Rows, env.budget.used.Load(), env.retries.Load(), rb.Rows, rb.Rows, rb.Retries)
-	}
-	if !reflect.DeepEqual(s.report.Remote, []int{0}) {
-		t.Errorf("placement records %v, want block 0 once", s.report.Remote)
-	}
-
-	held := *rb
-	held.Out, held.Held = nil, true
-	env = newRunEnv(context.Background(), newRowBudget(1<<20), nil)
-	out = &Result{BlockOut: map[int]*data.Table{}, Materialized: map[string]*data.Table{}}
-	s = &blockSched{plan: plan, env: env, out: out, col: newCollector(), report: &DistReport{}, hold: []int{0}, held: map[int]*data.Late{}}
-	for i := 0; i < 2; i++ {
-		hout, hmat := rowsOf(&held)
-		if err := s.commit(plan.Blocks[0], &held, hout, hmat, true); err != nil {
-			t.Fatalf("held delivery %d: %v", i, err)
+		if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries {
+			t.Errorf("%s: two deliveries left rows %d budget %d retries %d, want %d/%d/%d", c.name,
+				out.Rows, env.budget.used.Load(), env.retries.Load(), rb.Rows, rb.Rows, rb.Retries)
 		}
-	}
-	if t0, ok := out.BlockOut[0]; !ok || t0 != nil {
-		t.Errorf("a held block committed as output %v", t0)
-	}
-	if out.Rows != rb.Rows || env.budget.used.Load() != rb.Rows || env.retries.Load() != rb.Retries || s.report.Held != 1 {
-		t.Errorf("two held deliveries left rows %d budget %d retries %d held %d, want %d/%d/%d/1",
-			out.Rows, env.budget.used.Load(), env.retries.Load(), s.report.Held, rb.Rows, rb.Rows, rb.Retries)
-	}
-	if err := s.commit(plan.Blocks[2], &RemoteBlock{Held: true}, nil, nil, true); err == nil || !strings.Contains(err.Error(), "asked to hold") {
-		t.Errorf("a held output of a block no one asked to hold: err = %v", err)
+		if !reflect.DeepEqual(s.report.Remote, []int{0}) {
+			t.Errorf("%s: placement records %v, want block 0 once", c.name, s.report.Remote)
+		}
+		if t0, ok := out.BlockOut[0]; !ok || (t0 == nil) != (c.rb.Out == nil) {
+			t.Errorf("%s: committed output %v", c.name, t0)
+		}
+		if c.rb.Out == nil {
+			if err := s.commit(plan.Blocks[1], c.rb, nil, nil, true); err == nil || !strings.Contains(err.Error(), "leaves its chain") {
+				t.Errorf("no output for a block whose output leaves its chain: err = %v", err)
+			}
+		}
 	}
 }
 
-// TestDispatchHeldFallBack loses the fleet after the two held blocks
-// committed: the block that reads them runs in-process and recomputes both,
-// output only. Rows, Retries, the observed bytes and the row budget are each
-// charged once — MaxRows at the local run's exact total still passes — and
-// equal the local run's.
+// TestDispatchHeldFallBack: chain 0 → 2's exchange commits block 0, then
+// block 1's exchange reports the fleet lost. Block 1 runs in-process, and
+// block 2 still comes from the session, which ran it in block 0's exchange:
+// no block runs twice and none is made again in-process. Rows, Retries,
+// the observed bytes and the row budget are each charged once — MaxRows at
+// the local run's exact total still passes — and equal the local run's.
 func TestDispatchHeldFallBack(t *testing.T) {
-	f := newMultiBlockFixture(t)
+	f := newChainFixture(t)
 	flt := faults.New(7, 1, 1, 0)
 	want, err := f.run(f.engine(flt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &loopDispatcher{f: f, slots: 2, before: func(block int) error {
-		if block == 2 {
+	d := &loopDispatcher{f: f, slots: 1, before: func(block int) error {
+		if block == 1 {
 			return errLoopLost
 		}
 		return nil
@@ -468,15 +534,15 @@ func TestDispatchHeldFallBack(t *testing.T) {
 	if got.Rows != want.Rows || got.Retries != want.Retries || want.Retries == 0 {
 		t.Errorf("rows %d retries %d, want %d and %d (> 0)", got.Rows, got.Retries, want.Rows, want.Retries)
 	}
-	assertPlacement(t, "fallback", got.Dist, []int{0, 1}, []int{2})
-	if g := got.Dist; !g.FellBack || g.Held != 2 || g.Recomputed != 2 {
-		t.Errorf("report %+v, want a fallback after 2 held outputs, both recomputed", g)
+	assertPlacement(t, "fallback", got.Dist, []int{0, 2}, []int{1})
+	if g := got.Dist; !g.FellBack || g.Exchanges != 1 {
+		t.Errorf("report %+v, want a fallback after one exchange", g)
 	}
-	if got.BlockOut[0] == nil || got.BlockOut[1] == nil {
-		t.Error("after the recompute the result still lacks a held output")
+	if got.BlockOut[0] != nil {
+		t.Error("block 0's output, which stayed inside its chain, reached the run")
 	}
-	if d.runs[0] != 1 || d.runs[1] != 1 {
-		t.Errorf("the workers ran blocks 0 and 1 %d and %d time(s)", d.runs[0], d.runs[1])
+	if !reflect.DeepEqual(d.runs, map[int]int{0: 1, 2: 1}) || !reflect.DeepEqual(d.started, []int{0, 1, 2}) {
+		t.Errorf("the workers ran blocks %v and were asked for %v; want 0 and 2 once each, asked for 0, 1, 2", d.runs, d.started)
 	}
 }
 
@@ -515,7 +581,7 @@ func TestDispatchMetricsShardLength(t *testing.T) {
 // same guard, although no single block comes near the cap its worker
 // applies; the exact total passes.
 func TestDispatchMaxRowsRunLevel(t *testing.T) {
-	f := newMultiBlockFixture(t)
+	f := newChainFixture(t)
 	const name = "batch"
 	clean, err := f.run(f.engine(nil))
 	if err != nil {

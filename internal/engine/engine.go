@@ -77,8 +77,8 @@ func NewStream(an *workflow.Analysis, db DB, reg physical.Registry) *Engine { re
 
 // Result is the outcome of one workflow execution.
 type Result struct {
-	// BlockOut holds each block's boundary output; the entry of one a
-	// worker holds (see DispatchSpec.Hold) is nil.
+	// BlockOut holds each block's boundary output; the entry of one that
+	// stayed inside its chain on a worker (see DispatchSpec.Chains) is nil.
 	BlockOut map[int]*data.Table
 	// Sinks holds the target record-sets by name.
 	Sinks map[string]*data.Table

@@ -14,8 +14,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// A worker keeps a held block output in the late form the block made it in,
-// and a block that reads it names the source rows it read. These tests drive
+// A worker hands a block's output to the next block of its chain in the
+// late form the block made it in, and the block that reads it names the
+// source rows it read. These tests drive
 // RunBlockCtx over the suite's workflows, which the engine's internal tests
 // cannot import (the suite imports the engine).
 

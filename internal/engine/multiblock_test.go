@@ -20,8 +20,20 @@ type multiBlockFixture struct {
 
 func newMultiBlockFixture(t *testing.T) *multiBlockFixture {
 	t.Helper()
+	return newFixture(t, multiBlockGraph())
+}
+
+// newChainFixture is the fixture over chainGraph: block 0 feeds block 2,
+// one chain, and block 1 is a chain of its own.
+func newChainFixture(t *testing.T) *multiBlockFixture {
+	t.Helper()
+	return newFixture(t, chainGraph())
+}
+
+func newFixture(t *testing.T, g *workflow.Graph) *multiBlockFixture {
+	t.Helper()
 	db, cat := tinyDB()
-	an, err := workflow.Analyze(multiBlockGraph(), cat)
+	an, err := workflow.Analyze(g, cat)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -33,6 +45,17 @@ func newMultiBlockFixture(t *testing.T) *multiBlockFixture {
 		t.Fatalf("Generate: %v", err)
 	}
 	return &multiBlockFixture{an: an, db: db, res: res, observe: observableStats(res)}
+}
+
+// chainGraph is two chains: Orders grouped, then joined to Customer, and
+// Product grouped, each to a sink of its own.
+func chainGraph() *workflow.Graph {
+	b := workflow.NewBuilder("chains")
+	g1 := b.GroupBy(b.Source("Orders"), workflow.Attr{Rel: "Orders", Col: "cid"})
+	j := b.Join(g1, b.Source("Customer"), workflow.Attr{Rel: "Orders", Col: "cid"}, workflow.Attr{Rel: "Customer", Col: "cid"})
+	b.Sink(j, "a")
+	b.Sink(b.GroupBy(b.Source("Product"), workflow.Attr{Rel: "Product", Col: "pid"}), "b")
+	return b.Graph()
 }
 
 // engine builds an engine over the fixture, optionally faulted.

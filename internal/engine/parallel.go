@@ -148,23 +148,26 @@ func blockDeps(plan *physical.Plan) map[int][]int {
 
 // blockSched is the state of the one block scheduler, runBlocks. Fields
 // below mu are guarded by it; held has the late form of every committed
-// output a later block reads, which is what an in-process block reads and
-// recompute makes again (nil where a worker holds it).
+// output a later block reads, which is what an in-process block reads (nil
+// where the output stayed inside its chain, on a worker).
 type blockSched struct {
 	plan *physical.Plan
 	deps map[int][]int
-	// read is the blocks a later block reads: no other's output is held.
+	// read is the blocks a later block reads: no other's output is kept.
 	read map[int]bool
-	env  *runEnv
-	out  *Result
-	col  *collector
+	// prev maps each block that runs in its chain's exchange to the block
+	// before it there (chainLinks); inner is the blocks prev maps to, whose
+	// output a worker never sends.
+	prev  map[int]int
+	inner map[int]bool
+	env   *runEnv
+	out   *Result
+	col   *collector
 	// metrics is Engine.CollectMetrics: a remote block must then ship one
 	// physical.Metrics per node, and none otherwise.
 	metrics bool
 	// report is the run's placement record (nil without a dispatcher).
 	report *DistReport
-	// hold lists the blocks the dispatch session is asked to hold.
-	hold []int
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -189,18 +192,19 @@ type blockSched struct {
 // reporting is deterministic regardless of goroutine timing; out keeps what
 // did complete.
 //
-// A dispatch session is asked to hold the outputs heldBlocks names. A
-// dispatcher that reports ErrWorkersLost, at session open or from any
-// block, flips the blocks not yet committed to in-process execution inside
-// the same loop: the placement degrades, the result stays whole.
+// A dispatch session runs the chains chainLinks finds, each in one
+// exchange. A dispatcher that reports ErrWorkersLost, at session open or
+// from any chain, flips the blocks not yet committed to in-process
+// execution inside the same loop — but a chain whose head committed
+// remotely is still answered by the session: the placement degrades, the
+// result stays whole, and no block runs twice.
 func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *collector, spec *DispatchSpec) error {
 	s := e.newBlockSched(plan, env, out, col)
 	var rd RunDispatch
 	if e.Dispatch != nil {
 		s.report = &DistReport{}
 		out.Dist = s.report
-		s.hold = heldBlocks(e.An, s.deps)
-		spec.Hold = s.hold
+		spec.Chains = s.chains()
 		if session, err := e.Dispatch.DispatchRun(env.ctx, spec); err != nil {
 			s.fallBack(err) // no reachable worker: the whole run is in-process
 		} else {
@@ -226,9 +230,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 		sort.Ints(s.report.Local)
 	}
 	if rd != nil {
-		var recomputed int64
-		s.report.Reassigned, s.report.Resident, recomputed, s.report.LostWorkers = rd.Summary()
-		s.report.Recomputed += recomputed
+		s.report.Reassigned, s.report.Exchanges, s.report.LostWorkers = rd.Summary()
 	}
 	if len(s.errs) > 0 {
 		idxs := make([]int, 0, len(s.errs))
@@ -245,9 +247,13 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 func (e *Engine) newBlockSched(plan *physical.Plan, env *runEnv, out *Result, col *collector) *blockSched {
 	deps := blockDeps(plan)
 	s := &blockSched{
-		plan: plan, deps: deps, read: readBlocks(deps), env: env, out: out, col: col, metrics: e.CollectMetrics,
+		plan: plan, deps: deps, read: readBlocks(deps), prev: chainLinks(e.An, deps), inner: map[int]bool{},
+		env: env, out: out, col: col, metrics: e.CollectMetrics,
 		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
 		held: map[int]*data.Late{},
+	}
+	for _, p := range s.prev {
+		s.inner[p] = true
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.limit = s.local
@@ -272,12 +278,19 @@ func (s *blockSched) work(rd RunDispatch) {
 			continue
 		}
 		idx, remote := bp.Block.Index, s.remote
+		if p, ok := s.prev[idx]; ok {
+			// The block before it left no output here only if it ran in
+			// its chain's exchange, which ran this block too.
+			remote = s.held[p] == nil
+		} else if len(s.deps[idx]) > 0 {
+			remote = false // it reads an output that left its chain
+		}
 		s.started[idx] = true
 		s.inflight++
 		upstream := make(map[int]*data.Table, len(s.deps[idx]))
 		held := make(map[int]*data.Late, len(s.deps[idx]))
 		for _, d := range s.deps[idx] {
-			upstream[d], held[d] = s.out.BlockOut[d], s.held[d] // nil when a worker holds it
+			upstream[d], held[d] = s.out.BlockOut[d], s.held[d]
 		}
 		s.mu.Unlock()
 		var rb *RemoteBlock
@@ -286,7 +299,7 @@ func (s *blockSched) work(rd RunDispatch) {
 		var err error
 		if remote {
 			rb, err = rd.RunBlock(s.env.ctx, idx, upstream)
-		} else if err = s.recompute(held); err == nil {
+		} else {
 			rb, err = s.env.runBlock(bp, held, s.col, s.metrics)
 		}
 		if err == nil {
@@ -325,42 +338,6 @@ func (s *blockSched) nextReady() *physical.BlockPlan {
 	return nil
 }
 
-// recompute fills in the outputs a worker holds of an upstream map for an
-// in-process block to read, recomputing each — and what it reads, as far up
-// as needed — output only: no taps, no metrics, no row-budget charge, no
-// injected faults, no retries. What it makes joins the run's late outputs,
-// and its rows fill the nil output in the result.
-func (s *blockSched) recompute(held map[int]*data.Late) error {
-	for d, l := range held {
-		if l != nil {
-			continue
-		}
-		up := make(map[int]*data.Late, len(s.deps[d]))
-		s.mu.Lock()
-		for _, u := range s.deps[d] {
-			up[u] = s.held[u]
-		}
-		s.mu.Unlock()
-		if err := s.recompute(up); err != nil {
-			return err
-		}
-		env := newRunEnv(s.env.ctx, nil, nil)
-		rb, err := env.runBlock(s.plan.Blocks[d], up, nil, false)
-		if err != nil {
-			return fmt.Errorf("recomputing held block %d: %w", d, err)
-		}
-		t := rb.Out.Table()
-		s.mu.Lock()
-		if s.held[d] == nil {
-			s.held[d], s.out.BlockOut[d] = rb.Out, t
-			s.report.Recomputed++
-		}
-		held[d] = s.held[d]
-		s.mu.Unlock()
-	}
-	return nil
-}
-
 // fallBack degrades the placement: every block not yet started runs
 // in-process from the committed state. The first trigger is reported.
 func (s *blockSched) fallBack(reason error) {
@@ -370,8 +347,8 @@ func (s *blockSched) fallBack(reason error) {
 	}
 }
 
-// rowsOf builds the rows of a block's tables: its output, unless a worker
-// holds it, and its materialized targets.
+// rowsOf builds the rows of a block's tables: its output, unless it stayed
+// inside its chain, and its materialized targets.
 func rowsOf(rb *RemoteBlock) (out *data.Table, materialized map[string]*data.Table) {
 	if rb.Out != nil {
 		out = rb.Out.Table()
@@ -405,9 +382,9 @@ func (s *blockSched) finish(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 // observed into the run's collector and wrote its nodes' metrics while it
 // ran; a remote block brings all three along, and crossing MaxRows here
 // fails it as crossing it mid-block fails a local one. A block already
-// committed (a duplicate delivery) is left alone; a held one is committed
-// as a nil output. out and materialized are rb's tables as rows, built
-// outside the lock.
+// committed (a duplicate delivery) is left alone; one whose output stayed
+// inside its chain is committed as a nil output. out and materialized are
+// rb's tables as rows, built outside the lock.
 func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.Table, materialized map[string]*data.Table, remote bool) error {
 	idx := bp.Block.Index
 	if _, ok := s.out.BlockOut[idx]; ok {
@@ -421,8 +398,8 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 		if len(rb.Metrics) != want {
 			return fmt.Errorf("engine: block %d: worker shipped a metrics shard of %d nodes, the compiled block has %d", idx, len(rb.Metrics), want)
 		}
-		if rb.Out == nil && (!rb.Held || !slices.Contains(s.hold, idx)) {
-			return fmt.Errorf("engine: block %d: the dispatcher returned neither its output nor one it was asked to hold", idx)
+		if rb.Out == nil && !s.inner[idx] {
+			return fmt.Errorf("engine: block %d: the dispatcher returned no output for a block whose output leaves its chain", idx)
 		}
 		if err := s.env.budget.add(rb.Rows); err != nil {
 			return err
@@ -447,9 +424,6 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 	if s.read[idx] {
 		s.held[idx] = rb.Out
 	}
-	if rb.Out == nil {
-		s.report.Held++
-	}
 	for k, v := range materialized {
 		s.out.Materialized[k] = v
 	}
@@ -457,21 +431,48 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 	return nil
 }
 
-// heldBlocks lists, ascending, the blocks whose output a dispatch session
-// is asked to hold: a later block reads it and no sink does.
-func heldBlocks(an *workflow.Analysis, deps map[int][]int) []int {
-	read := readBlocks(deps)
-	for _, sink := range an.Graph.Sinks() {
-		if blk := sinkBlock(an, sink); blk != nil {
-			delete(read, blk.Index)
+// chainLinks maps each block that follows another in a chain to that
+// block: it reads only that block's output, which no sink and no other
+// block reads. A block that reads an output and is in no such pair reads
+// one that leaves its chain.
+func chainLinks(an *workflow.Analysis, deps map[int][]int) map[int]int {
+	readers := make(map[int]int)
+	for _, d := range deps {
+		for i, idx := range d {
+			if !slices.Contains(d[:i], idx) {
+				readers[idx]++
+			}
 		}
 	}
-	held := make([]int, 0, len(read))
-	for idx := range read {
-		held = append(held, idx)
+	for _, sink := range an.Graph.Sinks() {
+		if blk := sinkBlock(an, sink); blk != nil {
+			readers[blk.Index]++
+		}
 	}
-	sort.Ints(held)
-	return held
+	prev := make(map[int]int)
+	for idx, d := range deps {
+		if len(d) > 0 && readers[d[0]] == 1 && !slices.ContainsFunc(d, func(u int) bool { return u != d[0] }) {
+			prev[idx] = d[0]
+		}
+	}
+	return prev
+}
+
+// chains lists the run's chains of more than one block (DispatchSpec.Chains).
+func (s *blockSched) chains() [][]int {
+	var chains [][]int
+	at := make(map[int]int) // each chain's blocks to its place in chains
+	for _, bp := range s.plan.Blocks {
+		idx := bp.Block.Index
+		if p, ok := s.prev[idx]; ok {
+			at[idx] = at[p]
+			chains[at[p]] = append(chains[at[p]], idx)
+		} else if s.inner[idx] {
+			at[idx] = len(chains)
+			chains = append(chains, []int{idx})
+		}
+	}
+	return chains
 }
 
 // readBlocks is the blocks some later block reads.

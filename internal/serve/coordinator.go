@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,28 +19,26 @@ import (
 // Coordinator is the scheduling side of distributed block dispatch: it
 // implements engine.BlockDispatcher over a fleet of Worker HTTP servers.
 //
-// A block output that a later block reads and no sink does is held: it
-// stays on the worker that made it, and the coordinator keeps its lineage —
-// the request frame that made it — instead of its bytes. The block that
-// reads it goes to that worker if it is live, and its request names the
-// output by key (see Worker); blocks that read none go round-robin. A
-// request carries no table: a block that reads an output with no lineage
-// here runs in-process. A worker
-// that misses a named output — evicted, restarted, or never the one that
-// made it — answers 409, and every such miss gets one answer: the lineage
-// frame goes to that worker, output only, then the request again.
+// The unit it places is a chain (engine.DispatchSpec.Chains): a block and
+// the blocks after it, each reading only the output of the one before it.
+// The engine asks for every block; the chain's head goes round-robin to a
+// live worker in one request that names the whole chain, and the results of
+// the blocks after it, which the same response carries, are kept for the
+// engine to ask for. A request carries no table, and the outputs a chain
+// reads never leave its worker.
 //
-// Fault tolerance is lease-based. Every dispatched block holds a lease
+// Fault tolerance is lease-based. Every dispatched chain holds one lease
 // that only successful health probes of its worker renew; when probes fail
 // past the lease TTL — the worker is dead, frozen, or partitioned — the
-// in-flight request is cancelled, the worker is marked lost, and the block
-// is reassigned to another live worker after engine.Backoff, the engine's
-// own retry backoff (doubling from the base, saturated at 100ms). Workers
-// are deterministic executors, so a block that ran twice — a lost ACK, a
-// reassignment after a kill — returns byte-identical payloads, and the
-// engine's scheduler commits exactly one of them.
+// in-flight request is cancelled, the worker is marked lost, and the chain
+// is sent again whole, from the same request, to another live worker after
+// engine.Backoff, the engine's own retry backoff (doubling from the base,
+// saturated at 100ms). Workers are deterministic executors, so a chain that
+// ran twice — a lost ACK, a reassignment after a kill mid-chain — returns
+// byte-identical payloads, and the engine's scheduler commits exactly one
+// of them.
 //
-// When every worker is lost, or one block exhausts its dispatch budget,
+// When every worker is lost, or one chain exhausts its dispatch budget,
 // the coordinator reports engine.ErrWorkersLost and the engine finishes
 // the run in-process from the blocks it committed: degraded placement,
 // never a partial result.
@@ -84,12 +80,12 @@ type CoordinatorOptions struct {
 
 // Lease timing and dispatch retry policy.
 const (
-	// heartbeatEvery is the health-probe period while a block is leased.
+	// heartbeatEvery is the health-probe period while a chain is leased.
 	heartbeatEvery = 200 * time.Millisecond
 	// leaseTTL is how long a lease survives without a successful probe
-	// before the block is reclaimed and reassigned.
+	// before the chain is reclaimed and reassigned.
 	leaseTTL = 2 * time.Second
-	// dispatchRetryMax bounds attempts per block across workers: the
+	// dispatchRetryMax bounds attempts per chain across workers: the
 	// first try plus two reassignments.
 	dispatchRetryMax = 3
 	// dispatchBackoff is the base delay between dispatch attempts.
@@ -114,37 +110,30 @@ type workerRef struct {
 }
 
 // dispatchSession is one run's dispatch state: the worker fleet, the
-// lineage of each held output, and the dispatch accounting.
+// results kept for the blocks after a chain's head, and the dispatch
+// accounting.
 type dispatchSession struct {
 	c    *Coordinator
 	base *workerRunRequest
-	hold []int     // the blocks the engine asked to hold
-	db   engine.DB // the run's data, which responses name rows of
+	then map[int][]int // each chain's blocks after its head, by head
+	db   engine.DB     // the run's data, which responses name rows of
 
-	mu                               sync.Mutex
-	workers                          []*workerRef
-	next                             int
-	produced                         map[int]*lineage
-	reassigned, resident, recomputed int64
-	lostOrder                        []string
-}
-
-// lineage is how a held block output was made: the request frame that made
-// it — which makes it again, on any worker — and the lineage of every held
-// output that frame names. It lives and dies with its session.
-type lineage struct {
-	block int
-	addr  string // the worker that made and holds it
-	key   digest // the SHA-256 of frame's payload: the worker's key for it
-	frame []byte
-	named []*lineage // ascending block
+	mu                    sync.Mutex
+	workers               []*workerRef
+	next                  int
+	kept                  map[int]blockResult
+	reassigned, exchanges int64
+	lostOrder             []string
 }
 
 // DispatchRun opens a session: probe the fleet once and refuse to open
 // (wrapping engine.ErrWorkersLost) when nobody answers — the engine then
 // runs fully in-process.
 func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec) (engine.RunDispatch, error) {
-	s := &dispatchSession{c: c, base: c.baseRequest(spec), hold: spec.Hold, db: spec.DB, produced: map[int]*lineage{}}
+	s := &dispatchSession{c: c, base: c.baseRequest(spec), then: map[int][]int{}, db: spec.DB, kept: map[int]blockResult{}}
+	for _, chain := range spec.Chains {
+		s.then[chain[0]] = chain[1:]
+	}
 	alive := 0
 	for _, addr := range c.opt.Addrs {
 		w := &workerRef{addr: addr}
@@ -162,7 +151,7 @@ func (c *Coordinator) DispatchRun(ctx context.Context, spec *engine.DispatchSpec
 	return s, nil
 }
 
-// baseRequest is what every block request of one run shares: the
+// baseRequest is what every chain request of one run shares: the
 // coordinator's RunSpec and the knobs the engine says workers must mirror.
 func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
 	return &workerRunRequest{
@@ -182,51 +171,38 @@ func (c *Coordinator) baseRequest(spec *engine.DispatchSpec) *workerRunRequest {
 func (s *dispatchSession) Slots() int { return len(s.c.opt.Addrs) }
 
 // Summary reports the session's dispatch accounting.
-func (s *dispatchSession) Summary() (reassigned, resident, recomputed int64, lostWorkers []string) {
+func (s *dispatchSession) Summary() (reassigned, exchanges int64, lostWorkers []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reassigned, s.resident, s.recomputed, append([]string(nil), s.lostOrder...)
+	return s.reassigned, s.exchanges, append([]string(nil), s.lostOrder...)
 }
 
-// permanentError marks a worker-reported block-execution error: it is
-// deterministic, so reassignment cannot help and the engine must surface
-// it as a *BlockFailure exactly like an in-process run would.
+// permanentError marks a request a worker refused as invalid: it is
+// deterministic, so reassignment cannot help, and the engine surfaces it as
+// the block's *BlockFailure. A block's own execution error comes back in
+// its response entry, with the text an in-process run gives.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// RunBlock dispatches one block: pick a live worker (the one holding its
-// lowest-index held upstream, else round-robin), hold a heartbeat-renewed
-// lease over the request, and on infrastructure failure back off and
-// reassign — up to the dispatch retry budget, after which the block is
-// declared undeliverable (engine.ErrWorkersLost) and the engine falls back
+// RunBlock answers a block after a chain's head from what the head's
+// exchange kept, and dispatches a head with its chain: pick a live worker
+// round-robin, hold a heartbeat-renewed lease over the request, and on
+// infrastructure failure back off and send the chain again whole — up to
+// the dispatch retry budget, after which the chain is declared
+// undeliverable (engine.ErrWorkersLost) and the engine falls back
 // in-process.
 func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[int]*data.Table) (*engine.RemoteBlock, error) {
-	// The frame names every upstream output by its key, by ascending block,
-	// so it is the same on every worker and every retry. An output the session has no lineage for
-	// — one a worker sent because its store would not hold it — reaches no
-	// worker: the block is the run's to finish.
-	l := &lineage{block: block}
-	var refs []residentRef
-	reads := make([]int, 0, len(upstream))
-	for idx := range upstream {
-		reads = append(reads, idx)
-	}
-	sort.Ints(reads)
 	s.mu.Lock()
-	for _, idx := range reads {
-		up := s.produced[idx]
-		if up == nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("serve: block %d reads block %d, whose output this session has no lineage for: %w", block, idx, engine.ErrWorkersLost)
-		}
-		l.named = append(l.named, up)
-		refs = append(refs, residentRef{Block: idx, SHA256: up.key.String()})
-	}
+	r, ok := s.kept[block]
+	delete(s.kept, block)
 	s.mu.Unlock()
-	var err error
-	l.frame, l.key, err = encodeRunRequest(s.base, block, slices.Contains(s.hold, block), refs, s.c.maxBody)
+	if ok {
+		return r.rb, r.err
+	}
+	chain := append([]int{block}, s.then[block]...)
+	frame, err := encodeRunRequest(s.base, chain, s.c.maxBody)
 	if overCap(err) {
 		return nil, wireCapError(block, "request of "+err.Error())
 	}
@@ -246,20 +222,19 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 				return nil, err
 			}
 		}
-		w := s.pickLive(l.named)
+		w := s.pickLive()
 		if w == nil {
 			return nil, fmt.Errorf("serve: block %d: all workers lost: %w", block, engine.ErrWorkersLost)
 		}
-		rb, err := s.exchange(ctx, w, l)
+		results, err := s.tryWorker(ctx, w, chain, frame)
 		if err == nil {
 			s.mu.Lock()
-			s.resident += int64(len(l.named))
-			if rb.Held {
-				l.addr = w.addr
-				s.produced[block] = l
+			s.exchanges++
+			for i, r := range results[1:] {
+				s.kept[chain[i+1]] = r
 			}
 			s.mu.Unlock()
-			return rb, nil
+			return results[0].rb, results[0].err
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
@@ -277,38 +252,6 @@ func (s *dispatchSession) RunBlock(ctx context.Context, block int, upstream map[
 		block, dispatchRetryMax, lastErr, engine.ErrWorkersLost)
 }
 
-// exchange sends l's frame to w. A 409 lists the held outputs the frame
-// names that w lacks: each is made there again from its own lineage — as far
-// up the chain as w lacks them — and the frame goes again. What a recompute
-// answers is dropped: its rows, retries, metrics and statistics were taken
-// when the output was first made.
-func (s *dispatchSession) exchange(ctx context.Context, w *workerRef, l *lineage) (*engine.RemoteBlock, error) {
-	for round := 0; ; round++ {
-		rb, err := s.tryWorker(ctx, w, l.block, l.frame)
-		var miss *missError
-		if !errors.As(err, &miss) {
-			return rb, err
-		}
-		if round == dispatchRetryMax {
-			// The outputs it makes keep leaving the store before the frame
-			// that names them arrives.
-			return nil, fmt.Errorf("serve: block %d on %s: still missing %d upstream output(s) after %d recomputes", l.block, w.addr, len(miss.keys), round)
-		}
-		for _, key := range miss.keys {
-			i := slices.IndexFunc(l.named, func(up *lineage) bool { return up.key.String() == key })
-			if i < 0 {
-				return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s misses %q, which the request does not name", l.block, w.addr, key)}
-			}
-			if _, err := s.exchange(ctx, w, l.named[i]); err != nil {
-				return nil, err
-			}
-			s.mu.Lock()
-			s.recomputed++
-			s.mu.Unlock()
-		}
-	}
-}
-
 // wireCapError reports a block whose tables cannot cross the wire whole.
 // That is a property of the block, not of any worker: every retry would
 // fail identically, so the run must finish this block in-process.
@@ -322,19 +265,11 @@ func overCap(err error) bool {
 	return errors.Is(err, data.ErrWireCap) || errors.Is(err, errFrameCap)
 }
 
-// pickLive returns the worker a block goes to: the live worker that holds
-// the lowest-index held output among named, else the next live worker
-// round-robin; nil when none is live.
-func (s *dispatchSession) pickLive(named []*lineage) *workerRef {
+// pickLive returns the next live worker round-robin; nil when none is
+// live.
+func (s *dispatchSession) pickLive() *workerRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, up := range named {
-		for _, w := range s.workers {
-			if w.addr == up.addr && !w.lost {
-				return w
-			}
-		}
-	}
 	n := len(s.workers)
 	for i := 0; i < n; i++ {
 		if w := s.workers[(s.next+i)%n]; !w.lost {
@@ -359,16 +294,10 @@ func (s *dispatchSession) markLost(w *workerRef) {
 // answered no health probe for a whole lease TTL.
 var errLeaseExpired = errors.New("lease expired")
 
-// missError is a 409: the frame named held outputs the worker does not
-// hold, by these keys.
-type missError struct{ keys []string }
-
-func (e *missError) Error() string {
-	return fmt.Sprintf("%d upstream output(s) not held", len(e.keys))
-}
-
-// tryWorker executes one leased dispatch attempt against one worker.
-func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int, body []byte) (*engine.RemoteBlock, error) {
+// tryWorker executes one leased dispatch attempt of a chain against one
+// worker.
+func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, chain []int, body []byte) ([]blockResult, error) {
+	block := chain[0]
 	lctx, cancel := context.WithCancelCause(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -399,15 +328,8 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 		switch {
 		case resp.StatusCode == http.StatusRequestEntityTooLarge:
 			return nil, wireCapError(block, fmt.Sprintf("worker %s: %s", w.addr, errorBody(msg)))
-		case resp.StatusCode == http.StatusConflict:
-			var miss missingResident
-			if err := json.Unmarshal(msg, &miss); err != nil || len(miss.Missing) == 0 {
-				return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: 409 naming no missing output: %s", block, w.addr, errorBody(msg))}
-			}
-			return nil, &missError{keys: miss.Missing}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
-			// The worker ran the block and it failed deterministically (or
-			// the request itself is invalid): reassignment cannot change
+			// The request itself is invalid: reassignment cannot change
 			// the outcome.
 			return nil, &permanentError{err: fmt.Errorf("serve: block %d: worker %s: %s", block, w.addr, errorBody(msg))}
 		default:
@@ -419,7 +341,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	// the cap is let through so that a body over the cap can be told from
 	// one of exactly the cap.
 	lr := &io.LimitedReader{R: resp.Body, N: s.c.maxBody + 1}
-	rb, err := decodeRunResponse(lr, s.c.maxBody, s.db)
+	results, err := decodeRunResponse(lr, s.c.maxBody, s.db, len(chain))
 	if err != nil {
 		// Whatever stopped the decoder, the body's size is judged first: a
 		// frame cut off at the cap fails to decode on every retry.
@@ -442,7 +364,7 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, block int
 	if err != nil {
 		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
 	}
-	return rb, nil
+	return results, nil
 }
 
 // maxErrorBody bounds how much of a non-200 reply is read for its message.

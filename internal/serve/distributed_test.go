@@ -49,12 +49,12 @@ func startWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// killSwitch makes a worker's first block-run request its last act,
-// emulating a worker SIGKILLed mid-run: completed work was already
-// delivered, every later connection is refused. The listener closes before
-// the block runs and the response closes its connection, so the refusal is
-// in place by the time the coordinator holds the block — a kill that raced
-// the response let a fast coordinator hand the dying worker one more block.
+// killSwitch makes a worker's first run request its last act, emulating a
+// worker SIGKILLed mid-run: completed work was already delivered, every
+// later connection is refused. The listener closes before the chain runs
+// and the response closes its connection, so the refusal is in place by
+// the time the coordinator holds the chain's results — a kill that raced
+// the response let a fast coordinator hand the dying worker one more chain.
 type killSwitch struct {
 	once sync.Once
 	srv  *httptest.Server
@@ -84,7 +84,7 @@ func (k *killSwitch) wrap(h http.Handler) http.Handler {
 }
 
 // startKillableWorker serves a Worker that dies after its first completed
-// block.
+// chain.
 func startKillableWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	ks := &killSwitch{}
@@ -94,9 +94,29 @@ func startKillableWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// startMidChainKilledWorker serves a Worker that dies once the first block
+// of its first chain has run, before the next block can answer: its
+// listener and every connection close, the chain's own among them, and
+// nothing of the chain reaches the coordinator.
+func startMidChainKilledWorker(t *testing.T) *httptest.Server {
+	t.Helper()
+	wk := NewWorker()
+	srv := httptest.NewUnstartedServer(wk.Handler())
+	var once sync.Once
+	wk.afterBlock = func(int) {
+		once.Do(func() {
+			srv.Listener.Close()
+			srv.CloseClientConnections()
+		})
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 // startFreezableWorker serves a Worker that freezes — run and health
-// requests hang — after its first completed block: the hung-worker case
-// only lease expiry can detect.
+// requests hang — from its first chain on: the hung-worker case only lease
+// expiry can detect.
 func startFreezableWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	wk := NewWorker()
@@ -105,6 +125,9 @@ func startFreezableWorker(t *testing.T) *httptest.Server {
 	release := make(chan struct{})
 	h := wk.Handler()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/worker/run" {
+			once.Do(func() { close(frozen) })
+		}
 		select {
 		case <-frozen:
 			select {
@@ -115,9 +138,6 @@ func startFreezableWorker(t *testing.T) *httptest.Server {
 		default:
 		}
 		h.ServeHTTP(w, r)
-		if r.URL.Path == "/v1/worker/run" {
-			once.Do(func() { close(frozen) })
-		}
 	}))
 	t.Cleanup(func() {
 		close(release)
@@ -217,6 +237,22 @@ func storeBytes(t *testing.T, r *engine.Result) []byte {
 	return buf.Bytes()
 }
 
+// assertMetricsEqual requires two cycles' metrics reports to be the same
+// bytes.
+func assertMetricsEqual(t *testing.T, name string, want, got *core.Cycle) {
+	t.Helper()
+	var wantJSON, gotJSON bytes.Buffer
+	if err := want.WriteMetrics(&wantJSON, "json"); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.WriteMetrics(&gotJSON, "json"); err != nil {
+		t.Fatalf("%s: distributed cycle has no metrics report: %v", name, err)
+	}
+	if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
+		t.Errorf("%s: metrics report differs:\n local %s\n dist  %s", name, wantJSON.Bytes(), gotJSON.Bytes())
+	}
+}
+
 // assertRunsEqual is the golden comparison: sinks, materialized outputs,
 // observed statistics (byte-level) and the work metric must match exactly.
 func assertRunsEqual(t *testing.T, name string, want, got *engine.Result) {
@@ -236,12 +272,37 @@ func assertRunsEqual(t *testing.T, name string, want, got *engine.Result) {
 }
 
 // TestDistributedEquivalenceWorkerKilledMidRun is the acceptance golden:
-// two workers, one SIGKILLed after its first completed block, over a
-// transport that cuts the first response short — the distributed run must
-// be byte-identical to the single-process run.
+// two workers, one SIGKILLed after its first completed chain, over a
+// transport that cuts the first response short — or one killed mid-chain,
+// after its chain's first block ran, whose chain the survivor must run
+// again whole, from the same request — and the distributed run must be
+// byte-identical to the single-process run, metrics included.
 func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 	for _, wf := range distWorkflows {
 		const name = "batch"
+		t.Run(name+"/wf"+itoa2(wf)+"/mid-chain", func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.CollectMetrics = true
+			want := cycleOf(t, wf, cfg)
+			victim, survivor := startMidChainKilledWorker(t), startWorker(t)
+			wire := &wireCounter{}
+			got := cycleOf(t, wf, dispatched(t, cfg, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
+				o.Client = &http.Client{Transport: wire}
+			}))
+			assertRunsEqual(t, name, want.Observed, got.Observed)
+			assertMetricsEqual(t, name, want, got)
+			d := got.Observed.Dist
+			if d.FellBack || d.Reassigned != 1 || d.Exchanges != 1 || !slices.Equal(d.LostWorkers, []string{victim.URL}) || len(d.Remote) != len(got.Analysis.Blocks) {
+				t.Errorf("placement %+v; want every block remote in one exchange, after one reassignment away from the lost victim", d)
+			}
+			x := wire.exchanges
+			if len(x) != 2 || x[0].addr != victim.URL || x[0].status != 0 || x[1].addr != survivor.URL || x[1].status != http.StatusOK || !bytes.Equal(x[0].req, x[1].req) {
+				t.Fatalf("want the victim's chain request, unanswered, then the same bytes to the survivor: %d exchange(s)", len(x))
+			}
+			if hdr, _ := requestOf(t, x[1].req); len(hdr.Then)+1 != len(got.Analysis.Blocks) {
+				t.Errorf("the replayed request runs block %d then %v, not the whole chain", hdr.Block, hdr.Then)
+			}
+		})
 		t.Run(name+"/wf"+itoa2(wf), func(t *testing.T) {
 			want := localRun(t, wf)
 			victim := startKillableWorker(t)
@@ -264,16 +325,17 @@ func TestDistributedEquivalenceWorkerKilledMidRun(t *testing.T) {
 	}
 }
 
-// TestDistributedAllWorkersLostFallsBack kills every worker mid-run: the
-// coordinator must finish in-process from the committed blocks and report
-// the degradation — outputs still byte-identical, never partial.
+// TestDistributedAllWorkersLostFallsBack kills every worker mid-run, each
+// in the middle of wf08's chain: the coordinator must finish in-process
+// and report the degradation — outputs still byte-identical, never
+// partial.
 func TestDistributedAllWorkersLostFallsBack(t *testing.T) {
 	const name = "batch"
 	t.Run(name, func(t *testing.T) {
-		const wf = 8 // 3 blocks: remote progress, then local completion
+		const wf = 8
 		want := localRun(t, wf)
-		a := startKillableWorker(t)
-		b := startKillableWorker(t)
+		a := startMidChainKilledWorker(t)
+		b := startMidChainKilledWorker(t)
 		cfg := distConfig(t, wf, []string{a.URL, b.URL}, nil)
 		got := runCycleOf(t, wf, cfg)
 		assertRunsEqual(t, name, want, got)
@@ -369,41 +431,37 @@ func (f *flakyNet) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestDistributedTransportFaultMatrix runs wf08's three-block chain 0 → 1
-// → 2 over a flaky transport: a cut response is retried on the same pool, a
-// dropped request loses its worker to the survivor, delays longer than a
-// heartbeat cost nothing, and when every request fails the run finishes
-// in-process — byte-identical outputs every time. When only block 2's
-// requests fail, blocks 0 and 1 have committed held, so the in-process
-// block 2 recomputes block 1 and, to make it, block 0: two levels up.
+// → 2, one exchange, over a flaky transport: a cut response is retried on
+// the same pool, a dropped request loses its worker to the survivor, delays
+// longer than a heartbeat cost nothing, a worker killed mid-chain loses the
+// chain to the survivor, which runs it whole, and when every request fails
+// the run finishes in-process — byte-identical outputs every time.
 func TestDistributedTransportFaultMatrix(t *testing.T) {
 	const wf = 8
 	want := localRun(t, wf)
 	every := func(f netFault) func(int) netFault { return func(int) netFault { return f } }
-	from := func(first int, f netFault) func(int) netFault {
-		return func(n int) netFault {
-			if n < first {
-				return netClean
-			}
-			return f
-		}
-	}
 	for _, c := range []struct {
-		name             string
-		fault            func(int) netFault
-		reassigned       int64
-		lost             []int // indexes into the fleet
-		local            []int // blocks run in-process after the fleet was lost
-		held, recomputed int64
+		name       string
+		fault      func(int) netFault
+		killed     bool // the fleet's first worker dies mid-chain
+		reassigned int64
+		lost       []int // indexes into the fleet
+		local      []int // blocks run in-process after the fleet was lost
+		exchanges  int64
 	}{
-		{"cut", faultAt(map[int]netFault{0: netCut, 2: netCut}), 2, nil, nil, 2, 0},
-		{"drop", faultAt(map[int]netFault{0: netDrop}), 1, []int{0}, nil, 2, 0},
-		{"delay", every(netDelay), 0, nil, nil, 2, 0},
-		{"cut, drop and delay", faultAt(map[int]netFault{0: netCut, 1: netDelay, 2: netDrop}), 2, []int{1}, nil, 2, 0},
-		{"every request fails", every(netDrop), 2, []int{0, 1}, []int{0, 1, 2}, 0, 0},
-		{"every request from the third fails", from(2, netDrop), 2, []int{0, 1}, []int{2}, 2, 2},
+		{"cut", faultAt(map[int]netFault{0: netCut, 1: netCut}), false, 2, nil, nil, 1},
+		{"drop", faultAt(map[int]netFault{0: netDrop}), false, 1, []int{0}, nil, 1},
+		{"delay", every(netDelay), false, 0, nil, nil, 1},
+		{"cut, drop and delay", faultAt(map[int]netFault{0: netCut, 1: netDrop, 2: netDelay}), false, 2, []int{1}, nil, 1},
+		{"killed mid-chain", every(netClean), true, 1, []int{0}, nil, 1},
+		{"every request fails", every(netDrop), false, 2, []int{0, 1}, []int{0, 1, 2}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			fleet := []string{startWorker(t).URL, startWorker(t).URL}
+			first := startWorker
+			if c.killed {
+				first = startMidChainKilledWorker
+			}
+			fleet := []string{first(t).URL, startWorker(t).URL}
 			net := &flakyNet{fault: c.fault}
 			cfg := distConfig(t, wf, fleet, func(o *CoordinatorOptions) {
 				o.Client = &http.Client{Transport: net}
@@ -425,9 +483,9 @@ func TestDistributedTransportFaultMatrix(t *testing.T) {
 					remote = append(remote, b.Index)
 				}
 			}
-			if !slices.Equal(d.Remote, remote) || !slices.Equal(d.Local, c.local) || d.Held != c.held || d.Recomputed != c.recomputed {
-				t.Errorf("remote %v, local %v, %d held, %d recomputed; want %v, %v, %d, %d",
-					d.Remote, d.Local, d.Held, d.Recomputed, remote, c.local, c.held, c.recomputed)
+			if !slices.Equal(d.Remote, remote) || !slices.Equal(d.Local, c.local) || d.Exchanges != c.exchanges {
+				t.Errorf("remote %v, local %v, %d exchange(s); want %v, %v, %d",
+					d.Remote, d.Local, d.Exchanges, remote, c.local, c.exchanges)
 			}
 		})
 	}
@@ -460,7 +518,10 @@ func TestDistributedOversizeResponseFallsBack(t *testing.T) {
 		lowered = 1 << 20
 	)
 	want := localRun(t, wf)
-	_, payload := framePayload(t, responseFrame(t, frameBlock(t)))
+	// A response for wf06's chain of two blocks.
+	inner := frameBlock(t)
+	inner.Out = nil
+	_, payload := framePayload(t, chainResponseFrame(t, blockResult{rb: inner}, blockResult{rb: frameBlock(t)}))
 	bomb := append(payload[:len(payload):len(payload)], make([]byte, lowered)...)
 	for _, c := range []struct {
 		name    string
@@ -566,8 +627,8 @@ func TestDistributedOversizeRequestFallsBack(t *testing.T) {
 
 // TestDistributedDataMismatchFallsBack runs a coordinator whose engine's
 // data is the suite's at four times the scale its RunSpec tells the workers:
-// the first response says its block read a source relation of another row
-// count — though wf06's block 0 is held and ships no table — so the run
+// the response says the chain's first block read a source relation of
+// another row count — though wf06's block 0 ships no table — so the run
 // falls back in-process, says which relation, and ends as the local run over
 // the engine's data does.
 func TestDistributedDataMismatchFallsBack(t *testing.T) {
@@ -594,9 +655,9 @@ func TestDistributedDataMismatchFallsBack(t *testing.T) {
 }
 
 // wireCounter keeps the block dispatches it carries — where each went, the
-// status it got and both bodies — to count them the way the benchmark's
-// dist_wire_mb does and to take each frame's payload apart for what the
-// bytes were before DEFLATE.
+// status it got (0 for none) and both bodies — to count them the way the
+// benchmark's dist_wire_mb does and to take each frame's payload apart for
+// what the bytes were before DEFLATE.
 type wireCounter struct {
 	mu        sync.Mutex
 	exchanges []exchange
@@ -617,19 +678,22 @@ func (c *wireCounter) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	req.Body = io.NopCloser(bytes.NewReader(body))
+	x := exchange{addr: req.URL.Scheme + "://" + req.URL.Host, req: body}
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.exchanges = append(c.exchanges, x)
+	}()
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	answer, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if x.resp, err = io.ReadAll(resp.Body); err != nil {
 		return nil, err
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(answer))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.exchanges = append(c.exchanges, exchange{req.URL.Scheme + "://" + req.URL.Host, resp.StatusCode, body, answer})
+	x.status = resp.StatusCode
+	resp.Body = io.NopCloser(bytes.NewReader(x.resp))
 	return resp, nil
 }
 
@@ -656,30 +720,67 @@ func requestOf(t *testing.T, frame []byte) (hdr workerRunRequest, size int) {
 		t.Fatalf("request header: %v", err)
 	}
 	if len(sections) != 1 {
-		t.Errorf("block %d: %d section(s) after the request header", hdr.Block, len(sections)-1)
+		t.Errorf("chain at block %d: %d section(s) after the request header", hdr.Block, len(sections)-1)
 	}
 	return hdr, len(sections[0])
 }
 
-// split is the bytes the requests and the responses sent, what their
-// payloads inflate to (section length prefixes left out) and the resident
-// refs the requests made: a request is its header, a response's first
-// section is its header, its last the statistics shard, every other a
-// table.
-func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, shard, resident int64) {
+// blockSection is one section of a response, named: the block it belongs
+// to and what it is — "out", a materialized target's name, or "shard".
+type blockSection struct {
+	block int
+	name  string
+	bytes []byte
+}
+
+// responseOf takes a chain's response apart by the layout in frame.go's
+// header comment: its header's size, and every block's sections in order.
+func responseOf(t *testing.T, x exchange) (header int, sections []blockSection) {
+	t.Helper()
+	hdr, _ := requestOf(t, x.req)
+	chain := append([]int{hdr.Block}, hdr.Then...)
+	raw := frameSections(t, x.resp)
+	var entries []workerRunResponse
+	if err := json.Unmarshal(raw[0], &entries); err != nil {
+		t.Fatalf("response header: %v", err)
+	}
+	header, raw = len(raw[0]), raw[1:]
+	for i, e := range entries {
+		names := e.Materialized
+		if i == len(chain)-1 {
+			names = append([]string{"out"}, names...)
+		}
+		for _, name := range append(names, "shard") {
+			sections = append(sections, blockSection{chain[i], name, raw[0]})
+			raw = raw[1:]
+		}
+	}
+	if len(raw) > 0 {
+		t.Errorf("%d section(s) past the last block's", len(raw))
+	}
+	return header, sections
+}
+
+// split is the bytes the requests and the responses sent, and what their
+// payloads inflate to (section length prefixes left out): a request is its
+// header; a response is its header, then each block's tables and
+// statistics shard.
+func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, shard int64) {
 	for _, x := range c.exchanges {
 		requests += int64(len(x.req))
 		responses += int64(len(x.resp))
-		hdr, size := requestOf(t, x.req)
-		resident += int64(len(hdr.Resident))
-		sections := frameSections(t, x.resp)
-		for _, sec := range sections[1 : len(sections)-1] {
-			tables += int64(len(sec))
+		_, size := requestOf(t, x.req)
+		hdr, sections := responseOf(t, x)
+		header += int64(size + hdr)
+		for _, sec := range sections {
+			if sec.name == "shard" {
+				shard += int64(len(sec.bytes))
+			} else {
+				tables += int64(len(sec.bytes))
+			}
 		}
-		header += int64(size + len(sections[0]))
-		shard += int64(len(sections[len(sections)-1]))
 	}
-	return requests, responses, header, tables, shard, resident
+	return requests, responses, header, tables, shard
 }
 
 // forms names each table section the responses carry and the form it takes
@@ -687,23 +788,17 @@ func (c *wireCounter) split(t *testing.T) (requests, responses, header, tables, 
 // columns, "indexes" where it sends them, and how many are expanded.
 func (c *wireCounter) forms(t *testing.T) (names []string, expanded int) {
 	for _, x := range c.exchanges {
-		hdr, _ := requestOf(t, x.req)
-		sections := frameSections(t, x.resp)
-		var resp workerRunResponse
-		if err := json.Unmarshal(sections[0], &resp); err != nil {
-			t.Fatalf("response header: %v", err)
-		}
-		tables := resp.Materialized
-		if !resp.Held {
-			tables = append([]string{"out"}, tables...)
-		}
-		for i, sec := range sections[1 : len(sections)-1] {
+		_, sections := responseOf(t, x)
+		for _, sec := range sections {
+			if sec.name == "shard" {
+				continue
+			}
 			form := "indexes"
-			if len(sec) > len("ETBL5") && sec[len("ETBL5")] == 3 { // the expanded presence byte
+			if len(sec.bytes) > len("ETBL5") && sec.bytes[len("ETBL5")] == 3 { // the expanded presence byte
 				form = "expanded"
 				expanded++
 			}
-			names = append(names, fmt.Sprintf("b%d %s %s", hdr.Block, tables[i], form))
+			names = append(names, fmt.Sprintf("b%d %s %s", sec.block, sec.name, form))
 		}
 	}
 	slices.Sort(names) // independent blocks answer in any order
@@ -724,53 +819,55 @@ func (c *wireCounter) payloads(t *testing.T) (n int64) {
 // tier-1: byte counts do not suffer timing noise, so a codec or framing
 // change that moves the wire fails here and not only in the benchmark. The
 // cases are the dist-run benchmark workload's six dispatched runs, and each
-// pins two things apart. The sections — what the responses' tables and
-// statistics shards inflate to, section length prefixes left out — are the
-// codec's and the store's bytes, which no framing change may move. The
-// bytes the requests and the responses move are the frames', pinned under
-// go 1.24's compress/flate at level 6 over the preset dictionary:
-// 92 + 1,815, 143 + 1,434, 236 + 2,504, 90 + 1,203, 205 + 1,197 and
-// 162 + 497 B, 928 + 8,650 = 9,578 B in all. A request carries only its
-// own block's statistics; a response ships its tables late
-// (data.WriteLate): a source relation's columns named, not sent, in the
-// relation the coordinator holds too — read directly or through a held
-// upstream output — and its header the row counts of the sources the block
-// read. A table that is a join expansion sends each input's surviving rows
-// and the columns that key it; the log names each table's form, and each
-// case pins how many expand: all but wf08's last block, whose T4 joins on a
-// transform's output and sends its row indexes. With row indexes for every
-// table the runs moved 92 + 2,711, 143 + 5,018, 236 + 2,519, 90 + 4,246,
-// 205 + 2,403 and 162 + 693 B, 18,518 B in all; at level 3 without the
-// dictionary (EBLK2), 21,972 B. When requests carried every block's statistics
-// and a column read from a held output shipped plain, the runs moved
-// 24,911 B at level 3; when responses shipped every cell, in ETBL5 tables,
-// 40,504 B; over ETBL4 tables, which ship a hash join's build rows once per
-// probe row where ETBL5's chain columns ship them once per key, 54,209 B.
-// wf07 at scale 0.01 is two dispatches whose upstream table is the largest
-// the benchmark makes; it never crosses the wire: block 0's worker holds it
-// and block 1's request names it. wf08 at 0.05 is three dispatches moving
-// ~167k rows of join output (3,378,533 B as base64 row-major varints in
-// JSON), two of whose outputs stay on their workers. wf05 at 0.001 and
-// wf12 at 0.002 are one instrumented block each of many statistics, so
-// their shards are most of what they inflate to. Each case pins its
-// observed store's WriteTo bytes exactly. A clean run makes one exchange
-// per block: no recompute.
+// pins three things apart. The exchanges: one per chain, so wf07, wf08,
+// wf15 and wf18, one chain each, make one, and wf13's two independent
+// blocks two — 7 for the six runs. The sections — what the responses'
+// tables and statistics shards inflate to, section length prefixes left out
+// — are the codec's and the store's bytes, which no framing change may
+// move. The bytes the requests and the responses move are the frames',
+// pinned under go 1.24's compress/flate at level 6 over the preset
+// dictionary: 91 + 1,812, 56 + 1,396, 66 + 2,415, 91 + 1,204, 110 + 1,043
+// and 70 + 382 B, 484 + 8,252 = 8,736 B in all. A request carries only its
+// chain's statistics; a response ships its tables late (data.WriteLate): a
+// source relation's columns named, not sent, in the relation the
+// coordinator holds too — read directly or through the chain's upstream
+// output — and its header the row counts of the sources each block read. A
+// table that is a join expansion sends each input's surviving rows and the
+// columns that key it; the log names each table's form, and each case pins
+// how many expand: all but wf08's last block, whose T4 joins on a
+// transform's output and sends its row indexes. When each block was an
+// exchange of its own, and a worker kept a chain's upstream output for the
+// next block's request to name, the runs moved 92 + 1,815, 143 + 1,434,
+// 236 + 2,504, 90 + 1,203, 205 + 1,197 and 162 + 497 B, 9,578 B in 12
+// exchanges. With row indexes for every table they moved 18,518 B; at level
+// 3 without the dictionary (EBLK2), 21,972 B. When requests carried every
+// block's statistics and a column read from an upstream output shipped
+// plain, 24,911 B at level 3; when responses shipped every cell, in ETBL5
+// tables, 40,504 B; over ETBL4 tables, which ship a hash join's build rows
+// once per probe row where ETBL5's chain columns ship them once per key,
+// 54,209 B. wf07 at scale 0.01 is a chain whose upstream table is the
+// largest the benchmark makes; it never crosses the wire. wf08 at 0.05 is a
+// chain of three blocks moving ~167k rows of join output (3,378,533 B as
+// base64 row-major varints in JSON), whose first two outputs never leave
+// the worker. wf05 at 0.001 and wf12 at 0.002 are one instrumented block
+// each of many statistics, so their shards are most of what they inflate
+// to. Each case pins its observed store's WriteTo bytes exactly.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf                               int
 		scale                            float64
-		blocks, held                     int
+		blocks, exchanges                int
 		requests, responses, sent, store int64
 		tables, shard                    int64
 		expanded                         int
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, held: 0, requests: 92, responses: 1_815, sent: 1_907, store: 2_802, tables: 538, shard: 2_802, expanded: 1},
-		{wf: 7, scale: 0.01, blocks: 2, held: 1, requests: 143, responses: 1_434, sent: 1_577, store: 54, tables: 3_576, shard: 63, expanded: 2},
-		{wf: 8, scale: 0.05, blocks: 3, held: 2, requests: 236, responses: 2_504, sent: 2_740, store: 74, tables: 70_400, shard: 92, expanded: 1},
-		{wf: 13, scale: 0.1, blocks: 2, held: 0, requests: 90, responses: 1_203, sent: 1_293, store: 65, tables: 5_156, shard: 74, expanded: 2},
-		{wf: 18, scale: 0.01, blocks: 2, held: 1, requests: 205, responses: 1_197, sent: 1_402, store: 849, tables: 713, shard: 858, expanded: 2},
-		{wf: 15, scale: 0.001, blocks: 2, held: 1, requests: 162, responses: 497, sent: 659, store: 191, tables: 431, shard: 200, expanded: 2},
-		{wf: 12, scale: 0.002, blocks: 1, held: 0, requests: 139, responses: 2_047, sent: 2_186, store: 3_056, tables: 454, shard: 3_056, expanded: 1},
+		{wf: 5, scale: 0.001, blocks: 1, exchanges: 1, requests: 91, responses: 1_812, sent: 1_903, store: 2_802, tables: 538, shard: 2_802, expanded: 1},
+		{wf: 7, scale: 0.01, blocks: 2, exchanges: 1, requests: 56, responses: 1_396, sent: 1_452, store: 54, tables: 3_576, shard: 63, expanded: 2},
+		{wf: 8, scale: 0.05, blocks: 3, exchanges: 1, requests: 66, responses: 2_415, sent: 2_481, store: 74, tables: 70_400, shard: 92, expanded: 1},
+		{wf: 13, scale: 0.1, blocks: 2, exchanges: 2, requests: 91, responses: 1_204, sent: 1_295, store: 65, tables: 5_156, shard: 74, expanded: 2},
+		{wf: 18, scale: 0.01, blocks: 2, exchanges: 1, requests: 110, responses: 1_043, sent: 1_153, store: 849, tables: 713, shard: 858, expanded: 2},
+		{wf: 15, scale: 0.001, blocks: 2, exchanges: 1, requests: 70, responses: 382, sent: 452, store: 191, tables: 431, shard: 200, expanded: 2},
+		{wf: 12, scale: 0.002, blocks: 1, exchanges: 1, requests: 138, responses: 2_045, sent: 2_183, store: 3_056, tables: 454, shard: 3_056, expanded: 1},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -794,22 +891,19 @@ func TestDistributedWireBytes(t *testing.T) {
 					t.Fatal(err)
 				}
 				d := cy.Observed.Dist
-				if d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 || d.Held != int64(c.held) || d.Resident != int64(c.held) || d.Recomputed != 0 {
-					t.Fatalf("run %d was not %d clean remote dispatches holding %d output(s) and recomputing none: %+v", i, c.blocks, c.held, d)
+				if d == nil || d.FellBack || len(d.Remote) != c.blocks || d.Reassigned != 0 || d.Exchanges != int64(c.exchanges) {
+					t.Fatalf("run %d was not %d clean remote blocks in %d exchange(s): %+v", i, c.blocks, c.exchanges, d)
 				}
-				if n := len(runs[i].exchanges); n != c.blocks {
-					t.Errorf("run %d made %d exchanges for %d blocks", i, n, c.blocks)
+				if n := len(runs[i].exchanges); n != c.exchanges {
+					t.Errorf("run %d made %d exchanges, want %d", i, n, c.exchanges)
 				}
 				if n, err := cy.Observed.Observed.WriteTo(io.Discard); err != nil || n != c.store {
 					t.Errorf("run %d observed a store of %d bytes (%v), want %d", i, n, err, c.store)
 				}
 			}
-			requests, responses, header, tables, shard, resident := runs[0].split(t)
-			if again, againResp, _, _, _, _ := runs[1].split(t); requests != again || responses != againResp {
+			requests, responses, header, tables, shard := runs[0].split(t)
+			if again, againResp, _, _, _ := runs[1].split(t); requests != again || responses != againResp {
 				t.Errorf("the same run moved %d + %d bytes, then %d + %d", requests, responses, again, againResp)
-			}
-			if resident != int64(c.held) {
-				t.Errorf("the requests named %d resident output(s), want %d", resident, c.held)
 			}
 			if c.requests+c.responses != c.sent {
 				t.Fatalf("the case pins %d + %d request and response bytes, which is not its %d", c.requests, c.responses, c.sent)
@@ -825,167 +919,43 @@ func TestDistributedWireBytes(t *testing.T) {
 				t.Errorf("%d table section(s) expanded, want %d: %v", expanded, c.expanded, forms)
 			}
 			payloads := runs[0].payloads(t)
-			t.Logf("%d + %d = %d bytes over the wire, inflating to header %d + tables %d + shard %d (payloads of %d B, %.0f %% taken by DEFLATE); %d resident ref(s); tables %v",
-				requests, responses, requests+responses, header, tables, shard, payloads, 100-100*float64(requests+responses)/float64(payloads), resident, forms)
+			t.Logf("%d + %d = %d bytes over the wire in %d exchange(s), inflating to header %d + tables %d + shard %d (payloads of %d B, %.0f %% taken by DEFLATE); tables %v",
+				requests, responses, requests+responses, c.exchanges, header, tables, shard, payloads, 100-100*float64(requests+responses)/float64(payloads), forms)
 		})
 	}
 }
 
-// empty drops everything the store holds, as a restart would.
-func (s *residentStore) empty() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.order.Init()
-	s.byKey, s.bytes = nil, 0
-}
-
-// TestDistributedResidentMiss empties the producer's store between the two
-// blocks of a chain: the frame that names block 0's held output gets a 409,
-// the same worker gets block 0's lineage frame — byte for byte the request
-// that made the output — and then the frame again. No worker lost, no retry
-// spent, and the statistics shard of the recompute is not merged a second
-// time: outputs and observed bytes unchanged.
-func TestDistributedResidentMiss(t *testing.T) {
-	const wf = 7
-	want := localRun(t, wf)
-	wk := NewWorker()
-	h := wk.Handler()
-	var runs atomic.Int64
-	producer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/worker/run" && runs.Add(1) == 2 {
-			wk.resident.empty()
-		}
-		h.ServeHTTP(w, r)
-	}))
-	t.Cleanup(producer.Close)
-	wire := &wireCounter{}
-	cfg := distConfig(t, wf, []string{producer.URL, startWorker(t).URL}, func(o *CoordinatorOptions) {
-		o.Client = &http.Client{Transport: wire}
-	})
-	got := runCycleOf(t, wf, cfg)
-	assertRunsEqual(t, "resident miss", want, got)
-	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Held != 1 || d.Recomputed != 1 {
-		t.Errorf("a store miss cost more than a recompute: %+v", d)
-	}
-	assertExchanges(t, wire, producer.URL, []int{0, 1, 0, 1}, []int{200, 409, 200, 200})
-	if x := wire.exchanges; len(x) == 4 && !bytes.Equal(x[2].req, x[0].req) {
-		t.Error("the recompute is not the request that made the output")
-	}
-}
-
-// TestDistributedUnheldOutputFallsBack lowers the worker's store bound
-// under wf07's block 0 output: the worker sends the output it was asked to
-// hold, so the session has no request that names it, and block 1, which
-// reads it, runs in-process — with the local run's results, and a reason
-// that names both blocks.
-func TestDistributedUnheldOutputFallsBack(t *testing.T) {
-	const wf = 7
-	want := localRun(t, wf)
-	wk := NewWorker()
-	wk.resident.max = 0
-	srv := httptest.NewServer(wk.Handler())
-	t.Cleanup(srv.Close)
-	got := runCycleOf(t, wf, distConfig(t, wf, []string{srv.URL}, nil))
-	assertRunsEqual(t, "output sent, not held", want, got)
-	d := got.Dist
-	if !d.FellBack || !slices.Equal(d.Remote, []int{0}) || !slices.Equal(d.Local, []int{1}) || d.Held != 0 || d.Resident != 0 || d.Recomputed != 0 {
-		t.Errorf("placement: %+v; want block 0 remote and sent, block 1 in-process", d)
-	}
-	if !strings.Contains(d.Reason, "block 1 reads block 0") {
-		t.Errorf("fallback reason should name both blocks, got %q", d.Reason)
-	}
-	if n := len(wk.resident.byKey); n != 0 {
-		t.Errorf("the store holds %d output(s) over its bound", n)
-	}
-	t.Log(d.Reason)
-}
-
-// TestDistributedResidentMissTwoLevels empties both workers' stores before
-// block 2 of wf08's chain: block 2's frame misses block 1's output, whose
-// lineage frame misses block 0's, so the recompute goes two levels up before
-// block 2 runs.
-func TestDistributedResidentMissTwoLevels(t *testing.T) {
-	const wf = 8
-	want := localRun(t, wf)
-	wks := []*Worker{NewWorker(), NewWorker()}
-	var runs atomic.Int64
-	var addrs []string
-	for _, wk := range wks {
-		h := wk.Handler()
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/worker/run" && runs.Add(1) == 3 {
-				for _, wk := range wks {
-					wk.resident.empty()
-				}
-			}
-			h.ServeHTTP(w, r)
-		}))
-		t.Cleanup(srv.Close)
-		addrs = append(addrs, srv.URL)
-	}
-	wire := &wireCounter{}
-	cfg := distConfig(t, wf, addrs, func(o *CoordinatorOptions) {
-		o.Client = &http.Client{Transport: wire}
-	})
-	got := runCycleOf(t, wf, cfg)
-	assertRunsEqual(t, "two-level miss", want, got)
-	if d := got.Dist; d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || d.Held != 2 || d.Recomputed != 2 {
-		t.Errorf("placement: %+v", d)
-	}
-	assertExchanges(t, wire, addrs[0], []int{0, 1, 2, 1, 0, 1, 2}, []int{200, 200, 409, 409, 200, 200, 200})
-}
-
-// TestDistributedResidentProducerLost kills the producer after block 0 of a
-// chain: block 1 is reassigned to the survivor, which never held block 0's
-// output — it answers 409, makes the output from its lineage, and runs
-// block 1 with it named.
+// TestDistributedResidentProducerLost kills the worker running wf07's
+// chain after the chain's first block, the producer of the output the
+// second block reads, ran: that output stayed resident on the lost worker
+// and nowhere else, so the survivor gets the whole chain — the same request
+// bytes — and runs both blocks. No block is committed twice.
 func TestDistributedResidentProducerLost(t *testing.T) {
 	const wf = 7
 	want := localRun(t, wf)
-	victim, survivor := startKillableWorker(t), startWorker(t)
+	victim, survivor := startMidChainKilledWorker(t), startWorker(t)
 	wire := &wireCounter{}
 	cfg := distConfig(t, wf, []string{victim.URL, survivor.URL}, func(o *CoordinatorOptions) {
 		o.Client = &http.Client{Transport: wire}
 	})
 	got := runCycleOf(t, wf, cfg)
 	assertRunsEqual(t, "producer lost", want, got)
-	if d := got.Dist; d.FellBack || d.Reassigned != 1 || !reflect.DeepEqual(d.LostWorkers, []string{victim.URL}) || d.Held != 1 || d.Recomputed != 1 {
+	if d := got.Dist; d.FellBack || d.Reassigned != 1 || d.Exchanges != 1 || !reflect.DeepEqual(d.LostWorkers, []string{victim.URL}) || !slices.Equal(d.Remote, []int{0, 1}) {
 		t.Errorf("placement: %+v", d)
 	}
-	if len(wire.exchanges) == 0 || wire.exchanges[0].addr != victim.URL {
-		t.Fatalf("block 0 did not go to the victim: %d exchange(s)", len(wire.exchanges))
+	x := wire.exchanges
+	if len(x) != 2 || x[0].addr != victim.URL || x[0].status != 0 || x[1].addr != survivor.URL || x[1].status != http.StatusOK {
+		t.Fatalf("want the victim's request unanswered, then the survivor's answered: %d exchange(s)", len(x))
 	}
-	survived := &wireCounter{exchanges: wire.exchanges[1:]}
-	assertExchanges(t, survived, survivor.URL, []int{1, 0, 1}, []int{409, 200, 200})
-	if x := wire.exchanges; len(x) == 4 && !bytes.Equal(x[2].req, x[0].req) {
-		t.Error("the survivor's recompute is not the request the victim ran")
-	}
-}
-
-// assertExchanges checks a run's dispatches, in order: every one went to
-// addr, for the given blocks, answered with the given statuses; no request
-// carried a section after its header; and a 409 names the key its frame
-// named.
-func assertExchanges(t *testing.T, wire *wireCounter, addr string, blocks, statuses []int) {
-	t.Helper()
-	if len(wire.exchanges) != len(blocks) {
-		t.Fatalf("%d exchanges, want %d (blocks %v)", len(wire.exchanges), len(blocks), blocks)
-	}
-	for i, x := range wire.exchanges {
-		hdr, _ := requestOf(t, x.req)
-		if x.addr != addr || hdr.Block != blocks[i] || x.status != statuses[i] {
-			t.Errorf("exchange %d: block %d to %s: status %d; want block %d to %s, %d",
-				i, hdr.Block, x.addr, x.status, blocks[i], addr, statuses[i])
-		}
-		if x.status == http.StatusConflict && (len(hdr.Resident) != 1 || !strings.Contains(string(x.resp), hdr.Resident[0].SHA256)) {
-			t.Errorf("exchange %d: the 409 does not name the key its frame named: %s", i, x.resp)
-		}
+	if hdr, _ := requestOf(t, x[1].req); !bytes.Equal(x[0].req, x[1].req) || hdr.Block != 0 || !slices.Equal(hdr.Then, []int{1}) {
+		t.Errorf("the survivor's request is not the victim's chain 0 → 1: block %d then %v", hdr.Block, hdr.Then)
 	}
 }
 
-// TestDistributedHungWorkerLeaseExpiry freezes a worker mid-run (requests
-// hang, health probes included): only lease expiry can reclaim its block,
-// cancel the in-flight request and reassign — outputs stay identical.
+// TestDistributedHungWorkerLeaseExpiry freezes a worker as its chain
+// arrives (requests hang, health probes included): only lease expiry can
+// reclaim the chain, cancel the in-flight request and reassign — outputs
+// stay identical.
 func TestDistributedHungWorkerLeaseExpiry(t *testing.T) {
 	const wf = 8
 	want := localRun(t, wf)
@@ -1003,16 +973,8 @@ func TestDistributedHungWorkerLeaseExpiry(t *testing.T) {
 	if d.FellBack {
 		t.Errorf("healthy worker should have absorbed the frozen worker's blocks (fell back: %s)", d.Reason)
 	}
-	lostFrozen := false
-	for _, addr := range d.LostWorkers {
-		if addr == frozen.URL {
-			lostFrozen = true
-		}
-	}
-	if !lostFrozen && len(d.Remote) > 1 {
-		// The frozen worker only shows as lost if it was dealt a second
-		// block; with one block total it freezes after the run finished.
-		t.Errorf("frozen worker %s not marked lost (lost: %v)", frozen.URL, d.LostWorkers)
+	if !slices.Equal(d.LostWorkers, []string{frozen.URL}) || d.Reassigned != 1 || d.Exchanges != 1 {
+		t.Errorf("placement %+v; want the frozen worker lost and its chain reassigned once", d)
 	}
 }
 
@@ -1131,6 +1093,26 @@ func TestDistributedEngineFaultsSetOnce(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestDistributedBlockFailureInsideChain faults wf08's last block for good
+// (seed 7) and neither block before it: the worker runs blocks 0 and 1,
+// answers with block 2's error in its entry, and the run fails as the
+// single-process run does — block 2's *BlockFailure, with the same text,
+// after the same rows.
+func TestDistributedBlockFailureInsideChain(t *testing.T) {
+	const wf = 8
+	cfg := core.DefaultConfig()
+	cfg.Faults = faults.New(7, 0.3, 0, faults.Operator)
+	lcy, lerr := tryCycle(t, wf, cfg)
+	dcy, derr := tryCycle(t, wf, dispatched(t, cfg, wf, []string{startWorker(t).URL}, nil))
+	var want, got *engine.BlockFailure
+	if !errors.As(lerr, &want) || !errors.As(derr, &got) || want.Block != 2 || got.Block != 2 || want.Err.Error() != got.Err.Error() {
+		t.Fatalf("in-process %v, distributed %v: want block 2's failure, the same text", lerr, derr)
+	}
+	if lcy.Observed.Rows != dcy.Observed.Rows || !slices.Equal(dcy.Observed.Dist.Remote, []int{0, 1}) || dcy.Observed.Dist.Exchanges != 1 {
+		t.Errorf("the distributed run committed %d rows placed %+v; the in-process run %d rows", dcy.Observed.Rows, dcy.Observed.Dist, lcy.Observed.Rows)
 	}
 }
 

@@ -4,13 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"slices"
 	"sort"
@@ -35,46 +32,40 @@ import (
 // the same way; the writer sends the shorter (ties stored). EBLK2, the same
 // layout deflated with no dictionary, and EBLK3, whose late sections had no
 // expanded form, are refused by their magic (errFrameVersion). The length
-// is the payload's
-// before compression in both modes: a reader refuses a frame that declares
-// more than its cap before it inflates a byte, and one that inflates past
-// what it declared at the byte where it does, so a kilobyte of deflated zeros
-// costs it no more than an honest frame. Bytes in the body after the payload
-// make a frame malformed in either mode. The payload is a block's byte form;
-// its DEFLATE form is the same on every worker of one build but not across
-// compress/flate versions: nothing compares frames from different builds.
+// is the payload's before compression in both modes: a reader refuses a
+// frame that declares more than its cap before it inflates a byte, and one
+// that inflates past what it declared at the byte where it does, so a
+// kilobyte of deflated zeros costs it no more than an honest frame. Bytes in
+// the body after the payload make a frame malformed in either mode. The
+// payload is a chain's byte form; its DEFLATE form is the same on every
+// worker of one build but not across compress/flate versions: nothing
+// compares frames from different builds.
 //
-// The header is the exchange's scalar fields (workerRunRequest or
-// workerRunResponse). A request is its header and nothing else. A
-// response's bulk follows its header as raw sections, each a uvarint length
-// and that many bytes, in an order the header fixes: the boundary output
-// (none when the header says it is held), one table per Materialized entry
-// (sorted by name), then the statistics shard (length 0 when the block was
-// not instrumented). So a table crosses the wire as its codec bytes and
-// nothing else: no base64, no JSON scanning, and the reader hands each
-// section to the codec or stats.ReadStore straight from the inflating
-// stream. The tables are data.WriteLate's: every source relation a column
-// reads is named, with a row index into it — read directly, or through a
-// held upstream output's index — and the reader resolves it in the
-// coordinator's copy (the engine's data, DispatchSpec.DB), so only index
-// columns and the cells no source holds cross; a join's output, whose row
-// indexes are the nested loop its hash joins ran, sends each input's
-// surviving rows and the columns that key it instead of its indexes. The
-// engine's scheduler builds the rows of what it reads. DEFLATE takes what
-// the codec cannot see, repetition across columns and rows, and the
-// dictionary what every frame repeats, the headers' JSON above all: 54 %
-// (wf18) to 96 % (wf08, whose last block sends its row indexes) of the
-// payload bytes of the dist-run benchmark's runs, and 56 % to 79 % of the
-// other five's (TestDistributedWireBytes logs each run's share).
-//
-// A block output a later block reads and no sink does never crosses the
-// wire: the request that makes it says Hold, and the worker keeps the output,
-// in its late form, under the request's key — the SHA-256 of the request's payload, which both
-// ends compute over the bytes they write or read, so it is never sent — and
-// answers Held, with no output section. The request that reads it names it
-// in Resident by that key: every upstream output a worker reads is one it
-// holds. Equal payloads make equal outputs, so the key names the output by
-// its lineage.
+// An exchange runs a chain: a block and the blocks after it, each reading
+// only the output of the one before it. A request is its header and nothing
+// else (workerRunRequest): the chain's blocks, and the run's statistics
+// that they observe. A response's header is a list of entries, one per
+// block in chain order (workerRunResponse), and its bulk follows as raw
+// sections, each a uvarint length and that many bytes, in an order the
+// header fixes: for each block in turn, its boundary output — the last
+// block's only, since each other's was read by the next block and never
+// left the worker — one table per Materialized entry (sorted by name), then
+// the statistics shard (length 0 when the block was not instrumented). A
+// block that failed is the last entry, with its error and no sections. So a
+// table crosses the wire as its codec bytes and nothing else: no base64, no
+// JSON scanning, and the reader hands each section to the codec or
+// stats.ReadStore straight from the inflating stream. The tables are
+// data.WriteLate's: every source relation a column reads is named, with a
+// row index into it — read directly, or through the chain's upstream
+// output's index — and the reader resolves it in the coordinator's copy
+// (the engine's data, DispatchSpec.DB), so only index columns and the cells
+// no source holds cross; a join's output, whose row indexes are the nested
+// loop its hash joins ran, sends each input's surviving rows and the
+// columns that key it instead of its indexes. The engine's scheduler builds
+// the rows of what it reads. DEFLATE takes what the codec cannot see,
+// repetition across columns and rows, and the dictionary what every frame
+// repeats, the headers' JSON above all (TestDistributedWireBytes logs each
+// run's share).
 
 const (
 	frameMagic            = "EBLK4"
@@ -95,8 +86,7 @@ const (
 // response header — field names, stat targets, the shapes their values
 // take — and the start of each section kind, which a stream would otherwise
 // spell out again in every frame. A request, a few hundred bytes of header,
-// is mostly matches into it. (The order of the four parts moves dist-run's
-// six runs by under 30 B.)
+// is mostly matches into it.
 var frameDict = func() []byte {
 	target := stats.BlockSE(1, 2)
 	attrs := []workflow.Attr{{Rel: "R1", Col: "n1"}, {Rel: "R2", Col: "n2"}}
@@ -105,19 +95,17 @@ var frameDict = func() []byte {
 		CSS: css.DefaultOptions(), Instrument: true, Metrics: true,
 		Observe: []stats.Stat{stats.NewCard(target), stats.NewDistinct(target, attrs[0]), stats.NewHist(target, attrs...),
 			stats.NewCard(stats.BlockSE(1, 3))},
-		Plans:    map[int]*workflow.JoinTree{1: {Leaf: -1, Join: 0, Left: &workflow.JoinTree{Leaf: 0, Join: -1}, Right: &workflow.JoinTree{Leaf: 1, Join: -1}}},
-		Block:    1,
-		Resident: []residentRef{{Block: 0}},
-		Hold:     true,
+		Plans: map[int]*workflow.JoinTree{1: {Leaf: -1, Join: 0, Left: &workflow.JoinTree{Leaf: 0, Join: -1}, Right: &workflow.JoinTree{Leaf: 1, Join: -1}}},
+		Block: 0, Then: []int{1},
 	})
 	if err != nil {
 		panic(err)
 	}
-	resp, err := json.Marshal(&workerRunResponse{
-		Held: true, Materialized: []string{"n5.reject"}, Sources: map[string]int{"R1": 334, "R2": 221},
+	resp, err := json.Marshal([]workerRunResponse{{Sources: map[string]int{"R3": 1000}, Rows: 2000}, {
+		Materialized: []string{"n5.reject"}, Sources: map[string]int{"R1": 334, "R2": 221},
 		Rows: 25942, Retries: 1, Metrics: []physical.Metrics{{RowsOut: 6247, Calls: 1, WallNanos: 1, TapNanos: 1}},
 		Degraded: []wireFailedStat{{Stat: stats.NewCard(target), Err: "tap failed"}},
-	})
+	}})
 	if err != nil {
 		panic(err)
 	}
@@ -136,28 +124,15 @@ var frameDict = func() []byte {
 // data.ErrWireCap a property of the block, which then runs in-process.
 var errFrameCap = errors.New("frame over the cap")
 
+// errFrameHeader marks a frame whose header is not one this build writes:
+// not JSON, a field of the wrong type, a field it does not know — the
+// resident and hold fields of the protocol chains replaced among them.
+var errFrameHeader = errors.New("frame header")
+
 // errFrameVersion marks a frame of another format version, EBLK2's
 // dictionary-less DEFLATE among them: a peer of another build, refused by
 // its magic before a byte of it is inflated.
 var errFrameVersion = errors.New("frame of another version")
-
-// digest is the SHA-256 of a request frame's payload: the key the block
-// output it made is kept under.
-type digest [sha256.Size]byte
-
-func (d digest) String() string { return hex.EncodeToString(d[:]) }
-
-// parseDigest accepts exactly what digest.String writes: 64 lowercase hex
-// digits.
-func parseDigest(s string) (digest, error) {
-	var d digest
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(d) || hex.EncodeToString(b) != s {
-		return d, fmt.Errorf("digest %q is not %d lowercase hex digits", s, 2*len(d))
-	}
-	copy(d[:], b)
-	return d, nil
-}
 
 // frameWriter builds one frame's payload and seals it.
 type frameWriter struct {
@@ -243,12 +218,11 @@ type frameReader struct {
 // payloadReader reads the n bytes of payload a frame declared from src, the
 // stored body or the inflater over it. Asked for more, it looks at what src
 // has next: its end is the frame's, anything else an inflater yielding more
-// than the frame said. A non-nil sum is fed every payload byte read.
+// than the frame said.
 type payloadReader struct {
 	src io.Reader
 	n   int64
 	max int64 // the cap the frame was opened under
-	sum hash.Hash
 }
 
 func (p *payloadReader) Read(b []byte) (int, error) {
@@ -261,9 +235,6 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 	}
 	n, err := p.src.Read(b[:min(int64(len(b)), p.n)])
 	p.n -= int64(n)
-	if p.sum != nil {
-		p.sum.Write(b[:n])
-	}
 	if err == io.EOF {
 		// The source's end is the payload's only after its last byte.
 		err = nil
@@ -283,19 +254,18 @@ func (p *payloadReader) ReadByte() (byte, error) {
 // openFrame checks the magic and the declared size and decodes the header
 // into header; the caller closes the reader. Unknown header fields are an
 // error: coordinator and workers ship as one binary, so a field one side
-// does not know is a bug, not a version skew. A non-nil sum is fed the
-// payload as it is read.
-func openFrame(r io.Reader, header any, maxPayload int64, sum hash.Hash) (*frameReader, error) {
+// does not know is a bug, not a version skew.
+func openFrame(r io.Reader, header any, maxPayload int64) (*frameReader, error) {
 	f := frameReaders.Get().(*frameReader)
 	f.br.Reset(r)
-	if err := f.open(header, maxPayload, sum); err != nil {
+	if err := f.open(header, maxPayload); err != nil {
 		f.close()
 		return nil, err
 	}
 	return f, nil
 }
 
-func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
+func (f *frameReader) open(header any, maxPayload int64) error {
 	var prefix [len(frameMagic) + 1]byte
 	if _, err := io.ReadFull(f.br, prefix[:]); err != nil {
 		return fmt.Errorf("frame magic: %w", err)
@@ -311,7 +281,7 @@ func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 	if n > uint64(maxPayload) {
 		return fmt.Errorf("frame of %d bytes, cap %d: %w", n, maxPayload, errFrameCap)
 	}
-	f.payload = payloadReader{n: int64(n), max: maxPayload, sum: sum}
+	f.payload = payloadReader{n: int64(n), max: maxPayload}
 	switch mode {
 	case frameStored:
 		f.stored = io.LimitedReader{R: f.br, N: int64(n)}
@@ -339,10 +309,10 @@ func (f *frameReader) open(header any, maxPayload int64, sum hash.Hash) error {
 	dec := json.NewDecoder(bytes.NewReader(hdr))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(header); err != nil {
-		return fmt.Errorf("frame header: %w", err)
+		return fmt.Errorf("%w: %w", errFrameHeader, err)
 	}
 	if dec.More() {
-		return errors.New("frame header: trailing data")
+		return fmt.Errorf("%w: trailing data", errFrameHeader)
 	}
 	return nil
 }
@@ -395,92 +365,95 @@ func (f *frameReader) end() error {
 	return nil
 }
 
-// encodeRunRequest builds the request frame for one block, and its key. It
-// carries the statistics of the run's that the block observes — the
-// compiler places a tap only in its target's block — and every block's join
-// tree, since upstream schemas compile from them. resident names every
-// upstream block's output, by ascending block; hold asks the worker to keep
-// the block's output instead of sending it.
-func encodeRunRequest(base *workerRunRequest, block int, hold bool, resident []residentRef, maxPayload int64) ([]byte, digest, error) {
+// encodeRunRequest builds the request frame for a chain: its blocks, in
+// order, and the statistics of the run's that they observe — the compiler
+// places a tap only in its target's block — and every block's join tree,
+// since upstream schemas compile from them.
+func encodeRunRequest(base *workerRunRequest, chain []int, maxPayload int64) ([]byte, error) {
 	req := *base
-	req.Block, req.Hold, req.Resident = block, hold, resident
+	req.Block, req.Then = chain[0], chain[1:]
 	req.Observe = nil
 	for _, st := range base.Observe {
-		if st.Target.Block == block {
+		if slices.Contains(chain, st.Target.Block) {
 			req.Observe = append(req.Observe, st)
 		}
 	}
-	var key digest
 	f, err := beginFrame(&req)
 	if err != nil {
-		return nil, key, err
+		return nil, err
 	}
-	key = sha256.Sum256(f.payload)
-	frame, err := f.seal(maxPayload)
-	return frame, key, err
+	return f.seal(maxPayload)
 }
 
-// decodeRunRequest reads a request frame and its key; the outputs it names
-// are the caller's to find. A malformed key, a block named twice, or a
-// section after the header is an error here.
+// decodeRunRequest reads a request frame; whether its blocks are a chain is
+// its workflow's to say (chainOf). A section after the header is an error
+// here.
 func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, error) {
 	req := &workerRunRequest{}
-	sum := sha256.New()
-	f, err := openFrame(r, req, maxPayload, sum)
+	f, err := openFrame(r, req, maxPayload)
 	if err != nil {
 		return nil, err
 	}
 	defer f.close()
-	named := make(map[int]bool, len(req.Resident))
-	for _, ref := range req.Resident {
-		if _, err := parseDigest(ref.SHA256); err != nil {
-			return nil, fmt.Errorf("resident block %d: %w", ref.Block, err)
-		}
-		if named[ref.Block] {
-			return nil, fmt.Errorf("resident block %d named twice", ref.Block)
-		}
-		named[ref.Block] = true
-	}
 	if err := f.end(); err != nil {
 		return nil, err
 	}
-	sum.Sum(req.key[:0])
 	return req, nil
 }
 
-// encodeRunResponse builds the response frame for one executed block from
-// the late tables RunBlockCtx returns; a block without an output is a held
-// one.
-func encodeRunResponse(rb *engine.RemoteBlock, maxPayload int64) ([]byte, error) {
-	resp := workerRunResponse{Held: rb.Out == nil, Sources: rb.Sources, Rows: rb.Rows, Retries: rb.Retries, Metrics: rb.Metrics}
-	for name := range rb.Materialized {
-		resp.Materialized = append(resp.Materialized, name)
+// blockResult is one block of a chain as a response carries it: what it
+// left behind, or the error it failed with.
+type blockResult struct {
+	rb  *engine.RemoteBlock
+	err error
+}
+
+// encodeRunResponse builds the response frame for an executed chain from
+// the late tables RunBlockCtx returns; only the last block has an output,
+// and a failed block ends the chain.
+func encodeRunResponse(results []blockResult, maxPayload int64) ([]byte, error) {
+	hdr := make([]workerRunResponse, len(results))
+	for i, r := range results {
+		if r.err != nil {
+			hdr[i].Error = r.err.Error()
+			continue
+		}
+		resp := &hdr[i]
+		*resp = workerRunResponse{Sources: r.rb.Sources, Rows: r.rb.Rows, Retries: r.rb.Retries, Metrics: r.rb.Metrics}
+		for name := range r.rb.Materialized {
+			resp.Materialized = append(resp.Materialized, name)
+		}
+		sort.Strings(resp.Materialized)
+		for _, fs := range r.rb.Degraded {
+			resp.Degraded = append(resp.Degraded, wireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
+		}
 	}
-	sort.Strings(resp.Materialized)
-	for _, fs := range rb.Degraded {
-		resp.Degraded = append(resp.Degraded, wireFailedStat{Stat: fs.Stat, Err: fs.Err.Error()})
-	}
-	f, err := beginFrame(&resp)
+	f, err := beginFrame(hdr)
 	if err != nil {
 		return nil, err
 	}
-	if !resp.Held {
-		if err := f.late(rb.Out); err != nil {
-			return nil, fmt.Errorf("block output: %w", err)
+	for i, r := range results {
+		if r.err != nil {
+			continue
 		}
-	}
-	for _, name := range resp.Materialized {
-		if err := f.late(rb.Materialized[name]); err != nil {
-			return nil, fmt.Errorf("materialized %q: %w", name, err)
+		if r.rb.Out != nil {
+			if err := f.late(r.rb.Out); err != nil {
+				return nil, fmt.Errorf("block output: %w", err)
+			}
 		}
-	}
-	f.section.Reset()
-	if rb.Observed != nil {
-		if _, err := rb.Observed.WriteTo(&f.section); err != nil {
-			return nil, fmt.Errorf("stats shard: %w", err)
+		for _, name := range hdr[i].Materialized {
+			if err := f.late(r.rb.Materialized[name]); err != nil {
+				return nil, fmt.Errorf("materialized %q: %w", name, err)
+			}
 		}
+		f.section.Reset()
+		if r.rb.Observed != nil {
+			if _, err := r.rb.Observed.WriteTo(&f.section); err != nil {
+				return nil, fmt.Errorf("stats shard: %w", err)
+			}
+		}
+		f.add(f.section.Bytes())
 	}
-	f.add(f.section.Bytes())
 	return f.seal(maxPayload)
 }
 
@@ -504,44 +477,62 @@ func checkSources(sources map[string]int, db engine.DB) error {
 	return nil
 }
 
-// decodeRunResponse reads a worker's 200 body into the engine's form, its
-// late tables resolved in db; a block whose output the worker held has none,
-// and says Held.
-func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, error) {
-	var resp workerRunResponse
-	f, err := openFrame(r, &resp, maxPayload, nil)
+// decodeRunResponse reads a worker's 200 body for a chain of n blocks into
+// the engine's form, its late tables resolved in db: an entry per block
+// that ran, in chain order, the last block's alone with an output, and a
+// failed block's last.
+func decodeRunResponse(r io.Reader, maxPayload int64, db engine.DB, n int) ([]blockResult, error) {
+	var hdr []workerRunResponse
+	f, err := openFrame(r, &hdr, maxPayload)
 	if err != nil {
 		return nil, err
 	}
 	defer f.close()
-	if err := checkSources(resp.Sources, db); err != nil {
-		return nil, err
+	if len(hdr) == 0 || len(hdr) > n {
+		return nil, fmt.Errorf("%d block entries for a chain of %d", len(hdr), n)
 	}
-	rb := &engine.RemoteBlock{Held: resp.Held, Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
-	if !resp.Held {
-		if rb.Out, err = f.lateTable(db); err != nil {
-			return nil, fmt.Errorf("block output: %w", err)
+	results := make([]blockResult, len(hdr))
+	for i, resp := range hdr {
+		if resp.Error != "" {
+			if i < len(hdr)-1 {
+				return nil, fmt.Errorf("block entry %d of %d failed, and the chain went on", i, len(hdr))
+			}
+			results[i].err = errors.New(resp.Error)
+			break
 		}
-	}
-	if len(resp.Materialized) > 0 {
-		rb.Materialized = make(map[string]*data.Late, len(resp.Materialized))
-	}
-	for _, name := range resp.Materialized {
-		if rb.Materialized[name], err = f.lateTable(db); err != nil {
-			return nil, fmt.Errorf("materialized %q: %w", name, err)
+		if i == len(hdr)-1 && len(hdr) < n {
+			return nil, fmt.Errorf("%d block entries for a chain of %d, the last not failed", len(hdr), n)
 		}
-	}
-	shard, err := f.section()
-	if err != nil {
-		return nil, fmt.Errorf("stats shard: %w", err)
-	}
-	if shard.N > 0 {
-		if rb.Observed, err = stats.ReadStore(shard); err != nil {
+		if err := checkSources(resp.Sources, db); err != nil {
+			return nil, err
+		}
+		rb := &engine.RemoteBlock{Rows: resp.Rows, Retries: resp.Retries, Metrics: resp.Metrics}
+		if i == n-1 {
+			if rb.Out, err = f.lateTable(db); err != nil {
+				return nil, fmt.Errorf("block output: %w", err)
+			}
+		}
+		if len(resp.Materialized) > 0 {
+			rb.Materialized = make(map[string]*data.Late, len(resp.Materialized))
+		}
+		for _, name := range resp.Materialized {
+			if rb.Materialized[name], err = f.lateTable(db); err != nil {
+				return nil, fmt.Errorf("materialized %q: %w", name, err)
+			}
+		}
+		shard, err := f.section()
+		if err != nil {
 			return nil, fmt.Errorf("stats shard: %w", err)
 		}
+		if shard.N > 0 {
+			if rb.Observed, err = stats.ReadStore(shard); err != nil {
+				return nil, fmt.Errorf("stats shard: %w", err)
+			}
+		}
+		for _, wf := range resp.Degraded {
+			rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: errors.New(wf.Err)})
+		}
+		results[i].rb = rb
 	}
-	for _, wf := range resp.Degraded {
-		rb.Degraded = append(rb.Degraded, engine.FailedStat{Stat: wf.Stat, Err: errors.New(wf.Err)})
-	}
-	return rb, f.end()
+	return results, f.end()
 }

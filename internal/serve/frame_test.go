@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -65,7 +64,7 @@ func frameBlock(t testing.TB) *engine.RemoteBlock {
 }
 
 // rowsOf returns the rows of a block's tables, as the scheduler builds them:
-// its output (nil when held) and its materialized targets.
+// its output (nil inside a chain) and its materialized targets.
 func rowsOf(rb *engine.RemoteBlock) (*data.Table, map[string]*data.Table) {
 	var out *data.Table
 	if rb.Out != nil {
@@ -78,23 +77,39 @@ func rowsOf(rb *engine.RemoteBlock) (*data.Table, map[string]*data.Table) {
 	return out, mat
 }
 
-// responseFrame and requestFrame encode under the production cap.
+// responseFrame, chainResponseFrame and requestFrame encode under the
+// production cap: a chain of one block, a chain of the given blocks, and a
+// request for a chain.
 func responseFrame(t testing.TB, rb *engine.RemoteBlock) []byte {
 	t.Helper()
-	frame, err := encodeRunResponse(rb, maxUploadBytes)
+	return chainResponseFrame(t, blockResult{rb: rb})
+}
+
+func chainResponseFrame(t testing.TB, results ...blockResult) []byte {
+	t.Helper()
+	frame, err := encodeRunResponse(results, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
 }
 
-func requestFrame(t testing.TB, base *workerRunRequest, block int, resident ...residentRef) []byte {
+func requestFrame(t testing.TB, base *workerRunRequest, chain ...int) []byte {
 	t.Helper()
-	frame, _, err := encodeRunRequest(base, block, false, resident, maxUploadBytes)
+	frame, err := encodeRunRequest(base, chain, maxUploadBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return frame
+}
+
+// decodeBlock reads a response frame for a chain of one block.
+func decodeBlock(r io.Reader, maxPayload int64, db engine.DB) (*engine.RemoteBlock, error) {
+	results, err := decodeRunResponse(r, maxPayload, db, 1)
+	if err != nil {
+		return nil, err
+	}
+	return results[0].rb, results[0].err
 }
 
 // framePayload takes a frame apart by the layout in frame.go's header
@@ -152,8 +167,8 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, again) {
 		t.Fatal("the same block built two different response frames")
 	}
-	got, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
-	if err != nil || got.Held {
+	got, err := decodeBlock(bytes.NewReader(frame), maxUploadBytes, nil)
+	if err != nil || got.Out == nil {
 		t.Fatalf("decodeRunResponse: %+v, %v", got, err)
 	}
 	gotOut, gotMat := rowsOf(got)
@@ -173,7 +188,7 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	withShard := frameBlock(t)
 	withShard.Metrics = []physical.Metrics{{RowsOut: 5, Calls: 1, WallNanos: 10, TapNanos: 3}, {}, {RowsOut: 2}}
 	shardFrame := responseFrame(t, withShard)
-	if gotShard, err := decodeRunResponse(bytes.NewReader(shardFrame), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
+	if gotShard, err := decodeBlock(bytes.NewReader(shardFrame), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(gotShard.Metrics, withShard.Metrics) {
 		t.Errorf("metrics shard after the round trip: %+v (%v)", gotShard, err)
 	}
 	var a, b bytes.Buffer
@@ -182,50 +197,55 @@ func TestRunFramesRoundTrip(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("statistics shard differs after the round trip")
 	}
-	// A held block's frame has everything but the output.
-	gotHeld, err := decodeRunResponse(bytes.NewReader(responseFrame(t, heldBlock(t))), maxUploadBytes, nil)
-	if _, heldMat := rowsOf(gotHeld); err != nil || !gotHeld.Held || gotHeld.Out != nil || !reflect.DeepEqual(heldMat, wantMat) || gotHeld.Rows != want.Rows || gotHeld.Observed.Len() != want.Observed.Len() {
-		t.Errorf("held response after the round trip: %+v (%v)", gotHeld, err)
+	// A chain's frame: its blocks' entries in order, the last alone with
+	// an output; a failed block ends it, with its error's text.
+	inner := frameBlock(t)
+	inner.Out = nil
+	for _, n := range []int{2, 3} {
+		chain := chainResponseFrame(t, blockResult{rb: inner}, blockResult{rb: frameBlock(t)})
+		if n == 3 {
+			chain = chainResponseFrame(t, blockResult{rb: inner}, blockResult{rb: inner}, blockResult{err: errors.New("join n4: injected permanent operator fault at op:2:2")})
+		}
+		results, err := decodeRunResponse(bytes.NewReader(chain), maxUploadBytes, nil, n)
+		if err != nil || len(results) != n {
+			t.Fatalf("a chain of %d: %d results, %v", n, len(results), err)
+		}
+		for i, r := range results {
+			switch last := i == n-1; {
+			case last && n == 3:
+				if r.rb != nil || r.err == nil || r.err.Error() != "join n4: injected permanent operator fault at op:2:2" {
+					t.Errorf("a chain of %d: the failed block decodes to %+v, %v", n, r.rb, r.err)
+				}
+			case r.err != nil || (r.rb.Out != nil) != last || r.rb.Rows != want.Rows || r.rb.Observed.Len() != want.Observed.Len():
+				t.Errorf("a chain of %d: block %d decodes to %+v, %v", n, i, r.rb, r.err)
+			default:
+				if _, mat := rowsOf(r.rb); !reflect.DeepEqual(mat, wantMat) {
+					t.Errorf("a chain of %d: block %d's materialized tables differ", n, i)
+				}
+			}
+		}
+		// Read as a longer chain, a chain that did not fail is malformed.
+		if _, err := decodeRunResponse(bytes.NewReader(chain), maxUploadBytes, nil, n+1); (err == nil) != (n == 3) {
+			t.Errorf("a chain of %d read as one of %d: %v", n, n+1, err)
+		}
 	}
 
-	// The session's statistics are the run's; a request carries its block's,
-	// and names every upstream output by key, by ascending block.
-	block3 := stats.NewCard(stats.BlockSE(3, 1))
-	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), block3}}
-	k0, k2 := digest(sha256.Sum256([]byte("block 0"))), digest(sha256.Sum256([]byte("block 2")))
-	named := []residentRef{{0, k0.String()}, {2, k2.String()}}
-	reqFrame, key, err := encodeRunRequest(base, 3, false, named, maxUploadBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The session's statistics are the run's; a request carries those of
+	// its chain's blocks.
+	block3, block5 := stats.NewCard(stats.BlockSE(3, 1)), stats.NewCard(stats.BlockSE(5, 2))
+	base := &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true, Observe: []stats.Stat{stats.NewCard(stats.BlockSE(1, 3)), block3, block5}}
+	reqFrame := requestFrame(t, base, 3, 4, 5)
 	req, err := decodeRunRequest(bytes.NewReader(reqFrame), maxUploadBytes)
 	if err != nil {
 		t.Fatalf("decodeRunRequest: %v", err)
 	}
-	if req.Block != 3 || req.WF != 8 || req.Hold || !reflect.DeepEqual(req.Resident, named) || !reflect.DeepEqual(req.Observe, []stats.Stat{block3}) {
+	if req.Block != 3 || req.WF != 8 || !reflect.DeepEqual(req.Then, []int{4, 5}) || !reflect.DeepEqual(req.Observe, []stats.Stat{block3, block5}) {
 		t.Errorf("request header = %+v", req)
 	}
-	// Both ends key the request by the SHA-256 of its payload, which is
-	// its header and nothing else.
 	if sections := frameSections(t, reqFrame); len(sections) != 1 {
 		t.Errorf("the request has %d sections after its header", len(sections)-1)
 	}
-	if _, payload := framePayload(t, reqFrame); key != sha256.Sum256(payload) || req.key != key {
-		t.Errorf("request key: read %s, written %s, want the payload's %x", req.key, key, sha256.Sum256(payload))
-	}
-	// A held request says so, and is another request.
-	heldFrame, heldKey, err := encodeRunRequest(base, 3, true, named, maxUploadBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err = decodeRunRequest(bytes.NewReader(heldFrame), maxUploadBytes)
-	if err != nil {
-		t.Fatalf("decodeRunRequest, held: %v", err)
-	}
-	if !req.Hold || req.key != heldKey || heldKey == key {
-		t.Errorf("held request: header %+v, key %s, written %s; the unheld request's %s", req, req.key, heldKey, key)
-	}
-	if base.Block != 0 || base.Resident != nil || base.Hold || len(base.Observe) != 2 {
+	if base.Block != 0 || base.Then != nil || len(base.Observe) != 3 {
 		t.Error("encodeRunRequest modified the session's base request")
 	}
 }
@@ -246,13 +266,13 @@ func TestRunFramesRoundTrip(t *testing.T) {
 func TestRunFramesGoldenBytes(t *testing.T) {
 	const (
 		goldenRequest  = "ef017b227766223a382c227363616c65223a302e352c226d61785f726f7773223a313030302c226661756c7473223a22736565643d372c726174653d312c7472616e7369656e743d31222c22637373223a7b22556e696f6e4469766973696f6e223a747275657d2c22696e737472756d656e74223a747275652c226f627365727665223a5b7b224b696e64223a302c22546172676574223a7b22426c6f636b223a332c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d5d2c22626c6f636b223a337d"
-		goldenResponse = "c3017b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
+		goldenResponse = "c5015b7b226d6174657269616c697a6564223a5b226175646974222c2272656a65637473225d2c22726f7773223a372c226465677261646564223a5b7b2273746174223a7b224b696e64223a302c22546172676574223a7b22426c6f636b223a302c22536574223a312c224465707468223a2d312c2252656a656374496e707574223a2d312c2252656a65637445646765223a2d317d2c224174747273223a6e756c6c7d2c22657272223a22746170206661696c6564227d5d2c2272657472696573223a327d5d284554424c3502034f757402034f7574016b034f7574017602010000000102020401010102040401011e4554424c350205617564697402056175646974016b056175646974017600304554424c35020772656a65637473020772656a65637473016b0772656a65637473017601010000000101120101011201"
 
 		// A response whose output is a join of D with itself on its key:
 		// the section names D twice, then the expansion — group 0's
 		// survivors 0 and 1, and group 1's, keyed by D.k on level 0's D.k
 		// — and the plain column.
-		goldenJoin = "0a7b22726f7773223a307d434554424c35030544e28b8844040144016b01440176014401760544e28b884401660403010144020101440200000000010101020002000001000000020000000a0c0c0a00"
+		goldenJoin = "0c5b7b22726f7773223a307d5d434554424c35030544e28b8844040144016b01440176014401760544e28b884401660403010144020101440200000000010101020002000001000000020000000a0c0c0a00"
 
 		// The stats shard, the response's last section, in store format
 		// version 4; goldenResponse is every section before it.
@@ -286,7 +306,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if mode != frameDeflate || len(resp) >= len(payload) {
 		t.Errorf("response frame: mode %d, %d bytes for a payload of %d", mode, len(resp), len(payload))
 	}
-	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out.Table(), frameBlock(t).Out.Table()) {
+	if rb, err := decodeBlock(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out.Table(), frameBlock(t).Out.Table()) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
 	// A join's output crosses as its expansion: D's rows, then D's rows of
@@ -299,7 +319,7 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if _, payload = framePayload(t, resp); hex.EncodeToString(payload) != goldenJoin {
 		t.Errorf("a join's response payload changed on the wire:\n got %x\nwant %s", payload, goldenJoin)
 	}
-	if rb, err := decodeRunResponse(bytes.NewReader(resp), maxUploadBytes, frameDB); err != nil || !reflect.DeepEqual(rb.Out.Table(), joined.Out.Table()) {
+	if rb, err := decodeBlock(bytes.NewReader(resp), maxUploadBytes, frameDB); err != nil || !reflect.DeepEqual(rb.Out.Table(), joined.Out.Table()) {
 		t.Errorf("a join's response frame does not decode to what built it: %v", err)
 	}
 }
@@ -318,7 +338,7 @@ func TestRunFrameStoredMode(t *testing.T) {
 	// The same payload deflated is a frame too, but not the writer's.
 	for m, fr := range [][]byte{frame, sealedFrame(t, frameDeflate, uint64(len(payload)), payload)} {
 		var hdr workerRunRequest
-		r, err := openFrame(bytes.NewReader(fr), &hdr, maxUploadBytes, nil)
+		r, err := openFrame(bytes.NewReader(fr), &hdr, maxUploadBytes)
 		if err != nil {
 			t.Fatalf("mode %d: %v", m, err)
 		}
@@ -360,10 +380,10 @@ func TestRunFrameCap(t *testing.T) {
 			"declared over the cap": {sealedFrame(t, mode, uint64(len(bomb)), bomb), true},
 			"past its claim":        {sealedFrame(t, mode, uint64(len(payload)), bomb), mode == frameDeflate},
 		} {
-			decodeRunResponse(bytes.NewReader(tc.frame), limit, nil) // warm the pools
+			decodeBlock(bytes.NewReader(tc.frame), limit, nil) // warm the pools
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := decodeRunResponse(bytes.NewReader(tc.frame), limit, nil)
+			_, err := decodeBlock(bytes.NewReader(tc.frame), limit, nil)
 			runtime.ReadMemStats(&after)
 			if err == nil || errors.Is(err, errFrameCap) != tc.capped {
 				t.Errorf("mode %d, %s: err = %v, want errFrameCap %v", mode, name, err, tc.capped)
@@ -373,7 +393,7 @@ func TestRunFrameCap(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeRunResponse(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
+	if _, err := decodeBlock(bytes.NewReader(honest), limit+int64(len(payload)), nil); errors.Is(err, errFrameCap) {
 		t.Errorf("a frame under the cap was refused for its size: %v", err)
 	}
 	// A stream of matches into the dictionary, past what its frame declared,
@@ -382,10 +402,10 @@ func TestRunFrameCap(t *testing.T) {
 	if deflated := sealedFrame(t, frameDeflate, uint64(len(payload)), echo); len(deflated) > 16<<10 {
 		t.Errorf("the dictionary echo deflates to %d bytes", len(deflated))
 	} else {
-		decodeRunResponse(bytes.NewReader(deflated), limit, nil) // warm the pools
+		decodeBlock(bytes.NewReader(deflated), limit, nil) // warm the pools
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := decodeRunResponse(bytes.NewReader(deflated), limit, nil)
+		_, err := decodeBlock(bytes.NewReader(deflated), limit, nil)
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, errFrameCap) {
 			t.Errorf("dictionary echo past its claim: err = %v, want errFrameCap", err)
@@ -394,14 +414,14 @@ func TestRunFrameCap(t *testing.T) {
 			t.Errorf("dictionary echo past its claim: refusing the frame allocated %d bytes", got)
 		}
 	}
-	if _, err := encodeRunResponse(frameBlock(t), 64); !errors.Is(err, errFrameCap) {
+	if _, err := encodeRunResponse([]blockResult{{rb: frameBlock(t)}}, 64); !errors.Is(err, errFrameCap) {
 		t.Errorf("writing a frame over the cap: err = %v, want errFrameCap", err)
 	}
 }
 
 func TestRunFrameRejectsCorruption(t *testing.T) {
 	decode := func(frame []byte) error {
-		_, err := decodeRunResponse(bytes.NewReader(frame), maxUploadBytes, nil)
+		_, err := decodeBlock(bytes.NewReader(frame), maxUploadBytes, nil)
 		return err
 	}
 	deflated := responseFrame(t, frameBlock(t))
@@ -437,7 +457,7 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 	if decode(sealedFrame(t, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], 0))) == nil {
 		t.Error("payload longer than declared accepted")
 	}
-	if err := decode(mustFrame(t, map[string]int{"rows": 1, "bogus": 2})); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if err := decode(mustFrame(t, []map[string]int{{"rows": 1, "bogus": 2}})); !errors.Is(err, errFrameHeader) || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("unknown header field: err = %v", err)
 	}
 	// The formats this one replaced are refused by name, not as noise:
@@ -467,7 +487,7 @@ func TestRunFrameDictionary(t *testing.T) {
 		t.Errorf("a request of %d payload bytes is %d bytes in mode %d, and %d deflated with no dictionary", len(payload), len(req), mode, len(plain))
 	}
 	got, err := decodeRunRequest(bytes.NewReader(plain), maxUploadBytes)
-	if err != nil || got.Block != 3 || got.key != sha256.Sum256(payload) {
+	if err != nil || got.Block != 3 {
 		t.Errorf("a payload deflated with no dictionary: %+v, %v", got, err)
 	}
 	if _, err := io.ReadAll(flate.NewReader(bytes.NewReader(req[len(frameMagic)+2:]))); err == nil {
@@ -483,49 +503,46 @@ func TestRunFrameDictionary(t *testing.T) {
 	resp := responseFrame(t, frameBlock(t))
 	_, payload = framePayload(t, resp)
 	eblk2 = append([]byte("EBLK2"), sealedFrameDict(t, frameDeflate, uint64(len(payload)), payload, nil)[len(frameMagic):]...)
-	if _, err := decodeRunResponse(bytes.NewReader(eblk2), maxUploadBytes, nil); !errors.Is(err, errFrameVersion) {
+	if _, err := decodeBlock(bytes.NewReader(eblk2), maxUploadBytes, nil); !errors.Is(err, errFrameVersion) {
 		t.Errorf("an EBLK2 response: err = %v, want errFrameVersion", err)
 	}
 }
 
 // TestWorkerRefusesMalformedFrames pins the worker's answer to bodies that
-// are not a request frame: 400 with a JSON error, never a panic or a 5xx.
+// are not a request frame, or name no chain it can run: 400 with a JSON
+// error, never a panic or a 5xx.
 func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	h := NewWorker().Handler()
 	deflated := requestFrame(t, &workerRunRequest{WF: 6, Scale: distScale}, 0)
 	_, payload := framePayload(t, deflated)
 	stored := sealedFrame(t, frameStored, uint64(len(payload)), payload)
 	legacy, _ := json.Marshal(map[string]any{"wf": 6, "scale": distScale, "block": 0})
-	ref := digest(sha256.Sum256(nil)).String()
 	var table bytes.Buffer
 	if err := data.WriteTable(&table, frameTable("B0", data.Row{1, 2})); err != nil {
 		t.Fatal(err)
 	}
 	header := &workerRunRequest{WF: 6, Scale: distScale}
-	for name, body := range map[string][]byte{
+	bodies := map[string][]byte{
 		"empty":              nil,
 		"json":               legacy,
 		"truncated stored":   stored[:len(stored)-1],
 		"trailing stored":    append(append([]byte{}, stored...), 0),
 		"truncated deflated": deflated[:len(deflated)-1],
 		"trailing deflated":  append(append([]byte{}, deflated...), 0),
-		// A request is its header: it names upstream outputs, never
-		// carries them.
+		// A request is its header: it names a chain, never carries a table.
 		"upstream field":                 mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 1, "upstream": []int{0}}),
 		"table after the header":         mustFrame(t, header, table.Bytes()),
 		"empty section after the header": mustFrame(t, header, nil),
 		// The row interpreters are gone from the product; a peer still asking
 		// for one must be refused, not silently run columnar.
 		"row_mode": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "row_mode": true}),
-		// Resident refs no store could answer, whatever it holds.
-		"short digest":     residentFrame(t, residentRef{0, ref[:63]}),
-		"uppercase digest": residentFrame(t, residentRef{0, strings.ToUpper(ref)}),
-		"non-hex digest":   residentFrame(t, residentRef{0, strings.Repeat("g", 64)}),
-		"duplicate ref":    residentFrame(t, residentRef{0, ref}, residentRef{0, ref}),
-		// A hold flag that is not one, and a held response sent as a request.
-		"hold not a bool": mustFrame(t, map[string]any{"wf": 6, "scale": distScale, "block": 0, "hold": "yes"}),
-		"held response":   responseFrame(t, heldBlock(t)),
-	} {
+		// A response sent as a request.
+		"response": responseFrame(t, frameBlock(t)),
+	}
+	for _, c := range hostileChains {
+		bodies[c.name] = c.frame
+	}
+	for name, body := range bodies {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"error"`) {
@@ -534,33 +551,82 @@ func TestWorkerRefusesMalformedFrames(t *testing.T) {
 	}
 }
 
-// heldBlock is frameBlock with its output held.
-func heldBlock(t testing.TB) *engine.RemoteBlock {
-	rb := frameBlock(t)
-	rb.Out = nil
-	return rb
+// hostileChain is a request whose blocks are not a chain a worker can run,
+// or that speaks the hold-and-name protocol chains replaced, and the typed
+// error that refuses it (see refuseChain).
+type hostileChain struct {
+	name  string
+	frame []byte
+	want  error
 }
 
-// residentFrame is a request for block 1 of wf07 that names the given refs.
-func residentFrame(t testing.TB, refs ...residentRef) []byte {
-	t.Helper()
-	return mustFrame(t, &workerRunRequest{WF: 7, Scale: distScale, Block: 1, Resident: refs})
-}
-
-// TestWorkerResidentOutputs drives the store through a worker's handler: a
-// request that says Hold leaves the block's output here, under the request's
-// key, and answers without it; a request that names that key gets, byte for
-// byte, the response an in-process RunBlockCtx of the same block over the
-// same late output makes; and one that names a key the store lacks gets a
-// 409 listing it.
-func TestWorkerResidentOutputs(t *testing.T) {
-	wk := NewWorker()
-	h := wk.Handler()
-	post := func(frame []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(frame)))
-		return rec
+// hostileChains are over wf07, the chain 0 → 1, and wf13, two blocks that
+// read no block.
+var hostileChains = func() []hostileChain {
+	frame := func(header map[string]any) []byte {
+		header["scale"] = distScale
+		f, err := beginFrame(header)
+		if err != nil {
+			panic(err)
+		}
+		b, err := f.seal(maxUploadBytes)
+		if err != nil {
+			panic(err)
+		}
+		return b
 	}
+	return []hostileChain{
+		{"then names a block twice", frame(map[string]any{"wf": 7, "block": 0, "then": []int{1, 1}}), errChain},
+		{"then past the last block", frame(map[string]any{"wf": 7, "block": 0, "then": []int{2}}), errChain},
+		{"then before the first block", frame(map[string]any{"wf": 7, "block": 0, "then": []int{-1}}), errChain},
+		{"then names a block that reads nothing before it", frame(map[string]any{"wf": 13, "block": 0, "then": []int{1}}), errChain},
+		{"head reads a block", frame(map[string]any{"wf": 7, "block": 1}), errChain},
+		{"resident refs", frame(map[string]any{"wf": 7, "block": 1, "resident": []map[string]any{{"block": 0, "sha256": strings.Repeat("0", 64)}}}), errFrameHeader},
+		{"hold", frame(map[string]any{"wf": 7, "block": 0, "hold": true}), errFrameHeader},
+	}
+}()
+
+// refuseChain is what a worker does with a request before it runs a block:
+// decode it, and check that its blocks are a chain of its suite workflow's.
+func refuseChain(in []byte, maxPayload int64) error {
+	req, err := decodeRunRequest(bytes.NewReader(in), maxPayload)
+	if err != nil {
+		return err
+	}
+	w, err := suite.Get(req.WF)
+	if err != nil {
+		return err
+	}
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
+	if err != nil {
+		return err
+	}
+	_, err = chainOf(an, req)
+	return err
+}
+
+// TestRunFrameRefusesHostileChains: each hostile chain is refused with its
+// typed error, and the chains the engine sends are not.
+func TestRunFrameRefusesHostileChains(t *testing.T) {
+	for _, c := range hostileChains {
+		if err := refuseChain(c.frame, maxUploadBytes); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	for wf, chain := range map[int][]int{7: {0, 1}, 8: {0, 1, 2}, 13: {1}} {
+		if err := refuseChain(requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale}, chain...), maxUploadBytes); err != nil {
+			t.Errorf("wf%02d's chain %v: %v", wf, chain, err)
+		}
+	}
+}
+
+// TestWorkerResidentOutputs drives a chain through a worker's handler: the
+// output of wf07's block 0 stays resident in the request that made it, and
+// block 1 reads it there; the response carries, byte for byte, what the
+// same two blocks run in-process with RunBlockCtx leave behind — block 0's
+// entry without its output, block 1's with its own.
+func TestWorkerResidentOutputs(t *testing.T) {
+	h := NewWorker().Handler()
 	w := suite.MustGet(7)
 	p := core.NewPlan(w.Graph, w.Catalog, css.DefaultOptions())
 	sel, err := p.Selection(selector.MethodExact)
@@ -568,25 +634,10 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := &workerRunRequest{WF: 7, Scale: distScale, CSS: css.DefaultOptions(), Instrument: true, Observe: sel.Observe}
-	db := w.Data(distScale)
-	sent := post(requestFrame(t, base, 0))
-	out, err := decodeRunResponse(sent.Body, maxUploadBytes, db)
-	if sent.Code != http.StatusOK || err != nil || out.Held || len(wk.resident.byKey) != 0 {
-		t.Fatalf("block 0: status %d, response %+v, %d output(s) kept, %v", sent.Code, out, len(wk.resident.byKey), err)
-	}
-	hold, key, err := encodeRunRequest(base, 0, true, nil, maxUploadBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answer := post(hold)
-	rb, err := decodeRunResponse(answer.Body, maxUploadBytes, db)
-	if err != nil || answer.Code != http.StatusOK || !rb.Held || rb.Out != nil || rb.Rows != out.Rows || !held(&wk.resident, key) {
-		t.Fatalf("block 0 held: status %d, response %+v (want rows %d), kept under its key %v; %v",
-			answer.Code, rb, out.Rows, held(&wk.resident, key), err)
-	}
-	named := post(requestFrame(t, base, 1, residentRef{0, key.String()}))
-	if named.Code != http.StatusOK {
-		t.Fatalf("block 1: status %d: %s", named.Code, named.Body.Bytes())
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(requestFrame(t, base, 0, 1))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("chain 0 → 1: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 
 	// The same two blocks in-process, block 1 reading block 0's late output.
@@ -598,6 +649,7 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := w.Data(distScale)
 	local := engine.New(an, db, nil)
 	b0, err := local.RunBlockCtx(context.Background(), 0, nil, res, sel.Observe, nil)
 	if err != nil {
@@ -607,22 +659,13 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := responseFrame(t, b1); !bytes.Equal(named.Body.Bytes(), want) {
-		t.Errorf("block 1: the named response (%d bytes) is not the in-process block's (%d bytes)", named.Body.Len(), len(want))
+	b0.Out = nil
+	if want := chainResponseFrame(t, blockResult{rb: b0}, blockResult{rb: b1}); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Errorf("the chain's response (%d bytes) is not the in-process blocks' (%d bytes)", rec.Body.Len(), len(want))
 	}
-	if fromNamed, err := decodeRunResponse(named.Body, maxUploadBytes, db); err != nil || fromNamed.Out == nil || fromNamed.Observed.Len() == 0 {
-		t.Errorf("block 1: the named response decodes to %+v, %v", fromNamed, err)
-	}
-	if n := len(wk.resident.byKey); n != 1 {
-		t.Errorf("the store holds %d output(s); only the held request's is kept", n)
-	}
-
-	unknown := digest(sha256.Sum256([]byte("never produced")))
-	miss := post(requestFrame(t, base, 1, residentRef{0, unknown.String()}))
-	var body missingResident
-	if err := json.Unmarshal(miss.Body.Bytes(), &body); miss.Code != http.StatusConflict || err != nil ||
-		body.Error == "" || !reflect.DeepEqual(body.Missing, []string{unknown.String()}) {
-		t.Errorf("unknown key: status %d, body %s", miss.Code, miss.Body.Bytes())
+	results, err := decodeRunResponse(rec.Body, maxUploadBytes, db, 2)
+	if err != nil || len(results) != 2 || results[0].rb.Out != nil || results[1].rb.Out == nil || results[0].rb.Observed.Len()+results[1].rb.Observed.Len() == 0 {
+		t.Errorf("the chain's response decodes to %+v, %v", results, err)
 	}
 }
 
@@ -699,7 +742,7 @@ func lateResponse(t testing.TB, section []byte) []byte {
 // the given sources, and whose output is the given section.
 func sourcesResponse(t testing.TB, sources map[string]int, section []byte) []byte {
 	t.Helper()
-	f, err := beginFrame(&workerRunResponse{Rows: 1, Sources: sources})
+	f, err := beginFrame([]workerRunResponse{{Rows: 1, Sources: sources}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -746,7 +789,7 @@ var hostileLate = []struct {
 // resolve is data.ErrUnresolved.
 func TestRunFrameRefusesHostileLateTables(t *testing.T) {
 	for _, c := range hostileLate {
-		rb, err := decodeRunResponse(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
+		rb, err := decodeBlock(bytes.NewReader(lateResponse(t, c.section)), maxUploadBytes, frameDB)
 		if c.refusal == "" {
 			if err != nil || !reflect.DeepEqual(rb.Out.Table().Rows, []data.Row{{1}, {3}}) {
 				t.Errorf("%s: %v, rows %v", c.name, err, rb)
@@ -768,7 +811,7 @@ func TestRunFrameRefusesHostileLateTables(t *testing.T) {
 		if err := json.Unmarshal([]byte(sources), &declared); err != nil {
 			t.Fatal(err)
 		}
-		_, err := decodeRunResponse(bytes.NewReader(sourcesResponse(t, declared, honest)), maxUploadBytes, frameDB)
+		_, err := decodeBlock(bytes.NewReader(sourcesResponse(t, declared, honest)), maxUploadBytes, frameDB)
 		if !errors.Is(err, data.ErrUnresolved) || !strings.Contains(err.Error(), refusal) {
 			t.Errorf("sources %s: err = %v, want %q", sources, err, refusal)
 		}
@@ -783,8 +826,7 @@ func FuzzRunFrame(f *testing.F) {
 	const limit = 1 << 16
 	resp := responseFrame(f, frameBlock(f))
 	_, payload := framePayload(f, resp)
-	req := requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 3,
-		residentRef{0, digest(sha256.Sum256(nil)).String()}, residentRef{2, digest(sha256.Sum256([]byte("block 2"))).String()})
+	req := requestFrame(f, &workerRunRequest{WF: 8, Scale: 0.5, Instrument: true}, 0, 1, 2)
 	f.Add(resp)
 	f.Add(req)
 	_, small := framePayload(f, mustFrame(f, map[string]int{"wf": 6}))
@@ -806,13 +848,16 @@ func FuzzRunFrame(f *testing.F) {
 	for n := 3; n < len(resp); n += 7 {
 		f.Add(resp[:n])
 	}
-	held, _, err := encodeRunRequest(&workerRunRequest{WF: 8, Scale: 0.5}, 1, true,
-		[]residentRef{{0, digest(sha256.Sum256(nil)).String()}}, maxUploadBytes)
-	if err != nil {
-		f.Fatal(err)
+	// A chain's response, one that ends in a failed block, and the first
+	// cut short as a worker that died while sending it leaves it.
+	inner := frameBlock(f)
+	inner.Out = nil
+	chain := chainResponseFrame(f, blockResult{rb: inner}, blockResult{rb: frameBlock(f)})
+	f.Add(chain)
+	f.Add(chainResponseFrame(f, blockResult{rb: inner}, blockResult{err: errors.New("block failed")}))
+	for n := 5; n < len(chain); n += 7 {
+		f.Add(chain[:n])
 	}
-	f.Add(held)
-	f.Add(responseFrame(f, heldBlock(f)))
 	// Bytes after the payload, in both modes, and a stored body past its claim.
 	f.Add(append(sealedFrame(f, frameStored, uint64(len(payload)), payload), 0))
 	f.Add(append(sealedFrame(f, frameDeflate, uint64(len(payload)), payload), 0))
@@ -826,11 +871,17 @@ func FuzzRunFrame(f *testing.F) {
 		f.Add(lateResponse(f, c.section))
 	}
 	f.Add(sourcesResponse(f, map[string]int{"S": 3}, hostileLate[0].section))
+	// Chains no worker runs, and the protocol chains replaced.
+	for _, c := range hostileChains {
+		f.Add(c.frame)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		decodeRunRequest(bytes.NewReader(in), limit)
-		decodeRunResponse(bytes.NewReader(in), limit, frameDB)
+		refuseChain(in, limit)
+		for n := 1; n <= 3; n++ {
+			decodeRunResponse(bytes.NewReader(in), limit, frameDB, n)
+		}
 		runtime.ReadMemStats(&after)
 		// 40 bytes a cell of a table of the cap's cells, twice, and the
 		// codec's fixed scratch: a bomb would be hundreds of megabytes.

@@ -19,31 +19,29 @@ import (
 )
 
 // Worker is the executor side of distributed block dispatch: an HTTP
-// server that runs exactly one physical-plan block per request and returns
-// the block's boundary output, side effects and statistics shard.
+// server that runs one chain of physical-plan blocks per request — a block
+// and the blocks after it, each reading only the output of the one before
+// it — and returns every block's boundary output, side effects and
+// statistics shard but the outputs the chain read itself, which never
+// leave the request.
 //
 // No result depends on what a worker remembers, which is what makes the
-// coordinator's fault tolerance simple: a block request carries (or
-// deterministically implies) everything its execution needs — the suite
+// coordinator's fault tolerance simple: a request carries (or
+// deterministically implies) everything its chain needs — the suite
 // workflow id and scale pin the generated data, the shipped join trees and
-// observe list pin the compiled plan, and each upstream output is named by
-// the request that made it — so any worker can run any block, a reassigned
-// block produces byte-identical results on a different worker, and a
-// worker that dies loses nothing but in-flight work and what it held. What
-// it holds is soft state: a request that says Hold leaves its output here,
-// under the request's key, and a later request names it; a worker that
-// does not hold what a request names answers 409 with the keys it misses,
-// and the coordinator sends it the requests that make them. An output over
-// the store's bound is sent instead of held, and the coordinator, which
-// then has no request that names it, runs the block that reads it
-// in-process.
+// observe list pin the compiled plan, and the chain's head reads no block's
+// output — so any worker can run any chain, a reassigned chain produces
+// byte-identical results on a different worker, and a worker that dies
+// loses nothing but in-flight work.
 type Worker struct {
 	// maxBody caps a frame, as sent and as inflated (maxUploadBytes; tests
 	// lower it).
 	maxBody int64
 
-	states   onceMap[workerKey, *workerState]
-	resident residentStore
+	states onceMap[workerKey, *workerState]
+	// afterBlock, when set, is called after each block of a chain has run:
+	// the fault tests kill a worker mid-chain with it.
+	afterBlock func(block int)
 }
 
 // workerDatasets bounds the datasets a worker keeps, least recently used
@@ -55,7 +53,7 @@ const workerDatasets = 8
 
 // NewWorker returns a worker with an empty workflow cache.
 func NewWorker() *Worker {
-	return &Worker{maxBody: maxUploadBytes, states: onceMap[workerKey, *workerState]{max: workerDatasets}, resident: residentStore{max: residentBytes}}
+	return &Worker{maxBody: maxUploadBytes, states: onceMap[workerKey, *workerState]{max: workerDatasets}}
 }
 
 // workerKey identifies one deterministic dataset: the suite workflow and
@@ -73,14 +71,14 @@ type workerState struct {
 	plans onceMap[css.Options, *core.Plan]
 }
 
-// workerRunRequest is the header of a block-execution request frame (see
+// workerRunRequest is the header of a chain-execution request frame (see
 // frame.go): plain JSON — stats.Stat, workflow.JoinTree and css.Options are
 // flat exported structs that round-trip exactly. Nothing follows it.
 type workerRunRequest struct {
 	// WF and Scale pin the suite workflow and its deterministic dataset.
 	WF    int     `json:"wf"`
 	Scale float64 `json:"scale"`
-	// MaxRows caps this block's intermediate rows (RunSpec.MaxRows; the
+	// MaxRows caps each block's intermediate rows (RunSpec.MaxRows; the
 	// run-level guard stays with the coordinator's engine).
 	MaxRows int64 `json:"max_rows,omitempty"`
 	// Faults is the injector spec (faults.Parse form) so worker-side
@@ -88,39 +86,23 @@ type workerRunRequest struct {
 	Faults string `json:"faults,omitempty"`
 	// CSS rebuilds the statistic universe when the run is instrumented.
 	CSS css.Options `json:"css"`
-	// Instrument, Observe and Metrics mirror engine.DispatchSpec; Metrics
-	// asks for the block's metrics shard in the response header.
+	// Instrument, Observe and Metrics mirror engine.DispatchSpec, Observe
+	// only as far as the chain's blocks observe; Metrics asks for each
+	// block's metrics shard in the response header.
 	Instrument bool         `json:"instrument,omitempty"`
 	Observe    []stats.Stat `json:"observe,omitempty"`
 	Metrics    bool         `json:"metrics,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
 	Plans map[int]*workflow.JoinTree `json:"plans,omitempty"`
-	// Block is the block to execute.
-	Block int `json:"block"`
-	// Resident lists, by ascending block, every block it reads from: their
-	// outputs are in this worker's store, named by key.
-	Resident []residentRef `json:"resident,omitempty"`
-	// Hold asks the worker to keep the block's output under this request's
-	// key and answer without it.
-	Hold bool `json:"hold,omitempty"`
-
-	// key is the SHA-256 of the payload the request was read from.
-	key digest
+	// Block is the chain's head, which reads no block's output, and Then
+	// the blocks after it, in order, each reading only the output of the
+	// one before it (chainOf checks both).
+	Block int   `json:"block"`
+	Then  []int `json:"then,omitempty"`
 }
 
-// residentRef names one upstream block's held output by its key: the
-// SHA-256 of the payload of the request that made it (digest.String form).
-type residentRef struct {
-	Block  int    `json:"block"`
-	SHA256 string `json:"sha256"`
-}
-
-// missingResident is the 409 body: the keys of a request's resident refs
-// this worker's store does not hold, in request order.
-type missingResident struct {
-	Error   string   `json:"error"`
-	Missing []string `json:"missing"`
-}
+// errChain marks a request whose blocks are not a chain of its workflow's.
+var errChain = errors.New("not a chain of the workflow's blocks")
 
 // wireFailedStat is a degraded statistic on the wire: the statistic plus
 // its error rendered as text (errors do not round-trip as values).
@@ -129,14 +111,17 @@ type wireFailedStat struct {
 	Err  string     `json:"err"`
 }
 
-// workerRunResponse is the header of a block's response frame. The
-// sections after it are the boundary output unless it is held, the
-// materialized targets in the order listed here, and the statistics shard
-// in the stats store format (version 4; empty when uninstrumented).
+// workerRunResponse is one block's entry in the header of a chain's
+// response frame, which lists them in chain order. Each entry's sections
+// follow in the same order: the boundary output, for the chain's last block
+// only, the materialized targets in the order listed here, and the
+// statistics shard in the stats store format (version 4; empty when
+// uninstrumented). A block that failed has an entry that says why, and no
+// sections; it ends the chain.
 type workerRunResponse struct {
-	// Held reports that the output stays in this worker's store under the
-	// request's key, and is not in the frame.
-	Held bool `json:"held,omitempty"`
+	// Error is the block's execution error, as text; it is the only field
+	// of its entry.
+	Error string `json:"error,omitempty"`
 	// Materialized names the block's materialized targets, sorted.
 	Materialized []string `json:"materialized,omitempty"`
 	// Sources is the row count of every source relation the block read,
@@ -196,25 +181,12 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("scale %v outside (0, 1]", req.Scale))
 		return
 	}
-	held := make(map[int]*data.Late, len(req.Resident))
-	if missing := wk.resident.take(req.Resident, held); missing != nil {
-		writeJSON(w, http.StatusConflict, missingResident{
-			Error:   fmt.Sprintf("%d resident upstream output(s) not held here; send the requests that make them", len(missing)),
-			Missing: missing,
-		})
-		return
-	}
-	rb, status, err := wk.runBlock(r.Context(), req, held)
+	results, status, err := wk.runChain(r.Context(), req)
 	if err != nil {
 		httpError(w, status, err.Error())
 		return
 	}
-	// Kept before the response leaves, so a request that names it can only
-	// arrive after it is here; one over the store's bound is sent instead.
-	if req.Hold && wk.resident.put(req.key, rb.Out) {
-		rb.Out = nil
-	}
-	frame, err := encodeRunResponse(rb, wk.maxBody)
+	frame, err := encodeRunResponse(results, wk.maxBody)
 	if err != nil {
 		// A block output over the codec's cell cap or the frame cap is the
 		// block's property, like a request over the body cap: 413 either way.
@@ -230,11 +202,13 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(frame)
 }
 
-// runBlock executes one block per the request. The status return
-// classifies failures for the coordinator: 4xx are deterministic (bad
-// request or the block's own execution error — retrying elsewhere cannot
-// help), 5xx would be worker-local trouble.
-func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, held map[int]*data.Late) (*engine.RemoteBlock, int, error) {
+// runChain executes the request's chain, one block after another, each
+// output inside the chain handed to the next block and dropped from what is
+// sent. A block that fails ends the chain, its error its result. The status
+// return classifies failures of the request itself for the coordinator: 4xx
+// are deterministic (retrying elsewhere cannot help), 5xx would be
+// worker-local trouble.
+func (wk *Worker) runChain(ctx context.Context, req *workerRunRequest) ([]blockResult, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
 		return nil, http.StatusNotFound, err
@@ -247,6 +221,10 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, held map[
 	an, err := p.Analysis()
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
+	}
+	chain, err := chainOf(an, req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	var res *css.Result
 	var observe []stats.Stat
@@ -262,16 +240,55 @@ func (wk *Worker) runBlock(ctx context.Context, req *workerRunRequest, held map[
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	rb, err := eng.RunBlockCtx(ctx, req.Block, req.Plans, res, observe, held)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The coordinator hung up (lease expiry or run cancellation);
-			// the status is moot, the response will not be read.
-			return nil, http.StatusServiceUnavailable, ctx.Err()
+	results := make([]blockResult, 0, len(chain))
+	var held map[int]*data.Late
+	for i, block := range chain {
+		rb, err := eng.RunBlockCtx(ctx, block, req.Plans, res, observe, held)
+		if err != nil {
+			if ctx.Err() != nil {
+				// The coordinator hung up (lease expiry or run
+				// cancellation); the status is moot, the response will
+				// not be read.
+				return nil, http.StatusServiceUnavailable, ctx.Err()
+			}
+			return append(results, blockResult{err: err}), 0, nil
 		}
-		return nil, http.StatusUnprocessableEntity, err
+		if wk.afterBlock != nil {
+			wk.afterBlock(block)
+		}
+		if i < len(chain)-1 {
+			held = map[int]*data.Late{block: rb.Out}
+			rb.Out = nil
+		}
+		results = append(results, blockResult{rb: rb})
 	}
-	return rb, 0, nil
+	return results, 0, nil
+}
+
+// chainOf is the blocks a request runs, in order, checked against its
+// workflow: the head reads no block's output, and each block after it reads
+// the output of the one before it and no other.
+func chainOf(an *workflow.Analysis, req *workerRunRequest) ([]int, error) {
+	chain := append([]int{req.Block}, req.Then...)
+	for i, idx := range chain {
+		if idx < 0 || idx >= len(an.Blocks) {
+			return nil, fmt.Errorf("block %d of a workflow of %d: %w", idx, len(an.Blocks), errChain)
+		}
+		readsPrev := false
+		for _, in := range an.Blocks[idx].Inputs {
+			switch {
+			case in.FromBlock < 0:
+			case i > 0 && in.FromBlock == chain[i-1]:
+				readsPrev = true
+			default:
+				return nil, fmt.Errorf("block %d reads block %d, which does not run before it here: %w", idx, in.FromBlock, errChain)
+			}
+		}
+		if i > 0 && !readsPrev {
+			return nil, fmt.Errorf("block %d does not read block %d, which runs before it: %w", idx, chain[i-1], errChain)
+		}
+	}
+	return chain, nil
 }
 
 // state returns (building once) the workflow's generated data. It is a

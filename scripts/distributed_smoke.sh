@@ -54,11 +54,9 @@ composed() {
         cat "$work/dist-$name.err" >&2
         exit 1
     }
-    grep -q '^distributed: 3 block(s) executed remotely' "$work/dist-$name.err"
-    # wf08 is a 3-block chain: the outputs of blocks 0 and 1 stay on the
-    # worker that made them, blocks 1 and 2 go there, and their requests
-    # name their input instead of carrying it.
-    grep -q '2 upstream table(s) resident, 2 output(s) held, 0 recomputed$' "$work/dist-$name.err"
+    # wf08 is a 3-block chain: one exchange runs all three blocks on one
+    # worker, and the outputs of blocks 0 and 1 never leave it.
+    grep -q '^distributed: 3 block(s) executed remotely in 1 exchange(s), 0 run in-process, ' "$work/dist-$name.err"
     cmp "$work/ref-$name.out" "$work/dist-$name.out"
 }
 
@@ -80,7 +78,7 @@ echo "== schedule and report with no reachable worker fall back in-process, say 
 dead=http://127.0.0.1:1
 "$work/etlopt" schedule -wf 3 -budget 64 -worker-addrs "$dead" > "$work/dead-schedule.out" 2> "$work/dead-schedule.err"
 cmp "$work/ref-schedule.out" "$work/dead-schedule.out"
-fallback='^distributed: fell back in-process (.*): 0 block(s) completed remotely, 1 run in-process, 0 output(s) held, 0 recomputed; run completed whole, outputs identical$'
+fallback='^distributed: fell back in-process (.*): 0 block(s) completed remotely in 0 exchange(s), 1 run in-process; run completed whole, outputs identical$'
 [ "$(grep -c "$fallback" "$work/dead-schedule.err")" -eq "$runs" ]
 "$work/etlopt" report -wf 3 -worker-addrs "$dead" 2> "$work/dead-report.err" | grep -v '^- phase timings' > "$work/dead-report.out"
 cmp "$work/ref-report.out" "$work/dead-report.out"
