@@ -19,16 +19,27 @@ import (
 //
 // An expansion has one level per input. Level 0 is the input whose rows lead
 // every output row; level k > 0 holds the rows of its input whose column key
-// equals column fromCol of level from's current row, from < k. The output is
-// the nested loop over the levels, each level's matches in ascending row
-// order; a level's surviving rows are the rows of its input the output reads,
-// ascending. A selection, one input read in scan order, is its surviving rows.
+// equals column fromCol of level from's current row, from < k, or — where
+// the join key is no input's column but a transform's output — the current
+// value of a rider. The output is the nested loop over the levels, each
+// level's matches in ascending row order; a level's surviving rows are the
+// rows of its input the output reads, ascending. A selection, one input read
+// in scan order, is its surviving rows. A step is a row a level takes.
+//
+// A rider is a plain column whose value changes only where a level j <
+// levels-1, or one before it, takes a step: the section carries its value
+// once a step of level j, in loop order, and each row takes its step's. A
+// transform's output over the leading inputs' rows is one (§3.2.2), and so
+// is a column a later level is keyed by. A step that makes no row takes a
+// value no surviving row of the level the rider keys holds (0 if none).
 
 // errExpansion reports an expanded late section that does not describe its
 // rows: a level that names no input or one named twice, a key over a level
-// that is not earlier, more surviving rows than the section has rows, or an
-// expansion that makes more or fewer rows than the section declares, or
-// takes more than levels × rows steps.
+// that is not earlier or a column no earlier level carries, a rider that is
+// not a plain column or is one twice, more surviving rows than the section
+// has rows, a rider whose values are not one a step, or an expansion that
+// makes more or fewer rows than the section declares, or takes more than
+// levels × rows steps.
 var errExpansion = errors.New("data: a join expansion does not make the declared rows")
 
 // level is one input of an expansion.
@@ -37,46 +48,63 @@ type level struct {
 	src  *Table
 	rows []int32 // the surviving rows, ascending
 	// key, from and fromCol key a level past the first: its rows whose
-	// column key equals column fromCol of level from's current row.
+	// column key equals column fromCol of level from's current row or,
+	// where from is the level itself, the current value of the rider of
+	// the table's column fromCol.
 	key, from, fromCol int
 	// byKey is rows in ascending (key value, row) order, keys their key
 	// values: the rows of one value are contiguous. Where the values span
 	// few more slots than there are rows, at[v-min] is where value v's
-	// rows start, and at[v-min+1] where they end.
+	// rows start, and at[v-min+1] where they end; otherwise at is empty.
 	byKey []int32
 	keys  []int64
 	at    []int32
 	min   int64
+	// The loop's: the level's matches for the rows before it, the next one
+	// it takes, and the one it took last.
+	cand []int32
+	next int
+	cur  int32
 }
 
-// index sorts the level's rows by key, for match.
+// rider is a plain column of an expanded section sent once a step of a
+// level: col is the table's column and vals its values, the writer's to read
+// and the reader's to fill; stream is the value at each step, in loop order;
+// dead, the writer's, is what a step that makes no row takes. The loop's
+// are val, the current value, and used, the values of stream taken.
+type rider struct {
+	col, level   int
+	vals, stream []int64
+	dead, val    int64
+	used         int
+}
+
+// riderOf is the place in rs of column c's rider, or -1.
+func riderOf(rs []rider, c int) int {
+	return slices.IndexFunc(rs, func(r rider) bool { return r.col == c })
+}
+
+// index sorts the level's rows by key, for match, into the level's own
+// vectors, reusing them.
 func (l *level) index() {
-	type pair struct {
-		k int64
-		r int32
-	}
-	pairs := make([]pair, len(l.rows))
-	for i, r := range l.rows {
-		pairs[i] = pair{l.src.Rows[r][l.key], r}
-	}
-	slices.SortFunc(pairs, func(a, b pair) int {
-		if c := cmp.Compare(a.k, b.k); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.r, b.r)
+	rows, key := l.src.Rows, l.key
+	l.byKey = append(l.byKey[:0], l.rows...)
+	slices.SortFunc(l.byKey, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(rows[a][key], rows[b][key]), cmp.Compare(a, b))
 	})
-	l.byKey, l.keys = make([]int32, len(pairs)), make([]int64, len(pairs))
-	for i, p := range pairs {
-		l.byKey[i], l.keys[i] = p.r, p.k
+	l.keys, l.at = l.keys[:0], l.at[:0]
+	for _, r := range l.byKey {
+		l.keys = append(l.keys, rows[r][key])
 	}
-	if len(pairs) == 0 {
+	if len(l.keys) == 0 {
 		return
 	}
-	l.min = pairs[0].k
-	if span := uint64(pairs[len(pairs)-1].k) - uint64(l.min); span < uint64(4*len(pairs)+64) {
-		l.at = make([]int32, span+2)
-		for _, p := range pairs {
-			l.at[uint64(p.k)-uint64(l.min)+1]++
+	l.min = l.keys[0]
+	if span := uint64(l.keys[len(l.keys)-1]) - uint64(l.min); span < uint64(4*len(l.keys)+64) {
+		l.at = grow(l.at, int(span)+2)
+		clear(l.at)
+		for _, k := range l.keys {
+			l.at[uint64(k)-uint64(l.min)+1]++
 		}
 		for i := 1; i < len(l.at); i++ {
 			l.at[i] += l.at[i-1]
@@ -86,7 +114,7 @@ func (l *level) index() {
 
 // match is the level's rows of key value v, ascending.
 func (l *level) match(v int64) []int32 {
-	if l.at != nil {
+	if len(l.at) > 0 {
 		if i := uint64(v) - uint64(l.min); i < uint64(len(l.at)-1) {
 			return l.byKey[l.at[i]:l.at[i+1]]
 		}
@@ -103,26 +131,41 @@ func (l *level) match(v int64) []int32 {
 	return l.byKey[lo:hi]
 }
 
+// absent is the least value ≥ 0 that no surviving row takes as its key.
+func (l *level) absent() int64 {
+	v := int64(0)
+	for i := 0; i < len(l.keys) && l.keys[i] <= v; i++ {
+		if l.keys[i] == v {
+			v++
+		}
+	}
+	return v
+}
+
 // errMismatch is a writer's expansion that differs from the index vectors.
 var errMismatch = errors.New("the expansion differs from the index vectors")
 
-// expand runs the expansion of lv, which must make exactly n rows, into
-// idx, one vector of n rows per level: it writes them, or with check
-// compares them and returns errMismatch at the first row that differs.
-func expand(lv []level, n int, idx [][]int32, check bool) error {
+// expand runs the expansion of lv and its riders rs, which must make exactly
+// n rows, into idx, one vector of n rows per level, and into each rider's
+// vals: it writes them, or with check compares them and returns errMismatch
+// at the first row that differs. With check it first writes each rider's
+// stream: at a step, the vals of the next row where that row is the step's,
+// and dead where the step makes no row.
+func expand(lv []level, rs []rider, n int, idx [][]int32, check bool) error {
 	m := len(lv)
-	cur := make([]int32, m)    // each level's current row
-	cand := make([][]int32, m) // each level's matches for the rows before it
-	at := make([]int, m)       // the next match each level takes
-	cand[0] = lv[0].rows
-	// A step is a row a level takes. Where every surviving row is one the
-	// table reads, as the writer's are, every step leads to a row of the
-	// table, and a level takes at most one step a row; a loop whose inner
+	lv[0].cand, lv[0].next = lv[0].rows, 0
+	for i := range rs {
+		rs[i].used = 0
+	}
+	// Where every surviving row is one the table reads, as the writer's are,
+	// every step but those of an entry that makes no row leads to a row of
+	// the table, and a level takes at most one step a row; a loop whose inner
 	// levels match nothing makes no rows however long it runs.
 	budget := m * n
 	pos, k := 0, 0
 	for {
-		if at[k] == len(cand[k]) {
+		l := &lv[k]
+		if l.next == len(l.cand) {
 			if k == 0 {
 				break
 			}
@@ -132,26 +175,64 @@ func expand(lv []level, n int, idx [][]int32, check bool) error {
 		if budget--; budget < 0 {
 			return fmt.Errorf("%w: more than %d steps for %d rows", errExpansion, m*n, n)
 		}
-		cur[k] = cand[k][at[k]]
-		at[k]++
+		l.cur = l.cand[l.next]
+		l.next++
+		for i := range rs {
+			r := &rs[i]
+			if r.level != k {
+				continue
+			}
+			if check {
+				if len(r.stream) == n {
+					return errMismatch // more values than rows, which no reader takes
+				}
+				v := r.dead // unless levels 0 to k lead row pos
+				for j := 0; pos < n && idx[j][pos] == lv[j].cur; j++ {
+					if j == k {
+						v = r.vals[pos]
+						break
+					}
+				}
+				r.stream = append(r.stream, v)
+			}
+			if r.used == len(r.stream) {
+				return fmt.Errorf("%w: column %d's values end at %d steps", errExpansion, r.col, r.used)
+			}
+			r.val = r.stream[r.used]
+			r.used++
+		}
 		if k < m-1 {
 			k++
 			l := &lv[k]
-			cand[k], at[k] = l.match(lv[l.from].src.Rows[cur[l.from]][l.fromCol]), 0
+			var v int64
+			if l.from == k {
+				v = rs[riderOf(rs, l.fromCol)].val
+			} else {
+				v = lv[l.from].src.Rows[lv[l.from].cur][l.fromCol]
+			}
+			l.cand, l.next = l.match(v), 0
 			continue
 		}
 		if pos == n {
 			return fmt.Errorf("%w: more than the %d rows declared", errExpansion, n)
 		}
 		if check {
-			for j, r := range cur {
-				if idx[j][pos] != r {
+			for j := range lv {
+				if idx[j][pos] != lv[j].cur {
+					return errMismatch
+				}
+			}
+			for i := range rs {
+				if rs[i].vals[pos] != rs[i].val {
 					return errMismatch
 				}
 			}
 		} else {
-			for j, r := range cur {
-				idx[j][pos] = r
+			for j := range lv {
+				idx[j][pos] = lv[j].cur
+			}
+			for i := range rs {
+				rs[i].vals[pos] = rs[i].val
 			}
 		}
 		pos++
@@ -159,47 +240,110 @@ func expand(lv []level, n int, idx [][]int32, check bool) error {
 	if pos < n {
 		return fmt.Errorf("%w: %d rows of the %d declared", errExpansion, pos, n)
 	}
+	for _, r := range rs {
+		if r.used != len(r.stream) {
+			return fmt.Errorf("%w: column %d has %d values for %d steps", errExpansion, r.col, len(r.stream), r.used)
+		}
+	}
 	return nil
 }
 
 // findExpansion returns the expansion of t's index vectors over the inputs
-// of its named groups, in the order of the levels, or nil where they are not
-// one. It finds the levels (searchLevels) over the first expandHead rows,
-// which rules most other tables out for little, and then over all of them;
-// it takes each level's surviving rows, expands the levels and compares.
-func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) []level {
+// of its named groups, in the order of the levels, and its riders, or nil
+// where they are not one. It finds the levels (searchLevels) over the first
+// expandHead rows, which rules most other tables out for little, and then
+// over all of them; it takes each level's surviving rows and each plain
+// column that changes only where a level before the last does as a rider,
+// expands the levels and compares.
+func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) ([]level, []rider) {
 	if t.N > expandHead && searchLevels(t, groups, expandHead, sc) == nil {
-		return nil
+		return nil, nil
 	}
 	lv := searchLevels(t, groups, t.N, sc)
 	if lv == nil {
-		return nil
+		return nil, nil
 	}
-	idx := make([][]int32, len(lv))
+	m := len(lv)
+	idx := make([][]int32, m)
 	for k := range lv {
-		idx[k] = t.Ins[groups[lv[k].grp].in].Idx
-		lv[k].rows = survivors(idx[k], len(lv[k].src.Rows))
+		l := &lv[k]
+		idx[k] = t.Ins[groups[l.grp].in].Idx
+		l.rows = sc.survivors(l.rows[:0], idx[k], l.src)
 		if k > 0 {
-			lv[k].index()
+			l.index()
 		}
 	}
-	if expand(lv, t.N, idx, true) != nil {
-		return nil
+	// A column rides the first level j such that a level up to j changes
+	// wherever the column does.
+	var rs []rider
+	for c, lc := range t.Cols {
+		if lc.In >= 0 {
+			continue
+		}
+		j := 0
+		for r := 1; r < t.N && j < m-1; r++ {
+			for lc.Vals[r] != lc.Vals[r-1] && j < m-1 && !slices.ContainsFunc(idx[:j+1], func(ix []int32) bool { return ix[r] != ix[r-1] }) {
+				j++
+			}
+		}
+		if j < m-1 {
+			if len(rs) == len(sc.streams) {
+				sc.streams = append(sc.streams, nil)
+			}
+			rs = append(rs, rider{col: c, level: j, vals: lc.Vals, stream: sc.streams[len(rs)][:0]})
+		}
 	}
-	return lv
+	// A level keyed by a plain column reads its rider's value.
+	keys := make([]bool, len(rs))
+	for k := 1; k < m; k++ {
+		if l := &lv[k]; l.from == k {
+			i := riderOf(rs, l.fromCol)
+			if i < 0 || rs[i].level >= k {
+				return nil, nil
+			}
+			rs[i].dead, keys[i] = l.absent(), true
+		}
+	}
+	err := expand(lv, rs, t.N, idx, true)
+	for i, r := range rs {
+		sc.streams[i] = r.stream
+	}
+	if err != nil {
+		return nil, nil
+	}
+	// A rider that keys no level rides only where its values, with its
+	// column and their count, take fewer bytes than its column as planned:
+	// the section's raw bytes, not what they deflate to.
+	kept := rs[:0]
+	for i, r := range rs {
+		if !keys[i] {
+			_, own := planLate(r.stream, sc)
+			if _, whole := planLate(r.vals, sc); own.size+uvarintLen(uint64(r.col))+uvarintLen(uint64(len(r.stream))) >= whole.size {
+				continue
+			}
+		}
+		kept = append(kept, r)
+	}
+	return lv, kept
 }
 
 // expandHead is the rows findExpansion's first search reads.
 const expandHead = 1 << 12
+
+// searchWork bounds searchLevels to searchWork × levels × rows reads, so
+// that the search stays linear in the table's cells whatever its width.
+const searchWork = 4
 
 // searchLevels orders and keys the inputs of t's named groups over its
 // first n rows, or returns nil. Level by level, it takes the first input in
 // group order whose index ascends within every run of the rows the earlier
 // levels share and, past the first level, whose column some earlier level's
 // column equals on every row (the first such pair of columns, by level,
-// then its column, then the input's). Every row it reads of an index or a
-// relation is charged to a budget of mapWork × levels × n: past it, there
-// are no levels.
+// then its column, then the input's) or, failing that, some plain column of
+// the table does, a column constant along those runs (the first by column,
+// then the input's). Every row it reads of an index, a relation or a column
+// is charged to a budget of searchWork × levels × n: past it, there are no
+// levels.
 func searchLevels(t *Late, groups []lateGroup, n int, sc *wireScratch) []level {
 	var named []int
 	for g, grp := range groups {
@@ -211,14 +355,14 @@ func searchLevels(t *Late, groups []lateGroup, n int, sc *wireScratch) []level {
 	if m == 0 {
 		return nil
 	}
-	budget := mapWork * m * n
+	budget := searchWork * m * n
 	// starts[r]: row r reads another row than row r-1 at some level so far.
-	if cap(sc.starts) < n {
-		sc.starts = make([]bool, n)
-	}
-	starts := sc.starts[:n]
+	sc.starts = grow(sc.starts, n)
+	starts := sc.starts
 	clear(starts)
-	lv := make([]level, 0, m)
+	// The levels are the scratch's, whose vectors findExpansion reuses.
+	sc.lv = grow(sc.lv, m)
+	lv := sc.lv[:0]
 	idx := make([][]int32, 0, m)
 	taken := make([]bool, len(groups))
 	for len(lv) < m {
@@ -238,14 +382,15 @@ func searchLevels(t *Late, groups []lateGroup, n int, sc *wireScratch) []level {
 			if !ascends {
 				continue
 			}
-			l := level{grp: g, src: t.Ins[groups[g].in].Src}
-			if len(lv) > 0 && !keyOf(&l, in, lv, idx, &budget) {
+			l := &sc.lv[len(lv)]
+			l.grp, l.src = g, t.Ins[groups[g].in].Src
+			if len(lv) > 0 && !keyOf(l, in, t, lv, idx, starts, &budget) {
 				continue
 			}
 			for r := 1; r < n && !last; r++ {
 				starts[r] = starts[r] || in[r] != in[r-1]
 			}
-			lv, idx = append(lv, l), append(idx, in)
+			lv, idx = sc.lv[:len(lv)+1], append(idx, in)
 			taken[g], found = true, true
 			break
 		}
@@ -256,27 +401,38 @@ func searchLevels(t *Late, groups []lateGroup, n int, sc *wireScratch) []level {
 	return lv
 }
 
-// keyOf finds the columns that key level l, whose index is ix, over the
-// earlier levels lv and their indexes: the first column of a level, and of
-// l's relation, equal on every row — compared where either row changes.
-// Each row is charged to budget.
-func keyOf(l *level, ix []int32, lv []level, idx [][]int32, budget *int) bool {
-	for j := range lv {
-		jx := idx[j]
-		for c := range lv[j].src.Attrs {
+// keyOf finds what keys level l, whose index is ix, over the earlier levels
+// lv and their indexes: the first column of a level and then the first
+// plain column of t, which must be constant within every run of the rows
+// those levels share (starts), equal on every row to a column of l's
+// relation, the first such. Each row is charged to budget.
+func keyOf(l *level, ix []int32, t *Late, lv []level, idx [][]int32, starts []bool, budget *int) bool {
+	k := len(lv)
+	for from := 0; from <= k; from++ {
+		cols := len(t.Cols)
+		if from < k {
+			cols = len(lv[from].src.Attrs)
+		}
+		for c := 0; c < cols; c++ {
+			if from == k && t.Cols[c].In >= 0 {
+				continue
+			}
 			for key := range l.src.Attrs {
 				r := 0
 				for ; r < len(ix) && *budget > 0; r++ {
 					*budget--
-					if r > 0 && ix[r] == ix[r-1] && jx[r] == jx[r-1] {
-						continue
+					var v int64
+					if from < k {
+						v = lv[from].src.Rows[idx[from][r]][c]
+					} else if v = t.Cols[c].Vals[r]; r > 0 && !starts[r] && v != t.Cols[c].Vals[r-1] {
+						break
 					}
-					if l.src.Rows[ix[r]][key] != lv[j].src.Rows[jx[r]][c] {
+					if l.src.Rows[ix[r]][key] != v {
 						break
 					}
 				}
 				if r == len(ix) {
-					l.key, l.from, l.fromCol = key, j, c
+					l.key, l.from, l.fromCol = key, from, c
 					return true
 				}
 				if *budget <= 0 {
@@ -288,27 +444,35 @@ func keyOf(l *level, ix []int32, lv []level, idx [][]int32, budget *int) bool {
 	return false
 }
 
-// survivors is the rows of a relation of rows rows that ix reads, ascending.
-func survivors(ix []int32, rows int) []int32 {
-	seen := make([]bool, rows)
+// survivors appends to dst the rows of src that ix reads, ascending.
+func (sc *wireScratch) survivors(dst, ix []int32, src *Table) []int32 {
+	sc.seen = grow(sc.seen, len(src.Rows))
+	clear(sc.seen)
 	for _, i := range ix {
-		seen[i] = true
+		sc.seen[i] = true
 	}
-	var out []int32
-	for i, s := range seen {
+	for i, s := range sc.seen {
 		if s {
-			out = append(out, int32(i))
+			dst = append(dst, int32(i))
 		}
 	}
-	return out
+	return dst
 }
 
-// appendExpansion appends the levels of an expanded section: each level's
-// group, its key past the first level, and its surviving rows, the first as
-// a row and each later one as its gap from the one before, less one.
-func appendExpansion(buf []byte, lv []level) []byte {
+// appendExpansion appends the levels of an expanded section over ng groups:
+// each level's group plus ng times its riders, its key past the first level
+// (a keying rider by its column), its surviving rows, the first as a row and
+// each later one as its gap from the one before, less one, and its riders,
+// each its column, its count of values and a late section's column of them.
+func appendExpansion(buf []byte, lv []level, rs []rider, ng int, sc *wireScratch) []byte {
 	for k, l := range lv {
-		buf = binary.AppendUvarint(buf, uint64(l.grp))
+		riders := 0
+		for _, r := range rs {
+			if r.level == k {
+				riders++
+			}
+		}
+		buf = binary.AppendUvarint(buf, uint64(l.grp+ng*riders))
 		if k > 0 {
 			buf = binary.AppendUvarint(buf, uint64(l.key))
 			buf = binary.AppendUvarint(buf, uint64(l.from))
@@ -320,59 +484,85 @@ func appendExpansion(buf []byte, lv []level) []byte {
 			buf = binary.AppendUvarint(buf, uint64(r-prev-1))
 			prev = r
 		}
+		for _, r := range rs {
+			if r.level == k {
+				buf = binary.AppendUvarint(binary.AppendUvarint(buf, uint64(r.col)), uint64(len(r.stream)))
+				buf = appendLateColumn(buf, r.stream, sc)
+			}
+		}
 	}
 	return buf
 }
 
-// expansion reads the levels of an expanded section of n rows over its
-// groups, one for each named group, and runs them into each group's index:
-// the inputs of l, in group order. Every reference is checked against the
-// groups and their relations, and no level holds more survivors than the
-// section has rows or bytes left.
-func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int) error {
-	n := l.N
+// expansion reads the levels of an expanded section of l.N rows over its
+// groups, one for each named group, and runs them into each group's index,
+// the inputs of l in group order, and into each rider's column, which it
+// sets in l, checking every reference against the groups, their relations
+// and the plain columns, and every count against the section's rows.
+func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wireScratch) error {
+	n, ng := l.N, uint64(len(groups))
 	if named == 0 {
 		return fmt.Errorf("%w: an expansion of no inputs", errExpansion)
 	}
-	lv := make([]level, named)
+	plain := make([]bool, len(l.Cols)) // a plain column no rider is yet
+	for _, grp := range groups {
+		for _, c := range grp.cols {
+			plain[c] = grp.src == nil
+		}
+	}
+	var rs []rider
+	sc.lv = grow(sc.lv, named)
+	lv := sc.lv
 	levelOf := make([]int, len(groups)) // a group's level, plus one
 	for k := range lv {
 		g, err := d.uvarint("expansion group")
 		if err != nil {
 			return err
 		}
-		if g >= uint64(len(groups)) || groups[g].src == nil || levelOf[g] != 0 {
-			return fmt.Errorf("%w: level %d is group %d of %d, which is plain or an earlier level", errExpansion, k, g, len(groups))
+		riders := g / ng
+		if g %= ng; groups[g].src == nil || levelOf[g] != 0 {
+			return fmt.Errorf("%w: level %d is group %d of %d, which is plain or an earlier level", errExpansion, k, g, ng)
 		}
 		levelOf[g] = k + 1
 		lk := &lv[k]
 		lk.grp, lk.src = int(g), groups[g].src
 		if k > 0 {
-			key, err := d.uvarint("expansion key")
-			if err != nil {
-				return err
-			}
-			from, err := d.uvarint("expansion keying level")
-			if err != nil {
-				return err
-			}
-			fromCol, err := d.uvarint("expansion keying column")
-			if err != nil {
+			var key, from, fromCol uint64
+			if err := d.uvarints("expansion key", &key, &from, &fromCol); err != nil {
 				return err
 			}
 			if key >= uint64(len(lk.src.Attrs)) {
 				return fmt.Errorf("%w: level %d keys on column %d of relation %q, which has %d", ErrUnresolved, k, key, lk.src.Rel, len(lk.src.Attrs))
 			}
-			if from >= uint64(k) {
+			switch {
+			case from > uint64(k):
 				return fmt.Errorf("%w: level %d is keyed by level %d, not an earlier one", errExpansion, k, from)
-			}
-			if src := lv[from].src; fromCol >= uint64(len(src.Attrs)) {
+			case from == uint64(k) && riderOf(rs, int(fromCol)) < 0:
+				return fmt.Errorf("%w: level %d is keyed by column %d, which no earlier level carries", errExpansion, k, fromCol)
+			case from < uint64(k) && fromCol >= uint64(len(lv[from].src.Attrs)):
+				src := lv[from].src
 				return fmt.Errorf("%w: level %d is keyed by column %d of relation %q, which has %d", ErrUnresolved, k, fromCol, src.Rel, len(src.Attrs))
 			}
 			lk.key, lk.from, lk.fromCol = int(key), int(from), int(fromCol)
 		}
 		if lk.rows, err = d.survivors(lk.src, n); err != nil {
 			return fmt.Errorf("level %d: %w", k, err)
+		}
+		for ; riders > 0; riders-- {
+			var col, count uint64
+			if err := d.uvarints("rider", &col, &count); err != nil {
+				return err
+			}
+			if col >= uint64(len(l.Cols)) || !plain[col] || count == 0 || count > uint64(n) {
+				return fmt.Errorf("%w: level %d carries column %d of %d, a rider or not plain, in %d values", errExpansion, k, col, len(l.Cols), count)
+			}
+			plain[col] = false
+			r := rider{col: int(col), level: k, vals: make([]int64, n), stream: make([]int64, count)}
+			if err := d.column(r.stream, sc); err != nil {
+				return fmt.Errorf("data: column %d's values: %w", col, err)
+			}
+			l.Cols[col] = LateCol{In: -1, Vals: r.vals}
+			rs = append(rs, r)
 		}
 		if k > 0 {
 			lk.index()
@@ -382,7 +572,7 @@ func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int) error {
 	for k := range idx {
 		idx[k] = make([]int32, n)
 	}
-	if err := expand(lv, n, idx, false); err != nil {
+	if err := expand(lv, rs, n, idx, false); err != nil {
 		return err
 	}
 	for g, grp := range groups {

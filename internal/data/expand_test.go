@@ -16,13 +16,15 @@ import (
 // joinLate generates a late table whose index vectors are a join in the
 // engine's order: a nested loop over 1–4 inputs, each a relation of 1–40
 // rows over small domains (some read twice), filtered, every input past the
-// first keyed by a column of an earlier one; its columns interleave each
-// input's named columns, in any order, with plain ones, some of them maps
-// or chains over a named column. If moved, two rows that read other input
-// rows trade places, and the table is no expansion.
-func joinLate(rng *rand.Rand, moved bool) *Late {
+// first keyed by a column of an earlier one or, if keyed and at even odds,
+// by a transform's output over the earlier inputs' rows — a plain column
+// whose value at some entries no row of the input holds; its columns
+// interleave each input's named columns, in any order, with plain ones, some
+// of them functions of a named column. If moved, two rows that read other
+// input rows trade places, and the table is no expansion.
+func joinLate(rng *rand.Rand, moved, keyed bool) *Late {
 	for {
-		if l := tryJoinLate(rng, moved); l != nil {
+		if l := tryJoinLate(rng, moved, keyed); l != nil {
 			return l
 		}
 	}
@@ -30,7 +32,7 @@ func joinLate(rng *rand.Rand, moved bool) *Late {
 
 // tryJoinLate is one draw of joinLate, nil if it makes no rows or more
 // than 3,000.
-func tryJoinLate(rng *rand.Rand, moved bool) *Late {
+func tryJoinLate(rng *rand.Rand, moved, keyed bool) *Late {
 	pool := make([]*Table, 1+rng.Intn(3))
 	for s := range pool {
 		cols := make([][]int64, 1+rng.Intn(3))
@@ -45,6 +47,9 @@ func tryJoinLate(rng *rand.Rand, moved bool) *Late {
 	}
 	m := 1 + rng.Intn(4)
 	lv := make([]level, m)
+	// transform[k]: level k is keyed by a function of the rows before it, a
+	// column of the table.
+	transform := make([]bool, m)
 	for k := range lv {
 		lk := &lv[k]
 		lk.src = pool[rng.Intn(len(pool))]
@@ -56,9 +61,20 @@ func tryJoinLate(rng *rand.Rand, moved bool) *Late {
 		if k > 0 {
 			lk.key, lk.from = rng.Intn(len(lk.src.Attrs)), rng.Intn(k)
 			lk.fromCol = rng.Intn(len(lv[lk.from].src.Attrs))
+			transform[k] = keyed && rng.Intn(2) == 0
 			lk.index()
 		}
 	}
+	// f is the transform over the rows of the levels before k.
+	f := func(cur []int32) int64 {
+		h := int64(0)
+		for j, r := range cur {
+			h = h*31 + lv[j].src.Rows[r][0]
+		}
+		return (h%6+6)%6*7 - 3
+	}
+	keys := make([][]int64, m) // each transform's value on each row
+	key := make([]int64, m)
 	// The nested loop, as the engine runs it, by recursion.
 	idx := make([][]int32, m)
 	cur := make([]int32, m)
@@ -67,12 +83,15 @@ func tryJoinLate(rng *rand.Rand, moved bool) *Late {
 		if k == m {
 			for j, r := range cur {
 				idx[j] = append(idx[j], r)
+				keys[j] = append(keys[j], key[j])
 			}
 			return len(idx[0]) <= 3000
 		}
 		rows := lv[k].rows
-		if k > 0 {
-			l := &lv[k]
+		if l := &lv[k]; transform[k] {
+			key[k] = f(cur[:k])
+			rows = l.match(key[k])
+		} else if k > 0 {
 			rows = l.match(lv[l.from].src.Rows[cur[l.from]][l.fromCol])
 		}
 		for _, r := range rows {
@@ -118,10 +137,49 @@ func tryJoinLate(rng *rand.Rand, moved bool) *Late {
 		}
 		l.Cols = append(l.Cols, lc)
 	}
+	for k, t := range transform {
+		if t {
+			at := rng.Intn(len(l.Cols) + 1)
+			l.Cols = slices.Insert(l.Cols, at, LateCol{In: -1, Vals: keys[k]})
+		}
+	}
 	for c := range l.Cols {
 		l.Attrs = append(l.Attrs, workflow.Attr{Rel: "join", Col: fmt.Sprintf("c%d", c)})
 	}
 	return derived(l, rng)
+}
+
+// derived is l with each plain column, at even odds, rewritten as a function
+// of an earlier named column, as a transform's output over a joined
+// relation is: its values a function of the column's, or of the column's
+// value and the row's place in its run.
+func derived(l *Late, rng *rand.Rand) *Late {
+	out := *l
+	out.Cols = append([]LateCol(nil), l.Cols...)
+	var named []int
+	for c, lc := range out.Cols {
+		if lc.In >= 0 {
+			named = append(named, c)
+			continue
+		}
+		if len(named) == 0 || rng.Intn(2) == 0 {
+			continue
+		}
+		det := make([]int64, l.N)
+		l.Gather(det, named[rng.Intn(len(named))])
+		counts := rng.Intn(2) == 0
+		vals := make([]int64, l.N)
+		for r, v := range det {
+			vals[r] = (v*2654435761)%1000003 + 7
+			if counts {
+				for k := r; k > 0 && det[k-1] == v; k-- {
+					vals[r] += 7
+				}
+			}
+		}
+		out.Cols[c] = LateCol{In: -1, Vals: vals}
+	}
+	return &out
 }
 
 // LateDB is the relations l reads, by name.
@@ -133,29 +191,35 @@ func LateDB(l *Late) map[string]*Table {
 	return db
 }
 
-// CheckExpansion writes l as WriteLate does and reports whether the section
-// is an expansion. One is read back over the relations l reads and must
-// give each input, in group order, exactly its index vector, and every
-// column exactly its source; any other section must be the eager writer's
-// byte for byte (late_writer_test.go), which writes the index columns.
-func CheckExpansion(l *Late) (expanded bool, err error) {
-	var got bytes.Buffer
+// CheckExpansion writes l as WriteLate does, reads the section back over
+// the relations l reads and reports whether it is an expansion and how many
+// of its levels a rider keys. Either form must give each input, in group
+// order, exactly its index vector, and every column exactly its source, and
+// the writer must make the same bytes twice.
+func CheckExpansion(l *Late) (expanded bool, keyed int, err error) {
+	var got, again bytes.Buffer
 	if err := WriteLate(&got, l); err != nil {
-		return false, err
+		return false, 0, err
 	}
-	want, err := WriteLateEager(l)
-	if err != nil {
-		return false, err
+	if err := WriteLate(&again, l); err != nil || !bytes.Equal(got.Bytes(), again.Bytes()) {
+		return false, 0, fmt.Errorf("the writer made two sections of one table (%v)", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		return false, fmt.Errorf("WriteLate wrote %d bytes, the eager writer %d, and they differ", got.Len(), len(want))
+	if l.N == 0 {
+		return false, 0, nil
 	}
-	if l.N == 0 || got.Bytes()[len(tableMagic)] != presentExpanded {
-		return false, nil
+	expanded = got.Bytes()[len(tableMagic)] == presentExpanded
+	if expanded {
+		groups, _ := lateGroups(l)
+		lv, _ := findExpansion(l, groups, new(wireScratch))
+		for k := 1; k < len(lv); k++ {
+			if lv[k].from == k {
+				keyed++
+			}
+		}
 	}
 	back, err := ReadLate(&got, maxWireCells, LateDB(l))
 	if err != nil {
-		return true, fmt.Errorf("the expansion does not read back: %w", err)
+		return expanded, keyed, fmt.Errorf("the section does not read back: %w", err)
 	}
 	var order []int // l's inputs in group order
 	at := make(map[int]int)
@@ -166,33 +230,34 @@ func CheckExpansion(l *Late) (expanded bool, err error) {
 		}
 	}
 	if len(back.Ins) != len(order) {
-		return true, fmt.Errorf("%d inputs read back, %d written", len(back.Ins), len(order))
+		return expanded, keyed, fmt.Errorf("%d inputs read back, %d written", len(back.Ins), len(order))
 	}
 	for k, in := range order {
 		if back.Ins[k].Src != l.Ins[in].Src || !slices.Equal(back.Ins[k].Idx, l.Ins[in].Idx) {
-			return true, fmt.Errorf("input %d (%s) reads back another index", in, l.Ins[in].Src.Rel)
+			return expanded, keyed, fmt.Errorf("input %d (%s) reads back another index", in, l.Ins[in].Src.Rel)
 		}
 	}
 	for c, lc := range l.Cols {
 		bc := back.Cols[c]
 		switch {
 		case lc.In < 0 && (bc.In >= 0 || !slices.Equal(bc.Vals, lc.Vals)):
-			return true, fmt.Errorf("plain column %d reads back other values", c)
+			return expanded, keyed, fmt.Errorf("plain column %d reads back other values", c)
 		case lc.In >= 0 && (bc.In != at[lc.In] || bc.Col != lc.Col):
-			return true, fmt.Errorf("column %d reads back input %d column %d, want %d and %d", c, bc.In, bc.Col, at[lc.In], lc.Col)
+			return expanded, keyed, fmt.Errorf("column %d reads back input %d column %d, want %d and %d", c, bc.In, bc.Col, at[lc.In], lc.Col)
 		}
 	}
-	return true, nil
+	return expanded, keyed, nil
 }
 
 // GeneratedLates is the late tables the expansion model test holds the
 // writer to: for each of 200 seeds, TestLateTableModel's table, a join in
-// the engine's order, and that join with two rows moved.
+// the engine's order, that join with two rows moved, and a join some of
+// whose levels a transform's output keys.
 func GeneratedLates() (names []string, lates []*Late) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		names = append(names, fmt.Sprintf("seed %d", seed), fmt.Sprintf("seed %d join", seed), fmt.Sprintf("seed %d join, moved", seed))
-		lates = append(lates, randomLate(rng), joinLate(rng, false), joinLate(rng, true))
+		names = append(names, fmt.Sprintf("seed %d", seed), fmt.Sprintf("seed %d join", seed), fmt.Sprintf("seed %d join, moved", seed), fmt.Sprintf("seed %d join, keyed", seed))
+		lates = append(lates, randomLate(rng), joinLate(rng, false, false), joinLate(rng, true, false), joinLate(rng, false, true))
 	}
 	return names, lates
 }
@@ -221,8 +286,8 @@ func expandedSection(rel string, declared, nrows uint64, groups int, rest ...byt
 }
 
 // hostileExpansions are expanded sections a reader of S (keys 1, 3) and D
-// (keys 7, 7) must refuse, each with the refusal it gets; the first is
-// honest.
+// (keys 7, 7) must refuse, each with the refusal it gets; the two with none
+// are honest.
 var hostileExpansions = []struct {
 	name    string
 	section []byte
@@ -233,22 +298,31 @@ var hostileExpansions = []struct {
 	{"past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "more than the 3 rows declared"},
 	{"short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "4 rows of the 5 declared"},
 	{"a survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), ErrUnresolved, `past the 2 of relation "S"`},
-	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 1, 0, 2, 0, 0), errExpansion, "keyed by level 1"},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 2, 0, 2, 0, 0), errExpansion, "keyed by level 2"},
 	{"a key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), ErrUnresolved, `column 5 of relation "D"`},
 	{"a keying column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 0, 9, 2, 0, 0), ErrUnresolved, `column 9 of relation "D"`},
 	{"a group named twice", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0), errExpansion, "level 1 is group 0"},
 	{"no survivors", expandedSection("S", 2, 2, 1, 0, 0), errExpansion, "0 rows of the 2 declared"},
 	{"more survivors than rows", expandedSection("S", 2, 1, 1, 0, 2, 0, 0), errExpansion, "2 surviving rows for 1 rows"},
 	{"no rows", expandedSection("S", 2, 0, 1), errExpansion, "an expansion of no rows"},
-	// S.k and a plain column: a chain over the place after it, and a map
-	// over S's row index, which is not sent.
-	{"a determinant past the column", plainAfter(encChain, 3), nil, "cannot chain column 2: not earlier"},
-	{"a determinant that is a row index", plainAfter(encMap, 0), nil, "a row index"},
+	// S.k and a plain column in one of the retired tags 3 and 4.
+	{"a map column", plainAfter(3), nil, "tag 3 is the retired map encoding"},
+	{"a chain column", plainAfter(4), nil, "tag 4 is the retired chain encoding"},
+	// S.k, a plain column f and D.k: D keyed by f, which rides S's level.
+	{"keyed by a rider", riderSection(riderLead, riderKeyed), nil, ""},
+	{"a rider's values short by one", riderSection([]byte{3, 2, 0, 0, 1, 1, encPlain, 14}, riderKeyed), errExpansion, "column 1's values end at 1 steps"},
+	{"a rider's values long by one", riderSection([]byte{3, 2, 0, 0, 1, 3, encPlain, 14, 14, 14}, riderKeyed), errExpansion, "column 1 has 3 values for 2 steps"},
+	{"a rider past the table", riderSection([]byte{3, 2, 0, 0, 5, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 5 of 3"},
+	{"a rider that is a named column", riderSection([]byte{3, 2, 0, 0, 0, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 0 of 3, a rider or not plain"},
+	{"a column that rides twice", riderSection([]byte{6, 2, 0, 0, 1, 2, encPlain, 14, 14, 1, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 1 of 3, a rider or not plain"},
+	{"keyed by a column no level carries", riderSection([]byte{0, 2, 0, 0}, riderKeyed), errExpansion, "column 1, which no earlier level carries"},
+	{"keyed by a rider in a retired tag", riderSection([]byte{3, 2, 0, 0, 1, 2, 4, 0, 14}, riderKeyed), nil, "tag 4"},
 }
 
 // plainAfter is an expanded section of S's two rows, reading S.k, then a
-// plain column encoded as tag over determinant det and one image value.
-func plainAfter(tag byte, det byte) []byte {
+// plain column encoded with tag, as a map or chain over column 0 with two
+// image values.
+func plainAfter(tag byte) []byte {
 	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
 	b := append([]byte(tableMagic), presentExpanded)
 	b = str(b, "Out")
@@ -258,7 +332,31 @@ func plainAfter(tag byte, det byte) []byte {
 	b = append(str(b, "S"), 2, 0)
 	b = append(b, 0, 0, 1) // S.k in group 0, the plain column in group 1
 	b = append(b, 0, 2, 0, 0)
-	return append(b, tag, det, 2, 2)
+	return append(b, tag, 0, 2, 2)
+}
+
+// riderLead and riderKeyed are the two levels of the honest riderSection:
+// S's two rows, carrying column 1 (f) at the value 7 each, and D's two rows,
+// keyed on D's column 0 by f.
+var (
+	riderLead  = []byte{3, 2, 0, 0, 1, 2, encPlain, 14, 14}
+	riderKeyed = []byte{2, 0, 1, 1, 2, 0, 0}
+)
+
+// riderSection is an expanded section of four rows over S.k, a plain column
+// f and D.k, each in a group of its own, with the levels lead and keyed as
+// they are written — level 0's group plus three times its riders, its
+// survivors and its riders, then level 1's — and no column sent.
+func riderSection(lead, keyed []byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte(tableMagic), presentExpanded)
+	b = str(b, "Out")
+	b = str(str(str(str(str(str(append(b, 3), "S"), "k"), "Out"), "f"), "D"), "k")
+	b = append(b, 4, 3, 1) // four rows, three groups, the first named
+	b = append(str(b, "S"), 2, 0, 1)
+	b = append(str(b, "D"), 2)
+	b = append(b, 0, 0, 1, 2, 0) // S.k, f and D.k, one a group
+	return append(append(b, lead...), keyed...)
 }
 
 // expansionDB is S and D, the relations the hostile expansions read.
@@ -268,14 +366,18 @@ func expansionDB() map[string]*Table {
 
 // TestLateRefusesHostileExpansions reads expanded sections that declare
 // rows their expansion does not make, or name what they may not: each is
-// refused with its typed error and names the fault; the honest one reads
-// S's two rows.
+// refused with its typed error and names the fault; the honest ones read
+// S's two rows, and S's two each with D's two.
 func TestLateRefusesHostileExpansions(t *testing.T) {
 	db := expansionDB()
 	for _, c := range hostileExpansions {
 		l, err := ReadLate(bytes.NewReader(c.section), maxWireCells, db)
 		if c.refusal == "" {
-			if err != nil || !slices.EqualFunc(l.Table().Rows, []Row{{1}, {3}}, slices.Equal) {
+			want := []Row{{1}, {3}}
+			if c.name != "honest" {
+				want = []Row{{1, 7, 7}, {1, 7, 7}, {3, 7, 7}, {3, 7, 7}}
+			}
+			if err != nil || !slices.EqualFunc(l.Table().Rows, want, slices.Equal) {
 				t.Errorf("%s: %v", c.name, err)
 			}
 			continue
@@ -308,7 +410,7 @@ func TestLateExpansionBounded(t *testing.T) {
 		lv[k].index()
 	}
 	idx := [][]int32{make([]int32, n), make([]int32, n), make([]int32, n)}
-	if err := expand(lv, n, idx, false); !errors.Is(err, errExpansion) || !strings.Contains(err.Error(), "steps") {
+	if err := expand(lv, nil, n, idx, false); !errors.Is(err, errExpansion) || !strings.Contains(err.Error(), "steps") {
 		t.Errorf("expanding in rows² steps: %v, want errExpansion at the step budget", err)
 	}
 	l := &Late{Rel: "out", N: n, Ins: []LateInput{{Src: a, Idx: make([]int32, n)}, {Src: b, Idx: serial32(n)}, {Src: c, Idx: make([]int32, n)}}}
@@ -317,7 +419,7 @@ func TestLateExpansionBounded(t *testing.T) {
 	}
 	l.Cols = []LateCol{{In: 0, Col: 1}, {In: 1, Col: 0}, {In: 2, Col: 0}}
 	l.Attrs = []workflow.Attr{{Rel: "out", Col: "a"}, {Rel: "out", Col: "b"}, {Rel: "out", Col: "c"}}
-	if expanded, err := CheckExpansion(l); !expanded || err != nil {
+	if expanded, _, err := CheckExpansion(l); !expanded || err != nil {
 		t.Errorf("the writer's expansion of the same rows: expanded %v, %v", expanded, err)
 	}
 }
@@ -329,4 +431,56 @@ func serial32(n int) []int32 {
 		out[i] = int32(i)
 	}
 	return out
+}
+
+// DropScratch empties the codec's free list of scratch, so that the next
+// call grows its own from nothing.
+func DropScratch() {
+	wireScratches.Lock()
+	defer wireScratches.Unlock()
+	wireScratches.free = nil
+}
+
+// TestLateWriterModel holds the writer's riders to the loop they ride, over
+// 300 generated joins some of whose levels a transform's output keys: every
+// section reads back to exactly its late table (CheckExpansion), and among
+// the expansions some levels are keyed by a rider, some riders carry a step
+// that makes no row — a value no surviving row of the keyed level holds —
+// and some riders key no level. Run it at -cpu 1,4 under -race too.
+func TestLateWriterModel(t *testing.T) {
+	var expanded, keyed, dead, free int
+	for seed := int64(0); seed < 300; seed++ {
+		l := joinLate(rand.New(rand.NewSource(seed)), false, true)
+		x, k, err := CheckExpansion(l)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !x {
+			continue
+		}
+		expanded, keyed = expanded+1, keyed+k
+		groups, _ := lateGroups(l)
+		lv, rs := findExpansion(l, groups, new(wireScratch))
+		for _, r := range rs {
+			at := 0 // the level the rider keys, if any
+			for k := 1; k < len(lv); k++ {
+				if lv[k].from == k && lv[k].fromCol == r.col {
+					at = k
+				}
+			}
+			if at == 0 {
+				free++
+				continue
+			}
+			for _, v := range r.stream {
+				if v == lv[at].absent() {
+					dead++
+				}
+			}
+		}
+	}
+	t.Logf("300 keyed joins: %d expanded, %d levels keyed by a rider, %d steps that make no row, %d riders that key none", expanded, keyed, dead, free)
+	if keyed == 0 || dead == 0 || free == 0 {
+		t.Errorf("want some levels keyed by a rider, some dead steps and some riders that key no level")
+	}
 }

@@ -31,10 +31,7 @@ import (
 // in group order: a plain group's columns in table order, each an ETBL5
 // column; a named group's row index — an ETBL5 column of nrows values in
 // [0, row count) — and then its columns in table order, which are named,
-// not sent. Every column counts, as a determinant of a later map or chain,
-// by its place in that sequence; a named column is one (the build side's
-// index of a hash join is a chain over the probe key, which the reader then
-// gathers from the probe's relation), a row index never is.
+// not sent. Each column is encoded on its own.
 //
 // A column that never decreases — above all the row index of a relation
 // read in scan order, as a probe side's or a selection's is — is sent as
@@ -64,24 +61,28 @@ import (
 //	"ETBL5" | 3 | relation | ncols | ncols × (attr rel, attr col) | nrows
 //	        | ngroups | ngroups × group | ncols × ref | levels | columns
 //	levels = one level per named group, the first leading the loop:
-//	         uvarint group [, uvarint key column of its relation, uvarint
-//	         earlier level, uvarint column of that level's relation]
-//	         (the key: past the first level only) | survivors
+//	         uvarint (group + ngroups × riders) [, uvarint key column of
+//	         its relation, uvarint from, uvarint column] (the key: past
+//	         the first level only) | survivors | riders × rider
 //	survivors = uvarint count ≤ nrows, then the surviving rows ascending:
 //	         the first as its row, each later one as its gap from the one
 //	         before, less one
+//	rider  = uvarint plain column, uvarint count, then an ETBL5 column of
+//	         count values: the column's value at each step of the level
 //
-// and the columns are the plain groups' alone, each in the encoding it
-// takes in the index form: the row index places are still places, and no
-// map or chain reads one. The reader runs the loop into the row indexes
-// before it decodes a column, stopping at nrows rows and at levels × nrows
-// steps. A level that names a plain group or a named one twice, a key over
-// a level not earlier, more survivors than rows or the bytes left, and a
-// loop that makes more or fewer than nrows rows are errExpansion; a
-// survivor past its relation's rows and a key column past its relation's
-// columns are ErrUnresolved. The writer expands a section only where
-// running its expansion reproduces every index vector exactly, and writes
-// the index form otherwise.
+// With from an earlier level, the key column is that level's relation's;
+// with from the level itself, a rider of an earlier level (a join on a
+// transform's output). The columns are the plain groups' that ride no level,
+// each encoded as in the index form. The reader runs the loop into the row
+// indexes and riders before it decodes a column, stopping at nrows rows and
+// levels × nrows steps. A level naming a plain group or a named one twice, a
+// key over a later level or a column no earlier level carries, a rider that
+// is no plain column or one twice, more survivors than rows or bytes left,
+// and a loop that makes other than nrows rows or takes other than a rider's
+// count of values are errExpansion; a survivor or key column past its
+// relation's are ErrUnresolved. The writer expands a section only where its
+// expansion reproduces every index vector and rider, and otherwise writes
+// the index form.
 
 // ErrUnresolved reports source rows a reader does not hold as their writer
 // did: a late table section naming a relation the reader lacks or holds with
@@ -137,15 +138,10 @@ func WriteLate(w io.Writer, t *Late) error {
 // the late table it declares over db's relations, of at most maxCells cells:
 // the table and the rows its Table builds cost their reader some 40 bytes a
 // cell however few bytes declared them, so a block frame passes the cap on
-// its own size. A named column is gathered only as a determinant.
+// its own size.
 func ReadLate(r io.Reader, maxCells int64, db map[string]*Table) (*Late, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return readLate(r, maxCells, db, sc)
-}
-
-// readLate is ReadLate on the given scratch.
-func readLate(r io.Reader, maxCells int64, db map[string]*Table, sc *wireScratch) (*Late, error) {
 	d, t, n, err := openSection(r, sc, presentLate, maxWireCells, maxCells)
 	if err != nil {
 		return nil, err
@@ -306,13 +302,10 @@ func (t *Late) rows(rows []Row, lo, hi int) {
 	}
 }
 
-// appendLate writes a late table section. The scratch holds only the row
-// indexes, widened to the codec's cells; a plain column is planned and
-// encoded from the table's own values, and a named column, which the section
-// names and does not send, is read only as a determinant of a later plain
-// column: its min and max come from its relation where that is cheaper
-// (wireCols.resolve), and its rows are gathered only as far as a map pass,
-// a chain pass or recurs reads them.
+// appendLate writes a late table section. The scratch holds only a row
+// index at a time, widened to the codec's cells; a plain column is planned
+// and encoded from the table's own values, and a named column is named and
+// not sent.
 func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	buf = append(buf, tableMagic...)
 	present := len(buf)
@@ -325,62 +318,29 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	// An expansion takes the place of the index columns.
-	lv := findExpansion(t, groups, sc)
+	// An expansion takes the place of the index columns, and its riders
+	// that of their columns.
+	lv, rs := findExpansion(t, groups, sc)
 	if lv != nil {
 		buf[present] = presentExpanded
 	}
-	// The sequence of columns: each group's, an input's behind its index.
-	indexes, sent := 0, 0
+	sc.cells = grow(sc.cells, n)
+	body := sc.body[:0]
 	for _, grp := range groups {
 		if grp.in >= 0 {
-			indexes++
-		}
-	}
-	if lv == nil {
-		sent = indexes
-	}
-	nv := len(t.Attrs) + indexes
-	if cap(sc.cells) < n*sent {
-		sc.cells = make([]int64, n*sent)
-	}
-	cells := sc.cells[:n*sent]
-	if cap(sc.stats) < nv {
-		sc.stats = make([]colStats, nv)
-	}
-	stats := sc.stats[:nv]
-	clear(stats)
-	cols := &sc.cols
-	cols.reset(n, nv, t)
-	body := sc.body[:0]
-	p := 0 // the next column of the sequence
-	for _, grp := range groups {
-		if grp.in < 0 {
-			for _, c := range grp.cols {
-				cols.vals[p] = t.Cols[c].Vals
-				stats[p].scan(cols.vals[p])
-				pl := latePlan(cols, stats, p, sc)
-				stats[p].mapped = pl.enc == encMap
-				body = appendColumn(body, cols, stats, p, pl, sc)
-				p++
+			if lv == nil {
+				ix := sc.cells[:n]
+				for r, i := range t.Ins[grp.in].Idx {
+					ix[r] = int64(i)
+				}
+				body = appendLateColumn(body, ix, sc)
 			}
 			continue
 		}
-		if lv == nil {
-			ix := cells[:n:n]
-			cells = cells[n:]
-			for r, i := range t.Ins[grp.in].Idx {
-				ix[r] = int64(i)
-			}
-			cols.vals[p] = ix
-			stats[p].scan(ix)
-			body = appendColumn(body, cols, stats, p, latePlan(cols, stats, p, sc), sc)
-		}
-		stats[p].index = true
-		p++
 		for _, c := range grp.cols {
-			cols.named[p] = c
-			p++
+			if riderOf(rs, c) < 0 {
+				body = appendLateColumn(body, t.Cols[c].Vals, sc)
+			}
 		}
 	}
 	sc.body = body
@@ -409,27 +369,34 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 		}
 	}
 	if lv != nil {
-		buf = appendExpansion(buf, lv)
+		buf = appendExpansion(buf, lv, rs, len(groups), sc)
 	}
 	return append(buf, body...), nil
 }
 
-// latePlan is planColumn for a late section's column: a column that never
-// decreases is sent as runs where plain would be smaller.
-func latePlan(cols *wireCols, stats []colStats, c int, sc *wireScratch) colPlan {
-	pl := planColumn(cols, stats, c, sc, decoded{})
-	if pl.enc == encPlain && slices.IsSorted(cols.vals[c]) {
-		pl.enc = encRLE
+// appendLateColumn appends col as planLate plans it.
+func appendLateColumn(buf []byte, col []int64, sc *wireScratch) []byte {
+	st, p := planLate(col, sc)
+	return appendColumn(buf, col, &st, p)
+}
+
+// planLate plans col as a late section sends it: by planColumn, but a
+// column that never decreases is sent as runs where plain would be smaller.
+func planLate(col []int64, sc *wireScratch) (colStats, colPlan) {
+	var st colStats
+	st.scan(col)
+	p := planColumn(col, &st, sc)
+	if p.enc == encPlain && slices.IsSorted(col) {
+		p.enc, p.size = encRLE, rleSize(col, &st)
 	}
-	return pl
+	return st, p
 }
 
 // lateColumns decodes a late section's groups, refs, expansion if it is
 // expanded, and columns into l, resolving named relations in db: each named
 // group becomes an input, its row index — sent, or run from the expansion —
-// the input's index, and each plain column its values. The scratch holds
-// only those; a named column is gathered, into the scratch's arena, only as
-// a determinant (wireDecoder.det).
+// the input's index, and each plain column its values, sent or, for a
+// rider, run from the expansion.
 func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch, expanded bool) error {
 	n, w := l.N, len(l.Attrs)
 	ng, err := d.uvarint("group count")
@@ -440,7 +407,7 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 		return fmt.Errorf("data: %d groups for %d columns", ng, w)
 	}
 	groups := make([]lateGroup, ng)
-	indexes, plain := 0, w
+	indexes := 0
 	for g := range groups {
 		if d.Pos == len(d.B) {
 			return fmt.Errorf("data: group %d: %w", g, io.ErrUnexpectedEOF)
@@ -491,58 +458,39 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 			return fmt.Errorf("%w: column %d of relation %q, which has %d", ErrUnresolved, at, grp.src.Rel, len(grp.src.Attrs))
 		}
 		l.Cols[c].Col = int(at)
-		plain--
 	}
-	// The scratch holds the columns the section carries: the plain ones and
-	// the indexes, which an expansion makes instead.
-	sent := indexes
 	if expanded {
-		if err := d.expansion(l, groups, indexes); err != nil {
+		if err := d.expansion(l, groups, indexes, sc); err != nil {
 			return err
 		}
-		sent = 0
 	}
-	if cap(sc.cells) < n*(plain+sent) {
-		sc.cells = make([]int64, n*(plain+sent))
-	}
-	cells := sc.cells[:n*(plain+sent)]
-	nv := w + indexes // the places: every column and every index
-	if cap(sc.stats) < nv {
-		sc.stats = make([]colStats, nv)
-	}
-	stats := sc.stats[:nv]
-	d.cols = &sc.cols
-	d.cols.reset(n, nv, l)
-	v, in := 0, 0 // the next place, and the inputs so far
-	// decode decodes place v into the next scratch column.
-	decode := func() error {
-		d.cols.vals[v], cells = cells[:n:n], cells[n:]
-		return d.column(stats, v, sc)
-	}
+	sc.cells = grow(sc.cells, n)
+	in := 0 // the inputs so far
 	for g, grp := range groups {
 		if len(grp.cols) == 0 {
 			return fmt.Errorf("data: group %d holds no column", g)
 		}
 		if grp.src == nil {
 			for _, c := range grp.cols {
-				if err := decode(); err != nil {
+				if l.Cols[c].Vals != nil {
+					continue // a rider, run from the expansion
+				}
+				vals := make([]int64, n)
+				if err := d.column(vals, sc); err != nil {
 					return fmt.Errorf("data: column %d: %w", c, err)
 				}
-				l.Cols[c] = LateCol{In: -1, Vals: slices.Clone(d.cols.vals[v])}
-				v++
+				l.Cols[c] = LateCol{In: -1, Vals: vals}
 			}
 			continue
 		}
-		if expanded {
-			stats[v] = colStats{index: true}
-		} else {
-			if err := decode(); err != nil {
+		if !expanded {
+			ix := sc.cells[:n]
+			if err := d.column(ix, sc); err != nil {
 				return fmt.Errorf("data: group %d's row index: %w", g, err)
 			}
-			stats[v].index = true
 			rows := int64(len(grp.src.Rows))
 			idx := make([]int32, n)
-			for r, i := range d.cols.vals[v] {
+			for r, i := range ix {
 				if i < 0 || i >= rows {
 					return fmt.Errorf("%w: row %d of relation %q, which has %d", ErrUnresolved, i, grp.src.Rel, rows)
 				}
@@ -550,13 +498,10 @@ func (d *wireDecoder) lateColumns(l *Late, db map[string]*Table, sc *wireScratch
 			}
 			l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx})
 		}
-		in++
-		v++
 		for _, c := range grp.cols {
-			l.Cols[c].In = in - 1
-			d.cols.named[v] = c
-			v++
+			l.Cols[c].In = in
 		}
+		in++
 	}
 	return nil
 }

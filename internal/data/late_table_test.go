@@ -208,21 +208,23 @@ func FuzzReadLate(f *testing.F) {
 	}
 	// The sections a coordinator's frame reader refuses: honest, an index
 	// shorter than the rows, one past them, an unknown relation, a row count
-	// that differs, a chain over no earlier column.
+	// that differs, an index in the retired map and chain tags.
 	for _, s := range [][]byte{
 		lateSection("S", 2, 2, encPlain, 0, 2),
 		lateSection("S", 2, 3, encRLE, 1, 0, 2),
 		lateSection("S", 2, 2, encPlain, 0, 4),
 		lateSection("T", 2, 2, encPlain, 0, 2),
 		lateSection("S", 3, 2, encPlain, 0, 2),
-		lateSection("S", 2, 2, encChain, 0, 0, 2),
+		lateSection("S", 2, 2, 3, 0, 0, 2),
+		lateSection("S", 2, 2, 4, 0, 0, 2),
 	} {
 		f.Add(s)
 	}
 	// The expanded sections a reader refuses: past the declared rows or
 	// short of them, a survivor past the relation's end, a key over a later
-	// level or a column out of range, a determinant past its column, no
-	// survivors for the rows declared.
+	// level or a column out of range, no survivors for the rows declared, a
+	// retired tag, and riders short or long by one, past the table, not
+	// plain, twice or missing under the level they key.
 	for _, c := range hostileExpansions {
 		f.Add(c.section)
 	}

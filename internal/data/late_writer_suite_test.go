@@ -2,11 +2,14 @@ package data_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,73 +44,75 @@ func blockOutputs(t *testing.T, id int, scale float64) []*data.Late {
 	return outs
 }
 
-// TestLateWriterModelSuite holds WriteLate to the eager writer
-// (late_writer_test.go) byte for byte on every block output of every
-// multi-block suite workflow at 0.002 (wf10, wf16 and wf24 left out as in
-// the other full-suite sweeps).
+// TestLateWriterModelSuite writes every block output of every suite
+// workflow at 0.002 (wf10, wf16 and wf24 left out, as in the other
+// full-suite sweeps) and reads each back to its own rows. It pins the
+// sections left in index form — group-by outputs, which read no relation,
+// and the joins that probe one — and what all 37 sections take deflated
+// (compress/flate at level 6, no dictionary, go1.24.0): 5,956 B, where with
+// the map and chain column encodings, and wf08's last block in index form,
+// they took 5,995 B.
 func TestLateWriterModelSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite sweep")
 	}
-	outputs := 0
+	const pinnedDeflated = 5_956
+	want := []string{"wf06 b0", "wf06 b1", "wf09 b0", "wf14 b0", "wf14 b1", "wf17 b0", "wf21 b0", "wf22 b0", "wf25 b0", "wf25 b1", "wf26 b0", "wf29 b0", "wf29 b1"}
+	var indexed []string
+	sections, deflated := 0, 0
 	for _, w := range suite.All() {
 		switch w.ID {
 		case 10, 16, 24:
 			continue
 		}
-		outs := blockOutputs(t, w.ID, 0.002)
-		if len(outs) < 2 {
-			continue
-		}
-		for b, out := range outs {
-			want, err := data.WriteLateEager(out)
+		for b, out := range blockOutputs(t, w.ID, 0.002) {
+			name := fmt.Sprintf("%s b%d", w.Name[:4], b)
+			var sec bytes.Buffer
+			if err := data.WriteLate(&sec, out); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if sec.Bytes()[len("ETBL5")] == 2 { // the index form's presence byte
+				indexed = append(indexed, name)
+			}
+			var z bytes.Buffer
+			fw, _ := flate.NewWriter(&z, 6)
+			fw.Write(sec.Bytes())
+			fw.Close()
+			sections, deflated = sections+1, deflated+z.Len()
+			back, err := data.ReadLate(&sec, 1<<26, data.LateDB(out))
 			if err != nil {
-				t.Fatalf("%s block %d: eager writer: %v", w.Name, b, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			var got bytes.Buffer
-			if err := data.WriteLate(&got, out); err != nil {
-				t.Fatalf("%s block %d: %v", w.Name, b, err)
+			if got, want := back.Table(), out.Table(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s reads back other rows", name)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s block %d: WriteLate wrote %d bytes, the eager writer %d, and they differ", w.Name, b, got.Len(), len(want))
-			}
-			outputs++
 		}
 	}
-	if outputs == 0 {
-		t.Fatal("no multi-block workflow ran")
+	t.Logf("%d sections, %d B deflated (pinned %d); in index form: %v", sections, deflated, pinnedDeflated, indexed)
+	if sections != 37 || deflated > pinnedDeflated {
+		t.Errorf("%d sections took %d B deflated, want 37 in at most %d", sections, deflated, pinnedDeflated)
 	}
-	t.Logf("%d block outputs", outputs)
+	if !slices.Equal(indexed, want) {
+		t.Errorf("sections in index form %v, want %v", indexed, want)
+	}
 }
 
-// TestLateWriterCells pins what WriteLate gathers and allocates for
-// wf08@0.05's last block output, made as a worker makes it with both
-// upstream outputs held, from an empty pool: exactly the cells its named
-// columns gather — the rows determinant passes read, about three of its 14
-// named columns' worth — and, within a quarter for Go-release drift, the
-// bytes the call allocates: the four row indexes widened to cells, the
-// arena the gathered rows live in, the codec's tables and a mark a row for
-// the expansion search, which finds none — T4 joins on a transform's output
-// — so the section sends the indexes (measured with go1.24.0 on amd64).
-// The eager writer gathered all 14 named columns into 127,018 × 18 cells of
-// scratch and allocated 18,682,240 B; the section is the same. Two of
-// T1's named columns are gathered whole, by map passes over them (the
-// plain column is a function of each); recurs, which answers for a named
-// column of distinct values from its row index, gathers no row here.
+// TestLateWriterCells pins, within a quarter for Go-release drift, what
+// WriteLate allocates from an empty pool for wf08@0.05's last block output,
+// made as a worker makes it with both upstream outputs held: the expansion
+// search's row marks, the levels' surviving rows and key indexes, the rider
+// it keys T4 by — U.c, a transform's output, sent once a step of T1 — and
+// the codec's tables (measured with go1.24.0 on amd64). While T4's level
+// had no key, the section sent its four row indexes, widened to cells, and
+// named columns were gathered into an arena for the map and chain searches:
+// 11,769,600 B.
 func TestLateWriterCells(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
 	}
-	const pinnedGathered, pinnedBytes = 385_108, 11_769_600
+	const pinnedBytes = 1_181_656
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
-	section, gathered, err := data.WriteLateCells(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, err := data.WriteLateEager(out); err != nil || !bytes.Equal(section, want) {
-		t.Fatalf("the section differs from the eager writer's (%v)", err)
-	}
 	// One P, no collection while measuring, and the codec's free list of
 	// scratch emptied.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -120,11 +125,7 @@ func TestLateWriterCells(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d rows × %d columns over %d relations, a section of %d B: %d cells gathered, %d B allocated (pinned %d / %d)",
-		out.N, len(out.Cols), len(out.Ins), len(section), gathered, allocated, pinnedGathered, pinnedBytes)
-	if gathered != pinnedGathered {
-		t.Errorf("the named columns gathered %d cells, pinned %d", gathered, pinnedGathered)
-	}
+	t.Logf("%d rows × %d columns over %d relations: %d B allocated (pinned %d)", out.N, len(out.Cols), len(out.Ins), allocated, pinnedBytes)
 	if allocated > pinnedBytes*5/4 {
 		t.Errorf("writing the section allocated %d B, over 1.25 x the pinned %d", allocated, pinnedBytes)
 	}
@@ -135,10 +136,12 @@ func TestLateWriterCells(t *testing.T) {
 // when collections ran since the call before, as they do between a
 // worker's rounds: the scratch that call grew is still on the codec's free
 // list, where a sync.Pool's was emptied and grown again from nothing,
-// 11,642,712 B a call. The pin is a measured value (go1.24.0 on amd64); the
-// bound leaves a quarter for Go-release drift.
+// 11,642,712 B a call. The expansion's levels, the loop's state and the
+// rider's values live in that scratch too; while each call made its own,
+// a warm call allocated 21,296 B. The pin is a measured value (go1.24.0 on
+// amd64); the bound leaves a quarter for Go-release drift.
 func TestWriteLateWarmAllocs(t *testing.T) {
-	const pinnedBytes = 2_448
+	const pinnedBytes = 1_504
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -161,14 +164,15 @@ func TestWriteLateWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestLateExpansionModel holds expanded sections to the index vectors they
-// replace, over 200 of TestLateTableModel's generated tables, 200 joins in
-// the engine's order and those joins with two rows moved, and every block
-// output of every multi-block suite workflow at 0.002: a section the writer
-// expands reads back to exactly the late table's index vectors and columns,
-// and any other section is the eager writer's byte for byte. The tables
-// are checked concurrently, a goroutine a core; run it under -race at
-// -cpu 1,4 too.
+// TestLateExpansionModel holds every section to the late table it was
+// written from, over 200 of TestLateTableModel's generated tables, 200 joins
+// in the engine's order, those joins with two rows moved, 200 joins some of
+// whose levels a transform's output keys, and every block output of every
+// multi-block suite workflow at 0.002: each reads back to exactly the late
+// table's index vectors and columns, and the writer makes the same bytes
+// twice. Some keyed joins must expand through a keying rider. The tables
+// are checked concurrently, a goroutine a core; run it under -race at -cpu
+// 1,4 too.
 func TestLateExpansionModel(t *testing.T) {
 	names, lates := data.GeneratedLates()
 	if !testing.Short() {
@@ -186,7 +190,7 @@ func TestLateExpansionModel(t *testing.T) {
 	}
 	// The tables are checked GOMAXPROCS at a time, sharing the codec's
 	// pooled scratch.
-	expanded, errs := make([]bool, len(lates)), make([]error, len(lates))
+	expanded, keyed, errs := make([]bool, len(lates)), make([]int, len(lates)), make([]error, len(lates))
 	procs := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	for g := 0; g < procs; g++ {
@@ -194,12 +198,12 @@ func TestLateExpansionModel(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := g; i < len(lates); i += procs {
-				expanded[i], errs[i] = data.CheckExpansion(lates[i])
+				expanded[i], keyed[i], errs[i] = data.CheckExpansion(lates[i])
 			}
 		}()
 	}
 	wg.Wait()
-	count := map[string][2]int{} // kind: expanded, index columns
+	count := map[string][3]int{} // kind: expanded, of them through a keying rider, index columns
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", names[i], err)
@@ -212,16 +216,20 @@ func TestLateExpansionModel(t *testing.T) {
 			}
 		}
 		c := count[kind]
-		if expanded[i] {
+		switch {
+		case keyed[i] > 0:
 			c[0]++
-		} else {
 			c[1]++
+		case expanded[i]:
+			c[0]++
+		default:
+			c[2]++
 		}
 		count[kind] = c
 	}
-	t.Logf("%d tables, by kind [expanded, index columns]: %v", len(lates), count)
-	if count["join"][0] == 0 || count["join, moved"][1] == 0 || count["generated"][1] == 0 {
-		t.Errorf("%v: want some joins expanded and some tables not", count)
+	t.Logf("%d tables, by kind [expanded, keyed by a rider, index columns]: %v", len(lates), count)
+	if count["join"][0] == 0 || count["join, moved"][2] == 0 || count["generated"][2] == 0 || count["join, keyed"][1] == 0 {
+		t.Errorf("%v: want some joins expanded, some through a keying rider, and some tables not", count)
 	}
 }
 
@@ -230,20 +238,16 @@ func TestLateExpansionModel(t *testing.T) {
 // upstream outputs held — and read with the codec's scratch warm, as a
 // session reads: the late table's own vectors, an index of 4 B a row for
 // each of the four relations it names and 8 B a row for its one column no
-// relation holds, and nothing for its named columns. The one a chain reads
-// (the probe key, which the build side's index chains over) is gathered
-// into the scratch's arena, and counted; the other nine never are. The
-// section is in its index form: T4 joins on a transform's output, so no
-// expansion makes its rows. The pins are measured values (go1.24.0 on
-// amd64); the bound leaves a quarter for Go-release drift.
+// relation holds, U.c, and the expansion's levels and rider, which make
+// them. The pins are measured values (go1.24.0 on amd64); the bound leaves
+// a quarter for Go-release drift.
 func TestReadLateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
 	}
 	const (
-		pinnedBytes  = 3_090_961
-		pinnedAllocs = 58
-		determinants = 1
+		pinnedBytes  = 3_094_203
+		pinnedAllocs = 67
 	)
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
@@ -290,12 +294,9 @@ func TestReadLateAllocs(t *testing.T) {
 	if bytes > pinnedBytes*5/4 || allocs > pinnedAllocs*5/4 {
 		t.Errorf("decoding allocated %d B in %d allocations, over 1.25 x the pinned %d / %d", bytes, allocs, pinnedBytes, pinnedAllocs)
 	}
-	// A named column gathered outside the arena would cost 8 B a row beyond
-	// what the late form holds.
+	// Beyond the late form's own vectors, the levels and the rider's values
+	// are a few hundred bytes: a named column's worth would be 8 B a row.
 	if bytes-own >= 8*int64(l.N) {
 		t.Errorf("decoding allocated %d B beyond the late form's own %d B: a named column's worth or more", bytes-own, own)
-	}
-	if gathered, err := data.ReadLateDeterminants(section, db); err != nil || gathered != determinants {
-		t.Errorf("decoding gathered %d named column(s) as determinants (%v), want %d", gathered, err, determinants)
 	}
 }

@@ -102,7 +102,7 @@ func extremes(n int) []int64 {
 // are negative.
 func mixedTable() *Table {
 	dict := shift(zipfDomain(300, 40), 1000) // two-byte values: a code a row undercuts them
-	cols := [][]int64{serialKey(300), shift(sortedZipf(300, 9), -20), dict, apply(dict, func(v int64) int64 { return -v }), chainOf(dict)}
+	cols := [][]int64{serialKey(300), shift(sortedZipf(300, 9), -20), dict}
 	tbl := &Table{Rel: "Mixed"}
 	for c := range cols {
 		tbl.Attrs = append(tbl.Attrs, workflow.Attr{Rel: "M", Col: string(rune('a' + c))})
@@ -115,19 +115,6 @@ func mixedTable() *Table {
 		tbl.Rows = append(tbl.Rows, row)
 	}
 	return tbl
-}
-
-// chainOf is a column that counts along each run of det from det's value:
-// a chain over det, and no function of it where a value repeats in a row.
-func chainOf(det []int64) []int64 {
-	out := make([]int64, len(det))
-	for i, v := range det {
-		out[i] = v
-		if i > 0 && det[i-1] == v {
-			out[i] = out[i-1] + 7
-		}
-	}
-	return out
 }
 
 // hashJoin is the output of a hash join of a generated probe side with a
@@ -189,9 +176,9 @@ func apply(col []int64, f func(int64) int64) []int64 {
 
 // columnPlans encodes the table, checks that it round-trips and re-encodes
 // to the same bytes, and walks the stream with the package's own column
-// decoder: each column's tag and, for a map or chain column, its
-// determinant.
-func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
+// decoder: each column's tag, which must be the one wireModel gives the
+// column alone — no column's encoding reads another.
+func columnPlans(t testing.TB, tbl *Table) (tags []byte) {
 	t.Helper()
 	blob := encodeTable(t, tbl)
 	got, err := ReadTable(bytes.NewReader(blob))
@@ -204,26 +191,31 @@ func columnPlans(t testing.TB, tbl *Table) (tags []byte, dets []int) {
 	if !bytes.Equal(encodeTable(t, got), blob) {
 		t.Fatal("decoded table re-encodes to different bytes")
 	}
-	n, w := len(tbl.Rows), len(tbl.Attrs)
-	cells, stats := make([]int64, n*w), make([]colStats, w)
-	d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true, cols: new(wireCols).plain(cells, w)}
-	for c := 0; c < w; c++ {
-		tags, dets = append(tags, d.B[d.Pos]), append(dets, -1)
-		if d.B[d.Pos] >= encMap {
-			j, _ := binary.Uvarint(d.B[d.Pos+1:])
-			dets[c] = int(j)
+	n := len(tbl.Rows)
+	d := &wireDecoder{Cursor: Cursor{B: blob, Pos: len(wireHeader(tbl))}, verify: true}
+	for c := range tbl.Attrs {
+		col := make([]int64, n)
+		for r, row := range tbl.Rows {
+			col[r] = row[c]
 		}
-		if err := d.column(stats, c, new(wireScratch)); err != nil {
+		at := d.Pos
+		tags = append(tags, d.B[at])
+		if err := d.column(make([]int64, n), new(wireScratch)); err != nil {
 			t.Fatalf("column %d: %v", c, err)
 		}
+		if model := wireModel(col); !bytes.Equal(d.B[at:d.Pos], model) {
+			t.Fatalf("column %d is encoded with tag %d in %d bytes, the one-column model with tag %d in %d", c, d.B[at], d.Pos-at, model[0], len(model))
+		}
 	}
-	return tags, dets
+	return tags
 }
 
-// TestTableWireMapColumns runs join-shaped tables through the codec: what
-// the paper's key / foreign-key metadata says of a join output — attributes
-// are functions of their relation's key, join keys are equal — is found in
-// the values, and only where it is true and pays.
+// TestTableWireMapColumns runs join-shaped tables — attributes that are
+// functions of their relation's key, equal join keys, a hash join's build
+// rows repeated per probe row — through the codec: each round-trips, and
+// each column takes the encoding the one-column model gives it alone. The
+// map and chain encodings these shapes once took are retired; a join
+// output's late section carries that structure as its expansion.
 func TestTableWireMapColumns(t *testing.T) {
 	const n = 2000
 	key := zipfDomain(n, 200) // a foreign key: 200 values, skewed
@@ -234,25 +226,15 @@ func TestTableWireMapColumns(t *testing.T) {
 		name string
 		tbl  *Table
 		tags []byte
-		dets []int
 	}{
-		{"attribute of a key", tableOf(key, apply(key, attr)),
-			[]byte{encDict, encMap}, []int{-1, 0}},
-		{"equal join keys", tableOf(key, serialKey(n), key),
-			[]byte{encDict, encPlain, encMap}, []int{-1, -1, 0}},
-		// B = f(A) is a map column, so C = g(B) is no map over it; but C
-		// is a chain over B, whose short runs cost less than A's values.
+		{"attribute of a key", tableOf(key, apply(key, attr)), []byte{encDict, encDict}},
+		{"equal join keys", tableOf(key, serialKey(n), key), []byte{encDict, encPlain, encDict}},
 		{"chain", tableOf(key, apply(key, func(v int64) int64 { return v / 4 }), apply(key, func(v int64) int64 { return v / 4 % 7 })),
-			[]byte{encDict, encMap, encChain}, []int{-1, 0, 1}},
-		// A copy of a key is a map over it, and a chain over either costs
-		// the same: the tie goes to the lower determinant.
+			[]byte{encDict, encPlain, encPlain}},
 		{"chain ties", func() *Table {
 			runs := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 2 % 3 })
-			return tableOf(runs, runs, chainOf(shift(runs, 5)))
-		}(), []byte{encPlain, encMap, encChain}, []int{-1, 0, 0}},
-		// A build side's id repeats its chain per probe row of a key: once
-		// per key as a chain over it, and the build attribute is a map
-		// over the chain column.
+			return tableOf(runs, runs, shift(runs, 5))
+		}(), []byte{encPlain, encPlain, encPlain}},
 		{"build rows per probe row", func() *Table {
 			probe := zipfDomain(n/10, 40)
 			var k, id, y []int64
@@ -262,97 +244,28 @@ func TestTableWireMapColumns(t *testing.T) {
 				}
 			}
 			return tableOf(k, id, y)
-		}(), []byte{encRLE, encChain, encMap}, []int{-1, 0, 1}},
+		}(), []byte{encRLE, encPlain, encDict}},
 		{"determinant wider than the span", tableOf(apply(key, func(v int64) int64 { return v * 1000 }), apply(key, attr)),
-			[]byte{encPlain, encDict}, []int{-1, -1}},
-		{"a function until the last row", tableOf(key, brokenLast),
-			[]byte{encDict, encDict}, []int{-1, -1}},
-		// Every column is a function of a unique key, at a value a row.
+			[]byte{encPlain, encDict}},
+		{"a function until the last row", tableOf(key, brokenLast), []byte{encDict, encDict}},
 		{"unique key", tableOf(serialKey(n), apply(serialKey(n), func(v int64) int64 { return 1<<40 + v%4 })),
-			[]byte{encPlain, encDict}, []int{-1, -1}},
+			[]byte{encPlain, encDict}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tags, dets := columnPlans(t, c.tbl)
-			if !reflect.DeepEqual(tags, c.tags) || !reflect.DeepEqual(dets, c.dets) {
-				t.Errorf("tags %v determinants %v, want %v %v", tags, dets, c.tags, c.dets)
+			if tags := columnPlans(t, c.tbl); !reflect.DeepEqual(tags, c.tags) {
+				t.Errorf("tags %v, want %v", tags, c.tags)
 			}
 		})
 	}
 }
 
-// TestTableWireMapSearchBounded: a column looks for its determinant among at
-// most mapWork × nrows cells of the columns before it, mapWork being 4, for
-// maps and then for chains. Decoy keys that each hold up as a determinant to
-// their last row use up a column's worth each, so with two of them before
-// its determinant a column finds it, and with three it is encoded as if
-// nothing determined it — on both sides, whatever the table's width:
-// planning stays linear in the table's cells. The counts are literal, so a
-// budget half or twice as large fails here. A decoy is the determinant with
-// its last row changed: the target's image over it is as small as over the
-// determinant up to that row, which contradicts it. The target is one byte a
-// row as plain varints, and a run a row and a code a row cost more. The
-// chain target counts along runs of four of its determinant, so every map
-// pass stops at its second row and leaves the budget to the chains.
-func TestTableWireMapSearchBounded(t *testing.T) {
-	const n = 2000
-	mapDet := apply(serialKey(n), func(v int64) int64 { return v % 4 })
-	chainDet := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 4 % 5 })
-	for _, c := range []struct {
-		det, target []int64
-		decoys      int
-		tag         byte
-	}{
-		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 2, encMap},
-		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 3, encPlain},
-		{mapDet, apply(mapDet, func(v int64) int64 { return 5*v + 7 }), 300, encPlain},
-		{chainDet, chainOf(shift(chainDet, 5)), 2, encChain},
-		{chainDet, chainOf(shift(chainDet, 5)), 3, encPlain},
-	} {
-		cols := make([][]int64, c.decoys, c.decoys+2)
-		for i := range cols {
-			// Three ways to break the last row, so that no decoy of the
-			// first three is a map over another.
-			cols[i] = slices.Clone(c.det)
-			cols[i][n-1] = (c.det[n-1] + 1 + int64(i%3)) % 4
-		}
-		tags, dets := columnPlans(t, tableOf(append(cols, c.det, c.target)...))
-		if last := len(tags) - 1; tags[last] != c.tag || (c.tag >= encMap) != (dets[last] == c.decoys) {
-			t.Errorf("%d decoys: target encoded with tag %d through column %d, want tag %d", c.decoys, tags[last], dets[last], c.tag)
-		}
-	}
-
-	// A wider key whose runs are the determinant's comes first: the target
-	// is a chain over it too, twice the size, and its pass leaves the two
-	// decoys the budget but not the determinant. The reader, which decodes
-	// the target through that key, must charge its pass as the writer did,
-	// or it finds the smaller chain and refuses the stream.
-	wide := apply(serialKey(n), func(v int64) int64 { return (v - 1) / 4 % 10 })
-	cols := [][]int64{wide}
-	for i := range 2 {
-		cols = append(cols, slices.Clone(chainDet))
-		cols[i+1][n-1] = (chainDet[n-1] + 1 + int64(i)) % 4
-	}
-	tags, dets := columnPlans(t, tableOf(append(cols, chainDet, chainOf(shift(chainDet, 5)))...))
-	if last := len(tags) - 1; tags[last] != encChain || dets[last] != 0 {
-		t.Errorf("behind a wider key: target encoded with tag %d through column %d, want a chain through column 0", tags[last], dets[last])
-	}
-}
-
 // TestTableWireRandomJoins round-trips generated tables whose columns are
 // fresh draws, copies or functions of earlier columns, and generated hash
-// join outputs, at row counts small enough that the search budget and the
-// size ties are in play: the reader's plan, which skips the pair it decoded
-// through, must be the writer's.
+// join outputs: each column takes the one-column model's encoding, whatever
+// the columns before it.
 func TestTableWireRandomJoins(t *testing.T) {
-	chains := 0
 	for seed := int64(0); seed < 200; seed++ {
-		tags, _ := columnPlans(t, hashJoin(rand.New(rand.NewSource(seed))))
-		if slices.Contains(tags, encChain) {
-			chains++
-		}
-	}
-	if chains == 0 {
-		t.Error("no generated hash join has a chain column")
+		columnPlans(t, hashJoin(rand.New(rand.NewSource(seed))))
 	}
 
 	rng := rand.New(rand.NewSource(3))
@@ -417,11 +330,9 @@ func TestTableWireNilAndEmpty(t *testing.T) {
 }
 
 // TestReadTableRowsDistinct holds ReadTableRows' premise: a table whose rows
-// are distinct mostly spends a byte of its stream a row or more, whatever
-// layouts its columns take (constant, runs, dictionaries, maps), so its
-// stream's length is a row cap it meets, and one row under its count refuses
-// it as ErrWireCap. A chain's image can take it under a byte a row: then the
-// cap refuses it, as a caller's writer must.
+// are distinct spends a byte of its stream a row or more, whatever layouts
+// its columns take (constant, runs, dictionaries), so its stream's length is
+// a row cap it meets, and one row under its count refuses it as ErrWireCap.
 func TestReadTableRowsDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -444,11 +355,8 @@ func TestReadTableRowsDistinct(t *testing.T) {
 			}
 		}
 		blob := encodeTable(t, tbl)
-		if len(blob) < len(tbl.Rows) {
-			if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(blob)), maxWireCells); !errors.Is(err, ErrWireCap) {
-				t.Fatalf("trial %d: %d distinct rows in %d bytes: got %v, want ErrWireCap", trial, len(tbl.Rows), len(blob), err)
-			}
-			continue
+		if body := len(blob) - len(wireHeader(tbl)); body < len(tbl.Rows) {
+			t.Fatalf("trial %d: %d distinct rows in %d bytes of columns", trial, len(tbl.Rows), body)
 		}
 		if _, err := ReadTableRows(bytes.NewReader(blob), int64(len(blob)), maxWireCells); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -493,8 +401,8 @@ func TestTableWireShapes(t *testing.T) {
 			return v
 		}()...), int(encDict)},
 		{"long constant (width-0 dictionary)", column(constant(20000, 9)...), int(encDict)},
-		{"mixed", mixedTable(), int(encChain)},
-		{"hash join", hashJoin(rand.New(rand.NewSource(4))), int(encMap)},
+		{"mixed", mixedTable(), int(encDict)},
+		{"hash join", hashJoin(rand.New(rand.NewSource(4))), int(encPlain)},
 	}
 	seen := map[int]bool{}
 	for _, s := range shapes {
@@ -519,12 +427,12 @@ func TestTableWireShapes(t *testing.T) {
 			}
 			continue
 		}
-		if tags, _ := columnPlans(t, s.tbl); int(tags[len(tags)-1]) != s.tag {
+		if tags := columnPlans(t, s.tbl); int(tags[len(tags)-1]) != s.tag {
 			t.Errorf("%s: last column encoded with tag %d, want %d", s.name, tags[len(tags)-1], s.tag)
 		}
 		seen[s.tag] = true
 	}
-	for _, tag := range []byte{encPlain, encRLE, encDict, encMap, encChain} {
+	for _, tag := range []byte{encPlain, encRLE, encDict} {
 		if !seen[int(tag)] {
 			t.Errorf("no shape selected encoding %d", tag)
 		}
@@ -571,7 +479,7 @@ func TestTableWireDictionaryWidths(t *testing.T) {
 
 // wireModel is the body of a one-column table, written from the format
 // comment alone: every encoding's bytes, and the shortest, ties to the
-// lower tag. No map: one column has no earlier column to be a function of.
+// lower tag.
 func wireModel(vals []int64) []byte {
 	plain := []byte{encPlain}
 	for _, v := range vals {
@@ -721,7 +629,7 @@ func TestTableWireConcurrent(t *testing.T) {
 
 func TestTableWireRejectsCorruption(t *testing.T) {
 	// One column of each encoding, so every decoder meets every cut.
-	if tags, _ := columnPlans(t, mixedTable()); !bytes.Equal(tags, []byte{encPlain, encRLE, encDict, encMap, encChain}) {
+	if tags := columnPlans(t, mixedTable()); !bytes.Equal(tags, []byte{encPlain, encRLE, encDict}) {
 		t.Fatalf("mixedTable's columns are encoded %v, want one of each encoding", tags)
 	}
 	full := encodeTable(t, mixedTable())
@@ -775,7 +683,7 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		{"more runs than half the bytes left", []byte{encRLE, 3, zz(5), zz(1), zz(1), 1}, "3 runs in 4 bytes"},
 		{"runs short of the rows", []byte{encRLE, 1, zz(5), 3}, "runs cover 3 of 4 rows"},
 		{"zero delta after the first run", []byte{encRLE, 2, zz(5), 0, 2, 2}, "adjacent runs of one value"},
-		{"unknown tag", []byte{encChain + 1, 1, zz(5), 4}, ""},
+		{"unknown tag", []byte{5, 1, zz(5), 4}, "unknown encoding tag 5"},
 	}
 	for i, c := range cases {
 		_, err := ReadTable(bytes.NewReader(append(append([]byte{}, hdr...), c.body...)))
@@ -837,73 +745,16 @@ func TestTableWireRejectsNonCanonical(t *testing.T) {
 		t.Errorf("16-bit codes for a 256-entry dictionary: err = %v", err)
 	}
 
-	// Map streams, over a key column k = 1 2 1 2 … whose canonical form is
-	// the 9-byte plain column kcol.
+	// Tags 3 and 4, the retired map and chain encodings, in the layout
+	// they had: an earlier column and an image. Each is refused by its tag.
 	k := []int64{1, 2, 1, 2, 1, 2, 1, 2}
 	kcol := append([]byte{encPlain}, bytes.Repeat([]byte{zz(1), zz(2)}, 4)...)
-	v := apply(k, func(v int64) int64 { return 10 * v })
-	for i, c := range []struct {
-		name string
-		tbl  *Table
-		body []byte // the columns after kcol
-	}{
-		{"canonical", tableOf(k, v), []byte{encMap, 0, zz(10), zz(20)}},
-		{"image entry for an absent value", tableOf(k, v), []byte{encMap, 0, zz(10), zz(20), zz(30)}},
-		{"image entry missing", tableOf(k, v), []byte{encMap, 0, zz(10)}},
-		{"determinant is the column itself", tableOf(k, v), []byte{encMap, 1, zz(10), zz(20)}},
-		{"determinant is a later column", tableOf(k, v, v), []byte{encMap, 2, zz(10), zz(20), encMap, 0, zz(10), zz(20)}},
-		{"determinant is a map column", tableOf(k, v, v), []byte{encMap, 0, zz(10), zz(20), encMap, 1, zz(10), zz(20)}},
-		{"padded determinant", tableOf(k, v), []byte{encMap, 0x80, 0x00, zz(10), zz(20)}},
-		{"map where rle is smaller", tableOf(k, constant(8, 5)), []byte{encMap, 0, zz(5), zz(5)}},
-		{"dictionary where map is smaller", tableOf(k, v), []byte{encDict, 2, zz(10), 10, 8, 0, 1, 0, 1, 0, 1, 0, 1}},
-		{"plain where map is smaller", tableOf(k, v), append([]byte{encPlain}, bytes.Repeat([]byte{zz(10), zz(20)}, 4)...)},
-	} {
-		stream := append(append(wireHeader(c.tbl), kcol...), c.body...)
-		if _, err := ReadTable(bytes.NewReader(stream)); (err == nil) != (i == 0) {
-			t.Errorf("%s: err = %v", c.name, err)
-		}
-	}
-
-	// The canonical forms the rejected streams stood in for.
-	for _, tbl := range []*Table{tableOf(k, v, v), tableOf(k, constant(8, 5))} {
-		if _, err := ReadTable(bytes.NewReader(encodeTable(t, tbl))); err != nil {
-			t.Errorf("canonical stream refused: %v", err)
-		}
-	}
-
-	// Chain streams over a key column key = 1 1 2 1 1 2 1 1, whose canonical
-	// form is the 9-byte plain column keyCol: the chain counts along each run.
-	key := []int64{1, 1, 2, 1, 1, 2, 1, 1}
-	keyCol := []byte{encPlain, zz(1), zz(1), zz(2), zz(1), zz(1), zz(2), zz(1), zz(1)}
-	wideKey := apply(key, func(v int64) int64 { return v << 20 })
-	wideCol := encodeTable(t, column(wideKey...))[len(wireHeader(column(wideKey...))):]
-	ch := chainOf(shift(key, 9)) // 10 17 11 10 17 11 10 17
-	img := []byte{zz(10), zz(17), zz(11)}
-	for i, c := range []struct {
-		name string
-		tbl  *Table
-		body []byte // the columns after the key column
-		want string // the refusal, where the stream breaks one of the chain's own rules
-	}{
-		{"canonical", tableOf(key, ch), append([]byte{encChain, 0}, img...), ""},
-		{"determinant is the column itself", tableOf(key, ch), append([]byte{encChain, 1}, img...), "cannot chain"},
-		{"determinant too wide", tableOf(wideKey, ch), append([]byte{encChain, 0}, img...), "cannot chain"},
-		{"image short of the runs", tableOf(key, ch), []byte{encChain, 0, zz(10), zz(17)}, "an image of 3 values in 2 bytes"},
-		{"trailing image bytes", tableOf(key, ch), append([]byte{encChain, 0}, append(img, zz(12))...), "trailing bytes"},
-		{"padded image value", tableOf(key, ch), []byte{encChain, 0, 0x94, 0x00, zz(17), zz(11)}, "not minimal"},
-		{"chain where map is smaller", tableOf(key, shift(key, 9)), []byte{encChain, 0, zz(10), zz(10), zz(11)}, "non-canonical"},
-		{"plain where chain is smaller", tableOf(key, ch), []byte{encPlain, zz(10), zz(17), zz(11), zz(10), zz(17), zz(11), zz(10), zz(17)}, "non-canonical"},
-	} {
-		det := keyCol
-		if c.tbl.Rows[0][0] == wideKey[0] {
-			det = wideCol
-		}
-		stream := append(append(wireHeader(c.tbl), det...), c.body...)
-		if i == 0 && !bytes.Equal(stream, encodeTable(t, c.tbl)) {
-			t.Fatalf("fixture is not the canonical chain stream: % x", stream)
-		}
-		if _, err := ReadTable(bytes.NewReader(stream)); (err == nil) != (i == 0) || err != nil && !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+	for tag, name := range map[byte]string{3: "map", 4: "chain"} {
+		stream := append(append(wireHeader(tableOf(k, k)), kcol...), tag, 0, zz(1), zz(2))
+		_, err := ReadTable(bytes.NewReader(stream))
+		var enc *encodingError
+		if !errors.As(err, &enc) || enc.tag != tag || !strings.Contains(err.Error(), "retired "+name) {
+			t.Errorf("a %s column: err = %v, want the retired tag %d refused", name, err, tag)
 		}
 	}
 }

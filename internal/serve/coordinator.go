@@ -356,13 +356,15 @@ func (s *dispatchSession) tryWorker(ctx context.Context, w *workerRef, chain []i
 	if overCap(err) {
 		return nil, wireCapError(block, fmt.Sprintf("response from %s: %v", w.addr, err))
 	}
-	if errors.Is(err, data.ErrUnresolved) {
-		// The workers compute from other data than the engine's: every
-		// worker would, so the block is the run's to finish.
-		return nil, fmt.Errorf("serve: block %d: %s computed from other data than the run's (%v): %w", block, w.addr, err, engine.ErrWorkersLost)
+	if errors.Is(err, errBodyShort) {
+		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("serve: block %d on %s: response: %w", block, w.addr, err)
+		// A whole body this build refuses — one read from other data than
+		// the engine's (data.ErrUnresolved), one of the wrong shape, or one
+		// in an encoding this build does not read: every worker of the
+		// build would answer alike, so the block is the run's to finish.
+		return nil, fmt.Errorf("serve: block %d: %s sent a response this build refuses (%v): %w", block, w.addr, err, engine.ErrWorkersLost)
 	}
 	return results, nil
 }

@@ -430,6 +430,35 @@ func (f *flakyNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return http.DefaultTransport.RoundTrip(req)
 }
 
+// TestDistributedRefusedResponseFallsBack: two workers answer wf06's
+// two-block chain with a whole 200 whose frame carries one block entry.
+// Every worker of a build answers a request alike, so the coordinator
+// takes the refusal as the run's, not the worker's: one attempt, no
+// reassignment, no worker lost, and the run finishes in-process with the
+// single-process outputs.
+func TestDistributedRefusedResponseFallsBack(t *testing.T) {
+	const wf = 6
+	want := localRun(t, wf)
+	var runs atomic.Int64
+	oneEntry := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/worker/run" {
+			runs.Add(1)
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", frameContentType)
+			w.Write(responseFrame(t, frameBlock(t)))
+		}
+	})
+	a, b := httptest.NewServer(oneEntry), httptest.NewServer(oneEntry)
+	t.Cleanup(a.Close)
+	t.Cleanup(b.Close)
+	got := runCycleOf(t, wf, distConfig(t, wf, []string{a.URL, b.URL}, nil))
+	assertRunsEqual(t, "refused", want, got)
+	d := got.Dist
+	if n := runs.Load(); n != 1 || d == nil || !d.FellBack || d.Reassigned != 0 || len(d.LostWorkers) != 0 || !strings.Contains(d.Reason, "1 block entries for a chain of 2") {
+		t.Errorf("%d attempt(s), report %+v: want 1 attempt, no reassignment and a fallback naming the refusal", n, d)
+	}
+}
+
 // TestDistributedTransportFaultMatrix runs wf08's three-block chain 0 → 1
 // → 2, one exchange, over a flaky transport: a cut response is retried on
 // the same pool, a dropped request loses its worker to the survivor, delays
@@ -826,32 +855,37 @@ func (c *wireCounter) payloads(t *testing.T) (n int64) {
 // — are the codec's and the store's bytes, which no framing change may
 // move. The bytes the requests and the responses move are the frames',
 // pinned under go 1.24's compress/flate at level 6 over the preset
-// dictionary: 91 + 1,812, 56 + 1,396, 66 + 2,415, 91 + 1,204, 110 + 1,043
-// and 70 + 382 B, 484 + 8,252 = 8,736 B in all. A request carries only its
+// dictionary: 91 + 1,812, 56 + 1,396, 66 + 511, 91 + 1,204, 110 + 1,043
+// and 70 + 382 B, 484 + 6,348 = 6,832 B in all. A request carries only its
 // chain's statistics; a response ships its tables late (data.WriteLate): a
 // source relation's columns named, not sent, in the relation the
 // coordinator holds too — read directly or through the chain's upstream
 // output — and its header the row counts of the sources each block read. A
 // table that is a join expansion sends each input's surviving rows and the
-// columns that key it; the log names each table's form, and each case pins
-// how many expand: all but wf08's last block, whose T4 joins on a
-// transform's output and sends its row indexes. When each block was an
-// exchange of its own, and a worker kept a chain's upstream output for the
-// next block's request to name, the runs moved 92 + 1,815, 143 + 1,434,
-// 236 + 2,504, 90 + 1,203, 205 + 1,197 and 162 + 497 B, 9,578 B in 12
-// exchanges. With row indexes for every table they moved 18,518 B; at level
-// 3 without the dictionary (EBLK2), 21,972 B. When requests carried every
-// block's statistics and a column read from an upstream output shipped
-// plain, 24,911 B at level 3; when responses shipped every cell, in ETBL5
-// tables, 40,504 B; over ETBL4 tables, which ship a hash join's build rows
-// once per probe row where ETBL5's chain columns ship them once per key,
-// 54,209 B. wf07 at scale 0.01 is a chain whose upstream table is the
-// largest the benchmark makes; it never crosses the wire. wf08 at 0.05 is a
-// chain of three blocks moving ~167k rows of join output (3,378,533 B as
-// base64 row-major varints in JSON), whose first two outputs never leave
-// the worker. wf05 at 0.001 and wf12 at 0.002 are one instrumented block
-// each of many statistics, so their shards are most of what they inflate
-// to. Each case pins its observed store's WriteTo bytes exactly.
+// columns that key it; the log names each table's form, and every table of
+// these runs expands. wf08's last block, whose T4 joins on U.c, a
+// transform's output, sends U.c once a step of T1, as the rider that keys
+// T4: its tables inflate to 849 B. While that block sent its row indexes,
+// they inflated to 70,400 B, and the runs moved 91 + 1,812, 56 + 1,396,
+// 66 + 2,415, 91 + 1,204, 110 + 1,043 and 70 + 382 B, 8,736 B in all, with
+// the map and chain column encodings sizing every column against the
+// columns before it. When each block was an exchange of its own, and a
+// worker kept a chain's upstream output for the next block's request to
+// name, the runs moved 92 + 1,815, 143 + 1,434, 236 + 2,504, 90 + 1,203,
+// 205 + 1,197 and 162 + 497 B, 9,578 B in 12 exchanges. With row indexes
+// for every table they moved 18,518 B; at level 3 without the dictionary
+// (EBLK2), 21,972 B. When requests carried every block's statistics and a
+// column read from an upstream output shipped plain, 24,911 B at level 3;
+// when responses shipped every cell, in ETBL5 tables, 40,504 B; over ETBL4
+// tables, which ship a hash join's build rows once per probe row where
+// ETBL5's chain columns shipped them once per key, 54,209 B. wf07 at scale
+// 0.01 is a chain whose upstream table is the largest the benchmark makes;
+// it never crosses the wire. wf08 at 0.05 is a chain of three blocks moving
+// ~167k rows of join output (3,378,533 B as base64 row-major varints in
+// JSON), whose first two outputs never leave the worker. wf05 at 0.001 and
+// wf12 at 0.002 are one instrumented block each of many statistics, so
+// their shards are most of what they inflate to. Each case pins its
+// observed store's WriteTo bytes exactly.
 func TestDistributedWireBytes(t *testing.T) {
 	for _, c := range []struct {
 		wf                               int
@@ -863,7 +897,7 @@ func TestDistributedWireBytes(t *testing.T) {
 	}{
 		{wf: 5, scale: 0.001, blocks: 1, exchanges: 1, requests: 91, responses: 1_812, sent: 1_903, store: 2_802, tables: 538, shard: 2_802, expanded: 1},
 		{wf: 7, scale: 0.01, blocks: 2, exchanges: 1, requests: 56, responses: 1_396, sent: 1_452, store: 54, tables: 3_576, shard: 63, expanded: 2},
-		{wf: 8, scale: 0.05, blocks: 3, exchanges: 1, requests: 66, responses: 2_415, sent: 2_481, store: 74, tables: 70_400, shard: 92, expanded: 1},
+		{wf: 8, scale: 0.05, blocks: 3, exchanges: 1, requests: 66, responses: 511, sent: 577, store: 74, tables: 849, shard: 92, expanded: 2},
 		{wf: 13, scale: 0.1, blocks: 2, exchanges: 2, requests: 91, responses: 1_204, sent: 1_295, store: 65, tables: 5_156, shard: 74, expanded: 2},
 		{wf: 18, scale: 0.01, blocks: 2, exchanges: 1, requests: 110, responses: 1_043, sent: 1_153, store: 849, tables: 713, shard: 858, expanded: 2},
 		{wf: 15, scale: 0.001, blocks: 2, exchanges: 1, requests: 70, responses: 382, sent: 452, store: 191, tables: 431, shard: 200, expanded: 2},

@@ -235,15 +235,20 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 	}
 	n, err := p.src.Read(b[:min(int64(len(b)), p.n)])
 	p.n -= int64(n)
-	if err == io.EOF {
-		// The source's end is the payload's only after its last byte.
+	switch {
+	case err == io.EOF && p.n == 0:
 		err = nil
-		if p.n > 0 {
-			err = io.ErrUnexpectedEOF
-		}
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		// The source's end is the payload's only after its last byte, and a
+		// DEFLATE stream's end only after its last block.
+		err = errBodyShort
 	}
 	return n, err
 }
+
+// errBodyShort reports a body that ends before the frame it starts: cut in
+// transit, so the same request may yet be answered whole.
+var errBodyShort = fmt.Errorf("the body ends before its frame: %w", io.ErrUnexpectedEOF)
 
 func (p *payloadReader) ReadByte() (byte, error) {
 	var b [1]byte
@@ -268,6 +273,9 @@ func openFrame(r io.Reader, header any, maxPayload int64) (*frameReader, error) 
 func (f *frameReader) open(header any, maxPayload int64) error {
 	var prefix [len(frameMagic) + 1]byte
 	if _, err := io.ReadFull(f.br, prefix[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = errBodyShort
+		}
 		return fmt.Errorf("frame magic: %w", err)
 	}
 	magic, mode := string(prefix[:len(frameMagic)]), prefix[len(frameMagic)]
@@ -275,6 +283,9 @@ func (f *frameReader) open(header any, maxPayload int64) error {
 		return fmt.Errorf("frame starts %q, this build reads only version %q: %w", magic, frameMagic, errFrameVersion)
 	}
 	n, err := binary.ReadUvarint(f.br)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = errBodyShort
+	}
 	if err != nil {
 		return fmt.Errorf("frame length: %w", err)
 	}

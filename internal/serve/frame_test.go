@@ -770,16 +770,41 @@ var hostileLate = []struct {
 	{"index past the rows", lateSection("S", 2, 2, 0, 0, 4), true, `row 2 of relation "S", which has 2`},
 	{"unknown relation", lateSection("T", 2, 2, 0, 0, 2), true, `relation "T" is not in`},
 	{"row count", lateSection("S", 3, 2, 0, 0, 2), true, `relation "S" has 2 rows here, 3 where`},
-	{"chain over no earlier column", lateSection("S", 2, 2, 4, 0, 0, 2), false, "cannot chain column 0"},
+	{"index as a retired map column", lateSection("S", 2, 2, 3, 0, 0, 2), false, "tag 3 is the retired map encoding"},
+	{"index as a retired chain column", lateSection("S", 2, 2, 4, 0, 0, 2), false, "tag 4 is the retired chain encoding"},
 	// Expansions: S's two rows, then D joined to itself on its key, which
 	// makes four rows.
 	{"honest expansion", expandedSection("S", 2, 2, 1, 0, 2, 0, 0), false, ""},
 	{"expansion past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "more than the 3 rows declared"},
 	{"expansion short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "4 rows of the 5 declared"},
 	{"survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), true, `past the 2 of relation "S"`},
-	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 1, 0, 2, 0, 0), false, "keyed by level 1"},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 2, 0, 2, 0, 0), false, "keyed by level 2"},
 	{"key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), true, `column 5 of relation "D"`},
 	{"no survivors for the rows declared", expandedSection("S", 2, 2, 1, 0, 0), false, "0 rows of the 2 declared"},
+	// D keyed by a plain column that rides S's level, at the value 7 for
+	// each of S's rows: the column's values short or long by one, past the
+	// table, a named column, or carried by no level.
+	{"rider short by one", riderSection(3, 2, 0, 0, 1, 1, 0, 14), false, "column 1's values end at 1 steps"},
+	{"rider long by one", riderSection(3, 2, 0, 0, 1, 3, 0, 14, 14, 14), false, "column 1 has 3 values for 2 steps"},
+	{"rider past the table", riderSection(3, 2, 0, 0, 5, 2, 0, 14, 14), false, "column 5 of 3"},
+	{"rider not plain", riderSection(3, 2, 0, 0, 0, 2, 0, 14, 14), false, "column 0 of 3, a rider or not plain"},
+	{"keyed by no rider", riderSection(0, 2, 0, 0), false, "which no earlier level carries"},
+}
+
+// riderSection writes by hand an expanded section of four rows over S.k, a
+// plain column and D.k, each in a group of its own, from the format comment
+// in internal/data/expand.go: S's level, as lead, then D's, keyed on D's
+// column 0 by the plain column.
+func riderSection(lead ...byte) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	b := append([]byte("ETBL5"), 3)
+	b = str(b, "Out")
+	b = str(str(str(str(str(str(append(b, 3), "S"), "k"), "Out"), "f"), "D"), "k")
+	b = append(b, 4, 3, 1)
+	b = append(str(b, "S"), 2, 0, 1)
+	b = append(str(b, "D"), 2)
+	b = append(b, 0, 0, 1, 2, 0)
+	return append(append(b, lead...), 2, 0, 1, 1, 2, 0, 0)
 }
 
 // TestRunFrameRefusesHostileLateTables decodes response frames whose output

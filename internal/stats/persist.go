@@ -47,11 +47,10 @@ const (
 	minAttrLen  = 2             // two empty strings
 	// histCellsPerByte caps a histogram section's cells by its length, as
 	// its rows are (data.ReadTableRows: buckets are distinct, so a table
-	// mostly spends a byte a row or more). Observed stores hold under 2
-	// cells a byte and any histogram of up to 7 attributes fits; the writer
-	// refuses a denser section, or one of more buckets than bytes (a chain
-	// column's image can be reused), as the reader would. A section so
-	// costs its reader under 160 bytes a byte.
+	// spends a byte a row or more). Observed stores hold under 2 cells a
+	// byte and any histogram of up to 7 attributes fits; the writer refuses
+	// a denser section, as the reader would. A section so costs its reader
+	// under 160 bytes a byte.
 	histCellsPerByte = 8
 	// histSectionRows is the most rows a section holds. A full one is
 	// followed by the next (empty if the buckets divide evenly): a histogram
@@ -123,9 +122,6 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 			}
 			if cells := len(part.Rows) * len(tab.Attrs); cells > histCellsPerByte*sec.Len() {
 				return 0, fmt.Errorf("stats: histogram %v: %d cells in %d bytes, over the reader's %d a byte: %w", s.Key(), cells, sec.Len(), histCellsPerByte, data.ErrWireCap)
-			}
-			if len(part.Rows) > sec.Len() {
-				return 0, fmt.Errorf("stats: histogram %v: %d buckets in %d bytes, over the reader's one a byte: %w", s.Key(), len(part.Rows), sec.Len(), data.ErrWireCap)
 			}
 			buf = append(binary.AppendUvarint(buf, uint64(sec.Len())), sec.Bytes()...)
 			full = len(part.Rows) == histSectionRows

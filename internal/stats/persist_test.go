@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -510,11 +509,13 @@ func TestWriteToRefusesDenseHistogram(t *testing.T) {
 }
 
 // TestWriteToRefusesSparseSection: the reader caps a section's rows at its
-// length, and a chain column's image can take a histogram under a byte a
-// bucket. Here the third attribute counts 0-3 along each run of four of the
-// second, which cycles through 64 values: one image of 256 values serves all
-// 8,192 buckets, and the second attribute's runs cost two bytes each. WriteTo
-// refuses the section as data.ErrWireCap, as the reader refuses it.
+// length. Distinct buckets spend a byte a bucket or more in every layout the
+// table codec has (data.ReadTableRows), so WriteTo writes no section under
+// the cap: here the third attribute counts 0-3 along each run of four of the
+// second, which cycles through 64 values — a histogram the retired chain
+// columns took under a byte a bucket — and it is written and reads back. A
+// crafted section of 1,000 equal rows, each column one run, is refused as
+// the cap's corrupt stream.
 func TestWriteToRefusesSparseSection(t *testing.T) {
 	attrs := []workflow.Attr{{Rel: "T", Col: "a"}, {Rel: "T", Col: "b"}, {Rel: "T", Col: "c"}}
 	h := NewHistogram(attrs...)
@@ -523,10 +524,18 @@ func TestWriteToRefusesSparseSection(t *testing.T) {
 	}
 	st := NewStore()
 	st.Put(&Value{Stat: NewHist(BlockSE(0, expr.NewSet(0)), attrs...), Hist: h})
-	if _, err := st.WriteTo(io.Discard); !errors.Is(err, data.ErrWireCap) || !strings.Contains(err.Error(), "over the reader's one a byte") {
-		t.Fatalf("got %v, want the reader's row cap refusal", err)
+	var buf bytes.Buffer
+	if _, err := st.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	fe := wantCorrupt(t, histStream(t, histTable(attrs, h)), "a section of more buckets than bytes")
+	if _, err := ReadStore(&buf); err != nil {
+		t.Fatalf("written, then refused: %v", err)
+	}
+	equal := &data.Table{Attrs: []workflow.Attr{attrs[0], countAttr}}
+	for range 1000 {
+		equal.Rows = append(equal.Rows, data.Row{1, 1})
+	}
+	fe := wantCorrupt(t, histStream(t, equal), "a section of more rows than bytes")
 	if !strings.Contains(fe.Msg, "exceeds the wire cell cap") {
 		t.Errorf("refusal %q does not name the cap", fe.Msg)
 	}
