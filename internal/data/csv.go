@@ -46,8 +46,8 @@ func readCSV(r io.Reader, rel string) (*Table, error) {
 	seen := make(map[string]bool, len(header))
 	for _, col := range header {
 		name := strings.TrimSpace(col)
-		if name == "" {
-			return nil, fmt.Errorf("empty column name in header")
+		if name == "" || strings.ContainsRune(name, '\r') {
+			return nil, fmt.Errorf("column name %q in header is empty or holds a carriage return, which CSV does not read back", name)
 		}
 		if seen[name] {
 			return nil, fmt.Errorf("duplicate column name %q in header", name)

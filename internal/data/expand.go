@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mbits "math/bits"
 	"slices"
 )
 
@@ -24,7 +25,8 @@ import (
 // value of a rider. The output is the nested loop over the levels, each
 // level's matches in ascending row order; a level's surviving rows are the
 // rows of its input the output reads, ascending. A selection, one input read
-// in scan order, is its surviving rows. A step is a row a level takes.
+// in scan order, is its surviving rows. A step is a row a level takes. Dense
+// surviving rows cross as a bitmap of the relation the reader holds.
 //
 // A rider is a plain column whose value changes only where a level j <
 // levels-1, or one before it, takes a step: the section carries its value
@@ -37,9 +39,10 @@ import (
 // rows: a level that names no input or one named twice, a key over a level
 // that is not earlier or a column no earlier level carries, a rider that is
 // not a plain column or is one twice, more surviving rows than the section
-// has rows, a rider whose values are not one a step, or an expansion that
-// makes more or fewer rows than the section declares, or takes more than
-// levels × rows steps.
+// has rows, survivors past the bytes left or in the layout the writer would
+// not have chosen, a rider whose values are not one a step, an expansion
+// that makes more or fewer rows than the section declares, or takes more
+// than levels × rows steps, and presence byte 3, the retired form.
 var errExpansion = errors.New("data: a join expansion does not make the declared rows")
 
 // level is one input of an expansion.
@@ -47,6 +50,7 @@ type level struct {
 	grp  int // the section's group that names the input
 	src  *Table
 	rows []int32 // the surviving rows, ascending
+	bits []byte  // the writer's: rows as a bitmap of src's rows (survive)
 	// key, from and fromCol key a level past the first: its rows whose
 	// column key equals column fromCol of level from's current row or,
 	// where from is the level itself, the current value of the rider of
@@ -120,11 +124,8 @@ func (l *level) match(v int64) []int32 {
 		}
 		return nil
 	}
-	lo, found := slices.BinarySearch(l.keys, v)
-	if !found {
-		return nil
-	}
-	hi := lo + 1
+	lo, _ := slices.BinarySearch(l.keys, v)
+	hi := lo
 	for hi < len(l.keys) && l.keys[hi] == v {
 		hi++
 	}
@@ -268,7 +269,7 @@ func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) ([]level, []rid
 	for k := range lv {
 		l := &lv[k]
 		idx[k] = t.Ins[groups[l.grp].in].Idx
-		l.rows = sc.survivors(l.rows[:0], idx[k], l.src)
+		l.survive(idx[k], sc)
 		if k > 0 {
 			l.index()
 		}
@@ -444,26 +445,46 @@ func keyOf(l *level, ix []int32, t *Late, lv []level, idx [][]int32, starts []bo
 	return false
 }
 
-// survivors appends to dst the rows of src that ix reads, ascending.
-func (sc *wireScratch) survivors(dst, ix []int32, src *Table) []int32 {
-	sc.seen = grow(sc.seen, len(src.Rows))
+// survive marks the rows ix reads, a byte a row in sc.seen, packs the marks
+// into l.bits (row i is bit i%8 of byte i/8) and takes them as l.rows.
+func (l *level) survive(ix []int32, sc *wireScratch) {
+	l.bits = grow(l.bits, (len(l.src.Rows)+7)/8)
+	sc.seen = grow(sc.seen, 8*len(l.bits))
 	clear(sc.seen)
 	for _, i := range ix {
-		sc.seen[i] = true
+		sc.seen[i] = 1
 	}
-	for i, s := range sc.seen {
-		if s {
-			dst = append(dst, int32(i))
+	for j := range l.bits { // the byte of mark k lands on bit 56+k
+		l.bits[j] = byte(binary.LittleEndian.Uint64(sc.seen[8*j:]) * 0x0102040810204080 >> 56)
+	}
+	l.rows = bitRows(l.rows[:0], l.bits)
+}
+
+// bitRows appends to dst the rows bits marks, ascending.
+func bitRows(dst []int32, bits []byte) []int32 {
+	for i, b := range bits {
+		for ; b != 0; b &= b - 1 {
+			dst = append(dst, int32(8*i+mbits.TrailingZeros8(b)))
 		}
 	}
 	return dst
 }
 
+// gapBytes is what rows take as a gap list: their count plus one, then the
+// first row and each later one's gap from the one before, less one.
+func gapBytes(rows []int32) int {
+	size, prev := uvarintLen(uint64(len(rows)+1)), int32(-1)
+	for _, r := range rows {
+		size, prev = size+uvarintLen(uint64(r-prev-1)), r
+	}
+	return size
+}
+
 // appendExpansion appends the levels of an expanded section over ng groups:
 // each level's group plus ng times its riders, its key past the first level
-// (a keying rider by its column), its surviving rows, the first as a row and
-// each later one as its gap from the one before, less one, and its riders,
-// each its column, its count of values and a late section's column of them.
+// (a keying rider by its column), its surviving rows as a gap list or, where
+// that takes no fewer bytes, as 0 and its bitmap, and its riders, each its
+// column, its count of values and a late section's column of them.
 func appendExpansion(buf []byte, lv []level, rs []rider, ng int, sc *wireScratch) []byte {
 	for k, l := range lv {
 		riders := 0
@@ -478,11 +499,13 @@ func appendExpansion(buf []byte, lv []level, rs []rider, ng int, sc *wireScratch
 			buf = binary.AppendUvarint(buf, uint64(l.from))
 			buf = binary.AppendUvarint(buf, uint64(l.fromCol))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(l.rows)))
-		prev := int32(-1)
+		at, prev := len(buf), int32(-1)
+		buf = binary.AppendUvarint(buf, uint64(len(l.rows)+1))
 		for _, r := range l.rows {
-			buf = binary.AppendUvarint(buf, uint64(r-prev-1))
-			prev = r
+			buf, prev = binary.AppendUvarint(buf, uint64(r-prev-1)), r
+		}
+		if len(buf)-at >= 1+len(l.bits) {
+			buf = append(append(buf[:at], 0), l.bits...)
 		}
 		for _, r := range rs {
 			if r.level == k {
@@ -583,28 +606,46 @@ func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wire
 	return nil
 }
 
-// survivors reads a level's surviving rows of src, at most n of them.
+// survivors reads a level's surviving rows of src, at most n of them, in
+// the layout its writer chose: a bitmap of src's rows where that takes no
+// more bytes than the gap list, and otherwise the gap list.
 func (d *wireDecoder) survivors(src *Table, n int) ([]int32, error) {
 	count, err := d.uvarint("survivor count")
 	if err != nil {
 		return nil, err
 	}
-	// A survivor costs at least a byte.
-	if left := uint64(len(d.B) - d.Pos); count > uint64(n) || count > left {
-		return nil, fmt.Errorf("%w: %d surviving rows for %d rows in %d bytes", errExpansion, count, n, left)
+	rel, left := len(src.Rows), uint64(len(d.B)-d.Pos)
+	bitmap, bits := 1+(rel+7)/8, []byte(nil)
+	if count == 0 {
+		if uint64(bitmap-1) > left {
+			return nil, fmt.Errorf("%w: a bitmap of %d bytes in %d", errExpansion, bitmap-1, left)
+		}
+		bits, d.Pos = d.B[d.Pos:d.Pos+bitmap-1:d.Pos+bitmap-1], d.Pos+bitmap-1
+		for _, b := range bits {
+			count += uint64(mbits.OnesCount8(b))
+		}
+		if rel%8 != 0 && bits[len(bits)-1]>>(rel%8) != 0 {
+			return nil, fmt.Errorf("%w: a surviving row past the %d of relation %q", ErrUnresolved, rel, src.Rel)
+		}
+	} else if count--; count > left { // a listed survivor costs a byte or more
+		return nil, fmt.Errorf("%w: %d surviving rows in %d bytes", errExpansion, count, left)
 	}
-	rows := make([]int32, count)
-	next := uint64(0) // the least row the next survivor may be
-	for i := range rows {
+	if count > uint64(n) {
+		return nil, fmt.Errorf("%w: %d surviving rows for %d rows", errExpansion, count, n)
+	}
+	rows := bitRows(make([]int32, 0, count), bits)
+	for next := uint64(0); len(rows) < int(count); { // next: the least row the next may be
 		u, err := d.Uvarint()
 		if err != nil {
-			return nil, fmt.Errorf("data: survivor %d: %w", i, err)
+			return nil, fmt.Errorf("data: survivor %d: %w", len(rows), err)
 		}
-		if next >= uint64(len(src.Rows)) || u >= uint64(len(src.Rows))-next {
-			return nil, fmt.Errorf("%w: a surviving row past the %d of relation %q", ErrUnresolved, len(src.Rows), src.Rel)
+		if next >= uint64(rel) || u >= uint64(rel)-next {
+			return nil, fmt.Errorf("%w: a surviving row past the %d of relation %q", ErrUnresolved, rel, src.Rel)
 		}
-		rows[i] = int32(next + u)
-		next += u + 1
+		rows, next = append(rows, int32(next+u)), next+u+1
+	}
+	if gaps := gapBytes(rows); gaps >= bitmap != (bits != nil) {
+		return nil, fmt.Errorf("%w: %d surviving rows take %d bytes as a gap list and %d as a bitmap, and came as the other", errExpansion, len(rows), gaps, bitmap)
 	}
 	return rows, nil
 }

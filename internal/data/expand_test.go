@@ -285,38 +285,55 @@ func expandedSection(rel string, declared, nrows uint64, groups int, rest ...byt
 	return append(b, rest...)
 }
 
-// hostileExpansions are expanded sections a reader of S (keys 1, 3) and D
-// (keys 7, 7) must refuse, each with the refusal it gets; the two with none
-// are honest.
+// hostileExpansions are expanded sections a reader of S (keys 1, 3), D
+// (keys 7, 7) and W (20 rows) must refuse, each with the refusal it gets;
+// the three with none are honest. A level's survivors are a bitmap of its
+// relation — 0, then a byte for every 8 rows — or a gap list — the count
+// plus one, then the gaps — whichever is smaller, ties to the bitmap: both
+// of S's rows are 0, 0b11.
 var hostileExpansions = []struct {
 	name    string
 	section []byte
 	want    error // nil: any error
 	refusal string
 }{
-	{"honest", expandedSection("S", 2, 2, 1, 0, 2, 0, 0), nil, ""},
-	{"past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "more than the 3 rows declared"},
-	{"short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), errExpansion, "4 rows of the 5 declared"},
-	{"a survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), ErrUnresolved, `past the 2 of relation "S"`},
-	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 2, 0, 2, 0, 0), errExpansion, "keyed by level 2"},
-	{"a key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), ErrUnresolved, `column 5 of relation "D"`},
-	{"a keying column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 0, 9, 2, 0, 0), ErrUnresolved, `column 9 of relation "D"`},
-	{"a group named twice", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2, 0, 0), errExpansion, "level 1 is group 0"},
-	{"no survivors", expandedSection("S", 2, 2, 1, 0, 0), errExpansion, "0 rows of the 2 declared"},
-	{"more survivors than rows", expandedSection("S", 2, 1, 1, 0, 2, 0, 0), errExpansion, "2 surviving rows for 1 rows"},
+	{"honest", expandedSection("S", 2, 2, 1, 0, 0, 3), nil, ""},
+	{"past the declared rows", expandedSection("D", 2, 3, 2, 0, 0, 3, 1, 0, 0, 0, 0, 3), errExpansion, "more than the 3 rows declared"},
+	{"short of the declared rows", expandedSection("D", 2, 5, 2, 0, 0, 3, 1, 0, 0, 0, 0, 3), errExpansion, "4 rows of the 5 declared"},
+	{"a survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 3, 0, 1), ErrUnresolved, `past the 2 of relation "S"`},
+	{"a bit past the relation's end", expandedSection("S", 2, 2, 1, 0, 0, 7), ErrUnresolved, `past the 2 of relation "S"`},
+	{"a bitmap one byte short", expandedSection("S", 2, 2, 1, 0, 0), errExpansion, "a bitmap of 1 bytes in 0"},
+	{"more set bits than rows", expandedSection("S", 2, 1, 1, 0, 0, 3), errExpansion, "2 surviving rows for 1 rows"},
+	{"a gap list where the bitmap is no larger", expandedSection("S", 2, 2, 1, 0, 3, 0, 0), errExpansion, "2 surviving rows take 3 bytes as a gap list and 2 as a bitmap"},
+	{"honest gap list", expandedSection("W", 20, 1, 1, 0, 2, 0), nil, ""},
+	{"a bitmap where the gap list is smaller", expandedSection("W", 20, 1, 1, 0, 0, 1, 0, 0), errExpansion, "1 surviving rows take 2 bytes as a gap list and 4 as a bitmap"},
+	{"the retired expanded form", retired(expandedSection("S", 2, 2, 1, 0, 2, 0, 0)), errExpansion, "presence byte 3 is the retired expanded form"},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 0, 3, 1, 0, 2, 0, 0, 3), errExpansion, "keyed by level 2"},
+	{"a key column out of range", expandedSection("D", 2, 4, 2, 0, 0, 3, 1, 5, 0, 0, 0, 3), ErrUnresolved, `column 5 of relation "D"`},
+	{"a keying column out of range", expandedSection("D", 2, 4, 2, 0, 0, 3, 1, 0, 0, 9, 0, 3), ErrUnresolved, `column 9 of relation "D"`},
+	{"a group named twice", expandedSection("D", 2, 4, 2, 0, 0, 3, 0, 0, 0, 0, 0, 3), errExpansion, "level 1 is group 0"},
+	{"no survivors", expandedSection("S", 2, 2, 1, 0, 1), errExpansion, "0 rows of the 2 declared"},
+	{"more survivors than rows", expandedSection("S", 2, 1, 1, 0, 3, 0, 0), errExpansion, "2 surviving rows for 1 rows"},
 	{"no rows", expandedSection("S", 2, 0, 1), errExpansion, "an expansion of no rows"},
 	// S.k and a plain column in one of the retired tags 3 and 4.
 	{"a map column", plainAfter(3), nil, "tag 3 is the retired map encoding"},
 	{"a chain column", plainAfter(4), nil, "tag 4 is the retired chain encoding"},
 	// S.k, a plain column f and D.k: D keyed by f, which rides S's level.
 	{"keyed by a rider", riderSection(riderLead, riderKeyed), nil, ""},
-	{"a rider's values short by one", riderSection([]byte{3, 2, 0, 0, 1, 1, encPlain, 14}, riderKeyed), errExpansion, "column 1's values end at 1 steps"},
-	{"a rider's values long by one", riderSection([]byte{3, 2, 0, 0, 1, 3, encPlain, 14, 14, 14}, riderKeyed), errExpansion, "column 1 has 3 values for 2 steps"},
-	{"a rider past the table", riderSection([]byte{3, 2, 0, 0, 5, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 5 of 3"},
-	{"a rider that is a named column", riderSection([]byte{3, 2, 0, 0, 0, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 0 of 3, a rider or not plain"},
-	{"a column that rides twice", riderSection([]byte{6, 2, 0, 0, 1, 2, encPlain, 14, 14, 1, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 1 of 3, a rider or not plain"},
-	{"keyed by a column no level carries", riderSection([]byte{0, 2, 0, 0}, riderKeyed), errExpansion, "column 1, which no earlier level carries"},
-	{"keyed by a rider in a retired tag", riderSection([]byte{3, 2, 0, 0, 1, 2, 4, 0, 14}, riderKeyed), nil, "tag 4"},
+	{"a rider's values short by one", riderSection([]byte{3, 0, 3, 1, 1, encPlain, 14}, riderKeyed), errExpansion, "column 1's values end at 1 steps"},
+	{"a rider's values long by one", riderSection([]byte{3, 0, 3, 1, 3, encPlain, 14, 14, 14}, riderKeyed), errExpansion, "column 1 has 3 values for 2 steps"},
+	{"a rider past the table", riderSection([]byte{3, 0, 3, 5, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 5 of 3"},
+	{"a rider that is a named column", riderSection([]byte{3, 0, 3, 0, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 0 of 3, a rider or not plain"},
+	{"a column that rides twice", riderSection([]byte{6, 0, 3, 1, 2, encPlain, 14, 14, 1, 2, encPlain, 14, 14}, riderKeyed), errExpansion, "column 1 of 3, a rider or not plain"},
+	{"keyed by a column no level carries", riderSection([]byte{0, 0, 3}, riderKeyed), errExpansion, "column 1, which no earlier level carries"},
+	{"keyed by a rider in a retired tag", riderSection([]byte{3, 0, 3, 1, 2, 4, 0, 14}, riderKeyed), nil, "tag 4"},
+}
+
+// retired is section moved to presence byte 3, the expanded form whose
+// survivors were gap lists only.
+func retired(section []byte) []byte {
+	section[len(tableMagic)] = presentGapsOnly
+	return section
 }
 
 // plainAfter is an expanded section of S's two rows, reading S.k, then a
@@ -331,7 +348,7 @@ func plainAfter(tag byte) []byte {
 	b = append(b, 2, 2, 1) // two rows, two groups, the first named
 	b = append(str(b, "S"), 2, 0)
 	b = append(b, 0, 0, 1) // S.k in group 0, the plain column in group 1
-	b = append(b, 0, 2, 0, 0)
+	b = append(b, 0, 0, 3)
 	return append(b, tag, 0, 2, 2)
 }
 
@@ -339,8 +356,8 @@ func plainAfter(tag byte) []byte {
 // S's two rows, carrying column 1 (f) at the value 7 each, and D's two rows,
 // keyed on D's column 0 by f.
 var (
-	riderLead  = []byte{3, 2, 0, 0, 1, 2, encPlain, 14, 14}
-	riderKeyed = []byte{2, 0, 1, 1, 2, 0, 0}
+	riderLead  = []byte{3, 0, 3, 1, 2, encPlain, 14, 14}
+	riderKeyed = []byte{2, 0, 1, 1, 0, 3}
 )
 
 // riderSection is an expanded section of four rows over S.k, a plain column
@@ -359,22 +376,23 @@ func riderSection(lead, keyed []byte) []byte {
 	return append(append(b, lead...), keyed...)
 }
 
-// expansionDB is S and D, the relations the hostile expansions read.
+// expansionDB is S, D and W, the relations the hostile expansions read.
 func expansionDB() map[string]*Table {
-	return map[string]*Table{"S": source("S", []int64{1, 3}, []int64{2, 4}), "D": source("D", []int64{7, 7})}
+	return map[string]*Table{"S": source("S", []int64{1, 3}, []int64{2, 4}), "D": source("D", []int64{7, 7}), "W": source("W", serialKey(20))}
 }
 
 // TestLateRefusesHostileExpansions reads expanded sections that declare
 // rows their expansion does not make, or name what they may not: each is
-// refused with its typed error and names the fault; the honest ones read
-// S's two rows, and S's two each with D's two.
+// refused with a typed error, its own where one is named, and names the
+// fault; the honest ones read
+// S's two rows, W's first, and S's two each with D's two.
 func TestLateRefusesHostileExpansions(t *testing.T) {
 	db := expansionDB()
 	for _, c := range hostileExpansions {
 		l, err := ReadLate(bytes.NewReader(c.section), maxWireCells, db)
 		if c.refusal == "" {
-			want := []Row{{1}, {3}}
-			if c.name != "honest" {
+			want := map[string][]Row{"honest": {{1}, {3}}, "honest gap list": {{1}}}[c.name]
+			if want == nil {
 				want = []Row{{1, 7, 7}, {1, 7, 7}, {3, 7, 7}, {3, 7, 7}}
 			}
 			if err != nil || !slices.EqualFunc(l.Table().Rows, want, slices.Equal) {
@@ -382,10 +400,16 @@ func TestLateRefusesHostileExpansions(t *testing.T) {
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), c.refusal) || c.want != nil && !errors.Is(err, c.want) {
+		if err == nil || !strings.Contains(err.Error(), c.refusal) || c.want != nil && !errors.Is(err, c.want) || !typedRefusal(err) {
 			t.Errorf("%s: %v, want %q (%v)", c.name, err, c.refusal, c.want)
 		}
 	}
+}
+
+// typedRefusal reports whether err is one of the late reader's typed
+// refusals: errExpansion, ErrUnresolved or a column's encodingError.
+func typedRefusal(err error) bool {
+	return errors.Is(err, errExpansion) || errors.Is(err, ErrUnresolved) || errors.As(err, new(*encodingError))
 }
 
 // TestLateExpansionBounded: an expansion whose middle level keeps rows the
@@ -482,5 +506,77 @@ func TestLateWriterModel(t *testing.T) {
 	t.Logf("300 keyed joins: %d expanded, %d levels keyed by a rider, %d steps that make no row, %d riders that key none", expanded, keyed, dead, free)
 	if keyed == 0 || dead == 0 || free == 0 {
 		t.Errorf("want some levels keyed by a rider, some dead steps and some riders that key no level")
+	}
+}
+
+// survivorModel writes rows, ascending rows of a relation of rel rows, from
+// the format comment in late.go: as a bitmap (0, then ⌈rel/8⌉ bytes, row i
+// bit i%8 of byte i/8) or as a gap list (the count plus one, then the first
+// row and each later one's gap from the one before, less one), and returns
+// the writer's choice, the fewer bytes with ties to the bitmap, and the other.
+func survivorModel(rows []int32, rel int) (chosen, other []byte) {
+	bitmap := make([]byte, 1+(rel+7)/8)
+	gaps := binary.AppendUvarint(nil, uint64(len(rows)+1))
+	for i, r := range rows {
+		bitmap[1+r/8] |= 1 << (r % 8)
+		prev := int32(-1)
+		if i > 0 {
+			prev = rows[i-1]
+		}
+		gaps = binary.AppendUvarint(gaps, uint64(r-prev-1))
+	}
+	if len(bitmap) <= len(gaps) {
+		return bitmap, gaps
+	}
+	return gaps, bitmap
+}
+
+// TestLateSurvivorModel holds a level's surviving rows, written and read, to
+// survivorModel over 2,000 generated levels — relations of 0 to 300 rows,
+// each row read at one of eight densities, from none to all — and the
+// reader to the writer's choice: the layout the writer would not have
+// chosen is refused, typed.
+func TestLateSurvivorModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bitmaps := 0
+	for i := 0; i < 2000; i++ {
+		rel := rng.Intn(301)
+		density := float64(rng.Intn(8)) / 7
+		var ix []int32
+		for r := 0; r < rel; r++ {
+			for rng.Float64() < density && len(ix) < 2*rel {
+				ix = append(ix, int32(r))
+			}
+		}
+		rng.Shuffle(len(ix), func(a, b int) { ix[a], ix[b] = ix[b], ix[a] })
+		l := level{src: source("R", serialKey(rel))}
+		l.survive(ix, new(wireScratch))
+		want := slices.Clone(ix)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if !slices.Equal(l.rows, want) {
+			t.Fatalf("level %d: survivors %v, want %v", i, l.rows, want)
+		}
+		chosen, other := survivorModel(want, rel)
+		got := appendExpansion(nil, []level{l}, nil, 1, new(wireScratch))[1:] // after the group
+		if !bytes.Equal(got, chosen) {
+			t.Fatalf("level %d (%d of %d rows): wrote % x, want % x", i, len(want), rel, got, chosen)
+		}
+		if chosen[0] == 0 {
+			bitmaps++
+		}
+		d := &wireDecoder{Cursor: Cursor{B: chosen}}
+		back, err := d.survivors(l.src, len(ix))
+		if err != nil || !slices.Equal(back, want) || d.Pos != len(chosen) {
+			t.Fatalf("level %d: read back %v at byte %d of %d (%v), want %v", i, back, d.Pos, len(chosen), err, want)
+		}
+		d = &wireDecoder{Cursor: Cursor{B: other}}
+		if _, err := d.survivors(l.src, len(ix)); !errors.Is(err, errExpansion) {
+			t.Fatalf("level %d: the layout not chosen read as %v, want errExpansion", i, err)
+		}
+	}
+	t.Logf("2,000 levels: %d bitmaps, %d gap lists", bitmaps, 2000-bitmaps)
+	if bitmaps < 200 || bitmaps > 1800 {
+		t.Errorf("%d of 2,000 levels as bitmaps: want both layouts well covered", bitmaps)
 	}
 }

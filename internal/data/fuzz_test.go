@@ -26,6 +26,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte("k,val\n9223372036854775808,1\n")) // int64 overflow
 	f.Add([]byte(""))                               // empty input
 	f.Add([]byte("\xff\xfe,\x00\n1,2\n"))           // junk bytes
+	f.Add([]byte("\"0\r\r\n\"\"\"\n"))              // "\r\n" in a quoted name reads back as "\n"
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		tbl, err := readCSV(bytes.NewReader(in), "fuzz")

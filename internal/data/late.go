@@ -55,18 +55,20 @@ import (
 //
 // Where the row indexes are a join expansion (expand.go) — the nested loop
 // a block's hash joins run, which a probe side's scan order and its build
-// sides' keys fix — the section is expanded: presence byte 3, the same
+// sides' keys fix — the section is expanded: presence byte 4, the same
 // groups and refs, and the expansion in place of the row indexes,
 //
-//	"ETBL5" | 3 | relation | ncols | ncols × (attr rel, attr col) | nrows
+//	"ETBL5" | 4 | relation | ncols | ncols × (attr rel, attr col) | nrows
 //	        | ngroups | ngroups × group | ncols × ref | levels | columns
 //	levels = one level per named group, the first leading the loop:
 //	         uvarint (group + ngroups × riders) [, uvarint key column of
 //	         its relation, uvarint from, uvarint column] (the key: past
 //	         the first level only) | survivors | riders × rider
-//	survivors = uvarint count ≤ nrows, then the surviving rows ascending:
-//	         the first as its row, each later one as its gap from the one
-//	         before, less one
+//	survivors = 0, then a bitmap of ⌈rows/8⌉ bytes over the level's
+//	         relation of rows rows (row i is bit i%8 of byte i/8, bits past
+//	         its last row 0), or uvarint count+1 (count ≤ nrows), then the
+//	         rows ascending, the first as its row and each later one as its
+//	         gap from the one before, less one: the fewer bytes, ties to 0
 //	rider  = uvarint plain column, uvarint count, then an ETBL5 column of
 //	         count values: the column's value at each step of the level
 //
@@ -78,8 +80,10 @@ import (
 // levels × nrows steps. A level naming a plain group or a named one twice, a
 // key over a later level or a column no earlier level carries, a rider that
 // is no plain column or one twice, more survivors than rows or bytes left,
-// and a loop that makes other than nrows rows or takes other than a rider's
-// count of values are errExpansion; a survivor or key column past its
+// survivors in the layout the writer would not have chosen, and a loop that
+// makes other than nrows rows or takes other than a rider's count of values
+// are errExpansion, as is presence byte 3, the retired expanded form whose
+// survivors were gap lists only; a survivor or key column past its
 // relation's are ErrUnresolved. The writer expands a section only where its
 // expansion reproduces every index vector and rider, and otherwise writes
 // the index form.

@@ -221,10 +221,13 @@ func FuzzReadLate(f *testing.F) {
 		f.Add(s)
 	}
 	// The expanded sections a reader refuses: past the declared rows or
-	// short of them, a survivor past the relation's end, a key over a later
-	// level or a column out of range, no survivors for the rows declared, a
-	// retired tag, and riders short or long by one, past the table, not
-	// plain, twice or missing under the level they key.
+	// short of them, a survivor or a bit past the relation's end, a bitmap
+	// one byte short, more set bits than rows, a gap list where the bitmap
+	// is no larger and a bitmap where the gap list is smaller, the retired
+	// presence byte 3, a key over a later level or a column out of range, no
+	// survivors for the rows declared, a retired tag, and riders short or
+	// long by one, past the table, not plain, twice or missing under the
+	// level they key.
 	for _, c := range hostileExpansions {
 		f.Add(c.section)
 	}

@@ -23,7 +23,19 @@ import (
 // blockOutputs runs a suite workflow block by block, every upstream output
 // held in its late form as a worker holds it, and returns each block's
 // output.
-func blockOutputs(t *testing.T, id int, scale float64) []*data.Late {
+func blockOutputs(t testing.TB, id int, scale float64) []*data.Late {
+	t.Helper()
+	var outs []*data.Late
+	runs, _ := blockRuns(t, id, scale)
+	for _, rb := range runs {
+		outs = append(outs, rb.Out)
+	}
+	return outs
+}
+
+// blockRuns is blockOutputs' run: each block's outcome, output and
+// materialized tables, in block order, and the analysis it ran.
+func blockRuns(t testing.TB, id int, scale float64) ([]*engine.RemoteBlock, *workflow.Analysis) {
 	t.Helper()
 	w := suite.MustGet(id)
 	an, err := workflow.Analyze(w.Graph, w.Catalog)
@@ -32,16 +44,94 @@ func blockOutputs(t *testing.T, id int, scale float64) []*data.Late {
 	}
 	e := engine.New(an, w.Data(scale), nil)
 	held := make(map[int]*data.Late)
-	var outs []*data.Late
+	var runs []*engine.RemoteBlock
 	for _, blk := range an.Blocks {
 		rb, err := e.RunBlockCtx(context.Background(), blk.Index, nil, nil, nil, held)
 		if err != nil {
 			t.Fatalf("%s block %d: %v", w.Name, blk.Index, err)
 		}
 		held[blk.Index] = rb.Out
-		outs = append(outs, rb.Out)
+		runs = append(runs, rb)
 	}
-	return outs
+	return runs, an
+}
+
+// distRunSections is the tables the dist-run benchmark workload's six
+// dispatched runs ship, made as blockOutputs makes them: every block's
+// materialized tables, by name, and each output no later block reads.
+func distRunSections(tb testing.TB) (names []string, lates []*data.Late) {
+	for _, r := range []struct {
+		wf    int
+		scale float64
+	}{{5, 0.001}, {7, 0.01}, {8, 0.05}, {13, 0.1}, {18, 0.01}, {15, 0.001}} {
+		runs, an := blockRuns(tb, r.wf, r.scale)
+		read := make(map[int]bool)
+		for _, blk := range an.Blocks {
+			for _, in := range blk.Inputs {
+				read[in.FromBlock] = true
+			}
+		}
+		for b, rb := range runs {
+			var mat []string
+			for name := range rb.Materialized {
+				mat = append(mat, name)
+			}
+			slices.Sort(mat)
+			for _, name := range mat {
+				names, lates = append(names, fmt.Sprintf("wf%02d b%d %s", r.wf, b, name)), append(lates, rb.Materialized[name])
+			}
+			if !read[b] {
+				names, lates = append(names, fmt.Sprintf("wf%02d b%d out", r.wf, b)), append(lates, rb.Out)
+			}
+		}
+	}
+	return names, lates
+}
+
+// BenchmarkLateSections times the late codec over what one dist-run round
+// ships: WriteLate of each of its tables, and ReadLate of each section back
+// over the relations it names, an op being the whole round. Compare two
+// builds with
+//
+//	go test -run '^$' -bench BenchmarkLateSections -count 10 ./internal/data
+//
+// and benchstat.
+func BenchmarkLateSections(b *testing.B) {
+	names, lates := distRunSections(b)
+	sections := make([][]byte, len(lates))
+	total := 0
+	for i, l := range lates {
+		var buf bytes.Buffer
+		if err := data.WriteLate(&buf, l); err != nil {
+			b.Fatalf("%s: %v", names[i], err)
+		}
+		sections[i], total = buf.Bytes(), total+buf.Len()
+	}
+	b.Logf("%d sections, %d B: %v", len(sections), total, names)
+	b.Run("WriteLate", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			for _, l := range lates {
+				if err := data.WriteLate(io.Discard, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	dbs := make([]map[string]*data.Table, len(lates))
+	for i, l := range lates {
+		dbs[i] = data.LateDB(l)
+	}
+	b.Run("ReadLate", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			for i, sec := range sections {
+				if _, err := data.ReadLate(bytes.NewReader(sec), 1<<26, dbs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // TestLateWriterModelSuite writes every block output of every suite
@@ -49,14 +139,15 @@ func blockOutputs(t *testing.T, id int, scale float64) []*data.Late {
 // full-suite sweeps) and reads each back to its own rows. It pins the
 // sections left in index form — group-by outputs, which read no relation,
 // and the joins that probe one — and what all 37 sections take deflated
-// (compress/flate at level 6, no dictionary, go1.24.0): 5,956 B, where with
+// (compress/flate at level 6, no dictionary, go1.24.0): 5,705 B. While every
+// level sent its surviving rows as a gap list they took 5,956 B, and with
 // the map and chain column encodings, and wf08's last block in index form,
-// they took 5,995 B.
+// 5,995 B.
 func TestLateWriterModelSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite sweep")
 	}
-	const pinnedDeflated = 5_956
+	const pinnedDeflated = 5_705
 	want := []string{"wf06 b0", "wf06 b1", "wf09 b0", "wf14 b0", "wf14 b1", "wf17 b0", "wf21 b0", "wf22 b0", "wf25 b0", "wf25 b1", "wf26 b0", "wf29 b0", "wf29 b1"}
 	var indexed []string
 	sections, deflated := 0, 0
@@ -100,17 +191,18 @@ func TestLateWriterModelSuite(t *testing.T) {
 // TestLateWriterCells pins, within a quarter for Go-release drift, what
 // WriteLate allocates from an empty pool for wf08@0.05's last block output,
 // made as a worker makes it with both upstream outputs held: the expansion
-// search's row marks, the levels' surviving rows and key indexes, the rider
-// it keys T4 by — U.c, a transform's output, sent once a step of T1 — and
-// the codec's tables (measured with go1.24.0 on amd64). While T4's level
-// had no key, the section sent its four row indexes, widened to cells, and
-// named columns were gathered into an arena for the map and chain searches:
-// 11,769,600 B.
+// search's row marks, the levels' surviving rows, their bitmaps and key
+// indexes, the rider it keys T4 by — U.c, a transform's output, sent once a
+// step of T1 — and the codec's tables (measured with go1.24.0 on amd64):
+// 1,180,752 B, 1,181,656 B before the levels kept survivor bitmaps. While
+// T4's level had no key, the section sent its four row indexes, widened to
+// cells, and named columns were gathered into an arena for the map and
+// chain searches: 11,769,600 B.
 func TestLateWriterCells(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
 	}
-	const pinnedBytes = 1_181_656
+	const pinnedBytes = 1_180_752
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
 	// One P, no collection while measuring, and the codec's free list of
@@ -137,9 +229,10 @@ func TestLateWriterCells(t *testing.T) {
 // worker's rounds: the scratch that call grew is still on the codec's free
 // list, where a sync.Pool's was emptied and grown again from nothing,
 // 11,642,712 B a call. The expansion's levels, the loop's state and the
-// rider's values live in that scratch too; while each call made its own,
-// a warm call allocated 21,296 B. The pin is a measured value (go1.24.0 on
-// amd64); the bound leaves a quarter for Go-release drift.
+// rider's values live in that scratch too, and so do the levels' survivor
+// bitmaps; while each call made its own, a warm call allocated 21,296 B.
+// The pin is a measured value (go1.24.0 on amd64), unmoved by the bitmaps;
+// the bound leaves a quarter for Go-release drift.
 func TestWriteLateWarmAllocs(t *testing.T) {
 	const pinnedBytes = 1_504
 	outs := blockOutputs(t, 8, 0.05)
@@ -170,9 +263,12 @@ func TestWriteLateWarmAllocs(t *testing.T) {
 // whose levels a transform's output keys, and every block output of every
 // multi-block suite workflow at 0.002: each reads back to exactly the late
 // table's index vectors and columns, and the writer makes the same bytes
-// twice. Some keyed joins must expand through a keying rider. The tables
-// are checked concurrently, a goroutine a core; run it under -race at -cpu
-// 1,4 too.
+// twice. It pins how many of each kind expand, how many of those through a
+// keying rider, and how many keep their index columns, and names the joins
+// in the engine's order that keep them: nine self-joins. A change to the
+// section's layout that moves any table's form fails here by name. The
+// tables are checked concurrently, a goroutine a core; run it under -race
+// at -cpu 1,4 too.
 func TestLateExpansionModel(t *testing.T) {
 	names, lates := data.GeneratedLates()
 	if !testing.Short() {
@@ -204,6 +300,7 @@ func TestLateExpansionModel(t *testing.T) {
 	}
 	wg.Wait()
 	count := map[string][3]int{} // kind: expanded, of them through a keying rider, index columns
+	var selfJoins []string       // the joins in the engine's order left in index form
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", names[i], err)
@@ -224,12 +321,28 @@ func TestLateExpansionModel(t *testing.T) {
 			c[0]++
 		default:
 			c[2]++
+			if kind == "join" {
+				selfJoins = append(selfJoins, names[i])
+			}
 		}
 		count[kind] = c
 	}
-	t.Logf("%d tables, by kind [expanded, keyed by a rider, index columns]: %v", len(lates), count)
-	if count["join"][0] == 0 || count["join, moved"][2] == 0 || count["generated"][2] == 0 || count["join, keyed"][1] == 0 {
-		t.Errorf("%v: want some joins expanded, some through a keying rider, and some tables not", count)
+	t.Logf("%d tables, by kind [expanded, keyed by a rider, index columns]: %v; joins in index form: %v", len(lates), count, selfJoins)
+	want := map[string][3]int{"generated": {0, 0, 200}, "join": {191, 0, 9}, "join, keyed": {175, 30, 25}, "join, moved": {4, 0, 196}}
+	if !testing.Short() {
+		want["suite"] = [3]int{11, 1, 8}
+	}
+	if !reflect.DeepEqual(count, want) {
+		t.Errorf("by kind %v, want %v", count, want)
+	}
+	// Each reads a relation twice, and the search's first-match rules pick
+	// the wrong order or key among the identical relations.
+	var wantSelf []string
+	for _, seed := range []int{16, 19, 60, 78, 110, 116, 125, 131, 163} {
+		wantSelf = append(wantSelf, fmt.Sprintf("seed %d join", seed))
+	}
+	if !slices.Equal(selfJoins, wantSelf) {
+		t.Errorf("joins in the engine's order left in index form: %v, want the self-joins %v", selfJoins, wantSelf)
 	}
 }
 
@@ -239,8 +352,9 @@ func TestLateExpansionModel(t *testing.T) {
 // session reads: the late table's own vectors, an index of 4 B a row for
 // each of the four relations it names and 8 B a row for its one column no
 // relation holds, U.c, and the expansion's levels and rider, which make
-// them. The pins are measured values (go1.24.0 on amd64); the bound leaves
-// a quarter for Go-release drift.
+// them. Each level's surviving rows are counted before they are allocated,
+// bitmap or gap list. The pins are measured values (go1.24.0 on amd64),
+// unmoved by the bitmaps; the bound leaves a quarter for Go-release drift.
 func TestReadLateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")

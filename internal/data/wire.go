@@ -19,10 +19,10 @@ import (
 //	"ETBL5" | present(1) | relation | ncols | ncols × (attr rel, attr col)
 //	        | nrows | ncols × column        (no columns when nrows is 0)
 //
-// (present 0 is a nil table, with nothing after it; present 2 a late table,
-// late.go). Strings are a uvarint length plus bytes, counts are uvarints. The body is
-// column-major: each column is one tag byte and one of three encodings of
-// its nrows values —
+// (present 0 is a nil table, with nothing after it; present 2 a late table
+// and 4 an expanded one, late.go). Strings are a uvarint length plus bytes,
+// counts are uvarints. The body is column-major: each column is one tag byte
+// and one of three encodings of its nrows values —
 //
 //	plain  zigzag varints, one per row
 //	rle    uvarint run count r ≥ 1, then r zigzag varint deltas — the
@@ -116,7 +116,7 @@ type wireScratch struct {
 	// search saw an earlier level's row change, seen the rows an index reads;
 	// lv and streams keep the levels' vectors and riders' values for reuse.
 	starts  []bool
-	seen    []bool
+	seen    []byte
 	lv      []level
 	streams [][]int64
 	in      bytes.Buffer // the stream being decoded
@@ -166,7 +166,7 @@ func getScratch() *wireScratch {
 func putScratch(sc *wireScratch) {
 	size := 8*(cap(sc.cells)+cap(sc.runs)+cap(sc.dict)) + 2*cap(sc.marks) + cap(sc.out) + cap(sc.body) + cap(sc.starts) + cap(sc.seen) + sc.in.Cap()
 	for i, l := range sc.lv {
-		size += 4*(cap(l.rows)+cap(l.byKey)+cap(l.at)) + 8*cap(l.keys)
+		size += 4*(cap(l.rows)+cap(l.byKey)+cap(l.at)) + 8*cap(l.keys) + cap(l.bits)
 		sc.lv[i].src = nil // the relation is the caller's, not the scratch's
 	}
 	for _, s := range sc.streams {
@@ -198,12 +198,13 @@ func WriteTable(w io.Writer, t *Table) error {
 	return err
 }
 
-// Presence bytes: a nil table, a table, a late table and an expanded one
-// (late.go).
+// Presence bytes: a nil table, a table, a late table, the retired expanded
+// form whose survivors were gap lists only, and an expanded one (late.go).
 const (
 	presentNil byte = iota
 	presentTable
 	presentLate
+	presentGapsOnly
 	presentExpanded
 )
 
@@ -401,15 +402,7 @@ func runEnd(col []int64, i int) int {
 }
 
 func varintLen(v int64) int   { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-func uvarintLen(u uint64) int { return int(varintLens[bits.Len64(u)]) }
-
-// varintLens maps a value's bit length to its varint byte length.
-var varintLens = func() (t [65]uint8) {
-	for i := range t {
-		t[i] = uint8(max(1, (i+6)/7))
-	}
-	return t
-}()
+func uvarintLen(u uint64) int { return (9*bits.Len64(u) + 64) / 64 } // ⌈bits/7⌉, 1 for 0
 
 // appendColumn encodes col, whose statistics are st, as planned.
 func appendColumn(buf []byte, col []int64, st *colStats, p colPlan) []byte {
@@ -536,6 +529,8 @@ func openSection(r io.Reader, sc *wireScratch, present byte, maxRows, maxCells i
 			return nil, nil, 0, errors.New("data: trailing bytes after a nil table")
 		}
 		return d, nil, 0, nil
+	case got == presentGapsOnly && present == presentLate:
+		return nil, nil, 0, fmt.Errorf("%w: presence byte %d is the retired expanded form, whose survivors were gap lists only", errExpansion, got)
 	case got != present && (present != presentLate || got != presentExpanded):
 		return nil, nil, 0, fmt.Errorf("data: bad table presence byte %d", got)
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/core"
+	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
 	"github.com/essential-stats/etlopt/internal/suite"
@@ -823,7 +824,7 @@ func (c *wireCounter) forms(t *testing.T) (names []string, expanded int) {
 				continue
 			}
 			form := "indexes"
-			if len(sec.bytes) > len("ETBL5") && sec.bytes[len("ETBL5")] == 3 { // the expanded presence byte
+			if len(sec.bytes) > len("ETBL5") && sec.bytes[len("ETBL5")] == 4 { // the expanded presence byte
 				form = "expanded"
 				expanded++
 			}
@@ -832,6 +833,38 @@ func (c *wireCounter) forms(t *testing.T) (names []string, expanded int) {
 	}
 	slices.Sort(names) // independent blocks answer in any order
 	return names, expanded
+}
+
+// survivors is what the expanded table sections the responses carry spend
+// on their levels' surviving rows, read back over db: each level's rows in
+// the smaller of a bitmap of its relation (a byte, then one for every 8
+// rows) and a gap list (the count plus one, then the first row and each
+// later one's gap from the one before, less one), ties to the bitmap.
+func (c *wireCounter) survivors(t *testing.T, db engine.DB) (n int64) {
+	uvarint := func(u int) int64 { return int64(len(binary.AppendUvarint(nil, uint64(u)))) }
+	for _, x := range c.exchanges {
+		_, sections := responseOf(t, x)
+		for _, sec := range sections {
+			if sec.name == "shard" || sec.bytes[len("ETBL5")] != 4 {
+				continue
+			}
+			l, err := data.ReadLate(bytes.NewReader(sec.bytes), 1<<26, db)
+			if err != nil {
+				t.Fatalf("block %d's %s: %v", sec.block, sec.name, err)
+			}
+			for _, in := range l.Ins {
+				rows := slices.Clone(in.Idx)
+				slices.Sort(rows)
+				rows = slices.Compact(rows)
+				gaps, prev := uvarint(len(rows)+1), int32(-1)
+				for _, r := range rows {
+					gaps, prev = gaps+uvarint(int(r-prev-1)), r
+				}
+				n += min(gaps, 1+int64(len(in.Src.Rows)+7)/8)
+			}
+		}
+	}
+	return n
 }
 
 // payloads is what the frames carry before DEFLATE.
@@ -855,17 +888,26 @@ func (c *wireCounter) payloads(t *testing.T) (n int64) {
 // — are the codec's and the store's bytes, which no framing change may
 // move. The bytes the requests and the responses move are the frames',
 // pinned under go 1.24's compress/flate at level 6 over the preset
-// dictionary: 91 + 1,812, 56 + 1,396, 66 + 511, 91 + 1,204, 110 + 1,043
-// and 70 + 382 B, 484 + 6,348 = 6,832 B in all. A request carries only its
+// dictionary: 91 + 1,772, 56 + 1,187, 66 + 498, 91 + 1,015, 110 + 1,002
+// and 70 + 366 B, 484 + 5,840 = 6,324 B in all. A request carries only its
 // chain's statistics; a response ships its tables late (data.WriteLate): a
 // source relation's columns named, not sent, in the relation the
 // coordinator holds too — read directly or through the chain's upstream
 // output — and its header the row counts of the sources each block read. A
-// table that is a join expansion sends each input's surviving rows and the
+// table that is a join expansion sends each input's surviving rows, as a
+// bitmap of the relation or a gap list, whichever is smaller, and the
 // columns that key it; the log names each table's form, and every table of
-// these runs expands. wf08's last block, whose T4 joins on U.c, a
-// transform's output, sends U.c once a step of T1, as the rider that keys
-// T4: its tables inflate to 849 B. While that block sent its row indexes,
+// these runs expands. The log splits what each run inflates to into its
+// headers, its tables — the expansions' surviving rows, pinned by a model
+// of the two layouts, and the rest — and its shards: over the six runs,
+// headers 5,737 B, tables 3,740 B (survivors 2,157) and shards 4,089 B, of
+// which wf05's 2-D histogram shard is 2,802. While every level sent its
+// survivors as a gap list the tables inflated to 11,263 B, 9,680 of them
+// survivors (wf13's 4,989 → 805), and the runs moved 91 + 1,812,
+// 56 + 1,396, 66 + 511, 91 + 1,204, 110 + 1,043 and 70 + 382 B, 6,832 B in
+// all. wf08's last block, whose T4 joins on U.c, a transform's output,
+// sends U.c once a step of T1, as the rider that keys T4: its tables
+// inflate to 520 B (849 with gap lists). While that block sent its row indexes,
 // they inflated to 70,400 B, and the runs moved 91 + 1,812, 56 + 1,396,
 // 66 + 2,415, 91 + 1,204, 110 + 1,043 and 70 + 382 B, 8,736 B in all, with
 // the map and chain column encodings sizing every column against the
@@ -892,16 +934,16 @@ func TestDistributedWireBytes(t *testing.T) {
 		scale                            float64
 		blocks, exchanges                int
 		requests, responses, sent, store int64
-		tables, shard                    int64
+		tables, survivors, shard         int64
 		expanded                         int
 	}{
-		{wf: 5, scale: 0.001, blocks: 1, exchanges: 1, requests: 91, responses: 1_812, sent: 1_903, store: 2_802, tables: 538, shard: 2_802, expanded: 1},
-		{wf: 7, scale: 0.01, blocks: 2, exchanges: 1, requests: 56, responses: 1_396, sent: 1_452, store: 54, tables: 3_576, shard: 63, expanded: 2},
-		{wf: 8, scale: 0.05, blocks: 3, exchanges: 1, requests: 66, responses: 511, sent: 577, store: 74, tables: 849, shard: 92, expanded: 2},
-		{wf: 13, scale: 0.1, blocks: 2, exchanges: 2, requests: 91, responses: 1_204, sent: 1_295, store: 65, tables: 5_156, shard: 74, expanded: 2},
-		{wf: 18, scale: 0.01, blocks: 2, exchanges: 1, requests: 110, responses: 1_043, sent: 1_153, store: 849, tables: 713, shard: 858, expanded: 2},
-		{wf: 15, scale: 0.001, blocks: 2, exchanges: 1, requests: 70, responses: 382, sent: 452, store: 191, tables: 431, shard: 200, expanded: 2},
-		{wf: 12, scale: 0.002, blocks: 1, exchanges: 1, requests: 138, responses: 2_045, sent: 2_183, store: 3_056, tables: 454, shard: 3_056, expanded: 1},
+		{wf: 5, scale: 0.001, blocks: 1, exchanges: 1, requests: 91, responses: 1_772, sent: 1_863, store: 2_802, tables: 279, survivors: 99, shard: 2_802, expanded: 1},
+		{wf: 7, scale: 0.01, blocks: 2, exchanges: 1, requests: 56, responses: 1_187, sent: 1_243, store: 54, tables: 1_128, survivors: 908, shard: 63, expanded: 2},
+		{wf: 8, scale: 0.05, blocks: 3, exchanges: 1, requests: 66, responses: 498, sent: 564, store: 74, tables: 520, survivors: 146, shard: 92, expanded: 2},
+		{wf: 13, scale: 0.1, blocks: 2, exchanges: 2, requests: 91, responses: 1_015, sent: 1_106, store: 65, tables: 972, survivors: 805, shard: 74, expanded: 2},
+		{wf: 18, scale: 0.01, blocks: 2, exchanges: 1, requests: 110, responses: 1_002, sent: 1_112, store: 849, tables: 486, survivors: 155, shard: 858, expanded: 2},
+		{wf: 15, scale: 0.001, blocks: 2, exchanges: 1, requests: 70, responses: 366, sent: 436, store: 191, tables: 355, survivors: 44, shard: 200, expanded: 2},
+		{wf: 12, scale: 0.002, blocks: 1, exchanges: 1, requests: 138, responses: 2_035, sent: 2_173, store: 3_056, tables: 407, survivors: 66, shard: 3_056, expanded: 1},
 	} {
 		t.Run(fmt.Sprintf("wf%02d@%v", c.wf, c.scale), func(t *testing.T) {
 			w, err := suite.Get(c.wf)
@@ -952,9 +994,12 @@ func TestDistributedWireBytes(t *testing.T) {
 			if expanded != c.expanded {
 				t.Errorf("%d table section(s) expanded, want %d: %v", expanded, c.expanded, forms)
 			}
-			payloads := runs[0].payloads(t)
-			t.Logf("%d + %d = %d bytes over the wire in %d exchange(s), inflating to header %d + tables %d + shard %d (payloads of %d B, %.0f %% taken by DEFLATE); tables %v",
-				requests, responses, requests+responses, c.exchanges, header, tables, shard, payloads, 100-100*float64(requests+responses)/float64(payloads), forms)
+			payloads, survivors := runs[0].payloads(t), runs[0].survivors(t, db)
+			if survivors != c.survivors {
+				t.Errorf("the expansions' surviving rows take %d of the tables' bytes, want %d", survivors, c.survivors)
+			}
+			t.Logf("%d + %d = %d bytes over the wire in %d exchange(s), inflating to header %d + tables %d (survivors %d + the rest %d) + shard %d (payloads of %d B, %.0f %% taken by DEFLATE); tables %v",
+				requests, responses, requests+responses, c.exchanges, header, tables, survivors, tables-survivors, shard, payloads, 100-100*float64(requests+responses)/float64(payloads), forms)
 		})
 	}
 }

@@ -24,14 +24,16 @@ import (
 // Block-dispatch frames. Both bodies of a /v1/worker/run exchange are one
 // binary frame:
 //
-//	"EBLK4" | mode(1) | uvarint payload length | payload
+//	"EBLK5" | mode(1) | uvarint payload length | payload
 //	payload = uvarint header length | header JSON | sections
 //
 // Mode 0 stores the payload as it is, mode 1 is one raw DEFLATE stream of it
 // at frameLevel over the preset dictionary frameDict, which both ends build
 // the same way; the writer sends the shorter (ties stored). EBLK2, the same
-// layout deflated with no dictionary, and EBLK3, whose late sections had no
-// expanded form, are refused by their magic (errFrameVersion). The length
+// layout deflated with no dictionary, EBLK3, whose late sections had no
+// expanded form, and EBLK4, whose expanded sections sent every level's
+// surviving rows as a gap list and whose dictionary held that form's head,
+// are refused by their magic (errFrameVersion). The length
 // is the payload's before compression in both modes: a reader refuses a
 // frame that declares more than its cap before it inflates a byte, and one
 // that inflates past what it declared at the byte where it does, so a
@@ -61,14 +63,15 @@ import (
 // (the engine's data, DispatchSpec.DB), so only index columns and the cells
 // no source holds cross; a join's output, whose row indexes are the nested
 // loop its hash joins ran, sends each input's surviving rows and the
-// columns that key it instead of its indexes. The engine's scheduler builds
+// columns that key it instead of its indexes, each input's as a bitmap of
+// its relation where that is smaller. The engine's scheduler builds
 // the rows of what it reads. DEFLATE takes what the codec cannot see,
 // repetition across columns and rows, and the dictionary what every frame
 // repeats, the headers' JSON above all (TestDistributedWireBytes logs each
 // run's share).
 
 const (
-	frameMagic            = "EBLK4"
+	frameMagic            = "EBLK5"
 	frameContentType      = "application/x-etlopt-block"
 	frameStored      byte = 0
 	frameDeflate     byte = 1

@@ -270,9 +270,9 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 
 		// A response whose output is a join of D with itself on its key:
 		// the section names D twice, then the expansion — group 0's
-		// survivors 0 and 1, and group 1's, keyed by D.k on level 0's D.k
-		// — and the plain column.
-		goldenJoin = "0c5b7b22726f7773223a307d5d434554424c35030544e28b8844040144016b01440176014401760544e28b884401660403010144020101440200000000010101020002000001000000020000000a0c0c0a00"
+		// survivors, rows 0 and 1 as the bitmap 0b11 of D's rows, and group
+		// 1's, keyed by D.k on level 0's D.k — and the plain column.
+		goldenJoin = "0c5b7b22726f7773223a307d5d414554424c35040544e28b8844040144016b01440176014401760544e28b88440166040301014402010144020000000001010102000003010000000003000a0c0c0a00"
 
 		// The stats shard, the response's last section, in store format
 		// version 4; goldenResponse is every section before it.
@@ -462,8 +462,9 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 	}
 	// The formats this one replaced are refused by name, not as noise:
 	// EBLK3 is this layout from a build whose late sections had no
-	// expansions.
-	for _, magic := range []string{"EBLK1", "EBLK2", "EBLK3"} {
+	// expansions, and EBLK4 from one whose expansions sent every level's
+	// survivors as a gap list.
+	for _, magic := range []string{"EBLK1", "EBLK2", "EBLK3", "EBLK4"} {
 		old := append([]byte(magic), deflated[len(frameMagic):]...)
 		if err := decode(old); !errors.Is(err, errFrameVersion) || !strings.Contains(err.Error(), `starts "`+magic+`"`) {
 			t.Errorf("a frame of version %s: err = %v", magic, err)
@@ -688,8 +689,17 @@ func mustFrame(t testing.TB, header any, sections ...[]byte) []byte {
 }
 
 // frameDB is the data the hostile late sections below name: relations S,
-// of keys 1 and 3, and D, of keys 7 and 7.
-var frameDB = engine.DB{"S": frameTable("S", data.Row{1, 2}, data.Row{3, 4}), "D": frameTable("D", data.Row{7, 0}, data.Row{7, 1})}
+// of keys 1 and 3, D, of keys 7 and 7, and W, of keys 1 to 20.
+var frameDB = engine.DB{"S": frameTable("S", data.Row{1, 2}, data.Row{3, 4}), "D": frameTable("D", data.Row{7, 0}, data.Row{7, 1}), "W": frameTable("W", serialRows(20)...)}
+
+// serialRows is n rows of keys 1 to n.
+func serialRows(n int) []data.Row {
+	rows := make([]data.Row, n)
+	for i := range rows {
+		rows[i] = data.Row{int64(i + 1), 0}
+	}
+	return rows
+}
 
 // lateSection writes a late table section by hand, from the format comment
 // in internal/data/late.go: one column, S.k, of nrows rows, in one group
@@ -712,10 +722,10 @@ func lateSection(rel string, declared uint64, nrows uint64, index ...byte) []byt
 // comment: groups columns, column g reading rel's column k through group g,
 // each group naming rel and declaring its row count, nrows rows, and then
 // the expansion, rest — per level its group, past the first its key column,
-// keying level and keying column, then its survivor count and survivors.
+// keying level and keying column, then its survivors.
 func expandedSection(rel string, declared, nrows uint64, groups int, rest ...byte) []byte {
 	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
-	b := append([]byte("ETBL5"), 3)
+	b := append([]byte("ETBL5"), 4)
 	b = str(b, "Out")
 	b = binary.AppendUvarint(b, uint64(groups))
 	for g := 0; g < groups; g++ {
@@ -773,22 +783,37 @@ var hostileLate = []struct {
 	{"index as a retired map column", lateSection("S", 2, 2, 3, 0, 0, 2), false, "tag 3 is the retired map encoding"},
 	{"index as a retired chain column", lateSection("S", 2, 2, 4, 0, 0, 2), false, "tag 4 is the retired chain encoding"},
 	// Expansions: S's two rows, then D joined to itself on its key, which
-	// makes four rows.
-	{"honest expansion", expandedSection("S", 2, 2, 1, 0, 2, 0, 0), false, ""},
-	{"expansion past the declared rows", expandedSection("D", 2, 3, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "more than the 3 rows declared"},
-	{"expansion short of the declared rows", expandedSection("D", 2, 5, 2, 0, 2, 0, 0, 1, 0, 0, 0, 2, 0, 0), false, "4 rows of the 5 declared"},
-	{"survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 2, 0, 1), true, `past the 2 of relation "S"`},
-	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 0, 2, 0, 2, 0, 0), false, "keyed by level 2"},
-	{"key column out of range", expandedSection("D", 2, 4, 2, 0, 2, 0, 0, 1, 5, 0, 0, 2, 0, 0), true, `column 5 of relation "D"`},
-	{"no survivors for the rows declared", expandedSection("S", 2, 2, 1, 0, 0), false, "0 rows of the 2 declared"},
+	// makes four rows. Each level's survivors are a bitmap of its relation
+	// (0, then a byte for every 8 rows) or a gap list (the count plus one,
+	// then the gaps), whichever is smaller, ties to the bitmap.
+	{"honest expansion", expandedSection("S", 2, 2, 1, 0, 0, 3), false, ""},
+	{"expansion past the declared rows", expandedSection("D", 2, 3, 2, 0, 0, 3, 1, 0, 0, 0, 0, 3), false, "more than the 3 rows declared"},
+	{"expansion short of the declared rows", expandedSection("D", 2, 5, 2, 0, 0, 3, 1, 0, 0, 0, 0, 3), false, "4 rows of the 5 declared"},
+	{"survivor past the relation's end", expandedSection("S", 2, 2, 1, 0, 3, 0, 1), true, `past the 2 of relation "S"`},
+	{"bit past the relation's end", expandedSection("S", 2, 2, 1, 0, 0, 7), true, `past the 2 of relation "S"`},
+	{"bitmap one byte short", expandedSection("S", 2, 2, 1, 0, 0), false, "a bitmap of 1 bytes in 0"},
+	{"more set bits than rows", expandedSection("S", 2, 1, 1, 0, 0, 3), false, "2 surviving rows for 1 rows"},
+	{"gap list where the bitmap is no larger", expandedSection("S", 2, 2, 1, 0, 3, 0, 0), false, "2 surviving rows take 3 bytes as a gap list and 2 as a bitmap"},
+	{"bitmap where the gap list is smaller", expandedSection("W", 20, 1, 1, 0, 0, 1, 0, 0), false, "1 surviving rows take 2 bytes as a gap list and 4 as a bitmap"},
+	{"retired expanded form", retiredSection(expandedSection("S", 2, 2, 1, 0, 2, 0, 0)), false, "presence byte 3 is the retired expanded form"},
+	{"keyed by a later level", expandedSection("D", 2, 4, 2, 0, 0, 3, 1, 0, 2, 0, 0, 3), false, "keyed by level 2"},
+	{"key column out of range", expandedSection("D", 2, 4, 2, 0, 0, 3, 1, 5, 0, 0, 0, 3), true, `column 5 of relation "D"`},
+	{"no survivors for the rows declared", expandedSection("S", 2, 2, 1, 0, 1), false, "0 rows of the 2 declared"},
 	// D keyed by a plain column that rides S's level, at the value 7 for
 	// each of S's rows: the column's values short or long by one, past the
 	// table, a named column, or carried by no level.
-	{"rider short by one", riderSection(3, 2, 0, 0, 1, 1, 0, 14), false, "column 1's values end at 1 steps"},
-	{"rider long by one", riderSection(3, 2, 0, 0, 1, 3, 0, 14, 14, 14), false, "column 1 has 3 values for 2 steps"},
-	{"rider past the table", riderSection(3, 2, 0, 0, 5, 2, 0, 14, 14), false, "column 5 of 3"},
-	{"rider not plain", riderSection(3, 2, 0, 0, 0, 2, 0, 14, 14), false, "column 0 of 3, a rider or not plain"},
-	{"keyed by no rider", riderSection(0, 2, 0, 0), false, "which no earlier level carries"},
+	{"rider short by one", riderSection(3, 0, 3, 1, 1, 0, 14), false, "column 1's values end at 1 steps"},
+	{"rider long by one", riderSection(3, 0, 3, 1, 3, 0, 14, 14, 14), false, "column 1 has 3 values for 2 steps"},
+	{"rider past the table", riderSection(3, 0, 3, 5, 2, 0, 14, 14), false, "column 5 of 3"},
+	{"rider not plain", riderSection(3, 0, 3, 0, 2, 0, 14, 14), false, "column 0 of 3, a rider or not plain"},
+	{"keyed by no rider", riderSection(0, 0, 3), false, "which no earlier level carries"},
+}
+
+// retiredSection is section moved to presence byte 3: the expanded form
+// whose survivors were gap lists only, which this build refuses.
+func retiredSection(section []byte) []byte {
+	section[len("ETBL5")] = 3
+	return section
 }
 
 // riderSection writes by hand an expanded section of four rows over S.k, a
@@ -797,14 +822,14 @@ var hostileLate = []struct {
 // column 0 by the plain column.
 func riderSection(lead ...byte) []byte {
 	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
-	b := append([]byte("ETBL5"), 3)
+	b := append([]byte("ETBL5"), 4)
 	b = str(b, "Out")
 	b = str(str(str(str(str(str(append(b, 3), "S"), "k"), "Out"), "f"), "D"), "k")
 	b = append(b, 4, 3, 1)
 	b = append(str(b, "S"), 2, 0, 1)
 	b = append(str(b, "D"), 2)
 	b = append(b, 0, 0, 1, 2, 0)
-	return append(append(b, lead...), 2, 0, 1, 1, 2, 0, 0)
+	return append(append(b, lead...), 2, 0, 1, 1, 0, 3)
 }
 
 // TestRunFrameRefusesHostileLateTables decodes response frames whose output
@@ -863,6 +888,7 @@ func FuzzRunFrame(f *testing.F) {
 	// no dictionary.
 	f.Add(append([]byte("EBLK2"), sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil)[len(frameMagic):]...))
 	f.Add(append([]byte("EBLK3"), resp[len(frameMagic):]...))
+	f.Add(append([]byte("EBLK4"), resp[len(frameMagic):]...))
 	f.Add(sealedFrameDict(f, frameDeflate, uint64(len(payload)), payload, nil))
 	f.Add(sealedFrame(f, frameDeflate, uint64(len(payload)), append(payload[:len(payload):len(payload)], bytes.Repeat(frameDict, 64)...)))
 	// Frames cut short: a request, and a response from a worker that died
