@@ -12,15 +12,18 @@ import (
 // Join expansions. The engine emits a join's rows as a nested loop: each
 // surviving row of the probe input in scan order, then the build input's
 // surviving rows of the probe row's key, in scan order, and so on through
-// every join of a block. Both ends of a dispatch hold the relations, so the
-// surviving rows of each input and the columns that key each later input fix
-// every index vector of such an output (rule J1 prices a join from its keys
-// alone): an expanded late section (late.go) sends those in place of its
-// index columns, and the reader rebuilds the vectors by running the loop.
+// every join of a block; it records the loop with the output (Late.Levels).
+// Both ends of a dispatch hold the relations, so the surviving rows of each
+// input and the columns that key each later input fix every index vector of
+// such an output (rule J1 prices a join from its keys alone): an expanded
+// late section (late.go) sends those in place of its index columns, and the
+// reader rebuilds the vectors by running the loop. The writer runs the loop
+// against every index vector first, and sends the index form where it
+// differs.
 //
 // An expansion has one level per input. Level 0 is the input whose rows lead
-// every output row; level k > 0 holds the rows of its input whose column key
-// equals column fromCol of level from's current row, from < k, or — where
+// every output row; level k > 0 holds the rows of its input whose column Key
+// equals column FromCol of level From's current row, From < k, or — where
 // the join key is no input's column but a transform's output — the current
 // value of a rider. The output is the nested loop over the levels, each
 // level's matches in ascending row order; a level's surviving rows are the
@@ -51,11 +54,8 @@ type level struct {
 	src  *Table
 	rows []int32 // the surviving rows, ascending
 	bits []byte  // the writer's: rows as a bitmap of src's rows (survive)
-	// key, from and fromCol key a level past the first: its rows whose
-	// column key equals column fromCol of level from's current row or,
-	// where from is the level itself, the current value of the rider of
-	// the table's column fromCol.
-	key, from, fromCol int
+	// Key, From and FromCol key a level past the first; its In is unused.
+	LateLevel
 	// byKey is rows in ascending (key value, row) order, keys their key
 	// values: the rows of one value are contiguous. Where the values span
 	// few more slots than there are rows, at[v-min] is where value v's
@@ -91,7 +91,7 @@ func riderOf(rs []rider, c int) int {
 // index sorts the level's rows by key, for match, into the level's own
 // vectors, reusing them.
 func (l *level) index() {
-	rows, key := l.src.Rows, l.key
+	rows, key := l.src.Rows, l.Key
 	l.byKey = append(l.byKey[:0], l.rows...)
 	slices.SortFunc(l.byKey, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(rows[a][key], rows[b][key]), cmp.Compare(a, b))
@@ -206,10 +206,10 @@ func expand(lv []level, rs []rider, n int, idx [][]int32, check bool) error {
 			k++
 			l := &lv[k]
 			var v int64
-			if l.from == k {
-				v = rs[riderOf(rs, l.fromCol)].val
+			if l.From == k {
+				v = rs[riderOf(rs, l.FromCol)].val
 			} else {
-				v = lv[l.from].src.Rows[lv[l.from].cur][l.fromCol]
+				v = lv[l.From].src.Rows[lv[l.From].cur][l.FromCol]
 			}
 			l.cand, l.next = l.match(v), 0
 			continue
@@ -250,25 +250,36 @@ func expand(lv []level, rs []rider, n int, idx [][]int32, check bool) error {
 }
 
 // findExpansion returns the expansion of t's index vectors over the inputs
-// of its named groups, in the order of the levels, and its riders, or nil
-// where they are not one. It finds the levels (searchLevels) over the first
-// expandHead rows, which rules most other tables out for little, and then
-// over all of them; it takes each level's surviving rows and each plain
-// column that changes only where a level before the last does as a rider,
-// expands the levels and compares.
+// of its named groups, in the order of its loop's levels, and its riders,
+// or nil where t has no loop, its loop does not name each named group's
+// input once, keys a level by a column its relation or an earlier level's
+// lacks, or does not make t's rows. It takes each level's surviving rows and
+// each plain column that changes only where a level before the last does as
+// a rider, expands the levels and compares.
 func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) ([]level, []rider) {
-	if t.N > expandHead && searchLevels(t, groups, expandHead, sc) == nil {
+	grp := make([]int, len(t.Ins)) // each input's named group, plus one
+	m := 0
+	for g, gr := range groups {
+		if gr.in >= 0 {
+			grp[gr.in], m = g+1, m+1
+		}
+	}
+	if m == 0 || len(t.Levels) != m {
 		return nil, nil
 	}
-	lv := searchLevels(t, groups, t.N, sc)
-	if lv == nil {
-		return nil, nil
-	}
-	m := len(lv)
-	idx := make([][]int32, m)
-	for k := range lv {
+	sc.lv = grow(sc.lv, m)
+	lv, idx := sc.lv, make([][]int32, m)
+	for k, tl := range t.Levels {
+		if tl.In < 0 || tl.In >= len(grp) || grp[tl.In] == 0 {
+			return nil, nil
+		}
 		l := &lv[k]
-		idx[k] = t.Ins[groups[l.grp].in].Idx
+		l.grp, l.src, l.LateLevel, grp[tl.In] = grp[tl.In]-1, t.Ins[tl.In].Src, tl, 0
+		if k > 0 && (l.Key < 0 || l.Key >= len(l.src.Attrs) || l.From < 0 || l.From > k ||
+			l.From < k && (l.FromCol < 0 || l.FromCol >= len(lv[l.From].src.Attrs))) {
+			return nil, nil
+		}
+		idx[k] = t.Ins[tl.In].Idx
 		l.survive(idx[k], sc)
 		if k > 0 {
 			l.index()
@@ -297,8 +308,8 @@ func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) ([]level, []rid
 	// A level keyed by a plain column reads its rider's value.
 	keys := make([]bool, len(rs))
 	for k := 1; k < m; k++ {
-		if l := &lv[k]; l.from == k {
-			i := riderOf(rs, l.fromCol)
+		if l := &lv[k]; l.From == k {
+			i := riderOf(rs, l.FromCol)
 			if i < 0 || rs[i].level >= k {
 				return nil, nil
 			}
@@ -326,123 +337,6 @@ func findExpansion(t *Late, groups []lateGroup, sc *wireScratch) ([]level, []rid
 		kept = append(kept, r)
 	}
 	return lv, kept
-}
-
-// expandHead is the rows findExpansion's first search reads.
-const expandHead = 1 << 12
-
-// searchWork bounds searchLevels to searchWork × levels × rows reads, so
-// that the search stays linear in the table's cells whatever its width.
-const searchWork = 4
-
-// searchLevels orders and keys the inputs of t's named groups over its
-// first n rows, or returns nil. Level by level, it takes the first input in
-// group order whose index ascends within every run of the rows the earlier
-// levels share and, past the first level, whose column some earlier level's
-// column equals on every row (the first such pair of columns, by level,
-// then its column, then the input's) or, failing that, some plain column of
-// the table does, a column constant along those runs (the first by column,
-// then the input's). Every row it reads of an index, a relation or a column
-// is charged to a budget of searchWork × levels × n: past it, there are no
-// levels.
-func searchLevels(t *Late, groups []lateGroup, n int, sc *wireScratch) []level {
-	var named []int
-	for g, grp := range groups {
-		if grp.in >= 0 {
-			named = append(named, g)
-		}
-	}
-	m := len(named)
-	if m == 0 {
-		return nil
-	}
-	budget := searchWork * m * n
-	// starts[r]: row r reads another row than row r-1 at some level so far.
-	sc.starts = grow(sc.starts, n)
-	starts := sc.starts
-	clear(starts)
-	// The levels are the scratch's, whose vectors findExpansion reuses.
-	sc.lv = grow(sc.lv, m)
-	lv := sc.lv[:0]
-	idx := make([][]int32, 0, m)
-	taken := make([]bool, len(groups))
-	for len(lv) < m {
-		// With one input left, only findExpansion's comparison decides.
-		last := len(lv) == m-1
-		found := false
-		for _, g := range named {
-			if taken[g] || budget <= 0 {
-				continue
-			}
-			in := t.Ins[groups[g].in].Idx[:n]
-			ascends := true
-			for r := 1; r < n && ascends && !last; r++ {
-				ascends = starts[r] || in[r] >= in[r-1]
-			}
-			budget -= n
-			if !ascends {
-				continue
-			}
-			l := &sc.lv[len(lv)]
-			l.grp, l.src = g, t.Ins[groups[g].in].Src
-			if len(lv) > 0 && !keyOf(l, in, t, lv, idx, starts, &budget) {
-				continue
-			}
-			for r := 1; r < n && !last; r++ {
-				starts[r] = starts[r] || in[r] != in[r-1]
-			}
-			lv, idx = sc.lv[:len(lv)+1], append(idx, in)
-			taken[g], found = true, true
-			break
-		}
-		if !found {
-			return nil
-		}
-	}
-	return lv
-}
-
-// keyOf finds what keys level l, whose index is ix, over the earlier levels
-// lv and their indexes: the first column of a level and then the first
-// plain column of t, which must be constant within every run of the rows
-// those levels share (starts), equal on every row to a column of l's
-// relation, the first such. Each row is charged to budget.
-func keyOf(l *level, ix []int32, t *Late, lv []level, idx [][]int32, starts []bool, budget *int) bool {
-	k := len(lv)
-	for from := 0; from <= k; from++ {
-		cols := len(t.Cols)
-		if from < k {
-			cols = len(lv[from].src.Attrs)
-		}
-		for c := 0; c < cols; c++ {
-			if from == k && t.Cols[c].In >= 0 {
-				continue
-			}
-			for key := range l.src.Attrs {
-				r := 0
-				for ; r < len(ix) && *budget > 0; r++ {
-					*budget--
-					var v int64
-					if from < k {
-						v = lv[from].src.Rows[idx[from][r]][c]
-					} else if v = t.Cols[c].Vals[r]; r > 0 && !starts[r] && v != t.Cols[c].Vals[r-1] {
-						break
-					}
-					if l.src.Rows[ix[r]][key] != v {
-						break
-					}
-				}
-				if r == len(ix) {
-					l.key, l.from, l.fromCol = key, from, c
-					return true
-				}
-				if *budget <= 0 {
-					return false
-				}
-			}
-		}
-	}
-	return false
 }
 
 // survive marks the rows ix reads, a byte a row in sc.seen, packs the marks
@@ -495,9 +389,9 @@ func appendExpansion(buf []byte, lv []level, rs []rider, ng int, sc *wireScratch
 		}
 		buf = binary.AppendUvarint(buf, uint64(l.grp+ng*riders))
 		if k > 0 {
-			buf = binary.AppendUvarint(buf, uint64(l.key))
-			buf = binary.AppendUvarint(buf, uint64(l.from))
-			buf = binary.AppendUvarint(buf, uint64(l.fromCol))
+			buf = binary.AppendUvarint(buf, uint64(l.Key))
+			buf = binary.AppendUvarint(buf, uint64(l.From))
+			buf = binary.AppendUvarint(buf, uint64(l.FromCol))
 		}
 		at, prev := len(buf), int32(-1)
 		buf = binary.AppendUvarint(buf, uint64(len(l.rows)+1))
@@ -521,7 +415,8 @@ func appendExpansion(buf []byte, lv []level, rs []rider, ng int, sc *wireScratch
 // groups, one for each named group, and runs them into each group's index,
 // the inputs of l in group order, and into each rider's column, which it
 // sets in l, checking every reference against the groups, their relations
-// and the plain columns, and every count against the section's rows.
+// and the plain columns, and every count against the section's rows. It
+// sets the levels as l's loop.
 func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wireScratch) error {
 	n, ng := l.N, uint64(len(groups))
 	if named == 0 {
@@ -549,8 +444,8 @@ func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wire
 		levelOf[g] = k + 1
 		lk := &lv[k]
 		lk.grp, lk.src = int(g), groups[g].src
+		var key, from, fromCol uint64
 		if k > 0 {
-			var key, from, fromCol uint64
 			if err := d.uvarints("expansion key", &key, &from, &fromCol); err != nil {
 				return err
 			}
@@ -566,8 +461,8 @@ func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wire
 				src := lv[from].src
 				return fmt.Errorf("%w: level %d is keyed by column %d of relation %q, which has %d", ErrUnresolved, k, fromCol, src.Rel, len(src.Attrs))
 			}
-			lk.key, lk.from, lk.fromCol = int(key), int(from), int(fromCol)
 		}
+		lk.LateLevel = LateLevel{Key: int(key), From: int(from), FromCol: int(fromCol)}
 		if lk.rows, err = d.survivors(lk.src, n); err != nil {
 			return fmt.Errorf("level %d: %w", k, err)
 		}
@@ -598,9 +493,12 @@ func (d *wireDecoder) expansion(l *Late, groups []lateGroup, named int, sc *wire
 	if err := expand(lv, rs, n, idx, false); err != nil {
 		return err
 	}
+	l.Levels = make([]LateLevel, named)
 	for g, grp := range groups {
 		if grp.src != nil {
-			l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx[levelOf[g]-1]})
+			k := levelOf[g] - 1
+			l.Levels[k], l.Levels[k].In = lv[k].LateLevel, len(l.Ins)
+			l.Ins = append(l.Ins, LateInput{Src: grp.src, Idx: idx[k]})
 		}
 	}
 	return nil

@@ -59,8 +59,8 @@ func tryJoinLate(rng *rand.Rand, moved, keyed bool) *Late {
 			}
 		}
 		if k > 0 {
-			lk.key, lk.from = rng.Intn(len(lk.src.Attrs)), rng.Intn(k)
-			lk.fromCol = rng.Intn(len(lv[lk.from].src.Attrs))
+			lk.Key, lk.From = rng.Intn(len(lk.src.Attrs)), rng.Intn(k)
+			lk.FromCol = rng.Intn(len(lv[lk.From].src.Attrs))
 			transform[k] = keyed && rng.Intn(2) == 0
 			lk.index()
 		}
@@ -92,7 +92,7 @@ func tryJoinLate(rng *rand.Rand, moved, keyed bool) *Late {
 			key[k] = f(cur[:k])
 			rows = l.match(key[k])
 		} else if k > 0 {
-			rows = l.match(lv[l.from].src.Rows[cur[l.from]][l.fromCol])
+			rows = l.match(lv[l.From].src.Rows[cur[l.From]][l.FromCol])
 		}
 		for _, r := range rows {
 			cur[k] = r
@@ -117,8 +117,9 @@ func tryJoinLate(rng *rand.Rand, moved, keyed bool) *Late {
 		}
 	}
 	// Inputs in a random order, and each input's columns.
-	for _, k := range rng.Perm(m) {
-		l.Ins = append(l.Ins, LateInput{Src: lv[k].src, Idx: idx[k]})
+	inOf := make([]int, m)
+	for in, k := range rng.Perm(m) {
+		l.Ins, inOf[k] = append(l.Ins, LateInput{Src: lv[k].src, Idx: idx[k]}), in
 	}
 	var named []LateCol
 	for in := range l.Ins {
@@ -146,13 +147,26 @@ func tryJoinLate(rng *rand.Rand, moved, keyed bool) *Late {
 	for c := range l.Cols {
 		l.Attrs = append(l.Attrs, workflow.Attr{Rel: "join", Col: fmt.Sprintf("c%d", c)})
 	}
+	// The loop as the walk ran it, a transform's output keying its level.
+	for k := range lv {
+		ll := LateLevel{In: inOf[k]}
+		if k > 0 {
+			ll.Key, ll.From, ll.FromCol = lv[k].Key, lv[k].From, lv[k].FromCol
+		}
+		if transform[k] {
+			ll.From = k
+			ll.FromCol = slices.IndexFunc(l.Cols, func(lc LateCol) bool { return lc.In < 0 && &lc.Vals[0] == &keys[k][0] })
+		}
+		l.Levels = append(l.Levels, ll)
+	}
 	return derived(l, rng)
 }
 
 // derived is l with each plain column, at even odds, rewritten as a function
 // of an earlier named column, as a transform's output over a joined
 // relation is: its values a function of the column's, or of the column's
-// value and the row's place in its run.
+// value and the row's place in its run. A column that keys a level of l's
+// loop keeps its values.
 func derived(l *Late, rng *rand.Rand) *Late {
 	out := *l
 	out.Cols = append([]LateCol(nil), l.Cols...)
@@ -177,9 +191,21 @@ func derived(l *Late, rng *rand.Rand) *Late {
 				}
 			}
 		}
-		out.Cols[c] = LateCol{In: -1, Vals: vals}
+		if !keysLevel(l, c) {
+			out.Cols[c] = LateCol{In: -1, Vals: vals}
+		}
 	}
 	return &out
+}
+
+// keysLevel reports whether column c of l keys a level of its loop.
+func keysLevel(l *Late, c int) bool {
+	for k, ll := range l.Levels {
+		if k > 0 && ll.From == k && ll.FromCol == c {
+			return true
+		}
+	}
+	return false
 }
 
 // LateDB is the relations l reads, by name.
@@ -212,7 +238,7 @@ func CheckExpansion(l *Late) (expanded bool, keyed int, err error) {
 		groups, _ := lateGroups(l)
 		lv, _ := findExpansion(l, groups, new(wireScratch))
 		for k := 1; k < len(lv); k++ {
-			if lv[k].from == k {
+			if lv[k].From == k {
 				keyed++
 			}
 		}
@@ -427,8 +453,8 @@ func TestLateExpansionBounded(t *testing.T) {
 	a, b, c := source("A", zero, serial), source("B", zero), source("C", []int64{n - 1})
 	lv := []level{
 		{src: a, rows: serial32(n)},
-		{src: b, rows: serial32(n), key: 0, from: 0, fromCol: 0},
-		{src: c, rows: []int32{0}, key: 0, from: 0, fromCol: 1},
+		{src: b, rows: serial32(n)},
+		{src: c, rows: []int32{0}, LateLevel: LateLevel{FromCol: 1}},
 	}
 	for k := 1; k < len(lv); k++ {
 		lv[k].index()
@@ -442,6 +468,7 @@ func TestLateExpansionBounded(t *testing.T) {
 		l.Ins[0].Idx[r] = n - 1
 	}
 	l.Cols = []LateCol{{In: 0, Col: 1}, {In: 1, Col: 0}, {In: 2, Col: 0}}
+	l.Levels = []LateLevel{{In: 0}, {In: 1}, {In: 2, FromCol: 1}}
 	l.Attrs = []workflow.Attr{{Rel: "out", Col: "a"}, {Rel: "out", Col: "b"}, {Rel: "out", Col: "c"}}
 	if expanded, _, err := CheckExpansion(l); !expanded || err != nil {
 		t.Errorf("the writer's expansion of the same rows: expanded %v, %v", expanded, err)
@@ -488,7 +515,7 @@ func TestLateWriterModel(t *testing.T) {
 		for _, r := range rs {
 			at := 0 // the level the rider keys, if any
 			for k := 1; k < len(lv); k++ {
-				if lv[k].from == k && lv[k].fromCol == r.col {
+				if lv[k].From == k && lv[k].FromCol == r.col {
 					at = k
 				}
 			}

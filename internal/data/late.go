@@ -47,16 +47,17 @@ import (
 // a section by its all-plain form (an input whose few columns a wide index
 // reads can cost more named than plain), so the tests hold generated joins
 // to that bound instead. The section is canonical — the same late table
-// always makes the same bytes — but the reader repeats no column's choice:
-// it checks the structure, every length and every index against the
-// relation it resolved, and re-runs no search. A relation the reader does
-// not hold, or holds with another row count, and an index past its rows are
-// ErrUnresolved: the section names rows the reader cannot gather.
+// and loop always make the same bytes — but the reader repeats no column's
+// choice: it checks the structure, every length and every index against
+// the relation it resolved. A relation the reader does not hold, or holds
+// with another row count, and an index past its rows are ErrUnresolved: the
+// section names rows the reader cannot gather.
 //
-// Where the row indexes are a join expansion (expand.go) — the nested loop
-// a block's hash joins run, which a probe side's scan order and its build
-// sides' keys fix — the section is expanded: presence byte 4, the same
-// groups and refs, and the expansion in place of the row indexes,
+// Where the table carries the loop that made its row indexes (Late.Levels,
+// expand.go) — the nested loop a block's hash joins run, which a probe
+// side's scan order and its build sides' keys fix — the section may be
+// expanded: presence byte 4, the same groups and refs, and the expansion in
+// place of the row indexes,
 //
 //	"ETBL5" | 4 | relation | ncols | ncols × (attr rel, attr col) | nrows
 //	        | ngroups | ngroups × group | ncols × ref | levels | columns
@@ -85,8 +86,10 @@ import (
 // are errExpansion, as is presence byte 3, the retired expanded form whose
 // survivors were gap lists only; a survivor or key column past its
 // relation's are ErrUnresolved. The writer expands a section only where its
-// expansion reproduces every index vector and rider, and otherwise writes
-// the index form.
+// loop reproduces every index vector and rider, and the expansion takes no
+// more raw bytes than the index columns and riders' columns it replaces;
+// otherwise it writes the index form. The reader sets the loop it ran as
+// the table's, so a section read back writes the same bytes again.
 
 // ErrUnresolved reports source rows a reader does not hold as their writer
 // did: a late table section naming a relation the reader lacks or holds with
@@ -106,6 +109,20 @@ type Late struct {
 	Ins []LateInput
 	// Cols has one entry per attribute.
 	Cols []LateCol
+	// Levels is the nested loop that made the index vectors, in loop
+	// order (expand.go), or nil for none: a group-by's output, or a table
+	// no loop made. WriteLate sends a loop only where it makes exactly
+	// the index vectors, and the index form otherwise.
+	Levels []LateLevel
+}
+
+// LateLevel is one level of the nested loop that made a late table's rows:
+// rows of input In. Past the first level, they are the rows whose column Key
+// of In's relation equals column FromCol of level From's current row, From
+// an earlier level, or, where From is the level itself, the table's column
+// FromCol, a rider (a transform's output over the earlier levels' rows).
+type LateLevel struct {
+	In, Key, From, FromCol int
 }
 
 // LateInput is one index vector into a relation both ends of a dispatch
@@ -323,21 +340,31 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 		return buf, err
 	}
 	// An expansion takes the place of the index columns, and its riders
-	// that of their columns.
-	lv, rs := findExpansion(t, groups, sc)
-	if lv != nil {
-		buf[present] = presentExpanded
-	}
+	// that of their columns, where it takes no more bytes than they do.
 	sc.cells = grow(sc.cells, n)
 	body := sc.body[:0]
+	lv, rs := findExpansion(t, groups, sc)
+	if lv != nil {
+		// A level's index column reads each of its surviving rows in a run
+		// of its own or more, and takes its tag and a byte a row (plain, or
+		// codes of a dictionary of two or more) or a run count and two bytes
+		// a run (runs, or a dictionary of one): it is planned only where
+		// that floor is below the expansion.
+		body = appendExpansion(body, lv, rs, len(groups), sc)
+		floor := 0
+		for _, l := range lv {
+			floor += 2 + min(n-1, 2*len(l.rows))
+		}
+		if len(body) > floor && len(body) > indexBytes(t, groups, rs, sc) {
+			lv, rs, body = nil, nil, body[:0]
+		} else {
+			buf[present] = presentExpanded
+		}
+	}
 	for _, grp := range groups {
 		if grp.in >= 0 {
 			if lv == nil {
-				ix := sc.cells[:n]
-				for r, i := range t.Ins[grp.in].Idx {
-					ix[r] = int64(i)
-				}
-				body = appendLateColumn(body, ix, sc)
+				body = appendLateColumn(body, indexCells(sc.cells[:n], t.Ins[grp.in].Idx), sc)
 			}
 			continue
 		}
@@ -372,10 +399,32 @@ func appendLate(buf []byte, t *Late, sc *wireScratch) ([]byte, error) {
 			buf = binary.AppendUvarint(buf, uint64(t.Cols[c].Col))
 		}
 	}
-	if lv != nil {
-		buf = appendExpansion(buf, lv, rs, len(groups), sc)
-	}
 	return append(buf, body...), nil
+}
+
+// indexBytes is what t's index columns and its riders' columns take as
+// planLate plans them.
+func indexBytes(t *Late, groups []lateGroup, rs []rider, sc *wireScratch) int {
+	size := 0
+	for _, grp := range groups {
+		if grp.in >= 0 {
+			_, p := planLate(indexCells(sc.cells[:t.N], t.Ins[grp.in].Idx), sc)
+			size += 1 + p.size
+		}
+	}
+	for _, r := range rs {
+		_, p := planLate(r.vals, sc)
+		size += 1 + p.size
+	}
+	return size
+}
+
+// indexCells widens the row index idx into cells, of its length.
+func indexCells(cells []int64, idx []int32) []int64 {
+	for r, i := range idx {
+		cells[r] = int64(i)
+	}
+	return cells
 }
 
 // appendLateColumn appends col as planLate plans it.

@@ -33,7 +33,7 @@ func lateJoin(rng *rand.Rand) (*Late, map[string]*Table, *Table) {
 
 // lateJoinOrder is lateJoin, with each probe row's build rows in descending
 // build order if reverse: a join that is no expansion where a key has two
-// build rows.
+// build rows, though its loop names the engine's.
 func lateJoinOrder(rng *rand.Rand, reverse bool) (*Late, map[string]*Table, *Table) {
 	keys := int64(1 + rng.Intn(12))
 	nb, np := rng.Intn(60), 1+rng.Intn(200)
@@ -54,7 +54,7 @@ func lateJoinOrder(rng *rand.Rand, reverse bool) (*Late, map[string]*Table, *Tab
 		}
 	}
 	p, b := source("P", pcols[:]...), source("B", bcols[:]...)
-	l := &Late{Rel: "P⋈B", Ins: []LateInput{{Src: p}, {Src: b}}}
+	l := &Late{Rel: "P⋈B", Ins: []LateInput{{Src: p}, {Src: b}}, Levels: []LateLevel{{In: 0}, {In: 1, Key: 1, FromCol: 1}}}
 	for c := range p.Attrs {
 		l.Attrs = append(l.Attrs, p.Attrs[c])
 		l.Cols = append(l.Cols, LateCol{In: 0, Col: c})
@@ -144,11 +144,12 @@ func lateLayout(t testing.TB, b []byte) (rels []string, body int) {
 // them back over the relations they name: the rows are the join's, the same
 // late table always makes the same bytes, and no section is larger than the
 // same rows with every column plain, but for the groups' bytes. Every join
-// in the engine's order that makes rows is sent as its expansion; of those
-// whose build rows come in descending order, which are none where a key has
-// two build rows, some name both inputs.
+// in the engine's order that makes rows makes them by its loop, and is sent
+// as its expansion but for one whose index columns take fewer bytes; of
+// those whose build rows come in descending order, which are no expansion
+// where a key has two build rows, some name both inputs.
 func TestLateRoundTripJoins(t *testing.T) {
-	expanded, bothNamed := 0, 0
+	expanded, bothNamed, smaller := 0, 0, 0
 	for seed := int64(0); seed < 300; seed++ {
 		reverse := seed%2 == 1
 		l, db, want := lateJoinOrder(rand.New(rand.NewSource(seed)), reverse)
@@ -178,16 +179,19 @@ func TestLateRoundTripJoins(t *testing.T) {
 			expanded++
 			continue
 		}
-		if !reverse {
-			t.Errorf("seed %d: a join in the engine's order is not sent as its expansion", seed)
+		if groups, _ := lateGroups(l); !reverse {
+			if lv, _ := findExpansion(l, groups, new(wireScratch)); lv == nil {
+				t.Errorf("seed %d: a join in the engine's order does not make its rows by its loop", seed)
+			}
+			smaller++
 		}
 		if len(rels) > 1 && rels[0] == "P" && rels[1] == "B" {
 			bothNamed++
 		}
 	}
-	t.Logf("%d of 300 joins sent as their expansion; of the others, %d named both inputs", expanded, bothNamed)
-	if expanded == 0 || bothNamed == 0 {
-		t.Errorf("%d joins expanded, %d others named both inputs; want some of each", expanded, bothNamed)
+	t.Logf("%d of 300 joins sent as their expansion, %d in the engine's order smaller as indexes; of the others, %d named both inputs", expanded, smaller, bothNamed)
+	if expanded == 0 || bothNamed == 0 || smaller != 1 {
+		t.Errorf("%d joins expanded, %d others named both inputs, %d in the engine's order smaller as indexes; want some of the first two and 1", expanded, bothNamed, smaller)
 	}
 }
 

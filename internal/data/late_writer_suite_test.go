@@ -138,8 +138,11 @@ func BenchmarkLateSections(b *testing.B) {
 // workflow at 0.002 (wf10, wf16 and wf24 left out, as in the other
 // full-suite sweeps) and reads each back to its own rows. It pins the
 // sections left in index form — group-by outputs, which read no relation,
-// and the joins that probe one — and what all 37 sections take deflated
-// (compress/flate at level 6, no dictionary, go1.24.0): 5,705 B. While every
+// the joins that probe one, two outputs of no rows, and wf21's and wf26's
+// star joins of two rows and one, whose index columns take fewer bytes than
+// their expansions — and what all 37 sections take deflated (compress/flate
+// at level 6, no dictionary, go1.24.0): 5,705 B, the same while the writer
+// searched for each table's loop instead of taking the engine's. While every
 // level sent its surviving rows as a gap list they took 5,956 B, and with
 // the map and chain column encodings, and wf08's last block in index form,
 // 5,995 B.
@@ -190,19 +193,20 @@ func TestLateWriterModelSuite(t *testing.T) {
 
 // TestLateWriterCells pins, within a quarter for Go-release drift, what
 // WriteLate allocates from an empty pool for wf08@0.05's last block output,
-// made as a worker makes it with both upstream outputs held: the expansion
-// search's row marks, the levels' surviving rows, their bitmaps and key
-// indexes, the rider it keys T4 by — U.c, a transform's output, sent once a
-// step of T1 — and the codec's tables (measured with go1.24.0 on amd64):
-// 1,180,752 B, 1,181,656 B before the levels kept survivor bitmaps. While
-// T4's level had no key, the section sent its four row indexes, widened to
-// cells, and named columns were gathered into an arena for the map and
-// chain searches: 11,769,600 B.
+// made as a worker makes it with both upstream outputs held: the levels of
+// the loop the engine ran, their surviving rows, bitmaps and key indexes,
+// the rider it keys T4 by — U.c, a transform's output, sent once a step of
+// T1 — and the codec's tables (measured with go1.24.0 on amd64):
+// 1,045,632 B. While the writer searched for the loop, its row marks took a
+// byte a row more: 1,180,752 B, and 1,181,656 B before the levels kept
+// survivor bitmaps. While T4's level had no key, the section sent its four
+// row indexes, widened to cells, and named columns were gathered into an
+// arena for the map and chain searches: 11,769,600 B.
 func TestLateWriterCells(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
 	}
-	const pinnedBytes = 1_180_752
+	const pinnedBytes = 1_045_632
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
 	// One P, no collection while measuring, and the codec's free list of
@@ -231,10 +235,11 @@ func TestLateWriterCells(t *testing.T) {
 // 11,642,712 B a call. The expansion's levels, the loop's state and the
 // rider's values live in that scratch too, and so do the levels' survivor
 // bitmaps; while each call made its own, a warm call allocated 21,296 B.
-// The pin is a measured value (go1.24.0 on amd64), unmoved by the bitmaps;
-// the bound leaves a quarter for Go-release drift.
+// The pin is a measured value (go1.24.0 on amd64); while the writer
+// searched for the loop the engine now hands it, a warm call allocated
+// 1,504 B. The bound leaves a quarter for Go-release drift.
 func TestWriteLateWarmAllocs(t *testing.T) {
-	const pinnedBytes = 1_504
+	const pinnedBytes = 1_216
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -260,15 +265,17 @@ func TestWriteLateWarmAllocs(t *testing.T) {
 // TestLateExpansionModel holds every section to the late table it was
 // written from, over 200 of TestLateTableModel's generated tables, 200 joins
 // in the engine's order, those joins with two rows moved, 200 joins some of
-// whose levels a transform's output keys, and every block output of every
-// multi-block suite workflow at 0.002: each reads back to exactly the late
+// whose levels a transform's output keys, every block output of every
+// multi-block suite workflow at 0.002, and each expanded one of those with
+// its loop keyed wrong (wrongLoop): each reads back to exactly the late
 // table's index vectors and columns, and the writer makes the same bytes
 // twice. It pins how many of each kind expand, how many of those through a
-// keying rider, and how many keep their index columns, and names the joins
-// in the engine's order that keep them: nine self-joins. A change to the
-// section's layout that moves any table's form fails here by name. The
-// tables are checked concurrently, a goroutine a core; run it under -race
-// at -cpu 1,4 too.
+// keying rider, and how many keep their index columns: a join in the
+// engine's order keeps them only where they take fewer bytes, as four of a
+// row or two do, and a wrong loop always does, so the check against every
+// index, not the loop, decides the form. A change to the section's layout
+// that moves any table's form fails here. The tables are checked
+// concurrently, a goroutine a core; run it under -race at -cpu 1,4 too.
 func TestLateExpansionModel(t *testing.T) {
 	names, lates := data.GeneratedLates()
 	if !testing.Short() {
@@ -279,7 +286,20 @@ func TestLateExpansionModel(t *testing.T) {
 			}
 			if outs := blockOutputs(t, w.ID, 0.002); len(outs) > 1 {
 				for b, out := range outs {
-					names, lates = append(names, fmt.Sprintf("%s block %d", w.Name, b)), append(lates, out)
+					name := fmt.Sprintf("%s block %d", w.Name, b)
+					names, lates = append(names, name), append(lates, out)
+					var sec bytes.Buffer
+					if err := data.WriteLate(&sec, out); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if sec.Bytes()[len("ETBL5")] != 4 { // the expanded form's presence byte
+						continue
+					}
+					wrong := wrongLoop(out)
+					if wrong == nil {
+						t.Fatalf("%s: no column keys a level wrong", name)
+					}
+					names, lates = append(names, name+", wrong loop"), append(lates, wrong)
 				}
 			}
 		}
@@ -300,7 +320,6 @@ func TestLateExpansionModel(t *testing.T) {
 	}
 	wg.Wait()
 	count := map[string][3]int{} // kind: expanded, of them through a keying rider, index columns
-	var selfJoins []string       // the joins in the engine's order left in index form
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", names[i], err)
@@ -311,6 +330,8 @@ func TestLateExpansionModel(t *testing.T) {
 			if len(f) == 3 {
 				kind = f[2]
 			}
+		} else if strings.HasSuffix(names[i], ", wrong loop") {
+			kind = "wrong loop"
 		}
 		c := count[kind]
 		switch {
@@ -321,29 +342,92 @@ func TestLateExpansionModel(t *testing.T) {
 			c[0]++
 		default:
 			c[2]++
-			if kind == "join" {
-				selfJoins = append(selfJoins, names[i])
-			}
 		}
 		count[kind] = c
 	}
-	t.Logf("%d tables, by kind [expanded, keyed by a rider, index columns]: %v; joins in index form: %v", len(lates), count, selfJoins)
-	want := map[string][3]int{"generated": {0, 0, 200}, "join": {191, 0, 9}, "join, keyed": {175, 30, 25}, "join, moved": {4, 0, 196}}
+	t.Logf("%d tables, by kind [expanded, keyed by a rider, index columns]: %v", len(lates), count)
+	want := map[string][3]int{"generated": {0, 0, 200}, "join": {196, 0, 4}, "join, keyed": {192, 60, 8}, "join, moved": {1, 0, 199}}
 	if !testing.Short() {
-		want["suite"] = [3]int{11, 1, 8}
+		want["suite"], want["wrong loop"] = [3]int{11, 1, 8}, [3]int{0, 0, 11}
 	}
 	if !reflect.DeepEqual(count, want) {
 		t.Errorf("by kind %v, want %v", count, want)
 	}
-	// Each reads a relation twice, and the search's first-match rules pick
-	// the wrong order or key among the identical relations.
-	var wantSelf []string
-	for _, seed := range []int{16, 19, 60, 78, 110, 116, 125, 131, 163} {
-		wantSelf = append(wantSelf, fmt.Sprintf("seed %d join", seed))
+}
+
+// TestLateReadBackCanonical writes every table a dist-run round ships and
+// every suite block output at 0.002, reads each section back and writes it
+// again: the bytes are the same. The reader sets
+// the loop it ran, the same levels over the same relations and rows, so a
+// remote output that a later block reads in-process keeps its loop; a
+// section in index form reads back with none.
+func TestLateReadBackCanonical(t *testing.T) {
+	names, lates := distRunSections(t)
+	if !testing.Short() {
+		for _, w := range suite.All() {
+			switch w.ID {
+			case 10, 16, 24:
+				continue
+			}
+			for b, out := range blockOutputs(t, w.ID, 0.002) {
+				names, lates = append(names, fmt.Sprintf("%s b%d", w.Name[:4], b)), append(lates, out)
+			}
+		}
 	}
-	if !slices.Equal(selfJoins, wantSelf) {
-		t.Errorf("joins in the engine's order left in index form: %v, want the self-joins %v", selfJoins, wantSelf)
+	expanded := 0
+	for i, l := range lates {
+		var sec, again bytes.Buffer
+		if err := data.WriteLate(&sec, l); err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		x := sec.Bytes()[len("ETBL5")] == 4 // the expanded form's presence byte
+		back, err := data.ReadLate(bytes.NewReader(sec.Bytes()), 1<<26, data.LateDB(l))
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if err := data.WriteLate(&again, back); err != nil || !bytes.Equal(again.Bytes(), sec.Bytes()) {
+			t.Errorf("%s: read back and written again, %d B against %d (%v)", names[i], again.Len(), sec.Len(), err)
+		}
+		if !x {
+			if back.Levels != nil {
+				t.Errorf("%s: a section in index form reads back with a loop", names[i])
+			}
+			continue
+		}
+		expanded++
+		same := len(back.Levels) == len(l.Levels)
+		for k := 0; same && k < len(l.Levels); k++ {
+			lv, bv := l.Levels[k], back.Levels[k]
+			in, bin := l.Ins[lv.In], back.Ins[bv.In]
+			same = lv.Key == bv.Key && lv.From == bv.From && lv.FromCol == bv.FromCol && in.Src == bin.Src && slices.Equal(in.Idx, bin.Idx)
+		}
+		if !same {
+			t.Errorf("%s: loop %v read back as %v", names[i], l.Levels, back.Levels)
+		}
 	}
+	t.Logf("%d sections, %d of them expansions", len(lates), expanded)
+	if expanded == 0 {
+		t.Error("no section went as its expansion")
+	}
+}
+
+// wrongLoop is l with its loop keyed wrong: the first level past the first
+// keyed on the first other column of its relation that differs from its key
+// on some row, so that the row's level does not match it; nil where no
+// level has one.
+func wrongLoop(l *data.Late) *data.Late {
+	for k := 1; k < len(l.Levels); k++ {
+		in := l.Ins[l.Levels[k].In]
+		for key := range in.Src.Attrs {
+			if slices.ContainsFunc(in.Idx, func(r int32) bool { return in.Src.Rows[r][key] != in.Src.Rows[r][l.Levels[k].Key] }) {
+				wrong := *l
+				wrong.Levels = slices.Clone(l.Levels)
+				wrong.Levels[k].Key = key
+				return &wrong
+			}
+		}
+	}
+	return nil
 }
 
 // TestReadLateAllocs pins what a coordinator's reader allocates decoding
@@ -352,16 +436,18 @@ func TestLateExpansionModel(t *testing.T) {
 // session reads: the late table's own vectors, an index of 4 B a row for
 // each of the four relations it names and 8 B a row for its one column no
 // relation holds, U.c, and the expansion's levels and rider, which make
-// them. Each level's surviving rows are counted before they are allocated,
-// bitmap or gap list. The pins are measured values (go1.24.0 on amd64),
-// unmoved by the bitmaps; the bound leaves a quarter for Go-release drift.
+// them, and the loop it ran, which the table keeps as its Levels (one
+// allocation and 160 B more than before the reader kept it). Each level's
+// surviving rows are counted before they are allocated, bitmap or gap
+// list. The pins are measured values (go1.24.0 on amd64); the bound leaves
+// a quarter for Go-release drift.
 func TestReadLateAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("pooled scratch is dropped at random under -race; the plain test job pins this")
 	}
 	const (
-		pinnedBytes  = 3_094_203
-		pinnedAllocs = 67
+		pinnedBytes  = 3_094_363
+		pinnedAllocs = 68
 	)
 	outs := blockOutputs(t, 8, 0.05)
 	out := outs[len(outs)-1]

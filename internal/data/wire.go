@@ -112,10 +112,9 @@ type wireScratch struct {
 	runs  []int64  // a decoded run stream's values
 	out   []byte   // the stream being encoded
 	body  []byte   // a late table's columns, encoded after its groups
-	// A late table's expansion (expand.go): starts marks the rows where the
-	// search saw an earlier level's row change, seen the rows an index reads;
-	// lv and streams keep the levels' vectors and riders' values for reuse.
-	starts  []bool
+	// A late table's expansion (expand.go): seen marks the rows an index
+	// reads; lv and streams keep the levels' vectors and riders' values for
+	// reuse.
 	seen    []byte
 	lv      []level
 	streams [][]int64
@@ -164,7 +163,7 @@ func getScratch() *wireScratch {
 // putScratch returns scratch to the free list, unless the list is full or
 // the scratch is over keptScratchBytes.
 func putScratch(sc *wireScratch) {
-	size := 8*(cap(sc.cells)+cap(sc.runs)+cap(sc.dict)) + 2*cap(sc.marks) + cap(sc.out) + cap(sc.body) + cap(sc.starts) + cap(sc.seen) + sc.in.Cap()
+	size := 8*(cap(sc.cells)+cap(sc.runs)+cap(sc.dict)) + 2*cap(sc.marks) + cap(sc.out) + cap(sc.body) + cap(sc.seen) + sc.in.Cap()
 	for i, l := range sc.lv {
 		size += 4*(cap(l.rows)+cap(l.byKey)+cap(l.at)) + 8*cap(l.keys) + cap(l.bits)
 		sc.lv[i].src = nil // the relation is the caller's, not the scratch's

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/essential-stats/etlopt/internal/batch"
@@ -58,27 +59,21 @@ func runVecBlock(bp *physical.BlockPlan, col *collector, out *blockSink, metrics
 		}
 		v.batches[n.ID] = b
 	}
-	out.out = v.late(v.batches[bp.Root.ID], v.rels[bp.Root.ID], bp.Root.Attrs)
+	out.out = v.late(v.batches[bp.Root.ID], bp.Root, v.rels[bp.Root.ID], bp.Root.Attrs)
 	return nil
 }
 
-// late returns the live rows of b — the block's output, a materialization or
-// a reject link — in late form, which outlives the arena. A column whose
-// vector is a column of a source scan's batch reads that relation, which
-// both ends of a dispatch hold, through the column's index vector. So does a
-// column of an upstream output's scan that reads a source relation: through
-// the upstream output's index composed with the column's, one input per
-// index the upstream output has. Every other column is gathered into values.
-func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data.Late {
-	// scanCol is a scanned vector that is column col of src, read at row
-	// idx[r] for the scan's row r; idx is nil, the identity, for a scan of
-	// src itself, and key is its first element's address, nil for none.
-	type scanCol struct {
-		src *data.Table
-		idx []int32
-		key *int32
-		col int
-	}
+// late returns the live rows of b, node n's — the block's output, a
+// materialization or a reject link — in late form, which outlives the arena.
+// A column whose vector is a column of a source scan's batch reads that
+// relation, which both ends of a dispatch hold, through the column's index
+// vector. So does a column of an upstream output's scan that reads a source
+// relation: through the upstream output's index composed with the column's,
+// one input per index the upstream output has. Every other column is
+// gathered into values. The table's loop is n's (loop), each level over the
+// input its scan became and a rider's over the column it became; where one
+// became none, the table has no loop.
+func (v *vecBlock) late(b *batch.Batch, n *physical.Node, rel string, attrs []workflow.Attr) *data.Late {
 	scans := make(map[*int64]scanCol)
 	for _, n := range v.bp.Nodes {
 		sb := v.batches[n.ID]
@@ -90,16 +85,18 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 			switch {
 			case len(col) == 0:
 			case n.FromBlock < 0 && n.Src.Rel == n.SourceRel:
-				scans[&col[0]] = scanCol{src: n.Src, col: j}
+				scans[&col[0]] = scanCol{src: n.Src, col: j, scan: [2]int{n.ID, 0}}
 			case up != nil && up.Cols[j].In >= 0:
 				in := up.Ins[up.Cols[j].In]
-				scans[&col[0]] = scanCol{src: in.Src, idx: in.Idx, key: &in.Idx[0], col: up.Cols[j].Col}
+				scans[&col[0]] = scanCol{src: in.Src, idx: in.Idx, col: up.Cols[j].Col, scan: [2]int{n.ID, up.Cols[j].In}}
 			}
 		}
 	}
 	l := &data.Late{Rel: rel, Attrs: attrs, N: b.Rows(), Cols: make([]data.LateCol, len(b.Cols))}
-	// The index each input composes with the read's, nil for none.
-	var through []*int32
+	// The scan level each input reads, and the column of each gathered
+	// vector.
+	var scanOf [][2]int
+	colOf := make(map[*int64]int)
 	for _, rd := range b.Reads() {
 		first := len(l.Ins) // the inputs of this read start here
 		for _, c := range rd.Cols {
@@ -107,7 +104,7 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 			if len(src) > 0 {
 				if sc, ok := scans[&src[0]]; ok {
 					k := first
-					for k < len(l.Ins) && (l.Ins[k].Src != sc.src || through[k] != sc.key) {
+					for k < len(l.Ins) && scanOf[k] != sc.scan {
 						k++
 					}
 					if k == len(l.Ins) {
@@ -119,11 +116,12 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 							}
 						}
 						l.Ins = append(l.Ins, data.LateInput{Src: sc.src, Idx: idx})
-						through = append(through, sc.key)
+						scanOf = append(scanOf, sc.scan)
 					}
 					l.Cols[c] = data.LateCol{In: k, Col: sc.col}
 					continue
 				}
+				colOf[&src[0]] = c
 			}
 			vals := make([]int64, len(rd.Idx))
 			for i, r := range rd.Idx {
@@ -132,7 +130,90 @@ func (v *vecBlock) late(b *batch.Batch, rel string, attrs []workflow.Attr) *data
 			l.Cols[c] = data.LateCol{In: -1, Vals: vals}
 		}
 	}
+	for k, lv := range v.loop(n, scans) {
+		ok := true
+		if lv.In = slices.Index(scanOf, lv.scan); k > 0 && lv.From == k {
+			lv.FromCol, ok = colOf[lv.rider]
+		}
+		if !ok || lv.In < 0 {
+			l.Levels = nil
+			break
+		}
+		l.Levels = append(l.Levels, lv.LateLevel)
+	}
 	return l
+}
+
+// scanCol is a scanned vector that is column col of src, read at row idx[r]
+// for the scan's row r; idx is nil, the identity, for a scan of src itself.
+// Its rows are scan level scan's: input scan[1] of scan node scan[0], 0 for
+// a source scan.
+type scanCol struct {
+	src  *data.Table
+	idx  []int32
+	col  int
+	scan [2]int
+}
+
+// vecLevel is a level of the loop that made a node's rows: a data.LateLevel
+// over scan level scan, not an input, and keyed, where a rider keys it, by
+// the vector whose first element is rider.
+type vecLevel struct {
+	data.LateLevel
+	scan  [2]int
+	rider *int64
+}
+
+// loop is the nested loop that made node n's rows, over the scans late
+// named. A source scan is one level, and a scan of an upstream output the
+// upstream output's loop. A hash join is the probe side's loop and then the
+// build side's, whose first level is keyed by the probe key: a column of a
+// probe level's relation or, where it is no scan's, a rider. A group's rows
+// are no loop's, nor are a join's where a side has none or the build key is
+// not a column of the build side's first level.
+func (v *vecBlock) loop(n *physical.Node, scans map[*int64]scanCol) []vecLevel {
+	switch n.Kind {
+	case physical.OpScan:
+		if n.FromBlock < 0 {
+			return []vecLevel{{scan: [2]int{n.ID, 0}}}
+		}
+		up, b := v.out.held[n.FromBlock], v.batches[n.ID]
+		loop := make([]vecLevel, len(up.Levels))
+		for k, ul := range up.Levels {
+			loop[k] = vecLevel{LateLevel: ul, scan: [2]int{n.ID, ul.In}}
+			if k > 0 && ul.From == k && len(b.Cols[ul.FromCol]) > 0 {
+				loop[k].rider = &b.Cols[ul.FromCol][0]
+			}
+		}
+		return loop
+	case physical.OpFilter, physical.OpProject, physical.OpTransform, physical.OpMaterialize:
+		return v.loop(n.Input, scans)
+	case physical.OpHashJoin:
+		probe, build := v.loop(n.Left, scans), v.loop(n.Right, scans)
+		lcol, rcol := v.batches[n.Left.ID].Cols[n.LeftCol], v.batches[n.Right.ID].Cols[n.RightCol]
+		if len(probe) == 0 || len(build) == 0 || len(lcol) == 0 || len(rcol) == 0 {
+			return nil
+		}
+		bk, ok := scans[&rcol[0]]
+		if !ok || bk.scan != build[0].scan {
+			return nil
+		}
+		m := len(probe)
+		loop := append(probe, build...)
+		for k := m + 1; k < len(loop); k++ {
+			loop[k].From += m
+		}
+		first := &loop[m]
+		first.Key = bk.col
+		if pk, ok := scans[&lcol[0]]; ok {
+			first.From = slices.IndexFunc(probe, func(l vecLevel) bool { return l.scan == pk.scan })
+			first.FromCol = pk.col
+		} else {
+			first.From, first.rider = m, &lcol[0]
+		}
+		return loop
+	}
+	return nil
 }
 
 // evalVec evaluates one physical node over its input batches, counts its
@@ -168,7 +249,7 @@ func (v *vecBlock) evalVec(n *physical.Node) (*batch.Batch, error) {
 		return v.evalVecJoin(n, met, start)
 	case physical.OpMaterialize:
 		in := v.batches[n.Input.ID]
-		v.out.materialized[n.Rel] = v.late(in, v.rels[n.Input.ID], n.Attrs)
+		v.out.materialized[n.Rel] = v.late(in, n.Input, v.rels[n.Input.ID], n.Attrs)
 		v.rels[n.ID] = v.rels[n.Input.ID]
 		// Materialization moves no rows: not counted, never tapped.
 		return in, nil
@@ -414,7 +495,7 @@ func (v *vecBlock) evalVecJoin(n *physical.Node, met *physical.Metrics, start ti
 		met.TapNanos += time.Since(tapStart).Nanoseconds()
 	}
 	if n.RejectLink != "" {
-		v.out.materialized[n.RejectLink] = v.late(leftMiss, v.rels[n.Left.ID]+"!", n.Left.Attrs)
+		v.out.materialized[n.RejectLink] = v.late(leftMiss, n.Left, v.rels[n.Left.ID]+"!", n.Left.Attrs)
 	}
 	return joined, nil
 }

@@ -117,7 +117,7 @@ var frameDict = func() []byte {
 	var table, store bytes.Buffer
 	r1 := &data.Table{Rel: "R1", Attrs: attrs[:1], Rows: []data.Row{{1}}}
 	data.WriteLate(&table, &data.Late{Rel: "R1⋈R2", Attrs: attrs[:1], N: 1,
-		Ins: []data.LateInput{{Src: r1, Idx: []int32{0}}}, Cols: []data.LateCol{{In: 0, Col: 0}}})
+		Ins: []data.LateInput{{Src: r1, Idx: []int32{0}}}, Cols: []data.LateCol{{In: 0, Col: 0}}, Levels: []data.LateLevel{{In: 0}}})
 	stats.NewStore().WriteTo(&store) // a statistics shard's
 	return slices.Concat(req, resp, table.Bytes(), store.Bytes())
 }()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -309,12 +310,13 @@ func TestRunFramesGoldenBytes(t *testing.T) {
 	if rb, err := decodeBlock(bytes.NewReader(resp), maxUploadBytes, nil); err != nil || !reflect.DeepEqual(rb.Out.Table(), frameBlock(t).Out.Table()) {
 		t.Errorf("response frame does not decode to what built it: %v", err)
 	}
-	// A join's output crosses as its expansion: D's rows, then D's rows of
-	// each one's key, with a plain column after them.
+	// A join's output crosses as its expansion, the loop that made it: D's
+	// rows, then D's rows of each one's key, with a plain column after them.
 	d := frameDB["D"]
 	joined := &engine.RemoteBlock{Out: &data.Late{Rel: "D⋈D", Attrs: []workflow.Attr{d.Attrs[0], d.Attrs[1], d.Attrs[1], {Rel: "D⋈D", Col: "f"}}, N: 4,
-		Ins:  []data.LateInput{{Src: d, Idx: []int32{0, 0, 1, 1}}, {Src: d, Idx: []int32{0, 1, 0, 1}}},
-		Cols: []data.LateCol{{In: 0, Col: 0}, {In: 0, Col: 1}, {In: 1, Col: 1}, {In: -1, Vals: []int64{5, 6, 6, 5}}}}}
+		Ins:    []data.LateInput{{Src: d, Idx: []int32{0, 0, 1, 1}}, {Src: d, Idx: []int32{0, 1, 0, 1}}},
+		Cols:   []data.LateCol{{In: 0, Col: 0}, {In: 0, Col: 1}, {In: 1, Col: 1}, {In: -1, Vals: []int64{5, 6, 6, 5}}},
+		Levels: []data.LateLevel{{In: 0}, {In: 1, Key: 0, From: 0, FromCol: 0}}}}
 	resp = responseFrame(t, joined)
 	if _, payload = framePayload(t, resp); hex.EncodeToString(payload) != goldenJoin {
 		t.Errorf("a join's response payload changed on the wire:\n got %x\nwant %s", payload, goldenJoin)
@@ -479,7 +481,20 @@ func TestRunFrameRejectsCorruption(t *testing.T) {
 // same payload: a stream that never reaches into the dictionary inflates
 // alike with it, so it reads back, and is no hazard. A stream that does
 // reach into it is corrupt to a reader without it, as EBLK2's reader was.
+// The dictionary's own bytes are pinned, by length and SHA-256: every frame
+// deflates against them, so they move every frame's bytes. Its late section
+// is in the expanded form, presence byte 4, that a join output takes.
 func TestRunFrameDictionary(t *testing.T) {
+	const (
+		pinnedDictLen = 1120
+		pinnedDictSum = "c4001297855b39746c1a3a09089829fb18c83b7aba2f21e1031404bbda5aaca9"
+	)
+	if sum := sha256.Sum256(frameDict); len(frameDict) != pinnedDictLen || hex.EncodeToString(sum[:]) != pinnedDictSum {
+		t.Errorf("the dictionary is %d bytes, SHA-256 %x; want %d, %s", len(frameDict), sum, pinnedDictLen, pinnedDictSum)
+	}
+	if at := bytes.Index(frameDict, []byte("ETBL5")); at < 0 || frameDict[at+len("ETBL5")] != 4 {
+		t.Errorf("the dictionary's late section at byte %d is not in the expanded form", at)
+	}
 	req := requestFrame(t, &workerRunRequest{WF: 8, Scale: 0.05, CSS: css.DefaultOptions(), Instrument: true,
 		Observe: []stats.Stat{stats.NewCard(stats.BlockSE(3, 1)), stats.NewCard(stats.BlockSE(3, 2))}}, 3)
 	mode, payload := framePayload(t, req)
