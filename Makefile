@@ -27,14 +27,17 @@ test: fuzz
 
 # fuzz smoke: run each hostile-input fuzzer briefly beyond its checked-in
 # seed corpus (go test accepts one -fuzz target per invocation, hence one
-# run each). FUZZTIME=2m makes it a real session.
+# run each). FUZZTIME=2m makes it a real session. Minimizing a new input
+# takes up to 60 s by default, during which the target makes no new
+# executions (FuzzReadStore sat at 0 execs/s from 18 s of 30 on): each
+# minimization is capped at 2 s, so a session fuzzes to its end.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/data
-	$(GO) test -run='^$$' -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/data
-	$(GO) test -run='^$$' -fuzz='^FuzzReadLate$$' -fuzztime=$(FUZZTIME) ./internal/data
-	$(GO) test -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=$(FUZZTIME) ./internal/stats
-	$(GO) test -run='^$$' -fuzz='^FuzzReadStoreTypedErrors$$' -fuzztime=$(FUZZTIME) ./internal/stats
-	$(GO) test -run='^$$' -fuzz='^FuzzRunFrame$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadLate$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/data
+	$(GO) test -run='^$$' -fuzz='^FuzzReadStore$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzReadStoreTypedErrors$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/stats
+	$(GO) test -run='^$$' -fuzz='^FuzzRunFrame$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/serve
 
 # serve-smoke drives the statistics daemon end to end: run -save-stats,
 # observe upload, optimize solve + cache hit, metrics, SIGTERM drain; then a

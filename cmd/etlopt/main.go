@@ -109,7 +109,6 @@ type options struct {
 	workerAddrs string
 	catalog     string
 	serve       serve.Options
-	cache       bool
 }
 
 // commands is the one table of etlopt's subcommands: what each does and
@@ -130,7 +129,7 @@ var commands = map[string]struct {
 	"gendata":  {genData, "wf scale out"},
 	"schedule": {scheduleCmd, "wf union-division scale budget workers max-rows timeout faults worker-addrs"},
 	"report":   {reportCmd, "wf method union-division scale workers max-rows timeout faults worker-addrs"},
-	"serve":    {serveCmd, "catalog addr drift cache cache-bytes max-solves solve-queue"},
+	"serve":    {serveCmd, "catalog addr drift cache-bytes max-solves solve-queue"},
 	"worker":   {workerCmd, "addr"},
 }
 
@@ -174,7 +173,6 @@ func newFlags(cmd string) (*flag.FlagSet, *options) {
 	all.StringVar(&o.workerAddrs, "worker-addrs", "", "place plan blocks on these workers instead of local goroutines: comma-separated base URLs, e.g. http://localhost:9091,http://localhost:9092 (suite workflows only)")
 	all.StringVar(&o.catalog, "catalog", "", "statistics catalog directory")
 	all.Float64Var(&o.serve.DriftThreshold, "drift", serve.DefaultDriftThreshold, "max relative drift before cached solutions invalidate")
-	all.BoolVar(&o.cache, "cache", true, "cache solved responses (off still deduplicates concurrent solves)")
 	all.Int64Var(&o.serve.CacheBytes, "cache-bytes", serve.DefaultCacheBytes, "solution-cache byte budget (LRU evicts beyond it)")
 	all.IntVar(&o.serve.MaxSolves, "max-solves", 0, "max concurrent solver executions (0 = unlimited)")
 	all.IntVar(&o.serve.SolveQueue, "solve-queue", serve.DefaultSolveQueue, "max requests waiting for a solve slot before shedding with 429 (with -max-solves)")
@@ -247,7 +245,6 @@ func serveCmd(ctx context.Context, o *options) error {
 	if o.catalog == "" {
 		return usageError("serve needs -catalog <dir>")
 	}
-	o.serve.DisableCache = !o.cache
 	cat, err := serve.OpenCatalog(o.catalog)
 	if err != nil {
 		return err

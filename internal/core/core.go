@@ -191,13 +191,16 @@ func RunCtx(ctx context.Context, g *workflow.Graph, cat *workflow.Catalog, db en
 		cy.Degradation = deg
 	}
 
+	// A degraded run optimizes what its statistics derive and leaves the
+	// other blocks on their initial plans.
 	start = time.Now()
-	cy.Estimator = estimate.New(res, run.Observed)
-	plans, err := optimizer.OptimizeOpts(res, cy.Estimator, optimizer.Cout,
-		optimizer.Options{FallbackInitial: cy.Degradation != nil})
+	ocfg := cfg
+	ocfg.AllowPartialStats = cy.Degradation != nil
+	est, plans, err := p.Optimize(run.Observed, ocfg)
 	if err != nil {
-		return cy, fmt.Errorf("core: optimize: %w", err)
+		return cy, err
 	}
+	cy.Estimator = est
 	if cy.Degradation != nil {
 		cy.Degradation.FallbackBlocks = plans.Fallbacks
 	}

@@ -20,9 +20,9 @@ import (
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// blockOutputs runs a suite workflow block by block, every upstream output
-// held in its late form as a worker holds it, and returns each block's
-// output.
+// blockOutputs runs a suite workflow block by block, each block as the last
+// of its chain's prefix that ends at it (engine.RunChainCtx, as a worker
+// runs a chain), and returns each block's output.
 func blockOutputs(t testing.TB, id int, scale float64) []*data.Late {
 	t.Helper()
 	var outs []*data.Late
@@ -43,15 +43,20 @@ func blockRuns(t testing.TB, id int, scale float64) ([]*engine.RemoteBlock, *wor
 		t.Fatal(err)
 	}
 	e := engine.New(an, w.Data(scale), nil)
-	held := make(map[int]*data.Late)
-	var runs []*engine.RemoteBlock
-	for _, blk := range an.Blocks {
-		rb, err := e.RunBlockCtx(context.Background(), blk.Index, nil, nil, nil, held)
-		if err != nil {
-			t.Fatalf("%s block %d: %v", w.Name, blk.Index, err)
+	runs := make([]*engine.RemoteBlock, len(an.Blocks))
+	for _, chain := range engine.Chains(an) {
+		for k, blk := range chain {
+			rbs, err := e.RunChainCtx(context.Background(), chain[:k+1], nil, nil, nil)
+			if err != nil {
+				t.Fatalf("%s block %d: %v", w.Name, blk, err)
+			}
+			runs[blk] = rbs[k]
 		}
-		held[blk.Index] = rb.Out
-		runs = append(runs, rb)
+	}
+	for blk, rb := range runs {
+		if rb == nil {
+			t.Fatalf("%s block %d is in no chain", w.Name, blk)
+		}
 	}
 	return runs, an
 }

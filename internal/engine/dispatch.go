@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
@@ -22,15 +23,16 @@ import (
 // metrics — so observed statistics and metrics are byte-identical however
 // the blocks were placed.
 //
-// The unit of dispatch is a chain: a block and the blocks after it, each of
-// which reads only the output of the one before it, which no sink and no
-// other block reads (DispatchSpec.Chains). One exchange runs a whole chain
-// on one worker, and the outputs inside it never leave that worker: the run
-// keeps a nil output in their place. The scheduler still asks for every
-// block, and commits each on its own; the session answers a chain's later
-// blocks from the exchange its head made, after a fallback too. An output
-// that leaves its chain is shipped, and a block that reads one runs
-// in-process: a request carries no table.
+// The unit of dispatch is a chain (Chains, parallel.go): a block that reads
+// no block's output and the blocks after it, each of which reads only the
+// output of the one before it, which no sink and no other block reads. One
+// exchange runs a whole chain on one worker through RunChainCtx, and the
+// outputs inside it never leave that worker: the run keeps a nil output in
+// their place. The scheduler still asks for every block, and commits each
+// on its own; the session answers a chain's later blocks from the exchange
+// its head made, after a fallback too. An output that leaves its chain is
+// shipped, and a block that reads one runs in-process: a request carries no
+// table.
 //
 // Robustness is structural, not best-effort: a dispatcher signals
 // unrecoverable infrastructure loss with ErrWorkersLost, and the scheduler
@@ -62,10 +64,8 @@ type DispatchSpec struct {
 	// blocks of a chain one after another.
 	Faults  string
 	Metrics bool
-	// Chains lists the run's chains of more than one block, by ascending
-	// head, each in order: every block after the first reads only the
-	// output of the one before it, which no sink and no other block reads.
-	// A block in none is a chain of its own.
+	// Chains is the workflow's chains (Chains): a worker runs exactly one
+	// of them per request.
 	Chains [][]int
 	// DB is the run's data. A worker's tables name the rows of its source
 	// relations they read (data.Late), and the dispatcher resolves them
@@ -153,34 +153,50 @@ type DistReport struct {
 	Reason string
 }
 
-// RunBlockCtx executes exactly one block of the workflow — the worker side
-// of distributed dispatch, called once for each block of a chain. The
-// caller supplies the boundary output of every upstream block in held, in
-// the late form RunBlockCtx made it in, which the caller kept. The engine
-// compiles the same deterministic physical plan a full run would, executes
-// just the requested block (with the usual per-attempt isolation, transient
-// retry and fault injection), and returns the block's outcome plus a
-// private statistics shard holding only what this block's taps observed —
-// and, under CollectMetrics, the block's per-node metrics. Its tables come
-// back late, as an in-process block's do: a column read from an upstream
-// output names the source rows that output read.
-func (e *Engine) RunBlockCtx(ctx context.Context, block int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat, held map[int]*data.Late) (*RemoteBlock, error) {
+// RunChainCtx executes one chain of the workflow (Chains) — the worker
+// side of distributed dispatch. It compiles the same deterministic physical
+// plan a full run would, once, and runs the chain's blocks one after
+// another, each with the usual per-attempt isolation, transient retry and
+// fault injection, and each reading the output of the block before it in
+// the late form that block made it in. It returns every block's outcome in
+// chain order, the output of the last alone: besides its tables, each
+// carries a private statistics shard holding only what the block's taps
+// observed, its retries, the source relations it read and, under
+// CollectMetrics, its per-node metrics. Each block is held to MaxRows on
+// its own: the run-level guard stays with the engine that dispatched it.
+// A block that fails ends the chain: the outcomes of the blocks before it
+// come back with its error. A prefix of a chain runs too, its last block's
+// output kept; a block that reads an output the chain does not hand it
+// fails.
+func (e *Engine) RunChainCtx(ctx context.Context, chain []int, plans map[int]*workflow.JoinTree, res *css.Result, observe []stats.Stat) ([]*RemoteBlock, error) {
 	plan, err := physical.Compile(e.An, e.DB, physical.Options{
 		Plans: plans, Res: res, Observe: observe, Reg: e.Reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var bp *physical.BlockPlan
-	for _, b := range plan.Blocks {
-		if b.Block.Index == block {
-			bp = b
-			break
+	rbs := make([]*RemoteBlock, 0, len(chain))
+	var held map[int]*data.Late
+	for i, block := range chain {
+		if block < 0 || block >= len(plan.Blocks) {
+			return rbs, fmt.Errorf("engine: no block %d in a compiled plan of %d", block, len(plan.Blocks))
 		}
+		rb, err := e.runChainBlock(ctx, plan.Blocks[block], res, held)
+		if err != nil {
+			return rbs, err
+		}
+		if i < len(chain)-1 {
+			held = map[int]*data.Late{block: rb.Out}
+			rb.Out = nil
+		}
+		rbs = append(rbs, rb)
 	}
-	if bp == nil {
-		return nil, errors.New("engine: no such block in compiled plan")
-	}
+	return rbs, nil
+}
+
+// runChainBlock runs one block of RunChainCtx's chain over its own row
+// budget and collector, held the output it reads.
+func (e *Engine) runChainBlock(ctx context.Context, bp *physical.BlockPlan, res *css.Result, held map[int]*data.Late) (*RemoteBlock, error) {
 	var col *collector
 	if res != nil {
 		col = newCollector()

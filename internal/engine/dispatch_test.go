@@ -21,9 +21,9 @@ import (
 // The block scheduler under dispatch, without HTTP: loopDispatcher is an
 // in-memory BlockDispatcher that does what internal/serve's coordinator and
 // worker do — build an engine from the DispatchSpec the scheduler hands it,
-// run a chain's blocks one after another with RunBlockCtx in one exchange,
-// pass each output inside the chain to the next block, and keep the later
-// blocks' results for their own RunBlock calls — so every placement
+// run a chain in one exchange with RunChainCtx, the worker's runner, and
+// keep the later blocks' results for their own RunBlock calls — so every
+// placement
 // behaviour (ordering, failure reporting, fallback, the metrics shard,
 // chains) is testable against the local run of the same fixture. In the
 // diamond fixture (newMultiBlockFixture) blocks 0 and 1 both feed block 2,
@@ -31,7 +31,7 @@ import (
 // outputs that left their chains; in the chain fixture (newChainFixture)
 // block 0 feeds block 2, one chain, and block 1 is a chain of its own.
 
-// loopDispatcher loops dispatched chains back to RunBlockCtx.
+// loopDispatcher loops dispatched chains back to RunChainCtx.
 type loopDispatcher struct {
 	f     *multiBlockFixture
 	slots int
@@ -125,30 +125,24 @@ func (d *loopDispatcher) RunBlock(ctx context.Context, block int, upstream map[i
 	if !spec.Instrument {
 		res = nil
 	}
+	rbs, err := e.RunChainCtx(ctx, chain, spec.Plans, res, spec.Observe)
 	var results []loopResult
-	held := map[int]*data.Late{}
-	for i, b := range chain {
-		d.mu.Lock()
-		d.runs[b]++
-		d.mu.Unlock()
-		rb, err := e.RunBlockCtx(ctx, b, spec.Plans, res, spec.Observe, held)
-		if err != nil {
-			results = append(results, loopResult{err: err})
-			break
-		}
-		if i < len(chain)-1 {
-			held = map[int]*data.Late{b: rb.Out}
-			rb.Out = nil
-		}
+	for i, rb := range rbs {
 		if err := land(spec, rb); err != nil {
 			return nil, err
 		}
 		if d.after != nil {
-			d.after(b, rb)
+			d.after(chain[i], rb)
 		}
 		results = append(results, loopResult{rb: rb})
 	}
+	if err != nil {
+		results = append(results, loopResult{err: err})
+	}
 	d.mu.Lock()
+	for _, b := range chain[:len(results)] {
+		d.runs[b]++
+	}
 	d.exchanged = append(d.exchanged, block)
 	for i, r := range results[1:] {
 		d.kept[chain[i+1]] = r
@@ -459,10 +453,11 @@ func TestCommitOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.engine(faults.New(7, 1, 1, 0)).RunBlockCtx(context.Background(), 0, nil, f.res, f.observe, nil)
+	rbs, err := f.engine(faults.New(7, 1, 1, 0)).RunChainCtx(context.Background(), []int{0}, nil, f.res, f.observe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb := rbs[0]
 	if err := land(&DispatchSpec{DB: f.db}, rb); err != nil {
 		t.Fatal(err)
 	}
@@ -616,4 +611,97 @@ func TestDispatchMaxRowsRunLevel(t *testing.T) {
 		t.Errorf("%s: partial results differ: local %d blocks/%d rows, dispatched %d/%d", name,
 			len(lout.BlockOut), lout.Rows, len(dout.BlockOut), dout.Rows)
 	}
+}
+
+// TestRunChainCtx holds the worker's chain runner to the in-process run on
+// the chain fixture's chain 0 → 2, instrumented and with metrics, every
+// block's first attempt failed by a transient fault: block 0's outcome is
+// the one it has run alone, as the chain's prefix, but for its output,
+// which stays inside the chain; block 2's output is the in-process run's,
+// and the chains' rows and shards merged are its work metric and store.
+// Each block is held to MaxRows on its own: a cap under the chain's rows
+// but not a block's passes, and a block that crosses it ends the chain
+// after the outcomes before it; block 2 run without the output it reads
+// fails cleanly.
+func TestRunChainCtx(t *testing.T) {
+	f := newChainFixture(t)
+	chains := Chains(f.an)
+	if !reflect.DeepEqual(chains, [][]int{{0, 2}, {1}}) {
+		t.Fatalf("chains %v, want [[0 2] [1]]", chains)
+	}
+	clean := f.engine(nil)
+	clean.CollectMetrics = true
+	want, err := f.run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(maxRows int64, chain ...int) ([]*RemoteBlock, error) {
+		e := f.engine(faults.New(7, 1, 1, faults.Operator))
+		e.MaxRows, e.CollectMetrics = maxRows, true
+		return e.RunChainCtx(context.Background(), chain, nil, f.res, f.observe)
+	}
+	rbs, err := run(0, 0, 2)
+	if err != nil || len(rbs) != 2 {
+		t.Fatalf("chain 0 → 2: %d outcome(s), %v", len(rbs), err)
+	}
+	head, err := run(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := run(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0, b2 := rbs[0], rbs[1]
+	if b0.Out != nil || head[0].Out == nil || b2.Out == nil {
+		t.Errorf("outputs kept: block 0 in the chain %v, alone %v, block 2 %v; want false, true, true", b0.Out != nil, head[0].Out != nil, b2.Out != nil)
+	}
+	if b0.Rows != head[0].Rows || b0.Retries != 1 || head[0].Retries != 1 || b2.Retries != 1 ||
+		!reflect.DeepEqual(b0.Sources, head[0].Sources) || !sameRowCounts(b0.Metrics, head[0].Metrics) ||
+		!bytes.Equal(storeBytesOf(t, &Result{Observed: b0.Observed}), storeBytesOf(t, &Result{Observed: head[0].Observed})) {
+		t.Error("block 0's outcome inside the chain is not its outcome alone")
+	}
+	nodes := 0
+	for _, n := range want.Metrics.Nodes {
+		if n.Block == 2 {
+			nodes++
+		}
+	}
+	if len(b2.Metrics) != nodes || len(b2.Sources) == 0 {
+		t.Errorf("block 2: %d node metrics, sources %v", len(b2.Metrics), b2.Sources)
+	}
+	if got := b2.Out.Table(); !reflect.DeepEqual(got, want.BlockOut[2]) {
+		t.Errorf("block 2's output: %d rows, the in-process run's %d", len(got.Rows), len(want.BlockOut[2].Rows))
+	}
+	merged := stats.NewStore()
+	var rows int64
+	for _, rb := range []*RemoteBlock{b0, b2, other[0]} {
+		merged.Merge(rb.Observed)
+		rows += rb.Rows
+	}
+	if rows != want.Rows || !bytes.Equal(storeBytesOf(t, &Result{Observed: merged}), storeBytesOf(t, want)) {
+		t.Errorf("the chains ran %d rows and observed %d statistics; the in-process run %d and %d", rows, merged.Len(), want.Rows, want.Observed.Len())
+	}
+
+	// The larger block fails under a cap of its rows less one, after the
+	// outcomes of the blocks before it.
+	most, fails := b0.Rows, 0
+	if b2.Rows > most {
+		most, fails = b2.Rows, 1
+	}
+	if got, err := run(most, 0, 2); err != nil || len(got) != 2 {
+		t.Errorf("MaxRows = %d, under the chain's %d rows: %d outcome(s), %v", most, b0.Rows+b2.Rows, len(got), err)
+	}
+	if got, err := run(most-1, 0, 2); !errors.Is(err, ErrRowGuard) || len(got) != fails || (fails == 1 && (got[0].Rows != b0.Rows || got[0].Out != nil)) {
+		t.Errorf("MaxRows = %d: %d outcome(s), %v; want %d, then the guard", most-1, len(got), err, fails)
+	}
+	if got, err := run(0, 2); err == nil || len(got) != 0 || !strings.Contains(err.Error(), "no output of upstream block 0") {
+		t.Errorf("block 2 without block 0: %d outcome(s), %v", len(got), err)
+	}
+}
+
+// sameRowCounts compares two metrics shards' rows and calls, node by node
+// (the rest is timing).
+func sameRowCounts(a, b []physical.Metrics) bool {
+	return slices.EqualFunc(a, b, func(x, y physical.Metrics) bool { return x.RowsOut == y.RowsOut && x.Calls == y.Calls })
 }

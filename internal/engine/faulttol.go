@@ -21,9 +21,9 @@ import (
 //     it has seen its whole batch).
 //   - Block retry: a block whose attempt fails with a transient fault
 //     re-runs from its (materialized) upstream inputs with capped
-//     exponential backoff. Each attempt works against a private row-budget
-//     child and a private sink, so a failed attempt refunds its budget and
-//     leaves no partial side effects.
+//     exponential backoff. Each attempt works against a private sink that
+//     counts what it charged the run's row budget, so a failed attempt
+//     refunds its charge and leaves no partial side effects.
 //
 // A permanent failure returns a *BlockFailure beside the partial *Result of
 // the blocks that did complete. Execution and the injector are
@@ -78,8 +78,8 @@ func newRunEnv(ctx context.Context, budget *rowBudget, flt *faults.Injector) *ru
 
 // runBlock executes one block in-process — the scheduler's local executor,
 // and all a worker does — with per-attempt isolation and transient retry.
-// Each attempt gets a fresh sink over a child row budget; a failed attempt
-// refunds the child's charge, so retries never double-charge MaxRows. The
+// Each attempt gets a fresh sink; a failed attempt refunds what its sink
+// charged the row budget, so retries never double-charge MaxRows. The
 // block reads its upstream outputs from held and returns its tables in the
 // same late form.
 func (env *runEnv) runBlock(bp *physical.BlockPlan, held map[int]*data.Late, col *collector, metrics bool) (*RemoteBlock, error) {
@@ -101,14 +101,14 @@ func (env *runEnv) runBlock(bp *physical.BlockPlan, held map[int]*data.Late, col
 			inject = env.flt.At(faults.Budget, fmt.Sprintf("budget:%d", idx), attempt)
 		}
 		sink := &blockSink{
-			held: held, materialized: make(map[string]*data.Late), budget: env.budget.child(inject),
+			held: held, materialized: make(map[string]*data.Late), budget: env.budget, inject: inject,
 			ctx: env.ctx, flt: env.flt, attempt: attempt, block: idx,
 		}
 		err := runVecBlock(bp, col, sink, metrics)
 		if err == nil {
 			return &RemoteBlock{Out: sink.out, Materialized: sink.materialized, Rows: sink.rows}, nil
 		}
-		sink.budget.release()
+		_ = env.budget.add(-sink.rows) // refund the attempt's charge
 		if !faults.IsTransient(err) || attempt+1 >= defaultRetryMax {
 			return nil, err
 		}

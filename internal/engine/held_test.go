@@ -8,17 +8,19 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/essential-stats/etlopt/internal/css"
 	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/stats"
 	"github.com/essential-stats/etlopt/internal/suite"
 	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// A worker hands a block's output to the next block of its chain in the
-// late form the block made it in, and the block that reads it names the
-// source rows it read. These tests drive
-// RunBlockCtx over the suite's workflows, which the engine's internal tests
-// cannot import (the suite imports the engine).
+// A worker runs a chain (engine.Chains) through RunChainCtx, which hands
+// each block's output to the next block in the late form the block made it
+// in, and the block that reads it names the source rows it read. These
+// tests drive the runner over the suite's workflows, which the engine's
+// internal tests cannot import (the suite imports the engine).
 
 // suiteEngine returns an engine over a suite workflow's data at scale.
 func suiteEngine(t *testing.T, id int, scale float64) (*engine.Engine, engine.DB) {
@@ -32,21 +34,21 @@ func suiteEngine(t *testing.T, id int, scale float64) (*engine.Engine, engine.DB
 	return engine.New(an, db, nil), db
 }
 
-// TestHeldUpstreamNamesSources runs wf07's block 0 held, then block 1 on
-// its late output: every column of block 1's output reads a source
-// relation — Feed and Ref through block 0's indexes, Hist directly — and
-// the block reports all three as read.
+// TestHeldUpstreamNamesSources runs wf07's chain, block 0 then block 1 on
+// block 0's late output: block 0's output stays inside the chain, every
+// column of block 1's output reads a source relation — Feed and Ref
+// through block 0's indexes, Hist directly — and block 1 reports all three
+// as read.
 func TestHeldUpstreamNamesSources(t *testing.T) {
 	e, _ := suiteEngine(t, 7, 0.01)
-	ctx := context.Background()
-	b0, err := e.RunBlockCtx(ctx, 0, nil, nil, nil, nil)
+	rbs, err := e.RunChainCtx(context.Background(), []int{0, 1}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := e.RunBlockCtx(ctx, 1, nil, nil, nil, map[int]*data.Late{0: b0.Out})
-	if err != nil {
-		t.Fatal(err)
+	if len(rbs) != 2 || rbs[0].Out != nil {
+		t.Fatalf("the chain returned %d outcome(s), block 0's output kept: %v", len(rbs), rbs[0].Out != nil)
 	}
+	b1 := rbs[1]
 	out := b1.Out
 	if out == nil || out.N == 0 || len(out.Cols) != 10 {
 		t.Fatalf("block 1's output: %+v, want 10 columns of rows", out)
@@ -74,11 +76,17 @@ func TestHeldUpstreamNamesSources(t *testing.T) {
 	}
 }
 
-// TestHeldUpstreamRoundTrip runs every multi-block suite workflow at 0.002
-// block by block, every upstream output held in its late form, and reads
-// each block's tables that read one back through the late codec over the
-// run's data: they equal the in-process run's, row for row. (wf10, wf16 and
-// wf24 are left out as in the other full-suite sweeps.)
+// TestHeldUpstreamRoundTrip runs every chain of every multi-block suite
+// workflow at 0.002 through RunChainCtx, instrumented with every
+// observable statistic, and the same blocks one by one: each block as the
+// last of the chain's prefix that ends at it, its output kept. Block by
+// block the chain's outcome equals the prefix's — rows, Sources, retries,
+// statistics shard — and reports reading every relation its tables name,
+// at the run's row counts; the prefix's output and each block's
+// materialized tables, read back through the late codec over the run's
+// data, equal the in-process run's row for row, and the shards merged are
+// its store byte for byte. (wf10, wf16 and wf24 are left out as in the
+// other full-suite sweeps.)
 func TestHeldUpstreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite sweep")
@@ -95,6 +103,15 @@ func TestHeldUpstreamRoundTrip(t *testing.T) {
 		}
 		return got.Table()
 	}
+	storeBytes := func(t *testing.T, st *stats.Store) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ctx := context.Background()
 	composed := 0
 	for _, w := range suite.All() {
 		switch w.ID {
@@ -106,45 +123,79 @@ func TestHeldUpstreamRoundTrip(t *testing.T) {
 			continue
 		}
 		t.Run(w.Name, func(t *testing.T) {
-			want, err := e.RunPlans(nil, nil, nil)
+			res, err := css.Generate(e.An, css.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
-			held := make(map[int]*data.Late)
-			for _, blk := range e.An.Blocks {
-				up := make(map[int]*data.Late)
-				for _, in := range blk.Inputs {
-					if in.FromBlock >= 0 {
-						up[in.FromBlock] = held[in.FromBlock]
+			var observe []stats.Stat
+			for id, ok := range res.Observable {
+				if ok {
+					observe = append(observe, res.Stats[id])
+				}
+			}
+			want, err := e.RunPlans(nil, res, observe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := stats.NewStore()
+			var rows int64
+			ran := 0
+			for _, chain := range engine.Chains(e.An) {
+				rbs, err := e.RunChainCtx(ctx, chain, nil, res, observe)
+				if err != nil || len(rbs) != len(chain) {
+					t.Fatalf("chain %v: %d outcome(s), %v", chain, len(rbs), err)
+				}
+				for k, rb := range rbs {
+					blk := chain[k]
+					ones, err := e.RunChainCtx(ctx, chain[:k+1], nil, res, observe)
+					if err != nil {
+						t.Fatalf("chain %v: %v", chain[:k+1], err)
+					}
+					one := ones[k]
+					if (rb.Out != nil) != (k == len(chain)-1) {
+						t.Errorf("block %d of chain %v: output kept %v", blk, chain, rb.Out != nil)
+					}
+					if rb.Rows != one.Rows || rb.Retries != one.Retries || !reflect.DeepEqual(rb.Sources, one.Sources) ||
+						!bytes.Equal(storeBytes(t, rb.Observed), storeBytes(t, one.Observed)) {
+						t.Errorf("block %d: in chain %v it differs from its run as the last of %v", blk, chain, chain[:k+1])
+					}
+					if got := readBack(t, one.Out, db); !equalRows(got, want.BlockOut[blk]) {
+						t.Errorf("block %d: the output read back differs from the in-process run's", blk)
+					}
+					for name, l := range rb.Materialized {
+						if got := readBack(t, l, db); !equalRows(got, want.Materialized[name]) {
+							t.Errorf("block %d: %s read back differs from the in-process run's", blk, name)
+						}
+					}
+					tables := []*data.Late{one.Out}
+					for _, l := range rb.Materialized {
+						tables = append(tables, l)
+					}
+					for _, l := range tables {
+						for _, in := range l.Ins {
+							if n, ok := rb.Sources[in.Src.Rel]; !ok || n != len(db[in.Src.Rel].Rows) {
+								t.Errorf("block %d names %s and reports reading %d of its %d rows (%v)", blk, in.Src.Rel, n, len(db[in.Src.Rel].Rows), ok)
+							}
+						}
+					}
+					merged.Merge(rb.Observed)
+					rows += rb.Rows
+					ran++
+					if k > 0 {
+						composed++
 					}
 				}
-				rb, err := e.RunBlockCtx(context.Background(), blk.Index, nil, nil, nil, up)
-				if err != nil {
-					t.Fatalf("block %d: %v", blk.Index, err)
-				}
-				held[blk.Index] = rb.Out
-				if len(up) == 0 {
-					continue
-				}
-				if got := readBack(t, rb.Out, db); !equalRows(got, want.BlockOut[blk.Index]) {
-					t.Errorf("block %d: the output read back differs from the in-process run's", blk.Index)
-				}
-				for name, l := range rb.Materialized {
-					if got := readBack(t, l, db); !equalRows(got, want.Materialized[name]) {
-						t.Errorf("block %d: %s read back differs from the in-process run's", blk.Index, name)
-					}
-				}
-				for _, in := range rb.Out.Ins {
-					if _, ok := rb.Sources[in.Src.Rel]; !ok {
-						t.Errorf("block %d names %s, which it does not report reading", blk.Index, in.Src.Rel)
-					}
-				}
-				composed++
+			}
+			if ran != len(e.An.Blocks) {
+				t.Fatalf("the chains ran %d of %d blocks", ran, len(e.An.Blocks))
+			}
+			if rows != want.Rows || !bytes.Equal(storeBytes(t, merged), storeBytes(t, want.Observed)) {
+				t.Errorf("the chains ran %d rows and observed %d statistics; the in-process run %d and %d", rows, merged.Len(), want.Rows, want.Observed.Len())
 			}
 		})
 	}
 	if composed == 0 {
-		t.Error("no block read a held upstream output")
+		t.Error("no block read an upstream output inside its chain")
 	}
 }
 

@@ -33,25 +33,16 @@ var ErrRowGuard = errors.New("intermediate-cardinality guard")
 
 // rowBudget is the shared intermediate-cardinality guard: every counted row
 // of the run charges it, across blocks and workers. A nil budget (MaxRows
-// <= 0) never trips.
-//
-// Block retry builds a child budget per attempt: the child tracks what the
-// attempt charged (so a failed attempt can refund it) and forwards every
-// charge to the run's root budget, where the limit lives. The injected
-// budget fault, when armed, rides on the child so it fires exactly once per
-// attempt, at the first charge — the same semantics at every worker count.
+// <= 0) never trips. Each block attempt's sink counts what it charged
+// (blockSink.rows), and a failed attempt refunds it, so a retried attempt
+// starts from the budget state the failed one found.
 //
 // The charge is never taken back while an attempt runs, so once the limit
 // is crossed every later add fails too: blocks sharing a budget each stop
 // at their next charge after one of them trips it.
 type rowBudget struct {
-	limit  int64
-	used   atomic.Int64
-	parent *rowBudget
-	// inject, when non-nil, is returned by the first add (simulated budget
-	// exhaustion from the fault injector).
-	inject     error
-	injectOnce atomic.Bool
+	limit int64
+	used  atomic.Int64
 }
 
 func newRowBudget(limit int64) *rowBudget {
@@ -61,45 +52,16 @@ func newRowBudget(limit int64) *rowBudget {
 	return &rowBudget{limit: limit}
 }
 
-// child derives a per-attempt budget. With neither a parent limit nor an
-// injected fault there is nothing to track, so nil (the free fast path)
-// comes back.
-func (b *rowBudget) child(inject error) *rowBudget {
-	if b == nil && inject == nil {
-		return nil
-	}
-	return &rowBudget{parent: b, inject: inject}
-}
-
-// add charges n rows and fails once the limit is crossed (or the injected
-// exhaustion fires).
+// add charges n rows and fails once the limit is crossed; a negative n
+// refunds.
 func (b *rowBudget) add(n int64) error {
 	if b == nil {
 		return nil
 	}
-	if b.inject != nil && b.injectOnce.CompareAndSwap(false, true) {
-		return b.inject
-	}
-	used := b.used.Add(n)
-	if b.parent != nil {
-		return b.parent.add(n)
-	}
-	if b.limit > 0 && used > b.limit {
+	if b.used.Add(n) > b.limit {
 		return fmt.Errorf("%w: run exceeded MaxRows=%d intermediate rows (join blowup from data skew or a bad join order; raise MaxRows or set 0 to disable)", ErrRowGuard, b.limit)
 	}
 	return nil
-}
-
-// release refunds this child's accumulated charge from every ancestor, so
-// a retried attempt starts from the budget state the failed attempt found.
-func (b *rowBudget) release() {
-	if b == nil || b.parent == nil {
-		return
-	}
-	n := b.used.Load()
-	for p := b.parent; p != nil; p = p.parent {
-		p.used.Add(-n)
-	}
 }
 
 // blockSink collects one block's side effects during execution. held holds
@@ -108,15 +70,20 @@ func (b *rowBudget) release() {
 // receive the block's own tables, in the same late form.
 //
 // The sink also carries the attempt's fault-tolerance state: the run
-// context (polled at operator boundaries), the fault injector and the
-// attempt number the injector's decisions key on. All nil/zero for plain
-// runs — the interpreter's fast paths stay branch-cheap.
+// context (polled at operator boundaries), the fault injector, the attempt
+// number the injector's decisions key on and the injected budget fault its
+// first charge returns. All nil/zero for plain runs — the interpreter's
+// fast paths stay branch-cheap.
 type blockSink struct {
 	held         map[int]*data.Late
 	out          *data.Late
 	materialized map[string]*data.Late
-	rows         int64
-	budget       *rowBudget
+	// rows is the block's work metric, all of it charged to budget.
+	rows   int64
+	budget *rowBudget
+	// inject, when non-nil, is the injected budget exhaustion the first
+	// charge returns instead.
+	inject error
 
 	ctx     context.Context
 	flt     *faults.Injector
@@ -127,21 +94,24 @@ type blockSink struct {
 // count adds n rows to the block's work metric and charges the run's row
 // budget.
 func (s *blockSink) count(n int64) error {
+	if err := s.inject; err != nil {
+		s.inject = nil
+		return err
+	}
 	s.rows += n
 	return s.budget.add(n)
 }
 
-// blockDeps returns the upstream block indices each block reads from.
-func blockDeps(plan *physical.Plan) map[int][]int {
-	deps := make(map[int][]int, len(plan.Blocks))
-	for _, bp := range plan.Blocks {
-		var d []int
-		for _, in := range bp.Block.Inputs {
-			if in.FromBlock >= 0 {
-				d = append(d, in.FromBlock)
+// blockDeps returns the blocks each block reads the output of, indexed by
+// block, each once.
+func blockDeps(an *workflow.Analysis) [][]int {
+	deps := make([][]int, len(an.Blocks))
+	for _, b := range an.Blocks {
+		for _, in := range b.Inputs {
+			if in.FromBlock >= 0 && !slices.Contains(deps[b.Index], in.FromBlock) {
+				deps[b.Index] = append(deps[b.Index], in.FromBlock)
 			}
 		}
-		deps[bp.Block.Index] = d
 	}
 	return deps
 }
@@ -152,12 +122,14 @@ func blockDeps(plan *physical.Plan) map[int][]int {
 // where the output stayed inside its chain, on a worker).
 type blockSched struct {
 	plan *physical.Plan
-	deps map[int][]int
+	deps [][]int
+	// chains is the workflow's (Chains).
+	chains [][]int
 	// read is the blocks a later block reads: no other's output is kept.
 	read map[int]bool
-	// prev maps each block that runs in its chain's exchange to the block
-	// before it there (chainLinks); inner is the blocks prev maps to, whose
-	// output a worker never sends.
+	// prev maps each block after its chain's head (Chains) to the block
+	// before it there; inner is the blocks prev maps to, whose output a
+	// worker never sends.
 	prev  map[int]int
 	inner map[int]bool
 	env   *runEnv
@@ -192,7 +164,7 @@ type blockSched struct {
 // reporting is deterministic regardless of goroutine timing; out keeps what
 // did complete.
 //
-// A dispatch session runs the chains chainLinks finds, each in one
+// A dispatch session runs the run's chains (Chains), each in one
 // exchange. A dispatcher that reports ErrWorkersLost, at session open or
 // from any chain, flips the blocks not yet committed to in-process
 // execution inside the same loop — but a chain whose head committed
@@ -204,7 +176,7 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 	if e.Dispatch != nil {
 		s.report = &DistReport{}
 		out.Dist = s.report
-		spec.Chains = s.chains()
+		spec.Chains = s.chains
 		if session, err := e.Dispatch.DispatchRun(env.ctx, spec); err != nil {
 			s.fallBack(err) // no reachable worker: the whole run is in-process
 		} else {
@@ -245,15 +217,17 @@ func (e *Engine) runBlocks(plan *physical.Plan, env *runEnv, out *Result, col *c
 
 // newBlockSched starts the scheduler of one run, every block in-process.
 func (e *Engine) newBlockSched(plan *physical.Plan, env *runEnv, out *Result, col *collector) *blockSched {
-	deps := blockDeps(plan)
+	deps := blockDeps(e.An)
 	s := &blockSched{
-		plan: plan, deps: deps, read: readBlocks(deps), prev: chainLinks(e.An, deps), inner: map[int]bool{},
+		plan: plan, deps: deps, chains: Chains(e.An), read: readBlocks(deps), prev: map[int]int{}, inner: map[int]bool{},
 		env: env, out: out, col: col, metrics: e.CollectMetrics,
 		local: max(e.Workers, 1), left: len(plan.Blocks), started: map[int]bool{}, done: map[int]bool{}, errs: map[int]error{},
 		held: map[int]*data.Late{},
 	}
-	for _, p := range s.prev {
-		s.inner[p] = true
+	for _, c := range s.chains {
+		for i := 1; i < len(c); i++ {
+			s.prev[c[i]], s.inner[c[i-1]] = c[i-1], true
+		}
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.limit = s.local
@@ -431,17 +405,20 @@ func (s *blockSched) commit(bp *physical.BlockPlan, rb *RemoteBlock, out *data.T
 	return nil
 }
 
-// chainLinks maps each block that follows another in a chain to that
-// block: it reads only that block's output, which no sink and no other
-// block reads. A block that reads an output and is in no such pair reads
-// one that leaves its chain.
-func chainLinks(an *workflow.Analysis, deps map[int][]int) map[int]int {
-	readers := make(map[int]int)
+// Chains lists a workflow's chains, by ascending head, each in order: a
+// block that reads no block's output, then the blocks after it, each
+// reading only the output of the one before it, which no sink and no other
+// block reads. A chain is the unit of dispatch — one exchange runs it on
+// one worker (RunChainCtx), and the outputs inside it never leave that
+// worker — and the scheduler, the dispatcher (DispatchSpec.Chains) and the
+// worker all read this one rule. A block in no chain reads an output that
+// left its chain, and runs in-process.
+func Chains(an *workflow.Analysis) [][]int {
+	deps := blockDeps(an)
+	readers := make(map[int]int) // the blocks and sinks reading each output
 	for _, d := range deps {
-		for i, idx := range d {
-			if !slices.Contains(d[:i], idx) {
-				readers[idx]++
-			}
+		for _, up := range d {
+			readers[up]++
 		}
 	}
 	for _, sink := range an.Graph.Sinks() {
@@ -449,34 +426,28 @@ func chainLinks(an *workflow.Analysis, deps map[int][]int) map[int]int {
 			readers[blk.Index]++
 		}
 	}
-	prev := make(map[int]int)
+	next := make(map[int]int) // each block to the one after it in its chain
 	for idx, d := range deps {
-		if len(d) > 0 && readers[d[0]] == 1 && !slices.ContainsFunc(d, func(u int) bool { return u != d[0] }) {
-			prev[idx] = d[0]
+		if len(d) == 1 && readers[d[0]] == 1 {
+			next[d[0]] = idx
 		}
 	}
-	return prev
-}
-
-// chains lists the run's chains of more than one block (DispatchSpec.Chains).
-func (s *blockSched) chains() [][]int {
 	var chains [][]int
-	at := make(map[int]int) // each chain's blocks to its place in chains
-	for _, bp := range s.plan.Blocks {
-		idx := bp.Block.Index
-		if p, ok := s.prev[idx]; ok {
-			at[idx] = at[p]
-			chains[at[p]] = append(chains[at[p]], idx)
-		} else if s.inner[idx] {
-			at[idx] = len(chains)
-			chains = append(chains, []int{idx})
+	for idx, d := range deps {
+		if len(d) > 0 {
+			continue
 		}
+		c := []int{idx}
+		for n, ok := next[idx]; ok; n, ok = next[n] {
+			c = append(c, n)
+		}
+		chains = append(chains, c)
 	}
 	return chains
 }
 
 // readBlocks is the blocks some later block reads.
-func readBlocks(deps map[int][]int) map[int]bool {
+func readBlocks(deps [][]int) map[int]bool {
 	read := make(map[int]bool)
 	for _, d := range deps {
 		for _, idx := range d {

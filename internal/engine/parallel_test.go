@@ -103,11 +103,7 @@ func TestBlockDAGParallel(t *testing.T) {
 	if len(an.Blocks) < 3 {
 		t.Fatalf("want a multi-block analysis, got %d blocks", len(an.Blocks))
 	}
-	plan, err := physical.Compile(an, db, physical.Options{})
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	deps := blockDeps(plan)
+	deps := blockDeps(an)
 	independent := 0
 	for _, blk := range an.Blocks {
 		if len(deps[blk.Index]) == 0 {
@@ -170,7 +166,7 @@ func TestSchedHoldsOnlyReadOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deps := blockDeps(plan)
+	deps := blockDeps(f.an)
 	var want []int
 	for _, d := range deps {
 		want = append(want, d...)

@@ -117,7 +117,7 @@ func TestAdmissionUnlimited(t *testing.T) {
 // limiter itself, not by racing a real solve.
 func TestServe429Shed(t *testing.T) {
 	doc, db := tinyWorkflow(t, 11, 600)
-	srv, ts := newTestServer(t, doc, Options{MaxSolves: 1, SolveQueue: 0, DisableCache: true})
+	srv, ts := newTestServer(t, doc, Options{MaxSolves: 1, SolveQueue: 0})
 	stream := observedStream(t, doc, db)
 	if resp, body := post(t, ts.URL+"/v1/observe?workflow=tiny", "application/octet-stream", stream); resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe: %d %s", resp.StatusCode, body)
@@ -163,13 +163,15 @@ func TestServe429Shed(t *testing.T) {
 }
 
 // TestServeOverloadShedsCleanly is the same under-provisioned daemon under
-// real contention: 16 clients post optimize and estimate requests of
-// distinct cache keys at one solve slot with no queue. Whatever the
-// interleaving, every answer is a 200 or a typed 429, never a 5xx, and the
-// shed counter equals the 429s the clients saw.
+// real contention: 16 clients post optimize and estimate requests at one
+// solve slot with no queue — every estimate of its own budget, so a cache
+// miss that needs the slot; the optimizes share two keys, whose repeats
+// after a solve are cache hits. Whatever the interleaving, every answer is
+// a 200 or a typed 429, never a 5xx, and the shed counter equals the 429s
+// the clients saw.
 func TestServeOverloadShedsCleanly(t *testing.T) {
 	doc, db := tinyWorkflow(t, 11, 600)
-	_, ts := newTestServer(t, doc, Options{MaxSolves: 1, SolveQueue: 0, DisableCache: true})
+	_, ts := newTestServer(t, doc, Options{MaxSolves: 1, SolveQueue: 0})
 	stream := observedStream(t, doc, db)
 	if resp, body := post(t, ts.URL+"/v1/observe?workflow=tiny", "application/octet-stream", stream); resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe: %d %s", resp.StatusCode, body)
@@ -183,11 +185,11 @@ func TestServeOverloadShedsCleanly(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			url, body := ts.URL+"/v1/optimize", fmt.Sprintf(`{"workflow":"tiny","allowPartial":%v}`, c%4 == 0)
-			if c%2 == 1 {
-				url, body = ts.URL+"/v1/estimate", fmt.Sprintf(`{"workflow":"tiny","budget":%d}`, 1000+c)
-			}
 			for i := 0; i < rounds; i++ {
+				url, body := ts.URL+"/v1/optimize", fmt.Sprintf(`{"workflow":"tiny","allowPartial":%v}`, c%4 == 0)
+				if c%2 == 1 {
+					url, body = ts.URL+"/v1/estimate", fmt.Sprintf(`{"workflow":"tiny","budget":%d}`, 1000+c*rounds+i)
+				}
 				resp, err := http.Post(url, "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)

@@ -19,8 +19,9 @@ import (
 // Coordinator is the scheduling side of distributed block dispatch: it
 // implements engine.BlockDispatcher over a fleet of Worker HTTP servers.
 //
-// The unit it places is a chain (engine.DispatchSpec.Chains): a block and
-// the blocks after it, each reading only the output of the one before it.
+// The unit it places is a chain (engine.Chains, handed over as
+// engine.DispatchSpec.Chains): a block and the blocks after it, each
+// reading only the output of the one before it.
 // The engine asks for every block; the chain's head goes round-robin to a
 // live worker in one request that names the whole chain, and the results of
 // the blocks after it, which the same response carries, are kept for the

@@ -95,22 +95,29 @@ func startKillableWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// startMidChainKilledWorker serves a Worker that dies once the first block
-// of its first chain has run, before the next block can answer: its
-// listener and every connection close, the chain's own among them, and
-// nothing of the chain reaches the coordinator.
+// startMidChainKilledWorker serves a Worker that dies while its first
+// chain runs: the chain runs, but before its response is written the
+// listener and every connection close, the chain's own among them, so
+// nothing of the chain reaches the coordinator — what it sees of a worker
+// killed after the chain's first block.
 func startMidChainKilledWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	wk := NewWorker()
-	srv := httptest.NewUnstartedServer(wk.Handler())
+	h := NewWorker().Handler()
 	var once sync.Once
-	wk.afterBlock = func(int) {
-		once.Do(func() {
-			srv.Listener.Close()
-			srv.CloseClientConnections()
-		})
-	}
-	srv.Start()
+	var srv *httptest.Server
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		killed := false
+		if r.URL.Path == "/v1/worker/run" {
+			once.Do(func() { killed = true })
+		}
+		if !killed {
+			h.ServeHTTP(w, r)
+			return
+		}
+		h.ServeHTTP(httptest.NewRecorder(), r)
+		srv.Listener.Close()
+		srv.CloseClientConnections()
+	}))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -43,8 +43,9 @@ import (
 // worker of one build but not across compress/flate versions: nothing
 // compares frames from different builds.
 //
-// An exchange runs a chain: a block and the blocks after it, each reading
-// only the output of the one before it. A request is its header and nothing
+// An exchange runs a chain (engine.Chains): a block and the blocks after
+// it, each reading only the output of the one before it, which the worker
+// runs through engine.RunChainCtx on one compiled plan. A request is its header and nothing
 // else (workerRunRequest): the chain's blocks, and the run's statistics
 // that they observe. A response's header is a list of entries, one per
 // block in chain order (workerRunResponse), and its bulk follows as raw
@@ -400,8 +401,8 @@ func encodeRunRequest(base *workerRunRequest, chain []int, maxPayload int64) ([]
 }
 
 // decodeRunRequest reads a request frame; whether its blocks are a chain is
-// its workflow's to say (chainOf). A section after the header is an error
-// here.
+// its workflow's to say (engine.Chains, requestChain). A section after the
+// header is an error here.
 func decodeRunRequest(r io.Reader, maxPayload int64) (*workerRunRequest, error) {
 	req := &workerRunRequest{}
 	f, err := openFrame(r, req, maxPayload)
@@ -423,8 +424,8 @@ type blockResult struct {
 }
 
 // encodeRunResponse builds the response frame for an executed chain from
-// the late tables RunBlockCtx returns; only the last block has an output,
-// and a failed block ends the chain.
+// the late tables engine.RunChainCtx returns; only the last block has an
+// output, and a failed block ends the chain.
 func encodeRunResponse(results []blockResult, maxPayload int64) ([]byte, error) {
 	hdr := make([]workerRunResponse, len(results))
 	for i, r := range results {

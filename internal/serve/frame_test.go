@@ -576,8 +576,8 @@ type hostileChain struct {
 	want  error
 }
 
-// hostileChains are over wf07, the chain 0 → 1, and wf13, two blocks that
-// read no block.
+// hostileChains are over wf07, the chain 0 → 1, wf08, the chain 0 → 1 →
+// 2, and wf13, two blocks that read no block.
 var hostileChains = func() []hostileChain {
 	frame := func(header map[string]any) []byte {
 		header["scale"] = distScale
@@ -597,13 +597,15 @@ var hostileChains = func() []hostileChain {
 		{"then before the first block", frame(map[string]any{"wf": 7, "block": 0, "then": []int{-1}}), errChain},
 		{"then names a block that reads nothing before it", frame(map[string]any{"wf": 13, "block": 0, "then": []int{1}}), errChain},
 		{"head reads a block", frame(map[string]any{"wf": 7, "block": 1}), errChain},
+		{"a prefix of a chain", frame(map[string]any{"wf": 8, "block": 0, "then": []int{1}}), errChain},
 		{"resident refs", frame(map[string]any{"wf": 7, "block": 1, "resident": []map[string]any{{"block": 0, "sha256": strings.Repeat("0", 64)}}}), errFrameHeader},
 		{"hold", frame(map[string]any{"wf": 7, "block": 0, "hold": true}), errFrameHeader},
 	}
 }()
 
 // refuseChain is what a worker does with a request before it runs a block:
-// decode it, and check that its blocks are a chain of its suite workflow's.
+// decode it, and check that its blocks are exactly one of its suite
+// workflow's chains.
 func refuseChain(in []byte, maxPayload int64) error {
 	req, err := decodeRunRequest(bytes.NewReader(in), maxPayload)
 	if err != nil {
@@ -617,7 +619,7 @@ func refuseChain(in []byte, maxPayload int64) error {
 	if err != nil {
 		return err
 	}
-	_, err = chainOf(an, req)
+	_, err = requestChain(an, req)
 	return err
 }
 
@@ -639,7 +641,7 @@ func TestRunFrameRefusesHostileChains(t *testing.T) {
 // TestWorkerResidentOutputs drives a chain through a worker's handler: the
 // output of wf07's block 0 stays resident in the request that made it, and
 // block 1 reads it there; the response carries, byte for byte, what the
-// same two blocks run in-process with RunBlockCtx leave behind — block 0's
+// same chain run in-process with RunChainCtx leaves behind — block 0's
 // entry without its output, block 1's with its own.
 func TestWorkerResidentOutputs(t *testing.T) {
 	h := NewWorker().Handler()
@@ -656,7 +658,7 @@ func TestWorkerResidentOutputs(t *testing.T) {
 		t.Fatalf("chain 0 → 1: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 
-	// The same two blocks in-process, block 1 reading block 0's late output.
+	// The same chain in-process, block 1 reading block 0's late output.
 	an, err := p.Analysis()
 	if err != nil {
 		t.Fatal(err)
@@ -667,16 +669,11 @@ func TestWorkerResidentOutputs(t *testing.T) {
 	}
 	db := w.Data(distScale)
 	local := engine.New(an, db, nil)
-	b0, err := local.RunBlockCtx(context.Background(), 0, nil, res, sel.Observe, nil)
+	rbs, err := local.RunChainCtx(context.Background(), []int{0, 1}, nil, res, sel.Observe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := local.RunBlockCtx(context.Background(), 1, nil, res, sel.Observe, map[int]*data.Late{0: b0.Out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0.Out = nil
-	if want := chainResponseFrame(t, blockResult{rb: b0}, blockResult{rb: b1}); !bytes.Equal(rec.Body.Bytes(), want) {
+	if want := chainResponseFrame(t, blockResult{rb: rbs[0]}, blockResult{rb: rbs[1]}); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Errorf("the chain's response (%d bytes) is not the in-process blocks' (%d bytes)", rec.Body.Len(), len(want))
 	}
 	results, err := decodeRunResponse(rec.Body, maxUploadBytes, db, 2)

@@ -63,9 +63,6 @@ type Options struct {
 	// the workflow's cached solutions are invalidated (<= 0 selects
 	// DefaultDriftThreshold).
 	DriftThreshold float64
-	// DisableCache turns the solution cache off: every request solves
-	// (still singleflighted). Responses stay byte-identical either way.
-	DisableCache bool
 	// CacheBytes bounds the solution cache (<= 0 selects
 	// DefaultCacheBytes). The LRU evicts the least-recently-used solution
 	// when the budget is exceeded.
@@ -171,7 +168,7 @@ func (s *Server) planFor(name string) (*core.Plan, error) {
 
 // solved runs the solver for (workflow, generation, key) at most once
 // across concurrent requests and returns the response bytes, consulting
-// the cache unless disabled. The bool reports a cache hit.
+// the cache first. The bool reports a cache hit.
 //
 // gen is the statistics generation the caller read from the catalog and
 // will solve from. It is folded into the flight key — two requests racing
@@ -180,13 +177,11 @@ func (s *Server) planFor(name string) (*core.Plan, error) {
 // generation is rejected by the LRU's bound, so an observe-upload
 // invalidation can never be undone by an in-flight solve.
 func (s *Server) solved(ctx context.Context, workflow string, gen int, key string, solve func() ([]byte, error)) ([]byte, bool, error) {
-	if !s.opts.DisableCache {
-		if body, _, ok := s.cache.Get(workflow, key); ok {
-			s.metrics.cache(true)
-			return body, true, nil
-		}
-		s.metrics.cache(false)
+	if body, _, ok := s.cache.Get(workflow, key); ok {
+		s.metrics.cache(true)
+		return body, true, nil
 	}
+	s.metrics.cache(false)
 	fkey := fmt.Sprintf("%s|g%d|%s", workflow, gen, key)
 	v, err, shared := s.flight.Do(fkey, func() (any, error) {
 		release, err := s.adm.acquire(ctx)
@@ -198,10 +193,8 @@ func (s *Server) solved(ctx context.Context, workflow string, gen int, key strin
 		if err != nil {
 			return nil, err
 		}
-		if !s.opts.DisableCache {
-			if _, evicted := s.cache.Put(workflow, key, gen, body); evicted > 0 {
-				s.metrics.evict(evicted)
-			}
+		if _, evicted := s.cache.Put(workflow, key, gen, body); evicted > 0 {
+			s.metrics.evict(evicted)
 		}
 		return body, nil
 	})

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"github.com/essential-stats/etlopt/internal/core"
 	"github.com/essential-stats/etlopt/internal/css"
-	"github.com/essential-stats/etlopt/internal/data"
 	"github.com/essential-stats/etlopt/internal/engine"
 	"github.com/essential-stats/etlopt/internal/faults"
 	"github.com/essential-stats/etlopt/internal/physical"
@@ -39,9 +39,6 @@ type Worker struct {
 	maxBody int64
 
 	states onceMap[workerKey, *workerState]
-	// afterBlock, when set, is called after each block of a chain has run:
-	// the fault tests kill a worker mid-chain with it.
-	afterBlock func(block int)
 }
 
 // workerDatasets bounds the datasets a worker keeps, least recently used
@@ -94,15 +91,15 @@ type workerRunRequest struct {
 	Metrics    bool         `json:"metrics,omitempty"`
 	// Plans maps block index to join tree (nil = initial trees).
 	Plans map[int]*workflow.JoinTree `json:"plans,omitempty"`
-	// Block is the chain's head, which reads no block's output, and Then
-	// the blocks after it, in order, each reading only the output of the
-	// one before it (chainOf checks both).
+	// Block is the chain's head and Then the blocks after it, in order:
+	// together exactly one of the workflow's chains (engine.Chains).
 	Block int   `json:"block"`
 	Then  []int `json:"then,omitempty"`
 }
 
-// errChain marks a request whose blocks are not a chain of its workflow's.
-var errChain = errors.New("not a chain of the workflow's blocks")
+// errChain marks a request whose blocks are not one of its workflow's
+// chains.
+var errChain = errors.New("not one of the workflow's chains")
 
 // wireFailedStat is a degraded statistic on the wire: the statistic plus
 // its error rendered as text (errors do not round-trip as values).
@@ -202,12 +199,12 @@ func (wk *Worker) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(frame)
 }
 
-// runChain executes the request's chain, one block after another, each
-// output inside the chain handed to the next block and dropped from what is
-// sent. A block that fails ends the chain, its error its result. The status
-// return classifies failures of the request itself for the coordinator: 4xx
-// are deterministic (retrying elsewhere cannot help), 5xx would be
-// worker-local trouble.
+// runChain executes the request's chain through engine.RunChainCtx: one
+// compiled plan, each output inside the chain handed to the next block and
+// dropped from what is sent. A block that fails ends the chain, its error
+// its result. The status return classifies failures of the request itself
+// for the coordinator: 4xx are deterministic (retrying elsewhere cannot
+// help), 5xx would be worker-local trouble.
 func (wk *Worker) runChain(ctx context.Context, req *workerRunRequest) ([]blockResult, int, error) {
 	st, err := wk.state(req.WF, req.Scale)
 	if err != nil {
@@ -222,7 +219,7 @@ func (wk *Worker) runChain(ctx context.Context, req *workerRunRequest) ([]blockR
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
-	chain, err := chainOf(an, req)
+	chain, err := requestChain(an, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -240,53 +237,28 @@ func (wk *Worker) runChain(ctx context.Context, req *workerRunRequest) ([]blockR
 	eng.MaxRows = req.MaxRows
 	eng.CollectMetrics = req.Metrics
 	eng.Faults = flt
-	results := make([]blockResult, 0, len(chain))
-	var held map[int]*data.Late
-	for i, block := range chain {
-		rb, err := eng.RunBlockCtx(ctx, block, req.Plans, res, observe, held)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The coordinator hung up (lease expiry or run
-				// cancellation); the status is moot, the response will
-				// not be read.
-				return nil, http.StatusServiceUnavailable, ctx.Err()
-			}
-			return append(results, blockResult{err: err}), 0, nil
-		}
-		if wk.afterBlock != nil {
-			wk.afterBlock(block)
-		}
-		if i < len(chain)-1 {
-			held = map[int]*data.Late{block: rb.Out}
-			rb.Out = nil
-		}
-		results = append(results, blockResult{rb: rb})
+	rbs, err := eng.RunChainCtx(ctx, chain, req.Plans, res, observe)
+	if err != nil && ctx.Err() != nil {
+		// The coordinator hung up (lease expiry or run cancellation); the
+		// status is moot, the response will not be read.
+		return nil, http.StatusServiceUnavailable, ctx.Err()
+	}
+	results := make([]blockResult, len(rbs), len(chain))
+	for i, rb := range rbs {
+		results[i].rb = rb
+	}
+	if err != nil {
+		results = append(results, blockResult{err: err})
 	}
 	return results, 0, nil
 }
 
-// chainOf is the blocks a request runs, in order, checked against its
-// workflow: the head reads no block's output, and each block after it reads
-// the output of the one before it and no other.
-func chainOf(an *workflow.Analysis, req *workerRunRequest) ([]int, error) {
+// requestChain is the blocks a request runs, in order: exactly one of its
+// workflow's chains.
+func requestChain(an *workflow.Analysis, req *workerRunRequest) ([]int, error) {
 	chain := append([]int{req.Block}, req.Then...)
-	for i, idx := range chain {
-		if idx < 0 || idx >= len(an.Blocks) {
-			return nil, fmt.Errorf("block %d of a workflow of %d: %w", idx, len(an.Blocks), errChain)
-		}
-		readsPrev := false
-		for _, in := range an.Blocks[idx].Inputs {
-			switch {
-			case in.FromBlock < 0:
-			case i > 0 && in.FromBlock == chain[i-1]:
-				readsPrev = true
-			default:
-				return nil, fmt.Errorf("block %d reads block %d, which does not run before it here: %w", idx, in.FromBlock, errChain)
-			}
-		}
-		if i > 0 && !readsPrev {
-			return nil, fmt.Errorf("block %d does not read block %d, which runs before it: %w", idx, chain[i-1], errChain)
-		}
+	if !slices.ContainsFunc(engine.Chains(an), func(c []int) bool { return slices.Equal(c, chain) }) {
+		return nil, fmt.Errorf("blocks %v: %w", chain, errChain)
 	}
 	return chain, nil
 }

@@ -11,12 +11,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/essential-stats/etlopt/internal/engine"
+	"github.com/essential-stats/etlopt/internal/suite"
+	"github.com/essential-stats/etlopt/internal/workflow"
 )
 
-// block0 is the request frame for the first block of a suite workflow, and
-// postFrame the status the worker answers a frame with.
-func block0(t *testing.T, wf int) []byte {
-	return requestFrame(t, &workerRunRequest{WF: wf, Scale: distScale, Instrument: true}, 0)
+// chain0 is the request frame for the first chain (engine.Chains) of a
+// suite workflow at scale, and postFrame the status the worker answers a
+// frame with.
+func chain0(t *testing.T, wf int, scale float64) []byte {
+	w := suite.MustGet(wf)
+	an, err := workflow.Analyze(w.Graph, w.Catalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return requestFrame(t, &workerRunRequest{WF: wf, Scale: scale, Instrument: true}, engine.Chains(an)[0]...)
 }
 
 func postFrame(h http.Handler, frame []byte) int {
@@ -25,7 +35,7 @@ func postFrame(h http.Handler, frame []byte) int {
 	return rec.Code
 }
 
-// TestWorkerColdStartDoesNotBlockOthers dispatches the first blocks of two
+// TestWorkerColdStartDoesNotBlockOthers dispatches the first chains of two
 // workflows to one worker while the first one's data is still being
 // generated: its own block waits for it, the other workflow's does not (it
 // did, for as long as the generation took, when one lock covered both the
@@ -52,7 +62,7 @@ func TestWorkerColdStartDoesNotBlockOthers(t *testing.T) {
 	}()
 	<-entered
 
-	slowFrame, fastFrame := block0(t, slowWF), block0(t, fastWF)
+	slowFrame, fastFrame := chain0(t, slowWF, distScale), chain0(t, fastWF, distScale)
 	slow, fast := make(chan int, 1), make(chan int, 1)
 	wg.Add(2)
 	go func() {
@@ -128,7 +138,7 @@ func TestWorkerRefusesScaleOutOfRange(t *testing.T) {
 	if n := len(wk.states.m); n != 0 {
 		t.Errorf("%d dataset(s) built for refused scales", n)
 	}
-	if code := postFrame(h, block0(t, 1)); code != http.StatusOK {
+	if code := postFrame(h, chain0(t, 1, distScale)); code != http.StatusOK {
 		t.Errorf("a valid block after the refusals: status %d", code)
 	}
 }
@@ -180,9 +190,9 @@ func TestOnceMapBounded(t *testing.T) {
 	}
 }
 
-// TestWorkerDatasetsBounded runs one block of wf06 at more scales than a
+// TestWorkerDatasetsBounded runs wf06's chain at more scales than a
 // worker keeps datasets: it keeps at most workerDatasets of them, and the
-// first scale's block, whose dataset was dropped, answers byte for byte as
+// first scale's chain, whose dataset was dropped, answers byte for byte as
 // it did before.
 func TestWorkerDatasetsBounded(t *testing.T) {
 	wk := NewWorker()
@@ -191,7 +201,7 @@ func TestWorkerDatasetsBounded(t *testing.T) {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/run", bytes.NewReader(
-			requestFrame(t, &workerRunRequest{WF: 6, Scale: scale, Instrument: true}, 0))))
+			chain0(t, 6, scale))))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("scale %v: status %d: %s", scale, rec.Code, rec.Body)
 		}

@@ -4,9 +4,10 @@
 # observe → optimize round trip over HTTP with -drift and -cache-bytes at
 # values whose effect /metrics shows, and check that SIGTERM drains and
 # exits 0. Second: a daemon deliberately under-provisioned (one solve slot,
-# no wait queue, cache off) under a dozen concurrent requests must shed with
-# typed 429s, never a 5xx, count what it shed, and drain as cleanly. CI runs
-# this as its own job; `make serve-smoke` runs it locally.
+# no wait queue) under a dozen concurrent requests of distinct cache keys,
+# each a miss, must shed with typed 429s, never a 5xx, count what it shed,
+# and drain as cleanly. CI runs this as its own job; `make serve-smoke`
+# runs it locally.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,9 +95,9 @@ grep -q 'etlopt_serve_cache_entries 1' "$work/metrics"
 echo "== graceful SIGTERM drain"
 drain
 
-echo "== start daemon (1 solve slot, no queue, cache off)"
+echo "== start daemon (1 solve slot, no queue)"
 "$work/etlopt" serve -catalog "$work/catalog" -addr "$addr" \
-    -cache=false -max-solves 1 -solve-queue 0 &
+    -max-solves 1 -solve-queue 0 &
 pid=$!
 await_daemon
 
